@@ -92,9 +92,7 @@ def test_b_shared_vs_per_client_evaluation(print_table, benchmark):
             db = Database()
             market = StockMarket(db, seed=113)
             market.populate(1_000)
-            server = CQServer(
-                db, SimulatedNetwork(), share_evaluation=share
-            )
+            server = CQServer(db, SimulatedNetwork(), fanout=share)
             clients = []
             for i in range(n_clients):
                 client = CQClient(f"c{i}")
@@ -121,7 +119,7 @@ def test_b_shared_vs_per_client_evaluation(print_table, benchmark):
     db = Database()
     market = StockMarket(db, seed=114)
     market.populate(1_000)
-    server = CQServer(db, SimulatedNetwork(), share_evaluation=True)
+    server = CQServer(db, SimulatedNetwork(), fanout=True)
     for i in range(16):
         client = CQClient(f"c{i}")
         server.attach(client)

@@ -5,9 +5,9 @@ Sweep the client count with a fixed update batch per refresh cycle and
 measure the server's work per cycle. Claim shape: with the naive
 protocol the server re-scans the base table once *per client*; with DRA
 the per-client cost is delta-sized, so server work stays near-flat as
-clients grow — and with the shared-delta refresh layer (delta-batch
-cache + shared evaluation) the per-cycle cost is independent of the
-client count altogether.
+clients grow — and with fan-out (one shared evaluation per distinct
+query on top of the per-cycle delta-batch cache) the per-cycle cost is
+independent of the client count altogether.
 
 Run ``python benchmarks/bench_e3_clients.py --smoke`` for a fast
 self-check that delta-batch sharing is active (used by CI): it builds
@@ -35,19 +35,13 @@ def build(
     n_clients,
     protocol,
     seed=3,
-    share_evaluation=False,
-    share_deltas=True,
+    fanout=False,
     queries=None,
 ):
     db = Database()
     market = StockMarket(db, seed=seed)
     market.populate(BASE_ROWS)
-    server = CQServer(
-        db,
-        SimulatedNetwork(),
-        share_evaluation=share_evaluation,
-        share_deltas=share_deltas,
-    )
+    server = CQServer(db, SimulatedNetwork(), fanout=fanout)
     for i in range(n_clients):
         client = CQClient(f"c{i}")
         server.attach(client)
@@ -61,10 +55,8 @@ def one_cycle(market, server):
     server.refresh_all()
 
 
-def server_work_per_cycle(n_clients, protocol, share_evaluation=False):
-    db, market, server = build(
-        n_clients, protocol, share_evaluation=share_evaluation
-    )
+def server_work_per_cycle(n_clients, protocol, fanout=False):
+    db, market, server = build(n_clients, protocol, fanout=fanout)
     market.tick(20)
     server.metrics.reset()
     server.refresh_all()
@@ -82,7 +74,7 @@ def test_server_work_vs_client_count(print_table, benchmark):
     for n in CLIENT_COUNTS:
         work[(n, "dra")] = server_work_per_cycle(n, Protocol.DRA_DELTA)
         work[(n, "shared")] = server_work_per_cycle(
-            n, Protocol.DRA_DELTA, share_evaluation=True
+            n, Protocol.DRA_DELTA, fanout=True
         )
         work[(n, "naive")] = server_work_per_cycle(n, Protocol.REEVAL_FULL)
         rows.append(
@@ -106,22 +98,19 @@ def test_server_work_vs_client_count(print_table, benchmark):
     # client costs at most both sides of the 20-update batch.
     assert work[(32, "dra")] < work[(32, "naive")] / 10
     assert work[(32, "dra")] / 32 <= 2 * 20
-    # The shared-delta scheduler makes server work per cycle flat in
-    # the client count: 32 identical subscriptions cost one refresh.
+    # Fan-out makes server work per cycle flat in the client count:
+    # 32 identical subscriptions cost one evaluation.
     assert work[(32, "shared")] <= work[(1, "dra")] * 2
     benchmark(lambda: server_work_per_cycle(8, Protocol.DRA_DELTA))
 
 
 def test_delta_sharing_cuts_delta_reads(print_table):
-    """With ≥32 CQs over a shared table, the shared-delta refresh path
-    reads each delta batch once — ≥2x fewer delta rows than the
-    per-subscription baseline (the PR's headline acceptance claim)."""
+    """With ≥32 identical CQs over a shared table, fan-out evaluates
+    the batch once — ≥2x fewer delta rows than per-subscription
+    evaluation."""
     readings = {}
-    for label, kwargs in [
-        ("private", dict(share_evaluation=False, share_deltas=False)),
-        ("shared", dict(share_evaluation=True, share_deltas=True)),
-    ]:
-        db, market, server = build(32, Protocol.DRA_DELTA, **kwargs)
+    for label, fanout in [("private", False), ("shared", True)]:
+        db, market, server = build(32, Protocol.DRA_DELTA, fanout=fanout)
         market.tick(20)
         server.metrics.reset()
         server.refresh_all()
@@ -146,9 +135,7 @@ def test_delta_sharing_cuts_delta_reads(print_table):
         f"SELECT sid, price FROM stocks WHERE price > {600 + 20 * i}"
         for i in range(8)
     ]
-    db, market, server = build(
-        32, Protocol.DRA_DELTA, share_deltas=True, queries=queries
-    )
+    db, market, server = build(32, Protocol.DRA_DELTA, queries=queries)
     market.tick(20)
     server.metrics.reset()
     server.refresh_all()
@@ -187,17 +174,14 @@ def smoke(n_cqs=8):
     ]
 
     # Server path: distinct queries, one hot table, shared batches.
-    db, market, server = build(
-        n_cqs, Protocol.DRA_DELTA, queries=queries, share_deltas=True
-    )
+    db, market, server = build(n_cqs, Protocol.DRA_DELTA, queries=queries)
     market.tick(20)
     server.metrics.reset()
     server.refresh_all()
     server_reused = server.metrics[Metrics.DELTA_BATCHES_REUSED]
     assert server_reused > 0, "server refresh cycle shared no delta batches"
 
-    # Manager path: same queries behind CQManager.poll() with the
-    # shared-delta scheduler and the parallel refresh pool.
+    # Manager path: same queries behind CQManager.poll().
     db = Database()
     market = StockMarket(db, seed=3)
     market.populate(BASE_ROWS)
@@ -206,7 +190,6 @@ def smoke(n_cqs=8):
         db,
         strategy=EvaluationStrategy.PERIODIC,
         metrics=metrics,
-        parallelism=4,
     )
     for i, sql in enumerate(queries):
         manager.register_sql(f"q{i}", sql)

@@ -69,7 +69,7 @@ class ActiveDeltaZones:
         None when no CQ reads the table — the caller decides whether
         unwatched logs may be discarded wholesale.
 
-        Zone snapshots are taken with ``list`` so a parallel refresh
+        Zone snapshots are taken with ``list`` so another thread
         advancing (or a finalizing CQ removing) a zone mid-collection
         never trips dict-mutation errors; a concurrently advanced zone
         only makes the horizon *older* than strictly necessary, which

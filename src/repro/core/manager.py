@@ -20,7 +20,6 @@ The manager owns every registered continual query's lifecycle:
 from __future__ import annotations
 
 import enum
-import threading
 from collections import deque
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
 
@@ -81,10 +80,6 @@ class CQManager:
         auto_gc: bool = False,
         metrics: Optional[Metrics] = None,
         history_limit: int = 0,
-        parallelism: int = 0,
-        share_deltas: bool = True,
-        group_triggers: bool = True,
-        prepare_plans: bool = True,
         durability=None,
         tracer: Optional[Tracer] = None,
         slow_refresh_us: Optional[float] = None,
@@ -123,29 +118,19 @@ class CQManager:
         # Installed per refresh by the scheduler: a scoped TeeMetrics
         # that also charges self.metrics; _refresh_metrics() routes the
         # engines' charges through it for per-CQ attribution.
-        self._local_metrics = threading.local()
+        self._scoped_metrics: Optional[Metrics] = None
         #: Per-CQ retained notification history length (0 = none).
         self.history_limit = history_limit
-        #: Shared-delta refresh scheduling behind :meth:`poll`:
-        #: ``parallelism=N`` (N > 1) refreshes independent CQs on N
-        #: worker threads; ``share_deltas`` consolidates each table's
-        #: delta batch once per poll window; ``group_triggers`` skips
-        #: whole footprint groups whose tables saw no commits. The
-        #: defaults preserve strict sequential refresh order; all three
-        #: preserve the paper's result-sequence semantics exactly.
-        self.scheduler = RefreshScheduler(
-            self,
-            parallelism=parallelism,
-            share_deltas=share_deltas,
-            group_triggers=group_triggers,
-        )
+        #: Shared-delta refresh scheduling behind :meth:`poll`: each
+        #: table's delta batch is consolidated once per poll window,
+        #: and whole footprint groups whose tables saw no commits are
+        #: skipped; runnable CQs refresh in registration order.
+        self.scheduler = RefreshScheduler(self)
         #: Registration-time compilation (:mod:`repro.dra.prepared`):
         #: one :class:`PreparedCQ` per CQ, keyed by name. Every refresh
         #: revalidates against the live catalog (schema identity +
         #: index-set versions) and silently re-prepares when a table
-        #: changed underneath the plan; ``prepare_plans=False`` falls
-        #: back to per-refresh planning for baseline comparisons.
-        self.prepare_plans = prepare_plans
+        #: changed underneath the plan.
         self.plans = PlanCache(db, metrics)
         self.zones = ActiveDeltaZones(db)
         self._cqs: Dict[str, ContinualQuery] = {}
@@ -185,12 +170,6 @@ class CQManager:
         # and bounded against IMMEDIATE-strategy growth.
         self._fanout_routes: Dict[Tuple, Set[str]] = {}
         self._shared_results: Dict[Tuple[str, Timestamp, Timestamp], object] = {}
-        self._fanout_lock = threading.Lock()
-        # Parallel refresh support: _emit appends under the lock, and
-        # with _defer_callbacks the scheduler delivers callbacks after
-        # re-sequencing the poll's notifications.
-        self._emit_lock = threading.Lock()
-        self._defer_callbacks = False
 
     # -- registration -----------------------------------------------------
 
@@ -417,13 +396,10 @@ class CQManager:
         suffix its delta zone protects from GC."""
         now = self.db.now()
         key = (table_names, since, now)
-        with self._fanout_lock:
-            routed = self._fanout_routes.get(key)
-        if routed is not None:
-            return routed
-        deltas = self._deltas_for(table_names, since)
-        routed = self.fanout_index.match_batch(deltas)
-        with self._fanout_lock:
+        routed = self._fanout_routes.get(key)
+        if routed is None:
+            deltas = self._deltas_for(table_names, since)
+            routed = self.fanout_index.match_batch(deltas)
             if len(self._fanout_routes) > 128:
                 self._fanout_routes.clear()
             self._fanout_routes[key] = routed
@@ -441,16 +417,6 @@ class CQManager:
         if cq.name in index.stale():
             return False
         return cq.name not in self._fanout_routed(cq.table_names, since)
-
-    def _fanout_out_schema(self, cq: ContinualQuery):
-        """The output schema for a skipped refresh's empty delta (None
-        when it cannot be had cheaply — the caller then evaluates)."""
-        prepared = self._prepared_for(cq)
-        if prepared is not None:
-            return prepared.out_schema
-        if cq.previous_result is not None:
-            return cq.previous_result.schema
-        return None
 
     # -- update observation ------------------------------------------------------
 
@@ -484,16 +450,14 @@ class CQManager:
 
         The actual refresh work is delegated to the manager's
         :class:`~repro.core.scheduler.RefreshScheduler`, which shares
-        delta-batch consolidation across CQs, skips footprint groups
-        with no pending commits, and (when ``parallelism > 1``) runs
-        independent refreshes concurrently.
+        delta-batch consolidation across CQs and skips footprint groups
+        with no pending commits.
         """
         if advance_to is not None:
             self.db.clock.advance_to(advance_to)
         if self.fanout_index is not None:
-            with self._fanout_lock:
-                self._fanout_routes.clear()
-                self._shared_results.clear()
+            self._fanout_routes.clear()
+            self._shared_results.clear()
         self.scheduler.run(self.db.now())
         return self.drain()
 
@@ -501,9 +465,8 @@ class CQManager:
 
     def drain(self) -> List[Notification]:
         """Remove and return all queued notifications."""
-        with self._emit_lock:
-            out = self._outbox
-            self._outbox = []
+        out = self._outbox
+        self._outbox = []
         return out
 
     def subscribe_notifications(
@@ -536,9 +499,9 @@ class CQManager:
 
     def _refresh_metrics(self) -> Optional[Metrics]:
         """The metrics bag engines charge during a refresh: the scoped
-        per-CQ tee when the scheduler installed one on this thread,
-        otherwise the shared bag."""
-        scoped = getattr(self._local_metrics, "value", None)
+        per-CQ tee when the scheduler installed one, otherwise the
+        shared bag."""
+        scoped = self._scoped_metrics
         return scoped if scoped is not None else self.metrics
 
     def _note_slow_refresh(
@@ -632,27 +595,30 @@ class CQManager:
             out[partition.table] = sliced
         return out
 
+    def _window_deltas(
+        self, cq: ContinualQuery, since: Timestamp
+    ) -> Dict[str, DeltaRelation]:
+        """The deltas one refresh of ``cq`` consumes over ``(since,
+        now]``: nothing when the predicate index proves every pending
+        entry irrelevant (Section 5.2), otherwise the consolidated
+        window restricted to the CQ's partition slice."""
+        if self._fanout_irrelevant(cq, since):
+            return {}
+        return self._partition_deltas(
+            cq, self._deltas_for(cq.table_names, since)
+        )
+
     def _prepared_for(self, cq: ContinualQuery) -> Optional[PreparedCQ]:
-        """The CQ's cached prepared plan (None when preparation is off
-        or the engine never runs DRA). Aggregates are planned on their
-        SPJ core — the part DRA differentiates."""
-        if not self.prepare_plans:
-            return None
+        """The CQ's cached prepared plan (None when the engine never
+        runs DRA). Aggregates are planned on their SPJ core — the part
+        DRA differentiates."""
         if cq.engine is Engine.REEVALUATE and not cq.is_aggregate:
             return None
         query = cq.query.core if cq.is_aggregate else cq.query
         return self.plans.get(cq.name, query)
 
     def _refresh_aggregate(self, cq: ContinualQuery, now: Timestamp) -> None:
-        applied = self._agg_applied[cq.name]
-        if self._fanout_irrelevant(cq, applied):
-            # Every pending entry misses the SPJ core's local slices:
-            # the aggregate state cannot change, only the window moves.
-            deltas = {}
-        else:
-            deltas = self._partition_deltas(
-                cq, self._deltas_for(cq.table_names, applied)
-            )
+        deltas = self._window_deltas(cq, self._agg_applied[cq.name])
         if deltas:
             cq.aggregate_state.update(
                 deltas,
@@ -672,13 +638,7 @@ class CQManager:
 
     def _eager_apply(self, cq: ContinualQuery, now: Timestamp) -> None:
         """Fold all committed changes into the maintained result."""
-        applied = self._eager_applied[cq.name]
-        if self._fanout_irrelevant(cq, applied):
-            deltas = {}
-        else:
-            deltas = self._partition_deltas(
-                cq, self._deltas_for(cq.table_names, applied)
-            )
+        deltas = self._window_deltas(cq, self._eager_applied[cq.name])
         if deltas:
             result = dra_execute(
                 cq.query,
@@ -725,13 +685,11 @@ class CQManager:
 
     def _execute_dra(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
         since = cq.last_execution_ts
-        if self._fanout_irrelevant(cq, since):
-            schema = self._fanout_out_schema(cq)
-            if schema is not None:
-                return DeltaRelation(schema)
-        deltas = self._partition_deltas(
-            cq, self._deltas_for(cq.table_names, since)
-        )
+        deltas = self._window_deltas(cq, since)
+        if not deltas:
+            # Nothing committed, or nothing the index routes here: the
+            # result cannot have changed, so no engine runs.
+            return DeltaRelation(self._prepared_for(cq).out_schema)
         # Shared materialization: CQs with identical SQL text and the
         # same refresh window have content-identical previous results
         # (both are Q(state at `since`)), so the whole DRAResult is
@@ -748,8 +706,7 @@ class CQManager:
             sql_key = self._cq_sql_key.get(cq.name)
             if sql_key is not None and len(self._sql_groups.get(sql_key, ())) > 1:
                 shared_key = (sql_key, since, now)
-                with self._fanout_lock:
-                    result = self._shared_results.get(shared_key)
+                result = self._shared_results.get(shared_key)
                 if result is not None and self.metrics:
                     self.metrics.count(Metrics.SHARED_GROUP_HITS)
         if result is None:
@@ -771,10 +728,9 @@ class CQManager:
                     delta_rows=len(result.delta),
                 )
             if shared_key is not None:
-                with self._fanout_lock:
-                    if len(self._shared_results) > 128:
-                        self._shared_results.clear()
-                    self._shared_results[shared_key] = result
+                if len(self._shared_results) > 128:
+                    self._shared_results.clear()
+                self._shared_results[shared_key] = result
         if cq.keep_result and result.has_changes():
             if shared_key is not None:
                 # Never alias a shared result's materialization across
@@ -867,17 +823,10 @@ class CQManager:
             kind=notification.kind.value,
             seq=notification.seq,
         ) as span:
-            with self._emit_lock:
-                history = self._history.get(notification.cq_name)
-                if history is not None:
-                    history.append(notification)
-                self._outbox.append(notification)
-                if self._defer_callbacks:
-                    # Parallel refresh: the scheduler re-sequences this
-                    # poll's notifications into registration order and
-                    # fires the callbacks itself afterwards.
-                    span.set(deferred=True)
-                    return
+            history = self._history.get(notification.cq_name)
+            if history is not None:
+                history.append(notification)
+            self._outbox.append(notification)
             delivered = 0
             for callback in self._callbacks.get(notification.cq_name, ()):
                 callback(notification)

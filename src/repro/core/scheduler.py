@@ -3,8 +3,8 @@
 The naive poll loop asks every registered CQ to consolidate its own
 delta batch and test its own trigger — with thousands of CQs over a
 handful of hot tables, identical delta batches are recomputed once per
-CQ and every refresh runs serially. This module is the sharing layer
-between ``CQManager.poll()`` and the per-CQ refresh machinery:
+CQ. This module is the sharing layer between ``CQManager.poll()`` and
+the per-CQ refresh machinery:
 
 * :class:`DeltaBatchCache` — a per-poll cache keyed by
   ``(table, since_ts, now_ts)`` so ``deltas_since`` consolidation runs
@@ -14,16 +14,11 @@ between ``CQManager.poll()`` and the per-CQ refresh machinery:
   footprint; a whole group is skipped when none of its tables saw a
   commit since the members' last executions, provided the members'
   trigger/stop conditions are purely data-driven (a time trigger can
-  fire without any update, so such CQs are always evaluated);
-* an opt-in *parallel refresh path* — independent CQ refreshes run on
-  a ``ThreadPoolExecutor``; notifications are re-sequenced into
-  registration order afterwards so the observable result sequence is
-  identical to the sequential schedule.
+  fire without any update, so such CQs are always evaluated).
 
-The default configuration (``parallelism=0``) preserves the
-sequential manager's semantics bit-for-bit: the same CQs execute in
-the same order and emit the same notifications; sharing only removes
-provably redundant work and adds observability counters
+Runnable CQs refresh one after another in registration order, so the
+notification sequence is the paper's: sharing only removes provably
+redundant work and adds observability counters
 (``delta_batches_reused``, ``groups_skipped``) plus a refresh-latency
 histogram.
 """
@@ -31,8 +26,6 @@ histogram.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from threading import Event, Lock
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics import Metrics
@@ -57,17 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.manager import CQManager
 
 
-class _PendingBatch:
-    """Placeholder for one in-flight or finished consolidation."""
-
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self) -> None:
-        self.event = Event()
-        self.value: Optional[DeltaRelation] = None
-        self.error: Optional[BaseException] = None
-
-
 class DeltaBatchCache:
     """A per-poll cache of consolidated per-table delta batches.
 
@@ -77,13 +59,9 @@ class DeltaBatchCache:
     on commits — within one poll it is constant, so the cache can never
     serve a batch that is missing a mid-poll commit.
 
-    Thread-safe, and the consolidation itself runs *outside* the cache
-    lock: the first reader of a key inserts a placeholder under the
-    lock (a double-checked insert), computes the batch unlocked, then
-    publishes it; concurrent readers of the *same* key block only on
-    that key's event, and readers of *different* keys never serialize
-    on each other. The reuse counters stay exact because ownership of
-    each key is decided exactly once, under the lock.
+    One poll (or server refresh cycle) builds one cache and reads it
+    from one thread; a consolidation that raises caches nothing, so a
+    later reader retries.
     """
 
     def __init__(
@@ -95,8 +73,7 @@ class DeltaBatchCache:
         self.db = db
         self.metrics = metrics
         self.tracer = tracer
-        self._lock = Lock()
-        self._batches: Dict[Tuple[str, Timestamp, Timestamp], _PendingBatch] = {}
+        self._batches: Dict[Tuple[str, Timestamp, Timestamp], DeltaRelation] = {}
         self.hits = 0
         self.misses = 0
 
@@ -105,23 +82,13 @@ class DeltaBatchCache:
     ) -> DeltaRelation:
         """The consolidated delta of one table over ``(since, now]``."""
         key = (table_name, since, now)
-        with self._lock:
-            entry = self._batches.get(key)
-            if entry is None:
-                entry = self._batches[key] = _PendingBatch()
-                owner = True
-                self.misses += 1
-            else:
-                owner = False
-                self.hits += 1
-        if not owner:
+        batch = self._batches.get(key)
+        if batch is not None:
+            self.hits += 1
             if self.metrics:
                 self.metrics.count(Metrics.DELTA_BATCHES_REUSED)
-            entry.event.wait()
-            if entry.error is not None:
-                raise entry.error
-            assert entry.value is not None
-            return entry.value
+            return batch
+        self.misses += 1
         span = (
             self.tracer.span(
                 "delta.consolidate", table=table_name, since=since, now=now
@@ -129,22 +96,12 @@ class DeltaBatchCache:
             if self.tracer is not None
             else NULL_SPAN
         )
-        try:
-            with span:
-                batch = delta_since(self.db.table(table_name), since)
-                span.set(entries=len(batch))
-        except BaseException as exc:
-            # Un-publish the key so a later reader retries rather than
-            # inheriting this failure forever; wake current waiters.
-            entry.error = exc
-            with self._lock:
-                self._batches.pop(key, None)
-            entry.event.set()
-            raise
-        entry.value = batch
+        with span:
+            batch = delta_since(self.db.table(table_name), since)
+            span.set(entries=len(batch))
+        self._batches[key] = batch
         if self.metrics:
             self.metrics.count(Metrics.DELTA_BATCHES_COMPUTED)
-        entry.event.set()
         return batch
 
     def deltas(
@@ -161,10 +118,7 @@ class DeltaBatchCache:
         return out
 
     def __len__(self) -> int:
-        with self._lock:
-            return sum(
-                1 for entry in self._batches.values() if entry.value is not None
-            )
+        return len(self._batches)
 
     def __repr__(self) -> str:
         return (
@@ -203,26 +157,14 @@ def is_skip_safe(cq: ContinualQuery) -> bool:
 
 
 class RefreshScheduler:
-    """Batches, shares, and (optionally) parallelizes CQ refreshes.
+    """Selects and refreshes the runnable CQs of one poll.
 
     A drop-in behind :meth:`CQManager.poll`; see the module docstring
-    for the three sharing layers. ``parallelism`` of 0 or 1 keeps the
-    sequential path.
+    for the two sharing layers.
     """
 
-    def __init__(
-        self,
-        manager: "CQManager",
-        parallelism: int = 0,
-        share_deltas: bool = True,
-        group_triggers: bool = True,
-    ):
-        if parallelism < 0:
-            raise ValueError(f"parallelism must be >= 0, got {parallelism}")
+    def __init__(self, manager: "CQManager"):
         self.manager = manager
-        self.parallelism = parallelism
-        self.share_deltas = share_deltas
-        self.group_triggers = group_triggers
 
     # -- one poll ---------------------------------------------------------
 
@@ -234,18 +176,12 @@ class RefreshScheduler:
         ) as poll_span:
             runnable = self._select(list(manager._cqs.values()))
             poll_span.set(runnable=len(runnable))
-            cache = (
-                DeltaBatchCache(manager.db, manager.metrics, manager.tracer)
-                if self.share_deltas
-                else None
+            manager._delta_cache = DeltaBatchCache(
+                manager.db, manager.metrics, manager.tracer
             )
-            manager._delta_cache = cache
             try:
-                if self.parallelism > 1 and len(runnable) > 1:
-                    self._run_parallel(runnable, now)
-                else:
-                    for cq in runnable:
-                        self._refresh_one(cq, now)
+                for cq in runnable:
+                    self._refresh_one(cq, now)
             finally:
                 manager._delta_cache = None
 
@@ -255,9 +191,6 @@ class RefreshScheduler:
         """Registration-ordered CQs whose trigger check cannot be
         skipped, with whole-group skip accounting."""
         manager = self.manager
-        if not self.group_triggers:
-            return [cq for cq in cqs if cq.status is CQStatus.ACTIVE]
-
         latest: Dict[str, Timestamp] = {}
 
         def latest_ts(table_name: str) -> Timestamp:
@@ -290,14 +223,14 @@ class RefreshScheduler:
                 manager.metrics.count(Metrics.GROUPS_SKIPPED, skipped_groups)
         return runnable
 
-    # -- refresh paths ----------------------------------------------------
+    # -- refresh ----------------------------------------------------------
 
     def _refresh_one(self, cq: ContinualQuery, now: Timestamp) -> None:
         manager = self.manager
         # Scope counter charges to this refresh: the tee still charges
         # the shared bag, the scoped copy feeds per-CQ attribution.
         scoped = TeeMetrics(manager.metrics if manager.metrics else None)
-        manager._local_metrics.value = scoped
+        manager._scoped_metrics = scoped
         start = time.perf_counter()
         span = manager.tracer.span(
             "cq.refresh", cq=cq.name, tables=",".join(cq.table_names)
@@ -306,7 +239,7 @@ class RefreshScheduler:
             try:
                 manager._maybe_execute(cq, now)
             finally:
-                manager._local_metrics.value = None
+                manager._scoped_metrics = None
                 latency_us = (time.perf_counter() - start) * 1e6
                 counters = {
                     name: value
@@ -320,58 +253,3 @@ class RefreshScheduler:
                         Metrics.REFRESH_LATENCY_US, latency_us
                     )
                 manager._note_slow_refresh(cq.name, latency_us, counters)
-
-    def _run_parallel(
-        self, runnable: Sequence[ContinualQuery], now: Timestamp
-    ) -> None:
-        """Refresh independent CQs concurrently, then re-sequence.
-
-        Workers share the manager's delta cache, metrics, and zones —
-        all thread-safe — while each CQ's own state is touched by
-        exactly one worker. Notifications are buffered (callbacks
-        deferred) and sorted into registration order before delivery,
-        so the observable sequence matches the sequential schedule.
-        """
-        manager = self.manager
-        # Warm the plan cache on this thread first: a (re-)prepare may
-        # create missing join indexes — a catalog mutation that must
-        # not race with workers probing those same tables.
-        for cq in runnable:
-            manager._prepared_for(cq)
-        with manager._emit_lock:
-            start = len(manager._outbox)
-            manager._defer_callbacks = True
-        try:
-            with ThreadPoolExecutor(
-                max_workers=self.parallelism,
-                thread_name_prefix="cq-refresh",
-            ) as pool:
-                futures = [
-                    pool.submit(self._refresh_one, cq, now) for cq in runnable
-                ]
-                for future in futures:
-                    future.result()
-        finally:
-            # Callbacks must fire even when a worker raised: the pool's
-            # context manager has already joined every future, so the
-            # surviving CQs' notifications are complete and buffered in
-            # the outbox — deliver them before the exception propagates,
-            # or their callbacks are silently lost.
-            order = {name: i for i, name in enumerate(manager._cqs)}
-            with manager._emit_lock:
-                manager._defer_callbacks = False
-                tail = manager._outbox[start:]
-                tail.sort(key=lambda n: order.get(n.cq_name, len(order)))
-                manager._outbox[start:] = tail
-            for notification in tail:
-                for callback in manager._callbacks.get(
-                    notification.cq_name, ()
-                ):
-                    callback(notification)
-
-    def __repr__(self) -> str:
-        return (
-            f"RefreshScheduler(parallelism={self.parallelism}, "
-            f"share_deltas={self.share_deltas}, "
-            f"group_triggers={self.group_triggers})"
-        )

@@ -7,12 +7,11 @@ reports deterministic operation counts alongside timings. Any engine
 entry point accepts an optional :class:`Metrics` and charges counters
 to it.
 
-Counters are thread-safe: the shared-delta refresh scheduler
-(:mod:`repro.core.scheduler`) runs independent CQ refreshes on a
-thread pool, and every worker charges the same :class:`Metrics`.
-``count`` takes an internal lock, so totals stay exact under
-contention; alternatively give each worker its own instance and
-:meth:`merge` them afterwards.
+Counters are thread-safe: the cluster's ``LocalBackend`` pool threads
+and user threads may all charge the same :class:`Metrics`. ``count``
+takes an internal lock, so totals stay exact under contention;
+alternatively give each thread its own instance and :meth:`merge` them
+afterwards.
 
 Besides counters, a :class:`Metrics` holds named :class:`Histogram`
 distributions (power-of-two buckets) via :meth:`observe` — the refresh
@@ -226,8 +225,8 @@ class Metrics:
         # Always truthy: engine code guards counter charging with a bare
         # `if metrics:`, which must hold even before the first count —
         # and regardless of how many counters this instance has seen.
-        # Per-worker instances handed out by the parallel refresh path
-        # rely on this exactly like the long-lived shared one.
+        # Short-lived per-thread instances rely on this exactly like
+        # the long-lived shared one.
         return True
 
     def reset(self) -> None:

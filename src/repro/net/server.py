@@ -30,7 +30,7 @@ from repro.delta.capture import deltas_since
 from repro.delta.diff import diff
 from repro.dra.algorithm import dra_execute
 from repro.dra.predindex import PredicateIndex
-from repro.dra.prepared import PlanCache, PreparedCQ
+from repro.dra.prepared import PlanCache
 from repro.core.gc import ActiveDeltaZones
 from repro.core.scheduler import DeltaBatchCache
 from repro.net.digest import relation_digest
@@ -132,20 +132,20 @@ class SharedGroup:
 class CQServer:
     """Hosts the database and serves continual-query subscriptions.
 
-    With ``share_evaluation`` (the Section 5.2 "extracting common
-    subexpressions" refinement applied at subscription granularity),
-    DRA subscriptions with the same query text and refresh window are
-    evaluated once per refresh cycle and the resulting delta is shipped
-    to every subscriber — making server compute per cycle independent
-    of the subscriber count (experiment E3b).
+    A refresh cycle has one shape whatever the protocol mix: every
+    subscription's window is consolidated through one per-cycle
+    :class:`~repro.core.scheduler.DeltaBatchCache` (subscriptions with
+    *different* queries still share one update-log pass per (table,
+    window) — observable as ``delta_batches_reused``), every
+    differential evaluation runs through :meth:`_evaluate`, and every
+    result delta leaves through :meth:`_ship`.
 
-    Independently of full-evaluation sharing, ``share_deltas`` (on by
-    default) routes every subscription's delta consolidation through a
-    per-cycle :class:`~repro.core.scheduler.DeltaBatchCache`: even
-    subscriptions with *different* queries share one update-log pass
-    per (table, window) — observable as ``delta_batches_reused`` in
-    the server metrics. The consolidated batches are identical to the
-    private reads, so refresh results are unchanged.
+    With ``fanout`` (the Section 5.2 "extracting common subexpressions"
+    refinement applied at subscription granularity), DRA subscriptions
+    with the same query text form a :class:`SharedGroup` that is
+    evaluated once per cycle and whose delta is shipped to every member
+    — server compute per cycle is independent of the subscriber count
+    (experiment E3b).
     """
 
     def __init__(
@@ -154,8 +154,6 @@ class CQServer:
         network: SimulatedNetwork,
         name: str = "server",
         metrics: Optional[Metrics] = None,
-        share_evaluation: bool = False,
-        share_deltas: bool = True,
         audit_interval: int = 0,
         tracer: Optional[Tracer] = None,
         fanout: bool = False,
@@ -177,8 +175,6 @@ class CQServer:
         # Installed around one subscription's refresh: a scoped
         # TeeMetrics that also charges self.metrics, feeding stats.
         self._scoped_metrics: Optional[TeeMetrics] = None
-        self.share_evaluation = share_evaluation
-        self.share_deltas = share_deltas
         #: Sampled self-audit: every ``audit_interval``-th differential
         #: refresh also runs a full re-evaluation and compares digests,
         #: counting (and healing) any divergence between the maintained
@@ -484,94 +480,81 @@ class CQServer:
             [self.db.table(name) for name in group.tables], group.last_ts
         )
         if deltas:
-            result = dra_execute(
-                group.query,
-                self.db,
-                deltas=deltas,
-                previous=group.result,
-                ts=now,
-                metrics=self._metrics(),
-                prepared=self.plans.get(group.sql_key, group.query),
-                tracer=self.tracer,
-                columnar=self.columnar,
+            result = self._evaluate(
+                group.query, group.sql_key, deltas, now, group.result
             )
             if result.has_changes():
                 group.result = result.delta.apply_to(group.result)
         group.last_ts = now
 
-    def _window(
-        self,
-        tables: Tuple[str, ...],
-        since: Timestamp,
-        cache: Optional[DeltaBatchCache],
-        now: Timestamp,
-    ):
-        if cache is not None:
-            return cache.deltas(set(tables), since, now)
-        return deltas_since([self.db.table(name) for name in tables], since)
+    # -- refresh ------------------------------------------------------------------
 
-    def _refresh_fanout(self) -> int:
+    def refresh_all(self) -> int:
+        """Recompute and ship every subscription; returns message count."""
+        now = self.db.now()
+        cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
+        sent, handled = self._refresh_groups(cache, now)
+        # Everyone else — REEVAL baselines, diverged windows, every
+        # subscription of a server without fan-out — refreshes alone.
+        for key, subscription in list(self._subscriptions.items()):
+            if key not in handled:
+                sent += self._refresh_scoped(subscription, cache)
+        return sent
+
+    def _refresh_groups(
+        self, cache: DeltaBatchCache, now: Timestamp
+    ) -> Tuple[int, Set[Tuple[str, str]]]:
         """One predicate-index pass decides which ``sql_key`` groups see
         relevant entries this cycle; unaffected groups advance without
         evaluating anything (the Section 5.2 relevance theorem makes
         their result deltas provably empty), affected groups evaluate
         once and fan the delta out to every member. Members whose
         window diverged from the group's (a reconnect replay realigned
-        them mid-cycle) fall back to the per-subscription path and
+        them mid-cycle) are left to the per-subscription path and
         rejoin the group next cycle. Detached members are skipped, not
         raised on — their zones hold the replay window for reconnect.
+
+        Returns the messages sent and the subscriptions refreshed here
+        (none on a server without fan-out: it has no groups).
         """
         sent = 0
-        now = self.db.now()
-        cache = (
-            DeltaBatchCache(self.db, self.metrics, self.tracer)
-            if self.share_deltas
-            else None
-        )
         routes: Dict[Tuple[Tuple[str, ...], Timestamp], Set[str]] = {}
         handled: Set[Tuple[str, str]] = set()
         for sql_key in list(self._groups):
             group = self._groups[sql_key]
-            members = [
-                self._subscriptions[key]
-                for key in sorted(group.members)
-                if key in self._subscriptions
-            ]
+            since = group.last_ts
+            tables = group.tables
             sharable = [
                 s
-                for s in members
-                if s.protocol in (Protocol.DRA_DELTA, Protocol.DRA_LAZY)
-                and s.last_ts == group.last_ts
+                for s in map(self._subscriptions.get, sorted(group.members))
+                if s is not None
+                and s.protocol in (Protocol.DRA_DELTA, Protocol.DRA_LAZY)
+                and s.last_ts == since
             ]
-            since = group.last_ts
-            route_key = (group.tables, since)
-            routed = routes.get(route_key)
+            routed = routes.get((tables, since))
             if routed is None:
                 routed = self.fanout_index.match_batch(
-                    self._window(group.tables, since, cache, now)
+                    cache.deltas(tables, since, now)
                 )
-                routes[route_key] = routed
+                routes[(tables, since)] = routed
+            group.last_ts = now
             if sql_key not in routed:
-                group.last_ts = now
                 for s in sharable:
                     s.last_ts = now
                     self._note_refresh(s, True)
                     handled.add((s.client_id, s.cq_name))
                 continue
-            result = dra_execute(
+            result = self._evaluate(
                 group.query,
-                self.db,
-                deltas=self._window(group.tables, since, cache, now),
-                previous=group.result,
-                ts=now,
-                metrics=self.metrics,
-                prepared=self.plans.get(sql_key, group.query),
-                tracer=self.tracer,
-                columnar=self.columnar,
+                sql_key,
+                cache.deltas(tables, since, now),
+                now,
+                group.result,
             )
             if result.has_changes():
-                group.result = result.delta.apply_to(group.result)
-            group.last_ts = now
+                group.result = self._audited(
+                    group.query, result.delta.apply_to(group.result)
+                )
             if len(sharable) > 1:
                 self.metrics.count(
                     Metrics.SHARED_GROUP_HITS, len(sharable) - 1
@@ -579,223 +562,139 @@ class CQServer:
             for s in sharable:
                 handled.add((s.client_id, s.cq_name))
                 s.last_ts = now
-                if s.protocol is Protocol.DRA_DELTA:
-                    s.previous_result = group.result
-                    if result.delta.is_empty():
-                        self._note_refresh(s, True)
-                        continue
-                    if s.client_id not in self._clients:
-                        self._note_refresh(s, False)
-                        continue
-                    delivered = self._deliver(
-                        s.client_id,
-                        DeltaMessage(
-                            s.cq_name,
-                            result.delta,
-                            now,
-                            relation_digest(group.result),
-                        ),
-                    )
-                    self._note_refresh(s, delivered)
-                    if delivered:
-                        sent += 1
-                else:  # DRA_LAZY: accumulate, announce, apply on fetch.
-                    if result.delta.is_empty():
-                        continue
-                    if s.pending_delta is None:
-                        s.pending_delta = result.delta
-                    else:
-                        s.pending_delta = s.pending_delta.compose(result.delta)
-                    if s.pending_delta.is_empty():
-                        s.pending_delta = None
-                        continue
-                    if s.client_id not in self._clients:
-                        continue
-                    delivered = self._deliver(
-                        s.client_id,
-                        DeltaAvailableMessage(
-                            s.cq_name,
-                            now,
-                            len(s.pending_delta),
-                            delta_wire_size(s.pending_delta),
-                        ),
-                    )
-                    if delivered:
-                        sent += 1
-        # Everyone else — REEVAL baselines, diverged windows — refreshes
-        # on the per-subscription path with scoped cost attribution.
-        for key, subscription in list(self._subscriptions.items()):
-            if key in handled:
-                continue
-            scoped = TeeMetrics(self.metrics)
-            self._scoped_metrics = scoped
-            delivered = False
+                if s.protocol is Protocol.DRA_LAZY:
+                    sent += self._announce_lazy(s, result.delta, now)
+                    continue
+                s.previous_result = group.result
+                if result.delta.is_empty():
+                    self._note_refresh(s, True)
+                elif s.client_id in self._clients:
+                    sent += self._ship(s, result.delta, now)
+        return sent, handled
+
+    def _refresh_scoped(
+        self, subscription: Subscription, cache: DeltaBatchCache
+    ) -> bool:
+        """Refresh one subscription on its own, inside a ``sub.refresh``
+        span, with its counter charges scoped: the tee still charges
+        the shared bag, the scoped copy feeds the per-CQ attribution
+        table."""
+        scoped = TeeMetrics(self.metrics)
+        self._scoped_metrics = scoped
+        span = self.tracer.span(
+            "sub.refresh",
+            client=subscription.client_id,
+            cq=subscription.cq_name,
+            protocol=subscription.protocol.value,
+        )
+        with span:
             try:
                 delivered = self._refresh_one(subscription, cache)
             finally:
                 self._scoped_metrics = None
-                self.stats.record(
-                    subscription.cq_name,
-                    {
-                        name: value
-                        for name, value in scoped.snapshot().items()
-                        if value
-                    },
-                )
-            if delivered:
-                sent += 1
-        return sent
+                counters = {
+                    name: value
+                    for name, value in scoped.snapshot().items()
+                    if value
+                }
+                self.stats.record(subscription.cq_name, counters)
+            span.set(delivered=delivered, **counters)
+        return delivered
 
-    # -- refresh ------------------------------------------------------------------
-
-    def refresh_all(self) -> int:
-        """Recompute and ship every subscription; returns message count."""
-        if self.fanout_index is not None:
-            return self._refresh_fanout()
-        sent = 0
-        shared: Dict[Tuple[str, Protocol, Timestamp], "object"] = {}
-        cache = (
-            DeltaBatchCache(self.db, self.metrics, self.tracer)
-            if self.share_deltas
-            else None
-        )
-        for subscription in self._subscriptions.values():
-            # Scope counter charges to this subscription's refresh:
-            # the tee still charges the shared bag, the scoped copy
-            # feeds the per-CQ attribution table.
-            scoped = TeeMetrics(self.metrics)
-            self._scoped_metrics = scoped
-            delivered = False
-            span = self.tracer.span(
-                "sub.refresh",
-                client=subscription.client_id,
-                cq=subscription.cq_name,
-                protocol=subscription.protocol.value,
-            )
-            try:
-                with span:
-                    if (
-                        self.share_evaluation
-                        and subscription.protocol is Protocol.DRA_DELTA
-                    ):
-                        delivered = self._refresh_shared_dra(
-                            subscription, shared, cache
-                        )
-                    else:
-                        delivered = self._refresh_one(subscription, cache)
-                    span.set(
-                        delivered=delivered,
-                        **{
-                            name: value
-                            for name, value in scoped.snapshot().items()
-                            if value
-                        },
-                    )
-            finally:
-                self._scoped_metrics = None
-                self.stats.record(
-                    subscription.cq_name,
-                    {
-                        name: value
-                        for name, value in scoped.snapshot().items()
-                        if value
-                    },
-                )
-            if delivered:
-                sent += 1
-        return sent
-
-    def _prepared(self, subscription: Subscription) -> PreparedCQ:
-        """The subscription's cached compiled plan (shared by SQL)."""
-        return self.plans.get(subscription.sql_key, subscription.query)
-
-    def _deltas_for(
+    def _evaluate(
         self,
-        subscription: Subscription,
-        cache: Optional[DeltaBatchCache],
+        query: SPJQuery,
+        sql_key: str,
+        deltas,
         now: Timestamp,
+        previous: Optional[Relation] = None,
     ):
-        """The subscription's consolidated refresh window, shared with
-        every other subscription on the same (table, window) when the
-        per-cycle delta-batch cache is enabled."""
-        table_names = set(subscription.query.table_names)
-        if cache is not None:
-            return cache.deltas(table_names, subscription.last_ts, now)
-        return deltas_since(
-            [self.db.table(name) for name in table_names],
-            subscription.last_ts,
+        """The one evaluate step: every differential evaluation this
+        server runs — group refresh and catch-up, private refresh,
+        reconnect replay — so all of them charge the scoped metrics,
+        share the prepared plan cached under ``sql_key``, emit
+        ``dra.term`` spans and honour ``columnar``."""
+        return dra_execute(
+            query,
+            self.db,
+            deltas=deltas,
+            previous=previous,
+            ts=now,
+            metrics=self._metrics(),
+            prepared=self.plans.get(sql_key, query),
+            tracer=self.tracer,
+            columnar=self.columnar,
         )
 
-    def _refresh_shared_dra(
-        self,
-        subscription: Subscription,
-        shared: Dict[Tuple[str, Protocol, Timestamp], "object"],
-        cache: Optional[DeltaBatchCache] = None,
-    ) -> bool:
-        """DRA refresh with one evaluation per (query, window) group."""
-        now = self.db.now()
-        key = (
-            subscription.sql_key,
-            subscription.protocol,
-            subscription.last_ts,
-        )
-        result = shared.get(key)
-        if result is None:
-            deltas = self._deltas_for(subscription, cache, now)
-            result = dra_execute(
-                subscription.query,
-                self.db,
-                deltas=deltas,
-                ts=now,
-                metrics=self._metrics(),
-                prepared=self._prepared(subscription),
-                tracer=self.tracer,
-                columnar=self.columnar,
-            )
-            shared[key] = result
-        subscription.last_ts = now
-        if result.delta.is_empty():
-            self._note_refresh(subscription, True)
-            return False
-        subscription.previous_result = result.delta.apply_to(
-            subscription.previous_result
-        )
-        self._maybe_audit(subscription)
+    def _ship(self, subscription: Subscription, delta, ts: Timestamp) -> bool:
+        """The one ship step for result deltas. ``delta`` is already
+        applied to ``subscription.previous_result``; the message carries
+        that retained copy's digest so the client can verify its own
+        copy after applying, and a delivery that arrives advances the
+        subscription's replay zone. Returns False when the network
+        lost the message."""
         delivered = self._deliver(
             subscription.client_id,
             DeltaMessage(
                 subscription.cq_name,
-                result.delta,
-                now,
+                delta,
+                ts,
                 relation_digest(subscription.previous_result),
             ),
         )
         self._note_refresh(subscription, delivered)
         return delivered
 
-    def _maybe_audit(self, subscription: Subscription) -> None:
-        """Sampled self-verification of the maintained retained copy.
+    def _announce_lazy(
+        self, subscription: Subscription, delta, now: Timestamp
+    ) -> bool:
+        """DRA_LAZY delivery: compose ``delta`` onto what the client
+        has not fetched yet (repeated changes to one tuple net out) and
+        announce the accumulation's size; the content ships on fetch.
+        A detached client's accumulation grows unannounced."""
+        if delta.is_empty():
+            return False
+        pending = subscription.pending_delta
+        pending = delta if pending is None else pending.compose(delta)
+        if pending.is_empty():
+            subscription.pending_delta = None
+            return False
+        subscription.pending_delta = pending
+        if subscription.client_id not in self._clients:
+            return False
+        return self._deliver(
+            subscription.client_id,
+            DeltaAvailableMessage(
+                subscription.cq_name,
+                now,
+                len(pending),
+                delta_wire_size(pending),
+            ),
+        )
 
-        Every ``audit_interval``-th differential refresh re-runs the
-        query from scratch and compares digests. A divergence means the
-        incremental path drifted from ground truth (the failure class
-        digests exist to catch); it is counted and the retained copy is
-        healed to the re-evaluated result, so the *next* delta the
-        client applies will digest-mismatch and trigger its resync.
+    def _audited(self, query: SPJQuery, retained: Relation) -> Relation:
+        """Sampled self-verification of a maintained retained copy.
+
+        Every ``audit_interval``-th differential refresh that changed
+        something re-runs the query from scratch and compares digests.
+        A divergence means the incremental path drifted from ground
+        truth (the failure class digests exist to catch); it is counted
+        and the re-evaluated result is returned in ``retained``'s
+        place, so the *next* delta the client applies will
+        digest-mismatch and trigger its resync.
         """
         if not self.audit_interval:
-            return
+            return retained
         self._refreshes_since_audit += 1
         if self._refreshes_since_audit < self.audit_interval:
-            return
+            return retained
         self._refreshes_since_audit = 0
         self._metrics().count(Metrics.AUDITS)
-        truth = self.db.query(subscription.query)
-        if relation_digest(truth) != relation_digest(
-            subscription.previous_result
-        ):
-            self._metrics().count(Metrics.AUDIT_DIVERGENCES)
-            subscription.previous_result = truth
+        truth = self.db.query(query)
+        if relation_digest(truth) == relation_digest(retained):
+            return retained
+        self._metrics().count(Metrics.AUDIT_DIVERGENCES)
+        return truth
 
     def handle_fetch(self, client_id: str, message: FetchMessage) -> bool:
         """Ship a lazy subscription's accumulated delta; returns True
@@ -812,17 +711,7 @@ class CQServer:
         subscription.previous_result = pending.apply_to(
             subscription.previous_result
         )
-        delivered = self._deliver(
-            client_id,
-            DeltaMessage(
-                subscription.cq_name,
-                pending,
-                subscription.last_ts,
-                relation_digest(subscription.previous_result),
-            ),
-        )
-        self._note_refresh(subscription, delivered)
-        return delivered
+        return self._ship(subscription, pending, subscription.last_ts)
 
     def handle_resync(self, client_id: str, message: ResyncMessage) -> bool:
         """Re-ship the retained result copy to a client whose cache is
@@ -899,31 +788,18 @@ class CQServer:
         ):
             current = subscription.pending_delta.apply_to(current)
             subscription.pending_delta = None
+        query, sql_key = subscription.query, subscription.sql_key
         own_window = deltas_since(tables, subscription.last_ts)
         if own_window:
-            advanced = dra_execute(
-                subscription.query,
-                self.db,
-                deltas=own_window,
-                previous=current,
-                ts=now,
-                metrics=self.metrics,
-                prepared=self._prepared(subscription),
-                columnar=self.columnar,
-            )
-            current = advanced.complete_result()
+            current = self._evaluate(
+                query, sql_key, own_window, now, current
+            ).complete_result()
         subscription.previous_result = current
         subscription.last_ts = now
         # The client's replay: one consolidated delta over its whole
         # missed window, applicable directly to its cached copy.
-        replayed = dra_execute(
-            subscription.query,
-            self.db,
-            deltas=deltas_since(tables, since_ts),
-            ts=now,
-            metrics=self.metrics,
-            prepared=self._prepared(subscription),
-            columnar=self.columnar,
+        replayed = self._evaluate(
+            query, sql_key, deltas_since(tables, since_ts), now
         )
         self.metrics.count(Metrics.REPLAYS)
         self.zones.register(
@@ -934,88 +810,37 @@ class CQServer:
         if not replayed.delta.is_empty():
             # The post-apply state of the *client's* copy is the same
             # realigned current result the server now retains.
-            self._deliver(
-                client_id,
-                DeltaMessage(
-                    cq_name,
-                    replayed.delta,
-                    now,
-                    relation_digest(subscription.previous_result),
-                ),
-            )
+            self._ship(subscription, replayed.delta, now)
         return True
 
     def _refresh_one(
-        self,
-        subscription: Subscription,
-        cache: Optional[DeltaBatchCache] = None,
+        self, subscription: Subscription, cache: DeltaBatchCache
     ) -> bool:
         now = self.db.now()
-        if subscription.protocol is Protocol.DRA_LAZY:
-            deltas = self._deltas_for(subscription, cache, now)
-            result = dra_execute(
-                subscription.query,
-                self.db,
-                deltas=deltas,
-                ts=now,
-                metrics=self._metrics(),
-                prepared=self._prepared(subscription),
-                tracer=self.tracer,
-                columnar=self.columnar,
+        query = subscription.query
+        if subscription.protocol in (Protocol.DRA_DELTA, Protocol.DRA_LAZY):
+            # A lazy subscription's retained copy trails its pending
+            # accumulation, so it cannot serve as the evaluation's base.
+            lazy = subscription.protocol is Protocol.DRA_LAZY
+            result = self._evaluate(
+                query,
+                subscription.sql_key,
+                cache.deltas(set(query.table_names), subscription.last_ts, now),
+                now,
+                None if lazy else subscription.previous_result,
             )
             subscription.last_ts = now
-            if not result.has_changes():
-                return False
-            if subscription.pending_delta is None:
-                subscription.pending_delta = result.delta
-            else:
-                subscription.pending_delta = subscription.pending_delta.compose(
-                    result.delta
-                )
-            if subscription.pending_delta.is_empty():
-                subscription.pending_delta = None
-                return False
-            return self._deliver(
-                subscription.client_id,
-                DeltaAvailableMessage(
-                    subscription.cq_name,
-                    now,
-                    len(subscription.pending_delta),
-                    delta_wire_size(subscription.pending_delta),
-                ),
-            )
-        if subscription.protocol is Protocol.DRA_DELTA:
-            deltas = self._deltas_for(subscription, cache, now)
-            result = dra_execute(
-                subscription.query,
-                self.db,
-                deltas=deltas,
-                previous=subscription.previous_result,
-                ts=now,
-                metrics=self._metrics(),
-                prepared=self._prepared(subscription),
-                tracer=self.tracer,
-                columnar=self.columnar,
-            )
-            subscription.last_ts = now
+            if lazy:
+                return self._announce_lazy(subscription, result.delta, now)
             if not result.has_changes():
                 self._note_refresh(subscription, True)
                 return False
-            subscription.previous_result = result.complete_result()
-            self._maybe_audit(subscription)
-            delivered = self._deliver(
-                subscription.client_id,
-                DeltaMessage(
-                    subscription.cq_name,
-                    result.delta,
-                    now,
-                    relation_digest(subscription.previous_result),
-                ),
+            subscription.previous_result = self._audited(
+                query, result.complete_result()
             )
-            self._note_refresh(subscription, delivered)
-            return delivered
+            return self._ship(subscription, result.delta, now)
 
-        new_result = self.db.query(subscription.query, self._metrics())
+        new_result = self.db.query(query, self._metrics())
         if subscription.protocol is Protocol.REEVAL_DELTA:
             delta = diff(subscription.previous_result, new_result, now)
             subscription.last_ts = now
@@ -1023,17 +848,7 @@ class CQServer:
                 self._note_refresh(subscription, True)
                 return False
             subscription.previous_result = new_result
-            delivered = self._deliver(
-                subscription.client_id,
-                DeltaMessage(
-                    subscription.cq_name,
-                    delta,
-                    now,
-                    relation_digest(new_result),
-                ),
-            )
-            self._note_refresh(subscription, delivered)
-            return delivered
+            return self._ship(subscription, delta, now)
 
         # REEVAL_FULL ships unconditionally: without a retained diff
         # there is no way to know nothing changed.

@@ -217,7 +217,6 @@ class CQService:
         idle_timeout: Optional[float] = None,
         injector: Optional[FaultInjector] = None,
         server: Optional[CQServer] = None,
-        share_evaluation: bool = False,
         durability=None,
         audit_interval: int = 0,
         tracer=None,
@@ -247,7 +246,6 @@ class CQService:
                 SimulatedNetwork(latency_seconds=0.0),
                 name=name,
                 metrics=self.metrics,
-                share_evaluation=share_evaluation,
                 audit_interval=audit_interval,
                 tracer=tracer,
                 fanout=fanout,

@@ -15,9 +15,10 @@ Design constraints (all deliberate):
   never read the wall clock and never flake on sampling;
 * cheap when off — a disabled tracer hands out one shared no-op span,
   and an unsampled trace creates spans that record nothing;
-* thread-aware — each thread keeps its own span stack, so the
-  parallel refresh pool nests worker spans under their own per-CQ
-  roots instead of interleaving into one trace.
+* thread-aware — each thread keeps its own span stack, so threads
+  tracing at once (the cluster's ``LocalBackend`` pool, user threads)
+  nest their spans under their own roots instead of interleaving into
+  one trace.
 
 Sampling is decided once per *trace* (at the root span) and inherited
 by every child, so a sampled refresh is always complete.

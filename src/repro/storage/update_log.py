@@ -77,9 +77,9 @@ class UpdateLog:
     after the last CQ execution" costs O(log n + answer).
 
     ``since`` and ``prune_before`` hold an internal lock, so a reader
-    never observes a half-pruned log: the parallel refresh scheduler
-    lets one CQ's post-refresh garbage collection race another CQ's
-    delta consolidation, and each operation must be atomic for the
+    never observes a half-pruned log: a garbage collection on one
+    thread may race a delta consolidation on another (the cluster's
+    ``LocalBackend`` pool), and each operation must be atomic for the
     active-delta-zone invariant (GC only ever prunes below every
     reader's window) to carry over to the physical lists.
     """

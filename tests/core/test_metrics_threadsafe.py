@@ -1,10 +1,11 @@
 """Concurrency stress: exact counters and atomic log pruning.
 
-The parallel refresh path makes two shared structures hot: every
-worker charges the same :class:`Metrics`, and one CQ's post-refresh
-garbage collection can race another CQ's delta consolidation. These
-tests hammer both from many threads and assert exactness — lost counter
-updates or a half-pruned ``since`` read are hard failures, not flakes.
+Two shared structures are reached from several threads at once — the
+cluster's ``LocalBackend`` pool and user threads all charge one
+:class:`Metrics`, and a garbage collection can race a delta
+consolidation on one ``UpdateLog``. These tests hammer both from many
+threads and assert exactness — lost counter updates or a half-pruned
+``since`` read are hard failures, not flakes.
 """
 
 import threading
@@ -160,9 +161,10 @@ class TestLogPruneAtomicity:
         assert log.pruned_through == boundary
 
     def test_parallel_refresh_with_auto_gc_stays_consistent(self):
-        """8-way parallel refreshes with aggressive GC: every CQ's
-        maintained result must match complete re-evaluation and no
-        refresh may trip the pruned-region guard."""
+        """Sixteen CQs refreshing off shared batches with aggressive
+        GC: every CQ's maintained result must match complete
+        re-evaluation and no refresh may trip the pruned-region
+        guard."""
         db = Database()
         market = StockMarket(db, seed=23)
         market.populate(150)
@@ -172,7 +174,6 @@ class TestLogPruneAtomicity:
             strategy=EvaluationStrategy.PERIODIC,
             auto_gc=True,
             metrics=metrics,
-            parallelism=THREADS,
         )
         queries = {
             f"q{i}": f"SELECT sid, price FROM stocks WHERE price > {60 * i}"
@@ -182,7 +183,7 @@ class TestLogPruneAtomicity:
             mgr.register_sql(name, sql)
         for __ in range(6):
             market.tick(40, p_insert=0.2, p_delete=0.2)
-            mgr.poll()  # raises if any worker saw a half-pruned log
+            mgr.poll()  # raises if any refresh saw a half-pruned log
         for name, sql in queries.items():
             assert mgr.get(name).previous_result == db.query(sql)
         assert metrics[Metrics.CQ_REFRESHES] >= 6 * len(queries)

@@ -83,21 +83,6 @@ class TestCacheLifecycle:
         mgr.poll()
         assert metrics[Metrics.PLAN_CACHE_HITS] > hits
 
-    def test_prepare_plans_false_keeps_cache_empty(self, db, stocks, metrics):
-        mgr = CQManager(
-            db,
-            strategy=EvaluationStrategy.PERIODIC,
-            metrics=metrics,
-            prepare_plans=False,
-        )
-        mgr.register_sql("watch", WATCH_SQL)
-        stocks.insert((900, "NEW", 200))
-        mgr.poll()
-        # Nothing is cached: each refresh prepared privately (the
-        # one-shot path inside dra_execute) and nothing ever hit.
-        assert len(mgr.plans) == 0
-        assert metrics[Metrics.PLAN_CACHE_HITS] == 0
-
     def test_aggregates_share_the_cache(self, mgr, stocks, metrics):
         mgr.register_sql("total", "SELECT SUM(price) AS total FROM stocks")
         assert "total" in mgr.plans

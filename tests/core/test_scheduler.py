@@ -1,14 +1,9 @@
 """Unit tests for the shared-delta refresh scheduler.
 
-Covers the three sharing layers in isolation: the per-poll delta-batch
-cache, footprint-grouped trigger skipping, and the parallel refresh
-path's re-sequencing — plus the drop-in guarantee that the default
-configuration reproduces the sequential manager's behavior exactly.
+Covers the two sharing layers in isolation: the per-poll delta-batch
+cache and footprint-grouped trigger skipping.
 """
 
-import pytest
-
-from repro import Database
 from repro.core import (
     AfterExecutions,
     AnyOf,
@@ -29,7 +24,6 @@ from repro.metrics import Metrics
 from repro.relational.expressions import col, lit
 from repro.relational.predicates import ge
 from repro.relational.sql import parse_query
-from repro.workload.stocks import StockMarket
 
 WATCH = "SELECT sid, name, price FROM stocks WHERE price > 120"
 
@@ -139,54 +133,10 @@ class TestGroupedTriggerEvaluation:
         stocks.insert((9, "SUN", 500))
         assert len(skipping.poll()) == 1
 
-    def test_group_skipping_can_be_disabled(self, db, stocks):
-        metrics = Metrics()
-        mgr = CQManager(
-            db,
-            strategy=EvaluationStrategy.PERIODIC,
-            metrics=metrics,
-            group_triggers=False,
-        )
-        mgr.register_sql("watch", WATCH)
-        mgr.poll()
-        assert metrics[Metrics.GROUPS_SKIPPED] == 0
 
-
-class TestParallelRefresh:
-    @pytest.mark.parametrize("parallelism", [2, 4, 8])
-    def test_matches_sequential_notifications(self, parallelism):
-        def run(parallelism):
-            db = Database()
-            market = StockMarket(db, seed=11)
-            market.populate(150)
-            mgr = CQManager(
-                db,
-                strategy=EvaluationStrategy.PERIODIC,
-                parallelism=parallelism,
-            )
-            for i in range(10):
-                mgr.register_sql(
-                    f"q{i}",
-                    f"SELECT sid, price FROM stocks WHERE price > {50 * i}",
-                )
-            mgr.drain()
-            out = []
-            for __ in range(4):
-                market.tick(25)
-                out.append(
-                    [
-                        (n.cq_name, n.kind.value, n.seq, n.ts)
-                        for n in mgr.poll()
-                    ]
-                )
-            return out
-
-        assert run(parallelism) == run(0)
-
+class TestRefreshOrder:
     def test_callbacks_fire_in_registration_order(self, db, stocks):
-        mgr = CQManager(
-            db, strategy=EvaluationStrategy.PERIODIC, parallelism=4
-        )
+        mgr = CQManager(db, strategy=EvaluationStrategy.PERIODIC)
         seen = []
         for i in range(6):
             mgr.register_sql(
@@ -198,64 +148,3 @@ class TestParallelRefresh:
         stocks.insert((9, "SUN", 500))
         mgr.poll()
         assert seen == [f"q{i}" for i in range(6)]
-
-    def test_parallel_refresh_results_are_correct(self):
-        db = Database()
-        market = StockMarket(db, seed=5)
-        market.populate(120)
-        mgr = CQManager(
-            db, strategy=EvaluationStrategy.PERIODIC, parallelism=4
-        )
-        queries = {
-            f"q{i}": f"SELECT sid, price FROM stocks WHERE price > {100 * i}"
-            for i in range(8)
-        }
-        for name, sql in queries.items():
-            mgr.register_sql(name, sql)
-        for __ in range(5):
-            market.tick(30, p_insert=0.2, p_delete=0.2)
-            mgr.poll()
-        for name, sql in queries.items():
-            assert mgr.get(name).previous_result == db.query(sql)
-
-    def test_rejects_negative_parallelism(self, db):
-        with pytest.raises(ValueError):
-            CQManager(db, parallelism=-1)
-
-    def test_worker_exception_still_delivers_surviving_callbacks(
-        self, db, stocks
-    ):
-        """One CQ raising mid-pool must not eat the other CQs'
-        notifications: their refreshes completed, so their callbacks
-        fire (in registration order) before the exception propagates."""
-        mgr = CQManager(
-            db, strategy=EvaluationStrategy.PERIODIC, parallelism=2
-        )
-        seen = []
-        for i in range(4):
-            mgr.register_sql(
-                f"q{i}",
-                WATCH,
-                on_notify=lambda n: seen.append(n.cq_name),
-            )
-        seen.clear()
-
-        original = mgr._maybe_execute
-
-        def exploding(cq, now):
-            if cq.name == "q1":
-                raise RuntimeError("q1 refresh blew up")
-            original(cq, now)
-
-        mgr._maybe_execute = exploding
-        stocks.insert((9, "SUN", 500))
-        with pytest.raises(RuntimeError, match="q1 refresh blew up"):
-            mgr.poll()
-        assert seen == ["q0", "q2", "q3"]
-        # Deferred-delivery mode is off again: the next poll behaves
-        # normally.
-        mgr._maybe_execute = original
-        seen.clear()
-        stocks.insert((10, "MOON", 501))
-        mgr.poll()
-        assert seen == [f"q{i}" for i in range(4)]

@@ -65,7 +65,7 @@ def test_grand_scenario():
 
     # -- network subscribers on the producer side -------------------------
     net = SimulatedNetwork()
-    server = CQServer(producer, net, share_evaluation=True)
+    server = CQServer(producer, net, fanout=True)
     lazy = CQClient("lazy")
     eager_client = CQClient("eager")
     server.attach(lazy)

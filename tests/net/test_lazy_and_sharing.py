@@ -1,4 +1,5 @@
-"""Tests for the lazy-transmission protocol and shared evaluation."""
+"""Tests for the lazy-transmission protocol and shared (fan-out)
+evaluation."""
 
 import pytest
 
@@ -14,12 +15,12 @@ from repro.workload.stocks import StockMarket
 WATCH = "SELECT sid, name, price FROM stocks WHERE price > 500"
 
 
-def deployment(share=False, seed=44):
+def deployment(fanout=False, seed=44):
     db = Database()
     market = StockMarket(db, seed=seed)
     market.populate(500)
     net = SimulatedNetwork()
-    server = CQServer(db, net, share_evaluation=share)
+    server = CQServer(db, net, fanout=fanout)
     return db, market, net, server
 
 
@@ -106,7 +107,7 @@ class TestLazyProtocol:
 
 class TestSharedEvaluation:
     def test_results_identical_with_sharing(self):
-        db, market, net, server = deployment(share=True)
+        db, market, net, server = deployment(fanout=True)
         clients = [attach(server, f"c{i}", Protocol.DRA_DELTA) for i in range(5)]
         for __ in range(3):
             market.tick(20)
@@ -116,23 +117,28 @@ class TestSharedEvaluation:
             assert client.result("watch") == truth
 
     def test_sharing_computes_once(self):
-        work = {}
-        for share in (False, True):
-            db, market, net, server = deployment(share=share, seed=45)
+        work, evaluations = {}, {}
+        for fanout in (False, True):
+            db, market, net, server = deployment(fanout=fanout, seed=45)
             for i in range(16):
                 attach(server, f"c{i}", Protocol.DRA_DELTA)
             market.tick(20)
             server.metrics.reset()
             server.refresh_all()
-            work[share] = server.metrics[Metrics.DELTA_ROWS_READ]
+            work[fanout] = server.metrics[Metrics.DELTA_ROWS_READ]
+            evaluations[fanout] = server.metrics[Metrics.EXECUTIONS]
         assert work[True] * 8 <= work[False]
+        assert evaluations == {False: 16, True: 1}
 
     def test_sharing_respects_windows(self):
         """A client registered mid-stream gets its own first window."""
-        db, market, net, server = deployment(share=True)
+        db, market, net, server = deployment(fanout=True)
         first = attach(server, "first", Protocol.DRA_DELTA)
         market.tick(20)
         server.refresh_all()
+        # Joining between refreshes advances the group past the first
+        # member's window; that member catches up on its own.
+        market.tick(10)
         late = attach(server, "late", Protocol.DRA_DELTA)
         market.tick(20)
         server.refresh_all()

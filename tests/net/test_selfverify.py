@@ -31,12 +31,16 @@ SCHEMA = [("id", AttributeType.INT), ("sym", AttributeType.STR), ("price", Attri
 CHEAP = "SELECT sym, price FROM stocks WHERE price < 80"
 
 
-def build(audit_interval=0):
+def build(audit_interval=0, fanout=False):
     db = Database()
     table = db.create_table("stocks", SCHEMA)
     table.insert_many([(1, "IBM", 100), (2, "MAC", 50), (3, "HP", 75)])
     server = CQServer(
-        db, SimulatedNetwork(), metrics=Metrics(), audit_interval=audit_interval
+        db,
+        SimulatedNetwork(),
+        metrics=Metrics(),
+        audit_interval=audit_interval,
+        fanout=fanout,
     )
     client = CQClient("c1")
     server.attach(client)
@@ -125,8 +129,10 @@ class TestClientVerification:
 
 
 class TestSampledAudit:
+    fanout = False
+
     def test_clean_refreshes_audit_without_divergence(self):
-        db, table, server, client = build(audit_interval=2)
+        db, table, server, client = build(audit_interval=2, fanout=self.fanout)
         client.register("cheap", CHEAP)
         for i in range(6):
             table.insert((100 + i, "NEW", 10 + i))
@@ -135,10 +141,12 @@ class TestSampledAudit:
         assert server.metrics.get(Metrics.AUDIT_DIVERGENCES) == 0
 
     def test_divergent_retained_copy_detected_and_healed(self):
-        db, table, server, client = build(audit_interval=1)
+        db, table, server, client = build(audit_interval=1, fanout=self.fanout)
         client.register("cheap", CHEAP)
         # Corrupt the server's retained copy behind the engine's back
-        # (the failure mode the audit exists to catch).
+        # (the failure mode the audit exists to catch). Under fan-out
+        # the subscription aliases its group's result, so this corrupts
+        # the copy the group path maintains.
         sub = server._subscriptions[("c1", "cheap")]
         sub.previous_result.add(999, ("GHOST", 1))
         table.insert((4, "SUN", 60))
@@ -146,6 +154,12 @@ class TestSampledAudit:
         assert server.metrics.get(Metrics.AUDIT_DIVERGENCES) == 1
         # The audit healed the retained copy to the full re-evaluation.
         assert sub.previous_result == db.query(CHEAP)
+
+
+class TestSampledAuditFanout(TestSampledAudit):
+    """The same audit on the shared-group refresh path."""
+
+    fanout = True
 
 
 class TestConnectTimeout:

@@ -151,3 +151,29 @@ class TestTracedRefreshPipeline:
         assert event["event"] == "slow_refresh"
         assert event["cq"] == "q"
         assert event["latency_us"] >= 0.0
+
+
+class TestTracedServerReplay:
+    def test_reconnect_replay_emits_term_spans(self):
+        """A reconnect replay runs the same evaluate step as a refresh,
+        so its DRA terms are as visible to tracing as any other."""
+        from repro.net.client import CQClient
+        from repro.net.server import CQServer
+        from repro.net.simnet import SimulatedNetwork
+
+        db = Database()
+        t0 = db.create_table(
+            "t0", [("k", AttributeType.INT), ("v", AttributeType.INT)]
+        )
+        t0.insert_many([(i, 10 * i) for i in range(4)])
+        tracer = Tracer(sample_rate=1.0, clock=FakeClock())
+        server = CQServer(db, SimulatedNetwork(), tracer=tracer)
+        client = CQClient("c1")
+        server.attach(client)
+        client.register("q", "SELECT k, v FROM t0 WHERE v > 5")
+        applied = db.now()
+        t0.insert((9, 90))
+        tracer.reset()
+        assert server.replay("c1", "q", applied)
+        assert tracer.spans("dra.term")
+        assert client.result("q") == db.query("SELECT k, v FROM t0 WHERE v > 5")
