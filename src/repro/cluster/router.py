@@ -1997,6 +1997,62 @@ class ClusterRouter:
             }
         return report
 
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless the control-plane bookkeeping
+        agrees with itself — the laws every membership, failover and
+        repair path must leave standing (the soaks call this after
+        every operation)."""
+        live = {
+            (host, group)
+            for group, hosts in self._placement.items()
+            for host in hosts
+            if host not in self._dead
+        }
+        load: Dict[int, int] = {}
+        for hosts in self._placement.values():
+            for host in hosts:
+                load[host] = load.get(host, 0) + 1
+        cost: Dict[int, float] = {}
+        for (host, _group), score in self._store_cost.items():
+            cost[host] = cost.get(host, 0.0) + score
+        target = 1 + min(self.replicas, max(len(self._alive()) - 1, 0))
+        weak = sorted(
+            group
+            for group in self._placement
+            if sum(1 for _host, g in live if g == group) < target
+            and group not in self._lost
+            and group not in self._rerepl
+        )
+        zoned = set(self.zones.boundaries())
+        carrying = {self._zone(host) for host, _group in live}
+        pinned = {self._zone(host) for host in self._pinned}
+        laws = [
+            (self._load == load, f"_load {self._load} != placement {load}"),
+            (
+                {h: c for h, c in self._host_cost.items() if c}
+                == {h: c for h, c in cost.items() if c},
+                f"_host_cost {self._host_cost} != store costs {cost}",
+            ),
+            (
+                set(self._store_horizons) == live,
+                f"store horizons {sorted(self._store_horizons)} != "
+                f"live placed stores {sorted(live)}",
+            ),
+            (not weak, f"groups {weak} under strength and not queued"),
+            (
+                set(self._pinned) <= self._dead,
+                f"live hosts pinned: {sorted(set(self._pinned) - self._dead)}",
+            ),
+            (
+                carrying <= zoned <= carrying | pinned,
+                f"zones {sorted(zoned)} vs carrying {sorted(carrying)} "
+                f"+ pinned {sorted(pinned)}",
+            ),
+        ]
+        broken = [message for holds, message in laws if not holds]
+        if broken:
+            raise AssertionError("; ".join(broken))
+
     def result(self, client_id: str, cq_name: str) -> Relation:
         """The retained (merged) result of one subscription."""
         try:

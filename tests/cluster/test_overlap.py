@@ -104,6 +104,7 @@ def run_script(router):
     stocks = db.table("stocks")
     positions = db.table("positions")
     router.refresh()
+    router.check_invariants()
     for round_no in range(6):
         with db.begin() as txn:
             for row in list(stocks.current):
@@ -133,6 +134,7 @@ def run_script(router):
                 for tid in doomed:
                     txn.delete_from(positions, tid)
         router.refresh()
+        router.check_invariants()
     return {
         name: list(r.values for r in router.result("c", name))
         for name in ALL_CQS

@@ -68,6 +68,7 @@ def make_cluster(
         for name, sql in ALL_CQS.items():
             router.subscribe("c", name, sql)
         router.refresh()
+    router.check_invariants()
     return router
 
 
@@ -83,6 +84,7 @@ def tick_stock(router, sid, price):
 
 
 def assert_converged(router, client="c"):
+    router.check_invariants()
     for name, sql in ALL_CQS.items():
         oracle = sorted(r.values for r in router.db.query(sql))
         got = sorted(r.values for r in router.result(client, name))

@@ -312,6 +312,7 @@ class TestClusterChaosSoak:
         mutate_cluster(router, rng, count)
 
     def _assert_converged(self, router):
+        router.check_invariants()
         for name, sql in self.CLUSTER_CQS.items():
             oracle = router.db.query(sql)
             got = router.result("soak", name)
@@ -370,11 +371,14 @@ class TestClusterChaosSoak:
                 router.kill_shard(1)
             if round_no == self.KILL_FALLBACK_ROUND:
                 router.kill_shard(2, release_zone=True)
+            router.check_invariants()
 
             router.refresh()
+            router.check_invariants()
 
             if round_no == self.RECOVER_REPLAY_ROUND:
                 replayed = router.recover_shard(1)
+                router.check_invariants()
                 router.refresh()
                 self._assert_converged(router)
             if round_no == self.RECOVER_FALLBACK_ROUND:
@@ -382,6 +386,7 @@ class TestClusterChaosSoak:
                 # the dead shard's horizon, forcing the fallback.
                 router.collect_garbage()
                 fallen_back = not router.recover_shard(2)
+                router.check_invariants()
                 router.refresh()
                 self._assert_converged(router)
 
@@ -433,6 +438,7 @@ class TestReplicatedChaosSoak:
     CLUSTER_CQS = TestClusterChaosSoak.CLUSTER_CQS
 
     def _assert_converged(self, router):
+        router.check_invariants()
         for name, sql in self.CLUSTER_CQS.items():
             oracle = router.db.query(sql)
             got = router.result("soak", name)
@@ -497,6 +503,7 @@ class TestReplicatedChaosSoak:
 
             if round_no == self.KILL_ROUND:
                 router.kill_shard(0)
+                router.check_invariants()
             if round_no == self.HANG_ROUND:
                 # First try + the retry both miss: host down mid-cycle.
                 injector.hang(1, phase="send", times=2, match=is_scatter)
@@ -511,10 +518,12 @@ class TestReplicatedChaosSoak:
 
             if round_no == self.RECOVER_0_ROUND:
                 assert router.recover_shard(0) is True
+                router.check_invariants()
                 router.refresh()
                 self._assert_converged(router)
             if round_no == self.RECOVER_1_ROUND:
                 assert router.recover_shard(1) is True
+                router.check_invariants()
                 router.refresh()
                 self._assert_converged(router)
 
