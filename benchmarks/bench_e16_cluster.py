@@ -23,25 +23,16 @@ it, so the gate is ≥2.5x modelled throughput at 4 shards vs 1.
 Run ``python benchmarks/bench_e16_cluster.py --smoke`` for the CI
 self-check: sweeps 1/2/4 shards with a fixed seed, verifies every
 sampled subscription against the authoritative oracle, asserts the
-≥2.5x gate, and writes ``BENCH_e16.json``.
-
-``--wall-clock`` is the one measurement the cost model cannot make on
-a single core: real OS-process shards (``ProcessBackend``) with an
-injected per-frame delay on *every* shard, so a refresh cycle's
-evaluation time is visible as wall-clock. Sequentially the cycle costs
-``shards × d``; the overlapped scatter/gather path is bounded by the
-slowest host, ~``d``. The gate is overlapped ≥1.8x faster at 4 shards
-(the honest floor after spawn/codec overhead; the ideal is ~4x).
-Writes ``BENCH_e17.json``.
+≥2.5x gate, and writes ``BENCH_e16.json``. Wall-clock over real shard
+processes is E18's ``cluster_scatter`` workload (``benchmarks/e18``).
 """
 
 import random
 import sys
-import time
 
 import pytest
 
-from repro.cluster import ClusterRouter, ProcessBackend
+from repro.cluster import ClusterRouter
 from repro.metrics import Metrics
 from repro.workload.fanout import FanoutWorkload
 
@@ -281,126 +272,6 @@ def smoke(n_subs=10_000, out_path="BENCH_e16.json", replicas=0):
     return record
 
 
-def _wall_clock_router(shards, delay, overlap):
-    """A real-process cluster where every shard sleeps ``delay`` per
-    frame — evaluation time made visible without real query load."""
-    router = ClusterRouter(
-        shards=shards,
-        seed=16,
-        backend=ProcessBackend(slow={i: delay for i in range(shards)}),
-        overlap=overlap,
-    )
-    router.declare_table(
-        "stocks",
-        [("sid", int), ("name", str), ("price", int)],
-        partition_key="sid",
-        indexes=[("sid",)],
-    )
-    router.start()
-    stocks = router.db.table("stocks")
-    rng = random.Random(21)
-    tids = []
-    with router.db.begin() as txn:
-        for sid in range(48):
-            tids.append(
-                txn.insert_into(
-                    stocks, (sid, f"S{sid}", rng.randrange(*PRICE_DOMAIN))
-                )
-            )
-    sql = "SELECT sid, price FROM stocks WHERE price >= 0"
-    router.subscribe("bench", "watch", sql)
-    router.refresh()  # registration/seeding cost stays out of the timing
-    return router, tids, sql
-
-
-def _wall_clock_cycles(router, tids, cycles):
-    """Timed refresh cycles over a seeded mutation stream."""
-    rng = random.Random(22)
-    stocks = router.db.table("stocks")
-    elapsed = 0.0
-    for __ in range(cycles):
-        with router.db.begin() as txn:
-            for tid in rng.sample(tids, 8):
-                row = stocks.current.get_or_none(tid)
-                if row is None:
-                    continue
-                sid, name, __price = row
-                txn.modify_in(
-                    stocks, tid, (sid, name, rng.randrange(*PRICE_DOMAIN))
-                )
-        start = time.monotonic()
-        router.refresh()
-        elapsed += time.monotonic() - start
-    return elapsed
-
-
-def wall_clock(
-    shards=4, delay=0.25, cycles=2, out_path="BENCH_e17.json", gate=1.8
-):
-    """Overlapped vs sequential scatter over real-process shards.
-
-    Every shard sleeps ``delay`` before each frame, so a sequential
-    cycle costs ``shards × delay`` while the overlapped path is
-    bounded by the slowest host. Both modes run the same seeded
-    mutation stream, both converge to the oracle, and the overlapped
-    run must be ≥ ``gate``x faster. Returns the record (also written
-    to ``out_path``).
-    """
-    import json
-
-    from repro.bench.harness import format_table
-
-    timings = {}
-    for label, overlap in (("sequential", False), ("overlapped", True)):
-        router, tids, sql = _wall_clock_router(shards, delay, overlap)
-        try:
-            timings[label] = _wall_clock_cycles(router, tids, cycles)
-            got = sorted(r.values for r in router.result("bench", "watch"))
-            want = sorted(r.values for r in router.db.query(sql))
-            assert got == want, f"{label} run diverged from the oracle"
-        finally:
-            router.close()
-    speedup = timings["sequential"] / timings["overlapped"]
-    floor = shards * delay * cycles  # what a fully serial sweep costs
-    rows = [
-        {
-            "mode": label,
-            "shards": shards,
-            "delay_s": delay,
-            "cycles": cycles,
-            "elapsed_s": round(seconds, 3),
-            "per_cycle_s": round(seconds / cycles, 3),
-        }
-        for label, seconds in timings.items()
-    ]
-    assert speedup >= gate, (
-        f"overlapped scatter is {speedup:.2f}x the sequential sweep "
-        f"(sequential {timings['sequential']:.2f}s vs overlapped "
-        f"{timings['overlapped']:.2f}s); the wall-clock claim needs "
-        f">= {gate}x"
-    )
-    record = {
-        "benchmark": "e17_overlap_wall_clock",
-        "shards": shards,
-        "delay_s": delay,
-        "cycles": cycles,
-        "serial_floor_s": round(floor, 3),
-        "sequential_s": round(timings["sequential"], 3),
-        "overlapped_s": round(timings["overlapped"], 3),
-        "speedup": round(speedup, 2),
-        "gate": gate,
-    }
-    with open(out_path, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    print(
-        format_table(
-            rows, title=f"E17 wall-clock: overlap speedup {speedup:.2f}x"
-        )
-    )
-    return record
-
-
 def main(argv=None):
     import argparse
 
@@ -409,20 +280,6 @@ def main(argv=None):
         "--smoke",
         action="store_true",
         help="run the fast scaling self-check and exit",
-    )
-    parser.add_argument(
-        "--wall-clock",
-        action="store_true",
-        help=(
-            "measure overlapped vs sequential scatter wall-clock over "
-            "real-process shards (writes BENCH_e17.json)"
-        ),
-    )
-    parser.add_argument(
-        "--delay",
-        type=float,
-        default=0.25,
-        help="injected per-frame delay per shard (wall-clock mode)",
     )
     parser.add_argument(
         "--subs",
@@ -445,17 +302,8 @@ def main(argv=None):
         ),
     )
     args = parser.parse_args(argv)
-    if args.wall_clock:
-        if args.delay <= 0:
-            parser.error("--delay must be > 0")
-        out = args.out if args.out != "BENCH_e16.json" else "BENCH_e17.json"
-        wall_clock(delay=args.delay, out_path=out)
-        print("e17 wall-clock ok")
-        return 0
     if not args.smoke:
-        parser.error(
-            "run the full sweep via pytest; use --smoke or --wall-clock here"
-        )
+        parser.error("run the full sweep via pytest; use --smoke here")
     if args.subs < 100:
         parser.error("--subs must be >= 100 for a meaningful sweep")
     if args.replicas < 0:

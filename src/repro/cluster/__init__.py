@@ -11,15 +11,11 @@ for the protocol, failover walk-through, and recovery matrix.
 """
 
 from repro.cluster.health import FaultInjector, HealthMonitor
+from repro.cluster.local import LocalBackend
 from repro.cluster.proc import ProcessBackend
 from repro.cluster.ring import HashRing, Partition, partition_delta
-from repro.cluster.router import (
-    ClusterRouter,
-    GCReport,
-    LocalBackend,
-    TableDecl,
-)
-from repro.cluster.shard import ClusterShard, ShardHost
+from repro.cluster.router import ClusterRouter, GCReport
+from repro.cluster.shard import ClusterShard, ShardHost, TableDecl
 
 __all__ = [
     "ClusterRouter",

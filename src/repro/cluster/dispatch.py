@@ -1,114 +1,109 @@
-"""Overlapped scatter/gather: one cycle's dispatch/gather state machine.
+"""The one way a frame leaves the router: dispatch, gather, retry.
 
-The sequential router drove every store through a blocking
-send-then-gather, so a cycle's wall-clock was the *sum* of per-store
-round-trips and one slow shard stalled everyone behind it.
-:class:`CycleEngine` replaces that loop for the refresh path: every
-frame the cycle plans (scatters, heartbeats, replica lockstep slices)
-is dispatched up front, then replies are gathered as they arrive from
-whichever host answers first, so the cycle's wall-clock is bounded by
-the slowest *host*, not the fleet.
+Every request the router makes — a refresh cycle's scatters, heartbeats
+and lockstep replica slices, and every control request (subscribe,
+promote, rebuild, rejoin, re-slice, drain) — is submitted to a
+:class:`CycleEngine` and driven to a reply or to an exhausted host by
+:meth:`CycleEngine.run`. Frames to one host stay FIFO with at most one
+outstanding request (the shard worker on the far side of a pipe is
+single-threaded); hosts are driven concurrently, so a cycle's
+wall-clock is bounded by its slowest host, not the fleet sum.
 
-The engine is transport-agnostic: it drives any backend exposing the
-non-blocking trio ``post(host, message)`` / ``collect(timeout)`` /
-``host_alive(host)``. ``ProcessBackend`` implements ``collect`` with
-``multiprocessing.connection.wait`` — a ``selectors`` multiplex over
-the shard pipes' file descriptors — and ``LocalBackend`` with a thread
-pool draining into a queue. Frames to one host stay FIFO with at most
-one outstanding request (mirroring the single-threaded shard worker on
-the other end of a pipe); overlap happens *across* hosts.
+**The backend contract.** The engine and the router drive any object
+with these nine methods (:class:`~repro.cluster.local.LocalBackend`
+in-process, :class:`~repro.cluster.proc.ProcessBackend` over pipes):
 
-Bookkeeping rules the rest of the router relies on:
+* ``spawn(shard_id, decls)`` / ``recover(shard_id, decls)`` — start a
+  fresh host / restart one from its journal (or reattach to one that
+  never actually died); both return its ``ShardHelloMessage``.
+* ``kill(shard_id)`` / ``stop(shard_id)`` — crash without a handshake /
+  planned clean shutdown; ``close()`` stops everything.
+* ``alive()`` — ids of the hosts the backend is running.
+* ``post(shard_id, message)`` — non-blocking dispatch; raises
+  ``ClusterError`` when the host is not reachable.
+* ``collect(timeout)`` — ``(shard_id, seq, payload)`` for every outcome
+  ready within ``timeout``; ``payload`` is the decoded reply, a
+  ``ShardTimeout`` (a transport-detected deadline miss) or another
+  exception (a torn connection).
+* ``host_alive(shard_id)`` — process-level liveness, the fail-fast
+  signal.
+
+Bookkeeping rules the router relies on:
 
 * **One clock.** Every per-request deadline and retry timer is a
   ``time.monotonic`` instant; the gather wait is sized to the nearest
-  timer, so a host backing off never stalls another host's gather
-  (this replaces the blocking backoff sleep inside the sequential
-  ``_send``).
-* **Same failure accounting.** A deadline miss counts a scatter
-  timeout and one health failure, a retry counts a scatter retry, and
-  exhaustion hands the host to ``ClusterRouter._on_host_down`` —
-  byte-for-byte the sequential schedule, just without the sleeps. A
-  torn connection whose process is actually gone
-  (``not host_alive(host)``) fails fast instead of burning the
-  remaining ``retries × backoff`` wall-clock; the health machine still
-  ends at *dead* through the same transitions.
+  timer, so a host backing off never stalls another host's gather.
+* **One failure policy.** A deadline miss counts a scatter timeout and
+  one health failure, a fired retry counts a scatter retry, and
+  exhaustion hands the host to ``ClusterRouter._on_host_down`` — for
+  every kind of request but a best-effort drain. A torn connection
+  whose process is actually gone (``not host_alive(host)``) fails fast
+  instead of burning the remaining ``retries × backoff`` wall-clock;
+  the health machine still ends at *dead* through the same transitions.
 * **Exactly-once.** Retries re-post the *same* frame (same ``seq``),
   so the shard-side seq-dedup reply cache keeps at-least-once delivery
-  exactly-once application; late replies from timed-out attempts pair
-  by seq with the completed set and are discarded (counted as stale).
-* **Arrival-independent merge.** The engine only *records* replies;
-  the router absorbs them after ``run()`` in sorted group/placement
-  order, so merge and notification order never depend on which host
-  answered first.
-* **Failover inside the cycle.** When a host exhausts its schedule the
-  router's ``_on_host_down`` runs immediately; promotions it triggers
-  are submitted back into the engine at the *front* of the target
-  host's queue, so a promote still precedes the new primary's scatter
-  whenever that frame has not been dispatched yet (the bit-identical
-  failover path). If the lockstep frame already ran, the promote's
-  horizon mismatch queues the exact reconcile, exactly as the
-  sequential loop's ordering would.
+  exactly-once application; late replies from timed-out attempts never
+  pair with a later request and are discarded (counted as stale).
+* **Arrival-independent merge.** The engine only *records* a reply on
+  its request; the router absorbs a cycle's replies after ``run()`` in
+  planning order, so merge and notification order never depend on
+  which host answered first.
+* **Failover inside the run.** When a host exhausts its schedule
+  ``_on_host_down`` runs immediately; the promotions it triggers are
+  submitted at the *front* of the target host's queue, so a promote
+  precedes the new primary's scatter whenever that frame has not been
+  dispatched yet (the bit-identical failover path). If the lockstep
+  frame already ran, the promote's horizon mismatch queues the exact
+  reconcile.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional
 
 from repro.errors import ClusterError, ShardTimeout
 from repro.metrics import Metrics
 from repro.net.messages import GatherReplyMessage, Message
 
-#: Engine request kinds: ``refresh`` replies feed the merge via the
-#: router's end-of-cycle absorb; ``promote`` replies complete a
-#: failover via ``_finish_promote``.
-REFRESH = "refresh"
+#: Request kinds: a ``request``'s reply is read off the request by
+#: whoever submitted it; a ``promote``'s reply completes a failover via
+#: ``_finish_promote``; a ``drain`` is best-effort — the one kind whose
+#: exhaustion does not take the host down.
+REQUEST = "request"
 PROMOTE = "promote"
-
-
-def supports_overlap(backend) -> bool:
-    """Whether ``backend`` exposes the non-blocking dispatch trio."""
-    return all(
-        callable(getattr(backend, name, None))
-        for name in ("post", "collect", "host_alive")
-    )
+DRAIN = "drain"
 
 
 class _Request:
-    """One in-flight frame: its target, retry state, and timers."""
+    """One frame: its target, retry state, timers, and — once answered
+    — its reply (None after ``run()`` means the host never answered)."""
 
     __slots__ = (
         "host",
-        "group",
         "message",
         "kind",
-        "context",
         "attempt",
         "deadline",
         "retry_at",
         "reply",
-        "failed",
     )
 
-    def __init__(self, host: int, group: int, message: Message, kind: str, context):
+    def __init__(self, host: int, message: Message, kind: str):
         seq = getattr(message, "seq", None)
         if not isinstance(seq, int):
             raise ClusterError(
-                f"cycle frames need an integer seq to pair replies; got "
+                f"frames need an integer seq to pair replies; got "
                 f"{seq!r} on {type(message).__name__}"
             )
         self.host = host
-        self.group = group
         self.message = message
         self.kind = kind
-        self.context = context
         self.attempt = 1
         self.deadline: Optional[float] = None  # set when posted
         self.retry_at: Optional[float] = None  # set while backing off
         self.reply: Optional[GatherReplyMessage] = None
-        self.failed = False
 
     @property
     def seq(self) -> int:
@@ -116,7 +111,7 @@ class _Request:
 
 
 class CycleEngine:
-    """Dispatch-all-then-gather driver for one router refresh cycle."""
+    """Dispatch-all-then-gather driver for everything a router sends."""
 
     def __init__(self, router, max_wait: float = 0.25):
         self.router = router
@@ -131,34 +126,30 @@ class CycleEngine:
         #: other side is serial; pipelining buys nothing and would
         #: break request/reply pairing on timeout).
         self._outstanding: Dict[int, _Request] = {}
-        #: ``(host, group) -> reply`` for refresh-kind frames; the
-        #: router absorbs these in sorted order after :meth:`run`.
-        self.replies: Dict[Tuple[int, int], GatherReplyMessage] = {}
 
     # -- submission ---------------------------------------------------------
 
     def submit(
         self,
         host: int,
-        group: int,
         message: Message,
-        kind: str = REFRESH,
+        kind: str = REQUEST,
         front: bool = False,
-        context=None,
-    ) -> None:
+    ) -> _Request:
         """Queue one frame for ``host``; dispatched FIFO per host.
 
         ``front=True`` (promotions) jumps the not-yet-dispatched part
         of the queue: the promote precedes the new primary's lockstep
-        scatter when that scatter has not gone out yet, preserving the
-        sequential loop's bit-identical failover ordering.
+        scatter when that scatter has not gone out yet, which is what
+        keeps a same-cycle failover bit-identical.
         """
-        request = _Request(host, group, message, kind, context)
+        request = _Request(host, message, kind)
         queue = self._queues.setdefault(host, deque())
         if front:
             queue.appendleft(request)
         else:
             queue.append(request)
+        return request
 
     # -- the gather loop ----------------------------------------------------
 
@@ -180,6 +171,10 @@ class CycleEngine:
                 else:
                     self._on_reply(host, seq, payload)
             self._pump()
+        # Between runs the engine holds nothing: hosts are pumped in
+        # the order this run's frames were submitted, not in the order
+        # hosts were first ever seen.
+        self._queues.clear()
 
     def _pump(self) -> None:
         """Post the head of every idle live host's queue."""
@@ -257,13 +252,14 @@ class CycleEngine:
             # Either a seqless frame (never pairable), the original
             # answer of a timed-out attempt whose retry already paired
             # (same seq, already in the completed set), or a leftover
-            # from a previous cycle. All are discarded, never matched.
+            # from a previous run. All are discarded, never matched.
             self.metrics.count(Metrics.STALE_REPLIES)
             return
         del self._outstanding[host]
         self.router.health.success(host)
         request.reply = reply
-        self._settle(request)
+        if request.kind == PROMOTE:
+            self.router._finish_promote(request.message, reply)
 
     def _on_timeout(self, request: Optional[_Request]) -> None:
         """A deadline miss (engine timer or transport-raised)."""
@@ -304,29 +300,13 @@ class CycleEngine:
     def _exhaust(self, request: _Request) -> None:
         host = request.host
         self._outstanding.pop(host, None)
-        request.failed = True
-        self._settle(request)
-        if request.kind == REFRESH:
+        if request.kind != DRAIN:
             self.router._on_host_down(host)
             self._abandon(host)
 
     def _abandon(self, host: int) -> None:
-        """Drop a downed host's remaining frames (it left the cycle)."""
+        """Drop a downed host's remaining frames (it left the run)."""
         queue = self._queues.get(host)
         if queue:
             queue.clear()
-        dangling = self._outstanding.pop(host, None)
-        if dangling is not None:
-            dangling.failed = True
-            self._settle(dangling)
-
-    def _settle(self, request: _Request) -> None:
-        """Route a finished request's outcome back to the router."""
-        reply = None if request.failed else request.reply
-        if request.kind == PROMOTE:
-            served, owned = request.context
-            self.router._finish_promote(
-                request.group, request.host, served, owned, reply
-            )
-        elif reply is not None:
-            self.replies[(request.host, request.group)] = reply
+        self._outstanding.pop(host, None)

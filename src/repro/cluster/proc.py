@@ -1,26 +1,30 @@
 """Shards as separate OS processes (crash-realistic backend).
 
-Functionally identical to :class:`~repro.cluster.router.LocalBackend`,
-but each shard host lives in its own ``multiprocessing`` process and
-talks to the router over a pipe carrying codec-encoded frames — the
-same wire representation the simulated network uses, so every scatter
-and gather reply round-trips through serialization for real.
+Functionally identical to :class:`~repro.cluster.local.LocalBackend`
+(the contract both implement is stated in
+:mod:`repro.cluster.dispatch`), but each shard host lives in its own
+``multiprocessing`` process and talks to the router over a pipe
+carrying codec-encoded frames — the same wire representation the
+simulated network uses, so every scatter and gather reply round-trips
+through serialization for real.
 
-``send`` bounds the reply wait with ``conn.poll(timeout)``: a wedged
-(not dead) worker raises :class:`~repro.errors.ShardTimeout` instead of
-hanging the router forever, and replies are paired to requests by
-``seq`` — stale replies a previous timed-out request left in (or late
-into) the pipe are discarded — so combined with the shard-side
-seq-dedup reply cache, timeout + retry is safe at-least-once
-delivery. ``kill`` terminates the worker without any
-shutdown handshake — the honest version of the crash
-:meth:`ClusterRouter.kill_shard` simulates — escalating to
-``Process.kill`` when the process ignores SIGTERM; ``stop`` is the
-planned counterpart (drain sentinel, clean join) used by
-``remove_shard``. Recovery replays the host's journals exactly as the
-in-process backend does. On a single-core container this backend buys
-crash realism, not parallel speed; the benchmark's scaling argument
-rests on the deterministic cost model, not on this backend.
+``post`` writes a frame and returns; ``collect`` multiplexes every
+shard pipe and hands back whatever arrived. Deadlines are the
+engine's: a wedged (not dead) worker simply never shows up in
+``collect`` and the engine's timer fires instead of the router hanging
+forever. The engine keeps one outstanding request per host, so
+anything already buffered on a pipe when the next frame is posted
+answers an attempt that was given up on — ``post`` drains and counts
+it (``stale_replies``); a stale reply surfacing *after* that drain is
+discarded by the engine's seq pairing, and the shard-side seq-dedup
+reply cache keeps timeout + retry exactly-once either way. ``kill``
+terminates the worker without any shutdown handshake — the honest
+version of the crash :meth:`ClusterRouter.kill_shard` simulates —
+escalating to ``Process.kill`` when the process ignores SIGTERM;
+``stop`` is the planned counterpart (drain sentinel, clean join) used
+by ``remove_shard``. Recovery replays the host's journals exactly as
+the in-process backend does. This is the backend E18's
+``cluster_scatter`` workload measures (2 real processes).
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ import multiprocessing.connection
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import ClusterError, ShardTimeout
+from repro.errors import ClusterError
 from repro.net.codec import decode_payload, encode_payload
-from repro.net.messages import GatherReplyMessage, Message, ShardHelloMessage
+from repro.net.messages import Message, ShardHelloMessage
 from repro.cluster.shard import ShardHost, TableDecl
 
 #: Pipe sentinel asking the worker to exit cleanly (planned removal and
@@ -53,8 +57,8 @@ def _shard_worker(
     """Worker main loop: host one shard host, answer codec frames.
 
     ``delay`` sleeps before handling each frame — the injected slow
-    shard the wall-clock benchmarks and the bounded-by-slowest tests
-    use to make evaluation time visible without real query load.
+    shard the bounded-by-slowest test uses to make evaluation time
+    visible without real query load.
     """
     if recovered:
         host = ShardHost.recover(
@@ -87,19 +91,15 @@ class ProcessBackend:
         self,
         wal_root: Optional[str] = None,
         columnar: bool = False,
-        timeout: Optional[float] = 30.0,
         slow: Optional[Dict[int, float]] = None,
     ):
         self.wal_root = wal_root
         self.columnar = columnar
-        #: Default reply deadline in seconds (None waits forever — the
-        #: pre-deadline behavior, kept reachable but not default).
-        self.timeout = timeout
-        #: Per-shard injected handling delay in seconds (wall-clock
-        #: benchmarks and bounded-by-slowest tests).
+        #: Per-shard injected handling delay in seconds (the
+        #: bounded-by-slowest test).
         self.slow = dict(slow or {})
-        #: Replies discarded because they could not be paired with the
-        #: in-flight request's seq (late answers of timed-out attempts).
+        #: Replies found already buffered when the next frame was
+        #: posted (late answers of attempts the engine gave up on).
         self.stale_replies = 0
         self._ctx = multiprocessing.get_context("spawn")
         self._procs: Dict[int, multiprocessing.Process] = {}
@@ -138,58 +138,7 @@ class ProcessBackend:
     def spawn(self, shard_id: int, decls: Sequence[TableDecl]) -> ShardHelloMessage:
         return self._launch(shard_id, decls, recovered=False)
 
-    def send(
-        self,
-        shard_id: int,
-        message: Message,
-        timeout: Optional[float] = None,
-    ) -> GatherReplyMessage:
-        conn = self._conns.get(shard_id)
-        if conn is None:
-            raise ClusterError(f"shard {shard_id} is not running")
-        seq = getattr(message, "seq", None)
-        if not isinstance(seq, int):
-            # Pairing is by seq, and ``None == None`` would "match" a
-            # stale seqless reply to a new seqless request — so a
-            # request without an explicit integer seq is refused
-            # outright rather than paired by luck.
-            raise ClusterError(
-                f"message to shard {shard_id} needs an integer seq for "
-                f"reply pairing; got {seq!r} on {type(message).__name__}"
-            )
-        deadline = self.timeout if timeout is None else timeout
-        try:
-            # A previous request may have timed out after the worker
-            # applied the frame: its late reply is still in the pipe and
-            # would desynchronize request/reply pairing. Drain what's
-            # already buffered, then match the reply by seq — a wedged
-            # worker can surface its stale reply *after* this drain, so
-            # pairing can't rely on the drain alone. The shard-side seq
-            # cache keeps the retry exactly-once either way.
-            while conn.poll(0):
-                conn.recv_bytes()
-                self.stale_replies += 1
-            conn.send_bytes(encode_payload(message))
-            expires = (
-                None if deadline is None else time.monotonic() + deadline
-            )
-            while True:
-                if expires is not None:
-                    remaining = expires - time.monotonic()
-                    if remaining <= 0 or not conn.poll(remaining):
-                        raise ShardTimeout(
-                            f"shard {shard_id} timed out after {deadline}s"
-                        )
-                reply = decode_payload(conn.recv_bytes())
-                if getattr(reply, "seq", None) == seq:
-                    return reply
-                self.stale_replies += 1
-        except (EOFError, OSError, BrokenPipeError):
-            raise ClusterError(
-                f"shard {shard_id} died mid-request"
-            ) from None
-
-    # -- overlapped dispatch (CycleEngine transport trio) -------------------
+    # -- dispatch (the CycleEngine transport trio) --------------------------
 
     def post(self, shard_id: int, message: Message) -> None:
         """Non-blocking dispatch: frame goes out, reply is collected
@@ -198,8 +147,15 @@ class ProcessBackend:
         if conn is None:
             raise ClusterError(f"shard {shard_id} is not running")
         try:
+            # A previous request may have timed out after the worker
+            # applied the frame: its late reply is still in the pipe.
+            # With one outstanding request per host, whatever is
+            # buffered now is stale by definition.
+            while conn.poll(0):
+                conn.recv_bytes()
+                self.stale_replies += 1
             conn.send_bytes(encode_payload(message))
-        except (OSError, BrokenPipeError):
+        except (EOFError, OSError, BrokenPipeError):
             raise ClusterError(
                 f"shard {shard_id} died mid-request"
             ) from None
@@ -302,6 +258,10 @@ class ProcessBackend:
             raise ClusterError(
                 "recovery needs a wal_root; this backend lost everything"
             )
+        if shard_id in self._procs:
+            # Declared dead by deadline, not by crash: the wedged
+            # worker is still running and still holds its journals.
+            self.kill(shard_id)
         return self._launch(shard_id, decls, recovered=True)
 
     def alive(self) -> List[int]:

@@ -68,14 +68,9 @@ See DESIGN.md §12 for the protocol walk-through and recovery matrix.
 
 from __future__ import annotations
 
-import queue
-import random
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ClusterError, RegistrationError, ShardTimeout
+from repro.errors import ClusterError, RegistrationError
 from repro.metrics import Metrics
 from repro.relational.algebra import SPJQuery
 from repro.relational.expressions import ColumnRef, Literal
@@ -90,194 +85,22 @@ from repro.delta.diff import diff
 from repro.delta.differential import DeltaEntry, DeltaRelation
 from repro.dra.predindex import PredicateIndex
 from repro.obs.export import prometheus_text
-from repro.cluster.dispatch import CycleEngine, PROMOTE, supports_overlap
+from repro.cluster.dispatch import DRAIN, PROMOTE, REQUEST, CycleEngine
 from repro.cluster.health import ALIVE, HealthMonitor
+from repro.cluster.local import LocalBackend
 from repro.cluster.ring import HashRing, Partition, partition_filter
-from repro.cluster.shard import ClusterShard, ShardHost, TableDecl
+from repro.cluster.shard import TableDecl
 from repro.net.messages import (
     GatherReplyMessage,
     Message,
     ScatterMessage,
     ShardDrainMessage,
     ShardHeartbeatMessage,
-    ShardHelloMessage,
     ShardPromoteMessage,
 )
 
 #: ``(cq_name, delta, ts)`` notification callback.
 DeltaCallback = Callable[[str, DeltaRelation, Timestamp], None]
-
-
-class LocalBackend:
-    """Shard hosts as in-process objects (tests, benchmarks, examples).
-
-    ``kill`` abandons the host object without closing its journals —
-    the crash the recovery path is built for (recovery therefore needs
-    a ``wal_root``; a purely in-memory backend raises instead).
-    ``stop`` is the planned shutdown :meth:`ClusterRouter.remove_shard`
-    uses. ``fault_hook`` (usually a
-    :class:`~repro.cluster.health.FaultInjector`) is consulted before
-    and after each ``handle`` so chaos tests can script timeouts and
-    connection drops at exact protocol points — including the
-    "frame applied, reply lost" window the seq-dedup cache covers.
-
-    The overlapped-dispatch trio (``post``/``collect``/``host_alive``)
-    runs each posted frame on a thread pool and drains finished
-    replies through a queue — hosts overlap, frames to one host stay
-    serial (the engine keeps one outstanding request per host, like a
-    real pipe to a single-threaded worker). ``shuffle_seed`` reorders
-    each ``collect`` batch deterministically, the out-of-order
-    equivalence tests' way of proving the merge is
-    arrival-independent.
-    """
-
-    def __init__(
-        self,
-        wal_root: Optional[str] = None,
-        columnar: bool = False,
-        fault_hook: Optional[Callable[[int, Message, str], None]] = None,
-        shuffle_seed: Optional[int] = None,
-    ):
-        self.wal_root = wal_root
-        self.columnar = columnar
-        self.fault_hook = fault_hook
-        self.shards: Dict[int, ShardHost] = {}
-        self._rng = (
-            random.Random(shuffle_seed) if shuffle_seed is not None else None
-        )
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._results: "queue.Queue[tuple]" = queue.Queue()
-        #: Per-shard serialization for the overlapped path: the engine
-        #: bounds *outstanding* requests to one per host, but a retry
-        #: fired while a slow handle() still occupies a pool thread
-        #: would otherwise run a second concurrent handle() on the
-        #: same (non-thread-safe) ShardHost. A real pipe queues the
-        #: retried frame behind the stalled attempt; so do we.
-        self._serial: Dict[int, threading.Lock] = {}
-
-    def spawn(self, shard_id: int, decls: Sequence[TableDecl]) -> ShardHelloMessage:
-        if shard_id in self.shards:
-            raise ClusterError(f"shard {shard_id} already running")
-        host = ShardHost(
-            shard_id, decls, wal_root=self.wal_root, columnar=self.columnar
-        )
-        self.shards[shard_id] = host
-        return host.hello()
-
-    def send(
-        self,
-        shard_id: int,
-        message: Message,
-        timeout: Optional[float] = None,
-    ) -> GatherReplyMessage:
-        host = self.shards.get(shard_id)
-        if host is None:
-            raise ClusterError(f"shard {shard_id} is not running")
-        if self.fault_hook is not None:
-            self.fault_hook(shard_id, message, "send")
-        reply = host.handle(message)
-        if self.fault_hook is not None:
-            self.fault_hook(shard_id, message, "reply")
-        return reply
-
-    def kill(self, shard_id: int) -> None:
-        if self.shards.pop(shard_id, None) is None:
-            raise ClusterError(f"shard {shard_id} is not running")
-
-    def stop(self, shard_id: int) -> None:
-        host = self.shards.pop(shard_id, None)
-        if host is None:
-            raise ClusterError(f"shard {shard_id} is not running")
-        host.close()
-
-    def recover(
-        self, shard_id: int, decls: Sequence[TableDecl]
-    ) -> ShardHelloMessage:
-        host = self.shards.get(shard_id)
-        if host is not None:
-            # The host never actually died — a wedged/slow false
-            # positive the health machine cannot distinguish from a
-            # crash. Reattach to the live object instead of replaying
-            # journals under it.
-            return host.hello()
-        if self.wal_root is None:
-            raise ClusterError(
-                "recovery needs a wal_root; this backend is in-memory only"
-            )
-        host = ShardHost.recover(
-            shard_id, decls, self.wal_root, columnar=self.columnar
-        )
-        self.shards[shard_id] = host
-        return host.hello()
-
-    def alive(self) -> List[int]:
-        return sorted(self.shards)
-
-    # -- overlapped dispatch (CycleEngine transport trio) -------------------
-
-    def post(self, shard_id: int, message: Message) -> None:
-        """Non-blocking dispatch: ``handle`` runs on a pool thread and
-        the outcome (reply or raised fault) lands in the result queue."""
-        if shard_id not in self.shards:
-            raise ClusterError(f"shard {shard_id} is not running")
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=16, thread_name_prefix="local-shard"
-            )
-        seq = getattr(message, "seq", None)
-        serial = self._serial.setdefault(shard_id, threading.Lock())
-
-        def run() -> None:
-            try:
-                with serial:
-                    host = self.shards.get(shard_id)
-                    if host is None:
-                        raise ClusterError(f"shard {shard_id} is not running")
-                    if self.fault_hook is not None:
-                        self.fault_hook(shard_id, message, "send")
-                    reply = host.handle(message)
-                    if self.fault_hook is not None:
-                        self.fault_hook(shard_id, message, "reply")
-            except Exception as exc:  # delivered as a typed event
-                self._results.put((shard_id, seq, exc))
-            else:
-                self._results.put((shard_id, seq, reply))
-
-        self._pool.submit(run)
-
-    def collect(self, timeout: float) -> List[tuple]:
-        """All finished outcomes, blocking up to ``timeout`` for the
-        first; shuffled deterministically when ``shuffle_seed`` is set."""
-        out: List[tuple] = []
-        try:
-            out.append(self._results.get(timeout=max(0.0, timeout)))
-        except queue.Empty:
-            return out
-        while True:
-            try:
-                out.append(self._results.get_nowait())
-            except queue.Empty:
-                break
-        if self._rng is not None and len(out) > 1:
-            self._rng.shuffle(out)
-        return out
-
-    def host_alive(self, shard_id: int) -> bool:
-        return shard_id in self.shards
-
-    def host(self, shard_id: int) -> ShardHost:
-        return self.shards[shard_id]
-
-    def shard(self, shard_id: int) -> ClusterShard:
-        """The host's own-group store (the pre-replication accessor)."""
-        return self.shards[shard_id].stores[shard_id]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        for host in self.shards.values():
-            host.close()
 
 
 class _RouterSub:
@@ -344,8 +167,6 @@ class ClusterRouter:
         suspect_after: int = 1,
         dead_after: int = 2,
         backoff_base: float = 0.05,
-        sleep: Optional[Callable[[float], None]] = None,
-        overlap: bool = True,
         weights: Optional[Dict[int, float]] = None,
     ):
         if shards < 1:
@@ -372,17 +193,12 @@ class ClusterRouter:
         )
         self._request_timeout = request_timeout
         self._retries = retries
-        self._sleep = time.sleep if sleep is None else sleep
-        #: Overlapped dispatch: plan every frame up front, gather
-        #: replies as they arrive (requires a backend exposing the
-        #: post/collect/host_alive trio; falls back to the sequential
-        #: loop otherwise). ``overlap=False`` keeps the sequential
-        #: loop — the wall-clock benchmarks' baseline.
-        self.overlap = overlap
+        #: Every frame leaves through this engine: a refresh cycle
+        #: submits its whole plan, a control request one frame.
+        self._engine = CycleEngine(self)
         #: Initial per-shard placement weights (heterogeneous fleets);
         #: :meth:`add_shard` takes a ``weight=`` for later joiners.
         self._initial_weights = dict(weights or {})
-        self._engine: Optional[CycleEngine] = None
         self._n_initial = shards
         self._decls: Dict[str, TableDecl] = {}
         self._started = False
@@ -479,6 +295,12 @@ class ClusterRouter:
     def _alive(self) -> List[int]:
         return [s for s in self.ring.nodes() if s not in self._dead]
 
+    def _live(self, group: int) -> List[int]:
+        """``group``'s in-service hosts, primary first."""
+        return [
+            h for h in self._placement.get(group, ()) if h not in self._dead
+        ]
+
     def _partition(self, table: str, group: int) -> Partition:
         decl = self._decls[table]
         return Partition(
@@ -525,13 +347,6 @@ class ClusterRouter:
             self._load[host] = remaining
         else:
             self._load.pop(host, None)
-
-    def _clear_group(self, group: int, forget: bool = False) -> None:
-        """Empty ``group``'s placement (``forget`` drops the key too)."""
-        for host in list(self._placement.get(group, ())):
-            self._unplace(group, host)
-        if forget:
-            self._placement.pop(group, None)
 
     def _record_store(self, host: int, group: int, counters) -> None:
         """One store's gathered counter snapshot, cost kept current."""
@@ -595,53 +410,91 @@ class ClusterRouter:
 
     # -- transport ----------------------------------------------------------
 
-    def _send(self, host: int, message: Message) -> Optional[GatherReplyMessage]:
-        """One request under the deadline/retry/backoff policy.
+    def _request(
+        self, host: int, message: Message, kind: str = REQUEST
+    ) -> Optional[GatherReplyMessage]:
+        """One frame to one host, driven to its reply under the
+        engine's deadline/retry/backoff policy. None means the host
+        never answered — and unless the frame was a best-effort drain,
+        the engine has by then taken the host out of service and
+        failed its groups over. Never raises."""
+        request = self._engine.submit(host, message, kind)
+        self._engine.run()
+        return request.reply
 
-        Returns the reply, or None once the host has exhausted its
-        retries (the caller decides the failover). Never raises: a
-        timeout and a torn connection both feed the health state
-        machine as a missed ack. A torn connection whose process is
-        actually gone fails fast — no backoff schedule can heal it, so
-        burning ``retries × backoff`` of wall-clock before the
-        failover would only delay the promotion (the health machine
-        still ends at *dead* through ``_on_host_down``). Retries are
-        safe because shard stores dedup by ``seq`` and return the
-        cached reply, so at-least-once delivery stays exactly-once
-        application.
+    def _sync_store(
+        self,
+        host: int,
+        group: int,
+        now: Timestamp,
+        baselines: Sequence[str] = (),
+        replay: Optional[Timestamp] = None,
+        subscribe: Sequence[str] = (),
+        unsubscribe: Sequence[str] = (),
+    ) -> Optional[GatherReplyMessage]:
+        """Bring one store in line outside the refresh plan — the only
+        scatter built outside :meth:`_plan`.
+
+        ``baselines`` names tables to (re-)seed with the group's slice
+        of the authoritative state (the store diffs locally, so an
+        already current table costs nothing); ``replay`` is a horizon
+        whose missed window is re-sent differentially instead;
+        ``subscribe``/``unsubscribe`` are the ``sql_key`` registrations
+        to add and drop.
         """
-        if host in self._dead:
-            return None
-        attempts = max(1, self._retries + 1)
-        for attempt in range(1, attempts + 1):
-            if attempt > 1:
-                self.metrics.count(Metrics.SCATTER_RETRIES)
-                self._sleep(self.health.backoff(attempt - 1))
-            try:
-                reply = self.backend.send(
-                    host, message, timeout=self._request_timeout
-                )
-            except ShardTimeout:
-                self.metrics.count(Metrics.SCATTER_TIMEOUTS)
-                self._record_failure(host)
-                continue
-            except ClusterError:
-                self._record_failure(host)
-                if not self._backend_alive(host):
-                    self.metrics.count(Metrics.SCATTER_FAILFASTS)
-                    break
-                continue
-            self.health.success(host)
-            return reply
-        return None
+        deltas: Dict[str, DeltaRelation] = {}
+        if replay is not None:
+            window = deltas_since(
+                [self.db.table(name) for name in self._all_tables()],
+                replay,
+            )
+            deltas = self._slice(
+                window, group, self._group_tables(self._owned_keys(group))
+            )
+        self._seq += 1
+        return self._request(
+            host,
+            ScatterMessage(
+                host,
+                self._seq,
+                now,
+                deltas=deltas,
+                baselines={
+                    name: self._shard_view(name, group) for name in baselines
+                },
+                subscribe=[
+                    {"cq": key, "sql": self._queries[key].to_sql()}
+                    for key in subscribe
+                ],
+                unsubscribe=list(unsubscribe),
+                group=group,
+            ),
+        )
 
-    def _backend_alive(self, host: int) -> bool:
-        """Process-level liveness, tolerant of backends without the
-        overlapped-dispatch trio."""
-        probe = getattr(self.backend, "host_alive", None)
-        if callable(probe):
-            return bool(probe(host))
-        return host in self.backend.alive()
+    def _slice(
+        self, window: Dict[str, DeltaRelation], group: int, tables
+    ) -> Dict[str, DeltaRelation]:
+        """``group``'s non-empty share of ``window`` over ``tables``:
+        replicated tables whole, partitioned tables by ring slice."""
+        deltas: Dict[str, DeltaRelation] = {}
+        for name in tables:
+            delta = window.get(name)
+            if delta is None:
+                continue
+            if self._decls[name].partition_key is not None:
+                delta = partition_filter(delta, self._partition(name, group))
+            if not delta.is_empty():
+                deltas[name] = delta
+        return deltas
+
+    def _adopt(self, host: int, group: int, reply: GatherReplyMessage) -> None:
+        """A store that just confirmed a sync joins ``group``'s
+        placement, horizon, cost and GC-zone accounting."""
+        self._place(group, host)
+        self._store_horizons[(host, group)] = reply.ts
+        self._record_store(host, group, reply.counters)
+        self._ensure_zone(host, reply.ts)
+        self._refresh_host_horizon(host)
 
     def _record_failure(self, host: int) -> None:
         before = self.health.state(host)
@@ -727,7 +580,7 @@ class ClusterRouter:
             }
             self.index.add(sql_key, query, scopes)
             for group in sorted(owners):
-                self._seed_group(group, sql_key, query)
+                self._seed_group(group, sql_key, self.db.now())
         members = self._members[sql_key]
         if members:
             # Joining an existing group: share its retained result
@@ -761,27 +614,7 @@ class ClusterRouter:
             return
         sql_key = sub.sql_key
         for group in sorted(self._owners[sql_key]):
-            hosts = [
-                h
-                for h in self._placement.get(group, ())
-                if h not in self._dead
-            ]
-            if not hosts:
-                continue
-            # Only the primary holds the registration; replicas carry
-            # tables, not subscriptions.
-            self._seq += 1
-            if self._send(
-                hosts[0],
-                ScatterMessage(
-                    hosts[0],
-                    self._seq,
-                    self.db.now(),
-                    unsubscribe=[sql_key],
-                    group=group,
-                ),
-            ) is None:
-                self._on_host_down(hosts[0])
+            self._unseed_group(group, sql_key, self.db.now())
         self.index.remove(sql_key)
         for registry in (
             self._queries,
@@ -792,13 +625,7 @@ class ClusterRouter:
             registry.pop(sql_key, None)
         self._parallel.discard(sql_key)
 
-    def _seed_group(
-        self,
-        group: int,
-        sql_key: str,
-        query: SPJQuery,
-        now: Optional[Timestamp] = None,
-    ) -> None:
+    def _seed_group(self, group: int, sql_key: str, now: Timestamp) -> None:
         """Install one ``sql_key`` on every live store of ``group``:
         baseline-sync every touched table (sliced for partitioned
         tables), registering the CQ on the primary only — replicas get
@@ -806,33 +633,23 @@ class ClusterRouter:
         makes re-seeding an already current table free, so this is
         always sound — it closes any gap left by earlier
         relevance-skipped scatters."""
-        hosts = [
-            h for h in self._placement.get(group, ()) if h not in self._dead
-        ]
-        ts = self.db.now() if now is None else now
-        tables = sorted(set(query.table_names))
-        for index, host in enumerate(hosts):
-            baselines = {
-                name: self._shard_view(name, group) for name in tables
-            }
-            subscribe = (
-                [{"cq": sql_key, "sql": query.to_sql()}]
-                if index == 0
-                else None
-            )
-            self._seq += 1
-            if self._send(
+        tables = sorted(set(self._queries[sql_key].table_names))
+        for index, host in enumerate(self._live(group)):
+            self._sync_store(
                 host,
-                ScatterMessage(
-                    host,
-                    self._seq,
-                    ts,
-                    baselines=baselines,
-                    subscribe=subscribe,
-                    group=group,
-                ),
-            ) is None:
-                self._on_host_down(host)
+                group,
+                now,
+                baselines=tables,
+                subscribe=[sql_key] if index == 0 else (),
+            )
+
+    def _unseed_group(self, group: int, sql_key: str, now: Timestamp) -> None:
+        """Retire one ``sql_key`` from ``group``: only the primary
+        holds the registration; replicas carry tables, not
+        subscriptions."""
+        live = self._live(group)
+        if live:
+            self._sync_store(live[0], group, now, unsubscribe=[sql_key])
 
     def _shard_view(self, table: str, group: int) -> Relation:
         """The slice of a table's authoritative state one group holds."""
@@ -933,19 +750,43 @@ class ClusterRouter:
         if not self._started:
             raise ClusterError("start() the cluster before refreshing")
         now = self.db.now()
-        pending: Dict[str, List[DeltaRelation]] = {}
-        ts_by_key: Dict[str, Timestamp] = {}
         windows: Dict[Timestamp, Tuple[Dict, Set[str]]] = {}
         frames: Dict[Tuple[int, Timestamp], Dict[str, DeltaRelation]] = {}
-        if self.overlap and supports_overlap(self.backend):
-            self._refresh_overlapped(
-                now, collect, windows, frames, pending, ts_by_key
+        # Planning order (sorted groups, placement order within a
+        # group) fixes the per-host FIFO queues, so a group's primary
+        # frame still precedes its replicas' on a shared host.
+        planned = [
+            (
+                host,
+                group,
+                self._engine.submit(
+                    host,
+                    self._plan(host, group, now, collect, windows, frames),
+                ),
             )
-        else:
-            for group in sorted(self._placement):
-                self._refresh_group(
-                    group, now, collect, windows, frames, pending, ts_by_key
-                )
+            for group in sorted(self._placement)
+            for host in self._live(group)
+        ]
+        self._engine.run()
+        # The engine only recorded replies; absorbing them in planning
+        # order keeps merge inputs and notification order independent
+        # of arrival order. A host that died mid-cycle (failover
+        # already ran) is skipped: ``_on_host_down`` surgically removed
+        # its bookkeeping, and a reply that arrived before the verdict
+        # must not resurrect it.
+        pending: Dict[str, List[DeltaRelation]] = {}
+        ts_by_key: Dict[str, Timestamp] = {}
+        for host, group, request in planned:
+            if request.reply is None or host in self._dead:
+                continue
+            primary = self._placement[group][0]
+            self._absorb(
+                host,
+                group,
+                request.reply,
+                pending if host == primary else None,
+                ts_by_key,
+            )
         notified = self._merge_and_notify(pending, ts_by_key, now)
         self._drain_rereplication(now)
         if self._reconcile_keys:
@@ -955,95 +796,6 @@ class ClusterRouter:
         if self.auto_gc:
             self.collect_garbage()
         return notified
-
-    def _refresh_overlapped(
-        self,
-        now: Timestamp,
-        collect: bool,
-        windows: Dict,
-        frames: Dict,
-        pending: Dict[str, List[DeltaRelation]],
-        ts_by_key: Dict[str, Timestamp],
-    ) -> None:
-        """Dispatch every store's frame up front, gather as they land.
-
-        Planning order (sorted groups, placement order within a group)
-        fixes the per-host FIFO queues, so a group's primary frame
-        still precedes its replicas' on a shared host. The engine only
-        *records* replies; they are absorbed here afterwards in the
-        same sorted group/placement order the sequential loop used —
-        merge inputs and notification order are therefore independent
-        of arrival order. Hosts that died mid-cycle (failover already
-        ran) are skipped: their bookkeeping was surgically removed by
-        ``_on_host_down`` and must not be resurrected by a reply that
-        arrived before the verdict.
-        """
-        engine = CycleEngine(self)
-        self._engine = engine
-        try:
-            for group in sorted(self._placement):
-                for host in list(self._placement.get(group, ())):
-                    if host in self._dead:
-                        continue
-                    message = self._plan(
-                        host, group, now, collect, windows, frames
-                    )
-                    engine.submit(host, group, message)
-            engine.run()
-        finally:
-            self._engine = None
-        for group in sorted(self._placement):
-            hosts = list(self._placement.get(group, ()))
-            primary = hosts[0] if hosts else None
-            for host in hosts:
-                if host in self._dead:
-                    continue
-                reply = engine.replies.get((host, group))
-                if reply is None:
-                    continue
-                self._absorb(
-                    host,
-                    group,
-                    reply,
-                    pending if host == primary else None,
-                    ts_by_key,
-                )
-
-    def _refresh_group(
-        self,
-        group: int,
-        now: Timestamp,
-        collect: bool,
-        windows: Dict,
-        frames: Dict,
-        pending: Dict[str, List[DeltaRelation]],
-        ts_by_key: Dict[str, Timestamp],
-    ) -> None:
-        """Drive every store of one group through the cycle.
-
-        The snapshot of the placement is taken up front: when the
-        primary fails mid-loop, :meth:`_on_host_down` promotes the
-        replica in place, and the loop then reaches that replica with a
-        regular scatter frame — by then it *is* the primary, so its
-        gather feeds the merge and the cycle completes without a gap.
-        """
-        for host in list(self._placement.get(group, ())):
-            if host in self._dead:
-                continue
-            message = self._plan(host, group, now, collect, windows, frames)
-            reply = self._send(host, message)
-            if reply is None:
-                self._on_host_down(host)
-                continue
-            placement = self._placement.get(group, ())
-            primary = placement[0] if placement else None
-            self._absorb(
-                host,
-                group,
-                reply,
-                pending if host == primary else None,
-                ts_by_key,
-            )
 
     def _plan(
         self,
@@ -1088,22 +840,9 @@ class ClusterRouter:
                 for sql_key in routed
                 if group in self._owners.get(sql_key, ())
             }
-            deltas = {}
-            if local:
-                needed: Set[str] = set()
-                for sql_key in local:
-                    needed.update(self._queries[sql_key].table_names)
-                for name in sorted(needed):
-                    delta = window.get(name)
-                    if delta is None:
-                        continue
-                    if self._decls[name].partition_key is not None:
-                        delta = partition_filter(
-                            delta, self._partition(name, group)
-                        )
-                    if not delta.is_empty():
-                        deltas[name] = delta
-            frames[(group, horizon)] = deltas
+            deltas = frames[(group, horizon)] = self._slice(
+                window, group, self._group_tables(local)
+            )
         if not deltas:
             self.metrics.count(Metrics.SCATTER_SKIPPED)
             return ShardHeartbeatMessage(
@@ -1284,18 +1023,14 @@ class ClusterRouter:
         from what members saw, and the affected keys are queued for an
         exact reconcile instead of trusting the window.
 
-        During an overlapped cycle the promote frame is submitted to
-        the engine at the *front* of the target's queue instead of
-        sent inline: if the new primary's lockstep scatter has not
-        been dispatched yet, the promote still precedes it (the
+        The promote frame is submitted at the *front* of the target's
+        queue: if the new primary's lockstep scatter of this cycle has
+        not been dispatched yet, the promote still precedes it (the
         bit-identical ordering); if the scatter already ran, the
-        promote's horizon mismatch queues the reconcile — exactly the
-        correctness ladder the sequential loop's ordering implied."""
-        hosts = [
-            h
-            for h in self._placement.get(group, ())
-            if h not in self._dead
-        ]
+        promote's horizon mismatch queues the reconcile. Whoever took
+        the host down outside an engine run (:meth:`kill_shard`,
+        :meth:`remove_shard`) runs the engine afterwards."""
+        hosts = self._live(group)
         if not hosts:
             self._lost.add(group)
             return
@@ -1308,37 +1043,24 @@ class ClusterRouter:
             group, self._store_horizons.get((target, group), 0)
         )
         self._seq += 1
-        message = ShardPromoteMessage(
-            target, group, self._seq, served, subscribe=subscribe
+        self._engine.submit(
+            target,
+            ShardPromoteMessage(
+                target, group, self._seq, served, subscribe=subscribe
+            ),
+            kind=PROMOTE,
+            front=True,
         )
-        if self._engine is not None:
-            self._engine.submit(
-                target,
-                group,
-                message,
-                kind=PROMOTE,
-                front=True,
-                context=(served, owned),
-            )
-            return
-        reply = self._send(target, message)
-        self._finish_promote(group, target, served, owned, reply)
 
     def _finish_promote(
-        self,
-        group: int,
-        target: int,
-        served: Timestamp,
-        owned: List[str],
-        reply: Optional[GatherReplyMessage],
+        self, message: ShardPromoteMessage, reply: GatherReplyMessage
     ) -> None:
-        if reply is None:
-            self._on_host_down(target)
-            return
         self.metrics.count(Metrics.FAILOVERS)
-        self._record_store(target, group, reply.counters)
-        if reply.horizon != served:
-            self._reconcile_keys.update(owned)
+        self._record_store(message.shard_id, message.group, reply.counters)
+        if reply.horizon != message.ts:
+            self._reconcile_keys.update(
+                spec["cq"] for spec in message.subscribe
+            )
 
     def _drain_rereplication(self, now: Timestamp) -> None:
         """Background capacity repair, one batch per refresh cycle:
@@ -1368,85 +1090,49 @@ class ClusterRouter:
             return False
         host = candidates[0]
         owned = self._owned_keys(group)
-        baselines = {
-            name: self._shard_view(name, group)
-            for name in self._group_tables(owned)
-        }
-        subscribe = [
-            {"cq": key, "sql": self._queries[key].to_sql()} for key in owned
-        ]
-        self._seq += 1
-        reply = self._send(
+        reply = self._sync_store(
             host,
-            ScatterMessage(
-                host,
-                self._seq,
-                now,
-                baselines=baselines,
-                subscribe=subscribe,
-                group=group,
-            ),
+            group,
+            now,
+            baselines=self._group_tables(owned),
+            subscribe=owned,
         )
         if reply is None:
-            self._on_host_down(host)
             return False
         self.metrics.count(Metrics.REREPLICATIONS)
-        self._clear_group(group)
-        self._place(group, host)
         self._lost.discard(group)
-        self._store_horizons[(host, group)] = reply.ts
-        self._record_store(host, group, reply.counters)
-        self._ensure_zone(host, reply.ts)
-        self._refresh_host_horizon(host)
+        self._adopt(host, group, reply)
         self._group_served[group] = reply.ts
         self._reconcile_keys.update(owned)
         return True
 
+    def _strength(self) -> int:
+        """Stores a healthy group keeps: the primary plus ``replicas``,
+        capped by the hosts in service."""
+        return 1 + min(self.replicas, max(len(self._alive()) - 1, 0))
+
     def _top_up(self, group: int, now: Timestamp) -> None:
-        if not self.replicas:
-            return
-        live = self._alive()
-        placed = [
-            h for h in self._placement.get(group, ()) if h not in self._dead
-        ]
-        target = 1 + min(self.replicas, len(live) - 1)
-        need = target - len(placed)
-        if need <= 0:
-            return
+        target = self._strength()
+        need = target - len(self._live(group))
         for host in self._replica_targets(group, need):
             if self._seed_replica(group, host, now):
                 self.metrics.count(Metrics.REREPLICATIONS)
-        placed = [
-            h for h in self._placement.get(group, ()) if h not in self._dead
-        ]
-        if len(placed) < target:
+        if len(self._live(group)) < target:
             self._rerepl.append(group)  # retry when capacity returns
 
     def _seed_replica(self, group: int, host: int, now: Timestamp) -> bool:
         """Baseline-sync one new replica store (tables only, no
         subscriptions); it joins the group's lockstep from the next
         cycle on."""
-        owned = self._owned_keys(group)
-        baselines = {
-            name: self._shard_view(name, group)
-            for name in self._group_tables(owned)
-        }
-        self._seq += 1
-        reply = self._send(
+        reply = self._sync_store(
             host,
-            ScatterMessage(
-                host, self._seq, now, baselines=baselines, group=group
-            ),
+            group,
+            now,
+            baselines=self._group_tables(self._owned_keys(group)),
         )
-        if reply is None:
-            self._on_host_down(host)
-            return False
-        self._place(group, host)
-        self._store_horizons[(host, group)] = reply.ts
-        self._record_store(host, group, reply.counters)
-        self._ensure_zone(host, reply.ts)
-        self._refresh_host_horizon(host)
-        return True
+        if reply is not None:
+            self._adopt(host, group, reply)
+        return reply is not None
 
     def _maybe_release(self, group: int) -> None:
         """Unpin dead hosts' zones once ``group`` is healthy again
@@ -1454,22 +1140,14 @@ class ClusterRouter:
         fix: a crashed host whose groups all moved on must not hold
         the update logs forever waiting for a rejoin that may never
         come."""
-        live = self._alive()
-        target = 1 + min(self.replicas, max(len(live) - 1, 0))
-        placed = [
-            h for h in self._placement.get(group, ()) if h not in self._dead
-        ]
-        if group in self._lost or len(placed) < target:
+        if group in self._lost or len(self._live(group)) < self._strength():
             return
         for host in sorted(self._pinned):
             pins = self._pinned[host]
             pins.discard(group)
-            if pins:
-                continue
-            del self._pinned[host]
-            zone = self._zone(host)
-            if self.zones.boundary(zone) is not None:
-                self.zones.remove(zone)
+            if not pins:
+                del self._pinned[host]
+                self.zones.remove(self._zone(host))
 
     # -- shard lifecycle ----------------------------------------------------
 
@@ -1486,10 +1164,10 @@ class ClusterRouter:
             raise ClusterError(f"shard {shard_id} is already dead")
         self.backend.kill(shard_id)
         self._on_host_down(shard_id)
+        self._engine.run()  # the promotions that queued
         if release_zone:
             self._pinned.pop(shard_id, None)
-            if self.zones.boundary(self._zone(shard_id)) is not None:
-                self.zones.remove(self._zone(shard_id))
+            self.zones.remove(self._zone(shard_id))
 
     def recover_shard(self, shard_id: int) -> bool:
         """Rejoin a dead host and resume it differentially.
@@ -1542,16 +1220,11 @@ class ClusterRouter:
             info = groups_info[group]
             if group in self._lost:
                 self._rejoin_primary(shard_id, group, info, now, intact)
-            elif group in self._placement:
-                live = [
-                    h
-                    for h in self._placement[group]
-                    if h not in self._dead
-                ]
-                if shard_id not in live and len(live) < 1 + self.replicas:
-                    self._rejoin_replica(shard_id, group, info, now)
-                elif shard_id not in live:
-                    self._drain_store(shard_id, group, now)
+            elif (
+                group in self._placement
+                and len(self._live(group)) < 1 + self.replicas
+            ):
+                self._rejoin_replica(shard_id, group, info, now)
             else:
                 self._drain_store(shard_id, group, now)
         self._horizons[shard_id] = now
@@ -1566,8 +1239,7 @@ class ClusterRouter:
             # served at full strength elsewhere): the host idles as
             # spare capacity, and an idle host must not pin the logs —
             # its zone would never advance again.
-            if self.zones.boundary(self._zone(shard_id)) is not None:
-                self.zones.remove(self._zone(shard_id))
+            self.zones.remove(self._zone(shard_id))
         return intact
 
     def _rejoin_primary(
@@ -1588,61 +1260,21 @@ class ClusterRouter:
         arbitrarily stale — one exact re-evaluation per key at a rare
         recovery buys bit-identical convergence)."""
         held = set(info.get("subs", ()))
-        horizon = info.get("horizon", 0)
         owned = self._owned_keys(group)
         missing = [key for key in owned if key not in held]
-        stale = sorted(key for key in held if key not in owned)
-        deltas: Dict[str, DeltaRelation] = {}
-        baselines: Dict[str, Relation] = {}
-        if intact:
-            window = deltas_since(
-                [self.db.table(name) for name in self._all_tables()],
-                horizon,
-            )
-            for name in self._group_tables(owned):
-                delta = window.get(name)
-                if delta is None:
-                    continue
-                if self._decls[name].partition_key is not None:
-                    delta = partition_filter(
-                        delta, self._partition(name, group)
-                    )
-                if not delta.is_empty():
-                    deltas[name] = delta
-            for sql_key in missing:
-                for name in sorted(set(self._queries[sql_key].table_names)):
-                    baselines.setdefault(
-                        name, self._shard_view(name, group)
-                    )
-        else:
-            for name in self._group_tables(owned):
-                baselines[name] = self._shard_view(name, group)
-        subscribe = [
-            {"cq": key, "sql": self._queries[key].to_sql()}
-            for key in missing
-        ]
-        self._seq += 1
-        reply = self._send(
+        reply = self._sync_store(
             host,
-            ScatterMessage(
-                host,
-                self._seq,
-                now,
-                deltas=deltas,
-                baselines=baselines,
-                subscribe=subscribe,
-                unsubscribe=stale,
-                group=group,
-            ),
+            group,
+            now,
+            baselines=self._group_tables(missing if intact else owned),
+            replay=info.get("horizon", 0) if intact else None,
+            subscribe=missing,
+            unsubscribe=sorted(held.difference(owned)),
         )
         if reply is None:
-            self._on_host_down(host)
             return
-        self._clear_group(group)
-        self._place(group, host)
         self._lost.discard(group)
-        self._store_horizons[(host, group)] = reply.ts
-        self._record_store(host, group, reply.counters)
+        self._adopt(host, group, reply)
         self._group_served[group] = reply.ts
         self._reconcile(owned, now)
 
@@ -1654,58 +1286,30 @@ class ClusterRouter:
         primary keeps serving — the rejoiner drops its stale
         registrations (its results were served-past by the failover)
         and just re-enters the lockstep."""
-        held = sorted(info.get("subs", ()))
         horizon = info.get("horizon", 0)
-        owned = self._owned_keys(group)
-        tables = self._group_tables(owned)
+        tables = self._group_tables(self._owned_keys(group))
         intact = all(
             self.db.table(name).log.pruned_through <= horizon
             for name in tables
         )
-        deltas: Dict[str, DeltaRelation] = {}
-        baselines: Dict[str, Relation] = {}
-        if intact:
-            window = deltas_since(
-                [self.db.table(name) for name in self._all_tables()],
-                horizon,
-            )
-            for name in tables:
-                delta = window.get(name)
-                if delta is None:
-                    continue
-                if self._decls[name].partition_key is not None:
-                    delta = partition_filter(
-                        delta, self._partition(name, group)
-                    )
-                if not delta.is_empty():
-                    deltas[name] = delta
-        else:
-            for name in tables:
-                baselines[name] = self._shard_view(name, group)
-        self._seq += 1
-        reply = self._send(
+        reply = self._sync_store(
             host,
-            ScatterMessage(
-                host,
-                self._seq,
-                now,
-                deltas=deltas,
-                baselines=baselines,
-                unsubscribe=held,
-                group=group,
-            ),
+            group,
+            now,
+            baselines=() if intact else tables,
+            replay=horizon if intact else None,
+            unsubscribe=sorted(info.get("subs", ())),
         )
-        if reply is None:
-            self._on_host_down(host)
-            return
-        self._place(group, host)
-        self._store_horizons[(host, group)] = reply.ts
-        self._record_store(host, group, reply.counters)
+        if reply is not None:
+            self._adopt(host, group, reply)
 
     def _drain_store(self, host: int, group: int, now: Timestamp) -> None:
-        """Best-effort detach of one store (its group moved on)."""
+        """Best-effort detach of one store (its group moved on): the
+        one request whose failure does not take the host down."""
         self._seq += 1
-        self._send(host, ShardDrainMessage(host, self._seq, now, group=group))
+        self._request(
+            host, ShardDrainMessage(host, self._seq, now, group=group), DRAIN
+        )
 
     def add_shard(self, weight: float = 1.0) -> int:
         """Grow the fleet by one shard (index handoff included).
@@ -1739,75 +1343,41 @@ class ClusterRouter:
         self.zones.register(self._zone(new_id), self._all_tables(), now)
         self._place(new_id, new_id)
         self._store_horizons[(new_id, new_id)] = now
-        # Re-slice partitioned tables everywhere: rows whose owner moved
-        # are deleted from the old group and inserted on the new one by
-        # each store's local baseline diff.
-        partitioned = sorted(
-            name
-            for name, decl in self._decls.items()
-            if decl.partition_key is not None
-        )
-        if partitioned:
-            for group in sorted(self._placement):
-                if group == new_id:
-                    continue
-                for host in list(self._placement[group]):
-                    if host in self._dead:
-                        continue
-                    baselines = {
-                        name: self._shard_view(name, group)
-                        for name in partitioned
-                    }
-                    self._seq += 1
-                    if self._send(
-                        host,
-                        ScatterMessage(
-                            host,
-                            self._seq,
-                            now,
-                            baselines=baselines,
-                            group=group,
-                        ),
-                    ) is None:
-                        self._on_host_down(host)
+        self._reslice(now, skip=new_id)
         # Index handoff + new-group registrations.
         for sql_key in sorted(self._owners):
-            query = self._queries[sql_key]
             if sql_key in self._parallel:
                 self._owners[sql_key].add(new_id)
-                self._seed_group(new_id, sql_key, query, now)
+                self._seed_group(new_id, sql_key, now)
                 continue
             new_home = self.ring.lookup(sql_key)
             old_home = previous_home[sql_key]
             if new_home == old_home:
                 continue
             self._owners[sql_key] = {new_home}
-            old_hosts = [
-                h
-                for h in self._placement.get(old_home, ())
-                if h not in self._dead
-            ]
-            if old_hosts:
-                self._seq += 1
-                if self._send(
-                    old_hosts[0],
-                    ScatterMessage(
-                        old_hosts[0],
-                        self._seq,
-                        now,
-                        unsubscribe=[sql_key],
-                        group=old_home,
-                    ),
-                ) is None:
-                    self._on_host_down(old_hosts[0])
-            self._seed_group(new_home, sql_key, query, now)
-        if self.replicas:
-            live = self._alive()
-            for host in self._replica_targets(
-                new_id, min(self.replicas, len(live) - 1)
-            ):
-                self._seed_replica(new_id, host, now)
+            self._unseed_group(old_home, sql_key, now)
+            self._seed_group(new_home, sql_key, now)
+        for host in self._replica_targets(new_id, self._strength() - 1):
+            self._seed_replica(new_id, host, now)
         return new_id
+
+    def _reslice(self, now: Timestamp, skip: int) -> None:
+        """The ring changed: every store outside group ``skip`` (the
+        one joining or dissolving) converges onto its new slice of each
+        partitioned table — rows whose owner moved are deleted from the
+        old group and inserted on the new one by each store's local
+        baseline diff."""
+        partitioned = sorted(
+            name
+            for name, decl in self._decls.items()
+            if decl.partition_key is not None
+        )
+        if not partitioned:
+            return
+        for group in sorted(self._placement):
+            if group != skip:
+                for host in self._live(group):
+                    self._sync_store(host, group, now, baselines=partitioned)
 
     def remove_shard(self, shard_id: int) -> None:
         """Planned drain — the inverse of :meth:`add_shard`.
@@ -1862,65 +1432,35 @@ class ClusterRouter:
                 self._promote(group)
             if self.replicas:
                 self._rerepl.append(group)
-        # 2) Dissolve the host's own group.
+        self._engine.run()  # the promotions that queued
+        # 2) Dissolve the host's own group (by now the only one the
+        # host still carries).
         own = shard_id
         owned = self._owned_keys(own)
-        replica_hosts = [
-            h for h in self._placement.get(own, ()) if h != shard_id
-        ]
+        replica_hosts = [h for h in self._live(own) if h != shard_id]
         self.ring.remove_node(shard_id)
-        partitioned = sorted(
-            name
-            for name, decl in self._decls.items()
-            if decl.partition_key is not None
-        )
-        if partitioned:
-            for group in sorted(self._placement):
-                if group == own:
-                    continue
-                for host in list(self._placement[group]):
-                    if host in self._dead or host == shard_id:
-                        continue
-                    baselines = {
-                        name: self._shard_view(name, group)
-                        for name in partitioned
-                    }
-                    self._seq += 1
-                    if self._send(
-                        host,
-                        ScatterMessage(
-                            host,
-                            self._seq,
-                            now,
-                            baselines=baselines,
-                            group=group,
-                        ),
-                    ) is None:
-                        self._on_host_down(host)
+        self._reslice(now, skip=own)
         # Re-home the dissolved group's subscriptions.
         for sql_key in owned:
-            query = self._queries[sql_key]
             if sql_key in self._parallel:
                 self._owners[sql_key].discard(own)
             else:
                 new_home = self.ring.lookup(sql_key)
                 self._owners[sql_key] = {new_home}
-                self._seed_group(new_home, sql_key, query, now)
+                self._seed_group(new_home, sql_key, now)
         # Drain surviving replica stores of the dissolved group, then
         # stop the departing process cleanly.
         for host in replica_hosts:
             if host not in self._dead:
                 self._drain_store(host, own, now)
-        stop = getattr(self.backend, "stop", None)
-        if stop is not None:
-            stop(shard_id)
-        else:
-            self.backend.kill(shard_id)
+        self.backend.stop(shard_id)
         # 3) Forget the host — through the incremental bookkeeping
         # helpers, so _load/_host_cost stay consistent with _placement
         # (phantom entries would skew every future _replica_targets
         # ranking).
-        self._clear_group(own, forget=True)
+        for host in list(self._placement[own]):
+            self._unplace(own, host)
+        del self._placement[own]
         self._lost.discard(own)
         self._group_served.pop(own, None)
         for key in [
@@ -1936,8 +1476,7 @@ class ClusterRouter:
         ]:
             self._drop_store_counters(key)
         self._horizons.pop(shard_id, None)
-        if self.zones.boundary(self._zone(shard_id)) is not None:
-            self.zones.remove(self._zone(shard_id))
+        self.zones.remove(self._zone(shard_id))
         self.health.forget(shard_id)
         self._pinned.pop(shard_id, None)
         for pins in self._pinned.values():
@@ -2015,11 +1554,10 @@ class ClusterRouter:
         cost: Dict[int, float] = {}
         for (host, _group), score in self._store_cost.items():
             cost[host] = cost.get(host, 0.0) + score
-        target = 1 + min(self.replicas, max(len(self._alive()) - 1, 0))
         weak = sorted(
             group
             for group in self._placement
-            if sum(1 for _host, g in live if g == group) < target
+            if len(self._live(group)) < self._strength()
             and group not in self._lost
             and group not in self._rerepl
         )
@@ -2039,6 +1577,11 @@ class ClusterRouter:
                 f"live placed stores {sorted(live)}",
             ),
             (not weak, f"groups {weak} under strength and not queued"),
+            (
+                self._lost
+                == {g for g, hosts in self._placement.items() if not hosts},
+                f"_lost {sorted(self._lost)} != groups with no store",
+            ),
             (
                 set(self._pinned) <= self._dead,
                 f"live hosts pinned: {sorted(set(self._pinned) - self._dead)}",
@@ -2169,9 +1712,7 @@ class ClusterRouter:
         return out
 
     def close(self) -> None:
-        close = getattr(self.backend, "close", None)
-        if close is not None:
-            close()
+        self.backend.close()
 
     def __repr__(self) -> str:
         return (

@@ -120,9 +120,9 @@ class _TornTwiceBackend:
 def _run_engine(backend, **router_kwargs):
     router = _StubRouter(backend, **router_kwargs)
     engine = CycleEngine(router, max_wait=0.01)
-    engine.submit(0, 0, ShardHeartbeatMessage(0, 7, 1))
+    request = engine.submit(0, ShardHeartbeatMessage(0, 7, 1))
     engine.run()
-    return router, engine
+    return router, request
 
 
 class TestTornDuringBackoff:
@@ -132,20 +132,20 @@ class TestTornDuringBackoff:
         failure through fail-fast, and hand the host to
         ``_on_host_down`` — not busy-spin re-firing the dead timer."""
         backend = _TornOnRetryBackend()
-        router, engine = _run_engine(backend)
+        router, request = _run_engine(backend)
         assert router.downed == [0]
         assert backend.posts == 2  # the original + exactly one re-post
         snapshot = router.metrics.snapshot()
         assert snapshot.get(Metrics.SCATTER_RETRIES) == 1
         assert snapshot.get(Metrics.SCATTER_FAILFASTS) == 1
-        assert engine.replies == {}
+        assert request.reply is None
 
     def test_torn_event_for_backing_off_request_is_not_swallowed(self):
         """A torn event arriving mid-backoff with the process gone is
         a real failure: cancel the retry and fail over now, instead of
         waiting out the rest of the backoff schedule."""
         backend = _TornTwiceBackend()
-        router, engine = _run_engine(backend, backoff=30.0)
+        router, request = _run_engine(backend, backoff=30.0)
         assert router.downed == [0]
         assert backend.posts == 1  # never re-posted to a dead host
         snapshot = router.metrics.snapshot()
@@ -181,8 +181,8 @@ class TestTornDuringBackoff:
                 return [0]
 
         backend = _HealsBackend()
-        router, engine = _run_engine(backend)
+        router, request = _run_engine(backend)
         assert router.downed == []
         assert backend.posts == 2
-        assert engine.replies == {(0, 0): "reply"}
+        assert request.reply == "reply"
         assert router.health.successes == [0]

@@ -1,15 +1,16 @@
-"""Overlapped scatter/gather: arrival order must never matter.
+"""Scatter/gather dispatch: arrival order must never matter.
 
-The overlapped refresh path dispatches every frame up front and
-gathers replies as hosts answer; these tests prove the two properties
-that make that safe:
+A refresh cycle dispatches every frame up front and gathers replies
+as hosts answer; these tests prove the two properties that make that
+safe:
 
-* **Equivalence** — with a seeded shuffle deliberately reordering
-  every gather batch, results and notification order are bit-identical
-  to the sequential (``overlap=False``) baseline, commit for commit.
+* **Arrival independence** — with a seeded shuffle deliberately
+  reordering every gather batch, results and the notification stream
+  are bit-identical to unshuffled arrival, commit for commit, and
+  every retained result equals the ``db.query`` oracle.
 * **Bounded by the slowest host** — with every shard of a
-  ``ProcessBackend`` fleet slowed by ``d``, an overlapped cycle
-  finishes in about ``d``, not ``shards × d`` (the sequential sum).
+  ``ProcessBackend`` fleet slowed by ``d``, a cycle finishes in about
+  ``d``, not ``shards × d`` (the sum a host-at-a-time loop would pay).
 
 Plus weighted placement plumb-through: router-level ``weights=``,
 ``add_shard(weight=)``, and weight survival across kill/rejoin.
@@ -25,7 +26,6 @@ from repro.cluster import (
     LocalBackend,
     ProcessBackend,
 )
-from repro.cluster.dispatch import supports_overlap
 from repro.metrics import Metrics
 
 JOIN_SQL = (
@@ -42,7 +42,6 @@ def make_cluster(
     shards=3,
     replicas=0,
     seed=7,
-    overlap=True,
     shuffle_seed=None,
     wal_root=None,
     fault_hook=None,
@@ -57,10 +56,9 @@ def make_cluster(
         seed=seed,
         backend=backend,
         replicas=replicas,
-        overlap=overlap,
         request_timeout=5.0,
         retries=1,
-        sleep=lambda delay: None,
+        backoff_base=0.0,
         **kwargs,
     )
     router.declare_table(
@@ -142,14 +140,15 @@ def run_script(router):
 
 
 class TestOutOfOrderEquivalence:
-    """Shuffled gather arrival vs the sequential baseline."""
+    """Shuffled gather arrival vs unshuffled arrival and the oracle."""
 
     @pytest.mark.parametrize("shuffle_seed", [1, 12, 123])
     def test_results_and_notifications_bit_identical(self, shuffle_seed):
         baseline_events = []
-        baseline = make_cluster(overlap=False, recorder=baseline_events)
-        assert not supports_overlap(object())
+        baseline = make_cluster(recorder=baseline_events)
         expected = run_script(baseline)
+        for name, sql in ALL_CQS.items():
+            assert baseline.result("c", name) == baseline.db.query(sql)
 
         shuffled_events = []
         router = make_cluster(
@@ -200,58 +199,55 @@ class TestOutOfOrderEquivalence:
 
     def test_injected_crash_counts_match_sequential(self):
         """A one-shot reply-phase crash on a live host retries and
-        pairs exactly-once — identical counter deltas to the blocking
-        path (no fail-fast: the host object is still alive)."""
+        pairs exactly-once: one retry, nothing else — no timeout, no
+        suspect-to-dead walk, no failover, and no fail-fast (the host
+        object is still alive)."""
         from repro.net.messages import ScatterMessage
 
-        counts = {}
-        for mode, shuffle in (("seq", None), ("overlap", 5)):
-            injector = FaultInjector()
-            router = make_cluster(
-                replicas=1,
-                overlap=(mode == "overlap"),
-                shuffle_seed=shuffle,
-                fault_hook=injector,
-            )
-            router.refresh()
-            injector.crash(
-                1,
-                phase="reply",
-                times=1,
-                match=lambda m: isinstance(m, ScatterMessage),
-            )
-            db = router.db
-            stocks = db.table("stocks")
-            with db.begin() as txn:
-                for row in list(stocks.current):
-                    txn.modify_in(
-                        stocks,
-                        row.tid,
-                        (row.values[0], row.values[1], 200.0),
-                    )
-            before = router.metrics.snapshot()
-            router.refresh()
-            for name, sql in ALL_CQS.items():
-                assert router.result("c", name) == router.db.query(sql)
-            counts[mode] = {
-                k: v
-                for k, v in router.metrics.diff(before).items()
-                if k.startswith("cluster_")
-                and k
-                not in (
-                    Metrics.SCATTERS,
-                    Metrics.CLUSTER_MERGES,
-                    Metrics.SCATTER_SKIPPED,
+        injector = FaultInjector()
+        router = make_cluster(
+            replicas=1, shuffle_seed=5, fault_hook=injector
+        )
+        router.refresh()
+        injector.crash(
+            1,
+            phase="reply",
+            times=1,
+            match=lambda m: isinstance(m, ScatterMessage),
+        )
+        db = router.db
+        stocks = db.table("stocks")
+        with db.begin() as txn:
+            for row in list(stocks.current):
+                txn.modify_in(
+                    stocks,
+                    row.tid,
+                    (row.values[0], row.values[1], 200.0),
                 )
-            }
-            assert injector.fired == [(1, "reply")]
-        assert counts["overlap"] == counts["seq"]
+        before = router.metrics.snapshot()
+        router.refresh()
+        router.check_invariants()
+        for name, sql in ALL_CQS.items():
+            assert router.result("c", name) == router.db.query(sql)
+        counts = {
+            k: v
+            for k, v in router.metrics.diff(before).items()
+            if k.startswith("cluster_")
+            and k
+            not in (
+                Metrics.SCATTERS,
+                Metrics.CLUSTER_MERGES,
+                Metrics.SCATTER_SKIPPED,
+            )
+        }
+        assert counts == {Metrics.SCATTER_RETRIES: 1, Metrics.SUSPECTS: 1}
+        assert injector.fired == [(1, "reply")]
 
 
 class TestWallClockBoundedBySlowest:
     def test_cycle_takes_about_d_not_shards_times_d(self, tmp_path):
         """Every one of 4 real shard processes sleeps ``d`` per frame:
-        the sequential sum is ``4d``; the overlapped cycle must finish
+        a host-at-a-time loop would pay ``4d``; the cycle must finish
         well under half of that."""
         d = 0.3
         router = ClusterRouter(
@@ -290,7 +286,7 @@ class TestWallClockBoundedBySlowest:
             elapsed = time.monotonic() - start
             # One frame per shard, every shard sleeps d: the slowest
             # host bounds the cycle. 2.5d leaves CI headroom while
-            # staying far below the 4d sequential sum.
+            # staying far below the 4d sum.
             assert elapsed < 2.5 * d, f"cycle took {elapsed:.2f}s"
             assert router.result("c", "all") == router.db.query(sql)
         finally:

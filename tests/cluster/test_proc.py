@@ -13,9 +13,11 @@ import signal
 import pytest
 
 from repro.cluster import ClusterRouter, ProcessBackend, TableDecl
-from repro.errors import ClusterError, ShardTimeout
+from repro.cluster.dispatch import CycleEngine
+from repro.errors import ClusterError
 from repro.metrics import Metrics
 from repro.net.messages import ShardHeartbeatMessage
+from tests.cluster.test_dispatch import _StubRouter
 
 SQL = "SELECT name, price FROM stocks WHERE price > 102"
 
@@ -62,44 +64,104 @@ def test_process_shards_scatter_crash_and_recover(tmp_path):
 def test_wedged_worker_times_out_and_retry_stays_exactly_once(tmp_path):
     """A SIGSTOPped worker is the failure detection's worst case: the
     process is alive, the pipe is open, nothing answers. The deadline
-    must fire (ShardTimeout, not a hang), and after the worker resumes,
-    the stale reply it eventually wrote must be drained so the next
-    request pairs with its own reply."""
-    backend = ProcessBackend(wal_root=str(tmp_path), timeout=5.0)
+    must fire (a counted timeout and a downed host, not a hang), and
+    after the worker resumes, the stale reply it eventually wrote must
+    be discarded so the next request pairs with its own reply."""
+    backend = ProcessBackend(wal_root=str(tmp_path))
     decls = [TableDecl("stocks", [("sid", int), ("price", float)])]
     backend.spawn(0, decls)
+    router = _StubRouter(backend, retries=0)
+    engine = CycleEngine(router)
+
+    def request(seq):
+        frame = engine.submit(0, ShardHeartbeatMessage(0, seq, seq))
+        engine.run()
+        return frame.reply
+
     try:
-        reply = backend.send(0, ShardHeartbeatMessage(0, 1, 1))
-        assert reply.seq == 1
+        assert request(1).seq == 1
 
         pid = backend._procs[0].pid
         os.kill(pid, signal.SIGSTOP)
+        router._request_timeout = 0.2
         try:
-            with pytest.raises(ShardTimeout):
-                backend.send(
-                    0, ShardHeartbeatMessage(0, 2, 2), timeout=0.2
-                )
+            assert request(2) is None
         finally:
             os.kill(pid, signal.SIGCONT)
+        assert router.downed == [0]
+        assert router.metrics.get(Metrics.SCATTER_TIMEOUTS) == 1
+        router._dead.clear()
+        router._request_timeout = 5.0
 
-        # The resumed worker answered seq 2 into the pipe; the next
-        # send drains that stale reply and pairs with its own.
-        reply = backend.send(0, ShardHeartbeatMessage(0, 3, 3))
-        assert reply.seq == 3
-        assert backend.stale_replies == 1
+        # The resumed worker answers seq 2 into the pipe ahead of
+        # seq 3's reply: either the next post drains it or the
+        # engine's seq pairing discards it — never matched to seq 3.
+        assert request(3).seq == 3
+        stale = backend.stale_replies + router.metrics.get(
+            Metrics.STALE_REPLIES
+        )
+        assert stale == 1
 
         # A frame without an integer seq can never be paired with its
         # reply (``None == None`` would match any stale seqless frame),
-        # so the backend refuses to send it at all.
+        # so the engine refuses to queue it at all.
         seqless = ShardHeartbeatMessage(0, 4, 4)
         seqless.seq = None
         with pytest.raises(ClusterError, match="integer seq"):
-            backend.send(0, seqless)
-        reply = backend.send(0, ShardHeartbeatMessage(0, 5, 5))
-        assert reply.seq == 5
+            engine.submit(0, seqless)
+        assert request(5).seq == 5
     finally:
         backend.close()
     assert backend.alive() == []
+
+
+def test_recover_relaunches_a_host_declared_dead_by_deadline(tmp_path):
+    """A wedged worker the health machine gave up on is still running
+    (``_on_host_down`` never kills anything): recovery must terminate
+    the straggler and relaunch from its journal, not trip over
+    "already running"."""
+    router = ClusterRouter(
+        shards=2,
+        seed=3,
+        backend=ProcessBackend(wal_root=str(tmp_path)),
+        request_timeout=0.2,
+        retries=0,
+    )
+    router.declare_table(
+        "stocks", [("sid", int), ("name", str), ("price", float)]
+    )
+    router.start()
+    db = router.db
+    stocks = db.table("stocks")
+    try:
+        with db.begin() as txn:
+            for i in range(6):
+                txn.insert_into(stocks, (i, f"S{i}", 100.0 + i))
+        router.subscribe("c", "q", SQL)
+        home = router.describe()[0]["shards"][0]
+        router.refresh()
+
+        wedged = router.backend._procs[home]
+        os.kill(wedged.pid, signal.SIGSTOP)
+        try:
+            with db.begin() as txn:
+                txn.insert_into(stocks, (9, "S9", 900.0))
+            router.refresh()  # the deadline fires; the host is dead
+        finally:
+            os.kill(wedged.pid, signal.SIGCONT)
+        assert router.stats()["shards"][home]["alive"] is False
+        assert router.backend.host_alive(home)  # ...but still running
+
+        router._request_timeout = 30.0
+        assert router.recover_shard(home) is True
+        assert not wedged.is_alive()
+        assert router.backend._procs[home] is not wedged
+        router.refresh()
+        router.check_invariants()
+        assert router.result("c", "q") == db.query(SQL)
+    finally:
+        router.close()
+    assert router.backend.alive() == []
 
 
 def test_replicated_failover_across_real_processes(tmp_path):
@@ -109,7 +171,7 @@ def test_replicated_failover_across_real_processes(tmp_path):
         shards=2,
         seed=3,
         replicas=1,
-        backend=ProcessBackend(wal_root=str(tmp_path), timeout=30.0),
+        backend=ProcessBackend(wal_root=str(tmp_path)),
     )
     router.declare_table(
         "stocks", [("sid", int), ("name", str), ("price", float)]

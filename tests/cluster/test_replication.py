@@ -42,7 +42,7 @@ def make_cluster(
         replicas=replicas,
         request_timeout=5.0,
         retries=1,
-        sleep=lambda delay: None,  # tests never really sleep
+        backoff_base=0.0,  # tests never really wait
         **kwargs,
     )
     router.declare_table(

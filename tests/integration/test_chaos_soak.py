@@ -459,7 +459,7 @@ class TestReplicatedChaosSoak:
             ),
             request_timeout=5.0,
             retries=1,
-            sleep=lambda delay: None,
+            backoff_base=0.0,
         )
         router.declare_table("stocks", SCHEMA)
         router.declare_table(

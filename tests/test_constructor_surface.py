@@ -1,8 +1,8 @@
-"""The constructor keywords of the three serving classes, pinned.
+"""The constructor keywords of the serving and cluster classes, pinned.
 
 Each on/off keyword doubles the configurations the equivalence harness
 and the benchmarks have to cover, so adding one must be a deliberate
-edit here, not a side effect of a feature. None of the three takes
+edit here, not a side effect of a feature. None of these takes
 ``**kwargs``, so any keyword outside these sets is a ``TypeError``.
 """
 
@@ -10,6 +10,7 @@ import inspect
 
 import pytest
 
+from repro.cluster import ClusterRouter, LocalBackend, ProcessBackend
 from repro.core import CQManager
 from repro.net.server import CQServer
 from repro.net.service import CQService
@@ -55,6 +56,23 @@ SURFACE = {
         "fanout",
         "columnar",
     },
+    ClusterRouter: {
+        "shards",
+        "seed",
+        "metrics",
+        "backend",
+        "vnodes",
+        "auto_gc",
+        "replicas",
+        "request_timeout",
+        "retries",
+        "suspect_after",
+        "dead_after",
+        "backoff_base",
+        "weights",
+    },
+    LocalBackend: {"wal_root", "columnar", "fault_hook", "shuffle_seed"},
+    ProcessBackend: {"wal_root", "columnar", "slow"},
 }
 
 
