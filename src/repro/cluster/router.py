@@ -444,12 +444,10 @@ class ClusterRouter:
         """
         deltas: Dict[str, DeltaRelation] = {}
         if replay is not None:
-            window = deltas_since(
-                [self.db.table(name) for name in self._all_tables()],
-                replay,
-            )
             deltas = self._slice(
-                window, group, self._group_tables(self._owned_keys(group))
+                self._window(replay),
+                group,
+                self._group_tables(self._owned_keys(group)),
             )
         self._seq += 1
         return self._request(
@@ -462,13 +460,23 @@ class ClusterRouter:
                 baselines={
                     name: self._shard_view(name, group) for name in baselines
                 },
-                subscribe=[
-                    {"cq": key, "sql": self._queries[key].to_sql()}
-                    for key in subscribe
-                ],
+                subscribe=self._specs(subscribe),
                 unsubscribe=list(unsubscribe),
                 group=group,
             ),
+        )
+
+    def _specs(self, sql_keys: Sequence[str]) -> List[Dict[str, str]]:
+        """The wire form of shard-side registrations."""
+        return [
+            {"cq": key, "sql": self._queries[key].to_sql()}
+            for key in sql_keys
+        ]
+
+    def _window(self, horizon: Timestamp) -> Dict[str, DeltaRelation]:
+        """Every table's consolidated deltas since ``horizon``."""
+        return deltas_since(
+            [self.db.table(name) for name in self._all_tables()], horizon
         )
 
     def _slice(
@@ -821,10 +829,7 @@ class ClusterRouter:
         horizon = self._store_horizons[(host, group)]
         cached = windows.get(horizon)
         if cached is None:
-            window = deltas_since(
-                [self.db.table(name) for name in self._all_tables()],
-                horizon,
-            )
+            window = self._window(horizon)
             routed = self.index.match_batch(window) if window else set()
             cached = windows[horizon] = (window, routed)
         window, routed = cached
@@ -1035,10 +1040,6 @@ class ClusterRouter:
             self._lost.add(group)
             return
         target = hosts[0]
-        owned = self._owned_keys(group)
-        subscribe = [
-            {"cq": key, "sql": self._queries[key].to_sql()} for key in owned
-        ]
         served = self._group_served.get(
             group, self._store_horizons.get((target, group), 0)
         )
@@ -1046,7 +1047,11 @@ class ClusterRouter:
         self._engine.submit(
             target,
             ShardPromoteMessage(
-                target, group, self._seq, served, subscribe=subscribe
+                target,
+                group,
+                self._seq,
+                served,
+                subscribe=self._specs(self._owned_keys(group)),
             ),
             kind=PROMOTE,
             front=True,
@@ -1543,9 +1548,8 @@ class ClusterRouter:
         every operation)."""
         live = {
             (host, group)
-            for group, hosts in self._placement.items()
-            for host in hosts
-            if host not in self._dead
+            for group in self._placement
+            for host in self._live(group)
         }
         load: Dict[int, int] = {}
         for hosts in self._placement.values():
@@ -1554,10 +1558,11 @@ class ClusterRouter:
         cost: Dict[int, float] = {}
         for (host, _group), score in self._store_cost.items():
             cost[host] = cost.get(host, 0.0) + score
+        strength = self._strength()
         weak = sorted(
             group
             for group in self._placement
-            if len(self._live(group)) < self._strength()
+            if len(self._live(group)) < strength
             and group not in self._lost
             and group not in self._rerepl
         )
