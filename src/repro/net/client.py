@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConnectTimeout, NetworkError, ReproError
 from repro.relational.relation import Relation
 from repro.storage.timestamps import Timestamp
-from repro.net.digest import relation_digest
+from repro.net.digest import apply_delta, relation_digest
 from repro.net.messages import (
     DeltaAvailableMessage,
     DeltaMessage,
@@ -45,23 +45,71 @@ from repro.net.messages import (
 from repro.net.server import Protocol
 from repro.net.transport import FrameConnection, TcpTransport
 
+_RESULT_FRAMES = (InitialResultMessage, FullResultMessage, DeltaMessage)
 
-class CQClient:
+
+class ResultCache:
+    """One cached result per CQ, each beside the running digest of
+    exactly that copy: the apply-and-verify step of both client kinds."""
+
+    def __init__(self) -> None:
+        self._results: Dict[str, Relation] = {}
+        # CQ name -> (the copy the digest describes, its digest). A
+        # result put into _results by other means (a session cloned
+        # for a resume) is a different object and digests itself in
+        # full on its first delta.
+        self._digests: Dict[str, Tuple[Relation, str]] = {}
+        #: Deltas this cache could not apply: no cached result for the
+        #: CQ (a normal race after a client restart), or a delete of a
+        #: row it does not hold (frames were lost).
+        self.stale_deltas = 0
+        #: Results whose post-apply digest did not match the server's
+        #: stamp; each one discarded the cached copy.
+        self.digest_mismatches = 0
+
+    def _absorb(self, message) -> bool:
+        """Store a complete result or apply a delta, advancing the
+        running digest with it, and compare against the server's
+        stamp. False — counted in ``stale_deltas`` or
+        ``digest_mismatches`` — means the copy is unusable (and, on a
+        mismatch, discarded): the caller asks for a resync."""
+        cq_name = message.cq_name
+        if isinstance(message, DeltaMessage):
+            held = self._results.get(cq_name)
+            if held is None:
+                self.stale_deltas += 1
+                return False
+            described, digest = self._digests.get(cq_name, (None, None))
+            if described is not held:
+                digest = relation_digest(held)
+            try:
+                result, digest = apply_delta(message.delta, held, digest)
+            except (KeyError, ReproError):
+                self.stale_deltas += 1
+                return False
+        else:
+            result = message.result.copy()
+            digest = relation_digest(result)
+        if message.digest is not None and digest != message.digest:
+            self.digest_mismatches += 1
+            self._results.pop(cq_name, None)
+            self._digests.pop(cq_name, None)
+            return False
+        self._results[cq_name] = result
+        self._digests[cq_name] = (result, digest)
+        return True
+
+
+class CQClient(ResultCache):
     """A subscriber endpoint holding one cached result per CQ."""
 
     def __init__(self, name: str):
+        super().__init__()
         self.name = name
         self.server = None  # set by CQServer.attach
-        self._results: Dict[str, Relation] = {}
         self._history: List[Message] = []
         # Lazy protocol: the latest pending-delta notice per CQ.
         self._pending: Dict[str, DeltaAvailableMessage] = {}
-        #: Deltas that arrived for a CQ this client holds no cached
-        #: result for (a normal race after a client restart).
-        self.stale_deltas = 0
-        #: Results whose post-apply digest did not match the server's
-        #: stamp; each one discarded the cache and triggered a resync.
-        self.digest_mismatches = 0
 
     # -- outbound ------------------------------------------------------------
 
@@ -87,43 +135,25 @@ class CQClient:
 
     def receive(self, message: Message) -> None:
         self._history.append(message)
-        if isinstance(message, (InitialResultMessage, FullResultMessage)):
-            if not self._verify(message.cq_name, message.result, message.digest):
-                return
-            self._results[message.cq_name] = message.result.copy()
-        elif isinstance(message, DeltaMessage):
-            cached = self._results.get(message.cq_name)
-            if cached is None:
-                # A delta for a CQ we hold no result for: normal after
-                # a client restart (the server refreshed before seeing
-                # the new session). Ask for the full copy instead of
-                # treating the race as a protocol error.
-                self.stale_deltas += 1
-                self._resync(message.cq_name)
-                return
-            applied = message.delta.apply_to(cached)
-            if not self._verify(message.cq_name, applied, message.digest):
-                return
-            self._results[message.cq_name] = applied
-            self._pending.pop(message.cq_name, None)
-        elif isinstance(message, DeltaAvailableMessage):
+        if isinstance(message, DeltaAvailableMessage):
             self._pending[message.cq_name] = message
-        else:
+            return
+        if not isinstance(message, _RESULT_FRAMES):
             raise NetworkError(f"unexpected message {message!r}")
-
-    def _verify(self, cq_name: str, result: Relation, digest) -> bool:
-        """Check a post-apply result against the server's stamp; on
-        mismatch discard the cache, count it, and resync."""
-        if digest is None or relation_digest(result) == digest:
-            return True
-        self.digest_mismatches += 1
-        if self.server is not None:
+        mismatches = self.digest_mismatches
+        if self._absorb(message):
+            if isinstance(message, DeltaMessage):
+                self._pending.pop(message.cq_name, None)
+            return
+        # A delta we cannot apply is normal after a client restart (the
+        # server refreshed before seeing the new session), a mismatch
+        # is a copy that is provably not what the server shipped from:
+        # either way ask for the full copy instead of failing.
+        if self.digest_mismatches > mismatches and self.server is not None:
             from repro.metrics import Metrics
 
             self.server.metrics.count(Metrics.DIGEST_MISMATCHES)
-        self._results.pop(cq_name, None)
-        self._resync(cq_name)
-        return False
+        self._resync(message.cq_name)
 
     def _resync(self, cq_name: str) -> None:
         if self.server is not None and self._send(ResyncMessage(cq_name)):
@@ -167,7 +197,7 @@ class CQClient:
         return f"CQClient({self.name!r}, {len(self._results)} cached results)"
 
 
-class CQSession:
+class CQSession(ResultCache):
     """An asyncio CQ subscriber over a real transport.
 
     The session dials the service, identifies itself with a Hello
@@ -192,6 +222,7 @@ class CQSession:
         seed: int = 0,
         auto_fetch: bool = True,
     ):
+        super().__init__()
         self.client_id = client_id
         self.host = host
         self.port = port
@@ -205,7 +236,6 @@ class CQSession:
         self._conn: Optional[FrameConnection] = None
         self._task: Optional[asyncio.Task] = None
         self._closing = False
-        self._results: Dict[str, Relation] = {}
         #: CQ name -> last refresh timestamp applied locally. This is
         #: the resume map sent in every Hello and heartbeat ack.
         self.applied: Dict[str, Timestamp] = {}
@@ -215,11 +245,9 @@ class CQSession:
         # Visible session counters (tests and ops assertions).
         self.reconnects = 0
         self.heartbeats = 0
-        self.stale_deltas = 0
         self.full_results = 0
         self.deltas_applied = 0
         self.lazy_notices = 0
-        self.digest_mismatches = 0
         self.connect_attempts = 0
         self.stats_replies = 0
         #: The most recent StatsReply payload (see :meth:`stats`).
@@ -422,36 +450,17 @@ class CQSession:
                 continue  # connection died mid-reply; reconnect loop
 
     async def _handle(self, message: Message) -> None:
-        if isinstance(message, (InitialResultMessage, FullResultMessage)):
-            if not await self._verify(
-                message.cq_name, message.result, message.digest
-            ):
+        if isinstance(message, _RESULT_FRAMES):
+            if not self._absorb(message):
+                # Our cache is not what the server believes we hold
+                # (lost or altered frames); a full copy resynchronizes.
+                await self._send(ResyncMessage(message.cq_name))
                 return
-            self._results[message.cq_name] = message.result.copy()
             self.applied[message.cq_name] = message.ts
             if isinstance(message, FullResultMessage):
                 self.full_results += 1
-        elif isinstance(message, DeltaMessage):
-            cached = self._results.get(message.cq_name)
-            if cached is None:
-                self.stale_deltas += 1
-                await self._send(ResyncMessage(message.cq_name))
-                return
-            try:
-                applied = message.delta.apply_to(cached)
-            except (KeyError, ReproError):
-                # Our cache diverged from what the server believes we
-                # hold (lost frames); a full copy resynchronizes.
-                self.stale_deltas += 1
-                await self._send(ResyncMessage(message.cq_name))
-                return
-            if not await self._verify(
-                message.cq_name, applied, message.digest
-            ):
-                return
-            self._results[message.cq_name] = applied
-            self.applied[message.cq_name] = message.ts
-            self.deltas_applied += 1
+            elif isinstance(message, DeltaMessage):
+                self.deltas_applied += 1
         elif isinstance(message, DeltaAvailableMessage):
             self.lazy_notices += 1
             if self.auto_fetch:
@@ -466,17 +475,6 @@ class CQSession:
             )
         # HelloAck outside the handshake and anything unknown: ignore.
         self._notify()
-
-    async def _verify(self, cq_name: str, result: Relation, digest) -> bool:
-        """Compare a post-apply result against the server's digest
-        stamp; on mismatch discard the cached copy (it is provably not
-        what the server shipped from) and request a full resync."""
-        if digest is None or relation_digest(result) == digest:
-            return True
-        self.digest_mismatches += 1
-        self._results.pop(cq_name, None)
-        await self._send(ResyncMessage(cq_name))
-        return False
 
     def __repr__(self) -> str:
         state = "connected" if self.connected else "disconnected"

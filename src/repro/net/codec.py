@@ -118,6 +118,13 @@ def _delta_to_json(delta: DeltaRelation) -> Dict[str, Any]:
     }
 
 
+def encode_delta_body(delta: DeltaRelation) -> str:
+    """The ``"delta"`` field of a delta frame as JSON text. A routed
+    group encodes its delta once; :func:`encode_payload` splices the
+    text into every member's frame."""
+    return json.dumps(_delta_to_json(delta), separators=(",", ":"))
+
+
 def _delta_from_json(data: Dict[str, Any]) -> DeltaRelation:
     schema = _schema_from_json(data["schema"])
     return DeltaRelation(
@@ -159,14 +166,10 @@ _TO_JSON: Dict[Type[Message], Tuple[str, Callable[[Message], Dict[str, Any]]]] =
             "dg": m.digest,
         },
     ),
+    # The header only: encode_payload splices the "delta" body in.
     DeltaMessage: (
         "delta",
-        lambda m: {
-            "cq": m.cq_name,
-            "delta": _delta_to_json(m.delta),
-            "ts": m.ts,
-            "dg": m.digest,
-        },
+        lambda m: {"cq": m.cq_name, "ts": m.ts, "dg": m.digest},
     ),
     DeltaAvailableMessage: (
         "delta_available",
@@ -359,7 +362,13 @@ def encode_payload(message: Message) -> bytes:
         raise NetworkError(f"no codec for message type {type(message).__name__}")
     body = to_json(message)
     body["t"] = tag
-    return json.dumps(body, separators=(",", ":")).encode("utf-8")
+    text = json.dumps(body, separators=(",", ":"))
+    if isinstance(message, DeltaMessage):
+        delta_json = message.body
+        if delta_json is None:
+            delta_json = encode_delta_body(message.delta)
+        text = f'{text[:-1]},"delta":{delta_json}}}'
+    return text.encode("utf-8")
 
 
 def decode_payload(payload: bytes) -> Message:
@@ -386,7 +395,7 @@ def decode_payload(payload: bytes) -> Message:
 
 def encode_frame(message: Message) -> bytes:
     """One complete wire frame: 4-byte length prefix + payload."""
-    payload = encode_payload(message)
+    payload = message.encoded()
     if len(payload) > MAX_FRAME_BYTES:
         raise NetworkError(
             f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES"
@@ -396,7 +405,7 @@ def encode_frame(message: Message) -> bytes:
 
 def encoded_size(message: Message) -> int:
     """Measured wire size (frame bytes) of one message."""
-    return _LENGTH.size + len(encode_payload(message))
+    return _LENGTH.size + len(message.encoded())
 
 
 class FrameDecoder:

@@ -67,6 +67,17 @@ class Message:
     """
 
     seq: Optional[int] = None
+    _encoded: Optional[bytes] = None
+
+    def encoded(self) -> bytes:
+        """The encoded JSON payload, kept from the first encode, so
+        sizing a frame and writing it are one encode. Messages are not
+        modified once sized or sent."""
+        if self._encoded is None:
+            from repro.net.codec import encode_payload
+
+            self._encoded = encode_payload(self)
+        return self._encoded
 
     def wire_size(self) -> int:
         """Measured size in bytes of this message's encoded frame."""
@@ -121,7 +132,9 @@ class DeltaMessage(Message):
     ``digest`` fingerprints the *post-apply* retained result: the state
     the client's cached copy must reach after applying this delta. A
     mismatch after apply means the client's copy had silently diverged
-    (or the frame was corrupted) — it discards the copy and resyncs."""
+    (or the frame was corrupted) — it discards the copy and resyncs.
+    ``body`` is ``delta`` already encoded (``codec.encode_delta_body``):
+    a routed group encodes it once for all its members' frames."""
 
     def __init__(
         self,
@@ -129,11 +142,13 @@ class DeltaMessage(Message):
         delta: DeltaRelation,
         ts: int,
         digest: Optional[str] = None,
+        body: Optional[str] = None,
     ):
         self.cq_name = cq_name
         self.delta = delta
         self.ts = ts
         self.digest = digest
+        self.body = body
 
     def __repr__(self) -> str:
         return f"DeltaMessage({self.cq_name!r}, {self.delta!r})"

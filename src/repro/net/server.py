@@ -33,7 +33,8 @@ from repro.dra.predindex import PredicateIndex
 from repro.dra.prepared import PlanCache
 from repro.core.gc import ActiveDeltaZones
 from repro.core.scheduler import DeltaBatchCache
-from repro.net.digest import relation_digest
+from repro.net.codec import encode_delta_body
+from repro.net.digest import apply_delta, relation_digest
 from repro.net.messages import (
     DeltaAvailableMessage,
     DeltaMessage,
@@ -66,6 +67,8 @@ class Subscription:
         "protocol",
         "last_ts",
         "previous_result",
+        "digest",
+        "changed_ts",
         "pending_delta",
     )
 
@@ -89,11 +92,55 @@ class Subscription:
         self.last_ts = last_ts
         # Retained server-side copy of the last shipped result state
         # (Section 3.3: "the copy is maintained at the site where the
-        # differential query refresh is carried out").
+        # differential query refresh is carried out"). Replaced only
+        # through retain(), with its running digest and the timestamp
+        # of the change; a subscription recovered from the WAL starts
+        # with neither (see stamp() and horizon()).
         self.previous_result = previous_result
+        self.digest: Optional[str] = None
+        self.changed_ts: Optional[Timestamp] = None
         # DRA_LAZY only: deltas accumulated since the client's last
         # fetch, composed so repeated changes to one tuple net out.
         self.pending_delta = None
+
+    def retain(self, result: Relation, digest: str, ts: Timestamp) -> None:
+        """Replace the retained copy: the result, its digest and the
+        refresh timestamp at which it changed move together."""
+        self.previous_result = result
+        self.digest = digest
+        self.changed_ts = ts
+
+    def stamp(self) -> str:
+        """The retained copy's digest, seeded in full on first use."""
+        if self.digest is None:
+            self.digest = relation_digest(self.previous_result)
+        return self.digest
+
+    def apply(self, delta, ts: Timestamp) -> None:
+        """Fold the result delta of refresh ``ts`` into the retained
+        copy and its running digest."""
+        if not delta.is_empty():
+            self.retain(
+                *apply_delta(delta, self.previous_result, self.stamp()), ts
+            )
+
+    def horizon(self, applied: Timestamp) -> Timestamp:
+        """Through when a client reporting ``applied`` is really current.
+
+        Once it has applied the frame that last changed the retained
+        copy — counted from when the frame is *built*, so one lost in
+        flight keeps holding the boundary — and nothing is pending, its
+        cache *is* that copy, Q(state at ``last_ts``). Without this a
+        quiet subscription acks its registration timestamp forever and
+        pins the update log (Section 5.4).
+        """
+        if (
+            self.changed_ts is not None
+            and applied >= self.changed_ts
+            and not self.pending_delta
+        ):
+            return max(applied, self.last_ts)
+        return applied
 
 
 class SharedGroup:
@@ -102,27 +149,33 @@ class SharedGroup:
     The group owns the fan-out unit of work: one predicate-index entry
     (``sub_id`` = ``sql_key``), one maintained result, one DRA
     evaluation per refresh cycle. ``result`` is only ever *replaced*
-    (``delta.apply_to`` returns a fresh relation), never mutated in
+    (``apply_delta`` returns a fresh relation), never mutated in
     place, so member subscriptions may alias it as their retained copy
     and lazily-degraded snapshots stay coherent.
     """
 
-    __slots__ = ("sql_key", "query", "members", "result", "last_ts")
+    __slots__ = ("sql_key", "query", "members", "result", "digest", "last_ts")
 
     def __init__(
         self,
         sql_key: str,
         query: SPJQuery,
         result: Relation,
+        digest: str,
         last_ts: Timestamp,
     ):
         self.sql_key = sql_key
         self.query = query
         #: Subscription keys ``(client_id, cq_name)`` in the group.
         self.members: Set[Tuple[str, str]] = set()
-        #: The maintained result at ``last_ts`` — Q(state at last_ts).
-        self.result = result
         self.last_ts = last_ts
+        self.retain(result, digest)
+
+    def retain(self, result: Relation, digest: str) -> None:
+        """Replace the maintained result — Q(state at ``last_ts``) —
+        together with its running digest, which members copy."""
+        self.result = result
+        self.digest = digest
 
     @property
     def tables(self) -> Tuple[str, ...]:
@@ -278,6 +331,9 @@ class CQServer:
 
     def advance_zone(self, client_id: str, cq_name: str, ts: Timestamp) -> bool:
         """Move a subscription's replay boundary (client acked ``ts``)."""
+        subscription = self._subscriptions.get((client_id, cq_name))
+        if subscription is not None:
+            ts = subscription.horizon(ts)
         return self.zones.try_advance(self._zone(client_id, cq_name), ts)
 
     def release_zones(self, client_id: str) -> None:
@@ -294,7 +350,9 @@ class CQServer:
         for (cid, cq_name), subscription in self._subscriptions.items():
             if cid != client_id:
                 continue
-            ts = applied.get(cq_name, subscription.last_ts)
+            ts = subscription.last_ts
+            if cq_name in applied:
+                ts = subscription.horizon(applied[cq_name])
             self.zones.register(
                 self._zone(cid, cq_name),
                 tuple(subscription.query.table_names),
@@ -343,12 +401,15 @@ class CQServer:
         now = self.db.now()
         group = None
         if self.fanout_index is not None:
-            result, group = self._join_group(query, now)
+            group = self._join_group(query, now)
+            result, digest = group.result, group.digest
         else:
             result = self.db.query(query, self.metrics)
+            digest = relation_digest(result)
         subscription = Subscription(
             client_id, message.cq_name, query, protocol, now, result
         )
+        subscription.retain(result, digest, now)
         self._subscriptions[key] = subscription
         if group is not None:
             group.members.add(key)
@@ -370,9 +431,7 @@ class CQServer:
             )
         self._deliver(
             client_id,
-            InitialResultMessage(
-                message.cq_name, result, now, relation_digest(result)
-            ),
+            InitialResultMessage(message.cq_name, result, now, digest),
         )
         return subscription
 
@@ -405,10 +464,8 @@ class CQServer:
 
     # -- shared materialization groups -------------------------------------
 
-    def _join_group(
-        self, query: SPJQuery, now: Timestamp
-    ) -> Tuple[Relation, "SharedGroup"]:
-        """The shared group (and its current result) for one query.
+    def _join_group(self, query: SPJQuery, now: Timestamp) -> SharedGroup:
+        """The shared group for one query, its result current at ``now``.
 
         The first subscription of a template pays the full E_0 and
         installs the group's predicate-index entry; every later one
@@ -419,7 +476,9 @@ class CQServer:
         group = self._groups.get(sql_key)
         if group is None:
             result = self.db.query(query, self.metrics)
-            group = SharedGroup(sql_key, query, result, now)
+            group = SharedGroup(
+                sql_key, query, result, relation_digest(result), now
+            )
             self._groups[sql_key] = group
             scopes = {
                 ref.alias: self.db.table(ref.table).schema
@@ -430,7 +489,7 @@ class CQServer:
         else:
             self._advance_group(group, now)
             self.metrics.count(Metrics.SHARED_GROUP_HITS)
-        return group.result, group
+        return group
 
     def _leave_group(
         self, subscription: Subscription, key: Tuple[str, str]
@@ -467,7 +526,7 @@ class CQServer:
             group = self._groups.get(subscription.sql_key)
             if group is None:
                 before = len(self._groups)
-                result, group = self._join_group(subscription.query, now)
+                group = self._join_group(subscription.query, now)
                 created += len(self._groups) - before
             group.members.add(key)
         return created
@@ -484,7 +543,9 @@ class CQServer:
                 group.query, group.sql_key, deltas, now, group.result
             )
             if result.has_changes():
-                group.result = result.delta.apply_to(group.result)
+                group.retain(
+                    *apply_delta(result.delta, group.result, group.digest)
+                )
         group.last_ts = now
 
     # -- refresh ------------------------------------------------------------------
@@ -552,24 +613,27 @@ class CQServer:
                 group.result,
             )
             if result.has_changes():
-                group.result = self._audited(
-                    group.query, result.delta.apply_to(group.result)
-                )
+                applied = apply_delta(result.delta, group.result, group.digest)
+                group.retain(*self._audited(group.query, *applied))
             if len(sharable) > 1:
                 self.metrics.count(
                     Metrics.SHARED_GROUP_HITS, len(sharable) - 1
                 )
+            # The group's delta, encoded once for all attached members.
+            body = None
             for s in sharable:
                 handled.add((s.client_id, s.cq_name))
                 s.last_ts = now
                 if s.protocol is Protocol.DRA_LAZY:
                     sent += self._announce_lazy(s, result.delta, now)
-                    continue
-                s.previous_result = group.result
-                if result.delta.is_empty():
+                elif result.delta.is_empty():
                     self._note_refresh(s, True)
-                elif s.client_id in self._clients:
-                    sent += self._ship(s, result.delta, now)
+                else:
+                    s.retain(group.result, group.digest, now)
+                    if s.client_id in self._clients:
+                        if body is None:
+                            body = encode_delta_body(result.delta)
+                        sent += self._ship(s, result.delta, now, body)
         return sent, handled
 
     def _refresh_scoped(
@@ -626,20 +690,24 @@ class CQServer:
             columnar=self.columnar,
         )
 
-    def _ship(self, subscription: Subscription, delta, ts: Timestamp) -> bool:
+    def _ship(
+        self,
+        subscription: Subscription,
+        delta,
+        ts: Timestamp,
+        body: Optional[str] = None,
+    ) -> bool:
         """The one ship step for result deltas. ``delta`` is already
         applied to ``subscription.previous_result``; the message carries
-        that retained copy's digest so the client can verify its own
-        copy after applying, and a delivery that arrives advances the
-        subscription's replay zone. Returns False when the network
-        lost the message."""
+        that retained copy's running digest so the client can verify
+        its own copy after applying, and a delivery that arrives
+        advances the subscription's replay zone. ``body`` is ``delta``
+        pre-encoded (a group shipping to many members). Returns False
+        when the network lost the message."""
         delivered = self._deliver(
             subscription.client_id,
             DeltaMessage(
-                subscription.cq_name,
-                delta,
-                ts,
-                relation_digest(subscription.previous_result),
+                subscription.cq_name, delta, ts, subscription.stamp(), body
             ),
         )
         self._note_refresh(subscription, delivered)
@@ -672,29 +740,35 @@ class CQServer:
             ),
         )
 
-    def _audited(self, query: SPJQuery, retained: Relation) -> Relation:
-        """Sampled self-verification of a maintained retained copy.
+    def _audited(
+        self, query: SPJQuery, retained: Relation, digest: str
+    ) -> Tuple[Relation, str]:
+        """Sampled self-verification of a maintained retained copy and
+        its running digest.
 
         Every ``audit_interval``-th differential refresh that changed
-        something re-runs the query from scratch and compares digests.
-        A divergence means the incremental path drifted from ground
-        truth (the failure class digests exist to catch); it is counted
-        and the re-evaluated result is returned in ``retained``'s
-        place, so the *next* delta the client applies will
-        digest-mismatch and trigger its resync.
+        something re-runs the query from scratch and digests both it
+        and the retained copy in full. A divergence means the
+        incremental path drifted from ground truth, the copy was
+        altered between refreshes, or the running digest no longer
+        describes the copy — the failure classes a per-delta check
+        cannot see. It is counted and the re-evaluated result and its
+        digest are returned in their place, so the delta the client
+        applies next will digest-mismatch and trigger its resync.
         """
         if not self.audit_interval:
-            return retained
+            return retained, digest
         self._refreshes_since_audit += 1
         if self._refreshes_since_audit < self.audit_interval:
-            return retained
+            return retained, digest
         self._refreshes_since_audit = 0
         self._metrics().count(Metrics.AUDITS)
         truth = self.db.query(query)
-        if relation_digest(truth) == relation_digest(retained):
-            return retained
+        expected = relation_digest(truth)
+        if expected == relation_digest(retained) == digest:
+            return retained, digest
         self._metrics().count(Metrics.AUDIT_DIVERGENCES)
-        return truth
+        return truth, expected
 
     def handle_fetch(self, client_id: str, message: FetchMessage) -> bool:
         """Ship a lazy subscription's accumulated delta; returns True
@@ -708,9 +782,7 @@ class CQServer:
         if pending is None or pending.is_empty():
             return False
         subscription.pending_delta = None
-        subscription.previous_result = pending.apply_to(
-            subscription.previous_result
-        )
+        subscription.apply(pending, subscription.last_ts)
         return self._ship(subscription, pending, subscription.last_ts)
 
     def handle_resync(self, client_id: str, message: ResyncMessage) -> bool:
@@ -728,7 +800,7 @@ class CQServer:
                 subscription.cq_name,
                 subscription.previous_result,
                 subscription.last_ts,
-                relation_digest(subscription.previous_result),
+                subscription.stamp(),
             ),
         )
 
@@ -753,6 +825,9 @@ class CQServer:
                 f"no subscription {cq_name!r} for client {client_id!r}"
             )
         now = self.db.now()
+        # A client already holding the retained copy resumes from
+        # last_ts, even if GC has passed the last frame it was sent.
+        since_ts = subscription.horizon(since_ts)
         tables = [
             self.db.table(name) for name in set(subscription.query.table_names)
         ]
@@ -761,7 +836,7 @@ class CQServer:
         )
         if subscription.protocol is Protocol.REEVAL_FULL or not window_intact:
             result = self.db.query(subscription.query, self.metrics)
-            subscription.previous_result = result
+            subscription.retain(result, relation_digest(result), now)
             subscription.pending_delta = None
             subscription.last_ts = now
             if subscription.protocol is not Protocol.REEVAL_FULL:
@@ -773,28 +848,22 @@ class CQServer:
             )
             self._deliver(
                 client_id,
-                FullResultMessage(
-                    cq_name, result, now, relation_digest(result)
-                ),
+                FullResultMessage(cq_name, result, now, subscription.digest),
             )
             return False
         # Realign the server's retained copy to state(now) over its own
         # (narrower) window first: previous_result is at last_ts, with
         # any un-fetched lazy delta still pending on top of it.
-        current = subscription.previous_result
-        if (
-            subscription.pending_delta is not None
-            and not subscription.pending_delta.is_empty()
-        ):
-            current = subscription.pending_delta.apply_to(current)
+        if subscription.pending_delta is not None:
+            subscription.apply(subscription.pending_delta, now)
             subscription.pending_delta = None
         query, sql_key = subscription.query, subscription.sql_key
         own_window = deltas_since(tables, subscription.last_ts)
         if own_window:
-            current = self._evaluate(
-                query, sql_key, own_window, now, current
-            ).complete_result()
-        subscription.previous_result = current
+            realigned = self._evaluate(
+                query, sql_key, own_window, now, subscription.previous_result
+            )
+            subscription.apply(realigned.delta, now)
         subscription.last_ts = now
         # The client's replay: one consolidated delta over its whole
         # missed window, applicable directly to its cached copy.
@@ -835,9 +904,10 @@ class CQServer:
             if not result.has_changes():
                 self._note_refresh(subscription, True)
                 return False
-            subscription.previous_result = self._audited(
-                query, result.complete_result()
+            applied = apply_delta(
+                result.delta, subscription.previous_result, subscription.stamp()
             )
+            subscription.retain(*self._audited(query, *applied), now)
             return self._ship(subscription, result.delta, now)
 
         new_result = self.db.query(query, self._metrics())
@@ -847,17 +917,17 @@ class CQServer:
             if delta.is_empty():
                 self._note_refresh(subscription, True)
                 return False
-            subscription.previous_result = new_result
+            subscription.apply(delta, now)
             return self._ship(subscription, delta, now)
 
         # REEVAL_FULL ships unconditionally: without a retained diff
         # there is no way to know nothing changed.
         subscription.last_ts = now
-        subscription.previous_result = new_result
+        subscription.retain(new_result, relation_digest(new_result), now)
         delivered = self._deliver(
             subscription.client_id,
             FullResultMessage(
-                subscription.cq_name, new_result, now, relation_digest(new_result)
+                subscription.cq_name, new_result, now, subscription.digest
             ),
         )
         self._note_refresh(subscription, delivered)

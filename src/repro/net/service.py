@@ -19,9 +19,12 @@ around it:
 
 Zone discipline: socket sessions set ``defer_zone_advance``, so a
 subscription's replay boundary only moves when the client's heartbeat
-ack reports the refresh as *applied*. Everything newer than the last
-acknowledged refresh stays GC-protected while the client is connected;
-:meth:`CQServer.release_zones` on disconnect lets GC move on.
+ack reports the refresh as *applied* — through ``last_ts`` once the
+client has applied the frame that last changed the retained copy
+(:meth:`Subscription.horizon`), so a quiet subscription does not pin the
+log. Everything a connected client might still need stays
+GC-protected; :meth:`CQServer.release_zones` on disconnect lets GC
+move on.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from repro.metrics import Metrics
 from repro.storage.database import Database
 from repro.net.messages import (
     DeltaAvailableMessage,
-    DeltaMessage,
     FetchMessage,
     HeartbeatAckMessage,
     HeartbeatMessage,
@@ -379,21 +381,9 @@ class CQService:
             if sub.cq_name not in session.degraded:
                 continue
             sub.protocol = Protocol.DRA_DELTA
-            pending = sub.pending_delta
-            if pending is not None and not pending.is_empty():
-                from repro.net.digest import relation_digest
-
-                sub.pending_delta = None
-                sub.previous_result = pending.apply_to(sub.previous_result)
-                self.server._deliver(
-                    session.client_id,
-                    DeltaMessage(
-                        sub.cq_name,
-                        pending,
-                        sub.last_ts,
-                        relation_digest(sub.previous_result),
-                    ),
-                )
+            self.server.handle_fetch(
+                session.client_id, FetchMessage(sub.cq_name)
+            )
         session.degraded.clear()
 
     # -- connection handling -----------------------------------------------
@@ -456,12 +446,9 @@ class CQService:
                 if sub.cq_name not in session.degraded:
                     continue
                 sub.protocol = Protocol.DRA_DELTA
-                pending = sub.pending_delta
-                if pending is not None and not pending.is_empty():
+                if sub.pending_delta is not None:
+                    sub.apply(sub.pending_delta, sub.last_ts)
                     sub.pending_delta = None
-                    sub.previous_result = pending.apply_to(
-                        sub.previous_result
-                    )
             session.degraded.clear()
         self.server.release_zones(client_id)
         self.server.detach(client_id)

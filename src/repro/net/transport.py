@@ -200,9 +200,12 @@ class FrameConnection:
             transport.abort()
 
     def close(self) -> None:
-        if self.closed:
-            return
+        # ``closed`` alone does not mean the transport was closed:
+        # recv() sets it on EOF, and returning early then left the
+        # writer open, so wait_closed() always ran into its bound.
         self.closed = True
+        if self._writer.is_closing():
+            return
         try:
             self._writer.close()
         except (ConnectionError, OSError):  # already torn down

@@ -1,12 +1,20 @@
 """Self-verifying deltas and connect-timeout behavior.
 
 Every result-bearing message carries an order-insensitive digest of
-the post-apply retained result. Clients recompute it after applying;
-a mismatch means the cached copy is provably not what the server
-shipped from, so the client discards it and resyncs — corruption is
-*detected and healed*, never silently propagated. The server side of
-the same defense is the sampled audit: every N-th differential
-refresh is checked against a full re-evaluation.
+the post-apply retained result. Clients advance a running digest of
+their copy with every apply and compare; a mismatch means the cached
+copy is provably not what the server shipped from, so the client
+discards it and resyncs — corruption is *detected and healed*, never
+silently propagated. The server side of the same defense is the
+sampled audit: every N-th differential refresh is checked against a
+full re-evaluation.
+
+Both sides keep their digests *differentially* (``apply_delta``):
+``TestDetectionParity`` pins that every failure the per-delivery full
+digest used to catch is still caught on the same frame, for both
+client kinds; ``TestSteadyState`` pins that the steady state digests
+no whole result, encodes a group's delta once, and lets the log GC
+move past a quiet subscription.
 """
 
 import asyncio
@@ -15,12 +23,14 @@ import time
 
 import pytest
 
+from repro.delta.differential import DeltaEntry, DeltaRelation
 from repro.errors import ConnectTimeout, NetworkError
 from repro.metrics import Metrics
 from repro.net.client import CQClient, CQSession
 from repro.net.digest import relation_digest, row_digest
 from repro.net.messages import DeltaMessage, FullResultMessage
 from repro.net.server import CQServer, Protocol
+from repro.net.service import CQService
 from repro.net.simnet import SimulatedNetwork
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -156,10 +166,439 @@ class TestSampledAudit:
         assert sub.previous_result == db.query(CHEAP)
 
 
+    def test_tampered_running_digest_detected_and_healed(self):
+        """The audit also checks that the running digest still
+        describes the retained copy: a drifted digest is a divergence
+        even when the copy itself is right."""
+        db, table, server, client = build(audit_interval=1, fanout=self.fanout)
+        client.register("cheap", CHEAP)
+        sub = server._subscriptions[("c1", "cheap")]
+        holder = server._groups[sub.sql_key] if self.fanout else sub
+        holder.digest = "3:0123456789abcdef"
+        table.insert((4, "SUN", 60))
+        server.refresh_all()
+        assert server.metrics.get(Metrics.AUDIT_DIVERGENCES) == 1
+        assert sub.previous_result == db.query(CHEAP)
+        assert sub.digest == relation_digest(sub.previous_result)
+        assert client.result("cheap") == db.query(CHEAP)
+
+
 class TestSampledAuditFanout(TestSampledAudit):
     """The same audit on the shared-group refresh path."""
 
     fanout = True
+
+
+class Deployment:
+    """One fan-out server and one subscriber of ``CHEAP``, in-process
+    (``CQClient``) or over loopback TCP (``CQSession``), with a hook on
+    the frames reaching the subscriber: ``tamper(message)`` returns the
+    frame to hand on, or None to lose it in flight."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.tamper = None
+        self.seen = []
+
+    async def start(self, **service_kwargs):
+        self.db = Database()
+        self.table = self.db.create_table("stocks", SCHEMA)
+        self.table.insert_many([(1, "IBM", 100), (2, "MAC", 50), (3, "HP", 75)])
+        if self.kind is CQClient:
+            self.server = CQServer(
+                self.db, SimulatedNetwork(), metrics=Metrics(), fanout=True
+            )
+            self.client = CQClient("c1")
+            self.server.attach(self.client)
+            self._hook("receive")
+        else:
+            self.service = CQService(self.db, fanout=True, **service_kwargs)
+            self.server = self.service.server
+            addr = await self.service.start()
+            self.client = CQSession("c1", *addr, backoff_base=0.01)
+            self._hook("_handle")
+            await self.client.connect()
+        await self.register("cheap")
+        return self
+
+    async def register(self, name, sql=CHEAP):
+        if self.kind is CQClient:
+            self.client.register(name, sql)
+        else:
+            await self.client.register(name, sql)
+
+    def _hook(self, name):
+        inner = getattr(self.client, name)
+        sync = self.kind is CQClient
+
+        def hooked(message):
+            if isinstance(message, DeltaMessage):
+                self.seen.append(message)
+                if self.tamper is not None:
+                    tamper, self.tamper = self.tamper, None
+                    message = tamper(message)
+            if message is not None:
+                return inner(message)
+            return None if sync else asyncio.sleep(0)
+
+        setattr(self.client, name, hooked)
+
+    async def refresh(self, heal=True):
+        """One refresh cycle; over TCP, wait until its frames reached
+        the subscriber and (``heal``) a resync round trip, if one was
+        needed, brought it back to the truth."""
+        if self.kind is CQClient:
+            self.server.refresh_all()
+            return
+        due = len(self.seen) + await self.service.refresh()
+        await self.client._wait_for(lambda: len(self.seen) >= due, 10.0)
+        if heal:
+            await self.client._wait_for(self.converged, 10.0)
+
+    def converged(self):
+        held = self.client._results.get("cheap")
+        return held is not None and held == self.db.query(CHEAP)
+
+    def faults(self):
+        return (self.client.digest_mismatches, self.client.stale_deltas)
+
+    async def stop(self):
+        if self.kind is CQSession:
+            await self.client.close()
+            await self.service.stop()
+
+
+def both_clients(scenario):
+    """Run ``scenario(deployment)`` once per client kind."""
+
+    @pytest.mark.parametrize("kind", [CQClient, CQSession])
+    def test(self, kind):
+        async def run():
+            deployment = Deployment(kind)
+            try:
+                await scenario(self, deployment)
+            finally:
+                await deployment.stop()
+
+        asyncio.run(run())
+
+    test.__name__ = scenario.__name__
+    test.__doc__ = scenario.__doc__
+    return test
+
+
+class TestDetectionParity:
+    """Each failure class raises exactly one counter on the very frame
+    a per-delivery full digest caught it on, and heals by resync."""
+
+    @both_clients
+    async def test_frame_dropped_between_two_deltas(self, d):
+        await d.start()
+        d.table.insert((4, "SUN", 60))
+        await d.refresh()
+        d.tamper = lambda message: None  # lost in flight
+        d.table.insert((5, "DEC", 61))
+        await d.refresh(heal=False)
+        assert len(d.seen) == 2
+        assert d.faults() == (0, 0)  # nothing seen, nothing to detect
+        d.table.insert((6, "SGI", 62))
+        await d.refresh()
+        assert len(d.seen) == 3
+        assert d.faults() == (1, 0)
+        assert d.converged()
+
+    @both_clients
+    async def test_new_side_value_altered_in_flight(self, d):
+        def alter(message):
+            entries = [
+                DeltaEntry(e.tid, e.old, (e.new[0], e.new[1] + 1), e.ts)
+                for e in message.delta
+            ]
+            return DeltaMessage(
+                message.cq_name,
+                DeltaRelation(message.delta.schema, entries),
+                message.ts,
+                message.digest,
+            )
+
+        await d.start()
+        d.tamper = alter
+        d.table.insert((4, "SUN", 60))
+        await d.refresh()
+        assert len(d.seen) == 1
+        assert d.faults() == (1, 0)
+        assert d.converged()
+
+    @both_clients
+    async def test_delta_for_a_tid_the_cache_lacks(self, d):
+        """A delete of a row the cache never got is a stale delta (a
+        modify of one is a count mismatch, covered by the dropped
+        frame above); both client kinds resync instead of raising."""
+        await d.start()
+        held = d.client.result("cheap")
+        tid = next(iter(held.tids()))
+        d.client._results["cheap"] = Relation(
+            held.schema, (row for row in held if row.tid != tid)
+        )
+        d.table.delete(tid)
+        await d.refresh()
+        assert len(d.seen) == 1
+        assert d.faults() == (0, 1)
+        assert d.converged()
+
+    @both_clients
+    async def test_forged_stamp(self, d):
+        await d.start()
+        d.tamper = lambda message: DeltaMessage(
+            message.cq_name, message.delta, message.ts, "9:ffffffffffffffff"
+        )
+        d.table.insert((4, "SUN", 60))
+        await d.refresh()
+        assert len(d.seen) == 1
+        assert d.faults() == (1, 0)
+        assert d.converged()
+
+
+class TestRunningDigestInvariant:
+    """running digest == full digest of the held copy, for every holder
+    on both sides, after every kind of operation that replaces one."""
+
+    PROTOCOLS = [
+        Protocol.DRA_DELTA,
+        Protocol.DRA_LAZY,
+        Protocol.REEVAL_DELTA,
+        Protocol.REEVAL_FULL,
+    ]
+
+    def check(self, server, clients):
+        for group in server._groups.values():
+            assert group.digest == relation_digest(group.result)
+        for sub in server.subscriptions():
+            assert sub.digest == relation_digest(sub.previous_result)
+        for client in clients:
+            for name, held in client._results.items():
+                described, digest = client._digests[name]
+                assert described is held
+                assert digest == relation_digest(held)
+
+    @pytest.mark.parametrize("fanout", [False, True])
+    def test_mixed_protocol_soak(self, fanout):
+        import random
+
+        rng = random.Random(17)
+        db, table, server, first = build(audit_interval=3, fanout=fanout)
+        second = CQClient("c2")
+        server.attach(second)
+        clients = [first, second]
+        names = []
+        for i, protocol in enumerate(self.PROTOCOLS * 2):
+            client = clients[i % 2]
+            client.register(f"q{i}", CHEAP, protocol)
+            names.append((client, f"q{i}", protocol))
+        next_id = 100
+        for step in range(60):
+            for __ in range(rng.randint(0, 3)):
+                live = list(table.current.tids())
+                roll = rng.random()
+                if roll < 0.4 or len(live) < 3:
+                    next_id += 1
+                    table.insert((next_id, "NEW", rng.randint(40, 120)))
+                elif roll < 0.7:
+                    table.delete(rng.choice(live))
+                else:
+                    table.modify(
+                        rng.choice(live),
+                        updates={"price": rng.randint(40, 120)},
+                    )
+            action = rng.random()
+            client, name, protocol = rng.choice(names)
+            if action < 0.6:
+                server.refresh_all()
+            elif action < 0.75:
+                client.fetch(name)
+            elif action < 0.85:
+                client.forget(name)
+                client._resync(name)
+            else:
+                since = rng.randint(0, db.now())
+                server.replay(client.name, name, since)
+            self.check(server, clients)
+        for client, name, protocol in names:
+            if protocol is Protocol.DRA_LAZY:
+                client.fetch(name)
+        server.refresh_all()
+        for client, name, protocol in names:
+            if protocol is Protocol.DRA_LAZY:
+                client.fetch(name)
+        self.check(server, clients)
+        assert all(
+            client.result(name) == db.query(CHEAP)
+            for client, name, __ in names
+        )
+
+
+class CountRows:
+    """Wraps ``relation_digest`` where a module imported it, counting
+    the rows it is asked to digest (what E18's net.digest_rows binds)."""
+
+    def __init__(self, monkeypatch, module):
+        self.rows = 0
+        inner = module.relation_digest
+
+        def counting(relation):
+            self.rows += len(relation)
+            return inner(relation)
+
+        monkeypatch.setattr(module, "relation_digest", counting)
+
+
+class TestSteadyState:
+    @pytest.mark.parametrize("kind", [CQClient, CQSession])
+    def test_refresh_cycles_and_late_joiners_digest_no_whole_result(
+        self, kind, monkeypatch
+    ):
+        import repro.net.client
+        import repro.net.server
+
+        async def scenario():
+            d = await Deployment(kind).start()
+            # Three more members of the same group, on the same endpoint.
+            for i in range(3):
+                await d.register(f"cheap{i}")
+            server_side = CountRows(monkeypatch, repro.net.server)
+            client_side = CountRows(monkeypatch, repro.net.client)
+            for i in range(5):
+                d.table.insert((10 + i, "NEW", 20 + i))
+                d.table.delete(list(d.db.query(CHEAP).tids())[0])
+                await d.refresh()
+                for name in ("cheap", "cheap0", "cheap1", "cheap2"):
+                    assert d.client.result(name) == d.db.query(CHEAP)
+            assert len(d.seen) == 5 * 4
+            assert (server_side.rows, client_side.rows) == (0, 0)
+            # A k-th member copies the group's digest; only the new
+            # client-side copy is digested in full.
+            await d.register("late")
+            assert server_side.rows == 0
+            assert client_side.rows == len(d.db.query(CHEAP))
+            assert d.faults() == (0, 0)
+            await d.stop()
+
+        asyncio.run(scenario())
+
+    def test_one_delta_encode_per_group_with_an_attached_member(
+        self, monkeypatch
+    ):
+        import repro.net.codec
+
+        calls = []
+        inner = repro.net.codec._delta_to_json
+        monkeypatch.setattr(
+            repro.net.codec,
+            "_delta_to_json",
+            lambda delta: calls.append(delta) or inner(delta),
+        )
+        db, table, server, client = build(fanout=True)
+        dear = "SELECT sym, price FROM stocks WHERE price >= 80"
+        other = CQClient("c2")
+        server.attach(other)
+        for i in range(3):
+            client.register(f"cheap{i}", CHEAP)
+            other.register(f"cheap{i}", CHEAP)
+        gone = CQClient("c3")
+        server.attach(gone)
+        gone.register("dear", dear)
+        server.detach("c3")
+        sent = []
+        for price in (60, 61):
+            table.insert((10 + price, "NEW", price))  # routes CHEAP
+            table.insert((20 + price, "NEW", price + 100))  # routes dear
+            del calls[:]
+            sent.append(server.refresh_all())
+            # Two groups evaluated, six deliveries, one encode: the
+            # group whose only member is detached encodes nothing.
+            assert len(calls) == 1
+        assert sent == [6, 6]
+        for i in range(3):
+            assert client.result(f"cheap{i}") == db.query(CHEAP)
+            assert other.result(f"cheap{i}") == db.query(CHEAP)
+        assert client.digest_mismatches == other.digest_mismatches == 0
+
+    def test_shared_body_frames_equal_individually_encoded_frames(self):
+        from repro.net.codec import decode_payload, encode_delta_body
+
+        schema = Relation(Schema.of(("sym", AttributeType.STR))).schema
+        delta = DeltaRelation(
+            schema, [DeltaEntry((1, (2, 3)), None, ("X",), 7)]
+        )
+        alone = DeltaMessage("q", delta, 7, "1:00")
+        shared = DeltaMessage("q", delta, 7, "1:00", encode_delta_body(delta))
+        assert alone.encoded() == shared.encoded()
+        back = decode_payload(shared.encoded())
+        assert (back.cq_name, back.delta, back.ts, back.digest) == (
+            "q", delta, 7, "1:00",
+        )
+
+    def test_quiet_subscription_does_not_pin_the_log(self):
+        """A socket session's zones move only on heartbeat acks, and a
+        subscription that never received a delta acks its registration
+        timestamp; the server must still treat it as current through
+        ``last_ts`` (its cache *is* the retained copy), or the log GC
+        never prunes and a reconnect falls back to a full result."""
+        quiet = "SELECT sym, price FROM stocks WHERE price > 100000"
+
+        async def scenario():
+            d = await Deployment(CQSession).start(heartbeat_interval=0.02)
+            session, server = d.client, d.server
+            await d.register("quiet", quiet)
+            registered = session.applied["quiet"]
+            for i in range(3):
+                d.table.insert((10 + i, "NEW", 20 + i))
+                await d.refresh()
+            sub = server._subscriptions[("c1", "quiet")]
+            await session._wait_for(
+                lambda: server.zones.boundaries()
+                == {"c1:cheap": d.db.now(), "c1:quiet": sub.last_ts},
+                10.0,
+            )
+            assert session.applied["quiet"] == registered < sub.last_ts
+            log = d.db.table("stocks").log
+            assert sum(server.collect_garbage().values()) > 0
+            assert log.pruned_through > registered
+
+            # Reconnect after that GC: both subscriptions resume
+            # differentially, the quiet one from last_ts.
+            d.table.insert((20, "NEW", 30))
+            assert d.service.sever_connections() == 1
+            d.table.insert((21, "NEW", 31))
+            await session._wait_for(lambda: session.reconnects >= 1, 10.0)
+            await session.wait_applied("cheap", d.db.now())
+            assert d.converged()
+            assert session.result("quiet") == d.db.query(quiet)
+            assert session.full_results == 0
+            assert d.service.metrics.get(Metrics.REPLAY_FALLBACKS) == 0
+            assert d.service.metrics.get(Metrics.REPLAYS) >= 2
+            assert d.faults() == (0, 0)
+            await d.stop()
+
+        asyncio.run(scenario())
+
+    def test_lost_frame_keeps_holding_the_boundary(self):
+        """The 'current through last_ts' rule counts a frame from when
+        it is built: a client that never got the frame that last
+        changed the retained copy stays at what it really applied."""
+        db, table, server, client = build()
+        client.register("cheap", CHEAP)
+        sub = server._subscriptions[("c1", "cheap")]
+        registered = sub.last_ts
+        assert sub.horizon(registered) == registered
+        server.network.partition("server", "c1")
+        table.insert((4, "SUN", 60))
+        server.refresh_all()  # frame built, then lost
+        table.insert((5, "DEC", 200))
+        server.refresh_all()  # quiet cycle: last_ts moves on
+        assert sub.changed_ts < sub.last_ts
+        assert sub.horizon(registered) == registered
+        assert sub.horizon(sub.changed_ts) == sub.last_ts
 
 
 class TestConnectTimeout:

@@ -5,6 +5,7 @@ running its coroutine with ``asyncio.run``.
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -449,5 +450,37 @@ class TestLifecycle:
                 assert needle in report
             await session.close()
             await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_server_side_teardown_after_peer_close_is_prompt(self):
+        """recv() marks a connection closed on EOF; close() must still
+        close the transport, or the handler's wait_closed() sits out
+        its whole 1 s bound with a shielded waiter left pending."""
+
+        async def scenario():
+            torn_down = asyncio.Event()
+            elapsed = []
+
+            async def handler(conn):
+                assert await conn.recv() is None  # peer closed
+                start = time.perf_counter()
+                conn.close()
+                await conn.wait_closed()
+                elapsed.append(time.perf_counter() - start)
+                torn_down.set()
+
+            transport = TcpTransport()
+            server, addr = await transport.serve("127.0.0.1", 0, handler)
+            client = await transport.connect(*addr)
+            client.close()
+            await client.wait_closed()
+            await asyncio.wait_for(torn_down.wait(), 5.0)
+            server.close()
+            await server.wait_closed()
+            await asyncio.sleep(0)  # let the handler task itself finish
+            assert elapsed[0] < 0.2
+            pending = asyncio.all_tasks() - {asyncio.current_task()}
+            assert not pending
 
         asyncio.run(scenario())
