@@ -9,6 +9,7 @@ database states S_i, each time triggered by T_cq."
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 from repro.errors import RegistrationError
@@ -93,6 +94,13 @@ class ContinualQuery:
             )
         self.name = name
         self.query = query
+        # Derived once: `query` is never reassigned.
+        self.is_aggregate = isinstance(query, AggregateQuery)
+        self.spj_core: SPJQuery = query.core if self.is_aggregate else query
+        #: Operand tables in first-use order, duplicates dropped.
+        self.table_names: Tuple[str, ...] = tuple(
+            dict.fromkeys(self.spj_core.table_names)
+        )
         self.trigger = trigger if trigger is not None else OnEveryChange()
         self.stop = stop if stop is not None else Never()
         self.mode = mode
@@ -102,6 +110,7 @@ class ContinualQuery:
 
         # -- runtime state, owned by the manager --
         self.status = CQStatus.ACTIVE
+        self.order = 0  # registration sequence: refresh order within a poll
         self.last_execution_ts: Timestamp = 0
         self.executions = 0
         self.previous_result: Optional[Relation] = None
@@ -110,21 +119,11 @@ class ContinualQuery:
         #: (previous_result stays pinned at the last *notification*).
         self.maintained_result: Optional[Relation] = None
 
-    @property
-    def is_aggregate(self) -> bool:
-        return isinstance(self.query, AggregateQuery)
-
-    @property
-    def spj_core(self) -> SPJQuery:
-        return self.query.core if self.is_aggregate else self.query
-
-    @property
-    def table_names(self) -> Tuple[str, ...]:
-        seen = []
-        for name in self.spj_core.table_names:
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
+    @cached_property
+    def sql_key(self) -> str:
+        """Canonical SQL text: CQs sharing it share one plan, one
+        predicate-index entry and (at registration) one E_0."""
+        return self.query.to_sql()
 
     def __repr__(self) -> str:
         return (

@@ -4,11 +4,17 @@ Each CQ's *active delta zone* is the log suffix newer than its last
 execution. The *system active delta zone* of a table is the union of
 the zones of all CQs reading it — everything older than the oldest
 zone boundary "will not be used by any active CQ" and can be retired.
+
+A zone need not belong to one CQ: the manager keeps a single zone per
+footprint cohort (keyed by the footprint tuple, so it cannot collide
+with a CQ name) at the cohort's swept-through timestamp, which bounds
+the window start of every member a poll may leave unvisited; servers
+and routers key zones by session or shard.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
@@ -19,8 +25,8 @@ class ActiveDeltaZones:
 
     def __init__(self, db: Database):
         self.db = db
-        # cq name -> (tables it reads, last execution ts)
-        self._zones: Dict[str, Tuple[Tuple[str, ...], Timestamp]] = {}
+        # zone key (CQ name, cohort footprint, ...) -> (tables, boundary ts)
+        self._zones: Dict[Hashable, Tuple[Tuple[str, ...], Timestamp]] = {}
 
     def register(self, cq_name: str, tables: Tuple[str, ...], ts: Timestamp) -> None:
         self._zones[cq_name] = (tables, ts)

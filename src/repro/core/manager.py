@@ -50,12 +50,13 @@ from repro.core.continual_query import (
 from repro.core.epsilon import ResultDriftEpsilon
 from repro.core.gc import ActiveDeltaZones
 from repro.core.results import Notification, NotificationKind
-from repro.core.scheduler import DeltaBatchCache, RefreshScheduler
-from repro.core.termination import StopCondition
+from repro.core.scheduler import Cohort, DeltaBatchCache, RefreshScheduler
+from repro.core.termination import Never, StopCondition
 from repro.core.triggers import (
     AllOf,
     AnyOf,
     EpsilonTrigger,
+    OnEveryChange,
     Trigger,
     TriggerContext,
 )
@@ -122,23 +123,31 @@ class CQManager:
         #: Per-CQ retained notification history length (0 = none).
         self.history_limit = history_limit
         #: Shared-delta refresh scheduling behind :meth:`poll`: each
-        #: table's delta batch is consolidated once per poll window,
-        #: and whole footprint groups whose tables saw no commits are
-        #: skipped; runnable CQs refresh in registration order.
+        #: table's delta batch is consolidated once per poll window and
+        #: routed once per footprint cohort; only routed and
+        #: always-visit CQs refresh, in registration order.
         self.scheduler = RefreshScheduler(self)
         #: Registration-time compilation (:mod:`repro.dra.prepared`):
-        #: one :class:`PreparedCQ` per CQ, keyed by name. Every refresh
-        #: revalidates against the live catalog (schema identity +
-        #: index-set versions) and silently re-prepares when a table
+        #: one :class:`PreparedCQ` per ``sql_key``, shared by every CQ
+        #: with that SQL text and dropped with the last of them. Every
+        #: refresh revalidates against the live catalog (schema identity
+        #: + index-set versions) and silently re-prepares when a table
         #: changed underneath the plan.
         self.plans = PlanCache(db, metrics)
         self.zones = ActiveDeltaZones(db)
         self._cqs: Dict[str, ContinualQuery] = {}
+        self._registered = 0  # registrations so far: stamps cq.order
+        # Active CQs by footprint (the scheduler's unit of work), and
+        # per operand table the manager's one commit observer: its
+        # unsubscribe handle and the CQs that consume commits as they
+        # happen, in registration order.
+        self._cohorts: Dict[Tuple[str, ...], Cohort] = {}
+        self._unsubscribes: Dict[str, Callable[[], None]] = {}
+        self._watchers: Dict[str, Dict[str, ContinualQuery]] = {}
         #: Partition-aware registrations (repro.cluster): a CQ with a
         #: declared :class:`~repro.cluster.ring.Partition` consumes only
         #: the delta slice its shard owns; see :meth:`register`.
         self._partitions: Dict[str, "object"] = {}
-        self._unsubscribes: Dict[str, List[Callable[[], None]]] = {}
         self._callbacks: Dict[str, List[NotifyCallback]] = {}
         self._outbox: List[Notification] = []
         # Applied-through timestamp of each aggregate CQ's state.
@@ -153,19 +162,19 @@ class CQManager:
         # delta consolidation goes through it when present.
         self._delta_cache: Optional[DeltaBatchCache] = None
         #: Predicate-index fan-out (DESIGN.md §10): every non-baseline
-        #: CQ's alias-local predicates live in one shared
+        #: ``sql_key``'s alias-local predicates live in one shared
         #: :class:`PredicateIndex`, so a poll routes the consolidated
         #: batch to the affected CQ set in one pass instead of probing
-        #: every CQ's plan; unrouted CQs return an empty delta without
-        #: running an engine (the Section 5.2 relevance theorem makes
-        #: that exact). CQs sharing a ``sql_key`` (identical SQL text)
-        #: additionally share one DRA evaluation per refresh window.
+        #: every CQ's plan; unrouted CQs are not visited, or return an
+        #: empty delta without running an engine (the Section 5.2
+        #: relevance theorem makes that exact). CQs sharing a
+        #: ``sql_key`` (identical SQL text) additionally share one DRA
+        #: evaluation per refresh window and one E_0 at registration.
         self.fanout_index: Optional[PredicateIndex] = (
             PredicateIndex(metrics) if fanout else None
         )
-        self._cq_sql_key: Dict[str, str] = {}
-        self._sql_groups: Dict[str, Set[str]] = {}
-        # (tables, since, now) -> routed CQ names; (sql_key, since, now)
+        self._sql_groups: Dict[str, Dict[str, ContinualQuery]] = {}
+        # (tables, since, now) -> routed sql_keys; (sql_key, since, now)
         # -> shared DRAResult. Both are window-scoped: cleared each poll
         # and bounded against IMMEDIATE-strategy growth.
         self._fanout_routes: Dict[Tuple, Set[str]] = {}
@@ -231,30 +240,21 @@ class CQManager:
                 spec.note_current(_headline_value(result))
                 spec.reset()
         else:
-            result = evaluate_spj(cq.query, self.db.relation, self.metrics)
+            donor = None if partition is not None else self._donor(cq.sql_key)
+            if donor is not None:
+                result = donor.previous_result.copy()
+            else:
+                result = evaluate_spj(cq.query, self.db.relation, self.metrics)
         cq.previous_result = result if (cq.keep_result or cq.is_aggregate) else None
         if cq.engine is Engine.EAGER and not cq.is_aggregate:
             cq.maintained_result = result.copy()
             self._eager_applied[cq.name] = now
-        cq.last_execution_ts = now
         cq.executions = 1
-        self._cqs[cq.name] = cq
         if partition is not None:
             self._partitions[cq.name] = partition
-        self._fanout_register(cq)
+        self._install(cq, now)
         if on_notify is not None:
             self._callbacks.setdefault(cq.name, []).append(on_notify)
-        self.zones.register(cq.name, cq.table_names, now)
-        self._last_result_ts[cq.name] = now
-        if self.history_limit:
-            self._history[cq.name] = deque(maxlen=self.history_limit)
-
-        unsubscribes = []
-        for table_name in cq.table_names:
-            unsubscribes.append(
-                self.db.subscribe(table_name, self._make_observer(cq))
-            )
-        self._unsubscribes[cq.name] = unsubscribes
         if self.db.wal is not None:
             self._journal_cq_register(cq)
 
@@ -309,6 +309,8 @@ class CQManager:
         self._finalize(cq, self.db.now())
         del self._cqs[name]
         self._callbacks.pop(name, None)
+        self._history.pop(name, None)
+        self.stats.forget(name)
         if self.db.wal is not None:
             from repro.storage.wal import KIND_CQ_DEREGISTER
 
@@ -338,7 +340,7 @@ class CQManager:
         self.db.wal.log_event(
             KIND_CQ_REGISTER,
             name=cq.name,
-            sql=cq.query.to_sql(),
+            sql=cq.sql_key,
             mode=cq.mode.value,
             engine=cq.engine.value,
             keep_result=cq.keep_result,
@@ -361,39 +363,147 @@ class CQManager:
     def __len__(self) -> int:
         return len(self._cqs)
 
-    # -- predicate-index fan-out -------------------------------------------------
+    # -- install / uninstall ------------------------------------------------------
 
-    def _fanout_register(self, cq: ContinualQuery) -> None:
-        """Index a CQ's local predicates and join its ``sql_key`` group.
+    def _install(self, cq: ContinualQuery, ts: Timestamp) -> None:
+        """Enter a CQ whose result state reflects ``ts`` into every
+        registry: ``sql_key`` group (one index entry per group), cohort,
+        GC zone and commit observers. The one step behind
+        :meth:`register`, checkpoint restore and journal recovery.
 
-        Baseline (REEVALUATE) CQs never read deltas, so they are not
-        indexed and always refresh; aggregates index their SPJ core —
-        the part DRA differentiates."""
-        index = self.fanout_index
-        if index is None or cq.engine is Engine.REEVALUATE:
+        A member is *lazy* — visited only when routed, see
+        :class:`~repro.core.scheduler.Cohort` — when this is a PERIODIC
+        manager with an index, the engine reads deltas, the trigger is
+        exactly ``OnEveryChange`` and the stop ``Never``. Baseline CQs
+        never read deltas: not indexed, always visited.
+        """
+        name, tables, key = cq.name, cq.table_names, cq.sql_key
+        cq.last_execution_ts = ts
+        self._registered = cq.order = self._registered + 1
+        self._cqs[name] = cq
+        self._last_result_ts[name] = ts
+        if cq.status is not CQStatus.ACTIVE:
             return
-        query = cq.query.core if cq.is_aggregate else cq.query
-        scopes = {
-            ref.alias: self.db.table(ref.table).schema
-            for ref in query.relations
-        }
-        index.add(cq.name, query, scopes)
-        sql_key = cq.query.to_sql()
-        self._cq_sql_key[cq.name] = sql_key
-        group = self._sql_groups.setdefault(sql_key, set())
-        if not group and self.metrics:
-            self.metrics.count(Metrics.SHARED_GROUPS)
-        group.add(cq.name)
+        if self.history_limit:
+            self._history[name] = deque(maxlen=self.history_limit)
+        group = self._sql_groups.setdefault(key, {})
+        index = self.fanout_index
+        indexed = index is not None and cq.engine is not Engine.REEVALUATE
+        if indexed:
+            if not group and self.metrics:
+                self.metrics.count(Metrics.SHARED_GROUPS)
+            if key not in index:
+                scopes = {
+                    ref.alias: self.db.table(ref.table).schema
+                    for ref in cq.spj_core.relations
+                }
+                index.add(key, cq.spj_core, scopes)
+        group[name] = cq
+        cohort = self._cohorts.get(tables)
+        if cohort is None:
+            cohort = self._cohorts[tables] = Cohort(tables, ts)
+            for table in tables:
+                if table not in self._watchers:
+                    self._watchers[table] = {}
+                    self._unsubscribes[table] = self.db.subscribe(
+                        table, self._observe
+                    )
+        if not cohort.lazy:
+            cohort.swept = ts  # only lazy members read it
+        if (
+            indexed
+            and self.strategy is EvaluationStrategy.PERIODIC
+            and type(cq.trigger) is OnEveryChange
+            and type(cq.stop) is Never
+            and ts >= cohort.swept
+        ):
+            if not cohort.lazy:
+                self.zones.register(tables, tables, ts)
+            elif self._touched(tables, cohort.swept):
+                cohort.late[name] = cq
+            cohort.lazy[name] = cq
+        else:
+            cohort.always[name] = cq
+            self.zones.register(name, tables, ts)
+        if (
+            self.strategy is EvaluationStrategy.IMMEDIATE
+            or cq.engine is Engine.EAGER
+            or type(cq.trigger).observe is not Trigger.observe
+        ):
+            for table in tables:
+                self._watchers[table][name] = cq
+
+    def _uninstall(self, cq: ContinualQuery) -> None:
+        """Undo :meth:`_install`; the last member of a ``sql_key`` takes
+        the plan and index entry with it, the last of a footprint the
+        cohort and its tables' observers."""
+        name, tables, key = cq.name, cq.table_names, cq.sql_key
+        group = self._sql_groups[key]
+        del group[name]
+        if not group:
+            del self._sql_groups[key]
+            self.plans.invalidate(key)
+            if self.fanout_index is not None:
+                # No future batch is routed to a dead subscriber.
+                self.fanout_index.remove(key)
+        cohort = self._cohorts[tables]
+        for members in (cohort.lazy, cohort.always, cohort.late):
+            members.pop(name, None)
+        self.zones.remove(name)
+        if not cohort.lazy:
+            self.zones.remove(tables)
+        for table in tables:
+            self._watchers[table].pop(name, None)
+        if not cohort.lazy and not cohort.always:
+            del self._cohorts[tables]
+            for table in tables:
+                if not any(table in footprint for footprint in self._cohorts):
+                    del self._watchers[table]
+                    self._unsubscribes.pop(table)()
+
+    def _since(self, cq: ContinualQuery) -> Timestamp:
+        """The effective window start: a lazy member skipped by polls
+        rides its cohort's sweep (settled on the next visit)."""
+        cohort = self._cohorts.get(cq.table_names)
+        if cohort is not None and cq.name in cohort.lazy:
+            return max(cq.last_execution_ts, cohort.swept)
+        return cq.last_execution_ts
+
+    def _settle(self, cq: ContinualQuery, swept: Timestamp) -> None:
+        """Before visiting a lazy member: every poll that skipped it
+        proved its window irrelevant (Section 5.2), so its windows
+        start where the cohort's sweep does."""
+        if cq.last_execution_ts < swept:
+            cq.last_execution_ts = swept
+            for applied in (self._agg_applied, self._eager_applied):
+                if applied.get(cq.name, swept) < swept:
+                    applied[cq.name] = swept
+
+    def _donor(self, sql_key: str) -> Optional[ContinualQuery]:
+        """A live CQ with this SQL text whose retained result is still
+        current (no commit to the footprint after its effective window
+        start): registering the same text again copies that result
+        instead of re-running E_0 — both are Q(state at now)."""
+        for member in self._sql_groups.get(sql_key, {}).values():
+            if (
+                member.previous_result is not None
+                and member.name not in self._partitions
+                and not self._touched(member.table_names, self._since(member))
+            ):
+                return member
+        return None
+
+    # -- predicate-index fan-out -------------------------------------------------
 
     def _fanout_routed(
         self, table_names: Tuple[str, ...], since: Timestamp
     ) -> Set[str]:
-        """The CQ names with at least one relevant pending entry in
-        ``table_names`` over the window ``(since, now]`` — one
-        :meth:`PredicateIndex.match_batch` pass shared by every CQ with
-        the same footprint refreshing over the same window. Scoped to
-        the asking CQ's own tables so the read stays inside the log
-        suffix its delta zone protects from GC."""
+        """The ``sql_key`` groups with at least one relevant pending
+        entry in ``table_names`` over the window ``(since, now]`` — one
+        :meth:`PredicateIndex.match_batch` pass shared by the cohort's
+        sweep and every CQ with the same footprint refreshing over the
+        same window. Scoped to the asker's own tables so the read stays
+        inside the log suffix its delta zone protects from GC."""
         now = self.db.now()
         key = (table_names, since, now)
         routed = self._fanout_routes.get(key)
@@ -412,19 +522,24 @@ class CQManager:
         quarantined (stale-signature) CQs never take the fast path —
         they refresh normally, which is always sound."""
         index = self.fanout_index
-        if index is None or cq.name not in index:
+        key = cq.sql_key
+        if index is None or key not in index or key in index.stale():
             return False
-        if cq.name in index.stale():
-            return False
-        return cq.name not in self._fanout_routed(cq.table_names, since)
+        return key not in self._fanout_routed(cq.table_names, since)
 
     # -- update observation ------------------------------------------------------
 
-    def _make_observer(self, cq: ContinualQuery):
-        def observer(table: Table, records: List[UpdateRecord]) -> None:
+    def _observe(self, table: Table, records: List[UpdateRecord]) -> None:
+        """The manager's one commit observer per table: consolidate the
+        records once, hand the batch to the CQs that consume commits as
+        they happen (data triggers, EAGER engines, IMMEDIATE strategy)."""
+        watchers = self._watchers.get(table.name)
+        if not watchers:
+            return
+        batch = DeltaRelation.from_records(table.schema, records)
+        for cq in list(watchers.values()):
             if cq.status is not CQStatus.ACTIVE:
-                return
-            batch = DeltaRelation.from_records(table.schema, records)
+                continue
             if not batch.is_empty():
                 cq.trigger.observe(table.name, batch)
             if cq.engine is Engine.EAGER:
@@ -437,8 +552,6 @@ class CQManager:
             if self.strategy is EvaluationStrategy.IMMEDIATE:
                 self._maybe_execute(cq, self.db.now())
 
-        return observer
-
     # -- polling ----------------------------------------------------------------
 
     def poll(self, advance_to: Optional[Timestamp] = None) -> List[Notification]:
@@ -450,8 +563,8 @@ class CQManager:
 
         The actual refresh work is delegated to the manager's
         :class:`~repro.core.scheduler.RefreshScheduler`, which shares
-        delta-batch consolidation across CQs and skips footprint groups
-        with no pending commits.
+        delta-batch consolidation across CQs and visits only the CQs a
+        cohort's sweep routes or cannot prove unobservable.
         """
         if advance_to is not None:
             self.db.clock.advance_to(advance_to)
@@ -549,16 +662,22 @@ class CQManager:
             self._finalize(cq, now)
 
     def _context(self, cq: ContinualQuery, now: Timestamp) -> TriggerContext:
-        pending = any(
-            self.db.table(name).log.latest_ts() > cq.last_execution_ts
-            for name in cq.table_names
-        )
         return TriggerContext(
             now,
             cq.last_execution_ts,
             cq.executions,
-            pending,
+            self._touched(cq.table_names, cq.last_execution_ts),
             last_result_ts=self._last_result_ts.get(cq.name),
+        )
+
+    def _touched(self, table_names: Tuple[str, ...], since: Timestamp) -> bool:
+        """True when any of the tables committed after ``since`` (the
+        log heads are read once per poll through its cache)."""
+        cache = self._delta_cache
+        if cache is not None:
+            return any(cache.latest_ts(name) > since for name in table_names)
+        return any(
+            self.db.table(name).log.latest_ts() > since for name in table_names
         )
 
     def _deltas_for(
@@ -614,8 +733,7 @@ class CQManager:
         DRA differentiates."""
         if cq.engine is Engine.REEVALUATE and not cq.is_aggregate:
             return None
-        query = cq.query.core if cq.is_aggregate else cq.query
-        return self.plans.get(cq.name, query)
+        return self.plans.get(cq.sql_key, cq.spj_core)
 
     def _refresh_aggregate(self, cq: ContinualQuery, now: Timestamp) -> None:
         deltas = self._window_deltas(cq, self._agg_applied[cq.name])
@@ -632,7 +750,7 @@ class CQManager:
         # way, and a zone left behind `now` lets _execute's own advance
         # plus auto-GC prune past what we'd later ask to read.
         self._agg_applied[cq.name] = now
-        self.zones.advance(cq.name, now)
+        self.zones.try_advance(cq.name, now)
         for spec in _drift_specs(cq.trigger):
             spec.note_current(_headline_value(cq.aggregate_state.result))
 
@@ -654,7 +772,7 @@ class CQManager:
         # The log window below `now` is consumed (an empty or net-zero
         # window counts): let GC advance past it.
         self._eager_applied[cq.name] = now
-        self.zones.advance(cq.name, now)
+        self.zones.try_advance(cq.name, now)
 
     def _execute(self, cq: ContinualQuery, now: Timestamp) -> None:
         if cq.engine is Engine.REEVALUATE:
@@ -667,7 +785,7 @@ class CQManager:
             delta = self._execute_dra(cq, now)
 
         cq.last_execution_ts = now
-        self.zones.advance(cq.name, now)
+        self.zones.try_advance(cq.name, now)
         ctx = self._context(cq, now)
         cq.trigger.notify_fired(ctx)
         if self.auto_gc:
@@ -703,9 +821,8 @@ class CQManager:
             # are never content-identical to other group members'.
             and cq.name not in self._partitions
         ):
-            sql_key = self._cq_sql_key.get(cq.name)
-            if sql_key is not None and len(self._sql_groups.get(sql_key, ())) > 1:
-                shared_key = (sql_key, since, now)
+            if len(self._sql_groups.get(cq.sql_key, ())) > 1:
+                shared_key = (cq.sql_key, since, now)
                 result = self._shared_results.get(shared_key)
                 if result is not None and self.metrics:
                     self.metrics.count(Metrics.SHARED_GROUP_HITS)
@@ -787,21 +904,7 @@ class CQManager:
         if cq.status is CQStatus.STOPPED:
             return
         cq.status = CQStatus.STOPPED
-        self.plans.invalidate(cq.name)
-        if self.fanout_index is not None:
-            # Drop the CQ's index entries and leave its sql_key group,
-            # so no future batch is routed to a dead subscriber.
-            self.fanout_index.remove(cq.name)
-            sql_key = self._cq_sql_key.pop(cq.name, None)
-            if sql_key is not None:
-                group = self._sql_groups.get(sql_key)
-                if group is not None:
-                    group.discard(cq.name)
-                    if not group:
-                        del self._sql_groups[sql_key]
-        for unsubscribe in self._unsubscribes.pop(cq.name, []):
-            unsubscribe()
-        self.zones.remove(cq.name)
+        self._uninstall(cq)
         self._partitions.pop(cq.name, None)
         self._agg_applied.pop(cq.name, None)
         self._eager_applied.pop(cq.name, None)
@@ -868,13 +971,10 @@ class CQManager:
         """One status record per registered CQ (for ops tooling)."""
         out = []
         for cq in self._cqs.values():
-            pending = (
-                cq.status is CQStatus.ACTIVE
-                and any(
-                    self.db.table(name).log.latest_ts() > cq.last_execution_ts
-                    for name in cq.table_names
-                )
-            )
+            group = self._sql_groups.get(cq.sql_key, {})
+            live = cq.name in group
+            since = self._since(cq)
+            pending = live and self._touched(cq.table_names, since)
             cost = self.stats.counters(cq.name)
             latency = self.stats.latency(cq.name)
             out.append(
@@ -885,14 +985,14 @@ class CQManager:
                     "mode": cq.mode.value,
                     "tables": ",".join(cq.table_names),
                     "results": cq.executions,
-                    "last_ts": cq.last_execution_ts,
+                    "last_ts": since,
                     "result_rows": (
                         len(cq.previous_result)
                         if cq.previous_result is not None
                         else None
                     ),
                     "pending_updates": pending,
-                    "plan_cached": cq.name in self.plans,
+                    "plan_cached": live and cq.sql_key in self.plans,
                     "trigger": repr(cq.trigger),
                     # Cumulative per-CQ cost attribution (DESIGN.md §9);
                     # populated by scheduler-driven refreshes.
@@ -917,13 +1017,13 @@ class CQManager:
                     # Fan-out routing membership (DESIGN.md §10); the
                     # global routing counters live in the metrics bag.
                     "fanout_indexed": (
-                        self.fanout_index is not None
-                        and cq.name in self.fanout_index
+                        live
+                        and cq.engine is not Engine.REEVALUATE
+                        and self.fanout_index is not None
+                        and cq.sql_key in self.fanout_index
                     ),
                     "sql_group_size": (
-                        len(self._sql_groups.get(self._cq_sql_key.get(cq.name), ()))
-                        if self.fanout_index is not None
-                        else None
+                        len(group) if self.fanout_index is not None else None
                     ),
                 }
             )

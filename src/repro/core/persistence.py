@@ -215,7 +215,8 @@ def manager_to_dict(manager: CQManager) -> Dict[str, Any]:
                 "engine": cq.engine.value,
                 "keep_result": cq.keep_result,
                 "status": cq.status.value,
-                "last_execution_ts": cq.last_execution_ts,
+                # Effective: a lazy CQ skipped by polls rides its cohort.
+                "last_execution_ts": manager._since(cq),
                 "executions": cq.executions,
             }
         )
@@ -308,24 +309,10 @@ def manager_from_dict(data: Dict[str, Any]) -> CQManager:
             if cq.engine is Engine.EAGER:
                 cq.maintained_result = evaluate_spj(cq.query, db.relation)
                 manager._eager_applied[cq.name] = db.now()
-        cq.last_execution_ts = last_ts
-
-        manager._cqs[cq.name] = cq
+        manager._install(cq, last_ts)
         manager._last_result_ts[cq.name] = data.get(
             "last_result_ts", {}
         ).get(cq.name, last_ts)
-        if manager.history_limit and cq.status is CQStatus.ACTIVE:
-            from collections import deque
-
-            manager._history[cq.name] = deque(maxlen=manager.history_limit)
-        if cq.status is CQStatus.ACTIVE:
-            manager.zones.register(cq.name, cq.table_names, last_ts)
-            unsubscribes = []
-            for table_name in cq.table_names:
-                unsubscribes.append(
-                    db.subscribe(table_name, manager._make_observer(cq))
-                )
-            manager._unsubscribes[cq.name] = unsubscribes
     return manager
 
 

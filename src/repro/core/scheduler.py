@@ -10,11 +10,18 @@ the per-CQ refresh machinery:
   ``(table, since_ts, now_ts)`` so ``deltas_since`` consolidation runs
   once per table per poll window and is shared by every CQ (and, on
   the server, every subscription) reading that table;
-* *grouped trigger evaluation* — CQs are partitioned by operand-table
-  footprint; a whole group is skipped when none of its tables saw a
-  commit since the members' last executions, provided the members'
-  trigger/stop conditions are purely data-driven (a time trigger can
-  fire without any update, so such CQs are always evaluated).
+* *cohorts* — the active CQs of one operand-table footprint share a
+  swept-through timestamp. A poll routes each touched cohort's batch
+  over ``(swept, now]`` through the predicate index once and visits
+  only the routed ``lazy`` members plus the ``always`` set; nobody
+  iterates the registry. A visit is skipped only when it is provably
+  unobservable: on a quiet footprint, every :func:`is_skip_safe` CQ; on
+  a touched one, only unrouted ``lazy`` members — trigger exactly
+  ``OnEveryChange``, stop ``Never`` — whose visit would execute over a
+  provably irrelevant window (Section 5.2) and do nothing but move the
+  window start. A stateful data trigger must still be visited: an
+  ``OnUpdate`` armed during an unrouted window would otherwise stay
+  armed and fire a poll late.
 
 Runnable CQs refresh one after another in registration order, so the
 notification sequence is the paper's: sharing only removes provably
@@ -26,6 +33,7 @@ histogram.
 from __future__ import annotations
 
 import time
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics import Metrics
@@ -35,7 +43,7 @@ from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
 from repro.delta.capture import delta_since
 from repro.delta.differential import DeltaRelation
-from repro.core.continual_query import ContinualQuery, CQStatus
+from repro.core.continual_query import ContinualQuery
 from repro.core.termination import Never
 from repro.core.triggers import (
     AllOf,
@@ -74,6 +82,7 @@ class DeltaBatchCache:
         self.metrics = metrics
         self.tracer = tracer
         self._batches: Dict[Tuple[str, Timestamp, Timestamp], DeltaRelation] = {}
+        self._latest: Dict[Tuple[str, Timestamp], Timestamp] = {}
         self.hits = 0
         self.misses = 0
 
@@ -103,6 +112,14 @@ class DeltaBatchCache:
         if self.metrics:
             self.metrics.count(Metrics.DELTA_BATCHES_COMPUTED)
         return batch
+
+    def latest_ts(self, table_name: str) -> Timestamp:
+        """The table's newest commit timestamp, read once per instant."""
+        key = (table_name, self.db.now())
+        ts = self._latest.get(key)
+        if ts is None:
+            ts = self._latest[key] = self.db.table(table_name).log.latest_ts()
+        return ts
 
     def deltas(
         self, table_names: Sequence[str], since: Timestamp, now: Timestamp
@@ -156,6 +173,29 @@ def is_skip_safe(cq: ContinualQuery) -> bool:
     return isinstance(cq.stop, Never) and is_data_only_trigger(cq.trigger)
 
 
+class Cohort:
+    """The active CQs of one operand-table footprint.
+
+    ``lazy`` members (classified by :meth:`CQManager._install`) are
+    visited only when routed: an unvisited one's window start is
+    ``max(cq.last_execution_ts, swept)``, and the cohort's one GC zone
+    at ``swept`` protects it. ``always`` members keep their own window
+    and zone. ``late`` holds lazy members whose window does not start
+    at ``swept`` — registered after a commit the cohort has not swept,
+    or visited by a poll that did not finish — so the next poll visits
+    them whatever it routes.
+    """
+
+    __slots__ = ("tables", "swept", "lazy", "always", "late")
+
+    def __init__(self, tables: Tuple[str, ...], swept: Timestamp):
+        self.tables = tables
+        self.swept = swept
+        self.lazy: Dict[str, ContinualQuery] = {}
+        self.always: Dict[str, ContinualQuery] = {}
+        self.late: Dict[str, ContinualQuery] = {}
+
+
 class RefreshScheduler:
     """Selects and refreshes the runnable CQs of one poll.
 
@@ -169,59 +209,55 @@ class RefreshScheduler:
     # -- one poll ---------------------------------------------------------
 
     def run(self, now: Timestamp) -> None:
-        """Evaluate one poll: select runnable CQs, refresh them."""
+        """Evaluate one poll: sweep every cohort, refresh what is due
+        in registration order, then move the cohorts' windows."""
         manager = self.manager
         with manager.tracer.span(
             "scheduler.poll", now=now, registered=len(manager._cqs)
         ) as poll_span:
-            runnable = self._select(list(manager._cqs.values()))
-            poll_span.set(runnable=len(runnable))
             manager._delta_cache = DeltaBatchCache(
                 manager.db, manager.metrics, manager.tracer
             )
             try:
+                cohorts = list(manager._cohorts.values())
+                runnable = [cq for cohort in cohorts for cq in self._due(cohort)]
+                runnable.sort(key=attrgetter("order"))
+                poll_span.set(runnable=len(runnable))
                 for cq in runnable:
                     self._refresh_one(cq, now)
+                for cohort in cohorts:
+                    cohort.swept = now
+                    manager.zones.try_advance(cohort.tables, now)
+                    # Visited; only a mid-poll registration stays late.
+                    cohort.late = {
+                        name: cq
+                        for name, cq in cohort.late.items()
+                        if cq.last_execution_ts > now
+                    }
             finally:
                 manager._delta_cache = None
 
-    # -- grouped trigger evaluation ---------------------------------------
-
-    def _select(self, cqs: Sequence[ContinualQuery]) -> List[ContinualQuery]:
-        """Registration-ordered CQs whose trigger check cannot be
-        skipped, with whole-group skip accounting."""
+    def _due(self, cohort: Cohort) -> List[ContinualQuery]:
+        """The members of ``cohort`` this poll must visit."""
         manager = self.manager
-        latest: Dict[str, Timestamp] = {}
-
-        def latest_ts(table_name: str) -> Timestamp:
-            ts = latest.get(table_name)
-            if ts is None:
-                ts = manager.db.table(table_name).log.latest_ts()
-                latest[table_name] = ts
-            return ts
-
-        runnable: List[ContinualQuery] = []
-        # footprint -> [active members, skipped members]
-        groups: Dict[Tuple[str, ...], List[int]] = {}
-        for cq in cqs:
-            if cq.status is not CQStatus.ACTIVE:
-                continue
-            tally = groups.setdefault(cq.table_names, [0, 0])
-            tally[0] += 1
-            if is_skip_safe(cq) and not any(
-                latest_ts(name) > cq.last_execution_ts
-                for name in cq.table_names
-            ):
-                tally[1] += 1
-                continue
-            runnable.append(cq)
-        if manager.metrics:
-            skipped_groups = sum(
-                1 for active, skipped in groups.values() if active == skipped
-            )
-            if skipped_groups:
-                manager.metrics.count(Metrics.GROUPS_SKIPPED, skipped_groups)
-        return runnable
+        due = [
+            cq
+            for cq in cohort.always.values()
+            if not is_skip_safe(cq)
+            or manager._touched(cohort.tables, cq.last_execution_ts)
+        ]
+        if cohort.lazy and manager._touched(cohort.tables, cohort.swept):
+            keys = manager._fanout_routed(cohort.tables, cohort.swept)
+            for key in keys | manager.fanout_index.stale():
+                for name, cq in manager._sql_groups.get(key, {}).items():
+                    if name in cohort.lazy:
+                        cohort.late[name] = cq
+            for cq in cohort.late.values():
+                manager._settle(cq, cohort.swept)
+            due.extend(cohort.late.values())
+        if not due and manager.metrics:
+            manager.metrics.count(Metrics.GROUPS_SKIPPED)
+        return due
 
     # -- refresh ----------------------------------------------------------
 

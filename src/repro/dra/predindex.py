@@ -467,8 +467,8 @@ class PredicateIndex:
     """Routes consolidated delta batches to affected subscriptions.
 
     ``sub_id`` is whatever granularity the caller fans out at: the
-    manager indexes CQ names, the server indexes ``sql_key`` groups so
-    probe counts scale with distinct templates, not subscribers.
+    manager and the server both index ``sql_key`` groups, so probe
+    counts scale with distinct templates, not subscribers.
     Thread-safe (one reentrant lock; matching may trigger recompiles).
     """
 

@@ -24,8 +24,8 @@ moves all of it to registration time:
   probe instead of degrading to transient scans;
 * :class:`PlanCache` — a keyed cache of prepared plans with staleness
   validation (table schema identity + index-set version), used by
-  :class:`~repro.core.manager.CQManager` (keyed by CQ name) and
-  :class:`~repro.net.server.CQServer` (keyed by query SQL).
+  :class:`~repro.core.manager.CQManager` and
+  :class:`~repro.net.server.CQServer` (both keyed by query SQL).
 
 The attachment order within a term depends only on (substituted set,
 seed alias) — the seed itself is the only runtime decision, refined by
@@ -512,9 +512,9 @@ def prepare_cq(
 class PlanCache:
     """A keyed cache of prepared plans with staleness validation.
 
-    The manager keys entries by CQ name (invalidated on deregister);
-    the server keys them by query SQL so identical subscriptions share
-    one plan. Every lookup revalidates against the live catalog —
+    The manager and the server key entries by query SQL, so identical
+    CQs or subscriptions share one plan (dropped with the last of
+    them). Every lookup revalidates against the live catalog —
     schema identity and index-set versions — and silently re-prepares
     on staleness, charging ``plan_cache_invalidations``.
     """

@@ -447,6 +447,8 @@ class CQServer:
             )
         self.zones.remove(self._zone(client_id, cq_name))
         self._leave_group(subscription, (client_id, cq_name))
+        if not any(name == cq_name for __, name in self._subscriptions):
+            self.stats.forget(cq_name)  # keyed by CQ name across clients
         if self.db.wal is not None:
             from repro.storage.wal import KIND_SUB_DEREGISTER
 

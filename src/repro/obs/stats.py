@@ -73,6 +73,12 @@ class CQStats:
                     hist = self._latency[key] = Histogram()
                 hist.observe(latency_us)
 
+    def forget(self, key: str) -> None:
+        """Drop a key's counters and histogram (its CQ was deregistered)."""
+        with self._lock:
+            self._counters.pop(key, None)
+            self._latency.pop(key, None)
+
     def counters(self, key: str) -> Dict[str, int]:
         with self._lock:
             return dict(self._counters.get(key, {}))

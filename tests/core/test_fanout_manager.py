@@ -1,9 +1,10 @@
 """Manager-side fan-out: index routing, shared windows, teardown.
 
-``CQManager(fanout=True)`` holds every non-baseline CQ's local
-predicates in one :class:`~repro.dra.predindex.PredicateIndex`; a poll
-routes the consolidated batch once and CQs outside the routed set
-return a provably-empty delta without running an engine. CQs with
+``CQManager(fanout=True)`` holds every non-baseline ``sql_key``'s local
+predicates in one :class:`~repro.dra.predindex.PredicateIndex` (one
+entry per distinct SQL text, shared by its CQs); a poll routes the
+consolidated batch once and CQs outside the routed set are not visited,
+or return a provably-empty delta without running an engine. CQs with
 identical SQL additionally share one DRA evaluation per refresh
 window. The equivalence harness proves the notification sequences
 match the sequential configuration; these tests pin the mechanics —
@@ -31,6 +32,11 @@ def make_manager(db, **kwargs):
     )
 
 
+def indexed(mgr):
+    """Names of the CQs the manager reports as index-routed."""
+    return {r["name"] for r in mgr.describe() if r["fanout_indexed"]}
+
+
 def insert(db, table, *rows):
     with db.begin() as txn:
         for row in rows:
@@ -42,9 +48,11 @@ class TestIndexLifecycle:
         mgr = make_manager(db)
         mgr.register_sql("watch", WATCH_SQL)
         mgr.register_sql("base", WATCH_SQL, engine=Engine.REEVALUATE)
-        assert "watch" in mgr.fanout_index
         # Baselines never read deltas: not indexed, never skipped.
-        assert "base" not in mgr.fanout_index
+        assert indexed(mgr) == {"watch"}
+        # One entry per SQL text, keyed by it.
+        assert mgr.get("watch").sql_key in mgr.fanout_index
+        assert len(mgr.fanout_index) == 1
 
     def test_deregister_drops_index_entries(self, db, stocks):
         """Regression: a deregistered CQ must leave the index and its
@@ -53,9 +61,10 @@ class TestIndexLifecycle:
         mgr.register_sql("a", WATCH_SQL)
         mgr.register_sql("b", WATCH_SQL)
         mgr.drain()
-        assert len(mgr.fanout_index) == 2
+        assert indexed(mgr) == {"a", "b"}
+        assert len(mgr.fanout_index) == 1  # one shared entry
         mgr.deregister("a")
-        assert "a" not in mgr.fanout_index
+        assert indexed(mgr) == {"b"}
         assert len(mgr.fanout_index) == 1
         mgr.deregister("b")
         assert len(mgr.fanout_index) == 0
@@ -74,7 +83,8 @@ class TestIndexLifecycle:
         mgr.poll(advance_to=db.now() + 1)
         insert(db, "stocks", (8, "NEW2", 600))
         mgr.poll(advance_to=db.now() + 1)
-        assert "once" not in mgr.fanout_index
+        assert indexed(mgr) == set()
+        assert len(mgr.fanout_index) == 0
 
 
 class TestRoutingSkip:

@@ -29,10 +29,16 @@ def mgr(db, stocks, metrics):
 WATCH_SQL = "SELECT name, price FROM stocks WHERE price > 120"
 
 
+def plan_cached(mgr, name):
+    """Plans are keyed by ``sql_key`` and shared; ``describe()`` is the
+    per-CQ view."""
+    return {r["name"]: r["plan_cached"] for r in mgr.describe()}.get(name, False)
+
+
 class TestCacheLifecycle:
     def test_register_prepares_once(self, mgr, metrics):
         mgr.register_sql("watch", WATCH_SQL)
-        assert "watch" in mgr.plans
+        assert plan_cached(mgr, "watch")
         assert metrics[Metrics.PLANS_PREPARED] == 1
 
     def test_refreshes_hit_the_cache(self, mgr, stocks, metrics):
@@ -47,7 +53,8 @@ class TestCacheLifecycle:
     def test_deregister_invalidates(self, mgr, metrics):
         mgr.register_sql("watch", WATCH_SQL)
         mgr.deregister("watch")
-        assert "watch" not in mgr.plans
+        assert not plan_cached(mgr, "watch")
+        assert len(mgr.plans) == 0
         assert metrics[Metrics.PLAN_CACHE_INVALIDATIONS] == 1
 
     def test_reregister_same_name_gets_fresh_plan(self, mgr, db, stocks):
@@ -85,7 +92,7 @@ class TestCacheLifecycle:
 
     def test_aggregates_share_the_cache(self, mgr, stocks, metrics):
         mgr.register_sql("total", "SELECT SUM(price) AS total FROM stocks")
-        assert "total" in mgr.plans
+        assert plan_cached(mgr, "total")
         hits = metrics[Metrics.PLAN_CACHE_HITS]
         stocks.insert((900, "NEW", 200))
         mgr.poll()
