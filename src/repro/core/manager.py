@@ -20,7 +20,7 @@ The manager owns every registered continual query's lifecycle:
 from __future__ import annotations
 
 import enum
-from collections import deque
+from collections import Counter, deque
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.errors import RegistrationError
@@ -174,6 +174,9 @@ class CQManager:
             PredicateIndex(metrics) if fanout else None
         )
         self._sql_groups: Dict[str, Dict[str, ContinualQuery]] = {}
+        # Of those, the delta readers on an indexed manager: baselines
+        # join a group for its plan and result, never for its routing.
+        self._sql_readers: Counter = Counter()
         # (tables, since, now) -> routed sql_keys; (sql_key, since, now)
         # -> shared DRAResult. Both are window-scoped: cleared each poll
         # and bounded against IMMEDIATE-strategy growth.
@@ -373,9 +376,11 @@ class CQManager:
 
         A member is *lazy* — visited only when routed, see
         :class:`~repro.core.scheduler.Cohort` — when this is a PERIODIC
-        manager with an index, the engine reads deltas, the trigger is
-        exactly ``OnEveryChange`` and the stop ``Never``. Baseline CQs
-        never read deltas: not indexed, always visited.
+        manager with an index, the engine is DRA, the trigger is exactly
+        ``OnEveryChange`` and the stop ``Never``. Baseline CQs never
+        read deltas: not indexed, always visited. EAGER CQs read the
+        log on every commit, from their own applied-through stamp: they
+        keep their own zone.
         """
         name, tables, key = cq.name, cq.table_names, cq.sql_key
         cq.last_execution_ts = ts
@@ -386,19 +391,19 @@ class CQManager:
             return
         if self.history_limit:
             self._history[name] = deque(maxlen=self.history_limit)
-        group = self._sql_groups.setdefault(key, {})
+        self._sql_groups.setdefault(key, {})[name] = cq
         index = self.fanout_index
         indexed = index is not None and cq.engine is not Engine.REEVALUATE
         if indexed:
-            if not group and self.metrics:
-                self.metrics.count(Metrics.SHARED_GROUPS)
-            if key not in index:
+            self._sql_readers[key] += 1
+            if self._sql_readers[key] == 1:
+                if self.metrics:
+                    self.metrics.count(Metrics.SHARED_GROUPS)
                 scopes = {
                     ref.alias: self.db.table(ref.table).schema
                     for ref in cq.spj_core.relations
                 }
                 index.add(key, cq.spj_core, scopes)
-        group[name] = cq
         cohort = self._cohorts.get(tables)
         if cohort is None:
             cohort = self._cohorts[tables] = Cohort(tables, ts)
@@ -412,6 +417,7 @@ class CQManager:
             cohort.swept = ts  # only lazy members read it
         if (
             indexed
+            and cq.engine is Engine.DRA
             and self.strategy is EvaluationStrategy.PERIODIC
             and type(cq.trigger) is OnEveryChange
             and type(cq.stop) is Never
@@ -435,16 +441,19 @@ class CQManager:
 
     def _uninstall(self, cq: ContinualQuery) -> None:
         """Undo :meth:`_install`; the last member of a ``sql_key`` takes
-        the plan and index entry with it, the last of a footprint the
-        cohort and its tables' observers."""
+        the plan with it, its last delta reader the index entry, the
+        last of a footprint the cohort and its tables' observers."""
         name, tables, key = cq.name, cq.table_names, cq.sql_key
         group = self._sql_groups[key]
         del group[name]
         if not group:
             del self._sql_groups[key]
             self.plans.invalidate(key)
-            if self.fanout_index is not None:
+        if self.fanout_index is not None and cq.engine is not Engine.REEVALUATE:
+            self._sql_readers[key] -= 1
+            if not self._sql_readers[key]:
                 # No future batch is routed to a dead subscriber.
+                del self._sql_readers[key]
                 self.fanout_index.remove(key)
         cohort = self._cohorts[tables]
         for members in (cohort.lazy, cohort.always, cohort.late):
@@ -475,9 +484,8 @@ class CQManager:
         start where the cohort's sweep does."""
         if cq.last_execution_ts < swept:
             cq.last_execution_ts = swept
-            for applied in (self._agg_applied, self._eager_applied):
-                if applied.get(cq.name, swept) < swept:
-                    applied[cq.name] = swept
+            if self._agg_applied.get(cq.name, swept) < swept:
+                self._agg_applied[cq.name] = swept
 
     def _donor(self, sql_key: str) -> Optional[ContinualQuery]:
         """A live CQ with this SQL text whose retained result is still
@@ -671,14 +679,14 @@ class CQManager:
         )
 
     def _touched(self, table_names: Tuple[str, ...], since: Timestamp) -> bool:
-        """True when any of the tables committed after ``since`` (the
-        log heads are read once per poll through its cache)."""
-        cache = self._delta_cache
-        if cache is not None:
-            return any(cache.latest_ts(name) > since for name in table_names)
-        return any(
-            self.db.table(name).log.latest_ts() > since for name in table_names
-        )
+        """True when any of the tables committed after ``since`` — or
+        was pruned past it, so nobody can tell any more: an EAGER or
+        aggregate CQ's zone runs ahead of its last execution."""
+        for name in table_names:
+            log = self.db.table(name).log
+            if log.latest_ts() > since or log.pruned_through > since:
+                return True
+        return False
 
     def _deltas_for(
         self, table_names: Tuple[str, ...], since: Timestamp
@@ -821,7 +829,7 @@ class CQManager:
             # are never content-identical to other group members'.
             and cq.name not in self._partitions
         ):
-            if len(self._sql_groups.get(cq.sql_key, ())) > 1:
+            if self._sql_readers[cq.sql_key] > 1:
                 shared_key = (cq.sql_key, since, now)
                 result = self._shared_results.get(shared_key)
                 if result is not None and self.metrics:
@@ -971,8 +979,12 @@ class CQManager:
         """One status record per registered CQ (for ops tooling)."""
         out = []
         for cq in self._cqs.values():
-            group = self._sql_groups.get(cq.sql_key, {})
-            live = cq.name in group
+            live = cq.status is CQStatus.ACTIVE
+            indexed = (
+                live
+                and cq.engine is not Engine.REEVALUATE
+                and self.fanout_index is not None
+            )
             since = self._since(cq)
             pending = live and self._touched(cq.table_names, since)
             cost = self.stats.counters(cq.name)
@@ -1016,14 +1028,11 @@ class CQManager:
                     ),
                     # Fan-out routing membership (DESIGN.md §10); the
                     # global routing counters live in the metrics bag.
-                    "fanout_indexed": (
-                        live
-                        and cq.engine is not Engine.REEVALUATE
-                        and self.fanout_index is not None
-                        and cq.sql_key in self.fanout_index
-                    ),
+                    "fanout_indexed": indexed,
                     "sql_group_size": (
-                        len(group) if self.fanout_index is not None else None
+                        (self._sql_readers[cq.sql_key] if indexed else 0)
+                        if self.fanout_index is not None
+                        else None
                     ),
                 }
             )
@@ -1071,7 +1080,7 @@ class CQManager:
                 f"\nfanout: indexed={info['subscriptions']} "
                 f"eq={info['eq_entries']} interval={info['interval_entries']} "
                 f"scan={info['scan_entries']} stale={info['stale']} "
-                f"groups={len(self._sql_groups)}"
+                f"groups={len(self._sql_readers)}"
             )
             if self.metrics:
                 m = self.metrics

@@ -82,7 +82,6 @@ class DeltaBatchCache:
         self.metrics = metrics
         self.tracer = tracer
         self._batches: Dict[Tuple[str, Timestamp, Timestamp], DeltaRelation] = {}
-        self._latest: Dict[Tuple[str, Timestamp], Timestamp] = {}
         self.hits = 0
         self.misses = 0
 
@@ -112,14 +111,6 @@ class DeltaBatchCache:
         if self.metrics:
             self.metrics.count(Metrics.DELTA_BATCHES_COMPUTED)
         return batch
-
-    def latest_ts(self, table_name: str) -> Timestamp:
-        """The table's newest commit timestamp, read once per instant."""
-        key = (table_name, self.db.now())
-        ts = self._latest.get(key)
-        if ts is None:
-            ts = self._latest[key] = self.db.table(table_name).log.latest_ts()
-        return ts
 
     def deltas(
         self, table_names: Sequence[str], since: Timestamp, now: Timestamp

@@ -15,6 +15,7 @@ are computed and shipped:
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import NetworkError, RegistrationError
@@ -245,6 +246,9 @@ class CQServer:
         self.zones = ActiveDeltaZones(db)
         self._clients: Dict[str, "object"] = {}
         self._subscriptions: Dict[Tuple[str, str], Subscription] = {}
+        # Subscriptions per CQ name, the key ``stats`` attributes cost
+        # under: the last holder to leave takes the name's stats along.
+        self._holders: Counter = Counter()
         #: Predicate-index fan-out (DESIGN.md §10): subscriptions group
         #: by ``sql_key``; one index entry per group routes each cycle's
         #: consolidated batch to the affected groups, each of which
@@ -411,6 +415,7 @@ class CQServer:
         )
         subscription.retain(result, digest, now)
         self._subscriptions[key] = subscription
+        self._holders[message.cq_name] += 1
         if group is not None:
             group.members.add(key)
         self.zones.register(
@@ -447,8 +452,10 @@ class CQServer:
             )
         self.zones.remove(self._zone(client_id, cq_name))
         self._leave_group(subscription, (client_id, cq_name))
-        if not any(name == cq_name for __, name in self._subscriptions):
-            self.stats.forget(cq_name)  # keyed by CQ name across clients
+        self._holders[cq_name] -= 1
+        if not self._holders[cq_name]:
+            del self._holders[cq_name]
+            self.stats.forget(cq_name)
         if self.db.wal is not None:
             from repro.storage.wal import KIND_SUB_DEREGISTER
 
@@ -509,12 +516,14 @@ class CQServer:
     def rebuild_groups(self) -> int:
         """Re-seed shared groups and the fan-out index after recovery.
 
-        WAL replay rebuilds subscriptions but not the in-memory shared
-        materialization groups or their predicate-index entries (both
-        are derived state). Re-derive them: one group per distinct DRA
-        ``sql_key``, its result evaluated fresh at ``now`` — exactly the
-        state a clean registration sequence would have produced.
+        WAL replay rebuilds subscriptions but not the per-name holder
+        counts, the in-memory shared materialization groups or their
+        predicate-index entries (all derived state). Re-derive them:
+        one group per distinct DRA ``sql_key``, its result evaluated
+        fresh at ``now`` — exactly the state a clean registration
+        sequence would have produced.
         Returns the number of groups created."""
+        self._holders = Counter(name for __, name in self._subscriptions)
         if self.fanout_index is None:
             return 0
         created = 0

@@ -13,7 +13,7 @@ E_0.
 
 from collections import deque
 
-from repro.core import CQManager, EvaluationStrategy, OnUpdate
+from repro.core import CQManager, Engine, EvaluationStrategy, OnUpdate
 from repro.core.results import NotificationKind
 from repro.metrics import Metrics
 from repro.relational.expressions import col, lit
@@ -57,6 +57,29 @@ class TestUnroutedWindows:
         assert [n.kind for n in notes] == [NotificationKind.REFRESH]
         assert cq.previous_result == db.query(WATCH)
         assert cq.last_execution_ts == db.now()
+
+    def test_eager_cq_reads_the_log_on_commit_so_it_keeps_its_own_zone(
+        self, db, stocks
+    ):
+        """An EAGER CQ folds every commit in from the commit observer,
+        over a window that starts at its own applied-through stamp: it
+        may never ride the cohort's sweep, or GC behind the sweep would
+        prune the log from under the next commit."""
+        mgr = make_manager(db)
+        total = "SELECT SUM(price) FROM stocks WHERE price > 120"
+        for name, sql in (("eager", WATCH), ("total", total)):
+            mgr.register_sql(name, sql, engine=Engine.EAGER)
+        mgr.register_sql("plain", WATCH)
+        mgr.drain()
+        for i in range(4):
+            stocks.insert((500 + i, "LOW", 10 + i))  # irrelevant to all
+            mgr.poll(advance_to=db.now() + 1)  # the clock passes the commit
+            mgr.collect_garbage()
+        stocks.insert((600, "HI", 900))  # must not raise "log pruned through"
+        assert mgr.get("eager").maintained_result == db.query(WATCH)
+        assert {n.cq_name for n in mgr.poll()} == {"eager", "total", "plain"}
+        for name in ("eager", "plain"):
+            assert mgr.get(name).previous_result == db.query(WATCH)
 
     def test_late_joiner_is_visited_whatever_the_sweep_routes(self, db, stocks):
         """A CQ registered after a commit its cohort has not swept: the
@@ -139,6 +162,33 @@ class TestRegistrationByCopy:
         mgr.poll()
         for name in ("donor", "copied", "evaluated"):
             assert mgr.get(name).previous_result == db.query(WATCH)
+
+    def test_baseline_member_shares_the_result_but_not_the_routing(
+        self, db, stocks
+    ):
+        """A REEVALUATE CQ joins its text's group (it can donate its
+        result) but never reads deltas: the index entry, the shared
+        evaluation and the group counters follow the delta readers."""
+        mgr = make_manager(db)
+        mgr.register_sql("base", WATCH, engine=Engine.REEVALUATE)
+        assert len(mgr.fanout_index) == 0
+        scanned = mgr.metrics[Metrics.ROWS_SCANNED]
+        mgr.register_sql("watch", WATCH)  # copied from the baseline
+        assert mgr.metrics[Metrics.ROWS_SCANNED] == scanned
+        assert mgr.metrics[Metrics.SHARED_GROUPS] == 1
+        assert len(mgr.fanout_index) == 1
+        stocks.insert((950, "HI", 900))
+        assert {n.cq_name for n in mgr.poll()} == {"base", "watch"}
+        assert not mgr._shared_results  # nobody to share an evaluation with
+        sizes = {r["name"]: r["sql_group_size"] for r in mgr.describe()}
+        assert sizes == {"base": 0, "watch": 1}
+        mgr.deregister("watch")
+        assert len(mgr.fanout_index) == 0  # left with its last delta reader
+        stocks.insert((951, "HI", 901))
+        mgr.poll()
+        assert mgr.get("base").previous_result == db.query(WATCH)
+        mgr.deregister("base")
+        assert len(mgr.plans) == 0  # the plan leaves with the last member
 
     def test_members_share_one_plan_and_one_index_entry(self, db, stocks):
         mgr = make_manager(db)
@@ -238,6 +288,24 @@ class TestDeregisterForgets:
         assert server.stats.keys() == ["watch"]  # c2 still holds the name
         server.deregister("c2", "watch")
         assert len(server.stats) == 0
+
+    def test_restored_server_counts_the_holders_of_a_name(self, db, stocks):
+        from repro.core.persistence import server_from_dict, server_to_dict
+        from repro.net.client import CQClient
+        from repro.net.server import CQServer
+        from repro.net.simnet import SimulatedNetwork
+
+        server = CQServer(db, SimulatedNetwork())
+        for client_id in ("c1", "c2"):
+            client = CQClient(client_id)
+            server.attach(client)
+            client.register("watch", WATCH)
+        restored = server_from_dict(server_to_dict(server))
+        restored.stats.record("watch", {Metrics.CQ_REFRESHES: 1})
+        restored.deregister("c1", "watch")
+        assert restored.stats.keys() == ["watch"]
+        restored.deregister("c2", "watch")
+        assert len(restored.stats) == 0
 
 
 class TestCheckpointOfUnvisitedCQs:

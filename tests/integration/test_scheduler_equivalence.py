@@ -70,9 +70,18 @@ CONFIGS = {
     "columnar": dict(engine=Engine.DRA, manager=dict(columnar=True)),
 }
 
+#: Compared against the oracle in runs of their own, not in every chunk.
+EXTRA_CONFIGS = {
+    # EAGER maintenance on an indexed manager: every commit is folded in
+    # from the commit observer, over a window whose GC zone runs ahead
+    # of the CQ's last execution.
+    "eager": dict(engine=Engine.EAGER, manager=dict(fanout=True)),
+}
+
 N_SCHEDULES = 200
 CHUNKS = 8
 N_IMMEDIATE = 40
+N_EAGER = 100
 
 #: Names the churn steps register under, so names get reused.
 CHURN_NAMES = [f"dyn{i}" for i in range(5)]
@@ -328,9 +337,9 @@ def run_schedule(schedule, config, strategy=EvaluationStrategy.PERIODIC):
 
 
 def signatures(schedule, configs=CONFIGS, **kwargs):
+    known = {**CONFIGS, **EXTRA_CONFIGS}
     return {
-        name: run_schedule(schedule, CONFIGS[name], **kwargs)
-        for name in configs
+        name: run_schedule(schedule, known[name], **kwargs) for name in configs
     }
 
 
@@ -388,6 +397,15 @@ def test_immediate_strategy_equivalence_randomized():
             configs=(BASE, "predindex"),
             strategy=EvaluationStrategy.IMMEDIATE,
         )
+
+
+def test_eager_engine_equivalence_randomized():
+    """EAGER CQs read the log on every commit, from their own
+    applied-through stamp, while ``auto_gc`` prunes behind their zone:
+    they never ride a cohort's sweep, and they stay pending after GC
+    has pruned the commits that made them so."""
+    for i in range(N_EAGER):
+        check_seed(7_000 + i, configs=(BASE, "eager"))
 
 
 def test_all_four_configs_share_one_known_answer():
