@@ -103,31 +103,60 @@ from repro.net.messages import (
 DeltaCallback = Callable[[str, DeltaRelation, Timestamp], None]
 
 
-class _RouterSub:
-    """One client subscription at the router."""
-
-    __slots__ = ("client_id", "cq_name", "sql_key", "result", "last_ts", "on_delta")
-
-    def __init__(
-        self,
-        client_id: str,
-        cq_name: str,
-        sql_key: str,
-        result: Relation,
-        last_ts: Timestamp,
-        on_delta: Optional[DeltaCallback],
-    ):
-        self.client_id = client_id
-        self.cq_name = cq_name
-        self.sql_key = sql_key
-        self.result = result
-        self.last_ts = last_ts
-        self.on_delta = on_delta
-
-
 #: One residual conjunct over the output schema:
 #: ``(output position, op, constant)``.
 Residual = Tuple[int, Callable, object]
+
+
+class _SqlGroup:
+    """Everything the router holds for one ``sql_key``: the query, the
+    placement groups evaluating it, its members — ``(client, cq)`` to
+    notification callback — and the one retained (merged) result.
+    ``result`` is only ever *replaced*, never mutated, so every member
+    aliases it; :meth:`ClusterRouter.result` hands out copies.
+    """
+
+    __slots__ = (
+        "sql_key",
+        "query",
+        "owners",
+        "parallel",
+        "residuals",
+        "members",
+        "result",
+        "last_ts",
+    )
+
+    def __init__(
+        self,
+        sql_key: str,
+        query: SPJQuery,
+        owners: Set[int],
+        parallel: bool,
+        residuals: Tuple[Residual, ...],
+    ):
+        self.sql_key = sql_key
+        self.query = query
+        self.owners = owners
+        self.parallel = parallel  # partition-parallel: runs on every group
+        self.residuals = residuals
+        self.members: Dict[Tuple[str, str], Optional[DeltaCallback]] = {}
+        self.result: Optional[Relation] = None  # set once seeded
+        self.last_ts: Timestamp = 0
+
+
+class _Store:
+    """One ``(host, group)`` store as the router accounts for it; it
+    exists exactly while ``host`` is in ``group``'s placement."""
+
+    __slots__ = ("horizon", "counters", "cost")
+
+    def __init__(self, horizon: Timestamp):
+        self.horizon = horizon  # applied-through timestamp
+        #: Last gathered counter snapshot (None until one arrives) and
+        #: its refresh-cost score, summed per host in ``_host_cost``.
+        self.counters: Optional[Dict[str, int]] = None
+        self.cost = 0.0
 
 
 class GCReport(dict):
@@ -205,27 +234,22 @@ class ClusterRouter:
         self._seq = 0
         self._horizons: Dict[int, Timestamp] = {}
         self._dead: Set[int] = set()
-        self._queries: Dict[str, SPJQuery] = {}
-        self._owners: Dict[str, Set[int]] = {}
-        self._parallel: Set[str] = set()  # partition-parallel sql_keys
-        self._members: Dict[str, List[Tuple[str, str]]] = {}
-        self._subs: Dict[Tuple[str, str], _RouterSub] = {}
-        self._residuals: Dict[str, Tuple[Residual, ...]] = {}
+        #: One record per subscribed ``sql_key``, and per subscription
+        #: the record it is a member of (of that one only).
+        self._sql_groups: Dict[str, _SqlGroup] = {}
+        self._subs: Dict[Tuple[str, str], _SqlGroup] = {}
         #: ``{group: [primary host, replica hosts...]}``.
         self._placement: Dict[int, List[int]] = {}
-        #: Stores carried per host, maintained incrementally alongside
-        #: every ``_placement`` mutation (the load half of the
-        #: load-aware replica targeting; rebuilding it per call was the
+        #: One record per placed ``(host, group)`` store; ``_place`` and
+        #: ``_unplace`` are the only code that adds or drops one.
+        self._stores: Dict[Tuple[int, int], _Store] = {}
+        #: Per host, the stores it carries and the sum of their observed
+        #: refresh cost (gathered counter snapshots — the same per-CQ
+        #: attributed counters ``CQStats`` folds on the shard side):
+        #: the two halves of load-aware replica targeting, maintained
+        #: incrementally (rebuilding them per call was the
         #: O(groups·hosts) half of the re-replication hot spot).
         self._load: Dict[int, int] = {}
-        #: Applied-through timestamp per ``(host, group)`` store.
-        self._store_horizons: Dict[Tuple[int, int], Timestamp] = {}
-        self._store_counters: Dict[Tuple[int, int], Dict[str, int]] = {}
-        #: Observed refresh cost per store and its per-host sum, both
-        #: maintained incrementally from gathered counter snapshots
-        #: (the same per-CQ attributed counters ``CQStats`` folds on
-        #: the shard side). The cost half of load-aware targeting.
-        self._store_cost: Dict[Tuple[int, int], float] = {}
         self._host_cost: Dict[int, float] = {}
         #: Last timestamp whose gather was merged into member results,
         #: per group — the promotion registration point.
@@ -265,25 +289,23 @@ class ClusterRouter:
         if self._started:
             raise ClusterError("cluster already started")
         self._started = True
-        decls = list(self._decls.values())
         now = self.db.now()
         for shard_id in range(self._n_initial):
-            self.backend.spawn(shard_id, decls)
-            self.ring.add_node(
-                shard_id, weight=self._initial_weights.get(shard_id, 1.0)
-            )
-            self._horizons[shard_id] = now
-            self.zones.register(
-                self._zone(shard_id), self._all_tables(), now
-            )
-            self._place(shard_id, shard_id)
-            self._store_horizons[(shard_id, shard_id)] = now
+            self._spawn(shard_id, self._initial_weights.get(shard_id, 1.0))
         target = min(self.replicas, self._n_initial - 1)
         if target > 0:
             for group in sorted(self._placement):
                 for host in self._replica_targets(group, target):
-                    self._place(group, host)
-                    self._store_horizons[(host, group)] = now
+                    self._place(group, host, now)
+
+    def _spawn(self, shard_id: int, weight: float) -> None:
+        """Start one host: on the ring, zoned, and the primary (the
+        first store) of its own new group."""
+        self.backend.spawn(shard_id, list(self._decls.values()))
+        self.ring.add_node(shard_id, weight=weight)
+        now = self._horizons[shard_id] = self.db.now()
+        self.zones.register(self._zone(shard_id), self._all_tables(), now)
+        self._place(shard_id, shard_id, now)
 
     @staticmethod
     def _zone(shard_id: int) -> str:
@@ -310,14 +332,14 @@ class ClusterRouter:
     def _owned_keys(self, group: int) -> List[str]:
         return sorted(
             sql_key
-            for sql_key, owners in self._owners.items()
-            if group in owners
+            for sql_key, shared in self._sql_groups.items()
+            if group in shared.owners
         )
 
     def _group_tables(self, sql_keys: Sequence[str]) -> List[str]:
         needed: Set[str] = set()
         for sql_key in sql_keys:
-            needed.update(self._queries[sql_key].table_names)
+            needed.update(self._sql_groups[sql_key].query.table_names)
         return sorted(needed)
 
     # -- placement bookkeeping ----------------------------------------------
@@ -332,9 +354,11 @@ class ClusterRouter:
         "predindex_probes",
     )
 
-    def _place(self, group: int, host: int) -> None:
-        """Append ``host`` to ``group``'s placement, load accounted."""
+    def _place(self, group: int, host: int, ts: Timestamp) -> None:
+        """Append ``host`` to ``group``'s placement: a new store,
+        applied through ``ts``, load accounted."""
         self._placement.setdefault(group, []).append(host)
+        self._stores[(host, group)] = _Store(ts)
         self._load[host] = self._load.get(host, 0) + 1
 
     def _unplace(self, group: int, host: int) -> None:
@@ -342,36 +366,29 @@ class ClusterRouter:
         if hosts is None or host not in hosts:
             return
         hosts.remove(host)
-        remaining = self._load.get(host, 0) - 1
-        if remaining > 0:
-            self._load[host] = remaining
+        store = self._stores.pop((host, group))
+        self._load[host] -= 1
+        if not self._load[host]:
+            del self._load[host]
+        self._charge(host, -store.cost)
+
+    def _charge(self, host: int, cost: float) -> None:
+        total = self._host_cost.get(host, 0.0) + cost
+        if total > 0.0:
+            self._host_cost[host] = total
         else:
-            self._load.pop(host, None)
+            self._host_cost.pop(host, None)
 
-    def _record_store(self, host: int, group: int, counters) -> None:
+    def _record_store(self, host: int, group: int, counters) -> _Store:
         """One store's gathered counter snapshot, cost kept current."""
-        snapshot = dict(counters)
-        self._store_counters[(host, group)] = snapshot
+        store = self._stores[(host, group)]
+        store.counters = dict(counters)
         score = float(
-            sum(snapshot.get(name, 0) for name in self._WORK_COUNTERS)
+            sum(store.counters.get(name, 0) for name in self._WORK_COUNTERS)
         )
-        previous = self._store_cost.get((host, group), 0.0)
-        if score != previous:
-            self._store_cost[(host, group)] = score
-            self._host_cost[host] = (
-                self._host_cost.get(host, 0.0) + score - previous
-            )
-
-    def _drop_store_counters(self, key: Tuple[int, int]) -> None:
-        self._store_counters.pop(key, None)
-        score = self._store_cost.pop(key, None)
-        if score:
-            host = key[0]
-            remaining = self._host_cost.get(host, 0.0) - score
-            if remaining > 0.0:
-                self._host_cost[host] = remaining
-            else:
-                self._host_cost.pop(host, None)
+        self._charge(host, score - store.cost)
+        store.cost = score
+        return store
 
     def _replica_targets(
         self, group: int, k: int, exclude: Optional[Set[int]] = None
@@ -469,7 +486,7 @@ class ClusterRouter:
     def _specs(self, sql_keys: Sequence[str]) -> List[Dict[str, str]]:
         """The wire form of shard-side registrations."""
         return [
-            {"cq": key, "sql": self._queries[key].to_sql()}
+            {"cq": key, "sql": self._sql_groups[key].query.to_sql()}
             for key in sql_keys
         ]
 
@@ -498,8 +515,7 @@ class ClusterRouter:
     def _adopt(self, host: int, group: int, reply: GatherReplyMessage) -> None:
         """A store that just confirmed a sync joins ``group``'s
         placement, horizon, cost and GC-zone accounting."""
-        self._place(group, host)
-        self._store_horizons[(host, group)] = reply.ts
+        self._place(group, host, reply.ts)
         self._record_store(host, group, reply.counters)
         self._ensure_zone(host, reply.ts)
         self._refresh_host_horizon(host)
@@ -519,7 +535,9 @@ class ClusterRouter:
 
     def _refresh_host_horizon(self, host: int) -> None:
         horizons = [
-            ts for (h, _g), ts in self._store_horizons.items() if h == host
+            store.horizon
+            for (h, _g), store in self._stores.items()
+            if h == host
         ]
         if horizons:
             self._horizons[host] = min(horizons)
@@ -572,66 +590,48 @@ class ClusterRouter:
                 "partial results to be tid-disjoint"
             )
         sql_key = query.to_sql()
-        if sql_key not in self._owners:
-            if partitioned:
-                owners = set(self.ring.nodes())
-                self._parallel.add(sql_key)
-            else:
-                owners = {self.ring.lookup(sql_key)}
-            self._queries[sql_key] = query
-            self._owners[sql_key] = owners
-            self._members[sql_key] = []
-            self._residuals[sql_key] = self._compile_residuals(query)
+        shared = self._sql_groups.get(sql_key)
+        if shared is None:
             scopes = {
                 ref.alias: self.db.table(ref.table).schema
                 for ref in query.relations
             }
             self.index.add(sql_key, query, scopes)
-            for group in sorted(owners):
-                self._seed_group(group, sql_key, self.db.now())
-        members = self._members[sql_key]
-        if members:
-            # Joining an existing group: share its retained result
-            # instead of re-evaluating — subscriber count stays out of
-            # registration cost, mirroring shard-side shared groups.
-            peer = self._subs[members[0]]
-            result, last_ts = peer.result.copy(), peer.last_ts
-        else:
-            result, last_ts = (
-                self.db.query(query, self.metrics),
-                self.db.now(),
+            shared = self._sql_groups[sql_key] = _SqlGroup(
+                sql_key,
+                query,
+                set(self.ring.nodes())
+                if partitioned
+                else {self.ring.lookup(sql_key)},
+                bool(partitioned),
+                self._compile_residuals(query),
             )
-        sub = _RouterSub(
-            client_id, cq_name, sql_key, result, last_ts, on_delta
-        )
-        self._subs[key] = sub
-        self._members[sql_key].append(key)
-        return result.copy()
+            for group in sorted(shared.owners):
+                self._seed_group(group, sql_key, self.db.now())
+            shared.result = self.db.query(query, self.metrics)
+            shared.last_ts = self.db.now()
+        # Joining an existing group shares its retained result instead
+        # of re-evaluating — subscriber count stays out of registration
+        # cost, mirroring shard-side shared groups.
+        shared.members[key] = on_delta
+        self._subs[key] = shared
+        return shared.result.copy()
 
     def unsubscribe(self, client_id: str, cq_name: str) -> None:
         """Drop a subscription; the last member of a ``sql_key`` also
         retires the footprint and the shard-side registrations."""
-        sub = self._subs.pop((client_id, cq_name), None)
-        if sub is None:
+        shared = self._subs.pop((client_id, cq_name), None)
+        if shared is None:
             raise RegistrationError(
                 f"no subscription {cq_name!r} for client {client_id!r}"
             )
-        members = self._members[sub.sql_key]
-        members.remove((client_id, cq_name))
-        if members:
+        del shared.members[(client_id, cq_name)]
+        if shared.members:
             return
-        sql_key = sub.sql_key
-        for group in sorted(self._owners[sql_key]):
-            self._unseed_group(group, sql_key, self.db.now())
-        self.index.remove(sql_key)
-        for registry in (
-            self._queries,
-            self._owners,
-            self._members,
-            self._residuals,
-        ):
-            registry.pop(sql_key, None)
-        self._parallel.discard(sql_key)
+        for group in sorted(shared.owners):
+            self._unseed_group(group, shared.sql_key, self.db.now())
+        self.index.remove(shared.sql_key)
+        del self._sql_groups[shared.sql_key]
 
     def _seed_group(self, group: int, sql_key: str, now: Timestamp) -> None:
         """Install one ``sql_key`` on every live store of ``group``:
@@ -641,7 +641,7 @@ class ClusterRouter:
         makes re-seeding an already current table free, so this is
         always sound — it closes any gap left by earlier
         relevance-skipped scatters."""
-        tables = sorted(set(self._queries[sql_key].table_names))
+        tables = sorted(set(self._sql_groups[sql_key].query.table_names))
         for index, host in enumerate(self._live(group)):
             self._sync_store(
                 host,
@@ -718,12 +718,12 @@ class ClusterRouter:
         return tuple(out)
 
     def _confirm(
-        self, sql_key: str, entries: List[DeltaEntry]
+        self, shared: _SqlGroup, entries: List[DeltaEntry]
     ) -> List[DeltaEntry]:
         """Residual confirmation on a merged Z-set delta: a new side
         failing any re-checkable conjunct is dropped (the entry decays
         to its delete half, or vanishes), counted per occurrence."""
-        residuals = self._residuals.get(sql_key, ())
+        residuals = shared.residuals
         if not residuals:
             return entries
         out: List[DeltaEntry] = []
@@ -782,20 +782,13 @@ class ClusterRouter:
         # already ran) is skipped: ``_on_host_down`` surgically removed
         # its bookkeeping, and a reply that arrived before the verdict
         # must not resurrect it.
-        pending: Dict[str, List[DeltaRelation]] = {}
-        ts_by_key: Dict[str, Timestamp] = {}
+        pending: Dict[str, Tuple[List[DeltaRelation], Timestamp]] = {}
         for host, group, request in planned:
             if request.reply is None or host in self._dead:
                 continue
-            primary = self._placement[group][0]
-            self._absorb(
-                host,
-                group,
-                request.reply,
-                pending if host == primary else None,
-                ts_by_key,
-            )
-        notified = self._merge_and_notify(pending, ts_by_key, now)
+            feeds = pending if host == self._placement[group][0] else None
+            self._absorb(host, group, request.reply, feeds)
+        notified = self._merge_and_notify(pending)
         self._drain_rereplication(now)
         if self._reconcile_keys:
             keys = sorted(self._reconcile_keys)
@@ -826,7 +819,7 @@ class ClusterRouter:
         replicas receive identical slices — that is what keeps replicas
         in lockstep — so the slicing work is done once per group.
         """
-        horizon = self._store_horizons[(host, group)]
+        horizon = self._stores[(host, group)].horizon
         cached = windows.get(horizon)
         if cached is None:
             window = self._window(horizon)
@@ -834,28 +827,30 @@ class ClusterRouter:
             cached = windows[horizon] = (window, routed)
         window, routed = cached
         self._seq += 1
-        if not window:
-            return ShardHeartbeatMessage(
-                host, self._seq, now, collect, group=group
-            )
-        deltas = frames.get((group, horizon))
-        if deltas is None:
-            local = {
-                sql_key
-                for sql_key in routed
-                if group in self._owners.get(sql_key, ())
-            }
-            deltas = frames[(group, horizon)] = self._slice(
-                window, group, self._group_tables(local)
-            )
-        if not deltas:
+        if window:
+            deltas = frames.get((group, horizon))
+            if deltas is None:
+                local = {
+                    sql_key
+                    for sql_key in routed
+                    if group in self._sql_groups[sql_key].owners
+                }
+                deltas = frames[(group, horizon)] = self._slice(
+                    window, group, self._group_tables(local)
+                )
+            if deltas:
+                self.metrics.count(Metrics.SCATTERS)
+                return ScatterMessage(
+                    host,
+                    self._seq,
+                    now,
+                    deltas=deltas,
+                    collect=collect,
+                    group=group,
+                )
             self.metrics.count(Metrics.SCATTER_SKIPPED)
-            return ShardHeartbeatMessage(
-                host, self._seq, now, collect, group=group
-            )
-        self.metrics.count(Metrics.SCATTERS)
-        return ScatterMessage(
-            host, self._seq, now, deltas=deltas, collect=collect, group=group
+        return ShardHeartbeatMessage(
+            host, self._seq, now, collect, group=group
         )
 
     def _absorb(
@@ -863,13 +858,11 @@ class ClusterRouter:
         host: int,
         group: int,
         reply: GatherReplyMessage,
-        pending: Optional[Dict[str, List[DeltaRelation]]],
-        ts_by_key: Dict[str, Timestamp],
+        pending: Optional[Dict[str, Tuple[List[DeltaRelation], Timestamp]]],
     ) -> None:
         """Record one store's reply; only the group primary's entries
         (``pending`` not None) feed the merge."""
-        self._record_store(host, group, reply.counters)
-        self._store_horizons[(host, group)] = reply.ts
+        self._record_store(host, group, reply.counters).horizon = reply.ts
         self._refresh_host_horizon(host)
         if pending is None:
             return
@@ -877,37 +870,54 @@ class ClusterRouter:
             self._group_served.get(group, 0), reply.ts
         )
         for sql_key, delta, ts in reply.entries:
-            if sql_key not in self._owners:
+            if sql_key not in self._sql_groups:
                 continue  # raced an unsubscribe
-            pending.setdefault(sql_key, []).append(delta)
-            ts_by_key[sql_key] = max(ts_by_key.get(sql_key, 0), ts)
+            parts, seen = pending.get(sql_key, ([], 0))
+            parts.append(delta)
+            pending[sql_key] = (parts, max(seen, ts))
 
     def _merge_and_notify(
-        self,
-        pending: Dict[str, List[DeltaRelation]],
-        ts_by_key: Dict[str, Timestamp],
-        now: Timestamp,
+        self, pending: Dict[str, Tuple[List[DeltaRelation], Timestamp]]
     ) -> int:
+        """Per gathered ``sql_key``: merge the primaries' partial
+        deltas, apply the merged delta to the one retained result, and
+        notify the members."""
         notified = 0
-        for sql_key in sorted(pending):
-            parts = pending[sql_key]
-            merged = self._merge(sql_key, parts)
-            if merged is None or merged.is_empty():
-                continue
-            ts = ts_by_key.get(sql_key, now)
-            for member in list(self._members.get(sql_key, ())):
-                sub = self._subs.get(member)
-                if sub is None:
-                    continue
-                sub.result = self._apply(merged, sub.result)
-                sub.last_ts = ts
-                if sub.on_delta is not None:
-                    sub.on_delta(sub.cq_name, merged, ts)
+        for sql_key, (parts, ts) in sorted(pending.items()):
+            shared = self._sql_groups.get(sql_key)
+            if shared is None:
+                continue  # its last member left from an earlier callback
+            merged = self._merge(shared, parts)
+            if merged is not None:
+                notified += self._advance(
+                    shared, self._apply(merged, shared.result), merged, ts
+                )
+        return notified
+
+    @staticmethod
+    def _advance(
+        shared: _SqlGroup,
+        result: Relation,
+        delta: DeltaRelation,
+        ts: Timestamp,
+    ) -> int:
+        """Replace ``shared``'s retained result — once, for every
+        member — and notify the members ``delta``. A callback may
+        subscribe or unsubscribe: a joiner already aliases the new
+        result and is not notified, a leaver is skipped."""
+        shared.result = result
+        shared.last_ts = ts
+        notified = 0
+        for key in list(shared.members):
+            if key in shared.members:
+                on_delta = shared.members[key]
+                if on_delta is not None:
+                    on_delta(key[1], delta, ts)
                 notified += 1
         return notified
 
     def _merge(
-        self, sql_key: str, parts: List[DeltaRelation]
+        self, shared: _SqlGroup, parts: List[DeltaRelation]
     ) -> Optional[DeltaRelation]:
         """Concatenate tid-disjoint partial deltas into one Z-set delta.
 
@@ -936,7 +946,7 @@ class ClusterRouter:
                     else:
                         by_tid[entry.tid] = combined
             entries = list(by_tid.values())
-        entries = self._confirm(sql_key, entries)
+        entries = self._confirm(shared, entries)
         if not entries:
             return None
         return DeltaRelation(schema, entries)
@@ -994,28 +1004,32 @@ class ClusterRouter:
             return
         self._dead.add(host)
         self.health.mark_dead(host)
-        # The dead host's store bookkeeping is now meaningless (rejoin
-        # reads the journal's own account, not router memory) and must
-        # not leak into horizon aggregation if the host comes back.
-        for key in [k for k in self._store_horizons if k[0] == host]:
-            self._store_horizons.pop(key, None)
-            self._drop_store_counters(key)
+        # Unplacing drops the dead host's store records with it: they
+        # are meaningless now (rejoin reads the journal's own account,
+        # not router memory) and must not leak into horizon aggregation
+        # if the host comes back.
         affected = sorted(
             group
             for group, hosts in self._placement.items()
             if host in hosts
         )
         for group in affected:
-            hosts = self._placement[group]
-            was_primary = hosts[0] == host
-            self._unplace(group, host)
             self._pinned.setdefault(host, set()).add(group)
-            if not hosts:
-                self._lost.add(group)
-            elif was_primary:
-                self._promote(group)
-            if self.replicas:
-                self._rerepl.append(group)
+            self._hand_off(group, host)
+
+    def _hand_off(self, group: int, host: int) -> None:
+        """``host`` stops carrying ``group``: a replica takes over when
+        it was the primary, the group is lost when it was the last
+        store, and the missing capacity is queued for repair."""
+        hosts = self._placement[group]
+        was_primary = hosts[0] == host
+        self._unplace(group, host)
+        if not hosts:
+            self._lost.add(group)
+        elif was_primary:
+            self._promote(group)
+        if self.replicas:
+            self._rerepl.append(group)
 
     def _promote(self, group: int) -> None:
         """Zero-downtime failover: the group's first surviving replica
@@ -1041,7 +1055,7 @@ class ClusterRouter:
             return
         target = hosts[0]
         served = self._group_served.get(
-            group, self._store_horizons.get((target, group), 0)
+            group, self._stores[(target, group)].horizon
         )
         self._seq += 1
         self._engine.submit(
@@ -1085,6 +1099,13 @@ class ClusterRouter:
                     continue
             self._top_up(group, now)
             self._maybe_release(group)
+
+    def _repair_all(self, now: Timestamp) -> None:
+        """Queue every group for repair and drain once: what a host
+        entering service (rejoined or added) owes the fleet."""
+        if self.replicas:
+            self._rerepl.extend(sorted(self._placement))
+            self._drain_rereplication(now)
 
     def _rebuild_group(self, group: int, now: Timestamp) -> bool:
         """Re-create a lost group's primary from the authoritative
@@ -1234,12 +1255,8 @@ class ClusterRouter:
                 self._drain_store(shard_id, group, now)
         self._horizons[shard_id] = now
         self._refresh_host_horizon(shard_id)
-        if self.replicas:
-            self._rerepl.extend(sorted(self._placement))
-            self._drain_rereplication(now)
-        if not any(
-            host == shard_id for host, __ in self._store_horizons
-        ):
+        self._repair_all(now)
+        if shard_id not in self._load:
             # Every store the journal held was drained (its groups are
             # served at full strength elsewhere): the host idles as
             # spare capacity, and an idle host must not pin the logs —
@@ -1336,34 +1353,26 @@ class ClusterRouter:
             raise ClusterError("start() the cluster before adding shards")
         self.refresh(collect=False)
         new_id = max(self.ring.nodes()) + 1 if len(self.ring) else 0
-        previous_home = {
-            sql_key: self.ring.lookup(sql_key)
-            for sql_key in self._owners
-            if sql_key not in self._parallel
-        }
-        self.backend.spawn(new_id, list(self._decls.values()))
-        self.ring.add_node(new_id, weight=weight)
+        self._spawn(new_id, weight)
         now = self.db.now()
-        self._horizons[new_id] = now
-        self.zones.register(self._zone(new_id), self._all_tables(), now)
-        self._place(new_id, new_id)
-        self._store_horizons[(new_id, new_id)] = now
         self._reslice(now, skip=new_id)
         # Index handoff + new-group registrations.
-        for sql_key in sorted(self._owners):
-            if sql_key in self._parallel:
-                self._owners[sql_key].add(new_id)
+        for sql_key, shared in sorted(self._sql_groups.items()):
+            if shared.parallel:
+                shared.owners.add(new_id)
                 self._seed_group(new_id, sql_key, now)
                 continue
             new_home = self.ring.lookup(sql_key)
-            old_home = previous_home[sql_key]
-            if new_home == old_home:
-                continue
-            self._owners[sql_key] = {new_home}
-            self._unseed_group(old_home, sql_key, now)
-            self._seed_group(new_home, sql_key, now)
-        for host in self._replica_targets(new_id, self._strength() - 1):
-            self._seed_replica(new_id, host, now)
+            if shared.owners != {new_home}:
+                (old_home,) = shared.owners
+                shared.owners = {new_home}
+                self._unseed_group(old_home, sql_key, now)
+                self._seed_group(new_home, sql_key, now)
+        # The new group gets its replicas, and — one more host in
+        # service may have raised _strength() — so do the groups a
+        # smaller fleet had capped below ``replicas`` (or they stay
+        # queued), like the ones a rejoin finds short.
+        self._repair_all(now)
         return new_id
 
     def _reslice(self, now: Timestamp, skip: int) -> None:
@@ -1429,14 +1438,7 @@ class ClusterRouter:
                 )
                 if candidate:
                     self._seed_replica(group, candidate[0], now)
-            was_primary = self._placement[group][0] == shard_id
-            self._unplace(group, shard_id)
-            if not self._placement[group]:
-                self._lost.add(group)
-            elif was_primary:
-                self._promote(group)
-            if self.replicas:
-                self._rerepl.append(group)
+            self._hand_off(group, shard_id)
         self._engine.run()  # the promotions that queued
         # 2) Dissolve the host's own group (by now the only one the
         # host still carries).
@@ -1447,11 +1449,12 @@ class ClusterRouter:
         self._reslice(now, skip=own)
         # Re-home the dissolved group's subscriptions.
         for sql_key in owned:
-            if sql_key in self._parallel:
-                self._owners[sql_key].discard(own)
+            shared = self._sql_groups[sql_key]
+            if shared.parallel:
+                shared.owners.discard(own)
             else:
                 new_home = self.ring.lookup(sql_key)
-                self._owners[sql_key] = {new_home}
+                shared.owners = {new_home}
                 self._seed_group(new_home, sql_key, now)
         # Drain surviving replica stores of the dissolved group, then
         # stop the departing process cleanly.
@@ -1459,27 +1462,14 @@ class ClusterRouter:
             if host not in self._dead:
                 self._drain_store(host, own, now)
         self.backend.stop(shard_id)
-        # 3) Forget the host — through the incremental bookkeeping
-        # helpers, so _load/_host_cost stay consistent with _placement
-        # (phantom entries would skew every future _replica_targets
-        # ranking).
+        # 3) Forget the host — through _unplace, so the store records
+        # and _load/_host_cost leave with the placement (phantom entries
+        # would skew every future _replica_targets ranking).
         for host in list(self._placement[own]):
             self._unplace(own, host)
         del self._placement[own]
         self._lost.discard(own)
         self._group_served.pop(own, None)
-        for key in [
-            k
-            for k in list(self._store_horizons)
-            if k[0] == shard_id or k[1] == own
-        ]:
-            self._store_horizons.pop(key, None)
-        for key in [
-            k
-            for k in list(self._store_counters)
-            if k[0] == shard_id or k[1] == own
-        ]:
-            self._drop_store_counters(key)
         self._horizons.pop(shard_id, None)
         self.zones.remove(self._zone(shard_id))
         self.health.forget(shard_id)
@@ -1493,21 +1483,13 @@ class ClusterRouter:
         """Snap members of ``sql_keys`` to the authoritative result,
         notifying the exact catch-up delta each member missed."""
         for sql_key in sql_keys:
-            query = self._queries.get(sql_key)
-            if query is None:
+            shared = self._sql_groups.get(sql_key)
+            if shared is None:
                 continue
-            oracle = self.db.query(query, self.metrics)
-            for member in list(self._members.get(sql_key, ())):
-                sub = self._subs.get(member)
-                if sub is None:
-                    continue
-                catch_up = diff(sub.result, oracle, ts=now)
-                if catch_up.is_empty():
-                    continue
-                sub.result = oracle.copy()
-                sub.last_ts = now
-                if sub.on_delta is not None:
-                    sub.on_delta(sub.cq_name, catch_up, now)
+            oracle = self.db.query(shared.query, self.metrics)
+            catch_up = diff(shared.result, oracle, ts=now)
+            if not catch_up.is_empty():
+                self._advance(shared, oracle, catch_up, now)
 
     # -- maintenance --------------------------------------------------------
 
@@ -1552,12 +1534,17 @@ class ClusterRouter:
             for host in self._live(group)
         }
         load: Dict[int, int] = {}
-        for hosts in self._placement.values():
-            for host in hosts:
-                load[host] = load.get(host, 0) + 1
         cost: Dict[int, float] = {}
-        for (host, _group), score in self._store_cost.items():
-            cost[host] = cost.get(host, 0.0) + score
+        for (host, _group), store in self._stores.items():
+            load[host] = load.get(host, 0) + 1
+            if store.cost:
+                cost[host] = cost.get(host, 0.0) + store.cost
+        members = sum(len(s.members) for s in self._sql_groups.values())
+        memberless = sorted(
+            key
+            for key, shared in self._sql_groups.items()
+            if not shared.members
+        )
         strength = self._strength()
         weak = sorted(
             group
@@ -1570,17 +1557,26 @@ class ClusterRouter:
         carrying = {self._zone(host) for host, _group in live}
         pinned = {self._zone(host) for host in self._pinned}
         laws = [
-            (self._load == load, f"_load {self._load} != placement {load}"),
             (
-                {h: c for h, c in self._host_cost.items() if c}
-                == {h: c for h, c in cost.items() if c},
+                set(self._stores) == live,
+                f"stores {sorted(self._stores)} != "
+                f"live placed stores {sorted(live)}",
+            ),
+            (self._load == load, f"_load {self._load} != stores {load}"),
+            (
+                self._host_cost == cost,
                 f"_host_cost {self._host_cost} != store costs {cost}",
             ),
             (
-                set(self._store_horizons) == live,
-                f"store horizons {sorted(self._store_horizons)} != "
-                f"live placed stores {sorted(live)}",
+                members == len(self._subs)
+                and all(
+                    key in shared.members
+                    and self._sql_groups.get(shared.sql_key) is shared
+                    for key, shared in self._subs.items()
+                ),
+                "subscriptions and group member lists disagree",
             ),
+            (not memberless, f"memberless sql_keys {memberless}"),
             (not weak, f"groups {weak} under strength and not queued"),
             (
                 self._lost
@@ -1604,37 +1600,34 @@ class ClusterRouter:
     def result(self, client_id: str, cq_name: str) -> Relation:
         """The retained (merged) result of one subscription."""
         try:
-            sub = self._subs[(client_id, cq_name)]
+            return self._subs[(client_id, cq_name)].result.copy()
         except KeyError:
             raise RegistrationError(
                 f"no subscription {cq_name!r} for client {client_id!r}"
             ) from None
-        return sub.result.copy()
 
     # -- observability ------------------------------------------------------
 
     def _role(self, host: int, group: int) -> str:
-        placement = self._placement.get(group, ())
-        return "primary" if placement and placement[0] == host else "replica"
+        return "primary" if self._placement[group][0] == host else "replica"
 
     def stats(self) -> Dict[str, object]:
         """Router counters plus per-host aggregation, placement,
         health, and pinned-zone detail."""
         shards: Dict[int, Dict[str, object]] = {}
+        totals: Dict[str, int] = {}
         for host in sorted(self.ring.nodes()):
             counters: Dict[str, int] = {}
             groups: Dict[int, Dict[str, object]] = {}
-            for (h, group), bag in sorted(self._store_counters.items()):
+            for (h, group), store in sorted(self._stores.items()):
                 if h != host:
                     continue
-                for name, value in bag.items():
+                for name, value in (store.counters or {}).items():
                     counters[name] = counters.get(name, 0) + value
-            for (h, group), horizon in sorted(self._store_horizons.items()):
-                if h != host:
-                    continue
+                    totals[name] = totals.get(name, 0) + value
                 groups[group] = {
                     "role": self._role(host, group),
-                    "horizon": horizon,
+                    "horizon": store.horizon,
                 }
             shards[host] = {
                 "alive": host not in self._dead,
@@ -1644,15 +1637,11 @@ class ClusterRouter:
                 "counters": counters,
                 "groups": groups,
             }
-        totals: Dict[str, int] = {}
-        for info in shards.values():
-            for name, value in info["counters"].items():
-                totals[name] = totals.get(name, 0) + value
         return {
             "now": self.db.now(),
             "seq": self._seq,
             "subscriptions": len(self._subs),
-            "sql_keys": len(self._owners),
+            "sql_keys": len(self._sql_groups),
             "replicas": self.replicas,
             "router": self.metrics.snapshot(),
             "shards": shards,
@@ -1675,16 +1664,15 @@ class ClusterRouter:
                 self.metrics, namespace, labels={"role": "router"}
             )
         ]
-        for host, group in sorted(self._store_counters):
+        for (host, group), store in sorted(self._stores.items()):
+            if store.counters is None:
+                continue  # nothing gathered from it yet
             bag = Metrics()
             # A replica store evaluates nothing, so its counter bag can
             # be empty; the store-horizon sample keeps every store (and
             # its role label) present in the exposition regardless.
-            bag.count(
-                "cluster_store_horizon",
-                self._store_horizons.get((host, group), 0),
-            )
-            for name, value in self._store_counters[(host, group)].items():
+            bag.count("cluster_store_horizon", store.horizon)
+            for name, value in store.counters.items():
                 bag.count(name, value)
             chunks.append(
                 prometheus_text(
@@ -1701,17 +1689,16 @@ class ClusterRouter:
 
     def describe(self) -> List[Dict[str, object]]:
         out = []
-        for (client_id, cq_name), sub in sorted(self._subs.items()):
-            owners = sorted(self._owners.get(sub.sql_key, ()))
+        for (client_id, cq_name), shared in sorted(self._subs.items()):
             out.append(
                 {
                     "client": client_id,
                     "cq": cq_name,
-                    "sql_key": sub.sql_key,
-                    "shards": owners,
-                    "parallel": sub.sql_key in self._parallel,
-                    "last_ts": sub.last_ts,
-                    "result_rows": len(sub.result),
+                    "sql_key": shared.sql_key,
+                    "shards": sorted(shared.owners),
+                    "parallel": shared.parallel,
+                    "last_ts": shared.last_ts,
+                    "result_rows": len(shared.result),
                 }
             )
         return out

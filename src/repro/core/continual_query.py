@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from typing import Optional, Tuple, Union
+from typing import Callable, Deque, List, Optional, Tuple, Union
 
 from repro.errors import RegistrationError
 from repro.relational.aggregates import AggregateQuery
@@ -108,7 +108,7 @@ class ContinualQuery:
         #: Retain the previous complete result (Section 3.3 trade-off).
         self.keep_result = keep_result
 
-        # -- runtime state, owned by the manager --
+        # -- runtime state, owned by the manager; register() resets it --
         self.status = CQStatus.ACTIVE
         self.order = 0  # registration sequence: refresh order within a poll
         self.last_execution_ts: Timestamp = 0
@@ -118,6 +118,18 @@ class ContinualQuery:
         #: EAGER engine only: the result maintained on every commit
         #: (previous_result stays pinned at the last *notification*).
         self.maintained_result: Optional[Relation] = None
+        #: Through when commits are folded in ahead of the next
+        #: execution: an aggregate's state, an EAGER maintained result.
+        self.applied_ts: Timestamp = 0
+        #: When the CQ last produced a result (vs merely executed).
+        self.last_result_ts: Optional[Timestamp] = None
+        #: Partition-aware registration (repro.cluster): the slice of
+        #: one operand table whose deltas this CQ consumes.
+        self.partition = None
+        self.callbacks: List[Callable] = []  # notification listeners
+        #: The result sequence Q(S_1)..Q(S_n), bounded by the manager's
+        #: ``history_limit`` (None: not retained).
+        self.history: Optional[Deque] = None
 
     @cached_property
     def sql_key(self) -> str:

@@ -144,20 +144,7 @@ class CQManager:
         self._cohorts: Dict[Tuple[str, ...], Cohort] = {}
         self._unsubscribes: Dict[str, Callable[[], None]] = {}
         self._watchers: Dict[str, Dict[str, ContinualQuery]] = {}
-        #: Partition-aware registrations (repro.cluster): a CQ with a
-        #: declared :class:`~repro.cluster.ring.Partition` consumes only
-        #: the delta slice its shard owns; see :meth:`register`.
-        self._partitions: Dict[str, "object"] = {}
-        self._callbacks: Dict[str, List[NotifyCallback]] = {}
         self._outbox: List[Notification] = []
-        # Applied-through timestamp of each aggregate CQ's state.
-        self._agg_applied: Dict[str, Timestamp] = {}
-        # Applied-through timestamp of each EAGER CQ's maintained result.
-        self._eager_applied: Dict[str, Timestamp] = {}
-        # The paper's result sequence Q(S_1)..Q(S_n), per CQ (bounded).
-        self._history: Dict[str, Deque[Notification]] = {}
-        # When each CQ last produced a result (vs merely executed).
-        self._last_result_ts: Dict[str, Timestamp] = {}
         # Installed by the scheduler for the duration of one poll; all
         # delta consolidation goes through it when present.
         self._delta_cache: Optional[DeltaBatchCache] = None
@@ -178,10 +165,10 @@ class CQManager:
         # join a group for its plan and result, never for its routing.
         self._sql_readers: Counter = Counter()
         # (tables, since, now) -> routed sql_keys; (sql_key, since, now)
-        # -> shared DRAResult. Both are window-scoped: cleared each poll
-        # and bounded against IMMEDIATE-strategy growth.
+        # -> (result delta, new retained result). Both are window-scoped:
+        # cleared each poll and bounded against IMMEDIATE-strategy growth.
         self._fanout_routes: Dict[Tuple, Set[str]] = {}
-        self._shared_results: Dict[Tuple[str, Timestamp, Timestamp], object] = {}
+        self._shared_results: Dict[Tuple[str, Timestamp, Timestamp], Tuple] = {}
 
     # -- registration -----------------------------------------------------
 
@@ -234,11 +221,10 @@ class CQManager:
         # against the indexes the differential refreshes will probe.
         self._prepared_for(cq)
 
-        now = self.db.now()
+        now = cq.applied_ts = self.db.now()
         if cq.is_aggregate:
             cq.aggregate_state = DifferentialAggregate(cq.query, self.db)
             result = cq.aggregate_state.initialize(self.metrics)
-            self._agg_applied[cq.name] = now
             for spec in drift_specs:
                 spec.note_current(_headline_value(result))
                 spec.reset()
@@ -251,17 +237,15 @@ class CQManager:
         cq.previous_result = result if (cq.keep_result or cq.is_aggregate) else None
         if cq.engine is Engine.EAGER and not cq.is_aggregate:
             cq.maintained_result = result.copy()
-            self._eager_applied[cq.name] = now
         cq.executions = 1
-        if partition is not None:
-            self._partitions[cq.name] = partition
+        cq.partition = partition
+        cq.callbacks = [] if on_notify is None else [on_notify]
         self._install(cq, now)
-        if on_notify is not None:
-            self._callbacks.setdefault(cq.name, []).append(on_notify)
         if self.db.wal is not None:
             self._journal_cq_register(cq)
 
         self._emit(
+            cq,
             Notification(
                 cq.name,
                 NotificationKind.INITIAL,
@@ -269,7 +253,7 @@ class CQManager:
                 ts=now,
                 mode=cq.mode,
                 result=result.copy(),
-            )
+            ),
         )
         return cq
 
@@ -311,8 +295,6 @@ class CQManager:
             return
         self._finalize(cq, self.db.now())
         del self._cqs[name]
-        self._callbacks.pop(name, None)
-        self._history.pop(name, None)
         self.stats.forget(name)
         if self.db.wal is not None:
             from repro.storage.wal import KIND_CQ_DEREGISTER
@@ -386,11 +368,12 @@ class CQManager:
         cq.last_execution_ts = ts
         self._registered = cq.order = self._registered + 1
         self._cqs[name] = cq
-        self._last_result_ts[name] = ts
+        cq.last_result_ts = ts
+        cq.history = (
+            deque(maxlen=self.history_limit) if self.history_limit else None
+        )
         if cq.status is not CQStatus.ACTIVE:
             return
-        if self.history_limit:
-            self._history[name] = deque(maxlen=self.history_limit)
         self._sql_groups.setdefault(key, {})[name] = cq
         index = self.fanout_index
         indexed = index is not None and cq.engine is not Engine.REEVALUATE
@@ -484,8 +467,7 @@ class CQManager:
         start where the cohort's sweep does."""
         if cq.last_execution_ts < swept:
             cq.last_execution_ts = swept
-            if self._agg_applied.get(cq.name, swept) < swept:
-                self._agg_applied[cq.name] = swept
+            cq.applied_ts = max(cq.applied_ts, swept)
 
     def _donor(self, sql_key: str) -> Optional[ContinualQuery]:
         """A live CQ with this SQL text whose retained result is still
@@ -495,7 +477,7 @@ class CQManager:
         for member in self._sql_groups.get(sql_key, {}).values():
             if (
                 member.previous_result is not None
-                and member.name not in self._partitions
+                and member.partition is None
                 and not self._touched(member.table_names, self._since(member))
             ):
                 return member
@@ -553,10 +535,7 @@ class CQManager:
             if cq.engine is Engine.EAGER:
                 # Eager maintenance: fold the commit in right away,
                 # whatever the evaluation strategy says about triggers.
-                if cq.is_aggregate:
-                    self._refresh_aggregate(cq, self.db.now())
-                else:
-                    self._eager_apply(cq, self.db.now())
+                self._fold(cq, self.db.now())
             if self.strategy is EvaluationStrategy.IMMEDIATE:
                 self._maybe_execute(cq, self.db.now())
 
@@ -596,7 +575,7 @@ class CQManager:
         """Attach an additional notification listener to one CQ."""
         if cq_name not in self._cqs:
             raise RegistrationError(f"no CQ named {cq_name!r}")
-        listeners = self._callbacks.setdefault(cq_name, [])
+        listeners = self._cqs[cq_name].callbacks
         listeners.append(callback)
 
         def unsubscribe() -> None:
@@ -614,7 +593,8 @@ class CQManager:
         (the Section 3.3 trade-off: retaining the sequence costs
         memory proportional to limit x result size).
         """
-        return list(self._history.get(cq_name, ()))
+        cq = self._cqs.get(cq_name)
+        return list(cq.history or ()) if cq is not None else []
 
     # -- execution ----------------------------------------------------------------
 
@@ -651,7 +631,7 @@ class CQManager:
         if cq.is_aggregate:
             # Differential T_cq evaluation for drift-based epsilons:
             # fold pending deltas into the maintained aggregate first.
-            self._refresh_aggregate(cq, now)
+            self._fold(cq, now)
         with self.tracer.span(
             "cq.trigger", cq=cq.name, tables=",".join(cq.table_names)
         ) as span:
@@ -675,7 +655,7 @@ class CQManager:
             cq.last_execution_ts,
             cq.executions,
             self._touched(cq.table_names, cq.last_execution_ts),
-            last_result_ts=self._last_result_ts.get(cq.name),
+            last_result_ts=cq.last_result_ts,
         )
 
     def _touched(self, table_names: Tuple[str, ...], since: Timestamp) -> bool:
@@ -709,7 +689,7 @@ class CQManager:
         self, cq: ContinualQuery, deltas: Dict[str, DeltaRelation]
     ) -> Dict[str, DeltaRelation]:
         """Drop delta entries outside a partitioned CQ's owned slice."""
-        partition = self._partitions.get(cq.name)
+        partition = cq.partition
         if partition is None or partition.table not in deltas:
             return deltas
         from repro.cluster.ring import partition_filter
@@ -743,9 +723,12 @@ class CQManager:
             return None
         return self.plans.get(cq.sql_key, cq.spj_core)
 
-    def _refresh_aggregate(self, cq: ContinualQuery, now: Timestamp) -> None:
-        deltas = self._window_deltas(cq, self._agg_applied[cq.name])
-        if deltas:
+    def _fold(self, cq: ContinualQuery, now: Timestamp) -> None:
+        """Fold the commits since ``cq.applied_ts`` into the state kept
+        current ahead of executions: an aggregate's differential state,
+        an EAGER CQ's maintained result."""
+        deltas = self._window_deltas(cq, cq.applied_ts)
+        if deltas and cq.is_aggregate:
             cq.aggregate_state.update(
                 deltas,
                 now,
@@ -753,19 +736,7 @@ class CQManager:
                 prepared=self._prepared_for(cq),
                 columnar=self.columnar,
             )
-        # Advance even when the window was empty (or consolidated to
-        # nothing): the next differential read starts at `now` either
-        # way, and a zone left behind `now` lets _execute's own advance
-        # plus auto-GC prune past what we'd later ask to read.
-        self._agg_applied[cq.name] = now
-        self.zones.try_advance(cq.name, now)
-        for spec in _drift_specs(cq.trigger):
-            spec.note_current(_headline_value(cq.aggregate_state.result))
-
-    def _eager_apply(self, cq: ContinualQuery, now: Timestamp) -> None:
-        """Fold all committed changes into the maintained result."""
-        deltas = self._window_deltas(cq, self._eager_applied[cq.name])
-        if deltas:
+        elif deltas:
             result = dra_execute(
                 cq.query,
                 self.db,
@@ -777,10 +748,14 @@ class CQManager:
                 columnar=self.columnar,
             )
             cq.maintained_result = result.delta.apply_to(cq.maintained_result)
-        # The log window below `now` is consumed (an empty or net-zero
-        # window counts): let GC advance past it.
-        self._eager_applied[cq.name] = now
+        # Advance even when the window was empty (or consolidated to
+        # nothing): the next differential read starts at `now` either
+        # way, and a zone left behind `now` lets _execute's own advance
+        # plus auto-GC prune past what we'd later ask to read.
+        cq.applied_ts = now
         self.zones.try_advance(cq.name, now)
+        for spec in _drift_specs(cq.trigger):  # global aggregates only
+            spec.note_current(_headline_value(cq.aggregate_state.result))
 
     def _execute(self, cq: ContinualQuery, now: Timestamp) -> None:
         if cq.engine is Engine.REEVALUATE:
@@ -806,8 +781,8 @@ class CQManager:
             # sequence and nothing is sent (Section 5.2).
             return
         cq.executions += 1
-        self._last_result_ts[cq.name] = now
-        self._emit(self._notification(cq, delta, now))
+        cq.last_result_ts = now
+        self._emit(cq, self._notification(cq, delta, now))
 
     def _execute_dra(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
         since = cq.last_execution_ts
@@ -818,55 +793,55 @@ class CQManager:
             return DeltaRelation(self._prepared_for(cq).out_schema)
         # Shared materialization: CQs with identical SQL text and the
         # same refresh window have content-identical previous results
-        # (both are Q(state at `since`)), so the whole DRAResult is
-        # computed once per (sql_key, window) and reused group-wide.
+        # (both are Q(state at `since`)), so the delta and the new
+        # retained result are computed once per (sql_key, window) and
+        # aliased group-wide — a retained result is replaced, never
+        # mutated. Partitioned CQs see a private delta slice: theirs
+        # are never content-identical to other group members'.
         shared_key = None
-        result = None
         if (
             self.fanout_index is not None
             and cq.keep_result
-            # Partitioned CQs see a private delta slice: their results
-            # are never content-identical to other group members'.
-            and cq.name not in self._partitions
+            and cq.partition is None
+            and self._sql_readers[cq.sql_key] > 1
         ):
-            if self._sql_readers[cq.sql_key] > 1:
-                shared_key = (cq.sql_key, since, now)
-                result = self._shared_results.get(shared_key)
-                if result is not None and self.metrics:
+            shared_key = (cq.sql_key, since, now)
+            shared = self._shared_results.get(shared_key)
+            if shared is not None:
+                if self.metrics:
                     self.metrics.count(Metrics.SHARED_GROUP_HITS)
-        if result is None:
-            with self.tracer.span("dra.apply", cq=cq.name) as span:
-                result = dra_execute(
-                    cq.query,
-                    self.db,
-                    deltas=deltas,
-                    previous=cq.previous_result,
-                    ts=now,
-                    metrics=self._refresh_metrics(),
-                    prepared=self._prepared_for(cq),
-                    tracer=self.tracer,
-                    columnar=self.columnar,
-                )
-                span.set(
-                    changed=",".join(sorted(result.changed_aliases)),
-                    terms=result.terms_evaluated,
-                    delta_rows=len(result.delta),
-                )
-            if shared_key is not None:
-                if len(self._shared_results) > 128:
-                    self._shared_results.clear()
-                self._shared_results[shared_key] = result
+                delta, cq.previous_result = shared
+                return delta
+        with self.tracer.span("dra.apply", cq=cq.name) as span:
+            result = dra_execute(
+                cq.query,
+                self.db,
+                deltas=deltas,
+                previous=cq.previous_result,
+                ts=now,
+                metrics=self._refresh_metrics(),
+                prepared=self._prepared_for(cq),
+                tracer=self.tracer,
+                columnar=self.columnar,
+            )
+            span.set(
+                changed=",".join(sorted(result.changed_aliases)),
+                terms=result.terms_evaluated,
+                delta_rows=len(result.delta),
+            )
         if cq.keep_result and result.has_changes():
-            if shared_key is not None:
-                # Never alias a shared result's materialization across
-                # group members: each applies the delta to its own copy.
-                cq.previous_result = result.delta.apply_to(cq.previous_result)
-            else:
-                cq.previous_result = result.complete_result()
+            cq.previous_result = result.complete_result()
+        if shared_key is not None:
+            if len(self._shared_results) > 128:
+                self._shared_results.clear()
+            self._shared_results[shared_key] = (
+                result.delta,
+                cq.previous_result,
+            )
         return result.delta
 
     def _execute_aggregate(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
-        self._refresh_aggregate(cq, now)
+        self._fold(cq, now)
         current = cq.aggregate_state.current()
         delta = diff(cq.previous_result, current, now)
         cq.previous_result = current
@@ -875,7 +850,7 @@ class CQManager:
         return delta
 
     def _execute_eager(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
-        self._eager_apply(cq, now)
+        self._fold(cq, now)
         delta = diff(cq.previous_result, cq.maintained_result, now)
         cq.previous_result = cq.maintained_result.copy()
         return delta
@@ -913,36 +888,30 @@ class CQManager:
             return
         cq.status = CQStatus.STOPPED
         self._uninstall(cq)
-        self._partitions.pop(cq.name, None)
-        self._agg_applied.pop(cq.name, None)
-        self._eager_applied.pop(cq.name, None)
-        self._last_result_ts.pop(cq.name, None)
         self._emit(
+            cq,
             Notification(
                 cq.name,
                 NotificationKind.STOPPED,
                 seq=cq.executions,
                 ts=now,
                 mode=cq.mode,
-            )
+            ),
         )
 
-    def _emit(self, notification: Notification) -> None:
+    def _emit(self, cq: ContinualQuery, notification: Notification) -> None:
         with self.tracer.span(
             "cq.notify",
             cq=notification.cq_name,
             kind=notification.kind.value,
             seq=notification.seq,
         ) as span:
-            history = self._history.get(notification.cq_name)
-            if history is not None:
-                history.append(notification)
+            if cq.history is not None:
+                cq.history.append(notification)
             self._outbox.append(notification)
-            delivered = 0
-            for callback in self._callbacks.get(notification.cq_name, ()):
+            for callback in cq.callbacks:
                 callback(notification)
-                delivered += 1
-            span.set(callbacks=delivered)
+            span.set(callbacks=len(cq.callbacks))
 
     # -- garbage collection ------------------------------------------------------
 

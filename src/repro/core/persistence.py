@@ -226,7 +226,9 @@ def manager_to_dict(manager: CQManager) -> Dict[str, Any]:
         "strategy": manager.strategy.value,
         "auto_gc": manager.auto_gc,
         "history_limit": manager.history_limit,
-        "last_result_ts": dict(manager._last_result_ts),
+        "last_result_ts": {
+            cq.name: cq.last_result_ts for cq in manager._cqs.values()
+        },
         "cqs": cqs,
     }
 
@@ -254,6 +256,7 @@ def manager_from_dict(data: Dict[str, Any]) -> CQManager:
         history_limit=data.get("history_limit", 0),
     )
     from repro.delta.capture import deltas_since
+    from repro.delta.propagate import old_resolver
     from repro.relational.evaluate import evaluate_spj
     from repro.relational.sql import parse_query
     from repro.dra.aggregates import DifferentialAggregate
@@ -273,20 +276,19 @@ def manager_from_dict(data: Dict[str, Any]) -> CQManager:
         cq.executions = entry["executions"]
         last_ts = entry["last_execution_ts"]
         # Reconstruct the retained result at last_execution_ts: current
-        # contents minus the pending window's effects.
+        # contents minus the pending window's effects. The aggregate
+        # state and an EAGER maintained result are rebuilt as of now.
+        pending = deltas_since(
+            [db.table(name) for name in cq.table_names], last_ts
+        )
+        cq.applied_ts = db.now()
         if cq.is_aggregate:
             cq.aggregate_state = DifferentialAggregate(cq.query, db)
             current = cq.aggregate_state.initialize()
-            pending = deltas_since(
-                [db.table(name) for name in cq.table_names], last_ts
-            )
-            # The state above is "now"; rewind the reported copy.
-            manager._agg_applied[cq.name] = db.now()
             if pending:
                 # previous_result = result at last_ts: recompute by
                 # unapplying the pending aggregate delta is intricate;
                 # instead evaluate over the old base state directly.
-                from repro.delta.propagate import old_resolver
                 from repro.relational.aggregates import evaluate_aggregate
 
                 cq.previous_result = evaluate_aggregate(
@@ -295,12 +297,7 @@ def manager_from_dict(data: Dict[str, Any]) -> CQManager:
             else:
                 cq.previous_result = current
         else:
-            pending = deltas_since(
-                [db.table(name) for name in cq.table_names], last_ts
-            )
             if pending and cq.keep_result:
-                from repro.delta.propagate import old_resolver
-
                 cq.previous_result = evaluate_spj(
                     cq.query, old_resolver(db.relation, pending)
                 )
@@ -308,11 +305,10 @@ def manager_from_dict(data: Dict[str, Any]) -> CQManager:
                 cq.previous_result = evaluate_spj(cq.query, db.relation)
             if cq.engine is Engine.EAGER:
                 cq.maintained_result = evaluate_spj(cq.query, db.relation)
-                manager._eager_applied[cq.name] = db.now()
         manager._install(cq, last_ts)
-        manager._last_result_ts[cq.name] = data.get(
-            "last_result_ts", {}
-        ).get(cq.name, last_ts)
+        cq.last_result_ts = data.get("last_result_ts", {}).get(
+            cq.name, last_ts
+        )
     return manager
 
 

@@ -215,11 +215,13 @@ class RefreshScheduler:
                 runnable.sort(key=attrgetter("order"))
                 poll_span.set(runnable=len(runnable))
                 for cq in runnable:
-                    self._refresh_one(cq, now)
+                    self._refresh_one(cq)
                 for cohort in cohorts:
                     cohort.swept = now
                     manager.zones.try_advance(cohort.tables, now)
-                    # Visited; only a mid-poll registration stays late.
+                    # Visited; only a window that starts after the sweep
+                    # (registered mid-poll, or visited after a commit an
+                    # earlier visit's callback made) stays late.
                     cohort.late = {
                         name: cq
                         for name, cq in cohort.late.items()
@@ -252,8 +254,12 @@ class RefreshScheduler:
 
     # -- refresh ----------------------------------------------------------
 
-    def _refresh_one(self, cq: ContinualQuery, now: Timestamp) -> None:
+    def _refresh_one(self, cq: ContinualQuery) -> None:
+        """One visit, stamped with the time its window really ends: the
+        log's tail, which a commit made by an earlier visit's callback
+        has moved past the poll's start."""
         manager = self.manager
+        now = manager.db.now()
         # Scope counter charges to this refresh: the tee still charges
         # the shared bag, the scoped copy feeds per-CQ attribution.
         scoped = TeeMetrics(manager.metrics if manager.metrics else None)

@@ -179,10 +179,6 @@ class DRAResult:
         lines.append(f"  result delta: {self.delta!r}")
         return "\n".join(lines)
 
-    def differential_result(self) -> DeltaRelation:
-        """Only what changed since the last execution."""
-        return self.delta
-
     def insertions(self) -> Relation:
         """Rows that entered the result (includes modified new sides)."""
         return self.delta.insertions()

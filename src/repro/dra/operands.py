@@ -345,6 +345,3 @@ class BaseOperand:
             if scanned:
                 self.metrics.count(Metrics.ROWS_SCANNED, scanned)
         return out
-
-    def old_size(self) -> int:
-        return len(self._old_view)

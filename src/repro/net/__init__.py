@@ -37,9 +37,7 @@ from repro.net.simnet import LinkStats, SimulatedNetwork
 from repro.net.transport import (
     FaultInjector,
     FrameConnection,
-    SimulatedTransport,
     TcpTransport,
-    Transport,
 )
 
 __all__ = [
@@ -65,10 +63,8 @@ __all__ = [
     "RegisterMessage",
     "ResyncMessage",
     "SimulatedNetwork",
-    "SimulatedTransport",
     "Subscription",
     "TcpTransport",
-    "Transport",
     "decode_payload",
     "delta_wire_size",
     "encode_frame",

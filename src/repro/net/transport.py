@@ -1,17 +1,11 @@
-"""Transports: how encoded CQ messages move between endpoints.
+"""The TCP transport: how encoded CQ messages cross a real socket.
 
-Two implementations of one abstraction:
-
-* :class:`SimulatedTransport` — wraps the in-process
-  :class:`~repro.net.simnet.SimulatedNetwork` (with its injectable
-  drop/delay/partition faults) and delivers message objects directly,
-  charging the *measured* encoded frame size. This is the deterministic
-  harness every benchmark and most tests run on.
-* :class:`TcpTransport` — real asyncio TCP sockets. Frames produced by
-  :mod:`repro.net.codec` cross a loopback (or actual) network; the
-  :class:`FrameConnection` wrapper handles framing, byte accounting,
-  and injected faults (frame drops, severed connections) for
-  crash/recovery tests.
+:class:`TcpTransport` opens asyncio TCP streams. Frames produced by
+:mod:`repro.net.codec` cross a loopback (or actual) network; the
+:class:`FrameConnection` wrapper handles framing, byte accounting,
+and injected faults (frame drops, severed connections) for
+crash/recovery tests. (In-process delivery goes through
+:class:`~repro.net.simnet.SimulatedNetwork` directly.)
 """
 
 from __future__ import annotations
@@ -24,56 +18,6 @@ from repro.errors import CodecError, NetworkError
 from repro.metrics import Metrics
 from repro.net.codec import MAX_FRAME_BYTES, _LENGTH, decode_payload, encode_frame
 from repro.net.messages import Message
-from repro.net.simnet import SimulatedNetwork
-
-
-class Transport:
-    """Message-level delivery between named endpoints.
-
-    ``deliver`` returns True when the destination received the message
-    and False when the transport lost it (drop, partition, dead
-    connection) — the sender's state machine decides whether loss is
-    fatal (sim tests) or recovered later via reconnect replay.
-    """
-
-    def deliver(
-        self,
-        src: str,
-        dst: str,
-        message: Message,
-        metrics: Optional[Metrics] = None,
-    ) -> bool:
-        raise NotImplementedError
-
-
-class SimulatedTransport(Transport):
-    """The simulated network as a Transport (measured frame sizes)."""
-
-    def __init__(self, network: Optional[SimulatedNetwork] = None):
-        self.network = network if network is not None else SimulatedNetwork()
-        self._receivers = {}
-
-    def attach(self, name: str, receive: Callable[[Message], None]) -> None:
-        self._receivers[name] = receive
-
-    def detach(self, name: str) -> None:
-        self._receivers.pop(name, None)
-
-    def deliver(
-        self,
-        src: str,
-        dst: str,
-        message: Message,
-        metrics: Optional[Metrics] = None,
-    ) -> bool:
-        receive = self._receivers.get(dst)
-        if receive is None:
-            raise NetworkError(f"no attached endpoint {dst!r}")
-        duration = self.network.send(src, dst, message.wire_size(), metrics)
-        if duration is None:
-            return False
-        receive(message)
-        return True
 
 
 class FaultInjector:

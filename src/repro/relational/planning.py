@@ -106,9 +106,6 @@ class PredicatePlan:
             if e.touches(alias) and e.other(alias) in bound
         ]
 
-    def edges_for(self, alias: str) -> List[JoinEdge]:
-        return [e for e in self.edges if e.touches(alias)]
-
     def residual_ready(
         self, bound: Set[str], already_applied: Set[int]
     ) -> List[Tuple[int, Predicate]]:

@@ -125,9 +125,6 @@ class SimulatedFileSystem:
             if posixpath.dirname(path) == directory
         )
 
-    def file_count(self) -> int:
-        return len(self._files)
-
     def drain_journal(self) -> List[SourceEvent]:
         out = self._journal
         self._journal = []

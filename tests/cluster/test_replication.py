@@ -127,8 +127,8 @@ class TestPlacement:
             # The primary serves every key the group owns.
             owned = [
                 key
-                for key, owners in router._owners.items()
-                if group in owners
+                for key, shared in router._sql_groups.items()
+                if group in shared.owners
             ]
             assert sorted(primary_subs) == sorted(owned)
 
@@ -433,16 +433,13 @@ class TestRemoveShard:
                 expected_load[host] = expected_load.get(host, 0) + 1
         assert router._load == expected_load
         assert 2 not in router._host_cost
-        assert all(key[0] != 2 and key[1] != 2 for key in router._store_cost)
+        assert all(key[0] != 2 and key[1] != 2 for key in router._stores)
+        costed = {k: s.cost for k, s in router._stores.items() if s.cost}
         assert router._host_cost == {
             host: pytest.approx(
-                sum(
-                    score
-                    for (h, _g), score in router._store_cost.items()
-                    if h == host
-                )
+                sum(score for (h, _g), score in costed.items() if h == host)
             )
-            for host in {k[0] for k in router._store_cost}
+            for host in {k[0] for k in costed}
         }
         # The next placement decision sees the consistent state.
         tick_stock(router, 4, 300.0)
@@ -451,6 +448,32 @@ class TestRemoveShard:
 
 
 class TestAddShardReplicated:
+    def test_growing_a_capped_fleet_tops_up_the_old_groups(self):
+        """Two hosts, one killed: one host in service caps _strength()
+        at a single store and the repair queue drains. Adding a host
+        raises it again, so the groups the small fleet left at one
+        store must be topped up (or stay queued), not forgotten."""
+        router = make_cluster(shards=2, replicas=1)
+        router.kill_shard(1)
+        router.refresh()
+        assert router.stats()["placement"] == {0: [0], 1: [0]}
+        new_id = router.add_shard()
+        router.check_invariants()
+        placement = router.stats()["placement"]
+        assert placement == {
+            0: [0, new_id],
+            1: [0, new_id],
+            new_id: [new_id, 0],
+        }
+        tick_stock(router, 3, 200.0)
+        router.refresh()
+        assert_converged(router)
+        # The top-up is real capacity: the old primary can now go.
+        router.kill_shard(0)
+        tick_stock(router, 4, 300.0)
+        router.refresh()
+        assert_converged(router)
+
     def test_new_group_gets_replicas_too(self):
         router = make_cluster(shards=3, replicas=1)
         new_id = router.add_shard()

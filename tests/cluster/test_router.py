@@ -277,9 +277,9 @@ class TestEdgeCases:
         on tid-disjoint partials this never drops a correct entry."""
         router = make_cluster()
         router.subscribe("c", "big", JOIN_SQL)
-        assert router._residuals[
-            next(iter(router._residuals))
-        ], "the join's price conjunct should compile to a residual"
+        assert next(
+            iter(router._sql_groups.values())
+        ).residuals, "the join's price conjunct should compile to a residual"
         tick_stock(router, 7, 200.0)
         tick_stock(router, 11, 90.0)
         router.refresh()

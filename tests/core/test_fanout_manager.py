@@ -152,10 +152,21 @@ class TestSharedWindows:
         for i in range(5):
             assert mgr.get(f"w{i}").previous_result == db.query(WATCH_SQL)
 
-    def test_shared_members_do_not_alias_results(self, db, stocks):
+    def test_shared_members_alias_one_replaced_result(self, db, stocks):
+        """One applied relation per (sql_key, window): members alias it,
+        which is safe because a retained result is replaced by the next
+        refresh, never mutated (DESIGN.md §5)."""
         mgr = make_manager(db)
-        mgr.register_sql("a", WATCH_SQL)
-        mgr.register_sql("b", WATCH_SQL)
+        a = mgr.register_sql("a", WATCH_SQL)
+        b = mgr.register_sql("b", WATCH_SQL)
         insert(db, "stocks", (50, "HI", 900))
         mgr.poll(advance_to=db.now() + 1)
-        assert mgr.get("a").previous_result is not mgr.get("b").previous_result
+        shared = a.previous_result
+        assert b.previous_result is shared
+        frozen = shared.copy()
+        insert(db, "stocks", (51, "HI", 901))
+        mgr.poll(advance_to=db.now() + 1)
+        assert a.previous_result is b.previous_result
+        assert a.previous_result is not shared
+        assert a.previous_result == db.query(WATCH_SQL)
+        assert shared == frozen

@@ -201,8 +201,8 @@ class TestCheckpointExtras:
         restored = manager_from_dict(manager_to_dict(mgr))
         assert restored.history_limit == 5
         assert (
-            restored._last_result_ts["watch"]
-            == mgr._last_result_ts["watch"]
+            restored.get("watch").last_result_ts
+            == mgr.get("watch").last_result_ts
         )
         # History recording resumes on the restored manager.
         restored.db.table("stocks").insert((9999, "NEW", 950))

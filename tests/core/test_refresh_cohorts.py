@@ -12,6 +12,9 @@ E_0.
 """
 
 from collections import deque
+from collections.abc import Mapping
+
+import pytest
 
 from repro.core import CQManager, Engine, EvaluationStrategy, OnUpdate
 from repro.core.results import NotificationKind
@@ -137,6 +140,58 @@ class TestUnroutedWindows:
         assert stale.previous_result == db.query(WATCH)
 
 
+class TestCommitsMadeDuringAPoll:
+    @pytest.mark.parametrize("fanout", [False, True], ids=["plain", "fanout"])
+    def test_callback_commit_is_notified_exactly_once(self, db, stocks, fanout):
+        """A commit made from inside ``on_notify`` lands in the window
+        of every CQ the poll visits afterwards (a window ends at the
+        log's tail). Each visit is stamped with the time its window
+        really ended, so the next poll does not hand the same commit
+        to those CQs a second time."""
+        mgr = make_manager(db, fanout=fanout)
+        all_rows = "SELECT sid, name, price FROM stocks"
+        sqls = {
+            "first": all_rows,  # its callback commits
+            "later": WATCH,
+            "twin": WATCH,  # shares later's evaluation on an indexed manager
+            "eager": WATCH,
+            "base": WATCH,
+        }
+        engines = {"eager": Engine.EAGER, "base": Engine.REEVALUATE}
+        seen = {name: [] for name in sqls}
+        budget = [2]  # the callback commits on its first two refreshes
+
+        def on_notify(note):
+            if note.kind is not NotificationKind.REFRESH:
+                return
+            seen[note.cq_name].extend(e.new[0] for e in note.delta if e.new)
+            if note.cq_name == "first" and budget[0]:
+                budget[0] -= 1
+                stocks.insert((700 + budget[0], "CB", 800))
+
+        for name, sql in sqls.items():
+            mgr.register_sql(
+                name,
+                sql,
+                engine=engines.get(name, Engine.DRA),
+                on_notify=on_notify,
+            )
+        mgr.register_sql("total", "SELECT COUNT(*) AS n FROM stocks")
+        stocks.insert((600, "HI", 900))
+        for __ in range(4):
+            mgr.poll()
+            # A CQ is current, or the commit it lacks is still pending
+            # for it (made after its visit, or after the poll chose
+            # whom to visit) — never silently behind.
+            for row in mgr.describe():
+                cq = mgr.get(row["name"])
+                current = cq.previous_result == db.query(cq.query)
+                assert current != row["pending_updates"], row["name"]
+        assert not any(row["pending_updates"] for row in mgr.describe())
+        assert seen == {name: [600, 701, 700] for name in sqls}
+        assert mgr.poll() == []
+
+
 class TestRegistrationByCopy:
     def test_copy_when_current_else_initial_execution(self, db, stocks):
         """(ii) A same-text registration copies a live member's result
@@ -221,6 +276,26 @@ class TestOneObserverPerTable:
         assert not mgr._cohorts and not mgr._watchers and not mgr._sql_groups
 
 
+def names_keyed(manager, names):
+    """The members of ``names`` that any mapping reachable from the
+    manager's attributes (through mappings and ``repro.core``/``obs``
+    objects such as cohorts, zones and stats) is keyed by."""
+    held, seen, stack = set(), {id(manager)}, list(vars(manager).values())
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, Mapping):
+            held.update(key for key in item if key in names)
+            stack.extend(item.values())
+        elif type(item).__module__.startswith(("repro.core", "repro.obs")):
+            slots = getattr(type(item), "__slots__", ())
+            stack.extend(getattr(item, slot) for slot in slots)
+            stack.extend(getattr(item, "__dict__", {}).values())
+    return held
+
+
 class TestDeregisterForgets:
     def churn(self, db, fanout):
         market = StockMarket(db, seed=5)
@@ -242,6 +317,7 @@ class TestDeregisterForgets:
                 issued += 1
             market.tick(8, p_insert=0.2, p_delete=0.2)
             mgr.poll()
+        self.issued = {f"sub{i}" for i in range(issued)}
         return mgr, set(live)
 
     def test_stats_and_history_die_with_the_cq(self, db):
@@ -251,12 +327,15 @@ class TestDeregisterForgets:
         assert len(mgr) == len(live) == 12
         assert len(mgr.stats) == len(mgr)
         assert set(mgr.stats.keys()) == live
-        assert set(mgr._history) == live
+        # No attribute of the manager is keyed by a deregistered name.
+        assert names_keyed(mgr, self.issued) == live
+        assert all(mgr.history(name) for name in live)
+        assert not any(mgr.history(name) for name in self.issued - live)
 
     def test_indexed_manager_keeps_stats_for_visited_cqs_only(self, db):
         mgr, live = self.churn(db, fanout=True)
         assert set(mgr.stats.keys()) <= live
-        assert set(mgr._history) == live
+        assert names_keyed(mgr, self.issued) == live
         assert len(mgr.plans) <= 6 and len(mgr.fanout_index) <= 6
 
     def test_self_stopped_cq_stays_visible(self, db, stocks):

@@ -1,15 +1,23 @@
-"""The constructor keywords of the serving and cluster classes, pinned.
+"""The constructor keywords of the serving and cluster classes, pinned
+— and the state the two stateful cores carry.
 
 Each on/off keyword doubles the configurations the equivalence harness
 and the benchmarks have to cover, so adding one must be a deliberate
 edit here, not a side effect of a feature. None of these takes
 ``**kwargs``, so any keyword outside these sets is a ``TypeError``.
+
+``STATE`` pins the same way what a freshly constructed ``CQManager``
+and ``ClusterRouter`` hold: state about one CQ, one ``sql_key`` or one
+store lives on that record (``ContinualQuery``, ``_SqlGroup``,
+``_Store``), so a new instance attribute — the next parallel registry —
+is a deliberate edit here too.
 """
 
 import inspect
 
 import pytest
 
+from repro import Database
 from repro.cluster import ClusterRouter, LocalBackend, ProcessBackend
 from repro.core import CQManager
 from repro.net.server import CQServer
@@ -80,3 +88,80 @@ SURFACE = {
 def test_constructor_keywords_are_exactly(cls):
     params = set(inspect.signature(cls.__init__).parameters) - {"self"}
     assert params == SURFACE[cls]
+
+
+STATE = {
+    CQManager: {
+        # configuration and collaborators
+        "db",
+        "strategy",
+        "auto_gc",
+        "metrics",
+        "history_limit",
+        "tracer",
+        "slow_refresh_us",
+        "columnar",
+        "fanout_index",
+        "scheduler",
+        "plans",
+        "zones",
+        "stats",
+        "slow_refreshes",
+        # registries: by name, footprint, table, sql_key
+        "_cqs",
+        "_registered",
+        "_cohorts",
+        "_unsubscribes",
+        "_watchers",
+        "_sql_groups",
+        "_sql_readers",
+        "_outbox",
+        # scoped to one poll / one refresh
+        "_delta_cache",
+        "_scoped_metrics",
+        "_fanout_routes",
+        "_shared_results",
+    },
+    ClusterRouter: {
+        # configuration and collaborators
+        "metrics",
+        "backend",
+        "db",
+        "seed",
+        "ring",
+        "index",
+        "zones",
+        "auto_gc",
+        "replicas",
+        "health",
+        "_request_timeout",
+        "_retries",
+        "_engine",
+        "_initial_weights",
+        "_n_initial",
+        "_decls",
+        "_started",
+        "_seq",
+        # records: per sql_key, per subscription, per (host, group) store
+        "_sql_groups",
+        "_subs",
+        "_stores",
+        # placement, per-host sums over stores, failover bookkeeping
+        "_placement",
+        "_load",
+        "_host_cost",
+        "_horizons",
+        "_dead",
+        "_group_served",
+        "_pinned",
+        "_lost",
+        "_rerepl",
+        "_reconcile_keys",
+    },
+}
+
+
+@pytest.mark.parametrize("cls", STATE, ids=lambda cls: cls.__name__)
+def test_instance_attributes_are_exactly(cls):
+    instance = CQManager(Database()) if cls is CQManager else cls(shards=1)
+    assert set(vars(instance)) == STATE[cls]
