@@ -461,10 +461,13 @@ class ClusterRouter:
         """
         deltas: Dict[str, DeltaRelation] = {}
         if replay is not None:
+            # Read only the tables sliced: the caller checked *their*
+            # logs reach back to ``replay``, nobody else's.
+            tables = self._group_tables(self._owned_keys(group))
             deltas = self._slice(
-                self._window(replay),
+                deltas_since([self.db.table(name) for name in tables], replay),
                 group,
-                self._group_tables(self._owned_keys(group)),
+                tables,
             )
         self._seq += 1
         return self._request(
@@ -489,12 +492,6 @@ class ClusterRouter:
             {"cq": key, "sql": self._sql_groups[key].query.to_sql()}
             for key in sql_keys
         ]
-
-    def _window(self, horizon: Timestamp) -> Dict[str, DeltaRelation]:
-        """Every table's consolidated deltas since ``horizon``."""
-        return deltas_since(
-            [self.db.table(name) for name in self._all_tables()], horizon
-        )
 
     def _slice(
         self, window: Dict[str, DeltaRelation], group: int, tables
@@ -822,7 +819,9 @@ class ClusterRouter:
         horizon = self._stores[(host, group)].horizon
         cached = windows.get(horizon)
         if cached is None:
-            window = self._window(horizon)
+            window = deltas_since(
+                [self.db.table(name) for name in self._all_tables()], horizon
+            )
             routed = self.index.match_batch(window) if window else set()
             cached = windows[horizon] = (window, routed)
         window, routed = cached

@@ -348,23 +348,21 @@ def server_to_dict(server) -> Dict[str, Any]:
     window from the restored logs, so nothing shipped to a client can
     be lost by flattening.
     """
-    subscriptions = []
-    for (client_id, cq_name), sub in server._subscriptions.items():
-        subscriptions.append(
-            {
-                "client": client_id,
-                "cq": cq_name,
-                "sql": sub.query.to_sql(),
-                "protocol": sub.protocol.value,
-                "last_ts": sub.last_ts,
-            }
-        )
     return {
         "format": FORMAT_VERSION,
         "kind": "cq_server",
         "name": server.name,
         "database": database_to_dict(server.db),
-        "subscriptions": subscriptions,
+        "subscriptions": [
+            {
+                "client": sub.client_id,
+                "cq": sub.cq_name,
+                "sql": sub.sql_key,
+                "protocol": sub.protocol.value,
+                "last_ts": sub.last_ts,
+            }
+            for sub in server.subscriptions()
+        ],
     }
 
 
@@ -377,58 +375,33 @@ def server_from_dict(
 ):
     """Restore a CQ server from :func:`server_to_dict`.
 
-    Each subscription's retained previous result is rebuilt at its
-    ``last_ts`` by evaluating the query over the restored base state
-    with the pending window's effects unapplied — the same
-    reconstruction :func:`manager_from_dict` uses. Replay zones are
-    re-registered at each subscription's last refresh, so the first
-    post-restore garbage collection cannot prune a window a
-    reconnecting client may still request.
+    :meth:`CQServer.restore` rebuilds each retained result at its
+    ``last_ts`` — the query over the restored base state with the
+    pending window's effects unapplied, the same reconstruction
+    :func:`manager_from_dict` uses — and re-registers the replay zones
+    there, so the first post-restore garbage collection cannot prune a
+    window a reconnecting client may still request.
     """
-    from repro.net.server import CQServer, Protocol, Subscription
+    from repro.net.server import CQServer
     from repro.net.simnet import SimulatedNetwork
-    from repro.delta.capture import deltas_since
-    from repro.delta.propagate import old_resolver
-    from repro.relational.evaluate import evaluate_spj
-    from repro.relational.sql import parse_query
 
     if data.get("format") != FORMAT_VERSION or data.get("kind") != "cq_server":
         raise CheckpointError(
             f"not a CQ server checkpoint (format={data.get('format')!r}, "
             f"kind={data.get('kind')!r})"
         )
-    db = database_from_dict(data["database"])
     server = CQServer(
-        db,
+        database_from_dict(data["database"]),
         network if network is not None else SimulatedNetwork(),
         name=data["name"],
         metrics=metrics,
         fanout=fanout,
         columnar=columnar,
     )
-    for entry in data["subscriptions"]:
-        query = parse_query(entry["sql"])
-        protocol = Protocol(entry["protocol"])
-        last_ts = entry["last_ts"]
-        if protocol in (Protocol.DRA_DELTA, Protocol.DRA_LAZY):
-            server.plans.get(query.to_sql(), query)
-        pending = deltas_since(
-            [db.table(name) for name in set(query.table_names)], last_ts
-        )
-        if pending:
-            previous = evaluate_spj(query, old_resolver(db.relation, pending))
-        else:
-            previous = evaluate_spj(query, db.relation)
-        subscription = Subscription(
-            entry["client"], entry["cq"], query, protocol, last_ts, previous
-        )
-        server._subscriptions[(entry["client"], entry["cq"])] = subscription
-        server.zones.register(
-            server._zone(entry["client"], entry["cq"]),
-            tuple(query.table_names),
-            last_ts,
-        )
-    server.rebuild_groups()
+    server.restore(
+        (e["client"], e["cq"], e["sql"], e["protocol"], e["last_ts"])
+        for e in data["subscriptions"]
+    )
     return server
 
 
@@ -442,11 +415,11 @@ def save_server(server, path: str) -> None:
         # rebuild the subscription set if the checkpoint file is lost.
         from repro.storage.wal import KIND_SUB_REGISTER
 
-        for (client_id, cq_name), sub in server._subscriptions.items():
+        for sub in server.subscriptions():
             server.db.wal.log_event(
                 KIND_SUB_REGISTER,
-                client=client_id,
-                cq=cq_name,
+                client=sub.client_id,
+                cq=sub.cq_name,
                 sql=sub.sql_key,
                 protocol=sub.protocol.value,
                 ts=sub.last_ts,
@@ -554,18 +527,13 @@ def recover_server(
 ):
     """Rebuild a CQ server after a crash: checkpoint + WAL suffix.
 
-    Subscriptions journaled after the last checkpoint are re-created
-    with their retained result reconstructed at their registration
-    timestamp when the recovered update logs still cover that window
-    (so a reconnecting client resumes differentially), and at recovery
-    time otherwise.
+    Subscriptions journaled after the last checkpoint are re-installed
+    as of their registration timestamp when the recovered update logs
+    still cover that window (so a reconnecting client resumes
+    differentially), and as of recovery time otherwise.
     """
-    from repro.net.server import CQServer, Protocol, Subscription
+    from repro.net.server import CQServer
     from repro.net.simnet import SimulatedNetwork
-    from repro.delta.capture import deltas_since
-    from repro.delta.propagate import old_resolver
-    from repro.relational.evaluate import evaluate_spj
-    from repro.relational.sql import parse_query
     from repro.storage.database import Database
 
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
@@ -588,36 +556,13 @@ def recover_server(
             desired[(event["client"], event["cq"])] = event
         elif event["k"] == "sub_deregister":
             desired[(event["client"], event["cq"])] = None
+    held = {(sub.client_id, sub.cq_name) for sub in server.subscriptions()}
     for key, event in desired.items():
-        if event is None:
-            if key in server._subscriptions:
-                server.deregister(*key)
-            continue
-        if key in server._subscriptions:
-            continue
-        query = parse_query(event["sql"])
-        protocol = Protocol(event["protocol"])
-        if protocol in (Protocol.DRA_DELTA, Protocol.DRA_LAZY):
-            server.plans.get(query.to_sql(), query)
-        last_ts = event.get("ts", db.now())
-        tables = [db.table(name) for name in set(query.table_names)]
-        try:
-            pending = deltas_since(tables, last_ts)
-        except ValueError:
-            # The logs no longer reach back to the registration point
-            # (baseline-flattened history); resume from recovery time.
-            last_ts = db.now()
-            pending = {}
-        if pending:
-            previous = evaluate_spj(query, old_resolver(db.relation, pending))
-        else:
-            previous = evaluate_spj(query, db.relation)
-        subscription = Subscription(
-            key[0], key[1], query, protocol, last_ts, previous
-        )
-        server._subscriptions[key] = subscription
-        server.zones.register(
-            server._zone(*key), tuple(query.table_names), last_ts
-        )
-    server.rebuild_groups()
+        if event is None and key in held:
+            server.deregister(*key)
+    server.restore(
+        (*key, event["sql"], event["protocol"], event.get("ts", db.now()))
+        for key, event in desired.items()
+        if event is not None and key not in held
+    )
     return server

@@ -16,19 +16,21 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import NetworkError, RegistrationError
 from repro.metrics import Metrics
 from repro.obs.stats import CQStats, TeeMetrics
 from repro.obs.trace import Tracer
 from repro.relational.algebra import SPJQuery
+from repro.relational.evaluate import evaluate_spj
 from repro.relational.relation import Relation
 from repro.relational.sql import parse_query
 from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
 from repro.delta.capture import deltas_since
 from repro.delta.diff import diff
+from repro.delta.propagate import old_resolver
 from repro.dra.algorithm import dra_execute
 from repro.dra.predindex import PredicateIndex
 from repro.dra.prepared import PlanCache
@@ -57,8 +59,15 @@ class Protocol(enum.Enum):
     REEVAL_FULL = "reeval_full"
 
 
+#: Refreshed differentially: members of a :class:`SharedGroup` when
+#: the server has a fan-out index.
+_DRA = (Protocol.DRA_DELTA, Protocol.DRA_LAZY)
+
+
 class Subscription:
-    """One client's registration of one continual query."""
+    """One client's registration of one continual query, built by
+    :meth:`CQServer._install` only. A group member has no window of its
+    own: ``last_ts`` is its group's."""
 
     __slots__ = (
         "client_id",
@@ -66,10 +75,12 @@ class Subscription:
         "query",
         "sql_key",
         "protocol",
+        "group",
         "last_ts",
         "previous_result",
         "digest",
         "changed_ts",
+        "arrived_ts",
         "pending_delta",
     )
 
@@ -79,8 +90,11 @@ class Subscription:
         cq_name: str,
         query: SPJQuery,
         protocol: Protocol,
+        group: Optional["SharedGroup"],
         last_ts: Timestamp,
         previous_result: Relation,
+        digest: str,
+        arrived_ts: Timestamp,
     ):
         self.client_id = client_id
         self.cq_name = cq_name
@@ -90,16 +104,17 @@ class Subscription:
         # identical subscriptions from other clients.
         self.sql_key = query.to_sql()
         self.protocol = protocol
+        self.group = group
         self.last_ts = last_ts
         # Retained server-side copy of the last shipped result state
         # (Section 3.3: "the copy is maintained at the site where the
         # differential query refresh is carried out"). Replaced only
         # through retain(), with its running digest and the timestamp
-        # of the change; a subscription recovered from the WAL starts
-        # with neither (see stamp() and horizon()).
-        self.previous_result = previous_result
-        self.digest: Optional[str] = None
-        self.changed_ts: Optional[Timestamp] = None
+        # of the change (see horizon()).
+        self.retain(previous_result, digest, last_ts)
+        #: Timestamp of the last frame that reached the client's
+        #: endpoint: what an in-process client has applied.
+        self.arrived_ts = arrived_ts
         # DRA_LAZY only: deltas accumulated since the client's last
         # fetch, composed so repeated changes to one tuple net out.
         self.pending_delta = None
@@ -111,19 +126,26 @@ class Subscription:
         self.digest = digest
         self.changed_ts = ts
 
-    def stamp(self) -> str:
-        """The retained copy's digest, seeded in full on first use."""
-        if self.digest is None:
-            self.digest = relation_digest(self.previous_result)
-        return self.digest
-
     def apply(self, delta, ts: Timestamp) -> None:
         """Fold the result delta of refresh ``ts`` into the retained
         copy and its running digest."""
         if not delta.is_empty():
             self.retain(
-                *apply_delta(delta, self.previous_result, self.stamp()), ts
+                *apply_delta(delta, self.previous_result, self.digest), ts
             )
+
+    def fold(self):
+        """Fold the un-fetched DRA_LAZY accumulation into the retained
+        copy and return it (None: nothing was pending). A group
+        member's copy ∘ pending *is* the group's result, so it is
+        aliased, not recomputed."""
+        pending, self.pending_delta = self.pending_delta, None
+        ts = self.changed_ts if pending is None else self.last_ts
+        if self.group is not None:
+            self.retain(self.group.result, self.group.digest, ts)
+        elif pending is not None:
+            self.apply(pending, ts)
+        return pending
 
     def horizon(self, applied: Timestamp) -> Timestamp:
         """Through when a client reporting ``applied`` is really current.
@@ -135,27 +157,23 @@ class Subscription:
         quiet subscription acks its registration timestamp forever and
         pins the update log (Section 5.4).
         """
-        if (
-            self.changed_ts is not None
-            and applied >= self.changed_ts
-            and not self.pending_delta
-        ):
+        if applied >= self.changed_ts and not self.pending_delta:
             return max(applied, self.last_ts)
         return applied
 
 
 class SharedGroup:
-    """All subscriptions sharing one canonical SQL text.
+    """All DRA subscriptions sharing one canonical SQL text.
 
     The group owns the fan-out unit of work: one predicate-index entry
-    (``sub_id`` = ``sql_key``), one maintained result, one DRA
-    evaluation per refresh cycle. ``result`` is only ever *replaced*
-    (``apply_delta`` returns a fresh relation), never mutated in
-    place, so member subscriptions may alias it as their retained copy
-    and lazily-degraded snapshots stay coherent.
+    (``sub_id`` = ``sql_key``), one maintained result, one refresh
+    window ``(last_ts, now]`` and one DRA evaluation per cycle.
+    ``result`` is only ever *replaced* (``apply_delta`` returns a fresh
+    relation), never mutated in place, so member subscriptions alias it
+    as their retained copy and lazily-degraded snapshots stay coherent.
     """
 
-    __slots__ = ("sql_key", "query", "members", "result", "digest", "last_ts")
+    __slots__ = ("sql_key", "query", "tables", "members", "result", "digest", "last_ts")
 
     def __init__(
         self,
@@ -167,8 +185,9 @@ class SharedGroup:
     ):
         self.sql_key = sql_key
         self.query = query
-        #: Subscription keys ``(client_id, cq_name)`` in the group.
-        self.members: Set[Tuple[str, str]] = set()
+        self.tables: Tuple[str, ...] = tuple(sorted(set(query.table_names)))
+        #: Members by ``(client_id, cq_name)``, in joining order.
+        self.members: Dict[Tuple[str, str], Subscription] = {}
         self.last_ts = last_ts
         self.retain(result, digest)
 
@@ -177,10 +196,6 @@ class SharedGroup:
         together with its running digest, which members copy."""
         self.result = result
         self.digest = digest
-
-    @property
-    def tables(self) -> Tuple[str, ...]:
-        return tuple(sorted(set(self.query.table_names)))
 
 
 class CQServer:
@@ -199,7 +214,8 @@ class CQServer:
     with the same query text form a :class:`SharedGroup` that is
     evaluated once per cycle and whose delta is shipped to every member
     — server compute per cycle is independent of the subscriber count
-    (experiment E3b).
+    (experiment E3b). A group's window moves in :meth:`_refresh_group`
+    only; a member never has its own.
     """
 
     def __init__(
@@ -246,6 +262,9 @@ class CQServer:
         self.zones = ActiveDeltaZones(db)
         self._clients: Dict[str, "object"] = {}
         self._subscriptions: Dict[Tuple[str, str], Subscription] = {}
+        #: Those in no group (REEVAL_* baselines; all of a server
+        #: without a fan-out index), refreshed one by one.
+        self._solo: Dict[Tuple[str, str], Subscription] = {}
         # Subscriptions per CQ name, the key ``stats`` attributes cost
         # under: the last holder to leave takes the name's stats along.
         self._holders: Counter = Counter()
@@ -315,23 +334,28 @@ class CQServer:
     def _zone(client_id: str, cq_name: str) -> str:
         return f"{client_id}:{cq_name}"
 
-    def _note_refresh(self, subscription: Subscription, delivered: bool) -> None:
-        """Advance the subscription's zone after a refresh.
+    def _note_refresh(
+        self, subscription: Subscription, arrived: Optional[Timestamp] = None
+    ) -> None:
+        """Advance the subscription's zone after a refresh; ``arrived``
+        is the timestamp of a frame that just reached the client (None:
+        a quiet refresh, or the frame was lost).
 
         Session endpoints (real sockets) set ``defer_zone_advance``:
         their boundary only moves when the client *acknowledges* having
         applied a refresh, so the replay window survives in-flight
-        loss. In-process clients apply synchronously, so a successful
-        delivery (or an empty window) advances immediately.
+        loss. In-process clients apply synchronously, so they are
+        current through the horizon of the last frame that arrived.
         """
+        if arrived is not None:
+            subscription.arrived_ts = arrived
         client = self._clients.get(subscription.client_id)
         if client is not None and getattr(client, "defer_zone_advance", False):
             return
-        if delivered:
-            self.zones.try_advance(
-                self._zone(subscription.client_id, subscription.cq_name),
-                subscription.last_ts,
-            )
+        self.zones.try_advance(
+            self._zone(subscription.client_id, subscription.cq_name),
+            subscription.horizon(subscription.arrived_ts),
+        )
 
     def advance_zone(self, client_id: str, cq_name: str, ts: Timestamp) -> bool:
         """Move a subscription's replay boundary (client acked ``ts``)."""
@@ -381,8 +405,7 @@ class CQServer:
         path), the message's ``protocol`` field (wire path), or
         defaults to DRA_DELTA.
         """
-        key = (client_id, message.cq_name)
-        if key in self._subscriptions:
+        if (client_id, message.cq_name) in self._subscriptions:
             raise RegistrationError(
                 f"client {client_id!r} already registered {message.cq_name!r}"
             )
@@ -398,30 +421,9 @@ class CQServer:
                 "the client-server protocol serves SPJ queries; aggregate "
                 "CQs are managed by CQManager"
             )
-        if protocol in (Protocol.DRA_DELTA, Protocol.DRA_LAZY):
-            # Compile before E_0: auto-created join indexes serve the
-            # initial evaluation and every later differential refresh.
-            self.plans.get(query.to_sql(), query)
         now = self.db.now()
-        group = None
-        if self.fanout_index is not None:
-            group = self._join_group(query, now)
-            result, digest = group.result, group.digest
-        else:
-            result = self.db.query(query, self.metrics)
-            digest = relation_digest(result)
-        subscription = Subscription(
-            client_id, message.cq_name, query, protocol, now, result
-        )
-        subscription.retain(result, digest, now)
-        self._subscriptions[key] = subscription
-        self._holders[message.cq_name] += 1
-        if group is not None:
-            group.members.add(key)
-        self.zones.register(
-            self._zone(client_id, message.cq_name),
-            tuple(query.table_names),
-            now,
+        subscription = self._install(
+            client_id, message.cq_name, query, protocol, now
         )
         if self.db.wal is not None:
             from repro.storage.wal import KIND_SUB_REGISTER
@@ -436,8 +438,82 @@ class CQServer:
             )
         self._deliver(
             client_id,
-            InitialResultMessage(message.cq_name, result, now, digest),
+            InitialResultMessage(
+                message.cq_name, subscription.previous_result, now, subscription.digest
+            ),
         )
+        return subscription
+
+    def restore(self, entries: Iterable[tuple]) -> None:
+        """Install recovered subscriptions — ``(client_id, cq_name, sql,
+        protocol value, last_ts)`` in registration order — shipping
+        nothing: their clients resume through :meth:`replay`."""
+        for client_id, cq_name, sql, protocol, last_ts in entries:
+            self._install(
+                client_id, cq_name, parse_query(sql), Protocol(protocol), last_ts
+            )
+
+    def _install(
+        self,
+        client_id: str,
+        cq_name: str,
+        query: SPJQuery,
+        protocol: Protocol,
+        last_ts: Timestamp,
+    ) -> Subscription:
+        """The one install step, for registered, checkpointed and
+        journal-recovered subscriptions alike. The zone starts at
+        ``last_ts``, where the client itself stands; a member takes its
+        group's window and result, anyone else the result as of
+        ``last_ts``."""
+        key = (client_id, cq_name)
+        sql_key = query.to_sql()
+        group = None
+        if protocol in _DRA:
+            # Compile before E_0: auto-created join indexes serve the
+            # initial evaluation and every later differential refresh.
+            self.plans.get(sql_key, query)
+            group = self._groups.get(sql_key)
+        if group is not None:
+            # A join that finds the window behind it moves it the way
+            # every cycle does: the members there get that delta now.
+            if group.last_ts < last_ts:
+                cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
+                self._refresh_group(group, cache, {}, self.db.now())
+            self.metrics.count(Metrics.SHARED_GROUP_HITS)
+            window, result, digest = group.last_ts, group.result, group.digest
+        else:
+            # Q(state at last_ts): E_0 over the current state with the
+            # effects of (last_ts, now] unapplied — or, when the logs no
+            # longer reach back (baseline-flattened history), as of now.
+            tables = [self.db.table(name) for name in set(query.table_names)]
+            window = last_ts
+            try:
+                behind = deltas_since(tables, last_ts)
+            except ValueError:
+                window, behind = self.db.now(), {}
+            resolver = old_resolver(self.db.relation, behind)
+            result = evaluate_spj(query, resolver, self.metrics)
+            digest = relation_digest(result)
+            if protocol in _DRA and self.fanout_index is not None:
+                # The first subscription of a template pays that E_0
+                # for its group, and installs the index entry.
+                group = self._groups[sql_key] = SharedGroup(
+                    sql_key, query, result, digest, window
+                )
+                scopes = {
+                    ref.alias: self.db.table(ref.table).schema
+                    for ref in query.relations
+                }
+                self.fanout_index.add(sql_key, query, scopes)
+                self.metrics.count(Metrics.SHARED_GROUPS)
+        subscription = Subscription(
+            *key, query, protocol, group, window, result, digest, last_ts
+        )
+        (self._solo if group is None else group.members)[key] = subscription
+        self._subscriptions[key] = subscription
+        self._holders[cq_name] += 1
+        self.zones.register(self._zone(*key), tuple(query.table_names), last_ts)
         return subscription
 
     def deregister(self, client_id: str, cq_name: str) -> None:
@@ -445,13 +521,21 @@ class CQServer:
         ``sql_key`` group membership — the last member leaving also
         drops the group and its predicate-index entry, so no later
         batch is ever routed (or fanned out) to a dead subscriber."""
-        subscription = self._subscriptions.pop((client_id, cq_name), None)
+        key = (client_id, cq_name)
+        subscription = self._subscriptions.pop(key, None)
         if subscription is None:
             raise RegistrationError(
                 f"no subscription {cq_name!r} for client {client_id!r}"
             )
         self.zones.remove(self._zone(client_id, cq_name))
-        self._leave_group(subscription, (client_id, cq_name))
+        group = subscription.group
+        if group is None:
+            del self._solo[key]
+        else:
+            del group.members[key]
+            if not group.members:
+                del self._groups[group.sql_key]
+                self.fanout_index.remove(group.sql_key)
         self._holders[cq_name] -= 1
         if not self._holders[cq_name]:
             del self._holders[cq_name]
@@ -471,154 +555,56 @@ class CQServer:
             s for (cid, __), s in self._subscriptions.items() if cid == client_id
         ]
 
-    # -- shared materialization groups -------------------------------------
-
-    def _join_group(self, query: SPJQuery, now: Timestamp) -> SharedGroup:
-        """The shared group for one query, its result current at ``now``.
-
-        The first subscription of a template pays the full E_0 and
-        installs the group's predicate-index entry; every later one
-        reuses the maintained group result — advanced differentially to
-        ``now`` first — instead of re-running the query.
-        """
-        sql_key = query.to_sql()
-        group = self._groups.get(sql_key)
-        if group is None:
-            result = self.db.query(query, self.metrics)
-            group = SharedGroup(
-                sql_key, query, result, relation_digest(result), now
-            )
-            self._groups[sql_key] = group
-            scopes = {
-                ref.alias: self.db.table(ref.table).schema
-                for ref in query.relations
-            }
-            self.fanout_index.add(sql_key, query, scopes)
-            self.metrics.count(Metrics.SHARED_GROUPS)
-        else:
-            self._advance_group(group, now)
-            self.metrics.count(Metrics.SHARED_GROUP_HITS)
-        return group
-
-    def _leave_group(
-        self, subscription: Subscription, key: Tuple[str, str]
-    ) -> None:
-        if self.fanout_index is None:
-            return
-        group = self._groups.get(subscription.sql_key)
-        if group is None:
-            return
-        group.members.discard(key)
-        if not group.members:
-            del self._groups[subscription.sql_key]
-            self.fanout_index.remove(subscription.sql_key)
-
-    def rebuild_groups(self) -> int:
-        """Re-seed shared groups and the fan-out index after recovery.
-
-        WAL replay rebuilds subscriptions but not the per-name holder
-        counts, the in-memory shared materialization groups or their
-        predicate-index entries (all derived state). Re-derive them:
-        one group per distinct DRA ``sql_key``, its result evaluated
-        fresh at ``now`` — exactly the state a clean registration
-        sequence would have produced.
-        Returns the number of groups created."""
-        self._holders = Counter(name for __, name in self._subscriptions)
-        if self.fanout_index is None:
-            return 0
-        created = 0
-        now = self.db.now()
-        for key, subscription in sorted(self._subscriptions.items()):
-            if subscription.protocol not in (
-                Protocol.DRA_DELTA,
-                Protocol.DRA_LAZY,
-            ):
-                continue
-            group = self._groups.get(subscription.sql_key)
-            if group is None:
-                before = len(self._groups)
-                group = self._join_group(subscription.query, now)
-                created += len(self._groups) - before
-            group.members.add(key)
-        return created
-
-    def _advance_group(self, group: SharedGroup, now: Timestamp) -> None:
-        """Bring ``group.result`` forward to Q(state at ``now``)."""
-        if group.last_ts >= now:
-            return
-        deltas = deltas_since(
-            [self.db.table(name) for name in group.tables], group.last_ts
-        )
-        if deltas:
-            result = self._evaluate(
-                group.query, group.sql_key, deltas, now, group.result
-            )
-            if result.has_changes():
-                group.retain(
-                    *apply_delta(result.delta, group.result, group.digest)
-                )
-        group.last_ts = now
-
     # -- refresh ------------------------------------------------------------------
 
     def refresh_all(self) -> int:
-        """Recompute and ship every subscription; returns message count."""
+        """Recompute and ship every subscription; returns message count.
+
+        One predicate-index pass per (footprint, window) decides which
+        ``sql_key`` groups see relevant entries this cycle. Everyone in
+        no group — REEVAL baselines, every subscription of a server
+        without fan-out — refreshes alone."""
         now = self.db.now()
         cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
-        sent, handled = self._refresh_groups(cache, now)
-        # Everyone else — REEVAL baselines, diverged windows, every
-        # subscription of a server without fan-out — refreshes alone.
-        for key, subscription in list(self._subscriptions.items()):
-            if key not in handled:
-                sent += self._refresh_scoped(subscription, cache)
+        routes: Dict[Tuple[Tuple[str, ...], Timestamp], Set[str]] = {}
+        sent = 0
+        for group in list(self._groups.values()):
+            sent += self._refresh_group(group, cache, routes, now)
+        for subscription in list(self._solo.values()):
+            sent += self._refresh_scoped(subscription, cache)
         return sent
 
-    def _refresh_groups(
-        self, cache: DeltaBatchCache, now: Timestamp
-    ) -> Tuple[int, Set[Tuple[str, str]]]:
-        """One predicate-index pass decides which ``sql_key`` groups see
-        relevant entries this cycle; unaffected groups advance without
-        evaluating anything (the Section 5.2 relevance theorem makes
-        their result deltas provably empty), affected groups evaluate
-        once and fan the delta out to every member. Members whose
-        window diverged from the group's (a reconnect replay realigned
-        them mid-cycle) are left to the per-subscription path and
-        rejoin the group next cycle. Detached members are skipped, not
-        raised on — their zones hold the replay window for reconnect.
+    def _refresh_group(
+        self,
+        group: SharedGroup,
+        cache: DeltaBatchCache,
+        routes: Dict[Tuple[Tuple[str, ...], Timestamp], Set[str]],
+        now: Timestamp,
+        skip: Optional[Subscription] = None,
+    ) -> int:
+        """Move one group's window to ``now`` — the only place it moves
+        — and every member's with it: each cycle, before a join that
+        finds it open, and around a replay (whose member is ``skip``:
+        :meth:`replay` aligns it and ships its own window).
 
-        Returns the messages sent and the subscriptions refreshed here
-        (none on a server without fan-out: it has no groups).
-        """
-        sent = 0
-        routes: Dict[Tuple[Tuple[str, ...], Timestamp], Set[str]] = {}
-        handled: Set[Tuple[str, str]] = set()
-        for sql_key in list(self._groups):
-            group = self._groups[sql_key]
-            since = group.last_ts
-            tables = group.tables
-            sharable = [
-                s
-                for s in map(self._subscriptions.get, sorted(group.members))
-                if s is not None
-                and s.protocol in (Protocol.DRA_DELTA, Protocol.DRA_LAZY)
-                and s.last_ts == since
-            ]
-            routed = routes.get((tables, since))
-            if routed is None:
-                routed = self.fanout_index.match_batch(
-                    cache.deltas(tables, since, now)
-                )
-                routes[(tables, since)] = routed
-            group.last_ts = now
-            if sql_key not in routed:
-                for s in sharable:
-                    s.last_ts = now
-                    self._note_refresh(s, True)
-                    handled.add((s.client_id, s.cq_name))
-                continue
+        An unrouted group advances without evaluating anything (the
+        Section 5.2 relevance theorem makes its result delta provably
+        empty); a routed one evaluates once and fans the delta out.
+        Detached members are skipped, not raised on — their zones hold
+        the replay window for reconnect. Returns the messages sent."""
+        since, tables = group.last_ts, group.tables
+        routed = routes.get((tables, since))
+        if routed is None:
+            routed = routes[(tables, since)] = self.fanout_index.match_batch(
+                cache.deltas(tables, since, now)
+            )
+        group.last_ts = now
+        members = [s for s in group.members.values() if s is not skip]
+        delta = None
+        if group.sql_key in routed:
             result = self._evaluate(
                 group.query,
-                sql_key,
+                group.sql_key,
                 cache.deltas(tables, since, now),
                 now,
                 group.result,
@@ -626,26 +612,27 @@ class CQServer:
             if result.has_changes():
                 applied = apply_delta(result.delta, group.result, group.digest)
                 group.retain(*self._audited(group.query, *applied))
-            if len(sharable) > 1:
+                delta = result.delta
+            if len(members) > 1:
                 self.metrics.count(
-                    Metrics.SHARED_GROUP_HITS, len(sharable) - 1
+                    Metrics.SHARED_GROUP_HITS, len(members) - 1
                 )
-            # The group's delta, encoded once for all attached members.
-            body = None
-            for s in sharable:
-                handled.add((s.client_id, s.cq_name))
-                s.last_ts = now
-                if s.protocol is Protocol.DRA_LAZY:
-                    sent += self._announce_lazy(s, result.delta, now)
-                elif result.delta.is_empty():
-                    self._note_refresh(s, True)
-                else:
-                    s.retain(group.result, group.digest, now)
-                    if s.client_id in self._clients:
-                        if body is None:
-                            body = encode_delta_body(result.delta)
-                        sent += self._ship(s, result.delta, now, body)
-        return sent, handled
+        sent = 0
+        # The group's delta, encoded once for all attached members.
+        body = None
+        for s in members:
+            s.last_ts = now
+            if delta is None:
+                self._note_refresh(s)
+            elif s.protocol is Protocol.DRA_LAZY:
+                sent += self._announce_lazy(s, delta, now)
+            else:
+                s.retain(group.result, group.digest, now)
+                if s.client_id in self._clients:
+                    if body is None:
+                        body = encode_delta_body(delta)
+                    sent += self._ship(s, delta, now, body)
+        return sent
 
     def _refresh_scoped(
         self, subscription: Subscription, cache: DeltaBatchCache
@@ -685,8 +672,8 @@ class CQServer:
         previous: Optional[Relation] = None,
     ):
         """The one evaluate step: every differential evaluation this
-        server runs — group refresh and catch-up, private refresh,
-        reconnect replay — so all of them charge the scoped metrics,
+        server runs — group refresh, private refresh, reconnect
+        replay — so all of them charge the scoped metrics,
         share the prepared plan cached under ``sql_key``, emit
         ``dra.term`` spans and honour ``columnar``."""
         return dra_execute(
@@ -708,20 +695,25 @@ class CQServer:
         ts: Timestamp,
         body: Optional[str] = None,
     ) -> bool:
-        """The one ship step for result deltas. ``delta`` is already
-        applied to ``subscription.previous_result``; the message carries
-        that retained copy's running digest so the client can verify
-        its own copy after applying, and a delivery that arrives
-        advances the subscription's replay zone. ``body`` is ``delta``
-        pre-encoded (a group shipping to many members). Returns False
-        when the network lost the message."""
-        delivered = self._deliver(
-            subscription.client_id,
-            DeltaMessage(
-                subscription.cq_name, delta, ts, subscription.stamp(), body
-            ),
-        )
-        self._note_refresh(subscription, delivered)
+        """The one ship step for result frames: ``delta``, already
+        applied to ``subscription.previous_result``, or (``delta`` None)
+        that retained copy whole. The message carries the copy's
+        running digest so the client can verify its own after applying
+        — the frame built here, at ``ts``, is the one it has to apply
+        to hold that copy — and a delivery that arrives advances the
+        subscription's replay zone. ``body`` is ``delta`` pre-encoded
+        (a group shipping to many members). Returns False when the
+        network lost the message."""
+        subscription.changed_ts = ts
+        name, digest = subscription.cq_name, subscription.digest
+        if delta is None:
+            message = FullResultMessage(
+                name, subscription.previous_result, ts, digest
+            )
+        else:
+            message = DeltaMessage(name, delta, ts, digest, body)
+        delivered = self._deliver(subscription.client_id, message)
+        self._note_refresh(subscription, ts if delivered else None)
         return delivered
 
     def _announce_lazy(
@@ -789,11 +781,9 @@ class CQServer:
             raise RegistrationError(
                 f"no subscription {message.cq_name!r} for client {client_id!r}"
             )
-        pending = subscription.pending_delta
-        if pending is None or pending.is_empty():
+        pending = subscription.fold()
+        if pending is None:
             return False
-        subscription.pending_delta = None
-        subscription.apply(pending, subscription.last_ts)
         return self._ship(subscription, pending, subscription.last_ts)
 
     def handle_resync(self, client_id: str, message: ResyncMessage) -> bool:
@@ -805,15 +795,7 @@ class CQServer:
         if subscription is None:
             return False
         self.metrics.count(Metrics.RESYNCS)
-        return self._deliver(
-            client_id,
-            FullResultMessage(
-                subscription.cq_name,
-                subscription.previous_result,
-                subscription.last_ts,
-                subscription.stamp(),
-            ),
-        )
+        return self._ship(subscription, None, subscription.last_ts)
 
     # -- reconnect replay --------------------------------------------------
 
@@ -839,66 +821,58 @@ class CQServer:
         # A client already holding the retained copy resumes from
         # last_ts, even if GC has passed the last frame it was sent.
         since_ts = subscription.horizon(since_ts)
-        tables = [
-            self.db.table(name) for name in set(subscription.query.table_names)
-        ]
-        window_intact = all(
+        query, sql_key = subscription.query, subscription.sql_key
+        tables = [self.db.table(name) for name in set(query.table_names)]
+        differential = subscription.protocol is not Protocol.REEVAL_FULL and all(
             table.log.pruned_through <= since_ts for table in tables
         )
-        if subscription.protocol is Protocol.REEVAL_FULL or not window_intact:
-            result = self.db.query(subscription.query, self.metrics)
-            subscription.retain(result, relation_digest(result), now)
-            subscription.pending_delta = None
-            subscription.last_ts = now
-            if subscription.protocol is not Protocol.REEVAL_FULL:
-                self.metrics.count(Metrics.REPLAY_FALLBACKS)
-            self.zones.register(
-                self._zone(client_id, cq_name),
-                tuple(subscription.query.table_names),
-                since_ts,
-            )
-            self._deliver(
-                client_id,
-                FullResultMessage(cq_name, result, now, subscription.digest),
-            )
-            return False
-        # Realign the server's retained copy to state(now) over its own
-        # (narrower) window first: previous_result is at last_ts, with
-        # any un-fetched lazy delta still pending on top of it.
-        if subscription.pending_delta is not None:
-            subscription.apply(subscription.pending_delta, now)
-            subscription.pending_delta = None
-        query, sql_key = subscription.query, subscription.sql_key
-        own_window = deltas_since(tables, subscription.last_ts)
-        if own_window:
+        # Bring the retained copy to state(now), any un-fetched lazy
+        # delta folded in: a member by aligning it to its group, whose
+        # window moves for everyone else as in any cycle.
+        group = subscription.group
+        if group is not None:
+            cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
+            self._refresh_group(group, cache, {}, now, skip=subscription)
+            subscription.fold()
+        elif differential:
+            subscription.fold()
+            own_window = deltas_since(tables, subscription.last_ts)
             realigned = self._evaluate(
                 query, sql_key, own_window, now, subscription.previous_result
             )
             subscription.apply(realigned.delta, now)
+        else:
+            result = self.db.query(query, self.metrics)
+            subscription.retain(result, relation_digest(result), now)
+            subscription.pending_delta = None
         subscription.last_ts = now
+        self.zones.register(
+            self._zone(client_id, cq_name), tuple(query.table_names), since_ts
+        )
+        if not differential:
+            if subscription.protocol is not Protocol.REEVAL_FULL:
+                self.metrics.count(Metrics.REPLAY_FALLBACKS)
+            self._ship(subscription, None, now)
+            return False
         # The client's replay: one consolidated delta over its whole
-        # missed window, applicable directly to its cached copy.
+        # missed window, applicable directly to its cached copy, whose
+        # post-apply state is the current result the server now retains.
         replayed = self._evaluate(
             query, sql_key, deltas_since(tables, since_ts), now
         )
         self.metrics.count(Metrics.REPLAYS)
-        self.zones.register(
-            self._zone(client_id, cq_name),
-            tuple(subscription.query.table_names),
-            since_ts,
-        )
         if not replayed.delta.is_empty():
-            # The post-apply state of the *client's* copy is the same
-            # realigned current result the server now retains.
             self._ship(subscription, replayed.delta, now)
         return True
 
     def _refresh_one(
         self, subscription: Subscription, cache: DeltaBatchCache
     ) -> bool:
+        """Refresh one subscription in no group over its own window
+        (the DRA branch: the index-less E3b/E11 ablation arm only)."""
         now = self.db.now()
         query = subscription.query
-        if subscription.protocol in (Protocol.DRA_DELTA, Protocol.DRA_LAZY):
+        if subscription.protocol in _DRA:
             # A lazy subscription's retained copy trails its pending
             # accumulation, so it cannot serve as the evaluation's base.
             lazy = subscription.protocol is Protocol.DRA_LAZY
@@ -913,38 +887,82 @@ class CQServer:
             if lazy:
                 return self._announce_lazy(subscription, result.delta, now)
             if not result.has_changes():
-                self._note_refresh(subscription, True)
+                self._note_refresh(subscription)
                 return False
             applied = apply_delta(
-                result.delta, subscription.previous_result, subscription.stamp()
+                result.delta, subscription.previous_result, subscription.digest
             )
             subscription.retain(*self._audited(query, *applied), now)
             return self._ship(subscription, result.delta, now)
 
         new_result = self.db.query(query, self._metrics())
+        subscription.last_ts = now
         if subscription.protocol is Protocol.REEVAL_DELTA:
             delta = diff(subscription.previous_result, new_result, now)
-            subscription.last_ts = now
             if delta.is_empty():
-                self._note_refresh(subscription, True)
+                self._note_refresh(subscription)
                 return False
             subscription.apply(delta, now)
             return self._ship(subscription, delta, now)
 
         # REEVAL_FULL ships unconditionally: without a retained diff
         # there is no way to know nothing changed.
-        subscription.last_ts = now
         subscription.retain(new_result, relation_digest(new_result), now)
-        delivered = self._deliver(
-            subscription.client_id,
-            FullResultMessage(
-                subscription.cq_name, new_result, now, subscription.digest
-            ),
-        )
-        self._note_refresh(subscription, delivered)
-        return delivered
+        return self._ship(subscription, None, subscription.last_ts)
 
     # -- introspection -----------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless the records agree with each
+        other — the laws every operation must leave standing
+        (``tests/net`` checks them after each one)."""
+        # Not the module-level name, which E18 binds to count the
+        # serving path's whole-result digests (net.digest_rows).
+        from repro.net.digest import relation_digest as digest_in_full
+
+        def law(holds: bool, message: str) -> None:
+            if not holds:
+                raise AssertionError(message)
+
+        index = self.fanout_index if self.fanout_index is not None else ()
+        law(len(index) == len(self._groups), "index entries != groups")
+        placed = dict(self._solo)
+        for sql_key, group in self._groups.items():
+            placed.update(group.members)
+            law(sql_key == group.sql_key in index, f"{sql_key!r}: not indexed")
+            law(bool(group.members), f"{sql_key!r}: memberless group")
+            law(
+                all(s.group is group for s in group.members.values()),
+                f"{sql_key!r}: holds another group's member",
+            )
+            law(
+                group.digest == digest_in_full(group.result),
+                f"{sql_key!r}: digest does not describe the group's result",
+            )
+        law(placed == self._subscriptions, "subscriptions != solo + members")
+        names = Counter(name for __, name in placed)
+        law(self._holders == names, f"_holders {self._holders} != {names}")
+        for key, s in placed.items():
+            group = self._groups.get(s.sql_key) if s.protocol in _DRA else None
+            law(
+                s.group is group and (key in self._solo) is (group is None),
+                f"{key}: not in exactly its sql_key's group",
+            )
+            law(
+                s.digest == digest_in_full(s.previous_result),
+                f"{key}: digest does not describe the retained copy",
+            )
+            if group is None:
+                continue
+            held = s.previous_result
+            if s.pending_delta is not None:
+                held = s.pending_delta.apply_to(held)
+            elif s.protocol is Protocol.DRA_DELTA:
+                law(held is group.result, f"{key}: a private copy")
+            law(
+                (s.last_ts, held) == (group.last_ts, group.result),
+                f"{key}: window or copy ∘ pending differs from its group's",
+            )
 
     def describe(self) -> List[Dict[str, object]]:
         """One status record per subscription (for ops tooling)."""
@@ -980,10 +998,7 @@ class CQServer:
                     # Fan-out group membership (DESIGN.md §10); the
                     # global routing counters live in the metrics bag.
                     "sql_group_size": (
-                        len(self._groups[sub.sql_key].members)
-                        if self.fanout_index is not None
-                        and sub.sql_key in self._groups
-                        else None
+                        None if sub.group is None else len(sub.group.members)
                     ),
                 }
             )

@@ -374,16 +374,20 @@ class CQService:
             elif session.degraded:
                 self._restore(session)
 
-    def _restore(self, session: _Session) -> None:
+    def _restore(self, session: _Session, deliver: bool = True) -> None:
         """Undo a backpressure degrade: ship the delta accumulated
-        while lazy as one consolidated push, then resume DRA_DELTA."""
+        while lazy as one consolidated push (or, the peer gone, just
+        fold it into the retained copy), then resume DRA_DELTA."""
         for sub in self.server.subscriptions_for(session.client_id):
             if sub.cq_name not in session.degraded:
                 continue
             sub.protocol = Protocol.DRA_DELTA
-            self.server.handle_fetch(
-                session.client_id, FetchMessage(sub.cq_name)
-            )
+            if deliver:
+                self.server.handle_fetch(
+                    session.client_id, FetchMessage(sub.cq_name)
+                )
+            else:
+                sub.fold()
         session.degraded.clear()
 
     # -- connection handling -----------------------------------------------
@@ -438,18 +442,9 @@ class CQService:
             # Disconnecting while degraded must not park the
             # subscription on DRA_LAZY forever: the next connection
             # starts with a fresh (empty) degraded set, so _restore
-            # would never fire for it. Fold the accumulated delta into
-            # the retained copy (no delivery — the peer is gone, and a
-            # reconnect replays from the update logs anyway) and resume
-            # the push protocol.
-            for sub in self.server.subscriptions_for(client_id):
-                if sub.cq_name not in session.degraded:
-                    continue
-                sub.protocol = Protocol.DRA_DELTA
-                if sub.pending_delta is not None:
-                    sub.apply(sub.pending_delta, sub.last_ts)
-                    sub.pending_delta = None
-            session.degraded.clear()
+            # would never fire for it. No delivery — the peer is gone,
+            # and a reconnect replays from the update logs anyway.
+            self._restore(session, deliver=False)
         self.server.release_zones(client_id)
         self.server.detach(client_id)
 

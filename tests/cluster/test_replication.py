@@ -346,6 +346,36 @@ class TestRejoin:
         snapshot = router.metrics.snapshot()
         assert snapshot.get(Metrics.SHARD_REPLAYS) == 1
 
+    def test_rejoin_reads_only_the_window_it_slices(self, tmp_path):
+        """No subscription, so the rejoining store's group reads no
+        table: its catch-up must not trip over logs that GC has pruned
+        past the store's horizon for nobody's sake (minimised from a
+        random op-sequence run: ``log pruned through ts=3; cannot read
+        since ts=0``)."""
+        router = make_cluster(
+            shards=2,
+            replicas=1,
+            wal_root=str(tmp_path),
+            populate=False,
+            subscribe=False,
+        )
+        stocks = router.db.table("stocks")
+        router.refresh()
+        stocks.insert((1, "S1", 101.0))
+        router.kill_shard(0)
+        stocks.insert((2, "S2", 102.0))
+        router.refresh()
+        router.collect_garbage()
+        stocks.insert((3, "S3", 103.0))
+        router.recover_shard(0)
+        router.refresh()
+        router.check_invariants()
+        router.subscribe("c", "watch", FILTER_SQL)
+        router.refresh()
+        assert sorted(r.values for r in router.result("c", "watch")) == sorted(
+            r.values for r in router.db.query(FILTER_SQL)
+        )
+
 
 class TestRemoveShard:
     def test_remove_is_the_inverse_of_add(self):

@@ -163,6 +163,7 @@ class TestChaosSoak:
                         await self._redial(service, session, addr)
                 else:
                     await service.refresh()
+                service.server.check_invariants()
 
                 # Every few rounds, force full convergence and compare
                 # against a complete re-evaluation of the live database.
@@ -171,6 +172,7 @@ class TestChaosSoak:
 
             await service.refresh()
             await self._assert_converged(service, sessions, rng)
+            service.server.check_invariants()
         finally:
             for session in sessions.values():
                 await session.close()

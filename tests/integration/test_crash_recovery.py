@@ -10,8 +10,11 @@ re-evaluation over the restored database.
 
 import asyncio
 
+import pytest
+
 from repro.core.persistence import (
     load_server,
+    recover_server,
     save_server,
     server_from_dict,
     server_to_dict,
@@ -33,42 +36,75 @@ def build_market(seed=17):
     return db, market
 
 
+@pytest.fixture
+def reconstructions(monkeypatch):
+    """The E_0 runs of the server module, as a list of SQL texts: a
+    restored group is reconstructed once, whatever its member count."""
+    import repro.net.server
+
+    calls = []
+    inner = repro.net.server.evaluate_spj
+
+    def counting(query, *args, **kwargs):
+        calls.append(query.to_sql())
+        return inner(query, *args, **kwargs)
+
+    monkeypatch.setattr(repro.net.server, "evaluate_spj", counting)
+    return calls
+
+
+both_servers = pytest.mark.parametrize("fanout", [False, True])
+
+
 class TestCheckpointRoundTrip:
-    def test_subscriptions_and_positions_survive(self, tmp_path):
+    @both_servers
+    def test_subscriptions_and_positions_survive(
+        self, tmp_path, fanout, reconstructions
+    ):
         db, market = build_market()
-        server = CQServer(db, SimulatedNetwork())
-        client = CQClient("c1")
-        server.attach(client)
-        client.register("watch", WATCH, Protocol.DRA_DELTA)
+        server = CQServer(db, SimulatedNetwork(), fanout=fanout)
+        for name in ("c1", "c2", "c3"):
+            client = CQClient(name)
+            server.attach(client)
+            client.register("watch", WATCH, Protocol.DRA_DELTA)
         market.tick(40)
         server.refresh_all()
 
         path = tmp_path / "server.json"
         save_server(server, str(path))
-        restored = load_server(str(path))
+        del reconstructions[:]
+        restored = load_server(str(path), fanout=fanout)
+        restored.check_invariants()
+        assert len(reconstructions) == (1 if fanout else 3)
 
-        (orig,) = server.subscriptions()
-        (back,) = restored.subscriptions()
-        assert (back.client_id, back.cq_name) == (orig.client_id, orig.cq_name)
-        assert back.protocol is orig.protocol
-        assert back.last_ts == orig.last_ts
-        assert back.previous_result == orig.previous_result
+        for orig, back in zip(server.subscriptions(), restored.subscriptions()):
+            assert (back.client_id, back.cq_name) == (orig.client_id, orig.cq_name)
+            assert back.protocol is orig.protocol
+            assert back.last_ts == orig.last_ts
+            assert back.previous_result == orig.previous_result
         assert restored.zones.boundary("c1:watch") == orig.last_ts
 
-    def test_pending_window_reconstructed_behind_last_ts(self, tmp_path):
+    @both_servers
+    def test_pending_window_reconstructed_behind_last_ts(
+        self, tmp_path, fanout, reconstructions
+    ):
         """Updates committed after the last refresh must not leak into
         the restored retained copy — it is the result *at last_ts*."""
         db, market = build_market(seed=23)
-        server = CQServer(db, SimulatedNetwork())
-        client = CQClient("c1")
-        server.attach(client)
-        client.register("watch", WATCH, Protocol.DRA_DELTA)
+        server = CQServer(db, SimulatedNetwork(), fanout=fanout)
+        for name in ("c1", "c2"):
+            client = CQClient(name)
+            server.attach(client)
+            client.register("watch", WATCH, Protocol.DRA_DELTA)
         market.tick(40)
         server.refresh_all()
         result_at_refresh = server.subscriptions()[0].previous_result.copy()
         market.tick(40)  # pending window, not yet refreshed
 
-        restored = server_from_dict(server_to_dict(server))
+        del reconstructions[:]
+        restored = server_from_dict(server_to_dict(server), fanout=fanout)
+        restored.check_invariants()
+        assert len(reconstructions) == (1 if fanout else 2)
         assert restored.subscriptions()[0].previous_result == result_at_refresh
 
         # The first post-restore refresh is differential over exactly
@@ -76,12 +112,60 @@ class TestCheckpointRoundTrip:
         replay_client = CQClient("c1")
         replay_client._results["watch"] = result_at_refresh.copy()
         restored.attach(replay_client)
+        restored.attach(CQClient("c2"))
         restored.refresh_all()
+        restored.check_invariants()
         assert replay_client.result("watch") == restored.db.query(WATCH)
 
-    def test_rejects_wrong_checkpoint_kind(self):
-        import pytest
+    @both_servers
+    def test_journal_recovered_members_of_one_group_converge(
+        self, tmp_path, fanout, reconstructions
+    ):
+        """Members that registered at different times come back from
+        the journal alone: the group is rebuilt once, with its first
+        member, and the later one moves its window like any join. Each
+        keeps its own zone, so its client still resumes from the logs."""
+        wal_path = str(tmp_path / "server.wal")
+        db = Database(durability=wal_path)
+        market = StockMarket(db, seed=37)
+        market.populate(300)
+        server = CQServer(db, SimulatedNetwork(), fanout=fanout)
+        clients, registered = {}, {}
+        for name in ("early", "late"):
+            clients[name] = CQClient(name)
+            server.attach(clients[name])
+            clients[name].register("watch", WATCH, Protocol.DRA_DELTA)
+            registered[name] = db.now()
+            market.tick(30)
+        assert registered["early"] < registered["late"] < db.now()
+        # What each client really holds: on a fan-out server the late
+        # join shipped the early member the window it found open.
+        applied = {s.client_id: s.arrived_ts for s in server.subscriptions()}
+        db.wal.close()
 
+        del reconstructions[:]
+        restored = recover_server(wal_path, fanout=fanout)
+        restored.check_invariants()
+        assert len(reconstructions) == (1 if fanout else 2)
+        assert restored.zones.boundaries() == {
+            f"{name}:watch": ts for name, ts in registered.items()
+        }
+        for name, client in clients.items():
+            restored.attach(client)
+            assert restored.replay(name, "watch", applied[name])
+            restored.check_invariants()
+        table = restored.db.table("stocks")
+        with restored.db.begin() as txn:
+            for row in list(table.rows())[:30]:
+                txn.modify_in(
+                    table, row.tid, updates={"price": row.values[2] + 100}
+                )
+        restored.refresh_all()
+        restored.check_invariants()
+        for client in clients.values():
+            assert client.result("watch") == restored.db.query(WATCH)
+
+    def test_rejects_wrong_checkpoint_kind(self):
         from repro.errors import ReproError
 
         with pytest.raises(ReproError):

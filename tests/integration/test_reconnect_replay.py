@@ -69,6 +69,7 @@ class TestDeltaReplay:
             assert session.full_results == 0
             assert service.metrics[Metrics.REPLAYS] >= 1
             assert service.metrics[Metrics.REPLAY_FALLBACKS] == 0
+            service.server.check_invariants()
             await session.close()
             await service.stop()
 
@@ -92,6 +93,7 @@ class TestDeltaReplay:
             await session.wait_applied("positions", db.now(), timeout=10.0)
             assert session.result("positions") == db.query(JOIN)
             assert session.full_results == 0
+            service.server.check_invariants()
             await session.close()
             await service.stop()
 
@@ -140,6 +142,7 @@ class TestGCFallback:
             assert resumed.result("watch") == db.query(WATCH)
             assert resumed.full_results == 1
             assert service.metrics[Metrics.REPLAY_FALLBACKS] == 1
+            service.server.check_invariants()
             await resumed.close()
             await service.stop()
 
@@ -174,6 +177,7 @@ class TestGCFallback:
             assert resumed.result("watch") == db.query(WATCH)
             assert resumed.full_results == 0
             assert service.metrics[Metrics.REPLAY_FALLBACKS] == 0
+            service.server.check_invariants()
             await resumed.close()
             await service.stop()
 

@@ -123,3 +123,33 @@ class TestServerUnderFaults:
         market.tick(30)
         server.refresh_all()
         assert server.metrics[Metrics.MESSAGES_DROPPED] >= 1
+
+    @pytest.mark.parametrize("fanout", [False, True])
+    def test_quiet_cycle_after_a_lost_frame_keeps_the_replay_window(
+        self, db, fanout
+    ):
+        """The boundary the test above reads right after the loss must
+        also survive the next *quiet* refresh: the client has not
+        applied the lost frame, so its zone stays, GC keeps the window
+        and the resume after the heal is differential."""
+        market = StockMarket(db, seed=21)
+        market.populate(300)
+        net = SimulatedNetwork()
+        server = CQServer(db, net, fanout=fanout)
+        client = CQClient("c1")
+        server.attach(client)
+        client.register("watch", WATCH, Protocol.DRA_DELTA)
+        applied_ts = server.subscriptions()[0].last_ts
+        net.partition("server", "c1")
+        market.tick(30)
+        server.refresh_all()
+        server.refresh_all()  # quiet: nothing committed since
+        assert server.zones.boundary("c1:watch") == applied_ts
+        server.collect_garbage()
+        net.heal()
+        assert server.replay("c1", "watch", applied_ts)
+        assert server.metrics[Metrics.REPLAY_FALLBACKS] == 0
+        assert client.result("watch") == db.query(WATCH)
+        # Current again, the client stops pinning the log.
+        server.refresh_all()
+        assert server.zones.boundary("c1:watch") == db.now()

@@ -136,8 +136,8 @@ class TestSharedEvaluation:
         first = attach(server, "first", Protocol.DRA_DELTA)
         market.tick(20)
         server.refresh_all()
-        # Joining between refreshes advances the group past the first
-        # member's window; that member catches up on its own.
+        # Joining between refreshes moves the group's window, and the
+        # first member's with it: it is shipped that delta at the join.
         market.tick(10)
         late = attach(server, "late", Protocol.DRA_DELTA)
         market.tick(20)

@@ -1,16 +1,17 @@
 """The constructor keywords of the serving and cluster classes, pinned
-— and the state the two stateful cores carry.
+— and the state the three stateful cores carry.
 
 Each on/off keyword doubles the configurations the equivalence harness
 and the benchmarks have to cover, so adding one must be a deliberate
 edit here, not a side effect of a feature. None of these takes
 ``**kwargs``, so any keyword outside these sets is a ``TypeError``.
 
-``STATE`` pins the same way what a freshly constructed ``CQManager``
-and ``ClusterRouter`` hold: state about one CQ, one ``sql_key`` or one
-store lives on that record (``ContinualQuery``, ``_SqlGroup``,
-``_Store``), so a new instance attribute — the next parallel registry —
-is a deliberate edit here too.
+``STATE`` pins the same way what a freshly constructed ``CQManager``,
+``ClusterRouter`` and ``CQServer`` hold: state about one CQ, one
+``sql_key``, one store or one subscription lives on that record
+(``ContinualQuery``, ``_SqlGroup``, ``_Store``, ``Subscription``,
+``SharedGroup``), so a new instance attribute — the next parallel
+registry — is a deliberate edit here too.
 """
 
 import inspect
@@ -22,6 +23,7 @@ from repro.cluster import ClusterRouter, LocalBackend, ProcessBackend
 from repro.core import CQManager
 from repro.net.server import CQServer
 from repro.net.service import CQService
+from repro.net.simnet import SimulatedNetwork
 
 SURFACE = {
     CQManager: {
@@ -158,10 +160,42 @@ STATE = {
         "_rerepl",
         "_reconcile_keys",
     },
+    CQServer: {
+        # configuration and collaborators
+        "db",
+        "network",
+        "name",
+        "metrics",
+        "audit_interval",
+        "tracer",
+        "columnar",
+        "fanout_index",
+        "plans",
+        "zones",
+        "stats",
+        # records: endpoints, subscriptions (all / in no group), groups
+        "_clients",
+        "_subscriptions",
+        "_solo",
+        "_groups",
+        "_holders",
+        # scoped to one refresh / the audit sampler
+        "_scoped_metrics",
+        "_refreshes_since_audit",
+    },
+}
+
+FRESH = {
+    CQManager: [lambda: CQManager(Database())],
+    ClusterRouter: [lambda: ClusterRouter(shards=1)],
+    CQServer: [
+        lambda: CQServer(Database(), SimulatedNetwork(), fanout=False),
+        lambda: CQServer(Database(), SimulatedNetwork(), fanout=True),
+    ],
 }
 
 
 @pytest.mark.parametrize("cls", STATE, ids=lambda cls: cls.__name__)
 def test_instance_attributes_are_exactly(cls):
-    instance = CQManager(Database()) if cls is CQManager else cls(shards=1)
-    assert set(vars(instance)) == STATE[cls]
+    for fresh in FRESH[cls]:
+        assert set(vars(fresh())) == STATE[cls]
