@@ -99,7 +99,7 @@ def test_routing_matches_oracle_with_sublinear_probes(batch, n_subs, print_table
     __, deltas = batch
     index, metrics, queries, members = build_population(n_subs)
     routed = index.match_batch(deltas)
-    assert routed == oracle_matches(queries, deltas)
+    assert routed.keys() == oracle_matches(queries, deltas)
     routed_subs = sum(len(members[key]) for key in routed)
     probes = metrics[Metrics.PREDINDEX_PROBES]
     # Per-subscription evaluation spends >= one probe per subscription
@@ -187,7 +187,7 @@ def smoke(n_subs=10_000, out_path="BENCH_e14.json"):
         start = time.perf_counter()
         routed = index.match_batch(deltas)
         elapsed_us = (time.perf_counter() - start) * 1e6
-        assert routed == oracle_matches(queries, deltas)
+        assert routed.keys() == oracle_matches(queries, deltas)
         rows.append(
             {
                 "subscribers": size,

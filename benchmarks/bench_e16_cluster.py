@@ -16,14 +16,27 @@ where work is the operation counters the rest of the suite gates on
 (``terms_evaluated``, ``rows_scanned``, ``delta_rows_read``,
 ``predindex_probes``) accumulated over the measured refresh cycles.
 Registration/seeding cost is excluded by snapshotting after setup.
-With perfect balance the 4-shard critical path approaches 1/4 of the
-1-shard path; consistent-hash imbalance and router overhead eat some of
-it, so the gate is ≥2.5x modelled throughput at 4 shards vs 1.
+
+What the model can claim is gated, in two parts. *The shard side
+splits:* with perfect balance the busiest shard's work at 4 shards is
+1/4 of the single shard's; consistent-hash imbalance eats some of it,
+so ``shard_work_max`` must scale ≥3.0x from 1 to 4 shards. *Nothing got
+dearer:* the critical path at each shard count may not exceed the value
+recorded when the ratio was last restated (``RECORDED_CRITICAL_PATH``).
+The gate used to be the ratio of critical paths (≥2.5x, 2.63x measured);
+since the predicate index hands DRA the rows it selected (PR 21) the
+shards no longer re-filter each batch once per routed group, their share
+of every path fell by more than half, and the router's fixed share — the
+model's serial term, unchanged — became the larger one: the absolute
+path fell at every shard count (48 695 → 24 180, 28 404 → 17 784,
+18 517 → 14 540) while their ratio reads 1.66x. A ratio that falls when
+the parallel part gets cheaper is Amdahl's law, not a regression, so it
+is reported and no longer gated.
 
 Run ``python benchmarks/bench_e16_cluster.py --smoke`` for the CI
 self-check: sweeps 1/2/4 shards with a fixed seed, verifies every
-sampled subscription against the authoritative oracle, asserts the
-≥2.5x gate, and writes ``BENCH_e16.json``. Wall-clock over real shard
+sampled subscription against the authoritative oracle, asserts both
+gates, and writes ``BENCH_e16.json``. Wall-clock over real shard
 processes is E18's ``cluster_scatter`` workload (``benchmarks/e18``).
 """
 
@@ -48,6 +61,39 @@ WORK_COUNTERS = (
     Metrics.DELTA_ROWS_READ,
     Metrics.PREDINDEX_PROBES,
 )
+
+
+#: The modelled critical path at PR 20 — the last commit whose shards
+#: filtered every batch once per routed group — by subscriber count
+#: (``measure``'s other defaults; the pytest's sizes for 600), then by
+#: shards. Replication does not move it. A change may lower a path,
+#: never raise it.
+RECORDED_CRITICAL_PATH = {
+    10_000: {1: 48_695, 2: 28_404, 4: 18_517},
+    600: {1: 10_855, 2: 6_624, 4: 4_329},
+}
+
+
+def check_scaling(rows, min_shard_scaling):
+    """The two gates over a sweep's rows (see the module docstring);
+    returns the 1-to-4-shard ``shard_work_max`` scaling."""
+    by_shards = {row["shards"]: row for row in rows}
+    scaling = (
+        by_shards[1]["shard_work_max"] / by_shards[4]["shard_work_max"]
+    )
+    assert scaling >= min_shard_scaling, (
+        f"the busiest shard's modelled work at 4 shards is 1/{scaling:.2f} "
+        f"of the single shard's; the scaling claim needs >= "
+        f"{min_shard_scaling}x"
+    )
+    recorded = RECORDED_CRITICAL_PATH.get(rows[0]["subscribers"], {})
+    for row in rows:
+        ceiling = recorded.get(row["shards"])
+        assert ceiling is None or row["critical_path"] <= ceiling, (
+            f"modelled critical path at {row['shards']} shards is "
+            f"{row['critical_path']}, above the recorded {ceiling}"
+        )
+    return scaling
 
 
 def build_cluster(shards, seed=16, replicas=0):
@@ -188,10 +234,10 @@ def test_cluster_refresh_converges_and_splits_work(shards, print_table):
 def test_four_shards_beat_one_on_the_cost_model(print_table):
     one = measure(1, n_subs=600, cycles=4, mutations=40)
     four = measure(4, n_subs=600, cycles=4, mutations=40)
-    speedup = one["critical_path"] / four["critical_path"]
-    assert speedup >= 2.0, f"4-shard speedup {speedup:.2f}x < 2.0x"
+    # (600 subscribers hash less evenly than the smoke's 10 000.)
+    scaling = check_scaling([one, four], min_shard_scaling=2.5)
     print_table(
-        [one, four], title=f"E16: modelled speedup {speedup:.2f}x"
+        [one, four], title=f"E16: busiest shard's work scales {scaling:.2f}x"
     )
 
 
@@ -201,16 +247,15 @@ def test_four_shards_beat_one_on_the_cost_model(print_table):
 def smoke(n_subs=10_000, out_path="BENCH_e16.json", replicas=0):
     """Fast self-check of the scaling claim at full population.
 
-    Sweeps 1/2/4 shards over the same seeded workload, asserts the
-    modelled refresh throughput at 4 shards against the single-shard
-    configuration, and that every sampled subscription matches the
-    authoritative oracle. With ``replicas=0`` the gate is ≥2.5x; with
-    replication on, every slice is scattered to replica stores as well,
-    so the gate allows the bounded overhead but still demands ≥2.0x —
-    fault tolerance must not eat the scaling claim. Replicated runs
-    merge into the existing record under ``"replicated"`` instead of
-    replacing the base sweep. Returns the record (also written to
-    ``out_path``).
+    Sweeps 1/2/4 shards over the same seeded workload, asserts both
+    gates of :func:`check_scaling` — the busiest shard's work scales
+    ≥3.0x from 1 to 4 shards, no critical path above its recorded
+    value — and that every sampled subscription matches the
+    authoritative oracle. With replication on, every slice is scattered
+    to replica stores as well; the gates are the same — fault tolerance
+    must not eat the scaling claim. Replicated runs merge into the
+    existing record under ``"replicated"`` instead of replacing the
+    base sweep. Returns the record (also written to ``out_path``).
     """
     import json
     import os
@@ -220,25 +265,21 @@ def smoke(n_subs=10_000, out_path="BENCH_e16.json", replicas=0):
     rows = [
         measure(shards, n_subs, replicas=replicas) for shards in (1, 2, 4)
     ]
-    by_shards = {row["shards"]: row for row in rows}
-    speedup = (
-        by_shards[1]["critical_path"] / by_shards[4]["critical_path"]
-    )
+    one = rows[0]
     for row in rows:
-        row["speedup_vs_1"] = round(
-            by_shards[1]["critical_path"] / row["critical_path"], 2
+        row["shard_scaling_vs_1"] = round(
+            one["shard_work_max"] / row["shard_work_max"], 2
         )
-    gate = 2.5 if replicas == 0 else 2.0
-    assert speedup >= gate, (
-        f"modelled 4-shard refresh throughput is {speedup:.2f}x the "
-        f"single shard; the scaling claim (replicas={replicas}) needs "
-        f">= {gate}x"
-    )
+        row["speedup_vs_1"] = round(
+            one["critical_path"] / row["critical_path"], 2
+        )
+    scaling = check_scaling(rows, min_shard_scaling=3.0)
 
     sweep = {
         "replicas": replicas,
         "sweep": rows,
-        "speedup_4_vs_1": round(speedup, 2),
+        "shard_scaling_4_vs_1": round(scaling, 2),
+        "speedup_4_vs_1": rows[-1]["speedup_vs_1"],
     }
     record = {
         "benchmark": "e16_cluster_smoke",
@@ -298,7 +339,7 @@ def main(argv=None):
         default=0,
         help=(
             "replica stores per placement group (capped at shards-1; "
-            "the scaling gate relaxes from 2.5x to 2.0x)"
+            "the gates stay the same)"
         ),
     )
     args = parser.parse_args(argv)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter, deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import RegistrationError
 from repro.metrics import Metrics
@@ -38,7 +38,7 @@ from repro.delta.differential import DeltaRelation
 from repro.delta.diff import diff
 from repro.dra.aggregates import DifferentialAggregate
 from repro.dra.algorithm import dra_execute
-from repro.dra.predindex import PredicateIndex
+from repro.dra.predindex import PredicateIndex, Routed
 from repro.dra.prepared import PlanCache, PreparedCQ
 from repro.core.continual_query import (
     ContinualQuery,
@@ -164,10 +164,11 @@ class CQManager:
         # Of those, the delta readers on an indexed manager: baselines
         # join a group for its plan and result, never for its routing.
         self._sql_readers: Counter = Counter()
-        # (tables, since, now) -> routed sql_keys; (sql_key, since, now)
-        # -> (result delta, new retained result). Both are window-scoped:
-        # cleared each poll and bounded against IMMEDIATE-strategy growth.
-        self._fanout_routes: Dict[Tuple, Set[str]] = {}
+        # (tables, since, now) -> routed sql_keys, each with its operand
+        # seeds; (sql_key, since, now) -> (result delta, new retained
+        # result). Both are window-scoped: cleared each poll and bounded
+        # against IMMEDIATE-strategy growth.
+        self._fanout_routes: Dict[Tuple, Routed] = {}
         self._shared_results: Dict[Tuple[str, Timestamp, Timestamp], Tuple] = {}
 
     # -- registration -----------------------------------------------------
@@ -487,9 +488,10 @@ class CQManager:
 
     def _fanout_routed(
         self, table_names: Tuple[str, ...], since: Timestamp
-    ) -> Set[str]:
+    ) -> Routed:
         """The ``sql_key`` groups with at least one relevant pending
-        entry in ``table_names`` over the window ``(since, now]`` — one
+        entry in ``table_names`` over the window ``(since, now]``, each
+        with the entry sides its aliases select — one
         :meth:`PredicateIndex.match_batch` pass shared by the cohort's
         sweep and every CQ with the same footprint refreshing over the
         same window. Scoped to the asker's own tables so the read stays
@@ -504,18 +506,6 @@ class CQManager:
                 self._fanout_routes.clear()
             self._fanout_routes[key] = routed
         return routed
-
-    def _fanout_irrelevant(self, cq: ContinualQuery, since: Timestamp) -> bool:
-        """True when the index proves every pending delta entry is
-        irrelevant to ``cq`` (Section 5.2): the refresh may return an
-        empty delta without running an engine. Unindexed CQs and
-        quarantined (stale-signature) CQs never take the fast path —
-        they refresh normally, which is always sound."""
-        index = self.fanout_index
-        key = cq.sql_key
-        if index is None or key not in index or key in index.stale():
-            return False
-        return key not in self._fanout_routed(cq.table_names, since)
 
     # -- update observation ------------------------------------------------------
 
@@ -659,14 +649,12 @@ class CQManager:
         )
 
     def _touched(self, table_names: Tuple[str, ...], since: Timestamp) -> bool:
-        """True when any of the tables committed after ``since`` — or
-        was pruned past it, so nobody can tell any more: an EAGER or
+        """True when any of the tables committed after ``since`` —
+        whether or not GC has pruned the commit since: an EAGER or
         aggregate CQ's zone runs ahead of its last execution."""
-        for name in table_names:
-            log = self.db.table(name).log
-            if log.latest_ts() > since or log.pruned_through > since:
-                return True
-        return False
+        return any(
+            self.db.table(name).log.newest_ts > since for name in table_names
+        )
 
     def _deltas_for(
         self, table_names: Tuple[str, ...], since: Timestamp
@@ -704,16 +692,26 @@ class CQManager:
 
     def _window_deltas(
         self, cq: ContinualQuery, since: Timestamp
-    ) -> Dict[str, DeltaRelation]:
-        """The deltas one refresh of ``cq`` consumes over ``(since,
-        now]``: nothing when the predicate index proves every pending
-        entry irrelevant (Section 5.2), otherwise the consolidated
-        window restricted to the CQ's partition slice."""
-        if self._fanout_irrelevant(cq, since):
-            return {}
-        return self._partition_deltas(
+    ) -> Tuple[Dict[str, DeltaRelation], Optional[Dict[str, Tuple]]]:
+        """What one refresh of ``cq`` consumes over ``(since, now]``:
+        nothing when the predicate index proves every pending entry
+        irrelevant (Section 5.2); otherwise the consolidated window
+        restricted to the CQ's partition slice, with the entry sides
+        the index selected per alias — DRA's operand seeds. Those are
+        None when routing cannot vouch for the deltas: an unindexed or
+        quarantined (stale-signature) CQ refreshes normally, which is
+        always sound, and a partition slice is not the batch routed."""
+        index, key, seeds = self.fanout_index, cq.sql_key, None
+        if index is not None and key in index:
+            seeds = self._fanout_routed(cq.table_names, since).get(key)
+            if key in index.stale():
+                seeds = None
+            elif seeds is None:
+                return {}, None
+        deltas = self._partition_deltas(
             cq, self._deltas_for(cq.table_names, since)
         )
+        return deltas, None if cq.partition is not None else seeds
 
     def _prepared_for(self, cq: ContinualQuery) -> Optional[PreparedCQ]:
         """The CQ's cached prepared plan (None when the engine never
@@ -727,7 +725,7 @@ class CQManager:
         """Fold the commits since ``cq.applied_ts`` into the state kept
         current ahead of executions: an aggregate's differential state,
         an EAGER CQ's maintained result."""
-        deltas = self._window_deltas(cq, cq.applied_ts)
+        deltas, seeds = self._window_deltas(cq, cq.applied_ts)
         if deltas and cq.is_aggregate:
             cq.aggregate_state.update(
                 deltas,
@@ -746,6 +744,7 @@ class CQManager:
                 prepared=self._prepared_for(cq),
                 tracer=self.tracer,
                 columnar=self.columnar,
+                seeds=seeds,
             )
             cq.maintained_result = result.delta.apply_to(cq.maintained_result)
         # Advance even when the window was empty (or consolidated to
@@ -786,7 +785,7 @@ class CQManager:
 
     def _execute_dra(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
         since = cq.last_execution_ts
-        deltas = self._window_deltas(cq, since)
+        deltas, seeds = self._window_deltas(cq, since)
         if not deltas:
             # Nothing committed, or nothing the index routes here: the
             # result cannot have changed, so no engine runs.
@@ -823,6 +822,7 @@ class CQManager:
                 prepared=self._prepared_for(cq),
                 tracer=self.tracer,
                 columnar=self.columnar,
+                seeds=seeds,
             )
             span.set(
                 changed=",".join(sorted(result.changed_aliases)),
@@ -832,7 +832,9 @@ class CQManager:
         if cq.keep_result and result.has_changes():
             cq.previous_result = result.complete_result()
         if shared_key is not None:
-            if len(self._shared_results) > 128:
+            # The bound is for IMMEDIATE growth; a poll starts empty and
+            # its later members still have their turn to come.
+            if self._delta_cache is None and len(self._shared_results) > 128:
                 self._shared_results.clear()
             self._shared_results[shared_key] = (
                 result.delta,

@@ -43,7 +43,7 @@ from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
 from repro.delta.capture import delta_since
 from repro.delta.differential import DeltaRelation
-from repro.core.continual_query import ContinualQuery
+from repro.core.continual_query import ContinualQuery, CQStatus
 from repro.core.termination import Never
 from repro.core.triggers import (
     AllOf,
@@ -187,6 +187,10 @@ class Cohort:
         self.late: Dict[str, ContinualQuery] = {}
 
 
+# What one constant-time receive charges (no engine counter, no latency).
+_RECEIVED = {Metrics.CQ_REFRESHES: 1, Metrics.SHARED_GROUP_HITS: 1}
+
+
 class RefreshScheduler:
     """Selects and refreshes the runnable CQs of one poll.
 
@@ -215,7 +219,9 @@ class RefreshScheduler:
                 runnable.sort(key=attrgetter("order"))
                 poll_span.set(runnable=len(runnable))
                 for cq in runnable:
-                    self._refresh_one(cq)
+                    # (An earlier visit's callback may have deregistered it.)
+                    if cq.status is CQStatus.ACTIVE and not self._receive(cq):
+                        self._refresh_one(cq)
                 for cohort in cohorts:
                     cohort.swept = now
                     manager.zones.try_advance(cohort.tables, now)
@@ -241,7 +247,7 @@ class RefreshScheduler:
         ]
         if cohort.lazy and manager._touched(cohort.tables, cohort.swept):
             keys = manager._fanout_routed(cohort.tables, cohort.swept)
-            for key in keys | manager.fanout_index.stale():
+            for key in keys.keys() | manager.fanout_index.stale():
                 for name, cq in manager._sql_groups.get(key, {}).items():
                     if name in cohort.lazy:
                         cohort.late[name] = cq
@@ -253,6 +259,49 @@ class RefreshScheduler:
         return due
 
     # -- refresh ----------------------------------------------------------
+
+    def _receive(self, cq: ContinualQuery) -> bool:
+        """The constant-time visit of a lazy member whose group already
+        evaluated its window: an earlier member's full visit left the
+        ``(delta, result)`` pair for ``(sql_key, since, now)``, so this
+        one aliases the result, moves its window and is notified.
+
+        Nothing observable is skipped. For the lazy class the stop is
+        ``Never``, ``OnEveryChange`` fires iff the window is touched —
+        which the pair's existence proves — and ignores
+        ``notify_fired``, and there is no zone of the member's own to
+        advance. Returns False — take the full visit — for everyone
+        else: the first member of a group (its visit *is* the group's
+        evaluation), always-visit members, a window that differs (a
+        late joiner; anything after a callback's commit moved
+        ``db.now()``).
+        """
+        manager = self.manager
+        if (
+            cq.name not in manager._cohorts[cq.table_names].lazy
+            or not cq.keep_result
+            or cq.partition is not None
+        ):
+            return False
+        now = manager.db.now()
+        shared = manager._shared_results.get(
+            (cq.sql_key, cq.last_execution_ts, now)
+        )
+        if shared is None:
+            return False
+        delta, cq.previous_result = shared
+        cq.last_execution_ts = now
+        if manager.auto_gc:
+            manager.zones.collect()
+        manager.stats.record(cq.name, _RECEIVED)
+        if manager.metrics:
+            for name in _RECEIVED:
+                manager.metrics.count(name)
+        if not delta.is_empty():
+            cq.executions += 1
+            cq.last_result_ts = now
+            manager._emit(cq, manager._notification(cq, delta, now))
+        return True
 
     def _refresh_one(self, cq: ContinualQuery) -> None:
         """One visit, stamped with the time its window really ends: the

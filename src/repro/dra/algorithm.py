@@ -40,7 +40,12 @@ from repro.delta.capture import deltas_since
 from repro.delta.differential import DeltaRelation
 from repro.dra.assembly import DRAResult, TermTrace, accumulate, to_delta
 from repro.dra.kernels import KernelStats
-from repro.dra.operands import BaseOperand, DeltaOperand
+from repro.dra.operands import (
+    BaseOperand,
+    DeltaOperand,
+    SignedColumns,
+    signed_columns,
+)
 from repro.dra.prepared import PreparedCQ, prepare_cq
 from repro.dra.terms import evaluate_term
 
@@ -57,6 +62,7 @@ def dra_execute(
     prepared: Optional[PreparedCQ] = None,
     tracer=None,
     columnar: bool = False,
+    seeds: Optional[Mapping[str, SignedColumns]] = None,
 ) -> DRAResult:
     """Differentially re-evaluate ``query`` against ``db``.
 
@@ -73,7 +79,14 @@ def dra_execute(
     truth-table term in a ``dra.term`` span. With ``columnar=True``,
     terms execute as compiled struct-of-arrays kernel pipelines
     (:mod:`repro.dra.kernels`) instead of the per-row interpreter —
-    identical results, batch-at-a-time work.
+    identical results, batch-at-a-time work. ``seeds`` is the routed
+    entry of a predicate-index pass over exactly these ``deltas``
+    (:meth:`~repro.dra.predindex.PredicateIndex.match_batch`): per
+    alias, the signed sides that already passed its local predicate —
+    the operands adopt them instead of filtering the batch again, and
+    an alias without a seed is locally irrelevant. None (nothing
+    routed: no index, or it does not vouch for this query) filters
+    here.
     """
     if prepared is None:
         prepared = prepare_cq(query, db, metrics=metrics, auto_index=False)
@@ -107,15 +120,20 @@ def dra_execute(
         local = compiled_local[ref.alias]
         spec = local_specs.get(ref.alias)
         if table_delta is not None and not table_delta.is_empty():
-            operand = DeltaOperand(
-                ref.alias, table_delta, local, metrics, filter_spec=spec
-            )
-            # Local filtering may empty the operand: every change to
-            # this relation is irrelevant to the query (Section 5.2),
-            # and σ_local(R_old) == σ_local(R_new), so the alias can be
+            if seeds is None:
+                columns = signed_columns(table_delta, local, spec)
+                read = len(table_delta)
+            else:
+                columns = seeds.get(ref.alias, ((), (), ()))
+                read = len(columns[2])
+            if metrics and read:
+                metrics.count(Metrics.DELTA_ROWS_READ, read)
+            # Local filtering may leave nothing: every change to this
+            # relation is irrelevant to the query (Section 5.2), and
+            # σ_local(R_old) == σ_local(R_new), so the alias can be
             # treated as unchanged.
-            if len(operand):
-                delta_operands[ref.alias] = operand
+            if columns[2]:
+                delta_operands[ref.alias] = DeltaOperand(ref.alias, columns)
                 changed.append(ref.alias)
         base_operands[ref.alias] = BaseOperand(
             ref.alias, table, table_delta, local, metrics, filter_spec=spec

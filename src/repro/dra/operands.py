@@ -25,6 +25,8 @@ from repro.delta.views import OldStateIndex, OldStateView
 
 # One signed row of a delta operand.
 SignedRow = Tuple[Tid, Values, int]  # (tid, values, weight ±1)
+# The same rows struct-of-arrays: parallel (tids, values, weights).
+SignedColumns = Tuple[List[Tid], List[Values], List[int]]
 
 # A flat local-predicate spec: ((position, op, constant), ...) —
 # see repro.relational.predicates.comparison_specs. Specs let the
@@ -65,66 +67,70 @@ def _spec_filter(rows, spec: FilterSpec):
     return out
 
 
+def signed_columns(
+    delta: DeltaRelation,
+    local_predicate: Optional[CompiledPredicate],
+    filter_spec: Optional[FilterSpec] = None,
+) -> SignedColumns:
+    """The locally filtered signed sides of ``delta`` as parallel
+    ``(tids, values, weights)`` columns, built in one pass.
+
+    Old side weighs −1, new side +1, in entry order — the Z-set reading
+    of the consolidated delta (DeltaRelation.signed_rows) with the
+    local predicate fused in. This is the operand seed for callers with
+    nothing routed; a predicate-index pass
+    (:meth:`repro.dra.predindex.PredicateIndex.match_batch`) yields the
+    same columns per routed ``(subscription, alias)`` without a second
+    look at the batch.
+    """
+    tids: List[Tid] = []
+    vals: List[Values] = []
+    weights: List[int] = []
+    ta, va, wa = tids.append, vals.append, weights.append
+    if local_predicate is None:
+        for entry in delta:
+            old = entry.old
+            if old is not None:
+                ta(entry.tid); va(old); wa(-1)
+            new = entry.new
+            if new is not None:
+                ta(entry.tid); va(new); wa(+1)
+    elif filter_spec is not None and len(filter_spec) == 1:
+        ((p, op, c),) = filter_spec
+        for entry in delta:
+            old = entry.old
+            if old is not None and (x := old[p]) is not None and op(x, c):
+                ta(entry.tid); va(old); wa(-1)
+            new = entry.new
+            if new is not None and (x := new[p]) is not None and op(x, c):
+                ta(entry.tid); va(new); wa(+1)
+    else:
+        for entry in delta:
+            old = entry.old
+            if old is not None and local_predicate(old):
+                ta(entry.tid); va(old); wa(-1)
+            new = entry.new
+            if new is not None and local_predicate(new):
+                ta(entry.tid); va(new); wa(+1)
+    return tids, vals, weights
+
+
 class DeltaOperand:
     """The signed, locally filtered rows of one changed operand.
 
-    Stored struct-of-arrays from the start — parallel ``(tids, values,
-    weights)`` columns built in one pass over the delta — so the
-    columnar seed kernel adopts them zero-copy. The row evaluator's
-    ``rows`` view is derived lazily (one zip) only when a term actually
+    Stored struct-of-arrays from the start — the parallel ``(tids,
+    values, weights)`` columns of :func:`signed_columns` or of a routed
+    predicate-index entry, adopted as they are — so the columnar seed
+    kernel adopts them zero-copy in turn. The row evaluator's ``rows``
+    view is derived lazily (one zip) only when a term actually
     evaluates through the row path.
     """
 
     __slots__ = ("alias", "_tids", "_vals", "_weights", "_rows", "_indexes")
 
-    def __init__(
-        self,
-        alias: str,
-        delta: DeltaRelation,
-        local_predicate: Optional[CompiledPredicate],
-        metrics: Optional[Metrics] = None,
-        filter_spec: Optional[FilterSpec] = None,
-    ):
+    def __init__(self, alias: str, columns: SignedColumns):
         self.alias = alias
-        tids: List[Tid] = []
-        vals: List[Values] = []
-        weights: List[int] = []
-        ta, va, wa = tids.append, vals.append, weights.append
-        # Old side weighs −1, new side +1, in entry order — the Z-set
-        # reading of the consolidated delta (DeltaRelation.signed_rows),
-        # inlined here with the local predicate fused in.
-        if local_predicate is None:
-            for entry in delta:
-                old = entry.old
-                if old is not None:
-                    ta(entry.tid); va(old); wa(-1)
-                new = entry.new
-                if new is not None:
-                    ta(entry.tid); va(new); wa(+1)
-        elif filter_spec is not None and len(filter_spec) == 1:
-            ((p, op, c),) = filter_spec
-            for entry in delta:
-                old = entry.old
-                if old is not None and (x := old[p]) is not None and op(x, c):
-                    ta(entry.tid); va(old); wa(-1)
-                new = entry.new
-                if new is not None and (x := new[p]) is not None and op(x, c):
-                    ta(entry.tid); va(new); wa(+1)
-        else:
-            for entry in delta:
-                old = entry.old
-                if old is not None and local_predicate(old):
-                    ta(entry.tid); va(old); wa(-1)
-                new = entry.new
-                if new is not None and local_predicate(new):
-                    ta(entry.tid); va(new); wa(+1)
-        if metrics:
-            # Hoisted out of the loop: one flush per operand, not one
-            # count per delta entry.
-            metrics.count(Metrics.DELTA_ROWS_READ, len(delta))
-        self._tids = tids
-        self._vals = vals
-        self._weights = weights
+        self._tids, self._vals, self._weights = columns
         self._rows: Optional[List[SignedRow]] = None
         self._indexes: Dict[Tuple[int, ...], Dict[Tuple, List[SignedRow]]] = {}
 

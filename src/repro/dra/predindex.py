@@ -27,7 +27,10 @@ Each indexed atom keeps the *rest* of its alias-local conjunction as a
 compiled residual, so a bucket hit is confirmed against the full local
 predicate and the match set is exact — the Hypothesis suite in
 ``tests/dra/test_predindex_property.py`` holds it equal to the naive
-:func:`repro.dra.relevance.relevant_entry_counts` oracle.
+:func:`repro.dra.relevance.relevant_entry_counts` oracle. The pass
+does not stop at "affected": it keeps, per matched (subscription,
+alias), the signed entry sides that passed, so the selection before
+the join happens once, here, and DRA is seeded with its outcome.
 
 Staleness mirrors :class:`~repro.dra.prepared.PlanCache`: signatures
 record the schema object they compiled against; a batch carrying a
@@ -66,6 +69,7 @@ from repro.relational.predicates import (
 from repro.relational.schema import Schema
 from repro.relational.types import AttributeType
 from repro.delta.differential import DeltaRelation
+from repro.dra.operands import SignedColumns
 
 # Mirror of an op when the literal sits on the left: ``5 < v`` is
 # ``v > 5``.
@@ -74,6 +78,10 @@ _MIRROR = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 # Entry keys are (sub_id, alias): one subscription contributes one
 # signature per alias (self-joins index the same table twice).
 EntryKey = Tuple[str, str]
+
+# What a routing pass returns: sub_id -> alias -> the (tids, values,
+# weights) columns of the entry sides that alias's predicate selects.
+Routed = Dict[str, Dict[str, SignedColumns]]
 
 
 def _value_fits(column_type: AttributeType, value: Any) -> bool:
@@ -178,8 +186,8 @@ class _Signature:
         #: The rest of the local conjunction, compiled (None = nothing
         #: left to check beyond the indexed atom).
         self.residual = residual
-        #: The full local conjunction, compiled (None = TruePredicate);
-        #: used by targeted per-subscription checks.
+        #: The full local conjunction, compiled (None = TruePredicate):
+        #: what a scan-bucket entry confirms a side against.
         self.compiled = compiled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -402,44 +410,61 @@ class _TableIndex:
         elif sig.kind == "scan":
             self.scans.pop(key, None)
 
-    def match_row(self, row: Tuple, matched: Set[str]) -> int:
-        """Fold one entry side into ``matched``; returns candidates
-        probed."""
+    def match(self, delta: DeltaRelation, matched: Routed) -> int:
+        """Fold every entry side of ``delta`` — old weighing −1, new
+        +1, in entry order — into the ``(tids, values, weights)``
+        columns of each ``matched[sub_id][alias]`` whose full local
+        conjunction it satisfies; returns candidates probed."""
         probes = 0
-        for position, by_value in self.eq.items():
-            value = row[position]
-            if value is None:
-                continue
-            bucket = by_value.get(value)
-            if not bucket:
-                continue
-            for entry in bucket.values():
-                if entry.sub_id in matched:
+        hits: List[_Entry] = []
+        hit = hits.append
+        eq, intervals = self.eq.items(), self.intervals.items()
+        scans = self.scans.values()
+        for delta_entry in delta:
+            for row, weight in ((delta_entry.old, -1), (delta_entry.new, +1)):
+                if row is None:
                     continue
-                probes += 1
-                residual = entry.signature.residual
-                if residual is None or residual(row):
-                    matched.add(entry.sub_id)
-        for position, (index, payloads) in self.intervals.items():
-            value = row[position]
-            if value is None:
-                continue
-            hits, inspected = index.stab(value)
-            probes += inspected
-            for key in hits:
-                entry = payloads[key]
-                if entry.sub_id in matched:
-                    continue
-                residual = entry.signature.residual
-                if residual is None or residual(row):
-                    matched.add(entry.sub_id)
-        for entry in self.scans.values():
-            if entry.sub_id in matched:
-                continue
-            probes += 1
-            compiled = entry.signature.compiled
-            if compiled is None or compiled(row):
-                matched.add(entry.sub_id)
+                for position, by_value in eq:
+                    value = row[position]
+                    if value is None:
+                        continue
+                    bucket = by_value.get(value)
+                    if not bucket:
+                        continue
+                    probes += len(bucket)
+                    for entry in bucket.values():
+                        residual = entry.signature.residual
+                        if residual is None or residual(row):
+                            hit(entry)
+                for position, (index, payloads) in intervals:
+                    value = row[position]
+                    if value is None:
+                        continue
+                    stabbed, inspected = index.stab(value)
+                    probes += inspected
+                    for key in stabbed:
+                        entry = payloads[key]
+                        residual = entry.signature.residual
+                        if residual is None or residual(row):
+                            hit(entry)
+                probes += len(scans)
+                for entry in scans:
+                    compiled = entry.signature.compiled
+                    if compiled is None or compiled(row):
+                        hit(entry)
+                # One (subscription, alias) sits in exactly one bucket,
+                # so a side reaches its columns at most once.
+                for entry in hits:
+                    by_alias = matched.get(entry.sub_id)
+                    if by_alias is None:
+                        by_alias = matched[entry.sub_id] = {}
+                    columns = by_alias.get(entry.alias)
+                    if columns is None:
+                        columns = by_alias[entry.alias] = ([], [], [])
+                    columns[0].append(delta_entry.tid)
+                    columns[1].append(row)
+                    columns[2].append(weight)
+                del hits[:]
         return probes
 
 
@@ -607,14 +632,22 @@ class PredicateIndex:
 
     # -- matching ----------------------------------------------------------
 
-    def match_batch(
-        self, deltas: Mapping[str, DeltaRelation]
-    ) -> Set[str]:
-        """The exact set of subscriptions with at least one relevant
-        entry side in ``deltas`` — equal, by construction and by the
-        property suite, to running the Section 5.2 relevance test per
-        subscription."""
-        matched: Set[str] = set()
+    def match_batch(self, deltas: Mapping[str, DeltaRelation]) -> Routed:
+        """Route ``deltas``: per subscription with at least one
+        relevant entry side, per alias, the signed sides that satisfy
+        that alias's full local conjunction, as ``(tids, values,
+        weights)`` columns in entry order (old −1 before new +1).
+
+        The keys are exactly the subscriptions the Section 5.2
+        relevance test selects one by one; the columns are exactly
+        what :func:`repro.dra.operands.signed_columns` filters out of
+        the same batch with the plan's compiled local predicate (both
+        compile :func:`plan_predicate`'s local conjuncts; the property
+        suite holds them equal) — the select-before-join seed of every
+        truth-table term, so ``dra_execute(seeds=routed[sub_id])``
+        never looks at the batch again. An alias no side satisfies has
+        no entry."""
+        matched: Routed = {}
         probes = 0
         with self._lock:
             for table_name, delta in deltas.items():
@@ -623,62 +656,13 @@ class PredicateIndex:
                 tindex = self._fresh_index(table_name, delta.schema)
                 if tindex is None or not tindex.members:
                     continue
-                for entry in delta:
-                    for side in (entry.old, entry.new):
-                        if side is None:
-                            continue
-                        probes += tindex.match_row(side, matched)
+                probes += tindex.match(delta, matched)
         if self.metrics:
             if probes:
                 self.metrics.count(Metrics.PREDINDEX_PROBES, probes)
             if matched:
                 self.metrics.count(Metrics.PREDINDEX_MATCHES, len(matched))
         return matched
-
-    def matches(
-        self, sub_id: str, deltas: Mapping[str, DeltaRelation]
-    ) -> bool:
-        """Targeted relevance check for one subscription (used outside
-        batched polls, where building the global match set would charge
-        every subscription for one CQ's question)."""
-        with self._lock:
-            entry = self._subs.get(sub_id)
-            if entry is None or sub_id in self._stale:
-                return False
-            probes = 0
-            hit = False
-            for alias, table_name in entry.table_for_alias.items():
-                delta = deltas.get(table_name)
-                if delta is None or delta.is_empty():
-                    continue
-                tindex = self._fresh_index(table_name, delta.schema)
-                if tindex is None or sub_id in self._stale:
-                    continue
-                member = tindex.members.get((sub_id, alias))
-                if member is None:
-                    continue
-                signature = member.signature
-                if signature.kind == "never":
-                    continue
-                compiled = signature.compiled
-                for delta_entry in delta:
-                    for side in (delta_entry.old, delta_entry.new):
-                        if side is None:
-                            continue
-                        probes += 1
-                        if compiled is None or compiled(side):
-                            hit = True
-                            break
-                    if hit:
-                        break
-                if hit:
-                    break
-        if self.metrics:
-            if probes:
-                self.metrics.count(Metrics.PREDINDEX_PROBES, probes)
-            if hit:
-                self.metrics.count(Metrics.PREDINDEX_MATCHES)
-        return hit
 
     # -- introspection -----------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import NetworkError, RegistrationError
 from repro.metrics import Metrics
@@ -32,7 +32,7 @@ from repro.delta.capture import deltas_since
 from repro.delta.diff import diff
 from repro.delta.propagate import old_resolver
 from repro.dra.algorithm import dra_execute
-from repro.dra.predindex import PredicateIndex
+from repro.dra.predindex import PredicateIndex, Routed
 from repro.dra.prepared import PlanCache
 from repro.core.gc import ActiveDeltaZones
 from repro.core.scheduler import DeltaBatchCache
@@ -566,7 +566,7 @@ class CQServer:
         without fan-out — refreshes alone."""
         now = self.db.now()
         cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
-        routes: Dict[Tuple[Tuple[str, ...], Timestamp], Set[str]] = {}
+        routes: Dict[Tuple[Tuple[str, ...], Timestamp], Routed] = {}
         sent = 0
         for group in list(self._groups.values()):
             sent += self._refresh_group(group, cache, routes, now)
@@ -578,7 +578,7 @@ class CQServer:
         self,
         group: SharedGroup,
         cache: DeltaBatchCache,
-        routes: Dict[Tuple[Tuple[str, ...], Timestamp], Set[str]],
+        routes: Dict[Tuple[Tuple[str, ...], Timestamp], Routed],
         now: Timestamp,
         skip: Optional[Subscription] = None,
     ) -> int:
@@ -601,13 +601,15 @@ class CQServer:
         group.last_ts = now
         members = [s for s in group.members.values() if s is not skip]
         delta = None
-        if group.sql_key in routed:
+        seeds = routed.get(group.sql_key)
+        if seeds is not None:
             result = self._evaluate(
                 group.query,
                 group.sql_key,
                 cache.deltas(tables, since, now),
                 now,
                 group.result,
+                seeds,
             )
             if result.has_changes():
                 applied = apply_delta(result.delta, group.result, group.digest)
@@ -670,12 +672,15 @@ class CQServer:
         deltas,
         now: Timestamp,
         previous: Optional[Relation] = None,
+        seeds=None,
     ):
         """The one evaluate step: every differential evaluation this
         server runs — group refresh, private refresh, reconnect
         replay — so all of them charge the scoped metrics,
         share the prepared plan cached under ``sql_key``, emit
-        ``dra.term`` spans and honour ``columnar``."""
+        ``dra.term`` spans and honour ``columnar``. ``seeds`` is the
+        group's routed entry for exactly these ``deltas`` (the sides
+        the index already selected); the unrouted callers filter."""
         return dra_execute(
             query,
             self.db,
@@ -686,6 +691,7 @@ class CQServer:
             prepared=self.plans.get(sql_key, query),
             tracer=self.tracer,
             columnar=self.columnar,
+            seeds=seeds,
         )
 
     def _ship(

@@ -151,7 +151,7 @@ def database_from_dict(data: Dict[str, Any]) -> Database:
                     txn_id,
                 )
             )
-        table.log.pruned_through = entry.get("pruned_through", 0)
+        table.log.mark_pruned(entry.get("pruned_through", 0))
     return db
 
 

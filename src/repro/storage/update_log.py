@@ -84,14 +84,28 @@ class UpdateLog:
     reader's window) to carry over to the physical lists.
     """
 
-    __slots__ = ("_records", "_timestamps", "pruned_through", "_lock")
+    __slots__ = (
+        "_records", "_timestamps", "pruned_through", "newest_ts", "_lock"
+    )
 
     def __init__(self) -> None:
         self._records: List[UpdateRecord] = []
         self._timestamps: List[Timestamp] = []
         #: Highest timestamp removed by garbage collection (0 if none).
         self.pruned_through: Timestamp = 0
+        #: Timestamp of the newest record ever appended (0 if none):
+        #: unlike :meth:`latest_ts` it survives pruning, so "did this
+        #: table commit after ts" stays answerable behind the GC.
+        self.newest_ts: Timestamp = 0
         self._lock = threading.Lock()
+
+    def mark_pruned(self, ts: Timestamp) -> None:
+        """Restore-time: history through ``ts`` was pruned, or flattened
+        into a baseline, before this log was rebuilt. What it held is
+        unknown, so ``newest_ts`` answers conservatively — committed at
+        ``ts`` — until the next commit."""
+        self.pruned_through = ts
+        self.newest_ts = max(self.newest_ts, ts)
 
     def _append(self, record: UpdateRecord) -> None:
         if self._timestamps and record.ts < self._timestamps[-1]:
@@ -101,6 +115,7 @@ class UpdateLog:
             )
         self._records.append(record)
         self._timestamps.append(record.ts)
+        self.newest_ts = record.ts
 
     def append(self, record: UpdateRecord) -> None:
         with self._lock:

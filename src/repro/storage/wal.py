@@ -392,8 +392,8 @@ def replay_entries(db, entries: List[Dict[str, Any]], base_ts: int = 0) -> Repla
                 # History through the attach point is flattened into
                 # this frame: mark it retired so a differential read
                 # into it raises instead of silently missing records.
-                table.log.pruned_through = max(
-                    entry.get("pruned_through", 0), entry.get("now", 0)
+                table.log.mark_pruned(
+                    max(entry.get("pruned_through", 0), entry.get("now", 0))
                 )
                 max_ts = max(max_ts, entry.get("now", 0))
         elif kind == KIND_COMMIT:

@@ -7,8 +7,9 @@ individual rules: a poll visits routed and always-visit members only, an
 unvisited member's window rides its cohort's sweep under GC, a late
 joiner is visited whatever the sweep routes, a stateful data trigger is
 never skipped on a touched footprint, quarantined CQs are always
-visited, and a registration copies a current result instead of running
-E_0.
+visited, a registration copies a current result instead of running
+E_0, and a routed group is evaluated by its first member's visit while
+the others *receive* the pair it left.
 """
 
 from collections import deque
@@ -16,8 +17,16 @@ from collections.abc import Mapping
 
 import pytest
 
-from repro.core import CQManager, Engine, EvaluationStrategy, OnUpdate
+from repro.core import (
+    AfterExecutions,
+    CQManager,
+    DeliveryMode,
+    Engine,
+    EvaluationStrategy,
+    OnUpdate,
+)
 from repro.core.results import NotificationKind
+from repro.relational import AttributeType
 from repro.metrics import Metrics
 from repro.relational.expressions import col, lit
 from repro.relational.predicates import lt
@@ -138,6 +147,199 @@ class TestUnroutedWindows:
         stocks.insert((901, "HI", 900))  # the index no longer routes it
         assert [n.cq_name for n in mgr.poll()] == ["stale"]
         assert stale.previous_result == db.query(WATCH)
+
+
+class TestMembersReceive:
+    """A routed group is evaluated once, by the full visit of its first
+    member in registration order; every later lazy member whose window
+    is the same one receives the (delta, result) pair in constant time
+    (``RefreshScheduler._receive``)."""
+
+    def test_one_group_fifty_members_one_evaluation(self, db, stocks):
+        """(i)"""
+        mgr = make_manager(db, columnar=True)
+        order = []
+        members = [
+            mgr.register_sql(f"w{i}", WATCH, on_notify=order.append)
+            for i in range(50)
+        ]
+        mgr.drain()
+        del order[:]
+        stocks.insert((600, "HI", 900))
+        before = mgr.metrics.snapshot()
+        notes = mgr.poll()
+        spent = mgr.metrics.diff(before)
+        assert spent[Metrics.EXECUTIONS] == 1
+        assert spent[Metrics.CQ_REFRESHES] == 50
+        assert spent[Metrics.SHARED_GROUP_HITS] == 49
+        assert [n.cq_name for n in notes] == [f"w{i}" for i in range(50)]
+        assert order == notes  # callbacks fired in registration order too
+        assert {n.kind for n in notes} == {NotificationKind.REFRESH}
+        assert {(n.seq, n.ts) for n in notes} == {(2, db.now())}
+        assert all(n.delta is notes[0].delta for n in notes)
+        one = members[0].previous_result
+        assert one == db.query(WATCH)
+        assert all(cq.previous_result is one for cq in members)
+        assert all(cq.last_execution_ts == db.now() for cq in members)
+        assert [row["refreshes"] for row in mgr.describe()] == [1] * 50
+        # Receivers add no latency sample: the histogram describes
+        # evaluations.
+        assert mgr.stats.latency("w0").count == 1
+        assert mgr.stats.latency("w1").count == 0
+
+    def test_complete_member_gets_its_own_copy_of_the_result(self, db, stocks):
+        """(ii)"""
+        mgr = make_manager(db)
+        diff = mgr.register_sql("diff", WATCH)
+        full = mgr.register_sql("full", WATCH, mode=DeliveryMode.COMPLETE)
+        mgr.drain()
+        stocks.insert((600, "HI", 900))
+        first, second = mgr.poll()
+        assert (first.cq_name, second.cq_name) == ("diff", "full")
+        assert first.result is None and first.delta is second.delta
+        assert second.result == db.query(WATCH)
+        assert second.result is not full.previous_result
+        assert full.previous_result is diff.previous_result
+
+    def test_member_deregistered_by_an_earlier_callback_gets_nothing(
+        self, db, stocks
+    ):
+        """(iii)"""
+        mgr = make_manager(db)
+        mgr.register_sql("w0", WATCH, on_notify=lambda n: mgr.deregister("w2"))
+        for name in ("w1", "w2", "w3"):
+            mgr.register_sql(name, WATCH)
+        mgr.drain()
+        stocks.insert((600, "HI", 900))
+        notes = mgr.poll()
+        assert [(n.cq_name, n.kind) for n in notes] == [
+            ("w0", NotificationKind.REFRESH),
+            ("w2", NotificationKind.STOPPED),  # from the deregistration
+            ("w1", NotificationKind.REFRESH),
+            ("w3", NotificationKind.REFRESH),
+        ]
+        assert "w2" not in mgr and "w2" not in mgr.stats.keys()
+
+    def test_late_joiner_never_receives_the_cohort_window(self, db, stocks):
+        """(iv) Same group, same poll, different window: the joiner's
+        (since, now] is its own key, so it takes the full visit."""
+        mgr = make_manager(db)
+        for name in ("e0", "e1"):
+            mgr.register_sql(name, WATCH)
+        mgr.poll()
+        stocks.insert((600, "HI", 900))  # e0, e1 see it; late's E_0 has it
+        late = mgr.register_sql("late", WATCH)
+        stocks.insert((601, "HI", 901))
+        mgr.drain()
+        before = mgr.metrics.snapshot()
+        notes = {n.cq_name: [e.new[0] for e in n.delta] for n in mgr.poll()}
+        assert notes == {"e0": [600, 601], "e1": [600, 601], "late": [601]}
+        spent = mgr.metrics.diff(before)
+        assert spent[Metrics.EXECUTIONS] == 2  # the group's, the joiner's
+        assert spent[Metrics.SHARED_GROUP_HITS] == 1  # e1
+        assert late.previous_result == db.query(WATCH)
+        # Aligned now: the next routed poll evaluates once for all three.
+        stocks.insert((602, "HI", 902))
+        before = mgr.metrics.snapshot()
+        assert len(mgr.poll()) == 3
+        assert mgr.metrics.diff(before)[Metrics.EXECUTIONS] == 1
+
+    def test_routed_group_with_an_empty_result_delta(self, db, stocks):
+        """(v) The select passes, the projection nets to nothing: the
+        window moves, nobody is notified, no element joins the result
+        sequence."""
+        mgr = make_manager(db)
+        sql = "SELECT name FROM stocks WHERE price > 120"
+        members = [mgr.register_sql(f"n{i}", sql) for i in range(3)]
+        tid = stocks.insert((600, "HI", 900))
+        mgr.poll()
+        stocks.modify(tid, updates={"price": 901})  # relevant, same name
+        before = mgr.metrics.snapshot()
+        assert mgr.poll() == []
+        spent = mgr.metrics.diff(before)
+        assert spent[Metrics.EXECUTIONS] == 1
+        assert spent[Metrics.CQ_REFRESHES] == 3
+        assert spent[Metrics.SHARED_GROUP_HITS] == 2
+        for cq in members:
+            assert cq.executions == 2
+            assert cq.last_execution_ts == db.now()
+            assert cq.last_result_ts < db.now()
+
+    def test_auto_gc_prunes_behind_receive_only_cycles(self, db, stocks):
+        """(vi)"""
+        mgr = make_manager(db, auto_gc=True)
+        members = [mgr.register_sql(f"w{i}", WATCH) for i in range(5)]
+        mgr.drain()
+        for i in range(20):
+            stocks.insert((600 + i, "HI", 900 + i))
+            assert len(mgr.poll()) == 5
+            # Each visit collects behind the cohort's zone, which moves
+            # when the poll ends: one cycle's commit stays, never two.
+            assert len(stocks.log) == 1
+        assert mgr.metrics[Metrics.EXECUTIONS] == 20
+        assert all(cq.previous_result == db.query(WATCH) for cq in members)
+
+    def test_a_poll_never_evicts_a_pair_before_its_members_turn(self, db):
+        """``_shared_results`` is bounded against IMMEDIATE growth; a
+        poll starts it empty and must keep every pair until the last
+        member's registration-order turn — 300 two-member groups used
+        to run 600 executions and share nothing."""
+        table = db.create_table(
+            "t", [("k", AttributeType.INT), ("v", AttributeType.INT)]
+        )
+        tids = table.insert_many([(g, 0) for g in range(300)])
+        mgr = make_manager(db, columnar=True)
+        sqls = [f"SELECT k, v FROM t WHERE k = {g}" for g in range(300)]
+        for round_ in range(2):
+            for g, sql in enumerate(sqls):
+                mgr.register_sql(f"r{round_}g{g}", sql)
+        mgr.drain()
+        with db.begin() as txn:
+            for tid in tids:
+                txn.modify_in(table, tid, updates={"v": 1})
+        before = mgr.metrics.snapshot()
+        notes = mgr.poll()
+        spent = mgr.metrics.diff(before)
+        assert spent[Metrics.EXECUTIONS] == 300
+        assert spent[Metrics.SHARED_GROUP_HITS] == 300
+        assert [n.cq_name for n in notes] == [
+            f"r{round_}g{g}" for round_ in range(2) for g in range(300)
+        ]
+        assert {n.kind for n in notes} == {NotificationKind.REFRESH}
+        for g, sql in enumerate(sqls):
+            assert mgr.get(f"r1g{g}").previous_result == db.query(sql)
+            assert mgr.get(f"r0g{g}").previous_result == db.query(sql)
+
+
+class TestQuietVisitsAfterGC:
+    def test_pruning_past_a_window_start_is_not_a_commit(self, db):
+        """An always-visited CQ's quiet visit folds its zone ahead of
+        its last execution; GC then prunes past that stamp. Nothing was
+        committed, so the next poll must not refresh it (ROADMAP 3(d):
+        ``UpdateLog.newest_ts`` survives pruning, ``pruned_through`` is
+        no longer read as "touched")."""
+        table = db.create_table(
+            "t", [("k", AttributeType.INT), ("v", AttributeType.INT)]
+        )
+        mgr = make_manager(db, fanout=False)
+        cq = mgr.register_sql(
+            "sum", "SELECT SUM(v) AS s FROM t", stop=AfterExecutions(10)
+        )
+        mgr.drain()
+        table.insert((1, 5))
+        assert len(mgr.poll()) == 1
+        executed_at = cq.last_execution_ts
+        assert mgr.poll(advance_to=db.now() + 5) == []  # quiet: zone moves
+        mgr.collect_garbage()
+        assert table.log.pruned_through > executed_at
+        before = mgr.metrics.snapshot()
+        assert mgr.poll() == []
+        assert mgr.metrics.diff(before).get(Metrics.CQ_REFRESHES, 0) == 0
+        assert cq.last_execution_ts == executed_at
+        assert table.log.newest_ts == executed_at
+        table.insert((2, 6))  # a real commit still reads touched
+        assert len(mgr.poll()) == 1
+        assert cq.previous_result == db.query("SELECT SUM(v) AS s FROM t")
 
 
 class TestCommitsMadeDuringAPoll:

@@ -8,10 +8,17 @@ must return precisely the subscriptions the paper's Section 5.2
 relevance test (:func:`repro.dra.relevance.is_relevant`) would select
 by probing every subscription one at a time. Hypothesis drives the
 randomization; the oracle is the spec.
+
+The index does not stop at the match set: per matched (subscription,
+alias) it returns the signed entry sides that passed. Those must be,
+column for column and in order, what ``signed_columns`` filters out of
+the same batch with the local predicate ``prepare_cq`` compiles — DRA's
+operand seed — so ``dra_execute(seeds=...)`` equals the unseeded run.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro import Database
 from repro.metrics import Metrics
 from repro.relational.algebra import RelationRef, SPJQuery
 from repro.relational.expressions import ColumnRef, Literal
@@ -24,9 +31,22 @@ from repro.relational.predicates import (
 )
 from repro.relational.schema import Schema
 from repro.relational.types import AttributeType
+from repro.relational import parse_query
+from repro.delta.capture import deltas_since
 from repro.delta.differential import DeltaEntry, DeltaRelation
+from repro.dra.algorithm import dra_execute
+from repro.dra.operands import signed_columns
 from repro.dra.predindex import PredicateIndex
+from repro.dra.prepared import prepare_cq
 from repro.dra.relevance import is_relevant
+from tests.dra.test_kernels_property import (
+    QUERIES,
+    ROWS,
+    SMALL,
+    apply_ops,
+    build_db,
+    update_ops,
+)
 
 OPS = ["=", "!=", "<", "<=", ">", ">="]
 
@@ -101,6 +121,31 @@ def delta_batches(draw, schema):
     return DeltaRelation(schema, entries)
 
 
+def plan_selection(query, schema, deltas):
+    """``{alias: signed_columns(...)}`` of the plan ``prepare_cq``
+    compiles for ``query`` over one table ``t``: what an unseeded
+    ``dra_execute`` would build its delta operands from."""
+    db = Database()
+    db.create_table("t", schema)
+    prepared = prepare_cq(query, db, auto_index=False)
+    out = {}
+    for ref in query.relations:
+        columns = signed_columns(
+            deltas[ref.table],
+            prepared.compiled_local[ref.alias],
+            prepared.local_specs.get(ref.alias),
+        )
+        if columns[2]:
+            out[ref.alias] = columns
+    return out
+
+
+def assert_routes_the_plans_selection(index, queries, schema, deltas):
+    routed = index.match_batch(deltas)
+    for sub_id, query in queries.items():
+        assert routed.get(sub_id, {}) == plan_selection(query, schema, deltas)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_index_matches_oracle_single_table(data):
@@ -124,11 +169,10 @@ def test_index_matches_oracle_single_table(data):
         for sub_id, query in queries.items()
         if is_relevant(query, scopes, deltas)
     }
-    assert index.match_batch(deltas) == expected
-
-    # The targeted single-subscription check agrees entry by entry.
+    assert index.match_batch(deltas).keys() == expected
     for sub_id in queries:
-        assert index.matches(sub_id, deltas) == (sub_id in expected)
+        assert (sub_id in index.match_batch(deltas)) == (sub_id in expected)
+    assert_routes_the_plans_selection(index, queries, schema, deltas)
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,7 +207,10 @@ def test_index_matches_oracle_self_join(data):
         for sub_id, query in queries.items()
         if is_relevant(query, scopes_template, deltas)
     }
-    assert index.match_batch(deltas) == expected
+    assert index.match_batch(deltas).keys() == expected
+    # Each alias gets the sides *its* conjunction selects: a side that
+    # matched alias a is still offered to alias b.
+    assert_routes_the_plans_selection(index, queries, schema, deltas)
 
 
 def _qualify_expr(expression, alias):
@@ -218,4 +265,99 @@ def test_index_stable_under_removal(data):
         for sub_id, query in queries.items()
         if is_relevant(query, scopes, deltas)
     }
-    assert index.match_batch(deltas) == expected
+    assert index.match_batch(deltas).keys() == expected
+
+
+SCHEMA = Schema.of(("k", AttributeType.INT), ("v", AttributeType.INT))
+
+
+def test_routed_columns_on_the_named_cases():
+    """Self-join, NULLs, a modify whose old side passes and new side
+    fails, an unsatisfiable alias and an alias with no local conjunct,
+    spelled out."""
+    entries = [
+        DeltaEntry(0, None, (1, 5), ts=1),  # insert
+        DeltaEntry(1, (1, 9), (1, 2), ts=1),  # v > 4: old passes, new fails
+        DeltaEntry(2, (None, 7), None, ts=2),  # delete, NULL key
+        DeltaEntry(3, (2, None), (1, None), ts=2),  # NULL in the filtered column
+    ]
+    deltas = {"t": DeltaRelation(SCHEMA, entries)}
+    scopes = {"a": SCHEMA, "b": SCHEMA}
+    queries = {
+        # a: k = 1 AND v > 4; b: no local conjunct at all.
+        "self": parse_query(
+            "SELECT a.v AS av, b.v AS bv FROM t a, t b "
+            "WHERE a.k = b.k AND a.k = 1 AND a.v > 4"
+        ),
+        # a can never match (empty interval); b: v > 4.
+        "never": parse_query(
+            "SELECT a.v AS av, b.v AS bv FROM t a, t b "
+            "WHERE a.k = b.k AND a.v > 8 AND a.v < 3 AND b.v > 4"
+        ),
+        # Nothing in the batch satisfies either alias.
+        "miss": parse_query(
+            "SELECT a.v AS av, b.v AS bv FROM t a, t b "
+            "WHERE a.k = b.k AND a.k = 7 AND b.k = 8"
+        ),
+    }
+    index = PredicateIndex()
+    for sub_id, query in queries.items():
+        index.add(sub_id, query, scopes)
+    routed = index.match_batch(deltas)
+    assert routed.keys() == {"self", "never"}
+    assert routed["self"] == {
+        "a": ([0, 1], [(1, 5), (1, 9)], [+1, -1]),
+        "b": (
+            [0, 1, 1, 2, 3, 3],
+            [(1, 5), (1, 9), (1, 2), (None, 7), (2, None), (1, None)],
+            [+1, -1, +1, -1, -1, +1],
+        ),
+    }
+    assert routed["never"] == {
+        "b": ([0, 1, 2], [(1, 5), (1, 9), (None, 7)], [+1, -1, -1])
+    }
+    assert_routes_the_plans_selection(index, queries, SCHEMA, deltas)
+
+
+class TestSeededExecution:
+    @given(
+        r_rows=ROWS,
+        s_rows=ROWS,
+        r_ops=update_ops(),
+        s_ops=update_ops(),
+        template=st.sampled_from(QUERIES),
+        t=SMALL,
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_seeded_equals_unseeded_on_both_evaluators(
+        self, r_rows, s_rows, r_ops, s_ops, template, t
+    ):
+        """``dra_execute(seeds=routed[sub])`` is ``dra_execute()``: same
+        delta, same changed aliases, same terms — the routed entry is
+        the operand filter's outcome, so nothing downstream can tell."""
+        db, r, s = build_db(r_rows, s_rows)
+        query = parse_query(template.format(t=t))
+        index = PredicateIndex()
+        index.add(
+            "q", query, {ref.alias: db.table(ref.table).schema for ref in query.relations}
+        )
+        since = db.now()
+        apply_ops(db, r, r_ops)
+        apply_ops(db, s, s_ops)
+        deltas = deltas_since([r, s], since)
+        prepared = prepare_cq(query, db)
+        # Unrouted means provably irrelevant: an empty seed says so.
+        seeds = index.match_batch(deltas).get("q", {})
+        for columnar in (False, True):
+            plain = dra_execute(
+                query, db, deltas=deltas, prepared=prepared, ts=99,
+                columnar=columnar,
+            )
+            seeded = dra_execute(
+                query, db, deltas=deltas, prepared=prepared, ts=99,
+                columnar=columnar, seeds=seeds,
+            )
+            assert seeded.delta == plain.delta
+            assert seeded.changed_aliases == plain.changed_aliases
+            assert seeded.terms_evaluated == plain.terms_evaluated
+            assert seeded.skipped == plain.skipped

@@ -3,9 +3,9 @@
 The paper's correctness claim is DRA ≡ complete re-evaluation (§4.2).
 The manager has one refresh path; what can still vary is how it routes
 and evaluates — the predicate index and the columnar kernels — so for
-any workload the default manager, the predicate-index manager and the
-columnar manager must each produce the result sequence Q(S_1)..Q(S_n)
-that complete re-evaluation + Diff produces: the equivalence theorem
+any workload the default manager, the predicate-index manager, the
+columnar manager and the two together must each produce the result
+sequence Q(S_1)..Q(S_n) that complete re-evaluation + Diff produces: the equivalence theorem
 lifted from one refresh to the whole scheduling and compilation layers.
 
 Schedules are randomized but fully deterministic given a seed: a
@@ -68,6 +68,12 @@ CONFIGS = {
     # runs the struct-of-arrays pipelines instead of the per-row
     # interpreter; the notification sequence must be bit-identical.
     "columnar": dict(engine=Engine.DRA, manager=dict(columnar=True)),
+    # The pair E18's fan-out workloads and every ClusterShard run: the
+    # index's routed entry seeds the kernels' operands, and a routed
+    # group's later members receive the first one's evaluation.
+    "fanout_columnar": dict(
+        engine=Engine.DRA, manager=dict(fanout=True, columnar=True)
+    ),
 }
 
 #: Compared against the oracle in runs of their own, not in every chunk.
@@ -394,7 +400,7 @@ def test_immediate_strategy_equivalence_randomized():
     for i in range(N_IMMEDIATE):
         check_seed(
             9_000 + i,
-            configs=(BASE, "predindex"),
+            configs=(BASE, "predindex", "fanout_columnar"),
             strategy=EvaluationStrategy.IMMEDIATE,
         )
 
@@ -409,13 +415,56 @@ def test_eager_engine_equivalence_randomized():
 
 
 def test_all_four_configs_share_one_known_answer():
-    """A deterministic spot check that the harness itself observes all
-    four configurations doing real work (not vacuously equal)."""
+    """A deterministic spot check that the harness itself observes
+    every configuration (the oracle and four ways of running DRA) doing
+    real work (not vacuously equal)."""
     schedule = make_schedule(99)
     results = signatures(schedule)
-    assert len(results) == 4
+    assert len(results) == len(CONFIGS) == 5
     base_signature, base_final, __ = results[BASE]
     assert base_signature, "schedule produced no notifications"
     assert mismatches(results) == []
     # The delta-batch cache actually shares (not vacuously equal).
     assert results["default"][2] > 0
+
+
+def test_fanout_columnar_exercises_receives_and_seeds(monkeypatch):
+    """The randomized runs above are only a safety net for what they
+    reach: the first chunk's schedules must take the constant-time
+    receive, run seeded executions (multi-alias ones included), meet
+    late joiners, and refuse a receive because the window differed."""
+    import repro.core.manager as manager_module
+    from repro.core.scheduler import RefreshScheduler
+
+    seen = dict(receives=0, refused=0, seeded=0, multi_alias=0, late=0)
+    receive, execute = RefreshScheduler._receive, manager_module.dra_execute
+
+    def counted_receive(self, cq):
+        manager = self.manager
+        cohort = manager._cohorts[cq.table_names]
+        # A lazy member whose window starts after its cohort's sweep.
+        seen["late"] += (
+            cq.name in cohort.lazy and cq.last_execution_ts > cohort.swept
+        )
+        received = receive(self, cq)
+        seen["receives"] += received
+        seen["refused"] += (
+            not received
+            and cq.name in cohort.lazy
+            and any(
+                (key, at) == (cq.sql_key, manager.db.now())
+                for key, __, at in manager._shared_results
+            )
+        )
+        return received
+
+    def counted_execute(*args, seeds=None, **kwargs):
+        seen["seeded"] += seeds is not None
+        seen["multi_alias"] += seeds is not None and len(seeds) > 1
+        return execute(*args, seeds=seeds, **kwargs)
+
+    monkeypatch.setattr(RefreshScheduler, "_receive", counted_receive)
+    monkeypatch.setattr(manager_module, "dra_execute", counted_execute)
+    for i in range(N_SCHEDULES // CHUNKS):
+        run_schedule(make_schedule(7_000 + i), CONFIGS["fanout_columnar"])
+    assert all(seen.values()), seen

@@ -58,6 +58,9 @@ class TestRoundTrip:
         db.table("stocks").log.prune_before(2)
         restored = database_from_dict(database_to_dict(db))
         assert restored.table("stocks").log.pruned_through == 2
+        assert restored.table("stocks").log.newest_ts == (
+            db.table("stocks").log.newest_ts
+        )
         with pytest.raises(ValueError):
             restored.table("stocks").log.since(0)
 

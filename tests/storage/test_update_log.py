@@ -70,6 +70,28 @@ class TestPrune:
             log.since(1)
         assert [r.ts for r in log.since(2)] == [3]
 
+    def test_newest_ts_survives_pruning(self):
+        """``latest_ts`` describes the records held, ``newest_ts`` the
+        table: pruning forgets records, not that they were committed."""
+        log = UpdateLog()
+        assert log.newest_ts == 0
+        for ts in (1, 2, 3):
+            log.append(record(ts, ts=ts))
+        log.prune_before(7)
+        assert (log.latest_ts(), log.pruned_through, log.newest_ts) == (0, 7, 3)
+        log.append(record(4, ts=9))
+        assert log.newest_ts == 9
+
+    def test_mark_pruned_seeds_newest_ts_conservatively(self):
+        """A rebuilt log cannot know what its pruned history held:
+        ``newest_ts`` reads max(latest record, pruned_through)."""
+        behind, ahead = UpdateLog(), UpdateLog()
+        ahead.append(record(1, ts=5))
+        for log in (behind, ahead):
+            log.mark_pruned(3)
+            assert log.pruned_through == 3
+        assert (behind.newest_ts, ahead.newest_ts) == (3, 5)
+
     def test_latest_and_oldest_on_empty(self):
         log = UpdateLog()
         assert log.latest_ts() == 0 and log.oldest_ts() == 0
