@@ -213,21 +213,33 @@ def real_smoke(rows=2_000, rounds=5, updates_per_round=20, durability=None):
 # -- durability overhead smoke (CI) --------------------------------------------
 
 
+#: What journaling one committed record cost at PR 21 (the parent of
+#: the write-path PR) under batch fsync, in microseconds: the median of
+#: ten runs of this smoke there, which spanned 1.33-3.77. The gate
+#: allows WAL_MARGIN times the median (1.26x the worst of the ten).
+WAL_US_PER_RECORD = 3.16
+WAL_MARGIN = 1.5
+
+
 def durability_smoke(
     rows=2_000,
-    rounds=8,
+    rounds=100,
     updates_per_round=40,
     policy="batch",
-    repeats=3,
+    repeats=7,
     out_path="BENCH_e2.json",
-    budget_pct=15.0,
+    budget_us=WAL_US_PER_RECORD * WAL_MARGIN,
 ):
-    """Measure the WAL's cost on the loopback refresh path.
+    """Measure what the WAL costs per journaled record.
 
     Runs the same update+refresh loop with and without a write-ahead
-    log (``fsync=policy``), best-of-``repeats`` each, and asserts the
-    journaled configuration stays within ``budget_pct`` of the plain
-    one. The measurements land in ``out_path`` (BENCH_e2 notes).
+    log (``fsync=policy``), alternating, best-of-``repeats`` each, and
+    asserts ``(wal_s - plain_s) / journaled records`` stays within
+    ``budget_us`` — the journal's own cost, which a faster commit or
+    refresh path does not move. (The ratio to the plain loop,
+    ``overhead_pct``, is still printed; it is not gated, because every
+    PR that speeds the un-journaled loop up makes it worse.) The
+    measurements land in ``out_path`` (BENCH_e2 notes).
     """
     import asyncio
     import json
@@ -238,6 +250,7 @@ def durability_smoke(
     from repro.bench.harness import format_table
     from repro.net.client import CQSession
     from repro.net.service import CQService
+    from repro.storage.wal import WriteAheadLog
 
     async def one_run(durability):
         db = Database(durability=durability)
@@ -248,9 +261,10 @@ def durability_smoke(
         session = CQSession("bench", *addr)
         await session.connect()
         await session.register("watch", WATCH, Protocol.DRA_DELTA)
+        records = 0
         start = time.perf_counter()
         for __ in range(rounds):
-            market.tick(updates_per_round, p_insert=0.1, p_delete=0.1)
+            records += market.tick(updates_per_round, p_insert=0.1, p_delete=0.1)
             await service.refresh()
             await session.wait_applied("watch", db.now(), timeout=10.0)
         elapsed = time.perf_counter() - start
@@ -259,49 +273,45 @@ def durability_smoke(
         await service.stop()
         if db.wal is not None:
             db.wal.close()
-        return elapsed
-
-    def best_of(durability_factory):
-        times = []
-        for __ in range(repeats):
-            times.append(asyncio.run(one_run(durability_factory())))
-        return min(times)
+        return elapsed, records
 
     with tempfile.TemporaryDirectory() as tmp:
-        counter = iter(range(1_000))
+        plain, journaled = [], []
+        for repeat in range(repeats):
+            path = os.path.join(tmp, f"bench-{repeat}.wal")
+            plain.append(asyncio.run(one_run(None)))
+            journaled.append(
+                asyncio.run(one_run(WriteAheadLog(path, fsync=policy)))
+            )
 
-        def wal_path():
-            from repro.storage.wal import WriteAheadLog
-
-            path = os.path.join(tmp, f"bench-{next(counter)}.wal")
-            return WriteAheadLog(path, fsync=policy)
-
-        plain_s = best_of(lambda: None)
-        wal_s = best_of(wal_path)
-
+    (plain_s, records), (wal_s, __) = min(plain), min(journaled)
+    assert plain_s >= 0.05, f"plain loop too short to time: {plain_s:.4f}s"
     overhead_pct = (wal_s - plain_s) / plain_s * 100.0
+    wal_us = (wal_s - plain_s) / records * 1e6
     record = {
         "benchmark": "e2_durability_smoke",
         "rows": rows,
         "rounds": rounds,
-        "updates_per_round": updates_per_round,
+        "records": records,
         "fsync_policy": policy,
         "plain_s": round(plain_s, 4),
         "wal_s": round(wal_s, 4),
         "overhead_pct": round(overhead_pct, 1),
-        "budget_pct": budget_pct,
+        "wal_us_per_record": round(wal_us, 2),
+        "budget_us": round(budget_us, 2),
     }
     with open(out_path, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
     print(
         format_table(
-            [record], title="E2 durability smoke: WAL overhead on refresh path"
+            [record], title="E2 durability smoke: WAL cost per journaled record"
         )
     )
-    assert overhead_pct < budget_pct, (
-        f"WAL ({policy}) overhead {overhead_pct:.1f}% exceeds the "
-        f"{budget_pct:.0f}% budget ({wal_s:.3f}s vs {plain_s:.3f}s)"
+    assert wal_us < budget_us, (
+        f"WAL ({policy}) costs {wal_us:.2f} us per journaled record, over the "
+        f"{budget_us:.2f} us budget ({wal_s:.3f}s vs {plain_s:.3f}s for "
+        f"{records} records)"
     )
     return record
 
@@ -331,7 +341,7 @@ def main(argv=None):
         choices=["always", "batch", "off"],
         default=None,
         help="also measure WAL overhead under this fsync policy "
-        "(asserts it stays under ~15%% and writes BENCH_e2.json)",
+        "(asserts the per-record journal cost and writes BENCH_e2.json)",
     )
     args = parser.parse_args(argv)
     if not (args.real and args.smoke):

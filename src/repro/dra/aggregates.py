@@ -73,7 +73,7 @@ class DifferentialAggregate:
         self._groups.clear()
         self._row_counts.clear()
         for row in core_rows:
-            self._add_row(row.values)
+            self._add_row(row.values, self._key_of(row.values))
         self._initialized = True
         self.result = self._materialize()
         return self.result.copy()
@@ -106,17 +106,18 @@ class DifferentialAggregate:
             columnar=columnar,
         ).delta
 
+        # One pass: a group's visible row is snapshotted at its first
+        # touch, before the side that touches it folds in, so it is the
+        # row as of the previous refresh whatever the batch does next.
         touched: Dict[GroupKey, Optional[Values]] = {}
+        remove, add = self._remove_row, self._add_row
         for entry in core_delta:
-            if entry.old is not None:
-                self._snapshot(touched, self._key_of(entry.old))
-            if entry.new is not None:
-                self._snapshot(touched, self._key_of(entry.new))
-        for entry in core_delta:
-            if entry.old is not None:
-                self._remove_row(entry.old)
-            if entry.new is not None:
-                self._add_row(entry.new)
+            for values, fold in ((entry.old, remove), (entry.new, add)):
+                if values is not None:
+                    key = self._key_of(values)
+                    if key not in touched:
+                        touched[key] = self._visible_row(key)
+                    fold(values, key)
 
         entries = []
         for key, old_values in touched.items():
@@ -137,13 +138,7 @@ class DifferentialAggregate:
     # -- internals -----------------------------------------------------------
 
     def _key_of(self, core_values: Values) -> GroupKey:
-        return tuple(core_values[p] for p in self._group_positions)
-
-    def _snapshot(
-        self, touched: Dict[GroupKey, Optional[Values]], key: GroupKey
-    ) -> None:
-        if key not in touched:
-            touched[key] = self._visible_row(key)
+        return tuple(map(core_values.__getitem__, self._group_positions))
 
     def _visible_row(self, key: GroupKey) -> Optional[Values]:
         """The group's output row after the HAVING filter (None if the
@@ -168,8 +163,7 @@ class DifferentialAggregate:
             accs = accs or [s.make_accumulator() for s in self.query.aggregates]
         return key + tuple(acc.result() for acc in accs)
 
-    def _add_row(self, core_values: Values) -> None:
-        key = self._key_of(core_values)
+    def _add_row(self, core_values: Values, key: GroupKey) -> None:
         accs = self._groups.get(key)
         if accs is None:
             accs = [spec.make_accumulator() for spec in self.query.aggregates]
@@ -179,8 +173,7 @@ class DifferentialAggregate:
             acc.add(core_values[pos] if pos is not None else None)
         self._row_counts[key] += 1
 
-    def _remove_row(self, core_values: Values) -> None:
-        key = self._key_of(core_values)
+    def _remove_row(self, core_values: Values, key: GroupKey) -> None:
         accs = self._groups.get(key)
         if accs is None or self._row_counts.get(key, 0) <= 0:
             raise ReproError(

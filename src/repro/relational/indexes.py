@@ -57,11 +57,15 @@ class HashIndex:
                 del self._buckets[key]
 
     def update(self, tid: Tid, old_values: Values, new_values: Values) -> None:
-        old_key = self.key_of(old_values)
-        new_key = self.key_of(new_values)
-        if old_key != new_key:
-            self.remove(tid, old_values)
-            self.insert(tid, new_values)
+        """Move ``tid`` between buckets if — and only if — its key
+        moved. No key tuple is built to find out; a NaN key compares
+        unequal to itself and takes remove + insert, which is always
+        correct."""
+        for p in self.positions:
+            if old_values[p] != new_values[p]:
+                self.remove(tid, old_values)
+                self.insert(tid, new_values)
+                return
 
     def lookup(
         self, key: Tuple[Any, ...], metrics: Optional[Metrics] = None
@@ -104,7 +108,7 @@ class IndexSet:
     invalidates (and re-prepares) any plan that assumed its absence.
     """
 
-    __slots__ = ("_indexes", "_by_sorted", "version")
+    __slots__ = ("_indexes", "_by_sorted", "_key_positions", "version")
 
     def __init__(self) -> None:
         self._indexes: Dict[Tuple[int, ...], HashIndex] = {}
@@ -112,6 +116,9 @@ class IndexSet:
         # best_for is one dict lookup instead of a scan over every
         # index key per probe-plan resolution.
         self._by_sorted: Dict[Tuple[int, ...], HashIndex] = {}
+        # Union of every index's key positions: a modify that changes
+        # none of them moves no index (on_modify decides once per row).
+        self._key_positions: Tuple[int, ...] = ()
         self.version = 0
 
     def add(self, index: HashIndex) -> None:
@@ -119,6 +126,9 @@ class IndexSet:
         # First registration wins for a given column set, matching the
         # old linear scan's insertion-order preference.
         self._by_sorted.setdefault(tuple(sorted(index.positions)), index)
+        self._key_positions = tuple(
+            sorted(set(self._key_positions).union(index.positions))
+        )
         self.version += 1
 
     def get(self, positions: Tuple[int, ...]) -> Optional[HashIndex]:
@@ -147,8 +157,11 @@ class IndexSet:
             index.remove(tid, values)
 
     def on_modify(self, tid: Tid, old_values: Values, new_values: Values) -> None:
-        for index in self._indexes.values():
-            index.update(tid, old_values, new_values)
+        for p in self._key_positions:
+            if old_values[p] != new_values[p]:
+                for index in self._indexes.values():
+                    index.update(tid, old_values, new_values)
+                return
 
     def __len__(self) -> int:
         return len(self._indexes)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Sequence, Tuple
 
-from repro.errors import SchemaError, UnknownAttributeError
+from repro.errors import SchemaError, TypeMismatchError, UnknownAttributeError
 from repro.relational.types import AttributeType
 
 
@@ -48,7 +48,7 @@ class Schema:
     plain tuples aligned with the schema.
     """
 
-    __slots__ = ("_attributes", "_index")
+    __slots__ = ("_attributes", "_index", "_exact_types")
 
     def __init__(self, attributes: Iterable[Attribute]):
         attrs = tuple(attributes)
@@ -61,6 +61,9 @@ class Schema:
             index[attr.name] = pos
         self._attributes = attrs
         self._index = index
+        # The row check, compiled: what ``tuple(map(type, row))`` reads
+        # for a row that validate_row would return unchanged.
+        self._exact_types = tuple(attr.type.python_type for attr in attrs)
 
     @classmethod
     def of(cls, *pairs: Tuple[str, AttributeType]) -> "Schema":
@@ -113,16 +116,29 @@ class Schema:
         return self.attribute(name).type
 
     def validate_row(self, values: Sequence[Any]) -> Tuple[Any, ...]:
-        """Validate and coerce a row of values against this schema."""
+        """Validate and coerce a row of values against this schema.
+
+        A tuple whose element types are exactly the schema's is its own
+        validated form and comes back as the same object; any other
+        input (nulls, coercions, subclasses, lists, errors) is decided
+        per attribute by :meth:`AttributeType.validate`.
+        """
+        if type(values) is tuple and tuple(map(type, values)) == self._exact_types:
+            return values
         if len(values) != len(self._attributes):
             raise SchemaError(
                 f"row arity {len(values)} does not match schema arity "
                 f"{len(self._attributes)}"
             )
-        return tuple(
-            attr.type.validate(value)
-            for attr, value in zip(self._attributes, values)
-        )
+        validated = []
+        for position, (attr, value) in enumerate(zip(self._attributes, values)):
+            try:
+                validated.append(attr.type.validate(value))
+            except TypeMismatchError as exc:
+                raise TypeMismatchError(
+                    f"attribute {attr.name!r} (position {position}): {exc}"
+                ) from None
+        return tuple(validated)
 
     def project(self, names: Sequence[str]) -> "Schema":
         """New schema containing only ``names``, in the given order."""

@@ -62,6 +62,15 @@ class AttributeType(enum.Enum):
             return value
         raise AssertionError(f"unhandled type {self!r}")  # pragma: no cover
 
+    @property
+    def python_type(self) -> type:
+        """The exact Python type of a non-null value :meth:`validate`
+        returns unchanged. A value of exactly this type needs no check
+        (``type(True) is bool``, so a bool never reads as INT); every
+        other value — ``None``, an int in a FLOAT column, a subclass —
+        is :meth:`validate`'s to decide."""
+        return _PYTHON_TYPES[self]
+
     def is_numeric(self) -> bool:
         """True for types that participate in arithmetic and SUM/AVG."""
         return self in (AttributeType.INT, AttributeType.FLOAT)
@@ -80,6 +89,14 @@ class AttributeType(enum.Enum):
         if self is AttributeType.BOOL:
             return 1
         return 4  # STR: length prefix; content charged separately.
+
+
+_PYTHON_TYPES = {
+    AttributeType.INT: int,
+    AttributeType.FLOAT: float,
+    AttributeType.STR: str,
+    AttributeType.BOOL: bool,
+}
 
 
 def infer_type(value: Any) -> AttributeType:

@@ -95,18 +95,29 @@ class Table:
         return tid
 
     def apply_committed(self, records: List[UpdateRecord]) -> None:
-        """Apply already-validated records and sync indexes + log."""
-        for record in records:
-            if record.kind is UpdateKind.INSERT:
-                self.current.add(record.tid, record.new)
-                self.indexes.on_insert(record.tid, record.new)
-            elif record.kind is UpdateKind.DELETE:
-                self.current.remove(record.tid)
-                self.indexes.on_delete(record.tid, record.old)
-            else:
-                self.current.add(record.tid, record.new)
-                self.indexes.on_modify(record.tid, record.old, record.new)
-            self.log.append(record)
+        """Apply one commit's records and sync indexes + log.
+
+        The log takes the batch in one append. If a record fails to
+        apply, the records before it still reach the log, so table,
+        indexes and log never disagree about what was applied.
+        """
+        current, indexes = self.current, self.indexes
+        applied = 0
+        try:
+            for record in records:
+                kind, tid = record.kind, record.tid
+                if kind is UpdateKind.INSERT:
+                    current.add(tid, record.new)
+                    indexes.on_insert(tid, record.new)
+                elif kind is UpdateKind.DELETE:
+                    current.remove(tid)
+                    indexes.on_delete(tid, record.old)
+                else:
+                    current.add(tid, record.new)
+                    indexes.on_modify(tid, record.old, record.new)
+                applied += 1
+        finally:
+            self.log.extend(records[:applied])
 
     def notify(self, records: List[UpdateRecord]) -> None:
         for observer in list(self._observers):

@@ -107,24 +107,25 @@ class UpdateLog:
         self.pruned_through = ts
         self.newest_ts = max(self.newest_ts, ts)
 
-    def _append(self, record: UpdateRecord) -> None:
-        if self._timestamps and record.ts < self._timestamps[-1]:
-            raise ValueError(
-                f"log timestamps must be non-decreasing; got {record.ts} "
-                f"after {self._timestamps[-1]}"
-            )
-        self._records.append(record)
-        self._timestamps.append(record.ts)
-        self.newest_ts = record.ts
-
     def append(self, record: UpdateRecord) -> None:
-        with self._lock:
-            self._append(record)
+        self.extend((record,))
 
     def extend(self, records: Sequence[UpdateRecord]) -> None:
+        """Append one commit's records under one lock — all of them, or
+        (if any stamp would step backwards) none."""
+        stamps = [record.ts for record in records]
+        if not stamps:
+            return
         with self._lock:
-            for record in records:
-                self._append(record)
+            tail = self._timestamps[-1] if self._timestamps else stamps[0]
+            if stamps[0] < tail or stamps != sorted(stamps):
+                raise ValueError(
+                    "log timestamps must be non-decreasing; got "
+                    f"{stamps[0]}..{stamps[-1]} after {tail}"
+                )
+            self._records.extend(records)
+            self._timestamps.extend(stamps)
+            self.newest_ts = stamps[-1]
 
     def since(self, ts: Timestamp) -> List[UpdateRecord]:
         """All records with ``record.ts > ts``, in commit order.

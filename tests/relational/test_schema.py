@@ -1,8 +1,11 @@
 """Tests for schemas: construction, lookup, projection, compatibility."""
 
-import pytest
+import enum
 
-from repro.errors import SchemaError, UnknownAttributeError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import SchemaError, TypeMismatchError, UnknownAttributeError
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import AttributeType
 
@@ -124,3 +127,132 @@ class TestCompatibility:
         )
         assert schema == clone
         assert hash(schema) == hash(clone)
+
+
+# -- the compiled row check is the reference row check -----------------------
+
+ALL_TYPES = list(AttributeType)
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+class Tag(str):
+    pass
+
+
+EXACT = {
+    AttributeType.INT: st.integers(-(2**70), 2**70),
+    AttributeType.FLOAT: st.floats(allow_nan=True, allow_infinity=True),
+    AttributeType.STR: st.text(max_size=4),
+    AttributeType.BOOL: st.booleans(),
+}
+ANYTHING = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.just(Colour.RED),
+    st.just(Tag("t")),
+    st.just([1]),
+)
+
+
+def reference_validate_row(schema, values):
+    """validate_row as it was before the exact-type test: arity, then
+    every value through its attribute's ``validate``."""
+    if len(values) != len(schema):
+        raise SchemaError("arity")
+    return tuple(
+        attr.type.validate(value) for attr, value in zip(schema, values)
+    )
+
+
+def same_row(left, right):
+    """Equal element by element, in type as well as value (NaN is NaN)."""
+    return len(left) == len(right) and all(
+        type(a) is type(b) and (a == b or (a != a and b != b))
+        for a, b in zip(left, right)
+    )
+
+
+@st.composite
+def schema_and_exact_row(draw):
+    types = draw(st.lists(st.sampled_from(ALL_TYPES), min_size=1, max_size=6))
+    schema = Schema.of(*[(f"c{i}", t) for i, t in enumerate(types)])
+    return schema, tuple(draw(EXACT[t]) for t in types)
+
+
+@st.composite
+def schema_and_any_row(draw):
+    schema, exact = draw(schema_and_exact_row())
+    row = [
+        draw(ANYTHING) if draw(st.integers(0, 3)) == 0 else value
+        for value in exact
+    ]
+    arity = draw(st.sampled_from(["same", "same", "same", "short", "long"]))
+    if arity == "short":
+        row.pop()
+    elif arity == "long":
+        row.append(draw(ANYTHING))
+    return schema, draw(st.sampled_from([tuple, list]))(row)
+
+
+class TestCompiledRowCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(schema_and_any_row())
+    def test_agrees_with_per_attribute_validation(self, case):
+        schema, row = case
+        before = list(row)
+        try:
+            expected = reference_validate_row(schema, row)
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as raised:
+                schema.validate_row(row)
+            assert type(raised.value) is type(exc)
+        else:
+            got = schema.validate_row(row)
+            assert type(got) is tuple
+            assert same_row(got, expected)
+        assert same_row(list(row), before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(schema_and_exact_row())
+    def test_exact_row_comes_back_as_the_same_object(self, case):
+        # No copy per validated row: this is what keeps peak RSS down
+        # when a commit's rows are checked at each boundary they cross.
+        schema, row = case
+        assert schema.validate_row(row) is row
+
+    @settings(max_examples=100, deadline=None)
+    @given(schema_and_exact_row(), st.integers(-9, 9))
+    def test_coerced_row_is_a_new_tuple(self, case, number):
+        schema, exact = case
+        schema = schema.concat(Schema.of(("f", AttributeType.FLOAT)))
+        row = exact + (number,)
+        got = schema.validate_row(row)
+        assert got is not row and row[-1] is number
+        assert type(got[-1]) is float and got[-1] == number
+        assert same_row(got[:-1], exact)
+
+    def test_bool_never_passes_as_int(self):
+        schema = Schema.of(("n", AttributeType.INT), ("x", AttributeType.FLOAT))
+        for row in [(True, 1.0), (1, False)]:
+            with pytest.raises(TypeMismatchError):
+                schema.validate_row(row)
+
+    def test_type_error_names_attribute_and_position(self, schema):
+        with pytest.raises(TypeMismatchError) as raised:
+            schema.validate_row((1, "DEC", "x"))
+        assert str(raised.value) == (
+            "attribute 'price' (position 2): expected INT, got str: 'x'"
+        )
+
+    def test_arity_error_keeps_its_text(self, schema):
+        with pytest.raises(SchemaError) as raised:
+            schema.validate_row((1, "DEC"))
+        assert type(raised.value) is SchemaError
+        assert str(raised.value) == "row arity 2 does not match schema arity 3"
