@@ -13,7 +13,7 @@ for the protocol, failover walk-through, and recovery matrix.
 from repro.cluster.health import FaultInjector, HealthMonitor
 from repro.cluster.local import LocalBackend
 from repro.cluster.proc import ProcessBackend
-from repro.cluster.ring import HashRing, Partition, partition_delta
+from repro.cluster.ring import HashRing, Partition
 from repro.cluster.router import ClusterRouter, GCReport
 from repro.cluster.shard import ClusterShard, ShardHost, TableDecl
 
@@ -29,5 +29,4 @@ __all__ = [
     "ProcessBackend",
     "ShardHost",
     "TableDecl",
-    "partition_delta",
 ]

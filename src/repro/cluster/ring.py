@@ -135,10 +135,8 @@ class Partition:
     """One shard's slice of a hash-partitioned table.
 
     ``accepts(values)`` answers whether a row belongs to this shard:
-    the partition-key column hashes through the shared ring. The same
-    object also serves partition-aware manager registration — a
-    :class:`~repro.core.manager.CQManager` given a ``partition=``
-    restricts a CQ's delta reads to the slice it owns.
+    the partition-key column hashes through the shared ring; the
+    router slices every scattered delta with :func:`partition_filter`.
     """
 
     __slots__ = ("table", "column", "position", "ring", "node")
@@ -196,34 +194,3 @@ def partition_filter(
         if sliced is not None:
             out.append(sliced)
     return DeltaRelation(delta.schema, out)
-
-
-def partition_delta(
-    delta: DeltaRelation, table: str, position: int, ring: HashRing
-) -> Dict[int, DeltaRelation]:
-    """Split a consolidated delta into per-shard slices.
-
-    Returns only non-empty slices; the union of the slices is exactly
-    ``delta`` with cross-slice modifications rewritten as
-    delete-at-old-owner + insert-at-new-owner.
-    """
-    per_shard: Dict[int, List[DeltaEntry]] = {}
-
-    def owner(values) -> Optional[int]:
-        if values is None:
-            return None
-        return ring.lookup(f"{table}:{values[position]}")
-
-    for entry in delta:
-        old_owner = owner(entry.old)
-        new_owner = owner(entry.new)
-        for node in {o for o in (old_owner, new_owner) if o is not None}:
-            sliced = _slice_entry(
-                entry, old_owner == node, new_owner == node
-            )
-            if sliced is not None:
-                per_shard.setdefault(node, []).append(sliced)
-    return {
-        node: DeltaRelation(delta.schema, entries)
-        for node, entries in per_shard.items()
-    }

@@ -108,7 +108,7 @@ class ContinualQuery:
         #: Retain the previous complete result (Section 3.3 trade-off).
         self.keep_result = keep_result
 
-        # -- runtime state, owned by the manager; register() resets it --
+        # -- runtime state, owned by the manager; _install() builds it --
         self.status = CQStatus.ACTIVE
         self.order = 0  # registration sequence: refresh order within a poll
         self.last_execution_ts: Timestamp = 0
@@ -123,9 +123,6 @@ class ContinualQuery:
         self.applied_ts: Timestamp = 0
         #: When the CQ last produced a result (vs merely executed).
         self.last_result_ts: Optional[Timestamp] = None
-        #: Partition-aware registration (repro.cluster): the slice of
-        #: one operand table whose deltas this CQ consumes.
-        self.partition = None
         self.callbacks: List[Callable] = []  # notification listeners
         #: The result sequence Q(S_1)..Q(S_n), bounded by the manager's
         #: ``history_limit`` (None: not retained).

@@ -21,13 +21,23 @@ from __future__ import annotations
 
 import enum
 from collections import Counter, deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.errors import RegistrationError
 from repro.metrics import Metrics
 from repro.obs.stats import CQStats
 from repro.obs.trace import Tracer
-from repro.relational.evaluate import evaluate_spj
+from repro.relational.relation import Relation
 from repro.relational.sql import parse_query
 from repro.storage.database import Database
 from repro.storage.table import Table
@@ -36,6 +46,7 @@ from repro.storage.update_log import UpdateRecord
 from repro.delta.capture import deltas_since
 from repro.delta.differential import DeltaRelation
 from repro.delta.diff import diff
+from repro.delta.propagate import evaluate_as_of
 from repro.dra.aggregates import DifferentialAggregate
 from repro.dra.algorithm import dra_execute
 from repro.dra.predindex import PredicateIndex, Routed
@@ -177,74 +188,16 @@ class CQManager:
         self,
         cq: ContinualQuery,
         on_notify: Optional[NotifyCallback] = None,
-        partition=None,
     ) -> ContinualQuery:
-        """Register a CQ: run E_0 and start watching its tables.
-
-        ``partition`` (a :class:`~repro.cluster.ring.Partition`)
-        declares that this manager's database holds only one shard's
-        slice of the partitioned table: every refresh drops delta
-        entries for rows the slice does not own, so a mis-routed commit
-        can never leak into the CQ's differential stream. Only
-        delta-consuming engines support partitions — re-evaluation
-        reads base state directly, so a partition would be silently
-        ignored there and is rejected instead.
-        """
-        if cq.name in self._cqs:
-            raise RegistrationError(f"a CQ named {cq.name!r} is already registered")
-        for name in cq.table_names:
-            self.db.table(name)  # raises early on unknown tables
-        if cq.engine is Engine.REEVALUATE and not cq.keep_result:
-            raise RegistrationError(
-                "the re-evaluation engine needs keep_result=True to Diff "
-                "consecutive results"
-            )
-        if partition is not None:
-            if partition.table not in cq.table_names:
-                raise RegistrationError(
-                    f"partition on {partition.table!r} does not touch any "
-                    f"table of CQ {cq.name!r}"
-                )
-            if cq.engine is Engine.REEVALUATE:
-                raise RegistrationError(
-                    "the re-evaluation engine does not consume deltas; a "
-                    "partition declaration would have no effect"
-                )
-        drift_specs = list(_drift_specs(cq.trigger))
-        if drift_specs and not (cq.is_aggregate and not cq.query.group_by):
-            raise RegistrationError(
-                "ResultDriftEpsilon triggers require a global aggregate CQ"
-            )
-
-        # Compile once, up front: derives the predicate plan, local and
-        # residual predicates, and the projection, and auto-creates any
-        # missing single-column join indexes — so even E_0 below runs
-        # against the indexes the differential refreshes will probe.
-        self._prepared_for(cq)
-
-        now = cq.applied_ts = self.db.now()
-        if cq.is_aggregate:
-            cq.aggregate_state = DifferentialAggregate(cq.query, self.db)
-            result = cq.aggregate_state.initialize(self.metrics)
-            for spec in drift_specs:
-                spec.note_current(_headline_value(result))
-                spec.reset()
-        else:
-            donor = None if partition is not None else self._donor(cq.sql_key)
-            if donor is not None:
-                result = donor.previous_result.copy()
-            else:
-                result = evaluate_spj(cq.query, self.db.relation, self.metrics)
-        cq.previous_result = result if (cq.keep_result or cq.is_aggregate) else None
-        if cq.engine is Engine.EAGER and not cq.is_aggregate:
-            cq.maintained_result = result.copy()
-        cq.executions = 1
-        cq.partition = partition
+        """Register a CQ: run E_0 and start watching its tables."""
+        drift_specs = self._validate(cq)
         cq.callbacks = [] if on_notify is None else [on_notify]
-        self._install(cq, now)
+        now = self.db.now()
+        result = self._install(cq, now)
+        for spec in drift_specs:
+            spec.reset()  # E_0 is the value reported so far
         if self.db.wal is not None:
             self._journal_cq_register(cq)
-
         self._emit(
             cq,
             Notification(
@@ -258,6 +211,42 @@ class CQManager:
         )
         return cq
 
+    def restore(
+        self, entries: Iterable[Tuple[ContinualQuery, Timestamp, Dict]]
+    ) -> None:
+        """Install recovered CQs — ``(cq, ts, state)`` in registration
+        order: a fresh :class:`ContinualQuery`, its window's start, and
+        what a checkpoint holds beyond those (``status``, ``executions``,
+        ``last_result_ts``, ``retained``: :meth:`_install`'s arguments;
+        a journal holds none) — notifying and journaling nothing: the
+        next refresh delivers each window differentially. A CQ whose
+        ``ts`` the logs no longer reach is installed as of now."""
+        for cq, ts, state in entries:
+            self._validate(cq)
+            try:
+                self._install(cq, ts, **state)
+            except ValueError:  # the logs no longer reach ts
+                self._install(cq, self.db.now(), **state)
+
+    def _validate(self, cq: ContinualQuery) -> List[ResultDriftEpsilon]:
+        """Reject a CQ this manager cannot run, before anything is
+        built for it; returns its trigger's result-drift specs."""
+        if cq.name in self._cqs:
+            raise RegistrationError(f"a CQ named {cq.name!r} is already registered")
+        for name in cq.table_names:
+            self.db.table(name)  # raises early on unknown tables
+        if cq.engine is Engine.REEVALUATE and not cq.keep_result:
+            raise RegistrationError(
+                "the re-evaluation engine needs keep_result=True to Diff "
+                "consecutive results"
+            )
+        drift_specs = list(_drift_specs(cq.trigger))
+        if drift_specs and not (cq.is_aggregate and not cq.query.group_by):
+            raise RegistrationError(
+                "ResultDriftEpsilon triggers require a global aggregate CQ"
+            )
+        return drift_specs
+
     def register_query(
         self,
         name: str,
@@ -268,7 +257,6 @@ class CQManager:
         engine: Engine = Engine.DRA,
         keep_result: bool = True,
         on_notify: Optional[NotifyCallback] = None,
-        partition=None,
     ) -> ContinualQuery:
         """Build and register a CQ in one call; SQL text is accepted."""
         if isinstance(query, str):
@@ -282,7 +270,7 @@ class CQManager:
             engine=engine,
             keep_result=keep_result,
         )
-        return self.register(cq, on_notify=on_notify, partition=partition)
+        return self.register(cq, on_notify=on_notify)
 
     # Friendly alias used throughout the examples.
     register_sql = register_query
@@ -351,11 +339,30 @@ class CQManager:
 
     # -- install / uninstall ------------------------------------------------------
 
-    def _install(self, cq: ContinualQuery, ts: Timestamp) -> None:
-        """Enter a CQ whose result state reflects ``ts`` into every
-        registry: ``sql_key`` group (one index entry per group), cohort,
-        GC zone and commit observers. The one step behind
-        :meth:`register`, checkpoint restore and journal recovery.
+    def _install(
+        self,
+        cq: ContinualQuery,
+        ts: Timestamp,
+        status: CQStatus = CQStatus.ACTIVE,
+        executions: int = 1,
+        last_result_ts: Optional[Timestamp] = None,
+        retained: Optional[Iterable[Tuple]] = None,
+    ) -> Optional[Relation]:
+        """Build a CQ's retained state *as of* ``ts`` — the one place it
+        is built — and enter the CQ into every registry: ``sql_key``
+        group (one index entry per group), cohort, GC zone and commit
+        observers. The one step behind :meth:`register` (``ts`` is now:
+        E_0) and :meth:`restore` (checkpoint and journal). Returns
+        Q(state at ``ts``); nothing is built for a CQ that is not ACTIVE.
+
+        The retained result is Q over the current state with
+        ``(ts, now]`` unapplied (:func:`evaluate_as_of`; a ``ts`` GC has
+        passed raises ``ValueError`` before anything is entered), so
+        the next refresh delivers that window. What runs ahead of
+        executions — an aggregate's differential state, an EAGER
+        maintained result — is built as of now; for such a CQ a
+        checkpoint brings ``retained``, the result's ``(tid, values)``
+        rows, when GC has passed its last execution.
 
         A member is *lazy* — visited only when routed, see
         :class:`~repro.core.scheduler.Cohort` — when this is a PERIODIC
@@ -366,15 +373,53 @@ class CQManager:
         keep their own zone.
         """
         name, tables, key = cq.name, cq.table_names, cq.sql_key
+        result = None
+        if status is CQStatus.ACTIVE:
+            # Compile once, up front: derives the predicate plan, local
+            # and residual predicates, and the projection, and
+            # auto-creates any missing single-column join indexes — so
+            # even E_0 below runs against the indexes the differential
+            # refreshes will probe.
+            self._prepared_for(cq)
+            now = cq.applied_ts = self.db.now()
+            # A quiet window: Q(state at ts) is Q(state now).
+            quiet = ts == now or not self._touched(tables, ts)
+            current = None
+            if cq.is_aggregate:
+                cq.aggregate_state = DifferentialAggregate(cq.query, self.db)
+                current = cq.aggregate_state.initialize(self.metrics)
+                for spec in _drift_specs(cq.trigger):
+                    spec.note_current(_headline_value(current))
+            elif quiet or retained is not None or cq.engine is Engine.EAGER:
+                donor = self._donor(key)
+                current = (
+                    donor.previous_result.copy()
+                    if donor is not None
+                    else evaluate_as_of(cq.query, self.db, now, self.metrics)
+                )
+            if retained is not None:
+                result = Relation.from_pairs(current.schema, retained)
+            elif quiet:
+                result = current
+            else:
+                result = evaluate_as_of(cq.query, self.db, ts, self.metrics)
+            if cq.engine is Engine.EAGER and not cq.is_aggregate:
+                cq.maintained_result = (
+                    current.copy() if result is current else current
+                )
+            keep = cq.keep_result or cq.is_aggregate
+            cq.previous_result = result if keep else None
+        cq.status = status
+        cq.executions = executions
         cq.last_execution_ts = ts
-        self._registered = cq.order = self._registered + 1
-        self._cqs[name] = cq
-        cq.last_result_ts = ts
+        cq.last_result_ts = ts if last_result_ts is None else last_result_ts
         cq.history = (
             deque(maxlen=self.history_limit) if self.history_limit else None
         )
-        if cq.status is not CQStatus.ACTIVE:
-            return
+        self._registered = cq.order = self._registered + 1
+        self._cqs[name] = cq
+        if status is not CQStatus.ACTIVE:
+            return None
         self._sql_groups.setdefault(key, {})[name] = cq
         index = self.fanout_index
         indexed = index is not None and cq.engine is not Engine.REEVALUATE
@@ -422,6 +467,7 @@ class CQManager:
         ):
             for table in tables:
                 self._watchers[table][name] = cq
+        return result
 
     def _uninstall(self, cq: ContinualQuery) -> None:
         """Undo :meth:`_install`; the last member of a ``sql_key`` takes
@@ -478,7 +524,6 @@ class CQManager:
         for member in self._sql_groups.get(sql_key, {}).values():
             if (
                 member.previous_result is not None
-                and member.partition is None
                 and not self._touched(member.table_names, self._since(member))
             ):
                 return member
@@ -673,34 +718,16 @@ class CQManager:
             [self.db.table(name) for name in table_names], since
         )
 
-    def _partition_deltas(
-        self, cq: ContinualQuery, deltas: Dict[str, DeltaRelation]
-    ) -> Dict[str, DeltaRelation]:
-        """Drop delta entries outside a partitioned CQ's owned slice."""
-        partition = cq.partition
-        if partition is None or partition.table not in deltas:
-            return deltas
-        from repro.cluster.ring import partition_filter
-
-        sliced = partition_filter(deltas[partition.table], partition)
-        out = dict(deltas)
-        if sliced.is_empty():
-            del out[partition.table]
-        else:
-            out[partition.table] = sliced
-        return out
-
     def _window_deltas(
         self, cq: ContinualQuery, since: Timestamp
     ) -> Tuple[Dict[str, DeltaRelation], Optional[Dict[str, Tuple]]]:
         """What one refresh of ``cq`` consumes over ``(since, now]``:
         nothing when the predicate index proves every pending entry
-        irrelevant (Section 5.2); otherwise the consolidated window
-        restricted to the CQ's partition slice, with the entry sides
-        the index selected per alias — DRA's operand seeds. Those are
-        None when routing cannot vouch for the deltas: an unindexed or
-        quarantined (stale-signature) CQ refreshes normally, which is
-        always sound, and a partition slice is not the batch routed."""
+        irrelevant (Section 5.2); otherwise the consolidated window,
+        with the entry sides the index selected per alias — DRA's
+        operand seeds. Those are None when routing cannot vouch for the
+        deltas: an unindexed or quarantined (stale-signature) CQ
+        refreshes normally, which is always sound."""
         index, key, seeds = self.fanout_index, cq.sql_key, None
         if index is not None and key in index:
             seeds = self._fanout_routed(cq.table_names, since).get(key)
@@ -708,10 +735,7 @@ class CQManager:
                 seeds = None
             elif seeds is None:
                 return {}, None
-        deltas = self._partition_deltas(
-            cq, self._deltas_for(cq.table_names, since)
-        )
-        return deltas, None if cq.partition is not None else seeds
+        return self._deltas_for(cq.table_names, since), seeds
 
     def _prepared_for(self, cq: ContinualQuery) -> Optional[PreparedCQ]:
         """The CQ's cached prepared plan (None when the engine never
@@ -795,13 +819,11 @@ class CQManager:
         # (both are Q(state at `since`)), so the delta and the new
         # retained result are computed once per (sql_key, window) and
         # aliased group-wide — a retained result is replaced, never
-        # mutated. Partitioned CQs see a private delta slice: theirs
-        # are never content-identical to other group members'.
+        # mutated.
         shared_key = None
         if (
             self.fanout_index is not None
             and cq.keep_result
-            and cq.partition is None
             and self._sql_readers[cq.sql_key] > 1
         ):
             shared_key = (cq.sql_key, since, now)
@@ -921,30 +943,107 @@ class CQManager:
         """Prune update logs outside the system active delta zone."""
         return self.zones.collect(include_unwatched=include_unwatched)
 
-    def pin_zone(self, name: str, tables: Tuple[str, ...], ts: Timestamp) -> None:
-        """Hold the update-log suffix newer than ``ts`` for an external
-        reader (e.g. a transport session replaying a reconnect window).
-
-        The pin participates in the system active delta zone exactly
-        like a CQ's own zone: :meth:`collect_garbage` will not prune
-        past it until :meth:`release_zone` drops it. ``name`` must not
-        collide with a registered CQ name.
-        """
-        if name in self._cqs:
-            raise RegistrationError(
-                f"zone name {name!r} collides with a registered CQ"
-            )
-        self.zones.register(name, tuple(tables), ts)
-
-    def release_zone(self, name: str) -> None:
-        """Drop an external pin installed by :meth:`pin_zone`."""
-        if name in self._cqs:
-            raise RegistrationError(
-                f"{name!r} is a registered CQ; deregister it instead"
-            )
-        self.zones.remove(name)
-
     # -- introspection ---------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless the registries agree with
+        each other and every retained result with the database — the
+        laws every operation must leave standing (``tests/core`` checks
+        them after each one)."""
+
+        def law(holds: bool, message: str) -> None:
+            if not holds:
+                raise AssertionError(message)
+
+        index, cohorts = self.fanout_index, self._cohorts
+        active = {cq.name: cq for cq in self.active()}
+        grouped = {n: cq for g in self._sql_groups.values() for n, cq in g.items()}
+        law(grouped == active, "sql_key groups != the active CQs")
+        placed = [n for c in cohorts.values() for n in (*c.lazy, *c.always)]
+        law(
+            sorted(placed) == sorted(active),
+            "cohorts' lazy + always != the active CQs, each once",
+        )
+        law(
+            all(
+                c.late.keys() <= c.lazy.keys() and (c.lazy or c.always)
+                for c in cohorts.values()
+            ),
+            "a late member that is not lazy, or a memberless cohort",
+        )
+        readers: Counter = Counter()
+        planned, watching, zones, as_of = set(), set(), set(), {}
+        for name, cq in active.items():
+            tables, key, since = cq.table_names, cq.sql_key, self._since(cq)
+            cohort = cohorts.get(tables)
+            law(
+                name in self._sql_groups.get(key, ())
+                and cohort is not None
+                and (name in cohort.lazy or name in cohort.always),
+                f"{name}: not in its sql_key's group and its footprint's cohort",
+            )
+            if index is not None and cq.engine is not Engine.REEVALUATE:
+                readers[key] += 1
+            if cq.engine is not Engine.REEVALUATE or cq.is_aggregate:
+                planned.add(key)
+            if (
+                self.strategy is EvaluationStrategy.IMMEDIATE
+                or cq.engine is Engine.EAGER
+                or type(cq.trigger).observe is not Trigger.observe
+            ):
+                watching.update((table, name) for table in tables)
+            # The zone protecting the window: the cohort's for a lazy
+            # member, its own otherwise — which only what is folded in
+            # ahead of executions may move past the window's start.
+            zone, limit = tables, cohort.swept
+            if name in cohort.always:
+                zone, limit = name, since
+                if cq.is_aggregate or cq.engine is Engine.EAGER:
+                    limit = max(since, cq.applied_ts)
+            zones.add(zone)
+            at = self.zones.boundary(zone)
+            law(
+                at is not None and at <= limit,
+                f"{name}: zone at {at}, ahead of the window from {limit}",
+            )
+            if (
+                cq.previous_result is not None
+                and not cq.is_aggregate
+                and all(self.db.table(t).log.pruned_through <= since for t in tables)
+            ):
+                if (key, since) not in as_of:  # one evaluation per window
+                    as_of[key, since] = evaluate_as_of(cq.query, self.db, since)
+                law(
+                    cq.previous_result == as_of[key, since],
+                    f"{name}: retained result is not Q(state at {since})",
+                )
+        law(
+            dict(self._sql_readers) == dict(readers)
+            and (len(index) if index is not None else 0) == len(readers)
+            and all(key in index for key in readers),
+            f"_sql_readers {dict(self._sql_readers)} or the index's entries "
+            f"!= the delta readers {dict(readers)}",
+        )
+        law(
+            all(key in self.plans for key in planned)
+            and sum(key in self.plans for key in self._sql_groups) == len(self.plans),
+            "plans != the live sql_keys",
+        )
+        law(
+            self._watchers.keys()
+            == self._unsubscribes.keys()
+            == {table for tables in cohorts for table in tables},
+            "observed tables != the cohorts' tables",
+        )
+        law(
+            {(t, n) for t, cqs in self._watchers.items() for n in cqs} == watching,
+            "watchers != the CQs that consume commits as they happen",
+        )
+        law(
+            self.zones.boundaries().keys() == zones,
+            "zones != always members + cohorts with lazy members",
+        )
+        law(len(self.stats) <= len(self), "stats outlived their CQs")
 
     def describe(self) -> List[Dict[str, object]]:
         """One status record per registered CQ (for ops tooling)."""

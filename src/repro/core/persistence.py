@@ -1,12 +1,11 @@
-"""Checkpoint and restore of a CQ manager (with its database).
+"""Checkpoint, restore and crash recovery of a CQ manager or server.
 
-A site checkpoint must capture more than table contents: each
-registered continual query owns a delta window (its last execution
-timestamp) and a retained previous result, and the update logs must
-cover every window. This module serializes the manager together with
-its database so a restored site resumes *differentially* — the first
-refresh after restore processes exactly the updates the checkpoint had
-not yet delivered.
+A site checkpoint is the database — contents, update logs, clock —
+plus each continual query's definition and position (its window's
+start). No CQ state is built here: ``CQManager.restore`` and
+``CQServer.restore`` install each one *as of* its position, so a
+restored site resumes differentially — the first refresh processes
+exactly the updates the checkpoint had not yet delivered.
 
 Serializable trigger/stop conditions cover the declarative forms
 (:class:`Every`, :class:`At`, epsilon specs, :class:`AfterExecutions`,
@@ -18,9 +17,12 @@ clear error — code cannot ride along in a JSON file.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import CheckpointError, ReproError
+from repro.relational.sql import parse_query
+from repro.storage import wal as journal
+from repro.storage.database import Database
 from repro.storage.snapshots import (
     database_from_dict,
     database_to_dict,
@@ -103,9 +105,10 @@ def trigger_from_dict(data: Dict[str, Any]):
         trigger._next = data["next"]
         return trigger
     if kind == "on_update":
-        predicate = _parse_predicate(data["predicate_sql"])
+        # A bare predicate parses inside a dummy query.
+        query = parse_query(f"SELECT * FROM t WHERE {data['predicate_sql']}")
         trigger = OnUpdate(
-            data["table"], predicate, include_deletes=data["include_deletes"]
+            data["table"], query.predicate, include_deletes=data["include_deletes"]
         )
         trigger._armed = data["armed"]
         return trigger
@@ -117,27 +120,12 @@ def trigger_from_dict(data: Dict[str, Any]):
     raise ReproError(f"unknown trigger kind {kind!r}")
 
 
-def _parse_predicate(sql_condition: str):
-    """Parse a bare predicate by wrapping it in a dummy query."""
-    from repro.relational.sql import parse_query
-
-    return parse_query(f"SELECT * FROM t WHERE {sql_condition}").predicate
-
-
 def _spec_to_dict(spec) -> Dict[str, Any]:
     if isinstance(spec, CountEpsilon):
         return {"kind": "count", "limit": spec.limit, "count": spec._count}
-    if isinstance(spec, NetChangeEpsilon):
+    if isinstance(spec, (NetChangeEpsilon, MagnitudeEpsilon)):
         return {
-            "kind": "net_change",
-            "limit": spec.limit,
-            "column": spec.column,
-            "table": spec.table,
-            "divergence": spec.divergence,
-        }
-    if isinstance(spec, MagnitudeEpsilon):
-        return {
-            "kind": "magnitude",
+            "kind": "net_change" if isinstance(spec, NetChangeEpsilon) else "magnitude",
             "limit": spec.limit,
             "column": spec.column,
             "table": spec.table,
@@ -202,113 +190,106 @@ def _stop_from_dict(data: Dict[str, Any]):
 
 
 def manager_to_dict(manager: CQManager) -> Dict[str, Any]:
-    """Serialize the manager and its database into one checkpoint."""
+    """One checkpoint of the manager and its database: each CQ's
+    definition and position, and its retained result (``"retained"``)
+    only where the logs cannot rebuild it — a CQ kept current ahead of
+    an execution that garbage collection has since passed."""
+    db = manager.db
     cqs = []
-    for cq in manager._cqs.values():
-        cqs.append(
-            {
-                "name": cq.name,
-                "sql": cq.query.to_sql(),
-                "trigger": trigger_to_dict(cq.trigger),
-                "stop": _stop_to_dict(cq.stop),
-                "mode": cq.mode.value,
-                "engine": cq.engine.value,
-                "keep_result": cq.keep_result,
-                "status": cq.status.value,
-                # Effective: a lazy CQ skipped by polls rides its cohort.
-                "last_execution_ts": manager._since(cq),
-                "executions": cq.executions,
-            }
-        )
+    last_result_ts = {}
+    for record in manager.describe():
+        cq = manager.get(record["name"])
+        # Effective: a lazy CQ skipped by polls rides its cohort.
+        last_ts = record["last_ts"]
+        entry = {
+            "name": cq.name,
+            "sql": cq.query.to_sql(),
+            "trigger": trigger_to_dict(cq.trigger),
+            "stop": _stop_to_dict(cq.stop),
+            "mode": cq.mode.value,
+            "engine": cq.engine.value,
+            "keep_result": cq.keep_result,
+            "status": cq.status.value,
+            "last_execution_ts": last_ts,
+            "executions": cq.executions,
+        }
+        if cq.status is CQStatus.ACTIVE and any(
+            db.table(name).log.pruned_through > last_ts
+            for name in cq.table_names
+        ):
+            entry["retained"] = [
+                [row.tid, list(row.values)] for row in cq.previous_result
+            ]
+        cqs.append(entry)
+        last_result_ts[cq.name] = cq.last_result_ts
     return {
         "format": FORMAT_VERSION,
-        "database": database_to_dict(manager.db),
+        "database": database_to_dict(db),
         "strategy": manager.strategy.value,
         "auto_gc": manager.auto_gc,
         "history_limit": manager.history_limit,
-        "last_result_ts": {
-            cq.name: cq.last_result_ts for cq in manager._cqs.values()
-        },
+        "fanout": manager.fanout_index is not None,
+        "columnar": manager.columnar,
+        "last_result_ts": last_result_ts,
         "cqs": cqs,
     }
 
 
-def manager_from_dict(data: Dict[str, Any]) -> CQManager:
+def _cq_from_dict(entry: Dict[str, Any]) -> ContinualQuery:
+    """The CQ a checkpoint entry or a journal event defines. A journal
+    holds None for a callable-based trigger or stop: the defaults."""
+    trigger, stop = entry.get("trigger"), entry.get("stop")
+    return ContinualQuery(
+        entry["name"],
+        parse_query(entry["sql"]),
+        trigger=trigger_from_dict(trigger) if trigger else None,
+        stop=_stop_from_dict(stop) if stop else None,
+        mode=DeliveryMode(entry["mode"]),
+        engine=Engine(entry["engine"]),
+        keep_result=entry["keep_result"],
+    )
+
+
+def manager_from_dict(data: Dict[str, Any], metrics=None) -> CQManager:
     """Restore a manager (and database) from :func:`manager_to_dict`.
 
-    Previous results are re-derived by evaluating each CQ over the
-    restored contents *as of the checkpoint* — sound because the
-    checkpointed database state is exactly the state at checkpoint
-    time, and each CQ's pending window (updates after its
-    last_execution_ts) is preserved in the restored logs. The first
-    post-restore refresh is therefore differential over precisely the
-    not-yet-delivered updates.
+    :meth:`CQManager.restore` installs each CQ as of its checkpointed
+    window start; the window itself (the updates after
+    ``last_execution_ts``) is preserved in the restored logs.
     """
     if data.get("format") != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported manager checkpoint format {data.get('format')!r}"
         )
-    db = database_from_dict(data["database"])
     manager = CQManager(
-        db,
+        database_from_dict(data["database"]),
         strategy=EvaluationStrategy(data["strategy"]),
         auto_gc=data["auto_gc"],
+        metrics=metrics,
         history_limit=data.get("history_limit", 0),
+        fanout=data.get("fanout", False),
+        columnar=data.get("columnar", False),
     )
-    from repro.delta.capture import deltas_since
-    from repro.delta.propagate import old_resolver
-    from repro.relational.evaluate import evaluate_spj
-    from repro.relational.sql import parse_query
-    from repro.dra.aggregates import DifferentialAggregate
-
-    for entry in data["cqs"]:
-        query = parse_query(entry["sql"])
-        cq = ContinualQuery(
-            entry["name"],
-            query,
-            trigger=trigger_from_dict(entry["trigger"]),
-            stop=_stop_from_dict(entry["stop"]),
-            mode=DeliveryMode(entry["mode"]),
-            engine=Engine(entry["engine"]),
-            keep_result=entry["keep_result"],
+    last_result_ts = data.get("last_result_ts", {})
+    manager.restore(
+        (
+            _cq_from_dict(entry),
+            entry["last_execution_ts"],
+            {
+                "status": CQStatus(entry["status"]),
+                "executions": entry["executions"],
+                "last_result_ts": last_result_ts.get(entry["name"]),
+                # Result tids are scalars or flat tuples (lists, in JSON).
+                "retained": None
+                if "retained" not in entry
+                else [
+                    (tuple(tid) if isinstance(tid, list) else tid, values)
+                    for tid, values in entry["retained"]
+                ],
+            },
         )
-        cq.status = CQStatus(entry["status"])
-        cq.executions = entry["executions"]
-        last_ts = entry["last_execution_ts"]
-        # Reconstruct the retained result at last_execution_ts: current
-        # contents minus the pending window's effects. The aggregate
-        # state and an EAGER maintained result are rebuilt as of now.
-        pending = deltas_since(
-            [db.table(name) for name in cq.table_names], last_ts
-        )
-        cq.applied_ts = db.now()
-        if cq.is_aggregate:
-            cq.aggregate_state = DifferentialAggregate(cq.query, db)
-            current = cq.aggregate_state.initialize()
-            if pending:
-                # previous_result = result at last_ts: recompute by
-                # unapplying the pending aggregate delta is intricate;
-                # instead evaluate over the old base state directly.
-                from repro.relational.aggregates import evaluate_aggregate
-
-                cq.previous_result = evaluate_aggregate(
-                    cq.query, old_resolver(db.relation, pending)
-                )
-            else:
-                cq.previous_result = current
-        else:
-            if pending and cq.keep_result:
-                cq.previous_result = evaluate_spj(
-                    cq.query, old_resolver(db.relation, pending)
-                )
-            elif cq.keep_result:
-                cq.previous_result = evaluate_spj(cq.query, db.relation)
-            if cq.engine is Engine.EAGER:
-                cq.maintained_result = evaluate_spj(cq.query, db.relation)
-        manager._install(cq, last_ts)
-        cq.last_result_ts = data.get("last_result_ts", {}).get(
-            cq.name, last_ts
-        )
+        for entry in data["cqs"]
+    )
     return manager
 
 
@@ -319,17 +300,15 @@ def save_manager(manager: CQManager, path: str) -> None:
     _retire_wal(manager.db)
 
 
-def load_manager(path: str) -> CQManager:
-    return manager_from_dict(read_checkpoint(path))
+def load_manager(path: str, metrics=None) -> CQManager:
+    return manager_from_dict(read_checkpoint(path), metrics)
 
 
 def _retire_wal(db) -> None:
     """After a checkpoint lands, the journal restarts from the current
     table set; see :func:`repro.storage.wal.rebase_wal`."""
     if db.wal is not None and not db.wal.closed:
-        from repro.storage.wal import rebase_wal
-
-        rebase_wal(db.wal, db)
+        journal.rebase_wal(db.wal, db)
 
 
 # -- CQ server serialization --------------------------------------------------
@@ -340,30 +319,31 @@ def server_to_dict(server) -> Dict[str, Any]:
 
     Captures the database (contents *and* update logs, including
     pruned_through marks) plus every subscription's identity, protocol,
-    and refresh position. Retained result copies are not serialized —
-    they are a pure function of the checkpointed state and are
-    re-derived on restore. A lazy subscription's un-fetched pending
-    delta is likewise not serialized: reconnecting clients resume
-    through :meth:`CQServer.replay`, which recomputes their missed
-    window from the restored logs, so nothing shipped to a client can
-    be lost by flattening.
+    and refresh position. Retained copies are a pure function of those
+    and are re-derived on restore; a lazy subscription's un-fetched
+    pending delta likewise — reconnecting clients resume through
+    :meth:`CQServer.replay`, which recomputes their missed window.
     """
     return {
         "format": FORMAT_VERSION,
         "kind": "cq_server",
         "name": server.name,
         "database": database_to_dict(server.db),
-        "subscriptions": [
-            {
-                "client": sub.client_id,
-                "cq": sub.cq_name,
-                "sql": sub.sql_key,
-                "protocol": sub.protocol.value,
-                "last_ts": sub.last_ts,
-            }
-            for sub in server.subscriptions()
-        ],
+        "subscriptions": _subscription_entries(server),
     }
+
+
+def _subscription_entries(server) -> List[Dict[str, Any]]:
+    return [
+        {
+            "client": sub.client_id,
+            "cq": sub.cq_name,
+            "sql": sub.sql_key,
+            "protocol": sub.protocol.value,
+            "last_ts": sub.last_ts,
+        }
+        for sub in server.subscriptions()
+    ]
 
 
 def server_from_dict(
@@ -375,12 +355,10 @@ def server_from_dict(
 ):
     """Restore a CQ server from :func:`server_to_dict`.
 
-    :meth:`CQServer.restore` rebuilds each retained result at its
-    ``last_ts`` — the query over the restored base state with the
-    pending window's effects unapplied, the same reconstruction
-    :func:`manager_from_dict` uses — and re-registers the replay zones
-    there, so the first post-restore garbage collection cannot prune a
-    window a reconnecting client may still request.
+    :meth:`CQServer.restore` rebuilds each retained result as of its
+    ``last_ts`` and re-registers the replay zones there, so the first
+    post-restore garbage collection cannot prune a window a
+    reconnecting client may still request.
     """
     from repro.net.server import CQServer
     from repro.net.simnet import SimulatedNetwork
@@ -413,16 +391,9 @@ def save_server(server, path: str) -> None:
     if server.db.wal is not None and not server.db.wal.closed:
         # Re-seed subscription events too, so the journal alone can
         # rebuild the subscription set if the checkpoint file is lost.
-        from repro.storage.wal import KIND_SUB_REGISTER
-
-        for sub in server.subscriptions():
+        for entry in _subscription_entries(server):
             server.db.wal.log_event(
-                KIND_SUB_REGISTER,
-                client=sub.client_id,
-                cq=sub.cq_name,
-                sql=sub.sql_key,
-                protocol=sub.protocol.value,
-                ts=sub.last_ts,
+                journal.KIND_SUB_REGISTER, ts=entry.pop("last_ts"), **entry
             )
 
 
@@ -435,25 +406,20 @@ def load_server(path: str, network=None, metrics=None, fanout=False, columnar=Fa
 # -- crash recovery (checkpoint + WAL suffix) ---------------------------------
 
 
-def _replay_wal(db, wal_path: str, metrics=None):
-    """Scan + replay a journal on top of an (optionally restored) db.
-
-    Frames at or below the database clock are already covered by the
-    checkpoint the db came from. Returns the replay summary, whose
-    ``cq_events`` the manager/server recovery below re-applies at its
-    own level. Re-opens the journal for appending and attaches it."""
-    from repro.metrics import Metrics
-    from repro.storage.wal import WriteAheadLog, replay_entries, scan_wal
-
-    recovery = scan_wal(wal_path, repair=True)
-    summary = replay_entries(db, recovery.entries, base_ts=db.now())
-    if metrics:
-        metrics.count(Metrics.WAL_RECOVERED, len(recovery.entries))
-        if recovery.torn:
-            metrics.count(Metrics.WAL_TORN_TRUNCATIONS)
-    wal = WriteAheadLog(wal_path, metrics=metrics)
-    db.attach_wal(wal, journal_existing=False)
-    return summary
+def _replay_wal(db, wal_path: str, prefix: str, key, metrics=None):
+    """Scan + replay a journal on top of an (optionally restored) db
+    (frames at or below its clock: covered by its checkpoint) and
+    re-attach it: the recovered site journals like the crashed one did.
+    Returns the ``<prefix>_register``/``_deregister`` events netted out
+    per ``key(event)``: the last register event, or None (deregistered)."""
+    __, __, summary = journal.recover_database(wal_path, metrics=metrics, base=db)
+    desired: Dict[Any, Optional[Dict[str, Any]]] = {}
+    for event in summary.cq_events:
+        if event["k"] == prefix + "_register":
+            desired[key(event)] = event
+        elif event["k"] == prefix + "_deregister":
+            desired[key(event)] = None
+    return desired
 
 
 def recover_manager(
@@ -466,54 +432,25 @@ def recover_manager(
     Loads the last checkpoint when one exists, replays every journal
     frame newer than it (tolerating a torn tail), then re-applies CQ
     register/deregister events the checkpoint had not absorbed. A CQ
-    recovered from a journal event re-runs its initial execution over
-    the recovered state — its result stream resumes from recovery time,
-    which is the strongest guarantee available without checkpointed
-    result copies. The journal is re-opened and re-attached, so the
-    recovered manager journals exactly like the crashed one did.
+    recovered from a journal event is installed as of its registration
+    timestamp when the recovered update logs still cover that window —
+    its next refresh delivers everything since, differentially, and it
+    is sent no second INITIAL — and as of recovery time otherwise.
     """
-    from repro.storage.database import Database
-
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        manager = load_manager(checkpoint_path)
+        manager = load_manager(checkpoint_path, metrics)
     else:
         manager = CQManager(Database(), metrics=metrics)
-    if metrics is not None:
-        manager.metrics = metrics
-    summary = _replay_wal(manager.db, wal_path, metrics=metrics)
-    # Net out the journal's lifecycle events: the last event per CQ
-    # name wins (register, or deregister = None).
-    desired: Dict[str, Optional[Dict[str, Any]]] = {}
-    for event in summary.cq_events:
-        if event["k"] == "cq_register":
-            desired[event["name"]] = event
-        elif event["k"] == "cq_deregister":
-            desired[event["name"]] = None
-    wal, manager.db.wal = manager.db.wal, None  # don't re-journal replays
-    try:
-        for name, event in desired.items():
-            if event is None:
-                manager.deregister(name)
-            elif name not in manager:
-                manager.register_query(
-                    name,
-                    event["sql"],
-                    trigger=(
-                        trigger_from_dict(event["trigger"])
-                        if event.get("trigger")
-                        else None
-                    ),
-                    stop=(
-                        _stop_from_dict(event["stop"])
-                        if event.get("stop")
-                        else None
-                    ),
-                    mode=DeliveryMode(event["mode"]),
-                    engine=Engine(event["engine"]),
-                    keep_result=event["keep_result"],
-                )
-    finally:
-        manager.db.wal = wal
+    db = manager.db
+    desired = _replay_wal(db, wal_path, "cq", lambda event: event["name"], metrics)
+    for name, event in desired.items():
+        if event is None:
+            manager.deregister(name)
+    manager.restore(
+        (_cq_from_dict(event), event.get("ts", db.now()), {})
+        for name, event in desired.items()
+        if event is not None and name not in manager
+    )
     return manager
 
 
@@ -525,16 +462,12 @@ def recover_server(
     fanout: bool = False,
     columnar: bool = False,
 ):
-    """Rebuild a CQ server after a crash: checkpoint + WAL suffix.
-
-    Subscriptions journaled after the last checkpoint are re-installed
-    as of their registration timestamp when the recovered update logs
-    still cover that window (so a reconnecting client resumes
-    differentially), and as of recovery time otherwise.
-    """
+    """Rebuild a CQ server after a crash: checkpoint + WAL suffix, by
+    :func:`recover_manager`'s rule — a journaled subscription is
+    re-installed as of its registration while the recovered logs still
+    cover that window (a reconnecting client resumes differentially)."""
     from repro.net.server import CQServer
     from repro.net.simnet import SimulatedNetwork
-    from repro.storage.database import Database
 
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         server = load_server(
@@ -549,13 +482,9 @@ def recover_server(
             columnar=columnar,
         )
     db = server.db
-    summary = _replay_wal(db, wal_path, metrics=server.metrics)
-    desired: Dict[tuple, Optional[Dict[str, Any]]] = {}
-    for event in summary.cq_events:
-        if event["k"] == "sub_register":
-            desired[(event["client"], event["cq"])] = event
-        elif event["k"] == "sub_deregister":
-            desired[(event["client"], event["cq"])] = None
+    desired = _replay_wal(
+        db, wal_path, "sub", lambda e: (e["client"], e["cq"]), server.metrics
+    )
     held = {(sub.client_id, sub.cq_name) for sub in server.subscriptions()}
     for key, event in desired.items():
         if event is None and key in held:

@@ -280,7 +280,6 @@ class RefreshScheduler:
         if (
             cq.name not in manager._cohorts[cq.table_names].lazy
             or not cq.keep_result
-            or cq.partition is not None
         ):
             return False
         now = manager.db.now()

@@ -193,23 +193,6 @@ class DeltaRelation:
     def is_empty(self) -> bool:
         return not self._entries
 
-    def signed_rows(self) -> Iterator[tuple]:
-        """The delta as a Z-set: ``(tid, values, weight)`` triples, the
-        old side of each entry with weight −1 and the new side with +1.
-
-        This is the signed-set reading of §4.1 the DRA term evaluators
-        are built on: a modify contributes both sides, and summing
-        weighted join results over terms yields Q(S_new) − Q(S_old)
-        directly. Emission order (old before new, entries in
-        consolidation order) is deterministic so the row and columnar
-        evaluators see identical operand layouts.
-        """
-        for entry in self._entries.values():
-            if entry.old is not None:
-                yield (entry.tid, entry.old, -1)
-            if entry.new is not None:
-                yield (entry.tid, entry.new, +1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DeltaRelation):
             return NotImplemented

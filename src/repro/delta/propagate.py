@@ -17,7 +17,9 @@ from repro.relational.aggregates import AggregateQuery, evaluate_aggregate
 from repro.relational.algebra import SPJQuery
 from repro.relational.evaluate import Resolver, evaluate_spj
 from repro.relational.relation import Relation
+from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
+from repro.delta.capture import deltas_since
 from repro.delta.differential import DeltaRelation
 from repro.delta.diff import diff
 from repro.delta.views import OldStateView
@@ -51,6 +53,26 @@ def old_resolver(
         return relation
 
     return resolve
+
+
+def evaluate_as_of(
+    query: Query,
+    db: Database,
+    ts: Timestamp,
+    metrics: Optional[Metrics] = None,
+) -> Relation:
+    """Q over the database state at ``ts``: the current state with the
+    window ``(ts, now]`` unapplied — the state a refresh whose window
+    starts at ``ts`` starts from (Section 4.2), and what a CQ installed
+    as of ``ts`` retains. No log is read when ``ts`` is now; a ``ts``
+    that garbage collection has passed raises the log's ``ValueError``.
+    """
+    resolver = db.relation
+    if ts != db.now():
+        core = query.core if isinstance(query, AggregateQuery) else query
+        tables = [db.table(name) for name in dict.fromkeys(core.table_names)]
+        resolver = old_resolver(resolver, deltas_since(tables, ts))
+    return _evaluate(query, resolver, metrics)
 
 
 def propagate(

@@ -76,8 +76,8 @@ def signed_columns(
     ``(tids, values, weights)`` columns, built in one pass.
 
     Old side weighs −1, new side +1, in entry order — the Z-set reading
-    of the consolidated delta (DeltaRelation.signed_rows) with the
-    local predicate fused in. This is the operand seed for callers with
+    of the consolidated delta (§4.1) with the local predicate fused
+    in. This is the operand seed for callers with
     nothing routed; a predicate-index pass
     (:meth:`repro.dra.predindex.PredicateIndex.match_batch`) yields the
     same columns per routed ``(subscription, alias)`` without a second

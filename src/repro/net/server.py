@@ -23,14 +23,13 @@ from repro.metrics import Metrics
 from repro.obs.stats import CQStats, TeeMetrics
 from repro.obs.trace import Tracer
 from repro.relational.algebra import SPJQuery
-from repro.relational.evaluate import evaluate_spj
 from repro.relational.relation import Relation
 from repro.relational.sql import parse_query
 from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
 from repro.delta.capture import deltas_since
 from repro.delta.diff import diff
-from repro.delta.propagate import old_resolver
+from repro.delta.propagate import evaluate_as_of
 from repro.dra.algorithm import dra_execute
 from repro.dra.predindex import PredicateIndex, Routed
 from repro.dra.prepared import PlanCache
@@ -483,17 +482,14 @@ class CQServer:
             self.metrics.count(Metrics.SHARED_GROUP_HITS)
             window, result, digest = group.last_ts, group.result, group.digest
         else:
-            # Q(state at last_ts): E_0 over the current state with the
-            # effects of (last_ts, now] unapplied — or, when the logs no
-            # longer reach back (baseline-flattened history), as of now.
-            tables = [self.db.table(name) for name in set(query.table_names)]
+            # Q(state at last_ts) — or, when the logs no longer reach
+            # back (baseline-flattened history), as of now.
             window = last_ts
             try:
-                behind = deltas_since(tables, last_ts)
+                result = evaluate_as_of(query, self.db, window, self.metrics)
             except ValueError:
-                window, behind = self.db.now(), {}
-            resolver = old_resolver(self.db.relation, behind)
-            result = evaluate_spj(query, resolver, self.metrics)
+                window = self.db.now()
+                result = evaluate_as_of(query, self.db, window, self.metrics)
             digest = relation_digest(result)
             if protocol in _DRA and self.fanout_index is not None:
                 # The first subscription of a template pays that E_0

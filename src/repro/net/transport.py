@@ -3,16 +3,16 @@
 :class:`TcpTransport` opens asyncio TCP streams. Frames produced by
 :mod:`repro.net.codec` cross a loopback (or actual) network; the
 :class:`FrameConnection` wrapper handles framing, byte accounting,
-and injected faults (frame drops, severed connections) for
-crash/recovery tests. (In-process delivery goes through
-:class:`~repro.net.simnet.SimulatedNetwork` directly.)
+and injected frame drops for crash/recovery tests. (In-process
+delivery goes through :class:`~repro.net.simnet.SimulatedNetwork`
+directly.)
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.errors import CodecError, NetworkError
 from repro.metrics import Metrics
@@ -25,8 +25,8 @@ class FaultInjector:
 
     ``drop_rate`` silently discards outbound frames (application-level
     loss: the frame is simply never written, so stream framing stays
-    intact). ``sever_all`` abruptly aborts every registered connection,
-    the "kill the connection mid-stream" fault reconnect tests inject.
+    intact). The "kill the connection mid-stream" fault reconnect tests
+    inject is :meth:`repro.net.service.CQService.sever_connections`.
     """
 
     def __init__(self, drop_rate: float = 0.0, seed: int = 0):
@@ -34,12 +34,7 @@ class FaultInjector:
             raise NetworkError("drop rate must be in [0, 1]")
         self.drop_rate = drop_rate
         self._rng = random.Random(seed)
-        self._connections: List["FrameConnection"] = []
         self.frames_dropped = 0
-        self.severed = 0
-
-    def register(self, connection: "FrameConnection") -> None:
-        self._connections.append(connection)
 
     def should_drop(self) -> bool:
         if self.drop_rate <= 0.0:
@@ -48,16 +43,6 @@ class FaultInjector:
             self.frames_dropped += 1
             return True
         return False
-
-    def sever_all(self) -> int:
-        """Abort every live registered connection; returns the count."""
-        count = 0
-        for connection in self._connections:
-            if not connection.closed:
-                connection.abort()
-                count += 1
-        self.severed += count
-        return count
 
 
 class FrameConnection:
@@ -81,8 +66,6 @@ class FrameConnection:
         #: instead — framing is lost — and close the connection.
         self.codec_errors = 0
         self.closed = False
-        if injector is not None:
-            injector.register(self)
 
     async def send(self, message: Message) -> int:
         """Encode and write one frame; returns bytes written (0 if the

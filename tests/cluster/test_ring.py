@@ -3,13 +3,15 @@
 The placement layer must be deterministic (seeded), balanced enough to
 share load, and *minimally disruptive*: adding a node may only move
 keys onto the new node, never shuffle keys between survivors. The
-partition helpers must slice a delta without inventing or losing
-entries — a cross-slice modify splits into a delete and an insert.
+partition helper the router slices with (``partition_filter``) must
+neither invent nor lose entries — a cross-slice modify is a delete at
+the old owner and an insert at the new, foreign entries vanish.
 """
 
 import pytest
 
-from repro.cluster import HashRing, Partition, partition_delta
+from repro.cluster import HashRing, Partition
+from repro.cluster.ring import partition_filter
 from repro.delta.differential import DeltaEntry, DeltaRelation
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import AttributeType
@@ -113,8 +115,20 @@ class TestPartitionSlices:
         owners = [n for n, p in parts.items() if p.accepts(row)]
         assert len(owners) == 1
 
+    @staticmethod
+    def _slices(delta, parts):
+        """What each node's ``partition_filter`` keeps (non-empty only)."""
+        slices = {n: partition_filter(delta, p) for n, p in parts.items()}
+        return {n: piece for n, piece in slices.items() if not piece.is_empty()}
+
+    def _client_owned_by(self, ring, node):
+        return next(
+            f"client-{i}" for i in range(100)
+            if ring.lookup(f"positions:client-{i}") == node
+        )
+
     def test_partition_delta_covers_every_entry_once(self):
-        ring, __ = self._partitions()
+        __, parts = self._partitions()
         delta = DeltaRelation(
             SCHEMA,
             [
@@ -122,9 +136,7 @@ class TestPartitionSlices:
                 for i in range(40)
             ],
         )
-        slices = partition_delta(
-            delta, "positions", SCHEMA.position("client"), ring
-        )
+        slices = self._slices(delta, parts)
         total = sum(len(s) for s in slices.values())
         assert total == len(delta)
         seen = set()
@@ -135,20 +147,10 @@ class TestPartitionSlices:
 
     def test_cross_slice_modify_splits_into_delete_and_insert(self):
         ring, parts = self._partitions()
-        # Find two client values owned by different nodes.
-        a = next(
-            f"client-{i}" for i in range(100)
-            if ring.lookup(f"positions:client-{i}") == 0
-        )
-        b = next(
-            f"client-{i}" for i in range(100)
-            if ring.lookup(f"positions:client-{i}") == 1
-        )
+        a, b = self._client_owned_by(ring, 0), self._client_owned_by(ring, 1)
         old, new = (1, a, 10), (1, b, 10)
         delta = DeltaRelation(SCHEMA, [entry(7, old, new)])
-        slices = partition_delta(
-            delta, "positions", SCHEMA.position("client"), ring
-        )
+        slices = self._slices(delta, parts)
         e0 = next(iter(slices[0]))
         e1 = next(iter(slices[1]))
         assert e0.old == old and e0.new is None
@@ -156,19 +158,34 @@ class TestPartitionSlices:
         assert 2 not in slices
 
     def test_same_slice_modify_stays_whole(self):
-        ring, __ = self._partitions()
-        value = next(
-            f"client-{i}" for i in range(100)
-            if ring.lookup(f"positions:client-{i}") == 2
-        )
+        ring, parts = self._partitions()
+        value = self._client_owned_by(ring, 2)
         old, new = (1, value, 10), (1, value, 99)
         delta = DeltaRelation(SCHEMA, [entry(7, old, new)])
-        slices = partition_delta(
-            delta, "positions", SCHEMA.position("client"), ring
-        )
+        slices = self._slices(delta, parts)
         assert set(slices) == {2}
         e = next(iter(slices[2]))
         assert e.old == old and e.new == new
+
+    def test_foreign_entries_vanish_and_a_row_moving_in_is_an_insert(self):
+        """What ``CQManager.register(partition=)`` used to be tested
+        for, on the function the router slices with: a shard sees no
+        entry of another's slice, and a row that moves *into* its slice
+        arrives as the insert half of the split modify."""
+        ring, parts = self._partitions(nodes=(0, 1), seed=5)
+        mine, theirs = self._client_owned_by(ring, 0), self._client_owned_by(ring, 1)
+        delta = DeltaRelation(
+            SCHEMA,
+            [
+                entry(1, None, (1, mine, 500)),
+                entry(2, None, (2, theirs, 500)),
+                entry(3, (3, theirs, 500), None),
+                entry(4, (4, theirs, 500), (4, mine, 500)),
+            ],
+        )
+        kept = {e.tid: e for e in partition_filter(delta, parts[0])}
+        assert set(kept) == {1, 4}
+        assert kept[4].old is None and kept[4].new == (4, mine, 500)
 
 
 class TestWeightedRing:

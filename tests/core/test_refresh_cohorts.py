@@ -279,6 +279,7 @@ class TestMembersReceive:
         assert mgr.metrics[Metrics.EXECUTIONS] == 20
         assert all(cq.previous_result == db.query(WATCH) for cq in members)
 
+    @pytest.mark.bulk
     def test_a_poll_never_evicts_a_pair_before_its_members_turn(self, db):
         """``_shared_results`` is bounded against IMMEDIATE growth; a
         poll starts it empty and must keep every pair until the last
@@ -309,6 +310,7 @@ class TestMembersReceive:
         for g, sql in enumerate(sqls):
             assert mgr.get(f"r1g{g}").previous_result == db.query(sql)
             assert mgr.get(f"r0g{g}").previous_result == db.query(sql)
+        mgr.check_invariants()
 
 
 class TestQuietVisitsAfterGC:

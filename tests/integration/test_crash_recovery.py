@@ -43,13 +43,13 @@ def reconstructions(monkeypatch):
     import repro.net.server
 
     calls = []
-    inner = repro.net.server.evaluate_spj
+    inner = repro.net.server.evaluate_as_of
 
     def counting(query, *args, **kwargs):
         calls.append(query.to_sql())
         return inner(query, *args, **kwargs)
 
-    monkeypatch.setattr(repro.net.server, "evaluate_spj", counting)
+    monkeypatch.setattr(repro.net.server, "evaluate_as_of", counting)
     return calls
 
 

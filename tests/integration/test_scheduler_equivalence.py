@@ -27,6 +27,7 @@ and STOPPED included — must match the oracle in order, seq, ts and
 complete result, with ``auto_gc=True`` pruning behind every refresh.
 """
 
+import json
 import random
 
 import pytest
@@ -46,10 +47,14 @@ from repro.core import (
     EverySinceResult,
     OnEveryChange,
     OnUpdate,
+    manager_from_dict,
+    manager_to_dict,
 )
 from repro.relational import AttributeType
 from repro.relational.expressions import col, lit
 from repro.relational.predicates import gt
+from tests.core.conftest import MUTATORS
+from tests.invariants import check_after_every_call
 
 #: The oracle every other configuration is compared against.
 BASE = "reeval"
@@ -91,6 +96,17 @@ N_EAGER = 100
 
 #: Names the churn steps register under, so names get reused.
 CHURN_NAMES = [f"dyn{i}" for i in range(5)]
+
+
+@pytest.fixture(autouse=True)
+def invariants_after_every_operation(request, monkeypatch):
+    """Every run below also checks ``CQManager.check_invariants()``
+    after each register, deregister, poll and restore it makes — the
+    200-schedule run in its first chunk only (one generator; checking
+    re-evaluates every retained result after every call)."""
+    callspec = getattr(request.node, "callspec", None)
+    if callspec is None or not callspec.params.get("chunk"):
+        check_after_every_call(monkeypatch, CQManager, MUTATORS)
 
 
 # -- schedule generation ------------------------------------------------------
@@ -231,11 +247,16 @@ def build_trigger(spec):
 # -- replay -------------------------------------------------------------------
 
 
-def run_schedule(schedule, config, strategy=EvaluationStrategy.PERIODIC):
+def run_schedule(
+    schedule, config, strategy=EvaluationStrategy.PERIODIC, restore=False
+):
     """Replay one schedule under one configuration; return the
     observable signature (per-poll notification tuples with complete
     result states), every live CQ's final result, and the number of
-    delta consolidations the run served from the per-poll cache."""
+    delta consolidations the run served from the per-poll cache.
+
+    With ``restore``, the site is checkpointed after every poll and the
+    run continues on the manager (and database) loaded back from it."""
     tables, seed_rows, cq_specs, trigger_specs, steps = schedule
     db = Database()
     handles = {}
@@ -282,6 +303,11 @@ def run_schedule(schedule, config, strategy=EvaluationStrategy.PERIODIC):
     for step in steps:
         if step[0] == "poll":
             observe(mgr.poll())
+            if restore:
+                data = json.loads(json.dumps(manager_to_dict(mgr)))
+                mgr = manager_from_dict(data, metrics=mgr.metrics)
+                db = mgr.db
+                handles = {name: db.table(name) for name in tables}
             continue
         if step[0] == "register":
             __, cq_name, sql, trig_spec, stop = step
@@ -391,6 +417,20 @@ def test_scheduler_equivalence_randomized(chunk):
     per_chunk = N_SCHEDULES // CHUNKS
     for i in range(per_chunk):
         check_seed(7_000 + chunk * per_chunk + i)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_restored_manager_equals_uninterrupted(name):
+    """restore ≡ uninterrupted: replacing the manager by its own
+    checkpoint after *every* poll — STOPPED CQs behind the GC horizon,
+    aggregates whose zone ran ahead of their last execution, lazy
+    members riding their cohort's sweep — changes no notification and
+    no final result."""
+    for i in range(N_SCHEDULES // CHUNKS):
+        schedule = make_schedule(7_000 + i)
+        uninterrupted = run_schedule(schedule, CONFIGS[name])
+        restored = run_schedule(schedule, CONFIGS[name], restore=True)
+        assert restored[:2] == uninterrupted[:2], f"seed {7_000 + i}"
 
 
 def test_immediate_strategy_equivalence_randomized():
