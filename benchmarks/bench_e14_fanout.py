@@ -176,7 +176,7 @@ def smoke(n_subs=10_000, out_path="BENCH_e14.json"):
     import json
     import time
 
-    from repro.bench.harness import format_table
+    from repro.obs import format_table
 
     __, deltas = capture_batch()
     entries = len(deltas["stocks"])

@@ -260,7 +260,7 @@ def smoke(n_subs=10_000, out_path="BENCH_e16.json", replicas=0):
     import json
     import os
 
-    from repro.bench.harness import format_table
+    from repro.obs import format_table
 
     rows = [
         measure(shards, n_subs, replicas=replicas) for shards in (1, 2, 4)

@@ -144,7 +144,7 @@ def real_smoke(rows=2_000, rounds=5, updates_per_round=20, durability=None):
     """
     import asyncio
 
-    from repro.bench.harness import format_table
+    from repro.obs import format_table
     from repro.net.client import CQSession
     from repro.net.service import CQService
 
@@ -247,7 +247,7 @@ def durability_smoke(
     import tempfile
     import time
 
-    from repro.bench.harness import format_table
+    from repro.obs import format_table
     from repro.net.client import CQSession
     from repro.net.service import CQService
     from repro.storage.wal import WriteAheadLog

@@ -165,7 +165,8 @@ def smoke(n_cqs=8):
     Returns the (server, manager) reuse counts; raises AssertionError
     when either refresh path stops sharing.
     """
-    from repro.bench.harness import format_table, summarize_latency
+    from repro.bench.harness import summarize_latency
+    from repro.obs import format_table
     from repro.core import CQManager, EvaluationStrategy
 
     queries = [
@@ -229,7 +230,8 @@ def obs_smoke(n_cqs=8, cycles=20):
     exposition parses and carries the expected series, and full
     tracing costs at most 10% wall time over the untraced run.
     """
-    from repro.bench.harness import format_table, time_fn
+    from repro.bench.harness import time_fn
+    from repro.obs import format_table
     from repro.core import CQManager, EvaluationStrategy
     from repro.obs import (
         Tracer,

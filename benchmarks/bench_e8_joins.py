@@ -130,7 +130,7 @@ def smoke(refreshes=300, out_path="BENCH_e8.json"):
     import random
     import time
 
-    from repro.bench.harness import format_table
+    from repro.obs import format_table
     from repro.relational import planning
 
     # Unique join keys and a 2-row delta: the small-delta regime where

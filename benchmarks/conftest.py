@@ -50,7 +50,7 @@ class Scenario:
 def print_table():
     """Print a formatted results table (visible with -s; always in
     captured output on failure)."""
-    from repro.bench.harness import format_table
+    from repro.obs import format_table
 
     def emit(rows, columns=None, title=None):
         print()

@@ -1,5 +1,5 @@
 """Benchmark harness utilities. See DESIGN.md S10."""
 
-from repro.bench.harness import format_table, geometric_mean, time_fn
+from repro.bench.harness import time_fn
 
-__all__ = ["format_table", "geometric_mean", "time_fn"]
+__all__ = ["time_fn"]

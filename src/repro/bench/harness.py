@@ -9,14 +9,14 @@ Benchmarks report two kinds of numbers:
   illustrate the same shapes but are never asserted on (Python timing
   noise is not evidence).
 
-:func:`format_table` renders sweep results as aligned text, which each
-benchmark prints and EXPERIMENTS.md records.
+:func:`repro.obs.format_table` renders sweep results as aligned text,
+which each benchmark prints and EXPERIMENTS.md records.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics import Histogram
@@ -32,54 +32,11 @@ def time_fn(fn: Callable[[], Any], repeat: int = 3) -> float:
     return best
 
 
-def format_table(
-    rows: Sequence[Dict[str, Any]],
-    columns: Optional[Sequence[str]] = None,
-    title: Optional[str] = None,
-) -> str:
-    """Render dict rows as an aligned text table."""
-    if not rows:
-        return f"{title}\n(no rows)" if title else "(no rows)"
-    if columns is None:
-        columns = list(rows[0].keys())
-    rendered = [
-        [_format_cell(row.get(column)) for column in columns] for row in rows
-    ]
-    widths = [
-        max(len(str(column)), *(len(r[i]) for r in rendered))
-        for i, column in enumerate(columns)
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(str(c).rjust(w) for c, w in zip(columns, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rendered:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def _format_cell(value: Any) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000:
-            return f"{value:,.0f}"
-        if abs(value) >= 1:
-            return f"{value:.2f}"
-        return f"{value:.4f}"
-    if isinstance(value, int):
-        return f"{value:,}"
-    return str(value)
-
-
 def summarize_latency(histogram: "Histogram", unit: str = "us") -> Dict[str, Any]:
     """One row of latency summary stats from a metrics histogram.
 
-    Feed the result rows to :func:`format_table`; percentiles are
-    bucket upper bounds (see :class:`repro.metrics.Histogram`), which
+    Feed the result rows to :func:`repro.obs.format_table`; percentiles
+    are bucket upper bounds (see :class:`repro.metrics.Histogram`), which
     is the right resolution for illustrating refresh-latency shapes
     without pretending Python timings are precise.
     """
@@ -90,14 +47,3 @@ def summarize_latency(histogram: "Histogram", unit: str = "us") -> Dict[str, Any
         f"p95_{unit}": histogram.percentile(95),
         f"max_{unit}": round(histogram.max or 0.0, 1),
     }
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (speedup aggregation)."""
-    filtered = [v for v in values if v > 0]
-    if not filtered:
-        return 0.0
-    product = 1.0
-    for value in filtered:
-        product *= value
-    return product ** (1.0 / len(filtered))

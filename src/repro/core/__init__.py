@@ -28,7 +28,6 @@ from repro.core.persistence import (
 from repro.core.results import Notification, NotificationKind
 from repro.core.scheduler import (
     DeltaBatchCache,
-    RefreshScheduler,
     is_data_only_trigger,
     is_skip_safe,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "NotificationKind",
     "OnEveryChange",
     "OnUpdate",
-    "RefreshScheduler",
     "ResultDriftEpsilon",
     "StopCondition",
     "Trigger",

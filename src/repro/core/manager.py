@@ -20,7 +20,10 @@ The manager owns every registered continual query's lifecycle:
 from __future__ import annotations
 
 import enum
-from collections import Counter, deque
+import time
+from collections import deque
+from contextlib import contextmanager, nullcontext
+from operator import attrgetter
 from typing import (
     Callable,
     Deque,
@@ -35,7 +38,8 @@ from typing import (
 
 from repro.errors import RegistrationError
 from repro.metrics import Metrics
-from repro.obs.stats import CQStats
+from repro.obs.stats import CQStats, TeeMetrics
+from repro.obs.table import format_table
 from repro.obs.trace import Tracer
 from repro.relational.relation import Relation
 from repro.relational.sql import parse_query
@@ -49,7 +53,7 @@ from repro.delta.diff import diff
 from repro.delta.propagate import evaluate_as_of
 from repro.dra.aggregates import DifferentialAggregate
 from repro.dra.algorithm import dra_execute
-from repro.dra.predindex import PredicateIndex, Routed
+from repro.dra.predindex import PredicateIndex
 from repro.dra.prepared import PlanCache, PreparedCQ
 from repro.core.continual_query import (
     ContinualQuery,
@@ -61,7 +65,7 @@ from repro.core.continual_query import (
 from repro.core.epsilon import ResultDriftEpsilon
 from repro.core.gc import ActiveDeltaZones
 from repro.core.results import Notification, NotificationKind
-from repro.core.scheduler import Cohort, DeltaBatchCache, RefreshScheduler
+from repro.core.scheduler import Cohort, DeltaBatchCache, SqlGroup, is_skip_safe
 from repro.core.termination import Never, StopCondition
 from repro.core.triggers import (
     AllOf,
@@ -73,6 +77,9 @@ from repro.core.triggers import (
 )
 
 NotifyCallback = Callable[[Notification], None]
+
+# What receiving an evaluated delta charges (no engine counter, no latency).
+_RECEIVED = {Metrics.CQ_REFRESHES: 1, Metrics.SHARED_GROUP_HITS: 1}
 
 
 class EvaluationStrategy(enum.Enum):
@@ -127,17 +134,12 @@ class CQManager:
         self.stats = CQStats()
         self.slow_refresh_us = slow_refresh_us
         self.slow_refreshes: Deque[Dict[str, object]] = deque(maxlen=256)
-        # Installed per refresh by the scheduler: a scoped TeeMetrics
-        # that also charges self.metrics; _refresh_metrics() routes the
+        # Installed per refresh by _charged(): a scoped TeeMetrics that
+        # also charges self.metrics; _refresh_metrics() routes the
         # engines' charges through it for per-CQ attribution.
         self._scoped_metrics: Optional[Metrics] = None
         #: Per-CQ retained notification history length (0 = none).
         self.history_limit = history_limit
-        #: Shared-delta refresh scheduling behind :meth:`poll`: each
-        #: table's delta batch is consolidated once per poll window and
-        #: routed once per footprint cohort; only routed and
-        #: always-visit CQs refresh, in registration order.
-        self.scheduler = RefreshScheduler(self)
         #: Registration-time compilation (:mod:`repro.dra.prepared`):
         #: one :class:`PreparedCQ` per ``sql_key``, shared by every CQ
         #: with that SQL text and dropped with the last of them. Every
@@ -156,9 +158,10 @@ class CQManager:
         self._unsubscribes: Dict[str, Callable[[], None]] = {}
         self._watchers: Dict[str, Dict[str, ContinualQuery]] = {}
         self._outbox: List[Notification] = []
-        # Installed by the scheduler for the duration of one poll; all
-        # delta consolidation goes through it when present.
-        self._delta_cache: Optional[DeltaBatchCache] = None
+        # Open for one poll, or one observed commit under IMMEDIATE: all
+        # delta consolidation and routing goes through it when present,
+        # and nothing keyed by a window outlives it.
+        self._window: Optional[DeltaBatchCache] = None
         #: Predicate-index fan-out (DESIGN.md §10): every non-baseline
         #: ``sql_key``'s alias-local predicates live in one shared
         #: :class:`PredicateIndex`, so a poll routes the consolidated
@@ -167,20 +170,12 @@ class CQManager:
         #: empty delta without running an engine (the Section 5.2
         #: relevance theorem makes that exact). CQs sharing a
         #: ``sql_key`` (identical SQL text) additionally share one DRA
-        #: evaluation per refresh window and one E_0 at registration.
+        #: evaluation per refresh window, one retained result and one
+        #: E_0 at registration (:class:`~repro.core.scheduler.SqlGroup`).
         self.fanout_index: Optional[PredicateIndex] = (
             PredicateIndex(metrics) if fanout else None
         )
-        self._sql_groups: Dict[str, Dict[str, ContinualQuery]] = {}
-        # Of those, the delta readers on an indexed manager: baselines
-        # join a group for its plan and result, never for its routing.
-        self._sql_readers: Counter = Counter()
-        # (tables, since, now) -> routed sql_keys, each with its operand
-        # seeds; (sql_key, since, now) -> (result delta, new retained
-        # result). Both are window-scoped: cleared each poll and bounded
-        # against IMMEDIATE-strategy growth.
-        self._fanout_routes: Dict[Tuple, Routed] = {}
-        self._shared_results: Dict[Tuple[str, Timestamp, Timestamp], Tuple] = {}
+        self._sql_groups: Dict[str, SqlGroup] = {}
 
     # -- registration -----------------------------------------------------
 
@@ -350,7 +345,8 @@ class CQManager:
     ) -> Optional[Relation]:
         """Build a CQ's retained state *as of* ``ts`` — the one place it
         is built — and enter the CQ into every registry: ``sql_key``
-        group (one index entry per group), cohort, GC zone and commit
+        group (one index entry per group with a delta reader: a
+        baseline never reads deltas), cohort, GC zone and commit
         observers. The one step behind :meth:`register` (``ts`` is now:
         E_0) and :meth:`restore` (checkpoint and journal). Returns
         Q(state at ``ts``); nothing is built for a CQ that is not ACTIVE.
@@ -367,9 +363,8 @@ class CQManager:
         A member is *lazy* — visited only when routed, see
         :class:`~repro.core.scheduler.Cohort` — when this is a PERIODIC
         manager with an index, the engine is DRA, the trigger is exactly
-        ``OnEveryChange`` and the stop ``Never``. Baseline CQs never
-        read deltas: not indexed, always visited. EAGER CQs read the
-        log on every commit, from their own applied-through stamp: they
+        ``OnEveryChange`` and the stop ``Never``. EAGER CQs read the log
+        on every commit, from their own applied-through stamp: they
         keep their own zone.
         """
         name, tables, key = cq.name, cq.table_names, cq.sql_key
@@ -420,12 +415,13 @@ class CQManager:
         self._cqs[name] = cq
         if status is not CQStatus.ACTIVE:
             return None
-        self._sql_groups.setdefault(key, {})[name] = cq
+        group = self._sql_groups.setdefault(key, SqlGroup())
+        group.members[name] = cq
         index = self.fanout_index
         indexed = index is not None and cq.engine is not Engine.REEVALUATE
         if indexed:
-            self._sql_readers[key] += 1
-            if self._sql_readers[key] == 1:
+            group.readers += 1
+            if group.readers == 1:
                 if self.metrics:
                     self.metrics.count(Metrics.SHARED_GROUPS)
                 scopes = {
@@ -457,6 +453,8 @@ class CQManager:
             elif self._touched(tables, cohort.swept):
                 cohort.late[name] = cq
             cohort.lazy[name] = cq
+            if cq.keep_result and not cq.is_aggregate:
+                group.retain(cq, ts)  # (if evaluated as of ts: share it)
         else:
             cohort.always[name] = cq
             self.zones.register(name, tables, ts)
@@ -475,15 +473,14 @@ class CQManager:
         last of a footprint the cohort and its tables' observers."""
         name, tables, key = cq.name, cq.table_names, cq.sql_key
         group = self._sql_groups[key]
-        del group[name]
-        if not group:
+        del group.members[name]
+        if not group.members:
             del self._sql_groups[key]
             self.plans.invalidate(key)
         if self.fanout_index is not None and cq.engine is not Engine.REEVALUATE:
-            self._sql_readers[key] -= 1
-            if not self._sql_readers[key]:
+            group.readers -= 1
+            if not group.readers:
                 # No future batch is routed to a dead subscriber.
-                del self._sql_readers[key]
                 self.fanout_index.remove(key)
         cohort = self._cohorts[tables]
         for members in (cohort.lazy, cohort.always, cohort.late):
@@ -502,55 +499,25 @@ class CQManager:
 
     def _since(self, cq: ContinualQuery) -> Timestamp:
         """The effective window start: a lazy member skipped by polls
-        rides its cohort's sweep (settled on the next visit)."""
+        rides its cohort's sweep (settled when it is next due)."""
         cohort = self._cohorts.get(cq.table_names)
         if cohort is not None and cq.name in cohort.lazy:
             return max(cq.last_execution_ts, cohort.swept)
         return cq.last_execution_ts
-
-    def _settle(self, cq: ContinualQuery, swept: Timestamp) -> None:
-        """Before visiting a lazy member: every poll that skipped it
-        proved its window irrelevant (Section 5.2), so its windows
-        start where the cohort's sweep does."""
-        if cq.last_execution_ts < swept:
-            cq.last_execution_ts = swept
-            cq.applied_ts = max(cq.applied_ts, swept)
 
     def _donor(self, sql_key: str) -> Optional[ContinualQuery]:
         """A live CQ with this SQL text whose retained result is still
         current (no commit to the footprint after its effective window
         start): registering the same text again copies that result
         instead of re-running E_0 — both are Q(state at now)."""
-        for member in self._sql_groups.get(sql_key, {}).values():
+        group = self._sql_groups.get(sql_key)
+        for member in group.members.values() if group is not None else ():
             if (
                 member.previous_result is not None
                 and not self._touched(member.table_names, self._since(member))
             ):
                 return member
         return None
-
-    # -- predicate-index fan-out -------------------------------------------------
-
-    def _fanout_routed(
-        self, table_names: Tuple[str, ...], since: Timestamp
-    ) -> Routed:
-        """The ``sql_key`` groups with at least one relevant pending
-        entry in ``table_names`` over the window ``(since, now]``, each
-        with the entry sides its aliases select — one
-        :meth:`PredicateIndex.match_batch` pass shared by the cohort's
-        sweep and every CQ with the same footprint refreshing over the
-        same window. Scoped to the asker's own tables so the read stays
-        inside the log suffix its delta zone protects from GC."""
-        now = self.db.now()
-        key = (table_names, since, now)
-        routed = self._fanout_routes.get(key)
-        if routed is None:
-            deltas = self._deltas_for(table_names, since)
-            routed = self.fanout_index.match_batch(deltas)
-            if len(self._fanout_routes) > 128:
-                self._fanout_routes.clear()
-            self._fanout_routes[key] = routed
-        return routed
 
     # -- update observation ------------------------------------------------------
 
@@ -562,17 +529,21 @@ class CQManager:
         if not watchers:
             return
         batch = DeltaRelation.from_records(table.schema, records)
-        for cq in list(watchers.values()):
-            if cq.status is not CQStatus.ACTIVE:
-                continue
-            if not batch.is_empty():
-                cq.trigger.observe(table.name, batch)
-            if cq.engine is Engine.EAGER:
-                # Eager maintenance: fold the commit in right away,
-                # whatever the evaluation strategy says about triggers.
-                self._fold(cq, self.db.now())
-            if self.strategy is EvaluationStrategy.IMMEDIATE:
-                self._maybe_execute(cq, self.db.now())
+        # Under IMMEDIATE every watcher reads this commit's window: one
+        # for all. A PERIODIC manager's EAGER folds each read privately.
+        immediate = self.strategy is EvaluationStrategy.IMMEDIATE
+        with self._open_window() if immediate else nullcontext():
+            for cq in list(watchers.values()):
+                if cq.status is not CQStatus.ACTIVE:
+                    continue
+                if not batch.is_empty():
+                    cq.trigger.observe(table.name, batch)
+                if cq.engine is Engine.EAGER:
+                    # Eager maintenance: fold the commit in right away,
+                    # whatever the evaluation strategy says about triggers.
+                    self._fold(cq, self.db.now())
+                if immediate:
+                    self._maybe_execute(cq, self.db.now())
 
     # -- polling ----------------------------------------------------------------
 
@@ -583,20 +554,144 @@ class CQManager:
         "system-defined default interval, say every day at midnight").
         Returns all notifications produced since the previous drain.
 
-        The actual refresh work is delegated to the manager's
-        :class:`~repro.core.scheduler.RefreshScheduler`, which shares
-        delta-batch consolidation across CQs and visits only the CQs a
-        cohort's sweep routes or cannot prove unobservable.
+        One window for the whole poll: sweep every cohort, refresh what
+        is due — the CQs a sweep routes or cannot prove unobservable —
+        in registration order, a lazy member by *receiving* its group's
+        evaluation, anyone else by a full visit; then move the sweeps.
         """
         if advance_to is not None:
             self.db.clock.advance_to(advance_to)
-        if self.fanout_index is not None:
-            self._fanout_routes.clear()
-            self._shared_results.clear()
-        self.scheduler.run(self.db.now())
+        now = self.db.now()
+        span = self.tracer.span("scheduler.poll", now=now, registered=len(self._cqs))
+        with span, self._open_window():
+            cohorts = list(self._cohorts.values())
+            runnable = [cq for cohort in cohorts for cq in self._due(cohort)]
+            runnable.sort(key=attrgetter("order"))
+            span.set(runnable=len(runnable))
+            for cq in runnable:
+                if cq.status is not CQStatus.ACTIVE:
+                    continue  # (an earlier visit's callback deregistered it)
+                lazy = cq.name in self._cohorts[cq.table_names].lazy
+                if lazy and not cq.is_aggregate:
+                    self._receive(cq)
+                else:  # (an aggregate folds and diffs its own state)
+                    self._charged(cq, self._maybe_execute)
+            for cohort in cohorts:
+                cohort.swept = now
+                self.zones.try_advance(cohort.tables, now)
+                # Visited; only a window that starts after the sweep
+                # (registered mid-poll, or visited after a commit an
+                # earlier visit's callback made) stays late.
+                cohort.late = {
+                    name: cq
+                    for name, cq in cohort.late.items()
+                    if cq.last_execution_ts > now
+                }
         return self.drain()
 
     run_once = poll
+
+    @contextmanager
+    def _open_window(self) -> Iterator[None]:
+        """One :class:`DeltaBatchCache` for all that is read inside the
+        block; inside an open one (a callback's commit, observed) the
+        enclosing window serves: its keys carry ``now``."""
+        outer = self._window
+        if outer is None:
+            self._window = DeltaBatchCache(self.db, self.metrics, self.tracer)
+        try:
+            yield
+        finally:
+            self._window = outer
+
+    def _due(self, cohort: Cohort) -> List[ContinualQuery]:
+        """The members of ``cohort`` this poll must visit."""
+        due = [
+            cq
+            for cq in cohort.always.values()
+            if not is_skip_safe(cq)
+            or self._touched(cohort.tables, cq.last_execution_ts)
+        ]
+        swept, index = cohort.swept, self.fanout_index
+        if cohort.lazy and self._touched(cohort.tables, swept):
+            routed = self._window.routed(index, cohort.tables, swept, self.db.now())[1]
+            for key in routed.keys() | index.stale():
+                for name, cq in self._sql_groups[key].members.items():
+                    if name in cohort.lazy:
+                        cohort.late[name] = cq
+            for cq in cohort.late.values():
+                # Every poll that skipped it proved its window irrelevant
+                # (Section 5.2): its window starts where the sweep does.
+                if cq.last_execution_ts < swept:
+                    cq.last_execution_ts = swept
+                    cq.applied_ts = max(cq.applied_ts, swept)
+            due.extend(cohort.late.values())
+        if not due and self.metrics:
+            self.metrics.count(Metrics.GROUPS_SKIPPED)
+        return due
+
+    def _receive(self, cq: ContinualQuery) -> None:
+        """A lazy member's turn: take the group's delta over its window
+        — evaluated here, charged to this member, unless an earlier
+        turn left it (a late joiner's window is its own; a callback's
+        commit moves ``now`` for everyone after it) — alias the group's
+        result, move the window, be notified. Against a full visit
+        nothing observable is skipped: the stop is ``Never``, there is
+        no zone of its own to advance, and ``OnEveryChange`` fires iff
+        the window is touched and ignores ``notify_fired``."""
+        now, since = self.db.now(), cq.last_execution_ts
+        group = self._sql_groups[cq.sql_key]
+        delta = None
+        if self._touched(cq.table_names, since):
+            delta, charges = group.delta_over(since, now), _RECEIVED
+            if delta is None:
+                delta = self._charged(cq, self._execute_dra)
+                charges = {Metrics.CQ_REFRESHES: 1}
+        if cq.keep_result:
+            group.retain(cq, now, delta)
+        if delta is None:
+            return  # a late member whose own window is quiet
+        cq.last_execution_ts = now
+        if self.auto_gc:
+            self.zones.collect()
+        self.stats.record(cq.name, charges)
+        if self.metrics:
+            for name in charges:
+                self.metrics.count(name)
+        if not delta.is_empty():
+            cq.executions += 1
+            cq.last_result_ts = now
+            self._emit(cq, self._notification(cq, delta, now))
+
+    def _charged(self, cq: ContinualQuery, step: Callable):
+        """Run ``step(cq, now)`` as one refresh of ``cq``: stamped with
+        the time its window really ends (the log's tail, which an
+        earlier visit's callback may have moved past the poll's start),
+        in a ``cq.refresh`` span, with one latency sample, its counter
+        charges scoped per CQ (the tee still charges the shared bag)."""
+        now = self.db.now()
+        scoped = TeeMetrics(self.metrics if self.metrics else None)
+        self._scoped_metrics = scoped
+        start = time.perf_counter()
+        span = self.tracer.span(
+            "cq.refresh", cq=cq.name, tables=",".join(cq.table_names)
+        )
+        with span:
+            try:
+                return step(cq, now)
+            finally:
+                self._scoped_metrics = None
+                latency_us = (time.perf_counter() - start) * 1e6
+                counters = {
+                    name: value
+                    for name, value in scoped.snapshot().items()
+                    if value
+                }
+                self.stats.record(cq.name, counters, latency_us)
+                span.set(latency_us=round(latency_us, 3), **counters)
+                if self.metrics:
+                    self.metrics.observe(Metrics.REFRESH_LATENCY_US, latency_us)
+                self._note_slow_refresh(cq.name, latency_us, counters)
 
     def drain(self) -> List[Notification]:
         """Remove and return all queued notifications."""
@@ -635,7 +730,7 @@ class CQManager:
 
     def _refresh_metrics(self) -> Optional[Metrics]:
         """The metrics bag engines charge during a refresh: the scoped
-        per-CQ tee when the scheduler installed one, otherwise the
+        per-CQ tee when :meth:`_charged` installed one, otherwise the
         shared bag."""
         scoped = self._scoped_metrics
         return scoped if scoped is not None else self.metrics
@@ -701,41 +796,34 @@ class CQManager:
             self.db.table(name).log.newest_ts > since for name in table_names
         )
 
-    def _deltas_for(
-        self, table_names: Tuple[str, ...], since: Timestamp
-    ) -> Dict[str, DeltaRelation]:
-        """Consolidated per-table deltas after ``since``.
-
-        Goes through the poll's shared :class:`DeltaBatchCache` when
-        the scheduler installed one, so every CQ (whatever its engine)
-        reading the same table over the same window shares one
-        consolidation pass; otherwise falls back to a private read.
-        """
-        cache = self._delta_cache
-        if cache is not None:
-            return cache.deltas(table_names, since, self.db.now())
-        return deltas_since(
-            [self.db.table(name) for name in table_names], since
-        )
-
     def _window_deltas(
         self, cq: ContinualQuery, since: Timestamp
     ) -> Tuple[Dict[str, DeltaRelation], Optional[Dict[str, Tuple]]]:
         """What one refresh of ``cq`` consumes over ``(since, now]``:
         nothing when the predicate index proves every pending entry
-        irrelevant (Section 5.2); otherwise the consolidated window,
-        with the entry sides the index selected per alias — DRA's
-        operand seeds. Those are None when routing cannot vouch for the
-        deltas: an unindexed or quarantined (stale-signature) CQ
-        refreshes normally, which is always sound."""
-        index, key, seeds = self.fanout_index, cq.sql_key, None
-        if index is not None and key in index:
-            seeds = self._fanout_routed(cq.table_names, since).get(key)
-            if key in index.stale():
-                seeds = None
-            elif seeds is None:
-                return {}, None
-        return self._deltas_for(cq.table_names, since), seeds
+        irrelevant (Section 5.2); otherwise the consolidated window and
+        the entry sides the index selected per alias — DRA's operand
+        seeds, None when routing cannot vouch for the deltas (an
+        unindexed or quarantined CQ refreshes normally: always sound).
+        Read through the open window, shared with the cohort's sweep
+        and every CQ reading it, over the CQ's own tables only: inside
+        the log suffix its zone protects."""
+        index, key, tables = self.fanout_index, cq.sql_key, cq.table_names
+        window, now, routed = self._window, self.db.now(), None
+        routable = index is not None and key in index
+        if window is None:
+            # An EAGER fold under PERIODIC: one reader, nothing to share.
+            deltas = deltas_since([self.db.table(name) for name in tables], since)
+            if routable:
+                routed = index.match_batch(deltas)
+        elif routable:
+            deltas, routed = window.routed(index, tables, since, now)
+        else:
+            deltas = window.deltas(tables, since, now)
+        if routed is None or key in index.stale():
+            return deltas, None
+        seeds = routed.get(key)
+        return (deltas, seeds) if seeds is not None else ({}, None)
 
     def _prepared_for(self, cq: ContinualQuery) -> Optional[PreparedCQ]:
         """The CQ's cached prepared plan (None when the engine never
@@ -808,61 +896,46 @@ class CQManager:
         self._emit(cq, self._notification(cq, delta, now))
 
     def _execute_dra(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
-        since = cq.last_execution_ts
+        """The group step: the result delta over ``cq``'s window. CQs
+        with one SQL text and one window hold content-identical results
+        (both Q(state at its start)), so of an indexed group's readers
+        whoever asks first evaluates and leaves the delta on its record;
+        keepers share the new result — replaced, never mutated."""
+        since, group = cq.last_execution_ts, self._sql_groups[cq.sql_key]
         deltas, seeds = self._window_deltas(cq, since)
         if not deltas:
             # Nothing committed, or nothing the index routes here: the
             # result cannot have changed, so no engine runs.
             return DeltaRelation(self._prepared_for(cq).out_schema)
-        # Shared materialization: CQs with identical SQL text and the
-        # same refresh window have content-identical previous results
-        # (both are Q(state at `since`)), so the delta and the new
-        # retained result are computed once per (sql_key, window) and
-        # aliased group-wide — a retained result is replaced, never
-        # mutated.
-        shared_key = None
-        if (
-            self.fanout_index is not None
-            and cq.keep_result
-            and self._sql_readers[cq.sql_key] > 1
-        ):
-            shared_key = (cq.sql_key, since, now)
-            shared = self._shared_results.get(shared_key)
-            if shared is not None:
-                if self.metrics:
-                    self.metrics.count(Metrics.SHARED_GROUP_HITS)
-                delta, cq.previous_result = shared
-                return delta
-        with self.tracer.span("dra.apply", cq=cq.name) as span:
-            result = dra_execute(
-                cq.query,
-                self.db,
-                deltas=deltas,
-                previous=cq.previous_result,
-                ts=now,
-                metrics=self._refresh_metrics(),
-                prepared=self._prepared_for(cq),
-                tracer=self.tracer,
-                columnar=self.columnar,
-                seeds=seeds,
-            )
-            span.set(
-                changed=",".join(sorted(result.changed_aliases)),
-                terms=result.terms_evaluated,
-                delta_rows=len(result.delta),
-            )
-        if cq.keep_result and result.has_changes():
-            cq.previous_result = result.complete_result()
-        if shared_key is not None:
-            # The bound is for IMMEDIATE growth; a poll starts empty and
-            # its later members still have their turn to come.
-            if self._delta_cache is None and len(self._shared_results) > 128:
-                self._shared_results.clear()
-            self._shared_results[shared_key] = (
-                result.delta,
-                cq.previous_result,
-            )
-        return result.delta
+        sharing = group.readers > 1  # (someone to hand the evaluation to)
+        delta = group.delta_over(since, now) if sharing else None
+        if delta is not None and self.metrics:
+            self.metrics.count(Metrics.SHARED_GROUP_HITS)
+        if delta is None:
+            with self.tracer.span("dra.apply", cq=cq.name) as span:
+                result = dra_execute(
+                    cq.query,
+                    self.db,
+                    deltas=deltas,
+                    ts=now,
+                    metrics=self._refresh_metrics(),
+                    prepared=self._prepared_for(cq),
+                    tracer=self.tracer,
+                    columnar=self.columnar,
+                    seeds=seeds,
+                )
+                span.set(
+                    changed=",".join(sorted(result.changed_aliases)),
+                    terms=result.terms_evaluated,
+                    delta_rows=len(result.delta),
+                )
+            delta = result.delta
+            if not group.last or group.last[1] != now:
+                group.result = None  # (a late joiner's, to the same now, keeps it)
+            group.last = (since, now, delta if sharing else None)
+        if cq.keep_result:
+            group.retain(cq, now, delta)
+        return delta
 
     def _execute_aggregate(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
         self._fold(cq, now)
@@ -955,10 +1028,11 @@ class CQManager:
             if not holds:
                 raise AssertionError(message)
 
-        index, cohorts = self.fanout_index, self._cohorts
+        index, cohorts, groups = self.fanout_index, self._cohorts, self._sql_groups
+        law(self._window is None, "a window is open outside poll and _observe")
         active = {cq.name: cq for cq in self.active()}
-        grouped = {n: cq for g in self._sql_groups.values() for n, cq in g.items()}
-        law(grouped == active, "sql_key groups != the active CQs")
+        grouped = {n: cq for g in groups.values() for n, cq in g.members.items()}
+        law(grouped == active, "sql_key groups' members != the active CQs")
         placed = [n for c in cohorts.values() for n in (*c.lazy, *c.always)]
         law(
             sorted(placed) == sorted(active),
@@ -971,19 +1045,18 @@ class CQManager:
             ),
             "a late member that is not lazy, or a memberless cohort",
         )
-        readers: Counter = Counter()
         planned, watching, zones, as_of = set(), set(), set(), {}
         for name, cq in active.items():
             tables, key, since = cq.table_names, cq.sql_key, self._since(cq)
             cohort = cohorts.get(tables)
+            group = groups.get(key)
             law(
-                name in self._sql_groups.get(key, ())
+                group is not None
+                and name in group.members
                 and cohort is not None
                 and (name in cohort.lazy or name in cohort.always),
                 f"{name}: not in its sql_key's group and its footprint's cohort",
             )
-            if index is not None and cq.engine is not Engine.REEVALUATE:
-                readers[key] += 1
             if cq.engine is not Engine.REEVALUATE or cq.is_aggregate:
                 planned.add(key)
             if (
@@ -1017,16 +1090,42 @@ class CQManager:
                     cq.previous_result == as_of[key, since],
                     f"{name}: retained result is not Q(state at {since})",
                 )
+        for key, group in groups.items():
+            members = list(group.members.values())
+            reading = [cq for cq in members if cq.engine is not Engine.REEVALUATE]
+            readers = len(reading) if index is not None else 0
+            law(
+                group.readers == readers
+                and (index is not None and key in index) == bool(readers),
+                f"{key}: readers or the index entry != its {readers} delta readers",
+            )
+            if group.last is None:
+                continue
+            law(group.last[1] <= self.db.now(), f"{key}: evaluated ahead of now")
+            # One retained object: the lazy keepers standing where the
+            # last evaluation ended all hold it — or none does: an
+            # always-visit member's evaluation, nothing pending for them.
+            cohort = cohorts[members[0].table_names]
+            holding = {
+                cq.previous_result is group.result
+                for cq in reading
+                if cq.name in cohort.lazy.keys() - cohort.late.keys()
+                and cq.keep_result
+                and not cq.is_aggregate
+                and cq.last_execution_ts == group.last[1]
+            }
+            law(
+                group.result is None or len(holding) < 2,
+                f"{key}: a lazy member holds a result of its own beside the group's",
+            )
         law(
-            dict(self._sql_readers) == dict(readers)
-            and (len(index) if index is not None else 0) == len(readers)
-            and all(key in index for key in readers),
-            f"_sql_readers {dict(self._sql_readers)} or the index's entries "
-            f"!= the delta readers {dict(readers)}",
+            (len(index) if index is not None else 0)
+            == sum(group.readers > 0 for group in groups.values()),
+            "the index's entries != the groups with a delta reader",
         )
         law(
             all(key in self.plans for key in planned)
-            and sum(key in self.plans for key in self._sql_groups) == len(self.plans),
+            and sum(key in self.plans for key in groups) == len(self.plans),
             "plans != the live sql_keys",
         )
         law(
@@ -1100,7 +1199,7 @@ class CQManager:
                     # global routing counters live in the metrics bag.
                     "fanout_indexed": indexed,
                     "sql_group_size": (
-                        (self._sql_readers[cq.sql_key] if indexed else 0)
+                        (self._sql_groups[cq.sql_key].readers if indexed else 0)
                         if self.fanout_index is not None
                         else None
                     ),
@@ -1110,8 +1209,6 @@ class CQManager:
 
     def status_report(self) -> str:
         """The :meth:`describe` records as an aligned text table."""
-        from repro.bench.harness import format_table
-
         report = format_table(
             self.describe(),
             columns=[
@@ -1150,7 +1247,7 @@ class CQManager:
                 f"\nfanout: indexed={info['subscriptions']} "
                 f"eq={info['eq_entries']} interval={info['interval_entries']} "
                 f"scan={info['scan_entries']} stale={info['stale']} "
-                f"groups={len(self._sql_readers)}"
+                f"groups={len(self.fanout_index)}"
             )
             if self.metrics:
                 m = self.metrics

@@ -3,47 +3,44 @@
 The naive poll loop asks every registered CQ to consolidate its own
 delta batch and test its own trigger — with thousands of CQs over a
 handful of hot tables, identical delta batches are recomputed once per
-CQ. This module is the sharing layer between ``CQManager.poll()`` and
-the per-CQ refresh machinery:
+CQ. These are the records ``CQManager.poll()`` shares work through:
 
-* :class:`DeltaBatchCache` — a per-poll cache keyed by
-  ``(table, since_ts, now_ts)`` so ``deltas_since`` consolidation runs
-  once per table per poll window and is shared by every CQ (and, on
-  the server, every subscription) reading that table;
-* *cohorts* — the active CQs of one operand-table footprint share a
-  swept-through timestamp. A poll routes each touched cohort's batch
-  over ``(swept, now]`` through the predicate index once and visits
-  only the routed ``lazy`` members plus the ``always`` set; nobody
-  iterates the registry. A visit is skipped only when it is provably
-  unobservable: on a quiet footprint, every :func:`is_skip_safe` CQ; on
-  a touched one, only unrouted ``lazy`` members — trigger exactly
-  ``OnEveryChange``, stop ``Never`` — whose visit would execute over a
-  provably irrelevant window (Section 5.2) and do nothing but move the
-  window start. A stateful data trigger must still be visited: an
-  ``OnUpdate`` armed during an unrouted window would otherwise stay
-  armed and fire a poll late.
+* :class:`DeltaBatchCache` — one refresh *window*: consolidation runs
+  once per ``(table, since_ts, now_ts)`` and predicate-index routing
+  once per ``(tables, since_ts, now_ts)``, shared by every CQ (on the
+  server, every subscription) reading that window;
+* :class:`Cohort` — the active CQs of one operand-table footprint
+  share a swept-through timestamp. A poll routes each touched cohort's
+  batch over ``(swept, now]`` once and visits only the routed ``lazy``
+  members plus the ``always`` set; nobody iterates the registry. A
+  visit is skipped only when it is provably unobservable: on a quiet
+  footprint, every :func:`is_skip_safe` CQ; on a touched one, only
+  unrouted ``lazy`` members — trigger exactly ``OnEveryChange``, stop
+  ``Never`` — whose visit would execute over a provably irrelevant
+  window (Section 5.2) and only move the window start. A stateful data
+  trigger must still be visited: an ``OnUpdate`` armed during an
+  unrouted window would otherwise fire a poll late;
+* :class:`SqlGroup` — the active CQs of one SQL text share one plan,
+  one index entry, one evaluation per window and one retained result.
 
 Runnable CQs refresh one after another in registration order, so the
 notification sequence is the paper's: sharing only removes provably
-redundant work and adds observability counters
-(``delta_batches_reused``, ``groups_skipped``) plus a refresh-latency
-histogram.
+redundant work, and adds counters and a refresh-latency histogram.
 """
 
 from __future__ import annotations
 
-import time
-from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.metrics import Metrics
-from repro.obs.stats import TeeMetrics
 from repro.obs.trace import NULL_SPAN, Tracer
+from repro.relational.relation import Relation
 from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
 from repro.delta.capture import delta_since
 from repro.delta.differential import DeltaRelation
-from repro.core.continual_query import ContinualQuery, CQStatus
+from repro.dra.predindex import PredicateIndex, Routed
+from repro.core.continual_query import ContinualQuery
 from repro.core.termination import Never
 from repro.core.triggers import (
     AllOf,
@@ -54,22 +51,21 @@ from repro.core.triggers import (
     Trigger,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.manager import CQManager
-
 
 class DeltaBatchCache:
-    """A per-poll cache of consolidated per-table delta batches.
+    """One refresh window: consolidated per-table delta batches keyed
+    ``(table, since_ts, now_ts)`` and the predicate index's routing of
+    them keyed ``(tables, since_ts, now_ts)`` — two readers of one
+    window share one consolidation pass over the update log and one
+    ``match_batch``. ``now_ts`` rides in the key because the logical
+    clock moves on commits: one made while the window is open (by a
+    notification callback) opens new keys, so the window never serves a
+    batch that is missing it.
 
-    Keyed by ``(table, since_ts, now_ts)``: two readers with the same
-    refresh window share one consolidation pass over the update log.
-    ``now_ts`` rides in the key because the logical clock only moves
-    on commits — within one poll it is constant, so the cache can never
-    serve a batch that is missing a mid-poll commit.
-
-    One poll (or server refresh cycle) builds one cache and reads it
-    from one thread; a consolidation that raises caches nothing, so a
-    later reader retries.
+    One poll, one commit observed by an IMMEDIATE manager or one server
+    refresh cycle builds one window, reads it from one thread and drops
+    it; a consolidation that raises caches nothing, so a later reader
+    retries.
     """
 
     def __init__(
@@ -82,6 +78,7 @@ class DeltaBatchCache:
         self.metrics = metrics
         self.tracer = tracer
         self._batches: Dict[Tuple[str, Timestamp, Timestamp], DeltaRelation] = {}
+        self._routes: Dict[Tuple[Tuple[str, ...], Timestamp, Timestamp], Routed] = {}
         self.hits = 0
         self.misses = 0
 
@@ -125,12 +122,26 @@ class DeltaBatchCache:
                 out[name] = batch
         return out
 
-    def __len__(self) -> int:
-        return len(self._batches)
+    def routed(
+        self,
+        index: PredicateIndex,
+        table_names: Tuple[str, ...],
+        since: Timestamp,
+        now: Timestamp,
+    ) -> Tuple[Dict[str, DeltaRelation], Routed]:
+        """The window's :meth:`deltas` (a counted read) and the
+        subscriptions ``index`` routes them to, each with the entry
+        sides its aliases select: one pass however many readers ask."""
+        deltas = self.deltas(table_names, since, now)
+        key = (table_names, since, now)
+        routed = self._routes.get(key)
+        if routed is None:
+            routed = self._routes[key] = index.match_batch(deltas)
+        return deltas, routed
 
     def __repr__(self) -> str:
         return (
-            f"DeltaBatchCache({len(self)} batches, "
+            f"DeltaBatchCache({len(self._batches)} batches, "
             f"hits={self.hits}, misses={self.misses})"
         )
 
@@ -187,150 +198,41 @@ class Cohort:
         self.late: Dict[str, ContinualQuery] = {}
 
 
-# What one constant-time receive charges (no engine counter, no latency).
-_RECEIVED = {Metrics.CQ_REFRESHES: 1, Metrics.SHARED_GROUP_HITS: 1}
+class SqlGroup:
+    """The active CQs of one SQL text: one plan, one predicate-index
+    entry, one evaluation per window, one retained result.
 
-
-class RefreshScheduler:
-    """Selects and refreshes the runnable CQs of one poll.
-
-    A drop-in behind :meth:`CQManager.poll`; see the module docstring
-    for the two sharing layers.
+    ``members`` by name; ``readers`` of them read deltas on an indexed
+    manager (a baseline joins for the plan and the result, never for
+    the routing): the index entry lives while there is one. ``last`` is
+    the last evaluation ``(since, now, delta)``; a member with that very
+    window takes the delta — kept while there is a second reader to do
+    so — instead of evaluating again. ``result`` is Q(state at that
+    ``now``), the one object every keeper there holds: replaced, never
+    mutated; None until one has taken it.
     """
 
-    def __init__(self, manager: "CQManager"):
-        self.manager = manager
+    __slots__ = ("members", "readers", "last", "result")
 
-    # -- one poll ---------------------------------------------------------
+    def __init__(self) -> None:
+        self.members: Dict[str, ContinualQuery] = {}
+        self.readers = 0
+        self.last: Optional[Tuple[Timestamp, Timestamp, DeltaRelation]] = None
+        self.result: Optional[Relation] = None
 
-    def run(self, now: Timestamp) -> None:
-        """Evaluate one poll: sweep every cohort, refresh what is due
-        in registration order, then move the cohorts' windows."""
-        manager = self.manager
-        with manager.tracer.span(
-            "scheduler.poll", now=now, registered=len(manager._cqs)
-        ) as poll_span:
-            manager._delta_cache = DeltaBatchCache(
-                manager.db, manager.metrics, manager.tracer
-            )
-            try:
-                cohorts = list(manager._cohorts.values())
-                runnable = [cq for cohort in cohorts for cq in self._due(cohort)]
-                runnable.sort(key=attrgetter("order"))
-                poll_span.set(runnable=len(runnable))
-                for cq in runnable:
-                    # (An earlier visit's callback may have deregistered it.)
-                    if cq.status is CQStatus.ACTIVE and not self._receive(cq):
-                        self._refresh_one(cq)
-                for cohort in cohorts:
-                    cohort.swept = now
-                    manager.zones.try_advance(cohort.tables, now)
-                    # Visited; only a window that starts after the sweep
-                    # (registered mid-poll, or visited after a commit an
-                    # earlier visit's callback made) stays late.
-                    cohort.late = {
-                        name: cq
-                        for name, cq in cohort.late.items()
-                        if cq.last_execution_ts > now
-                    }
-            finally:
-                manager._delta_cache = None
+    def delta_over(self, since: Timestamp, now: Timestamp) -> Optional[DeltaRelation]:
+        """The last evaluation's delta, if kept and over ``(since, now]``."""
+        last = self.last
+        return last[2] if last and last[:2] == (since, now) else None
 
-    def _due(self, cohort: Cohort) -> List[ContinualQuery]:
-        """The members of ``cohort`` this poll must visit."""
-        manager = self.manager
-        due = [
-            cq
-            for cq in cohort.always.values()
-            if not is_skip_safe(cq)
-            or manager._touched(cohort.tables, cq.last_execution_ts)
-        ]
-        if cohort.lazy and manager._touched(cohort.tables, cohort.swept):
-            keys = manager._fanout_routed(cohort.tables, cohort.swept)
-            for key in keys.keys() | manager.fanout_index.stale():
-                for name, cq in manager._sql_groups.get(key, {}).items():
-                    if name in cohort.lazy:
-                        cohort.late[name] = cq
-            for cq in cohort.late.values():
-                manager._settle(cq, cohort.swept)
-            due.extend(cohort.late.values())
-        if not due and manager.metrics:
-            manager.metrics.count(Metrics.GROUPS_SKIPPED)
-        return due
-
-    # -- refresh ----------------------------------------------------------
-
-    def _receive(self, cq: ContinualQuery) -> bool:
-        """The constant-time visit of a lazy member whose group already
-        evaluated its window: an earlier member's full visit left the
-        ``(delta, result)`` pair for ``(sql_key, since, now)``, so this
-        one aliases the result, moves its window and is notified.
-
-        Nothing observable is skipped. For the lazy class the stop is
-        ``Never``, ``OnEveryChange`` fires iff the window is touched —
-        which the pair's existence proves — and ignores
-        ``notify_fired``, and there is no zone of the member's own to
-        advance. Returns False — take the full visit — for everyone
-        else: the first member of a group (its visit *is* the group's
-        evaluation), always-visit members, a window that differs (a
-        late joiner; anything after a callback's commit moved
-        ``db.now()``).
-        """
-        manager = self.manager
-        if (
-            cq.name not in manager._cohorts[cq.table_names].lazy
-            or not cq.keep_result
-        ):
-            return False
-        now = manager.db.now()
-        shared = manager._shared_results.get(
-            (cq.sql_key, cq.last_execution_ts, now)
-        )
-        if shared is None:
-            return False
-        delta, cq.previous_result = shared
-        cq.last_execution_ts = now
-        if manager.auto_gc:
-            manager.zones.collect()
-        manager.stats.record(cq.name, _RECEIVED)
-        if manager.metrics:
-            for name in _RECEIVED:
-                manager.metrics.count(name)
-        if not delta.is_empty():
-            cq.executions += 1
-            cq.last_result_ts = now
-            manager._emit(cq, manager._notification(cq, delta, now))
-        return True
-
-    def _refresh_one(self, cq: ContinualQuery) -> None:
-        """One visit, stamped with the time its window really ends: the
-        log's tail, which a commit made by an earlier visit's callback
-        has moved past the poll's start."""
-        manager = self.manager
-        now = manager.db.now()
-        # Scope counter charges to this refresh: the tee still charges
-        # the shared bag, the scoped copy feeds per-CQ attribution.
-        scoped = TeeMetrics(manager.metrics if manager.metrics else None)
-        manager._scoped_metrics = scoped
-        start = time.perf_counter()
-        span = manager.tracer.span(
-            "cq.refresh", cq=cq.name, tables=",".join(cq.table_names)
-        )
-        with span:
-            try:
-                manager._maybe_execute(cq, now)
-            finally:
-                manager._scoped_metrics = None
-                latency_us = (time.perf_counter() - start) * 1e6
-                counters = {
-                    name: value
-                    for name, value in scoped.snapshot().items()
-                    if value
-                }
-                manager.stats.record(cq.name, counters, latency_us)
-                span.set(latency_us=round(latency_us, 3), **counters)
-                if manager.metrics:
-                    manager.metrics.observe(
-                        Metrics.REFRESH_LATENCY_US, latency_us
-                    )
-                manager._note_slow_refresh(cq.name, latency_us, counters)
+    def retain(self, cq: ContinualQuery, now: Timestamp, delta=None) -> None:
+        """Hand a keeper whose own copy, with ``delta`` applied (None or
+        empty: as it is), is Q(state at ``now``) the group's one object
+        for that state; the first to ask leaves its own. A no-op unless
+        the group was evaluated as of ``now``."""
+        if not self.last or self.last[1] != now:
+            return
+        if self.result is None:
+            held = cq.previous_result
+            self.result = delta.apply_to(held) if delta else held
+        cq.previous_result = self.result

@@ -123,7 +123,6 @@ class Metrics:
     TERMS_EVALUATED = "terms_evaluated"
     BYTES_SENT = "bytes_sent"
     MESSAGES_SENT = "messages_sent"
-    PREDICATE_EVALS = "predicate_evals"
     EXECUTIONS = "executions"
     EXECUTIONS_SKIPPED = "executions_skipped"
     # Shared-delta refresh scheduler (Section 5.2/5.4 sharing layer).

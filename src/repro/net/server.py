@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.errors import NetworkError, RegistrationError
 from repro.metrics import Metrics
 from repro.obs.stats import CQStats, TeeMetrics
+from repro.obs.table import format_table
 from repro.obs.trace import Tracer
 from repro.relational.algebra import SPJQuery
 from repro.relational.relation import Relation
@@ -31,7 +32,7 @@ from repro.delta.capture import deltas_since
 from repro.delta.diff import diff
 from repro.delta.propagate import evaluate_as_of
 from repro.dra.algorithm import dra_execute
-from repro.dra.predindex import PredicateIndex, Routed
+from repro.dra.predindex import PredicateIndex
 from repro.dra.prepared import PlanCache
 from repro.core.gc import ActiveDeltaZones
 from repro.core.scheduler import DeltaBatchCache
@@ -478,7 +479,7 @@ class CQServer:
             # every cycle does: the members there get that delta now.
             if group.last_ts < last_ts:
                 cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
-                self._refresh_group(group, cache, {}, self.db.now())
+                self._refresh_group(group, cache, self.db.now())
             self.metrics.count(Metrics.SHARED_GROUP_HITS)
             window, result, digest = group.last_ts, group.result, group.digest
         else:
@@ -562,10 +563,9 @@ class CQServer:
         without fan-out — refreshes alone."""
         now = self.db.now()
         cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
-        routes: Dict[Tuple[Tuple[str, ...], Timestamp], Routed] = {}
         sent = 0
         for group in list(self._groups.values()):
-            sent += self._refresh_group(group, cache, routes, now)
+            sent += self._refresh_group(group, cache, now)
         for subscription in list(self._solo.values()):
             sent += self._refresh_scoped(subscription, cache)
         return sent
@@ -574,7 +574,6 @@ class CQServer:
         self,
         group: SharedGroup,
         cache: DeltaBatchCache,
-        routes: Dict[Tuple[Tuple[str, ...], Timestamp], Routed],
         now: Timestamp,
         skip: Optional[Subscription] = None,
     ) -> int:
@@ -588,12 +587,8 @@ class CQServer:
         empty); a routed one evaluates once and fans the delta out.
         Detached members are skipped, not raised on — their zones hold
         the replay window for reconnect. Returns the messages sent."""
-        since, tables = group.last_ts, group.tables
-        routed = routes.get((tables, since))
-        if routed is None:
-            routed = routes[(tables, since)] = self.fanout_index.match_batch(
-                cache.deltas(tables, since, now)
-            )
+        since = group.last_ts
+        deltas, routed = cache.routed(self.fanout_index, group.tables, since, now)
         group.last_ts = now
         members = [s for s in group.members.values() if s is not skip]
         delta = None
@@ -602,7 +597,7 @@ class CQServer:
             result = self._evaluate(
                 group.query,
                 group.sql_key,
-                cache.deltas(tables, since, now),
+                deltas,
                 now,
                 group.result,
                 seeds,
@@ -834,7 +829,7 @@ class CQServer:
         group = subscription.group
         if group is not None:
             cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
-            self._refresh_group(group, cache, {}, now, skip=subscription)
+            self._refresh_group(group, cache, now, skip=subscription)
             subscription.fold()
         elif differential:
             subscription.fold()
@@ -1008,8 +1003,6 @@ class CQServer:
 
     def status_report(self) -> str:
         """Subscriptions plus connection counters as a text report."""
-        from repro.bench.harness import format_table
-
         report = format_table(
             self.describe(),
             columns=[

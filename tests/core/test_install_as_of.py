@@ -19,6 +19,7 @@ from repro.core import (
     ContinualQuery,
     CQStatus,
     DeliveryMode,
+    DeltaBatchCache,
     Engine,
     EvaluationStrategy,
     Every,
@@ -282,10 +283,21 @@ class TestInvariantsAreChecked:
         cohort.late["ghost"] = cq
 
     def break_group(mgr, cq, cohort):
-        del mgr._sql_groups[cq.sql_key][cq.name]
+        del mgr._sql_groups[cq.sql_key].members[cq.name]
 
     def break_readers(mgr, cq, cohort):
-        mgr._sql_readers[cq.sql_key] += 1
+        mgr._sql_groups[cq.sql_key].readers += 1
+
+    def break_alias(mgr, cq, cohort):
+        cq.previous_result = cq.previous_result.copy()  # equal, not shared
+
+    def break_last(mgr, cq, cohort):
+        group = mgr._sql_groups[cq.sql_key]
+        since, now, delta = group.last
+        group.last = (since, mgr.db.now() + 1, delta)
+
+    def break_window(mgr, cq, cohort):
+        mgr._window = DeltaBatchCache(mgr.db)
 
     def break_index(mgr, cq, cohort):
         mgr.fanout_index.remove(cq.sql_key)
@@ -317,6 +329,9 @@ class TestInvariantsAreChecked:
             break_late,
             break_group,
             break_readers,
+            break_alias,
+            break_last,
+            break_window,
             break_index,
             break_plans,
             break_watchers,

@@ -8,10 +8,12 @@ unvisited member's window rides its cohort's sweep under GC, a late
 joiner is visited whatever the sweep routes, a stateful data trigger is
 never skipped on a touched footprint, quarantined CQs are always
 visited, a registration copies a current result instead of running
-E_0, and a routed group is evaluated by its first member's visit while
-the others *receive* the pair it left.
+E_0, and a routed group is evaluated once, in its first due member's
+turn, and every lazy member *receives* that evaluation.
 """
 
+import gc
+import weakref
 from collections import deque
 from collections.abc import Mapping
 
@@ -150,10 +152,11 @@ class TestUnroutedWindows:
 
 
 class TestMembersReceive:
-    """A routed group is evaluated once, by the full visit of its first
-    member in registration order; every later lazy member whose window
-    is the same one receives the (delta, result) pair in constant time
-    (``RefreshScheduler._receive``)."""
+    """A routed group is evaluated once, in the turn of its first due
+    member in registration order and charged to it; every lazy member
+    whose window is that one — the first included — receives the delta
+    and the group's one result in constant time
+    (``CQManager._receive``)."""
 
     def test_one_group_fifty_members_one_evaluation(self, db, stocks):
         """(i)"""
@@ -281,10 +284,11 @@ class TestMembersReceive:
 
     @pytest.mark.bulk
     def test_a_poll_never_evicts_a_pair_before_its_members_turn(self, db):
-        """``_shared_results`` is bounded against IMMEDIATE growth; a
-        poll starts it empty and must keep every pair until the last
-        member's registration-order turn — 300 two-member groups used
-        to run 600 executions and share nothing."""
+        """A group's evaluation lives on the group's record, so it is
+        there when the last member's registration-order turn comes
+        however many groups the poll routes — behind a bounded memo,
+        300 two-member groups used to run 600 executions and share
+        nothing."""
         table = db.create_table(
             "t", [("k", AttributeType.INT), ("v", AttributeType.INT)]
         )
@@ -311,6 +315,117 @@ class TestMembersReceive:
             assert mgr.get(f"r1g{g}").previous_result == db.query(sql)
             assert mgr.get(f"r0g{g}").previous_result == db.query(sql)
         mgr.check_invariants()
+
+
+    def test_member_that_keeps_no_result_receives_like_anyone_else(
+        self, db, stocks
+    ):
+        """(vii) A member that retains nothing still takes the group's
+        delta; it used to evaluate the window again, privately, and so
+        did every keeper after it that found no pair."""
+        mgr = make_manager(db)
+        members = [
+            mgr.register_sql(f"w{i}", WATCH, keep_result=i % 2 == 0)
+            for i in range(4)
+        ]
+        mgr.drain()
+        stocks.insert((600, "HI", 900))
+        before = mgr.metrics.snapshot()
+        notes = mgr.poll()
+        spent = mgr.metrics.diff(before)
+        assert spent[Metrics.EXECUTIONS] == 1
+        assert spent[Metrics.CQ_REFRESHES] == 4
+        assert spent[Metrics.SHARED_GROUP_HITS] == 3
+        assert [n.cq_name for n in notes] == ["w0", "w1", "w2", "w3"]
+        assert all(n.delta is notes[0].delta for n in notes)
+        assert [e.new[0] for e in notes[0].delta] == [600]
+        assert members[0].previous_result == db.query(WATCH)
+        assert members[2].previous_result is members[0].previous_result
+        assert members[1].previous_result is members[3].previous_result is None
+
+
+class TestOneWindow:
+    """Whatever is keyed by a refresh window — consolidated batches,
+    routing passes — lives in one ``DeltaBatchCache`` that is open for
+    one poll, or one observed commit under IMMEDIATE, and unreachable
+    afterwards: nothing to bound, nothing to clear."""
+
+    def register(self, mgr, count):
+        """``count`` same-text CQs; each REFRESH appends a weak
+        reference to the window it was delivered in."""
+        windows = []
+
+        def note_window(note):
+            if note.kind is NotificationKind.REFRESH:
+                windows.append(weakref.ref(mgr._window))
+
+        for i in range(count):
+            mgr.register_sql(f"w{i}", WATCH, on_notify=note_window)
+        mgr.drain()
+        return windows
+
+    def assert_no_window_left(self, mgr, windows):
+        assert mgr._window is None
+        # No attribute holds anything keyed by (..., since, now).
+        for value in vars(mgr).values():
+            if isinstance(value, Mapping):
+                assert not any(isinstance(key, tuple) and len(key) == 3 for key in value)
+        gc.collect()
+        assert windows and not any(ref() is not None for ref in windows)
+
+    def test_immediate_cqs_observing_a_commit_share_one_consolidation(
+        self, db, stocks
+    ):
+        mgr = CQManager(db, metrics=Metrics(), fanout=True)
+        windows = self.register(mgr, 5)
+        before = mgr.metrics.snapshot()
+        for i in range(200):
+            stocks.insert((600 + i, "HI", 900 + i))
+            self.assert_no_window_left(mgr, windows[-5:])
+        spent = mgr.metrics.diff(before)
+        assert spent[Metrics.PREDINDEX_PROBES] == 200
+        assert spent[Metrics.EXECUTIONS] == 200
+        assert spent[Metrics.DELTA_BATCHES_COMPUTED] == 200
+        assert spent[Metrics.DELTA_BATCHES_REUSED] == 800
+        assert spent[Metrics.CQ_REFRESHES] == 1000
+        assert len(windows) == 1000 and len(mgr.drain()) == 1000
+        assert all(
+            mgr.get(f"w{i}").previous_result == db.query(WATCH) for i in range(5)
+        )
+
+    def test_a_poll_leaves_no_window_behind(self, db, stocks):
+        mgr = make_manager(db)
+        windows = self.register(mgr, 3)
+        stocks.insert((600, "HI", 900))
+        assert len(mgr.poll()) == 3
+        self.assert_no_window_left(mgr, windows)
+
+    def test_commit_from_a_callback_reads_the_enclosing_window(self, db, stocks):
+        """A nested observe must neither close the window it found open
+        nor be served a batch that misses its own commit."""
+        mgr = CQManager(db, metrics=Metrics(), fanout=True)
+        budget, windows = [1], []
+
+        def commit_once(note):
+            windows.append(mgr._window)
+            if note.kind is NotificationKind.REFRESH and budget[0]:
+                budget[0] -= 1
+                stocks.insert((701, "CB", 800))
+                assert mgr._window is windows[0]  # restored, not closed
+
+        mgr.register_sql("first", WATCH, on_notify=commit_once)
+        mgr.register_sql("second", WATCH, on_notify=commit_once)
+        mgr.drain()
+        del windows[:]
+        stocks.insert((700, "HI", 900))
+        seen = [[e.new[0] for e in n.delta] for n in mgr.drain()]
+        # first sees 700 and commits 701; the nested observe hands 701
+        # to first, then both to second, inside the outer window.
+        assert seen == [[700], [701], [700, 701]]
+        assert len({id(window) for window in windows}) == 1
+        assert mgr._window is None
+        for name in ("first", "second"):
+            assert mgr.get(name).previous_result == db.query(WATCH)
 
 
 class TestQuietVisitsAfterGC:
@@ -438,7 +553,8 @@ class TestRegistrationByCopy:
         assert len(mgr.fanout_index) == 1
         stocks.insert((950, "HI", 900))
         assert {n.cq_name for n in mgr.poll()} == {"base", "watch"}
-        assert not mgr._shared_results  # nobody to share an evaluation with
+        # Nobody to share an evaluation with.
+        assert mgr.metrics.snapshot().get(Metrics.SHARED_GROUP_HITS, 0) == 0
         sizes = {r["name"]: r["sql_group_size"] for r in mgr.describe()}
         assert sizes == {"base": 0, "watch": 1}
         mgr.deregister("watch")

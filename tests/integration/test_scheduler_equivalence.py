@@ -474,36 +474,34 @@ def test_fanout_columnar_exercises_receives_and_seeds(monkeypatch):
     receive, run seeded executions (multi-alias ones included), meet
     late joiners, and refuse a receive because the window differed."""
     import repro.core.manager as manager_module
-    from repro.core.scheduler import RefreshScheduler
 
     seen = dict(receives=0, refused=0, seeded=0, multi_alias=0, late=0)
-    receive, execute = RefreshScheduler._receive, manager_module.dra_execute
+    receive, execute = CQManager._receive, manager_module.dra_execute
 
     def counted_receive(self, cq):
-        manager = self.manager
-        cohort = manager._cohorts[cq.table_names]
+        cohort = self._cohorts[cq.table_names]
+        group = self._sql_groups[cq.sql_key]
+        before, now = group.last, self.db.now()
         # A lazy member whose window starts after its cohort's sweep.
-        seen["late"] += (
-            cq.name in cohort.lazy and cq.last_execution_ts > cohort.swept
-        )
-        received = receive(self, cq)
-        seen["receives"] += received
+        seen["late"] += cq.last_execution_ts > cohort.swept
+        receive(self, cq)
+        moved = cq.last_execution_ts == now
+        # Took the evaluation an earlier member's turn left ...
+        seen["receives"] += moved and group.last is before
+        # ... or found one as of now, over another window, and evaluated.
         seen["refused"] += (
-            not received
-            and cq.name in cohort.lazy
-            and any(
-                (key, at) == (cq.sql_key, manager.db.now())
-                for key, __, at in manager._shared_results
-            )
+            moved
+            and group.last is not before
+            and before is not None
+            and before[1] == now
         )
-        return received
 
     def counted_execute(*args, seeds=None, **kwargs):
         seen["seeded"] += seeds is not None
         seen["multi_alias"] += seeds is not None and len(seeds) > 1
         return execute(*args, seeds=seeds, **kwargs)
 
-    monkeypatch.setattr(RefreshScheduler, "_receive", counted_receive)
+    monkeypatch.setattr(CQManager, "_receive", counted_receive)
     monkeypatch.setattr(manager_module, "dra_execute", counted_execute)
     for i in range(N_SCHEDULES // CHUNKS):
         run_schedule(make_schedule(7_000 + i), CONFIGS["fanout_columnar"])

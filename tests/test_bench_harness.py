@@ -1,9 +1,8 @@
 """Tests for the benchmark harness utilities and metrics."""
 
-import pytest
-
-from repro.bench.harness import format_table, geometric_mean, time_fn
+from repro.bench.harness import time_fn
 from repro.metrics import Metrics
+from repro.obs import format_table
 
 
 class TestFormatTable:
@@ -42,12 +41,6 @@ class TestFormatTable:
 
 
 class TestStats:
-    def test_geometric_mean(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-        assert geometric_mean([5.0]) == 5.0
-        assert geometric_mean([]) == 0.0
-        assert geometric_mean([0.0, -1.0]) == 0.0  # non-positive skipped
-
     def test_time_fn_returns_positive(self):
         assert time_fn(lambda: sum(range(100)), repeat=2) > 0
 

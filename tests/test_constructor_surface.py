@@ -104,7 +104,6 @@ STATE = {
         "slow_refresh_us",
         "columnar",
         "fanout_index",
-        "scheduler",
         "plans",
         "zones",
         "stats",
@@ -116,13 +115,10 @@ STATE = {
         "_unsubscribes",
         "_watchers",
         "_sql_groups",
-        "_sql_readers",
         "_outbox",
-        # scoped to one poll / one refresh
-        "_delta_cache",
+        # scoped to one poll or observed commit / one refresh
+        "_window",
         "_scoped_metrics",
-        "_fanout_routes",
-        "_shared_results",
     },
     ClusterRouter: {
         # configuration and collaborators

@@ -1,6 +1,7 @@
 """No public name in ``src/repro`` that nothing mentions (ROADMAP 7(d)).
 
-A public function, class or method is *dead* when its name occurs
+A public function, class, method or class-level constant (an
+upper-case name assigned in a class body) is *dead* when its name occurs
 nowhere in ``src/``, ``tests/``, ``examples/``, ``benchmarks/``, the
 README, DESIGN.md or ``docs/`` except where it is defined: no caller,
 no test, no example, not even a sentence of documentation. Such a name
@@ -32,8 +33,9 @@ ALLOWED = {}
 
 
 def scan_source():
-    """Where each public function, class or method name under
-    ``src/repro`` is defined, and every name its code mentions."""
+    """Where each public function, class, method or class-level
+    constant name under ``src/repro`` is defined, and every name its
+    code mentions (a name being assigned is not a mention)."""
     defined, mentioned = {}, Counter()
     for path in sorted(SOURCE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -42,8 +44,13 @@ def scan_source():
             ):
                 if not node.name.startswith("_"):
                     defined[node.name] = f"{path.relative_to(ROOT)}:{node.lineno}"
+                for stmt in node.body if isinstance(node, ast.ClassDef) else ():
+                    for target in stmt.targets if isinstance(stmt, ast.Assign) else ():
+                        name = getattr(target, "id", "_")
+                        if name.isupper() and not name.startswith("_"):
+                            defined[name] = f"{path.relative_to(ROOT)}:{stmt.lineno}"
             elif isinstance(node, ast.Name):
-                mentioned[node.id] += 1
+                mentioned[node.id] += not isinstance(node.ctx, ast.Store)
             elif isinstance(node, ast.Attribute):
                 mentioned[node.attr] += 1
             elif isinstance(node, ast.keyword):
