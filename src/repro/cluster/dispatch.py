@@ -183,12 +183,12 @@ class CycleEngine:
             # of its frames is still in flight; waiting out that
             # frame's deadline would only charge a dead host more
             # failures, so drop it on the floor here.
-            if host in self.router._dead:
+            if self.router._hosts[host].dead:
                 self._abandon(host)
         for host, queue in list(self._queues.items()):
             if not queue or host in self._outstanding:
                 continue
-            if host in self.router._dead:
+            if self.router._hosts[host].dead:
                 self._abandon(host)
                 continue
             request = queue.popleft()

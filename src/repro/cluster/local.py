@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ClusterError
-from repro.cluster.shard import ClusterShard, ShardHost, TableDecl
+from repro.cluster.shard import ShardHost, TableDecl
 from repro.net.messages import Message, ShardHelloMessage
 
 
@@ -155,10 +155,6 @@ class LocalBackend:
 
     def host(self, shard_id: int) -> ShardHost:
         return self.shards[shard_id]
-
-    def shard(self, shard_id: int) -> ClusterShard:
-        """The host's own-group store (the pre-replication accessor)."""
-        return self.shards[shard_id].stores[shard_id]
 
     def close(self) -> None:
         if self._pool is not None:

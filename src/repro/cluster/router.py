@@ -108,12 +108,22 @@ DeltaCallback = Callable[[str, DeltaRelation, Timestamp], None]
 Residual = Tuple[int, Callable, object]
 
 
+#: Gather-reply counters that proxy a store's refresh cost (the same
+#: work counters the shard's per-CQ ``CQStats`` attribution charges);
+#: their sum over a host's stores steers load-aware targeting.
+_WORK_COUNTERS = (
+    "terms_evaluated", "rows_scanned", "delta_rows_read", "predindex_probes"
+)
+
+
 class _SqlGroup:
     """Everything the router holds for one ``sql_key``: the query, the
     placement groups evaluating it, its members — ``(client, cq)`` to
     notification callback — and the one retained (merged) result.
     ``result`` is only ever *replaced*, never mutated, so every member
     aliases it; :meth:`ClusterRouter.result` hands out copies.
+    ``reconcile`` asks for a snap to the authoritative result after
+    the next refresh's merge (promotion-lag and rebuild healing).
     """
 
     __slots__ = (
@@ -125,38 +135,84 @@ class _SqlGroup:
         "members",
         "result",
         "last_ts",
+        "reconcile",
     )
 
     def __init__(
         self,
         sql_key: str,
         query: SPJQuery,
-        owners: Set[int],
         parallel: bool,
         residuals: Tuple[Residual, ...],
     ):
         self.sql_key = sql_key
         self.query = query
-        self.owners = owners
+        self.owners: Set[int] = set()  # see ClusterRouter._rehome
         self.parallel = parallel  # partition-parallel: runs on every group
         self.residuals = residuals
         self.members: Dict[Tuple[str, str], Optional[DeltaCallback]] = {}
         self.result: Optional[Relation] = None  # set once seeded
         self.last_ts: Timestamp = 0
+        self.reconcile = False
 
 
 class _Store:
     """One ``(host, group)`` store as the router accounts for it; it
     exists exactly while ``host`` is in ``group``'s placement."""
 
-    __slots__ = ("horizon", "counters", "cost")
+    __slots__ = ("horizon", "counters")
 
     def __init__(self, horizon: Timestamp):
         self.horizon = horizon  # applied-through timestamp
-        #: Last gathered counter snapshot (None until one arrives) and
-        #: its refresh-cost score, summed per host in ``_host_cost``.
+        #: Last gathered counter snapshot (None until one arrives).
         self.counters: Optional[Dict[str, int]] = None
-        self.cost = 0.0
+
+
+class _Group:
+    """One placement group: ``hosts`` is its placement, primary first,
+    in-service hosts only — the group is *lost* exactly when it is
+    empty; ``served`` the last timestamp merged from its primary (the
+    promotion registration point; None until one is); ``queued`` that
+    it waits for background repair."""
+
+    __slots__ = ("hosts", "served", "queued")
+
+    def __init__(self) -> None:
+        self.hosts: List[int] = []
+        self.served: Optional[Timestamp] = None
+        self.queued = False
+
+
+class _Host:
+    """One ring node: the stores it carries by group, whether it is out
+    of service, and — once dead — ``pinned``, the groups it carried
+    whose failover or repair has not completed. A dead host's GC zone
+    is its pin on the router logs; it is released when ``pinned``
+    empties."""
+
+    __slots__ = ("stores", "dead", "pinned")
+
+    def __init__(self) -> None:
+        self.stores: Dict[int, _Store] = {}
+        self.dead = False
+        self.pinned: Set[int] = set()
+
+    @property
+    def cost(self) -> float:
+        """Observed refresh cost: the work counters of every store's
+        last gathered snapshot."""
+        counters = [s.counters for s in self.stores.values() if s.counters]
+        return float(
+            sum(c.get(name, 0) for c in counters for name in _WORK_COUNTERS)
+        )
+
+    @property
+    def horizon(self) -> Optional[Timestamp]:
+        """The zone target: the oldest store horizon (None without a
+        store) — every store has applied the logs through it."""
+        return min(
+            (store.horizon for store in self.stores.values()), default=None
+        )
 
 
 class GCReport(dict):
@@ -232,38 +288,15 @@ class ClusterRouter:
         self._decls: Dict[str, TableDecl] = {}
         self._started = False
         self._seq = 0
-        self._horizons: Dict[int, Timestamp] = {}
-        self._dead: Set[int] = set()
         #: One record per subscribed ``sql_key``, and per subscription
         #: the record it is a member of (of that one only).
         self._sql_groups: Dict[str, _SqlGroup] = {}
         self._subs: Dict[Tuple[str, str], _SqlGroup] = {}
-        #: ``{group: [primary host, replica hosts...]}``.
-        self._placement: Dict[int, List[int]] = {}
-        #: One record per placed ``(host, group)`` store; ``_place`` and
-        #: ``_unplace`` are the only code that adds or drops one.
-        self._stores: Dict[Tuple[int, int], _Store] = {}
-        #: Per host, the stores it carries and the sum of their observed
-        #: refresh cost (gathered counter snapshots — the same per-CQ
-        #: attributed counters ``CQStats`` folds on the shard side):
-        #: the two halves of load-aware replica targeting, maintained
-        #: incrementally (rebuilding them per call was the
-        #: O(groups·hosts) half of the re-replication hot spot).
-        self._load: Dict[int, int] = {}
-        self._host_cost: Dict[int, float] = {}
-        #: Last timestamp whose gather was merged into member results,
-        #: per group — the promotion registration point.
-        self._group_served: Dict[int, Timestamp] = {}
-        #: Dead host -> groups whose failover/re-replication has not
-        #: completed; the host's zone stays pinned until this empties.
-        self._pinned: Dict[int, Set[int]] = {}
-        #: Groups nobody currently serves (sole holder died).
-        self._lost: Set[int] = set()
-        #: Groups queued for background re-replication/top-up.
-        self._rerepl: List[int] = []
-        #: sql_keys to snap to the authoritative result after this
-        #: cycle's merge (promotion-lag and rebuild healing).
-        self._reconcile_keys: Set[str] = set()
+        #: One record per placement group and one per host, keyed by
+        #: ring node (a host's own group has its id); ``_place`` and
+        #: ``_unplace`` are the only code that adds or drops a store.
+        self._groups: Dict[int, _Group] = {}
+        self._hosts: Dict[int, _Host] = {}
 
     # -- setup -------------------------------------------------------------
 
@@ -294,7 +327,7 @@ class ClusterRouter:
             self._spawn(shard_id, self._initial_weights.get(shard_id, 1.0))
         target = min(self.replicas, self._n_initial - 1)
         if target > 0:
-            for group in sorted(self._placement):
+            for group in sorted(self._groups):
                 for host in self._replica_targets(group, target):
                     self._place(group, host, now)
 
@@ -303,7 +336,9 @@ class ClusterRouter:
         first store) of its own new group."""
         self.backend.spawn(shard_id, list(self._decls.values()))
         self.ring.add_node(shard_id, weight=weight)
-        now = self._horizons[shard_id] = self.db.now()
+        self._groups[shard_id] = _Group()
+        self._hosts[shard_id] = _Host()
+        now = self.db.now()
         self.zones.register(self._zone(shard_id), self._all_tables(), now)
         self._place(shard_id, shard_id, now)
 
@@ -315,13 +350,12 @@ class ClusterRouter:
         return tuple(sorted(self._decls))
 
     def _alive(self) -> List[int]:
-        return [s for s in self.ring.nodes() if s not in self._dead]
+        return [s for s in self.ring.nodes() if not self._hosts[s].dead]
 
-    def _live(self, group: int) -> List[int]:
-        """``group``'s in-service hosts, primary first."""
-        return [
-            h for h in self._placement.get(group, ()) if h not in self._dead
-        ]
+    def _is_lost(self, group: int) -> bool:
+        """Nobody serves ``group``: its last store's host died."""
+        placed = self._groups.get(group)
+        return placed is not None and not placed.hosts
 
     def _partition(self, table: str, group: int) -> Partition:
         decl = self._decls[table]
@@ -342,53 +376,18 @@ class ClusterRouter:
             needed.update(self._sql_groups[sql_key].query.table_names)
         return sorted(needed)
 
-    # -- placement bookkeeping ----------------------------------------------
+    # -- placement ----------------------------------------------------------
 
-    #: Gather-reply counters that proxy a store's refresh cost (the
-    #: same work counters the shard's per-CQ ``CQStats`` attribution
-    #: charges); their per-host sum steers load-aware targeting.
-    _WORK_COUNTERS = (
-        "terms_evaluated",
-        "rows_scanned",
-        "delta_rows_read",
-        "predindex_probes",
-    )
-
-    def _place(self, group: int, host: int, ts: Timestamp) -> None:
+    def _place(self, group: int, host: int, ts: Timestamp) -> _Store:
         """Append ``host`` to ``group``'s placement: a new store,
-        applied through ``ts``, load accounted."""
-        self._placement.setdefault(group, []).append(host)
-        self._stores[(host, group)] = _Store(ts)
-        self._load[host] = self._load.get(host, 0) + 1
+        applied through ``ts``."""
+        self._groups[group].hosts.append(host)
+        store = self._hosts[host].stores[group] = _Store(ts)
+        return store
 
     def _unplace(self, group: int, host: int) -> None:
-        hosts = self._placement.get(group)
-        if hosts is None or host not in hosts:
-            return
-        hosts.remove(host)
-        store = self._stores.pop((host, group))
-        self._load[host] -= 1
-        if not self._load[host]:
-            del self._load[host]
-        self._charge(host, -store.cost)
-
-    def _charge(self, host: int, cost: float) -> None:
-        total = self._host_cost.get(host, 0.0) + cost
-        if total > 0.0:
-            self._host_cost[host] = total
-        else:
-            self._host_cost.pop(host, None)
-
-    def _record_store(self, host: int, group: int, counters) -> _Store:
-        """One store's gathered counter snapshot, cost kept current."""
-        store = self._stores[(host, group)]
-        store.counters = dict(counters)
-        score = float(
-            sum(store.counters.get(name, 0) for name in self._WORK_COUNTERS)
-        )
-        self._charge(host, score - store.cost)
-        store.cost = score
-        return store
+        self._groups[group].hosts.remove(host)
+        del self._hosts[host].stores[group]
 
     def _replica_targets(
         self, group: int, k: int, exclude: Optional[Set[int]] = None
@@ -400,27 +399,23 @@ class ClusterRouter:
 
         Load-aware and weight-aware: hosts are ordered by carried
         stores per unit of placement weight, observed refresh cost per
-        unit of weight (both maintained incrementally — no per-call
-        rebuild), then ring preference rank (precomputed as a dict;
-        ``pref.index`` inside the sort key was the
-        O(groups·hosts·vnodes) re-replication hot spot).
+        unit of weight (both read off the host's stores), then ring
+        preference rank (precomputed as a dict; ``pref.index`` inside
+        the sort key was the O(groups·hosts·vnodes) re-replication hot
+        spot).
         """
         if k <= 0:
             return []
-        taken = set(self._placement.get(group, ()))
-        taken.update(self._dead)
-        taken.update(exclude or ())
+        taken = set(self._groups[group].hosts).union(exclude or ())
         pref = self.ring.lookup_n(f"replica:{group}", len(self.ring))
         rank = {host: position for position, host in enumerate(pref)}
-        load = self._load
-        cost = self._host_cost
-        weight = self.ring.weight
+        hosts, weight = self._hosts, self.ring.weight
         ranked = sorted(
-            (host for host in pref if host not in taken),
-            key=lambda host: (
-                load.get(host, 0) / weight(host),
-                cost.get(host, 0.0) / weight(host),
-                rank[host],
+            (h for h in pref if h not in taken and not hosts[h].dead),
+            key=lambda h: (
+                len(hosts[h].stores) / weight(h),
+                hosts[h].cost / weight(h),
+                rank[h],
             ),
         )
         return ranked[:k]
@@ -511,11 +506,13 @@ class ClusterRouter:
 
     def _adopt(self, host: int, group: int, reply: GatherReplyMessage) -> None:
         """A store that just confirmed a sync joins ``group``'s
-        placement, horizon, cost and GC-zone accounting."""
-        self._place(group, host, reply.ts)
-        self._record_store(host, group, reply.counters)
-        self._ensure_zone(host, reply.ts)
-        self._refresh_host_horizon(host)
+        placement and its host's GC zone — (re-)pinning the router logs
+        for a host whose zone was released (a rejoined or freshly
+        re-targeted replica host gaining its first store)."""
+        self._place(group, host, reply.ts).counters = dict(reply.counters)
+        if self.zones.boundary(self._zone(host)) is None:
+            self.zones.register(self._zone(host), self._all_tables(), reply.ts)
+        self._advance_zone(host)
 
     def _record_failure(self, host: int) -> None:
         before = self.health.state(host)
@@ -523,22 +520,11 @@ class ClusterRouter:
         if before == ALIVE and after != ALIVE:
             self.metrics.count(Metrics.SUSPECTS)
 
-    def _ensure_zone(self, host: int, ts: Timestamp) -> None:
-        """(Re-)pin the router logs for a host gaining its first store
-        since it was forgotten (a rejoined or freshly re-targeted
-        replica host whose zone was released)."""
-        if self.zones.boundary(self._zone(host)) is None:
-            self.zones.register(self._zone(host), self._all_tables(), ts)
-
-    def _refresh_host_horizon(self, host: int) -> None:
-        horizons = [
-            store.horizon
-            for (h, _g), store in self._stores.items()
-            if h == host
-        ]
-        if horizons:
-            self._horizons[host] = min(horizons)
-            self.zones.try_advance(self._zone(host), self._horizons[host])
+    def _advance_zone(self, host: int) -> None:
+        """Move the host's zone up to its stores' oldest horizon."""
+        horizon = self._hosts[host].horizon
+        if horizon is not None:
+            self.zones.try_advance(self._zone(host), horizon)
 
     # -- subscriptions ------------------------------------------------------
 
@@ -597,14 +583,10 @@ class ClusterRouter:
             shared = self._sql_groups[sql_key] = _SqlGroup(
                 sql_key,
                 query,
-                set(self.ring.nodes())
-                if partitioned
-                else {self.ring.lookup(sql_key)},
                 bool(partitioned),
                 self._compile_residuals(query),
             )
-            for group in sorted(shared.owners):
-                self._seed_group(group, sql_key, self.db.now())
+            self._rehome(sql_key, self.db.now())
             shared.result = self.db.query(query, self.metrics)
             shared.last_ts = self.db.now()
         # Joining an existing group shares its retained result instead
@@ -630,6 +612,27 @@ class ClusterRouter:
         self.index.remove(shared.sql_key)
         del self._sql_groups[shared.sql_key]
 
+    def _rehome(
+        self, sql_key: str, now: Timestamp, dissolved: Optional[int] = None
+    ) -> None:
+        """Point ``sql_key`` at the groups the ownership rule names on
+        the current ring — every group for a partition-parallel query,
+        the group the key hashes to otherwise — unseeding the groups it
+        leaves (but ``dissolved``, whose stores are drained instead)
+        and seeding the ones it joins. A new record owns nothing yet,
+        so this is also its first seeding."""
+        shared = self._sql_groups[sql_key]
+        before = shared.owners
+        shared.owners = (
+            set(self.ring.nodes())
+            if shared.parallel
+            else {self.ring.lookup(sql_key)}
+        )
+        for group in sorted(before - shared.owners - {dissolved}):
+            self._unseed_group(group, sql_key, now)
+        for group in sorted(shared.owners - before):
+            self._seed_group(group, sql_key, now)
+
     def _seed_group(self, group: int, sql_key: str, now: Timestamp) -> None:
         """Install one ``sql_key`` on every live store of ``group``:
         baseline-sync every touched table (sliced for partitioned
@@ -639,7 +642,7 @@ class ClusterRouter:
         always sound — it closes any gap left by earlier
         relevance-skipped scatters."""
         tables = sorted(set(self._sql_groups[sql_key].query.table_names))
-        for index, host in enumerate(self._live(group)):
+        for index, host in enumerate(list(self._groups[group].hosts)):
             self._sync_store(
                 host,
                 group,
@@ -652,9 +655,9 @@ class ClusterRouter:
         """Retire one ``sql_key`` from ``group``: only the primary
         holds the registration; replicas carry tables, not
         subscriptions."""
-        live = self._live(group)
-        if live:
-            self._sync_store(live[0], group, now, unsubscribe=[sql_key])
+        hosts = self._groups[group].hosts
+        if hosts:
+            self._sync_store(hosts[0], group, now, unsubscribe=[sql_key])
 
     def _shard_view(self, table: str, group: int) -> Relation:
         """The slice of a table's authoritative state one group holds."""
@@ -769,28 +772,32 @@ class ClusterRouter:
                     self._plan(host, group, now, collect, windows, frames),
                 ),
             )
-            for group in sorted(self._placement)
-            for host in self._live(group)
+            for group, placed in sorted(self._groups.items())
+            for host in placed.hosts
         ]
         self._engine.run()
         # The engine only recorded replies; absorbing them in planning
         # order keeps merge inputs and notification order independent
         # of arrival order. A host that died mid-cycle (failover
-        # already ran) is skipped: ``_on_host_down`` surgically removed
-        # its bookkeeping, and a reply that arrived before the verdict
-        # must not resurrect it.
+        # already ran) is skipped: ``_on_host_down`` unplaced its
+        # stores, and a reply that arrived before the verdict must not
+        # resurrect them.
         pending: Dict[str, Tuple[List[DeltaRelation], Timestamp]] = {}
         for host, group, request in planned:
-            if request.reply is None or host in self._dead:
+            if request.reply is None or self._hosts[host].dead:
                 continue
-            feeds = pending if host == self._placement[group][0] else None
+            feeds = pending if self._groups[group].hosts[0] == host else None
             self._absorb(host, group, request.reply, feeds)
         notified = self._merge_and_notify(pending)
         self._drain_rereplication(now)
-        if self._reconcile_keys:
-            keys = sorted(self._reconcile_keys)
-            self._reconcile_keys.clear()
-            self._reconcile(keys, now)
+        keys = [
+            sql_key
+            for sql_key, shared in sorted(self._sql_groups.items())
+            if shared.reconcile
+        ]
+        for sql_key in keys:
+            self._sql_groups[sql_key].reconcile = False
+        self._reconcile(keys, now)
         if self.auto_gc:
             self.collect_garbage()
         return notified
@@ -816,7 +823,7 @@ class ClusterRouter:
         replicas receive identical slices — that is what keeps replicas
         in lockstep — so the slicing work is done once per group.
         """
-        horizon = self._stores[(host, group)].horizon
+        horizon = self._hosts[host].stores[group].horizon
         cached = windows.get(horizon)
         if cached is None:
             window = deltas_since(
@@ -861,13 +868,14 @@ class ClusterRouter:
     ) -> None:
         """Record one store's reply; only the group primary's entries
         (``pending`` not None) feed the merge."""
-        self._record_store(host, group, reply.counters).horizon = reply.ts
-        self._refresh_host_horizon(host)
+        store = self._hosts[host].stores[group]
+        store.counters = dict(reply.counters)
+        store.horizon = reply.ts
+        self._advance_zone(host)
         if pending is None:
             return
-        self._group_served[group] = max(
-            self._group_served.get(group, 0), reply.ts
-        )
+        placed = self._groups[group]
+        placed.served = max(placed.served or 0, reply.ts)
         for sql_key, delta, ts in reply.entries:
             if sql_key not in self._sql_groups:
                 continue  # raced an unsubscribe
@@ -999,36 +1007,31 @@ class ClusterRouter:
         or held for :meth:`recover_shard` otherwise). Every affected
         group pins the host's zone until its capacity is restored.
         """
-        if host in self._dead:
+        record = self._hosts[host]
+        if record.dead:
             return
-        self._dead.add(host)
+        record.dead = True
         self.health.mark_dead(host)
         # Unplacing drops the dead host's store records with it: they
         # are meaningless now (rejoin reads the journal's own account,
         # not router memory) and must not leak into horizon aggregation
         # if the host comes back.
-        affected = sorted(
-            group
-            for group, hosts in self._placement.items()
-            if host in hosts
-        )
+        affected = sorted(record.stores)
+        record.pinned.update(affected)
         for group in affected:
-            self._pinned.setdefault(host, set()).add(group)
             self._hand_off(group, host)
 
     def _hand_off(self, group: int, host: int) -> None:
         """``host`` stops carrying ``group``: a replica takes over when
         it was the primary, the group is lost when it was the last
         store, and the missing capacity is queued for repair."""
-        hosts = self._placement[group]
-        was_primary = hosts[0] == host
+        placed = self._groups[group]
+        was_primary = placed.hosts[0] == host
         self._unplace(group, host)
-        if not hosts:
-            self._lost.add(group)
-        elif was_primary:
+        if placed.hosts and was_primary:
             self._promote(group)
         if self.replicas:
-            self._rerepl.append(group)
+            placed.queued = True
 
     def _promote(self, group: int) -> None:
         """Zero-downtime failover: the group's first surviving replica
@@ -1048,14 +1051,11 @@ class ClusterRouter:
         promote's horizon mismatch queues the reconcile. Whoever took
         the host down outside an engine run (:meth:`kill_shard`,
         :meth:`remove_shard`) runs the engine afterwards."""
-        hosts = self._live(group)
-        if not hosts:
-            self._lost.add(group)
-            return
-        target = hosts[0]
-        served = self._group_served.get(
-            group, self._stores[(target, group)].horizon
-        )
+        placed = self._groups[group]
+        target = placed.hosts[0]
+        served = placed.served
+        if served is None:
+            served = self._hosts[target].stores[group].horizon
         self._seq += 1
         self._engine.submit(
             target,
@@ -1074,28 +1074,27 @@ class ClusterRouter:
         self, message: ShardPromoteMessage, reply: GatherReplyMessage
     ) -> None:
         self.metrics.count(Metrics.FAILOVERS)
-        self._record_store(message.shard_id, message.group, reply.counters)
+        store = self._hosts[message.shard_id].stores[message.group]
+        store.counters = dict(reply.counters)
         if reply.horizon != message.ts:
-            self._reconcile_keys.update(
-                spec["cq"] for spec in message.subscribe
-            )
+            for spec in message.subscribe:
+                shared = self._sql_groups.get(spec["cq"])
+                if shared is not None:  # not raced by an unsubscribe
+                    shared.reconcile = True
 
     def _drain_rereplication(self, now: Timestamp) -> None:
         """Background capacity repair, one batch per refresh cycle:
         rebuild lost groups from the authoritative database, then top
         replica counts back up; release dead hosts' pinned zones once
-        every group they carried is healthy again."""
-        if not self._rerepl:
-            return
-        queue = sorted(set(self._rerepl))
-        self._rerepl = []
-        for group in queue:
-            if group not in self._placement:
-                continue  # dissolved while queued
-            if group in self._lost:
-                if not self._rebuild_group(group, now):
-                    self._rerepl.append(group)
-                    continue
+        every group they carried is healthy again. A group queued while
+        the batch runs waits for the next one."""
+        queue = [(g, p) for g, p in sorted(self._groups.items()) if p.queued]
+        for _group, placed in queue:
+            placed.queued = False
+        for group, placed in queue:
+            if not placed.hosts and not self._rebuild_group(group, now):
+                placed.queued = True
+                continue
             self._top_up(group, now)
             self._maybe_release(group)
 
@@ -1103,7 +1102,8 @@ class ClusterRouter:
         """Queue every group for repair and drain once: what a host
         entering service (rejoined or added) owes the fleet."""
         if self.replicas:
-            self._rerepl.extend(sorted(self._placement))
+            for placed in self._groups.values():
+                placed.queued = True
             self._drain_rereplication(now)
 
     def _rebuild_group(self, group: int, now: Timestamp) -> bool:
@@ -1125,10 +1125,10 @@ class ClusterRouter:
         if reply is None:
             return False
         self.metrics.count(Metrics.REREPLICATIONS)
-        self._lost.discard(group)
         self._adopt(host, group, reply)
-        self._group_served[group] = reply.ts
-        self._reconcile_keys.update(owned)
+        self._groups[group].served = reply.ts
+        for sql_key in owned:
+            self._sql_groups[sql_key].reconcile = True
         return True
 
     def _strength(self) -> int:
@@ -1138,12 +1138,12 @@ class ClusterRouter:
 
     def _top_up(self, group: int, now: Timestamp) -> None:
         target = self._strength()
-        need = target - len(self._live(group))
-        for host in self._replica_targets(group, need):
+        placed = self._groups[group]
+        for host in self._replica_targets(group, target - len(placed.hosts)):
             if self._seed_replica(group, host, now):
                 self.metrics.count(Metrics.REREPLICATIONS)
-        if len(self._live(group)) < target:
-            self._rerepl.append(group)  # retry when capacity returns
+        if len(placed.hosts) < target:
+            placed.queued = True  # retry when capacity returns
 
     def _seed_replica(self, group: int, host: int, now: Timestamp) -> bool:
         """Baseline-sync one new replica store (tables only, no
@@ -1159,19 +1159,27 @@ class ClusterRouter:
             self._adopt(host, group, reply)
         return reply is not None
 
+    def _pinning(self) -> List[int]:
+        """Dead hosts whose zone still pins the router logs."""
+        return [
+            host
+            for host, record in sorted(self._hosts.items())
+            if record.dead
+            and self.zones.boundary(self._zone(host)) is not None
+        ]
+
     def _maybe_release(self, group: int) -> None:
         """Unpin dead hosts' zones once ``group`` is healthy again
         (failed over and fully re-replicated) — the pinned-zone leak
         fix: a crashed host whose groups all moved on must not hold
         the update logs forever waiting for a rejoin that may never
         come."""
-        if group in self._lost or len(self._live(group)) < self._strength():
+        if len(self._groups[group].hosts) < self._strength():
             return
-        for host in sorted(self._pinned):
-            pins = self._pinned[host]
+        for host in self._pinning():
+            pins = self._hosts[host].pinned
             pins.discard(group)
             if not pins:
-                del self._pinned[host]
                 self.zones.remove(self._zone(host))
 
     # -- shard lifecycle ----------------------------------------------------
@@ -1185,13 +1193,14 @@ class ClusterRouter:
         unless ``release_zone`` lets GC move on — or until background
         re-replication restores the groups' capacity and auto-releases
         it."""
-        if shard_id in self._dead:
+        record = self._hosts.get(shard_id)
+        if record is not None and record.dead:
             raise ClusterError(f"shard {shard_id} is already dead")
         self.backend.kill(shard_id)
         self._on_host_down(shard_id)
         self._engine.run()  # the promotions that queued
         if release_zone:
-            self._pinned.pop(shard_id, None)
+            record.pinned.clear()
             self.zones.remove(self._zone(shard_id))
 
     def recover_shard(self, shard_id: int) -> bool:
@@ -1211,22 +1220,15 @@ class ClusterRouter:
         primary keeps serving, no downtime); a group that was dissolved
         or is already at full strength is drained.
         """
-        if shard_id not in self._dead:
+        record = self._hosts.get(shard_id)
+        if record is None or not record.dead:
             raise ClusterError(f"shard {shard_id} is not dead")
         hello = self.backend.recover(shard_id, list(self._decls.values()))
-        self._dead.discard(shard_id)
+        record.dead = False
+        record.pinned.clear()
         self.health.forget(shard_id)
         now = self.db.now()
-        groups_info = dict(hello.groups)
-        if not groups_info:
-            groups_info = {
-                shard_id: {
-                    "horizon": hello.horizon,
-                    "subs": list(hello.subscriptions),
-                }
-            }
-        lost = [g for g in sorted(groups_info) if g in self._lost]
-        if lost:
+        if any(self._is_lost(group) for group in hello.groups):
             intact = all(
                 self.db.table(name).log.pruned_through <= hello.horizon
                 for name in self._all_tables()
@@ -1240,22 +1242,17 @@ class ClusterRouter:
             intact = True
             self.metrics.count(Metrics.SHARD_REPLAYS)
         self.zones.register(self._zone(shard_id), self._all_tables(), now)
-        self._pinned.pop(shard_id, None)
-        for group in sorted(groups_info):
-            info = groups_info[group]
-            if group in self._lost:
+        for group, info in sorted(hello.groups.items()):
+            placed = self._groups.get(group)
+            if self._is_lost(group):
                 self._rejoin_primary(shard_id, group, info, now, intact)
-            elif (
-                group in self._placement
-                and len(self._live(group)) < 1 + self.replicas
-            ):
+            elif placed is not None and len(placed.hosts) < 1 + self.replicas:
                 self._rejoin_replica(shard_id, group, info, now)
             else:
                 self._drain_store(shard_id, group, now)
-        self._horizons[shard_id] = now
-        self._refresh_host_horizon(shard_id)
+        self._advance_zone(shard_id)
         self._repair_all(now)
-        if shard_id not in self._load:
+        if not record.stores:
             # Every store the journal held was drained (its groups are
             # served at full strength elsewhere): the host idles as
             # spare capacity, and an idle host must not pin the logs —
@@ -1294,9 +1291,8 @@ class ClusterRouter:
         )
         if reply is None:
             return
-        self._lost.discard(group)
         self._adopt(host, group, reply)
-        self._group_served[group] = reply.ts
+        self._groups[group].served = reply.ts
         self._reconcile(owned, now)
 
     def _rejoin_replica(
@@ -1356,17 +1352,8 @@ class ClusterRouter:
         now = self.db.now()
         self._reslice(now, skip=new_id)
         # Index handoff + new-group registrations.
-        for sql_key, shared in sorted(self._sql_groups.items()):
-            if shared.parallel:
-                shared.owners.add(new_id)
-                self._seed_group(new_id, sql_key, now)
-                continue
-            new_home = self.ring.lookup(sql_key)
-            if shared.owners != {new_home}:
-                (old_home,) = shared.owners
-                shared.owners = {new_home}
-                self._unseed_group(old_home, sql_key, now)
-                self._seed_group(new_home, sql_key, now)
+        for sql_key in sorted(self._sql_groups):
+            self._rehome(sql_key, now)
         # The new group gets its replicas, and — one more host in
         # service may have raised _strength() — so do the groups a
         # smaller fleet had capped below ``replicas`` (or they stay
@@ -1387,9 +1374,9 @@ class ClusterRouter:
         )
         if not partitioned:
             return
-        for group in sorted(self._placement):
+        for group, placed in sorted(self._groups.items()):
             if group != skip:
-                for host in self._live(group):
+                for host in list(placed.hosts):
                     self._sync_store(host, group, now, baselines=partitioned)
 
     def remove_shard(self, shard_id: int) -> None:
@@ -1408,28 +1395,21 @@ class ClusterRouter:
         """
         if not self._started:
             raise ClusterError("start() the cluster before removing shards")
-        if shard_id in self._dead:
+        record = self._hosts.get(shard_id)
+        if record is not None and record.dead:
             raise ClusterError(
                 f"shard {shard_id} is dead — remove_shard is the planned "
                 "drain; recover it first or leave it for recover_shard"
             )
-        if shard_id not in self.ring.nodes():
+        if record is None:
             raise ClusterError(f"shard {shard_id} is not in the cluster")
         if len(self._alive()) <= 1:
             raise ClusterError("cannot remove the last live shard")
         self.refresh(collect=False)
         now = self.db.now()
         # 1) Hand off the stores this host carries for *other* groups.
-        foreign = sorted(
-            group
-            for group, hosts in self._placement.items()
-            if shard_id in hosts and group != shard_id
-        )
-        for group in foreign:
-            others = [
-                h for h in self._placement[group] if h != shard_id
-            ]
-            if not others:
+        for group in sorted(set(record.stores) - {shard_id}):
+            if self._groups[group].hosts == [shard_id]:
                 # Sole holder of a foreign group (it failed over here):
                 # seed a replacement replica before letting go.
                 candidate = self._replica_targets(
@@ -1440,42 +1420,27 @@ class ClusterRouter:
             self._hand_off(group, shard_id)
         self._engine.run()  # the promotions that queued
         # 2) Dissolve the host's own group (by now the only one the
-        # host still carries).
+        # host still carries): re-slice onto the shrunken ring, re-home
+        # its subscriptions, drain its surviving replica stores, then
+        # stop the departing process cleanly.
         own = shard_id
-        owned = self._owned_keys(own)
-        replica_hosts = [h for h in self._live(own) if h != shard_id]
+        replica_hosts = [h for h in self._groups[own].hosts if h != shard_id]
         self.ring.remove_node(shard_id)
         self._reslice(now, skip=own)
-        # Re-home the dissolved group's subscriptions.
-        for sql_key in owned:
-            shared = self._sql_groups[sql_key]
-            if shared.parallel:
-                shared.owners.discard(own)
-            else:
-                new_home = self.ring.lookup(sql_key)
-                shared.owners = {new_home}
-                self._seed_group(new_home, sql_key, now)
-        # Drain surviving replica stores of the dissolved group, then
-        # stop the departing process cleanly.
+        for sql_key in sorted(self._sql_groups):
+            self._rehome(sql_key, now, dissolved=own)
         for host in replica_hosts:
-            if host not in self._dead:
+            if not self._hosts[host].dead:
                 self._drain_store(host, own, now)
         self.backend.stop(shard_id)
-        # 3) Forget the host — through _unplace, so the store records
-        # and _load/_host_cost leave with the placement (phantom entries
-        # would skew every future _replica_targets ranking).
-        for host in list(self._placement[own]):
-            self._unplace(own, host)
-        del self._placement[own]
-        self._lost.discard(own)
-        self._group_served.pop(own, None)
-        self._horizons.pop(shard_id, None)
+        # 3) Forget the host and its group.
+        for host in self._groups.pop(own).hosts:
+            del self._hosts[host].stores[own]
+        del self._hosts[shard_id]
         self.zones.remove(self._zone(shard_id))
         self.health.forget(shard_id)
-        self._pinned.pop(shard_id, None)
-        for pins in self._pinned.values():
-            pins.discard(own)
-        self._rerepl = [g for g in self._rerepl if g != own]
+        for other in self._hosts.values():
+            other.pinned.discard(own)
         self._drain_rereplication(now)
 
     def _reconcile(self, sql_keys: Sequence[str], now: Timestamp) -> None:
@@ -1506,11 +1471,9 @@ class ClusterRouter:
 
     def _pinned_report(self) -> Dict[str, Dict[str, object]]:
         report: Dict[str, Dict[str, object]] = {}
-        for host in sorted(self._pinned):
+        for host in self._pinning():
             zone = self._zone(host)
             boundary = self.zones.boundary(zone)
-            if boundary is None:
-                continue
             retained = sum(
                 len(self.db.table(name).log.since(boundary))
                 for name in self._all_tables()
@@ -1518,26 +1481,27 @@ class ClusterRouter:
             report[zone] = {
                 "boundary": boundary,
                 "retained_rows": retained,
-                "groups": sorted(self._pinned[host]),
+                "groups": sorted(self._hosts[host].pinned),
             }
         return report
 
     def check_invariants(self) -> None:
-        """Raise ``AssertionError`` unless the control-plane bookkeeping
-        agrees with itself — the laws every membership, failover and
+        """Raise ``AssertionError`` unless the control-plane records
+        agree with each other — the laws every membership, failover and
         repair path must leave standing (the soaks call this after
         every operation)."""
-        live = {
+        ring = set(self.ring.nodes())
+        placed = [
             (host, group)
-            for group in self._placement
-            for host in self._live(group)
+            for group, record in self._groups.items()
+            for host in record.hosts
+        ]
+        stored = {
+            (host, group)
+            for host, record in self._hosts.items()
+            for group in record.stores
         }
-        load: Dict[int, int] = {}
-        cost: Dict[int, float] = {}
-        for (host, _group), store in self._stores.items():
-            load[host] = load.get(host, 0) + 1
-            if store.cost:
-                cost[host] = cost.get(host, 0.0) + store.cost
+        dead = {host for host, record in self._hosts.items() if record.dead}
         members = sum(len(s.members) for s in self._sql_groups.values())
         memberless = sorted(
             key
@@ -1547,24 +1511,29 @@ class ClusterRouter:
         strength = self._strength()
         weak = sorted(
             group
-            for group in self._placement
-            if len(self._live(group)) < strength
-            and group not in self._lost
-            and group not in self._rerepl
+            for group, record in self._groups.items()
+            if 0 < len(record.hosts) < strength and not record.queued
         )
         zoned = set(self.zones.boundaries())
-        carrying = {self._zone(host) for host, _group in live}
-        pinned = {self._zone(host) for host in self._pinned}
+        carrying = {self._zone(host) for host, _group in stored}
+        pinned = {self._zone(host) for host in dead}
         laws = [
             (
-                set(self._stores) == live,
-                f"stores {sorted(self._stores)} != "
-                f"live placed stores {sorted(live)}",
+                set(self._groups) == ring and set(self._hosts) == ring,
+                f"groups {sorted(self._groups)} and hosts "
+                f"{sorted(self._hosts)} != ring nodes {sorted(ring)}",
             ),
-            (self._load == load, f"_load {self._load} != stores {load}"),
             (
-                self._host_cost == cost,
-                f"_host_cost {self._host_cost} != store costs {cost}",
+                len(set(placed)) == len(placed) and set(placed) == stored,
+                f"placement {sorted(placed)} != stores {sorted(stored)}",
+            ),
+            (
+                not {host for host, _group in stored} & dead,
+                f"dead hosts placed: {sorted(dead)} in {sorted(stored)}",
+            ),
+            (
+                not any(r.pinned for r in self._hosts.values() if not r.dead),
+                "a live host pins groups",
             ),
             (
                 members == len(self._subs)
@@ -1578,18 +1547,9 @@ class ClusterRouter:
             (not memberless, f"memberless sql_keys {memberless}"),
             (not weak, f"groups {weak} under strength and not queued"),
             (
-                self._lost
-                == {g for g, hosts in self._placement.items() if not hosts},
-                f"_lost {sorted(self._lost)} != groups with no store",
-            ),
-            (
-                set(self._pinned) <= self._dead,
-                f"live hosts pinned: {sorted(set(self._pinned) - self._dead)}",
-            ),
-            (
                 carrying <= zoned <= carrying | pinned,
                 f"zones {sorted(zoned)} vs carrying {sorted(carrying)} "
-                f"+ pinned {sorted(pinned)}",
+                f"+ pinned {sorted(zoned & pinned)}",
             ),
         ]
         broken = [message for holds, message in laws if not holds]
@@ -1608,19 +1568,17 @@ class ClusterRouter:
     # -- observability ------------------------------------------------------
 
     def _role(self, host: int, group: int) -> str:
-        return "primary" if self._placement[group][0] == host else "replica"
+        return "primary" if self._groups[group].hosts[0] == host else "replica"
 
     def stats(self) -> Dict[str, object]:
         """Router counters plus per-host aggregation, placement,
         health, and pinned-zone detail."""
         shards: Dict[int, Dict[str, object]] = {}
         totals: Dict[str, int] = {}
-        for host in sorted(self.ring.nodes()):
+        for host, record in sorted(self._hosts.items()):
             counters: Dict[str, int] = {}
             groups: Dict[int, Dict[str, object]] = {}
-            for (h, group), store in sorted(self._stores.items()):
-                if h != host:
-                    continue
+            for group, store in sorted(record.stores.items()):
                 for name, value in (store.counters or {}).items():
                     counters[name] = counters.get(name, 0) + value
                     totals[name] = totals.get(name, 0) + value
@@ -1629,9 +1587,9 @@ class ClusterRouter:
                     "horizon": store.horizon,
                 }
             shards[host] = {
-                "alive": host not in self._dead,
+                "alive": not record.dead,
                 "health": self.health.state(host),
-                "horizon": self._horizons.get(host, 0),
+                "horizon": record.horizon,
                 "zone": self.zones.boundary(self._zone(host)),
                 "counters": counters,
                 "groups": groups,
@@ -1646,10 +1604,10 @@ class ClusterRouter:
             "shards": shards,
             "shard_totals": totals,
             "placement": {
-                group: list(hosts)
-                for group, hosts in sorted(self._placement.items())
+                group: list(record.hosts)
+                for group, record in sorted(self._groups.items())
             },
-            "lost": sorted(self._lost),
+            "lost": sorted(g for g, p in self._groups.items() if not p.hosts),
             "health": self.health.snapshot(),
             "pinned": self._pinned_report(),
         }
@@ -1663,9 +1621,13 @@ class ClusterRouter:
                 self.metrics, namespace, labels={"role": "router"}
             )
         ]
-        for (host, group), store in sorted(self._stores.items()):
-            if store.counters is None:
-                continue  # nothing gathered from it yet
+        stores = sorted(
+            (host, group, store)
+            for host, record in self._hosts.items()
+            for group, store in record.stores.items()
+            if store.counters is not None  # nothing gathered from it yet
+        )
+        for host, group, store in stores:
             bag = Metrics()
             # A replica store evaluates nothing, so its counter bag can
             # be empty; the store-horizon sample keeps every store (and

@@ -26,7 +26,7 @@ from __future__ import annotations
 import glob
 import os
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import NetworkError
 from repro.metrics import Metrics
@@ -233,7 +233,7 @@ class ClusterShard:
         """Rebuild a killed shard store from its own WAL (+ checkpoint).
 
         The recovered server re-creates journaled subscriptions and
-        re-seeds their shared groups; :meth:`hello` then reports the
+        re-seeds their shared groups; the host's hello then reports the
         applied horizon so the router can choose delta replay or
         baseline fallback. Explicit ``wal_path``/``checkpoint_path``
         address a replica store's journal (which lives under the host's
@@ -262,23 +262,6 @@ class ClusterShard:
         )
 
     # -- protocol ----------------------------------------------------------
-
-    def hello(self) -> ShardHelloMessage:
-        """The shard's identity frame: applied horizon + held state."""
-        return ShardHelloMessage(
-            self.shard_id,
-            self.db.now(),
-            tables=sorted(table.name for table in self.db.tables()),
-            subscriptions=sorted(
-                s.cq_name for s in self.server.subscriptions()
-            ),
-            groups={
-                self.group: {
-                    "horizon": self.db.now(),
-                    "subs": self.sql_keys(),
-                }
-            },
-        )
 
     def handle(self, message: Message) -> GatherReplyMessage:
         """Process one router frame; returns the cycle's gather reply.
@@ -345,7 +328,6 @@ class ClusterShard:
             message.ts,
             horizon,
             counters=self.metrics.snapshot(),
-            group=self.group,
         )
 
     def _handle_heartbeat(self, message: ShardHeartbeatMessage) -> GatherReplyMessage:
@@ -411,7 +393,6 @@ class ClusterShard:
             self.db.now(),
             entries=entries,
             counters=self.metrics.snapshot(),
-            group=self.group,
         )
 
     # -- state application --------------------------------------------------
@@ -560,9 +541,8 @@ class ShardHost:
     carries several :class:`ClusterShard` stores keyed by placement
     group: its own group (``group == shard_id``, the pre-replication
     store — journal path unchanged for back-compat) and a lazily
-    created store per replica group it hosts. Frames address stores by
-    their ``group`` field; a frame without one targets the host's own
-    group, so the pre-replication wire format keeps working.
+    created store per replica group it hosts. Every frame addresses
+    its store by its ``group`` field.
 
     Replica stores hold tables only — every cycle's scattered slices
     are applied WAL-first exactly as on the primary, but no
@@ -672,7 +652,6 @@ class ShardHost:
         top-level horizon is the *minimum* store horizon (conservative:
         router logs must reach the furthest-behind store for a full
         delta-replay rejoin); per-group detail rides in ``groups``."""
-        own = self.stores.get(self.shard_id)
         groups = {
             group: {"horizon": store.db.now(), "subs": store.sql_keys()}
             for group, store in sorted(self.stores.items())
@@ -680,41 +659,18 @@ class ShardHost:
         horizon = min(
             (info["horizon"] for info in groups.values()), default=0
         )
-        tables: Set[str] = set()
-        for store in self.stores.values():
-            tables.update(t.name for t in store.db.tables())
-        return ShardHelloMessage(
-            self.shard_id,
-            horizon,
-            tables=sorted(tables),
-            subscriptions=own.sql_keys() if own is not None else [],
-            groups=groups,
-        )
+        return ShardHelloMessage(self.shard_id, horizon, groups=groups)
 
     def handle(self, message: Message) -> GatherReplyMessage:
         """Route one frame to the store its ``group`` addresses."""
         if isinstance(message, ShardDrainMessage):
-            return self._handle_drain(message)
-        group = getattr(message, "group", None)
-        if group is None:
-            group = self.shard_id
-        return self.ensure_store(group).handle(message)
-
-    def _handle_drain(
-        self, message: ShardDrainMessage
-    ) -> GatherReplyMessage:
-        groups = (
-            list(self.stores)
-            if message.group is None
-            else [message.group]
-        )
-        for group in groups:
-            store = self.stores.pop(group, None)
+            store = self.stores.pop(message.group, None)
             if store is not None:
                 store.close()
-        return GatherReplyMessage(
-            self.shard_id, message.seq, message.ts, 0, group=message.group
-        )
+            return GatherReplyMessage(
+                self.shard_id, message.seq, message.ts, 0
+            )
+        return self.ensure_store(message.group).handle(message)
 
     def close(self) -> None:
         for store in self.stores.values():

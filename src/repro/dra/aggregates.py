@@ -61,10 +61,6 @@ class DifferentialAggregate:
         else:
             self._having = None
 
-    @property
-    def initialized(self) -> bool:
-        return self._initialized
-
     # -- lifecycle ---------------------------------------------------------
 
     def initialize(self, metrics: Optional[Metrics] = None) -> Relation:

@@ -207,8 +207,6 @@ _TO_JSON: Dict[Type[Message], Tuple[str, Callable[[Message], Dict[str, Any]]]] =
         lambda m: {
             "shard": m.shard_id,
             "horizon": m.horizon,
-            "tables": m.tables,
-            "subs": m.subscriptions,
             # JSON object keys must be strings; decode restores ints.
             "groups": {str(g): info for g, info in sorted(m.groups.items())},
         },
@@ -245,7 +243,6 @@ _TO_JSON: Dict[Type[Message], Tuple[str, Callable[[Message], Dict[str, Any]]]] =
                 for sql_key, delta, ts in m.entries
             ],
             "counters": m.counters,
-            "group": m.group,
         },
     ),
     ShardHeartbeatMessage: (
@@ -304,11 +301,7 @@ _FROM_JSON: Dict[str, Callable[[Dict[str, Any]], Message]] = {
     "stats": lambda d: StatsMessage(),
     "stats_reply": lambda d: StatsReplyMessage(d["payload"]),
     "shard_hello": lambda d: ShardHelloMessage(
-        d["shard"],
-        d["horizon"],
-        d["tables"],
-        d["subs"],
-        groups=d.get("groups"),
+        d["shard"], d["horizon"], groups=d["groups"]
     ),
     "scatter": lambda d: ScatterMessage(
         d["shard"],
@@ -325,7 +318,7 @@ _FROM_JSON: Dict[str, Callable[[Dict[str, Any]], Message]] = {
         subscribe=d["sub"],
         unsubscribe=d["unsub"],
         collect=d["collect"],
-        group=d.get("group"),
+        group=d["group"],
     ),
     "gather_reply": lambda d: GatherReplyMessage(
         d["shard"],
@@ -337,16 +330,15 @@ _FROM_JSON: Dict[str, Callable[[Dict[str, Any]], Message]] = {
             for sql_key, delta, ts in d["entries"]
         ],
         counters=d["counters"],
-        group=d.get("group"),
     ),
     "shard_heartbeat": lambda d: ShardHeartbeatMessage(
-        d["shard"], d["seq"], d["ts"], d["collect"], group=d.get("group")
+        d["shard"], d["seq"], d["ts"], d["collect"], group=d["group"]
     ),
     "shard_promote": lambda d: ShardPromoteMessage(
         d["shard"], d["group"], d["seq"], d["ts"], subscribe=d["sub"]
     ),
     "shard_drain": lambda d: ShardDrainMessage(
-        d["shard"], d["seq"], d["ts"], group=d.get("group")
+        d["shard"], d["seq"], d["ts"], group=d["group"]
     ),
 }
 

@@ -282,30 +282,24 @@ class StatsReplyMessage(Message):
 
 
 class ShardHelloMessage(Message):
-    """Shard -> router: identity frame on spawn, attach, or recovery.
+    """Host -> router: identity frame on spawn, attach, or recovery.
 
-    ``horizon`` is the shard's applied-through timestamp — everything
-    the router's update logs hold beyond it is the shard's missed
-    window. ``subscriptions`` lists the ``sql_key`` CQs the shard still
-    holds (recovered from its journal), so the router can detect and
-    re-seed any registration the shard lost."""
+    ``groups`` is ``{group: {"horizon": ts, "subs": [...]}}``, one
+    entry per placement-group store the host holds: the store's
+    applied-through timestamp — everything the router's update logs
+    hold beyond it is the store's missed window — and the ``sql_key``
+    CQs it still holds (recovered from its journal), so the router can
+    re-seed any registration the store lost and drop any it retired.
+    ``horizon`` is the minimum over the stores."""
 
     def __init__(
         self,
         shard_id: int,
         horizon: Timestamp,
-        tables: Optional[List[str]] = None,
-        subscriptions: Optional[List[str]] = None,
         groups: Optional[Dict[int, Dict]] = None,
     ):
         self.shard_id = shard_id
         self.horizon = horizon
-        self.tables = list(tables or [])
-        self.subscriptions = list(subscriptions or [])
-        #: Per placement-group store state on a replicated host:
-        #: ``{group: {"horizon": ts, "subs": [...]}}``. Empty on a
-        #: plain single-store shard; the router then infers
-        #: ``{shard_id: {...}}`` from the top-level fields.
         self.groups = {
             int(g): dict(info) for g, info in (groups or {}).items()
         }
@@ -313,7 +307,7 @@ class ShardHelloMessage(Message):
     def __repr__(self) -> str:
         return (
             f"ShardHelloMessage(shard={self.shard_id}, "
-            f"horizon={self.horizon}, subs={len(self.subscriptions)})"
+            f"horizon={self.horizon}, groups={sorted(self.groups)})"
         )
 
 
@@ -329,10 +323,9 @@ class ScatterMessage(Message):
     data-plane message type. ``collect`` asks the shard to run its own
     zone-bounded garbage collection after refreshing.
 
-    ``group`` addresses one placement-group store on a replicated host
-    (a host carries its own primary group plus replica stores of other
-    groups); ``None`` means the host's own group — the pre-replication
-    wire format, still accepted everywhere."""
+    ``group`` addresses the placement-group store the frame is for: a
+    host carries its own group's store plus replica stores of other
+    groups, and every router frame names one of them."""
 
     def __init__(
         self,
@@ -344,7 +337,8 @@ class ScatterMessage(Message):
         subscribe: Optional[List[Dict[str, str]]] = None,
         unsubscribe: Optional[List[str]] = None,
         collect: bool = False,
-        group: Optional[int] = None,
+        *,
+        group: int,
     ):
         self.shard_id = shard_id
         self.seq = seq
@@ -381,7 +375,6 @@ class GatherReplyMessage(Message):
         horizon: Timestamp,
         entries: Optional[List] = None,
         counters: Optional[Dict[str, int]] = None,
-        group: Optional[int] = None,
     ):
         self.shard_id = shard_id
         self.seq = seq
@@ -389,7 +382,6 @@ class GatherReplyMessage(Message):
         self.horizon = horizon
         self.entries = list(entries or [])
         self.counters = dict(counters or {})
-        self.group = group
 
     def __repr__(self) -> str:
         return (
@@ -414,7 +406,8 @@ class ShardHeartbeatMessage(Message):
         seq: int,
         ts: Timestamp,
         collect: bool = False,
-        group: Optional[int] = None,
+        *,
+        group: int,
     ):
         self.shard_id = shard_id
         self.seq = seq
@@ -464,20 +457,20 @@ class ShardPromoteMessage(Message):
 
 
 class ShardDrainMessage(Message):
-    """Router -> shard: detach one store (or every store) gracefully.
+    """Router -> shard: detach one store gracefully.
 
     The planned inverse of placement: after ``remove_shard`` hands a
     group's slices and ownership to the survivors, the departing (or
-    demoted) store is drained — subscriptions deregistered, journal
-    closed — instead of being crashed. ``group=None`` drains the whole
-    host ahead of a clean process stop."""
+    demoted) ``group`` store is drained — journal closed — instead of
+    being crashed."""
 
     def __init__(
         self,
         shard_id: int,
         seq: int,
         ts: Timestamp,
-        group: Optional[int] = None,
+        *,
+        group: int,
     ):
         self.shard_id = shard_id
         self.seq = seq

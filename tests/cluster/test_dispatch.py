@@ -12,6 +12,9 @@ torn event behind the backoff guard and busy-spin on a stale
 exhaustion check.
 """
 
+from collections import defaultdict
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster.dispatch import CycleEngine
@@ -39,7 +42,7 @@ class _StubRouter:
         self.health = _StubHealth(backoff)
         self._request_timeout = timeout
         self._retries = retries
-        self._dead = set()
+        self._hosts = defaultdict(lambda: SimpleNamespace(dead=False))
         self.failures = []
         self.downed = []
 
@@ -48,7 +51,7 @@ class _StubRouter:
 
     def _on_host_down(self, host):
         self.downed.append(host)
-        self._dead.add(host)
+        self._hosts[host].dead = True
 
 
 class _TornOnRetryBackend:
@@ -120,7 +123,7 @@ class _TornTwiceBackend:
 def _run_engine(backend, **router_kwargs):
     router = _StubRouter(backend, **router_kwargs)
     engine = CycleEngine(router, max_wait=0.01)
-    request = engine.submit(0, ShardHeartbeatMessage(0, 7, 1))
+    request = engine.submit(0, ShardHeartbeatMessage(0, 7, 1, group=0))
     engine.run()
     return router, request
 

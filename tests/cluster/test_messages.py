@@ -52,19 +52,23 @@ class TestShardHello:
         msg = ShardHelloMessage(
             2,
             17,
-            tables=["positions", "stocks"],
-            subscriptions=["SELECT ..."],
+            groups={
+                2: {"horizon": 17, "subs": ["SELECT ..."]},
+                0: {"horizon": 20, "subs": []},
+            },
         )
         out = roundtrip(msg)
         assert isinstance(out, ShardHelloMessage)
         assert out.shard_id == 2
         assert out.horizon == 17
-        assert out.tables == ["positions", "stocks"]
-        assert out.subscriptions == ["SELECT ..."]
+        assert out.groups == {
+            0: {"horizon": 20, "subs": []},
+            2: {"horizon": 17, "subs": ["SELECT ..."]},
+        }
 
     def test_empty_defaults(self):
         out = roundtrip(ShardHelloMessage(0, 0))
-        assert out.tables == [] and out.subscriptions == []
+        assert out.groups == {}
 
 
 class TestScatter:
@@ -78,11 +82,12 @@ class TestScatter:
             subscribe=[{"cq": "k1", "sql": "SELECT sid FROM stocks"}],
             unsubscribe=["k0"],
             collect=True,
+            group=1,
         )
         out = roundtrip(msg)
         assert isinstance(out, ScatterMessage)
         assert out.shard_id == 1 and out.seq == 9 and out.ts == 42
-        assert out.collect is True
+        assert out.collect is True and out.group == 1
         assert out.subscribe == [{"cq": "k1", "sql": "SELECT sid FROM stocks"}]
         assert out.unsubscribe == ["k0"]
         delta = out.deltas["stocks"]
@@ -96,7 +101,7 @@ class TestScatter:
         assert len(baseline) == 2
 
     def test_minimal_scatter(self):
-        out = roundtrip(ScatterMessage(0, 1, 2))
+        out = roundtrip(ScatterMessage(0, 1, 2, group=0))
         assert out.deltas == {} and out.baselines == {}
         assert out.subscribe == [] and out.unsubscribe == []
         assert out.collect is False
@@ -128,7 +133,9 @@ class TestGatherReply:
 
 class TestShardHeartbeat:
     def test_round_trip(self):
-        out = roundtrip(ShardHeartbeatMessage(4, 11, 99, collect=True))
+        out = roundtrip(
+            ShardHeartbeatMessage(4, 11, 99, collect=True, group=4)
+        )
         assert isinstance(out, ShardHeartbeatMessage)
         assert out.shard_id == 4 and out.seq == 11
         assert out.ts == 99 and out.collect is True

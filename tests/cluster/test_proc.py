@@ -74,7 +74,7 @@ def test_wedged_worker_times_out_and_retry_stays_exactly_once(tmp_path):
     engine = CycleEngine(router)
 
     def request(seq):
-        frame = engine.submit(0, ShardHeartbeatMessage(0, seq, seq))
+        frame = engine.submit(0, ShardHeartbeatMessage(0, seq, seq, group=0))
         engine.run()
         return frame.reply
 
@@ -90,7 +90,7 @@ def test_wedged_worker_times_out_and_retry_stays_exactly_once(tmp_path):
             os.kill(pid, signal.SIGCONT)
         assert router.downed == [0]
         assert router.metrics.get(Metrics.SCATTER_TIMEOUTS) == 1
-        router._dead.clear()
+        router._hosts[0].dead = False
         router._request_timeout = 5.0
 
         # The resumed worker answers seq 2 into the pipe ahead of
@@ -105,7 +105,7 @@ def test_wedged_worker_times_out_and_retry_stays_exactly_once(tmp_path):
         # A frame without an integer seq can never be paired with its
         # reply (``None == None`` would match any stale seqless frame),
         # so the engine refuses to queue it at all.
-        seqless = ShardHeartbeatMessage(0, 4, 4)
+        seqless = ShardHeartbeatMessage(0, 4, 4, group=0)
         seqless.seq = None
         with pytest.raises(ClusterError, match="integer seq"):
             engine.submit(0, seqless)

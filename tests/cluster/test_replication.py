@@ -449,28 +449,22 @@ class TestRemoveShard:
         assert_converged(router)
 
     def test_remove_keeps_load_bookkeeping_consistent(self):
-        """_replica_targets ranks hosts by the incrementally maintained
-        _load/_host_cost maps; a planned removal must leave them exactly
-        consistent with _placement (no phantom entries for the removed
-        host or the dissolved group's surviving replica hosts)."""
+        """A planned removal leaves no trace of the removed host or its
+        dissolved group anywhere the router reports — a phantom store
+        would skew every later replica placement — and the next
+        placement decision still converges."""
         router = make_cluster(shards=4, replicas=1)
         tick_stock(router, 3, 200.0)
         router.refresh()
         router.remove_shard(2)
-        expected_load = {}
-        for hosts in router._placement.values():
-            for host in hosts:
-                expected_load[host] = expected_load.get(host, 0) + 1
-        assert router._load == expected_load
-        assert 2 not in router._host_cost
-        assert all(key[0] != 2 and key[1] != 2 for key in router._stores)
-        costed = {k: s.cost for k, s in router._stores.items() if s.cost}
-        assert router._host_cost == {
-            host: pytest.approx(
-                sum(score for (h, _g), score in costed.items() if h == host)
-            )
-            for host in {k[0] for k in costed}
-        }
+        stats = router.stats()
+        assert 2 not in stats["placement"]
+        assert all(2 not in hosts for hosts in stats["placement"].values())
+        assert 2 not in stats["shards"]
+        assert all(2 not in row["groups"] for row in stats["shards"].values())
+        exposition = router.prometheus()
+        assert 'shard="2"' not in exposition
+        assert 'group="2"' not in exposition
         # The next placement decision sees the consistent state.
         tick_stock(router, 4, 300.0)
         router.refresh()

@@ -99,11 +99,7 @@ EVERY_MESSAGE = [
     ),
     # Cluster control/data plane (deep coverage in tests/cluster).
     ShardHelloMessage(
-        2,
-        9,
-        tables=["stocks"],
-        subscriptions=["SELECT ..."],
-        groups={2: {"horizon": 9, "subs": ["SELECT ..."]}},
+        2, 9, groups={2: {"horizon": 9, "subs": ["SELECT ..."]}}
     ),
     ScatterMessage(
         1,
@@ -118,7 +114,7 @@ EVERY_MESSAGE = [
     ),
     GatherReplyMessage(
         1, 4, 12, 11, entries=[("k", sample_delta(), 12)],
-        counters={"executions": 3}, group=2,
+        counters={"executions": 3},
     ),
     ShardHeartbeatMessage(0, 5, 13, collect=True, group=1),
     ShardPromoteMessage(

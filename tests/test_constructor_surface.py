@@ -8,10 +8,11 @@ edit here, not a side effect of a feature. None of these takes
 
 ``STATE`` pins the same way what a freshly constructed ``CQManager``,
 ``ClusterRouter`` and ``CQServer`` hold: state about one CQ, one
-``sql_key``, one store or one subscription lives on that record
-(``ContinualQuery``, ``_SqlGroup``, ``_Store``, ``Subscription``,
-``SharedGroup``), so a new instance attribute — the next parallel
-registry — is a deliberate edit here too.
+``sql_key``, one placement group, one host, one store or one
+subscription lives on that record (``ContinualQuery``, ``_SqlGroup``,
+``_Group``, ``_Host``, ``_Store``, ``Subscription``, ``SharedGroup``),
+so a new instance attribute — the next parallel registry — is a
+deliberate edit here too.
 """
 
 import inspect
@@ -140,21 +141,12 @@ STATE = {
         "_decls",
         "_started",
         "_seq",
-        # records: per sql_key, per subscription, per (host, group) store
+        # records: per sql_key, per subscription, per placement group,
+        # per host (its stores by group)
         "_sql_groups",
         "_subs",
-        "_stores",
-        # placement, per-host sums over stores, failover bookkeeping
-        "_placement",
-        "_load",
-        "_host_cost",
-        "_horizons",
-        "_dead",
-        "_group_served",
-        "_pinned",
-        "_lost",
-        "_rerepl",
-        "_reconcile_keys",
+        "_groups",
+        "_hosts",
     },
     CQServer: {
         # configuration and collaborators
