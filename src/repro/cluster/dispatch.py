@@ -13,9 +13,14 @@ wall-clock is bounded by its slowest host, not the fleet sum.
 with these nine methods (:class:`~repro.cluster.local.LocalBackend`
 in-process, :class:`~repro.cluster.proc.ProcessBackend` over pipes):
 
-* ``spawn(shard_id, decls)`` / ``recover(shard_id, decls)`` — start a
-  fresh host / restart one from its journal (or reattach to one that
-  never actually died); both return its ``ShardHelloMessage``.
+* ``spawn(shard_id, decls)`` — start a fresh host. It may return
+  before the host is ready: the backend completes the handshake before
+  the host's first ``post``, so a fleet boots side by side, and a host
+  that fails to boot surfaces as that ``post``'s ``ClusterError``.
+* ``recover(shard_id, decls)`` — restart a host from its journal (or
+  reattach to one that never actually died) and return its
+  ``ShardHelloMessage``, which the router reads; a failed boot raises
+  ``ClusterError``.
 * ``kill(shard_id)`` / ``stop(shard_id)`` — crash without a handshake /
   planned clean shutdown; ``close()`` stops everything.
 * ``alive()`` — ids of the hosts the backend is running.
@@ -210,6 +215,8 @@ class CycleEngine:
             self._outstanding[request.host] = request
             self._on_torn(request)
             return
+        # Stamped after ``post`` returns: a host's first post may wait
+        # out its boot, which is not the request's time.
         timeout = self.router._request_timeout
         request.deadline = (
             None if timeout is None else time.monotonic() + timeout

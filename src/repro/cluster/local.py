@@ -59,14 +59,12 @@ class LocalBackend:
         #: stalled attempt; so do we.
         self._serial: Dict[int, threading.Lock] = {}
 
-    def spawn(self, shard_id: int, decls: Sequence[TableDecl]) -> ShardHelloMessage:
+    def spawn(self, shard_id: int, decls: Sequence[TableDecl]) -> None:
         if shard_id in self.shards:
             raise ClusterError(f"shard {shard_id} already running")
-        host = ShardHost(
+        self.shards[shard_id] = ShardHost(
             shard_id, decls, wal_root=self.wal_root, columnar=self.columnar
         )
-        self.shards[shard_id] = host
-        return host.hello()
 
     def kill(self, shard_id: int) -> None:
         if self.shards.pop(shard_id, None) is None:

@@ -8,6 +8,12 @@ carrying codec-encoded frames — the same wire representation the
 simulated network uses, so every scatter and gather reply round-trips
 through serialization for real.
 
+``spawn`` launches a worker and returns at once, so a fleet boots side
+by side; the worker's hello is read when its first frame is posted
+(``recover`` reads it before returning, the router needs it). A worker
+that dies before its hello, or sends none within ``_BOOT_TIMEOUT``, is
+stopped and reported as a ``ClusterError`` naming the shard.
+
 ``post`` writes a frame and returns; ``collect`` multiplexes every
 shard pipe and hands back whatever arrived. Deadlines are the
 engine's: a wedged (not dead) worker simply never shows up in
@@ -32,7 +38,7 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import ClusterError
 from repro.net.codec import decode_payload, encode_payload
@@ -43,6 +49,10 @@ from repro.cluster.shard import ShardHost, TableDecl
 #: tests' teardown; a *crash* is ``Process.terminate`` and never sends
 #: this).
 _SHUTDOWN = b"\0shutdown"
+
+#: Seconds a launched worker has to send its hello (interpreter start,
+#: imports, journal recovery) before it counts as failed to boot.
+_BOOT_TIMEOUT = 60.0
 
 
 def _shard_worker(
@@ -104,10 +114,13 @@ class ProcessBackend:
         self._ctx = multiprocessing.get_context("spawn")
         self._procs: Dict[int, multiprocessing.Process] = {}
         self._conns: Dict[int, object] = {}
+        #: Launched workers whose hello has not been read yet.
+        self._booting: Set[int] = set()
 
     def _launch(
         self, shard_id: int, decls: Sequence[TableDecl], recovered: bool
-    ) -> ShardHelloMessage:
+    ) -> None:
+        """Start the worker; its hello is read by :meth:`_handshake`."""
         if shard_id in self._procs:
             raise ClusterError(f"shard {shard_id} already running")
         parent, child = self._ctx.Pipe()
@@ -126,23 +139,41 @@ class ProcessBackend:
         )
         proc.start()
         child.close()
-        hello = decode_payload(parent.recv_bytes())
-        if not isinstance(hello, ShardHelloMessage):
-            raise ClusterError(
-                f"shard {shard_id} sent {type(hello).__name__} instead of hello"
-            )
         self._procs[shard_id] = proc
         self._conns[shard_id] = parent
-        return hello
+        self._booting.add(shard_id)
 
-    def spawn(self, shard_id: int, decls: Sequence[TableDecl]) -> ShardHelloMessage:
-        return self._launch(shard_id, decls, recovered=False)
+    def _handshake(self, shard_id: int) -> ShardHelloMessage:
+        """Wait (at most ``_BOOT_TIMEOUT``) for a launched worker's
+        hello. A worker that dies or stays silent first is stopped and
+        forgotten, and the failure is a ``ClusterError`` naming it."""
+        self._booting.discard(shard_id)
+        conn = self._conns[shard_id]
+        try:
+            if conn.poll(_BOOT_TIMEOUT):
+                hello = decode_payload(conn.recv_bytes())
+                if isinstance(hello, ShardHelloMessage):
+                    return hello
+                problem = f"sent {type(hello).__name__} instead of hello"
+            else:
+                problem = f"sent no hello within {_BOOT_TIMEOUT:g} s"
+        except (EOFError, OSError):
+            problem = "died before its hello"
+        self.kill(shard_id)
+        raise ClusterError(f"shard {shard_id} {problem}")
+
+    def spawn(self, shard_id: int, decls: Sequence[TableDecl]) -> None:
+        """Launch a fresh worker without waiting for it: the handshake
+        completes before its first frame is posted."""
+        self._launch(shard_id, decls, recovered=False)
 
     # -- dispatch (the CycleEngine transport trio) --------------------------
 
     def post(self, shard_id: int, message: Message) -> None:
         """Non-blocking dispatch: frame goes out, reply is collected
         later by the engine's multiplex loop."""
+        if shard_id in self._booting:
+            self._handshake(shard_id)
         conn = self._conns.get(shard_id)
         if conn is None:
             raise ClusterError(f"shard {shard_id} is not running")
@@ -170,7 +201,11 @@ class ProcessBackend:
         tuples where payload is a decoded message or a
         :class:`~repro.errors.ClusterError` for a torn pipe.
         """
-        conns = {conn: sid for sid, conn in self._conns.items()}
+        conns = {
+            conn: sid
+            for sid, conn in self._conns.items()
+            if sid not in self._booting
+        }
         if not conns:
             if timeout > 0:
                 time.sleep(timeout)
@@ -201,6 +236,7 @@ class ProcessBackend:
 
     def _reap(self, shard_id: int) -> None:
         """Forget a connection whose worker died underneath us."""
+        self._booting.discard(shard_id)
         conn = self._conns.pop(shard_id, None)
         if conn is not None:
             try:
@@ -221,6 +257,7 @@ class ProcessBackend:
         proc = self._procs.pop(shard_id, None)
         if proc is None:
             raise ClusterError(f"shard {shard_id} is not running")
+        self._booting.discard(shard_id)
         conn = self._conns.pop(shard_id)
         proc.terminate()
         proc.join(timeout=10)
@@ -237,6 +274,7 @@ class ProcessBackend:
         proc = self._procs.pop(shard_id, None)
         if proc is None:
             raise ClusterError(f"shard {shard_id} is not running")
+        self._booting.discard(shard_id)
         conn = self._conns.pop(shard_id)
         try:
             conn.send_bytes(_SHUTDOWN)
@@ -262,7 +300,8 @@ class ProcessBackend:
             # Declared dead by deadline, not by crash: the wedged
             # worker is still running and still holds its journals.
             self.kill(shard_id)
-        return self._launch(shard_id, decls, recovered=True)
+        self._launch(shard_id, decls, recovered=True)
+        return self._handshake(shard_id)
 
     def alive(self) -> List[int]:
         return sorted(self._procs)

@@ -22,6 +22,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.delta.differential import DeltaEntry, DeltaRelation
 
+#: Memoised lookups a ring keeps before it starts over: partition
+#: tokens are key values, so an unbounded memo would grow with the
+#: table.
+_MEMO_CAP = 1 << 14
+
 
 def _position(seed: int, token: str) -> int:
     digest = hashlib.blake2b(
@@ -46,6 +51,11 @@ class HashRing:
         self._nodes: List[int] = []
         self._weights: Dict[int, float] = {}
         self._points: List[Tuple[int, int]] = []  # (position, node)
+        #: ``lookup``'s token → node answers for the current node set.
+        self._memo: Dict[str, int] = {}
+        #: Bumped by every membership change: whatever was derived from
+        #: the ring under an older version may place keys differently.
+        self.version = 0
         for node in nodes:
             self.add_node(node)
 
@@ -84,6 +94,7 @@ class HashRing:
         for replica in range(max(1, round(self.vnodes * weight))):
             self._points.append((_position(self.seed, f"{node}#{replica}"), node))
         self._points.sort()
+        self._changed()
 
     def remove_node(self, node: int) -> None:
         if node not in self._nodes:
@@ -91,16 +102,29 @@ class HashRing:
         self._nodes.remove(node)
         self._weights.pop(node, None)
         self._points = [(pos, n) for pos, n in self._points if n != node]
+        self._changed()
+
+    def _changed(self) -> None:
+        self._memo.clear()
+        self.version += 1
 
     def lookup(self, key: str) -> int:
-        """The shard owning ``key`` (clockwise-next virtual node)."""
+        """The shard owning ``key`` (clockwise-next virtual node),
+        memoised per token until the node set changes."""
+        node = self._memo.get(key)
+        if node is not None:
+            return node
         if not self._points:
             raise ValueError("lookup on an empty ring")
         position = _position(self.seed, key)
         index = bisect.bisect_right(self._points, (position, -1))
         if index == len(self._points):
             index = 0
-        return self._points[index][1]
+        node = self._points[index][1]
+        if len(self._memo) >= _MEMO_CAP:
+            self._memo.clear()
+        self._memo[key] = node
+        return node
 
     def lookup_n(self, key: str, n: int) -> List[int]:
         """The first ``n`` *distinct* shards clockwise from ``key``.

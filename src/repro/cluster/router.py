@@ -160,12 +160,15 @@ class _Store:
     """One ``(host, group)`` store as the router accounts for it; it
     exists exactly while ``host`` is in ``group``'s placement."""
 
-    __slots__ = ("horizon", "counters")
+    __slots__ = ("horizon", "counters", "baselines")
 
     def __init__(self, horizon: Timestamp):
         self.horizon = horizon  # applied-through timestamp
         #: Last gathered counter snapshot (None until one arrives).
         self.counters: Optional[Dict[str, int]] = None
+        #: Per table, ``(ts, ring version)`` of the last baseline this
+        #: store confirmed (see ClusterRouter._sync_store).
+        self.baselines: Dict[str, Tuple[Timestamp, int]] = {}
 
 
 class _Group:
@@ -318,7 +321,12 @@ class ClusterRouter:
         return decl
 
     def start(self) -> None:
-        """Spawn the shard fleet and place it on the ring."""
+        """Spawn the shard fleet and place it on the ring.
+
+        Every shard is launched before any is waited on: a backend's
+        ``spawn`` may return before its host is ready, and completes
+        the handshake before that host's first frame, so the fleet
+        boots side by side."""
         if self._started:
             raise ClusterError("cluster already started")
         self._started = True
@@ -448,12 +456,26 @@ class ClusterRouter:
         scatter built outside :meth:`_plan`.
 
         ``baselines`` names tables to (re-)seed with the group's slice
-        of the authoritative state (the store diffs locally, so an
-        already current table costs nothing); ``replay`` is a horizon
-        whose missed window is re-sent differentially instead;
+        of the authoritative state; ``replay`` is a horizon whose missed
+        window is re-sent differentially instead;
         ``subscribe``/``unsubscribe`` are the ``sql_key`` registrations
         to add and drop.
+
+        Only the baselines the store lacks are built and sent. A
+        confirmed baseline stamps the store's record with ``(now, ring
+        version)``; a table is left out while that stamp stands — under
+        the current ring, with no commit to the table since. A ring
+        change voids every stamp, and a store placed anew is a new
+        record without any. The frame goes out even when it is left
+        empty, so ``seq`` and every counter move as if it were full.
         """
+        store = self._hosts[host].stores.get(group)
+        version = self.ring.version
+        baselines = [
+            name
+            for name in baselines
+            if store is None or not self._holds(store, name, version)
+        ]
         deltas: Dict[str, DeltaRelation] = {}
         if replay is not None:
             # Read only the tables sliced: the caller checked *their*
@@ -465,7 +487,7 @@ class ClusterRouter:
                 tables,
             )
         self._seq += 1
-        return self._request(
+        reply = self._request(
             host,
             ScatterMessage(
                 host,
@@ -479,6 +501,21 @@ class ClusterRouter:
                 unsubscribe=list(unsubscribe),
                 group=group,
             ),
+        )
+        if reply is not None and store is not None:
+            for name in baselines:
+                store.baselines[name] = (now, version)
+        return reply
+
+    def _holds(self, store: _Store, table: str, version: int) -> bool:
+        """Whether ``store`` still holds the baseline of ``table`` it
+        last confirmed: stamped under ring ``version``, and nothing
+        committed to the table after the stamp."""
+        stamp = store.baselines.get(table)
+        return (
+            stamp is not None
+            and stamp[1] == version
+            and self.db.table(table).log.newest_ts <= stamp[0]
         )
 
     def _specs(self, sql_keys: Sequence[str]) -> List[Dict[str, str]]:
@@ -637,10 +674,12 @@ class ClusterRouter:
         """Install one ``sql_key`` on every live store of ``group``:
         baseline-sync every touched table (sliced for partitioned
         tables), registering the CQ on the primary only — replicas get
-        lockstep tables without subscriptions. The local baseline diff
-        makes re-seeding an already current table free, so this is
-        always sound — it closes any gap left by earlier
-        relevance-skipped scatters."""
+        lockstep tables without subscriptions. A store is sent only
+        the baselines it lacks (:meth:`_sync_store`): a table it
+        confirmed under the current ring, uncommitted since, is left
+        out — every later commit would void the stamp, so what the
+        store holds is what a fresh baseline would carry, and the gaps
+        of earlier relevance-skipped scatters are still closed."""
         tables = sorted(set(self._sql_groups[sql_key].query.table_names))
         for index, host in enumerate(list(self._groups[group].hosts)):
             self._sync_store(

@@ -12,7 +12,7 @@ import signal
 
 import pytest
 
-from repro.cluster import ClusterRouter, ProcessBackend, TableDecl
+from repro.cluster import ClusterRouter, ProcessBackend, TableDecl, proc
 from repro.cluster.dispatch import CycleEngine
 from repro.errors import ClusterError
 from repro.metrics import Metrics
@@ -201,3 +201,70 @@ def test_replicated_failover_across_real_processes(tmp_path):
     assert sorted(r.values for r in router.result("c", "q")) == oracle
     router.close()
     assert router.backend.alive() == []
+
+
+def _decls():
+    return [TableDecl("stocks", [("sid", int), ("price", float)])]
+
+
+def test_spawn_returns_before_the_hello_and_the_first_post_waits_for_it():
+    """The fleet boots side by side: ``spawn`` does not read the
+    hello, the first ``post`` does, and the engine's deadline (stamped
+    after ``post`` returns) is not charged for the boot."""
+    backend = ProcessBackend()
+    try:
+        backend.spawn(0, _decls())
+        backend.spawn(1, _decls())
+        assert backend._booting == {0, 1}
+        # Far below an interpreter's boot, far above a heartbeat.
+        router = _StubRouter(backend, retries=0, timeout=0.2)
+        engine = CycleEngine(router)
+        frames = [
+            engine.submit(h, ShardHeartbeatMessage(h, 1, 1, group=h))
+            for h in (0, 1)
+        ]
+        engine.run()
+        assert [f.reply.seq for f in frames] == [1, 1]
+        assert router.downed == []
+        assert backend._booting == set()
+    finally:
+        backend.close()
+    assert backend.alive() == []
+
+
+def test_a_worker_that_fails_to_boot_is_a_cluster_error(tmp_path):
+    """A decl the child's ``ShardHost`` rejects kills the worker before
+    its hello: the first post (and a recover) raise ``ClusterError``
+    naming the shard, and no process is left behind."""
+    bad = [TableDecl("stocks", [("sid", int)], indexes=[("missing",)])]
+    backend = ProcessBackend(wal_root=str(tmp_path))
+    backend.spawn(3, bad)
+    with pytest.raises(ClusterError, match="shard 3 died before its hello"):
+        backend.post(3, ShardHeartbeatMessage(3, 1, 1, group=3))
+    assert backend.alive() == [] and not backend.host_alive(3)
+    with pytest.raises(ClusterError, match="shard 3 died before its hello"):
+        backend.recover(3, bad)
+    assert backend.alive() == []
+
+
+def test_the_wait_for_a_hello_is_bounded(monkeypatch):
+    """A worker that has not said hello when ``_BOOT_TIMEOUT`` runs out
+    (here: no interpreter boots in a millisecond) is stopped, and the
+    wait ends in a ``ClusterError`` instead of hanging the router."""
+    monkeypatch.setattr(proc, "_BOOT_TIMEOUT", 0.001)
+    backend = ProcessBackend()
+    backend.spawn(0, _decls())
+    worker = backend._procs[0]
+    with pytest.raises(ClusterError, match="shard 0 sent no hello within"):
+        backend.post(0, ShardHeartbeatMessage(0, 1, 1, group=0))
+    assert backend.alive() == [] and not worker.is_alive()
+
+
+@pytest.mark.parametrize("end", ["stop", "kill"])
+def test_ending_a_shard_never_posted_to_leaves_no_process(end):
+    backend = ProcessBackend()
+    backend.spawn(0, _decls())
+    worker = backend._procs[0]
+    getattr(backend, end)(0)
+    assert backend.alive() == [] and not worker.is_alive()
+    backend.close()

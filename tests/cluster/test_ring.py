@@ -84,6 +84,40 @@ class TestHashRing:
         assert 5 in ring and len(ring) == 1
         assert ring.lookup("anything") == 5
 
+    def test_memoised_lookups_follow_every_membership_change(self):
+        """``lookup`` remembers each token's node; adding or removing
+        a node, weighted or not, must never leave an answer behind
+        that a ring built fresh on the new node set would not give."""
+        keys = [f"stocks:{i}" for i in range(400)]
+        ring = HashRing([0, 1, 2], seed=11)
+        weights = {0: 1.0, 1: 1.0, 2: 1.0}
+        steps = [
+            ("add", 3, 2.0),
+            ("remove", 1, None),
+            ("add", 1, 0.5),
+            ("remove", 3, None),
+            ("add", 4, 3.0),
+            ("remove", 0, None),
+        ]
+        for op, node, weight in steps:
+            for key in keys:  # fill the memo under the old node set
+                ring.lookup(key)
+            version = ring.version
+            if op == "add":
+                ring.add_node(node, weight=weight)
+                weights[node] = weight
+            else:
+                ring.remove_node(node)
+                del weights[node]
+            assert ring.version > version
+            fresh = HashRing(seed=11)
+            for n, w in weights.items():
+                fresh.add_node(n, weight=w)
+            expected = [fresh.lookup(k) for k in keys]
+            assert [ring.lookup(k) for k in keys] == expected, (op, node)
+            assert [ring.lookup(k) for k in keys] == expected  # memo hits
+        assert ring.lookup_n(keys[0], 1) == [ring.lookup(keys[0])]
+
 
 def entry(tid, old, new, ts=1):
     return DeltaEntry(tid, old, new, ts)
