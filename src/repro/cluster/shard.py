@@ -372,9 +372,10 @@ class ClusterShard:
         self._collector.drain()
         self.server.refresh_all()
         entries = [
-            (m.cq_name, m.delta, m.ts)
+            (cq_name, m.delta, m.ts)
             for m in self._collector.drain()
             if isinstance(m, DeltaMessage)
+            for cq_name in m.cq_names
         ]
         if message.collect:
             self.server.collect_garbage(include_unwatched=True)

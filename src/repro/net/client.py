@@ -50,7 +50,14 @@ _RESULT_FRAMES = (InitialResultMessage, FullResultMessage, DeltaMessage)
 
 class ResultCache:
     """One cached result per CQ, each beside the running digest of
-    exactly that copy: the apply-and-verify step of both client kinds."""
+    exactly that copy: the apply-and-verify step of both client kinds.
+
+    A delta frame may address several CQs: the members of one routed
+    group that this client holds. Those whose copies had the same
+    running digest before the frame apply its delta once and share the
+    resulting relation, as the server's members share their group's
+    result. A cached relation is therefore replaced on every change and
+    never mutated in place; callers must not mutate one either."""
 
     def __init__(self) -> None:
         self._results: Dict[str, Relation] = {}
@@ -67,37 +74,59 @@ class ResultCache:
         #: stamp; each one discarded the cached copy.
         self.digest_mismatches = 0
 
-    def _absorb(self, message) -> bool:
-        """Store a complete result or apply a delta, advancing the
-        running digest with it, and compare against the server's
-        stamp. False — counted in ``stale_deltas`` or
-        ``digest_mismatches`` — means the copy is unusable (and, on a
-        mismatch, discarded): the caller asks for a resync."""
-        cq_name = message.cq_name
+    def _absorb(self, message) -> Tuple[List[str], List[str]]:
+        """Store a complete result, or apply a delta to every CQ the
+        frame addresses, advancing each running digest with it, and
+        compare each against the server's stamp. Returns the CQs that
+        took the frame and those whose copy is unusable — counted in
+        ``stale_deltas`` or ``digest_mismatches`` and, on a mismatch,
+        discarded: the caller asks for a resync of each of those."""
         if isinstance(message, DeltaMessage):
+            outcomes = self._apply(message)
+        else:
+            result = message.result.copy()
+            outcomes = [(message.cq_name, result, relation_digest(result))]
+        applied: List[str] = []
+        failed: List[str] = []
+        for cq_name, result, digest in outcomes:
+            if result is None:
+                self.stale_deltas += 1
+            elif message.digest is not None and digest != message.digest:
+                self.digest_mismatches += 1
+                self._results.pop(cq_name, None)
+                self._digests.pop(cq_name, None)
+            else:
+                self._results[cq_name] = result
+                self._digests[cq_name] = (result, digest)
+                applied.append(cq_name)
+                continue
+            failed.append(cq_name)
+        return applied, failed
+
+    def _apply(
+        self, message: DeltaMessage
+    ) -> List[Tuple[str, Optional[Relation], Optional[str]]]:
+        """``(cq, result, digest)`` after the frame for each addressed
+        CQ, ``result`` None where the delta cannot apply (no cached
+        copy, or a delete of a row it does not hold). The delta is
+        applied once per distinct pre-frame digest."""
+        after: Dict[str, Tuple[Optional[Relation], Optional[str]]] = {}
+        outcomes = []
+        for cq_name in message.cq_names:
             held = self._results.get(cq_name)
             if held is None:
-                self.stale_deltas += 1
-                return False
+                outcomes.append((cq_name, None, None))
+                continue
             described, digest = self._digests.get(cq_name, (None, None))
             if described is not held:
                 digest = relation_digest(held)
-            try:
-                result, digest = apply_delta(message.delta, held, digest)
-            except (KeyError, ReproError):
-                self.stale_deltas += 1
-                return False
-        else:
-            result = message.result.copy()
-            digest = relation_digest(result)
-        if message.digest is not None and digest != message.digest:
-            self.digest_mismatches += 1
-            self._results.pop(cq_name, None)
-            self._digests.pop(cq_name, None)
-            return False
-        self._results[cq_name] = result
-        self._digests[cq_name] = (result, digest)
-        return True
+            if digest not in after:
+                try:
+                    after[digest] = apply_delta(message.delta, held, digest)
+                except (KeyError, ReproError):
+                    after[digest] = (None, None)
+            outcomes.append((cq_name, *after[digest]))
+        return outcomes
 
 
 class CQClient(ResultCache):
@@ -141,10 +170,10 @@ class CQClient(ResultCache):
         if not isinstance(message, _RESULT_FRAMES):
             raise NetworkError(f"unexpected message {message!r}")
         mismatches = self.digest_mismatches
-        if self._absorb(message):
-            if isinstance(message, DeltaMessage):
-                self._pending.pop(message.cq_name, None)
-            return
+        applied, failed = self._absorb(message)
+        if isinstance(message, DeltaMessage):
+            for cq_name in applied:
+                self._pending.pop(cq_name, None)
         # A delta we cannot apply is normal after a client restart (the
         # server refreshed before seeing the new session), a mismatch
         # is a copy that is provably not what the server shipped from:
@@ -152,8 +181,11 @@ class CQClient(ResultCache):
         if self.digest_mismatches > mismatches and self.server is not None:
             from repro.metrics import Metrics
 
-            self.server.metrics.count(Metrics.DIGEST_MISMATCHES)
-        self._resync(message.cq_name)
+            self.server.metrics.count(
+                Metrics.DIGEST_MISMATCHES, self.digest_mismatches - mismatches
+            )
+        for cq_name in failed:
+            self._resync(cq_name)
 
     def _resync(self, cq_name: str) -> None:
         if self.server is not None and self._send(ResyncMessage(cq_name)):
@@ -178,6 +210,8 @@ class CQClient(ResultCache):
     # -- inspection -----------------------------------------------------------------
 
     def result(self, cq_name: str) -> Relation:
+        """The cached result; it may be shared with other CQs of the
+        same group and must not be mutated (copy it to edit)."""
         try:
             return self._results[cq_name]
         except KeyError:
@@ -356,6 +390,8 @@ class CQSession(ResultCache):
         )
 
     def result(self, cq_name: str) -> Relation:
+        """The cached result; it may be shared with other CQs of the
+        same group and must not be mutated (copy it to edit)."""
         try:
             return self._results[cq_name]
         except KeyError:
@@ -451,16 +487,17 @@ class CQSession(ResultCache):
 
     async def _handle(self, message: Message) -> None:
         if isinstance(message, _RESULT_FRAMES):
-            if not self._absorb(message):
+            applied, failed = self._absorb(message)
+            for cq_name in applied:
+                self.applied[cq_name] = message.ts
+            if isinstance(message, FullResultMessage):
+                self.full_results += len(applied)
+            elif isinstance(message, DeltaMessage):
+                self.deltas_applied += len(applied)
+            for cq_name in failed:
                 # Our cache is not what the server believes we hold
                 # (lost or altered frames); a full copy resynchronizes.
-                await self._send(ResyncMessage(message.cq_name))
-                return
-            self.applied[message.cq_name] = message.ts
-            if isinstance(message, FullResultMessage):
-                self.full_results += 1
-            elif isinstance(message, DeltaMessage):
-                self.deltas_applied += 1
+                await self._send(ResyncMessage(cq_name))
         elif isinstance(message, DeltaAvailableMessage):
             self.lazy_notices += 1
             if self.auto_fetch:

@@ -8,17 +8,26 @@ Frame layout::
     +----------------+---------------------------+
 
 JSON keeps the codec debuggable (a captured frame is readable) while
-the length prefix gives unambiguous streaming over TCP. Tids are ints
-or nested tuples of tids (join provenance); tuples encode as JSON
-arrays and decode back to tuples recursively, which is unambiguous
-because scalar tids are never arrays. Attribute values are scalars
-(int/float/str/bool/None), validated against the schema on decode so a
-corrupted or hand-forged frame fails loudly instead of poisoning a
-cached result.
+the length prefix gives unambiguous streaming over TCP.
+
+A delta frame's payload is ``{"cq","ts","dg","t":"delta","delta":…}``:
+the header, then the delta body, which a routed group encodes once and
+splices into each of its frames. A frame carrying one group's delta to
+several CQs on one connection adds ``"more"`` (the names after
+``"cq"``) between ``"dg"`` and ``"t"``; a one-name frame has no such
+field, so its bytes are those of any single-subscriber frame.
+
+Tids are ints or nested tuples of tids (join provenance); tuples
+encode as JSON arrays and decode back to tuples recursively, which is
+unambiguous because scalar tids are never arrays. Attribute values are
+scalars (int/float/str/bool/None), validated against the schema on
+decode so a corrupted or hand-forged frame fails loudly instead of
+poisoning a cached result.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
@@ -67,7 +76,15 @@ def _schema_to_json(schema: Schema) -> List[List[str]]:
 
 
 def _schema_from_json(data: List[List[str]]) -> Schema:
-    return Schema.of(*((name, AttributeType(type_)) for name, type_ in data))
+    """The schema a frame declares. Frames of one CQ repeat the same
+    schema, and ``Schema`` is immutable, so equal declarations decode
+    to one shared object."""
+    return _schema_of(tuple(map(tuple, data)))
+
+
+@functools.lru_cache(maxsize=256)
+def _schema_of(pairs: Tuple[Tuple[str, str], ...]) -> Schema:
+    return Schema.of(*((name, AttributeType(type_)) for name, type_ in pairs))
 
 
 def _tid_to_json(tid: Tid) -> Any:
@@ -125,6 +142,16 @@ def encode_delta_body(delta: DeltaRelation) -> str:
     return json.dumps(_delta_to_json(delta), separators=(",", ":"))
 
 
+def _delta_header(message: DeltaMessage) -> Dict[str, Any]:
+    """A delta frame's fields but the body. A one-name frame is
+    ``{"cq", "ts", "dg"}``; only a frame addressing more CQs adds
+    ``"more"``, the names after the first."""
+    header = {"cq": message.cq_names[0], "ts": message.ts, "dg": message.digest}
+    if len(message.cq_names) > 1:
+        header["more"] = list(message.cq_names[1:])
+    return header
+
+
 def _delta_from_json(data: Dict[str, Any]) -> DeltaRelation:
     schema = _schema_from_json(data["schema"])
     return DeltaRelation(
@@ -167,10 +194,7 @@ _TO_JSON: Dict[Type[Message], Tuple[str, Callable[[Message], Dict[str, Any]]]] =
         },
     ),
     # The header only: encode_payload splices the "delta" body in.
-    DeltaMessage: (
-        "delta",
-        lambda m: {"cq": m.cq_name, "ts": m.ts, "dg": m.digest},
-    ),
+    DeltaMessage: ("delta", _delta_header),
     DeltaAvailableMessage: (
         "delta_available",
         lambda m: {
@@ -285,7 +309,10 @@ _FROM_JSON: Dict[str, Callable[[Dict[str, Any]], Message]] = {
         d["cq"], _relation_from_json(d["result"]), d["ts"], d.get("dg")
     ),
     "delta": lambda d: DeltaMessage(
-        d["cq"], _delta_from_json(d["delta"]), d["ts"], d.get("dg")
+        (d["cq"], *d.get("more", ())),
+        _delta_from_json(d["delta"]),
+        d["ts"],
+        d.get("dg"),
     ),
     "delta_available": lambda d: DeltaAvailableMessage(
         d["cq"], d["ts"], d["entries"], d["pending"]

@@ -12,7 +12,7 @@ purpose of the lazy protocol.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.relational.relation import Relation
 from repro.relational.types import value_wire_size
@@ -129,29 +129,41 @@ class InitialResultMessage(Message):
 class DeltaMessage(Message):
     """Server -> client: the differential refresh (the DRA protocol).
 
+    ``cq_names`` addresses one CQ, or every CQ of one routed group that
+    the receiving connection holds: they share the frame's ``delta``,
+    ``ts`` and ``digest``, so the group's delta crosses each connection
+    once. The first argument is one name or a sequence of them.
+
     ``digest`` fingerprints the *post-apply* retained result: the state
-    the client's cached copy must reach after applying this delta. A
-    mismatch after apply means the client's copy had silently diverged
-    (or the frame was corrupted) — it discards the copy and resyncs.
+    each addressed cached copy must reach after applying this delta. A
+    mismatch after apply means that copy had silently diverged (or the
+    frame was corrupted) — the client discards it and resyncs that CQ.
     ``body`` is ``delta`` already encoded (``codec.encode_delta_body``):
-    a routed group encodes it once for all its members' frames."""
+    a routed group encodes it once for all its frames."""
 
     def __init__(
         self,
-        cq_name: str,
+        cq_names: Union[str, Sequence[str]],
         delta: DeltaRelation,
         ts: int,
         digest: Optional[str] = None,
         body: Optional[str] = None,
     ):
-        self.cq_name = cq_name
+        self.cq_names = (
+            (cq_names,) if isinstance(cq_names, str) else tuple(cq_names)
+        )
         self.delta = delta
         self.ts = ts
         self.digest = digest
         self.body = body
 
+    @property
+    def cq_name(self) -> str:
+        """The first addressed CQ (the only one of a one-name frame)."""
+        return self.cq_names[0]
+
     def __repr__(self) -> str:
-        return f"DeltaMessage({self.cq_name!r}, {self.delta!r})"
+        return f"DeltaMessage({self.cq_names!r}, {self.delta!r})"
 
 
 class DeltaAvailableMessage(Message):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError, RegistrationError
 from repro.metrics import Metrics
@@ -212,7 +212,8 @@ class CQServer:
     With ``fanout`` (the Section 5.2 "extracting common subexpressions"
     refinement applied at subscription granularity), DRA subscriptions
     with the same query text form a :class:`SharedGroup` that is
-    evaluated once per cycle and whose delta is shipped to every member
+    evaluated once per cycle and whose delta is shipped once to each
+    client holding members, in one frame addressing all of them
     — server compute per cycle is independent of the subscriber count
     (experiment E3b). A group's window moves in :meth:`_refresh_group`
     only; a member never has its own.
@@ -318,14 +319,21 @@ class CQServer:
                 span.set(dropped=True)
                 return False
             client.receive(message)
-        cq_name = getattr(message, "cq_name", None)
-        if cq_name is not None and self._scoped_metrics is None:
-            # Outside a scoped refresh (fetch / resync / replay) the
-            # per-CQ byte attribution is charged here directly.
-            self.stats.record(
-                cq_name,
-                {Metrics.BYTES_SENT: size, Metrics.MESSAGES_SENT: 1},
-            )
+        if self._scoped_metrics is None:
+            # Outside a scoped refresh (group frames, fetch, resync,
+            # replay) the per-CQ byte attribution is charged here: a
+            # shared frame's bytes are split so the per-CQ sums equal
+            # what crossed the wire, and each CQ got one delivery.
+            names = getattr(message, "cq_names", None) or (message.cq_name,)
+            share, extra = divmod(size, len(names))
+            for i, cq_name in enumerate(names):
+                self.stats.record(
+                    cq_name,
+                    {
+                        Metrics.BYTES_SENT: share + (i < extra),
+                        Metrics.MESSAGES_SENT: 1,
+                    },
+                )
         return True
 
     # -- GC zones ----------------------------------------------------------
@@ -555,7 +563,9 @@ class CQServer:
     # -- refresh ------------------------------------------------------------------
 
     def refresh_all(self) -> int:
-        """Recompute and ship every subscription; returns message count.
+        """Recompute and ship every subscription; returns the number of
+        subscriptions a frame reached (a shared frame counts each CQ it
+        addresses).
 
         One predicate-index pass per (footprint, window) decides which
         ``sql_key`` groups see relevant entries this cycle. Everyone in
@@ -584,9 +594,12 @@ class CQServer:
 
         An unrouted group advances without evaluating anything (the
         Section 5.2 relevance theorem makes its result delta provably
-        empty); a routed one evaluates once and fans the delta out.
-        Detached members are skipped, not raised on — their zones hold
-        the replay window for reconnect. Returns the messages sent."""
+        empty); a routed one evaluates once and fans the delta out: one
+        frame per attached client, addressing all of its DRA_DELTA
+        members, whose retained copies are now the one group result.
+        Lazy members are announced one by one. Detached members are
+        skipped, not raised on — their zones hold the replay window for
+        reconnect. Returns the subscriptions reached."""
         since = group.last_ts
         deltas, routed = cache.routed(self.fanout_index, group.tables, since, now)
         group.last_ts = now
@@ -611,8 +624,7 @@ class CQServer:
                     Metrics.SHARED_GROUP_HITS, len(members) - 1
                 )
         sent = 0
-        # The group's delta, encoded once for all attached members.
-        body = None
+        by_client: Dict[str, List[Subscription]] = {}
         for s in members:
             s.last_ts = now
             if delta is None:
@@ -622,9 +634,13 @@ class CQServer:
             else:
                 s.retain(group.result, group.digest, now)
                 if s.client_id in self._clients:
-                    if body is None:
-                        body = encode_delta_body(delta)
-                    sent += self._ship(s, delta, now, body)
+                    by_client.setdefault(s.client_id, []).append(s)
+        if by_client:
+            # The group's delta, encoded once for all its frames.
+            body = encode_delta_body(delta)
+            for bucket in by_client.values():
+                if self._ship(bucket, delta, now, body):
+                    sent += len(bucket)
         return sent
 
     def _refresh_scoped(
@@ -687,30 +703,35 @@ class CQServer:
 
     def _ship(
         self,
-        subscription: Subscription,
+        members: Sequence[Subscription],
         delta,
         ts: Timestamp,
         body: Optional[str] = None,
     ) -> bool:
         """The one ship step for result frames: ``delta``, already
-        applied to ``subscription.previous_result``, or (``delta`` None)
-        that retained copy whole. The message carries the copy's
-        running digest so the client can verify its own after applying
-        — the frame built here, at ``ts``, is the one it has to apply
-        to hold that copy — and a delivery that arrives advances the
-        subscription's replay zone. ``body`` is ``delta`` pre-encoded
-        (a group shipping to many members). Returns False when the
-        network lost the message."""
-        subscription.changed_ts = ts
-        name, digest = subscription.cq_name, subscription.digest
+        applied to the members' one retained copy, or (``delta`` None)
+        a single subscription's copy whole. ``members`` share a client
+        and that copy (one group's DRA_DELTA members), so one frame
+        addresses them all. It carries the copy's running digest so the
+        client can verify each of its own after applying — the frame
+        built here, at ``ts``, is the one it has to apply to hold that
+        copy — and its arrival, or its loss, is noted for every member
+        it addressed. ``body`` is ``delta`` pre-encoded (a group
+        shipping several frames). Returns False when the network lost
+        the message."""
+        first = members[0]
+        for s in members:
+            s.changed_ts = ts
         if delta is None:
             message = FullResultMessage(
-                name, subscription.previous_result, ts, digest
+                first.cq_name, first.previous_result, ts, first.digest
             )
         else:
-            message = DeltaMessage(name, delta, ts, digest, body)
-        delivered = self._deliver(subscription.client_id, message)
-        self._note_refresh(subscription, ts if delivered else None)
+            names = [s.cq_name for s in members]
+            message = DeltaMessage(names, delta, ts, first.digest, body)
+        delivered = self._deliver(first.client_id, message)
+        for s in members:
+            self._note_refresh(s, ts if delivered else None)
         return delivered
 
     def _announce_lazy(
@@ -781,7 +802,7 @@ class CQServer:
         pending = subscription.fold()
         if pending is None:
             return False
-        return self._ship(subscription, pending, subscription.last_ts)
+        return self._ship([subscription], pending, subscription.last_ts)
 
     def handle_resync(self, client_id: str, message: ResyncMessage) -> bool:
         """Re-ship the retained result copy to a client whose cache is
@@ -792,7 +813,7 @@ class CQServer:
         if subscription is None:
             return False
         self.metrics.count(Metrics.RESYNCS)
-        return self._ship(subscription, None, subscription.last_ts)
+        return self._ship([subscription], None, subscription.last_ts)
 
     # -- reconnect replay --------------------------------------------------
 
@@ -849,7 +870,7 @@ class CQServer:
         if not differential:
             if subscription.protocol is not Protocol.REEVAL_FULL:
                 self.metrics.count(Metrics.REPLAY_FALLBACKS)
-            self._ship(subscription, None, now)
+            self._ship([subscription], None, now)
             return False
         # The client's replay: one consolidated delta over its whole
         # missed window, applicable directly to its cached copy, whose
@@ -859,7 +880,7 @@ class CQServer:
         )
         self.metrics.count(Metrics.REPLAYS)
         if not replayed.delta.is_empty():
-            self._ship(subscription, replayed.delta, now)
+            self._ship([subscription], replayed.delta, now)
         return True
 
     def _refresh_one(
@@ -890,7 +911,7 @@ class CQServer:
                 result.delta, subscription.previous_result, subscription.digest
             )
             subscription.retain(*self._audited(query, *applied), now)
-            return self._ship(subscription, result.delta, now)
+            return self._ship([subscription], result.delta, now)
 
         new_result = self.db.query(query, self._metrics())
         subscription.last_ts = now
@@ -900,12 +921,12 @@ class CQServer:
                 self._note_refresh(subscription)
                 return False
             subscription.apply(delta, now)
-            return self._ship(subscription, delta, now)
+            return self._ship([subscription], delta, now)
 
         # REEVAL_FULL ships unconditionally: without a retained diff
         # there is no way to know nothing changed.
         subscription.retain(new_result, relation_digest(new_result), now)
-        return self._ship(subscription, None, subscription.last_ts)
+        return self._ship([subscription], None, subscription.last_ts)
 
     # -- introspection -----------------------------------------------------
 

@@ -162,6 +162,64 @@ class TestRoundTrip:
             assert message.wire_size() == encoded_size(message)
 
 
+class TestDeltaFrames:
+    """A delta frame addresses one CQ or several on one connection."""
+
+    def delta(self):
+        schema = Schema.of(("sym", AttributeType.STR), ("price", AttributeType.INT))
+        return DeltaRelation(
+            schema,
+            [
+                DeltaEntry(1, None, ("X", 5), 7),
+                DeltaEntry((2, 3), ("Y", 1), None, 7),
+            ],
+        )
+
+    def test_one_name_payload_is_pinned(self):
+        # A one-name frame carries no name list: these are the bytes
+        # every single-subscriber delta frame has always had.
+        message = DeltaMessage("q", self.delta(), 7, "1:00000000000000ab")
+        assert encode_payload(message) == (
+            b'{"cq":"q","ts":7,"dg":"1:00000000000000ab","t":"delta",'
+            b'"delta":{"schema":[["sym","str"],["price","int"]],'
+            b'"entries":[[1,null,["X",5],7],[[2,3],["Y",1],null,7]]}}'
+        )
+
+    def test_multi_name_frame_round_trips(self):
+        message = DeltaMessage(("a", "b", "c"), self.delta(), 7, "1:00")
+        payload = encode_payload(message)
+        assert b'"more":["b","c"]' in payload
+        back = decode_payload(payload)
+        assert back.cq_names == ("a", "b", "c")
+        assert (back.cq_name, back.delta, back.ts, back.digest) == (
+            "a", self.delta(), 7, "1:00",
+        )
+        # A one-name frame decodes to a one-name tuple.
+        assert decode_payload(
+            encode_payload(DeltaMessage("a", self.delta(), 7))
+        ).cq_names == ("a",)
+
+
+class TestSchemaMemo:
+    def test_equal_schemas_decode_to_one_object(self):
+        first = roundtrip(InitialResultMessage("q", sample_relation(), 1))
+        second = roundtrip(DeltaMessage("r", sample_delta(), 2))
+        assert first.result.schema is second.delta.schema
+        other = Schema.of(("name", AttributeType.STR))
+        third = roundtrip(DeltaMessage("s", DeltaRelation(other, []), 3))
+        assert third.delta.schema == other
+        assert third.delta.schema is not first.result.schema
+
+    def test_bad_type_name_still_raises(self):
+        payload = (
+            b'{"cq":"q","ts":1,"dg":null,"t":"delta",'
+            b'"delta":{"schema":[["sym","no_such_type"]],"entries":[]}}'
+        )
+        for _ in range(2):  # a failed decode is not memoised
+            with pytest.raises(CodecError):
+                decode_payload(payload)
+
+
 class TestFraming:
     def test_frame_is_length_prefixed(self):
         frame = encode_frame(FetchMessage("q"))

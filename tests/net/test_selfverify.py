@@ -32,6 +32,7 @@ from repro.net.messages import DeltaMessage, FullResultMessage
 from repro.net.server import CQServer, Protocol
 from repro.net.service import CQService
 from repro.net.simnet import SimulatedNetwork
+from repro.net.transport import FaultInjector
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.types import AttributeType
@@ -199,6 +200,8 @@ class Deployment:
         self.kind = kind
         self.tamper = None
         self.seen = []
+        #: The CQ of every full-result frame that reached the subscriber.
+        self.resynced = []
 
     async def start(self, **service_kwargs):
         self.db = Database()
@@ -212,7 +215,10 @@ class Deployment:
             self.server.attach(self.client)
             self._hook("receive")
         else:
-            self.service = CQService(self.db, fanout=True, **service_kwargs)
+            self.injector = FaultInjector()
+            self.service = CQService(
+                self.db, fanout=True, injector=self.injector, **service_kwargs
+            )
             self.server = self.service.server
             addr = await self.service.start()
             self.client = CQSession("c1", *addr, backoff_base=0.01)
@@ -232,6 +238,8 @@ class Deployment:
         sync = self.kind is CQClient
 
         def hooked(message):
+            if isinstance(message, FullResultMessage):
+                self.resynced.append(message.cq_name)
             if isinstance(message, DeltaMessage):
                 self.seen.append(message)
                 if self.tamper is not None:
@@ -250,14 +258,45 @@ class Deployment:
         if self.kind is CQClient:
             self.server.refresh_all()
             return
-        due = len(self.seen) + await self.service.refresh()
-        await self.client._wait_for(lambda: len(self.seen) >= due, 10.0)
+        due = self.addressed() + await self.service.refresh()
+        await self.client._wait_for(lambda: self.addressed() >= due, 10.0)
         if heal:
             await self.client._wait_for(self.converged, 10.0)
 
-    def converged(self):
-        held = self.client._results.get("cheap")
-        return held is not None and held == self.db.query(CHEAP)
+    async def lose_next_refresh(self):
+        """One refresh cycle whose frames are all lost: to a partition
+        of the simulated network, or dropped by the TCP fault injector
+        (which the server cannot see)."""
+        if self.kind is CQClient:
+            self.server.network.partition("server", "c1")
+            self.server.refresh_all()
+            self.server.network.heal()
+            return
+        self.injector.drop_rate = 1.0
+        dropped = self.injector.frames_dropped
+        await self.service.refresh()
+        for _ in range(1000):
+            if self.injector.frames_dropped > dropped:
+                break
+            await asyncio.sleep(0.01)
+        self.injector.drop_rate = 0.0
+        assert self.injector.frames_dropped == dropped + 1
+
+    def addressed(self):
+        """Subscriptions the seen frames reached: what ``refresh``
+        counts, one per CQ a shared frame addresses."""
+        return sum(len(message.cq_names) for message in self.seen)
+
+    def converged(self, names=("cheap",)):
+        truth = self.db.query(CHEAP)
+        return all(self.client._results.get(name) == truth for name in names)
+
+    async def settle(self, names):
+        """Wait until every CQ in ``names`` holds the truth (over TCP a
+        resync is a round trip; in-process it has already happened)."""
+        if self.kind is CQSession:
+            await self.client._wait_for(lambda: self.converged(names), 10.0)
+        assert self.converged(names)
 
     def faults(self):
         return (self.client.digest_mismatches, self.client.stale_deltas)
@@ -473,7 +512,9 @@ class TestSteadyState:
                 await d.refresh()
                 for name in ("cheap", "cheap0", "cheap1", "cheap2"):
                     assert d.client.result(name) == d.db.query(CHEAP)
-            assert len(d.seen) == 5 * 4
+            # One frame per cycle addresses all four members.
+            names = ("cheap", "cheap0", "cheap1", "cheap2")
+            assert [m.cq_names for m in d.seen] == [names] * 5
             assert (server_side.rows, client_side.rows) == (0, 0)
             # A k-th member copies the group's digest; only the new
             # client-side copy is digested in full.
@@ -599,6 +640,127 @@ class TestSteadyState:
         assert sub.changed_ts < sub.last_ts
         assert sub.horizon(registered) == registered
         assert sub.horizon(sub.changed_ts) == sub.last_ts
+
+
+class TestSharedFrames:
+    """A routed group's delta crosses each connection once: one frame
+    addresses every DRA_DELTA member the connection holds, and the
+    client applies it once per distinct cached state."""
+
+    MEMBERS = ("cheap", "cheap0", "cheap1", "cheap2")
+
+    async def start(self, d):
+        await d.start()
+        for name in self.MEMBERS[1:]:
+            await d.register(name)
+
+    @staticmethod
+    def count_applies(calls):
+        import repro.net.client
+
+        inner = repro.net.client.apply_delta
+        patch = pytest.MonkeyPatch()
+        patch.setattr(
+            repro.net.client,
+            "apply_delta",
+            lambda *args: calls.append(args) or inner(*args),
+        )
+        return patch
+
+    @both_clients
+    async def test_members_with_one_state_apply_once(self, d):
+        await self.start(d)
+        calls = []
+        patch = self.count_applies(calls)
+        try:
+            d.table.insert((4, "SUN", 60))
+            await d.refresh()
+        finally:
+            patch.undo()
+        assert [m.cq_names for m in d.seen] == [self.MEMBERS]
+        assert len(calls) == 1
+        first, *rest = (d.client.result(name) for name in self.MEMBERS)
+        assert first == d.db.query(CHEAP)
+        # One relation, replaced (never mutated) by the next frame.
+        assert all(result is first for result in rest)
+        assert d.faults() == (0, 0)
+        if d.kind is CQSession:
+            assert d.client.deltas_applied == len(self.MEMBERS)
+            assert {d.client.applied[n] for n in self.MEMBERS} == {d.db.now()}
+
+    @both_clients
+    async def test_diverged_member_resyncs_while_frame_mates_apply(self, d):
+        await self.start(d)
+        held = d.client.result("cheap1")
+        tid = next(iter(held.tids()))
+        d.client._results["cheap1"] = Relation(
+            held.schema, (row for row in held if row.tid != tid)
+        )
+        calls = []
+        patch = self.count_applies(calls)
+        try:
+            d.table.insert((4, "SUN", 60))
+            await d.refresh()
+            await d.settle(self.MEMBERS)
+        finally:
+            patch.undo()
+        assert len(d.seen) == 1
+        # One apply for the three alike, one for the diverged copy.
+        assert len(calls) == 2
+        assert d.faults() == (1, 0)
+        assert d.resynced == ["cheap1"]
+        mates = [d.client.result(n) for n in ("cheap", "cheap0", "cheap2")]
+        assert mates[0] is mates[1] is mates[2]
+
+    @both_clients
+    async def test_lost_shared_frame_heals_every_addressed_member(self, d):
+        await self.start(d)
+        d.table.insert((4, "SUN", 60))
+        await d.lose_next_refresh()
+        if d.kind is CQClient:
+            # The server saw the loss: no member counts as arrived, so
+            # none of their zones moves past the lost frame.
+            for name in self.MEMBERS:
+                s = d.server._subscriptions[("c1", name)]
+                assert s.arrived_ts < s.changed_ts
+        d.table.insert((5, "DEC", 61))
+        await d.refresh()
+        await d.settle(self.MEMBERS)
+        assert len(d.seen) == 1
+        assert d.faults() == (len(self.MEMBERS), 0)
+        assert sorted(d.resynced) == sorted(self.MEMBERS)
+
+    def test_per_cq_bytes_sum_to_the_wire(self):
+        """A shared frame's bytes are split over the CQs it addresses,
+        and each is charged one delivery."""
+        db, table, server, client = build(fanout=True)
+        other = CQClient("c2")
+        server.attach(other)
+        names = ("a", "b", "c")
+        for endpoint in (client, other):
+            for name in names:
+                endpoint.register(name, CHEAP)
+        before = {name: server.stats.counters(name) for name in names}
+        server.network.reset()
+        reached = []
+        for price in (60, 61, 62):
+            table.insert((10 + price, "NEW", price))
+            reached.append(server.refresh_all())
+        assert reached == [6, 6, 6]
+        # One frame per (client, group) and cycle.
+        assert server.network.total.messages == 2 * 3
+        charged = {
+            name: {
+                key: server.stats.counters(name).get(key, 0)
+                - before[name].get(key, 0)
+                for key in (Metrics.BYTES_SENT, Metrics.MESSAGES_SENT)
+            }
+            for name in names
+        }
+        assert sum(c[Metrics.BYTES_SENT] for c in charged.values()) == (
+            server.network.total.bytes
+        )
+        assert all(c[Metrics.MESSAGES_SENT] == 2 * 3 for c in charged.values())
 
 
 class TestConnectTimeout:
