@@ -38,12 +38,10 @@ class LocalBackend:
     def __init__(
         self,
         wal_root: Optional[str] = None,
-        columnar: bool = False,
         fault_hook: Optional[Callable[[int, Message, str], None]] = None,
         shuffle_seed: Optional[int] = None,
     ):
         self.wal_root = wal_root
-        self.columnar = columnar
         self.fault_hook = fault_hook
         self.shards: Dict[int, ShardHost] = {}
         self._rng = (
@@ -62,9 +60,7 @@ class LocalBackend:
     def spawn(self, shard_id: int, decls: Sequence[TableDecl]) -> None:
         if shard_id in self.shards:
             raise ClusterError(f"shard {shard_id} already running")
-        self.shards[shard_id] = ShardHost(
-            shard_id, decls, wal_root=self.wal_root, columnar=self.columnar
-        )
+        self.shards[shard_id] = ShardHost(shard_id, decls, wal_root=self.wal_root)
 
     def kill(self, shard_id: int) -> None:
         if self.shards.pop(shard_id, None) is None:
@@ -90,9 +86,7 @@ class LocalBackend:
             raise ClusterError(
                 "recovery needs a wal_root; this backend is in-memory only"
             )
-        host = ShardHost.recover(
-            shard_id, decls, self.wal_root, columnar=self.columnar
-        )
+        host = ShardHost.recover(shard_id, decls, self.wal_root)
         self.shards[shard_id] = host
         return host.hello()
 

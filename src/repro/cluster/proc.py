@@ -40,7 +40,7 @@ import multiprocessing.connection
 import time
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.errors import ClusterError
+from repro.errors import ClusterError, reject_deleted_arms
 from repro.net.codec import decode_payload, encode_payload
 from repro.net.messages import Message, ShardHelloMessage
 from repro.cluster.shard import ShardHost, TableDecl
@@ -60,7 +60,6 @@ def _shard_worker(
     shard_id: int,
     decls: Sequence[TableDecl],
     wal_root: Optional[str],
-    columnar: bool,
     recovered: bool,
     delay: float = 0.0,
 ) -> None:
@@ -71,13 +70,9 @@ def _shard_worker(
     visible without real query load.
     """
     if recovered:
-        host = ShardHost.recover(
-            shard_id, decls, wal_root, columnar=columnar
-        )
+        host = ShardHost.recover(shard_id, decls, wal_root)
     else:
-        host = ShardHost(
-            shard_id, decls, wal_root=wal_root, columnar=columnar
-        )
+        host = ShardHost(shard_id, decls, wal_root=wal_root)
     conn.send_bytes(encode_payload(host.hello()))
     try:
         while True:
@@ -100,11 +95,11 @@ class ProcessBackend:
     def __init__(
         self,
         wal_root: Optional[str] = None,
-        columnar: bool = False,
+        columnar: bool = True,
         slow: Optional[Dict[int, float]] = None,
     ):
+        reject_deleted_arms("ProcessBackend", columnar=columnar)
         self.wal_root = wal_root
-        self.columnar = columnar
         #: Per-shard injected handling delay in seconds (the
         #: bounded-by-slowest test).
         self.slow = dict(slow or {})
@@ -131,7 +126,6 @@ class ProcessBackend:
                 shard_id,
                 list(decls),
                 self.wal_root,
-                self.columnar,
                 recovered,
                 self.slow.get(shard_id, 0.0),
             ),

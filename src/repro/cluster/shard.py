@@ -1,8 +1,8 @@
 """One cluster shard: a CQ server driven by router scatter messages.
 
-A shard is an ordinary :class:`~repro.net.server.CQServer` (fan-out
-mode, so it owns a predicate index and shared-materialization groups
-for the ``sql_key`` subscriptions routed to it) whose *only* writer is
+A shard is an ordinary :class:`~repro.net.server.CQServer` (so it owns
+a predicate index and shared-materialization groups for the
+``sql_key`` subscriptions routed to it) whose *only* writer is
 the cluster router. Each :class:`~repro.net.messages.ScatterMessage`
 carries one refresh cycle's relevant delta slices; the shard folds them
 into its tables (journaling WAL-first, exactly like a local commit),
@@ -163,7 +163,6 @@ class ClusterShard:
         decls: Sequence[TableDecl],
         metrics: Optional[Metrics] = None,
         wal_root: Optional[str] = None,
-        columnar: bool = False,
         server: Optional[CQServer] = None,
         group: Optional[int] = None,
         wal_path: Optional[str] = None,
@@ -197,8 +196,6 @@ class ClusterShard:
                 SimulatedNetwork(latency_seconds=0.0),
                 name=self._server_name(shard_id, self.group),
                 metrics=self.metrics,
-                fanout=True,
-                columnar=columnar,
             )
         else:
             self.metrics = server.metrics
@@ -225,7 +222,6 @@ class ClusterShard:
         decls: Sequence[TableDecl],
         wal_root: str,
         metrics: Optional[Metrics] = None,
-        columnar: bool = False,
         group: Optional[int] = None,
         wal_path: Optional[str] = None,
         checkpoint_path: Optional[str] = None,
@@ -251,8 +247,6 @@ class ClusterShard:
             checkpoint_path=checkpoint_path,
             network=SimulatedNetwork(latency_seconds=0.0),
             metrics=metrics,
-            fanout=True,
-            columnar=columnar,
         )
         server.name = cls._server_name(
             shard_id, shard_id if group is None else group
@@ -563,12 +557,10 @@ class ShardHost:
         shard_id: int,
         decls: Sequence[TableDecl],
         wal_root: Optional[str] = None,
-        columnar: bool = False,
     ):
         self.shard_id = shard_id
         self.decls = list(decls)
         self.wal_root = wal_root
-        self.columnar = columnar
         self.stores: Dict[int, ClusterShard] = {}
         self.ensure_store(shard_id)
 
@@ -600,7 +592,6 @@ class ShardHost:
                 self.shard_id,
                 self.decls,
                 wal_root=self.wal_root,
-                columnar=self.columnar,
                 group=group,
                 wal_path=wal_path,
             )
@@ -613,18 +604,14 @@ class ShardHost:
         shard_id: int,
         decls: Sequence[TableDecl],
         wal_root: str,
-        columnar: bool = False,
     ) -> "ShardHost":
         """Rebuild every store the host journaled (own + replicas)."""
         host = cls.__new__(cls)
         host.shard_id = shard_id
         host.decls = list(decls)
         host.wal_root = wal_root
-        host.columnar = columnar
         host.stores = {}
-        host.stores[shard_id] = ClusterShard.recover(
-            shard_id, decls, wal_root, columnar=columnar
-        )
+        host.stores[shard_id] = ClusterShard.recover(shard_id, decls, wal_root)
         replica_root = host._replica_root()
         pattern = os.path.join(replica_root, "shard-*", "wal.log")
         for wal_path in sorted(glob.glob(pattern)):
@@ -637,7 +624,6 @@ class ShardHost:
                 shard_id,
                 decls,
                 wal_root,
-                columnar=columnar,
                 group=group,
                 wal_path=wal_path,
                 checkpoint_path=os.path.join(

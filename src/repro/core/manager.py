@@ -36,7 +36,7 @@ from typing import (
     Union,
 )
 
-from repro.errors import RegistrationError
+from repro.errors import RegistrationError, reject_deleted_arms
 from repro.metrics import Metrics
 from repro.obs.stats import CQStats, TeeMetrics
 from repro.obs.table import format_table
@@ -103,15 +103,10 @@ class CQManager:
         tracer: Optional[Tracer] = None,
         slow_refresh_us: Optional[float] = None,
         fanout: bool = False,
-        columnar: bool = False,
+        columnar: bool = True,
     ):
+        reject_deleted_arms("CQManager", columnar=columnar)
         self.db = db
-        #: Columnar term evaluation (DESIGN.md §11): every DRA refresh
-        #: this manager runs executes through the struct-of-arrays
-        #: kernel pipelines in :mod:`repro.dra.kernels` instead of the
-        #: per-row interpreter. Results are identical; the per-kernel
-        #: cost shows up as ``kernel_calls``/``kernel_rows`` counters.
-        self.columnar = columnar
         #: ``durability=`` accepts a WriteAheadLog (or path) and attaches
         #: it to the database, so every commit *and* every CQ
         #: register/deregister below is journaled; recovery goes through
@@ -844,7 +839,6 @@ class CQManager:
                 now,
                 self._refresh_metrics(),
                 prepared=self._prepared_for(cq),
-                columnar=self.columnar,
             )
         elif deltas:
             result = dra_execute(
@@ -855,7 +849,6 @@ class CQManager:
                 metrics=self._refresh_metrics(),
                 prepared=self._prepared_for(cq),
                 tracer=self.tracer,
-                columnar=self.columnar,
                 seeds=seeds,
             )
             cq.maintained_result = result.delta.apply_to(cq.maintained_result)
@@ -921,7 +914,6 @@ class CQManager:
                     metrics=self._refresh_metrics(),
                     prepared=self._prepared_for(cq),
                     tracer=self.tracer,
-                    columnar=self.columnar,
                     seeds=seeds,
                 )
                 span.set(
@@ -1180,8 +1172,7 @@ class CQManager:
                     "rows_scanned": cost.get(Metrics.ROWS_SCANNED, 0),
                     "delta_rows_read": cost.get(Metrics.DELTA_ROWS_READ, 0),
                     "refreshes": cost.get(Metrics.CQ_REFRESHES, 0),
-                    # Columnar kernel attribution (DESIGN.md §11):
-                    # non-zero only for refreshes run with columnar=True.
+                    # Kernel attribution (DESIGN.md §11).
                     "kernel_calls": cost.get(Metrics.KERNEL_CALLS, 0),
                     "rows_per_kernel_call": (
                         round(

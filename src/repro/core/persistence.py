@@ -229,7 +229,6 @@ def manager_to_dict(manager: CQManager) -> Dict[str, Any]:
         "auto_gc": manager.auto_gc,
         "history_limit": manager.history_limit,
         "fanout": manager.fanout_index is not None,
-        "columnar": manager.columnar,
         "last_result_ts": last_result_ts,
         "cqs": cqs,
     }
@@ -255,7 +254,9 @@ def manager_from_dict(data: Dict[str, Any], metrics=None) -> CQManager:
 
     :meth:`CQManager.restore` installs each CQ as of its checkpointed
     window start; the window itself (the updates after
-    ``last_execution_ts``) is preserved in the restored logs.
+    ``last_execution_ts``) is preserved in the restored logs. The
+    kernel flag older checkpoints carry is ignored: DRA always runs the
+    kernels.
     """
     if data.get("format") != FORMAT_VERSION:
         raise CheckpointError(
@@ -268,7 +269,6 @@ def manager_from_dict(data: Dict[str, Any], metrics=None) -> CQManager:
         metrics=metrics,
         history_limit=data.get("history_limit", 0),
         fanout=data.get("fanout", False),
-        columnar=data.get("columnar", False),
     )
     last_result_ts = data.get("last_result_ts", {})
     manager.restore(
@@ -346,13 +346,7 @@ def _subscription_entries(server) -> List[Dict[str, Any]]:
     ]
 
 
-def server_from_dict(
-    data: Dict[str, Any],
-    network=None,
-    metrics=None,
-    fanout: bool = False,
-    columnar: bool = False,
-):
+def server_from_dict(data: Dict[str, Any], network=None, metrics=None):
     """Restore a CQ server from :func:`server_to_dict`.
 
     :meth:`CQServer.restore` rebuilds each retained result as of its
@@ -373,8 +367,6 @@ def server_from_dict(
         network if network is not None else SimulatedNetwork(),
         name=data["name"],
         metrics=metrics,
-        fanout=fanout,
-        columnar=columnar,
     )
     server.restore(
         (e["client"], e["cq"], e["sql"], e["protocol"], e["last_ts"])
@@ -397,10 +389,8 @@ def save_server(server, path: str) -> None:
             )
 
 
-def load_server(path: str, network=None, metrics=None, fanout=False, columnar=False):
-    return server_from_dict(
-        read_checkpoint(path), network, metrics, fanout=fanout, columnar=columnar
-    )
+def load_server(path: str, network=None, metrics=None):
+    return server_from_dict(read_checkpoint(path), network, metrics)
 
 
 # -- crash recovery (checkpoint + WAL suffix) ---------------------------------
@@ -459,8 +449,6 @@ def recover_server(
     checkpoint_path: Optional[str] = None,
     network=None,
     metrics=None,
-    fanout: bool = False,
-    columnar: bool = False,
 ):
     """Rebuild a CQ server after a crash: checkpoint + WAL suffix, by
     :func:`recover_manager`'s rule — a journaled subscription is
@@ -470,16 +458,12 @@ def recover_server(
     from repro.net.simnet import SimulatedNetwork
 
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        server = load_server(
-            checkpoint_path, network, metrics, fanout=fanout, columnar=columnar
-        )
+        server = load_server(checkpoint_path, network, metrics)
     else:
         server = CQServer(
             Database(),
             network if network is not None else SimulatedNetwork(),
             metrics=metrics,
-            fanout=fanout,
-            columnar=columnar,
         )
     db = server.db
     desired = _replay_wal(

@@ -10,9 +10,11 @@ See DESIGN.md S4. Entry points:
 * :func:`diff_select` / :func:`diff_project` / :func:`diff_join` — the
   paper's named differential operator forms;
 * :func:`is_relevant` — Section 5.2's irrelevant-update pre-test;
-* :class:`ColumnBatch` / :class:`TermKernel` — the columnar kernel
-  layer behind ``dra_execute(columnar=True)``: struct-of-arrays
-  batches swept by plan-specialized kernels;
+* :class:`ColumnBatch` / :class:`TermKernel` — the kernel layer every
+  ``dra_execute`` runs: struct-of-arrays batches swept by
+  plan-specialized kernels. The per-row interpreter
+  (``columnar=False``) is kept only as the reference the tests and E15
+  check the kernels against;
 * :class:`PredicateIndex` — the Section 5.2 relevance test turned into
   a shared attribute index over every subscription's local predicates,
   routing one consolidated delta batch to the affected subscriptions.

@@ -80,15 +80,15 @@ class DifferentialAggregate:
         ts: Timestamp,
         metrics: Optional[Metrics] = None,
         prepared=None,
-        columnar: bool = False,
+        columnar: bool = True,
     ) -> DeltaRelation:
         """Fold the base-table deltas in; returns the aggregate delta.
 
         ``prepared`` is an optional pre-compiled plan for the SPJ core
         (see :func:`repro.dra.prepared.prepare_cq`) — the manager hands
         its cached one through so the core's differential never
-        replans. ``columnar`` selects the struct-of-arrays kernel
-        evaluator for the core differential (DESIGN.md §11).
+        replans. The core differential runs the kernels (DESIGN.md
+        §11); ``columnar=False`` is the row-interpreter reference.
         """
         if not self._initialized:
             raise ReproError("call initialize() before update()")

@@ -61,7 +61,7 @@ def dra_execute(
     explain: bool = False,
     prepared: Optional[PreparedCQ] = None,
     tracer=None,
-    columnar: bool = False,
+    columnar: bool = True,
     seeds: Optional[Mapping[str, SignedColumns]] = None,
 ) -> DRAResult:
     """Differentially re-evaluate ``query`` against ``db``.
@@ -76,10 +76,11 @@ def dra_execute(
     caller — typically a plan cache — is responsible for staleness);
     omitted, the query is prepared here, once, for this execution.
     ``tracer`` (a :class:`repro.obs.trace.Tracer`) wraps each evaluated
-    truth-table term in a ``dra.term`` span. With ``columnar=True``,
-    terms execute as compiled struct-of-arrays kernel pipelines
-    (:mod:`repro.dra.kernels`) instead of the per-row interpreter —
-    identical results, batch-at-a-time work. ``seeds`` is the routed
+    truth-table term in a ``dra.term`` span. Terms execute as compiled
+    struct-of-arrays kernel pipelines (:mod:`repro.dra.kernels`);
+    ``columnar=False`` runs the per-row interpreter instead, the
+    reference the tests and E15 compare the kernels against (identical
+    results, row-at-a-time work). ``seeds`` is the routed
     entry of a predicate-index pass over exactly these ``deltas``
     (:meth:`~repro.dra.predindex.PredicateIndex.match_batch`): per
     alias, the signed sides that already passed its local predicate —

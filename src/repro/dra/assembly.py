@@ -202,9 +202,6 @@ class DRAResult:
             )
         return self.delta.apply_to(self.previous)
 
-    def has_changes(self) -> bool:
-        return not self.delta.is_empty()
-
     def __repr__(self) -> str:
         return (
             f"DRAResult({self.delta!r}, ts={self.ts}, "

@@ -12,6 +12,26 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
+#: What a keyword kept only for its existing ``True`` callers once
+#: selected when ``False``.
+_DELETED_ARMS = {
+    "fanout": "the server's per-subscription DRA arm (every DRA "
+    "subscription belongs to its sql_key group)",
+    "columnar": "the row interpreter as a serving path (DRA always runs "
+    "the kernels)",
+}
+
+
+def reject_deleted_arms(owner: str, **flags: bool) -> None:
+    """Raise ``TypeError`` for a flag that asks for a deleted arm: each
+    of ``flags`` still accepts ``True`` and selects nothing."""
+    for name, value in flags.items():
+        if value is not True:
+            raise TypeError(
+                f"{owner}({name}={value!r}): {_DELETED_ARMS[name]} was deleted"
+            )
+
+
 class SchemaError(ReproError):
     """A schema is malformed or two schemas are incompatible."""
 

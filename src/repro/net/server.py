@@ -59,15 +59,15 @@ class Protocol(enum.Enum):
     REEVAL_FULL = "reeval_full"
 
 
-#: Refreshed differentially: members of a :class:`SharedGroup` when
-#: the server has a fan-out index.
+#: Refreshed differentially, always as members of their ``sql_key``'s
+#: :class:`SharedGroup`; every other protocol is refreshed alone.
 _DRA = (Protocol.DRA_DELTA, Protocol.DRA_LAZY)
 
 
 class Subscription:
     """One client's registration of one continual query, built by
-    :meth:`CQServer._install` only. A group member has no window of its
-    own: ``last_ts`` is its group's."""
+    :meth:`CQServer._install` only. A DRA subscription is a group
+    member and has no window of its own: ``last_ts`` is its group's."""
 
     __slots__ = (
         "client_id",
@@ -140,11 +140,9 @@ class Subscription:
         member's copy ∘ pending *is* the group's result, so it is
         aliased, not recomputed."""
         pending, self.pending_delta = self.pending_delta, None
-        ts = self.changed_ts if pending is None else self.last_ts
         if self.group is not None:
+            ts = self.changed_ts if pending is None else self.last_ts
             self.retain(self.group.result, self.group.digest, ts)
-        elif pending is not None:
-            self.apply(pending, ts)
         return pending
 
     def horizon(self, applied: Timestamp) -> Timestamp:
@@ -167,13 +165,24 @@ class SharedGroup:
 
     The group owns the fan-out unit of work: one predicate-index entry
     (``sub_id`` = ``sql_key``), one maintained result, one refresh
-    window ``(last_ts, now]`` and one DRA evaluation per cycle.
-    ``result`` is only ever *replaced* (``apply_delta`` returns a fresh
-    relation), never mutated in place, so member subscriptions alias it
-    as their retained copy and lazily-degraded snapshots stay coherent.
+    window ``(last_ts, now]`` and one DRA evaluation per cycle, whose
+    counters ``cost`` accumulates for every member's :meth:`CQServer.
+    describe` record. ``result`` is only ever *replaced*
+    (``apply_delta`` returns a fresh relation), never mutated in place,
+    so member subscriptions alias it as their retained copy and
+    lazily-degraded snapshots stay coherent.
     """
 
-    __slots__ = ("sql_key", "query", "tables", "members", "result", "digest", "last_ts")
+    __slots__ = (
+        "sql_key",
+        "query",
+        "tables",
+        "members",
+        "result",
+        "digest",
+        "last_ts",
+        "cost",
+    )
 
     def __init__(
         self,
@@ -189,6 +198,9 @@ class SharedGroup:
         #: Members by ``(client_id, cq_name)``, in joining order.
         self.members: Dict[Tuple[str, str], Subscription] = {}
         self.last_ts = last_ts
+        #: Counters charged by the group's evaluations, once per routed
+        #: cycle however many members share it.
+        self.cost: Dict[str, int] = {}
         self.retain(result, digest)
 
     def retain(self, result: Relation, digest: str) -> None:
@@ -202,21 +214,22 @@ class CQServer:
     """Hosts the database and serves continual-query subscriptions.
 
     A refresh cycle has one shape whatever the protocol mix: every
-    subscription's window is consolidated through one per-cycle
-    :class:`~repro.core.scheduler.DeltaBatchCache` (subscriptions with
+    group's window is consolidated through one per-cycle
+    :class:`~repro.core.scheduler.DeltaBatchCache` (groups with
     *different* queries still share one update-log pass per (table,
     window) — observable as ``delta_batches_reused``), every
     differential evaluation runs through :meth:`_evaluate`, and every
     result delta leaves through :meth:`_ship`.
 
-    With ``fanout`` (the Section 5.2 "extracting common subexpressions"
-    refinement applied at subscription granularity), DRA subscriptions
-    with the same query text form a :class:`SharedGroup` that is
-    evaluated once per cycle and whose delta is shipped once to each
-    client holding members, in one frame addressing all of them
-    — server compute per cycle is independent of the subscriber count
-    (experiment E3b). A group's window moves in :meth:`_refresh_group`
-    only; a member never has its own.
+    Every DRA subscription belongs to the :class:`SharedGroup` of its
+    query text (the Section 5.2 "extracting common subexpressions"
+    refinement applied at subscription granularity): a group is routed
+    by the predicate index, evaluated once per cycle, and its delta is
+    shipped once to each client holding members, in one frame
+    addressing all of them — server compute per cycle is independent
+    of the subscriber count (experiment E3b). A group's window moves in
+    :meth:`_refresh_group` only; a member never has its own. Only the
+    REEVAL_* baselines refresh alone.
     """
 
     def __init__(
@@ -227,15 +240,9 @@ class CQServer:
         metrics: Optional[Metrics] = None,
         audit_interval: int = 0,
         tracer: Optional[Tracer] = None,
-        fanout: bool = False,
-        columnar: bool = False,
     ):
         self.db = db
         self.network = network
-        #: Columnar term evaluation (DESIGN.md §11): refreshes run the
-        #: struct-of-arrays kernel pipelines instead of the per-row
-        #: interpreter; deltas shipped to clients are identical.
-        self.columnar = columnar
         self.name = name
         self.metrics = metrics if metrics is not None else Metrics()
         #: Observability (DESIGN.md §9): spans around each
@@ -243,9 +250,11 @@ class CQServer:
         #: cumulative cost attribution in ``stats``.
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.stats = CQStats()
-        # Installed around one subscription's refresh: a scoped
-        # TeeMetrics that also charges self.metrics, feeding stats.
-        self._scoped_metrics: Optional[TeeMetrics] = None
+        # Installed around one solo refresh (a scoped TeeMetrics that
+        # also charges self.metrics, feeding stats) or one group
+        # evaluation (a bag merged into self.metrics and the group's
+        # cost afterwards).
+        self._scoped_metrics: Optional[Metrics] = None
         #: Sampled self-audit: every ``audit_interval``-th differential
         #: refresh also runs a full re-evaluation and compares digests,
         #: counting (and healing) any divergence between the maintained
@@ -263,8 +272,8 @@ class CQServer:
         self.zones = ActiveDeltaZones(db)
         self._clients: Dict[str, "object"] = {}
         self._subscriptions: Dict[Tuple[str, str], Subscription] = {}
-        #: Those in no group (REEVAL_* baselines; all of a server
-        #: without a fan-out index), refreshed one by one.
+        #: Those in no group — the REEVAL_* baselines only — refreshed
+        #: one by one.
         self._solo: Dict[Tuple[str, str], Subscription] = {}
         # Subscriptions per CQ name, the key ``stats`` attributes cost
         # under: the last holder to leave takes the name's stats along.
@@ -277,9 +286,7 @@ class CQServer:
         #: subscribers. Detached members are skipped (their zones keep
         #: the replay window); deregistering the last member drops the
         #: group and its index entry.
-        self.fanout_index: Optional[PredicateIndex] = (
-            PredicateIndex(self.metrics) if fanout else None
-        )
+        self.fanout_index = PredicateIndex(self.metrics)
         self._groups: Dict[str, SharedGroup] = {}
 
     # -- wiring ------------------------------------------------------------
@@ -500,7 +507,7 @@ class CQServer:
                 window = self.db.now()
                 result = evaluate_as_of(query, self.db, window, self.metrics)
             digest = relation_digest(result)
-            if protocol in _DRA and self.fanout_index is not None:
+            if protocol in _DRA:
                 # The first subscription of a template pays that E_0
                 # for its group, and installs the index entry.
                 group = self._groups[sql_key] = SharedGroup(
@@ -569,15 +576,14 @@ class CQServer:
 
         One predicate-index pass per (footprint, window) decides which
         ``sql_key`` groups see relevant entries this cycle. Everyone in
-        no group — REEVAL baselines, every subscription of a server
-        without fan-out — refreshes alone."""
+        no group — the REEVAL baselines — refreshes alone."""
         now = self.db.now()
         cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
         sent = 0
         for group in list(self._groups.values()):
             sent += self._refresh_group(group, cache, now)
         for subscription in list(self._solo.values()):
-            sent += self._refresh_scoped(subscription, cache)
+            sent += self._refresh_scoped(subscription)
         return sent
 
     def _refresh_group(
@@ -594,31 +600,56 @@ class CQServer:
 
         An unrouted group advances without evaluating anything (the
         Section 5.2 relevance theorem makes its result delta provably
-        empty); a routed one evaluates once and fans the delta out: one
+        empty); a routed one evaluates once — charged to the group's
+        ``cost``, not to any member — and fans the delta out: one
         frame per attached client, addressing all of its DRA_DELTA
         members, whose retained copies are now the one group result.
         Lazy members are announced one by one. Detached members are
         skipped, not raised on — their zones hold the replay window for
         reconnect. Returns the subscriptions reached."""
         since = group.last_ts
-        deltas, routed = cache.routed(self.fanout_index, group.tables, since, now)
+        try:
+            deltas, routed = cache.routed(
+                self.fanout_index, group.tables, since, now
+            )
+        except ValueError:
+            # GC retired the window while no member's zone held it (each
+            # was released on disconnect): the group catches up by
+            # complete re-evaluation, as a replay past GC does.
+            deltas = routed = None
         group.last_ts = now
         members = [s for s in group.members.values() if s is not skip]
         delta = None
-        seeds = routed.get(group.sql_key)
-        if seeds is not None:
-            result = self._evaluate(
-                group.query,
-                group.sql_key,
-                deltas,
-                now,
-                group.result,
-                seeds,
-            )
-            if result.has_changes():
-                applied = apply_delta(result.delta, group.result, group.digest)
-                group.retain(*self._audited(group.query, *applied))
-                delta = result.delta
+        if routed is None or group.sql_key in routed:
+            # The evaluation charges a bag of its own, folded into the
+            # shared one and the group's cost when it is done: one
+            # record per routed cycle however many members share it (a
+            # TeeMetrics would charge both bags on every count).
+            scoped = self._scoped_metrics = Metrics()
+            try:
+                if routed is None:
+                    evaluated = diff(
+                        group.result, self.db.query(group.query, scoped), now
+                    )
+                else:
+                    evaluated = self._evaluate(
+                        group.query,
+                        group.sql_key,
+                        deltas,
+                        now,
+                        group.result,
+                        routed[group.sql_key],
+                    ).delta
+                if not evaluated.is_empty():
+                    applied = apply_delta(evaluated, group.result, group.digest)
+                    group.retain(*self._audited(group.query, *applied))
+                    delta = evaluated
+            finally:
+                self._scoped_metrics = None
+                self.metrics.merge(scoped)
+                cost = group.cost
+                for name, value in scoped.snapshot().items():
+                    cost[name] = cost.get(name, 0) + value
             if len(members) > 1:
                 self.metrics.count(
                     Metrics.SHARED_GROUP_HITS, len(members) - 1
@@ -643,9 +674,7 @@ class CQServer:
                     sent += len(bucket)
         return sent
 
-    def _refresh_scoped(
-        self, subscription: Subscription, cache: DeltaBatchCache
-    ) -> bool:
+    def _refresh_scoped(self, subscription: Subscription) -> bool:
         """Refresh one subscription on its own, inside a ``sub.refresh``
         span, with its counter charges scoped: the tee still charges
         the shared bag, the scoped copy feeds the per-CQ attribution
@@ -660,7 +689,7 @@ class CQServer:
         )
         with span:
             try:
-                delivered = self._refresh_one(subscription, cache)
+                delivered = self._refresh_one(subscription)
             finally:
                 self._scoped_metrics = None
                 counters = {
@@ -682,12 +711,11 @@ class CQServer:
         seeds=None,
     ):
         """The one evaluate step: every differential evaluation this
-        server runs — group refresh, private refresh, reconnect
-        replay — so all of them charge the scoped metrics,
-        share the prepared plan cached under ``sql_key``, emit
-        ``dra.term`` spans and honour ``columnar``. ``seeds`` is the
+        server runs — group refresh and reconnect replay — so all of
+        them charge the scoped metrics, share the prepared plan cached
+        under ``sql_key`` and emit ``dra.term`` spans. ``seeds`` is the
         group's routed entry for exactly these ``deltas`` (the sides
-        the index already selected); the unrouted callers filter."""
+        the index already selected); a replay filters its own."""
         return dra_execute(
             query,
             self.db,
@@ -697,7 +725,6 @@ class CQServer:
             metrics=self._metrics(),
             prepared=self.plans.get(sql_key, query),
             tracer=self.tracer,
-            columnar=self.columnar,
             seeds=seeds,
         )
 
@@ -846,23 +873,16 @@ class CQServer:
         )
         # Bring the retained copy to state(now), any un-fetched lazy
         # delta folded in: a member by aligning it to its group, whose
-        # window moves for everyone else as in any cycle.
+        # window moves for everyone else as in any cycle; a REEVAL
+        # baseline by re-evaluating, as its every refresh does.
         group = subscription.group
         if group is not None:
             cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
             self._refresh_group(group, cache, now, skip=subscription)
             subscription.fold()
-        elif differential:
-            subscription.fold()
-            own_window = deltas_since(tables, subscription.last_ts)
-            realigned = self._evaluate(
-                query, sql_key, own_window, now, subscription.previous_result
-            )
-            subscription.apply(realigned.delta, now)
         else:
             result = self.db.query(query, self.metrics)
             subscription.retain(result, relation_digest(result), now)
-            subscription.pending_delta = None
         subscription.last_ts = now
         self.zones.register(
             self._zone(client_id, cq_name), tuple(query.table_names), since_ts
@@ -883,37 +903,11 @@ class CQServer:
             self._ship([subscription], replayed.delta, now)
         return True
 
-    def _refresh_one(
-        self, subscription: Subscription, cache: DeltaBatchCache
-    ) -> bool:
-        """Refresh one subscription in no group over its own window
-        (the DRA branch: the index-less E3b/E11 ablation arm only)."""
+    def _refresh_one(self, subscription: Subscription) -> bool:
+        """Refresh one REEVAL_* subscription: complete re-evaluation,
+        shipped as a diff or whole."""
         now = self.db.now()
-        query = subscription.query
-        if subscription.protocol in _DRA:
-            # A lazy subscription's retained copy trails its pending
-            # accumulation, so it cannot serve as the evaluation's base.
-            lazy = subscription.protocol is Protocol.DRA_LAZY
-            result = self._evaluate(
-                query,
-                subscription.sql_key,
-                cache.deltas(set(query.table_names), subscription.last_ts, now),
-                now,
-                None if lazy else subscription.previous_result,
-            )
-            subscription.last_ts = now
-            if lazy:
-                return self._announce_lazy(subscription, result.delta, now)
-            if not result.has_changes():
-                self._note_refresh(subscription)
-                return False
-            applied = apply_delta(
-                result.delta, subscription.previous_result, subscription.digest
-            )
-            subscription.retain(*self._audited(query, *applied), now)
-            return self._ship([subscription], result.delta, now)
-
-        new_result = self.db.query(query, self._metrics())
+        new_result = self.db.query(subscription.query, self._metrics())
         subscription.last_ts = now
         if subscription.protocol is Protocol.REEVAL_DELTA:
             delta = diff(subscription.previous_result, new_result, now)
@@ -942,8 +936,12 @@ class CQServer:
             if not holds:
                 raise AssertionError(message)
 
-        index = self.fanout_index if self.fanout_index is not None else ()
+        index = self.fanout_index
         law(len(index) == len(self._groups), "index entries != groups")
+        law(
+            all(s.protocol not in _DRA for s in self._solo.values()),
+            "a DRA subscription refreshes alone: _solo holds REEVAL_* only",
+        )
         placed = dict(self._solo)
         for sql_key, group in self._groups.items():
             placed.update(group.members)
@@ -987,7 +985,11 @@ class CQServer:
         out = []
         for (client_id, cq_name), sub in self._subscriptions.items():
             pending = sub.pending_delta
-            cost = self.stats.counters(cq_name)
+            # The CQ's own frames (or solo refreshes) plus, for a group
+            # member, the evaluations its group ran for everyone.
+            cost = Counter(self.stats.counters(cq_name))
+            if sub.group is not None:
+                cost.update(sub.group.cost)
             out.append(
                 {
                     "client": client_id,
@@ -1002,7 +1004,7 @@ class CQServer:
                     "rows_scanned": cost.get(Metrics.ROWS_SCANNED, 0),
                     "delta_rows_read": cost.get(Metrics.DELTA_ROWS_READ, 0),
                     "bytes_sent": cost.get(Metrics.BYTES_SENT, 0),
-                    # Columnar kernel attribution (DESIGN.md §11).
+                    # Kernel attribution (DESIGN.md §11).
                     "kernel_calls": cost.get(Metrics.KERNEL_CALLS, 0),
                     "rows_per_kernel_call": (
                         round(
@@ -1066,19 +1068,18 @@ class CQServer:
                 f"rows={m.get(Metrics.KERNEL_ROWS)} "
                 f"rows_per_call={m.get(Metrics.KERNEL_ROWS) / calls:.1f}"
             )
-        if self.fanout_index is not None:
-            info = self.fanout_index.describe()
-            report += (
-                f"\nfanout: groups={len(self._groups)} "
-                f"indexed={info['subscriptions']} "
-                f"eq={info['eq_entries']} "
-                f"interval={info['interval_entries']} "
-                f"scan={info['scan_entries']} stale={info['stale']} "
-                f"probes={m.get(Metrics.PREDINDEX_PROBES)} "
-                f"matches={m.get(Metrics.PREDINDEX_MATCHES)} "
-                f"shared_groups={m.get(Metrics.SHARED_GROUPS)} "
-                f"group_hits={m.get(Metrics.SHARED_GROUP_HITS)}"
-            )
+        info = self.fanout_index.describe()
+        report += (
+            f"\nfanout: groups={len(self._groups)} "
+            f"indexed={info['subscriptions']} "
+            f"eq={info['eq_entries']} "
+            f"interval={info['interval_entries']} "
+            f"scan={info['scan_entries']} stale={info['stale']} "
+            f"probes={m.get(Metrics.PREDINDEX_PROBES)} "
+            f"matches={m.get(Metrics.PREDINDEX_MATCHES)} "
+            f"shared_groups={m.get(Metrics.SHARED_GROUPS)} "
+            f"group_hits={m.get(Metrics.SHARED_GROUP_HITS)}"
+        )
         return report
 
     def __repr__(self) -> str:

@@ -33,7 +33,7 @@ import asyncio
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
-from repro.errors import NetworkError, RegistrationError
+from repro.errors import NetworkError, RegistrationError, reject_deleted_arms
 from repro.metrics import Metrics
 from repro.storage.database import Database
 from repro.net.messages import (
@@ -222,9 +222,10 @@ class CQService:
         durability=None,
         audit_interval: int = 0,
         tracer=None,
-        fanout: bool = False,
-        columnar: bool = False,
+        fanout: bool = True,
+        columnar: bool = True,
     ):
+        reject_deleted_arms("CQService", fanout=fanout, columnar=columnar)
         self.db = db
         self.metrics = metrics if metrics is not None else (
             server.metrics if server is not None else Metrics()
@@ -250,16 +251,12 @@ class CQService:
                 metrics=self.metrics,
                 audit_interval=audit_interval,
                 tracer=tracer,
-                fanout=fanout,
-                columnar=columnar,
             )
         else:
             if audit_interval and not server.audit_interval:
                 server.audit_interval = audit_interval
             if tracer is not None:
                 server.tracer = tracer
-            if columnar:
-                server.columnar = True
         self.server = server
         self.tracer = server.tracer
         self.host = host
@@ -296,11 +293,7 @@ class CQService:
 
         metrics = metrics if metrics is not None else Metrics()
         server = recover_server(
-            wal_path,
-            checkpoint_path=checkpoint_path,
-            metrics=metrics,
-            fanout=kwargs.get("fanout", False),
-            columnar=kwargs.get("columnar", False),
+            wal_path, checkpoint_path=checkpoint_path, metrics=metrics
         )
         return cls(server.db, metrics=metrics, server=server, **kwargs)
 
@@ -509,8 +502,8 @@ class CQService:
             "server": self.server.name,
             "now": self.db.now(),
             "counters": counters,
-            # Columnar kernel efficiency (DESIGN.md §11): average rows
-            # per kernel invocation; 0 until a columnar refresh runs.
+            # Kernel efficiency (DESIGN.md §11): average rows per kernel
+            # invocation; 0 until a DRA refresh runs.
             "rows_per_kernel_call": (
                 round(counters.get(Metrics.KERNEL_ROWS, 0) / kernel_calls, 3)
                 if kernel_calls

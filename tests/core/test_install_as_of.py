@@ -130,25 +130,40 @@ class TestCheckpointAfterGC:
 
 
 class TestConfigurationSurvives:
-    def test_checkpoint_records_fanout_and_columnar(self):
-        db, market, mgr = market_manager(fanout=True, columnar=True)
+    def test_checkpoint_records_fanout(self):
+        db, market, mgr = market_manager(fanout=True)
         mgr.register_sql("watch", WATCH)
         data = manager_to_dict(mgr)
-        assert data["fanout"] is True and data["columnar"] is True
+        assert data["fanout"] is True and "columnar" not in data
         restored = manager_from_dict(data)
-        assert restored.fanout_index is not None and restored.columnar
+        assert restored.fanout_index is not None
         assert len(restored.fanout_index) == 1
-        # A checkpoint from before the keys existed: the defaults.
-        del data["fanout"], data["columnar"]
+        # A checkpoint from before the key existed: the default.
+        del data["fanout"]
         plain = manager_from_dict(data)
-        assert plain.fanout_index is None and not plain.columnar
+        assert plain.fanout_index is None
+
+    def test_a_checkpoint_asking_for_the_row_interpreter_runs_kernels(self):
+        """Checkpoints written while the kernels were opt-in carry
+        ``"columnar": false``; the key selects nothing any more."""
+        db, market, mgr = market_manager()
+        mgr.register_sql("watch", WATCH)
+        data = json.loads(json.dumps(manager_to_dict(mgr)))
+        data["columnar"] = False
+        metrics = Metrics()
+        restored = manager_from_dict(data, metrics=metrics)
+        restored.db.table("stocks").insert((9_001, "NEW", 900))
+        restored.poll()
+        assert metrics.get(Metrics.KERNEL_CALLS) > 0
+        cq = restored.get("watch")
+        assert cq.previous_result == restored.db.query(WATCH)
 
     def test_recovered_manager_has_index_kernels_and_counting_plans(self, tmp_path):
         wal, ckpt = str(tmp_path / "site.wal"), str(tmp_path / "site.ckpt")
         db = Database()
         mgr = CQManager(
             db, strategy=EvaluationStrategy.PERIODIC, fanout=True,
-            columnar=True, durability=wal, metrics=Metrics(),
+            durability=wal, metrics=Metrics(),
         )
         market = StockMarket(db, seed=5)
         market.populate(60)
@@ -159,11 +174,12 @@ class TestConfigurationSurvives:
 
         metrics = Metrics()
         recovered = recover_manager(wal, ckpt, metrics=metrics)
-        assert recovered.fanout_index is not None and recovered.columnar
+        assert recovered.fanout_index is not None
         assert recovered.metrics is metrics and recovered.plans.metrics is metrics
         assert metrics.get(Metrics.PLANS_PREPARED) == 1
         assert "plans: prepared=1" in recovered.status_report()
         recovered.poll()
+        assert metrics.get(Metrics.KERNEL_CALLS) > 0
         assert recovered.get("watch").previous_result == recovered.db.query(WATCH)
 
 
@@ -238,7 +254,7 @@ class TestFilesWrittenByTheParentCommit:
 
     def test_checkpoint_loads_and_resumes_differentially(self):
         mgr = load_manager(str(DATA / "parent_manager.ckpt"))
-        assert mgr.fanout_index is None and not mgr.columnar
+        assert mgr.fanout_index is None
         assert mgr.get("once").status is CQStatus.STOPPED
         assert mgr.get("watch").executions == 2
         # Checkpointed with an insert and a delete pending.

@@ -160,7 +160,7 @@ class TestMembersReceive:
 
     def test_one_group_fifty_members_one_evaluation(self, db, stocks):
         """(i)"""
-        mgr = make_manager(db, columnar=True)
+        mgr = make_manager(db)
         order = []
         members = [
             mgr.register_sql(f"w{i}", WATCH, on_notify=order.append)
@@ -293,7 +293,7 @@ class TestMembersReceive:
             "t", [("k", AttributeType.INT), ("v", AttributeType.INT)]
         )
         tids = table.insert_many([(g, 0) for g in range(300)])
-        mgr = make_manager(db, columnar=True)
+        mgr = make_manager(db)
         sqls = [f"SELECT k, v FROM t WHERE k = {g}" for g in range(300)]
         for round_ in range(2):
             for g, sql in enumerate(sqls):

@@ -53,16 +53,12 @@ def reconstructions(monkeypatch):
     return calls
 
 
-both_servers = pytest.mark.parametrize("fanout", [False, True])
-
-
 class TestCheckpointRoundTrip:
-    @both_servers
     def test_subscriptions_and_positions_survive(
-        self, tmp_path, fanout, reconstructions
+        self, tmp_path, reconstructions
     ):
         db, market = build_market()
-        server = CQServer(db, SimulatedNetwork(), fanout=fanout)
+        server = CQServer(db, SimulatedNetwork())
         for name in ("c1", "c2", "c3"):
             client = CQClient(name)
             server.attach(client)
@@ -73,9 +69,9 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "server.json"
         save_server(server, str(path))
         del reconstructions[:]
-        restored = load_server(str(path), fanout=fanout)
+        restored = load_server(str(path))
         restored.check_invariants()
-        assert len(reconstructions) == (1 if fanout else 3)
+        assert len(reconstructions) == 1
 
         for orig, back in zip(server.subscriptions(), restored.subscriptions()):
             assert (back.client_id, back.cq_name) == (orig.client_id, orig.cq_name)
@@ -84,14 +80,13 @@ class TestCheckpointRoundTrip:
             assert back.previous_result == orig.previous_result
         assert restored.zones.boundary("c1:watch") == orig.last_ts
 
-    @both_servers
     def test_pending_window_reconstructed_behind_last_ts(
-        self, tmp_path, fanout, reconstructions
+        self, tmp_path, reconstructions
     ):
         """Updates committed after the last refresh must not leak into
         the restored retained copy — it is the result *at last_ts*."""
         db, market = build_market(seed=23)
-        server = CQServer(db, SimulatedNetwork(), fanout=fanout)
+        server = CQServer(db, SimulatedNetwork())
         for name in ("c1", "c2"):
             client = CQClient(name)
             server.attach(client)
@@ -102,9 +97,9 @@ class TestCheckpointRoundTrip:
         market.tick(40)  # pending window, not yet refreshed
 
         del reconstructions[:]
-        restored = server_from_dict(server_to_dict(server), fanout=fanout)
+        restored = server_from_dict(server_to_dict(server))
         restored.check_invariants()
-        assert len(reconstructions) == (1 if fanout else 2)
+        assert len(reconstructions) == 1
         assert restored.subscriptions()[0].previous_result == result_at_refresh
 
         # The first post-restore refresh is differential over exactly
@@ -117,9 +112,8 @@ class TestCheckpointRoundTrip:
         restored.check_invariants()
         assert replay_client.result("watch") == restored.db.query(WATCH)
 
-    @both_servers
     def test_journal_recovered_members_of_one_group_converge(
-        self, tmp_path, fanout, reconstructions
+        self, tmp_path, reconstructions
     ):
         """Members that registered at different times come back from
         the journal alone: the group is rebuilt once, with its first
@@ -129,7 +123,7 @@ class TestCheckpointRoundTrip:
         db = Database(durability=wal_path)
         market = StockMarket(db, seed=37)
         market.populate(300)
-        server = CQServer(db, SimulatedNetwork(), fanout=fanout)
+        server = CQServer(db, SimulatedNetwork())
         clients, registered = {}, {}
         for name in ("early", "late"):
             clients[name] = CQClient(name)
@@ -138,15 +132,15 @@ class TestCheckpointRoundTrip:
             registered[name] = db.now()
             market.tick(30)
         assert registered["early"] < registered["late"] < db.now()
-        # What each client really holds: on a fan-out server the late
-        # join shipped the early member the window it found open.
+        # What each client really holds: the late join shipped the
+        # early member the window it found open.
         applied = {s.client_id: s.arrived_ts for s in server.subscriptions()}
         db.wal.close()
 
         del reconstructions[:]
-        restored = recover_server(wal_path, fanout=fanout)
+        restored = recover_server(wal_path)
         restored.check_invariants()
-        assert len(reconstructions) == (1 if fanout else 2)
+        assert len(reconstructions) == 1
         assert restored.zones.boundaries() == {
             f"{name}:watch": ts for name, ts in registered.items()
         }

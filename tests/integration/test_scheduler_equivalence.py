@@ -1,12 +1,12 @@
 """Equivalence property harness for the refresh pipeline.
 
 The paper's correctness claim is DRA ≡ complete re-evaluation (§4.2).
-The manager has one refresh path; what can still vary is how it routes
-and evaluates — the predicate index and the columnar kernels — so for
-any workload the default manager, the predicate-index manager, the
-columnar manager and the two together must each produce the result
-sequence Q(S_1)..Q(S_n) that complete re-evaluation + Diff produces: the equivalence theorem
-lifted from one refresh to the whole scheduling and compilation layers.
+The manager has one refresh path and one evaluator (the kernels); what
+can still vary is how it routes — through the predicate index or not —
+so for any workload the default manager and the predicate-index
+manager must each produce the result sequence Q(S_1)..Q(S_n) that
+complete re-evaluation + Diff produces: the equivalence theorem lifted
+from one refresh to the whole scheduling and compilation layers.
 
 Schedules are randomized but fully deterministic given a seed: a
 symbolic op script (inserts/deletes/modifies over 2–4 tables in
@@ -63,22 +63,13 @@ CONFIGS = {
     # The paper's oracle: complete re-evaluation + Diff.
     BASE: dict(engine=Engine.REEVALUATE, manager=dict()),
     # The one refresh path: prepared plans, per-poll delta-batch cache,
-    # grouped trigger skipping.
+    # grouped trigger skipping, kernel term evaluation (DESIGN.md §11).
     "default": dict(engine=Engine.DRA, manager=dict()),
     # Predicate-index fan-out: one routing pass per poll decides which
-    # CQs can skip their refresh with a provably-empty delta, and CQs
-    # with identical SQL share one DRA evaluation per window.
-    "predindex": dict(engine=Engine.DRA, manager=dict(fanout=True)),
-    # Columnar kernel evaluation (DESIGN.md §11): every DRA refresh
-    # runs the struct-of-arrays pipelines instead of the per-row
-    # interpreter; the notification sequence must be bit-identical.
-    "columnar": dict(engine=Engine.DRA, manager=dict(columnar=True)),
-    # The pair E18's fan-out workloads and every ClusterShard run: the
+    # CQs can skip their refresh with a provably-empty delta, the
     # index's routed entry seeds the kernels' operands, and a routed
     # group's later members receive the first one's evaluation.
-    "fanout_columnar": dict(
-        engine=Engine.DRA, manager=dict(fanout=True, columnar=True)
-    ),
+    "predindex": dict(engine=Engine.DRA, manager=dict(fanout=True)),
 }
 
 #: Compared against the oracle in runs of their own, not in every chunk.
@@ -440,7 +431,7 @@ def test_immediate_strategy_equivalence_randomized():
     for i in range(N_IMMEDIATE):
         check_seed(
             9_000 + i,
-            configs=(BASE, "predindex", "fanout_columnar"),
+            configs=(BASE, "predindex"),
             strategy=EvaluationStrategy.IMMEDIATE,
         )
 
@@ -456,11 +447,11 @@ def test_eager_engine_equivalence_randomized():
 
 def test_all_four_configs_share_one_known_answer():
     """A deterministic spot check that the harness itself observes
-    every configuration (the oracle and four ways of running DRA) doing
+    every configuration (the oracle and two ways of routing DRA) doing
     real work (not vacuously equal)."""
     schedule = make_schedule(99)
     results = signatures(schedule)
-    assert len(results) == len(CONFIGS) == 5
+    assert len(results) == len(CONFIGS) == 3
     base_signature, base_final, __ = results[BASE]
     assert base_signature, "schedule produced no notifications"
     assert mismatches(results) == []
@@ -504,5 +495,5 @@ def test_fanout_columnar_exercises_receives_and_seeds(monkeypatch):
     monkeypatch.setattr(CQManager, "_receive", counted_receive)
     monkeypatch.setattr(manager_module, "dra_execute", counted_execute)
     for i in range(N_SCHEDULES // CHUNKS):
-        run_schedule(make_schedule(7_000 + i), CONFIGS["fanout_columnar"])
+        run_schedule(make_schedule(7_000 + i), CONFIGS["predindex"])
     assert all(seen.values()), seen

@@ -1,6 +1,6 @@
 """Server-side fan-out: sql_key groups + predicate-index routing.
 
-``CQServer(fanout=True)`` groups subscriptions by canonical SQL text;
+``CQServer`` groups DRA subscriptions by canonical SQL text;
 each group owns one maintained result and one predicate-index entry,
 so a refresh cycle routes the consolidated batch to affected *groups*
 and evaluates once per group, not once per subscriber. These tests
@@ -29,7 +29,7 @@ def deployment(db):
     market.populate(400)
     net = SimulatedNetwork()
     metrics = Metrics()
-    server = CQServer(db, net, metrics=metrics, fanout=True)
+    server = CQServer(db, net, metrics=metrics)
     return db, market, net, server
 
 
@@ -153,7 +153,7 @@ class TestRouting:
             for i in range(50):
                 txn.insert_into(table, (f"s{i}", i * 10))
         net = SimulatedNetwork()
-        server = CQServer(db, net, metrics=Metrics(), fanout=True)
+        server = CQServer(db, net, metrics=Metrics())
         low = CQClient("low")
         server.attach(low)
         low.register("watch", "SELECT name FROM stocks WHERE price < 100")
@@ -182,7 +182,7 @@ class TestRouting:
                 txn.insert_into(table, (f"s{i}", i))
         net = SimulatedNetwork()
         metrics = Metrics()
-        server = CQServer(db, net, metrics=metrics, fanout=True)
+        server = CQServer(db, net, metrics=metrics)
         clients = []
         for i in range(200):
             client = CQClient(f"c{i}")
@@ -205,29 +205,20 @@ class TestRouting:
 
 
 class TestEquivalence:
-    def test_fanout_matches_plain_server(self):
-        """The same scripted workload through a fan-out server and a
-        plain per-subscription server produces identical client
-        states."""
+    def test_fanout_matches_complete_reevaluation(self):
+        """A scripted workload through shared and single-member groups
+        leaves every client holding what complete re-evaluation
+        computes, after every cycle."""
         from repro import Database
 
-        results = {}
-        for fanout in (False, True):
-            db = Database()
-            market = StockMarket(db, seed=99)
-            market.populate(300)
-            server = CQServer(
-                db, SimulatedNetwork(), metrics=Metrics(), fanout=fanout
-            )
-            clients = [
-                attach_client(server, f"c{i}", WATCH) for i in range(3)
-            ]
-            clients.append(attach_client(server, "o", OTHER))
-            for __ in range(5):
-                market.tick(25, p_insert=0.15, p_delete=0.1)
-                server.refresh_all()
-            results[fanout] = [
-                sorted(row.values for row in client.result("watch"))
-                for client in clients
-            ]
-        assert results[False] == results[True]
+        db = Database()
+        market = StockMarket(db, seed=99)
+        market.populate(300)
+        server = CQServer(db, SimulatedNetwork(), metrics=Metrics())
+        clients = [attach_client(server, f"c{i}", WATCH) for i in range(3)]
+        clients.append(attach_client(server, "o", OTHER))
+        for __ in range(5):
+            market.tick(25, p_insert=0.15, p_delete=0.1)
+            server.refresh_all()
+            for client, sql in zip(clients, [WATCH] * 3 + [OTHER]):
+                assert client.result("watch") == db.query(sql)

@@ -124,10 +124,7 @@ class TestServerUnderFaults:
         server.refresh_all()
         assert server.metrics[Metrics.MESSAGES_DROPPED] >= 1
 
-    @pytest.mark.parametrize("fanout", [False, True])
-    def test_quiet_cycle_after_a_lost_frame_keeps_the_replay_window(
-        self, db, fanout
-    ):
+    def test_quiet_cycle_after_a_lost_frame_keeps_the_replay_window(self, db):
         """The boundary the test above reads right after the loss must
         also survive the next *quiet* refresh: the client has not
         applied the lost frame, so its zone stays, GC keeps the window
@@ -135,7 +132,7 @@ class TestServerUnderFaults:
         market = StockMarket(db, seed=21)
         market.populate(300)
         net = SimulatedNetwork()
-        server = CQServer(db, net, fanout=fanout)
+        server = CQServer(db, net)
         client = CQClient("c1")
         server.attach(client)
         client.register("watch", WATCH, Protocol.DRA_DELTA)

@@ -1,8 +1,8 @@
 """A member's window is its group's.
 
-On an indexed server a DRA subscription never has a refresh window of
-its own: ``CQServer._refresh_group`` moves the group's, and every
-member's with it — each cycle, before a join that finds the window
+A DRA subscription never has a refresh window of its own:
+``CQServer._refresh_group`` moves the group's, and every member's with
+it — each cycle, before a join that finds the window
 open, and around a reconnect replay. These tests pin what that buys:
 a late join or a replay leaves the group evaluated once per cycle with
 one retained relation, and nobody is skipped past a delta.
@@ -25,15 +25,15 @@ def deployment(members, protocol=Protocol.DRA_DELTA, seed=44):
     db = Database()
     market = StockMarket(db, seed=seed)
     market.populate(300)
-    server = CQServer(db, SimulatedNetwork(), fanout=True)
+    server = CQServer(db, SimulatedNetwork())
     clients = [attach(server, f"c{i}", protocol) for i in range(members)]
     return db, market, server, clients
 
 
-def attach(server, name, protocol=Protocol.DRA_DELTA):
+def attach(server, name, protocol=Protocol.DRA_DELTA, sql=WATCH):
     client = CQClient(name)
     server.attach(client)
-    client.register("watch", WATCH, protocol)
+    client.register("watch", sql, protocol)
     return client
 
 
@@ -127,6 +127,27 @@ class TestReplayOnAGroup:
         assert clients[1].result("watch") == db.query(WATCH)
 
 
+class TestRetiredWindow:
+    def test_a_window_gc_retired_catches_up_by_reevaluation(self):
+        """With every member detached and its zone released, GC may
+        prune past the group's window: the next cycle re-evaluates and
+        takes the Diff instead of reading a log that no longer reaches
+        back, and the reconnecting client gets the result whole."""
+        db, market, server, (client,) = deployment(1)
+        since = server.subscriptions()[0].last_ts
+        server.detach("c0")
+        server.release_zones("c0")
+        market.tick(30)
+        server.collect_garbage(include_unwatched=True)
+        (group,) = server._groups.values()
+        assert db.table("stocks").log.pruned_through > group.last_ts
+        server.refresh_all()
+        assert group.result == db.query(WATCH)
+        server.attach(client)
+        assert not server.replay("c0", "watch", since)
+        assert client.result("watch") == db.query(WATCH)
+
+
 class TestDegradedMember:
     def test_folding_back_takes_the_groups_copy(self):
         """``CQService`` degrades a backlogged session's DRA_DELTA
@@ -150,28 +171,34 @@ class TestDegradedMember:
 
 
 class TestNoPrivatePath:
-    @pytest.mark.parametrize("fanout", [False, True])
-    def test_group_members_never_refresh_alone(self, fanout, monkeypatch):
-        """On an indexed server only subscriptions in no group reach
-        ``_refresh_one``; without an index every one does."""
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_group_members_never_refresh_alone(self, shared, monkeypatch):
+        """Only the REEVAL_* baselines reach ``_refresh_one``: a DRA
+        subscription refreshes through its group whether it shares its
+        template or (``shared=False``) is the template's one
+        subscriber."""
         db = Database()
         market = StockMarket(db, seed=5)
         market.populate(200)
         net = SimulatedNetwork()
-        server = CQServer(db, net, fanout=fanout)
+        server = CQServer(db, net)
         alone = []
         inner = CQServer._refresh_one
         monkeypatch.setattr(
             CQServer,
             "_refresh_one",
-            lambda self, sub, cache: alone.append(sub.protocol)
-            or inner(self, sub, cache),
+            lambda self, sub: alone.append(sub.protocol) or inner(self, sub),
         )
+        sqls = {
+            protocol: WATCH if shared else f"{WATCH} AND sid <> {i}"
+            for i, protocol in enumerate(Protocol)
+        }
         clients = [
-            attach(server, protocol.value, protocol) for protocol in Protocol
+            attach(server, protocol.value, protocol, sqls[protocol])
+            for protocol in Protocol
         ]
         market.tick(20)
-        attach(server, "late")
+        attach(server, "late", sql=sqls[Protocol.DRA_DELTA])
         server.refresh_all()
         since = db.now()
         net.partition("server", "dra_delta")
@@ -181,12 +208,10 @@ class TestNoPrivatePath:
         assert server.replay("dra_delta", "watch", since)
         market.tick(20)
         server.refresh_all()
-        dra = [p for p in alone if p in (Protocol.DRA_DELTA, Protocol.DRA_LAZY)]
-        assert bool(dra) is not fanout
-        assert Protocol.REEVAL_DELTA in alone and Protocol.REEVAL_FULL in alone
+        assert set(alone) == {Protocol.REEVAL_DELTA, Protocol.REEVAL_FULL}
         clients[1].fetch("watch")
-        for client in clients:
-            assert client.result("watch") == db.query(WATCH)
+        for client, protocol in zip(clients, Protocol):
+            assert client.result("watch") == db.query(sqls[protocol])
 
 
 class TestInvariantsAreChecked:

@@ -15,19 +15,19 @@ from repro.workload.stocks import StockMarket
 WATCH = "SELECT sid, name, price FROM stocks WHERE price > 500"
 
 
-def deployment(fanout=False, seed=44):
+def deployment(seed=44):
     db = Database()
     market = StockMarket(db, seed=seed)
     market.populate(500)
     net = SimulatedNetwork()
-    server = CQServer(db, net, fanout=fanout)
+    server = CQServer(db, net)
     return db, market, net, server
 
 
-def attach(server, name, protocol):
+def attach(server, name, protocol, sql=WATCH):
     client = CQClient(name)
     server.attach(client)
-    client.register("watch", WATCH, protocol)
+    client.register("watch", sql, protocol)
     return client
 
 
@@ -107,7 +107,7 @@ class TestLazyProtocol:
 
 class TestSharedEvaluation:
     def test_results_identical_with_sharing(self):
-        db, market, net, server = deployment(fanout=True)
+        db, market, net, server = deployment()
         clients = [attach(server, f"c{i}", Protocol.DRA_DELTA) for i in range(5)]
         for __ in range(3):
             market.tick(20)
@@ -117,22 +117,26 @@ class TestSharedEvaluation:
             assert client.result("watch") == truth
 
     def test_sharing_computes_once(self):
+        """Sixteen subscribers of one template cost one evaluation;
+        sixteen of distinct templates — the only way a server evaluates
+        per subscription — cost sixteen."""
         work, evaluations = {}, {}
-        for fanout in (False, True):
-            db, market, net, server = deployment(fanout=fanout, seed=45)
+        for shared in (False, True):
+            db, market, net, server = deployment(seed=45)
             for i in range(16):
-                attach(server, f"c{i}", Protocol.DRA_DELTA)
+                sql = WATCH if shared else f"{WATCH} AND sid <> {i}"
+                attach(server, f"c{i}", Protocol.DRA_DELTA, sql)
             market.tick(20)
             server.metrics.reset()
             server.refresh_all()
-            work[fanout] = server.metrics[Metrics.DELTA_ROWS_READ]
-            evaluations[fanout] = server.metrics[Metrics.EXECUTIONS]
+            work[shared] = server.metrics[Metrics.DELTA_ROWS_READ]
+            evaluations[shared] = server.metrics[Metrics.EXECUTIONS]
         assert work[True] * 8 <= work[False]
         assert evaluations == {False: 16, True: 1}
 
     def test_sharing_respects_windows(self):
         """A client registered mid-stream gets its own first window."""
-        db, market, net, server = deployment(fanout=True)
+        db, market, net, server = deployment()
         first = attach(server, "first", Protocol.DRA_DELTA)
         market.tick(20)
         server.refresh_all()

@@ -42,16 +42,12 @@ SCHEMA = [("id", AttributeType.INT), ("sym", AttributeType.STR), ("price", Attri
 CHEAP = "SELECT sym, price FROM stocks WHERE price < 80"
 
 
-def build(audit_interval=0, fanout=False):
+def build(audit_interval=0):
     db = Database()
     table = db.create_table("stocks", SCHEMA)
     table.insert_many([(1, "IBM", 100), (2, "MAC", 50), (3, "HP", 75)])
     server = CQServer(
-        db,
-        SimulatedNetwork(),
-        metrics=Metrics(),
-        audit_interval=audit_interval,
-        fanout=fanout,
+        db, SimulatedNetwork(), metrics=Metrics(), audit_interval=audit_interval
     )
     client = CQClient("c1")
     server.attach(client)
@@ -140,11 +136,16 @@ class TestClientVerification:
 
 
 class TestSampledAudit:
-    fanout = False
+    #: CQs of ``CHEAP`` the one client registers: one group either way.
+    members = ("cheap",)
+
+    def register(self, client):
+        for name in self.members:
+            client.register(name, CHEAP)
 
     def test_clean_refreshes_audit_without_divergence(self):
-        db, table, server, client = build(audit_interval=2, fanout=self.fanout)
-        client.register("cheap", CHEAP)
+        db, table, server, client = build(audit_interval=2)
+        self.register(client)
         for i in range(6):
             table.insert((100 + i, "NEW", 10 + i))
             server.refresh_all()
@@ -152,42 +153,44 @@ class TestSampledAudit:
         assert server.metrics.get(Metrics.AUDIT_DIVERGENCES) == 0
 
     def test_divergent_retained_copy_detected_and_healed(self):
-        db, table, server, client = build(audit_interval=1, fanout=self.fanout)
-        client.register("cheap", CHEAP)
+        db, table, server, client = build(audit_interval=1)
+        self.register(client)
         # Corrupt the server's retained copy behind the engine's back
-        # (the failure mode the audit exists to catch). Under fan-out
-        # the subscription aliases its group's result, so this corrupts
-        # the copy the group path maintains.
+        # (the failure mode the audit exists to catch). The
+        # subscription aliases its group's result, so this corrupts the
+        # copy the group path maintains.
         sub = server._subscriptions[("c1", "cheap")]
         sub.previous_result.add(999, ("GHOST", 1))
         table.insert((4, "SUN", 60))
         server.refresh_all()
         assert server.metrics.get(Metrics.AUDIT_DIVERGENCES) == 1
         # The audit healed the retained copy to the full re-evaluation.
-        assert sub.previous_result == db.query(CHEAP)
+        for s in server.subscriptions():
+            assert s.previous_result == db.query(CHEAP)
 
 
     def test_tampered_running_digest_detected_and_healed(self):
         """The audit also checks that the running digest still
         describes the retained copy: a drifted digest is a divergence
         even when the copy itself is right."""
-        db, table, server, client = build(audit_interval=1, fanout=self.fanout)
-        client.register("cheap", CHEAP)
+        db, table, server, client = build(audit_interval=1)
+        self.register(client)
         sub = server._subscriptions[("c1", "cheap")]
-        holder = server._groups[sub.sql_key] if self.fanout else sub
-        holder.digest = "3:0123456789abcdef"
+        sub.group.digest = "3:0123456789abcdef"
         table.insert((4, "SUN", 60))
         server.refresh_all()
         assert server.metrics.get(Metrics.AUDIT_DIVERGENCES) == 1
-        assert sub.previous_result == db.query(CHEAP)
-        assert sub.digest == relation_digest(sub.previous_result)
-        assert client.result("cheap") == db.query(CHEAP)
+        for s in server.subscriptions():
+            assert s.previous_result == db.query(CHEAP)
+            assert s.digest == relation_digest(s.previous_result)
+            assert client.result(s.cq_name) == db.query(CHEAP)
 
 
 class TestSampledAuditFanout(TestSampledAudit):
-    """The same audit on the shared-group refresh path."""
+    """The same audit on a group of three members sharing one frame:
+    one audit heals all of them."""
 
-    fanout = True
+    members = ("cheap", "cheap2", "cheap3")
 
 
 class Deployment:
@@ -208,16 +211,14 @@ class Deployment:
         self.table = self.db.create_table("stocks", SCHEMA)
         self.table.insert_many([(1, "IBM", 100), (2, "MAC", 50), (3, "HP", 75)])
         if self.kind is CQClient:
-            self.server = CQServer(
-                self.db, SimulatedNetwork(), metrics=Metrics(), fanout=True
-            )
+            self.server = CQServer(self.db, SimulatedNetwork(), metrics=Metrics())
             self.client = CQClient("c1")
             self.server.attach(self.client)
             self._hook("receive")
         else:
             self.injector = FaultInjector()
             self.service = CQService(
-                self.db, fanout=True, injector=self.injector, **service_kwargs
+                self.db, injector=self.injector, **service_kwargs
             )
             self.server = self.service.server
             addr = await self.service.start()
@@ -420,19 +421,22 @@ class TestRunningDigestInvariant:
                 assert described is held
                 assert digest == relation_digest(held)
 
-    @pytest.mark.parametrize("fanout", [False, True])
-    def test_mixed_protocol_soak(self, fanout):
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_mixed_protocol_soak(self, shared):
+        """Every subscription of one template, or (``shared=False``)
+        each of its own, so every group has one member."""
         import random
 
         rng = random.Random(17)
-        db, table, server, first = build(audit_interval=3, fanout=fanout)
+        db, table, server, first = build(audit_interval=3)
         second = CQClient("c2")
         server.attach(second)
         clients = [first, second]
-        names = []
+        names, sqls = [], {}
         for i, protocol in enumerate(self.PROTOCOLS * 2):
             client = clients[i % 2]
-            client.register(f"q{i}", CHEAP, protocol)
+            sqls[f"q{i}"] = CHEAP if shared else f"{CHEAP} AND price <> {60 + i}"
+            client.register(f"q{i}", sqls[f"q{i}"], protocol)
             names.append((client, f"q{i}", protocol))
         next_id = 100
         for step in range(60):
@@ -471,7 +475,7 @@ class TestRunningDigestInvariant:
                 client.fetch(name)
         self.check(server, clients)
         assert all(
-            client.result(name) == db.query(CHEAP)
+            client.result(name) == db.query(sqls[name])
             for client, name, __ in names
         )
 
@@ -538,7 +542,7 @@ class TestSteadyState:
             "_delta_to_json",
             lambda delta: calls.append(delta) or inner(delta),
         )
-        db, table, server, client = build(fanout=True)
+        db, table, server, client = build()
         dear = "SELECT sym, price FROM stocks WHERE price >= 80"
         other = CQClient("c2")
         server.attach(other)
@@ -733,7 +737,7 @@ class TestSharedFrames:
     def test_per_cq_bytes_sum_to_the_wire(self):
         """A shared frame's bytes are split over the CQs it addresses,
         and each is charged one delivery."""
-        db, table, server, client = build(fanout=True)
+        db, table, server, client = build()
         other = CQClient("c2")
         server.attach(other)
         names = ("a", "b", "c")

@@ -156,7 +156,7 @@ class TestPrometheusText:
         market = StockMarket(db, seed=3)
         market.populate(100)
         metrics = Metrics()
-        server = CQServer(db, SimulatedNetwork(), metrics=metrics, fanout=True)
+        server = CQServer(db, SimulatedNetwork(), metrics=metrics)
         for i in range(2):
             client = CQClient(f"c{i}")
             server.attach(client)
@@ -190,8 +190,9 @@ class TestKernelCountersExport:
         assert "repro_rows_per_kernel_call" not in parsed
 
     def test_kernel_counters_export_from_live_server(self, db):
-        """End-to-end: a columnar refresh cycle leaves the kernel
-        counters in the scrape and the per-subscription records."""
+        """End-to-end: a refresh cycle leaves the kernel counters in the
+        scrape, and every member's record carries the evaluation its
+        group ran once for all of them."""
         from repro.net.client import CQClient
         from repro.net.server import CQServer
         from repro.net.simnet import SimulatedNetwork
@@ -200,23 +201,27 @@ class TestKernelCountersExport:
         market = StockMarket(db, seed=3)
         market.populate(100)
         metrics = Metrics()
-        server = CQServer(
-            db, SimulatedNetwork(), metrics=metrics, columnar=True
-        )
-        client = CQClient("c0")
-        server.attach(client)
-        client.register(
-            "watch", "SELECT name, price FROM stocks WHERE price > 500"
-        )
+        server = CQServer(db, SimulatedNetwork(), metrics=metrics)
+        for i in range(2):
+            client = CQClient(f"c{i}")
+            server.attach(client)
+            client.register(
+                "watch", "SELECT name, price FROM stocks WHERE price > 500"
+            )
         market.tick(20, p_insert=0.2)
         server.refresh_all()
         parsed = parse_prometheus_text(prometheus_text(metrics))
         assert counter_value(parsed, "repro_kernel_calls") >= 1
         assert counter_value(parsed, "repro_kernel_rows") >= 1
         assert counter_value(parsed, "repro_rows_per_kernel_call") > 0
-        (record,) = server.describe()
-        assert record["kernel_calls"] >= 1
-        assert record["rows_per_kernel_call"] > 0
+        records = server.describe()
+        assert len(records) == 2
+        for record in records:
+            assert record["delta_rows_read"] > 0
+            assert record["kernel_calls"] >= 1
+            assert record["rows_per_kernel_call"] > 0
+        (group,) = server._groups.values()
+        assert group.cost[Metrics.EXECUTIONS] == metrics[Metrics.EXECUTIONS]
         assert "kernels:" in server.status_report()
 
 

@@ -5,6 +5,9 @@ Each on/off keyword doubles the configurations the equivalence harness
 and the benchmarks have to cover, so adding one must be a deliberate
 edit here, not a side effect of a feature. None of these takes
 ``**kwargs``, so any keyword outside these sets is a ``TypeError``.
+``TRUE_ONLY`` names the keywords kept only because existing callers pass
+them ``True``: they select nothing, and ``False`` — the deleted arm —
+is a ``TypeError`` too.
 
 ``STATE`` pins the same way what a freshly constructed ``CQManager``,
 ``ClusterRouter`` and ``CQServer`` hold: state about one CQ, one
@@ -46,8 +49,6 @@ SURFACE = {
         "metrics",
         "audit_interval",
         "tracer",
-        "fanout",
-        "columnar",
     },
     CQService: {
         "db",
@@ -82,15 +83,31 @@ SURFACE = {
         "backoff_base",
         "weights",
     },
-    LocalBackend: {"wal_root", "columnar", "fault_hook", "shuffle_seed"},
+    LocalBackend: {"wal_root", "fault_hook", "shuffle_seed"},
     ProcessBackend: {"wal_root", "columnar", "slow"},
 }
+
+TRUE_ONLY = [
+    (CQManager, "columnar", lambda **kw: CQManager(Database(), **kw)),
+    (CQService, "fanout", lambda **kw: CQService(Database(), **kw)),
+    (CQService, "columnar", lambda **kw: CQService(Database(), **kw)),
+    (ProcessBackend, "columnar", lambda **kw: ProcessBackend(**kw)),
+]
 
 
 @pytest.mark.parametrize("cls", SURFACE, ids=lambda cls: cls.__name__)
 def test_constructor_keywords_are_exactly(cls):
     params = set(inspect.signature(cls.__init__).parameters) - {"self"}
     assert params == SURFACE[cls]
+
+
+def test_true_only_keywords_reject_the_deleted_arm():
+    for cls, keyword, build in TRUE_ONLY:
+        assert keyword in SURFACE[cls]
+        assert inspect.signature(cls.__init__).parameters[keyword].default is True
+        build(**{keyword: True})
+        with pytest.raises(TypeError, match=f"{keyword}=False"):
+            build(**{keyword: False})
 
 
 STATE = {
@@ -103,7 +120,6 @@ STATE = {
         "history_limit",
         "tracer",
         "slow_refresh_us",
-        "columnar",
         "fanout_index",
         "plans",
         "zones",
@@ -156,7 +172,6 @@ STATE = {
         "metrics",
         "audit_interval",
         "tracer",
-        "columnar",
         "fanout_index",
         "plans",
         "zones",
@@ -176,10 +191,7 @@ STATE = {
 FRESH = {
     CQManager: [lambda: CQManager(Database())],
     ClusterRouter: [lambda: ClusterRouter(shards=1)],
-    CQServer: [
-        lambda: CQServer(Database(), SimulatedNetwork(), fanout=False),
-        lambda: CQServer(Database(), SimulatedNetwork(), fanout=True),
-    ],
+    CQServer: [lambda: CQServer(Database(), SimulatedNetwork())],
 }
 
 
