@@ -1,12 +1,18 @@
-"""One cluster shard: a CQ server driven by router scatter messages.
+"""One cluster shard store: a table slice plus one window per ``sql_key``.
 
-A shard is an ordinary :class:`~repro.net.server.CQServer` (so it owns
-a predicate index and shared-materialization groups for the
-``sql_key`` subscriptions routed to it) whose *only* writer is
-the cluster router. Each :class:`~repro.net.messages.ScatterMessage`
-carries one refresh cycle's relevant delta slices; the shard folds them
-into its tables (journaling WAL-first, exactly like a local commit),
-refreshes, and returns the affected groups' result deltas in a
+The router keeps the one retained result per ``sql_key`` — its merge is
+the site where the differential refresh is carried out (paper §3.3).
+DRA builds a refresh's delta from the base relations and their deltas,
+with the previous result an optional input (Algorithm 1), so a store
+keeps none. It holds its slice of the tables, whose *only* writer is
+the router, plus a plan cache, a predicate index, active delta zones
+and one :class:`_View` per ``sql_key`` placed on it: the query and the
+start of its open window. Each
+:class:`~repro.net.messages.ScatterMessage` carries one refresh cycle's
+relevant delta slices; the store folds them into its tables
+(journaling WAL-first, exactly like a local commit), evaluates every
+routed view over ``(since, now]``, moves every window to ``now`` and
+returns the non-empty result deltas in a
 :class:`~repro.net.messages.GatherReplyMessage` for the router's
 cross-shard merge.
 
@@ -28,35 +34,44 @@ import os
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, RegistrationError
 from repro.metrics import Metrics
+from repro.relational.algebra import SPJQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+from repro.relational.sql import parse_query
 from repro.relational.types import AttributeType
 from repro.storage.database import Database
 from repro.storage.table import Table
+from repro.storage.timestamps import Timestamp
 from repro.storage.update_log import UpdateKind, UpdateRecord
-from repro.storage.wal import shard_checkpoint_path, shard_wal_path
+from repro.storage.wal import (
+    KIND_SUB_DEREGISTER,
+    KIND_SUB_REGISTER,
+    shard_wal_path,
+)
 from repro.delta.differential import DeltaRelation
+from repro.dra.algorithm import dra_execute
+from repro.dra.predindex import PredicateIndex
+from repro.dra.prepared import PlanCache
+from repro.core.gc import ActiveDeltaZones
+from repro.core.scheduler import DeltaBatchCache
 from repro.net.messages import (
-    DeltaMessage,
     GatherReplyMessage,
     Message,
-    RegisterMessage,
     ScatterMessage,
     ShardDrainMessage,
     ShardHeartbeatMessage,
     ShardHelloMessage,
     ShardPromoteMessage,
 )
-from repro.net.server import CQServer, Protocol
-from repro.net.simnet import SimulatedNetwork
+from repro.net.server import Protocol
 
 #: txn_id stamped on records a shard applied from a scatter (as -1 marks
 #: single-op convenience transactions).
 SCATTER_TXN = -2
 
-#: The client id every shard-side subscription registers under.
+#: The client id a store's journaled view events carry.
 ROUTER_CLIENT = "router"
 
 
@@ -129,51 +144,50 @@ class TableDecl:
         return f"TableDecl({self.name!r}{part})"
 
 
-class _Collector:
-    """The in-process 'router' endpoint a shard's server delivers to.
+def _record(tid, old, new, ts: Timestamp) -> UpdateRecord:
+    """A scatter-applied change; a None side makes it an insert or a
+    delete."""
+    if old is None:
+        kind = UpdateKind.INSERT
+    else:
+        kind = UpdateKind.DELETE if new is None else UpdateKind.MODIFY
+    return UpdateRecord(kind, tid, old, new, ts, SCATTER_TXN)
 
-    Plain list capture: refresh deltas accumulate here and are drained
-    into the cycle's GatherReply. ``defer_zone_advance`` stays False —
-    a captured delivery *is* the acknowledgment (the reply either
-    reaches the router or the shard is declared dead and replays), so
-    shard GC zones advance with every refresh.
-    """
 
-    name = ROUTER_CLIENT
-    defer_zone_advance = False
+class _View:
+    """One ``sql_key`` a store evaluates: its query, the tables it
+    reads and ``since``, the start of its open window ``(since, now]``.
+    The window, the view's predicate-index entry and its GC zone are
+    all keyed by ``sql_key``; the zone boundary is ``since``."""
 
-    def __init__(self) -> None:
-        self.messages: List[Message] = []
-        self.server = None  # set by CQServer.attach
+    __slots__ = ("sql_key", "query", "tables", "since")
 
-    def receive(self, message: Message) -> None:
-        self.messages.append(message)
-
-    def drain(self) -> List[Message]:
-        out, self.messages = self.messages, []
-        return out
+    def __init__(self, sql_key: str, query: SPJQuery, since: Timestamp):
+        self.sql_key = sql_key
+        self.query = query
+        self.tables: Tuple[str, ...] = tuple(sorted(set(query.table_names)))
+        self.since = since
 
 
 class ClusterShard:
-    """Hosts one shard's slice of the cluster: tables + subscriptions."""
+    """One store of a shard host: a table slice plus its views."""
+
+    #: Replies kept for seq-dedup (see ``_reply_cache``).
+    _reply_cache_cap = 8
 
     def __init__(
         self,
         shard_id: int,
         decls: Sequence[TableDecl],
         metrics: Optional[Metrics] = None,
-        wal_root: Optional[str] = None,
-        server: Optional[CQServer] = None,
         group: Optional[int] = None,
-        wal_path: Optional[str] = None,
+        db: Optional[Database] = None,
     ):
         self.shard_id = shard_id
-        self.decls = list(decls)
-        self.wal_root = wal_root
         #: The placement group this store serves. A host's own group is
         #: its shard id; replica stores carry another group's slice.
         self.group = shard_id if group is None else group
-        self.role = "primary" if self.group == shard_id else "replica"
+        self.metrics = metrics if metrics is not None else Metrics()
         # At-least-once retry support: a duplicate of a recent frame
         # (same seq — the reply was lost after the shard applied it)
         # returns the cached reply instead of re-handling, so a
@@ -185,75 +199,53 @@ class ClusterShard:
         self._reply_cache: "OrderedDict[int, GatherReplyMessage]" = (
             OrderedDict()
         )
-        self._reply_cache_cap = 8
-        if server is None:
-            self.metrics = metrics if metrics is not None else Metrics()
-            if wal_path is None and wal_root is not None:
-                wal_path = shard_wal_path(wal_root, shard_id)
-            db = Database(durability=wal_path)
-            server = CQServer(
-                db,
-                SimulatedNetwork(latency_seconds=0.0),
-                name=self._server_name(shard_id, self.group),
-                metrics=self.metrics,
-            )
-        else:
-            self.metrics = server.metrics
-        self.server = server
-        self.db = server.db
-        for decl in self.decls:
+        #: The store's table slice (journaled when opened on a WAL).
+        self.db = db if db is not None else Database()
+        for decl in decls:
             if decl.name not in self.db:
                 self.db.create_table(
                     decl.name, decl.schema, indexes=decl.indexes
                 )
-        self._collector = _Collector()
-        server.attach(self._collector)
-
-    @staticmethod
-    def _server_name(shard_id: int, group: int) -> str:
-        if group == shard_id:
-            return f"shard-{shard_id}"
-        return f"shard-{shard_id}:group-{group}"
+        self.plans = PlanCache(self.db, self.metrics)
+        self.index = PredicateIndex(self.metrics)
+        self.zones = ActiveDeltaZones(self.db)
+        #: Views by ``sql_key``, in registration order.
+        self._views: Dict[str, _View] = {}
 
     @classmethod
     def recover(
         cls,
         shard_id: int,
         decls: Sequence[TableDecl],
-        wal_root: str,
+        wal_path: str,
         metrics: Optional[Metrics] = None,
         group: Optional[int] = None,
-        wal_path: Optional[str] = None,
-        checkpoint_path: Optional[str] = None,
     ) -> "ClusterShard":
-        """Rebuild a killed shard store from its own WAL (+ checkpoint).
+        """Rebuild a killed shard store from its own WAL.
 
-        The recovered server re-creates journaled subscriptions and
-        re-seeds their shared groups; the host's hello then reports the
-        applied horizon so the router can choose delta replay or
-        baseline fallback. Explicit ``wal_path``/``checkpoint_path``
-        address a replica store's journal (which lives under the host's
-        directory, not at the default shard path).
+        Each journaled view is installed as of its registration while
+        the recovered logs still cover that window, and as of recovery
+        time otherwise (``recover_server``'s rule, with nothing to
+        evaluate); the host's hello then reports the applied horizon so
+        the router can choose delta replay or baseline fallback.
         """
-        from repro.core.persistence import recover_server
+        from repro.core.persistence import _replay_wal
 
         metrics = metrics if metrics is not None else Metrics()
-        if wal_path is None:
-            wal_path = shard_wal_path(wal_root, shard_id)
-        if checkpoint_path is None:
-            checkpoint_path = shard_checkpoint_path(wal_root, shard_id)
-        server = recover_server(
-            wal_path,
-            checkpoint_path=checkpoint_path,
-            network=SimulatedNetwork(latency_seconds=0.0),
-            metrics=metrics,
-        )
-        server.name = cls._server_name(
-            shard_id, shard_id if group is None else group
-        )
-        return cls(
-            shard_id, decls, wal_root=wal_root, server=server, group=group
-        )
+        db = Database()
+        desired = _replay_wal(db, wal_path, "sub", lambda e: e["cq"], metrics)
+        store = cls(shard_id, decls, metrics=metrics, group=group, db=db)
+        now = db.now()
+        for sql_key, event in desired.items():
+            if event is None:
+                continue
+            query = parse_query(event["sql"])
+            ts = event.get("ts", now)
+            tables = (db.table(name) for name in query.table_names)
+            if any(table.log.pruned_through > ts for table in tables):
+                ts = now
+            store._install(sql_key, query, ts)
+        return store
 
     # -- protocol ----------------------------------------------------------
 
@@ -288,34 +280,22 @@ class ClusterShard:
     def _handle_promote(
         self, message: ShardPromoteMessage
     ) -> GatherReplyMessage:
-        """Become the group primary: register the owned ``sql_key`` CQs
+        """Become the group primary: install the owned ``sql_key`` views
         over the tables this store already holds (kept in lockstep by
         every cycle's scattered slices).
 
-        ``message.ts`` is the group's last *served* timestamp: the
-        registration-era state then equals the router's retained
-        results, and the next scatter's window ``(ts, now]`` produces
-        the failed primary's delta bit-identically. The reply's
+        ``message.ts`` is the group's last *served* timestamp: views
+        installed there make the next scatter's window ``(ts, now]``
+        produce the failed primary's delta bit-identically. The reply's
         ``horizon`` reports the store's caught-up-through timestamp
         *before* any clock advance, so the router can detect a lagging
         replica and fall back to an exact reconcile.
         """
         horizon = self.db.now()
         self.db.clock.advance_to(message.ts)
-        held = {s.cq_name for s in self.server.subscriptions()}
         for spec in message.subscribe:
-            if spec["cq"] in held:
-                continue
-            self.server.handle_register(
-                ROUTER_CLIENT,
-                RegisterMessage(
-                    spec["cq"], spec["sql"], Protocol.DRA_DELTA.value
-                ),
-            )
-        # Registration initials are local evaluations the router already
-        # retains authoritatively; drop them.
-        self._collector.drain()
-        self.role = "primary"
+            if spec["cq"] not in self._views:
+                self._subscribe(spec)
         return GatherReplyMessage(
             self.shard_id,
             message.seq,
@@ -325,54 +305,39 @@ class ClusterShard:
         )
 
     def _handle_heartbeat(self, message: ShardHeartbeatMessage) -> GatherReplyMessage:
-        """An empty-scatter cycle: advance every window, evaluate nothing.
+        """An empty-scatter cycle: advance every window, reply nothing.
 
-        The refresh still runs — with no new log entries the predicate
-        index routes no group, so each group's window (and its members'
-        GC zones) moves to ``ts`` without a single term evaluation.
+        With no new log entries the predicate index routes no view, so
+        each window (and its GC zone) moves to ``ts`` without a single
+        term evaluation.
         """
         self.db.clock.advance_to(message.ts)
-        self.server.refresh_all()
-        self._collector.drain()
+        self._refresh()
         if message.collect:
             # ``include_unwatched`` keeps replica stores prunable: they
-            # carry no subscriptions, so without it their logs would
-            # grow forever. Safe on primaries too — a shard-side log
-            # only ever feeds local CQ windows, never recovery (that
-            # replays from the router's logs).
-            self.server.collect_garbage(include_unwatched=True)
+            # carry no views, so without it their logs would grow
+            # forever. Safe on primaries too — a shard-side log only
+            # ever feeds local windows, never recovery (that replays
+            # from the router's logs).
+            self.zones.collect(include_unwatched=True)
         return self._reply(message.seq, message.ts, [])
 
     def _handle_scatter(self, message: ScatterMessage) -> GatherReplyMessage:
         self.db.clock.advance_to(message.ts)
         for sql_key in message.unsubscribe:
-            self.server.deregister(ROUTER_CLIENT, sql_key)
+            self._unsubscribe(sql_key)
         # Deltas before baselines: delta entries carry their original
         # commit timestamps (≤ ts), baseline records are stamped at the
         # log tail — applying in this order keeps each log monotone.
         for table_name in sorted(message.deltas):
-            self._apply_delta(table_name, message.deltas[table_name])
+            self._upsert_slice(table_name, message.deltas[table_name])
         for table_name in sorted(message.baselines):
             self._apply_baseline(table_name, message.baselines[table_name])
         for spec in message.subscribe:
-            self.server.handle_register(
-                ROUTER_CLIENT,
-                RegisterMessage(
-                    spec["cq"], spec["sql"], Protocol.DRA_DELTA.value
-                ),
-            )
-        # Initial results are delivered at registration; the router
-        # computes its own authoritative initials, so drop them here.
-        self._collector.drain()
-        self.server.refresh_all()
-        entries = [
-            (cq_name, m.delta, m.ts)
-            for m in self._collector.drain()
-            if isinstance(m, DeltaMessage)
-            for cq_name in m.cq_names
-        ]
+            self._subscribe(spec)
+        entries = self._refresh()
         if message.collect:
-            self.server.collect_garbage(include_unwatched=True)
+            self.zones.collect(include_unwatched=True)
         return self._reply(message.seq, message.ts, entries)
 
     def _reply(
@@ -390,6 +355,84 @@ class ClusterShard:
             counters=self.metrics.snapshot(),
         )
 
+    # -- views -------------------------------------------------------------
+
+    def _subscribe(self, spec: Dict[str, str]) -> None:
+        """Install a router-placed view as of now and journal it."""
+        sql_key = spec["cq"]
+        if sql_key in self._views:
+            raise RegistrationError(
+                f"shard {self.shard_id} already holds {sql_key!r}"
+            )
+        query = parse_query(spec["sql"])
+        now = self.db.now()
+        self._install(sql_key, query, now)
+        if self.db.wal is not None:
+            self.db.wal.log_event(
+                KIND_SUB_REGISTER,
+                client=ROUTER_CLIENT,
+                cq=sql_key,
+                sql=query.to_sql(),
+                protocol=Protocol.DRA_DELTA.value,
+                ts=now,
+            )
+
+    def _install(self, sql_key: str, query: SPJQuery, since: Timestamp) -> None:
+        """The one install step, for subscribed, promoted and recovered
+        views alike: the plan (compiling it auto-creates the join
+        indexes), the index entry and the zone, at window start
+        ``since``. No result is built: the router retains it."""
+        self.plans.get(sql_key, query)
+        scopes = {
+            ref.alias: self.db.table(ref.table).schema for ref in query.relations
+        }
+        self.index.add(sql_key, query, scopes)
+        view = self._views[sql_key] = _View(sql_key, query, since)
+        self.zones.register(sql_key, view.tables, since)
+
+    def _unsubscribe(self, sql_key: str) -> None:
+        if self._views.pop(sql_key, None) is None:
+            raise RegistrationError(
+                f"shard {self.shard_id} holds no {sql_key!r}"
+            )
+        self.index.remove(sql_key)
+        self.zones.remove(sql_key)
+        if self.db.wal is not None:
+            self.db.wal.log_event(
+                KIND_SUB_DEREGISTER, client=ROUTER_CLIENT, cq=sql_key
+            )
+
+    def _refresh(self) -> List[Tuple[str, DeltaRelation, Timestamp]]:
+        """Move every view's window to now, in registration order; the
+        gather entries ``(sql_key, delta, now)`` of the non-empty ones.
+
+        One predicate-index pass per (footprint, window) decides which
+        views see relevant entries; an unrouted view advances without
+        evaluating anything (the Section 5.2 relevance theorem makes its
+        delta provably empty), a routed one runs DRA from the sides the
+        index selected."""
+        now = self.db.now()
+        cache = DeltaBatchCache(self.db, self.metrics)
+        entries = []
+        for view in self._views.values():
+            key = view.sql_key
+            deltas, routed = cache.routed(self.index, view.tables, view.since, now)
+            if key in routed:
+                delta = dra_execute(
+                    view.query,
+                    self.db,
+                    deltas=deltas,
+                    ts=now,
+                    metrics=self.metrics,
+                    prepared=self.plans.get(key, view.query),
+                    seeds=routed[key],
+                ).delta
+                if not delta.is_empty():
+                    entries.append((key, delta, now))
+            view.since = now
+            self.zones.advance(key, now)
+        return entries
+
     # -- state application --------------------------------------------------
 
     def _commit(self, table: Table, records: List[UpdateRecord]) -> None:
@@ -397,7 +440,7 @@ class ClusterShard:
         journal frame (and its barrier) land before the in-memory
         apply, the same ordering :class:`Transaction.commit` uses, so a
         crash between the two replays the records instead of losing
-        them. No observer notification — a shard's CQ refresh reads
+        them. No observer notification — a store's view refresh reads
         the update log directly."""
         if not records:
             return
@@ -406,7 +449,7 @@ class ClusterShard:
             table.wal.commit_barrier()
         table.apply_committed(records)
 
-    def _apply_delta(self, table_name: str, delta: DeltaRelation) -> None:
+    def _upsert_slice(self, table_name: str, delta: DeltaRelation) -> None:
         """Upsert one table's scattered delta slice (see module doc)."""
         table = self.db.table(table_name)
         floor = table.log.latest_ts()
@@ -416,47 +459,11 @@ class ClusterShard:
             # tail; clamping keeps the log monotone, and the relevance
             # theorem keeps the late-clamped entry harmless (it was
             # irrelevant to every group when it was skipped).
-            ts = max(entry.ts, floor)
-            floor = ts
-            known = entry.tid in table.current
-            if entry.new is None:
-                if not known:
-                    continue
-                records.append(
-                    UpdateRecord(
-                        UpdateKind.DELETE,
-                        entry.tid,
-                        table.current.get(entry.tid),
-                        None,
-                        ts,
-                        SCATTER_TXN,
-                    )
-                )
-            elif known:
-                old = table.current.get(entry.tid)
-                if old == entry.new:
-                    continue
-                records.append(
-                    UpdateRecord(
-                        UpdateKind.MODIFY,
-                        entry.tid,
-                        old,
-                        entry.new,
-                        ts,
-                        SCATTER_TXN,
-                    )
-                )
-            else:
-                records.append(
-                    UpdateRecord(
-                        UpdateKind.INSERT,
-                        entry.tid,
-                        None,
-                        entry.new,
-                        ts,
-                        SCATTER_TXN,
-                    )
-                )
+            ts = floor = max(entry.ts, floor)
+            old = table.current.get_or_none(entry.tid)
+            # Equal sides: an unchanged row, or a delete of an unknown one.
+            if old != entry.new:
+                records.append(_record(entry.tid, old, entry.new, ts))
         self._commit(table, records)
 
     def _apply_baseline(self, table_name: str, target: Relation) -> None:
@@ -469,52 +476,50 @@ class ClusterShard:
         current table journals nothing.
         """
         table = self.db.table(table_name)
+        current = table.current
         ts = max(self.db.now(), table.log.latest_ts())
         records: List[UpdateRecord] = []
         for row in target:
-            if row.tid in table.current:
-                old = table.current.get(row.tid)
-                if old != row.values:
-                    records.append(
-                        UpdateRecord(
-                            UpdateKind.MODIFY,
-                            row.tid,
-                            old,
-                            row.values,
-                            ts,
-                            SCATTER_TXN,
-                        )
-                    )
-            else:
-                records.append(
-                    UpdateRecord(
-                        UpdateKind.INSERT,
-                        row.tid,
-                        None,
-                        row.values,
-                        ts,
-                        SCATTER_TXN,
-                    )
-                )
-        for row in list(table.current):
-            if row.tid not in target:
-                records.append(
-                    UpdateRecord(
-                        UpdateKind.DELETE,
-                        row.tid,
-                        row.values,
-                        None,
-                        ts,
-                        SCATTER_TXN,
-                    )
-                )
+            old = current.get_or_none(row.tid)
+            if old != row.values:
+                records.append(_record(row.tid, old, row.values, ts))
+        records.extend(
+            _record(row.tid, row.values, None, ts)
+            for row in current
+            if row.tid not in target
+        )
         self._commit(table, records)
 
     # -- introspection -----------------------------------------------------
 
     def sql_keys(self) -> List[str]:
-        """The ``sql_key`` subscriptions this shard currently owns."""
-        return sorted(s.cq_name for s in self.server.subscriptions())
+        """The ``sql_key`` views this store currently holds."""
+        return sorted(self._views)
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless the store's records agree —
+        the laws every frame must leave standing (``tests/cluster``
+        checks them after each ``handle``)."""
+
+        def law(holds: bool, message: str) -> None:
+            if not holds:
+                raise AssertionError(message)
+
+        views = self._views
+        law(
+            len(self.index) == len(views) and all(k in self.index for k in views),
+            "index keys != view keys",
+        )
+        since = {key: view.since for key, view in views.items()}
+        zones = self.zones.boundaries()
+        law(zones == since, f"zones {zones} != window starts {since}")
+        for key, view in views.items():
+            pruned = max(self.db.table(t).log.pruned_through for t in view.tables)
+            law(
+                view.since >= pruned,
+                f"{key!r}: window starts at {view.since}, below the log's "
+                f"pruned-through {pruned}",
+            )
 
     def close(self) -> None:
         if self.db.wal is not None and not self.db.wal.closed:
@@ -522,9 +527,8 @@ class ClusterShard:
 
     def __repr__(self) -> str:
         return (
-            f"ClusterShard({self.shard_id}, "
-            f"{len(self.server.subscriptions())} subscriptions, "
-            f"now={self.db.now()})"
+            f"ClusterShard({self.shard_id}, group={self.group}, "
+            f"{len(self._views)} views, now={self.db.now()})"
         )
 
 
@@ -541,7 +545,7 @@ class ShardHost:
 
     Replica stores hold tables only — every cycle's scattered slices
     are applied WAL-first exactly as on the primary, but no
-    subscriptions are registered until a
+    views are installed until a
     :class:`~repro.net.messages.ShardPromoteMessage` arrives. That
     keeps steady-state replica cost at delta application (no term
     evaluation) and keeps the store's update logs fully prunable, while
@@ -571,29 +575,23 @@ class ShardHost:
             self.wal_root, f"shard-{self.shard_id}", "replicas"
         )
 
-    def _paths(self, group: int) -> Tuple[Optional[str], Optional[str]]:
+    def _wal_path(self, group: int) -> Optional[str]:
         if self.wal_root is None:
-            return None, None
+            return None
         if group == self.shard_id:
-            return (
-                shard_wal_path(self.wal_root, group),
-                shard_checkpoint_path(self.wal_root, group),
-            )
-        root = self._replica_root()
-        return (shard_wal_path(root, group), shard_checkpoint_path(root, group))
+            return shard_wal_path(self.wal_root, group)
+        return shard_wal_path(self._replica_root(), group)
 
     def ensure_store(self, group: int) -> ClusterShard:
         """The store serving ``group``, created on first use — a new
         replica assignment starts with the seeding frame itself."""
         store = self.stores.get(group)
         if store is None:
-            wal_path, __ = self._paths(group)
             store = ClusterShard(
                 self.shard_id,
                 self.decls,
-                wal_root=self.wal_root,
                 group=group,
-                wal_path=wal_path,
+                db=Database(durability=self._wal_path(group)),
             )
             self.stores[group] = store
         return store
@@ -611,7 +609,9 @@ class ShardHost:
         host.decls = list(decls)
         host.wal_root = wal_root
         host.stores = {}
-        host.stores[shard_id] = ClusterShard.recover(shard_id, decls, wal_root)
+        host.stores[shard_id] = ClusterShard.recover(
+            shard_id, decls, host._wal_path(shard_id)
+        )
         replica_root = host._replica_root()
         pattern = os.path.join(replica_root, "shard-*", "wal.log")
         for wal_path in sorted(glob.glob(pattern)):
@@ -621,14 +621,7 @@ class ShardHost:
             except (IndexError, ValueError):
                 continue
             host.stores[group] = ClusterShard.recover(
-                shard_id,
-                decls,
-                wal_root,
-                group=group,
-                wal_path=wal_path,
-                checkpoint_path=os.path.join(
-                    os.path.dirname(wal_path), "checkpoint.json"
-                ),
+                shard_id, decls, wal_path, group=group
             )
         return host
 

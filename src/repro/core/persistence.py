@@ -346,7 +346,7 @@ def _subscription_entries(server) -> List[Dict[str, Any]]:
     ]
 
 
-def server_from_dict(data: Dict[str, Any], network=None, metrics=None):
+def server_from_dict(data: Dict[str, Any], metrics=None):
     """Restore a CQ server from :func:`server_to_dict`.
 
     :meth:`CQServer.restore` rebuilds each retained result as of its
@@ -364,7 +364,7 @@ def server_from_dict(data: Dict[str, Any], network=None, metrics=None):
         )
     server = CQServer(
         database_from_dict(data["database"]),
-        network if network is not None else SimulatedNetwork(),
+        SimulatedNetwork(),
         name=data["name"],
         metrics=metrics,
     )
@@ -389,8 +389,8 @@ def save_server(server, path: str) -> None:
             )
 
 
-def load_server(path: str, network=None, metrics=None):
-    return server_from_dict(read_checkpoint(path), network, metrics)
+def load_server(path: str, metrics=None):
+    return server_from_dict(read_checkpoint(path), metrics)
 
 
 # -- crash recovery (checkpoint + WAL suffix) ---------------------------------
@@ -400,7 +400,8 @@ def _replay_wal(db, wal_path: str, prefix: str, key, metrics=None):
     """Scan + replay a journal on top of an (optionally restored) db
     (frames at or below its clock: covered by its checkpoint) and
     re-attach it: the recovered site journals like the crashed one did.
-    Returns the ``<prefix>_register``/``_deregister`` events netted out
+    The one journal scanner of every tier: manager, server and cluster
+    shard store (``ClusterShard.recover``). Returns the ``<prefix>_register``/``_deregister`` events netted out
     per ``key(event)``: the last register event, or None (deregistered)."""
     __, __, summary = journal.recover_database(wal_path, metrics=metrics, base=db)
     desired: Dict[Any, Optional[Dict[str, Any]]] = {}
@@ -447,7 +448,6 @@ def recover_manager(
 def recover_server(
     wal_path: str,
     checkpoint_path: Optional[str] = None,
-    network=None,
     metrics=None,
 ):
     """Rebuild a CQ server after a crash: checkpoint + WAL suffix, by
@@ -458,13 +458,9 @@ def recover_server(
     from repro.net.simnet import SimulatedNetwork
 
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        server = load_server(checkpoint_path, network, metrics)
+        server = load_server(checkpoint_path, metrics)
     else:
-        server = CQServer(
-            Database(),
-            network if network is not None else SimulatedNetwork(),
-            metrics=metrics,
-        )
+        server = CQServer(Database(), SimulatedNetwork(), metrics=metrics)
     db = server.db
     desired = _replay_wal(
         db, wal_path, "sub", lambda e: (e["client"], e["cq"]), server.metrics

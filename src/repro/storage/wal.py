@@ -465,13 +465,6 @@ def shard_wal_path(root: str, shard_id: int) -> str:
     return os.path.join(directory, "wal.log")
 
 
-def shard_checkpoint_path(root: str, shard_id: int) -> str:
-    """The checkpoint path alongside :func:`shard_wal_path`."""
-    directory = os.path.join(root, f"shard-{shard_id}")
-    os.makedirs(directory, exist_ok=True)
-    return os.path.join(directory, "checkpoint.json")
-
-
 def rebase_wal(wal: WriteAheadLog, db) -> None:
     """Truncate a journal a checkpoint just superseded and re-seed it.
 

@@ -77,18 +77,20 @@ WEIGHTS = {
 #: ``db.query`` at a refresh that left no group lost (ROADMAP item 2).
 #: Replicas 1, seed 0 is the shortest: a subscription seeds a group
 #: whose store holds another ``sql_key`` with commits pending, and the
-#: seeding sync's reply — that key's delta — is never merged.
+#: seeding sync's reply — that key's delta — is never merged. Eight
+#: more runs diverged while stores kept a result copy of their own: a
+#: delta deleting a row that copy never held failed the host.
 DIVERGENT = frozenset(
-    [(0, seed) for seed in (3, 7, 9, 20, 28, 29)]
+    [(0, seed) for seed in (3, 7, 9, 20)]
     + [
         (1, seed)
-        for seed in (0, 12, 14, 15, 16, 17, 18, 19, 21, 22, 23, 24, 25)
-        + (26, 28, 32, 36, 37)
+        for seed in (0, 12, 14, 15, 16, 17, 18, 19, 21, 22, 23, 24, 28)
+        + (32, 36, 37)
     ]
     + [
         (2, seed)
-        for seed in (4, 5, 7, 10, 17, 20, 21, 22, 23, 24, 25, 28, 31)
-        + (32, 33, 34, 37, 38, 39)
+        for seed in (5, 7, 10, 20, 22, 23, 24, 25, 28, 31, 32, 33, 34)
+        + (37, 38)
     ]
 )
 

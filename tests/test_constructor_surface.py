@@ -1,5 +1,5 @@
 """The constructor keywords of the serving and cluster classes, pinned
-— and the state the three stateful cores carry.
+— and the state the stateful cores carry.
 
 Each on/off keyword doubles the configurations the equivalence harness
 and the benchmarks have to cover, so adding one must be a deliberate
@@ -10,10 +10,11 @@ them ``True``: they select nothing, and ``False`` — the deleted arm —
 is a ``TypeError`` too.
 
 ``STATE`` pins the same way what a freshly constructed ``CQManager``,
-``ClusterRouter`` and ``CQServer`` hold: state about one CQ, one
-``sql_key``, one placement group, one host, one store or one
-subscription lives on that record (``ContinualQuery``, ``_SqlGroup``,
-``_Group``, ``_Host``, ``_Store``, ``Subscription``, ``SharedGroup``),
+``ClusterRouter``, ``CQServer`` and ``ClusterShard`` hold: state about
+one CQ, one ``sql_key``, one placement group, one host, one store or
+one subscription lives on that record (``ContinualQuery``,
+``_SqlGroup``, ``_Group``, ``_Host``, ``_Store``, ``Subscription``,
+``SharedGroup``, a store's ``_View``),
 so a new instance attribute — the next parallel registry — is a
 deliberate edit here too.
 """
@@ -23,7 +24,7 @@ import inspect
 import pytest
 
 from repro import Database
-from repro.cluster import ClusterRouter, LocalBackend, ProcessBackend
+from repro.cluster import ClusterRouter, ClusterShard, LocalBackend, ProcessBackend
 from repro.core import CQManager
 from repro.net.server import CQServer
 from repro.net.service import CQService
@@ -85,6 +86,7 @@ SURFACE = {
     },
     LocalBackend: {"wal_root", "fault_hook", "shuffle_seed"},
     ProcessBackend: {"wal_root", "columnar", "slow"},
+    ClusterShard: {"shard_id", "decls", "metrics", "group", "db"},
 }
 
 TRUE_ONLY = [
@@ -186,12 +188,28 @@ STATE = {
         "_scoped_metrics",
         "_refreshes_since_audit",
     },
+    # A store is its tables plus one window per sql_key: no server, no
+    # client endpoint, no network.
+    ClusterShard: {
+        # identity and collaborators
+        "shard_id",
+        "group",
+        "metrics",
+        "db",
+        "plans",
+        "index",
+        "zones",
+        # records: views by sql_key; replies by seq (retry dedup)
+        "_views",
+        "_reply_cache",
+    },
 }
 
 FRESH = {
     CQManager: [lambda: CQManager(Database())],
     ClusterRouter: [lambda: ClusterRouter(shards=1)],
     CQServer: [lambda: CQServer(Database(), SimulatedNetwork())],
+    ClusterShard: [lambda: ClusterShard(0, [])],
 }
 
 
