@@ -269,15 +269,18 @@ def obs_smoke(n_cqs=8, cycles=20):
             manager.poll()
         return metrics
 
-    untraced_s = time_fn(lambda: run_cycles(None), repeat=5)
-
     tracer = Tracer(sample_rate=1.0, max_spans=1_000_000)
 
     def traced_run():
         tracer.reset()
         return run_cycles(tracer)
 
-    traced_s = time_fn(traced_run, repeat=5)
+    # Best of 5 a side, the sides alternated: a machine whose speed
+    # shifts mid-check slows both sides alike rather than one of them.
+    untraced_s = traced_s = float("inf")
+    for __ in range(5):
+        untraced_s = min(untraced_s, time_fn(lambda: run_cycles(None), repeat=1))
+        traced_s = min(traced_s, time_fn(traced_run, repeat=1))
     metrics = traced_run()
 
     # 1. Every pipeline stage left spans, attributed to the right CQs.

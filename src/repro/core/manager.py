@@ -40,7 +40,7 @@ from repro.errors import RegistrationError, reject_deleted_arms
 from repro.metrics import Metrics
 from repro.obs.stats import CQStats, TeeMetrics
 from repro.obs.table import format_table
-from repro.obs.trace import Tracer
+from repro.obs.trace import NULL_SPAN, Tracer
 from repro.relational.relation import Relation
 from repro.relational.sql import parse_query
 from repro.storage.database import Database
@@ -78,8 +78,11 @@ from repro.core.triggers import (
 
 NotifyCallback = Callable[[Notification], None]
 
-# What receiving an evaluated delta charges (no engine counter, no latency).
+# A lazy member's CQStats row per turn, on top of what its evaluation
+# charged: receiving an earlier turn's delta (no engine counter, no
+# latency), or the refresh that evaluated it.
 _RECEIVED = {Metrics.CQ_REFRESHES: 1, Metrics.SHARED_GROUP_HITS: 1}
+_EVALUATED = {Metrics.CQ_REFRESHES: 1}
 
 
 class EvaluationStrategy(enum.Enum):
@@ -552,25 +555,38 @@ class CQManager:
         One window for the whole poll: sweep every cohort, refresh what
         is due — the CQs a sweep routes or cannot prove unobservable —
         in registration order, a lazy member by *receiving* its group's
-        evaluation, anyone else by a full visit; then move the sweeps.
+        evaluation, anyone else by a full visit; then move the sweeps
+        and, under ``auto_gc``, collect behind them. What the receiving
+        turns owe the shared bag is charged once, when they are done.
         """
         if advance_to is not None:
             self.db.clock.advance_to(advance_to)
         now = self.db.now()
         span = self.tracer.span("scheduler.poll", now=now, registered=len(self._cqs))
+        refreshed = received = 0
         with span, self._open_window():
             cohorts = list(self._cohorts.values())
             runnable = [cq for cohort in cohorts for cq in self._due(cohort)]
             runnable.sort(key=attrgetter("order"))
             span.set(runnable=len(runnable))
-            for cq in runnable:
-                if cq.status is not CQStatus.ACTIVE:
-                    continue  # (an earlier visit's callback deregistered it)
-                lazy = cq.name in self._cohorts[cq.table_names].lazy
-                if lazy and not cq.is_aggregate:
-                    self._receive(cq)
-                else:  # (an aggregate folds and diffs its own state)
-                    self._charged(cq, self._maybe_execute)
+            try:
+                for cq in runnable:
+                    if cq.status is not CQStatus.ACTIVE:
+                        continue  # (an earlier visit's callback deregistered it)
+                    lazy = cq.name in self._cohorts[cq.table_names].lazy
+                    if not lazy or cq.is_aggregate:
+                        # (an aggregate folds and diffs its own state)
+                        self._charged(cq, self._maybe_execute)
+                        continue
+                    took = self._receive(cq)
+                    if took is not None:
+                        refreshed += 1
+                        received += took
+            finally:
+                if refreshed and self.metrics is not None:
+                    self.metrics.count(Metrics.CQ_REFRESHES, refreshed)
+                    if received:
+                        self.metrics.count(Metrics.SHARED_GROUP_HITS, received)
             for cohort in cohorts:
                 cohort.swept = now
                 self.zones.try_advance(cohort.tables, now)
@@ -582,6 +598,8 @@ class CQManager:
                     for name, cq in cohort.late.items()
                     if cq.last_execution_ts > now
                 }
+            if self.auto_gc:
+                self.zones.collect()
         return self.drain()
 
     run_once = poll
@@ -621,11 +639,11 @@ class CQManager:
                     cq.last_execution_ts = swept
                     cq.applied_ts = max(cq.applied_ts, swept)
             due.extend(cohort.late.values())
-        if not due and self.metrics:
+        if not due and self.metrics is not None:
             self.metrics.count(Metrics.GROUPS_SKIPPED)
         return due
 
-    def _receive(self, cq: ContinualQuery) -> None:
+    def _receive(self, cq: ContinualQuery) -> Optional[bool]:
         """A lazy member's turn: take the group's delta over its window
         — evaluated here, charged to this member, unless an earlier
         turn left it (a late joiner's window is its own; a callback's
@@ -633,30 +651,42 @@ class CQManager:
         result, move the window, be notified. Against a full visit
         nothing observable is skipped: the stop is ``Never``, there is
         no zone of its own to advance, and ``OnEveryChange`` fires iff
-        the window is touched and ignores ``notify_fired``."""
+        the window is touched and ignores ``notify_fired``.
+
+        Taking an earlier turn's delta is a few stores: no call but the
+        notification the member is owed. Returns None when nothing was
+        received (a late member whose own window is quiet), else whether
+        the delta was taken rather than evaluated; :meth:`poll` charges
+        the shared bag from that, once."""
         now, since = self.db.now(), cq.last_execution_ts
         group = self._sql_groups[cq.sql_key]
-        delta = None
-        if self._touched(cq.table_names, since):
-            delta, charges = group.delta_over(since, now), _RECEIVED
-            if delta is None:
-                delta = self._charged(cq, self._execute_dra)
-                charges = {Metrics.CQ_REFRESHES: 1}
+        last = group.last
+        took = (
+            last is not None
+            and last[1] == now
+            and last[0] == since
+            and last[2] is not None
+        )
+        if took:  # (an evaluated window was a touched one)
+            delta = last[2]
+        elif self._touched(cq.table_names, since):
+            delta = self._charged(cq, self._execute_dra)
+        else:
+            delta = None
         if cq.keep_result:
-            group.retain(cq, now, delta)
+            if took and group.result is not None:
+                cq.previous_result = group.result
+            else:  # (the first keeper to ask leaves its own copy)
+                group.retain(cq, now, delta)
         if delta is None:
-            return  # a late member whose own window is quiet
+            return None
         cq.last_execution_ts = now
-        if self.auto_gc:
-            self.zones.collect()
-        self.stats.record(cq.name, charges)
-        if self.metrics:
-            for name in charges:
-                self.metrics.count(name)
+        self.stats.record(cq.name, _RECEIVED if took else _EVALUATED)
         if not delta.is_empty():
             cq.executions += 1
             cq.last_result_ts = now
             self._emit(cq, self._notification(cq, delta, now))
+        return took
 
     def _charged(self, cq: ContinualQuery, step: Callable):
         """Run ``step(cq, now)`` as one refresh of ``cq``: stamped with
@@ -664,12 +694,14 @@ class CQManager:
         earlier visit's callback may have moved past the poll's start),
         in a ``cq.refresh`` span, with one latency sample, its counter
         charges scoped per CQ (the tee still charges the shared bag)."""
-        now = self.db.now()
-        scoped = TeeMetrics(self.metrics if self.metrics else None)
+        now, tracer = self.db.now(), self.tracer
+        scoped = TeeMetrics(self.metrics)
         self._scoped_metrics = scoped
         start = time.perf_counter()
-        span = self.tracer.span(
-            "cq.refresh", cq=cq.name, tables=",".join(cq.table_names)
+        span = (
+            tracer.span("cq.refresh", cq=cq.name, tables=",".join(cq.table_names))
+            if tracer.enabled
+            else NULL_SPAN
         )
         with span:
             try:
@@ -683,8 +715,9 @@ class CQManager:
                     if value
                 }
                 self.stats.record(cq.name, counters, latency_us)
-                span.set(latency_us=round(latency_us, 3), **counters)
-                if self.metrics:
+                if tracer.enabled:
+                    span.set(latency_us=round(latency_us, 3), **counters)
+                if self.metrics is not None:
                     self.metrics.observe(Metrics.REFRESH_LATENCY_US, latency_us)
                 self._note_slow_refresh(cq.name, latency_us, counters)
 
@@ -757,9 +790,13 @@ class CQManager:
             # Differential T_cq evaluation for drift-based epsilons:
             # fold pending deltas into the maintained aggregate first.
             self._fold(cq, now)
-        with self.tracer.span(
-            "cq.trigger", cq=cq.name, tables=",".join(cq.table_names)
-        ) as span:
+        tracer = self.tracer
+        span = (
+            tracer.span("cq.trigger", cq=cq.name, tables=",".join(cq.table_names))
+            if tracer.enabled
+            else NULL_SPAN
+        )
+        with span:
             ctx = self._context(cq, now)
             stopped = cq.stop.should_stop(ctx)
             fired = (not stopped) and cq.trigger.should_fire(ctx)
@@ -787,9 +824,10 @@ class CQManager:
         """True when any of the tables committed after ``since`` —
         whether or not GC has pruned the commit since: an EAGER or
         aggregate CQ's zone runs ahead of its last execution."""
-        return any(
-            self.db.table(name).log.newest_ts > since for name in table_names
-        )
+        for name in table_names:
+            if self.db.table(name).log.newest_ts > since:
+                return True
+        return False
 
     def _window_deltas(
         self, cq: ContinualQuery, since: Timestamp
@@ -902,7 +940,7 @@ class CQManager:
             return DeltaRelation(self._prepared_for(cq).out_schema)
         sharing = group.readers > 1  # (someone to hand the evaluation to)
         delta = group.delta_over(since, now) if sharing else None
-        if delta is not None and self.metrics:
+        if delta is not None and self.metrics is not None:
             self.metrics.count(Metrics.SHARED_GROUP_HITS)
         if delta is None:
             with self.tracer.span("dra.apply", cq=cq.name) as span:
@@ -916,11 +954,12 @@ class CQManager:
                     tracer=self.tracer,
                     seeds=seeds,
                 )
-                span.set(
-                    changed=",".join(sorted(result.changed_aliases)),
-                    terms=result.terms_evaluated,
-                    delta_rows=len(result.delta),
-                )
+                if self.tracer.enabled:
+                    span.set(
+                        changed=",".join(sorted(result.changed_aliases)),
+                        terms=result.terms_evaluated,
+                        delta_rows=len(result.delta),
+                    )
             delta = result.delta
             if not group.last or group.last[1] != now:
                 group.result = None  # (a late joiner's, to the same now, keeps it)
@@ -989,18 +1028,23 @@ class CQManager:
         )
 
     def _emit(self, cq: ContinualQuery, notification: Notification) -> None:
-        with self.tracer.span(
+        if cq.history is not None:
+            cq.history.append(notification)
+        self._outbox.append(notification)
+        callbacks, tracer = cq.callbacks, self.tracer
+        if not tracer.enabled:
+            for callback in callbacks:
+                callback(notification)
+            return
+        with tracer.span(
             "cq.notify",
             cq=notification.cq_name,
             kind=notification.kind.value,
             seq=notification.seq,
         ) as span:
-            if cq.history is not None:
-                cq.history.append(notification)
-            self._outbox.append(notification)
-            for callback in cq.callbacks:
+            for callback in callbacks:
                 callback(notification)
-            span.set(callbacks=len(cq.callbacks))
+            span.set(callbacks=len(callbacks))
 
     # -- garbage collection ------------------------------------------------------
 

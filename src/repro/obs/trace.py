@@ -26,6 +26,7 @@ by every child, so a sampled refresh is always complete.
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 import time
@@ -62,10 +63,10 @@ class Span:
     """One timed, attributed stage of a trace.
 
     Use as a context manager: entering stamps the start time and makes
-    this span the current parent on this thread; exiting stamps the end
-    time, restores the parent, and (when sampled) records the span with
-    the tracer. ``set`` attaches attributes (counters, row counts, CQ
-    names); on an unsampled span it is a no-op.
+    this span the current parent on the thread that created it; exiting
+    stamps the end time, restores the parent, and (when sampled) records
+    the span with the tracer. ``set`` attaches attributes (counters, row
+    counts, CQ names); on an unsampled span it is a no-op.
     """
 
     __slots__ = (
@@ -78,6 +79,7 @@ class Span:
         "start",
         "end",
         "attrs",
+        "_stack",
     )
 
     def __init__(
@@ -89,6 +91,7 @@ class Span:
         parent_id: Optional[int],
         sampled: bool,
         attrs: Dict[str, Any],
+        stack: List["Span"],
     ):
         self.tracer = tracer
         self.name = name
@@ -98,7 +101,10 @@ class Span:
         self.sampled = sampled
         self.start: Optional[float] = None
         self.end: Optional[float] = None
-        self.attrs: Dict[str, Any] = dict(attrs) if sampled else {}
+        # Kept, not copied: :meth:`Tracer.span` hands over its fresh
+        # ``**attrs`` dict.
+        self.attrs: Dict[str, Any] = attrs if sampled else {}
+        self._stack = stack  # the creating thread's open spans
 
     def set(self, **attrs: Any) -> "Span":
         if self.sampled:
@@ -125,14 +131,29 @@ class Span:
 
     def __enter__(self) -> "Span":
         self.start = self.tracer.clock()
-        self.tracer._push(self)
+        self._stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.end = self.tracer.clock()
-        if exc is not None and self.sampled:
+        tracer = self.tracer
+        self.end = tracer.clock()
+        stack = self._stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        elif self in stack:  # unbalanced exit; keep the stack coherent
+            stack.remove(self)
+        if not self.sampled:
+            return False
+        if exc is not None:
             self.attrs.setdefault("error", repr(exc))
-        self.tracer._pop(self)
+        # Retained as is: its record is built when read.
+        with tracer._lock:
+            if len(tracer._spans) < tracer.max_spans:
+                tracer._spans.append(self)
+            else:
+                tracer.dropped += 1
+        if tracer.sink is not None:
+            tracer.sink.write(self.to_dict())
         return False
 
     def __repr__(self) -> str:
@@ -173,8 +194,8 @@ class Tracer:
         self.dropped = 0
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
-        self._next_id = 0
-        self._spans: List[Dict[str, Any]] = []
+        self._ids = itertools.count(1)
+        self._spans: List[Span] = []
         self._local = threading.local()
 
     # -- span creation -----------------------------------------------------
@@ -184,23 +205,23 @@ class Tracer:
         root, with a fresh sampling decision, when there is none)."""
         if not self.enabled:
             return NULL_SPAN
-        stack = self._stack()
-        parent = stack[-1] if stack else None
-        with self._lock:
-            self._next_id += 1
-            span_id = self._next_id
-            if parent is not None:
-                trace_id = parent.trace_id
-                parent_id = parent.span_id
-                sampled = parent.sampled
-            else:
-                trace_id = span_id
-                parent_id = None
-                sampled = (
-                    self.sample_rate >= 1.0
-                    or self._rng.random() < self.sample_rate
-                )
-        return Span(self, name, trace_id, span_id, parent_id, sampled, attrs)
+        try:
+            stack = self._local.stack
+        except AttributeError:
+            stack = self._stack()
+        # (``next`` on a count is atomic: ids need no lock round-trip)
+        span_id = next(self._ids)
+        if stack:
+            parent = stack[-1]
+            trace_id, parent_id = parent.trace_id, parent.span_id
+            sampled = parent.sampled
+        else:
+            trace_id, parent_id = span_id, None
+            sampled = self.sample_rate >= 1.0
+            if not sampled:
+                with self._lock:  # (one seeded stream of decisions)
+                    sampled = self._rng.random() < self.sample_rate
+        return Span(self, name, trace_id, span_id, parent_id, sampled, attrs, stack)
 
     def current(self) -> Optional[Span]:
         stack = self._stack()
@@ -209,19 +230,17 @@ class Tracer:
     # -- retained spans ----------------------------------------------------
 
     def spans(self, name: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Finished sampled spans (optionally filtered by name)."""
+        """Finished sampled spans' records (optionally filtered by name)."""
         with self._lock:
-            records = list(self._spans)
-        if name is not None:
-            records = [r for r in records if r["name"] == name]
-        return records
+            spans = list(self._spans)
+        return [s.to_dict() for s in spans if name is None or s.name == name]
 
     def drain(self) -> List[Dict[str, Any]]:
-        """Remove and return all retained spans."""
+        """Remove and return all retained spans' records."""
         with self._lock:
-            out = self._spans
+            spans = self._spans
             self._spans = []
-        return out
+        return [s.to_dict() for s in spans]
 
     def reset(self) -> None:
         with self._lock:
@@ -235,26 +254,6 @@ class Tracer:
         if stack is None:
             stack = self._local.stack = []
         return stack
-
-    def _push(self, span: Span) -> None:
-        self._stack().append(span)
-
-    def _pop(self, span: Span) -> None:
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif span in stack:  # unbalanced exit; keep the stack coherent
-            stack.remove(span)
-        if not span.sampled:
-            return
-        record = span.to_dict()
-        with self._lock:
-            if len(self._spans) < self.max_spans:
-                self._spans.append(record)
-            else:
-                self.dropped += 1
-        if self.sink is not None:
-            self.sink.write(record)
 
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"

@@ -8,6 +8,7 @@ list contains aggregate functions.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple, Union
 
 from repro.errors import SQLSyntaxError, UnsupportedQueryError
@@ -38,8 +39,23 @@ AGG_KEYWORDS = {"SUM", "COUNT", "AVG", "MIN", "MAX"}
 ParsedQuery = Union[SPJQuery, AggregateQuery]
 
 
+#: Distinct SQL texts :func:`parse_query` keeps parsed (least recently
+#: used first out).
+PARSE_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_query(text: str) -> ParsedQuery:
-    """Parse one SELECT statement into a query object."""
+    """Parse one SELECT statement into a query object.
+
+    Memoised by text: a continual query is a standing template many
+    subscribers register, and re-parsing it per registration was most
+    of what registering cost. A parsed query is a value — no field of an
+    ``SPJQuery``/``AggregateQuery`` is assigned after ``__init__`` — so
+    every caller may share the one object. A syntax error raises on
+    every call and caches nothing; ``parse_query.__wrapped__`` is the
+    uncached parser.
+    """
     parser = _Parser(tokenize(text))
     query = parser.parse_select()
     parser.expect_eof()

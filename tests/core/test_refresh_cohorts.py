@@ -30,6 +30,7 @@ from repro.core import (
 from repro.core.results import NotificationKind
 from repro.relational import AttributeType
 from repro.metrics import Metrics
+from repro.obs import Tracer
 from repro.relational.expressions import col, lit
 from repro.relational.predicates import lt
 from repro.workload.stocks import StockMarket
@@ -276,11 +277,84 @@ class TestMembersReceive:
         for i in range(20):
             stocks.insert((600 + i, "HI", 900 + i))
             assert len(mgr.poll()) == 5
-            # Each visit collects behind the cohort's zone, which moves
-            # when the poll ends: one cycle's commit stays, never two.
-            assert len(stocks.log) == 1
+            # The poll collects once, after the cohort's zone moved to
+            # its end: the commit it swept is gone, not left a cycle.
+            assert len(stocks.log) == 0
         assert mgr.metrics[Metrics.EXECUTIONS] == 20
         assert all(cq.previous_result == db.query(WATCH) for cq in members)
+
+    def test_auto_gc_prunes_the_window_the_poll_swept(self, db):
+        """Collecting per receiving member ran before the poll moved the
+        cohort's zone, so a swept window survived until the next
+        collect."""
+        market = StockMarket(db, seed=1)
+        market.populate(50)
+        mgr = make_manager(db, auto_gc=True)
+        sql = "SELECT sid, price FROM stocks WHERE price > 500"
+        members = [mgr.register_sql(f"w{i}", sql) for i in range(4)]
+        mgr.drain()
+        market.tick(20)
+        table = db.table("stocks")
+        assert mgr.poll()
+        assert len(table.log) == 0
+        assert table.log.pruned_through == db.now()
+        assert mgr.collect_garbage() == {}
+        assert all(cq.previous_result == db.query(sql) for cq in members)
+
+    def test_receive_accounting_is_pinned(self, db, stocks):
+        """A 3-member routed group plus an always-visit member of the
+        same text, over a routed, an unrouted and a quiet poll: per-CQ
+        rows, the shared totals and the spans, as they read when each
+        receiving turn charged the shared bag itself (poll now charges
+        them once)."""
+        tracer = Tracer(sample_rate=1.0)
+        mgr = make_manager(db, tracer=tracer)
+        for name in ("w0", "w1", "w2"):
+            mgr.register_sql(name, WATCH)
+        armed_by_cheap_rows = OnUpdate("stocks", lt(col("price"), lit(50)))
+        mgr.register_sql("always", WATCH, trigger=armed_by_cheap_rows)
+        mgr.drain()
+        evaluated = {
+            "cq_refreshes": 1,
+            "delta_rows_read": 1,
+            "executions": 1,
+            "kernel_calls": 2,
+            "kernel_rows": 2,
+            "terms_evaluated": 1,
+        }
+        received = {"cq_refreshes": 1, "shared_group_hits": 1}
+        shared = (
+            Metrics.CQ_REFRESHES,
+            Metrics.SHARED_GROUP_HITS,
+            Metrics.GROUPS_SKIPPED,
+        )
+
+        def poll(commit, notified, refreshed, always, totals):
+            """``always``: its cq_refreshes so far; ``totals``: the
+            shared bag's ``shared`` counters so far."""
+            tracer.reset()
+            commit()
+            assert [n.cq_name for n in mgr.poll()] == notified
+            assert [r["cq"] for r in tracer.spans("cq.notify")] == notified
+            assert [r["cq"] for r in tracer.spans("cq.refresh")] == refreshed
+            rows = {"w0": evaluated, "w1": received, "w2": received}
+            rows["always"] = {"cq_refreshes": always}
+            assert {name: mgr.stats.counters(name) for name in rows} == rows
+            assert tuple(mgr.metrics[name] for name in shared) == totals
+
+        def routed():
+            stocks.insert((600, "HI", 900))  # w0 evaluates, w1 and w2 receive
+            stocks.insert((601, "LOW", 10))  # arms always, which shares it
+
+        poll(routed, ["w0", "w1", "w2", "always"], ["w0", "always"], 1, (4, 3, 0))
+        poll(
+            lambda: stocks.insert((602, "LOW", 12)),  # routes nowhere, arms
+            [],
+            ["always"],
+            2,
+            (5, 3, 0),
+        )
+        poll(lambda: db.clock.advance_to(db.now() + 1), [], [], 2, (5, 3, 1))
 
     @pytest.mark.bulk
     def test_a_poll_never_evicts_a_pair_before_its_members_turn(self, db):
