@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConnectTimeout, NetworkError, ReproError
 from repro.relational.relation import Relation
@@ -28,6 +28,7 @@ from repro.storage.timestamps import Timestamp
 from repro.net.digest import apply_delta, relation_digest
 from repro.net.messages import (
     DeltaAvailableMessage,
+    DeltaBatchMessage,
     DeltaMessage,
     FetchMessage,
     FullResultMessage,
@@ -48,6 +49,13 @@ from repro.net.transport import FrameConnection, TcpTransport
 _RESULT_FRAMES = (InitialResultMessage, FullResultMessage, DeltaMessage)
 
 
+def _parts(message: Message) -> Sequence[Message]:
+    """The result frames a message carries: a batch's parts, or itself."""
+    if isinstance(message, DeltaBatchMessage):
+        return message.parts
+    return (message,)
+
+
 class ResultCache:
     """One cached result per CQ, each beside the running digest of
     exactly that copy: the apply-and-verify step of both client kinds.
@@ -57,7 +65,9 @@ class ResultCache:
     running digest before the frame apply its delta once and share the
     resulting relation, as the server's members share their group's
     result. A cached relation is therefore replaced on every change and
-    never mutated in place; callers must not mutate one either."""
+    never mutated in place; callers must not mutate one either. A
+    :class:`DeltaBatchMessage` is taken part by part, each part as if
+    it had arrived alone."""
 
     def __init__(self) -> None:
         self._results: Dict[str, Relation] = {}
@@ -167,13 +177,17 @@ class CQClient(ResultCache):
         if isinstance(message, DeltaAvailableMessage):
             self._pending[message.cq_name] = message
             return
-        if not isinstance(message, _RESULT_FRAMES):
+        parts = _parts(message)
+        if not all(isinstance(part, _RESULT_FRAMES) for part in parts):
             raise NetworkError(f"unexpected message {message!r}")
         mismatches = self.digest_mismatches
-        applied, failed = self._absorb(message)
-        if isinstance(message, DeltaMessage):
-            for cq_name in applied:
-                self._pending.pop(cq_name, None)
+        failed: List[str] = []
+        for part in parts:
+            applied, unusable = self._absorb(part)
+            failed += unusable
+            if isinstance(part, DeltaMessage):
+                for cq_name in applied:
+                    self._pending.pop(cq_name, None)
         # A delta we cannot apply is normal after a client restart (the
         # server refreshed before seeing the new session), a mismatch
         # is a copy that is provably not what the server shipped from:
@@ -486,14 +500,17 @@ class CQSession(ResultCache):
                 continue  # connection died mid-reply; reconnect loop
 
     async def _handle(self, message: Message) -> None:
-        if isinstance(message, _RESULT_FRAMES):
-            applied, failed = self._absorb(message)
-            for cq_name in applied:
-                self.applied[cq_name] = message.ts
-            if isinstance(message, FullResultMessage):
-                self.full_results += len(applied)
-            elif isinstance(message, DeltaMessage):
-                self.deltas_applied += len(applied)
+        if isinstance(message, (*_RESULT_FRAMES, DeltaBatchMessage)):
+            failed: List[str] = []
+            for part in _parts(message):
+                applied, unusable = self._absorb(part)
+                failed += unusable
+                for cq_name in applied:
+                    self.applied[cq_name] = part.ts
+                if isinstance(part, FullResultMessage):
+                    self.full_results += len(applied)
+                elif isinstance(part, DeltaMessage):
+                    self.deltas_applied += len(applied)
             for cq_name in failed:
                 # Our cache is not what the server believes we hold
                 # (lost or altered frames); a full copy resynchronizes.

@@ -15,7 +15,10 @@ the header, then the delta body, which a routed group encodes once and
 splices into each of its frames. A frame carrying one group's delta to
 several CQs on one connection adds ``"more"`` (the names after
 ``"cq"``) between ``"dg"`` and ``"t"``; a one-name frame has no such
-field, so its bytes are those of any single-subscriber frame.
+field, so its bytes are those of any single-subscriber frame. A refresh
+that ships several groups' deltas to one connection sends them as one
+``{"t":"delta_batch","parts":[…]}`` frame whose parts are those delta
+payloads, byte for byte.
 
 Tids are ints or nested tuples of tids (join provenance); tuples
 encode as JSON arrays and decode back to tuples recursively, which is
@@ -39,6 +42,7 @@ from repro.relational.types import AttributeType
 from repro.delta.differential import DeltaEntry, DeltaRelation
 from repro.net.messages import (
     DeltaAvailableMessage,
+    DeltaBatchMessage,
     DeltaMessage,
     FetchMessage,
     FullResultMessage,
@@ -67,6 +71,10 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
+#: ``json.dumps(obj, separators=(",", ":"))`` without building a new
+#: encoder per call: the same bytes, for frames and row digests alike.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 # -- schema / relation / delta payloads ---------------------------------------
 
@@ -87,12 +95,6 @@ def _schema_of(pairs: Tuple[Tuple[str, str], ...]) -> Schema:
     return Schema.of(*((name, AttributeType(type_)) for name, type_ in pairs))
 
 
-def _tid_to_json(tid: Tid) -> Any:
-    if isinstance(tid, tuple):
-        return [_tid_to_json(part) for part in tid]
-    return tid
-
-
 def _tid_from_json(data: Any) -> Tid:
     if isinstance(data, list):
         return tuple(_tid_from_json(part) for part in data)
@@ -106,9 +108,9 @@ def _values_from_json(data: Optional[List[Any]]) -> Optional[Values]:
 def _relation_to_json(relation: Relation) -> Dict[str, Any]:
     return {
         "schema": _schema_to_json(relation.schema),
-        "rows": [
-            [_tid_to_json(row.tid), list(row.values)] for row in relation
-        ],
+        # Tuples encode as the arrays lists would: tids and values
+        # ship as they are held.
+        "rows": [(row.tid, row.values) for row in relation],
     }
 
 
@@ -123,15 +125,7 @@ def _relation_from_json(data: Dict[str, Any]) -> Relation:
 def _delta_to_json(delta: DeltaRelation) -> Dict[str, Any]:
     return {
         "schema": _schema_to_json(delta.schema),
-        "entries": [
-            [
-                _tid_to_json(e.tid),
-                None if e.old is None else list(e.old),
-                None if e.new is None else list(e.new),
-                e.ts,
-            ]
-            for e in delta
-        ],
+        "entries": [(e.tid, e.old, e.new, e.ts) for e in delta],
     }
 
 
@@ -139,7 +133,7 @@ def encode_delta_body(delta: DeltaRelation) -> str:
     """The ``"delta"`` field of a delta frame as JSON text. A routed
     group encodes its delta once; :func:`encode_payload` splices the
     text into every member's frame."""
-    return json.dumps(_delta_to_json(delta), separators=(",", ":"))
+    return compact_json(_delta_to_json(delta))
 
 
 def _delta_header(message: DeltaMessage) -> Dict[str, Any]:
@@ -150,6 +144,22 @@ def _delta_header(message: DeltaMessage) -> Dict[str, Any]:
     if len(message.cq_names) > 1:
         header["more"] = list(message.cq_names[1:])
     return header
+
+
+def _delta_message(data: Dict[str, Any]) -> DeltaMessage:
+    return DeltaMessage(
+        (data["cq"], *data.get("more", ())),
+        _delta_from_json(data["delta"]),
+        data["ts"],
+        data.get("dg"),
+    )
+
+
+def _delta_batch(data: Dict[str, Any]) -> DeltaBatchMessage:
+    parts = data["parts"]
+    if not parts or any(part["t"] != "delta" for part in parts):
+        raise CodecError("a delta batch holds one or more delta frames")
+    return DeltaBatchMessage([_delta_message(part) for part in parts])
 
 
 def _delta_from_json(data: Dict[str, Any]) -> DeltaRelation:
@@ -195,6 +205,8 @@ _TO_JSON: Dict[Type[Message], Tuple[str, Callable[[Message], Dict[str, Any]]]] =
     ),
     # The header only: encode_payload splices the "delta" body in.
     DeltaMessage: ("delta", _delta_header),
+    # encode_payload splices the parts' own payloads in.
+    DeltaBatchMessage: ("delta_batch", lambda m: {}),
     DeltaAvailableMessage: (
         "delta_available",
         lambda m: {
@@ -308,12 +320,8 @@ _FROM_JSON: Dict[str, Callable[[Dict[str, Any]], Message]] = {
     "full_result": lambda d: FullResultMessage(
         d["cq"], _relation_from_json(d["result"]), d["ts"], d.get("dg")
     ),
-    "delta": lambda d: DeltaMessage(
-        (d["cq"], *d.get("more", ())),
-        _delta_from_json(d["delta"]),
-        d["ts"],
-        d.get("dg"),
-    ),
+    "delta": _delta_message,
+    "delta_batch": _delta_batch,
     "delta_available": lambda d: DeltaAvailableMessage(
         d["cq"], d["ts"], d["entries"], d["pending"]
     ),
@@ -379,9 +387,12 @@ def encode_payload(message: Message) -> bytes:
         tag, to_json = _TO_JSON[type(message)]
     except KeyError:
         raise NetworkError(f"no codec for message type {type(message).__name__}")
+    if isinstance(message, DeltaBatchMessage):
+        parts = b",".join(map(encode_payload, message.parts))
+        return b'{"t":"delta_batch","parts":[' + parts + b"]}"
     body = to_json(message)
     body["t"] = tag
-    text = json.dumps(body, separators=(",", ":"))
+    text = compact_json(body)
     if isinstance(message, DeltaMessage):
         delta_json = message.body
         if delta_json is None:

@@ -30,25 +30,18 @@ see: a copy changed *between* applies by anything but
 from __future__ import annotations
 
 import hashlib
-import json
-from typing import Any, Tuple
+from typing import Tuple
 
 from repro.delta.differential import DeltaRelation
+from repro.net.codec import compact_json
 from repro.relational.relation import Relation, Tid
 
 
-def _canon_tid(tid: Tid) -> Any:
-    """Tids are ints or nested tuples (join provenance); canonicalize
-    tuples to lists for a deterministic JSON form."""
-    if isinstance(tid, tuple):
-        return [_canon_tid(part) for part in tid]
-    return tid
-
-
 def row_digest(tid: Tid, values) -> int:
-    payload = json.dumps(
-        [_canon_tid(tid), list(values)], separators=(",", ":")
-    ).encode("utf-8")
+    # Tids are ints or nested tuples (join provenance); JSON writes a
+    # tuple as the array a list would be, so wire-decoded and local
+    # rows hash alike.
+    payload = compact_json((tid, values)).encode("utf-8")
     return int.from_bytes(
         hashlib.blake2b(payload, digest_size=8).digest(), "big"
     )

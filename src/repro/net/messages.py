@@ -12,7 +12,7 @@ purpose of the lazy protocol.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.relational.relation import Relation
 from repro.relational.types import value_wire_size
@@ -164,6 +164,28 @@ class DeltaMessage(Message):
 
     def __repr__(self) -> str:
         return f"DeltaMessage({self.cq_names!r}, {self.delta!r})"
+
+
+class DeltaBatchMessage(Message):
+    """Server -> client: every delta of one refresh step for one
+    connection, in one frame.
+
+    Each of ``parts`` is the :class:`DeltaMessage` a routed group
+    addresses to the connection's members of that group — its names,
+    delta, ``ts`` and post-apply digest — and the client takes each as
+    if it had arrived alone. A connection with one part this step gets
+    that ``DeltaMessage`` itself, never a batch of one."""
+
+    def __init__(self, parts: Sequence[DeltaMessage]):
+        self.parts = list(parts)
+
+    @property
+    def cq_names(self) -> Tuple[str, ...]:
+        """Every CQ the frame addresses, part by part."""
+        return tuple(name for part in self.parts for name in part.cq_names)
+
+    def __repr__(self) -> str:
+        return f"DeltaBatchMessage({len(self.parts)} parts)"
 
 
 class DeltaAvailableMessage(Message):

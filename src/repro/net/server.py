@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import NetworkError, RegistrationError
 from repro.metrics import Metrics
@@ -40,6 +41,7 @@ from repro.net.codec import encode_delta_body
 from repro.net.digest import apply_delta, relation_digest
 from repro.net.messages import (
     DeltaAvailableMessage,
+    DeltaBatchMessage,
     DeltaMessage,
     FetchMessage,
     FullResultMessage,
@@ -67,7 +69,8 @@ _DRA = (Protocol.DRA_DELTA, Protocol.DRA_LAZY)
 class Subscription:
     """One client's registration of one continual query, built by
     :meth:`CQServer._install` only. A DRA subscription is a group
-    member and has no window of its own: ``last_ts`` is its group's."""
+    member and has no window of its own: ``last_ts`` reads its
+    group's."""
 
     __slots__ = (
         "client_id",
@@ -76,7 +79,7 @@ class Subscription:
         "sql_key",
         "protocol",
         "group",
-        "last_ts",
+        "_last_ts",
         "previous_result",
         "digest",
         "changed_ts",
@@ -105,7 +108,7 @@ class Subscription:
         self.sql_key = query.to_sql()
         self.protocol = protocol
         self.group = group
-        self.last_ts = last_ts
+        self._last_ts = last_ts
         # Retained server-side copy of the last shipped result state
         # (Section 3.3: "the copy is maintained at the site where the
         # differential query refresh is carried out"). Replaced only
@@ -118,6 +121,18 @@ class Subscription:
         # DRA_LAZY only: deltas accumulated since the client's last
         # fetch, composed so repeated changes to one tuple net out.
         self.pending_delta = None
+
+    @property
+    def last_ts(self) -> Timestamp:
+        """The refresh window's start: a member's is its group's."""
+        group = self.group
+        return self._last_ts if group is None else group.last_ts
+
+    @last_ts.setter
+    def last_ts(self, ts: Timestamp) -> None:
+        if self.group is not None:
+            raise AttributeError("a group member's window is its group's")
+        self._last_ts = ts
 
     def retain(self, result: Relation, digest: str, ts: Timestamp) -> None:
         """Replace the retained copy: the result, its digest and the
@@ -171,13 +186,18 @@ class SharedGroup:
     (``apply_delta`` returns a fresh relation), never mutated in place,
     so member subscriptions alias it as their retained copy and
     lazily-degraded snapshots stay coherent.
+
+    Members are held in ``buckets``, one per client, so a refresh
+    visits clients, not members: a routed group's bucket is the address
+    list of its frame to that client, and an unrouted group skips the
+    bucket of a client that tracks its own zones whole.
     """
 
     __slots__ = (
         "sql_key",
         "query",
         "tables",
-        "members",
+        "buckets",
         "result",
         "digest",
         "last_ts",
@@ -195,8 +215,9 @@ class SharedGroup:
         self.sql_key = sql_key
         self.query = query
         self.tables: Tuple[str, ...] = tuple(sorted(set(query.table_names)))
-        #: Members by ``(client_id, cq_name)``, in joining order.
-        self.members: Dict[Tuple[str, str], Subscription] = {}
+        #: ``client_id`` -> that client's members by ``cq_name``, each
+        #: in joining order; a client with no member has no bucket.
+        self.buckets: Dict[str, Dict[str, Subscription]] = {}
         self.last_ts = last_ts
         #: Counters charged by the group's evaluations, once per routed
         #: cycle however many members share it.
@@ -209,6 +230,36 @@ class SharedGroup:
         self.result = result
         self.digest = digest
 
+    def join(self, subscription: Subscription) -> None:
+        bucket = self.buckets.setdefault(subscription.client_id, {})
+        bucket[subscription.cq_name] = subscription
+
+    def leave(self, subscription: Subscription) -> bool:
+        """Drop a member; True when it was the last."""
+        bucket = self.buckets[subscription.client_id]
+        del bucket[subscription.cq_name]
+        if not bucket:
+            del self.buckets[subscription.client_id]
+        return not self.buckets
+
+    @property
+    def members(self) -> Dict[Tuple[str, str], Subscription]:
+        """Every member by ``(client_id, cq_name)``, read off the
+        buckets (a new dict: join and leave change membership)."""
+        return {
+            (client_id, cq_name): s
+            for client_id, bucket in self.buckets.items()
+            for cq_name, s in bucket.items()
+        }
+
+    def __len__(self) -> int:
+        return sum(map(len, self.buckets.values()))
+
+
+#: The parts of one refresh step, gathered before any frame is sent:
+#: ``client_id`` -> [(the members a part addresses, the part)].
+Outbox = Dict[str, List[Tuple[List[Subscription], Message]]]
+
 
 class CQServer:
     """Hosts the database and serves continual-query subscriptions.
@@ -219,17 +270,18 @@ class CQServer:
     *different* queries still share one update-log pass per (table,
     window) — observable as ``delta_batches_reused``), every
     differential evaluation runs through :meth:`_evaluate`, and every
-    result delta leaves through :meth:`_ship`.
+    result frame leaves through :meth:`_send`.
 
     Every DRA subscription belongs to the :class:`SharedGroup` of its
     query text (the Section 5.2 "extracting common subexpressions"
     refinement applied at subscription granularity): a group is routed
-    by the predicate index, evaluated once per cycle, and its delta is
-    shipped once to each client holding members, in one frame
-    addressing all of them — server compute per cycle is independent
-    of the subscriber count (experiment E3b). A group's window moves in
-    :meth:`_refresh_group` only; a member never has its own. Only the
-    REEVAL_* baselines refresh alone.
+    by the predicate index and evaluated once per cycle, and its delta
+    crosses each connection holding members once — server compute per
+    cycle is independent of the subscriber count (experiment E3b). A
+    cycle gathers every routed group's part for a client and sends the
+    client one frame. A group's window moves in :meth:`_refresh_group`
+    only; a member never has its own. Only the REEVAL_* baselines
+    refresh alone.
     """
 
     def __init__(
@@ -332,15 +384,9 @@ class CQServer:
             # shared frame's bytes are split so the per-CQ sums equal
             # what crossed the wire, and each CQ got one delivery.
             names = getattr(message, "cq_names", None) or (message.cq_name,)
-            share, extra = divmod(size, len(names))
-            for i, cq_name in enumerate(names):
-                self.stats.record(
-                    cq_name,
-                    {
-                        Metrics.BYTES_SENT: share + (i < extra),
-                        Metrics.MESSAGES_SENT: 1,
-                    },
-                )
+            self.stats.record_split(
+                names, Metrics.BYTES_SENT, size, {Metrics.MESSAGES_SENT: 1}
+            )
         return True
 
     # -- GC zones ----------------------------------------------------------
@@ -350,27 +396,33 @@ class CQServer:
         return f"{client_id}:{cq_name}"
 
     def _note_refresh(
-        self, subscription: Subscription, arrived: Optional[Timestamp] = None
+        self,
+        client_id: str,
+        members: Iterable[Subscription],
+        arrived: Optional[Timestamp] = None,
     ) -> None:
-        """Advance the subscription's zone after a refresh; ``arrived``
-        is the timestamp of a frame that just reached the client (None:
-        a quiet refresh, or the frame was lost).
+        """Advance the zones of one client's ``members`` after a
+        refresh; ``arrived`` is the timestamp of a frame that just
+        reached the client (None: a quiet refresh, or the frame was
+        lost).
 
         Session endpoints (real sockets) set ``defer_zone_advance``:
         their boundary only moves when the client *acknowledges* having
         applied a refresh, so the replay window survives in-flight
-        loss. In-process clients apply synchronously, so they are
-        current through the horizon of the last frame that arrived.
+        loss. A detached client's zones hold its replay window for the
+        reconnect. Neither has its members visited. In-process clients
+        apply synchronously, so they are current through the horizon of
+        the last frame that arrived.
         """
-        if arrived is not None:
-            subscription.arrived_ts = arrived
-        client = self._clients.get(subscription.client_id)
-        if client is not None and getattr(client, "defer_zone_advance", False):
+        client = self._clients.get(client_id)
+        if client is None or getattr(client, "defer_zone_advance", False):
             return
-        self.zones.try_advance(
-            self._zone(subscription.client_id, subscription.cq_name),
-            subscription.horizon(subscription.arrived_ts),
-        )
+        for s in members:
+            if arrived is not None:
+                s.arrived_ts = arrived
+            self.zones.try_advance(
+                self._zone(client_id, s.cq_name), s.horizon(s.arrived_ts)
+            )
 
     def advance_zone(self, client_id: str, cq_name: str, ts: Timestamp) -> bool:
         """Move a subscription's replay boundary (client acked ``ts``)."""
@@ -493,8 +545,7 @@ class CQServer:
             # A join that finds the window behind it moves it the way
             # every cycle does: the members there get that delta now.
             if group.last_ts < last_ts:
-                cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
-                self._refresh_group(group, cache, self.db.now())
+                self._catch_up(group, self.db.now())
             self.metrics.count(Metrics.SHARED_GROUP_HITS)
             window, result, digest = group.last_ts, group.result, group.digest
         else:
@@ -522,7 +573,10 @@ class CQServer:
         subscription = Subscription(
             *key, query, protocol, group, window, result, digest, last_ts
         )
-        (self._solo if group is None else group.members)[key] = subscription
+        if group is None:
+            self._solo[key] = subscription
+        else:
+            group.join(subscription)
         self._subscriptions[key] = subscription
         self._holders[cq_name] += 1
         self.zones.register(self._zone(*key), tuple(query.table_names), last_ts)
@@ -543,11 +597,9 @@ class CQServer:
         group = subscription.group
         if group is None:
             del self._solo[key]
-        else:
-            del group.members[key]
-            if not group.members:
-                del self._groups[group.sql_key]
-                self.fanout_index.remove(group.sql_key)
+        elif group.leave(subscription):
+            del self._groups[group.sql_key]
+            self.fanout_index.remove(group.sql_key)
         self._holders[cq_name] -= 1
         if not self._holders[cq_name]:
             del self._holders[cq_name]
@@ -575,38 +627,65 @@ class CQServer:
         addresses).
 
         One predicate-index pass per (footprint, window) decides which
-        ``sql_key`` groups see relevant entries this cycle. Everyone in
-        no group — the REEVAL baselines — refreshes alone."""
+        ``sql_key`` groups see relevant entries this cycle. Their parts
+        are gathered per client and each client is sent one frame once
+        the groups are done — also when one of them raised, so no
+        window moves without its delta shipped. Everyone in no group —
+        the REEVAL baselines — refreshes alone."""
         now = self.db.now()
         cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
+        outbox: Outbox = {}
         sent = 0
-        for group in list(self._groups.values()):
-            sent += self._refresh_group(group, cache, now)
+        try:
+            for group in list(self._groups.values()):
+                sent += self._refresh_group(group, cache, now, outbox)
+        finally:
+            sent += self._flush(outbox)
         for subscription in list(self._solo.values()):
             sent += self._refresh_scoped(subscription)
         return sent
+
+    def _catch_up(
+        self,
+        group: SharedGroup,
+        now: Timestamp,
+        skip: Optional[Subscription] = None,
+    ) -> None:
+        """Move one group's window outside a cycle — for a join that
+        finds it open, or around a replay — and ship what it moved at
+        once."""
+        outbox: Outbox = {}
+        try:
+            cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
+            self._refresh_group(group, cache, now, outbox, skip)
+        finally:
+            self._flush(outbox)
 
     def _refresh_group(
         self,
         group: SharedGroup,
         cache: DeltaBatchCache,
         now: Timestamp,
+        outbox: Outbox,
         skip: Optional[Subscription] = None,
     ) -> int:
-        """Move one group's window to ``now`` — the only place it moves
-        — and every member's with it: each cycle, before a join that
-        finds it open, and around a replay (whose member is ``skip``:
-        :meth:`replay` aligns it and ships its own window).
+        """Move one group's window to ``now`` — the only place it moves,
+        and only once its evaluation succeeded — and every member's
+        with it (a member's is read off the group's): each cycle, before
+        a join that finds it open, and around a replay (whose member is
+        ``skip``: :meth:`replay` aligns it and ships its own window).
 
         An unrouted group advances without evaluating anything (the
         Section 5.2 relevance theorem makes its result delta provably
-        empty); a routed one evaluates once — charged to the group's
-        ``cost``, not to any member — and fans the delta out: one
-        frame per attached client, addressing all of its DRA_DELTA
-        members, whose retained copies are now the one group result.
-        Lazy members are announced one by one. Detached members are
-        skipped, not raised on — their zones hold the replay window for
-        reconnect. Returns the subscriptions reached."""
+        empty) and visits only the buckets of in-process clients, whose
+        zones advance per member. A routed one evaluates once — charged
+        to the group's ``cost``, not to any member — and adds one part
+        to ``outbox`` per attached client: the delta, addressed to the
+        client's DRA_DELTA members, whose retained copies are now the
+        one group result. Lazy members are announced one by one.
+        Detached members are skipped, not raised on — their zones hold
+        the replay window for reconnect. Returns the lazy members
+        announced; frames count when :meth:`_flush` sends them."""
         since = group.last_ts
         try:
             deltas, routed = cache.routed(
@@ -617,8 +696,6 @@ class CQServer:
             # was released on disconnect): the group catches up by
             # complete re-evaluation, as a replay past GC does.
             deltas = routed = None
-        group.last_ts = now
-        members = [s for s in group.members.values() if s is not skip]
         delta = None
         if routed is None or group.sql_key in routed:
             # The evaluation charges a bag of its own, folded into the
@@ -650,29 +727,47 @@ class CQServer:
                 cost = group.cost
                 for name, value in scoped.snapshot().items():
                     cost[name] = cost.get(name, 0) + value
-            if len(members) > 1:
-                self.metrics.count(
-                    Metrics.SHARED_GROUP_HITS, len(members) - 1
+            hits = len(group) - (skip is not None) - 1
+            if hits > 0:
+                self.metrics.count(Metrics.SHARED_GROUP_HITS, hits)
+        group.last_ts = now
+        buckets = group.buckets.items()
+        if delta is None:
+            for client_id, bucket in buckets:
+                self._note_refresh(
+                    client_id, (s for s in bucket.values() if s is not skip)
                 )
-        sent = 0
-        by_client: Dict[str, List[Subscription]] = {}
-        for s in members:
-            s.last_ts = now
-            if delta is None:
-                self._note_refresh(s)
-            elif s.protocol is Protocol.DRA_LAZY:
-                sent += self._announce_lazy(s, delta, now)
-            else:
-                s.retain(group.result, group.digest, now)
-                if s.client_id in self._clients:
-                    by_client.setdefault(s.client_id, []).append(s)
-        if by_client:
-            # The group's delta, encoded once for all its frames.
-            body = encode_delta_body(delta)
-            for bucket in by_client.values():
-                if self._ship(bucket, delta, now, body):
-                    sent += len(bucket)
-        return sent
+            return 0
+        announced = 0
+        result, digest, body = group.result, group.digest, None
+        for client_id, bucket in buckets:
+            attached = client_id in self._clients
+            members = []
+            for s in bucket.values():
+                if s is skip:
+                    continue
+                if s.protocol is Protocol.DRA_LAZY:
+                    announced += self._announce_lazy(s, delta, now)
+                    continue
+                s.retain(result, digest, now)
+                if attached:
+                    members.append(s)
+            if members:
+                if body is None:
+                    # Encoded once for every client's part.
+                    body = encode_delta_body(delta)
+                part = DeltaMessage(
+                    [s.cq_name for s in members], delta, now, digest, body
+                )
+                outbox.setdefault(client_id, []).append((members, part))
+        return announced
+
+    def _flush(self, outbox: Outbox) -> int:
+        """Send every client its frame of one refresh step; returns the
+        subscriptions reached."""
+        return sum(
+            self._send(client_id, parts) for client_id, parts in outbox.items()
+        )
 
     def _refresh_scoped(self, subscription: Subscription) -> bool:
         """Refresh one subscription on its own, inside a ``sub.refresh``
@@ -728,38 +823,47 @@ class CQServer:
             seeds=seeds,
         )
 
-    def _ship(
-        self,
-        members: Sequence[Subscription],
-        delta,
-        ts: Timestamp,
-        body: Optional[str] = None,
-    ) -> bool:
-        """The one ship step for result frames: ``delta``, already
-        applied to the members' one retained copy, or (``delta`` None)
-        a single subscription's copy whole. ``members`` share a client
-        and that copy (one group's DRA_DELTA members), so one frame
-        addresses them all. It carries the copy's running digest so the
-        client can verify each of its own after applying — the frame
-        built here, at ``ts``, is the one it has to apply to hold that
-        copy — and its arrival, or its loss, is noted for every member
-        it addressed. ``body`` is ``delta`` pre-encoded (a group
-        shipping several frames). Returns False when the network lost
-        the message."""
-        first = members[0]
-        for s in members:
-            s.changed_ts = ts
+    def _send(
+        self, client_id: str, parts: List[Tuple[List[Subscription], Message]]
+    ) -> int:
+        """The one ship step for result frames: one frame to one client
+        carrying ``parts``, each a message built at the refresh ``ts``
+        it carries, with the copies of the members it addresses already
+        the state it leaves them at — its digest is that state's, so
+        the client can verify each of its own after applying. One part
+        goes as itself, more as one :class:`DeltaBatchMessage`. Its
+        arrival, or its loss, is noted for every member of every part.
+        Returns the subscriptions reached (0: the network lost it)."""
+        message = first = parts[0][1]
+        if len(parts) > 1:
+            message = DeltaBatchMessage([part for __, part in parts])
+        delivered = self._deliver(client_id, message)
+        self._note_refresh(
+            client_id,
+            chain.from_iterable(members for members, __ in parts),
+            first.ts if delivered else None,
+        )
+        return sum(len(members) for members, __ in parts) if delivered else 0
+
+    def _ship(self, subscription: Subscription, delta, ts: Timestamp) -> bool:
+        """Ship one subscription a frame of its own at once: ``delta``,
+        already applied to its retained copy, or (``delta`` None) that
+        copy whole — the frame built here, at ``ts``, is the one the
+        client has to apply to hold it. Returns False when the network
+        lost the message."""
+        subscription.changed_ts = ts
         if delta is None:
             message = FullResultMessage(
-                first.cq_name, first.previous_result, ts, first.digest
+                subscription.cq_name,
+                subscription.previous_result,
+                ts,
+                subscription.digest,
             )
         else:
-            names = [s.cq_name for s in members]
-            message = DeltaMessage(names, delta, ts, first.digest, body)
-        delivered = self._deliver(first.client_id, message)
-        for s in members:
-            self._note_refresh(s, ts if delivered else None)
-        return delivered
+            message = DeltaMessage(
+                subscription.cq_name, delta, ts, subscription.digest
+            )
+        return bool(self._send(subscription.client_id, [([subscription], message)]))
 
     def _announce_lazy(
         self, subscription: Subscription, delta, now: Timestamp
@@ -829,7 +933,7 @@ class CQServer:
         pending = subscription.fold()
         if pending is None:
             return False
-        return self._ship([subscription], pending, subscription.last_ts)
+        return self._ship(subscription, pending, subscription.last_ts)
 
     def handle_resync(self, client_id: str, message: ResyncMessage) -> bool:
         """Re-ship the retained result copy to a client whose cache is
@@ -840,7 +944,7 @@ class CQServer:
         if subscription is None:
             return False
         self.metrics.count(Metrics.RESYNCS)
-        return self._ship([subscription], None, subscription.last_ts)
+        return self._ship(subscription, None, subscription.last_ts)
 
     # -- reconnect replay --------------------------------------------------
 
@@ -877,20 +981,19 @@ class CQServer:
         # baseline by re-evaluating, as its every refresh does.
         group = subscription.group
         if group is not None:
-            cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
-            self._refresh_group(group, cache, now, skip=subscription)
+            self._catch_up(group, now, skip=subscription)
             subscription.fold()
         else:
             result = self.db.query(query, self.metrics)
             subscription.retain(result, relation_digest(result), now)
-        subscription.last_ts = now
+            subscription.last_ts = now
         self.zones.register(
             self._zone(client_id, cq_name), tuple(query.table_names), since_ts
         )
         if not differential:
             if subscription.protocol is not Protocol.REEVAL_FULL:
                 self.metrics.count(Metrics.REPLAY_FALLBACKS)
-            self._ship([subscription], None, now)
+            self._ship(subscription, None, now)
             return False
         # The client's replay: one consolidated delta over its whole
         # missed window, applicable directly to its cached copy, whose
@@ -900,7 +1003,7 @@ class CQServer:
         )
         self.metrics.count(Metrics.REPLAYS)
         if not replayed.delta.is_empty():
-            self._ship([subscription], replayed.delta, now)
+            self._ship(subscription, replayed.delta, now)
         return True
 
     def _refresh_one(self, subscription: Subscription) -> bool:
@@ -912,15 +1015,15 @@ class CQServer:
         if subscription.protocol is Protocol.REEVAL_DELTA:
             delta = diff(subscription.previous_result, new_result, now)
             if delta.is_empty():
-                self._note_refresh(subscription)
+                self._note_refresh(subscription.client_id, (subscription,))
                 return False
             subscription.apply(delta, now)
-            return self._ship([subscription], delta, now)
+            return self._ship(subscription, delta, now)
 
         # REEVAL_FULL ships unconditionally: without a retained diff
         # there is no way to know nothing changed.
         subscription.retain(new_result, relation_digest(new_result), now)
-        return self._ship([subscription], None, subscription.last_ts)
+        return self._ship(subscription, None, subscription.last_ts)
 
     # -- introspection -----------------------------------------------------
 
@@ -944,11 +1047,23 @@ class CQServer:
         )
         placed = dict(self._solo)
         for sql_key, group in self._groups.items():
-            placed.update(group.members)
+            members = group.members
+            placed.update(members)
             law(sql_key == group.sql_key in index, f"{sql_key!r}: not indexed")
-            law(bool(group.members), f"{sql_key!r}: memberless group")
+            law(bool(members), f"{sql_key!r}: memberless group")
             law(
-                all(s.group is group for s in group.members.values()),
+                all(
+                    bucket
+                    and all(
+                        (s.client_id, s.cq_name) == (client_id, cq_name)
+                        for cq_name, s in bucket.items()
+                    )
+                    for client_id, bucket in group.buckets.items()
+                ),
+                f"{sql_key!r}: an empty bucket, or a member in another's",
+            )
+            law(
+                all(s.group is group for s in members.values()),
                 f"{sql_key!r}: holds another group's member",
             )
             law(
@@ -976,8 +1091,8 @@ class CQServer:
             elif s.protocol is Protocol.DRA_DELTA:
                 law(held is group.result, f"{key}: a private copy")
             law(
-                (s.last_ts, held) == (group.last_ts, group.result),
-                f"{key}: window or copy ∘ pending differs from its group's",
+                held == group.result,
+                f"{key}: copy ∘ pending differs from its group's",
             )
 
     def describe(self) -> List[Dict[str, object]]:
@@ -1018,7 +1133,7 @@ class CQServer:
                     # Fan-out group membership (DESIGN.md §10); the
                     # global routing counters live in the metrics bag.
                     "sql_group_size": (
-                        None if sub.group is None else len(sub.group.members)
+                        None if sub.group is None else len(sub.group)
                     ),
                 }
             )

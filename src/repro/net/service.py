@@ -15,7 +15,10 @@ around it:
   lazy DeltaAvailable protocol — the server keeps consolidating deltas
   server-side and ships one small notice instead of every delta — and
   are restored (with the accumulated delta shipped once) when the
-  queue drains.
+  queue drains. The limit counts frames, and a refresh sends a
+  connection one frame whatever number of routed groups it holds, so a
+  consumer that stops reading degrades after ``queue_limit`` cycles of
+  backlog.
 
 Zone discipline: socket sessions set ``defer_zone_advance``, so a
 subscription's replay boundary only moves when the client's heartbeat
@@ -204,7 +207,15 @@ class _Session:
 
 
 class CQService:
-    """Hosts a :class:`CQServer` behind a listening TCP socket."""
+    """Hosts a :class:`CQServer` behind a listening TCP socket.
+
+    ``queue_limit`` bounds each session's outbox in frames. A refresh
+    queues at most one result frame per connection — every routed
+    group's part of it together — so a stalled session is degraded to
+    the lazy protocol at the start of the refresh after its
+    ``queue_limit``-th unsent cycle, whether it holds one group or
+    hundreds (heartbeats and notices queue beside those frames).
+    """
 
     def __init__(
         self,

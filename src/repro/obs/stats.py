@@ -11,7 +11,7 @@ name. The shared totals stay exact; the per-CQ table is pure addition.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.metrics import Histogram, Metrics
 
@@ -72,6 +72,26 @@ class CQStats:
                 if hist is None:
                     hist = self._latency[key] = Histogram()
                 hist.observe(latency_us)
+
+    def record_split(
+        self, keys: Sequence[str], name: str, total: int, each: Dict[str, int]
+    ) -> None:
+        """Charge ``total`` of counter ``name`` split over ``keys`` —
+        evenly, the first ``total % len(keys)`` one more, so the shares
+        sum to ``total`` — and ``each`` to every key: one frame's bytes
+        over the CQs it addresses, under one lock."""
+        share, extra = divmod(total, len(keys))
+        with self._lock:
+            counters = self._counters
+            for i, key in enumerate(keys):
+                mine = counters.get(key)
+                if mine is None:
+                    mine = counters[key] = {}
+                amount = share + (i < extra)
+                if amount:
+                    mine[name] = mine.get(name, 0) + amount
+                for other, value in each.items():
+                    mine[other] = mine.get(other, 0) + value
 
     def forget(self, key: str) -> None:
         """Drop a key's counters and histogram (its CQ was deregistered)."""

@@ -22,6 +22,7 @@ from repro.net.codec import (
 )
 from repro.net.messages import (
     DeltaAvailableMessage,
+    DeltaBatchMessage,
     DeltaMessage,
     FetchMessage,
     FullResultMessage,
@@ -75,6 +76,15 @@ def roundtrip(message: Message) -> Message:
     return decode_payload(encode_payload(message))
 
 
+def fields(message: Message) -> dict:
+    """A message's attributes, a batch's parts as their own."""
+    out = dict(vars(message))
+    out.pop("_encoded", None)
+    if isinstance(message, DeltaBatchMessage):
+        out["parts"] = [fields(part) for part in message.parts]
+    return out
+
+
 EVERY_MESSAGE = [
     RegisterMessage("watch", "SELECT name FROM stocks WHERE price > 10"),
     RegisterMessage("watch", "SELECT * FROM t", protocol="dra_lazy"),
@@ -86,6 +96,13 @@ EVERY_MESSAGE = [
     InitialResultMessage("watch", sample_relation(), 5, "3:00deadbeef001234"),
     FullResultMessage("watch", sample_relation(), 6, "3:00deadbeef001234"),
     DeltaMessage("watch", sample_delta(), 7, "2:00deadbeef005678"),
+    # One refresh step's parts for one connection, in one frame.
+    DeltaBatchMessage(
+        [
+            DeltaMessage(("watch", "peek"), sample_delta(), 7, "2:00dead"),
+            DeltaMessage("other", sample_delta(), 7, "2:00beef"),
+        ]
+    ),
     DeltaAvailableMessage("watch", ts=8, entry_count=12, pending_bytes=456),
     FetchMessage("watch"),
     ResyncMessage("watch"),
@@ -132,8 +149,7 @@ class TestRoundTrip:
     def test_roundtrip_preserves_fields(self, message):
         decoded = roundtrip(message)
         assert type(decoded) is type(message)
-        for attr, value in vars(message).items():
-            assert getattr(decoded, attr) == value, attr
+        assert fields(decoded) == fields(message)
 
     def test_every_message_type_is_covered(self):
         from repro.net.codec import _FROM_JSON, _TO_JSON
@@ -198,6 +214,94 @@ class TestDeltaFrames:
         assert decode_payload(
             encode_payload(DeltaMessage("a", self.delta(), 7))
         ).cq_names == ("a",)
+
+    def test_batch_parts_are_delta_payloads_byte_for_byte(self):
+        parts = [
+            DeltaMessage(("a", "b"), self.delta(), 7, "1:00"),
+            DeltaMessage("c", self.delta(), 7, "1:01"),
+        ]
+        payload = encode_payload(DeltaBatchMessage(parts))
+        assert payload == (
+            b'{"t":"delta_batch","parts":['
+            + b",".join(encode_payload(part) for part in parts)
+            + b"]}"
+        )
+        back = decode_payload(payload)
+        assert back.cq_names == ("a", "b", "c")
+        assert [(p.cq_names, p.delta, p.digest) for p in back.parts] == [
+            (("a", "b"), self.delta(), "1:00"),
+            (("c",), self.delta(), "1:01"),
+        ]
+
+    @pytest.mark.parametrize(
+        "parts",
+        [b"", b'{"cq":"q","ts":1,"dg":null,"t":"fetch"}'],
+        ids=["empty", "not_a_delta"],
+    )
+    def test_a_batch_holds_delta_frames_only(self, parts):
+        with pytest.raises(CodecError):
+            decode_payload(b'{"t":"delta_batch","parts":[' + parts + b"]}")
+
+
+class TestPinnedOutput:
+    """Digests and frames come from one reused compact JSON encoder
+    (``codec.compact_json``). These literals were computed with
+    ``json.dumps(..., separators=(",", ":"))`` on a fresh encoder per
+    call: a change that moves any of them moves every digest and frame
+    already in flight or on disk."""
+
+    SCHEMA = Schema.of(
+        ("sym", AttributeType.STR),
+        ("price", AttributeType.FLOAT),
+        ("hot", AttributeType.BOOL),
+        ("n", AttributeType.INT),
+    )
+
+    def delta(self):
+        return DeltaRelation(
+            self.SCHEMA,
+            [
+                DeltaEntry(1, None, ("IBM", 1.5, True, 3), 7),
+                DeltaEntry((2, (3, 4)), ("MAC", -0.25, False, None), None, 7),
+                DeltaEntry(9, ("A", 0.0, False, 1), ("B", 2.5, True, 2), 8),
+            ],
+        )
+
+    def test_row_and_relation_digests(self):
+        from repro.net.digest import relation_digest, row_digest
+
+        assert row_digest(7, (1, 2)) == 5595837800081881141
+        assert row_digest((3, (4, 5)), ("x", 1.5)) == 18098853627900251064
+        assert row_digest(2, ("\u00e9", 2.25, True, None, False)) == (
+            175541622349116211
+        )
+        rel = Relation(self.SCHEMA)
+        rel.add(1, ("IBM", 1.5, True, 3))
+        rel.add((2, (3, 4)), ("MAC", -0.25, False, None))
+        rel.add(9, ('\u00e9"q', 1e20, True, -7))
+        assert relation_digest(rel) == "3:245e814a2ba419bf"
+        assert relation_digest(Relation(self.SCHEMA)) == "0:0000000000000000"
+
+    ENTRIES = (
+        b'"delta":{"schema":[["sym","str"],["price","float"],["hot","bool"],'
+        b'["n","int"]],"entries":[[1,null,["IBM",1.5,true,3],7],'
+        b'[[2,[3,4]],["MAC",-0.25,false,null],null,7],'
+        b'[9,["A",0.0,false,1],["B",2.5,true,2],8]]}}'
+    )
+
+    def test_one_name_delta_payload(self):
+        message = DeltaMessage("q", self.delta(), 8, "2:00000000000000ab")
+        assert encode_payload(message) == (
+            b'{"cq":"q","ts":8,"dg":"2:00000000000000ab","t":"delta",'
+            + self.ENTRIES
+        )
+
+    def test_three_name_delta_payload(self):
+        message = DeltaMessage(("a", "b", "c"), self.delta(), 8, "2:00000000000000ab")
+        assert encode_payload(message) == (
+            b'{"cq":"a","ts":8,"dg":"2:00000000000000ab","more":["b","c"],'
+            b'"t":"delta",' + self.ENTRIES
+        )
 
 
 class TestSchemaMemo:

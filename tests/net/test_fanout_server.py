@@ -169,6 +169,42 @@ class TestRouting:
             "SELECT name FROM stocks WHERE price < 100"
         )
 
+    def test_an_unrouted_group_visits_in_process_members_only(
+        self, deployment, monkeypatch
+    ):
+        """A quiet cycle moves every member's window with its group's
+        (a member reads the group's) and visits clients, not members:
+        only an in-process client's members have zones to advance. A
+        socket session's move on acks and a detached client's hold its
+        replay window, so their buckets are skipped whole."""
+        from repro.net.server import Subscription
+
+        db, __, __, server = deployment
+
+        class Socket(CQClient):
+            defer_zone_advance = True
+
+        socket = Socket("socket")
+        server.attach(socket)
+        for i in range(20):
+            socket.register(f"w{i}", WATCH)
+        attach_client(server, "away")
+        server.detach("away")
+        attach_client(server, "local")
+        visited = []
+        horizon = Subscription.horizon
+        monkeypatch.setattr(
+            Subscription,
+            "horizon",
+            lambda s, ts: visited.append(s.client_id) or horizon(s, ts),
+        )
+        db.clock.advance_to(db.now() + 5)
+        server.refresh_all()
+        assert visited == ["local"]
+        (group,) = server._groups.values()
+        assert group.last_ts == db.now()
+        assert {s.last_ts for s in server.subscriptions()} == {db.now()}
+
     def test_probe_count_sublinear_in_subscribers(self, db):
         """200 equality templates, one touched row: routed probes stay
         near-constant instead of scaling with the subscriber count."""

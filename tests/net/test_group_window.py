@@ -1,9 +1,9 @@
 """A member's window is its group's.
 
-A DRA subscription never has a refresh window of its own:
-``CQServer._refresh_group`` moves the group's, and every member's with
-it — each cycle, before a join that finds the window
-open, and around a reconnect replay. These tests pin what that buys:
+A DRA subscription never has a refresh window of its own: its
+``last_ts`` reads its group's, which ``CQServer._refresh_group`` moves —
+each cycle, before a join that finds the window open, and around a
+reconnect replay. These tests pin what that buys:
 a late join or a replay leaves the group evaluated once per cycle with
 one retained relation, and nobody is skipped past a delta.
 """
@@ -218,8 +218,12 @@ class TestInvariantsAreChecked:
     """``check_invariants`` is only worth running after every operation
     if it notices: each corruption below breaks one law."""
 
-    def break_window(server, sub, group):
-        sub.last_ts -= 1
+    def break_bucket(server, sub, group):
+        # A member's window is read off its group, so no corruption can
+        # give it one of its own; what can go wrong is the bucket it
+        # sits in.
+        buckets = group.buckets
+        buckets["c0"], buckets["c1"] = buckets["c1"], buckets["c0"]
 
     def break_alias(server, sub, group):
         sub.previous_result = sub.previous_result.copy()
@@ -228,7 +232,7 @@ class TestInvariantsAreChecked:
         sub.digest = "3:0123456789abcdef"
 
     def break_membership(server, sub, group):
-        del group.members[("c0", "watch")]
+        del group.buckets["c0"]
 
     def break_placement(server, sub, group):
         server._solo[("c0", "watch")] = sub
@@ -242,7 +246,7 @@ class TestInvariantsAreChecked:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            break_window,
+            break_bucket,
             break_alias,
             break_digest,
             break_membership,

@@ -331,6 +331,41 @@ class TestBackpressure:
         asyncio.run(scenario())
 
 
+    def test_backlog_is_counted_in_cycles_not_groups(self):
+        """A frame carries one whole refresh for its connection, so a
+        stalled session holding three routed groups queues one frame a
+        cycle and degrades exactly when that backlog reaches
+        ``queue_limit`` frames, however many groups it holds."""
+
+        async def scenario():
+            db, market = build_market()
+            service, addr = await start_service(db, queue_limit=4)
+            session = CQSession("c1", *addr, auto_fetch=False)
+            await session.connect()
+            templates = [f"{WATCH} AND sid <> {i}" for i in range(3)]
+            for i, sql in enumerate(templates):
+                await session.register(f"watch{i}", sql)
+            stalled = service.sessions()["c1"]
+            writer = stalled._tasks[0]
+            writer.cancel()
+            await asyncio.gather(writer, return_exceptions=True)
+            subs = service.server.subscriptions_for("c1")
+            assert len({sub.group for sub in subs}) == 3
+            for cycle in range(1, service.queue_limit + 1):
+                market.tick(50)
+                await service.refresh()
+                assert all(sub.protocol is Protocol.DRA_DELTA for sub in subs)
+                assert len(stalled.outbox) == cycle
+            market.tick(50)
+            await service.refresh()
+            assert all(sub.protocol is Protocol.DRA_LAZY for sub in subs)
+            assert service.metrics[Metrics.BACKPRESSURE_DEGRADES] == len(subs)
+            await session.close()
+            await service.stop()
+
+        asyncio.run(scenario())
+
+
 class TestStats:
     def test_stats_reply_round_trips_over_live_socket(self, tmp_path):
         async def scenario():
