@@ -133,9 +133,7 @@ def test_manager_fanout_end_to_end(print_table):
     market = StockMarket(db, seed=21)
     market.populate(300)
     workload = FanoutWorkload(n_templates=20, seed=22, skew=1.2)
-    mgr = CQManager(
-        db, strategy=EvaluationStrategy.PERIODIC, metrics=Metrics(), fanout=True
-    )
+    mgr = CQManager(db, strategy=EvaluationStrategy.PERIODIC, metrics=Metrics())
     subs = workload.subscriptions(120)
     for sub in subs:
         mgr.register_sql(sub.name, sub.sql)

@@ -237,7 +237,9 @@ def obs_smoke(n_cqs=8, cycles=20):
     """
     from repro.bench.harness import time_fn
     from repro.obs import format_table
-    from repro.core import CQManager, EvaluationStrategy
+    from repro.core import CQManager, EvaluationStrategy, OnUpdate
+    from repro.relational.expressions import col, lit
+    from repro.relational.predicates import gt
     from repro.obs import (
         Tracer,
         counter_value,
@@ -261,8 +263,11 @@ def obs_smoke(n_cqs=8, cycles=20):
             metrics=metrics,
             tracer=tracer,
         )
+        # q0's OnUpdate trigger is tested on every touched poll (the
+        # cq.trigger stage); the others are lazy cohort members.
+        armed = OnUpdate("stocks", gt(col("price"), lit(500)))
         for i, sql in enumerate(queries):
-            manager.register_sql(f"q{i}", sql)
+            manager.register_sql(f"q{i}", sql, trigger=None if i else armed)
         manager.drain()
         for __ in range(cycles):
             market.tick(20)

@@ -105,10 +105,10 @@ class CQManager:
         durability=None,
         tracer: Optional[Tracer] = None,
         slow_refresh_us: Optional[float] = None,
-        fanout: bool = False,
+        fanout: bool = True,
         columnar: bool = True,
     ):
-        reject_deleted_arms("CQManager", columnar=columnar)
+        reject_deleted_arms("CQManager", fanout=fanout, columnar=columnar)
         self.db = db
         #: ``durability=`` accepts a WriteAheadLog (or path) and attaches
         #: it to the database, so every commit *and* every CQ
@@ -162,17 +162,15 @@ class CQManager:
         self._window: Optional[DeltaBatchCache] = None
         #: Predicate-index fan-out (DESIGN.md §10): every non-baseline
         #: ``sql_key``'s alias-local predicates live in one shared
-        #: :class:`PredicateIndex`, so a poll routes the consolidated
-        #: batch to the affected CQ set in one pass instead of probing
-        #: every CQ's plan; unrouted CQs are not visited, or return an
-        #: empty delta without running an engine (the Section 5.2
-        #: relevance theorem makes that exact). CQs sharing a
-        #: ``sql_key`` (identical SQL text) additionally share one DRA
-        #: evaluation per refresh window, one retained result and one
-        #: E_0 at registration (:class:`~repro.core.scheduler.SqlGroup`).
-        self.fanout_index: Optional[PredicateIndex] = (
-            PredicateIndex(metrics) if fanout else None
-        )
+        #: :class:`PredicateIndex`, so a routing cohort's poll routes the
+        #: consolidated batch to the affected CQ set in one pass;
+        #: unrouted CQs are not visited, or return an empty delta
+        #: without running an engine (the Section 5.2 relevance theorem
+        #: makes that exact). CQs sharing a ``sql_key`` (identical SQL
+        #: text) additionally share one DRA evaluation per refresh
+        #: window, one retained result and one E_0 at registration
+        #: (:class:`~repro.core.scheduler.SqlGroup`).
+        self.index = PredicateIndex(metrics)
         self._sql_groups: Dict[str, SqlGroup] = {}
 
     # -- registration -----------------------------------------------------
@@ -360,7 +358,7 @@ class CQManager:
 
         A member is *lazy* — visited only when routed, see
         :class:`~repro.core.scheduler.Cohort` — when this is a PERIODIC
-        manager with an index, the engine is DRA, the trigger is exactly
+        manager, the engine is DRA, the trigger is exactly
         ``OnEveryChange`` and the stop ``Never``. EAGER CQs read the log
         on every commit, from their own applied-through stamp: they
         keep their own zone.
@@ -415,9 +413,7 @@ class CQManager:
             return None
         group = self._sql_groups.setdefault(key, SqlGroup())
         group.members[name] = cq
-        index = self.fanout_index
-        indexed = index is not None and cq.engine is not Engine.REEVALUATE
-        if indexed:
+        if cq.engine is not Engine.REEVALUATE:
             group.readers += 1
             if group.readers == 1:
                 if self.metrics:
@@ -426,7 +422,7 @@ class CQManager:
                     ref.alias: self.db.table(ref.table).schema
                     for ref in cq.spj_core.relations
                 }
-                index.add(key, cq.spj_core, scopes)
+                self.index.add(key, cq.spj_core, scopes)
         cohort = self._cohorts.get(tables)
         if cohort is None:
             cohort = self._cohorts[tables] = Cohort(tables, ts)
@@ -436,11 +432,11 @@ class CQManager:
                     self._unsubscribes[table] = self.db.subscribe(
                         table, self._observe
                     )
+        cohort.routing = True  # a new membership: observe routing afresh
         if not cohort.lazy:
             cohort.swept = ts  # only lazy members read it
         if (
-            indexed
-            and cq.engine is Engine.DRA
+            cq.engine is Engine.DRA
             and self.strategy is EvaluationStrategy.PERIODIC
             and type(cq.trigger) is OnEveryChange
             and type(cq.stop) is Never
@@ -475,12 +471,13 @@ class CQManager:
         if not group.members:
             del self._sql_groups[key]
             self.plans.invalidate(key)
-        if self.fanout_index is not None and cq.engine is not Engine.REEVALUATE:
+        if cq.engine is not Engine.REEVALUATE:
             group.readers -= 1
             if not group.readers:
                 # No future batch is routed to a dead subscriber.
-                self.fanout_index.remove(key)
+                self.index.remove(key)
         cohort = self._cohorts[tables]
+        cohort.routing = True  # a new membership: observe routing afresh
         for members in (cohort.lazy, cohort.always, cohort.late):
             members.pop(name, None)
         self.zones.remove(name)
@@ -625,13 +622,18 @@ class CQManager:
             if not is_skip_safe(cq)
             or self._touched(cohort.tables, cq.last_execution_ts)
         ]
-        swept, index = cohort.swept, self.fanout_index
+        swept, index, now = cohort.swept, self.index, self.db.now()
         if cohort.lazy and self._touched(cohort.tables, swept):
-            routed = self._window.routed(index, cohort.tables, swept, self.db.now())[1]
-            for key in routed.keys() | index.stale():
-                for name, cq in self._sql_groups[key].members.items():
-                    if name in cohort.lazy:
-                        cohort.late[name] = cq
+            if not cohort.routing:
+                cohort.late = dict(cohort.lazy)
+            else:
+                routed = self._window.routed(index, cohort.tables, swept, now)[1]
+                for key in routed.keys() | index.stale():
+                    for name, cq in self._sql_groups[key].members.items():
+                        if name in cohort.lazy:
+                            cohort.late[name] = cq
+                # Routing pays only while it leaves someone out.
+                cohort.routing = len(cohort.late) < len(cohort.lazy)
             for cq in cohort.late.values():
                 # Every poll that skipped it proved its window irrelevant
                 # (Section 5.2): its window starts where the sweep does.
@@ -836,14 +838,14 @@ class CQManager:
         nothing when the predicate index proves every pending entry
         irrelevant (Section 5.2); otherwise the consolidated window and
         the entry sides the index selected per alias — DRA's operand
-        seeds, None when routing cannot vouch for the deltas (an
-        unindexed or quarantined CQ refreshes normally: always sound).
-        Read through the open window, shared with the cohort's sweep
-        and every CQ reading it, over the CQ's own tables only: inside
-        the log suffix its zone protects."""
-        index, key, tables = self.fanout_index, cq.sql_key, cq.table_names
+        seeds, None when routing cannot vouch for the deltas (a baseline
+        or quarantined CQ, or a cohort that stopped routing, refreshes
+        unrouted: always sound). Read through the open window, shared
+        with the cohort's sweep and every CQ reading it, over the CQ's
+        own tables only: inside the log suffix its zone protects."""
+        index, key, tables = self.index, cq.sql_key, cq.table_names
         window, now, routed = self._window, self.db.now(), None
-        routable = index is not None and key in index
+        routable = key in index and self._cohorts[tables].routing
         if window is None:
             # An EAGER fold under PERIODIC: one reader, nothing to share.
             deltas = deltas_since([self.db.table(name) for name in tables], since)
@@ -929,7 +931,7 @@ class CQManager:
     def _execute_dra(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
         """The group step: the result delta over ``cq``'s window. CQs
         with one SQL text and one window hold content-identical results
-        (both Q(state at its start)), so of an indexed group's readers
+        (both Q(state at its start)), so of a group's readers
         whoever asks first evaluates and leaves the delta on its record;
         keepers share the new result — replaced, never mutated."""
         since, group = cq.last_execution_ts, self._sql_groups[cq.sql_key]
@@ -1064,7 +1066,7 @@ class CQManager:
             if not holds:
                 raise AssertionError(message)
 
-        index, cohorts, groups = self.fanout_index, self._cohorts, self._sql_groups
+        index, cohorts, groups = self.index, self._cohorts, self._sql_groups
         law(self._window is None, "a window is open outside poll and _observe")
         active = {cq.name: cq for cq in self.active()}
         grouped = {n: cq for g in groups.values() for n, cq in g.members.items()}
@@ -1129,10 +1131,9 @@ class CQManager:
         for key, group in groups.items():
             members = list(group.members.values())
             reading = [cq for cq in members if cq.engine is not Engine.REEVALUATE]
-            readers = len(reading) if index is not None else 0
+            readers = len(reading)
             law(
-                group.readers == readers
-                and (index is not None and key in index) == bool(readers),
+                group.readers == readers and (key in index) == bool(readers),
                 f"{key}: readers or the index entry != its {readers} delta readers",
             )
             if group.last is None:
@@ -1155,8 +1156,7 @@ class CQManager:
                 f"{key}: a lazy member holds a result of its own beside the group's",
             )
         law(
-            (len(index) if index is not None else 0)
-            == sum(group.readers > 0 for group in groups.values()),
+            len(index) == sum(group.readers > 0 for group in groups.values()),
             "the index's entries != the groups with a delta reader",
         )
         law(
@@ -1185,11 +1185,8 @@ class CQManager:
         out = []
         for cq in self._cqs.values():
             live = cq.status is CQStatus.ACTIVE
-            indexed = (
-                live
-                and cq.engine is not Engine.REEVALUATE
-                and self.fanout_index is not None
-            )
+            indexed = live and cq.engine is not Engine.REEVALUATE
+            readers = self._sql_groups[cq.sql_key].readers if indexed else 0
             since = self._since(cq)
             pending = live and self._touched(cq.table_names, since)
             cost = self.stats.counters(cq.name)
@@ -1230,14 +1227,9 @@ class CQManager:
                     "refresh_p95_us": (
                         latency.percentile(95) if latency.count else None
                     ),
-                    # Fan-out routing membership (DESIGN.md §10); the
-                    # global routing counters live in the metrics bag.
-                    "fanout_indexed": indexed,
-                    "sql_group_size": (
-                        (self._sql_groups[cq.sql_key].readers if indexed else 0)
-                        if self.fanout_index is not None
-                        else None
-                    ),
+                    # Fan-out group membership (DESIGN.md §10): delta
+                    # readers of its sql_key (0: a baseline, or stopped).
+                    "sql_group_size": readers,
                 }
             )
         return out
@@ -1276,21 +1268,20 @@ class CQManager:
                     f"rows_per_call="
                     f"{m.get(Metrics.KERNEL_ROWS) / calls:.1f}"
                 )
-        if self.fanout_index is not None:
-            info = self.fanout_index.describe()
+        info = self.index.describe()
+        report += (
+            f"\nindex: indexed={info['subscriptions']} "
+            f"eq={info['eq_entries']} interval={info['interval_entries']} "
+            f"scan={info['scan_entries']} stale={info['stale']} "
+            f"groups={len(self.index)}"
+        )
+        if self.metrics:
+            m = self.metrics
             report += (
-                f"\nfanout: indexed={info['subscriptions']} "
-                f"eq={info['eq_entries']} interval={info['interval_entries']} "
-                f"scan={info['scan_entries']} stale={info['stale']} "
-                f"groups={len(self.fanout_index)}"
+                f" probes={m.get(Metrics.PREDINDEX_PROBES)} "
+                f"matches={m.get(Metrics.PREDINDEX_MATCHES)} "
+                f"group_hits={m.get(Metrics.SHARED_GROUP_HITS)}"
             )
-            if self.metrics:
-                m = self.metrics
-                report += (
-                    f" probes={m.get(Metrics.PREDINDEX_PROBES)} "
-                    f"matches={m.get(Metrics.PREDINDEX_MATCHES)} "
-                    f"group_hits={m.get(Metrics.SHARED_GROUP_HITS)}"
-                )
         return report
 
     def __repr__(self) -> str:

@@ -228,7 +228,6 @@ def manager_to_dict(manager: CQManager) -> Dict[str, Any]:
         "strategy": manager.strategy.value,
         "auto_gc": manager.auto_gc,
         "history_limit": manager.history_limit,
-        "fanout": manager.fanout_index is not None,
         "last_result_ts": last_result_ts,
         "cqs": cqs,
     }
@@ -255,8 +254,8 @@ def manager_from_dict(data: Dict[str, Any], metrics=None) -> CQManager:
     :meth:`CQManager.restore` installs each CQ as of its checkpointed
     window start; the window itself (the updates after
     ``last_execution_ts``) is preserved in the restored logs. The
-    kernel flag older checkpoints carry is ignored: DRA always runs the
-    kernels.
+    ``columnar`` and ``fanout`` flags older checkpoints carry are
+    ignored: DRA always runs the kernels, and every manager is indexed.
     """
     if data.get("format") != FORMAT_VERSION:
         raise CheckpointError(
@@ -268,7 +267,6 @@ def manager_from_dict(data: Dict[str, Any], metrics=None) -> CQManager:
         auto_gc=data["auto_gc"],
         metrics=metrics,
         history_limit=data.get("history_limit", 0),
-        fanout=data.get("fanout", False),
     )
     last_result_ts = data.get("last_result_ts", {})
     manager.restore(

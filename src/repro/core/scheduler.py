@@ -11,9 +11,10 @@ CQ. These are the records ``CQManager.poll()`` shares work through:
   server, every subscription) reading that window;
 * :class:`Cohort` — the active CQs of one operand-table footprint
   share a swept-through timestamp. A poll routes each touched cohort's
-  batch over ``(swept, now]`` once and visits only the routed ``lazy``
-  members plus the ``always`` set; nobody iterates the registry. A
-  visit is skipped only when it is provably unobservable: on a quiet
+  batch over ``(swept, now]`` once — while routing leaves someone out
+  — and visits only the routed ``lazy`` members plus the ``always``
+  set; nobody iterates the registry. A visit is skipped only when it
+  is provably unobservable: on a quiet
   footprint, every :func:`is_skip_safe` CQ; on a touched one, only
   unrouted ``lazy`` members — trigger exactly ``OnEveryChange``, stop
   ``Never`` — whose visit would execute over a provably irrelevant
@@ -186,9 +187,14 @@ class Cohort:
     at ``swept`` — registered after a commit the cohort has not swept,
     or visited by a poll that did not finish — so the next poll visits
     them whatever it routes.
+
+    ``routing``: whether the footprint's reads go through the index. A
+    routed sweep leaving no lazy member out turns it off (later sweeps
+    mark every lazy member late and read unrouted: always sound); an
+    install or uninstall turns it back on.
     """
 
-    __slots__ = ("tables", "swept", "lazy", "always", "late")
+    __slots__ = ("tables", "swept", "lazy", "always", "late", "routing")
 
     def __init__(self, tables: Tuple[str, ...], swept: Timestamp):
         self.tables = tables
@@ -196,15 +202,16 @@ class Cohort:
         self.lazy: Dict[str, ContinualQuery] = {}
         self.always: Dict[str, ContinualQuery] = {}
         self.late: Dict[str, ContinualQuery] = {}
+        self.routing = True
 
 
 class SqlGroup:
     """The active CQs of one SQL text: one plan, one predicate-index
     entry, one evaluation per window, one retained result.
 
-    ``members`` by name; ``readers`` of them read deltas on an indexed
-    manager (a baseline joins for the plan and the result, never for
-    the routing): the index entry lives while there is one. ``last`` is
+    ``members`` by name; ``readers`` of them read deltas (a baseline
+    joins for the plan and the result, never for the routing): the
+    index entry lives while there is one. ``last`` is
     the last evaluation ``(since, now, delta)``; a member with that very
     window takes the delta — kept while there is a second reader to do
     so — instead of evaluating again. ``result`` is Q(state at that

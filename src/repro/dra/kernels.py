@@ -228,9 +228,10 @@ def _make_filter(pred, row_compiled, plan) -> Kernel:
         if len(keep) == len(batch.weights):
             return batch
         weights = batch.weights
+        # An outer generator: a profiler tells the two comprehensions apart.
         return ColumnBatch(
-            [[c[i] for i in keep] for c in batch.tids],
-            [[c[i] for i in keep] for c in batch.vals],
+            list([c[i] for i in keep] for c in batch.tids),
+            list([c[i] for i in keep] for c in batch.vals),
             [weights[i] for i in keep],
         )
 
@@ -289,8 +290,8 @@ def _extend(
 ) -> ColumnBatch:
     """Index-gather the existing columns through ``gather`` and append
     the freshly attached slot."""
-    tids = [[c[i] for i in gather] for c in batch.tids]
-    vals = [[c[i] for i in gather] for c in batch.vals]
+    tids = list([c[i] for i in gather] for c in batch.tids)
+    vals = list([c[i] for i in gather] for c in batch.vals)
     tids.append(new_tids)
     vals.append(new_vals)
     return ColumnBatch(tids, vals, out_weights)
@@ -581,7 +582,7 @@ def _make_accumulate(plan):
             return 0
         if refs is not None:
             if refs:
-                cols = [[row[p] for row in batch.vals[s]] for s, p in refs]
+                cols = [map(operator.itemgetter(p), batch.vals[s]) for s, p in refs]
                 vals_iter = zip(*cols)
             else:
                 vals_iter = iter([()] * n)

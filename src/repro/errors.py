@@ -13,10 +13,13 @@ class ReproError(Exception):
 
 
 #: What a keyword kept only for its existing ``True`` callers once
-#: selected when ``False``.
+#: selected when ``False``: by ``(owner, keyword)``, or by keyword when
+#: every owner lost the same arm.
 _DELETED_ARMS = {
-    "fanout": "the server's per-subscription DRA arm (every DRA "
-    "subscription belongs to its sql_key group)",
+    ("CQService", "fanout"): "the server's per-subscription DRA arm "
+    "(every DRA subscription belongs to its sql_key group)",
+    ("CQManager", "fanout"): "the manager's unindexed arm (a cohort "
+    "routes while routing leaves someone out)",
     "columnar": "the row interpreter as a serving path (DRA always runs "
     "the kernels)",
 }
@@ -27,9 +30,8 @@ def reject_deleted_arms(owner: str, **flags: bool) -> None:
     of ``flags`` still accepts ``True`` and selects nothing."""
     for name, value in flags.items():
         if value is not True:
-            raise TypeError(
-                f"{owner}({name}={value!r}): {_DELETED_ARMS[name]} was deleted"
-            )
+            arm = _DELETED_ARMS.get((owner, name)) or _DELETED_ARMS[name]
+            raise TypeError(f"{owner}({name}={value!r}): {arm} was deleted")
 
 
 class SchemaError(ReproError):

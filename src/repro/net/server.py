@@ -338,7 +338,7 @@ class CQServer:
         #: subscribers. Detached members are skipped (their zones keep
         #: the replay window); deregistering the last member drops the
         #: group and its index entry.
-        self.fanout_index = PredicateIndex(self.metrics)
+        self.index = PredicateIndex(self.metrics)
         self._groups: Dict[str, SharedGroup] = {}
 
     # -- wiring ------------------------------------------------------------
@@ -568,7 +568,7 @@ class CQServer:
                     ref.alias: self.db.table(ref.table).schema
                     for ref in query.relations
                 }
-                self.fanout_index.add(sql_key, query, scopes)
+                self.index.add(sql_key, query, scopes)
                 self.metrics.count(Metrics.SHARED_GROUPS)
         subscription = Subscription(
             *key, query, protocol, group, window, result, digest, last_ts
@@ -599,7 +599,7 @@ class CQServer:
             del self._solo[key]
         elif group.leave(subscription):
             del self._groups[group.sql_key]
-            self.fanout_index.remove(group.sql_key)
+            self.index.remove(group.sql_key)
         self._holders[cq_name] -= 1
         if not self._holders[cq_name]:
             del self._holders[cq_name]
@@ -689,7 +689,7 @@ class CQServer:
         since = group.last_ts
         try:
             deltas, routed = cache.routed(
-                self.fanout_index, group.tables, since, now
+                self.index, group.tables, since, now
             )
         except ValueError:
             # GC retired the window while no member's zone held it (each
@@ -1039,7 +1039,7 @@ class CQServer:
             if not holds:
                 raise AssertionError(message)
 
-        index = self.fanout_index
+        index = self.index
         law(len(index) == len(self._groups), "index entries != groups")
         law(
             all(s.protocol not in _DRA for s in self._solo.values()),
@@ -1183,7 +1183,7 @@ class CQServer:
                 f"rows={m.get(Metrics.KERNEL_ROWS)} "
                 f"rows_per_call={m.get(Metrics.KERNEL_ROWS) / calls:.1f}"
             )
-        info = self.fanout_index.describe()
+        info = self.index.describe()
         report += (
             f"\nfanout: groups={len(self._groups)} "
             f"indexed={info['subscriptions']} "

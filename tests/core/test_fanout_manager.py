@@ -1,15 +1,15 @@
 """Manager-side fan-out: index routing, shared windows, teardown.
 
-``CQManager(fanout=True)`` holds every non-baseline ``sql_key``'s local
-predicates in one :class:`~repro.dra.predindex.PredicateIndex` (one
-entry per distinct SQL text, shared by its CQs); a poll routes the
-consolidated batch once and CQs outside the routed set are not visited,
-or return a provably-empty delta without running an engine. CQs with
-identical SQL additionally share one DRA evaluation per refresh
-window. The equivalence harness proves the notification sequences
-match the sequential configuration; these tests pin the mechanics —
-registration, routing skips, shared-window hits, and the deregister
-regression (index entries must die with the CQ).
+``CQManager`` holds every non-baseline ``sql_key``'s local predicates
+in one :class:`~repro.dra.predindex.PredicateIndex` (one entry per
+distinct SQL text, shared by its CQs); a poll routes the consolidated
+batch once and CQs outside the routed set are not visited, or return a
+provably-empty delta without running an engine. CQs with identical SQL
+additionally share one DRA evaluation per refresh window. The
+equivalence harness proves the notification sequences match complete
+re-evaluation; these tests pin the mechanics — registration, routing
+skips, shared-window hits, and the deregister regression (index
+entries must die with the CQ).
 """
 
 import pytest
@@ -27,14 +27,13 @@ def make_manager(db, **kwargs):
         db,
         strategy=EvaluationStrategy.PERIODIC,
         metrics=Metrics(),
-        fanout=True,
         **kwargs,
     )
 
 
 def indexed(mgr):
     """Names of the CQs the manager reports as index-routed."""
-    return {r["name"] for r in mgr.describe() if r["fanout_indexed"]}
+    return {r["name"] for r in mgr.describe() if r["sql_group_size"]}
 
 
 def insert(db, table, *rows):
@@ -51,8 +50,8 @@ class TestIndexLifecycle:
         # Baselines never read deltas: not indexed, never skipped.
         assert indexed(mgr) == {"watch"}
         # One entry per SQL text, keyed by it.
-        assert mgr.get("watch").sql_key in mgr.fanout_index
-        assert len(mgr.fanout_index) == 1
+        assert mgr.get("watch").sql_key in mgr.index
+        assert len(mgr.index) == 1
 
     def test_deregister_drops_index_entries(self, db, stocks):
         """Regression: a deregistered CQ must leave the index and its
@@ -62,12 +61,12 @@ class TestIndexLifecycle:
         mgr.register_sql("b", WATCH_SQL)
         mgr.drain()
         assert indexed(mgr) == {"a", "b"}
-        assert len(mgr.fanout_index) == 1  # one shared entry
+        assert len(mgr.index) == 1  # one shared entry
         mgr.deregister("a")
         assert indexed(mgr) == {"b"}
-        assert len(mgr.fanout_index) == 1
+        assert len(mgr.index) == 1
         mgr.deregister("b")
-        assert len(mgr.fanout_index) == 0
+        assert len(mgr.index) == 0
         assert mgr._sql_groups == {}
         mgr.drain()
         # Later polls route to nobody and notify nobody.
@@ -84,7 +83,7 @@ class TestIndexLifecycle:
         insert(db, "stocks", (8, "NEW2", 600))
         mgr.poll(advance_to=db.now() + 1)
         assert indexed(mgr) == set()
-        assert len(mgr.fanout_index) == 0
+        assert len(mgr.index) == 0
 
 
 class TestRoutingSkip:
@@ -113,7 +112,6 @@ class TestRoutingSkip:
             db,
             strategy=EvaluationStrategy.IMMEDIATE,
             metrics=Metrics(),
-            fanout=True,
         )
         mgr.register_sql("watch", WATCH_SQL)
         mgr.drain()

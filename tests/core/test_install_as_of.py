@@ -29,6 +29,7 @@ from repro.core import (
     save_manager,
 )
 from repro.core.persistence import recover_manager
+from repro.storage.snapshots import read_checkpoint
 from repro.core.results import NotificationKind
 from repro.metrics import Metrics
 from repro.relational import AttributeType
@@ -130,18 +131,25 @@ class TestCheckpointAfterGC:
 
 
 class TestConfigurationSurvives:
-    def test_checkpoint_records_fanout(self):
-        db, market, mgr = market_manager(fanout=True)
-        mgr.register_sql("watch", WATCH)
-        data = manager_to_dict(mgr)
-        assert data["fanout"] is True and "columnar" not in data
-        restored = manager_from_dict(data)
-        assert restored.fanout_index is not None
-        assert len(restored.fanout_index) == 1
-        # A checkpoint from before the key existed: the default.
-        del data["fanout"]
-        plain = manager_from_dict(data)
-        assert plain.fanout_index is None
+    def test_either_fanout_restores_indexed_manager(self):
+        """A checkpoint no longer records ``fanout``. One that carries
+        ``"fanout": false`` — what the parent file's missing key meant —
+        or ``true`` restores into the same indexed manager, and both
+        resume differentially with the same notifications."""
+        data = read_checkpoint(str(DATA / "parent_manager.ckpt"))
+        runs = []
+        for fanout in (False, True):
+            checkpoint = json.loads(json.dumps({**data, "fanout": fanout}))
+            mgr = manager_from_dict(checkpoint)
+            assert "fanout" not in manager_to_dict(mgr)
+            assert len(mgr.index) == 2  # LIVE (watch, eager) and SUMS (total)
+            notes = mgr.poll(advance_to=mgr.db.now() + 10)
+            assert {n.kind for n in notes} == {NotificationKind.REFRESH}
+            runs.append([(n.cq_name, n.seq, n.ts, entries(n.delta)) for n in notes])
+            sqls = TestFilesWrittenByTheParentCommit
+            for name, sql in [("watch", sqls.LIVE), ("total", sqls.SUMS)]:
+                assert mgr.get(name).previous_result == mgr.db.query(sql)
+        assert runs[0] and runs[0] == runs[1]
 
     def test_a_checkpoint_asking_for_the_row_interpreter_runs_kernels(self):
         """Checkpoints written while the kernels were opt-in carry
@@ -162,8 +170,8 @@ class TestConfigurationSurvives:
         wal, ckpt = str(tmp_path / "site.wal"), str(tmp_path / "site.ckpt")
         db = Database()
         mgr = CQManager(
-            db, strategy=EvaluationStrategy.PERIODIC, fanout=True,
-            durability=wal, metrics=Metrics(),
+            db, strategy=EvaluationStrategy.PERIODIC, durability=wal,
+            metrics=Metrics(),
         )
         market = StockMarket(db, seed=5)
         market.populate(60)
@@ -174,7 +182,7 @@ class TestConfigurationSurvives:
 
         metrics = Metrics()
         recovered = recover_manager(wal, ckpt, metrics=metrics)
-        assert recovered.fanout_index is not None
+        assert len(recovered.index) == 1
         assert recovered.metrics is metrics and recovered.plans.metrics is metrics
         assert metrics.get(Metrics.PLANS_PREPARED) == 1
         assert "plans: prepared=1" in recovered.status_report()
@@ -254,7 +262,7 @@ class TestFilesWrittenByTheParentCommit:
 
     def test_checkpoint_loads_and_resumes_differentially(self):
         mgr = load_manager(str(DATA / "parent_manager.ckpt"))
-        assert mgr.fanout_index is None
+        assert len(mgr.index) == 2  # restored indexed, as every manager is
         assert mgr.get("once").status is CQStatus.STOPPED
         assert mgr.get("watch").executions == 2
         # Checkpointed with an insert and a delete pending.
@@ -316,7 +324,7 @@ class TestInvariantsAreChecked:
         mgr._window = DeltaBatchCache(mgr.db)
 
     def break_index(mgr, cq, cohort):
-        mgr.fanout_index.remove(cq.sql_key)
+        mgr.index.remove(cq.sql_key)
 
     def break_plans(mgr, cq, cohort):
         mgr.plans.invalidate(cq.sql_key)
@@ -359,7 +367,7 @@ class TestInvariantsAreChecked:
         ids=lambda corrupt: corrupt.__name__,
     )
     def test_a_broken_law_raises(self, corrupt):
-        db, market, mgr = market_manager(fanout=True, metrics=Metrics())
+        db, market, mgr = market_manager(metrics=Metrics())
         mgr.register_sql("watch", WATCH)
         mgr.register_sql("twin", WATCH)
         market.tick(20)

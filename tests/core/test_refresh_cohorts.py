@@ -28,6 +28,7 @@ from repro.core import (
     OnUpdate,
 )
 from repro.core.results import NotificationKind
+from repro.delta.diff import diff
 from repro.relational import AttributeType
 from repro.metrics import Metrics
 from repro.obs import Tracer
@@ -39,13 +40,13 @@ WATCH = "SELECT sid, name, price FROM stocks WHERE price > 120"
 CHEAP = "SELECT sid, name, price FROM stocks WHERE price < 20"
 
 
-def make_manager(db, fanout=True, **kwargs):
+def entries(delta):
+    return sorted((e.tid, e.old, e.new) for e in delta)
+
+
+def make_manager(db, **kwargs):
     return CQManager(
-        db,
-        strategy=EvaluationStrategy.PERIODIC,
-        metrics=Metrics(),
-        fanout=fanout,
-        **kwargs,
+        db, strategy=EvaluationStrategy.PERIODIC, metrics=Metrics(), **kwargs
     )
 
 
@@ -141,8 +142,8 @@ class TestUnroutedWindows:
         stale = mgr.register_sql("stale", WATCH)
         fresh = mgr.register_sql("fresh", CHEAP)
         mgr.drain()
-        mgr.fanout_index._quarantine(stale.sql_key, keep_table="")
-        assert mgr.fanout_index.stale() == {stale.sql_key}
+        mgr.index._quarantine(stale.sql_key, keep_table="")
+        assert mgr.index.stale() == {stale.sql_key}
         stocks.insert((900, "MID", 60))  # relevant to neither
         assert mgr.poll() == []
         assert stale.last_execution_ts == db.now()
@@ -303,10 +304,11 @@ class TestMembersReceive:
 
     def test_receive_accounting_is_pinned(self, db, stocks):
         """A 3-member routed group plus an always-visit member of the
-        same text, over a routed, an unrouted and a quiet poll: per-CQ
-        rows, the shared totals and the spans, as they read when each
-        receiving turn charged the shared bag itself (poll now charges
-        them once)."""
+        same text, over a routed poll (whose sweep leaves nobody out, so
+        the one-template cohort stops routing), an unrouted touched poll
+        and a quiet one: per-CQ rows, the shared totals and the spans,
+        as they read when each receiving turn charged the shared bag
+        itself (poll now charges them once)."""
         tracer = Tracer(sample_rate=1.0)
         mgr = make_manager(db, tracer=tracer)
         for name in ("w0", "w1", "w2"):
@@ -314,9 +316,11 @@ class TestMembersReceive:
         armed_by_cheap_rows = OnUpdate("stocks", lt(col("price"), lit(50)))
         mgr.register_sql("always", WATCH, trigger=armed_by_cheap_rows)
         mgr.drain()
+        # Routing stopped at the sweep, before w0's turn: w0 reads both
+        # rows of the window unseeded.
         evaluated = {
             "cq_refreshes": 1,
-            "delta_rows_read": 1,
+            "delta_rows_read": 2,
             "executions": 1,
             "kernel_calls": 2,
             "kernel_rows": 2,
@@ -329,32 +333,40 @@ class TestMembersReceive:
             Metrics.GROUPS_SKIPPED,
         )
 
-        def poll(commit, notified, refreshed, always, totals):
-            """``always``: its cq_refreshes so far; ``totals``: the
+        def poll(commit, notified, refreshed, rows, totals):
+            """``rows``: the per-CQ counters so far; ``totals``: the
             shared bag's ``shared`` counters so far."""
             tracer.reset()
             commit()
             assert [n.cq_name for n in mgr.poll()] == notified
             assert [r["cq"] for r in tracer.spans("cq.notify")] == notified
             assert [r["cq"] for r in tracer.spans("cq.refresh")] == refreshed
-            rows = {"w0": evaluated, "w1": received, "w2": received}
-            rows["always"] = {"cq_refreshes": always}
             assert {name: mgr.stats.counters(name) for name in rows} == rows
             assert tuple(mgr.metrics[name] for name in shared) == totals
+            assert mgr.metrics[Metrics.PREDINDEX_PROBES] == 1  # the first sweep
 
         def routed():
             stocks.insert((600, "HI", 900))  # w0 evaluates, w1 and w2 receive
             stocks.insert((601, "LOW", 10))  # arms always, which shares it
 
-        poll(routed, ["w0", "w1", "w2", "always"], ["w0", "always"], 1, (4, 3, 0))
+        rows = {"w0": evaluated, "w1": received, "w2": received}
+        rows["always"] = {"cq_refreshes": 1}
+        poll(routed, ["w0", "w1", "w2", "always"], ["w0", "always"], rows, (4, 3, 0))
+        # Unrouted, the sweep visits every lazy member: w0 evaluates an
+        # irrelevant row (DRA skips on the empty selection), w1 and w2
+        # receive the empty delta.
+        again = {"cq_refreshes": 2, "shared_group_hits": 2}
+        rows = {"w0": {**evaluated, "cq_refreshes": 2, "delta_rows_read": 3}}
+        rows["w0"]["executions_skipped"] = 1
+        rows.update(w1=again, w2=again, always={"cq_refreshes": 2})
         poll(
-            lambda: stocks.insert((602, "LOW", 12)),  # routes nowhere, arms
+            lambda: stocks.insert((602, "LOW", 12)),  # irrelevant, arms
             [],
-            ["always"],
-            2,
-            (5, 3, 0),
+            ["w0", "always"],
+            rows,
+            (8, 6, 0),
         )
-        poll(lambda: db.clock.advance_to(db.now() + 1), [], [], 2, (5, 3, 1))
+        poll(lambda: db.clock.advance_to(db.now() + 1), [], [], rows, (8, 6, 1))
 
     @pytest.mark.bulk
     def test_a_poll_never_evicts_a_pair_before_its_members_turn(self, db):
@@ -418,6 +430,104 @@ class TestMembersReceive:
         assert members[1].previous_result is members[3].previous_result is None
 
 
+class TestRoutingSelection:
+    """A cohort routes only while routing leaves someone out: a routed
+    sweep that leaves no lazy member out stops it (the next touched
+    sweep visits every lazy member, unrouted — always sound), and an
+    install or uninstall re-arms it (``Cohort.routing``)."""
+
+    BANDS = [
+        f"SELECT sid, price FROM stocks WHERE price >= {100 * i} "
+        f"AND price < {100 * (i + 1)}"
+        for i in range(5)
+    ]
+
+    def probes(self, mgr):
+        return mgr.metrics.get(Metrics.PREDINDEX_PROBES)
+
+    def test_a_cohort_routing_everyone_stops_after_its_first_window(
+        self, db, stocks
+    ):
+        """(a) One template, every window relevant: the first window is
+        routed, no later one is, and every notification is the diff of
+        complete re-evaluations."""
+        mgr = make_manager(db)
+        members = [mgr.register_sql(f"w{i}", WATCH) for i in range(3)]
+        mgr.drain()
+        cohort = mgr._cohorts[("stocks",)]
+        expected = db.query(WATCH)
+        for i in range(6):
+            stocks.insert((600 + i, "HI", 900 + i))
+            notes = mgr.poll()
+            before, expected = expected, db.query(WATCH)
+            oracle = entries(diff(before, expected, db.now()))
+            assert [n.cq_name for n in notes] == ["w0", "w1", "w2"]
+            assert all(entries(n.delta) == oracle for n in notes)
+            assert not cohort.routing
+            if i == 0:
+                probes = self.probes(mgr)
+                assert probes > 0
+        assert self.probes(mgr) == probes  # flat after the first window
+        assert mgr.metrics[Metrics.EXECUTIONS] == 6  # one per window
+        assert all(cq.previous_result == expected for cq in members)
+
+    def test_a_cohort_routing_a_few_keeps_routing_and_skips_the_rest(
+        self, db, stocks
+    ):
+        """(b) Many templates, each update selective: every sweep is
+        routed, and only the routed members are visited."""
+        mgr = make_manager(db)
+        for i, sql in enumerate(self.BANDS):
+            for j in range(2):
+                mgr.register_sql(f"b{i}.{j}", sql)
+        mgr.drain()
+        cohort = mgr._cohorts[("stocks",)]
+        probes = self.probes(mgr)
+        for i, price in enumerate((250, 50, 450, 250)):
+            stocks.insert((700 + i, "SEL", price))
+            band = price // 100
+            before = mgr.metrics.snapshot()
+            notes = mgr.poll()
+            assert [n.cq_name for n in notes] == [f"b{band}.0", f"b{band}.1"]
+            assert mgr.metrics.diff(before)[Metrics.CQ_REFRESHES] == 2
+            assert self.probes(mgr) > probes
+            probes = self.probes(mgr)
+            assert cohort.routing
+        for i, sql in enumerate(self.BANDS):
+            cq = mgr.get(f"b{i}.0")
+            assert cq.previous_result == db.query(sql)
+            if i in (1, 3):  # never routed: never visited
+                assert cq.executions == 1
+
+    def test_registering_or_deregistering_re_arms_routing(self, db, stocks):
+        """(c) Once a cohort stopped routing, a register or a deregister
+        into it turns routing back on for its next sweep."""
+        mgr = make_manager(db)
+        mgr.register_sql("low", self.BANDS[1])
+        mgr.drain()
+        cohort = mgr._cohorts[("stocks",)]
+
+        def poll_routed(price):
+            probes = self.probes(mgr)
+            stocks.insert((800 + price, "R", price))
+            mgr.poll()
+            return self.probes(mgr) > probes
+
+        assert poll_routed(150) and not cohort.routing
+        assert not poll_routed(160)
+        mgr.register_sql("high", self.BANDS[4])
+        assert cohort.routing
+        assert poll_routed(170) and cohort.routing  # "high" was left out
+        assert poll_routed(480) and cohort.routing  # "low" was left out
+        mgr.register_sql("low2", self.BANDS[1])
+        assert poll_routed(490) and cohort.routing
+        mgr.deregister("low")
+        mgr.deregister("low2")
+        assert cohort.routing
+        assert poll_routed(495) and not cohort.routing  # it routed everyone
+        assert mgr.get("high").previous_result == db.query(self.BANDS[4])
+
+
 class TestOneWindow:
     """Whatever is keyed by a refresh window — consolidated batches,
     routing passes — lives in one ``DeltaBatchCache`` that is open for
@@ -450,7 +560,7 @@ class TestOneWindow:
     def test_immediate_cqs_observing_a_commit_share_one_consolidation(
         self, db, stocks
     ):
-        mgr = CQManager(db, metrics=Metrics(), fanout=True)
+        mgr = CQManager(db, metrics=Metrics())
         windows = self.register(mgr, 5)
         before = mgr.metrics.snapshot()
         for i in range(200):
@@ -477,7 +587,7 @@ class TestOneWindow:
     def test_commit_from_a_callback_reads_the_enclosing_window(self, db, stocks):
         """A nested observe must neither close the window it found open
         nor be served a batch that misses its own commit."""
-        mgr = CQManager(db, metrics=Metrics(), fanout=True)
+        mgr = CQManager(db, metrics=Metrics())
         budget, windows = [1], []
 
         def commit_once(note):
@@ -512,7 +622,7 @@ class TestQuietVisitsAfterGC:
         table = db.create_table(
             "t", [("k", AttributeType.INT), ("v", AttributeType.INT)]
         )
-        mgr = make_manager(db, fanout=False)
+        mgr = make_manager(db)
         cq = mgr.register_sql(
             "sum", "SELECT SUM(v) AS s FROM t", stop=AfterExecutions(10)
         )
@@ -534,19 +644,18 @@ class TestQuietVisitsAfterGC:
 
 
 class TestCommitsMadeDuringAPoll:
-    @pytest.mark.parametrize("fanout", [False, True], ids=["plain", "fanout"])
-    def test_callback_commit_is_notified_exactly_once(self, db, stocks, fanout):
+    def test_callback_commit_is_notified_exactly_once(self, db, stocks):
         """A commit made from inside ``on_notify`` lands in the window
         of every CQ the poll visits afterwards (a window ends at the
         log's tail). Each visit is stamped with the time its window
         really ended, so the next poll does not hand the same commit
         to those CQs a second time."""
-        mgr = make_manager(db, fanout=fanout)
+        mgr = make_manager(db)
         all_rows = "SELECT sid, name, price FROM stocks"
         sqls = {
             "first": all_rows,  # its callback commits
             "later": WATCH,
-            "twin": WATCH,  # shares later's evaluation on an indexed manager
+            "twin": WATCH,  # shares later's evaluation
             "eager": WATCH,
             "base": WATCH,
         }
@@ -619,12 +728,12 @@ class TestRegistrationByCopy:
         evaluation and the group counters follow the delta readers."""
         mgr = make_manager(db)
         mgr.register_sql("base", WATCH, engine=Engine.REEVALUATE)
-        assert len(mgr.fanout_index) == 0
+        assert len(mgr.index) == 0
         scanned = mgr.metrics[Metrics.ROWS_SCANNED]
         mgr.register_sql("watch", WATCH)  # copied from the baseline
         assert mgr.metrics[Metrics.ROWS_SCANNED] == scanned
         assert mgr.metrics[Metrics.SHARED_GROUPS] == 1
-        assert len(mgr.fanout_index) == 1
+        assert len(mgr.index) == 1
         stocks.insert((950, "HI", 900))
         assert {n.cq_name for n in mgr.poll()} == {"base", "watch"}
         # Nobody to share an evaluation with.
@@ -632,7 +741,7 @@ class TestRegistrationByCopy:
         sizes = {r["name"]: r["sql_group_size"] for r in mgr.describe()}
         assert sizes == {"base": 0, "watch": 1}
         mgr.deregister("watch")
-        assert len(mgr.fanout_index) == 0  # left with its last delta reader
+        assert len(mgr.index) == 0  # left with its last delta reader
         stocks.insert((951, "HI", 901))
         mgr.poll()
         assert mgr.get("base").previous_result == db.query(WATCH)
@@ -643,20 +752,20 @@ class TestRegistrationByCopy:
         mgr = make_manager(db)
         for i in range(4):
             mgr.register_sql(f"w{i}", WATCH)
-        assert len(mgr.plans) == 1 and len(mgr.fanout_index) == 1
+        assert len(mgr.plans) == 1 and len(mgr.index) == 1
         assert mgr.metrics[Metrics.PLANS_PREPARED] == 1
         for i in range(3):
             mgr.deregister(f"w{i}")
-        assert len(mgr.plans) == 1 and len(mgr.fanout_index) == 1
+        assert len(mgr.plans) == 1 and len(mgr.index) == 1
         mgr.deregister("w3")
-        assert len(mgr.plans) == 0 and len(mgr.fanout_index) == 0
+        assert len(mgr.plans) == 0 and len(mgr.index) == 0
 
 
 class TestOneObserverPerTable:
     def test_observer_count_is_independent_of_cq_count(self, db, stocks):
         """(iv) One commit observer per (manager, table), gone with the
         last CQ reading the table."""
-        mgr = CQManager(db, fanout=True)  # IMMEDIATE: every CQ observes
+        mgr = CQManager(db)  # IMMEDIATE: every CQ observes
         for i in range(500):
             mgr.register_sql(f"q{i}", WATCH if i % 2 else CHEAP)
         assert len(stocks._observers) == 1
@@ -691,10 +800,10 @@ def names_keyed(manager, names):
 
 
 class TestDeregisterForgets:
-    def churn(self, db, fanout):
+    def churn(self, db):
         market = StockMarket(db, seed=5)
         market.populate(60)
-        mgr = make_manager(db, fanout=fanout, history_limit=4)
+        mgr = make_manager(db, history_limit=4)
         sqls = [
             f"SELECT sid, price FROM stocks WHERE price > {40 * i}"
             for i in range(6)
@@ -715,9 +824,10 @@ class TestDeregisterForgets:
         return mgr, set(live)
 
     def test_stats_and_history_die_with_the_cq(self, db):
-        """Every CQ is visited on a manager without an index, so after
-        50 churn cycles the stats table holds exactly the live CQs."""
-        mgr, live = self.churn(db, fanout=False)
+        """The six templates overlap, so every tick routes each live CQ
+        and after 50 churn cycles the stats table holds exactly the live
+        CQs."""
+        mgr, live = self.churn(db)
         assert len(mgr) == len(live) == 12
         assert len(mgr.stats) == len(mgr)
         assert set(mgr.stats.keys()) == live
@@ -727,15 +837,15 @@ class TestDeregisterForgets:
         assert not any(mgr.history(name) for name in self.issued - live)
 
     def test_indexed_manager_keeps_stats_for_visited_cqs_only(self, db):
-        mgr, live = self.churn(db, fanout=True)
+        mgr, live = self.churn(db)
         assert set(mgr.stats.keys()) <= live
         assert names_keyed(mgr, self.issued) == live
-        assert len(mgr.plans) <= 6 and len(mgr.fanout_index) <= 6
+        assert len(mgr.plans) <= 6 and len(mgr.index) <= 6
 
     def test_self_stopped_cq_stays_visible(self, db, stocks):
         from repro.core import AfterExecutions
 
-        mgr = make_manager(db, fanout=False)
+        mgr = make_manager(db)
         mgr.register_sql("once", WATCH, stop=AfterExecutions(2))
         stocks.insert((7, "NEW", 500))
         mgr.poll()

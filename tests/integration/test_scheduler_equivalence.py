@@ -1,12 +1,12 @@
 """Equivalence property harness for the refresh pipeline.
 
 The paper's correctness claim is DRA ≡ complete re-evaluation (§4.2).
-The manager has one refresh path and one evaluator (the kernels); what
-can still vary is how it routes — through the predicate index or not —
-so for any workload the default manager and the predicate-index
-manager must each produce the result sequence Q(S_1)..Q(S_n) that
-complete re-evaluation + Diff produces: the equivalence theorem lifted
-from one refresh to the whole scheduling and compilation layers.
+The manager has one refresh path, one evaluator (the kernels) and one
+predicate index, whose routing each cohort turns on and off from what
+its sweeps observe; for any workload it must produce the result
+sequence Q(S_1)..Q(S_n) that complete re-evaluation + Diff produces:
+the equivalence theorem lifted from one refresh to the whole
+scheduling and compilation layers.
 
 Schedules are randomized but fully deterministic given a seed: a
 symbolic op script (inserts/deletes/modifies over 2–4 tables in
@@ -63,21 +63,20 @@ CONFIGS = {
     # The paper's oracle: complete re-evaluation + Diff.
     BASE: dict(engine=Engine.REEVALUATE, manager=dict()),
     # The one refresh path: prepared plans, per-poll delta-batch cache,
-    # grouped trigger skipping, kernel term evaluation (DESIGN.md §11).
+    # grouped trigger skipping, kernel term evaluation (DESIGN.md §11);
+    # while a cohort routes, one pass per poll decides which CQs can
+    # skip their refresh with a provably-empty delta, the index's routed
+    # entry seeds the kernels' operands, and a routed group's later
+    # members receive the first one's evaluation.
     "default": dict(engine=Engine.DRA, manager=dict()),
-    # Predicate-index fan-out: one routing pass per poll decides which
-    # CQs can skip their refresh with a provably-empty delta, the
-    # index's routed entry seeds the kernels' operands, and a routed
-    # group's later members receive the first one's evaluation.
-    "predindex": dict(engine=Engine.DRA, manager=dict(fanout=True)),
 }
 
 #: Compared against the oracle in runs of their own, not in every chunk.
 EXTRA_CONFIGS = {
-    # EAGER maintenance on an indexed manager: every commit is folded in
-    # from the commit observer, over a window whose GC zone runs ahead
-    # of the CQ's last execution.
-    "eager": dict(engine=Engine.EAGER, manager=dict(fanout=True)),
+    # EAGER maintenance: every commit is folded in from the commit
+    # observer, over a window whose GC zone runs ahead of the CQ's last
+    # execution.
+    "eager": dict(engine=Engine.EAGER, manager=dict()),
 }
 
 N_SCHEDULES = 200
@@ -426,12 +425,12 @@ def test_restored_manager_equals_uninterrupted(name):
 
 def test_immediate_strategy_equivalence_randomized():
     """IMMEDIATE strategy: every commit tests every trigger through the
-    manager's one observer per table; no member is lazy. The indexed
-    manager must still match the oracle notification for notification."""
+    manager's one observer per table; no member is lazy. The manager
+    must still match the oracle notification for notification."""
     for i in range(N_IMMEDIATE):
         check_seed(
             9_000 + i,
-            configs=(BASE, "predindex"),
+            configs=(BASE, "default"),
             strategy=EvaluationStrategy.IMMEDIATE,
         )
 
@@ -447,11 +446,11 @@ def test_eager_engine_equivalence_randomized():
 
 def test_all_four_configs_share_one_known_answer():
     """A deterministic spot check that the harness itself observes
-    every configuration (the oracle and two ways of routing DRA) doing
-    real work (not vacuously equal)."""
+    every configuration (the oracle and DRA) doing real work (not
+    vacuously equal)."""
     schedule = make_schedule(99)
     results = signatures(schedule)
-    assert len(results) == len(CONFIGS) == 3
+    assert len(results) == len(CONFIGS) == 2
     base_signature, base_final, __ = results[BASE]
     assert base_signature, "schedule produced no notifications"
     assert mismatches(results) == []
@@ -463,11 +462,19 @@ def test_fanout_columnar_exercises_receives_and_seeds(monkeypatch):
     """The randomized runs above are only a safety net for what they
     reach: the first chunk's schedules must take the constant-time
     receive, run seeded executions (multi-alias ones included), meet
-    late joiners, and refuse a receive because the window differed."""
+    late joiners, refuse a receive because the window differed, and
+    sweep touched cohorts both routed and unrouted."""
     import repro.core.manager as manager_module
 
     seen = dict(receives=0, refused=0, seeded=0, multi_alias=0, late=0)
+    seen.update(routed_sweeps=0, unrouted_sweeps=0)
     receive, execute = CQManager._receive, manager_module.dra_execute
+    due = CQManager._due
+
+    def counted_due(self, cohort):
+        if cohort.lazy and self._touched(cohort.tables, cohort.swept):
+            seen["routed_sweeps" if cohort.routing else "unrouted_sweeps"] += 1
+        return due(self, cohort)
 
     def counted_receive(self, cq):
         cohort = self._cohorts[cq.table_names]
@@ -493,7 +500,8 @@ def test_fanout_columnar_exercises_receives_and_seeds(monkeypatch):
         return execute(*args, seeds=seeds, **kwargs)
 
     monkeypatch.setattr(CQManager, "_receive", counted_receive)
+    monkeypatch.setattr(CQManager, "_due", counted_due)
     monkeypatch.setattr(manager_module, "dra_execute", counted_execute)
     for i in range(N_SCHEDULES // CHUNKS):
-        run_schedule(make_schedule(7_000 + i), CONFIGS["predindex"])
+        run_schedule(make_schedule(7_000 + i), CONFIGS["default"])
     assert all(seen.values()), seen

@@ -45,7 +45,7 @@ class TestGroups:
         db, __, __, server = deployment
         clients = [attach_client(server, f"c{i}") for i in range(5)]
         assert len(server._groups) == 1
-        assert len(server.fanout_index) == 1
+        assert len(server.index) == 1
         # Members beyond the first reuse the group's maintained result
         # instead of re-running E_0.
         assert server.metrics[Metrics.SHARED_GROUPS] == 1
@@ -58,7 +58,7 @@ class TestGroups:
         attach_client(server, "a", WATCH)
         attach_client(server, "b", OTHER)
         assert len(server._groups) == 2
-        assert len(server.fanout_index) == 2
+        assert len(server.index) == 2
 
     def test_group_members_converge(self, deployment):
         db, market, __, server = deployment
@@ -103,7 +103,7 @@ class TestTeardown:
         }
         server.deregister("b", "watch")
         assert server._groups == {}
-        assert len(server.fanout_index) == 0
+        assert len(server.index) == 0
 
     def test_no_fanout_to_deregistered_subscriber(self, deployment):
         """Regression: a dead subscriber must not receive (or break)

@@ -241,7 +241,7 @@ class TestInvariantsAreChecked:
         server._holders["watch"] += 1
 
     def break_index(server, sub, group):
-        server.fanout_index.remove(group.sql_key)
+        server.index.remove(group.sql_key)
 
     @pytest.mark.parametrize(
         "corrupt",

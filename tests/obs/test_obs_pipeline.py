@@ -8,10 +8,12 @@ trace per refresh, with the per-CQ cost tables visible in
 """
 
 from repro import Database
-from repro.core import CQManager, EvaluationStrategy
+from repro.core import CQManager, EvaluationStrategy, OnUpdate
 from repro.metrics import Metrics
 from repro.obs import Tracer
 from repro.relational import AttributeType
+from repro.relational.expressions import col, lit
+from repro.relational.predicates import gt
 
 
 class FakeClock:
@@ -45,9 +47,12 @@ def build():
         "WHERE t0.k = t1.k AND t0.v > 10",
         on_notify=notes.append,
     )
+    # An OnUpdate trigger is tested on every touched poll (a lazy
+    # member is not): its visit is the cq.trigger stage.
     mgr.register_sql(
         "sel_cq",
         "SELECT k, v FROM t0 WHERE v > 20",
+        trigger=OnUpdate("t0", gt(col("v"), lit(20))),
         on_notify=notes.append,
     )
     mgr.drain()

@@ -83,7 +83,6 @@ class TestSharedAcrossTiers:
             db,
             strategy=EvaluationStrategy.PERIODIC,
             metrics=Metrics(),
-            fanout=True,
         )
         live = []
         for cycle in range(12):

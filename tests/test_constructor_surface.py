@@ -90,6 +90,7 @@ SURFACE = {
 }
 
 TRUE_ONLY = [
+    (CQManager, "fanout", lambda **kw: CQManager(Database(), **kw)),
     (CQManager, "columnar", lambda **kw: CQManager(Database(), **kw)),
     (CQService, "fanout", lambda **kw: CQService(Database(), **kw)),
     (CQService, "columnar", lambda **kw: CQService(Database(), **kw)),
@@ -122,7 +123,7 @@ STATE = {
         "history_limit",
         "tracer",
         "slow_refresh_us",
-        "fanout_index",
+        "index",
         "plans",
         "zones",
         "stats",
@@ -174,7 +175,7 @@ STATE = {
         "metrics",
         "audit_interval",
         "tracer",
-        "fanout_index",
+        "index",
         "plans",
         "zones",
         "stats",
@@ -217,3 +218,10 @@ FRESH = {
 def test_instance_attributes_are_exactly(cls):
     for fresh in FRESH[cls]:
         assert set(vars(fresh())) == STATE[cls]
+
+
+def test_each_owner_names_its_own_deleted_arm():
+    with pytest.raises(TypeError, match="the manager's unindexed arm"):
+        CQManager(Database(), fanout=False)
+    with pytest.raises(TypeError, match="the server's per-subscription"):
+        CQService(Database(), fanout=False)
