@@ -409,17 +409,33 @@ def test_scheduler_equivalence_randomized(chunk):
         check_seed(7_000 + chunk * per_chunk + i)
 
 
-@pytest.mark.parametrize("name", CONFIGS)
-def test_restored_manager_equals_uninterrupted(name):
+#: DRA with every cohort's routing pinned on: a restored manager's
+#: cohorts start out routing, so this arm also compares both runs with
+#: the routed path taken on every sweep, not only until a routed sweep
+#: leaves no lazy member out.
+PINNED = "predindex"
+
+
+@pytest.mark.parametrize("name", [*CONFIGS, PINNED])
+def test_restored_manager_equals_uninterrupted(name, monkeypatch):
     """restore ≡ uninterrupted: replacing the manager by its own
     checkpoint after *every* poll — STOPPED CQs behind the GC horizon,
     aggregates whose zone ran ahead of their last execution, lazy
     members riding their cohort's sweep — changes no notification and
     no final result."""
+    config = CONFIGS.get(name, CONFIGS["default"])
+    if name == PINNED:
+        due = CQManager._due
+
+        def routed_due(self, cohort):
+            cohort.routing = True
+            return due(self, cohort)
+
+        monkeypatch.setattr(CQManager, "_due", routed_due)
     for i in range(N_SCHEDULES // CHUNKS):
         schedule = make_schedule(7_000 + i)
-        uninterrupted = run_schedule(schedule, CONFIGS[name])
-        restored = run_schedule(schedule, CONFIGS[name], restore=True)
+        uninterrupted = run_schedule(schedule, config)
+        restored = run_schedule(schedule, config, restore=True)
         assert restored[:2] == uninterrupted[:2], f"seed {7_000 + i}"
 
 
