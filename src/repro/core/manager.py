@@ -161,15 +161,11 @@ class CQManager:
         # and nothing keyed by a window outlives it.
         self._window: Optional[DeltaBatchCache] = None
         #: Predicate-index fan-out (DESIGN.md §10): every non-baseline
-        #: ``sql_key``'s alias-local predicates live in one shared
-        #: :class:`PredicateIndex`, so a routing cohort's poll routes the
-        #: consolidated batch to the affected CQ set in one pass;
-        #: unrouted CQs are not visited, or return an empty delta
-        #: without running an engine (the Section 5.2 relevance theorem
-        #: makes that exact). CQs sharing a ``sql_key`` (identical SQL
-        #: text) additionally share one DRA evaluation per refresh
-        #: window, one retained result and one E_0 at registration
-        #: (:class:`~repro.core.scheduler.SqlGroup`).
+        #: ``sql_key``'s alias-local predicates, so a routing cohort's
+        #: poll routes its batch to the affected CQs in one pass; the
+        #: rest are not visited (Section 5.2 makes that exact). Members
+        #: of a ``sql_key`` share one evaluation per window, one result
+        #: and one E_0 (:class:`~repro.core.scheduler.SqlGroup`).
         self.index = PredicateIndex(metrics)
         self._sql_groups: Dict[str, SqlGroup] = {}
 
@@ -358,10 +354,9 @@ class CQManager:
 
         A member is *lazy* — visited only when routed, see
         :class:`~repro.core.scheduler.Cohort` — when this is a PERIODIC
-        manager, the engine is DRA, the trigger is exactly
-        ``OnEveryChange`` and the stop ``Never``. EAGER CQs read the log
-        on every commit, from their own applied-through stamp: they
-        keep their own zone.
+        manager, the engine DRA, the trigger exactly ``OnEveryChange``
+        and the stop ``Never``. EAGER CQs read the log on every commit,
+        from their own applied-through stamp: they keep their own zone.
         """
         name, tables, key = cq.name, cq.table_names, cq.sql_key
         result = None
@@ -563,6 +558,9 @@ class CQManager:
         refreshed = received = 0
         with span, self._open_window():
             cohorts = list(self._cohorts.values())
+            # Swept unrouted, a lazy member finding nothing may be one that
+            # routing leaves out: then its footprint's next sweep routes.
+            quiet = {cohort.tables: False for cohort in cohorts if not cohort.routing}
             runnable = [cq for cohort in cohorts for cq in self._due(cohort)]
             runnable.sort(key=attrgetter("order"))
             span.set(runnable=len(runnable))
@@ -570,15 +568,19 @@ class CQManager:
                 for cq in runnable:
                     if cq.status is not CQStatus.ACTIVE:
                         continue  # (an earlier visit's callback deregistered it)
-                    lazy = cq.name in self._cohorts[cq.table_names].lazy
+                    cohort = self._cohorts[cq.table_names]
+                    lazy, executions = cq.name in cohort.lazy, cq.executions
                     if not lazy or cq.is_aggregate:
                         # (an aggregate folds and diffs its own state)
                         self._charged(cq, self._maybe_execute)
-                        continue
-                    took = self._receive(cq)
-                    if took is not None:
-                        refreshed += 1
-                        received += took
+                    else:
+                        took = self._receive(cq)
+                        if took is not None:
+                            refreshed += 1
+                            received += took
+                    if lazy and cq.executions == executions:
+                        if cq.table_names in quiet:
+                            quiet[cq.table_names] = True
             finally:
                 if refreshed and self.metrics is not None:
                     self.metrics.count(Metrics.CQ_REFRESHES, refreshed)
@@ -587,6 +589,7 @@ class CQManager:
             for cohort in cohorts:
                 cohort.swept = now
                 self.zones.try_advance(cohort.tables, now)
+                cohort.routing |= quiet.get(cohort.tables, False)
                 # Visited; only a window that starts after the sweep
                 # (registered mid-poll, or visited after a commit an
                 # earlier visit's callback made) stays late.
@@ -628,12 +631,14 @@ class CQManager:
                 cohort.late = dict(cohort.lazy)
             else:
                 routed = self._window.routed(index, cohort.tables, swept, now)[1]
+                hit = 0
                 for key in routed.keys() | index.stale():
                     for name, cq in self._sql_groups[key].members.items():
                         if name in cohort.lazy:
                             cohort.late[name] = cq
+                            hit += 1
                 # Routing pays only while it leaves someone out.
-                cohort.routing = len(cohort.late) < len(cohort.lazy)
+                cohort.routing = hit < len(cohort.lazy)
             for cq in cohort.late.values():
                 # Every poll that skipped it proved its window irrelevant
                 # (Section 5.2): its window starts where the sweep does.
@@ -838,24 +843,19 @@ class CQManager:
         nothing when the predicate index proves every pending entry
         irrelevant (Section 5.2); otherwise the consolidated window and
         the entry sides the index selected per alias — DRA's operand
-        seeds, None when routing cannot vouch for the deltas (a baseline
-        or quarantined CQ, or a cohort that stopped routing, refreshes
-        unrouted: always sound). Read through the open window, shared
-        with the cohort's sweep and every CQ reading it, over the CQ's
-        own tables only: inside the log suffix its zone protects."""
+        seeds, None when the read is unrouted (always sound): a baseline
+        or quarantined CQ, a fold at its commit, or a footprint whose
+        sweep does not route (:class:`Cohort`). Read through the open
+        window, shared with the sweep and every CQ reading it, over the
+        CQ's own tables only: inside the log suffix its zone protects."""
         index, key, tables = self.index, cq.sql_key, cq.table_names
-        window, now, routed = self._window, self.db.now(), None
-        routable = key in index and self._cohorts[tables].routing
-        if window is None:
-            # An EAGER fold under PERIODIC: one reader, nothing to share.
-            deltas = deltas_since([self.db.table(name) for name in tables], since)
-            if routable:
-                routed = index.match_batch(deltas)
-        elif routable:
-            deltas, routed = window.routed(index, tables, since, now)
-        else:
-            deltas = window.deltas(tables, since, now)
-        if routed is None or key in index.stale():
+        window, cohort = self._window, self._cohorts[tables]
+        if window is None:  # (an EAGER fold under PERIODIC)
+            return deltas_since([self.db.table(name) for name in tables], since), None
+        if not (cohort.routing and cohort.lazy and key in index):
+            return window.deltas(tables, since, self.db.now()), None
+        deltas, routed = window.routed(index, tables, since, self.db.now())
+        if key in index.stale():
             return deltas, None
         seeds = routed.get(key)
         return (deltas, seeds) if seeds is not None else ({}, None)
@@ -1227,8 +1227,7 @@ class CQManager:
                     "refresh_p95_us": (
                         latency.percentile(95) if latency.count else None
                     ),
-                    # Fan-out group membership (DESIGN.md §10): delta
-                    # readers of its sql_key (0: a baseline, or stopped).
+                    # Its sql_key's delta readers (0: a baseline, or stopped).
                     "sql_group_size": readers,
                 }
             )

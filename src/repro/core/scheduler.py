@@ -13,14 +13,13 @@ CQ. These are the records ``CQManager.poll()`` shares work through:
   share a swept-through timestamp. A poll routes each touched cohort's
   batch over ``(swept, now]`` once — while routing leaves someone out
   — and visits only the routed ``lazy`` members plus the ``always``
-  set; nobody iterates the registry. A visit is skipped only when it
-  is provably unobservable: on a quiet
-  footprint, every :func:`is_skip_safe` CQ; on a touched one, only
-  unrouted ``lazy`` members — trigger exactly ``OnEveryChange``, stop
-  ``Never`` — whose visit would execute over a provably irrelevant
-  window (Section 5.2) and only move the window start. A stateful data
-  trigger must still be visited: an ``OnUpdate`` armed during an
-  unrouted window would otherwise fire a poll late;
+  set; nobody iterates the registry. A visit is skipped only when it is
+  provably unobservable: on a quiet footprint, every :func:`is_skip_safe`
+  CQ; on a touched one, only unrouted ``lazy`` members — trigger exactly
+  ``OnEveryChange``, stop ``Never`` — whose visit would execute over a
+  provably irrelevant window (Section 5.2) and only move the window
+  start. A stateful data trigger must still be visited: an ``OnUpdate``
+  armed during an unrouted window would otherwise fire a poll late;
 * :class:`SqlGroup` — the active CQs of one SQL text share one plan,
   one index entry, one evaluation per window and one retained result.
 
@@ -188,10 +187,11 @@ class Cohort:
     or visited by a poll that did not finish — so the next poll visits
     them whatever it routes.
 
-    ``routing``: whether the footprint's reads go through the index. A
-    routed sweep leaving no lazy member out turns it off (later sweeps
-    mark every lazy member late and read unrouted: always sound); an
-    install or uninstall turns it back on.
+    ``routing``: whether the reads of a footprint with lazy members go
+    through the index. A routed sweep selecting every lazy member turns
+    it off (sweeps then visit them all, unrouted: always sound); an
+    unrouted one where a lazy member finds nothing, an install or an
+    uninstall turns it back on.
     """
 
     __slots__ = ("tables", "swept", "lazy", "always", "late", "routing")

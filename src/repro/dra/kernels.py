@@ -228,7 +228,7 @@ def _make_filter(pred, row_compiled, plan) -> Kernel:
         if len(keep) == len(batch.weights):
             return batch
         weights = batch.weights
-        # An outer generator: a profiler tells the two comprehensions apart.
+        # (Nested comprehensions on one line share one cProfile key.)
         return ColumnBatch(
             list([c[i] for i in keep] for c in batch.tids),
             list([c[i] for i in keep] for c in batch.vals),
@@ -290,6 +290,7 @@ def _extend(
 ) -> ColumnBatch:
     """Index-gather the existing columns through ``gather`` and append
     the freshly attached slot."""
+    # (Nested comprehensions on one line share one cProfile key.)
     tids = list([c[i] for i in gather] for c in batch.tids)
     vals = list([c[i] for i in gather] for c in batch.vals)
     tids.append(new_tids)
@@ -582,6 +583,7 @@ def _make_accumulate(plan):
             return 0
         if refs is not None:
             if refs:
+                # (Nested comprehensions on one line share one cProfile key.)
                 cols = [map(operator.itemgetter(p), batch.vals[s]) for s, p in refs]
                 vals_iter = zip(*cols)
             else:

@@ -433,8 +433,10 @@ class TestMembersReceive:
 class TestRoutingSelection:
     """A cohort routes only while routing leaves someone out: a routed
     sweep that leaves no lazy member out stops it (the next touched
-    sweep visits every lazy member, unrouted — always sound), and an
-    install or uninstall re-arms it (``Cohort.routing``)."""
+    sweep visits every lazy member, unrouted — always sound); an
+    unrouted sweep where a lazy member finds nothing, an install or an
+    uninstall re-arms it (``Cohort.routing``). A footprint without lazy
+    members never routes."""
 
     BANDS = [
         f"SELECT sid, price FROM stocks WHERE price >= {100 * i} "
@@ -498,6 +500,59 @@ class TestRoutingSelection:
             assert cq.previous_result == db.query(sql)
             if i in (1, 3):  # never routed: never visited
                 assert cq.executions == 1
+
+    def test_a_cohort_resumes_routing_when_updates_turn_selective(
+        self, db, stocks
+    ):
+        """A poll touching every band routes every member and stops
+        routing; the next, selective, poll visits every member unrouted,
+        most find nothing, so routing resumes: from then on only the
+        routed band is visited."""
+        mgr = make_manager(db)
+        for i, sql in enumerate(self.BANDS):
+            for j in range(2):
+                mgr.register_sql(f"b{i}.{j}", sql)
+        mgr.drain()
+        cohort = mgr._cohorts[("stocks",)]
+        for i in range(5):
+            stocks.insert((720 + i, "ALL", 100 * i + 50))
+        assert len(mgr.poll()) == 10
+        assert not cohort.routing
+        for i, price in enumerate((250, 260, 50, 450, 270)):
+            stocks.insert((730 + i, "SEL", price))
+            band = price // 100
+            before = mgr.metrics.snapshot()
+            notes = mgr.poll()
+            assert [n.cq_name for n in notes] == [f"b{band}.0", f"b{band}.1"]
+            refreshes = mgr.metrics.diff(before)[Metrics.CQ_REFRESHES]
+            assert refreshes == (10 if i == 0 else 2)  # unrouted, then routed
+            assert cohort.routing
+        for i, sql in enumerate(self.BANDS):
+            cq = mgr.get(f"b{i}.0")
+            assert cq.previous_result == db.query(sql)
+            if i in (1, 3):  # routed nowhere since the unrouted poll
+                assert mgr.stats.counters(cq.name)[Metrics.CQ_REFRESHES] == 2
+
+    def test_footprints_without_lazy_members_read_unrouted(self, db, stocks):
+        """Routing is chosen where a sweep of lazy members observes it,
+        and paid nowhere else: an EAGER fold, CQs whose trigger or stop
+        is tested on every poll, and IMMEDIATE refreshes read their
+        windows unrouted."""
+        periodic = make_manager(db)
+        periodic.register_sql("eager", WATCH, engine=Engine.EAGER)
+        periodic.register_sql("stopping", CHEAP, stop=AfterExecutions(100))
+        armed_by_cheap_rows = OnUpdate("stocks", lt(col("price"), lit(50)))
+        periodic.register_sql("armed", WATCH, trigger=armed_by_cheap_rows)
+        immediate = CQManager(db, metrics=Metrics())
+        immediate.register_sql("watch", WATCH)
+        for i in range(4):
+            stocks.insert((740 + i, "LOW", 10 + i))
+            stocks.insert((750 + i, "HI", 900 + i))
+            periodic.poll()
+        assert self.probes(periodic) == self.probes(immediate) == 0
+        for mgr in (periodic, immediate):
+            for cq in mgr.active():
+                assert cq.previous_result == db.query(cq.query), cq.name
 
     def test_registering_or_deregistering_re_arms_routing(self, db, stocks):
         """(c) Once a cohort stopped routing, a register or a deregister
@@ -567,7 +622,8 @@ class TestOneWindow:
             stocks.insert((600 + i, "HI", 900 + i))
             self.assert_no_window_left(mgr, windows[-5:])
         spent = mgr.metrics.diff(before)
-        assert spent[Metrics.PREDINDEX_PROBES] == 200
+        # No sweep, so no routing: only a lazy member's footprint routes.
+        assert Metrics.PREDINDEX_PROBES not in spent
         assert spent[Metrics.EXECUTIONS] == 200
         assert spent[Metrics.DELTA_BATCHES_COMPUTED] == 200
         assert spent[Metrics.DELTA_BATCHES_REUSED] == 800
