@@ -192,7 +192,7 @@ def measure_spj(sql, db, tables, since, reps):
 def measure_aggregate(db, tables, since, reps):
     """Row vs columnar through DifferentialAggregate.update."""
     query = parse_query(AGG_SQL)
-    prepared = prepare_cq(query.core, db)
+    prepared = prepare_cq(query.narrowed_core(), db)
     deltas = deltas_since(tables, since)
     delta_rows = sum(len(d) for d in deltas.values())
     now = db.now()

@@ -361,6 +361,8 @@ class CQManager:
         name, tables, key = cq.name, cq.table_names, cq.sql_key
         result = None
         if status is CQStatus.ACTIVE:
+            if cq.is_aggregate:
+                cq.aggregate_state = DifferentialAggregate(cq.query, self.db)
             # Compile once, up front: derives the predicate plan, local
             # and residual predicates, and the projection, and
             # auto-creates any missing single-column join indexes — so
@@ -372,7 +374,6 @@ class CQManager:
             quiet = ts == now or not self._touched(tables, ts)
             current = None
             if cq.is_aggregate:
-                cq.aggregate_state = DifferentialAggregate(cq.query, self.db)
                 current = cq.aggregate_state.initialize(self.metrics)
                 for spec in _drift_specs(cq.trigger):
                     spec.note_current(_headline_value(current))
@@ -862,11 +863,13 @@ class CQManager:
 
     def _prepared_for(self, cq: ContinualQuery) -> Optional[PreparedCQ]:
         """The CQ's cached prepared plan (None when the engine never
-        runs DRA). Aggregates are planned on their SPJ core — the part
-        DRA differentiates."""
-        if cq.engine is Engine.REEVALUATE and not cq.is_aggregate:
+        runs DRA). An aggregate is planned on the core its state
+        evaluates — the SPJ core narrowed to the columns it reads."""
+        if cq.is_aggregate:
+            return self.plans.get(cq.sql_key, cq.aggregate_state.core)
+        if cq.engine is Engine.REEVALUATE:
             return None
-        return self.plans.get(cq.sql_key, cq.spj_core)
+        return self.plans.get(cq.sql_key, cq.query)
 
     def _fold(self, cq: ContinualQuery, now: Timestamp) -> None:
         """Fold the commits since ``cq.applied_ts`` into the state kept

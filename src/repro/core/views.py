@@ -94,24 +94,16 @@ class MaterializedView:
         self.manager = manager
         self.cq_name = cq_name
         # The upstream result schema: derive it from the CQ's query.
+        from repro.relational.evaluate import spj_output_schema
+
+        core = cq.query.narrowed_core() if cq.is_aggregate else cq.query
+        scopes = {
+            ref.alias: manager.db.table(ref.table).schema
+            for ref in core.relations
+        }
+        schema = spj_output_schema(core, scopes)
         if cq.is_aggregate:
-            scopes = {
-                ref.alias: manager.db.table(ref.table).schema
-                for ref in cq.query.core.relations
-            }
-            from repro.relational.evaluate import spj_output_schema
-
-            schema = cq.query.output_schema(
-                spj_output_schema(cq.query.core, scopes)
-            )
-        else:
-            from repro.relational.evaluate import spj_output_schema
-
-            scopes = {
-                ref.alias: manager.db.table(ref.table).schema
-                for ref in cq.query.relations
-            }
-            schema = spj_output_schema(cq.query, scopes)
+            schema = cq.query.output_schema(schema)
 
         self._source = _NotificationSource(schema)
         self._adapter = MirrorAdapter(manager.db, view_table_name, self._source)

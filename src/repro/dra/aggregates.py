@@ -5,9 +5,12 @@ CheckingAccounts", Sections 3.2 and 5.3): rather than rescanning the
 base relation at every trigger check, the new aggregate is computed
 from the old one plus the differential relation. This module maintains
 any :class:`~repro.relational.aggregates.AggregateQuery` (global or
-grouped) that way: DRA produces the SPJ core's result delta, and the
-delta's old sides are removed from / new sides added to per-group
-accumulators.
+grouped) that way: DRA evaluates the SPJ core, narrowed to the group-by
+and argument columns, to its signed sum — every row leaving the core's
+result at weight −1, every row entering it at +1 — and each touched
+group folds its rows in with one batch ``fold(values, weights)`` per
+accumulator. SUM and COUNT are linear in the signed sum, so the core's
+row delta is never assembled.
 
 SUM/COUNT/AVG updates are O(|Δ|); MIN/MAX may rescan their distinct
 value multiset when the extremum is deleted (the classic
@@ -16,7 +19,8 @@ non-distributive case — see the E5 benchmark).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+import operator
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.metrics import Metrics
@@ -27,8 +31,13 @@ from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
 from repro.delta.differential import DeltaEntry, DeltaRelation
 from repro.dra.algorithm import dra_execute
+from repro.dra.assembly import WeightInvariantError
 
 GroupKey = Tuple[Any, ...]
+
+_UNIT = frozenset((1, -1))
+_TID = operator.itemgetter(0)
+_VALUES = operator.itemgetter(1)
 
 
 class DifferentialAggregate:
@@ -37,19 +46,15 @@ class DifferentialAggregate:
     def __init__(self, query: AggregateQuery, db: Database):
         self.query = query
         self.db = db
+        #: The SPJ core this state evaluates: the query's core narrowed
+        #: to its group-by and argument columns (group key leading).
+        self.core = query.narrowed_core()
         scopes = {
-            ref.alias: db.table(ref.table).schema
-            for ref in query.core.relations
+            ref.alias: db.table(ref.table).schema for ref in self.core.relations
         }
-        self.core_schema = spj_output_schema(query.core, scopes)
-        self.schema = query.output_schema(self.core_schema)
-        self._group_positions = [
-            self.core_schema.position(ref.name) for ref in query.group_by
-        ]
-        self._arg_positions: List[Optional[int]] = [
-            self.core_schema.position(spec.ref.name) if spec.ref is not None else None
-            for spec in query.aggregates
-        ]
+        self.schema = query.output_schema(spj_output_schema(self.core, scopes))
+        self._key_of = operator.itemgetter(slice(0, len(query.group_by)))
+        self._arg_positions = query.argument_positions()
         self._groups: Dict[GroupKey, List[Accumulator]] = {}
         self._row_counts: Dict[GroupKey, int] = {}
         self.result = Relation(self.schema)
@@ -65,11 +70,11 @@ class DifferentialAggregate:
 
     def initialize(self, metrics: Optional[Metrics] = None) -> Relation:
         """First (complete) evaluation; subsequent updates are differential."""
-        core_rows = evaluate_spj(self.query.core, self.db.relation, metrics)
+        core_rows = evaluate_spj(self.core, self.db.relation, metrics)
         self._groups.clear()
         self._row_counts.clear()
-        for row in core_rows:
-            self._add_row(row.values, self._key_of(row.values))
+        rows = [row.values for row in core_rows]
+        self._fold(rows, [1] * len(rows))
         self._initialized = True
         self.result = self._materialize()
         return self.result.copy()
@@ -84,7 +89,7 @@ class DifferentialAggregate:
     ) -> DeltaRelation:
         """Fold the base-table deltas in; returns the aggregate delta.
 
-        ``prepared`` is an optional pre-compiled plan for the SPJ core
+        ``prepared`` is an optional pre-compiled plan for :attr:`core`
         (see :func:`repro.dra.prepared.prepare_cq`) — the manager hands
         its cached one through so the core's differential never
         replans. The core differential runs the kernels (DESIGN.md
@@ -92,29 +97,41 @@ class DifferentialAggregate:
         """
         if not self._initialized:
             raise ReproError("call initialize() before update()")
-        core_delta = dra_execute(
-            self.query.core,
+        if prepared is not None and prepared.query != self.core:
+            raise ReproError(
+                "the prepared plan is not for this aggregate's core; "
+                "prepare DifferentialAggregate.core"
+            )
+        weights = dra_execute(
+            self.core,
             self.db,
             deltas=deltas,
             ts=ts,
             metrics=metrics,
             prepared=prepared,
             columnar=columnar,
-        ).delta
+        ).weights
+        if not weights:
+            return DeltaRelation(self.schema)
+        # The signed sum of a correct expansion is a delta: ±1 weights,
+        # at most one row per result tid on either side.
+        signs = list(weights.values())
+        if not _UNIT.issuperset(signs):
+            (ctid, __), weight = next(
+                item for item in weights.items() if item[1] not in _UNIT
+            )
+            raise WeightInvariantError(
+                f"weight {weight} for result tid {ctid!r}; expected ±1"
+            )
+        keys = list(weights)
+        if len(set(zip(map(_TID, keys), signs))) != len(keys):
+            raise WeightInvariantError(
+                "two rows on one side for a result tid of the aggregate's core"
+            )
+        touched = self._fold(list(map(_VALUES, keys)), signs)
 
-        # One pass: a group's visible row is snapshotted at its first
-        # touch, before the side that touches it folds in, so it is the
-        # row as of the previous refresh whatever the batch does next.
-        touched: Dict[GroupKey, Optional[Values]] = {}
-        remove, add = self._remove_row, self._add_row
-        for entry in core_delta:
-            for values, fold in ((entry.old, remove), (entry.new, add)):
-                if values is not None:
-                    key = self._key_of(values)
-                    if key not in touched:
-                        touched[key] = self._visible_row(key)
-                    fold(values, key)
-
+        # Each touched group's visible row before and after the fold,
+        # in first-touch order.
         entries = []
         for key, old_values in touched.items():
             new_values = self._visible_row(key)
@@ -133,8 +150,53 @@ class DifferentialAggregate:
 
     # -- internals -----------------------------------------------------------
 
-    def _key_of(self, core_values: Values) -> GroupKey:
-        return tuple(map(core_values.__getitem__, self._group_positions))
+    def _fold(
+        self, rows: Sequence[Values], weights: Sequence[int]
+    ) -> Dict[GroupKey, Optional[Values]]:
+        """Fold signed core rows into their groups' accumulators; returns
+        each touched group's visible row as it was before the fold."""
+        by_group: Dict[GroupKey, Tuple[List[Values], List[int]]] = {}
+        get = by_group.get
+        for key, values, weight in zip(map(self._key_of, rows), rows, weights):
+            group = get(key)
+            if group is None:
+                by_group[key] = ([values], [weight])
+            else:
+                group[0].append(values)
+                group[1].append(weight)
+        before: Dict[GroupKey, Optional[Values]] = {}
+        grouped = bool(self.query.group_by)
+        for key, (values, signs) in by_group.items():
+            before[key] = self._visible_row(key)
+            count = self._row_counts.get(key, 0)
+            change = sum(signs)
+            if (len(signs) - change) // 2 > count:
+                raise ReproError(
+                    f"aggregate state underflow for group {key!r}: removal of a "
+                    "row that was never added (delta/initialization mismatch)"
+                )
+            accs = self._groups.get(key)
+            if accs is None:
+                accs = self._groups[key] = [
+                    spec.make_accumulator() for spec in self.query.aggregates
+                ]
+            columns: Dict[Optional[int], List[Any]] = {}
+            for acc, pos in zip(accs, self._arg_positions):
+                column = columns.get(pos)
+                if column is None:
+                    column = columns[pos] = (
+                        list(map(operator.itemgetter(pos), values))
+                        if pos is not None
+                        else [None] * len(values)
+                    )
+                acc.fold(column, signs)
+            count += change
+            if count == 0 and grouped:
+                del self._groups[key]
+                self._row_counts.pop(key, None)
+            else:
+                self._row_counts[key] = count
+        return before
 
     def _visible_row(self, key: GroupKey) -> Optional[Values]:
         """The group's output row after the HAVING filter (None if the
@@ -158,30 +220,6 @@ class DifferentialAggregate:
                 return None
             accs = accs or [s.make_accumulator() for s in self.query.aggregates]
         return key + tuple(acc.result() for acc in accs)
-
-    def _add_row(self, core_values: Values, key: GroupKey) -> None:
-        accs = self._groups.get(key)
-        if accs is None:
-            accs = [spec.make_accumulator() for spec in self.query.aggregates]
-            self._groups[key] = accs
-            self._row_counts[key] = 0
-        for acc, pos in zip(accs, self._arg_positions):
-            acc.add(core_values[pos] if pos is not None else None)
-        self._row_counts[key] += 1
-
-    def _remove_row(self, core_values: Values, key: GroupKey) -> None:
-        accs = self._groups.get(key)
-        if accs is None or self._row_counts.get(key, 0) <= 0:
-            raise ReproError(
-                f"aggregate state underflow for group {key!r}: removal of a "
-                "row that was never added (delta/initialization mismatch)"
-            )
-        for acc, pos in zip(accs, self._arg_positions):
-            acc.remove(core_values[pos] if pos is not None else None)
-        self._row_counts[key] -= 1
-        if self._row_counts[key] == 0 and self.query.group_by:
-            del self._groups[key]
-            del self._row_counts[key]
 
     def _materialize(self) -> Relation:
         out = Relation(self.schema)

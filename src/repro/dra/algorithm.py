@@ -105,9 +105,7 @@ def dra_execute(
     # Constant conjuncts gate the whole query: if any is false the
     # result is empty at every execution, so the delta is empty too.
     if prepared.never_matches:
-        return DRAResult(
-            DeltaRelation(out_schema), out_schema, previous, ts, (), 0
-        )
+        return DRAResult({}, out_schema, previous, ts, (), 0)
 
     # Build operands once; they are shared by all truth-table terms.
     compiled_local = prepared.compiled_local
@@ -144,9 +142,7 @@ def dra_execute(
         # Irrelevant-update fast path: nothing to re-evaluate.
         if metrics:
             metrics.count(Metrics.EXECUTIONS_SKIPPED)
-        return DRAResult(
-            DeltaRelation(out_schema), out_schema, previous, ts, (), 0, skipped=True
-        )
+        return DRAResult({}, out_schema, previous, ts, (), 0, skipped=True)
 
     changed_key = tuple(changed)
     traces: Optional[list] = [] if explain else None
@@ -187,10 +183,10 @@ def dra_execute(
                 )
             yield entries
 
-    def run_terms_columnar():
-        """Step 2+3 in one pass: each term's kernel pipeline sums its
-        weighted candidates straight into the shared weights dict.
-        Kernel counters accumulate locally and flush once."""
+    if columnar:
+        # Steps 2+3 in one pass: each term's kernel pipeline sums its
+        # weighted candidates straight into the shared weights dict.
+        # Kernel counters accumulate locally and flush once.
         weights: Dict = {}
         stats = KernelStats()
         for row in prepared.truth_rows(changed_key):
@@ -220,18 +216,19 @@ def dra_execute(
         if metrics and stats.calls:
             metrics.count(Metrics.KERNEL_CALLS, stats.calls)
             metrics.count(Metrics.KERNEL_ROWS, stats.rows)
-        return weights
-
-    weights = run_terms_columnar() if columnar else accumulate(run_terms())
-    delta = to_delta(weights, out_schema, ts)
+    else:
+        weights = accumulate(run_terms())
     if metrics:
         metrics.count(Metrics.EXECUTIONS)
     return DRAResult(
-        delta,
+        weights,
         out_schema,
         previous,
         ts,
         changed_key,
         prepared.truth_table(changed_key).term_count,
         traces=traces,
+        # Resolved here, at call time, so a rebinding of this module's
+        # name (E18's traced pass times it as dra.assemble) still runs.
+        assemble=to_delta,
     )

@@ -126,13 +126,16 @@ class TermTrace:
 class DRAResult:
     """The outcome of one differential re-evaluation (step 4 views).
 
+    ``weights`` is step 3's signed sum, ``{(result tid, values): ±1}``;
     ``delta`` is ΔQ — the net change to the query result since the last
-    execution. The assembly helpers realize the paper's three delivery
+    execution — classified from it by ``assemble`` on first read, so a
+    caller that folds the signed sum itself (an aggregate) never builds
+    one. The assembly helpers realize the paper's three delivery
     options without re-running anything.
     """
 
     __slots__ = (
-        "delta",
+        "weights",
         "schema",
         "previous",
         "ts",
@@ -140,11 +143,13 @@ class DRAResult:
         "terms_evaluated",
         "skipped",
         "traces",
+        "_assemble",
+        "_delta",
     )
 
     def __init__(
         self,
-        delta: DeltaRelation,
+        weights: Dict[Tuple[Tid, Values], int],
         schema: Schema,
         previous: Optional[Relation],
         ts: Timestamp,
@@ -152,8 +157,11 @@ class DRAResult:
         terms_evaluated: int = 0,
         skipped: bool = False,
         traces: Optional[List[TermTrace]] = None,
+        assemble=to_delta,
     ):
-        self.delta = delta
+        self.weights = weights
+        self._assemble = assemble
+        self._delta: Optional[DeltaRelation] = None
         self.schema = schema
         self.previous = previous
         self.ts = ts
@@ -163,6 +171,13 @@ class DRAResult:
         self.skipped = skipped
         #: Per-term explain records (populated with explain=True).
         self.traces = traces
+
+    @property
+    def delta(self) -> DeltaRelation:
+        delta = self._delta
+        if delta is None:
+            delta = self._delta = self._assemble(self.weights, self.schema, self.ts)
+        return delta
 
     def explain(self) -> str:
         """Human-readable account of this execution's truth table."""

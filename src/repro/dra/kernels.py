@@ -22,12 +22,14 @@ prepared CQ) executes a flat list of kernel calls:
   selectors (``[i for i, row in enumerate(col) if ...]``); anything
   else falls back to the row-compiled predicate over zipped slot
   columns. A stage that keeps everything returns the batch unchanged;
-* **attach** — hash-join probe building output columns by index-gather:
-  one ``gather`` list of source row indexes drives
-  ``[col[i] for i in gather]`` per existing column, and the attached
-  slot's columns are appended fresh. Base probes memoize per *distinct*
-  key within the call, so fan-out joins pay one probe per key instead
-  of one per row;
+* **attach** — hash-join probe, one probe per *distinct* non-NULL key
+  of the batch. Where an unchanged base operand answers every key with
+  at most one row (a foreign key into a primary key), rows pick their
+  match by ``map(found.get, keys)`` and the rows without one drop out
+  by ``compress``, all at C level. Otherwise the batch is grouped by
+  key and output columns are built by index-gather: one ``gather``
+  list of source row indexes drives ``[col[i] for i in gather]`` per
+  existing column, and the attached slot's columns are appended fresh;
 * **accumulate** — fused projection + signed sum straight into the
   execution-wide weights dict: projection columns are gathered by
   ``(slot, position)`` and zipped into output tuples, composite result
@@ -46,6 +48,7 @@ randomized schemas, updates, and plans.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -244,7 +247,8 @@ def _make_grouper(
     """One-pass ``{join key: [row indexes]}`` grouping of a batch.
 
     Fuses key extraction with grouping (no intermediate key list); keys
-    stay tuples because probe sources are keyed by tuples.
+    stay tuples because probe sources are keyed by tuples. A row whose
+    key holds a NULL is left out: NULL equals nothing, itself included.
     """
     if len(sources) == 1:
         ((s, p),) = sources
@@ -253,7 +257,9 @@ def _make_grouper(
             groups: Dict[Tuple, List[int]] = {}
             get = groups.get
             for i, row in enumerate(batch.vals[_s]):
-                key = (row[_p],)
+                if (value := row[_p]) is None:
+                    continue
+                key = (value,)
                 lst = get(key)
                 if lst is None:
                     groups[key] = [i]
@@ -271,6 +277,8 @@ def _make_grouper(
             cols = [batch.vals[s] for s in _slots]
             for i, rows in enumerate(zip(*cols)):
                 key = tuple(row[p] for row, p in zip(rows, _poss))
+                if None in key:
+                    continue
                 lst = get(key)
                 if lst is None:
                     groups[key] = [i]
@@ -359,65 +367,26 @@ def _make_attach_delta(step) -> Kernel:
     return kernel
 
 
-def _make_attach_base(step) -> Kernel:
+def _make_attach_scan(step) -> Kernel:
+    """Cartesian attach of a base operand with no join key."""
     alias = step.alias
-    positions = step.key_positions
-    if positions:
-        grouper = _make_grouper(step.key_sources)
 
-        def kernel(batch, delta_operands, base_operands):
-            groups = grouper(batch)
-            # One probe per distinct key of the whole batch: fan-out
-            # joins (many partials sharing a key) pay |keys| probes,
-            # not |rows|.
-            matches_for = base_operands[alias].probe_batch(
-                positions, groups.keys()
-            )
-            if not matches_for:
-                return _extend(batch, [], [], [], [])
-            src_w = batch.weights
-            gather: List[int] = []
-            new_tids: List[Tid] = []
-            new_vals: List[Values] = []
-            out_w: List[int] = []
-            ge, te, ve, we = (
-                gather.extend,
-                new_tids.extend,
-                new_vals.extend,
-                out_w.extend,
-            )
-            get = matches_for.get
-            for key, idxs in groups.items():
-                matches = get(key)
-                if not matches:
-                    continue
-                n = len(idxs)
-                w_g = [src_w[i] for i in idxs]
-                for tid, values in matches:
-                    ge(idxs)
-                    te([tid] * n)
-                    ve([values] * n)
-                    we(w_g)
-            return _extend(batch, gather, new_tids, new_vals, out_w)
-
-    else:
-
-        def kernel(batch, delta_operands, base_operands):
-            rows = base_operands[alias].scan()
-            gather: List[int] = []
-            new_tids: List[Tid] = []
-            new_vals: List[Values] = []
-            out_w: List[int] = []
-            if rows:
-                n = len(rows)
-                row_tids = [t for t, __ in rows]
-                row_vals = [v for __, v in rows]
-                for i, w0 in enumerate(batch.weights):
-                    gather.extend([i] * n)
-                    new_tids.extend(row_tids)
-                    new_vals.extend(row_vals)
-                    out_w.extend([w0] * n)
-            return _extend(batch, gather, new_tids, new_vals, out_w)
+    def kernel(batch, delta_operands, base_operands):
+        rows = base_operands[alias].scan()
+        gather: List[int] = []
+        new_tids: List[Tid] = []
+        new_vals: List[Values] = []
+        out_w: List[int] = []
+        if rows:
+            n = len(rows)
+            row_tids = [t for t, __ in rows]
+            row_vals = [v for __, v in rows]
+            for i, w0 in enumerate(batch.weights):
+                gather.extend([i] * n)
+                new_tids.extend(row_tids)
+                new_vals.extend(row_vals)
+                out_w.extend([w0] * n)
+        return _extend(batch, gather, new_tids, new_vals, out_w)
 
     return kernel
 
@@ -479,26 +448,81 @@ def _prefilter_matches(matches, pre):
     return out
 
 
-def _make_attach_base_fused(step, plan, pair, match_pre) -> Kernel:
-    """Base attach with the step's residuals fused into match selection.
+def _make_keys(
+    sources: Tuple[Tuple[int, int], ...]
+) -> Callable[[ColumnBatch], List[Tuple]]:
+    """The join key of every row of a batch, as tuples, built at C level
+    (``map(itemgetter)`` per key column, zipped)."""
+    if len(sources) == 1:
+        ((s, p),) = sources
+        get = operator.itemgetter(p)
+        return lambda batch: list(zip(map(get, batch.vals[s])))
+    getters = tuple((s, operator.itemgetter(p)) for s, p in sources)
+    return lambda batch: list(
+        zip(*[map(get, batch.vals[s]) for s, get in getters])
+    )
 
-    Rejected (row, match) pairs are never extended into the output
-    columns, so the pre-residual fan-out is never materialized and the
-    separate selector + compaction passes disappear. The pair condition
-    iterates whichever side of each group is smaller and sweeps the
-    other in a comprehension.
+
+_TID = operator.itemgetter(0)
+_VALUES = operator.itemgetter(1)
+
+
+def _make_attach_base(step, pair=None, match_pre=()) -> Kernel:
+    """Hash-join attach of a base operand, with the step's fusable
+    residuals (see :func:`_fuse_step_residuals`) folded into match
+    selection: a rejected (row, match) pair is never extended into the
+    output columns.
+
+    One probe per distinct non-NULL key of the whole batch. When the
+    operand is unchanged in the window and every key matches at most
+    one row — a join from a foreign key to a primary key — the attach
+    works per row at C level: ``map(found.get, keys)`` picks each row's
+    match, ``compress`` drops the rows without one, and only the pair
+    condition runs per row in Python. Any other batch (a key that fans
+    out, or an operand whose old state needs the delta overlay) is
+    grouped by key and gathered per group, the pair condition iterating
+    whichever side of each group is smaller.
     """
     alias = step.alias
     positions = step.key_positions
+    if not positions:
+        return _make_attach_scan(step)
+    keys_of = _make_keys(step.key_sources)
     grouper = _make_grouper(step.key_sources)
+    single = len(positions) == 1
     if pair is not None:
         b_slot, b_pos, m_pos, pair_op = pair
 
-    def kernel(batch, delta_operands, base_operands):
+    def by_map(batch, keys, found):
+        hits = list(map(found.get, keys))
+        if pair is not None:
+            mask = [
+                h is not None
+                and (x := r[b_pos]) is not None
+                and (y := h[1][m_pos]) is not None
+                and pair_op(x, y)
+                for r, h in zip(batch.vals[b_slot], hits)
+            ]
+            keep_all = all(mask)
+        else:
+            keep_all = None not in hits
+            mask = None if keep_all else list(map(operator.truth, hits))
+        if keep_all:
+            tids = list(batch.tids)
+            vals = list(batch.vals)
+            weights = batch.weights
+        else:
+            hits = list(itertools.compress(hits, mask))
+            tids = [list(itertools.compress(c, mask)) for c in batch.tids]
+            vals = [list(itertools.compress(c, mask)) for c in batch.vals]
+            weights = list(itertools.compress(batch.weights, mask))
+        tids.append(list(map(_TID, hits)))
+        vals.append(list(map(_VALUES, hits)))
+        return ColumnBatch(tids, vals, weights)
+
+    def by_group(batch, operand):
         groups = grouper(batch)
-        matches_for = base_operands[alias].probe_batch(
-            positions, groups.keys()
-        )
+        matches_for = operand.probe_batch(positions, groups.keys())
         src_w = batch.weights
         gather: List[int] = []
         new_tids: List[Tid] = []
@@ -564,6 +588,27 @@ def _make_attach_base_fused(step, plan, pair, match_pre) -> Kernel:
                             ve([tv[1] for tv in sel])
                             we([src_w[i]] * n)
         return _extend(batch, gather, new_tids, new_vals, out_w)
+
+    def kernel(batch, delta_operands, base_operands):
+        operand = base_operands[alias]
+        keys = keys_of(batch)
+        distinct = set(keys)
+        if single:
+            distinct.discard((None,))
+        else:
+            distinct = [k for k in distinct if None not in k]
+        found = operand.probe_unique(positions, distinct)
+        if found is None:
+            return by_group(batch, operand)
+        if match_pre:
+            found = {
+                k: tv
+                for k, tv in found.items()
+                if _prefilter_matches((tv,), match_pre)
+            }
+        if not found:
+            return _extend(batch, [], [], [], [])
+        return by_map(batch, keys, found)
 
     return kernel
 
@@ -680,27 +725,24 @@ def compile_term_kernel(plan) -> TermKernel:
     for compiled, pred in zip(plan.seed_residuals, plan.seed_residual_preds):
         ops.append((FILTER, plan.seed, _make_filter(pred, compiled, plan)))
     for step in plan.steps:
+        fused = None
         if step.is_delta:
             ops.append((ATTACH_DELTA, step.alias, _make_attach_delta(step)))
-        elif (
-            step.residuals
-            and step.key_positions
-            and len(step.residuals) == len(step.residual_preds)
-            and (fused := _fuse_step_residuals(step, plan)) is not None
-        ):
-            # All residuals of this step fuse into the attach: skip the
-            # filter stages entirely.
-            pair, match_pre = fused
-            ops.append(
-                (
-                    ATTACH_BASE,
-                    step.alias,
-                    _make_attach_base_fused(step, plan, pair, match_pre),
-                )
-            )
-            continue
         else:
-            ops.append((ATTACH_BASE, step.alias, _make_attach_base(step)))
-        for compiled, pred in zip(step.residuals, step.residual_preds):
-            ops.append((FILTER, step.alias, _make_filter(pred, compiled, plan)))
+            if (
+                step.residuals
+                and step.key_positions
+                and len(step.residuals) == len(step.residual_preds)
+            ):
+                fused = _fuse_step_residuals(step, plan)
+            # When every residual of this step fuses into the attach,
+            # no filter stage follows it.
+            pair, match_pre = fused or (None, ())
+            attach = _make_attach_base(step, pair, match_pre)
+            ops.append((ATTACH_BASE, step.alias, attach))
+        if fused is None:
+            for compiled, pred in zip(step.residuals, step.residual_preds):
+                ops.append(
+                    (FILTER, step.alias, _make_filter(pred, compiled, plan))
+                )
     return TermKernel(plan, tuple(ops), _make_accumulate(plan))

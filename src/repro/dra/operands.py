@@ -158,14 +158,16 @@ class DeltaOperand:
     ) -> Dict[Tuple, List[SignedRow]]:
         """Transient hash index of the signed rows on ``positions``,
         built once per operand per position tuple (several truth-table
-        terms attach the same operand over the same join edges)."""
+        terms attach the same operand over the same join edges). A row
+        whose key holds a NULL is left out: NULL equals nothing."""
         buckets = self._indexes.get(positions)
         if buckets is None:
             buckets = {}
             setdefault = buckets.setdefault
             for tid, values, weight in zip(self._tids, self._vals, self._weights):
                 key = tuple(values[p] for p in positions)
-                setdefault(key, []).append((tid, values, weight))
+                if None not in key:
+                    setdefault(key, []).append((tid, values, weight))
             self._indexes[positions] = buckets
         return buckets
 
@@ -215,7 +217,9 @@ class BaseOperand:
         self, positions: Tuple[int, ...], key: Tuple
     ) -> List[Tuple[Tid, Values]]:
         """Old-state rows matching ``key`` on ``positions`` that satisfy
-        the operand's local predicate."""
+        the operand's local predicate (none for a key holding a NULL)."""
+        if None in key:
+            return []
         source = self._probe_source(positions)
         matches = source.get(key, []) if isinstance(source, dict) else source.lookup(
             key, self.metrics
@@ -294,6 +298,51 @@ class BaseOperand:
             for k, m in matched.items()
             if (fm := [(t, v) for t, v in m if local(v)])
         }
+
+    def probe_unique(
+        self, positions: Tuple[int, ...], keys
+    ) -> Optional[Dict[Tuple, Tuple[Tid, Values]]]:
+        """``{key: (tid, values)}``: the one locally passing old-state
+        row of each of the (distinct) ``keys`` that has a match — or
+        None when the operand changed in the window or some key matches
+        more than one row, where callers gather per key group instead
+        (:meth:`probe_batch`).
+
+        An unchanged operand's old state is its live state, so a key
+        costs one bucket read plus a row read and a local-predicate
+        call per bucket row, and builds no match list.
+        """
+        if self.delta is not None and not self.delta.is_empty():
+            return None
+        source = self._probe_source(positions)
+        local = self.local_predicate
+        found: Dict[Tuple, Tuple[Tid, Values]] = {}
+        if isinstance(source, dict):
+            get = source.get
+            for k in keys:
+                hit = None
+                for t, v in get(k, ()):
+                    if local is None or local(v):
+                        if hit is not None:
+                            return None
+                        hit = (t, v)
+                if hit is not None:
+                    found[k] = hit
+            return found
+        buckets_get, rows_get = source.fast_maps()
+        for k in keys:
+            hit = None
+            for t in buckets_get(k, ()):
+                v = rows_get(t)
+                if v is not None and (local is None or local(v)):
+                    if hit is not None:
+                        return None
+                    hit = (t, v)
+            if hit is not None:
+                found[k] = hit
+        if self.metrics and keys:
+            self.metrics.count(Metrics.INDEX_PROBES, len(keys))
+        return found
 
     def _probe_source(self, positions: Tuple[int, ...]):
         """An index-like object answering lookups on ``positions``.

@@ -13,11 +13,13 @@ counts rows regardless.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExpressionError, QueryError
 from repro.metrics import Metrics
-from repro.relational.algebra import SPJQuery
+from repro.relational.algebra import OutputColumn, SPJQuery
 from repro.relational.evaluate import Resolver, evaluate_spj
 from repro.relational.expressions import ColumnRef
 from repro.relational.relation import Relation
@@ -33,6 +35,13 @@ class Accumulator:
 
     def remove(self, value: Any) -> None:
         raise NotImplementedError
+
+    def fold(self, values: Sequence[Any], weights: Sequence[int]) -> None:
+        """Add each value of weight +1 and remove each of weight −1:
+        one call per group and batch of a signed sum."""
+        add, remove = self.add, self.remove
+        for value, weight in zip(values, weights):
+            (add if weight > 0 else remove)(value)
 
     def result(self) -> Any:
         raise NotImplementedError
@@ -60,6 +69,14 @@ class SumAccumulator(Accumulator):
         self.total -= value
         self.count -= 1
 
+    def fold(self, values: Sequence[Any], weights: Sequence[int]) -> None:
+        if None in values:
+            pairs = [(v, w) for v, w in zip(values, weights) if v is not None]
+            values = [v for v, __ in pairs]
+            weights = [w for __, w in pairs]
+        self.total += sum(map(operator.mul, values, weights))
+        self.count += sum(weights)
+
     def result(self) -> Any:
         return self.total if self.count else None
 
@@ -85,6 +102,16 @@ class CountAccumulator(Accumulator):
         if self.star or value is not None:
             self.value -= 1
 
+    def fold(self, values: Sequence[Any], weights: Sequence[int]) -> None:
+        rows = sum(weights)
+        self.rows += rows
+        if self.star or None not in values:
+            self.value += rows
+        else:
+            self.value += sum(
+                w for v, w in zip(values, weights) if v is not None
+            )
+
     def result(self) -> int:
         return self.value
 
@@ -92,32 +119,13 @@ class CountAccumulator(Accumulator):
         return self.rows == 0
 
 
-class AvgAccumulator(Accumulator):
+class AvgAccumulator(SumAccumulator):
     """AVG = SUM / COUNT over non-null inputs."""
-
-    def __init__(self) -> None:
-        self.total = 0
-        self.count = 0
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self.total += value
-        self.count += 1
-
-    def remove(self, value: Any) -> None:
-        if value is None:
-            return
-        self.total -= value
-        self.count -= 1
 
     def result(self) -> Any:
         if not self.count:
             return None
         return self.total / self.count
-
-    def is_empty(self) -> bool:
-        return self.count == 0
 
 
 class _ExtremumAccumulator(Accumulator):
@@ -237,10 +245,10 @@ class AggregateSpec:
 class AggregateQuery:
     """Aggregates (optionally grouped) over an SPJ core.
 
-    The SPJ core's projection feeds the aggregate inputs; group keys and
-    aggregate arguments are resolved against the core's *output* schema,
-    so the core should project every column the aggregates mention (use
-    projection=None / SELECT * to expose everything).
+    ``core`` is the user's SPJ core (the parser's is SELECT *). Group
+    keys and aggregate arguments are column refs into its relations;
+    :meth:`narrowed_core` is the core projected to exactly those
+    columns, which is what evaluation runs.
     """
 
     __slots__ = ("core", "aggregates", "group_by", "having")
@@ -290,17 +298,59 @@ class AggregateQuery:
     def __hash__(self) -> int:
         return hash((self.core, self.aggregates, self.group_by, self.having))
 
+    def narrowed_core(self) -> SPJQuery:
+        """The core projected to the distinct columns the aggregate
+        reads: the group-by columns first — a row's group key is its
+        first ``len(group_by)`` values — then the arguments.
+
+        A column is named by its bare name where that is unique among
+        them, else ``alias_name`` (SELECT *'s rule), so ``orders.cid``
+        and ``customers.cid`` can both be read.
+        """
+        return SPJQuery(
+            self.core.relations,
+            self.core.predicate,
+            [OutputColumn(ref, name) for ref, name in self._core_names().items()],
+        )
+
+    def argument_positions(self) -> Tuple[Optional[int], ...]:
+        """Where :meth:`narrowed_core`'s rows hold each aggregate's
+        argument (None for COUNT(*))."""
+        at = {ref: i for i, ref in enumerate(self._core_names())}
+        return tuple(
+            at[spec.ref] if spec.ref is not None else None
+            for spec in self.aggregates
+        )
+
     def output_schema(self, core_schema: Schema) -> Schema:
+        """The result schema, given the schema of :meth:`narrowed_core`."""
+        names = self._core_names()
         attrs: List[Attribute] = []
         for ref in self.group_by:
-            attr = core_schema.attribute(ref.name)
+            attr = core_schema.attribute(names[ref])
             attrs.append(Attribute(ref.name, attr.type))
         for spec in self.aggregates:
             input_type = (
-                core_schema.type_of(spec.ref.name) if spec.ref is not None else None
+                core_schema.type_of(names[spec.ref])
+                if spec.ref is not None
+                else None
             )
             attrs.append(Attribute(spec.name, spec.result_type(input_type)))
         return Schema(attrs)
+
+    def _core_names(self) -> Dict[ColumnRef, str]:
+        """Each column the aggregate reads -> its narrowed-core name."""
+        refs = dict.fromkeys(
+            self.group_by
+            + tuple(spec.ref for spec in self.aggregates if spec.ref is not None)
+        )
+        bare = Counter(ref.name for ref in refs)
+        return {
+            ref: f"{ref.qualifier}_{ref.name}"
+            if bare[ref.name] > 1 and ref.qualifier
+            else ref.name
+            for ref in refs
+        }
 
 
 def evaluate_aggregate(
@@ -314,19 +364,14 @@ def evaluate_aggregate(
     an empty input (SUM/AVG/MIN/MAX are then null, counts zero). Grouped
     aggregates return one row per group, keyed by the group-value tuple.
     """
-    rows = evaluate_spj(query.core, resolver, metrics)
-    core_schema = rows.schema
-    out_schema = query.output_schema(core_schema)
-
-    group_positions = [core_schema.position(r.name) for r in query.group_by]
-    arg_positions: List[Optional[int]] = [
-        core_schema.position(s.ref.name) if s.ref is not None else None
-        for s in query.aggregates
-    ]
+    rows = evaluate_spj(query.narrowed_core(), resolver, metrics)
+    out_schema = query.output_schema(rows.schema)
+    width = len(query.group_by)
+    arg_positions = query.argument_positions()
 
     groups: Dict[Tuple[Any, ...], List[Accumulator]] = {}
     for row in rows:
-        key = tuple(row.values[p] for p in group_positions)
+        key = row.values[:width]
         accs = groups.get(key)
         if accs is None:
             accs = [spec.make_accumulator() for spec in query.aggregates]

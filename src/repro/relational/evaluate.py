@@ -179,10 +179,13 @@ def _join_all(
 
         if edges:
             probe_positions = tuple(e.position_for(next_alias) for e in edges)
+            # A key holding a NULL matches nothing (NULL = NULL is not
+            # true), so it is not indexed.
             index: Dict[tuple, list] = {}
             for row in rel:
                 key = tuple(row.values[p] for p in probe_positions)
-                index.setdefault(key, []).append(row)
+                if None not in key:
+                    index.setdefault(key, []).append(row)
             for tids, vals in partials:
                 key = tuple(
                     vals[e.other(next_alias)][e.position_for(e.other(next_alias))]

@@ -165,6 +165,15 @@ FOLD_QUERIES = [
     f"SELECT customers.seg, {AGGREGATES} GROUP BY customers.seg HAVING total > 6",
     f"SELECT customers.seg, {AGGREGATES} GROUP BY customers.seg HAVING n < 3",
     f"SELECT {AGGREGATES}",
+    # The group-by column is an argument too, and orders.cid and
+    # customers.cid share a bare name in the narrowed core.
+    "SELECT customers.seg, SUM(customers.seg) AS segs, "
+    "COUNT(orders.cid) AS owned, MAX(customers.cid) AS top, "
+    "SUM(orders.amt) AS total FROM orders, customers "
+    "WHERE orders.cid = customers.cid GROUP BY customers.seg",
+    "SELECT MIN(orders.cid) AS lo, MAX(customers.cid) AS hi, "
+    "AVG(orders.amt) AS mean FROM orders, customers "
+    "WHERE orders.cid = customers.cid",
 ]
 
 # Three segments over four customers and amounts 0..6 or NULL: groups
@@ -261,3 +270,42 @@ class TestOnePassFold:
         orders.delete(tid)
         with pytest.raises(ReproError, match="underflow"):
             state.update(deltas_since([orders, customers], ts), ts=db.now())
+
+    def test_narrowed_core_names_clashing_columns_apart(self):
+        query = parse_query(FOLD_QUERIES[4])
+        core = query.narrowed_core()
+        assert [column.name for column in core.projection] == [
+            "seg", "orders_cid", "customers_cid", "amt"
+        ]
+        db, orders, customers = fold_database([(0, 5), (2, None), (3, 1)])
+        state = DifferentialAggregate(query, db)
+        state.initialize()
+        assert state.current().get((0,)) == (0, 0, 1, 0, 5)
+        assert state.current().get((1,)) == (1, 1, 1, 2, None)
+        check_against_complete(state, db, query)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {((0, 0), (0, 5)): 2},
+            {((0, 0), (0, 5)): -2},
+            {((0, 0), (0, 5)): 1, ((0, 0), (0, 6)): 1},
+        ],
+    )
+    def test_signed_sum_that_is_no_delta_raises(self, monkeypatch, weights):
+        """A weight outside ±1, or two rows on one side of a result
+        tid, is an algebra bug the fold refuses to absorb."""
+        import repro.dra.aggregates as aggregates
+        from repro.dra.assembly import DRAResult, WeightInvariantError
+
+        db, orders, customers = fold_database([(0, 5)])
+        state = DifferentialAggregate(parse_query(FOLD_QUERIES[0]), db)
+        state.initialize()
+        monkeypatch.setattr(
+            aggregates,
+            "dra_execute",
+            lambda *args, **kwargs: DRAResult(weights, state.schema, None, 1),
+        )
+        with pytest.raises(WeightInvariantError):
+            state.update({}, ts=db.now())
+

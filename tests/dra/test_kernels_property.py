@@ -100,7 +100,7 @@ def assert_columnar_matches_row(db, tables, query, since):
     row_metrics, col_metrics = Metrics(), Metrics()
     row = dra_execute(
         query, db, deltas=deltas, prepared=prepared, ts=99,
-        metrics=row_metrics,
+        metrics=row_metrics, columnar=False,
     )
     col = dra_execute(
         query, db, deltas=deltas, prepared=prepared, ts=99,
@@ -139,6 +139,156 @@ class TestColumnarEquivalence:
         apply_ops(db, r, r_ops)
         apply_ops(db, s, s_ops)
         assert_columnar_matches_row(db, [r, s], query, since)
+
+
+# -- one-row attaches: a join from a foreign key to a primary key ------------
+
+#: ``s.a`` is a key of ``s``; ``r.a`` may dangle (5..7) or be NULL.
+UNIQUE_QUERIES = [
+    "SELECT r.b, s.c FROM r, s WHERE r.a = s.a",
+    # Local filter on the probed side, checked once per key.
+    "SELECT r.b, s.c FROM r, s WHERE r.a = s.a AND s.c < {t}",
+    # Fused literal prefilter and fused col-col residual (per row).
+    "SELECT r.b, s.c FROM r, s WHERE r.a = s.a AND {t} < s.c",
+    "SELECT r.a, r.b, s.c FROM r, s WHERE r.a = s.a AND r.b < s.c",
+    # Two-column key, probed through a scanned hash table (no index).
+    "SELECT r.a, s.c FROM r, s WHERE r.a = s.a AND r.b = s.c",
+]
+FOREIGN = st.one_of(st.none(), st.integers(0, 7))
+
+
+@st.composite
+def keyed_rows(draw):
+    keys = draw(st.lists(st.integers(0, 4), unique=True, max_size=5))
+    return [(k, draw(VALUE)) for k in keys]
+
+
+class MapPathSpy:
+    """Records what each ``BaseOperand.probe_unique`` call answered —
+    ``"map"`` (one row per key) or ``"grouped"`` (fall back) — and
+    whether the probed operand had changed in the window."""
+
+    def __init__(self):
+        from repro.dra.operands import BaseOperand
+
+        self.owner = BaseOperand
+        self.original = BaseOperand.probe_unique
+        self.answers = []
+
+    def __enter__(self):
+        original, answers = self.original, self.answers
+
+        def spy(operand, positions, keys):
+            found = original(operand, positions, keys)
+            changed = operand.delta is not None and not operand.delta.is_empty()
+            answers.append((changed, "grouped" if found is None else "map"))
+            return found
+
+        self.owner.probe_unique = spy
+        return self
+
+    def __exit__(self, *exc):
+        self.owner.probe_unique = self.original
+
+
+class TestOneRowAttach:
+    """The per-row map attach and both of its fallbacks, each against
+    the row evaluator."""
+
+    @given(
+        r_rows=st.lists(st.tuples(FOREIGN, VALUE), max_size=8),
+        s_rows=keyed_rows(),
+        r_ops=update_ops(),
+        template=st.sampled_from(UNIQUE_QUERIES),
+        t=SMALL,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_map_path(self, r_rows, s_rows, r_ops, template, t):
+        """Only ``r`` changes: ``s`` is probed unchanged, one row a key."""
+        db, r, s = build_db(r_rows, s_rows)
+        query = parse_query(template.format(t=t))
+        since = db.now()
+        apply_ops(db, r, r_ops)
+        with MapPathSpy() as spy:
+            assert_columnar_matches_row(db, [r, s], query, since)
+        assert all(answer == "map" for __, answer in spy.answers)
+
+    @given(
+        r_rows=st.lists(st.tuples(FOREIGN, VALUE), max_size=8),
+        s_rows=keyed_rows().filter(bool),
+        r_ops=update_ops(),
+        doubled=st.integers(0, 4),
+        c=VALUE,
+        template=st.sampled_from(UNIQUE_QUERIES),
+        t=SMALL,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_key_gains_a_second_row_in_the_window(
+        self, r_rows, s_rows, r_ops, doubled, c, template, t
+    ):
+        """A key of ``s`` fans out after an insert inside the window."""
+        db, r, s = build_db(r_rows, s_rows)
+        query = parse_query(template.format(t=t))
+        since = db.now()
+        s.insert((s_rows[doubled % len(s_rows)][0], c))
+        apply_ops(db, r, r_ops)
+        assert_columnar_matches_row(db, [r, s], query, since)
+
+    @given(
+        r_rows=st.lists(st.tuples(FOREIGN, VALUE), max_size=8),
+        s_rows=keyed_rows(),
+        r_ops=update_ops(),
+        s_ops=update_ops(max_ops=4),
+        template=st.sampled_from(UNIQUE_QUERIES),
+        t=SMALL,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_probed_operand_changed(
+        self, r_rows, s_rows, r_ops, s_ops, template, t
+    ):
+        """Both sides change: every base probe answers in the old state
+        through the delta overlay."""
+        db, r, s = build_db(r_rows, s_rows)
+        query = parse_query(template.format(t=t))
+        since = db.now()
+        apply_ops(db, r, r_ops)
+        apply_ops(db, s, s_ops)
+        with MapPathSpy() as spy:
+            assert_columnar_matches_row(db, [r, s], query, since)
+        for changed, answer in spy.answers:
+            assert answer == "grouped" or not changed
+
+    def test_each_path_is_taken(self):
+        """Directed: a key fanning out before the window and a changed
+        probed operand each fall back; otherwise the map answers, with
+        dangling and NULL foreign keys left out."""
+        query = parse_query("SELECT r.a, r.b, s.c FROM r, s WHERE r.a = s.a")
+        # (Changing s too adds the Δs term, whose probe of r, changed
+        # as well, falls back.)
+        cases = {
+            "map": ["map"],
+            "fan-out": ["grouped"],
+            "changed": ["grouped", "grouped"],
+        }
+        for case, expected in cases.items():
+            db, r, s = build_db([(1, 0)], [(1, 5), (2, 6)])
+            if case == "fan-out":
+                s.insert((2, 7))
+            since = db.now()
+            with db.begin() as txn:
+                txn.insert_into(r, (2, 1))
+                txn.insert_into(r, (None, 2))
+                txn.insert_into(r, (6, 3))
+                if case == "changed":
+                    txn.insert_into(s, (3, 8))
+            with MapPathSpy() as spy:
+                row, col = assert_columnar_matches_row(db, [r, s], query, since)
+            assert [answer for __, answer in spy.answers] == expected, case
+            news = sorted(entry.new for entry in col.delta)
+            if case == "fan-out":
+                assert news == [(2, 1, 6), (2, 1, 7)]
+            else:
+                assert news == [(2, 1, 6)]
 
 
 class TestDirectedEdgeCases:
@@ -184,16 +334,27 @@ class TestDirectedEdgeCases:
 
     def test_nulls_never_match_any_comparison(self):
         """NULL join keys and NULL filtered columns drop out of both
-        paths identically (spec filters and residuals alike)."""
+        paths identically (spec filters and residuals alike), and of
+        complete evaluation: NULL = NULL is not true."""
         db, r, s = build_db([(None, 3), (1, None)], [(None, 2), (1, 4)])
-        query = parse_query(
-            "SELECT r.b, s.c FROM r, s WHERE r.a = s.a AND r.b < s.c"
+        sql = (
+            "SELECT r.a, s.a AS sa, r.b, s.c FROM r, s "
+            "WHERE r.a = s.a AND r.b < s.c"
         )
+        query = parse_query(sql)
         since = db.now()
         with db.begin() as txn:
             txn.insert_into(r, (None, 1))
             txn.insert_into(r, (1, 2))
             txn.insert_into(s, (1, None))
+            txn.insert_into(s, (None, 5))  # meets r's new NULL key
+        for columnar in (False, True):
+            result = dra_execute(
+                query, db, deltas=deltas_since([r, s], since), ts=99,
+                columnar=columnar,
+            )
+            assert [e.new for e in result.delta] == [(1, 1, 2, 4)]
+        assert db.query(sql).values_set() == {(1, 1, 2, 4)}
         row, col = assert_columnar_matches_row(db, [r, s], query, since)
         for entry in col.delta:
             assert None not in (entry.new or entry.old)
