@@ -23,8 +23,8 @@ prepared CQ) executes a flat list of kernel calls:
   else falls back to the row-compiled predicate over zipped slot
   columns. A stage that keeps everything returns the batch unchanged;
 * **attach** — hash-join probe, one probe per *distinct* non-NULL key
-  of the batch. Where an unchanged base operand answers every key with
-  at most one row (a foreign key into a primary key), rows pick their
+  of the batch. Where a base operand answers every key with at most
+  one row (a foreign key into a primary key), rows pick their
   match by ``map(found.get, keys)`` and the rows without one drop out
   by ``compress``, all at C level. Otherwise the batch is grouped by
   key and output columns are built by index-gather: one ``gather``
@@ -241,52 +241,35 @@ def _make_filter(pred, row_compiled, plan) -> Kernel:
     return kernel
 
 
-def _make_grouper(
+def _make_keys(
     sources: Tuple[Tuple[int, int], ...]
-) -> Callable[[ColumnBatch], Dict[Tuple, List[int]]]:
-    """One-pass ``{join key: [row indexes]}`` grouping of a batch.
-
-    Fuses key extraction with grouping (no intermediate key list); keys
-    stay tuples because probe sources are keyed by tuples. A row whose
-    key holds a NULL is left out: NULL equals nothing, itself included.
-    """
+) -> Callable[[ColumnBatch], List[Tuple]]:
+    """The join key of every row of a batch, as tuples, built at C level
+    (``map(itemgetter)`` per key column, zipped). Keys stay tuples
+    because probe sources are keyed by tuples. A key holding a NULL
+    stays in the list but matches nothing: no bucket or probe answer is
+    keyed by one, since NULL equals nothing, itself included."""
     if len(sources) == 1:
         ((s, p),) = sources
+        get = operator.itemgetter(p)
+        return lambda batch: list(zip(map(get, batch.vals[s])))
+    getters = tuple((s, operator.itemgetter(p)) for s, p in sources)
+    return lambda batch: list(
+        zip(*[map(get, batch.vals[s]) for s, get in getters])
+    )
 
-        def group(batch, _s=s, _p=p):
-            groups: Dict[Tuple, List[int]] = {}
-            get = groups.get
-            for i, row in enumerate(batch.vals[_s]):
-                if (value := row[_p]) is None:
-                    continue
-                key = (value,)
-                lst = get(key)
-                if lst is None:
-                    groups[key] = [i]
-                else:
-                    lst.append(i)
-            return groups
 
-    else:
-        slots = tuple(s for s, __ in sources)
-        poss = tuple(p for __, p in sources)
-
-        def group(batch, _slots=slots, _poss=poss):
-            groups: Dict[Tuple, List[int]] = {}
-            get = groups.get
-            cols = [batch.vals[s] for s in _slots]
-            for i, rows in enumerate(zip(*cols)):
-                key = tuple(row[p] for row, p in zip(rows, _poss))
-                if None in key:
-                    continue
-                lst = get(key)
-                if lst is None:
-                    groups[key] = [i]
-                else:
-                    lst.append(i)
-            return groups
-
-    return group
+def _group_rows(keys: List[Tuple]) -> Dict[Tuple, List[int]]:
+    """``{join key: [row indexes]}`` of a batch's keys, in one pass."""
+    groups: Dict[Tuple, List[int]] = {}
+    get = groups.get
+    for i, key in enumerate(keys):
+        lst = get(key)
+        if lst is None:
+            groups[key] = [i]
+        else:
+            lst.append(i)
+    return groups
 
 
 def _extend(
@@ -310,7 +293,7 @@ def _make_attach_delta(step) -> Kernel:
     alias = step.alias
     positions = step.key_positions
     if positions:
-        grouper = _make_grouper(step.key_sources)
+        keys_of = _make_keys(step.key_sources)
 
         def kernel(batch, delta_operands, base_operands):
             buckets = delta_operands[alias].index_on(positions)
@@ -329,7 +312,7 @@ def _make_attach_delta(step) -> Kernel:
             # Group-by-key: the per-output-row work is list extension
             # and repetition at C speed, one Python iteration per
             # (distinct key, bucket row) pair instead of per output row.
-            for key, idxs in grouper(batch).items():
+            for key, idxs in _group_rows(keys_of(batch)).items():
                 bucket = bucket_get(key)
                 if not bucket:
                     continue
@@ -391,224 +374,171 @@ def _make_attach_scan(step) -> Kernel:
     return kernel
 
 
-def _fuse_step_residuals(step, plan):
-    """Classify a base attach's residuals for fusion into the attach.
+def _fuse_step_residual(step, plan):
+    """The step's residual as ``(batch_slot, batch_pos, match_pos, op)``
+    when it is one cross-slot comparison, oriented so it reads
+    ``op(batch_value, match_value)`` and evaluated per (batch row, probe
+    match) pair during attachment; else None, and the compiler keeps
+    the plain attach followed by filter stages.
 
-    Returns ``(pair, match_pre)`` when every residual of the step is a
-    simple comparison involving the newly attached slot:
-
-    * ``pair`` — at most one cross-slot comparison ``(batch_slot,
-      batch_pos, match_pos, op)``, oriented so it reads
-      ``op(batch_value, match_value)`` and evaluated per (batch row,
-      probe match) pair during attachment;
-    * ``match_pre`` — ``(match_pos, op, const)`` prefilters that depend
-      on the attached rows alone, applied once per distinct join key.
-
-    Returns ``None`` when any residual falls outside those shapes (or a
-    second cross-slot comparison appears); the compiler then keeps the
-    plain attach followed by filter stages.
+    (A comparison with a literal reads one alias, so the planner always
+    makes it a local predicate, never a residual.)
     """
-    new_slot = plan.slots[step.alias]
-    pair = None
-    match_pre = []
-    for pred in step.residual_preds:
-        if not (isinstance(pred, Comparison) and pred.op in _OPS):
-            return None
-        left = _classify(pred.left, plan)
-        right = _classify(pred.right, plan)
-        if not left or not right:
-            return None
-        op_name = pred.op
-        if left[0] == "lit" and right[0] == "col":
-            left, right, op_name = right, left, _SWAP[op_name]
-        if left[0] == "col" and right[0] == "lit":
-            if left[1] != new_slot or right[1] is None:
-                return None  # batch-side or null literal: keep filter
-            match_pre.append((left[2], _OPS[op_name], right[1]))
-            continue
-        if left[0] == "col" and right[0] == "col":
-            if left[1] == new_slot and right[1] != new_slot:
-                left, right, op_name = right, left, _SWAP[op_name]
-            if left[1] == new_slot or right[1] != new_slot or pair is not None:
-                return None
-            pair = (left[1], left[2], right[2], _OPS[op_name])
-            continue
+    if len(step.residual_preds) != 1:
         return None
-    return pair, tuple(match_pre)
-
-
-def _prefilter_matches(matches, pre):
-    """Apply ``(match_pos, op, const)`` prefilters to probe matches."""
-    if len(pre) == 1:
-        ((p, op, c),) = pre
-        return [tv for tv in matches if (x := tv[1][p]) is not None and op(x, c)]
-    out = matches
-    for p, op, c in pre:
-        out = [tv for tv in out if (x := tv[1][p]) is not None and op(x, c)]
-    return out
-
-
-def _make_keys(
-    sources: Tuple[Tuple[int, int], ...]
-) -> Callable[[ColumnBatch], List[Tuple]]:
-    """The join key of every row of a batch, as tuples, built at C level
-    (``map(itemgetter)`` per key column, zipped)."""
-    if len(sources) == 1:
-        ((s, p),) = sources
-        get = operator.itemgetter(p)
-        return lambda batch: list(zip(map(get, batch.vals[s])))
-    getters = tuple((s, operator.itemgetter(p)) for s, p in sources)
-    return lambda batch: list(
-        zip(*[map(get, batch.vals[s]) for s, get in getters])
-    )
+    (pred,) = step.residual_preds
+    if not (isinstance(pred, Comparison) and pred.op in _OPS):
+        return None
+    left = _classify(pred.left, plan)
+    right = _classify(pred.right, plan)
+    if not (left and right and left[0] == right[0] == "col"):
+        return None
+    new_slot = plan.slots[step.alias]
+    op_name = pred.op
+    if left[1] == new_slot:
+        left, right, op_name = right, left, _SWAP[op_name]
+    if left[1] == new_slot or right[1] != new_slot:
+        return None
+    return (left[1], left[2], right[2], _OPS[op_name])
 
 
 _TID = operator.itemgetter(0)
 _VALUES = operator.itemgetter(1)
+_FIRST = operator.itemgetter(0)
 
 
-def _make_attach_base(step, pair=None, match_pre=()) -> Kernel:
+def _attach_by_map(batch, keys, found, pair) -> ColumnBatch:
+    """Attach where every probed key has exactly one match: each row
+    picks its match by ``map(found.get, keys)`` and ``compress`` drops
+    the rows without one, all at C level; only the pair condition runs
+    per row in Python."""
+    hits = list(map(found.get, keys))
+    if pair is not None:
+        b_slot, b_pos, m_pos, pair_op = pair
+        mask = [
+            h is not None
+            and (x := r[b_pos]) is not None
+            and (y := h[1][m_pos]) is not None
+            and pair_op(x, y)
+            for r, h in zip(batch.vals[b_slot], hits)
+        ]
+        keep_all = all(mask)
+    else:
+        keep_all = None not in hits
+        mask = None if keep_all else list(map(operator.truth, hits))
+    if keep_all:
+        tids = list(batch.tids)
+        vals = list(batch.vals)
+        weights = batch.weights
+    else:
+        hits = list(itertools.compress(hits, mask))
+        tids = [list(itertools.compress(c, mask)) for c in batch.tids]
+        vals = [list(itertools.compress(c, mask)) for c in batch.vals]
+        weights = list(itertools.compress(batch.weights, mask))
+    tids.append(list(map(_TID, hits)))
+    vals.append(list(map(_VALUES, hits)))
+    return ColumnBatch(tids, vals, weights)
+
+
+def _attach_by_group(batch, keys, matches_for, pair) -> ColumnBatch:
+    """Attach where some key fans out: the batch is grouped by key and
+    output columns are gathered per group, the pair condition iterating
+    whichever side of each group is smaller."""
+    src_w = batch.weights
+    gather: List[int] = []
+    new_tids: List[Tid] = []
+    new_vals: List[Values] = []
+    out_w: List[int] = []
+    ge, te, ve, we = (
+        gather.extend,
+        new_tids.extend,
+        new_vals.extend,
+        out_w.extend,
+    )
+    get = matches_for.get
+    if pair is not None:
+        b_slot, b_pos, m_pos, pair_op = pair
+        bcol = batch.vals[b_slot]
+    for key, idxs in _group_rows(keys).items():
+        matches = get(key)
+        if not matches:
+            continue
+        if pair is None:
+            n = len(idxs)
+            w_g = [src_w[i] for i in idxs]
+            for tid, values in matches:
+                ge(idxs)
+                te([tid] * n)
+                ve([values] * n)
+                we(w_g)
+        elif len(matches) <= len(idxs):
+            for tid, values in matches:
+                y = values[m_pos]
+                if y is None:
+                    continue
+                sel = [
+                    i
+                    for i in idxs
+                    if (x := bcol[i][b_pos]) is not None and pair_op(x, y)
+                ]
+                if sel:
+                    n = len(sel)
+                    ge(sel)
+                    te([tid] * n)
+                    ve([values] * n)
+                    we([src_w[i] for i in sel])
+        else:
+            for i in idxs:
+                x = bcol[i][b_pos]
+                if x is None:
+                    continue
+                sel = [
+                    tv
+                    for tv in matches
+                    if (y := tv[1][m_pos]) is not None and pair_op(x, y)
+                ]
+                if sel:
+                    n = len(sel)
+                    ge([i] * n)
+                    te([tv[0] for tv in sel])
+                    ve([tv[1] for tv in sel])
+                    we([src_w[i]] * n)
+    return _extend(batch, gather, new_tids, new_vals, out_w)
+
+
+def _make_attach_base(step, pair=None) -> Kernel:
     """Hash-join attach of a base operand, with the step's fusable
-    residuals (see :func:`_fuse_step_residuals`) folded into match
+    residual (see :func:`_fuse_step_residual`) folded into match
     selection: a rejected (row, match) pair is never extended into the
     output columns.
 
-    One probe per distinct non-NULL key of the whole batch. When the
-    operand is unchanged in the window and every key matches at most
-    one row — a join from a foreign key to a primary key — the attach
-    works per row at C level: ``map(found.get, keys)`` picks each row's
-    match, ``compress`` drops the rows without one, and only the pair
-    condition runs per row in Python. Any other batch (a key that fans
-    out, or an operand whose old state needs the delta overlay) is
-    grouped by key and gathered per group, the pair condition iterating
-    whichever side of each group is smaller.
+    One probe per distinct non-NULL key of the whole batch, answered in
+    the operand's old state. When every key that has a match has
+    exactly one — a join from a foreign key to a primary key — the
+    attach works per row (:func:`_attach_by_map`); otherwise per key
+    group (:func:`_attach_by_group`).
     """
     alias = step.alias
     positions = step.key_positions
     if not positions:
         return _make_attach_scan(step)
     keys_of = _make_keys(step.key_sources)
-    grouper = _make_grouper(step.key_sources)
     single = len(positions) == 1
-    if pair is not None:
-        b_slot, b_pos, m_pos, pair_op = pair
-
-    def by_map(batch, keys, found):
-        hits = list(map(found.get, keys))
-        if pair is not None:
-            mask = [
-                h is not None
-                and (x := r[b_pos]) is not None
-                and (y := h[1][m_pos]) is not None
-                and pair_op(x, y)
-                for r, h in zip(batch.vals[b_slot], hits)
-            ]
-            keep_all = all(mask)
-        else:
-            keep_all = None not in hits
-            mask = None if keep_all else list(map(operator.truth, hits))
-        if keep_all:
-            tids = list(batch.tids)
-            vals = list(batch.vals)
-            weights = batch.weights
-        else:
-            hits = list(itertools.compress(hits, mask))
-            tids = [list(itertools.compress(c, mask)) for c in batch.tids]
-            vals = [list(itertools.compress(c, mask)) for c in batch.vals]
-            weights = list(itertools.compress(batch.weights, mask))
-        tids.append(list(map(_TID, hits)))
-        vals.append(list(map(_VALUES, hits)))
-        return ColumnBatch(tids, vals, weights)
-
-    def by_group(batch, operand):
-        groups = grouper(batch)
-        matches_for = operand.probe_batch(positions, groups.keys())
-        src_w = batch.weights
-        gather: List[int] = []
-        new_tids: List[Tid] = []
-        new_vals: List[Values] = []
-        out_w: List[int] = []
-        if matches_for:
-            ge, te, ve, we = (
-                gather.extend,
-                new_tids.extend,
-                new_vals.extend,
-                out_w.extend,
-            )
-            get = matches_for.get
-            bcol = batch.vals[b_slot] if pair is not None else None
-            for key, idxs in groups.items():
-                matches = get(key)
-                if not matches:
-                    continue
-                if match_pre:
-                    matches = _prefilter_matches(matches, match_pre)
-                    if not matches:
-                        continue
-                if pair is None:
-                    n = len(idxs)
-                    w_g = [src_w[i] for i in idxs]
-                    for tid, values in matches:
-                        ge(idxs)
-                        te([tid] * n)
-                        ve([values] * n)
-                        we(w_g)
-                elif len(matches) <= len(idxs):
-                    for tid, values in matches:
-                        y = values[m_pos]
-                        if y is None:
-                            continue
-                        sel = [
-                            i
-                            for i in idxs
-                            if (x := bcol[i][b_pos]) is not None
-                            and pair_op(x, y)
-                        ]
-                        if sel:
-                            n = len(sel)
-                            ge(sel)
-                            te([tid] * n)
-                            ve([values] * n)
-                            we([src_w[i] for i in sel])
-                else:
-                    for i in idxs:
-                        x = bcol[i][b_pos]
-                        if x is None:
-                            continue
-                        sel = [
-                            tv
-                            for tv in matches
-                            if (y := tv[1][m_pos]) is not None
-                            and pair_op(x, y)
-                        ]
-                        if sel:
-                            n = len(sel)
-                            ge([i] * n)
-                            te([tv[0] for tv in sel])
-                            ve([tv[1] for tv in sel])
-                            we([src_w[i]] * n)
-        return _extend(batch, gather, new_tids, new_vals, out_w)
 
     def kernel(batch, delta_operands, base_operands):
-        operand = base_operands[alias]
         keys = keys_of(batch)
         distinct = set(keys)
         if single:
             distinct.discard((None,))
         else:
             distinct = [k for k in distinct if None not in k]
-        found = operand.probe_unique(positions, distinct)
-        if found is None:
-            return by_group(batch, operand)
-        if match_pre:
-            found = {
-                k: tv
-                for k, tv in found.items()
-                if _prefilter_matches((tv,), match_pre)
-            }
-        if not found:
+        matches_for = base_operands[alias].probe_batch(positions, distinct)
+        if not matches_for:
             return _extend(batch, [], [], [], [])
-        return by_map(batch, keys, found)
+        if len(matches_for) == sum(map(len, matches_for.values())):
+            found = dict(zip(matches_for, map(_FIRST, matches_for.values())))
+            return _attach_by_map(batch, keys, found, pair)
+        return _attach_by_group(batch, keys, matches_for, pair)
 
     return kernel
 
@@ -729,17 +659,11 @@ def compile_term_kernel(plan) -> TermKernel:
         if step.is_delta:
             ops.append((ATTACH_DELTA, step.alias, _make_attach_delta(step)))
         else:
-            if (
-                step.residuals
-                and step.key_positions
-                and len(step.residuals) == len(step.residual_preds)
-            ):
-                fused = _fuse_step_residuals(step, plan)
-            # When every residual of this step fuses into the attach,
-            # no filter stage follows it.
-            pair, match_pre = fused or (None, ())
-            attach = _make_attach_base(step, pair, match_pre)
-            ops.append((ATTACH_BASE, step.alias, attach))
+            if len(step.residuals) == 1 and step.key_positions:
+                fused = _fuse_step_residual(step, plan)
+            # When the step's residual fuses into the attach, no filter
+            # stage follows it.
+            ops.append((ATTACH_BASE, step.alias, _make_attach_base(step, fused)))
         if fused is None:
             for compiled, pred in zip(step.residuals, step.residual_preds):
                 ops.append(

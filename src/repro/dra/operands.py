@@ -299,51 +299,6 @@ class BaseOperand:
             if (fm := [(t, v) for t, v in m if local(v)])
         }
 
-    def probe_unique(
-        self, positions: Tuple[int, ...], keys
-    ) -> Optional[Dict[Tuple, Tuple[Tid, Values]]]:
-        """``{key: (tid, values)}``: the one locally passing old-state
-        row of each of the (distinct) ``keys`` that has a match — or
-        None when the operand changed in the window or some key matches
-        more than one row, where callers gather per key group instead
-        (:meth:`probe_batch`).
-
-        An unchanged operand's old state is its live state, so a key
-        costs one bucket read plus a row read and a local-predicate
-        call per bucket row, and builds no match list.
-        """
-        if self.delta is not None and not self.delta.is_empty():
-            return None
-        source = self._probe_source(positions)
-        local = self.local_predicate
-        found: Dict[Tuple, Tuple[Tid, Values]] = {}
-        if isinstance(source, dict):
-            get = source.get
-            for k in keys:
-                hit = None
-                for t, v in get(k, ()):
-                    if local is None or local(v):
-                        if hit is not None:
-                            return None
-                        hit = (t, v)
-                if hit is not None:
-                    found[k] = hit
-            return found
-        buckets_get, rows_get = source.fast_maps()
-        for k in keys:
-            hit = None
-            for t in buckets_get(k, ()):
-                v = rows_get(t)
-                if v is not None and (local is None or local(v)):
-                    if hit is not None:
-                        return None
-                    hit = (t, v)
-            if hit is not None:
-                found[k] = hit
-        if self.metrics and keys:
-            self.metrics.count(Metrics.INDEX_PROBES, len(keys))
-        return found
-
     def _probe_source(self, positions: Tuple[int, ...]):
         """An index-like object answering lookups on ``positions``.
 

@@ -146,9 +146,9 @@ class TestColumnarEquivalence:
 #: ``s.a`` is a key of ``s``; ``r.a`` may dangle (5..7) or be NULL.
 UNIQUE_QUERIES = [
     "SELECT r.b, s.c FROM r, s WHERE r.a = s.a",
-    # Local filter on the probed side, checked once per key.
+    # Local filters on the probed side (the literal on either side),
+    # checked once per key, and a fused col-col residual (per row).
     "SELECT r.b, s.c FROM r, s WHERE r.a = s.a AND s.c < {t}",
-    # Fused literal prefilter and fused col-col residual (per row).
     "SELECT r.b, s.c FROM r, s WHERE r.a = s.a AND {t} < s.c",
     "SELECT r.a, r.b, s.c FROM r, s WHERE r.a = s.a AND r.b < s.c",
     # Two-column key, probed through a scanned hash table (no index).
@@ -164,36 +164,38 @@ def keyed_rows(draw):
 
 
 class MapPathSpy:
-    """Records what each ``BaseOperand.probe_unique`` call answered —
-    ``"map"`` (one row per key) or ``"grouped"`` (fall back) — and
-    whether the probed operand had changed in the window."""
+    """Records which way each keyed base attach that found a match went:
+    ``"map"`` (every probed key has one row) or ``"grouped"`` (some key
+    fans out)."""
 
     def __init__(self):
-        from repro.dra.operands import BaseOperand
+        from repro.dra import kernels
 
-        self.owner = BaseOperand
-        self.original = BaseOperand.probe_unique
+        self.module = kernels
+        self.originals = {
+            "map": kernels._attach_by_map,
+            "grouped": kernels._attach_by_group,
+        }
         self.answers = []
 
     def __enter__(self):
-        original, answers = self.original, self.answers
+        for answer, original in self.originals.items():
 
-        def spy(operand, positions, keys):
-            found = original(operand, positions, keys)
-            changed = operand.delta is not None and not operand.delta.is_empty()
-            answers.append((changed, "grouped" if found is None else "map"))
-            return found
+            def spy(*args, _answer=answer, _original=original):
+                self.answers.append(_answer)
+                return _original(*args)
 
-        self.owner.probe_unique = spy
+            setattr(self.module, original.__name__, spy)
         return self
 
     def __exit__(self, *exc):
-        self.owner.probe_unique = self.original
+        for original in self.originals.values():
+            setattr(self.module, original.__name__, original)
 
 
 class TestOneRowAttach:
-    """The per-row map attach and both of its fallbacks, each against
-    the row evaluator."""
+    """The per-row map attach and its grouped fallback, each against the
+    row evaluator."""
 
     @given(
         r_rows=st.lists(st.tuples(FOREIGN, VALUE), max_size=8),
@@ -211,7 +213,7 @@ class TestOneRowAttach:
         apply_ops(db, r, r_ops)
         with MapPathSpy() as spy:
             assert_columnar_matches_row(db, [r, s], query, since)
-        assert all(answer == "map" for __, answer in spy.answers)
+        assert set(spy.answers) <= {"map"}
 
     @given(
         r_rows=st.lists(st.tuples(FOREIGN, VALUE), max_size=8),
@@ -219,18 +221,22 @@ class TestOneRowAttach:
         r_ops=update_ops(),
         doubled=st.integers(0, 4),
         c=VALUE,
+        inside=st.booleans(),
         template=st.sampled_from(UNIQUE_QUERIES),
         t=SMALL,
     )
     @settings(max_examples=80, deadline=None)
-    def test_key_gains_a_second_row_in_the_window(
-        self, r_rows, s_rows, r_ops, doubled, c, template, t
+    def test_key_gains_a_second_row(
+        self, r_rows, s_rows, r_ops, doubled, c, inside, template, t
     ):
-        """A key of ``s`` fans out after an insert inside the window."""
+        """A key of ``s`` fans out: before the window (probes of it
+        group), or inside it (the old state still has one row)."""
         db, r, s = build_db(r_rows, s_rows)
         query = parse_query(template.format(t=t))
         since = db.now()
         s.insert((s_rows[doubled % len(s_rows)][0], c))
+        if not inside:
+            since = db.now()
         apply_ops(db, r, r_ops)
         assert_columnar_matches_row(db, [r, s], query, since)
 
@@ -253,23 +259,16 @@ class TestOneRowAttach:
         since = db.now()
         apply_ops(db, r, r_ops)
         apply_ops(db, s, s_ops)
-        with MapPathSpy() as spy:
-            assert_columnar_matches_row(db, [r, s], query, since)
-        for changed, answer in spy.answers:
-            assert answer == "grouped" or not changed
+        assert_columnar_matches_row(db, [r, s], query, since)
 
     def test_each_path_is_taken(self):
-        """Directed: a key fanning out before the window and a changed
-        probed operand each fall back; otherwise the map answers, with
-        dangling and NULL foreign keys left out."""
+        """Directed: a key fanning out before the window groups; a key
+        gaining its second row inside the window still maps (the old
+        state has one), and dangling and NULL foreign keys drop out."""
         query = parse_query("SELECT r.a, r.b, s.c FROM r, s WHERE r.a = s.a")
-        # (Changing s too adds the Δs term, whose probe of r, changed
-        # as well, falls back.)
-        cases = {
-            "map": ["map"],
-            "fan-out": ["grouped"],
-            "changed": ["grouped", "grouped"],
-        }
+        # (In the "changed" case the Δs term's probe of r finds nothing,
+        # so only the Δr term's probe of s attaches.)
+        cases = {"map": ["map"], "fan-out": ["grouped"], "changed": ["map"]}
         for case, expected in cases.items():
             db, r, s = build_db([(1, 0)], [(1, 5), (2, 6)])
             if case == "fan-out":
@@ -280,15 +279,15 @@ class TestOneRowAttach:
                 txn.insert_into(r, (None, 2))
                 txn.insert_into(r, (6, 3))
                 if case == "changed":
-                    txn.insert_into(s, (3, 8))
+                    txn.insert_into(s, (2, 7))
             with MapPathSpy() as spy:
                 row, col = assert_columnar_matches_row(db, [r, s], query, since)
-            assert [answer for __, answer in spy.answers] == expected, case
+            assert spy.answers == expected, case
             news = sorted(entry.new for entry in col.delta)
-            if case == "fan-out":
-                assert news == [(2, 1, 6), (2, 1, 7)]
-            else:
+            if case == "map":
                 assert news == [(2, 1, 6)]
+            else:
+                assert news == [(2, 1, 6), (2, 1, 7)]
 
 
 class TestDirectedEdgeCases:
