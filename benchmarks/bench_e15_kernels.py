@@ -13,6 +13,12 @@ prepared plans, maintained join indexes):
 * **aggregate** — a grouped SUM over a join core, refreshed through
   :class:`repro.dra.aggregates.DifferentialAggregate`; measures the
   kernels feeding the aggregate state machine.
+* **install** — E_0, the first complete execution, of the join-heavy
+  and aggregate queries over the star's whole state: the kernel
+  install step (:func:`repro.dra.algorithm.dra_initial`, one term
+  seeded by a whole relation; the aggregate folds its core's rows)
+  against the row evaluator behind ``db.query``. Its row count is the
+  seed relation's, not a delta's.
 
 Each mix runs at three delta tiers (≈1k/10k/100k signed rows); both
 evaluators consume identical consolidated deltas and their results are
@@ -22,8 +28,9 @@ wall-clock converted to delta rows/second.
 Run ``python benchmarks/bench_e15_kernels.py --smoke`` for the CI
 self-check: it verifies row/columnar equivalence on every mix, runs
 the 1k and 10k tiers, asserts the columnar evaluator clears ≥3x
-rows/sec on the join-heavy mix at the 10k tier, and writes the
-measurement record to ``BENCH_e15.json``.
+rows/sec on the join-heavy mix and the kernel install ≥2x on the
+install mix at the 10k tier, and writes the measurement record to
+``BENCH_e15.json``.
 """
 
 import json
@@ -35,6 +42,7 @@ from repro import Database
 from repro.delta.capture import deltas_since
 from repro.dra import dra_execute, prepare_cq
 from repro.dra.aggregates import DifferentialAggregate
+from repro.dra.algorithm import dra_initial
 from repro.metrics import Metrics
 from repro.relational import AttributeType, parse_query
 
@@ -224,6 +232,31 @@ def measure_aggregate(db, tables, since, reps):
     return delta_rows, row_s, col_s
 
 
+def measure_install(db, tables, reps):
+    """E_0 of the join and the aggregate: the kernel install against
+    ``db.query``; asserts equal results. Plans are compiled (join
+    indexes auto-created) before anything is timed, as at registration."""
+    join, agg = parse_query(JOIN_SQL), parse_query(AGG_SQL)
+    join_plan = prepare_cq(join, db)
+    agg_plan = prepare_cq(agg.narrowed_core(), db)
+
+    def kernel():
+        metrics = Metrics()
+        state = DifferentialAggregate(agg, db)
+        return (
+            dra_initial(join, db, prepared=join_plan, metrics=metrics),
+            state.initialize(metrics, agg_plan),
+        )
+
+    def row():
+        metrics = Metrics()
+        return db.query(join, metrics), db.query(agg, metrics)
+
+    assert kernel() == row(), "kernel install diverged from db.query"
+    row_s, col_s = _time_pair(row, kernel, reps)
+    return len(tables[0].current), row_s, col_s
+
+
 def run_mix(mix, tier, reps):
     delta_rows = TIERS[tier]
     if mix == "join-heavy":
@@ -235,6 +268,9 @@ def run_mix(mix, tier, reps):
     elif mix == "aggregate":
         db, tables, since = build_star(delta_rows)
         n, row_s, col_s = measure_aggregate(db, tables, since, reps)
+    elif mix == "install":
+        db, tables, __ = build_star(delta_rows)
+        n, row_s, col_s = measure_install(db, tables, reps)
     else:  # pragma: no cover - guarded by argparse choices
         raise ValueError(mix)
     return {
@@ -251,7 +287,7 @@ def run_mix(mix, tier, reps):
 
 def sweep(tiers, reps, out_path):
     rows = []
-    for mix in ("filter-heavy", "join-heavy", "aggregate"):
+    for mix in ("filter-heavy", "join-heavy", "aggregate", "install"):
         for tier in tiers:
             rows.append(run_mix(mix, tier, reps))
             r = rows[-1]
@@ -275,7 +311,8 @@ def main(argv=None):
         "--smoke",
         action="store_true",
         help="fast CI self-check: 1k+10k tiers, asserts the join-heavy "
-        "10k speedup >= 3x, writes BENCH_e15.json",
+        "10k speedup >= 3x and the install 10k speedup >= 2x, writes "
+        "BENCH_e15.json",
     )
     parser.add_argument(
         "--full", action="store_true", help="include the 100k tier"
@@ -297,6 +334,11 @@ def main(argv=None):
         assert gate["speedup"] >= 3.0, (
             f"columnar join-heavy speedup regressed: {gate['speedup']:.2f}x "
             f"< 3x at the 10k tier"
+        )
+        install = by_key[("install", "10k")]
+        assert install["speedup"] >= 2.0, (
+            f"kernel install speedup regressed: {install['speedup']:.2f}x "
+            f"< 2x at the 10k tier"
         )
         # Every mix must at least not lose to the row evaluator.
         for r in record["rows"]:

@@ -83,6 +83,7 @@ from repro.core.gc import ActiveDeltaZones
 from repro.delta.capture import deltas_since
 from repro.delta.diff import diff
 from repro.delta.differential import DeltaEntry, DeltaRelation
+from repro.dra.algorithm import dra_initial
 from repro.dra.predindex import PredicateIndex
 from repro.obs.export import prometheus_text
 from repro.cluster.dispatch import DRAIN, PROMOTE, REQUEST, CycleEngine
@@ -624,7 +625,9 @@ class ClusterRouter:
                 self._compile_residuals(query),
             )
             self._rehome(sql_key, self.db.now())
-            shared.result = self.db.query(query, self.metrics)
+            # E_0 on the kernels, as every tier installs: one DRA term
+            # seeded by a whole relation (``db.query`` is the oracle).
+            shared.result = dra_initial(query, self.db, metrics=self.metrics)
             shared.last_ts = self.db.now()
         # Joining an existing group shares its retained result instead
         # of re-evaluating — subscriber count stays out of registration

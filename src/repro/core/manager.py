@@ -52,7 +52,7 @@ from repro.delta.differential import DeltaRelation
 from repro.delta.diff import diff
 from repro.delta.propagate import evaluate_as_of
 from repro.dra.aggregates import DifferentialAggregate
-from repro.dra.algorithm import dra_execute
+from repro.dra.algorithm import dra_execute, dra_initial
 from repro.dra.predindex import PredicateIndex
 from repro.dra.prepared import PlanCache, PreparedCQ
 from repro.core.continual_query import (
@@ -344,9 +344,11 @@ class CQManager:
         Q(state at ``ts``); nothing is built for a CQ that is not ACTIVE.
 
         The retained result is Q over the current state with
-        ``(ts, now]`` unapplied (:func:`evaluate_as_of`; a ``ts`` GC has
-        passed raises ``ValueError`` before anything is entered), so
-        the next refresh delivers that window. What runs ahead of
+        ``(ts, now]`` unapplied, one DRA term on the kernels
+        (:meth:`_initial`; a ``ts`` GC has passed raises ``ValueError``
+        before anything is entered), so the next refresh delivers that
+        window; :meth:`check_invariants` holds it against the row
+        evaluator's :func:`evaluate_as_of`. What runs ahead of
         executions — an aggregate's differential state, an EAGER
         maintained result — is built as of now; for such a CQ a
         checkpoint brings ``retained``, the result's ``(tid, values)``
@@ -366,15 +368,15 @@ class CQManager:
             # Compile once, up front: derives the predicate plan, local
             # and residual predicates, and the projection, and
             # auto-creates any missing single-column join indexes — so
-            # even E_0 below runs against the indexes the differential
-            # refreshes will probe.
-            self._prepared_for(cq)
+            # even E_0 below runs on the kernels, against the indexes
+            # the differential refreshes will probe.
+            prepared = self._prepared_for(cq)
             now = cq.applied_ts = self.db.now()
             # A quiet window: Q(state at ts) is Q(state now).
             quiet = ts == now or not self._touched(tables, ts)
             current = None
             if cq.is_aggregate:
-                current = cq.aggregate_state.initialize(self.metrics)
+                current = cq.aggregate_state.initialize(self.metrics, prepared)
                 for spec in _drift_specs(cq.trigger):
                     spec.note_current(_headline_value(current))
             elif quiet or retained is not None or cq.engine is Engine.EAGER:
@@ -382,14 +384,14 @@ class CQManager:
                 current = (
                     donor.previous_result.copy()
                     if donor is not None
-                    else evaluate_as_of(cq.query, self.db, now, self.metrics)
+                    else self._initial(cq, now, prepared)
                 )
             if retained is not None:
                 result = Relation.from_pairs(current.schema, retained)
             elif quiet:
                 result = current
             else:
-                result = evaluate_as_of(cq.query, self.db, ts, self.metrics)
+                result = self._initial(cq, ts, prepared)
             if cq.engine is Engine.EAGER and not cq.is_aggregate:
                 cq.maintained_result = (
                     current.copy() if result is current else current
@@ -860,6 +862,21 @@ class CQManager:
             return deltas, None
         seeds = routed.get(key)
         return (deltas, seeds) if seeds is not None else ({}, None)
+
+    def _initial(
+        self, cq: ContinualQuery, ts: Timestamp, prepared: Optional[PreparedCQ]
+    ) -> Relation:
+        """Q(state at ``ts``) for :meth:`_install`, on ``prepared``, the
+        plan it compiled: the kernel term of :func:`dra_initial`, an
+        aggregate folding its narrowed core's rows into a state of its
+        own. A REEVALUATE CQ keeps the row evaluator here, as at every
+        refresh."""
+        if cq.engine is Engine.REEVALUATE:
+            return evaluate_as_of(cq.query, self.db, ts, self.metrics)
+        if cq.is_aggregate:
+            state = DifferentialAggregate(cq.query, self.db)
+            return state.initialize(self.metrics, prepared, ts)
+        return dra_initial(cq.query, self.db, ts, prepared, self.metrics)
 
     def _prepared_for(self, cq: ContinualQuery) -> Optional[PreparedCQ]:
         """The CQ's cached prepared plan (None when the engine never

@@ -41,14 +41,21 @@ class OldStateView:
         return self.get_or_none(tid) is not None
 
     def __iter__(self) -> Iterator[Row]:
+        for tid, values in self.pairs():
+            yield Row(tid, values)
+
+    def pairs(self) -> List[Tuple[Tid, Values]]:
+        """The old state's rows as ``(tid, values)`` pairs: the current
+        rows the delta left alone, then the delta's old sides — built
+        without a ``Row`` per row (the whole current state at C level
+        when the delta is empty)."""
+        rows = self.current.rows_map()
         delta = self.delta
-        for row in self.current:
-            entry = delta.get(row.tid)
-            if entry is None:
-                yield row
-        for entry in delta:
-            if entry.old is not None:
-                yield Row(entry.tid, entry.old)
+        if delta.is_empty():
+            return list(rows.items())
+        out = [(tid, values) for tid, values in rows.items() if tid not in delta]
+        out.extend((entry.tid, entry.old) for entry in delta if entry.old is not None)
+        return out
 
     def __len__(self) -> int:
         n = len(self.current)
@@ -61,10 +68,7 @@ class OldStateView:
 
     def materialize(self) -> Relation:
         """Copy the old state into a standalone relation."""
-        out = Relation(self.schema)
-        for row in self:
-            out.add(row.tid, row.values)
-        return out
+        return Relation.from_pairs(self.schema, self.pairs())
 
 
 class OldStateIndex:

@@ -3,6 +3,8 @@
 See DESIGN.md S4. Entry points:
 
 * :func:`dra_execute` — Algorithm 1 for SPJ queries;
+* :func:`dra_initial` — E_0, the first complete execution, as the one
+  term seeded by a whole relation: every tier's install step;
 * :func:`prepare_cq` / :class:`PreparedCQ` / :class:`PlanCache` — the
   registration-time compilation layer feeding ``dra_execute``'s
   ``prepared=`` fast path;
@@ -21,7 +23,7 @@ See DESIGN.md S4. Entry points:
 """
 
 from repro.dra.aggregates import DifferentialAggregate
-from repro.dra.algorithm import dra_execute
+from repro.dra.algorithm import dra_execute, dra_initial
 from repro.dra.assembly import DRAResult, WeightInvariantError
 from repro.dra.kernels import ColumnBatch, TermKernel, compile_term_kernel
 from repro.dra.operators import diff_join, diff_project, diff_select
@@ -46,6 +48,7 @@ __all__ = [
     "diff_project",
     "diff_select",
     "dra_execute",
+    "dra_initial",
     "is_relevant",
     "prepare_cq",
     "relevant_entry_counts",

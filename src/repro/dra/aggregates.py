@@ -25,17 +25,21 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.metrics import Metrics
 from repro.relational.aggregates import Accumulator, AggregateQuery
-from repro.relational.evaluate import evaluate_spj, spj_output_schema
+from repro.relational.evaluate import spj_output_schema
 from repro.relational.relation import Relation, Values
 from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
 from repro.delta.differential import DeltaEntry, DeltaRelation
-from repro.dra.algorithm import dra_execute
+from repro.dra.algorithm import dra_execute, dra_initial
 from repro.dra.assembly import WeightInvariantError
 
 GroupKey = Tuple[Any, ...]
 
 _UNIT = frozenset((1, -1))
+_WRONG_PLAN = (
+    "the prepared plan is not for this aggregate's core; "
+    "prepare DifferentialAggregate.core"
+)
 _TID = operator.itemgetter(0)
 _VALUES = operator.itemgetter(1)
 
@@ -68,12 +72,24 @@ class DifferentialAggregate:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def initialize(self, metrics: Optional[Metrics] = None) -> Relation:
-        """First (complete) evaluation; subsequent updates are differential."""
-        core_rows = evaluate_spj(self.core, self.db.relation, metrics)
+    def initialize(
+        self,
+        metrics: Optional[Metrics] = None,
+        prepared=None,
+        ts: Optional[Timestamp] = None,
+    ) -> Relation:
+        """First (complete) evaluation, as of ``ts`` (default now): the
+        core's rows from the kernel install step
+        (:func:`~repro.dra.algorithm.dra_initial`), folded in at weight
+        +1. Subsequent updates are differential. ``prepared`` is a plan
+        for :attr:`core` the caller already compiled, as for
+        :meth:`update`."""
+        if prepared is not None and prepared.query != self.core:
+            raise ReproError(_WRONG_PLAN)
+        core_rows = dra_initial(self.core, self.db, ts, prepared, metrics)
         self._groups.clear()
         self._row_counts.clear()
-        rows = [row.values for row in core_rows]
+        rows = list(core_rows.rows_map().values())
         self._fold(rows, [1] * len(rows))
         self._initialized = True
         self.result = self._materialize()
@@ -98,10 +114,7 @@ class DifferentialAggregate:
         if not self._initialized:
             raise ReproError("call initialize() before update()")
         if prepared is not None and prepared.query != self.core:
-            raise ReproError(
-                "the prepared plan is not for this aggregate's core; "
-                "prepare DifferentialAggregate.core"
-            )
+            raise ReproError(_WRONG_PLAN)
         weights = dra_execute(
             self.core,
             self.db,

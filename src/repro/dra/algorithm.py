@@ -18,6 +18,12 @@ handed to the algorithm are consolidated from each table's update log
 *restricted to timestamps after the last execution* — the "proper
 timestamp predicate" the CQ manager appends.
 
+:func:`dra_initial` is the first execution E_0 in the same algebra: Q
+over a whole state is the delta from a state where one operand is
+empty, so it is the one term that substitutes that operand by its
+whole relation — registration runs on the kernels every refresh runs
+on.
+
 Planning and compilation happen once, not per refresh: pass a
 ``prepared`` plan (see :func:`repro.dra.prepared.prepare_cq`) to skip
 scope/plan/predicate/projection derivation entirely — the manager and
@@ -28,6 +34,7 @@ identical and only costs the compile.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Mapping, Optional
 
 from repro.errors import QueryError
@@ -38,7 +45,13 @@ from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
 from repro.delta.capture import deltas_since
 from repro.delta.differential import DeltaRelation
-from repro.dra.assembly import DRAResult, TermTrace, accumulate, to_delta
+from repro.dra.assembly import (
+    DRAResult,
+    TermTrace,
+    WeightInvariantError,
+    accumulate,
+    to_delta,
+)
 from repro.dra.kernels import KernelStats
 from repro.dra.operands import (
     BaseOperand,
@@ -48,6 +61,10 @@ from repro.dra.operands import (
 )
 from repro.dra.prepared import PreparedCQ, prepare_cq
 from repro.dra.terms import evaluate_term
+
+_ONE = frozenset((1,))
+_TID = operator.itemgetter(0)
+_VALUES = operator.itemgetter(1)
 
 
 def dra_execute(
@@ -232,3 +249,88 @@ def dra_execute(
         # name (E18's traced pass times it as dra.assemble) still runs.
         assemble=to_delta,
     )
+
+
+def dra_initial(
+    query: SPJQuery,
+    db: Database,
+    ts: Optional[Timestamp] = None,
+    prepared: Optional[PreparedCQ] = None,
+    metrics: Optional[Metrics] = None,
+) -> Relation:
+    """E_0: Q over the database state at ``ts`` (default now), evaluated
+    as one truth-table term on the compiled kernels.
+
+    An SPJ result is empty while one of its operands is empty, so the
+    whole result is the delta from such a state (§3.1's first complete
+    execution, read as DBSP reads a view: the integral of its deltas).
+    That delta is the single term substituting one alias — the *seed*
+    — by its whole relation at ``ts``, locally filtered, every row at
+    weight +1, while every other alias is a base operand in its state
+    at ``ts``: the current state with ``(ts, now]`` unapplied, exactly
+    as a refresh whose window starts at ``ts`` reads it. The seed is
+    the alias whose table holds the most rows, so the others are
+    probed through their join indexes instead of scanned; any choice
+    gives the same result.
+
+    ``prepared`` is the plan the caller already compiled (omitted, the
+    query is prepared here without creating indexes). The seed scan
+    charges ``base_scans``/``rows_scanned``; a ``ts`` garbage collection
+    has passed raises the log's ``ValueError``. The signed sum must be
+    all +1, one row per result tid, else :class:`WeightInvariantError`.
+    The row evaluator stays the reference this is checked against
+    (:func:`repro.delta.propagate.evaluate_as_of`).
+    """
+    if prepared is None:
+        prepared = prepare_cq(query, db, metrics=metrics, auto_index=False)
+    now = db.now()
+    tables = {name: db.table(name) for name in dict.fromkeys(query.table_names)}
+    deltas = (
+        {}
+        if ts is None or ts == now
+        else deltas_since(list(tables.values()), ts)
+    )
+    if prepared.never_matches:
+        return Relation(prepared.out_schema)
+    operands = {
+        ref.alias: BaseOperand(
+            ref.alias,
+            tables[ref.table],
+            deltas.get(ref.table),
+            prepared.compiled_local[ref.alias],
+            metrics,
+            filter_spec=prepared.local_specs.get(ref.alias),
+        )
+        for ref in query.relations
+    }
+    seed = max(
+        query.aliases,
+        key=lambda alias: len(tables[prepared.table_for_alias[alias]].current),
+    )
+    rows = operands.pop(seed).scan()
+    weights: Dict = {}
+    if rows:
+        columns = (
+            list(map(_TID, rows)),
+            list(map(_VALUES, rows)),
+            [1] * len(rows),
+        )
+        stats = KernelStats()
+        prepared.term_kernel(frozenset((seed,)), seed).execute(
+            {seed: DeltaOperand(seed, columns)}, operands, weights, stats
+        )
+        if metrics and stats.calls:
+            metrics.count(Metrics.KERNEL_CALLS, stats.calls)
+            metrics.count(Metrics.KERNEL_ROWS, stats.rows)
+    if not _ONE.issuperset(weights.values()):
+        (ctid, __), weight = next(
+            item for item in weights.items() if item[1] != 1
+        )
+        raise WeightInvariantError(
+            f"weight {weight} for result tid {ctid!r} of E_0; expected +1"
+        )
+    # The keys are (result tid, values) pairs: one row per tid.
+    result = Relation.from_pairs(prepared.out_schema, weights)
+    if len(result) != len(weights):
+        raise WeightInvariantError("two rows for one result tid of E_0")
+    return result

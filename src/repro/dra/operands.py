@@ -322,36 +322,30 @@ class BaseOperand:
         scan = self._scan_cache.get(positions)
         if scan is None:
             scan = {}
-            scanned = 0
-            for row in self._old_view:
-                scanned += 1
-                key = tuple(row.values[p] for p in positions)
-                scan.setdefault(key, []).append((row.tid, row.values))
+            rows = self._old_view.pairs()
+            for tid, values in rows:
+                key = tuple(values[p] for p in positions)
+                scan.setdefault(key, []).append((tid, values))
             if self.metrics:
                 # Hoisted: one flush per scan, not one count per row.
                 self.metrics.count(Metrics.BASE_SCANS)
-                if scanned:
-                    self.metrics.count(Metrics.ROWS_SCANNED, scanned)
+                if rows:
+                    self.metrics.count(Metrics.ROWS_SCANNED, len(rows))
             self._scan_cache[positions] = scan
         return scan
 
     def scan(self) -> List[Tuple[Tid, Values]]:
-        """Full old-state scan (cartesian fallback), locally filtered."""
-        out = []
-        scanned = 0
-        local = self.local_predicate
-        spec = self.filter_spec
-        if local is not None and spec is not None:
-            rows = [(row.tid, row.values) for row in self._old_view]
-            scanned = len(rows)
-            out = _spec_filter(rows, spec)
-        else:
-            for row in self._old_view:
-                scanned += 1
-                if local is None or local(row.values):
-                    out.append((row.tid, row.values))
+        """Full old-state scan, locally filtered: a cartesian attach's
+        operand, and the seed of E_0
+        (:func:`repro.dra.algorithm.dra_initial`)."""
+        rows = self._old_view.pairs()
         if self.metrics:
             self.metrics.count(Metrics.BASE_SCANS)
-            if scanned:
-                self.metrics.count(Metrics.ROWS_SCANNED, scanned)
-        return out
+            if rows:
+                self.metrics.count(Metrics.ROWS_SCANNED, len(rows))
+        local = self.local_predicate
+        if local is None:
+            return rows
+        if self.filter_spec is not None:
+            return _spec_filter(rows, self.filter_spec)
+        return [(tid, values) for tid, values in rows if local(values)]

@@ -32,9 +32,9 @@ from repro.storage.timestamps import Timestamp
 from repro.delta.capture import deltas_since
 from repro.delta.diff import diff
 from repro.delta.propagate import evaluate_as_of
-from repro.dra.algorithm import dra_execute
+from repro.dra.algorithm import dra_execute, dra_initial
 from repro.dra.predindex import PredicateIndex
-from repro.dra.prepared import PlanCache
+from repro.dra.prepared import PlanCache, PreparedCQ
 from repro.core.gc import ActiveDeltaZones
 from repro.core.scheduler import DeltaBatchCache
 from repro.net.codec import encode_delta_body
@@ -535,11 +535,11 @@ class CQServer:
         ``last_ts``."""
         key = (client_id, cq_name)
         sql_key = query.to_sql()
-        group = None
+        group = prepared = None
         if protocol in _DRA:
             # Compile before E_0: auto-created join indexes serve the
             # initial evaluation and every later differential refresh.
-            self.plans.get(sql_key, query)
+            prepared = self.plans.get(sql_key, query)
             group = self._groups.get(sql_key)
         if group is not None:
             # A join that finds the window behind it moves it the way
@@ -553,10 +553,10 @@ class CQServer:
             # back (baseline-flattened history), as of now.
             window = last_ts
             try:
-                result = evaluate_as_of(query, self.db, window, self.metrics)
+                result = self._initial(query, window, prepared)
             except ValueError:
                 window = self.db.now()
-                result = evaluate_as_of(query, self.db, window, self.metrics)
+                result = self._initial(query, window, prepared)
             digest = relation_digest(result)
             if protocol in _DRA:
                 # The first subscription of a template pays that E_0
@@ -581,6 +581,17 @@ class CQServer:
         self._holders[cq_name] += 1
         self.zones.register(self._zone(*key), tuple(query.table_names), last_ts)
         return subscription
+
+    def _initial(
+        self, query: SPJQuery, ts: Timestamp, prepared: Optional[PreparedCQ]
+    ) -> Relation:
+        """Q(state at ``ts``) for :meth:`_install`: one kernel term on
+        the group's plan (:func:`dra_initial`) for a DRA group's first
+        member; a REEVAL_* baseline (no plan) keeps the row evaluator,
+        as at its every refresh."""
+        if prepared is None:
+            return evaluate_as_of(query, self.db, ts, self.metrics)
+        return dra_initial(query, self.db, ts, prepared, self.metrics)
 
     def deregister(self, client_id: str, cq_name: str) -> None:
         """Drop a subscription, its GC-protected zone, and its shared

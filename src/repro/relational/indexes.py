@@ -9,6 +9,7 @@ old-state overlays to probe the relation as of the last CQ execution.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.metrics import Metrics
@@ -33,9 +34,20 @@ class HashIndex:
 
     @classmethod
     def build(cls, relation: Relation, positions: Tuple[int, ...]) -> "HashIndex":
+        """Index ``relation`` in one pass over its rows: keys come from
+        one ``itemgetter`` per key column, zipped at C level; a key
+        holding a NULL has its bucket too, as :meth:`insert` puts it."""
         index = cls(positions)
-        for row in relation:
-            index.insert(row.tid, row.values)
+        rows = relation.rows_map()
+        keys = zip(*[map(itemgetter(p), rows.values()) for p in index.positions])
+        buckets = index._buckets
+        get = buckets.get
+        for tid, key in zip(rows, keys):
+            bucket = get(key)
+            if bucket is None:
+                buckets[key] = {tid}
+            else:
+                bucket.add(tid)
         return index
 
     @classmethod

@@ -62,9 +62,11 @@ class Relation:
 
     @classmethod
     def from_pairs(cls, schema: Schema, pairs: Iterable[Tuple[Tid, Values]]) -> "Relation":
+        """A relation of ``(tid, values)`` pairs, each validated as
+        :meth:`add` validates it (a later pair for a tid overwrites)."""
         rel = cls(schema)
-        for tid, values in pairs:
-            rel.add(tid, values)
+        validate = schema.validate_row
+        rel._rows = {tid: validate(values) for tid, values in pairs}
         return rel
 
     # -- basic container protocol -------------------------------------

@@ -7,6 +7,13 @@ snapshot kept per commit, then every past timestamp is asked for —
 SPJ and aggregate queries alike, ``ts == now`` reading no log at all,
 and a ``ts`` that garbage collection has passed raising instead of
 answering from a log that no longer holds the window.
+
+The kernel install step — E_0 as one DRA term seeded by a whole
+relation (:func:`repro.dra.algorithm.dra_initial`; an aggregate folds
+its narrowed core's rows) — is held to the same snapshots at every
+``ts``. A third table, ``c``, is never written after it is filled and
+always holds the most rows, so the chain through it seeds in the
+middle.
 """
 
 from unittest import mock
@@ -16,6 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database
 from repro.delta.propagate import _evaluate, evaluate_as_of
+from repro.dra.aggregates import DifferentialAggregate
+from repro.dra.algorithm import dra_initial
+from repro.dra.prepared import prepare_cq
+from repro.relational.aggregates import AggregateQuery
 from repro.relational.sql import parse_query
 from repro.relational.types import AttributeType
 from repro.storage.update_log import UpdateLog
@@ -27,7 +38,20 @@ QUERIES = [
     "SELECT SUM(v) AS total, COUNT(*) AS n FROM a WHERE v > 10",
     "SELECT k, MAX(v) AS top FROM b GROUP BY k",
     "SELECT COUNT(*) AS n FROM a, b WHERE a.k = b.k AND b.v > 30",
+    # a self-join with renamed columns
+    "SELECT x.k AS xk, x.v AS xv, y.v AS yv FROM a x, a y "
+    "WHERE x.k = y.k AND x.v < y.v",
+    # a three-table chain whose largest table, c, sits in the middle
+    "SELECT a.v AS av, c.v AS cv, b.v AS bv FROM a, c, b "
+    "WHERE a.k = c.k AND c.v = b.k",
+    # a cartesian product
+    "SELECT a.v AS av, b.v AS bv FROM a, b WHERE a.v > 50 AND b.v < 30",
+    # a constant-false conjunct
+    "SELECT k, v FROM a WHERE v > 10 AND 1 = 2",
 ]
+
+#: ``c``'s rows: more than a history can put in ``a`` or ``b``.
+C_ROWS = [(k, v) for k in range(4) for v in range(4)] * 3
 
 keys, values, picks = st.integers(0, 3), st.integers(0, 99), st.integers(0, 50)
 operations = st.one_of(
@@ -44,12 +68,14 @@ transactions = st.lists(
 
 def replay(history):
     """Commit ``history``; returns the database and, per commit
-    timestamp (0 = the empty start), a snapshot of every table."""
+    timestamp (the first = the start: ``a`` and ``b`` empty, ``c``
+    filled), a snapshot of every table."""
     db = Database()
     tables = {
         name: db.create_table(name, [("k", INT), ("v", INT)], indexes=[("k",)])
-        for name in "ab"
+        for name in "abc"
     }
+    tables["c"].insert_many(C_ROWS)
     snapshots = {db.now(): {n: t.snapshot() for n, t in tables.items()}}
     for name, ops in history:
         table = tables[name]
@@ -72,7 +98,7 @@ def replay(history):
     return db, snapshots
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(history=transactions, sql=st.sampled_from(QUERIES), prune=st.integers(0, 8))
 def test_equals_the_query_over_a_snapshot_taken_then(history, sql, prune):
     db, snapshots = replay(history)
@@ -92,17 +118,30 @@ def test_equals_the_query_over_a_snapshot_taken_then(history, sql, prune):
         elif not reaches:
             with pytest.raises(ValueError, match="pruned through"):
                 evaluate_as_of(query, db, ts)
+            with pytest.raises(ValueError, match="pruned through"):
+                kernel_install(query, db, ts)
             continue
         else:
             got = evaluate_as_of(query, db, ts)
         assert got == _evaluate(query, state.__getitem__, None), (sql, ts)
+        assert kernel_install(query, db, ts) == got, (sql, ts)
+
+
+def kernel_install(query, db, ts):
+    """Q(state at ``ts``) through the kernel install, on a plan compiled
+    (join indexes created) as registration compiles it."""
+    if isinstance(query, AggregateQuery):
+        state = DifferentialAggregate(query, db)
+        return state.initialize(None, prepare_cq(state.core, db), ts)
+    return dra_initial(query, db, ts, prepare_cq(query, db))
 
 
 def test_charges_the_metrics_it_is_given():
     from repro.metrics import Metrics
 
-    db, __ = replay([("a", [("insert", 1, 50)]), ("a", [("insert", 2, 60)])])
+    db, snapshots = replay([("a", [("insert", 1, 50)]), ("a", [("insert", 2, 60)])])
+    first = sorted(snapshots)[1]  # the first commit to ``a``
     metrics = Metrics()
-    result = evaluate_as_of(parse_query(QUERIES[0]), db, 1, metrics)
+    result = evaluate_as_of(parse_query(QUERIES[0]), db, first, metrics)
     assert [row.values for row in result] == [(1, 50)]
     assert metrics.get(Metrics.ROWS_SCANNED) > 0

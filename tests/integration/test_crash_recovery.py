@@ -43,13 +43,13 @@ def reconstructions(monkeypatch):
     import repro.net.server
 
     calls = []
-    inner = repro.net.server.evaluate_as_of
+    inner = repro.net.server.dra_initial
 
     def counting(query, *args, **kwargs):
         calls.append(query.to_sql())
         return inner(query, *args, **kwargs)
 
-    monkeypatch.setattr(repro.net.server, "evaluate_as_of", counting)
+    monkeypatch.setattr(repro.net.server, "dra_initial", counting)
     return calls
 
 
