@@ -6,16 +6,18 @@ A Zipf-skewed population of parameterized subscriptions (equality and
 interval templates over ``stocks.price``) goes into one
 :class:`~repro.dra.predindex.PredicateIndex`. The per-subscription
 baseline inspects every subscription for every batch — n probes. The
-index stabs hash buckets and interval bound arrays instead, so probe
-counts are governed by the template count and the match set, both of
-which stay fixed while the subscriber population grows.
+index looks up hash buckets and stabs precomputed interval covers
+instead, so probe counts are governed by the match set, which stays
+fixed while the subscriber population grows.
 
 Run ``python benchmarks/bench_e14_fanout.py --smoke`` for the fast
 self-check used by CI: it routes one batch through populations of
 1k/3k/10k subscribers, asserts ≥10x fewer probes than the
 per-subscription baseline at 10k plus sublinear probe growth across
-the sweep, verifies the routed set against the relevance oracle, and
-writes the measurements to ``BENCH_e14.json``.
+the sweep, verifies the routed set against the relevance oracle and
+that probes equal the routed entry sides at every size (no template
+carries a residual, so nothing inspected goes unrouted), and writes
+the measurements to ``BENCH_e14.json``.
 """
 
 import sys
@@ -186,13 +188,26 @@ def smoke(n_subs=10_000, out_path="BENCH_e14.json"):
         routed = index.match_batch(deltas)
         elapsed_us = (time.perf_counter() - start) * 1e6
         assert routed.keys() == oracle_matches(queries, deltas)
+        # No template here carries a residual, so a stab or a bucket
+        # inspects only sides it routes: probes are the routed sides.
+        routed_sides = sum(
+            len(columns[2])
+            for by_alias in routed.values()
+            for columns in by_alias.values()
+        )
+        probes = metrics[Metrics.PREDINDEX_PROBES]
+        assert probes == routed_sides, (
+            f"routing {size} subscribers inspected {probes} candidates "
+            f"for {routed_sides} routed sides; an interval stab is "
+            f"inspecting entries it does not return"
+        )
         rows.append(
             {
                 "subscribers": size,
                 "delta_entries": entries,
                 "routed_groups": len(routed),
                 "routed_subscribers": sum(len(members[k]) for k in routed),
-                "probes": metrics[Metrics.PREDINDEX_PROBES],
+                "probes": probes,
                 "baseline_probes": size * entries,
                 "route_us": round(elapsed_us, 1),
             }

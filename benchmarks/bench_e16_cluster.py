@@ -31,7 +31,11 @@ model's serial term, unchanged — became the larger one: the absolute
 path fell at every shard count (48 695 → 24 180, 28 404 → 17 784,
 18 517 → 14 540) while their ratio reads 1.66x. A ratio that falls when
 the parallel part gets cheaper is Amdahl's law, not a regression, so it
-is reported and no longer gated.
+is reported and no longer gated. Since an interval stab inspects only
+the entries it returns (one bisect into precomputed covers), router and
+shards alike have shed their candidate walks: the paths read 5 876 /
+4 137 / 3 028 (recorded), and ``shard_work_max`` scales 3.33x (3.69x
+before; the gate stays at 3.0x).
 
 Run ``python benchmarks/bench_e16_cluster.py --smoke`` for the CI
 self-check: sweeps 1/2/4 shards with a fixed seed, verifies every
@@ -63,14 +67,14 @@ WORK_COUNTERS = (
 )
 
 
-#: The modelled critical path at PR 20 — the last commit whose shards
-#: filtered every batch once per routed group — by subscriber count
-#: (``measure``'s other defaults; the pytest's sizes for 600), then by
-#: shards. Replication does not move it. A change may lower a path,
-#: never raise it.
+#: The modelled critical path once interval stabs inspected only what
+#: they return, by subscriber count (``measure``'s other defaults; the
+#: pytest's sizes for 600), then by shards. The counters repeat exactly
+#: under any ``PYTHONHASHSEED``, and replication does not move them. A
+#: change may lower a path, never raise it.
 RECORDED_CRITICAL_PATH = {
-    10_000: {1: 48_695, 2: 28_404, 4: 18_517},
-    600: {1: 10_855, 2: 6_624, 4: 4_329},
+    10_000: {1: 5_876, 2: 4_137, 4: 3_028},
+    600: {1: 1_409, 2: 1_036, 4: 769},
 }
 
 

@@ -78,7 +78,10 @@ class DeltaBatchCache:
         self.metrics = metrics
         self.tracer = tracer
         self._batches: Dict[Tuple[str, Timestamp, Timestamp], DeltaRelation] = {}
-        self._routes: Dict[Tuple[Tuple[str, ...], Timestamp, Timestamp], Routed] = {}
+        self._routes: Dict[
+            Tuple[Tuple[str, ...], Timestamp, Timestamp],
+            Tuple[Dict[str, DeltaRelation], Routed],
+        ] = {}
         self.hits = 0
         self.misses = 0
 
@@ -131,13 +134,19 @@ class DeltaBatchCache:
     ) -> Tuple[Dict[str, DeltaRelation], Routed]:
         """The window's :meth:`deltas` (a counted read) and the
         subscriptions ``index`` routes them to, each with the entry
-        sides its aliases select: one pass however many readers ask."""
-        deltas = self.deltas(table_names, since, now)
+        sides its aliases select: one pass however many readers ask,
+        and a repeat read is one lookup returning the same pair, charged
+        one reuse per table as a batch-by-batch read would be."""
         key = (table_names, since, now)
-        routed = self._routes.get(key)
-        if routed is None:
-            routed = self._routes[key] = index.match_batch(deltas)
-        return deltas, routed
+        pair = self._routes.get(key)
+        if pair is None:
+            deltas = self.deltas(table_names, since, now)
+            pair = self._routes[key] = (deltas, index.match_batch(deltas))
+        else:
+            self.hits += len(table_names)
+            if self.metrics:
+                self.metrics.count(Metrics.DELTA_BATCHES_REUSED, len(table_names))
+        return pair
 
     def __repr__(self) -> str:
         return (

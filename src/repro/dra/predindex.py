@@ -18,7 +18,7 @@ affected subscription set:
   shape: compile the template once, index by the free constant;
 * range atoms (``col < const`` etc.) on one column merge into a single
   interval per (subscription, alias) held in an :class:`IntervalIndex`
-  (exact stabbing over two sorted bound arrays);
+  (one bisect into precomputed covers: O(log n + k) per probe);
 * everything else (disjunctions, negations, column-to-column locals)
   falls back to a scan bucket carrying the compiled local predicate —
   still one compiled closure per subscription, never a plan probe.
@@ -105,9 +105,10 @@ def _atom_of(
     """``(position, op, constant)`` when ``conjunct`` is an indexable
     column-vs-literal comparison, else None.
 
-    ``!=`` atoms are not indexable (they match almost everything) and
-    null literals never match under None-is-False semantics; both fall
-    through to the residual/scan path.
+    ``!=`` atoms are not indexable (they match almost everything);
+    null literals never match under None-is-False semantics, and NaN
+    literals order against nothing; all fall through to the
+    residual/scan path.
     """
     if not isinstance(conjunct, Comparison):
         return None
@@ -119,7 +120,7 @@ def _atom_of(
         op = _MIRROR.get(op, op)
     else:
         return None
-    if op not in _MIRROR or value is None:
+    if op not in _MIRROR or value is None or value != value:
         return None
     if ref.qualifier is not None and ref.qualifier != alias:
         return None
@@ -252,18 +253,32 @@ def compile_signature(
 
 
 class IntervalIndex:
-    """Exact interval stabbing over two sorted bound arrays.
+    """Exact interval stabbing through precomputed covers.
 
-    ``stab(v)`` intersects the entries whose lower bound admits ``v``
-    (a prefix of the low-sorted array plus the unbounded-low set) with
-    those whose upper bound admits ``v`` (a suffix of the high-sorted
-    array plus the unbounded-high set), walking the smaller side and
-    confirming the other bound per candidate — candidates inspected,
-    not intervals stored, is the unit the probe counter charges.
+    The distinct bound keys of all entries, sorted, cut the value line
+    into elementary segments; each segment's *cover* is the tuple of
+    entry keys whose interval admits every value falling in it. A
+    lower bound ``(low, f)`` admits ``v`` iff ``(low, f) <= (v, 0)``,
+    an upper bound iff ``(high, f) >= (v, 1)``; flags are only 0 or 1,
+    so no bound key lies strictly between ``(v, 0)`` and ``(v, 1)``,
+    and the one position ``bisect_right(bounds, (v, 0))`` decides both
+    sides. An entry whose bounds sit at ranks ``r_low``/``r_high``
+    covers segments ``r_low + 1 … r_high``; an open bound extends to
+    that end. ``stab(v)`` is that bisect plus one list index, O(log n +
+    k): it returns exactly the matches, so candidates inspected — the
+    unit the probe counter charges — equals matches returned.
+
+    A NaN value (any value not equal to itself) stabs nothing, as every
+    comparison against it is false; a bisect would place it somewhere.
+
+    ``add``/``remove`` only mark the covers stale; the first stab after
+    any number of them rebuilds once: a sort of the distinct bounds
+    plus one pass filling each entry's segments, O(n log n +
+    Σ|cover|). Nested ranges make Σ|cover| quadratic in n, but a stab
+    inside them returns those entries anyway.
     """
 
-    __slots__ = ("_entries", "_dirty", "_low_keys", "_low_ids", "_open_low",
-                 "_high_keys", "_high_ids", "_open_high")
+    __slots__ = ("_entries", "_dirty", "_bounds", "_covers")
 
     def __init__(self) -> None:
         # entry_key -> (low_key, high_key); None bound = unbounded.
@@ -271,12 +286,8 @@ class IntervalIndex:
             EntryKey, Tuple[Optional[Tuple[Any, int]], Optional[Tuple[Any, int]]]
         ] = {}
         self._dirty = True
-        self._low_keys: List[Tuple[Any, int]] = []
-        self._low_ids: List[EntryKey] = []
-        self._open_low: List[EntryKey] = []
-        self._high_keys: List[Tuple[Any, int]] = []
-        self._high_ids: List[EntryKey] = []
-        self._open_high: List[EntryKey] = []
+        self._bounds: List[Tuple[Any, int]] = []
+        self._covers: List[Tuple[EntryKey, ...]] = [()]
 
     def add(
         self,
@@ -295,49 +306,29 @@ class IntervalIndex:
         return len(self._entries)
 
     def _rebuild(self) -> None:
-        lows = sorted(
-            ((low, key) for key, (low, __) in self._entries.items() if low is not None),
+        bounds = sorted(
+            {bound for pair in self._entries.values() for bound in pair if bound is not None}
         )
-        highs = sorted(
-            ((high, key) for key, (__, high) in self._entries.items() if high is not None),
-        )
-        self._low_keys = [bound for bound, __ in lows]
-        self._low_ids = [key for __, key in lows]
-        self._open_low = [
-            key for key, (low, __) in self._entries.items() if low is None
-        ]
-        self._high_keys = [bound for bound, __ in highs]
-        self._high_ids = [key for __, key in highs]
-        self._open_high = [
-            key for key, (__, high) in self._entries.items() if high is None
-        ]
+        rank = {bound: i for i, bound in enumerate(bounds)}
+        covers: List[List[EntryKey]] = [[] for __ in range(len(bounds) + 1)]
+        for key, (low, high) in self._entries.items():
+            first = 0 if low is None else rank[low] + 1
+            last = len(bounds) if high is None else rank[high]
+            for segment in range(first, last + 1):
+                covers[segment].append(key)
+        self._bounds = bounds
+        self._covers = [tuple(cover) for cover in covers]
         self._dirty = False
 
-    def _contains(self, key: EntryKey, value: Any) -> bool:
-        low, high = self._entries[key]
-        if low is not None and not low <= (value, 0):
-            return False
-        if high is not None and not high >= (value, 1):
-            return False
-        return True
-
-    def stab(self, value: Any) -> Tuple[List[EntryKey], int]:
+    def stab(self, value: Any) -> Tuple[Tuple[EntryKey, ...], int]:
         """``(matching entry keys, candidates inspected)`` for one
-        probe value."""
+        probe value; the two agree in length."""
         if self._dirty:
             self._rebuild()
-        # Lower bound (low, f) admits value iff (low, f) <= (value, 0);
-        # upper bound (high, f) admits value iff (high, f) >= (value, 1).
-        n_low = bisect.bisect_right(self._low_keys, (value, 0))
-        n_high_start = bisect.bisect_left(self._high_keys, (value, 1))
-        low_side = n_low + len(self._open_low)
-        high_side = (len(self._high_keys) - n_high_start) + len(self._open_high)
-        if low_side <= high_side:
-            candidates = self._low_ids[:n_low] + self._open_low
-        else:
-            candidates = self._high_ids[n_high_start:] + self._open_high
-        matches = [key for key in candidates if self._contains(key, value)]
-        return matches, len(candidates)
+        if value != value:
+            return (), 0
+        cover = self._covers[bisect.bisect_right(self._bounds, (value, 0))]
+        return cover, len(cover)
 
 
 class _Entry:

@@ -76,6 +76,48 @@ class TestDeltaBatchCache:
         private = deltas_since([stocks], ts0)
         assert shared["stocks"] == private["stocks"]
 
+    def test_a_repeat_routed_read_is_one_lookup(self, db, stocks):
+        """The second ``routed()`` over one (footprint, window) returns
+        the very pair the first built, without routing again, and is
+        charged one reuse per table of the footprint — the empty one
+        included — exactly as reading it batch by batch is."""
+        from repro.dra.predindex import PredicateIndex
+        from repro.relational.types import AttributeType
+
+        trades = db.create_table(
+            "trades", [("sid", AttributeType.INT), ("qty", AttributeType.INT)]
+        )
+        query = parse_query(
+            "SELECT s.name, t.qty FROM stocks s, trades t "
+            "WHERE s.sid = t.sid AND s.price > 120"
+        )
+        index = PredicateIndex()
+        index.add("q", query, {"s": stocks.schema, "t": trades.schema})
+        routings = []
+        match_batch = index.match_batch
+        index.match_batch = lambda deltas: routings.append(deltas) or match_batch(deltas)
+        metrics = Metrics()
+        cache = DeltaBatchCache(db, metrics)
+        ts0 = db.now()
+        stocks.insert((7, "NEW", 500))
+        now = db.now()
+        tables = ("stocks", "trades")
+
+        deltas, routed = cache.routed(index, tables, ts0, now)
+        assert list(deltas) == ["stocks"] and routed.keys() == {"q"}
+        assert metrics[Metrics.DELTA_BATCHES_COMPUTED] == 2
+        assert metrics[Metrics.DELTA_BATCHES_REUSED] == 0
+
+        again = cache.routed(index, tables, ts0, now)
+        assert again[0] is deltas and again[1] is routed
+        assert len(routings) == 1
+        assert metrics[Metrics.DELTA_BATCHES_REUSED] == 2
+        assert cache.hits == 2 and cache.misses == 2
+
+        cache.deltas(tables, ts0, now)
+        assert metrics[Metrics.DELTA_BATCHES_REUSED] == 4
+        assert metrics[Metrics.DELTA_BATCHES_COMPUTED] == 2
+
 
 class TestSkipClassification:
     def test_data_only_triggers(self):

@@ -197,7 +197,7 @@ def test_interval_index_stab_is_exact():
     index.add(("c", "t"), None, (6, 0))      # (-inf, 6)
     matches, inspected = index.stab(6)
     assert {key for key in matches} == {("a", "t")}
-    assert inspected >= 1
+    assert inspected == 1  # a stab inspects only what it returns
     matches, __ = index.stab(5)
     assert {key for key in matches} == {("a", "t"), ("c", "t")}
     matches, __ = index.stab(8)
@@ -207,3 +207,46 @@ def test_interval_index_stab_is_exact():
     index.remove(("a", "t"))
     matches, __ = index.stab(8)
     assert {key for key in matches} == {("b", "t")}
+
+
+FLOAT_SCHEMA = Schema.of(("k", AttributeType.INT), ("v", AttributeType.FLOAT))
+
+
+def test_nan_stabs_nothing_and_routes_only_where_relevant():
+    """NaN orders against nothing, so no interval admits it — but a
+    bisect would still place it somewhere (past every bound, into an
+    open-ended range's segment). The guard in ``IntervalIndex.stab``
+    is what keeps ``v >= 5`` from routing a NaN side."""
+    index = IntervalIndex()
+    index.add(("ge5", "t"), (5, 0), None)        # [5, inf)
+    index.add(("lt5", "t"), None, (5, 0))        # (-inf, 5)
+    index.add(("band", "t"), (0.0, 0), (10, 1))  # [0.0, 10]
+    assert index.stab(float("nan")) == ((), 0)
+    assert {key for key in index.stab(5.0)[0]} == {("ge5", "t"), ("band", "t")}
+    assert {key for key in index.stab(-0.0)[0]} == {("lt5", "t"), ("band", "t")}
+
+    from repro.dra.relevance import is_relevant
+
+    scopes = {"t": FLOAT_SCHEMA}
+    queries = {
+        "ge5": sub(le(Literal(5), ColumnRef("v"))),
+        "lt5": sub(lt(ColumnRef("v"), Literal(5.0))),
+        "eq5": sub(eq(ColumnRef("v"), Literal(5))),
+        "not5": sub(Not(eq(ColumnRef("v"), Literal(5)))),
+        "nan": sub(gt(ColumnRef("v"), Literal(float("nan")))),
+    }
+    index = PredicateIndex()
+    for sub_id, query in queries.items():
+        index.add(sub_id, query, scopes)
+    entries = [
+        DeltaEntry(0, None, (1, float("nan")), ts=1),
+        DeltaEntry(1, (2, float("nan")), (2, float("nan")), ts=1),
+    ]
+    deltas = {"t": DeltaRelation(FLOAT_SCHEMA, entries)}
+    expected = {
+        sub_id
+        for sub_id, query in queries.items()
+        if is_relevant(query, scopes, deltas)
+    }
+    assert expected == {"not5"}
+    assert index.match_batch(deltas).keys() == expected

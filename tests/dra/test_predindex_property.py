@@ -3,7 +3,8 @@
 The fan-out layer's whole contract is exactness: for any schema, any
 set of subscription predicates (equalities, ranges, conjunctions,
 disjunctions, negations), and any delta batch (inserts, deletes,
-modifies, null attribute values), :meth:`PredicateIndex.match_batch`
+modifies, null attribute values, FLOAT columns with NaN and signed
+zeros), :meth:`PredicateIndex.match_batch`
 must return precisely the subscriptions the paper's Section 5.2
 relevance test (:func:`repro.dra.relevance.is_relevant`) would select
 by probing every subscription one at a time. Hypothesis drives the
@@ -53,18 +54,32 @@ OPS = ["=", "!=", "<", "<=", ">", ">="]
 
 @st.composite
 def schemas(draw):
-    """2–5 columns, mixed INT/STR, named c0..c4."""
+    """2–5 columns, mixed INT/FLOAT/STR, named c0..c4."""
     n = draw(st.integers(min_value=2, max_value=5))
     types = [
-        draw(st.sampled_from([AttributeType.INT, AttributeType.STR]))
+        draw(
+            st.sampled_from(
+                [AttributeType.INT, AttributeType.FLOAT, AttributeType.STR]
+            )
+        )
         for __ in range(n)
     ]
     return Schema.of(*[(f"c{i}", t) for i, t in enumerate(types)])
 
 
-def _value_strategy(column_type):
+# -0.0 equals 0.0, an int literal equals its float, and NaN (a fresh
+# object each draw) equals nothing, itself included: the bound keys and
+# the stab must agree with the compiled predicate on all three.
+FLOATS = st.sampled_from([-1.0, -0.0, 0.0, 2.5, 5.0, 10.0]) | st.builds(
+    float, st.just("nan")
+)
+
+
+def _value_strategy(column_type, literal=False):
     if column_type is AttributeType.INT:
         return st.integers(min_value=-5, max_value=15)
+    if column_type is AttributeType.FLOAT:
+        return FLOATS | st.sampled_from([-1, 0, 5, 10]) if literal else FLOATS
     return st.sampled_from(["a", "b", "c", "d", "e"])
 
 
@@ -74,7 +89,7 @@ def atoms(draw, schema):
     position = draw(st.integers(0, len(schema) - 1))
     attribute = schema.attributes[position]
     op = draw(st.sampled_from(OPS))
-    value = draw(_value_strategy(attribute.type))
+    value = draw(_value_strategy(attribute.type, literal=True))
     ref = ColumnRef(attribute.name)
     if draw(st.booleans()):
         return Comparison(op, ref, Literal(value))
