@@ -30,10 +30,14 @@ self-check: it verifies row/columnar equivalence on every mix, runs
 the 1k and 10k tiers, asserts the columnar evaluator clears ≥3x
 rows/sec on the join-heavy mix and the kernel install ≥2x on the
 install mix at the 10k tier, and writes the measurement record to
-``BENCH_e15.json``.
+``BENCH_e15.json``. Each SPJ mix also reports ``kernel_pairs``, the
+seed rows that travelled the term as modify pairs (DESIGN.md §11);
+on the join-heavy mix the smoke asserts it equals the pair-eligible
+modifies counted off the orders delta.
 """
 
 import json
+import operator
 import random
 import sys
 import time
@@ -173,28 +177,49 @@ def _time_pair(row_fn, col_fn, reps):
 
 
 def measure_spj(sql, db, tables, since, reps):
-    """Row vs columnar through dra_execute; asserts equal deltas."""
+    """Row vs columnar through dra_execute; asserts equal deltas.
+    Returns the delta rows, both timings and the columnar run's
+    ``kernel_pairs``."""
     query = parse_query(sql)
     prepared = prepare_cq(query, db)
     deltas = deltas_since(tables, since)
     delta_rows = sum(len(d) for d in deltas.values())
 
-    def run(columnar):
+    def run(columnar, metrics=None):
         return dra_execute(
             query,
             db,
             deltas=deltas,
             prepared=prepared,
             ts=99,
-            metrics=Metrics(),
+            metrics=metrics or Metrics(),
             columnar=columnar,
         )
 
     row_result = run(False)
-    col_result = run(True)
+    col_metrics = Metrics()
+    col_result = run(True, col_metrics)
     assert col_result.delta == row_result.delta, "columnar result diverged"
     row_s, col_s = _time_pair(lambda: run(False), lambda: run(True), reps)
-    return delta_rows, row_s, col_s
+    return delta_rows, row_s, col_s, col_metrics.get(Metrics.KERNEL_PAIRS)
+
+
+def star_pair_modifies(tables, since):
+    """JOIN_SQL's pair-eligible modifies, counted off the orders delta:
+    both sides pass ``orders.amt > 100`` and the join keys (cid, pid,
+    sid) are unchanged."""
+    keys = operator.itemgetter(1, 2, 3)
+    return sum(
+        1
+        for e in deltas_since(tables, since)["orders"]
+        if e.old is not None
+        and e.new is not None
+        and e.old[4] is not None
+        and e.old[4] > 100
+        and e.new[4] is not None
+        and e.new[4] > 100
+        and keys(e.old) == keys(e.new)
+    )
 
 
 def measure_aggregate(db, tables, since, reps):
@@ -259,12 +284,22 @@ def measure_install(db, tables, reps):
 
 def run_mix(mix, tier, reps):
     delta_rows = TIERS[tier]
+    pairs = {}
     if mix == "join-heavy":
         db, tables, since = build_star(delta_rows)
-        n, row_s, col_s = measure_spj(JOIN_SQL, db, tables, since, reps)
+        n, row_s, col_s, kernel_pairs = measure_spj(
+            JOIN_SQL, db, tables, since, reps
+        )
+        pairs = {
+            "kernel_pairs": kernel_pairs,
+            "pair_modifies": star_pair_modifies(tables, since),
+        }
     elif mix == "filter-heavy":
         db, tables, since = build_filter(delta_rows)
-        n, row_s, col_s = measure_spj(FILTER_SQL, db, tables, since, reps)
+        n, row_s, col_s, kernel_pairs = measure_spj(
+            FILTER_SQL, db, tables, since, reps
+        )
+        pairs = {"kernel_pairs": kernel_pairs}
     elif mix == "aggregate":
         db, tables, since = build_star(delta_rows)
         n, row_s, col_s = measure_aggregate(db, tables, since, reps)
@@ -282,6 +317,7 @@ def run_mix(mix, tier, reps):
         "row_rows_per_s": round(n / row_s),
         "col_rows_per_s": round(n / col_s),
         "speedup": round(row_s / col_s, 3),
+        **pairs,
     }
 
 
@@ -291,10 +327,14 @@ def sweep(tiers, reps, out_path):
         for tier in tiers:
             rows.append(run_mix(mix, tier, reps))
             r = rows[-1]
+            pairs = (
+                f", {r['kernel_pairs']} kernel_pairs" if "kernel_pairs" in r else ""
+            )
             print(
                 f"{r['mix']:>13} {r['tier']:>5}: "
                 f"row {r['row_ms']:9.1f} ms  col {r['col_ms']:9.1f} ms  "
-                f"speedup {r['speedup']:5.2f}x  ({r['delta_rows']} delta rows)"
+                f"speedup {r['speedup']:5.2f}x  ({r['delta_rows']} delta rows"
+                f"{pairs})"
             )
     record = {"experiment": "e15_kernels", "tiers": list(tiers), "rows": rows}
     with open(out_path, "w") as fh:
@@ -335,6 +375,14 @@ def main(argv=None):
             f"columnar join-heavy speedup regressed: {gate['speedup']:.2f}x "
             f"< 3x at the 10k tier"
         )
+        # A modify whose sides both pass the local filter and keep
+        # their join keys travels the one term as a pair row.
+        for tier in tiers:
+            r = by_key[("join-heavy", tier)]
+            assert r["kernel_pairs"] == r["pair_modifies"] > 0, (
+                f"join-heavy@{tier}: {r['kernel_pairs']} kernel_pairs for "
+                f"{r['pair_modifies']} pair-eligible modifies"
+            )
         install = by_key[("install", "10k")]
         assert install["speedup"] >= 2.0, (
             f"kernel install speedup regressed: {install['speedup']:.2f}x "

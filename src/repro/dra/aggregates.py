@@ -10,7 +10,10 @@ and argument columns, to its signed sum — every row leaving the core's
 result at weight −1, every row entering it at +1 — and each touched
 group folds its rows in with one batch ``fold(values, weights)`` per
 accumulator. SUM and COUNT are linear in the signed sum, so the core's
-row delta is never assembled.
+row delta is never assembled. A modify that travelled the core's one
+term as a pair row (DESIGN.md §11) arrives as its old and new core
+rows; it folds as old at −1 and new at +1 without passing through the
+signed sum.
 
 SUM/COUNT/AVG updates are O(|Δ|); MIN/MAX may rescan their distinct
 value multiset when the extremum is deleted (the classic
@@ -42,6 +45,9 @@ _WRONG_PLAN = (
 )
 _TID = operator.itemgetter(0)
 _VALUES = operator.itemgetter(1)
+# The sides of a pair row's (result tid, old values, new values).
+_OLD = operator.itemgetter(1)
+_NEW = operator.itemgetter(2)
 
 
 class DifferentialAggregate:
@@ -115,7 +121,7 @@ class DifferentialAggregate:
             raise ReproError("call initialize() before update()")
         if prepared is not None and prepared.query != self.core:
             raise ReproError(_WRONG_PLAN)
-        weights = dra_execute(
+        result = dra_execute(
             self.core,
             self.db,
             deltas=deltas,
@@ -123,8 +129,9 @@ class DifferentialAggregate:
             metrics=metrics,
             prepared=prepared,
             columnar=columnar,
-        ).weights
-        if not weights:
+        )
+        weights, modifies = result.weights, result.modifies
+        if not weights and not modifies:
             return DeltaRelation(self.schema)
         # The signed sum of a correct expansion is a delta: ±1 weights,
         # at most one row per result tid on either side.
@@ -137,11 +144,26 @@ class DifferentialAggregate:
                 f"weight {weight} for result tid {ctid!r}; expected ±1"
             )
         keys = list(weights)
-        if len(set(zip(map(_TID, keys), signs))) != len(keys):
+        tids = list(map(_TID, keys))
+        if len(set(zip(tids, signs))) != len(keys):
             raise WeightInvariantError(
                 "two rows on one side for a result tid of the aggregate's core"
             )
-        touched = self._fold(list(map(_VALUES, keys)), signs)
+        rows = list(map(_VALUES, keys))
+        if modifies:
+            # A pair row's modify folds as its old row at −1 and its new
+            # row at +1; its result tid is its own.
+            pair_tids = set(map(_TID, modifies))
+            if len(pair_tids) != len(modifies) or not pair_tids.isdisjoint(tids):
+                raise WeightInvariantError(
+                    "a pair row's result tid meets another row of the "
+                    "aggregate's core"
+                )
+            rows += map(_OLD, modifies)
+            rows += map(_NEW, modifies)
+            signs += [-1] * len(modifies)
+            signs += [1] * len(modifies)
+        touched = self._fold(rows, signs)
 
         # Each touched group's visible row before and after the fold,
         # in first-touch order.

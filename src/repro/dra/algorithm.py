@@ -35,7 +35,7 @@ identical and only costs the compile.
 from __future__ import annotations
 
 import operator
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.errors import QueryError
 from repro.metrics import Metrics
@@ -57,6 +57,7 @@ from repro.dra.operands import (
     BaseOperand,
     DeltaOperand,
     SignedColumns,
+    paired_columns,
     signed_columns,
 )
 from repro.dra.prepared import PreparedCQ, prepare_cq
@@ -105,6 +106,11 @@ def dra_execute(
     an alias without a seed is locally irrelevant. None (nothing
     routed: no index, or it does not vouch for this query) filters
     here.
+
+    When exactly one alias's table changed and nothing is routed, the
+    kernels run the single term with that alias's qualifying modifies
+    as pair rows (:func:`repro.dra.operands.paired_columns`); the
+    term's modify entries come back in ``modifies``, not ``weights``.
     """
     if prepared is None:
         prepared = prepare_cq(query, db, metrics=metrics, auto_index=False)
@@ -130,13 +136,33 @@ def dra_execute(
     base_operands: Dict[str, BaseOperand] = {}
     changed = []
     local_specs = prepared.local_specs
+    # The one alias whose modifies may pair: its term is the only one,
+    # so nothing can cancel across terms (DESIGN.md §11).
+    pair_alias = None
+    if columnar and seeds is None:
+        touched = [
+            ref.alias
+            for ref in query.relations
+            if (d := deltas.get(ref.table)) is not None and not d.is_empty()
+        ]
+        if len(touched) == 1:
+            pair_alias = touched[0]
     for ref in query.relations:
         table = db.table(ref.table)
         table_delta = deltas.get(ref.table)
         local = compiled_local[ref.alias]
         spec = local_specs.get(ref.alias)
         if table_delta is not None and not table_delta.is_empty():
-            if seeds is None:
+            olds = None
+            if ref.alias == pair_alias:
+                invariant = prepared.term_plan(
+                    frozenset((pair_alias,)), pair_alias
+                ).pair_invariant
+                columns, olds = paired_columns(
+                    table_delta, local, spec, invariant
+                )
+                read = len(table_delta)
+            elif seeds is None:
                 columns = signed_columns(table_delta, local, spec)
                 read = len(table_delta)
             else:
@@ -149,7 +175,9 @@ def dra_execute(
             # σ_local(R_old) == σ_local(R_new), so the alias can be
             # treated as unchanged.
             if columns[2]:
-                delta_operands[ref.alias] = DeltaOperand(ref.alias, columns)
+                delta_operands[ref.alias] = DeltaOperand(
+                    ref.alias, columns, olds
+                )
                 changed.append(ref.alias)
         base_operands[ref.alias] = BaseOperand(
             ref.alias, table, table_delta, local, metrics, filter_spec=spec
@@ -200,15 +228,19 @@ def dra_execute(
                 )
             yield entries
 
+    modifies: List = []
     if columnar:
         # Steps 2+3 in one pass: each term's kernel pipeline sums its
-        # weighted candidates straight into the shared weights dict.
-        # Kernel counters accumulate locally and flush once.
+        # weighted candidates straight into the shared weights dict, and
+        # a paired seed's modify entries into ``modifies``. Kernel
+        # counters accumulate locally and flush once.
         weights: Dict = {}
         stats = KernelStats()
         for row in prepared.truth_rows(changed_key):
             seed = min(row, key=lambda a: len(delta_operands[a]))
             kernel = prepared.term_kernel(row, seed)
+            paired = delta_operands[seed].paired
+            stats.pairs += paired
             if metrics:
                 metrics.count(Metrics.TERMS_EVALUATED)
             if trace_terms:
@@ -216,23 +248,33 @@ def dra_execute(
                     "dra.term", row=",".join(row), seed=seed
                 ) as span:
                     produced = kernel.execute(
-                        delta_operands, base_operands, weights, stats, tracer
+                        delta_operands,
+                        base_operands,
+                        weights,
+                        stats,
+                        tracer,
+                        modifies,
                     )
                     span.set(
                         seed_rows=len(delta_operands[seed]),
+                        paired=paired,
                         entries=produced,
                     )
             else:
                 produced = kernel.execute(
-                    delta_operands, base_operands, weights, stats
+                    delta_operands, base_operands, weights, stats, None, modifies
                 )
             if traces is not None:
                 traces.append(
-                    TermTrace(row, seed, len(delta_operands[seed]), produced)
+                    TermTrace(
+                        row, seed, len(delta_operands[seed]), produced, paired
+                    )
                 )
         if metrics and stats.calls:
             metrics.count(Metrics.KERNEL_CALLS, stats.calls)
             metrics.count(Metrics.KERNEL_ROWS, stats.rows)
+            if stats.pairs:
+                metrics.count(Metrics.KERNEL_PAIRS, stats.pairs)
     else:
         weights = accumulate(run_terms())
     if metrics:
@@ -248,6 +290,7 @@ def dra_execute(
         # Resolved here, at call time, so a rebinding of this module's
         # name (E18's traced pass times it as dra.assemble) still runs.
         assemble=to_delta,
+        modifies=modifies,
     )
 
 

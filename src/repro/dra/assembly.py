@@ -3,15 +3,19 @@
 Step 3 sums the weighted candidates of all terms by (result tid,
 projected values). In exact arithmetic every surviving weight is ±1:
 −1 entries are rows leaving the result, +1 entries are rows entering
-it; a tid carrying both is an in-place modification. Step 4 assembles
-what the user asked for — differential only, complete result, or
-deletion notifications — from that result delta and the previous
-execution's result (Algorithm 1 input (v)).
+it; a tid carrying both is an in-place modification. A single-term
+execution on the kernels also hands over the modifies that travelled
+the term as pair rows, already as ``(result tid, old values, new
+values)`` triples (§4.1's modify kind kept end to end): they skip the
+signed sum and the re-pairing by tid. Step 4 assembles what the user
+asked for — differential only, complete result, or deletion
+notifications — from that result delta and the previous execution's
+result (Algorithm 1 input (v)).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.relational.relation import Relation, Tid, Values
@@ -22,12 +26,18 @@ from repro.dra.terms import Entry
 
 
 class WeightInvariantError(ReproError):
-    """A summed weight fell outside {−1, 0, +1}.
+    """A summed weight fell outside {−1, 0, +1}, two rows landed on one
+    side of a result tid, or a pair's result tid collided with another
+    row's.
 
     With tid-keyed set semantics this cannot happen for a correct
     expansion; raising loudly turns any algebra bug into a test
     failure instead of a silently wrong result.
     """
+
+
+# A term's modify entry: (result tid, old values, new values).
+Modify = Tuple[Tid, Values, Values]
 
 
 def accumulate(
@@ -56,8 +66,10 @@ def to_delta(
     weights: Dict[Tuple[Tid, Values], int],
     schema: Schema,
     ts: Timestamp,
+    modifies: Sequence[Modify] = (),
 ) -> DeltaRelation:
-    """Classify net weights into insert/delete/modify delta entries."""
+    """Classify net weights into insert/delete/modify delta entries,
+    after the term's ``modifies``, which are entries already."""
     old_side: Dict[Tid, Values] = {}
     new_side: Dict[Tid, Values] = {}
     for (ctid, values), weight in weights.items():
@@ -85,23 +97,35 @@ def to_delta(
             seen.add(ctid)
     # The side dicts are tid-keyed, so entry tids are unique by
     # construction: build the consolidated mapping directly and skip
-    # DeltaRelation's per-entry duplicate check.
-    entries: Dict[Tid, DeltaEntry] = {}
+    # DeltaRelation's per-entry duplicate check. A pair's tid must not
+    # meet another pair's or a single's: count instead of checking.
+    entries: Dict[Tid, DeltaEntry] = {
+        ctid: DeltaEntry(ctid, old, new, ts) for ctid, old, new in modifies
+    }
+    if len(entries) != len(modifies):
+        raise WeightInvariantError("two pair rows for one result tid")
+    expected = len(entries)
     pop_new = new_side.pop
     for ctid, values in old_side.items():
         new_values = pop_new(ctid, None)
         if new_values == values:
             continue  # defensive; zero-sum pairs were dropped earlier
         entries[ctid] = DeltaEntry(ctid, values, new_values, ts)
+        expected += 1
     for ctid, values in new_side.items():
         entries[ctid] = DeltaEntry(ctid, None, values, ts)
+    if len(entries) != expected + len(new_side):
+        raise WeightInvariantError(
+            "a pair row and a signed row for one result tid"
+        )
     return DeltaRelation.from_consolidated(schema, entries)
 
 
 class TermTrace:
-    """Explain record for one truth-table term."""
+    """Explain record for one truth-table term: its seed rows, how many
+    of them were pair rows, and the candidates it produced."""
 
-    __slots__ = ("substituted", "seed_alias", "seed_rows", "candidates")
+    __slots__ = ("substituted", "seed_alias", "seed_rows", "candidates", "paired")
 
     def __init__(
         self,
@@ -109,28 +133,32 @@ class TermTrace:
         seed_alias: str,
         seed_rows: int,
         candidates: int,
+        paired: int = 0,
     ):
         self.substituted = substituted
         self.seed_alias = seed_alias
         self.seed_rows = seed_rows
         self.candidates = candidates
+        self.paired = paired
 
     def __repr__(self) -> str:
         subs = ",".join(sorted(self.substituted))
         return (
             f"TermTrace(Δ{{{subs}}}, seed={self.seed_alias}"
-            f"[{self.seed_rows} rows], {self.candidates} candidates)"
+            f"[{self.seed_rows} seed rows, {self.paired} paired], "
+            f"{self.candidates} candidates)"
         )
 
 
 class DRAResult:
     """The outcome of one differential re-evaluation (step 4 views).
 
-    ``weights`` is step 3's signed sum, ``{(result tid, values): ±1}``;
-    ``delta`` is ΔQ — the net change to the query result since the last
-    execution — classified from it by ``assemble`` on first read, so a
-    caller that folds the signed sum itself (an aggregate) never builds
-    one. The assembly helpers realize the paper's three delivery
+    ``weights`` is step 3's signed sum, ``{(result tid, values): ±1}``,
+    and ``modifies`` the ``(result tid, old values, new values)`` entries
+    of pair rows, which never enter it; ``delta`` is ΔQ — the net change
+    to the query result since the last execution — built from both by
+    ``assemble`` on first read, so a caller that folds them itself (an
+    aggregate) never builds one. The assembly helpers realize the paper's three delivery
     options without re-running anything.
     """
 
@@ -143,6 +171,7 @@ class DRAResult:
         "terms_evaluated",
         "skipped",
         "traces",
+        "modifies",
         "_assemble",
         "_delta",
     )
@@ -158,8 +187,10 @@ class DRAResult:
         skipped: bool = False,
         traces: Optional[List[TermTrace]] = None,
         assemble=to_delta,
+        modifies: Sequence[Modify] = (),
     ):
         self.weights = weights
+        self.modifies = modifies
         self._assemble = assemble
         self._delta: Optional[DeltaRelation] = None
         self.schema = schema
@@ -176,7 +207,9 @@ class DRAResult:
     def delta(self) -> DeltaRelation:
         delta = self._delta
         if delta is None:
-            delta = self._delta = self._assemble(self.weights, self.schema, self.ts)
+            delta = self._delta = self._assemble(
+                self.weights, self.schema, self.ts, self.modifies
+            )
         return delta
 
     def explain(self) -> str:

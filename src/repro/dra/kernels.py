@@ -35,10 +35,19 @@ prepared CQ) executes a flat list of kernel calls:
   ``(slot, position)`` and zipped into output tuples, composite result
   tids by zipping permuted tid columns.
 
+A paired seed (:func:`repro.dra.operands.paired_columns`, the one term
+of an execution) carries a modify as one row: its new values in the
+seed slot, its old values in the batch's ``olds`` column, which every
+gather moves along. The row attaches and passes its residuals once —
+every column they read is the same on both sides — and accumulate
+projects both vectors and emits ``(result tid, old values, new
+values)`` into the execution's modifies instead of ±1 weights.
+
 Any stage that empties the batch short-circuits the term. Kernel-level
 observability is accumulated locally (one
-``kernel_calls``/``kernel_rows`` flush per execution, never per row)
-and each kernel call gets a ``dra.kernel`` span when tracing is on.
+``kernel_calls``/``kernel_rows``/``kernel_pairs`` flush per execution,
+never per row; a pair row counts once in ``kernel_rows``) and each
+kernel call gets a ``dra.kernel`` span when tracing is on.
 
 Columnar output is bit-identical to the row evaluator by construction
 (same operand indexes, same NULL semantics, same weights algebra);
@@ -78,23 +87,29 @@ class ColumnBatch:
 
     ``tids[slot]`` / ``vals[slot]`` are parallel per-slot columns (one
     tid, one values tuple per row), ``weights`` the signed-weight
-    vector. Columns are append-only and shared freely between batches:
+    vector. ``olds`` is None, or the seed slot's old-values column of
+    a paired seed (:func:`repro.dra.operands.paired_columns`): a pair
+    row's old values, None on a row that is one signed side. Every
+    kernel that gathers or drops rows moves it with the other columns.
+    Columns are append-only and shared freely between batches:
     kernels build new outer lists but never mutate a column in place,
     which is what lets the seed kernel expose the delta operand's
     cached columns zero-copy.
     """
 
-    __slots__ = ("tids", "vals", "weights")
+    __slots__ = ("tids", "vals", "weights", "olds")
 
     def __init__(
         self,
         tids: List[List[Tid]],
         vals: List[List[Values]],
         weights: List[int],
+        olds: Optional[List[Optional[Values]]] = None,
     ):
         self.tids = tids
         self.vals = vals
         self.weights = weights
+        self.olds = olds
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -110,11 +125,14 @@ class KernelStats:
     per execution instead of one count per kernel call (let alone per
     row)."""
 
-    __slots__ = ("calls", "rows")
+    __slots__ = ("calls", "rows", "pairs")
 
     def __init__(self):
         self.calls = 0
         self.rows = 0
+        #: Seed rows that travelled as pairs (each also counts once in
+        #: ``rows`` per kernel that swept it).
+        self.pairs = 0
 
     def add(self, calls: int, rows: int) -> None:
         self.calls += calls
@@ -130,8 +148,9 @@ Kernel = Callable[
 
 def _make_seed(alias: str) -> Kernel:
     def kernel(batch, delta_operands, base_operands):
-        tids, vals, weights = delta_operands[alias].columns()
-        return ColumnBatch([tids], [vals], weights)
+        operand = delta_operands[alias]
+        tids, vals, weights = operand.columns()
+        return ColumnBatch([tids], [vals], weights, operand.olds)
 
     return kernel
 
@@ -231,11 +250,13 @@ def _make_filter(pred, row_compiled, plan) -> Kernel:
         if len(keep) == len(batch.weights):
             return batch
         weights = batch.weights
+        olds = batch.olds
         # (Nested comprehensions on one line share one cProfile key.)
         return ColumnBatch(
             list([c[i] for i in keep] for c in batch.tids),
             list([c[i] for i in keep] for c in batch.vals),
             [weights[i] for i in keep],
+            None if olds is None else [olds[i] for i in keep],
         )
 
     return kernel
@@ -286,7 +307,13 @@ def _extend(
     vals = list([c[i] for i in gather] for c in batch.vals)
     tids.append(new_tids)
     vals.append(new_vals)
-    return ColumnBatch(tids, vals, out_weights)
+    olds = batch.olds
+    return ColumnBatch(
+        tids,
+        vals,
+        out_weights,
+        None if olds is None else [olds[i] for i in gather],
+    )
 
 
 def _make_attach_delta(step) -> Kernel:
@@ -426,6 +453,7 @@ def _attach_by_map(batch, keys, found, pair) -> ColumnBatch:
     else:
         keep_all = None not in hits
         mask = None if keep_all else list(map(operator.truth, hits))
+    olds = batch.olds
     if keep_all:
         tids = list(batch.tids)
         vals = list(batch.vals)
@@ -435,9 +463,11 @@ def _attach_by_map(batch, keys, found, pair) -> ColumnBatch:
         tids = [list(itertools.compress(c, mask)) for c in batch.tids]
         vals = [list(itertools.compress(c, mask)) for c in batch.vals]
         weights = list(itertools.compress(batch.weights, mask))
+        if olds is not None:
+            olds = list(itertools.compress(olds, mask))
     tids.append(list(map(_TID, hits)))
     vals.append(list(map(_VALUES, hits)))
-    return ColumnBatch(tids, vals, weights)
+    return ColumnBatch(tids, vals, weights, olds)
 
 
 def _attach_by_group(batch, keys, matches_for, pair) -> ColumnBatch:
@@ -546,40 +576,74 @@ def _make_attach_base(step, pair=None) -> Kernel:
 def _make_accumulate(plan):
     """Fused project + signed-sum into the execution-wide weights dict.
 
-    Returns ``(batch, weights) -> rows accumulated``.
+    Returns ``(batch, weights, modifies) -> None``. A batch without pair
+    rows only sums. A pair row projects both value vectors — its old
+    one reads the seed slot from the old column — and appends
+    ``(result tid, old values, new values)`` to ``modifies`` unless the
+    two projections are equal; it never touches ``weights``.
     """
     refs = plan.project_refs
     perm = plan.tid_perm
     row_project = plan.project
 
-    def accumulate(batch: ColumnBatch, weights: Dict) -> int:
-        n = len(batch.weights)
-        if not n:
-            return 0
+    def project(vals, n):
         if refs is not None:
             if refs:
                 # (Nested comprehensions on one line share one cProfile key.)
-                cols = [map(operator.itemgetter(p), batch.vals[s]) for s, p in refs]
-                vals_iter = zip(*cols)
-            else:
-                vals_iter = iter([()] * n)
-        else:
-            vals_iter = (row_project(env) for env in zip(*batch.vals))
+                cols = [map(operator.itemgetter(p), vals[s]) for s, p in refs]
+                return zip(*cols)
+            return iter([()] * n)
+        return (row_project(env) for env in zip(*vals))
+
+    def result_tids(tids):
         if perm is None:
-            tid_iter = iter(batch.tids[0])
-        else:
-            tid_iter = zip(*(batch.tids[i] for i in perm))
+            return iter(tids[0])
+        return zip(*(tids[i] for i in perm))
+
+    def signed_sum(tids, vals, batch_weights, weights):
         get = weights.get
         pop = weights.pop
         # The inner zip materializes each (result tid, values) key
         # tuple at C level; no per-row unpack-and-repack in bytecode.
-        for key, w in zip(zip(tid_iter, vals_iter), batch.weights):
+        for key, w in zip(
+            zip(result_tids(tids), project(vals, len(batch_weights))),
+            batch_weights,
+        ):
             total = get(key, 0) + w
             if total:
                 weights[key] = total
             else:
                 pop(key, None)
-        return n
+
+    def accumulate(batch: ColumnBatch, weights: Dict, modifies: List) -> None:
+        olds = batch.olds
+        if olds is None:
+            signed_sum(batch.tids, batch.vals, batch.weights, weights)
+            return
+        tids, vals = batch.tids, batch.vals
+        is_pair = [old is not None for old in olds]
+        if not all(is_pair):
+            single = list(map(operator.not_, is_pair))
+            signed_sum(
+                [list(itertools.compress(c, single)) for c in tids],
+                [list(itertools.compress(c, single)) for c in vals],
+                list(itertools.compress(batch.weights, single)),
+                weights,
+            )
+            tids = [list(itertools.compress(c, is_pair)) for c in tids]
+            vals = [list(itertools.compress(c, is_pair)) for c in vals]
+            olds = list(itertools.compress(olds, is_pair))
+        n = len(olds)
+        old_vals = list(vals)
+        old_vals[0] = olds
+        before = list(project(old_vals, n))
+        after = list(project(vals, n))
+        modifies.extend(
+            itertools.compress(
+                zip(result_tids(tids), before, after),
+                map(operator.ne, before, after),
+            )
+        )
 
     return accumulate
 
@@ -602,10 +666,13 @@ class TermKernel:
         weights: Dict,
         stats: Optional[KernelStats] = None,
         tracer=None,
+        modifies: Optional[List] = None,
     ) -> int:
         """Run the pipeline, accumulating into ``weights``; returns the
         number of candidate rows produced (pre-accumulation), exactly
-        the row evaluator's ``len(entries)``."""
+        the row evaluator's ``len(entries)`` — a pair row counts once.
+        A paired seed needs ``modifies``, the list its pair rows'
+        ``(result tid, old values, new values)`` are appended to."""
         trace = tracer is not None and tracer.enabled
         calls = 0
         rows = 0
@@ -635,10 +702,10 @@ class TermKernel:
             with tracer.span(
                 "dra.kernel", kernel=ACCUMULATE, alias=self.plan.seed
             ) as span:
-                self._accumulate(batch, weights)
+                self._accumulate(batch, weights, modifies)
                 span.set(rows_in=produced, rows_out=produced)
         else:
-            self._accumulate(batch, weights)
+            self._accumulate(batch, weights, modifies)
         if stats is not None:
             stats.add(calls, rows)
         return produced

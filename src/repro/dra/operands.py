@@ -5,7 +5,12 @@ A term of the truth-table expansion joins two kinds of operands:
 * :class:`DeltaOperand` — the differential relation of a changed table,
   viewed as a signed set: each entry contributes its old side with
   weight −1 and its new side with weight +1 (after local-predicate
-  filtering, the paper's "Select before Join" refinement);
+  filtering, the paper's "Select before Join" refinement). Where the
+  execution has one term, a modify whose two sides both pass the
+  filter and agree on every column the term reads before projection
+  stays one *pair* row instead (:func:`paired_columns`): the paper's
+  differential relations keep a modification as its own kind (§4.1),
+  and both sides would attach and filter identically;
 * :class:`BaseOperand` — a table at its *old* state (Algorithm 1 input
   (ii): base contents as of the last execution), which is only ever
   probed through hash indexes or, lacking a suitable index, scanned
@@ -14,6 +19,7 @@ A term of the truth-table expansion joins two kinds of operands:
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Optional, Tuple
 
 from repro.metrics import Metrics
@@ -27,6 +33,16 @@ from repro.delta.views import OldStateIndex, OldStateView
 SignedRow = Tuple[Tid, Values, int]  # (tid, values, weight ±1)
 # The same rows struct-of-arrays: parallel (tids, values, weights).
 SignedColumns = Tuple[List[Tid], List[Values], List[int]]
+_NOTHING = operator.itemgetter(slice(0, 0))
+
+
+def _ANY(values: Values) -> bool:
+    return True
+
+
+# Parallel to a paired operand's rows: a pair row's old values, None for
+# a row that is one signed side.
+OldColumn = List[Optional[Values]]
 
 # A flat local-predicate spec: ((position, op, constant), ...) —
 # see repro.relational.predicates.comparison_specs. Specs let the
@@ -115,6 +131,69 @@ def signed_columns(
     return tids, vals, weights
 
 
+def paired_columns(
+    delta: DeltaRelation,
+    local_predicate: Optional[CompiledPredicate],
+    filter_spec: Optional[FilterSpec],
+    invariant: Tuple[int, ...],
+) -> Tuple[SignedColumns, Optional[OldColumn]]:
+    """:func:`signed_columns` for the only changed operand of an
+    execution: a modify whose old and new sides both pass the local
+    predicate and agree on every ``invariant`` position (the seed
+    columns its term reads before projection,
+    :attr:`repro.dra.prepared.TermPlan.pair_invariant`) becomes one
+    *pair* row — its new values in the values column, weight 0, its old
+    values in the parallel old column. Every other side is a signed row
+    as :func:`signed_columns` makes it, in the same order, with None in
+    the old column.
+
+    Returns the columns and the old column, or None in its place when no
+    entry paired (the kernels then run exactly as on split columns).
+    """
+    tids: List[Tid] = []
+    vals: List[Values] = []
+    weights: List[int] = []
+    olds: OldColumn = []
+    ta, va, wa, oa = tids.append, vals.append, weights.append, olds.append
+    # C-level key of the invariant columns; () when the term reads none.
+    same = operator.itemgetter(*invariant) if invariant else _NOTHING
+    if local_predicate is not None and filter_spec is not None and len(
+        filter_spec
+    ) == 1:
+        ((p, op, c),) = filter_spec
+        for entry in delta:
+            old = entry.old
+            new = entry.new
+            if old is not None and (x := old[p]) is not None and op(x, c):
+                if new is not None and (x := new[p]) is not None and op(x, c):
+                    if same(old) == same(new):
+                        ta(entry.tid); va(new); wa(0); oa(old)
+                        continue
+                    ta(entry.tid); va(old); wa(-1); oa(None)
+                    ta(entry.tid); va(new); wa(+1); oa(None)
+                    continue
+                ta(entry.tid); va(old); wa(-1); oa(None)
+            elif new is not None and (x := new[p]) is not None and op(x, c):
+                ta(entry.tid); va(new); wa(+1); oa(None)
+    else:
+        passes = local_predicate or _ANY
+        for entry in delta:
+            old = entry.old
+            new = entry.new
+            if old is not None and passes(old):
+                if new is not None and passes(new):
+                    if same(old) == same(new):
+                        ta(entry.tid); va(new); wa(0); oa(old)
+                        continue
+                    ta(entry.tid); va(old); wa(-1); oa(None)
+                    ta(entry.tid); va(new); wa(+1); oa(None)
+                    continue
+                ta(entry.tid); va(old); wa(-1); oa(None)
+            elif new is not None and passes(new):
+                ta(entry.tid); va(new); wa(+1); oa(None)
+    return (tids, vals, weights), (olds if 0 in weights else None)
+
+
 class DeltaOperand:
     """The signed, locally filtered rows of one changed operand.
 
@@ -124,13 +203,33 @@ class DeltaOperand:
     kernel adopts them zero-copy in turn. The row evaluator's ``rows``
     view is derived lazily (one zip) only when a term actually
     evaluates through the row path.
+
+    ``olds`` is the old column of :func:`paired_columns` (None: every
+    row is one signed side). A paired operand seeds the one term of its
+    execution on the kernels only; ``paired`` counts its pair rows.
     """
 
-    __slots__ = ("alias", "_tids", "_vals", "_weights", "_rows", "_indexes")
+    __slots__ = (
+        "alias",
+        "olds",
+        "paired",
+        "_tids",
+        "_vals",
+        "_weights",
+        "_rows",
+        "_indexes",
+    )
 
-    def __init__(self, alias: str, columns: SignedColumns):
+    def __init__(
+        self,
+        alias: str,
+        columns: SignedColumns,
+        olds: Optional[OldColumn] = None,
+    ):
         self.alias = alias
         self._tids, self._vals, self._weights = columns
+        self.olds = olds
+        self.paired = 0 if olds is None else len(olds) - olds.count(None)
         self._rows: Optional[List[SignedRow]] = None
         self._indexes: Dict[Tuple[int, ...], Dict[Tuple, List[SignedRow]]] = {}
 

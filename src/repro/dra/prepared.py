@@ -149,6 +149,7 @@ class TermPlan:
         "project_refs",
         "tid_perm",
         "slots",
+        "pair_invariant",
         "_env_binder",
     )
 
@@ -163,6 +164,7 @@ class TermPlan:
         project_refs: Optional[Tuple[Tuple[int, int], ...]] = None,
         slots: Optional[Dict[str, int]] = None,
         env_binder: Optional[EnvBinder] = None,
+        pair_invariant: Tuple[int, ...] = (),
     ):
         self.seed = seed
         self.seed_residuals = seed_residuals
@@ -177,6 +179,12 @@ class TermPlan:
         #: ``None`` for single-relation queries (ctid = the base tid).
         self.tid_perm = tid_perm
         self.slots = slots or {seed: 0}
+        #: Seed positions the term reads before projection: join keys of
+        #: every step, seed and step residual inputs (fused ones
+        #: included). A modify that leaves them unchanged attaches and
+        #: filters the same on both sides, so it may travel as one pair
+        #: row (:func:`repro.dra.operands.signed_columns`).
+        self.pair_invariant = pair_invariant
         self._env_binder = env_binder
 
     def resolve(self, ref: ColumnRef) -> Tuple[int, int]:
@@ -372,6 +380,14 @@ class PreparedCQ:
             )
 
         project, project_refs = self._compile_projection(slots)
+        read = {p for step in steps for s, p in step.key_sources if s == 0}
+        for pred in seed_preds + tuple(
+            pred for step in steps for pred in step.residual_preds
+        ):
+            for ref in pred.column_refs():
+                alias, position = self._env_binder.resolve(ref)
+                if alias == seed:
+                    read.add(position)
         tid_perm = (
             None
             if len(aliases) == 1
@@ -387,6 +403,7 @@ class PreparedCQ:
             project_refs=project_refs,
             slots=slots,
             env_binder=self._env_binder,
+            pair_invariant=tuple(sorted(read)),
         )
 
     def _ready_residuals(

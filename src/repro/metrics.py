@@ -158,9 +158,12 @@ class Metrics:
     SHARED_GROUP_HITS = "shared_group_hits"
     # Columnar kernel execution layer (repro.dra.kernels): kernel
     # invocations and rows swept per invocation. rows/calls is the
-    # batch-efficiency signal the cost tables derive.
+    # batch-efficiency signal the cost tables derive. A modify that
+    # travels a term as one pair row counts once in kernel_rows per
+    # kernel, and once in kernel_pairs (seed rows that were pairs).
     KERNEL_CALLS = "kernel_calls"
     KERNEL_ROWS = "kernel_rows"
+    KERNEL_PAIRS = "kernel_pairs"
     # Durability and self-verification layer (WAL, digests, audits).
     WAL_APPENDS = "wal_appends"
     WAL_RECOVERED = "wal_recovered"

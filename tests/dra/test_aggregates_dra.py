@@ -309,3 +309,156 @@ class TestOnePassFold:
         with pytest.raises(WeightInvariantError):
             state.update({}, ts=db.now())
 
+
+    @pytest.mark.parametrize(
+        "modifies",
+        [
+            # A pair row's result tid is a single's ...
+            [((0, 0), (0, 4), (0, 6))],
+            # ... or another pair row's.
+            [((1, 0), (0, 4), (0, 6)), ((1, 0), (0, 5), (0, 7))],
+        ],
+    )
+    def test_pair_tid_that_meets_another_row_raises(self, monkeypatch, modifies):
+        import repro.dra.aggregates as aggregates
+        from repro.dra.assembly import DRAResult, WeightInvariantError
+
+        db, orders, customers = fold_database([(0, 5)])
+        state = DifferentialAggregate(parse_query(FOLD_QUERIES[0]), db)
+        state.initialize()
+        monkeypatch.setattr(
+            aggregates,
+            "dra_execute",
+            lambda *args, **kwargs: DRAResult(
+                {((0, 0), (0, 5)): -1}, state.schema, None, 1, modifies=modifies
+            ),
+        )
+        with pytest.raises(WeightInvariantError):
+            state.update({}, ts=db.now())
+
+
+# -- modifies folded as pairs ---------------------------------------------------
+#
+# Only ``orders`` changes, and never its join key, so every modify whose
+# sides both pass ``orders.amt > 0`` travels the core's one term as a pair
+# row and folds as old at −1 and new at +1.
+
+PAIR_AGGREGATES = (
+    "SUM(orders.amt) AS total, COUNT(*) AS n, AVG(orders.amt) AS mean, "
+    "MIN(orders.amt) AS lo, MAX(orders.amt) AS hi "
+    "FROM orders, customers WHERE orders.cid = customers.cid AND orders.amt > 0"
+)
+PAIR_QUERIES = [
+    # The group key comes from the seed alias: a modify moves rows.
+    f"SELECT orders.tag, {PAIR_AGGREGATES} GROUP BY orders.tag",
+    f"SELECT orders.tag, {PAIR_AGGREGATES} GROUP BY orders.tag HAVING total > 6",
+    f"SELECT customers.seg, {PAIR_AGGREGATES} GROUP BY customers.seg HAVING n < 3",
+    f"SELECT {PAIR_AGGREGATES}",
+]
+pair_operations = st.tuples(
+    st.sampled_from(["amt", "tag"]), st.integers(0, 30), st.integers(0, 6) | st.none()
+)
+
+
+def pair_database(initial):
+    db = Database()
+    orders = db.create_table(
+        "orders", [("oid", INT), ("cid", INT), ("tag", INT), ("amt", INT)]
+    )
+    customers = db.create_table("customers", [("cid", INT), ("seg", INT)])
+    customers.insert_many([(0, 0), (1, 0), (2, 1), (3, 2)])
+    orders.insert_many(
+        [(i, cid, tag, amt) for i, (cid, tag, amt) in enumerate(initial)]
+    )
+    return db, orders, customers
+
+
+def fold_pairs(db, orders, query, state, batch):
+    """Apply one batch of orders modifies and fold it; returns the
+    aggregate delta, its ``kernel_pairs`` and the eligible modifies
+    counted off the orders delta."""
+    from repro.metrics import Metrics
+
+    previous, ts = state.current(), db.now()
+    with db.begin() as txn:
+        live = sorted(orders.current.tids())
+        for column, pick, value in batch:
+            txn.modify_in(orders, live[pick % len(live)], updates={column: value})
+    deltas = deltas_since([orders], ts)
+    eligible = sum(
+        1
+        for e in deltas.get("orders", ())
+        if e.old is not None
+        and e.new is not None
+        and all(v[3] is not None and v[3] > 0 for v in (e.old, e.new))
+    )
+    metrics = Metrics()
+    delta = state.update(deltas, ts=db.now(), metrics=metrics)
+    assert state.current() == db.query(query)
+    assert as_map(delta) == as_map(diff(previous, state.result))
+    return delta, metrics.get(Metrics.KERNEL_PAIRS), eligible
+
+
+class TestPairFold:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        sql=st.sampled_from(PAIR_QUERIES),
+        initial=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 2), amounts),
+            min_size=1,
+            max_size=6,
+        ),
+        batches=st.lists(st.lists(pair_operations, max_size=6), min_size=1, max_size=4),
+    )
+    def test_pair_fold_matches_complete_evaluation(self, sql, initial, batches):
+        db, orders, customers = pair_database(initial)
+        query = parse_query(sql)
+        state = DifferentialAggregate(query, db)
+        state.initialize()
+        for batch in batches:
+            __, pairs, eligible = fold_pairs(db, orders, query, state, batch)
+            assert pairs == eligible
+
+    def test_extremum_modified_away(self):
+        db, orders, customers = pair_database([(0, 0, 2), (1, 0, 5), (2, 0, 9)])
+        query = parse_query(PAIR_QUERIES[0])
+        state = DifferentialAggregate(query, db)
+        state.initialize()
+        delta, pairs, __ = fold_pairs(
+            db, orders, query, state, [("amt", 0, 6), ("amt", 2, 4)]
+        )
+        assert pairs == 2
+        assert delta.get((0,)).old == (0, 16, 3, 16 / 3, 2, 9)
+        assert delta.get((0,)).new == (0, 15, 3, 5.0, 4, 6)
+
+    def test_seed_group_key_moves_a_row(self):
+        db, orders, customers = pair_database([(0, 0, 2), (1, 1, 5)])
+        query = parse_query(PAIR_QUERIES[0])
+        state = DifferentialAggregate(query, db)
+        state.initialize()
+        delta, pairs, __ = fold_pairs(db, orders, query, state, [("tag", 0, 1)])
+        assert pairs == 1
+        assert delta.get((0,)).new is None
+        assert delta.get((1,)).new == (1, 7, 2, 3.5, 2, 5)
+
+    def test_having_crossings(self):
+        db, orders, customers = pair_database([(0, 0, 2), (1, 1, 9)])
+        query = parse_query(PAIR_QUERIES[1])
+        state = DifferentialAggregate(query, db)
+        state.initialize()
+        assert (0,) not in state.current()
+        delta, pairs, __ = fold_pairs(
+            db, orders, query, state, [("amt", 0, 8), ("amt", 1, 3)]
+        )
+        assert pairs == 2
+        assert delta.get((0,)).old is None and delta.get((0,)).new[1] == 8
+        assert delta.get((1,)).old[1] == 9 and delta.get((1,)).new is None
+
+    def test_global_aggregate(self):
+        db, orders, customers = pair_database([(0, 0, 2), (3, 1, 5)])
+        query = parse_query(PAIR_QUERIES[3])
+        state = DifferentialAggregate(query, db)
+        state.initialize()
+        delta, pairs, __ = fold_pairs(db, orders, query, state, [("amt", 1, 1)])
+        assert pairs == 1
+        assert delta.get(()).new == (3, 2, 1.5, 1, 2)

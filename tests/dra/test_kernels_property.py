@@ -415,3 +415,183 @@ class TestDirectedEdgeCases:
         rows = metrics.get(Metrics.KERNEL_ROWS)
         assert calls > 0
         assert rows / calls > 1.0
+
+
+# -- modifies as pair rows ----------------------------------------------------
+#
+# ``p`` has a join key ``k``, a locally filtered column ``f``, a residual
+# input ``x``, a projected-only column ``y`` and an unprojected column
+# ``u``. A modify of ``p`` may travel the one term of an execution as
+# one pair row only if both sides pass ``f > 1`` and ``k`` and ``x`` are
+# unchanged; every other modify splits into signed sides.
+
+PAIR_SQL = (
+    "SELECT p.y, q.v FROM p, q WHERE p.k = q.k AND p.f > 1 AND p.x < q.v"
+)
+#: Which column each kind of modify moves.
+PAIR_KINDS = {"key": 0, "filter": 1, "residual": 2, "projected": 3, "unprojected": 4}
+
+
+def build_pair_db(p_rows, q_rows):
+    db = Database()
+    p = db.create_table(
+        "p",
+        [(name, AttributeType.INT) for name in ("k", "f", "x", "y", "u")],
+        indexes=[("k",)],
+    )
+    q = db.create_table(
+        "q", [("k", AttributeType.INT), ("v", AttributeType.INT)], indexes=[("k",)]
+    )
+    p.insert_many(p_rows)
+    q.insert_many(q_rows)
+    return db, p, q
+
+
+def qualifying_modifies(delta):
+    """Pair-eligible modifies of ``PAIR_SQL``, read off the delta: both
+    sides pass ``f > 1`` and the join key and residual input agree."""
+
+    def passes(values):
+        return values[1] is not None and values[1] > 1
+
+    return sum(
+        1
+        for e in delta
+        if e.old is not None
+        and e.new is not None
+        and passes(e.old)
+        and passes(e.new)
+        and e.old[0] == e.new[0]
+        and e.old[2] == e.new[2]
+    )
+
+
+def run_paired(db, tables, query, since):
+    """The row oracle against the kernels; returns the kernels' result
+    and its ``kernel_pairs``."""
+    deltas = deltas_since(tables, since)
+    prepared = prepare_cq(query, db)
+    row = dra_execute(
+        query, db, deltas=deltas, prepared=prepared, ts=99, columnar=False
+    )
+    metrics = Metrics()
+    col = dra_execute(
+        query, db, deltas=deltas, prepared=prepared, ts=99,
+        metrics=metrics, columnar=True, explain=True,
+    )
+    assert col.delta == row.delta
+    pairs = metrics.get(Metrics.KERNEL_PAIRS)
+    assert sum(trace.paired for trace in col.traces or ()) == pairs
+    return col, pairs
+
+
+PAIR_VALUE = st.one_of(st.none(), st.integers(0, 3))
+PAIR_ROWS = st.lists(st.tuples(*[PAIR_VALUE] * 5), min_size=1, max_size=8)
+
+
+class TestPairRows:
+    @given(
+        p_rows=PAIR_ROWS,
+        q_rows=st.lists(st.tuples(st.integers(0, 3), PAIR_VALUE), max_size=6),
+        moves=st.lists(
+            st.tuples(
+                st.integers(0, 7),
+                st.lists(st.sampled_from(sorted(PAIR_KINDS)), min_size=1, max_size=2),
+                st.lists(PAIR_VALUE, min_size=2, max_size=2),
+            ),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_generated_modifies_pair_exactly_when_eligible(
+        self, p_rows, q_rows, moves
+    ):
+        """Modifies moving a join key, crossing the filter either way,
+        moving a residual input, or only projected or unprojected
+        columns: the kernels equal the row oracle, and exactly the
+        eligible ones travel as pairs."""
+        db, p, q = build_pair_db(p_rows, q_rows)
+        query = parse_query(PAIR_SQL)
+        since = db.now()
+        tids = sorted(p.current.tids())
+        with db.begin() as txn:
+            for pick, kinds, values in moves:
+                tid = tids[pick % len(tids)]
+                row = list(txn.read(p, tid))
+                for kind, value in zip(kinds, values):
+                    row[PAIR_KINDS[kind]] = value
+                txn.modify_in(p, tid, values=tuple(row))
+        __, pairs = run_paired(db, [p, q], query, since)
+        assert pairs == qualifying_modifies(deltas_since([p], since).get("p", ()))
+
+    def one_modify(self, column, old, new, q_rows=((1, 5),)):
+        """One row of ``p`` whose ``column`` goes ``old`` → ``new``."""
+        row = [1, 2, 0, 7, 8]
+        row[PAIR_KINDS[column]] = old
+        db, p, q = build_pair_db([tuple(row)], list(q_rows))
+        since = db.now()
+        row[PAIR_KINDS[column]] = new
+        p.modify(next(iter(p.current.tids())), tuple(row))
+        return run_paired(db, [p, q], parse_query(PAIR_SQL), since)
+
+    def test_projected_column_pairs_into_one_modify(self):
+        col, pairs = self.one_modify("projected", 7, 9)
+        assert pairs == 1
+        (entry,) = list(col.delta)
+        assert (entry.old, entry.new) == ((7, 5), (9, 5))
+        assert "1 seed rows, 1 paired" in col.explain()
+
+    def test_unprojected_column_pairs_into_nothing(self):
+        col, pairs = self.one_modify("unprojected", 8, 0)
+        assert pairs == 1
+        assert col.delta.is_empty()
+
+    def test_join_key_splits(self):
+        col, pairs = self.one_modify("key", 1, 2, q_rows=((1, 5), (2, 6)))
+        assert pairs == 0
+        # The result tid names the q row matched: one leaves, one enters.
+        assert sorted((e.old, e.new) for e in col.delta if e.old) == [
+            ((7, 5), None)
+        ]
+        assert [e.new for e in col.delta if e.new] == [(7, 6)]
+
+    def test_filter_crossing_splits_both_ways(self):
+        col, pairs = self.one_modify("filter", 2, 0)
+        assert pairs == 0
+        (entry,) = list(col.delta)
+        assert (entry.old, entry.new) == ((7, 5), None)
+        col, pairs = self.one_modify("filter", 0, 3)
+        assert pairs == 0
+        (entry,) = list(col.delta)
+        assert (entry.old, entry.new) == (None, (7, 5))
+
+    def test_residual_input_splits(self):
+        """``x`` is read only by the residual ``p.x < q.v``: moving it
+        across makes the row leave the result. A rule that paired this
+        modify would test the residual on the new side only and report
+        no change."""
+        col, pairs = self.one_modify("residual", 0, 9)
+        assert pairs == 0
+        (entry,) = list(col.delta)
+        assert (entry.old, entry.new) == ((7, 5), None)
+
+    def test_two_changed_tables_split(self):
+        db, p, q = build_pair_db([(1, 2, 0, 7, 8)], [(1, 5)])
+        since = db.now()
+        with db.begin() as txn:
+            txn.modify_in(p, next(iter(p.current.tids())), values=(1, 2, 0, 9, 8))
+            txn.insert_into(q, (1, 6))
+        col, pairs = run_paired(db, [p, q], parse_query(PAIR_SQL), since)
+        assert pairs == 0
+        assert col.terms_evaluated == 3
+
+    def test_self_join_of_the_changed_table_splits(self):
+        db, p, q = build_pair_db([(1, 2, 0, 7, 8), (1, 3, 1, 6, 0)], [])
+        since = db.now()
+        p.modify(next(iter(p.current.tids())), (1, 2, 0, 9, 8))
+        query = parse_query(
+            "SELECT a.y, b.y AS yb FROM p a, p b WHERE a.k = b.k AND a.f > 1"
+        )
+        col, pairs = run_paired(db, [p], query, since)
+        assert pairs == 0
+        assert not col.delta.is_empty()

@@ -68,6 +68,21 @@ class TestCorruptDeltaInputs:
         with pytest.raises(WeightInvariantError):
             to_delta({(1, (5,)): -2}, schema, ts=1)
 
+    def test_weight_invariant_pair_tid_collisions(self):
+        schema = Schema.of(("x", AT.INT))
+        # A pair row's result tid meets a signed row's, on either side ...
+        for weights in ({(1, (5,)): 1}, {(1, (5,)): -1}):
+            with pytest.raises(WeightInvariantError):
+                to_delta(weights, schema, 1, [(1, (4,), (6,))])
+        # ... or another pair row's.
+        with pytest.raises(WeightInvariantError):
+            to_delta({}, schema, 1, [(1, (4,), (6,)), (1, (5,), (7,))])
+        delta = to_delta({(2, (5,)): 1}, schema, 1, [(1, (4,), (6,))])
+        assert {(e.tid, e.old, e.new) for e in delta} == {
+            (1, (4,), (6,)),
+            (2, None, (5,)),
+        }
+
     def test_inconsistent_log_chain_detected(self):
         from repro.delta.differential import DeltaRelation
 
