@@ -45,9 +45,6 @@ _WRONG_PLAN = (
 )
 _TID = operator.itemgetter(0)
 _VALUES = operator.itemgetter(1)
-# The sides of a pair row's (result tid, old values, new values).
-_OLD = operator.itemgetter(1)
-_NEW = operator.itemgetter(2)
 
 
 class DifferentialAggregate:
@@ -131,7 +128,7 @@ class DifferentialAggregate:
             columnar=columnar,
         )
         weights, modifies = result.weights, result.modifies
-        if not weights and not modifies:
+        if not weights and not modifies[0]:
             return DeltaRelation(self.schema)
         # The signed sum of a correct expansion is a delta: ±1 weights,
         # at most one row per result tid on either side.
@@ -150,19 +147,20 @@ class DifferentialAggregate:
                 "two rows on one side for a result tid of the aggregate's core"
             )
         rows = list(map(_VALUES, keys))
-        if modifies:
+        pair_tids, olds, news = modifies
+        if pair_tids:
             # A pair row's modify folds as its old row at −1 and its new
             # row at +1; its result tid is its own.
-            pair_tids = set(map(_TID, modifies))
-            if len(pair_tids) != len(modifies) or not pair_tids.isdisjoint(tids):
+            distinct = set(pair_tids)
+            if len(distinct) != len(pair_tids) or not distinct.isdisjoint(tids):
                 raise WeightInvariantError(
                     "a pair row's result tid meets another row of the "
                     "aggregate's core"
                 )
-            rows += map(_OLD, modifies)
-            rows += map(_NEW, modifies)
-            signs += [-1] * len(modifies)
-            signs += [1] * len(modifies)
+            rows += olds
+            rows += news
+            signs += [-1] * len(olds)
+            signs += [1] * len(news)
         touched = self._fold(rows, signs)
 
         # Each touched group's visible row before and after the fold,

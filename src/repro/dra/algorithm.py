@@ -35,7 +35,7 @@ identical and only costs the compile.
 from __future__ import annotations
 
 import operator
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.errors import QueryError
 from repro.metrics import Metrics
@@ -47,6 +47,7 @@ from repro.delta.capture import deltas_since
 from repro.delta.differential import DeltaRelation
 from repro.dra.assembly import (
     DRAResult,
+    Modifies,
     TermTrace,
     WeightInvariantError,
     accumulate,
@@ -110,7 +111,8 @@ def dra_execute(
     When exactly one alias's table changed and nothing is routed, the
     kernels run the single term with that alias's qualifying modifies
     as pair rows (:func:`repro.dra.operands.paired_columns`); the
-    term's modify entries come back in ``modifies``, not ``weights``.
+    term's modify entries come back as ``modifies`` columns, not in
+    ``weights``.
     """
     if prepared is None:
         prepared = prepare_cq(query, db, metrics=metrics, auto_index=False)
@@ -228,7 +230,7 @@ def dra_execute(
                 )
             yield entries
 
-    modifies: List = []
+    modifies: Modifies = ([], [], [])
     if columnar:
         # Steps 2+3 in one pass: each term's kernel pipeline sums its
         # weighted candidates straight into the shared weights dict, and

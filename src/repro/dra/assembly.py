@@ -5,8 +5,8 @@ projected values). In exact arithmetic every surviving weight is ±1:
 −1 entries are rows leaving the result, +1 entries are rows entering
 it; a tid carrying both is an in-place modification. A single-term
 execution on the kernels also hands over the modifies that travelled
-the term as pair rows, already as ``(result tid, old values, new
-values)`` triples (§4.1's modify kind kept end to end): they skip the
+the term as pair rows, already as parallel result tid, old values and
+new values columns (§4.1's modify kind kept end to end): they skip the
 signed sum and the re-pairing by tid. Step 4 assembles what the user
 asked for — differential only, complete result, or deletion
 notifications — from that result delta and the previous execution's
@@ -15,6 +15,7 @@ result (Algorithm 1 input (v)).
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -36,8 +37,10 @@ class WeightInvariantError(ReproError):
     """
 
 
-# A term's modify entry: (result tid, old values, new values).
-Modify = Tuple[Tid, Values, Values]
+# A term's modify entries as parallel columns: (result tids, old
+# values, new values).
+Modifies = Tuple[Sequence[Tid], Sequence[Values], Sequence[Values]]
+NO_MODIFIES: Modifies = ((), (), ())
 
 
 def accumulate(
@@ -66,7 +69,7 @@ def to_delta(
     weights: Dict[Tuple[Tid, Values], int],
     schema: Schema,
     ts: Timestamp,
-    modifies: Sequence[Modify] = (),
+    modifies: Modifies = NO_MODIFIES,
 ) -> DeltaRelation:
     """Classify net weights into insert/delete/modify delta entries,
     after the term's ``modifies``, which are entries already."""
@@ -99,10 +102,11 @@ def to_delta(
     # construction: build the consolidated mapping directly and skip
     # DeltaRelation's per-entry duplicate check. A pair's tid must not
     # meet another pair's or a single's: count instead of checking.
-    entries: Dict[Tid, DeltaEntry] = {
-        ctid: DeltaEntry(ctid, old, new, ts) for ctid, old, new in modifies
-    }
-    if len(entries) != len(modifies):
+    pair_tids = modifies[0]
+    entries: Dict[Tid, DeltaEntry] = dict(
+        zip(pair_tids, map(DeltaEntry, *modifies, itertools.repeat(ts)))
+    )
+    if len(entries) != len(pair_tids):
         raise WeightInvariantError("two pair rows for one result tid")
     expected = len(entries)
     pop_new = new_side.pop
@@ -154,7 +158,7 @@ class DRAResult:
     """The outcome of one differential re-evaluation (step 4 views).
 
     ``weights`` is step 3's signed sum, ``{(result tid, values): ±1}``,
-    and ``modifies`` the ``(result tid, old values, new values)`` entries
+    and ``modifies`` the result tid, old values and new values columns
     of pair rows, which never enter it; ``delta`` is ΔQ — the net change
     to the query result since the last execution — built from both by
     ``assemble`` on first read, so a caller that folds them itself (an
@@ -187,7 +191,7 @@ class DRAResult:
         skipped: bool = False,
         traces: Optional[List[TermTrace]] = None,
         assemble=to_delta,
-        modifies: Sequence[Modify] = (),
+        modifies: Modifies = NO_MODIFIES,
     ):
         self.weights = weights
         self.modifies = modifies

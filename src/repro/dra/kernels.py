@@ -40,8 +40,8 @@ of an execution) carries a modify as one row: its new values in the
 seed slot, its old values in the batch's ``olds`` column, which every
 gather moves along. The row attaches and passes its residuals once —
 every column they read is the same on both sides — and accumulate
-projects both vectors and emits ``(result tid, old values, new
-values)`` into the execution's modifies instead of ±1 weights.
+projects both vectors and emits its result tid, old values and new
+values into the execution's modify columns instead of ±1 weights.
 
 Any stage that empties the batch short-circuits the term. Kernel-level
 observability is accumulated locally (one
@@ -578,9 +578,10 @@ def _make_accumulate(plan):
 
     Returns ``(batch, weights, modifies) -> None``. A batch without pair
     rows only sums. A pair row projects both value vectors — its old
-    one reads the seed slot from the old column — and appends
-    ``(result tid, old values, new values)`` to ``modifies`` unless the
-    two projections are equal; it never touches ``weights``.
+    one reads the seed slot from the old column — and appends its
+    result tid, old values and new values to the three ``modifies``
+    columns unless the two projections are equal; it never touches
+    ``weights``.
     """
     refs = plan.project_refs
     perm = plan.tid_perm
@@ -600,50 +601,50 @@ def _make_accumulate(plan):
             return iter(tids[0])
         return zip(*(tids[i] for i in perm))
 
-    def signed_sum(tids, vals, batch_weights, weights):
+    def signed_sum(tid_iter, vals_iter, batch_weights, weights):
         get = weights.get
         pop = weights.pop
         # The inner zip materializes each (result tid, values) key
         # tuple at C level; no per-row unpack-and-repack in bytecode.
-        for key, w in zip(
-            zip(result_tids(tids), project(vals, len(batch_weights))),
-            batch_weights,
-        ):
+        for key, w in zip(zip(tid_iter, vals_iter), batch_weights):
             total = get(key, 0) + w
             if total:
                 weights[key] = total
             else:
                 pop(key, None)
 
-    def accumulate(batch: ColumnBatch, weights: Dict, modifies: List) -> None:
+    def accumulate(batch: ColumnBatch, weights: Dict, modifies) -> None:
+        n = len(batch.weights)
         olds = batch.olds
         if olds is None:
-            signed_sum(batch.tids, batch.vals, batch.weights, weights)
+            signed_sum(
+                result_tids(batch.tids), project(batch.vals, n), batch.weights, weights
+            )
             return
-        tids, vals = batch.tids, batch.vals
-        is_pair = [old is not None for old in olds]
+        tids = list(result_tids(batch.tids))
+        after = list(project(batch.vals, n))
+        is_pair = list(map(operator.is_not, olds, itertools.repeat(None)))
         if not all(is_pair):
             single = list(map(operator.not_, is_pair))
             signed_sum(
-                [list(itertools.compress(c, single)) for c in tids],
-                [list(itertools.compress(c, single)) for c in vals],
-                list(itertools.compress(batch.weights, single)),
+                itertools.compress(tids, single),
+                itertools.compress(after, single),
+                itertools.compress(batch.weights, single),
                 weights,
             )
-            tids = [list(itertools.compress(c, is_pair)) for c in tids]
-            vals = [list(itertools.compress(c, is_pair)) for c in vals]
-            olds = list(itertools.compress(olds, is_pair))
-        n = len(olds)
-        old_vals = list(vals)
-        old_vals[0] = olds
-        before = list(project(old_vals, n))
-        after = list(project(vals, n))
-        modifies.extend(
-            itertools.compress(
-                zip(result_tids(tids), before, after),
-                map(operator.ne, before, after),
-            )
-        )
+            tids = list(itertools.compress(tids, is_pair))
+            after = list(itertools.compress(after, is_pair))
+            old_vals = [list(itertools.compress(c, is_pair)) for c in batch.vals]
+            old_vals[0] = list(itertools.compress(olds, is_pair))
+        else:
+            old_vals = list(batch.vals)
+            old_vals[0] = olds
+        before = list(project(old_vals, len(tids)))
+        changed = list(map(operator.ne, before, after))
+        out_tids, out_olds, out_news = modifies
+        out_tids.extend(itertools.compress(tids, changed))
+        out_olds.extend(itertools.compress(before, changed))
+        out_news.extend(itertools.compress(after, changed))
 
     return accumulate
 
@@ -666,13 +667,13 @@ class TermKernel:
         weights: Dict,
         stats: Optional[KernelStats] = None,
         tracer=None,
-        modifies: Optional[List] = None,
+        modifies: Optional[Tuple[List, List, List]] = None,
     ) -> int:
         """Run the pipeline, accumulating into ``weights``; returns the
         number of candidate rows produced (pre-accumulation), exactly
         the row evaluator's ``len(entries)`` — a pair row counts once.
-        A paired seed needs ``modifies``, the list its pair rows'
-        ``(result tid, old values, new values)`` are appended to."""
+        A paired seed needs ``modifies``, the ``(result tids, old
+        values, new values)`` columns its pair rows are appended to."""
         trace = tracer is not None and tracer.enabled
         calls = 0
         rows = 0

@@ -19,6 +19,7 @@ A term of the truth-table expansion joins two kinds of operands:
 
 from __future__ import annotations
 
+import itertools
 import operator
 from typing import Dict, List, Optional, Tuple
 
@@ -33,9 +34,6 @@ from repro.delta.views import OldStateIndex, OldStateView
 SignedRow = Tuple[Tid, Values, int]  # (tid, values, weight ±1)
 # The same rows struct-of-arrays: parallel (tids, values, weights).
 SignedColumns = Tuple[List[Tid], List[Values], List[int]]
-_NOTHING = operator.itemgetter(slice(0, 0))
-
-
 def _ANY(values: Values) -> bool:
     return True
 
@@ -144,8 +142,8 @@ def paired_columns(
     :attr:`repro.dra.prepared.TermPlan.pair_invariant`) becomes one
     *pair* row — its new values in the values column, weight 0, its old
     values in the parallel old column. Every other side is a signed row
-    as :func:`signed_columns` makes it, in the same order, with None in
-    the old column.
+    as :func:`signed_columns` makes it, with None in the old column;
+    the signed rows come first, in entry order, then the pair rows.
 
     Returns the columns and the old column, or None in its place when no
     entry paired (the kernels then run exactly as on split columns).
@@ -153,10 +151,13 @@ def paired_columns(
     tids: List[Tid] = []
     vals: List[Values] = []
     weights: List[int] = []
-    olds: OldColumn = []
-    ta, va, wa, oa = tids.append, vals.append, weights.append, olds.append
-    # C-level key of the invariant columns; () when the term reads none.
-    same = operator.itemgetter(*invariant) if invariant else _NOTHING
+    ta, va, wa = tids.append, vals.append, weights.append
+    pair_tids: List[Tid] = []
+    pair_news: List[Values] = []
+    pair_olds: List[Values] = []
+    pt, pn, po = pair_tids.append, pair_news.append, pair_olds.append
+    # Every modify whose two sides pass is a pair candidate; the
+    # invariant columns are compared for all candidates at once below.
     if local_predicate is not None and filter_spec is not None and len(
         filter_spec
     ) == 1:
@@ -166,15 +167,11 @@ def paired_columns(
             new = entry.new
             if old is not None and (x := old[p]) is not None and op(x, c):
                 if new is not None and (x := new[p]) is not None and op(x, c):
-                    if same(old) == same(new):
-                        ta(entry.tid); va(new); wa(0); oa(old)
-                        continue
-                    ta(entry.tid); va(old); wa(-1); oa(None)
-                    ta(entry.tid); va(new); wa(+1); oa(None)
+                    pt(entry.tid); pn(new); po(old)
                     continue
-                ta(entry.tid); va(old); wa(-1); oa(None)
+                ta(entry.tid); va(old); wa(-1)
             elif new is not None and (x := new[p]) is not None and op(x, c):
-                ta(entry.tid); va(new); wa(+1); oa(None)
+                ta(entry.tid); va(new); wa(+1)
     else:
         passes = local_predicate or _ANY
         for entry in delta:
@@ -182,16 +179,35 @@ def paired_columns(
             new = entry.new
             if old is not None and passes(old):
                 if new is not None and passes(new):
-                    if same(old) == same(new):
-                        ta(entry.tid); va(new); wa(0); oa(old)
-                        continue
-                    ta(entry.tid); va(old); wa(-1); oa(None)
-                    ta(entry.tid); va(new); wa(+1); oa(None)
+                    pt(entry.tid); pn(new); po(old)
                     continue
-                ta(entry.tid); va(old); wa(-1); oa(None)
+                ta(entry.tid); va(old); wa(-1)
             elif new is not None and passes(new):
-                ta(entry.tid); va(new); wa(+1); oa(None)
-    return (tids, vals, weights), (olds if 0 in weights else None)
+                ta(entry.tid); va(new); wa(+1)
+    # Column by column at C level; per candidate only if one moved.
+    if pair_tids and any(
+        list(map(get, pair_olds)) != list(map(get, pair_news))
+        for get in map(operator.itemgetter, invariant)
+    ):
+        same = operator.itemgetter(*invariant)
+        kept = list(map(operator.eq, map(same, pair_olds), map(same, pair_news)))
+        # A candidate that moved an invariant column splits.
+        for tid, old, new, keep in zip(pair_tids, pair_olds, pair_news, kept):
+            if not keep:
+                ta(tid); va(old); wa(-1)
+                ta(tid); va(new); wa(+1)
+        pair_tids, pair_news, pair_olds = (
+            list(itertools.compress(column, kept))
+            for column in (pair_tids, pair_news, pair_olds)
+        )
+    if not pair_tids:
+        return (tids, vals, weights), None
+    olds: OldColumn = [None] * len(tids)
+    olds += pair_olds
+    tids += pair_tids
+    vals += pair_news
+    weights += [0] * len(pair_tids)
+    return (tids, vals, weights), olds
 
 
 class DeltaOperand:

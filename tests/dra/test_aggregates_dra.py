@@ -313,10 +313,11 @@ class TestOnePassFold:
     @pytest.mark.parametrize(
         "modifies",
         [
-            # A pair row's result tid is a single's ...
-            [((0, 0), (0, 4), (0, 6))],
+            # (result tids, old values, new values) of pair rows: a pair
+            # row's result tid is a single's ...
+            ([(0, 0)], [(0, 4)], [(0, 6)]),
             # ... or another pair row's.
-            [((1, 0), (0, 4), (0, 6)), ((1, 0), (0, 5), (0, 7))],
+            ([(1, 0), (1, 0)], [(0, 4), (0, 5)], [(0, 6), (0, 7)]),
         ],
     )
     def test_pair_tid_that_meets_another_row_raises(self, monkeypatch, modifies):

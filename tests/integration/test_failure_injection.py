@@ -70,14 +70,15 @@ class TestCorruptDeltaInputs:
 
     def test_weight_invariant_pair_tid_collisions(self):
         schema = Schema.of(("x", AT.INT))
+        # Pair rows' modifies: (result tids, old values, new values).
         # A pair row's result tid meets a signed row's, on either side ...
         for weights in ({(1, (5,)): 1}, {(1, (5,)): -1}):
             with pytest.raises(WeightInvariantError):
-                to_delta(weights, schema, 1, [(1, (4,), (6,))])
+                to_delta(weights, schema, 1, ([1], [(4,)], [(6,)]))
         # ... or another pair row's.
         with pytest.raises(WeightInvariantError):
-            to_delta({}, schema, 1, [(1, (4,), (6,)), (1, (5,), (7,))])
-        delta = to_delta({(2, (5,)): 1}, schema, 1, [(1, (4,), (6,))])
+            to_delta({}, schema, 1, ([1, 1], [(4,), (5,)], [(6,), (7,)]))
+        delta = to_delta({(2, (5,)): 1}, schema, 1, ([1], [(4,)], [(6,)]))
         assert {(e.tid, e.old, e.new) for e in delta} == {
             (1, (4,), (6,)),
             (2, None, (5,)),
