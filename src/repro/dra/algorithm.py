@@ -46,6 +46,7 @@ from repro.storage.timestamps import Timestamp
 from repro.delta.capture import deltas_since
 from repro.delta.differential import DeltaRelation
 from repro.dra.assembly import (
+    NO_MODIFIES,
     DRAResult,
     Modifies,
     TermTrace,
@@ -230,7 +231,12 @@ def dra_execute(
                 )
             yield entries
 
-    modifies: Modifies = ([], [], [])
+    # Only a paired seed's term appends modify entries.
+    modifies: Modifies = (
+        ([], [], [])
+        if pair_alias in delta_operands and delta_operands[pair_alias].paired
+        else NO_MODIFIES
+    )
     if columnar:
         # Steps 2+3 in one pass: each term's kernel pipeline sums its
         # weighted candidates straight into the shared weights dict, and

@@ -103,11 +103,13 @@ def to_delta(
     # DeltaRelation's per-entry duplicate check. A pair's tid must not
     # meet another pair's or a single's: count instead of checking.
     pair_tids = modifies[0]
-    entries: Dict[Tid, DeltaEntry] = dict(
-        zip(pair_tids, map(DeltaEntry, *modifies, itertools.repeat(ts)))
-    )
-    if len(entries) != len(pair_tids):
-        raise WeightInvariantError("two pair rows for one result tid")
+    entries: Dict[Tid, DeltaEntry] = {}
+    if pair_tids:
+        entries.update(
+            zip(pair_tids, map(DeltaEntry, *modifies, itertools.repeat(ts)))
+        )
+        if len(entries) != len(pair_tids):
+            raise WeightInvariantError("two pair rows for one result tid")
     expected = len(entries)
     pop_new = new_side.pop
     for ctid, values in old_side.items():
@@ -162,8 +164,8 @@ class DRAResult:
     of pair rows, which never enter it; ``delta`` is ΔQ — the net change
     to the query result since the last execution — built from both by
     ``assemble`` on first read, so a caller that folds them itself (an
-    aggregate) never builds one. The assembly helpers realize the paper's three delivery
-    options without re-running anything.
+    aggregate) never builds one. The assembly helpers realize the
+    paper's three delivery options without re-running anything.
     """
 
     __slots__ = (

@@ -613,16 +613,10 @@ def _make_accumulate(plan):
             else:
                 pop(key, None)
 
-    def accumulate(batch: ColumnBatch, weights: Dict, modifies) -> None:
-        n = len(batch.weights)
+    def accumulate_pairs(batch: ColumnBatch, weights: Dict, modifies) -> None:
         olds = batch.olds
-        if olds is None:
-            signed_sum(
-                result_tids(batch.tids), project(batch.vals, n), batch.weights, weights
-            )
-            return
         tids = list(result_tids(batch.tids))
-        after = list(project(batch.vals, n))
+        after = list(project(batch.vals, len(olds)))
         is_pair = list(map(operator.is_not, olds, itertools.repeat(None)))
         if not all(is_pair):
             single = list(map(operator.not_, is_pair))
@@ -645,6 +639,35 @@ def _make_accumulate(plan):
         out_tids.extend(itertools.compress(tids, changed))
         out_olds.extend(itertools.compress(before, changed))
         out_news.extend(itertools.compress(after, changed))
+
+    def accumulate(batch: ColumnBatch, weights: Dict, modifies) -> None:
+        if batch.olds is not None:
+            accumulate_pairs(batch, weights, modifies)
+            return
+        # The signed sum inline: most executions are small, and this is
+        # the one call they pay here.
+        n = len(batch.weights)
+        if refs is not None:
+            if refs:
+                # (Nested comprehensions on one line share one cProfile key.)
+                cols = [map(operator.itemgetter(p), batch.vals[s]) for s, p in refs]
+                vals_iter = zip(*cols)
+            else:
+                vals_iter = iter([()] * n)
+        else:
+            vals_iter = (row_project(env) for env in zip(*batch.vals))
+        if perm is None:
+            tid_iter = iter(batch.tids[0])
+        else:
+            tid_iter = zip(*(batch.tids[i] for i in perm))
+        get = weights.get
+        pop = weights.pop
+        for key, w in zip(zip(tid_iter, vals_iter), batch.weights):
+            total = get(key, 0) + w
+            if total:
+                weights[key] = total
+            else:
+                pop(key, None)
 
     return accumulate
 

@@ -34,10 +34,6 @@ from repro.delta.views import OldStateIndex, OldStateView
 SignedRow = Tuple[Tid, Values, int]  # (tid, values, weight ±1)
 # The same rows struct-of-arrays: parallel (tids, values, weights).
 SignedColumns = Tuple[List[Tid], List[Values], List[int]]
-def _ANY(values: Values) -> bool:
-    return True
-
-
 # Parallel to a paired operand's rows: a pair row's old values, None for
 # a row that is one signed side.
 OldColumn = List[Optional[Values]]
@@ -127,6 +123,10 @@ def signed_columns(
             if new is not None and local_predicate(new):
                 ta(entry.tid); va(new); wa(+1)
     return tids, vals, weights
+
+
+def _ANY(values: Values) -> bool:
+    return True
 
 
 def paired_columns(

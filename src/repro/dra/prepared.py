@@ -183,7 +183,7 @@ class TermPlan:
         #: every step, seed and step residual inputs (fused ones
         #: included). A modify that leaves them unchanged attaches and
         #: filters the same on both sides, so it may travel as one pair
-        #: row (:func:`repro.dra.operands.signed_columns`).
+        #: row (:func:`repro.dra.operands.paired_columns`).
         self.pair_invariant = pair_invariant
         self._env_binder = env_binder
 
