@@ -52,7 +52,7 @@ from repro.delta.differential import DeltaRelation
 from repro.delta.diff import diff
 from repro.delta.propagate import evaluate_as_of
 from repro.dra.aggregates import DifferentialAggregate
-from repro.dra.algorithm import dra_execute, dra_initial
+from repro.dra.algorithm import dra_execute
 from repro.dra.predindex import PredicateIndex
 from repro.dra.prepared import PlanCache, PreparedCQ
 from repro.core.continual_query import (
@@ -65,7 +65,7 @@ from repro.core.continual_query import (
 from repro.core.epsilon import ResultDriftEpsilon
 from repro.core.gc import ActiveDeltaZones
 from repro.core.results import Notification, NotificationKind
-from repro.core.scheduler import Cohort, DeltaBatchCache, SqlGroup, is_skip_safe
+from repro.core.scheduler import Cohort, DeltaBatchCache, SharedView, is_skip_safe
 from repro.core.termination import Never, StopCondition
 from repro.core.triggers import (
     AllOf,
@@ -165,9 +165,9 @@ class CQManager:
         #: poll routes its batch to the affected CQs in one pass; the
         #: rest are not visited (Section 5.2 makes that exact). Members
         #: of a ``sql_key`` share one evaluation per window, one result
-        #: and one E_0 (:class:`~repro.core.scheduler.SqlGroup`).
+        #: and one E_0 (:class:`~repro.core.scheduler.SharedView`).
         self.index = PredicateIndex(metrics)
-        self._sql_groups: Dict[str, SqlGroup] = {}
+        self._views: Dict[str, SharedView] = {}
 
     # -- registration -----------------------------------------------------
 
@@ -337,7 +337,7 @@ class CQManager:
     ) -> Optional[Relation]:
         """Build a CQ's retained state *as of* ``ts`` — the one place it
         is built — and enter the CQ into every registry: ``sql_key``
-        group (one index entry per group with a delta reader: a
+        view (one index entry per view with a delta reader: a
         baseline never reads deltas), cohort, GC zone and commit
         observers. The one step behind :meth:`register` (``ts`` is now:
         E_0) and :meth:`restore` (checkpoint and journal). Returns
@@ -409,11 +409,13 @@ class CQManager:
         self._cqs[name] = cq
         if status is not CQStatus.ACTIVE:
             return None
-        group = self._sql_groups.setdefault(key, SqlGroup())
-        group.members[name] = cq
+        view = self._views.get(key)
+        if view is None:  # (no E_0 yet: its first members evaluate alone)
+            view = self._views[key] = SharedView(cq.spj_core, key, self.plans, ts)
+        view.members[name] = cq
         if cq.engine is not Engine.REEVALUATE:
-            group.readers += 1
-            if group.readers == 1:
+            view.readers += 1
+            if view.readers == 1:
                 if self.metrics:
                     self.metrics.count(Metrics.SHARED_GROUPS)
                 scopes = {
@@ -445,8 +447,13 @@ class CQManager:
             elif self._touched(tables, cohort.swept):
                 cohort.late[name] = cq
             cohort.lazy[name] = cq
-            if cq.keep_result and not cq.is_aggregate:
-                group.retain(cq, ts)  # (if evaluated as of ts: share it)
+            if (
+                cq.keep_result
+                and not cq.is_aggregate
+                and view.last is not None
+                and view.since == ts
+            ):
+                cq.previous_result = view.result  # (advanced to ts: share it)
         else:
             cohort.always[name] = cq
             self.zones.register(name, tables, ts)
@@ -464,14 +471,14 @@ class CQManager:
         the plan with it, its last delta reader the index entry, the
         last of a footprint the cohort and its tables' observers."""
         name, tables, key = cq.name, cq.table_names, cq.sql_key
-        group = self._sql_groups[key]
-        del group.members[name]
-        if not group.members:
-            del self._sql_groups[key]
+        view = self._views[key]
+        del view.members[name]
+        if not view.members:
+            del self._views[key]
             self.plans.invalidate(key)
         if cq.engine is not Engine.REEVALUATE:
-            group.readers -= 1
-            if not group.readers:
+            view.readers -= 1
+            if not view.readers:
                 # No future batch is routed to a dead subscriber.
                 self.index.remove(key)
         cohort = self._cohorts[tables]
@@ -503,8 +510,8 @@ class CQManager:
         current (no commit to the footprint after its effective window
         start): registering the same text again copies that result
         instead of re-running E_0 — both are Q(state at now)."""
-        group = self._sql_groups.get(sql_key)
-        for member in group.members.values() if group is not None else ():
+        view = self._views.get(sql_key)
+        for member in view.members.values() if view is not None else ():
             if (
                 member.previous_result is not None
                 and not self._touched(member.table_names, self._since(member))
@@ -549,7 +556,7 @@ class CQManager:
 
         One window for the whole poll: sweep every cohort, refresh what
         is due — the CQs a sweep routes or cannot prove unobservable —
-        in registration order, a lazy member by *receiving* its group's
+        in registration order, a lazy member by *receiving* its view's
         evaluation, anyone else by a full visit; then move the sweeps
         and, under ``auto_gc``, collect behind them. What the receiving
         turns owe the shared bag is charged once, when they are done.
@@ -633,10 +640,11 @@ class CQManager:
             if not cohort.routing:
                 cohort.late = dict(cohort.lazy)
             else:
-                routed = self._window.routed(index, cohort.tables, swept, now)[1]
+                window = self._window
+                routed = window.routed(index, cohort.tables, swept, now)[1]
                 hit = 0
-                for key in routed.keys() | index.stale():
-                    for name, cq in self._sql_groups[key].members.items():
+                for key in routed.keys() | window.stale:
+                    for name, cq in self._views[key].members.items():
                         if name in cohort.lazy:
                             cohort.late[name] = cq
                             hit += 1
@@ -654,10 +662,10 @@ class CQManager:
         return due
 
     def _receive(self, cq: ContinualQuery) -> Optional[bool]:
-        """A lazy member's turn: take the group's delta over its window
+        """A lazy member's turn: take its view's delta over its window
         — evaluated here, charged to this member, unless an earlier
         turn left it (a late joiner's window is its own; a callback's
-        commit moves ``now`` for everyone after it) — alias the group's
+        commit moves ``now`` for everyone after it) — alias the view's
         result, move the window, be notified. Against a full visit
         nothing observable is skipped: the stop is ``Never``, there is
         no zone of its own to advance, and ``OnEveryChange`` fires iff
@@ -669,8 +677,8 @@ class CQManager:
         the delta was taken rather than evaluated; :meth:`poll` charges
         the shared bag from that, once."""
         now, since = self.db.now(), cq.last_execution_ts
-        group = self._sql_groups[cq.sql_key]
-        last = group.last
+        view = self._views[cq.sql_key]
+        last = view.last
         took = (
             last is not None
             and last[1] == now
@@ -679,16 +687,13 @@ class CQManager:
         )
         if took:  # (an evaluated window was a touched one)
             delta = last[2]
+            if cq.keep_result:
+                cq.previous_result = view.result
         elif self._touched(cq.table_names, since):
             delta = self._charged(cq, self._execute_dra)
         else:
-            delta = None
-        if cq.keep_result:
-            if took and group.result is not None:
-                cq.previous_result = group.result
-            else:  # (the first keeper to ask leaves its own copy)
-                group.retain(cq, now, delta)
-        if delta is None:
+            if cq.keep_result and view.since == now and view.result is not None:
+                cq.previous_result = view.result
             return None
         cq.last_execution_ts = now
         self.stats.record(cq.name, _RECEIVED if took else _EVALUATED)
@@ -842,7 +847,7 @@ class CQManager:
     def _window_deltas(
         self, cq: ContinualQuery, since: Timestamp
     ) -> Tuple[Dict[str, DeltaRelation], Optional[Dict[str, Tuple]]]:
-        """What one refresh of ``cq`` consumes over ``(since, now]``:
+        """What one fold of ``cq`` consumes over ``(since, now]``:
         nothing when the predicate index proves every pending entry
         irrelevant (Section 5.2); otherwise the consolidated window and
         the entry sides the index selected per alias — DRA's operand
@@ -852,13 +857,13 @@ class CQManager:
         window, shared with the sweep and every CQ reading it, over the
         CQ's own tables only: inside the log suffix its zone protects."""
         index, key, tables = self.index, cq.sql_key, cq.table_names
-        window, cohort = self._window, self._cohorts[tables]
+        window = self._window
         if window is None:  # (an EAGER fold under PERIODIC)
             return deltas_since([self.db.table(name) for name in tables], since), None
-        if not (cohort.routing and cohort.lazy and key in index):
+        if self._route_index(cq) is None or key not in index:
             return window.deltas(tables, since, self.db.now()), None
         deltas, routed = window.routed(index, tables, since, self.db.now())
-        if key in index.stale():
+        if key in window.stale:
             return deltas, None
         seeds = routed.get(key)
         return (deltas, seeds) if seeds is not None else ({}, None)
@@ -867,16 +872,23 @@ class CQManager:
         self, cq: ContinualQuery, ts: Timestamp, prepared: Optional[PreparedCQ]
     ) -> Relation:
         """Q(state at ``ts``) for :meth:`_install`, on ``prepared``, the
-        plan it compiled: the kernel term of :func:`dra_initial`, an
-        aggregate folding its narrowed core's rows into a state of its
-        own. A REEVALUATE CQ keeps the row evaluator here, as at every
-        refresh."""
+        plan it compiled: the key's view built afresh at ``ts``
+        (:meth:`SharedView.at`, E_0 as one kernel term; its members
+        carried over), an aggregate folding its narrowed core's rows
+        into a state of its own. A REEVALUATE CQ keeps the row
+        evaluator here, as at every refresh."""
         if cq.engine is Engine.REEVALUATE:
             return evaluate_as_of(cq.query, self.db, ts, self.metrics)
         if cq.is_aggregate:
             state = DifferentialAggregate(cq.query, self.db)
             return state.initialize(self.metrics, prepared, ts)
-        return dra_initial(cq.query, self.db, ts, prepared, self.metrics)
+        key = cq.sql_key
+        view = SharedView.at(cq.query, key, self.plans, prepared, ts, self.metrics)
+        old = self._views.get(key)
+        if old is not None:
+            view.members, view.readers = old.members, old.readers
+        self._views[key] = view
+        return view.result
 
     def _prepared_for(self, cq: ContinualQuery) -> Optional[PreparedCQ]:
         """The CQ's cached prepared plan (None when the engine never
@@ -949,46 +961,44 @@ class CQManager:
         self._emit(cq, self._notification(cq, delta, now))
 
     def _execute_dra(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
-        """The group step: the result delta over ``cq``'s window. CQs
-        with one SQL text and one window hold content-identical results
-        (both Q(state at its start)), so of a group's readers
-        whoever asks first evaluates and leaves the delta on its record;
-        keepers share the new result — replaced, never mutated."""
-        since, group = cq.last_execution_ts, self._sql_groups[cq.sql_key]
-        deltas, seeds = self._window_deltas(cq, since)
-        if not deltas:
-            # Nothing committed, or nothing the index routes here: the
-            # result cannot have changed, so no engine runs.
-            return DeltaRelation(self._prepared_for(cq).out_schema)
-        sharing = group.readers > 1  # (someone to hand the evaluation to)
-        delta = group.delta_over(since, now) if sharing else None
-        if delta is not None and self.metrics is not None:
-            self.metrics.count(Metrics.SHARED_GROUP_HITS)
-        if delta is None:
-            with self.tracer.span("dra.apply", cq=cq.name) as span:
-                result = dra_execute(
-                    cq.query,
-                    self.db,
-                    deltas=deltas,
-                    ts=now,
-                    metrics=self._refresh_metrics(),
-                    prepared=self._prepared_for(cq),
-                    tracer=self.tracer,
-                    seeds=seeds,
-                )
-                if self.tracer.enabled:
-                    span.set(
-                        changed=",".join(sorted(result.changed_aliases)),
-                        terms=result.terms_evaluated,
-                        delta_rows=len(result.delta),
-                    )
-            delta = result.delta
-            if not group.last or group.last[1] != now:
-                group.result = None  # (a late joiner's, to the same now, keeps it)
-            group.last = (since, now, delta if sharing else None)
+        """The view step for one member: the result delta over its
+        window. The first member to ask advances the view — from its
+        own ``since``, or from the member's window and copy —; once the
+        view stands at ``now`` (or for a member keeping no copy) a
+        member evaluates its window without moving the view, which
+        hands a window it last advanced over its delta instead of
+        evaluating again: CQs with one SQL text and one window hold
+        content-identical results. Keepers then alias the view's one
+        result: replaced, never mutated."""
+        view, since, held = self._views[cq.sql_key], cq.last_execution_ts, cq.previous_result
+        index, metrics = self._route_index(cq), self._refresh_metrics()
+        window, tracer = self._window, self.tracer
+        if view.result is not None and since == view.since:
+            delta = view.advance(window, index, now, metrics, tracer)
+        elif held is not None and view.since != now:
+            delta = view.advance(window, index, now, metrics, tracer, since, held)
+        else:
+            last = view.last
+            delta = view.evaluate(window, index, since, now, metrics, tracer, held)
+            if delta is not None and last is not None and delta is last[2]:
+                if self.metrics is not None:
+                    self.metrics.count(Metrics.SHARED_GROUP_HITS)
         if cq.keep_result:
-            group.retain(cq, now, delta)
+            if view.since == now and view.result is not None:
+                cq.previous_result = view.result
+            elif delta is not None and not delta.is_empty():
+                cq.previous_result = delta.apply_to(held)
+        if delta is None:
+            # Nothing committed, or nothing the index routes here: the
+            # result cannot have changed, so no engine ran.
+            return DeltaRelation(self._prepared_for(cq).out_schema)
         return delta
+
+    def _route_index(self, cq: ContinualQuery) -> Optional[PredicateIndex]:
+        """The index a read of ``cq``'s window routes through: None
+        (unrouted, always sound) unless its footprint's sweep routes."""
+        cohort = self._cohorts[cq.table_names]
+        return self.index if cohort.routing and cohort.lazy else None
 
     def _execute_aggregate(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
         self._fold(cq, now)
@@ -1086,11 +1096,11 @@ class CQManager:
             if not holds:
                 raise AssertionError(message)
 
-        index, cohorts, groups = self.index, self._cohorts, self._sql_groups
+        index, cohorts, views = self.index, self._cohorts, self._views
         law(self._window is None, "a window is open outside poll and _observe")
         active = {cq.name: cq for cq in self.active()}
-        grouped = {n: cq for g in groups.values() for n, cq in g.members.items()}
-        law(grouped == active, "sql_key groups' members != the active CQs")
+        viewed = {n: cq for v in views.values() for n, cq in v.members.items()}
+        law(viewed == active, "sql_key views' members != the active CQs")
         placed = [n for c in cohorts.values() for n in (*c.lazy, *c.always)]
         law(
             sorted(placed) == sorted(active),
@@ -1107,13 +1117,13 @@ class CQManager:
         for name, cq in active.items():
             tables, key, since = cq.table_names, cq.sql_key, self._since(cq)
             cohort = cohorts.get(tables)
-            group = groups.get(key)
+            view = views.get(key)
             law(
-                group is not None
-                and name in group.members
+                view is not None
+                and name in view.members
                 and cohort is not None
                 and (name in cohort.lazy or name in cohort.always),
-                f"{name}: not in its sql_key's group and its footprint's cohort",
+                f"{name}: not in its sql_key's view and its footprint's cohort",
             )
             if cq.engine is not Engine.REEVALUATE or cq.is_aggregate:
                 planned.add(key)
@@ -1148,40 +1158,44 @@ class CQManager:
                     cq.previous_result == as_of[key, since],
                     f"{name}: retained result is not Q(state at {since})",
                 )
-        for key, group in groups.items():
-            members = list(group.members.values())
+        for key, view in views.items():
+            members = list(view.members.values())
             reading = [cq for cq in members if cq.engine is not Engine.REEVALUATE]
             readers = len(reading)
             law(
-                group.readers == readers and (key in index) == bool(readers),
+                view.readers == readers and (key in index) == bool(readers),
                 f"{key}: readers or the index entry != its {readers} delta readers",
             )
-            if group.last is None:
+            view.check(self.db)
+            if view.last is None:
                 continue
-            law(group.last[1] <= self.db.now(), f"{key}: evaluated ahead of now")
+            law(
+                view.last[1] == view.since <= self.db.now(),
+                f"{key}: evaluated ahead of now, or not to its since",
+            )
             # One retained object: the lazy keepers standing where the
-            # last evaluation ended all hold it — or none does: an
-            # always-visit member's evaluation, nothing pending for them.
+            # view stands all hold it — or none does: an always-visit
+            # member's evaluation, nothing pending for them.
             cohort = cohorts[members[0].table_names]
             holding = {
-                cq.previous_result is group.result
+                cq.previous_result is view.result
                 for cq in reading
                 if cq.name in cohort.lazy.keys() - cohort.late.keys()
                 and cq.keep_result
                 and not cq.is_aggregate
-                and cq.last_execution_ts == group.last[1]
+                and cq.last_execution_ts == view.since
             }
             law(
-                group.result is None or len(holding) < 2,
-                f"{key}: a lazy member holds a result of its own beside the group's",
+                len(holding) < 2,
+                f"{key}: a lazy member holds a result of its own beside the view's",
             )
         law(
-            len(index) == sum(group.readers > 0 for group in groups.values()),
-            "the index's entries != the groups with a delta reader",
+            len(index) == sum(view.readers > 0 for view in views.values()),
+            "the index's entries != the views with a delta reader",
         )
         law(
             all(key in self.plans for key in planned)
-            and sum(key in self.plans for key in groups) == len(self.plans),
+            and sum(key in self.plans for key in views) == len(self.plans),
             "plans != the live sql_keys",
         )
         law(
@@ -1206,7 +1220,7 @@ class CQManager:
         for cq in self._cqs.values():
             live = cq.status is CQStatus.ACTIVE
             indexed = live and cq.engine is not Engine.REEVALUATE
-            readers = self._sql_groups[cq.sql_key].readers if indexed else 0
+            readers = self._views[cq.sql_key].readers if indexed else 0
             since = self._since(cq)
             pending = live and self._touched(cq.table_names, since)
             cost = self.stats.counters(cq.name)

@@ -20,8 +20,9 @@ CQ. These are the records ``CQManager.poll()`` shares work through:
   provably irrelevant window (Section 5.2) and only move the window
   start. A stateful data trigger must still be visited: an ``OnUpdate``
   armed during an unrouted window would otherwise fire a poll late;
-* :class:`SqlGroup` — the active CQs of one SQL text share one plan,
-  one index entry, one evaluation per window and one retained result.
+* :class:`SharedView` — the members of one SQL text share one plan,
+  one index entry, one evaluation per window and one retained result;
+  the manager and the server both refresh through it.
 
 Runnable CQs refresh one after another in registration order, so the
 notification sequence is the paper's: sharing only removes provably
@@ -30,16 +31,20 @@ redundant work, and adds counters and a refresh-latency histogram.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.metrics import Metrics
 from repro.obs.trace import NULL_SPAN, Tracer
+from repro.relational.algebra import SPJQuery
 from repro.relational.relation import Relation
 from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
 from repro.delta.capture import delta_since
+from repro.delta.diff import diff
 from repro.delta.differential import DeltaRelation
+from repro.dra.algorithm import dra_execute, dra_initial
 from repro.dra.predindex import PredicateIndex, Routed
+from repro.dra.prepared import PlanCache, PreparedCQ
 from repro.core.continual_query import ContinualQuery
 from repro.core.termination import Never
 from repro.core.triggers import (
@@ -82,6 +87,9 @@ class DeltaBatchCache:
             Tuple[Tuple[str, ...], Timestamp, Timestamp],
             Tuple[Dict[str, DeltaRelation], Routed],
         ] = {}
+        #: The keys the index had quarantined when it routed this
+        #: window: routing cannot vouch for them, so they read unrouted.
+        self.stale: Set[str] = set()
         self.hits = 0
         self.misses = 0
 
@@ -142,6 +150,7 @@ class DeltaBatchCache:
         if pair is None:
             deltas = self.deltas(table_names, since, now)
             pair = self._routes[key] = (deltas, index.match_batch(deltas))
+            self.stale = index.stale()
         else:
             self.hits += len(table_names)
             if self.metrics:
@@ -214,41 +223,200 @@ class Cohort:
         self.routing = True
 
 
-class SqlGroup:
-    """The active CQs of one SQL text: one plan, one predicate-index
-    entry, one evaluation per window, one retained result.
+class SharedView:
+    """One ``sql_key``'s retained copy at a refresh site — the paper's
+    one copy per query where differential refresh runs (Section 3.3),
+    held as DBSP holds a view: one integrated state that each window's
+    delta advances. The manager and the server both refresh through it.
 
-    ``members`` by name; ``readers`` of them read deltas (a baseline
-    joins for the plan and the result, never for the routing): the
-    index entry lives while there is one. ``last`` is
-    the last evaluation ``(since, now, delta)``; a member with that very
-    window takes the delta — kept while there is a second reader to do
-    so — instead of evaluating again. ``result`` is Q(state at that
-    ``now``), the one object every keeper there holds: replaced, never
-    mutated; None until one has taken it.
+    ``result`` is Q(state at ``since``): replaced, never mutated, so
+    every holder aliases it. ``digest`` describes it where the tier
+    ships digests (the server), else None. ``last`` is the last
+    evaluation to ``since``, ``(from, since, delta)`` — ``delta`` None
+    when nothing was evaluated —: a member whose window is that one
+    takes the delta instead of evaluating again. A view that holds a result is built by
+    :meth:`at` (E_0) and moves only through :meth:`advance`; one built
+    plainly holds none yet (its members so far — aggregates, baselines
+    — evaluate on their own).
+
+    The tiers keep their membership on it: ``members`` (the manager's
+    CQs by name, the server's subscriptions by ``(client_id,
+    cq_name)``), ``readers`` (the manager's members that read deltas:
+    the index entry lives while there is one), ``buckets`` (the
+    server's members per client, in joining order) and ``cost`` (the
+    counters the server's evaluations charged, for its ``describe``).
     """
 
-    __slots__ = ("members", "readers", "last", "result")
+    __slots__ = (
+        "query",
+        "sql_key",
+        "tables",
+        "plans",
+        "since",
+        "result",
+        "digest",
+        "last",
+        "members",
+        "readers",
+        "buckets",
+        "cost",
+    )
 
-    def __init__(self) -> None:
-        self.members: Dict[str, ContinualQuery] = {}
+    def __init__(
+        self,
+        query: SPJQuery,
+        sql_key: str,
+        plans: PlanCache,
+        since: Timestamp,
+        result: Optional[Relation] = None,
+    ):
+        self.query = query
+        self.sql_key = sql_key
+        self.tables: Tuple[str, ...] = tuple(sorted(set(query.table_names)))
+        self.plans = plans
+        self.since = since
+        self.result = result
+        self.digest: Optional[str] = None
+        self.last: Optional[Tuple[Timestamp, Timestamp, Optional[DeltaRelation]]] = None
+        self.members: Dict = {}
         self.readers = 0
-        self.last: Optional[Tuple[Timestamp, Timestamp, DeltaRelation]] = None
-        self.result: Optional[Relation] = None
+        self.buckets: Dict[str, Dict] = {}
+        self.cost: Dict[str, int] = {}
 
-    def delta_over(self, since: Timestamp, now: Timestamp) -> Optional[DeltaRelation]:
-        """The last evaluation's delta, if kept and over ``(since, now]``."""
+    @classmethod
+    def at(
+        cls,
+        query: SPJQuery,
+        sql_key: str,
+        plans: PlanCache,
+        plan: PreparedCQ,
+        ts: Timestamp,
+        metrics: Optional[Metrics] = None,
+    ) -> "SharedView":
+        """The view as of ``ts``: E_0, one kernel term on ``plan``, the
+        plan ``plans`` caches under ``sql_key`` (:func:`dra_initial`).
+        A ``ts`` GC has passed raises the log's ``ValueError``."""
+        result = dra_initial(query, plans.db, ts, plan, metrics)
+        return cls(query, sql_key, plans, ts, result)
+
+    def advance(
+        self,
+        window: DeltaBatchCache,
+        index: Optional[PredicateIndex],
+        now: Timestamp,
+        metrics: Optional[Metrics] = None,
+        tracer: Optional[Tracer] = None,
+        since: Optional[Timestamp] = None,
+        held: Optional[Relation] = None,
+    ) -> Optional[DeltaRelation]:
+        """Move the view to ``now``: evaluate the window
+        (:meth:`evaluate`), replace ``result`` — folding ``digest``
+        through :func:`apply_delta` —, record ``last`` and set ``since``.
+        Returns the delta, None when nothing was evaluated.
+
+        By default the window starts at the view's own ``since``. A
+        manager member whose window starts elsewhere passes its start
+        and ``held``, its copy (Q(state at ``since``)): the view moves
+        from there (the one result every keeper at ``now`` aliases).
+        The view moves only once the evaluation succeeded."""
+        if since is None:
+            since, held = self.since, self.result
+        delta = self.evaluate(window, index, since, now, metrics, tracer, held)
+        if delta is not None and not delta.is_empty():
+            if self.digest is None:
+                held = delta.apply_to(held)
+            else:
+                held, self.digest = apply_delta(delta, held, self.digest)
+        self.result = held
+        self.last = (since, now, delta)
+        self.since = now
+        return delta
+
+    def evaluate(
+        self,
+        window: DeltaBatchCache,
+        index: Optional[PredicateIndex],
+        since: Timestamp,
+        now: Timestamp,
+        metrics: Optional[Metrics] = None,
+        tracer: Optional[Tracer] = None,
+        held: Optional[Relation] = None,
+    ) -> Optional[DeltaRelation]:
+        """The result delta over ``(since, now]``, moving nothing; None
+        when nothing was evaluated: nothing committed, or no entry the
+        index routes here (Section 5.2 makes the delta empty). The
+        window ``last`` records is not evaluated again: its delta is
+        returned; a window evaluated beside a view already at ``now``
+        becomes ``last``, for the members sharing it.
+
+        The window is read through ``window``: routed by ``index``,
+        whose routed entry seeds the kernels' operands; unrouted
+        (``index`` None, or a key the index quarantined: routing cannot
+        vouch for it) with no seeds. A window GC has retired is
+        re-evaluated completely and diffed against ``held``."""
+        key, tables = self.sql_key, self.tables
+        try:
+            if index is None:
+                deltas, seeds = window.deltas(tables, since, now), None
+            else:
+                deltas, routed = window.routed(index, tables, since, now)
+                seeds = routed.get(key)
+                if seeds is None and key not in window.stale:
+                    return None
+        except ValueError:
+            return diff(held, window.db.query(self.query, metrics), now)
+        if not deltas:
+            return None
         last = self.last
-        return last[2] if last and last[:2] == (since, now) else None
+        if last is not None and last[2] is not None and last[:2] == (since, now):
+            return last[2]  # (this very window, evaluated by its advance)
+        span = (
+            tracer.span("dra.apply", view=key)
+            if tracer is not None and tracer.enabled
+            else NULL_SPAN
+        )
+        with span:
+            result = dra_execute(
+                self.query,
+                window.db,
+                deltas=deltas,
+                ts=now,
+                metrics=metrics,
+                prepared=self.plans.get(key, self.query),
+                tracer=tracer,
+                seeds=seeds,
+            )
+            if span is not NULL_SPAN:
+                span.set(
+                    changed=",".join(sorted(result.changed_aliases)),
+                    terms=result.terms_evaluated,
+                    delta_rows=len(result.delta),
+                )
+        if now == self.since:  # (a member's window beside the view's)
+            self.last = (since, now, result.delta)
+        return result.delta
 
-    def retain(self, cq: ContinualQuery, now: Timestamp, delta=None) -> None:
-        """Hand a keeper whose own copy, with ``delta`` applied (None or
-        empty: as it is), is Q(state at ``now``) the group's one object
-        for that state; the first to ask leaves its own. A no-op unless
-        the group was evaluated as of ``now``."""
-        if not self.last or self.last[1] != now:
-            return
+    def check(self, db: Database) -> None:
+        """Raise ``AssertionError`` unless ``result`` is Q(state at
+        ``since``) (while the logs reach back there) and ``digest``, if
+        kept, describes it: the laws both tiers' ``check_invariants``
+        hold every view to."""
+        from repro.delta.propagate import evaluate_as_of
+        from repro.net.digest import relation_digest
+
         if self.result is None:
-            held = cq.previous_result
-            self.result = delta.apply_to(held) if delta else held
-        cq.previous_result = self.result
+            return
+        if all(db.table(t).log.pruned_through <= self.since for t in self.tables):
+            if self.result != evaluate_as_of(self.query, db, self.since):
+                raise AssertionError(
+                    f"{self.sql_key!r}: result is not Q(state at {self.since})"
+                )
+        if self.digest is not None and self.digest != relation_digest(self.result):
+            raise AssertionError(
+                f"{self.sql_key!r}: digest does not describe the view's result"
+            )
+
+
+# Last: importing repro.net runs its package, whose server imports this
+# module's names.
+from repro.net.digest import apply_delta  # noqa: E402

@@ -19,7 +19,13 @@ from collections import Counter
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import NetworkError, RegistrationError
+from repro.errors import (
+    NetworkError,
+    QueryError,
+    RegistrationError,
+    SchemaError,
+    StorageError,
+)
 from repro.metrics import Metrics
 from repro.obs.stats import CQStats, TeeMetrics
 from repro.obs.table import format_table
@@ -32,11 +38,11 @@ from repro.storage.timestamps import Timestamp
 from repro.delta.capture import deltas_since
 from repro.delta.diff import diff
 from repro.delta.propagate import evaluate_as_of
-from repro.dra.algorithm import dra_execute, dra_initial
+from repro.dra.algorithm import dra_execute
 from repro.dra.predindex import PredicateIndex
-from repro.dra.prepared import PlanCache, PreparedCQ
+from repro.dra.prepared import PlanCache
 from repro.core.gc import ActiveDeltaZones
-from repro.core.scheduler import DeltaBatchCache
+from repro.core.scheduler import DeltaBatchCache, SharedView
 from repro.net.codec import encode_delta_body
 from repro.net.digest import apply_delta, relation_digest
 from repro.net.messages import (
@@ -62,15 +68,17 @@ class Protocol(enum.Enum):
 
 
 #: Refreshed differentially, always as members of their ``sql_key``'s
-#: :class:`SharedGroup`; every other protocol is refreshed alone.
+#: :class:`~repro.core.scheduler.SharedView`; every other protocol is
+#: refreshed alone.
 _DRA = (Protocol.DRA_DELTA, Protocol.DRA_LAZY)
 
 
 class Subscription:
     """One client's registration of one continual query, built by
-    :meth:`CQServer._install` only. A DRA subscription is a group
-    member and has no window of its own: ``last_ts`` reads its
-    group's."""
+    :meth:`CQServer._install` only. A DRA subscription is a member of
+    its ``sql_key``'s view and has no window of its own: ``last_ts``
+    reads the view's ``since``; with nothing pending, its retained copy
+    and digest are the view's too."""
 
     __slots__ = (
         "client_id",
@@ -78,10 +86,10 @@ class Subscription:
         "query",
         "sql_key",
         "protocol",
-        "group",
+        "view",
         "_last_ts",
-        "previous_result",
-        "digest",
+        "_result",
+        "_digest",
         "changed_ts",
         "arrived_ts",
         "pending_delta",
@@ -93,28 +101,28 @@ class Subscription:
         cq_name: str,
         query: SPJQuery,
         protocol: Protocol,
-        group: Optional["SharedGroup"],
+        view: Optional[SharedView],
         last_ts: Timestamp,
-        previous_result: Relation,
-        digest: str,
+        result: Optional[Relation],
+        digest: Optional[str],
         arrived_ts: Timestamp,
     ):
         self.client_id = client_id
         self.cq_name = cq_name
         self.query = query
         # Canonical SQL, rendered once: the key under which this
-        # subscription shares evaluation groups and prepared plans with
-        # identical subscriptions from other clients.
+        # subscription shares a view and a prepared plan with identical
+        # subscriptions from other clients.
         self.sql_key = query.to_sql()
         self.protocol = protocol
-        self.group = group
+        self.view = view
         self._last_ts = last_ts
         # Retained server-side copy of the last shipped result state
         # (Section 3.3: "the copy is maintained at the site where the
-        # differential query refresh is carried out"). Replaced only
-        # through retain(), with its running digest and the timestamp
-        # of the change (see horizon()).
-        self.retain(previous_result, digest, last_ts)
+        # differential query refresh is carried out"), its running
+        # digest and the timestamp of the change (see horizon()): a
+        # view member's own only while a lazy accumulation is pending.
+        self.retain(result, digest, last_ts)
         #: Timestamp of the last frame that reached the client's
         #: endpoint: what an in-process client has applied.
         self.arrived_ts = arrived_ts
@@ -124,21 +132,36 @@ class Subscription:
 
     @property
     def last_ts(self) -> Timestamp:
-        """The refresh window's start: a member's is its group's."""
-        group = self.group
-        return self._last_ts if group is None else group.last_ts
+        """The refresh window's start: a member's is its view's."""
+        view = self.view
+        return self._last_ts if view is None else view.since
 
     @last_ts.setter
     def last_ts(self, ts: Timestamp) -> None:
-        if self.group is not None:
-            raise AttributeError("a group member's window is its group's")
+        if self.view is not None:
+            raise AttributeError("a view member's window is its view's")
         self._last_ts = ts
 
-    def retain(self, result: Relation, digest: str, ts: Timestamp) -> None:
+    @property
+    def previous_result(self) -> Relation:
+        """The retained copy: a view member's with nothing pending is
+        the view's result."""
+        if self.view is None or self.pending_delta is not None:
+            return self._result
+        return self.view.result
+
+    @property
+    def digest(self) -> str:
+        """The running digest of :attr:`previous_result`."""
+        if self.view is None or self.pending_delta is not None:
+            return self._digest
+        return self.view.digest
+
+    def retain(self, result, digest, ts: Timestamp) -> None:
         """Replace the retained copy: the result, its digest and the
         refresh timestamp at which it changed move together."""
-        self.previous_result = result
-        self.digest = digest
+        self._result = result
+        self._digest = digest
         self.changed_ts = ts
 
     def apply(self, delta, ts: Timestamp) -> None:
@@ -151,13 +174,12 @@ class Subscription:
 
     def fold(self):
         """Fold the un-fetched DRA_LAZY accumulation into the retained
-        copy and return it (None: nothing was pending). A group
-        member's copy ∘ pending *is* the group's result, so it is
-        aliased, not recomputed."""
+        copy and return it (None: nothing was pending). A view member's
+        copy ∘ pending *is* the view's result, so it reads through
+        again, not recomputed."""
         pending, self.pending_delta = self.pending_delta, None
-        if self.group is not None:
-            ts = self.changed_ts if pending is None else self.last_ts
-            self.retain(self.group.result, self.group.digest, ts)
+        if pending is not None and self.view is not None:
+            self.retain(None, None, self.last_ts)
         return pending
 
     def horizon(self, applied: Timestamp) -> Timestamp:
@@ -175,87 +197,6 @@ class Subscription:
         return applied
 
 
-class SharedGroup:
-    """All DRA subscriptions sharing one canonical SQL text.
-
-    The group owns the fan-out unit of work: one predicate-index entry
-    (``sub_id`` = ``sql_key``), one maintained result, one refresh
-    window ``(last_ts, now]`` and one DRA evaluation per cycle, whose
-    counters ``cost`` accumulates for every member's :meth:`CQServer.
-    describe` record. ``result`` is only ever *replaced*
-    (``apply_delta`` returns a fresh relation), never mutated in place,
-    so member subscriptions alias it as their retained copy and
-    lazily-degraded snapshots stay coherent.
-
-    Members are held in ``buckets``, one per client, so a refresh
-    visits clients, not members: a routed group's bucket is the address
-    list of its frame to that client, and an unrouted group skips the
-    bucket of a client that tracks its own zones whole.
-    """
-
-    __slots__ = (
-        "sql_key",
-        "query",
-        "tables",
-        "buckets",
-        "result",
-        "digest",
-        "last_ts",
-        "cost",
-    )
-
-    def __init__(
-        self,
-        sql_key: str,
-        query: SPJQuery,
-        result: Relation,
-        digest: str,
-        last_ts: Timestamp,
-    ):
-        self.sql_key = sql_key
-        self.query = query
-        self.tables: Tuple[str, ...] = tuple(sorted(set(query.table_names)))
-        #: ``client_id`` -> that client's members by ``cq_name``, each
-        #: in joining order; a client with no member has no bucket.
-        self.buckets: Dict[str, Dict[str, Subscription]] = {}
-        self.last_ts = last_ts
-        #: Counters charged by the group's evaluations, once per routed
-        #: cycle however many members share it.
-        self.cost: Dict[str, int] = {}
-        self.retain(result, digest)
-
-    def retain(self, result: Relation, digest: str) -> None:
-        """Replace the maintained result — Q(state at ``last_ts``) —
-        together with its running digest, which members copy."""
-        self.result = result
-        self.digest = digest
-
-    def join(self, subscription: Subscription) -> None:
-        bucket = self.buckets.setdefault(subscription.client_id, {})
-        bucket[subscription.cq_name] = subscription
-
-    def leave(self, subscription: Subscription) -> bool:
-        """Drop a member; True when it was the last."""
-        bucket = self.buckets[subscription.client_id]
-        del bucket[subscription.cq_name]
-        if not bucket:
-            del self.buckets[subscription.client_id]
-        return not self.buckets
-
-    @property
-    def members(self) -> Dict[Tuple[str, str], Subscription]:
-        """Every member by ``(client_id, cq_name)``, read off the
-        buckets (a new dict: join and leave change membership)."""
-        return {
-            (client_id, cq_name): s
-            for client_id, bucket in self.buckets.items()
-            for cq_name, s in bucket.items()
-        }
-
-    def __len__(self) -> int:
-        return sum(map(len, self.buckets.values()))
-
-
 #: The parts of one refresh step, gathered before any frame is sent:
 #: ``client_id`` -> [(the members a part addresses, the part)].
 Outbox = Dict[str, List[Tuple[List[Subscription], Message]]]
@@ -265,23 +206,25 @@ class CQServer:
     """Hosts the database and serves continual-query subscriptions.
 
     A refresh cycle has one shape whatever the protocol mix: every
-    group's window is consolidated through one per-cycle
-    :class:`~repro.core.scheduler.DeltaBatchCache` (groups with
+    view's window is consolidated through one per-cycle
+    :class:`~repro.core.scheduler.DeltaBatchCache` (views of
     *different* queries still share one update-log pass per (table,
-    window) — observable as ``delta_batches_reused``), every
-    differential evaluation runs through :meth:`_evaluate`, and every
-    result frame leaves through :meth:`_send`.
+    window) — observable as ``delta_batches_reused``), every view
+    advances through :meth:`SharedView.advance
+    <repro.core.scheduler.SharedView.advance>` — the manager's refresh
+    step — and every result frame leaves through :meth:`_send`.
 
-    Every DRA subscription belongs to the :class:`SharedGroup` of its
-    query text (the Section 5.2 "extracting common subexpressions"
-    refinement applied at subscription granularity): a group is routed
-    by the predicate index and evaluated once per cycle, and its delta
-    crosses each connection holding members once — server compute per
-    cycle is independent of the subscriber count (experiment E3b). A
-    cycle gathers every routed group's part for a client and sends the
-    client one frame. A group's window moves in :meth:`_refresh_group`
-    only; a member never has its own. Only the REEVAL_* baselines
-    refresh alone.
+    Every DRA subscription is a member of the
+    :class:`~repro.core.scheduler.SharedView` of its query text (the
+    Section 5.2 "extracting common subexpressions" refinement applied
+    at subscription granularity): a view is routed by the predicate
+    index and evaluated once per cycle, and its delta crosses each
+    connection holding members once — server compute per cycle is
+    independent of the subscriber count (experiment E3b). A cycle
+    gathers every routed view's part for a client and sends the client
+    one frame. A view's window moves in :meth:`_refresh_view` only; a
+    member never has its own. Only the REEVAL_* baselines refresh
+    alone.
     """
 
     def __init__(
@@ -303,9 +246,7 @@ class CQServer:
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.stats = CQStats()
         # Installed around one solo refresh (a scoped TeeMetrics that
-        # also charges self.metrics, feeding stats) or one group
-        # evaluation (a bag merged into self.metrics and the group's
-        # cost afterwards).
+        # also charges self.metrics, feeding stats).
         self._scoped_metrics: Optional[Metrics] = None
         #: Sampled self-audit: every ``audit_interval``-th differential
         #: refresh also runs a full re-evaluation and compares digests,
@@ -324,22 +265,22 @@ class CQServer:
         self.zones = ActiveDeltaZones(db)
         self._clients: Dict[str, "object"] = {}
         self._subscriptions: Dict[Tuple[str, str], Subscription] = {}
-        #: Those in no group — the REEVAL_* baselines only — refreshed
+        #: Those in no view — the REEVAL_* baselines only — refreshed
         #: one by one.
         self._solo: Dict[Tuple[str, str], Subscription] = {}
         # Subscriptions per CQ name, the key ``stats`` attributes cost
         # under: the last holder to leave takes the name's stats along.
         self._holders: Counter = Counter()
-        #: Predicate-index fan-out (DESIGN.md §10): subscriptions group
-        #: by ``sql_key``; one index entry per group routes each cycle's
-        #: consolidated batch to the affected groups, each of which
-        #: evaluates once and ships the delta to every member — server
-        #: compute per cycle scales with affected *templates*, not
-        #: subscribers. Detached members are skipped (their zones keep
-        #: the replay window); deregistering the last member drops the
-        #: group and its index entry.
+        #: Predicate-index fan-out (DESIGN.md §10): subscriptions share
+        #: a view per ``sql_key``; one index entry per view routes each
+        #: cycle's consolidated batch to the affected views, each of
+        #: which evaluates once and ships the delta to every member —
+        #: server compute per cycle scales with affected *templates*,
+        #: not subscribers. Detached members are skipped (their zones
+        #: keep the replay window); deregistering the last member drops
+        #: the view and its index entry.
         self.index = PredicateIndex(self.metrics)
-        self._groups: Dict[str, SharedGroup] = {}
+        self._views: Dict[str, SharedView] = {}
 
     # -- wiring ------------------------------------------------------------
 
@@ -379,7 +320,7 @@ class CQServer:
                 return False
             client.receive(message)
         if self._scoped_metrics is None:
-            # Outside a scoped refresh (group frames, fetch, resync,
+            # Outside a scoped refresh (view frames, fetch, resync,
             # replay) the per-CQ byte attribution is charged here: a
             # shared frame's bytes are split so the per-CQ sums equal
             # what crossed the wire, and each CQ got one delivery.
@@ -470,28 +411,32 @@ class CQServer:
 
         The protocol comes from the explicit argument (in-process
         path), the message's ``protocol`` field (wire path), or
-        defaults to DRA_DELTA.
+        defaults to DRA_DELTA. A message this server cannot serve — an
+        unknown protocol, SQL that does not parse, or names the catalog
+        does not resolve — raises :class:`RegistrationError` before
+        anything is installed.
         """
         if (client_id, message.cq_name) in self._subscriptions:
             raise RegistrationError(
                 f"client {client_id!r} already registered {message.cq_name!r}"
             )
-        if protocol is None:
-            protocol = (
-                Protocol(message.protocol)
-                if message.protocol
-                else Protocol.DRA_DELTA
-            )
-        query = parse_query(message.sql)
-        if not isinstance(query, SPJQuery):
-            raise RegistrationError(
-                "the client-server protocol serves SPJ queries; aggregate "
-                "CQs are managed by CQManager"
-            )
         now = self.db.now()
-        subscription = self._install(
-            client_id, message.cq_name, query, protocol, now
-        )
+        try:
+            if protocol is None:
+                protocol = Protocol(message.protocol or Protocol.DRA_DELTA.value)
+            query = parse_query(message.sql)
+            if not isinstance(query, SPJQuery):
+                raise RegistrationError(
+                    "the client-server protocol serves SPJ queries; aggregate "
+                    "CQs are managed by CQManager"
+                )
+            subscription = self._install(
+                client_id, message.cq_name, query, protocol, now
+            )
+        except (ValueError, QueryError, SchemaError, StorageError) as error:
+            raise RegistrationError(
+                f"cannot register {message.cq_name!r}: {error}"
+            ) from error
         if self.db.wal is not None:
             from repro.storage.wal import KIND_SUB_REGISTER
 
@@ -531,72 +476,70 @@ class CQServer:
         """The one install step, for registered, checkpointed and
         journal-recovered subscriptions alike. The zone starts at
         ``last_ts``, where the client itself stands; a member takes its
-        group's window and result, anyone else the result as of
-        ``last_ts``."""
+        view's window and result, anyone else the result as of
+        ``last_ts`` — or, when the logs no longer reach back
+        (baseline-flattened history), as of now. Raises before anything
+        is entered."""
         key = (client_id, cq_name)
         sql_key = query.to_sql()
-        group = prepared = None
+        view = result = digest = None
+        window = last_ts
         if protocol in _DRA:
-            # Compile before E_0: auto-created join indexes serve the
-            # initial evaluation and every later differential refresh.
-            prepared = self.plans.get(sql_key, query)
-            group = self._groups.get(sql_key)
-        if group is not None:
-            # A join that finds the window behind it moves it the way
-            # every cycle does: the members there get that delta now.
-            if group.last_ts < last_ts:
-                self._catch_up(group, self.db.now())
-            self.metrics.count(Metrics.SHARED_GROUP_HITS)
-            window, result, digest = group.last_ts, group.result, group.digest
-        else:
-            # Q(state at last_ts) — or, when the logs no longer reach
-            # back (baseline-flattened history), as of now.
-            window = last_ts
-            try:
-                result = self._initial(query, window, prepared)
-            except ValueError:
-                window = self.db.now()
-                result = self._initial(query, window, prepared)
-            digest = relation_digest(result)
-            if protocol in _DRA:
-                # The first subscription of a template pays that E_0
-                # for its group, and installs the index entry.
-                group = self._groups[sql_key] = SharedGroup(
-                    sql_key, query, result, digest, window
-                )
+            view = self._views.get(sql_key)
+            if view is None:
+                # The first subscription of a template pays the view's
+                # E_0 and installs its index entry; the plan compiled
+                # first auto-creates the join indexes E_0 and every
+                # later refresh probe.
+                plan = self.plans.get(sql_key, query)
+                try:
+                    view = SharedView.at(
+                        query, sql_key, self.plans, plan, last_ts, self.metrics
+                    )
+                except ValueError:
+                    view = SharedView.at(
+                        query, sql_key, self.plans, plan, self.db.now(), self.metrics
+                    )
+                view.digest = relation_digest(view.result)
+                self._views[sql_key] = view
                 scopes = {
                     ref.alias: self.db.table(ref.table).schema
                     for ref in query.relations
                 }
                 self.index.add(sql_key, query, scopes)
                 self.metrics.count(Metrics.SHARED_GROUPS)
+            else:
+                # A join that finds the window behind it moves it the
+                # way every cycle does: the members there get that
+                # delta now.
+                if view.since < last_ts:
+                    self._catch_up(view, self.db.now())
+                self.metrics.count(Metrics.SHARED_GROUP_HITS)
+            window = view.since
+        else:
+            try:
+                result = evaluate_as_of(query, self.db, window, self.metrics)
+            except ValueError:
+                window = self.db.now()
+                result = evaluate_as_of(query, self.db, window, self.metrics)
+            digest = relation_digest(result)
         subscription = Subscription(
-            *key, query, protocol, group, window, result, digest, last_ts
+            *key, query, protocol, view, window, result, digest, last_ts
         )
-        if group is None:
+        if view is None:
             self._solo[key] = subscription
         else:
-            group.join(subscription)
+            view.members[key] = subscription
+            view.buckets.setdefault(client_id, {})[cq_name] = subscription
         self._subscriptions[key] = subscription
         self._holders[cq_name] += 1
         self.zones.register(self._zone(*key), tuple(query.table_names), last_ts)
         return subscription
 
-    def _initial(
-        self, query: SPJQuery, ts: Timestamp, prepared: Optional[PreparedCQ]
-    ) -> Relation:
-        """Q(state at ``ts``) for :meth:`_install`: one kernel term on
-        the group's plan (:func:`dra_initial`) for a DRA group's first
-        member; a REEVAL_* baseline (no plan) keeps the row evaluator,
-        as at its every refresh."""
-        if prepared is None:
-            return evaluate_as_of(query, self.db, ts, self.metrics)
-        return dra_initial(query, self.db, ts, prepared, self.metrics)
-
     def deregister(self, client_id: str, cq_name: str) -> None:
-        """Drop a subscription, its GC-protected zone, and its shared
-        ``sql_key`` group membership — the last member leaving also
-        drops the group and its predicate-index entry, so no later
+        """Drop a subscription, its GC-protected zone, and its
+        ``sql_key`` view membership — the last member leaving also
+        drops the view and its predicate-index entry, so no later
         batch is ever routed (or fanned out) to a dead subscriber."""
         key = (client_id, cq_name)
         subscription = self._subscriptions.pop(key, None)
@@ -605,12 +548,18 @@ class CQServer:
                 f"no subscription {cq_name!r} for client {client_id!r}"
             )
         self.zones.remove(self._zone(client_id, cq_name))
-        group = subscription.group
-        if group is None:
+        view = subscription.view
+        if view is None:
             del self._solo[key]
-        elif group.leave(subscription):
-            del self._groups[group.sql_key]
-            self.index.remove(group.sql_key)
+        else:
+            del view.members[key]
+            bucket = view.buckets[client_id]
+            del bucket[cq_name]
+            if not bucket:
+                del view.buckets[client_id]
+            if not view.members:
+                del self._views[view.sql_key]
+                self.index.remove(view.sql_key)
         self._holders[cq_name] -= 1
         if not self._holders[cq_name]:
             del self._holders[cq_name]
@@ -638,18 +587,19 @@ class CQServer:
         addresses).
 
         One predicate-index pass per (footprint, window) decides which
-        ``sql_key`` groups see relevant entries this cycle. Their parts
+        ``sql_key`` views see relevant entries this cycle. Their parts
         are gathered per client and each client is sent one frame once
-        the groups are done — also when one of them raised, so no
-        window moves without its delta shipped. Everyone in no group —
+        the views are done — also when one of them raised, so no
+        window moves without its delta shipped. Everyone in no view —
         the REEVAL baselines — refreshes alone."""
         now = self.db.now()
         cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
+        bag = Metrics()
         outbox: Outbox = {}
         sent = 0
         try:
-            for group in list(self._groups.values()):
-                sent += self._refresh_group(group, cache, now, outbox)
+            for view in list(self._views.values()):
+                sent += self._refresh_view(view, cache, bag, now, outbox)
         finally:
             sent += self._flush(outbox)
         for subscription in list(self._solo.values()):
@@ -658,99 +608,70 @@ class CQServer:
 
     def _catch_up(
         self,
-        group: SharedGroup,
+        view: SharedView,
         now: Timestamp,
         skip: Optional[Subscription] = None,
     ) -> None:
-        """Move one group's window outside a cycle — for a join that
+        """Move one view's window outside a cycle — for a join that
         finds it open, or around a replay — and ship what it moved at
         once."""
         outbox: Outbox = {}
         try:
             cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
-            self._refresh_group(group, cache, now, outbox, skip)
+            self._refresh_view(view, cache, Metrics(), now, outbox, skip)
         finally:
             self._flush(outbox)
 
-    def _refresh_group(
+    def _refresh_view(
         self,
-        group: SharedGroup,
+        view: SharedView,
         cache: DeltaBatchCache,
+        bag: Metrics,
         now: Timestamp,
         outbox: Outbox,
         skip: Optional[Subscription] = None,
     ) -> int:
-        """Move one group's window to ``now`` — the only place it moves,
-        and only once its evaluation succeeded — and every member's
-        with it (a member's is read off the group's): each cycle, before
-        a join that finds it open, and around a replay (whose member is
+        """Advance one view to ``now`` and every member's window with
+        it (a member's is read off the view's): each cycle, before a
+        join that finds it open, and around a replay (whose member is
         ``skip``: :meth:`replay` aligns it and ships its own window).
 
-        An unrouted group advances without evaluating anything (the
+        An unrouted view advances without evaluating anything (the
         Section 5.2 relevance theorem makes its result delta provably
         empty) and visits only the buckets of in-process clients, whose
         zones advance per member. A routed one evaluates once — charged
-        to the group's ``cost``, not to any member — and adds one part
-        to ``outbox`` per attached client: the delta, addressed to the
-        client's DRA_DELTA members, whose retained copies are now the
-        one group result. Lazy members are announced one by one.
-        Detached members are skipped, not raised on — their zones hold
-        the replay window for reconnect. Returns the lazy members
-        announced; frames count when :meth:`_flush` sends them."""
-        since = group.last_ts
+        through ``bag`` to the shared metrics and the view's ``cost``,
+        not to any member — and adds one part to ``outbox`` per
+        attached client: the delta, addressed to the client's DRA_DELTA
+        members, whose copies read the view's. Lazy members are
+        announced one by one. Detached members are skipped, not raised
+        on — their zones hold the replay window for reconnect. Returns
+        the lazy members announced; frames count when :meth:`_flush`
+        sends them."""
+        before = view.result, view.digest
         try:
-            deltas, routed = cache.routed(
-                self.index, group.tables, since, now
-            )
-        except ValueError:
-            # GC retired the window while no member's zone held it (each
-            # was released on disconnect): the group catches up by
-            # complete re-evaluation, as a replay past GC does.
-            deltas = routed = None
-        delta = None
-        if routed is None or group.sql_key in routed:
-            # The evaluation charges a bag of its own, folded into the
-            # shared one and the group's cost when it is done: one
-            # record per routed cycle however many members share it (a
-            # TeeMetrics would charge both bags on every count).
-            scoped = self._scoped_metrics = Metrics()
-            try:
-                if routed is None:
-                    evaluated = diff(
-                        group.result, self.db.query(group.query, scoped), now
-                    )
-                else:
-                    evaluated = self._evaluate(
-                        group.query,
-                        group.sql_key,
-                        deltas,
-                        now,
-                        group.result,
-                        routed[group.sql_key],
-                    ).delta
-                if not evaluated.is_empty():
-                    applied = apply_delta(evaluated, group.result, group.digest)
-                    group.retain(*self._audited(group.query, *applied))
-                    delta = evaluated
-            finally:
-                self._scoped_metrics = None
-                self.metrics.merge(scoped)
-                cost = group.cost
-                for name, value in scoped.snapshot().items():
-                    cost[name] = cost.get(name, 0) + value
-            hits = len(group) - (skip is not None) - 1
+            delta = view.advance(cache, self.index, now, bag, self.tracer)
+        except Exception:
+            self._charge(view, bag)
+            raise
+        if delta is not None:
+            # One record per routed cycle however many members share it
+            # (a TeeMetrics would charge both bags on every count).
+            self._charge(view, bag)
+            hits = len(view.members) - (skip is not None) - 1
             if hits > 0:
                 self.metrics.count(Metrics.SHARED_GROUP_HITS, hits)
-        group.last_ts = now
-        buckets = group.buckets.items()
-        if delta is None:
+        buckets = view.buckets.items()
+        if delta is None or delta.is_empty():
             for client_id, bucket in buckets:
                 self._note_refresh(
                     client_id, (s for s in bucket.values() if s is not skip)
                 )
             return 0
-        announced = 0
-        result, digest, body = group.result, group.digest, None
+        view.result, view.digest = self._audited(
+            view.query, view.result, view.digest
+        )
+        announced, body = 0, None
         for client_id, bucket in buckets:
             attached = client_id in self._clients
             members = []
@@ -758,9 +679,9 @@ class CQServer:
                 if s is skip:
                     continue
                 if s.protocol is Protocol.DRA_LAZY:
-                    announced += self._announce_lazy(s, delta, now)
+                    announced += self._announce_lazy(s, delta, now, before)
                     continue
-                s.retain(result, digest, now)
+                s.changed_ts = now
                 if attached:
                     members.append(s)
             if members:
@@ -768,10 +689,19 @@ class CQServer:
                     # Encoded once for every client's part.
                     body = encode_delta_body(delta)
                 part = DeltaMessage(
-                    [s.cq_name for s in members], delta, now, digest, body
+                    [s.cq_name for s in members], delta, now, view.digest, body
                 )
                 outbox.setdefault(client_id, []).append((members, part))
         return announced
+
+    def _charge(self, view: SharedView, bag: Metrics) -> None:
+        """Fold what one view's evaluation charged to ``bag`` into the
+        shared metrics and the view's ``cost``, and empty the bag."""
+        self.metrics.merge(bag)
+        cost = view.cost
+        for name, value in bag.snapshot().items():
+            cost[name] = cost.get(name, 0) + value
+        bag.reset()
 
     def _flush(self, outbox: Outbox) -> int:
         """Send every client its frame of one refresh step; returns the
@@ -806,33 +736,6 @@ class CQServer:
                 self.stats.record(subscription.cq_name, counters)
             span.set(delivered=delivered, **counters)
         return delivered
-
-    def _evaluate(
-        self,
-        query: SPJQuery,
-        sql_key: str,
-        deltas,
-        now: Timestamp,
-        previous: Optional[Relation] = None,
-        seeds=None,
-    ):
-        """The one evaluate step: every differential evaluation this
-        server runs — group refresh and reconnect replay — so all of
-        them charge the scoped metrics, share the prepared plan cached
-        under ``sql_key`` and emit ``dra.term`` spans. ``seeds`` is the
-        group's routed entry for exactly these ``deltas`` (the sides
-        the index already selected); a replay filters its own."""
-        return dra_execute(
-            query,
-            self.db,
-            deltas=deltas,
-            previous=previous,
-            ts=now,
-            metrics=self._metrics(),
-            prepared=self.plans.get(sql_key, query),
-            tracer=self.tracer,
-            seeds=seeds,
-        )
 
     def _send(
         self, client_id: str, parts: List[Tuple[List[Subscription], Message]]
@@ -877,18 +780,27 @@ class CQServer:
         return bool(self._send(subscription.client_id, [([subscription], message)]))
 
     def _announce_lazy(
-        self, subscription: Subscription, delta, now: Timestamp
+        self,
+        subscription: Subscription,
+        delta,
+        now: Timestamp,
+        before: Tuple[Relation, str],
     ) -> bool:
         """DRA_LAZY delivery: compose ``delta`` onto what the client
         has not fetched yet (repeated changes to one tuple net out) and
         announce the accumulation's size; the content ships on fetch.
+        ``before`` is the view's result and digest ``delta`` moved it
+        from: the copy a member with nothing pending keeps from now on.
         A detached client's accumulation grows unannounced."""
-        if delta.is_empty():
-            return False
         pending = subscription.pending_delta
-        pending = delta if pending is None else pending.compose(delta)
+        if pending is None:
+            subscription.retain(*before, subscription.changed_ts)
+            pending = delta
+        else:
+            pending = pending.compose(delta)
         if pending.is_empty():
             subscription.pending_delta = None
+            subscription.retain(None, None, subscription.changed_ts)
             return False
         subscription.pending_delta = pending
         if subscription.client_id not in self._clients:
@@ -987,12 +899,12 @@ class CQServer:
             table.log.pruned_through <= since_ts for table in tables
         )
         # Bring the retained copy to state(now), any un-fetched lazy
-        # delta folded in: a member by aligning it to its group, whose
+        # delta folded in: a member by aligning it to its view, whose
         # window moves for everyone else as in any cycle; a REEVAL
         # baseline by re-evaluating, as its every refresh does.
-        group = subscription.group
-        if group is not None:
-            self._catch_up(group, now, skip=subscription)
+        view = subscription.view
+        if view is not None:
+            self._catch_up(view, now, skip=subscription)
             subscription.fold()
         else:
             result = self.db.query(query, self.metrics)
@@ -1009,8 +921,15 @@ class CQServer:
         # The client's replay: one consolidated delta over its whole
         # missed window, applicable directly to its cached copy, whose
         # post-apply state is the current result the server now retains.
-        replayed = self._evaluate(
-            query, sql_key, deltas_since(tables, since_ts), now
+        # It is the client's own window: no view moves.
+        replayed = dra_execute(
+            query,
+            self.db,
+            deltas=deltas_since(tables, since_ts),
+            ts=now,
+            metrics=self.metrics,
+            prepared=self.plans.get(sql_key, query),
+            tracer=self.tracer,
         )
         self.metrics.count(Metrics.REPLAYS)
         if not replayed.delta.is_empty():
@@ -1051,71 +970,64 @@ class CQServer:
                 raise AssertionError(message)
 
         index = self.index
-        law(len(index) == len(self._groups), "index entries != groups")
+        law(len(index) == len(self._views), "index entries != views")
         law(
             all(s.protocol not in _DRA for s in self._solo.values()),
             "a DRA subscription refreshes alone: _solo holds REEVAL_* only",
         )
         placed = dict(self._solo)
-        for sql_key, group in self._groups.items():
-            members = group.members
+        for sql_key, view in self._views.items():
+            members = view.members
             placed.update(members)
-            law(sql_key == group.sql_key in index, f"{sql_key!r}: not indexed")
-            law(bool(members), f"{sql_key!r}: memberless group")
+            law(sql_key == view.sql_key in index, f"{sql_key!r}: not indexed")
+            law(bool(members), f"{sql_key!r}: memberless view")
             law(
-                all(
-                    bucket
-                    and all(
-                        (s.client_id, s.cq_name) == (client_id, cq_name)
-                        for cq_name, s in bucket.items()
-                    )
-                    for client_id, bucket in group.buckets.items()
-                ),
+                all(bucket for bucket in view.buckets.values())
+                and members
+                == {
+                    (client_id, cq_name): s
+                    for client_id, bucket in view.buckets.items()
+                    for cq_name, s in bucket.items()
+                }
+                and all(key == (s.client_id, s.cq_name) for key, s in members.items()),
                 f"{sql_key!r}: an empty bucket, or a member in another's",
             )
             law(
-                all(s.group is group for s in members.values()),
-                f"{sql_key!r}: holds another group's member",
+                all(s.view is view for s in members.values()),
+                f"{sql_key!r}: holds another view's member",
             )
-            law(
-                group.digest == digest_in_full(group.result),
-                f"{sql_key!r}: digest does not describe the group's result",
-            )
+            law(view.digest is not None, f"{sql_key!r}: a view without a digest")
+            view.check(self.db)
         law(placed == self._subscriptions, "subscriptions != solo + members")
         names = Counter(name for __, name in placed)
         law(self._holders == names, f"_holders {self._holders} != {names}")
         for key, s in placed.items():
-            group = self._groups.get(s.sql_key) if s.protocol in _DRA else None
+            view = self._views.get(s.sql_key) if s.protocol in _DRA else None
             law(
-                s.group is group and (key in self._solo) is (group is None),
-                f"{key}: not in exactly its sql_key's group",
+                s.view is view and (key in self._solo) is (view is None),
+                f"{key}: not in exactly its sql_key's view",
             )
-            law(
-                s.digest == digest_in_full(s.previous_result),
-                f"{key}: digest does not describe the retained copy",
-            )
-            if group is None:
-                continue
-            held = s.previous_result
+            if view is None or s.pending_delta is not None:
+                law(
+                    s.digest == digest_in_full(s.previous_result),
+                    f"{key}: digest does not describe the retained copy",
+                )
             if s.pending_delta is not None:
-                held = s.pending_delta.apply_to(held)
-            elif s.protocol is Protocol.DRA_DELTA:
-                law(held is group.result, f"{key}: a private copy")
-            law(
-                held == group.result,
-                f"{key}: copy ∘ pending differs from its group's",
-            )
+                law(
+                    s.pending_delta.apply_to(s.previous_result) == view.result,
+                    f"{key}: copy ∘ pending differs from its view's",
+                )
 
     def describe(self) -> List[Dict[str, object]]:
         """One status record per subscription (for ops tooling)."""
         out = []
         for (client_id, cq_name), sub in self._subscriptions.items():
             pending = sub.pending_delta
-            # The CQ's own frames (or solo refreshes) plus, for a group
-            # member, the evaluations its group ran for everyone.
+            # The CQ's own frames (or solo refreshes) plus, for a view
+            # member, the evaluations its view ran for everyone.
             cost = Counter(self.stats.counters(cq_name))
-            if sub.group is not None:
-                cost.update(sub.group.cost)
+            if sub.view is not None:
+                cost.update(sub.view.cost)
             out.append(
                 {
                     "client": client_id,
@@ -1141,10 +1053,10 @@ class CQServer:
                         if cost.get(Metrics.KERNEL_CALLS)
                         else 0
                     ),
-                    # Fan-out group membership (DESIGN.md §10); the
+                    # Fan-out view membership (DESIGN.md §10); the
                     # global routing counters live in the metrics bag.
                     "sql_group_size": (
-                        None if sub.group is None else len(sub.group)
+                        None if sub.view is None else len(sub.view.members)
                     ),
                 }
             )
@@ -1196,7 +1108,7 @@ class CQServer:
             )
         info = self.index.describe()
         report += (
-            f"\nfanout: groups={len(self._groups)} "
+            f"\nfanout: groups={len(self._views)} "
             f"indexed={info['subscriptions']} "
             f"eq={info['eq_entries']} "
             f"interval={info['interval_entries']} "

@@ -67,7 +67,7 @@ class TestIndexLifecycle:
         assert len(mgr.index) == 1
         mgr.deregister("b")
         assert len(mgr.index) == 0
-        assert mgr._sql_groups == {}
+        assert mgr._views == {}
         mgr.drain()
         # Later polls route to nobody and notify nobody.
         insert(db, "stocks", (7, "NEW", 500))

@@ -307,16 +307,16 @@ class TestInvariantsAreChecked:
         cohort.late["ghost"] = cq
 
     def break_group(mgr, cq, cohort):
-        del mgr._sql_groups[cq.sql_key].members[cq.name]
+        del mgr._views[cq.sql_key].members[cq.name]
 
     def break_readers(mgr, cq, cohort):
-        mgr._sql_groups[cq.sql_key].readers += 1
+        mgr._views[cq.sql_key].readers += 1
 
     def break_alias(mgr, cq, cohort):
         cq.previous_result = cq.previous_result.copy()  # equal, not shared
 
     def break_last(mgr, cq, cohort):
-        group = mgr._sql_groups[cq.sql_key]
+        group = mgr._views[cq.sql_key]
         since, now, delta = group.last
         group.last = (since, mgr.db.now() + 1, delta)
 

@@ -832,7 +832,7 @@ class TestOneObserverPerTable:
         assert len(stocks._observers) == 1
         mgr.deregister("q499")
         assert len(stocks._observers) == 0
-        assert not mgr._cohorts and not mgr._watchers and not mgr._sql_groups
+        assert not mgr._cohorts and not mgr._watchers and not mgr._views
 
 
 def names_keyed(manager, names):

@@ -38,18 +38,19 @@ def build_market(seed=17):
 
 @pytest.fixture
 def reconstructions(monkeypatch):
-    """The E_0 runs of the server module, as a list of SQL texts: a
-    restored group is reconstructed once, whatever its member count."""
-    import repro.net.server
+    """The E_0 runs of the views (``SharedView.at``), as a list of SQL
+    texts: a restored group is reconstructed once, whatever its member
+    count."""
+    import repro.core.scheduler
 
     calls = []
-    inner = repro.net.server.dra_initial
+    inner = repro.core.scheduler.dra_initial
 
     def counting(query, *args, **kwargs):
         calls.append(query.to_sql())
         return inner(query, *args, **kwargs)
 
-    monkeypatch.setattr(repro.net.server, "dra_initial", counting)
+    monkeypatch.setattr(repro.core.scheduler, "dra_initial", counting)
     return calls
 
 

@@ -480,11 +480,11 @@ def test_fanout_columnar_exercises_receives_and_seeds(monkeypatch):
     receive, run seeded executions (multi-alias ones included), meet
     late joiners, refuse a receive because the window differed, and
     sweep touched cohorts both routed and unrouted."""
-    import repro.core.manager as manager_module
+    import repro.core.scheduler as scheduler_module
 
     seen = dict(receives=0, refused=0, seeded=0, multi_alias=0, late=0)
     seen.update(routed_sweeps=0, unrouted_sweeps=0)
-    receive, execute = CQManager._receive, manager_module.dra_execute
+    receive, execute = CQManager._receive, scheduler_module.dra_execute
     due = CQManager._due
 
     def counted_due(self, cohort):
@@ -494,7 +494,7 @@ def test_fanout_columnar_exercises_receives_and_seeds(monkeypatch):
 
     def counted_receive(self, cq):
         cohort = self._cohorts[cq.table_names]
-        group = self._sql_groups[cq.sql_key]
+        group = self._views[cq.sql_key]
         before, now = group.last, self.db.now()
         # A lazy member whose window starts after its cohort's sweep.
         seen["late"] += cq.last_execution_ts > cohort.swept
@@ -517,7 +517,7 @@ def test_fanout_columnar_exercises_receives_and_seeds(monkeypatch):
 
     monkeypatch.setattr(CQManager, "_receive", counted_receive)
     monkeypatch.setattr(CQManager, "_due", counted_due)
-    monkeypatch.setattr(manager_module, "dra_execute", counted_execute)
+    monkeypatch.setattr(scheduler_module, "dra_execute", counted_execute)
     for i in range(N_SCHEDULES // CHUNKS):
         run_schedule(make_schedule(7_000 + i), CONFIGS["default"])
     assert all(seen.values()), seen

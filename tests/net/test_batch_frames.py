@@ -13,6 +13,7 @@ import asyncio
 
 import pytest
 
+from repro.core.scheduler import SharedView
 from repro.errors import ReproError
 from repro.metrics import Metrics
 from repro.net.client import CQClient, CQSession
@@ -215,27 +216,27 @@ class TestRaisingGroup:
         group's window stays where it was and the next cycle catches
         it up."""
         db, table, server, client = in_process()
-        groups = list(server._groups.values())
+        groups = list(server._views.values())
         failing = groups[1]
-        inner = CQServer._evaluate
+        inner = SharedView.evaluate
 
-        def evaluate(self, query, sql_key, *args, **kwargs):
-            if sql_key == failing.sql_key:
+        def evaluate(self, *args, **kwargs):
+            if self.sql_key == failing.sql_key:
                 raise ReproError("evaluation failed")
-            return inner(self, query, sql_key, *args, **kwargs)
+            return inner(self, *args, **kwargs)
 
-        monkeypatch.setattr(CQServer, "_evaluate", evaluate)
-        since = failing.last_ts
+        monkeypatch.setattr(SharedView, "evaluate", evaluate)
+        since = failing.since
         table.insert((4, "SUN", 50))
         with pytest.raises(ReproError):
             server.refresh_all()
-        assert groups[0].last_ts == db.now()
+        assert groups[0].since == db.now()
         assert client.result("under80") == truth(db, "under80")
         assert client.result("under80b") == truth(db, "under80b")
-        assert failing.last_ts == since
+        assert failing.since == since
         assert client.result("under90") != truth(db, "under90")
 
-        monkeypatch.setattr(CQServer, "_evaluate", inner)
+        monkeypatch.setattr(SharedView, "evaluate", inner)
         server.refresh_all()
         for name in CQS:
             assert client.result(name) == truth(db, name)

@@ -44,7 +44,7 @@ class TestGroups:
     def test_same_sql_shares_one_group(self, deployment):
         db, __, __, server = deployment
         clients = [attach_client(server, f"c{i}") for i in range(5)]
-        assert len(server._groups) == 1
+        assert len(server._views) == 1
         assert len(server.index) == 1
         # Members beyond the first reuse the group's maintained result
         # instead of re-running E_0.
@@ -57,7 +57,7 @@ class TestGroups:
         __, __, __, server = deployment
         attach_client(server, "a", WATCH)
         attach_client(server, "b", OTHER)
-        assert len(server._groups) == 2
+        assert len(server._views) == 2
         assert len(server.index) == 2
 
     def test_group_members_converge(self, deployment):
@@ -97,12 +97,12 @@ class TestTeardown:
         attach_client(server, "a")
         attach_client(server, "b")
         server.deregister("a", "watch")
-        assert len(server._groups) == 1
+        assert len(server._views) == 1
         assert "a" not in {
             s.client_id for s in server.subscriptions()
         }
         server.deregister("b", "watch")
-        assert server._groups == {}
+        assert server._views == {}
         assert len(server.index) == 0
 
     def test_no_fanout_to_deregistered_subscriber(self, deployment):
@@ -201,9 +201,24 @@ class TestRouting:
         db.clock.advance_to(db.now() + 5)
         server.refresh_all()
         assert visited == ["local"]
-        (group,) = server._groups.values()
-        assert group.last_ts == db.now()
+        (group,) = server._views.values()
+        assert group.since == db.now()
         assert {s.last_ts for s in server.subscriptions()} == {db.now()}
+
+    def test_a_quarantined_group_is_evaluated_unrouted(self, deployment):
+        """A stale-signature entry matches nothing in the index, so
+        routing cannot vouch for the group: a touched cycle evaluates
+        it unrouted (the manager's ``test_quarantined_cqs_are_always_
+        visited``, at the server)."""
+        db, __, __, server = deployment
+        client = attach_client(server, "c0")
+        key = server.subscriptions()[0].sql_key
+        server.index._quarantine(key, keep_table="")
+        assert server.index.stale() == {key}
+        with db.begin() as txn:
+            txn.insert_into(db.table("stocks"), (9_001, "HI", 900))
+        server.refresh_all()
+        assert client.result("watch") == db.query(WATCH)
 
     def test_probe_count_sublinear_in_subscribers(self, db):
         """200 equality templates, one touched row: routed probes stay

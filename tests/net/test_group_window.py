@@ -16,6 +16,7 @@ from repro.net.client import CQClient
 from repro.net.messages import DeltaMessage, FullResultMessage
 from repro.net.server import CQServer, Protocol
 from repro.net.simnet import SimulatedNetwork
+from repro.relational.relation import Relation
 from repro.workload.stocks import StockMarket
 
 WATCH = "SELECT sid, name, price FROM stocks WHERE price > 500"
@@ -73,7 +74,7 @@ class TestLateJoin:
         db, market, server, (first,) = deployment(1)
         attach(server, "rv", Protocol.REEVAL_DELTA)
         attach(server, "rf", Protocol.REEVAL_FULL)
-        (group,) = server._groups.values()
+        (group,) = server._views.values()
         assert list(group.members) == [("c0", "watch")]
         assert [row["sql_group_size"] for row in server.describe()] == [
             1,
@@ -139,8 +140,8 @@ class TestRetiredWindow:
         server.release_zones("c0")
         market.tick(30)
         server.collect_garbage(include_unwatched=True)
-        (group,) = server._groups.values()
-        assert db.table("stocks").log.pruned_through > group.last_ts
+        (group,) = server._views.values()
+        assert db.table("stocks").log.pruned_through > group.since
         server.refresh_all()
         assert group.result == db.query(WATCH)
         server.attach(client)
@@ -163,7 +164,7 @@ class TestDegradedMember:
         sub.protocol = Protocol.DRA_DELTA
         assert sub.fold() is not None
         server.check_invariants()
-        assert sub.previous_result is sub.group.result
+        assert sub.previous_result is sub.view.result
         assert sub.changed_ts == sub.last_ts == db.now()
         # Nothing pending: the fold is a no-op that reports so.
         assert sub.fold() is None
@@ -225,11 +226,13 @@ class TestInvariantsAreChecked:
         buckets = group.buckets
         buckets["c0"], buckets["c1"] = buckets["c1"], buckets["c0"]
 
-    def break_alias(server, sub, group):
-        sub.previous_result = sub.previous_result.copy()
+    def break_result(server, sub, group):
+        # A member's copy is its view's (see below); what can go wrong
+        # is the one result every member reads.
+        group.result = Relation(group.result.schema)
 
     def break_digest(server, sub, group):
-        sub.digest = "3:0123456789abcdef"
+        group.digest = "3:0123456789abcdef"
 
     def break_membership(server, sub, group):
         del group.buckets["c0"]
@@ -247,7 +250,7 @@ class TestInvariantsAreChecked:
         "corrupt",
         [
             break_bucket,
-            break_alias,
+            break_result,
             break_digest,
             break_membership,
             break_placement,
@@ -259,7 +262,22 @@ class TestInvariantsAreChecked:
     def test_a_broken_law_raises(self, corrupt):
         db, market, server, clients = deployment(2)
         server.check_invariants()
-        (group,) = server._groups.values()
+        (group,) = server._views.values()
         corrupt(server, server._subscriptions[("c0", "watch")], group)
         with pytest.raises(AssertionError):
             server.check_invariants()
+
+    def test_a_members_copy_is_its_views(self):
+        """A DRA_DELTA member has no copy of its own to corrupt: its
+        retained result and digest read through to its view's."""
+        db, market, server, clients = deployment(2)
+        (view,) = server._views.values()
+        sub = server._subscriptions[("c0", "watch")]
+        market.tick(30)
+        server.refresh_all()
+        assert sub.previous_result is view.result
+        assert sub.digest == view.digest
+        with pytest.raises(AttributeError):
+            sub.previous_result = view.result.copy()
+        with pytest.raises(AttributeError):
+            sub.digest = "3:0123456789abcdef"

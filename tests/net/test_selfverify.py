@@ -176,7 +176,7 @@ class TestSampledAudit:
         db, table, server, client = build(audit_interval=1)
         self.register(client)
         sub = server._subscriptions[("c1", "cheap")]
-        sub.group.digest = "3:0123456789abcdef"
+        sub.view.digest = "3:0123456789abcdef"
         table.insert((4, "SUN", 60))
         server.refresh_all()
         assert server.metrics.get(Metrics.AUDIT_DIVERGENCES) == 1
@@ -411,7 +411,7 @@ class TestRunningDigestInvariant:
     ]
 
     def check(self, server, clients):
-        for group in server._groups.values():
+        for group in server._views.values():
             assert group.digest == relation_digest(group.result)
         for sub in server.subscriptions():
             assert sub.digest == relation_digest(sub.previous_result)

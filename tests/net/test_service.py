@@ -11,7 +11,12 @@ import pytest
 
 from repro.metrics import Metrics
 from repro.net.client import CQSession
-from repro.net.messages import HeartbeatMessage, HelloAckMessage, HelloMessage
+from repro.net.messages import (
+    HeartbeatMessage,
+    HelloAckMessage,
+    HelloMessage,
+    RegisterMessage,
+)
 from repro.net.server import Protocol
 from repro.net.service import CQService
 from repro.net.transport import TcpTransport
@@ -19,6 +24,7 @@ from repro.storage.database import Database
 from repro.workload.stocks import StockMarket
 
 WATCH = "SELECT name, price FROM stocks WHERE price > 800"
+CHEAP = "SELECT name, price FROM stocks WHERE price < 40"
 
 
 def build_market(rows=200, seed=13):
@@ -101,6 +107,46 @@ class TestPushProtocol:
             assert session.full_results >= 1
             assert service.metrics[Metrics.RESYNCS] >= 1
             assert session.result("watch") == db.query(WATCH)
+            await session.close()
+            await service.stop()
+
+        asyncio.run(scenario())
+
+
+class TestBadRegistrations:
+    def test_a_malformed_register_keeps_the_session(self):
+        """An unknown protocol, unparsable SQL, an unknown table or an
+        unknown column is refused as a registration error: the session
+        that sent it stays up and its good subscription keeps
+        receiving deltas, with no reconnect."""
+
+        async def scenario():
+            db, market = build_market()
+            service, addr = await start_service(db)
+            session = CQSession("c1", *addr)
+            await session.connect()
+            await session.register("watch", WATCH)
+            bad = [
+                RegisterMessage("p", WATCH, "no_such_protocol"),
+                RegisterMessage("s", "SELEC name FROM stocks", "dra_delta"),
+                RegisterMessage("t", "SELECT a FROM nowhere", "dra_delta"),
+                RegisterMessage("c", "SELECT nope FROM stocks", "reeval_delta"),
+                RegisterMessage("d", "SELECT nope FROM stocks", "dra_delta"),
+            ]
+            for message in bad:
+                await session._send(message)
+            # The session still reads what its client sends.
+            await session.register("cheap", CHEAP, timeout=3.0)
+            market.tick(50)
+            await service.refresh()
+            for cq_name, sql in (("watch", WATCH), ("cheap", CHEAP)):
+                await session.wait_applied(cq_name, db.now())
+                assert session.result(cq_name) == db.query(sql)
+            assert session.reconnects == 0
+            assert [s.cq_name for s in service.server.subscriptions()] == [
+                "watch",
+                "cheap",
+            ]
             await session.close()
             await service.stop()
 
@@ -350,7 +396,7 @@ class TestBackpressure:
             writer.cancel()
             await asyncio.gather(writer, return_exceptions=True)
             subs = service.server.subscriptions_for("c1")
-            assert len({sub.group for sub in subs}) == 3
+            assert len({sub.view for sub in subs}) == 3
             for cycle in range(1, service.queue_limit + 1):
                 market.tick(50)
                 await service.refresh()

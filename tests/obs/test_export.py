@@ -220,7 +220,7 @@ class TestKernelCountersExport:
             assert record["delta_rows_read"] > 0
             assert record["kernel_calls"] >= 1
             assert record["rows_per_kernel_call"] > 0
-        (group,) = server._groups.values()
+        (group,) = server._views.values()
         assert group.cost[Metrics.EXECUTIONS] == metrics[Metrics.EXECUTIONS]
         assert "kernels:" in server.status_report()
 

@@ -13,8 +13,8 @@ is a ``TypeError`` too.
 ``ClusterRouter``, ``CQServer`` and ``ClusterShard`` hold: state about
 one CQ, one ``sql_key``, one placement group, one host, one store or
 one subscription lives on that record (``ContinualQuery``,
-``_SqlGroup``, ``_Group``, ``_Host``, ``_Store``, ``Subscription``,
-``SharedGroup``, a store's ``_View``),
+``SharedView``, ``_SqlGroup``, ``_Group``, ``_Host``, ``_Store``,
+``Subscription``, a store's ``_View``),
 so a new instance attribute — the next parallel registry — is a
 deliberate edit here too.
 """
@@ -134,7 +134,7 @@ STATE = {
         "_cohorts",
         "_unsubscribes",
         "_watchers",
-        "_sql_groups",
+        "_views",
         "_outbox",
         # scoped to one poll or observed commit / one refresh
         "_window",
@@ -179,11 +179,11 @@ STATE = {
         "plans",
         "zones",
         "stats",
-        # records: endpoints, subscriptions (all / in no group), groups
+        # records: endpoints, subscriptions (all / in no view), views
         "_clients",
         "_subscriptions",
         "_solo",
-        "_groups",
+        "_views",
         "_holders",
         # scoped to one refresh / the audit sampler
         "_scoped_metrics",
