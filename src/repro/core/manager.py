@@ -38,7 +38,7 @@ from typing import (
 
 from repro.errors import RegistrationError, reject_deleted_arms
 from repro.metrics import Metrics
-from repro.obs.stats import CQStats, TeeMetrics
+from repro.obs.stats import CQStats, TeeMetrics, cost_columns, kernel_summary
 from repro.obs.table import format_table
 from repro.obs.trace import NULL_SPAN, Tracer
 from repro.relational.relation import Relation
@@ -844,30 +844,6 @@ class CQManager:
                 return True
         return False
 
-    def _window_deltas(
-        self, cq: ContinualQuery, since: Timestamp
-    ) -> Tuple[Dict[str, DeltaRelation], Optional[Dict[str, Tuple]]]:
-        """What one fold of ``cq`` consumes over ``(since, now]``:
-        nothing when the predicate index proves every pending entry
-        irrelevant (Section 5.2); otherwise the consolidated window and
-        the entry sides the index selected per alias — DRA's operand
-        seeds, None when the read is unrouted (always sound): a baseline
-        or quarantined CQ, a fold at its commit, or a footprint whose
-        sweep does not route (:class:`Cohort`). Read through the open
-        window, shared with the sweep and every CQ reading it, over the
-        CQ's own tables only: inside the log suffix its zone protects."""
-        index, key, tables = self.index, cq.sql_key, cq.table_names
-        window = self._window
-        if window is None:  # (an EAGER fold under PERIODIC)
-            return deltas_since([self.db.table(name) for name in tables], since), None
-        if self._route_index(cq) is None or key not in index:
-            return window.deltas(tables, since, self.db.now()), None
-        deltas, routed = window.routed(index, tables, since, self.db.now())
-        if key in window.stale:
-            return deltas, None
-        seeds = routed.get(key)
-        return (deltas, seeds) if seeds is not None else ({}, None)
-
     def _initial(
         self, cq: ContinualQuery, ts: Timestamp, prepared: Optional[PreparedCQ]
     ) -> Relation:
@@ -904,7 +880,16 @@ class CQManager:
         """Fold the commits since ``cq.applied_ts`` into the state kept
         current ahead of executions: an aggregate's differential state,
         an EAGER CQ's maintained result."""
-        deltas, seeds = self._window_deltas(cq, cq.applied_ts)
+        # Read through the open window, shared with the sweep and every
+        # CQ reading it (an EAGER fold under PERIODIC has none): inside
+        # the log suffix the CQ's zone protects.
+        window, since = self._window, cq.applied_ts
+        if window is None:
+            tables = [self.db.table(name) for name in cq.table_names]
+            deltas, seeds = deltas_since(tables, since), None
+        else:
+            view = self._views[cq.sql_key]
+            deltas, seeds = view.read(window, self._route_index(cq), since, now)
         if deltas and cq.is_aggregate:
             cq.aggregate_state.update(
                 deltas,
@@ -970,7 +955,8 @@ class CQManager:
         evaluating again: CQs with one SQL text and one window hold
         content-identical results. Keepers then alias the view's one
         result: replaced, never mutated."""
-        view, since, held = self._views[cq.sql_key], cq.last_execution_ts, cq.previous_result
+        view, since = self._views[cq.sql_key], cq.last_execution_ts
+        held = cq.previous_result
         index, metrics = self._route_index(cq), self._refresh_metrics()
         window, tracer = self._window, self.tracer
         if view.result is not None and since == view.since:
@@ -996,9 +982,12 @@ class CQManager:
 
     def _route_index(self, cq: ContinualQuery) -> Optional[PredicateIndex]:
         """The index a read of ``cq``'s window routes through: None
-        (unrouted, always sound) unless its footprint's sweep routes."""
+        (unrouted, always sound) unless its text is indexed and its
+        footprint's sweep routes."""
         cohort = self._cohorts[cq.table_names]
-        return self.index if cohort.routing and cohort.lazy else None
+        if cohort.routing and cohort.lazy and self._views[cq.sql_key].readers:
+            return self.index
+        return None
 
     def _execute_aggregate(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
         self._fold(cq, now)
@@ -1244,20 +1233,8 @@ class CQManager:
                     "trigger": repr(cq.trigger),
                     # Cumulative per-CQ cost attribution (DESIGN.md §9);
                     # populated by scheduler-driven refreshes.
-                    "rows_scanned": cost.get(Metrics.ROWS_SCANNED, 0),
-                    "delta_rows_read": cost.get(Metrics.DELTA_ROWS_READ, 0),
+                    **cost_columns(cost),
                     "refreshes": cost.get(Metrics.CQ_REFRESHES, 0),
-                    # Kernel attribution (DESIGN.md §11).
-                    "kernel_calls": cost.get(Metrics.KERNEL_CALLS, 0),
-                    "rows_per_kernel_call": (
-                        round(
-                            cost.get(Metrics.KERNEL_ROWS, 0)
-                            / cost[Metrics.KERNEL_CALLS],
-                            3,
-                        )
-                        if cost.get(Metrics.KERNEL_CALLS)
-                        else 0
-                    ),
                     "refresh_p95_us": (
                         latency.percentile(95) if latency.count else None
                     ),
@@ -1293,14 +1270,7 @@ class CQManager:
                 f"invalidations={m.get(Metrics.PLAN_CACHE_INVALIDATIONS)} "
                 f"base_scans={m.get(Metrics.BASE_SCANS)}"
             )
-            calls = m.get(Metrics.KERNEL_CALLS)
-            if calls:
-                report += (
-                    f"\nkernels: calls={calls} "
-                    f"rows={m.get(Metrics.KERNEL_ROWS)} "
-                    f"rows_per_call="
-                    f"{m.get(Metrics.KERNEL_ROWS) / calls:.1f}"
-                )
+            report += kernel_summary(m)
         info = self.index.describe()
         report += (
             f"\nindex: indexed={info['subscriptions']} "

@@ -41,6 +41,7 @@ from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
 from repro.delta.capture import delta_since
 from repro.delta.diff import diff
+from repro.delta.propagate import evaluate_as_of
 from repro.delta.differential import DeltaRelation
 from repro.dra.algorithm import dra_execute, dra_initial
 from repro.dra.predindex import PredicateIndex, Routed
@@ -224,27 +225,25 @@ class Cohort:
 
 
 class SharedView:
-    """One ``sql_key``'s retained copy at a refresh site — the paper's
-    one copy per query where differential refresh runs (Section 3.3),
-    held as DBSP holds a view: one integrated state that each window's
-    delta advances. The manager and the server both refresh through it.
+    """One ``sql_key``'s retained copy where refresh runs (Section 3.3),
+    held as DBSP holds a view: one state each window's delta advances.
+    The manager and the server both refresh through it.
 
-    ``result`` is Q(state at ``since``): replaced, never mutated, so
-    every holder aliases it. ``digest`` describes it where the tier
-    ships digests (the server), else None. ``last`` is the last
-    evaluation to ``since``, ``(from, since, delta)`` — ``delta`` None
-    when nothing was evaluated —: a member whose window is that one
-    takes the delta instead of evaluating again. A view that holds a result is built by
-    :meth:`at` (E_0) and moves only through :meth:`advance`; one built
-    plainly holds none yet (its members so far — aggregates, baselines
-    — evaluate on their own).
+    ``result`` is Q(state at ``since``), replaced, never mutated, so
+    holders alias it; ``digest`` describes it where the tier ships
+    digests (the server), else None. ``last`` is the last evaluation to
+    ``since``, ``(from, since, delta)`` (``delta`` None: nothing was
+    evaluated); a window that is its ``from`` takes the delta. A view
+    holding a result is built by :meth:`at` and moves only through
+    :meth:`advance`; one built plainly holds none until a member's copy
+    advances it (its members so far — aggregates, baselines — evaluate
+    on their own).
 
-    The tiers keep their membership on it: ``members`` (the manager's
-    CQs by name, the server's subscriptions by ``(client_id,
-    cq_name)``), ``readers`` (the manager's members that read deltas:
-    the index entry lives while there is one), ``buckets`` (the
-    server's members per client, in joining order) and ``cost`` (the
-    counters the server's evaluations charged, for its ``describe``).
+    Membership is the tier's: ``members`` (the manager's CQs by name,
+    the server's subscriptions by ``(client_id, cq_name)``), ``readers``
+    (the manager's delta readers: the index entry lives while there is
+    one), ``buckets`` (the server's members per client) and ``cost``
+    (what the server's evaluations charged, for its ``describe``).
     """
 
     __slots__ = (
@@ -272,7 +271,8 @@ class SharedView:
     ):
         self.query = query
         self.sql_key = sql_key
-        self.tables: Tuple[str, ...] = tuple(sorted(set(query.table_names)))
+        # (in FROM order, as a CQ's and its cohort's: one routing pass)
+        self.tables: Tuple[str, ...] = tuple(dict.fromkeys(query.table_names))
         self.plans = plans
         self.since = since
         self.result = result
@@ -293,44 +293,31 @@ class SharedView:
         ts: Timestamp,
         metrics: Optional[Metrics] = None,
     ) -> "SharedView":
-        """The view as of ``ts``: E_0, one kernel term on ``plan``, the
-        plan ``plans`` caches under ``sql_key`` (:func:`dra_initial`).
-        A ``ts`` GC has passed raises the log's ``ValueError``."""
+        """The view as of ``ts``: E_0 as one kernel term on ``plan``,
+        the plan ``plans`` caches under ``sql_key`` (:func:`dra_initial`;
+        a ``ts`` GC has passed raises the log's ``ValueError``)."""
         result = dra_initial(query, plans.db, ts, plan, metrics)
         return cls(query, sql_key, plans, ts, result)
 
-    def advance(
+    def read(
         self,
         window: DeltaBatchCache,
         index: Optional[PredicateIndex],
+        since: Timestamp,
         now: Timestamp,
-        metrics: Optional[Metrics] = None,
-        tracer: Optional[Tracer] = None,
-        since: Optional[Timestamp] = None,
-        held: Optional[Relation] = None,
-    ) -> Optional[DeltaRelation]:
-        """Move the view to ``now``: evaluate the window
-        (:meth:`evaluate`), replace ``result`` — folding ``digest``
-        through :func:`apply_delta` —, record ``last`` and set ``since``.
-        Returns the delta, None when nothing was evaluated.
-
-        By default the window starts at the view's own ``since``. A
-        manager member whose window starts elsewhere passes its start
-        and ``held``, its copy (Q(state at ``since``)): the view moves
-        from there (the one result every keeper at ``now`` aliases).
-        The view moves only once the evaluation succeeded."""
-        if since is None:
-            since, held = self.since, self.result
-        delta = self.evaluate(window, index, since, now, metrics, tracer, held)
-        if delta is not None and not delta.is_empty():
-            if self.digest is None:
-                held = delta.apply_to(held)
-            else:
-                held, self.digest = apply_delta(delta, held, self.digest)
-        self.result = held
-        self.last = (since, now, delta)
-        self.since = now
-        return delta
+    ) -> Tuple[Dict[str, DeltaRelation], Optional[Routed]]:
+        """The window ``(since, now]`` and the entry sides ``index``
+        routed here (DRA's operand seeds): unrouted — no seeds — when
+        ``index`` is None or quarantined this key (routing cannot vouch
+        for it), nothing when the index proves every entry irrelevant
+        (Section 5.2)."""
+        if index is None:
+            return window.deltas(self.tables, since, now), None
+        deltas, routed = window.routed(index, self.tables, since, now)
+        seeds = routed.get(self.sql_key)
+        if seeds is None and self.sql_key not in window.stale:
+            return {}, None
+        return deltas, seeds
 
     def evaluate(
         self,
@@ -342,34 +329,21 @@ class SharedView:
         tracer: Optional[Tracer] = None,
         held: Optional[Relation] = None,
     ) -> Optional[DeltaRelation]:
-        """The result delta over ``(since, now]``, moving nothing; None
-        when nothing was evaluated: nothing committed, or no entry the
-        index routes here (Section 5.2 makes the delta empty). The
-        window ``last`` records is not evaluated again: its delta is
-        returned; a window evaluated beside a view already at ``now``
-        becomes ``last``, for the members sharing it.
-
-        The window is read through ``window``: routed by ``index``,
-        whose routed entry seeds the kernels' operands; unrouted
-        (``index`` None, or a key the index quarantined: routing cannot
-        vouch for it) with no seeds. A window GC has retired is
-        re-evaluated completely and diffed against ``held``."""
-        key, tables = self.sql_key, self.tables
+        """The result delta over ``(since, now]`` on the kernels, moving
+        nothing; None when nothing was evaluated (an empty :meth:`read`).
+        The window ``last`` names is not evaluated again; one evaluated
+        beside a view already at ``now`` becomes ``last``. A window GC
+        has retired is re-evaluated completely and diffed with ``held``."""
         try:
-            if index is None:
-                deltas, seeds = window.deltas(tables, since, now), None
-            else:
-                deltas, routed = window.routed(index, tables, since, now)
-                seeds = routed.get(key)
-                if seeds is None and key not in window.stale:
-                    return None
+            deltas, seeds = self.read(window, index, since, now)
         except ValueError:
             return diff(held, window.db.query(self.query, metrics), now)
         if not deltas:
             return None
         last = self.last
         if last is not None and last[2] is not None and last[:2] == (since, now):
-            return last[2]  # (this very window, evaluated by its advance)
+            return last[2]
+        key = self.sql_key
         span = (
             tracer.span("dra.apply", view=key)
             if tracer is not None and tracer.enabled
@@ -392,31 +366,51 @@ class SharedView:
                     terms=result.terms_evaluated,
                     delta_rows=len(result.delta),
                 )
-        if now == self.since:  # (a member's window beside the view's)
+        if now == self.since:
             self.last = (since, now, result.delta)
         return result.delta
 
+    def advance(
+        self,
+        window: DeltaBatchCache,
+        index: Optional[PredicateIndex],
+        now: Timestamp,
+        metrics: Optional[Metrics] = None,
+        tracer: Optional[Tracer] = None,
+        since: Optional[Timestamp] = None,
+        held: Optional[Relation] = None,
+    ) -> Optional[DeltaRelation]:
+        """Move the view to ``now`` once :meth:`evaluate` succeeded:
+        replace ``result`` (folding ``digest`` through
+        :func:`apply_delta`), record ``last``, set ``since``; returns the
+        delta. The window starts at the view's ``since``, or at a
+        manager member's ``since`` whose copy ``held`` the view then
+        moves from."""
+        if since is None:
+            since, held = self.since, self.result
+        delta = self.evaluate(window, index, since, now, metrics, tracer, held)
+        if delta is not None and not delta.is_empty():
+            if self.digest is None:
+                held = delta.apply_to(held)
+            else:
+                held, self.digest = apply_delta(delta, held, self.digest)
+        self.result, self.last, self.since = held, (since, now, delta), now
+        return delta
+
     def check(self, db: Database) -> None:
         """Raise ``AssertionError`` unless ``result`` is Q(state at
-        ``since``) (while the logs reach back there) and ``digest``, if
-        kept, describes it: the laws both tiers' ``check_invariants``
-        hold every view to."""
-        from repro.delta.propagate import evaluate_as_of
-        from repro.net.digest import relation_digest
-
-        if self.result is None:
+        ``since``) — while the logs reach back there — and ``digest``,
+        if kept, describes it: the laws both tiers hold their views to."""
+        key, result = self.sql_key, self.result
+        if result is None:
             return
         if all(db.table(t).log.pruned_through <= self.since for t in self.tables):
-            if self.result != evaluate_as_of(self.query, db, self.since):
-                raise AssertionError(
-                    f"{self.sql_key!r}: result is not Q(state at {self.since})"
-                )
-        if self.digest is not None and self.digest != relation_digest(self.result):
-            raise AssertionError(
-                f"{self.sql_key!r}: digest does not describe the view's result"
-            )
+            if result != evaluate_as_of(self.query, db, self.since):
+                raise AssertionError(f"{key!r}: result is not Q(state at since)")
+        if self.digest not in (None, relation_digest(result)):
+            raise AssertionError(f"{key!r}: digest does not describe the result")
 
 
 # Last: importing repro.net runs its package, whose server imports this
 # module's names.
-from repro.net.digest import apply_delta  # noqa: E402
+from repro.net.digest import apply_delta, relation_digest  # noqa: E402

@@ -27,7 +27,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.metrics import Metrics
-from repro.obs.stats import CQStats, TeeMetrics
+from repro.obs.stats import CQStats, TeeMetrics, cost_columns, kernel_summary
 from repro.obs.table import format_table
 from repro.obs.trace import Tracer
 from repro.relational.algebra import SPJQuery
@@ -163,14 +163,6 @@ class Subscription:
         self._result = result
         self._digest = digest
         self.changed_ts = ts
-
-    def apply(self, delta, ts: Timestamp) -> None:
-        """Fold the result delta of refresh ``ts`` into the retained
-        copy and its running digest."""
-        if not delta.is_empty():
-            self.retain(
-                *apply_delta(delta, self.previous_result, self.digest), ts
-            )
 
     def fold(self):
         """Fold the un-fetched DRA_LAZY accumulation into the retained
@@ -947,7 +939,8 @@ class CQServer:
             if delta.is_empty():
                 self._note_refresh(subscription.client_id, (subscription,))
                 return False
-            subscription.apply(delta, now)
+            held = subscription.previous_result
+            subscription.retain(*apply_delta(delta, held, subscription.digest), now)
             return self._ship(subscription, delta, now)
 
         # REEVAL_FULL ships unconditionally: without a retained diff
@@ -1039,20 +1032,8 @@ class CQServer:
                     "zone": self.zones.boundary(self._zone(client_id, cq_name)),
                     # Cumulative per-CQ cost attribution (DESIGN.md §9),
                     # aggregated across clients subscribed to the CQ.
-                    "rows_scanned": cost.get(Metrics.ROWS_SCANNED, 0),
-                    "delta_rows_read": cost.get(Metrics.DELTA_ROWS_READ, 0),
+                    **cost_columns(cost),
                     "bytes_sent": cost.get(Metrics.BYTES_SENT, 0),
-                    # Kernel attribution (DESIGN.md §11).
-                    "kernel_calls": cost.get(Metrics.KERNEL_CALLS, 0),
-                    "rows_per_kernel_call": (
-                        round(
-                            cost.get(Metrics.KERNEL_ROWS, 0)
-                            / cost[Metrics.KERNEL_CALLS],
-                            3,
-                        )
-                        if cost.get(Metrics.KERNEL_CALLS)
-                        else 0
-                    ),
                     # Fan-out view membership (DESIGN.md §10); the
                     # global routing counters live in the metrics bag.
                     "sql_group_size": (
@@ -1099,13 +1080,7 @@ class CQServer:
             f"audit_divergences={m.get(Metrics.AUDIT_DIVERGENCES)} "
             f"codec_errors={m.get(Metrics.CODEC_ERRORS)}"
         )
-        calls = m.get(Metrics.KERNEL_CALLS)
-        if calls:
-            report += (
-                f"\nkernels: calls={calls} "
-                f"rows={m.get(Metrics.KERNEL_ROWS)} "
-                f"rows_per_call={m.get(Metrics.KERNEL_ROWS) / calls:.1f}"
-            )
+        report += kernel_summary(m)
         info = self.index.describe()
         report += (
             f"\nfanout: groups={len(self._views)} "

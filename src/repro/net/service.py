@@ -38,6 +38,7 @@ from typing import Deque, Dict, Optional, Tuple
 
 from repro.errors import NetworkError, RegistrationError, reject_deleted_arms
 from repro.metrics import Metrics
+from repro.obs.stats import cost_columns
 from repro.storage.database import Database
 from repro.net.messages import (
     DeltaAvailableMessage,
@@ -508,18 +509,13 @@ class CQService:
             }
             for session in self._sessions.values()
         ]
-        kernel_calls = counters.get(Metrics.KERNEL_CALLS, 0)
         return {
             "server": self.server.name,
             "now": self.db.now(),
             "counters": counters,
             # Kernel efficiency (DESIGN.md §11): average rows per kernel
             # invocation; 0 until a DRA refresh runs.
-            "rows_per_kernel_call": (
-                round(counters.get(Metrics.KERNEL_ROWS, 0) / kernel_calls, 3)
-                if kernel_calls
-                else 0
-            ),
+            "rows_per_kernel_call": cost_columns(counters)["rows_per_kernel_call"],
             "histograms": histograms,
             "subscriptions": self.server.describe(),
             "per_cq": self.server.stats.to_dict(),

@@ -134,3 +134,25 @@ class CQStats:
 
     def __repr__(self) -> str:
         return f"CQStats({len(self)} keys)"
+
+
+def cost_columns(cost: Dict[str, int]) -> Dict[str, object]:
+    """The cost columns of a ``describe`` record, from one CQ's
+    counters (DESIGN.md §9; kernel attribution, §11)."""
+    calls = cost.get(Metrics.KERNEL_CALLS, 0)
+    rows = cost.get(Metrics.KERNEL_ROWS, 0)
+    return {
+        "rows_scanned": cost.get(Metrics.ROWS_SCANNED, 0),
+        "delta_rows_read": cost.get(Metrics.DELTA_ROWS_READ, 0),
+        "kernel_calls": calls,
+        "rows_per_kernel_call": round(rows / calls, 3) if calls else 0,
+    }
+
+
+def kernel_summary(metrics: Metrics) -> str:
+    """A status report's ``kernels:`` line ("" before any kernel call)."""
+    calls = metrics.get(Metrics.KERNEL_CALLS)
+    if not calls:
+        return ""
+    rows = metrics.get(Metrics.KERNEL_ROWS)
+    return f"\nkernels: calls={calls} rows={rows} rows_per_call={rows / calls:.1f}"
