@@ -232,8 +232,10 @@ class SharedView:
     ``result`` is Q(state at ``since``), replaced, never mutated, so
     holders alias it; ``digest`` describes it where the tier ships
     digests (the server), else None. ``last`` is the last evaluation to
-    ``since``, ``(from, since, delta)`` (``delta`` None: nothing was
-    evaluated); a window that is its ``from`` takes the delta. A view
+    ``since``, ``(from, since, delta)``; a window that is its ``from``
+    takes the delta, which is kept only while the manager has a second
+    delta reader to take it (else, or when nothing was evaluated, None:
+    a retained delta nobody asks for costs memory locality). A view
     holding a result is built by :meth:`at` and moves only through
     :meth:`advance`; one built plainly holds none until a member's copy
     advances it (its members so far — aggregates, baselines — evaluate
@@ -366,7 +368,7 @@ class SharedView:
                     terms=result.terms_evaluated,
                     delta_rows=len(result.delta),
                 )
-        if now == self.since:
+        if now == self.since and self.readers > 1:
             self.last = (since, now, result.delta)
         return result.delta
 
@@ -394,7 +396,8 @@ class SharedView:
                 held = delta.apply_to(held)
             else:
                 held, self.digest = apply_delta(delta, held, self.digest)
-        self.result, self.last, self.since = held, (since, now, delta), now
+        kept = delta if self.readers > 1 else None
+        self.result, self.last, self.since = held, (since, now, kept), now
         return delta
 
     def check(self, db: Database) -> None:
