@@ -86,11 +86,20 @@ def test_a_deferred_vs_eager_consolidation(print_table, benchmark):
     benchmark(deferred_cycle)
 
 
+#: Per client ``i``: its own query shape (the alias differs, so nothing
+#: is shared), a literal of one shape (one family), or one text.
+ARMS = {
+    "per_client": lambda i: WATCH.replace("stocks", f"stocks AS s{i}"),
+    "family": lambda i: f"SELECT sid, name, price FROM stocks WHERE price > {500 + i}",
+    "shared": lambda i: WATCH,
+}
+
+
 def test_b_shared_vs_per_client_evaluation(print_table, benchmark):
     rows = []
     for n_clients in (4, 16):
         work = {}
-        for share in (False, True):
+        for arm, sql_for in ARMS.items():
             db = Database()
             market = StockMarket(db, seed=113)
             market.populate(1_000)
@@ -99,26 +108,28 @@ def test_b_shared_vs_per_client_evaluation(print_table, benchmark):
             for i in range(n_clients):
                 client = CQClient(f"c{i}")
                 server.attach(client)
-                sql = WATCH if share else (
-                    f"SELECT sid, name, price FROM stocks WHERE price > {500 + i}"
-                )
+                sql = sql_for(i)
                 client.register("watch", sql, Protocol.DRA_DELTA)
                 clients.append((client, sql))
             market.tick(20)
             server.metrics.reset()
             server.refresh_all()
-            work[share] = server.metrics[Metrics.DELTA_ROWS_READ]
+            work[arm] = server.metrics[Metrics.DELTA_ROWS_READ]
             assert all(c.result("watch") == db.query(sql) for c, sql in clients)
         rows.append(
             {
                 "clients": n_clients,
-                "per_client_delta_rows": work[False],
-                "shared_delta_rows": work[True],
-                "savings_x": round(work[False] / max(1, work[True]), 1),
+                "per_client_delta_rows": work["per_client"],
+                "family_delta_rows": work["family"],
+                "shared_delta_rows": work["shared"],
+                "savings_x": round(work["per_client"] / max(1, work["shared"]), 1),
             }
         )
     print_table(rows, title="E11b: shared subscription evaluation")
     assert rows[-1]["shared_delta_rows"] * (16 // 2) <= rows[-1]["per_client_delta_rows"]
+    # Literals of one shape read the union of their routed sides once:
+    # every side passing price > 500 + i passes price > 500.
+    assert rows[-1]["family_delta_rows"] == rows[-1]["shared_delta_rows"]
 
     db = Database()
     market = StockMarket(db, seed=114)

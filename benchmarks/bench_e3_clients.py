@@ -8,8 +8,10 @@ the per-client cost is delta-sized, so server work stays near-flat as
 clients grow — and with fan-out (one shared evaluation per distinct
 query on top of the per-cycle delta-batch cache) the per-cycle cost is
 independent of the client count altogether. The server shares every
-evaluation it can, so the per-client DRA arm gives each client a
-template of its own (``price > 800 + i``): the only way a server
+evaluation it can — one per query text, and one per routed window for
+texts that differ only in a literal (a template family) — so the
+per-client DRA arm gives each client a query shape of its own (its own
+alias, ``FROM stocks AS s<i>``, and threshold): the only way a server
 evaluates once per subscription.
 
 Run ``python benchmarks/bench_e3_clients.py --smoke`` for a fast
@@ -35,9 +37,10 @@ CLIENT_COUNTS = [1, 8, 32]
 
 
 def distinct(n_clients):
-    """One template per client, each ``WATCH`` with its own threshold."""
+    """One query shape per client: ``WATCH`` over its own alias, with
+    its own threshold."""
     return [
-        f"SELECT sid, name, price FROM stocks WHERE price > {800 + i}"
+        f"SELECT sid, name, price FROM stocks AS s{i} WHERE price > {800 + i}"
         for i in range(n_clients)
     ]
 
@@ -133,11 +136,11 @@ def test_delta_sharing_cuts_delta_reads(print_table):
     shared = readings["shared"].get(Metrics.DELTA_ROWS_READ, 0)
     assert private > 0
     assert shared * 2 <= private, (shared, private)
-    # Across distinct queries evaluation can't be shared but
+    # Across distinct shapes evaluation can't be shared but
     # consolidation still is: every query's group after the first
     # reuses the cycle's cached batch.
     queries = [
-        f"SELECT sid, price FROM stocks WHERE price > {600 + 20 * i}"
+        f"SELECT sid, price FROM stocks AS s{i} WHERE price > {600 + 20 * i}"
         for i in range(8)
     ]
     db, market, server = build(32, Protocol.DRA_DELTA, queries=queries)

@@ -65,7 +65,16 @@ from repro.core.continual_query import (
 from repro.core.epsilon import ResultDriftEpsilon
 from repro.core.gc import ActiveDeltaZones
 from repro.core.results import Notification, NotificationKind
-from repro.core.scheduler import Cohort, DeltaBatchCache, SharedView, is_skip_safe
+from repro.core.scheduler import (
+    Cohort,
+    DeltaBatchCache,
+    Family,
+    SharedView,
+    check_families,
+    is_skip_safe,
+    join_family,
+    leave_family,
+)
 from repro.core.termination import Never, StopCondition
 from repro.core.triggers import (
     AllOf,
@@ -168,6 +177,9 @@ class CQManager:
         #: and one E_0 (:class:`~repro.core.scheduler.SharedView`).
         self.index = PredicateIndex(metrics)
         self._views: Dict[str, SharedView] = {}
+        #: Indexed SPJ views by shape: one execution per routed window
+        #: for a family (:class:`~repro.core.scheduler.Family`).
+        self._families: Dict[Tuple[str, str], Family] = {}
 
     # -- registration -----------------------------------------------------
 
@@ -423,6 +435,8 @@ class CQManager:
                     for ref in cq.spj_core.relations
                 }
                 self.index.add(key, cq.spj_core, scopes)
+                if not cq.is_aggregate:  # (an aggregate folds its own reads)
+                    join_family(self._families, view, scopes)
         cohort = self._cohorts.get(tables)
         if cohort is None:
             cohort = self._cohorts[tables] = Cohort(tables, ts)
@@ -481,6 +495,7 @@ class CQManager:
             if not view.readers:
                 # No future batch is routed to a dead subscriber.
                 self.index.remove(key)
+                leave_family(self._families, view, self._views)
         cohort = self._cohorts[tables]
         cohort.routing = True  # a new membership: observe routing afresh
         for members in (cohort.lazy, cohort.always, cohort.late):
@@ -863,6 +878,9 @@ class CQManager:
         old = self._views.get(key)
         if old is not None:
             view.members, view.readers = old.members, old.readers
+            view.family = old.family
+            if view.family is not None:
+                view.family.members[key] = view
         self._views[key] = view
         return view.result
 
@@ -1182,10 +1200,17 @@ class CQManager:
             len(index) == sum(view.readers > 0 for view in views.values()),
             "the index's entries != the views with a delta reader",
         )
+        spj_readers = {
+            cq.sql_key
+            for cq in active.values()
+            if cq.engine is not Engine.REEVALUATE and not cq.is_aggregate
+        }
+        check_families(self._families, views, spj_readers, self.db)
+        live = views.keys() | {shape for shape, __ in self._families}
         law(
             all(key in self.plans for key in planned)
-            and sum(key in self.plans for key in views) == len(self.plans),
-            "plans != the live sql_keys",
+            and sum(key in self.plans for key in live) == len(self.plans),
+            "plans != the live sql_keys and family shapes",
         )
         law(
             self._watchers.keys()

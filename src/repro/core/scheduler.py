@@ -22,7 +22,10 @@ CQ. These are the records ``CQManager.poll()`` shares work through:
   armed during an unrouted window would otherwise fire a poll late;
 * :class:`SharedView` — the members of one SQL text share one plan,
   one index entry, one evaluation per window and one retained result;
-  the manager and the server both refresh through it.
+  the manager and the server both refresh through it;
+* :class:`Family` — SPJ views whose texts differ only in one alias's
+  local predicate share one execution per routed window on their
+  shape's plan, demultiplexed into each view's own delta.
 
 Runnable CQs refresh one after another in registration order, so the
 notification sequence is the paper's: sharing only removes provably
@@ -31,12 +34,17 @@ redundant work, and adds counters and a refresh-latency histogram.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Tuple
+import functools
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.metrics import Metrics
 from repro.obs.trace import NULL_SPAN, Tracer
 from repro.relational.algebra import SPJQuery
+from repro.relational.planning import plan_predicate
+from repro.relational.predicates import conjunction
 from repro.relational.relation import Relation
+from repro.relational.schema import Schema
+from repro.relational.sql.parser import PARSE_MEMO_SIZE
 from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
 from repro.delta.capture import delta_since
@@ -44,6 +52,7 @@ from repro.delta.diff import diff
 from repro.delta.propagate import evaluate_as_of
 from repro.delta.differential import DeltaRelation
 from repro.dra.algorithm import dra_execute, dra_initial
+from repro.dra.assembly import to_delta
 from repro.dra.predindex import PredicateIndex, Routed
 from repro.dra.prepared import PlanCache, PreparedCQ
 from repro.core.continual_query import ContinualQuery
@@ -68,10 +77,13 @@ class DeltaBatchCache:
     notification callback) opens new keys, so the window never serves a
     batch that is missing it.
 
+    A family's evaluation of a routed window (:meth:`family`) is kept
+    under ``(shape, since_ts, now_ts)``, so it too dies with the window.
+
     One poll, one commit observed by an IMMEDIATE manager or one server
     refresh cycle builds one window, reads it from one thread and drops
-    it; a consolidation that raises caches nothing, so a later reader
-    retries.
+    it; a consolidation or an evaluation that raises caches nothing, so
+    a later reader retries.
     """
 
     def __init__(
@@ -87,6 +99,9 @@ class DeltaBatchCache:
         self._routes: Dict[
             Tuple[Tuple[str, ...], Timestamp, Timestamp],
             Tuple[Dict[str, DeltaRelation], Routed],
+        ] = {}
+        self._families: Dict[
+            Tuple[Tuple[str, str], Timestamp, Timestamp], Dict[str, DeltaRelation]
         ] = {}
         #: The keys the index had quarantined when it routed this
         #: window: routing cannot vouch for them, so they read unrouted.
@@ -157,6 +172,27 @@ class DeltaBatchCache:
             if self.metrics:
                 self.metrics.count(Metrics.DELTA_BATCHES_REUSED, len(table_names))
         return pair
+
+    def family(
+        self,
+        family: "Family",
+        tables: Tuple[str, ...],
+        since: Timestamp,
+        now: Timestamp,
+        metrics: Optional[Metrics] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> Dict[str, DeltaRelation]:
+        """Every routed member's delta over ``(since, now]``, from one
+        :meth:`Family.evaluate` of the routing :meth:`routed` already
+        holds for ``tables``; a repeat read is one lookup, charged
+        nothing."""
+        key = (family.key, since, now)
+        out = self._families.get(key)
+        if out is None:
+            deltas, routed = self._routes[(tables, since, now)]
+            out = family.evaluate(self.db, deltas, routed, now, metrics, tracer)
+            self._families[key] = out
+        return out
 
     def __repr__(self) -> str:
         return (
@@ -241,6 +277,10 @@ class SharedView:
     advances it (its members so far — aggregates, baselines — evaluate
     on their own).
 
+    ``family`` is the :class:`Family` of the view's shape while the
+    view is indexed and has a shape (else None): a routed window it
+    shares with another member is evaluated once for them all.
+
     Membership is the tier's: ``members`` (the manager's CQs by name,
     the server's subscriptions by ``(client_id, cq_name)``), ``readers``
     (the manager's delta readers: the index entry lives while there is
@@ -257,6 +297,7 @@ class SharedView:
         "result",
         "digest",
         "last",
+        "family",
         "members",
         "readers",
         "buckets",
@@ -280,6 +321,7 @@ class SharedView:
         self.result = result
         self.digest: Optional[str] = None
         self.last: Optional[Tuple[Timestamp, Timestamp, Optional[DeltaRelation]]] = None
+        self.family: Optional[Family] = None
         self.members: Dict = {}
         self.readers = 0
         self.buckets: Dict[str, Dict] = {}
@@ -335,7 +377,14 @@ class SharedView:
         nothing; None when nothing was evaluated (an empty :meth:`read`).
         The window ``last`` names is not evaluated again; one evaluated
         beside a view already at ``now`` becomes ``last``. A window GC
-        has retired is re-evaluated completely and diffed with ``held``."""
+        has retired is re-evaluated completely and diffed with ``held``.
+
+        A routed window in which only the table of the family's
+        parameter alias changed is the family's, when the family has
+        another member: the delta is this view's share of the window's
+        one :meth:`Family.evaluate`. Anything else — a family of one, an
+        unrouted or quarantined read, another table touched — runs this
+        view's own execution."""
         try:
             deltas, seeds = self.read(window, index, since, now)
         except ValueError:
@@ -345,32 +394,43 @@ class SharedView:
         last = self.last
         if last is not None and last[2] is not None and last[:2] == (since, now):
             return last[2]
-        key = self.sql_key
-        span = (
-            tracer.span("dra.apply", view=key)
-            if tracer is not None and tracer.enabled
-            else NULL_SPAN
-        )
-        with span:
-            result = dra_execute(
-                self.query,
-                window.db,
-                deltas=deltas,
-                ts=now,
-                metrics=metrics,
-                prepared=self.plans.get(key, self.query),
-                tracer=tracer,
-                seeds=seeds,
+        key, family = self.sql_key, self.family
+        if (
+            family is not None
+            and seeds is not None
+            and len(family.members) > 1
+            and len(deltas) == 1
+            and family.table in deltas
+        ):
+            shares = window.family(family, self.tables, since, now, metrics, tracer)
+            delta = shares[key]
+        else:
+            span = (
+                tracer.span("dra.apply", view=key)
+                if tracer is not None and tracer.enabled
+                else NULL_SPAN
             )
-            if span is not NULL_SPAN:
-                span.set(
-                    changed=",".join(sorted(result.changed_aliases)),
-                    terms=result.terms_evaluated,
-                    delta_rows=len(result.delta),
+            with span:
+                result = dra_execute(
+                    self.query,
+                    window.db,
+                    deltas=deltas,
+                    ts=now,
+                    metrics=metrics,
+                    prepared=self.plans.get(key, self.query),
+                    tracer=tracer,
+                    seeds=seeds,
                 )
+                if span is not NULL_SPAN:
+                    span.set(
+                        changed=",".join(sorted(result.changed_aliases)),
+                        terms=result.terms_evaluated,
+                        delta_rows=len(result.delta),
+                    )
+            delta = result.delta
         if now == self.since and self.readers > 1:
-            self.last = (since, now, result.delta)
-        return result.delta
+            self.last = (since, now, delta)
+        return delta
 
     def advance(
         self,
@@ -412,6 +472,206 @@ class SharedView:
                 raise AssertionError(f"{key!r}: result is not Q(state at since)")
         if self.digest not in (None, relation_digest(result)):
             raise AssertionError(f"{key!r}: digest does not describe the result")
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
+def query_shape(
+    query: SPJQuery, schemas: Tuple[Schema, ...]
+) -> Optional[Tuple[Tuple[str, str], SPJQuery]]:
+    """``((shape SQL, P), shape)`` for an SPJ text, or None when it has
+    none. The parameter alias P is the first alias in FROM order with a
+    local predicate, and P's table must appear once in FROM; the shape
+    is the query with P's local conjuncts removed. Everything else —
+    the other aliases' local conjuncts, constant conjuncts, cross-alias
+    predicates, the projection — stays verbatim, so two texts are in
+    one :class:`Family` iff their keys are equal.
+
+    ``schemas`` are the aliases' in FROM order (they resolve unqualified
+    columns). Memoised as :func:`~repro.relational.sql.parse_query` is:
+    the decomposition runs once per distinct text, not per
+    registration."""
+    local = plan_predicate(query.predicate, dict(zip(query.aliases, schemas))).local
+    for ref in query.relations:
+        if local[ref.alias]:
+            break
+    else:
+        return None
+    if query.table_names.count(ref.table) > 1:
+        return None
+    dropped = set(map(id, local[ref.alias]))
+    rest = [c for c in query.predicate.conjuncts() if id(c) not in dropped]
+    shape = SPJQuery(query.relations, conjunction(rest), query.projection)
+    return (shape.to_sql(), ref.alias), shape
+
+
+class Family:
+    """The indexed SPJ views of one shape (:func:`query_shape`): texts
+    that differ only in the local predicate of the parameter alias P —
+    one query instantiated with many literals, P's being input
+    variables bound per access (Kara et al., free access patterns).
+
+    A routed window in which only P's table changed is evaluated once,
+    on the shape's plan (``plans`` caches it under the shape's SQL),
+    seeded with the union of the P-sides routing sent the members,
+    each ``(tid, sign)`` once. The outputs stay apart per seed side and
+    each member's delta is assembled from the outputs of its own sides
+    only: a modify whose old side routes to one member and new side to
+    another is a delete in the first and an insert in the second, even
+    where the two projected rows are equal, which a signed sum over the
+    union would cancel. Routing already applied each member's whole
+    local conjunction on P (Section 5.2), so nobody tests it again.
+
+    ``members`` maps each member's ``sql_key`` to its view.
+    """
+
+    __slots__ = ("key", "query", "table", "position", "plans", "members")
+
+    def __init__(self, key: Tuple[str, str], query: SPJQuery, plans: PlanCache):
+        self.key = key
+        self.query = query
+        aliases = query.aliases
+        at = aliases.index(key[1])
+        self.table = query.table_names[at]
+        #: P's place in a composite result tid (None: the tid is P's).
+        self.position = None if len(aliases) == 1 else at
+        self.plans = plans
+        self.members: Dict[str, SharedView] = {}
+
+    def evaluate(
+        self,
+        db: Database,
+        deltas: Mapping[str, DeltaRelation],
+        routed: Routed,
+        now: Timestamp,
+        metrics: Optional[Metrics] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> Dict[str, DeltaRelation]:
+        """Each routed member's delta over ``deltas``, in which only
+        P's table changed, from one :func:`dra_execute` on the shape's
+        plan. A seed side travels under its place in the union as its
+        tid, so no two sides' outputs meet in the signed sum; the real
+        tid is put back as the outputs are sorted to their sides."""
+        alias = self.key[1]
+        place: Dict[Tuple, int] = {}
+        tids: List = []
+        rows: List = []
+        signs: List[int] = []
+        owned: List[Tuple[str, List[int]]] = []
+        for key in self.members:
+            seeds = routed.get(key)
+            if seeds is None:
+                continue
+            mine = []
+            for tid, row, sign in zip(*seeds[alias]):
+                i = place.setdefault((tid, sign), len(tids))
+                if i == len(tids):
+                    tids.append(tid)
+                    rows.append(row)
+                    signs.append(sign)
+                mine.append(i)
+            owned.append((key, mine))
+        span = (
+            tracer.span("dra.apply", family=self.key[0], members=len(owned))
+            if tracer is not None and tracer.enabled
+            else NULL_SPAN
+        )
+        with span:
+            prepared = self.plans.get(self.key[0], self.query)
+            result = dra_execute(
+                self.query,
+                db,
+                deltas=deltas,
+                ts=now,
+                metrics=metrics,
+                prepared=prepared,
+                tracer=tracer,
+                seeds={alias: (list(range(len(tids))), rows, signs)},
+            )
+            outputs: List[List] = [[] for __ in tids]
+            at = self.position
+            for (ctid, values), weight in result.weights.items():
+                i = ctid if at is None else ctid[at]
+                real = tids[i] if at is None else (*ctid[:at], tids[i], *ctid[at + 1 :])
+                outputs[i].append(((real, values), weight))
+            schema, shares = prepared.out_schema, {}
+            for key, mine in owned:
+                weights: Dict = {}
+                for i in mine:
+                    for pair, weight in outputs[i]:
+                        total = weights.get(pair, 0) + weight
+                        if total:
+                            weights[pair] = total
+                        else:
+                            del weights[pair]
+                shares[key] = to_delta(weights, schema, now)
+            if span is not NULL_SPAN:
+                span.set(seed_rows=len(tids), outputs=len(result.weights))
+        return shares
+
+
+def join_family(
+    families: Dict[Tuple[str, str], Family],
+    view: SharedView,
+    scopes: Mapping[str, Schema],
+) -> None:
+    """Enter a newly indexed SPJ view into the family of its shape,
+    founding the family if it is the first; a text without a shape
+    stays alone."""
+    query = view.query
+    shape = query_shape(query, tuple(scopes[alias] for alias in query.aliases))
+    if shape is None:
+        return
+    key, query = shape
+    family = families.get(key)
+    if family is None:
+        family = families[key] = Family(key, query, view.plans)
+    family.members[view.sql_key] = view
+    view.family = family
+
+
+def leave_family(
+    families: Dict[Tuple[str, str], Family], view: SharedView, views: Mapping
+) -> None:
+    """Take a view whose index entry goes out of its family. The last
+    member takes the family and its shape's plan along — unless a live
+    view of ``views`` has the shape's text as its own."""
+    family = view.family
+    if family is None:
+        return
+    view.family = None
+    del family.members[view.sql_key]
+    if not family.members:
+        del families[family.key]
+        if family.key[0] not in views:
+            family.plans.invalidate(family.key[0])
+
+
+def check_families(
+    families: Dict[Tuple[str, str], Family],
+    views: Mapping[str, SharedView],
+    indexed: Set[str],
+    db: Database,
+) -> None:
+    """Raise ``AssertionError`` unless every ``indexed`` view with a
+    shape is a member of its shape's family, no other view is in one,
+    and no family is memberless: the laws both tiers hold their
+    families to."""
+    placed = {}
+    for key, family in families.items():
+        if not family.members:
+            raise AssertionError(f"{key}: a memberless family")
+        for sql_key, view in family.members.items():
+            if views.get(sql_key) is not view or view.family is not family:
+                raise AssertionError(f"{sql_key!r}: not a live member of {key}")
+            placed[sql_key] = key
+    for sql_key, view in views.items():
+        shape = None
+        if sql_key in indexed:
+            query = view.query
+            schemas = tuple(db.table(t).schema for t in query.table_names)
+            shape = query_shape(query, schemas)
+        if placed.get(sql_key) != (shape and shape[0]):
+            raise AssertionError(f"{sql_key!r}: not in the family of its shape")
 
 
 # Last: importing repro.net runs its package, whose server imports this

@@ -42,7 +42,14 @@ from repro.dra.algorithm import dra_execute
 from repro.dra.predindex import PredicateIndex
 from repro.dra.prepared import PlanCache
 from repro.core.gc import ActiveDeltaZones
-from repro.core.scheduler import DeltaBatchCache, SharedView
+from repro.core.scheduler import (
+    DeltaBatchCache,
+    Family,
+    SharedView,
+    check_families,
+    join_family,
+    leave_family,
+)
 from repro.net.codec import encode_delta_body
 from repro.net.digest import apply_delta, relation_digest
 from repro.net.messages import (
@@ -273,6 +280,9 @@ class CQServer:
         #: the view and its index entry.
         self.index = PredicateIndex(self.metrics)
         self._views: Dict[str, SharedView] = {}
+        #: Views by shape: one execution per routed window for a
+        #: family (:class:`~repro.core.scheduler.Family`).
+        self._families: Dict[Tuple[str, str], Family] = {}
 
     # -- wiring ------------------------------------------------------------
 
@@ -499,6 +509,7 @@ class CQServer:
                     for ref in query.relations
                 }
                 self.index.add(sql_key, query, scopes)
+                join_family(self._families, view, scopes)
                 self.metrics.count(Metrics.SHARED_GROUPS)
             else:
                 # A join that finds the window behind it moves it the
@@ -531,8 +542,9 @@ class CQServer:
     def deregister(self, client_id: str, cq_name: str) -> None:
         """Drop a subscription, its GC-protected zone, and its
         ``sql_key`` view membership — the last member leaving also
-        drops the view and its predicate-index entry, so no later
-        batch is ever routed (or fanned out) to a dead subscriber."""
+        drops the view, its plan, its family membership and its
+        predicate-index entry, so no later batch is ever routed (or
+        fanned out) to a dead subscriber."""
         key = (client_id, cq_name)
         subscription = self._subscriptions.pop(key, None)
         if subscription is None:
@@ -552,6 +564,8 @@ class CQServer:
             if not view.members:
                 del self._views[view.sql_key]
                 self.index.remove(view.sql_key)
+                self.plans.invalidate(view.sql_key)
+                leave_family(self._families, view, self._views)
         self._holders[cq_name] -= 1
         if not self._holders[cq_name]:
             del self._holders[cq_name]
@@ -913,14 +927,15 @@ class CQServer:
         # The client's replay: one consolidated delta over its whole
         # missed window, applicable directly to its cached copy, whose
         # post-apply state is the current result the server now retains.
-        # It is the client's own window: no view moves.
+        # It is the client's own window: no view moves. A baseline has
+        # no view, so its one-off replay caches no plan.
         replayed = dra_execute(
             query,
             self.db,
             deltas=deltas_since(tables, since_ts),
             ts=now,
             metrics=self.metrics,
-            prepared=self.plans.get(sql_key, query),
+            prepared=None if view is None else self.plans.get(sql_key, query),
             tracer=self.tracer,
         )
         self.metrics.count(Metrics.REPLAYS)
@@ -992,6 +1007,13 @@ class CQServer:
             law(view.digest is not None, f"{sql_key!r}: a view without a digest")
             view.check(self.db)
         law(placed == self._subscriptions, "subscriptions != solo + members")
+        check_families(self._families, self._views, set(self._views), self.db)
+        live = self._views.keys() | {shape for shape, __ in self._families}
+        law(
+            all(key in self.plans for key in self._views)
+            and sum(key in self.plans for key in live) == len(self.plans),
+            "plans != the live sql_keys and family shapes",
+        )
         names = Counter(name for __, name in placed)
         law(self._holders == names, f"_holders {self._holders} != {names}")
         for key, s in placed.items():

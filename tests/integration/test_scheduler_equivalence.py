@@ -237,6 +237,30 @@ def build_trigger(spec):
 # -- replay -------------------------------------------------------------------
 
 
+def apply_txn(db, handles, step):
+    """Commit one transaction step: ``("txn", table, ops)`` writes one
+    table, ``("txns", [(table, ops), ...])`` several in one commit.
+    Symbolic row targets resolve against the table's committed rows."""
+    parts = [step[1:]] if step[0] == "txn" else step[1]
+    with db.begin() as txn:
+        for table_name, ops in parts:
+            table = handles[table_name]
+            for op in ops:
+                live = [row.tid for row in table.rows()]
+                if op[0] == "insert" or not live:
+                    k, v = (op[1], op[2]) if op[0] == "insert" else (0, 0)
+                    txn.insert_into(table, (k, v))
+                elif op[0] == "delete":
+                    tid = live[int(op[1] * len(live)) % len(live)]
+                    if txn.read(table, tid) is not None:
+                        txn.delete_from(table, tid)
+                else:
+                    tid = live[int(op[1] * len(live)) % len(live)]
+                    row = txn.read(table, tid)
+                    if row is not None:
+                        txn.modify_in(table, tid, values=(row[0], op[2]))
+
+
 def run_schedule(
     schedule, config, strategy=EvaluationStrategy.PERIODIC, restore=False
 ):
@@ -314,23 +338,7 @@ def run_schedule(
         if step[0] == "deregister":
             mgr.deregister(step[1])
             continue
-        __, table_name, ops = step
-        table = handles[table_name]
-        with db.begin() as txn:
-            for op in ops:
-                live = [row.tid for row in table.rows()]
-                if op[0] == "insert" or not live:
-                    k, v = (op[1], op[2]) if op[0] == "insert" else (0, 0)
-                    txn.insert_into(table, (k, v))
-                elif op[0] == "delete":
-                    tid = live[int(op[1] * len(live)) % len(live)]
-                    if txn.read(table, tid) is not None:
-                        txn.delete_from(table, tid)
-                else:
-                    tid = live[int(op[1] * len(live)) % len(live)]
-                    row = txn.read(table, tid)
-                    if row is not None:
-                        txn.modify_in(table, tid, values=(row[0], op[2]))
+        apply_txn(db, handles, step)
     # Flush: 6 result-affecting commits per table (fills every epsilon,
     # wakes every data trigger; k 0..5 guarantees join matches) plus a
     # large clock advance (fires every time trigger), so the final poll

@@ -119,6 +119,33 @@ class TestTeardown:
         assert net.link("server", "gone").messages == before
         assert kept.result("watch") == db.query(WATCH)
 
+    def test_deregister_drops_the_plans_of_dead_texts(self, deployment):
+        """Regression: the last member of a text took its view and its
+        index entry along but left its plan behind, so registering and
+        deregistering 50 distinct texts left 50 plans and no view."""
+        __, __, __, server = deployment
+        client = CQClient("c")
+        server.attach(client)
+        for i in range(50):
+            client.register(f"q{i}", f"SELECT name FROM stocks WHERE price = {i}")
+        for i in range(50):
+            server.deregister("c", f"q{i}")
+        assert server._views == {}
+        assert len(server.plans) == 0
+
+    def test_a_familys_last_member_takes_its_shape_plan(self, deployment):
+        db, __, __, server = deployment
+        shape = "SELECT name, price FROM stocks"
+        for i in range(3):
+            attach_client(server, f"c{i}", f"{shape} WHERE price > {600 + 100 * i}")
+        with db.begin() as txn:
+            txn.insert_into(db.table("stocks"), (9_001, "HI", 900))
+        server.refresh_all()
+        assert shape in server.plans and len(server._families) == 1
+        for i in range(3):
+            server.deregister(f"c{i}", "watch")
+        assert not server._families and len(server.plans) == 0
+
     def test_deregister_unknown_still_raises(self, deployment):
         __, __, __, server = deployment
         with pytest.raises(RegistrationError):
@@ -253,6 +280,84 @@ class TestRouting:
         assert clients[7].result("watch") == db.query(
             "SELECT name FROM stocks WHERE price = 7"
         )
+
+
+class TestFamilies:
+    """Texts that differ only in one alias's local predicate share one
+    execution per routed window; every other read runs its own."""
+
+    @pytest.fixture
+    def server(self, db):
+        for name in ("a", "b"):
+            table = db.create_table(
+                name, [("k", AttributeType.INT), ("v", AttributeType.INT)]
+            )
+            table.insert_many([(k, k * 10) for k in range(10)])
+        return CQServer(db, SimulatedNetwork(), metrics=Metrics())
+
+    @staticmethod
+    def subscribe(server, texts):
+        clients = []
+        for i, sql in enumerate(texts):
+            client = CQClient(f"c{i}")
+            server.attach(client)
+            client.register("q", sql)
+            clients.append((client, sql))
+        return clients
+
+    @staticmethod
+    def refresh(server, db, clients, *changes):
+        """Commit ``(table, tid, values)`` modifies in one transaction,
+        refresh, check every client; returns the executions it ran."""
+        with db.begin() as txn:
+            for table, tid, values in changes:
+                txn.modify_in(db.table(table), tid, values=values)
+        before = server.metrics.snapshot()
+        server.refresh_all()
+        for client, sql in clients:
+            assert client.result("q") == db.query(sql), sql
+        return server.metrics.diff(before).get(Metrics.EXECUTIONS, 0)
+
+    FAMILY = [
+        "SELECT k FROM a WHERE k = 1",
+        "SELECT k FROM a WHERE k = 2",
+        "SELECT k FROM a WHERE v >= 0 AND v < 25",
+        "SELECT k FROM a WHERE v > 80 OR k = 3",
+    ]
+
+    def test_a_routed_family_runs_one_execution_per_window(self, db, server):
+        clients = self.subscribe(server, self.FAMILY)
+        (family,) = server._families.values()
+        assert len(family.members) == 4
+        # tid 2 is (1, 10), tid 3 is (2, 20); the first moves v across
+        # members whose projection drops it: a delete and an insert.
+        changes = [("a", 2, (1, 85)), ("a", 3, (2, 5))]
+        assert self.refresh(server, db, clients, *changes) == 1
+
+    def test_a_family_of_one_runs_its_own_execution(self, db, server):
+        texts = [self.FAMILY[0], "SELECT v FROM a WHERE k = 2"]
+        clients = self.subscribe(server, texts)
+        changes = [("a", 2, (1, 11)), ("a", 3, (2, 21))]
+        assert self.refresh(server, db, clients, *changes) == 2
+
+    def test_a_quarantined_member_runs_its_own_execution(self, db, server):
+        clients = self.subscribe(server, self.FAMILY)
+        server.index._quarantine(self.FAMILY[0], keep_table="")
+        changes = [("a", 2, (1, 11)), ("a", 3, (2, 21))]
+        assert self.refresh(server, db, clients, *changes) == 2
+
+    def test_a_window_touching_another_table_runs_one_execution_per_key(
+        self, db, server
+    ):
+        texts = [
+            f"SELECT a.k, b.v FROM a, b WHERE a.k = b.k AND a.v = {v}"
+            for v in (10, 20, 30)
+        ]
+        clients = self.subscribe(server, texts)
+        # b has no local predicate: its sides route to every member.
+        changes = [("a", 2, (1, 20)), ("b", 5, (4, 44))]
+        assert self.refresh(server, db, clients, *changes) == 3
+        assert self.refresh(server, db, clients, ("a", 2, (1, 30))) == 1
 
 
 class TestEquivalence:

@@ -117,22 +117,28 @@ class TestSharedEvaluation:
             assert client.result("watch") == truth
 
     def test_sharing_computes_once(self):
-        """Sixteen subscribers of one template cost one evaluation;
-        sixteen of distinct templates — the only way a server evaluates
-        per subscription — cost sixteen."""
+        """Sixteen subscribers of one template cost one evaluation, and
+        so do sixteen templates of one shape, over the union of their
+        routed sides; sixteen of distinct shapes — the only way a
+        server evaluates per subscription — cost sixteen."""
+        arms = {
+            "shared": lambda i: WATCH,
+            "family": lambda i: f"{WATCH} AND sid <> {i}",
+            "distinct": lambda i: WATCH.replace("stocks", f"stocks AS s{i}"),
+        }
         work, evaluations = {}, {}
-        for shared in (False, True):
+        for arm, sql in arms.items():
             db, market, net, server = deployment(seed=45)
             for i in range(16):
-                sql = WATCH if shared else f"{WATCH} AND sid <> {i}"
-                attach(server, f"c{i}", Protocol.DRA_DELTA, sql)
+                attach(server, f"c{i}", Protocol.DRA_DELTA, sql(i))
             market.tick(20)
             server.metrics.reset()
             server.refresh_all()
-            work[shared] = server.metrics[Metrics.DELTA_ROWS_READ]
-            evaluations[shared] = server.metrics[Metrics.EXECUTIONS]
-        assert work[True] * 8 <= work[False]
-        assert evaluations == {False: 16, True: 1}
+            work[arm] = server.metrics[Metrics.DELTA_ROWS_READ]
+            evaluations[arm] = server.metrics[Metrics.EXECUTIONS]
+        assert work["shared"] * 8 <= work["distinct"]
+        assert work["family"] == work["shared"]
+        assert evaluations == {"shared": 1, "family": 1, "distinct": 16}
 
     def test_sharing_respects_windows(self):
         """A client registered mid-stream gets its own first window."""

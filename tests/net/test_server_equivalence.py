@@ -29,7 +29,7 @@ from repro.net.client import CQClient
 from repro.net.server import CQServer, Protocol
 from repro.net.simnet import SimulatedNetwork
 from repro.relational import AttributeType
-from tests.integration.test_scheduler_equivalence import make_schedule
+from tests.integration.test_scheduler_equivalence import apply_txn, make_schedule
 
 N_SCHEDULES = 60
 CLIENTS = ("a", "b", "c")
@@ -38,8 +38,13 @@ ROAMING = ("a", "b")
 DRA = (Protocol.DRA_DELTA, Protocol.DRA_LAZY)
 
 
-def run_server_schedule(seed):
-    tables, seed_rows, cq_specs, __, steps = make_schedule(seed)
+def run_server_schedule(seed, schedule=None):
+    """Replay ``schedule`` (default: the manager harness's for
+    ``seed``) on a server; ``seed`` also drives the protocol choices,
+    the detaches and the replays."""
+    if schedule is None:
+        schedule = make_schedule(seed)
+    tables, seed_rows, cq_specs, __, steps = schedule
     rng = random.Random(seed ^ 0x5EED)
     db = Database()
     handles = {}
@@ -123,23 +128,7 @@ def run_server_schedule(seed):
                 server.deregister(*key)
                 del sqls[key]
             continue
-        __, table_name, ops = step
-        table = handles[table_name]
-        with db.begin() as txn:
-            for op in ops:
-                live = [row.tid for row in table.rows()]
-                if op[0] == "insert" or not live:
-                    k, v = (op[1], op[2]) if op[0] == "insert" else (0, 0)
-                    txn.insert_into(table, (k, v))
-                elif op[0] == "delete":
-                    tid = live[int(op[1] * len(live)) % len(live)]
-                    if txn.read(table, tid) is not None:
-                        txn.delete_from(table, tid)
-                else:
-                    tid = live[int(op[1] * len(live)) % len(live)]
-                    row = txn.read(table, tid)
-                    if row is not None:
-                        txn.modify_in(table, tid, values=(row[0], op[2]))
+        apply_txn(db, handles, step)
     for client_id, since in sorted(away.items()):
         server.attach(clients[client_id])
         attached.add(client_id)

@@ -135,6 +135,8 @@ STATE = {
         "_unsubscribes",
         "_watchers",
         "_views",
+        # indexed SPJ views by shape (one execution per routed window)
+        "_families",
         "_outbox",
         # scoped to one poll or observed commit / one refresh
         "_window",
@@ -184,6 +186,8 @@ STATE = {
         "_subscriptions",
         "_solo",
         "_views",
+        # views by shape (one execution per routed window)
+        "_families",
         "_holders",
         # scoped to one refresh / the audit sampler
         "_scoped_metrics",
