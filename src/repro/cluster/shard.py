@@ -6,15 +6,16 @@ DRA builds a refresh's delta from the base relations and their deltas,
 with the previous result an optional input (Algorithm 1), so a store
 keeps none. It holds its slice of the tables, whose *only* writer is
 the router, plus a plan cache, a predicate index, active delta zones
-and one :class:`_View` per ``sql_key`` placed on it: the query and the
-start of its open window. Each
+and one resultless :class:`~repro.core.scheduler.SharedView` per
+``sql_key`` placed on it — the query and the start of its open window —
+entered into its shape's :class:`~repro.core.scheduler.Family`. Each
 :class:`~repro.net.messages.ScatterMessage` carries one refresh cycle's
 relevant delta slices; the store folds them into its tables
 (journaling WAL-first, exactly like a local commit), evaluates every
-routed view over ``(since, now]``, moves every window to ``now`` and
-returns the non-empty result deltas in a
-:class:`~repro.net.messages.GatherReplyMessage` for the router's
-cross-shard merge.
+routed view over ``(since, now]`` (a family's window once for all its
+members), moves every window to ``now`` and returns the non-empty
+result deltas in a :class:`~repro.net.messages.GatherReplyMessage` for
+the router's cross-shard merge.
 
 Delta application is an *upsert*: a modify of an unknown tid becomes an
 insert, a delete of an unknown tid is a no-op, an insert of a known tid
@@ -51,11 +52,17 @@ from repro.storage.wal import (
     shard_wal_path,
 )
 from repro.delta.differential import DeltaRelation
-from repro.dra.algorithm import dra_execute
 from repro.dra.predindex import PredicateIndex
 from repro.dra.prepared import PlanCache
 from repro.core.gc import ActiveDeltaZones
-from repro.core.scheduler import DeltaBatchCache
+from repro.core.scheduler import (
+    DeltaBatchCache,
+    Family,
+    SharedView,
+    check_families,
+    join_family,
+    leave_family,
+)
 from repro.net.messages import (
     GatherReplyMessage,
     Message,
@@ -154,21 +161,6 @@ def _record(tid, old, new, ts: Timestamp) -> UpdateRecord:
     return UpdateRecord(kind, tid, old, new, ts, SCATTER_TXN)
 
 
-class _View:
-    """One ``sql_key`` a store evaluates: its query, the tables it
-    reads and ``since``, the start of its open window ``(since, now]``.
-    The window, the view's predicate-index entry and its GC zone are
-    all keyed by ``sql_key``; the zone boundary is ``since``."""
-
-    __slots__ = ("sql_key", "query", "tables", "since")
-
-    def __init__(self, sql_key: str, query: SPJQuery, since: Timestamp):
-        self.sql_key = sql_key
-        self.query = query
-        self.tables: Tuple[str, ...] = tuple(sorted(set(query.table_names)))
-        self.since = since
-
-
 class ClusterShard:
     """One store of a shard host: a table slice plus its views."""
 
@@ -209,8 +201,11 @@ class ClusterShard:
         self.plans = PlanCache(self.db, self.metrics)
         self.index = PredicateIndex(self.metrics)
         self.zones = ActiveDeltaZones(self.db)
-        #: Views by ``sql_key``, in registration order.
-        self._views: Dict[str, _View] = {}
+        #: Views by ``sql_key``, in registration order; each holds no
+        #: result (the router retains it).
+        self._views: Dict[str, SharedView] = {}
+        #: The views by shape: one execution per routed window.
+        self._families: Dict[Tuple[str, str], Family] = {}
 
     @classmethod
     def recover(
@@ -380,22 +375,29 @@ class ClusterShard:
     def _install(self, sql_key: str, query: SPJQuery, since: Timestamp) -> None:
         """The one install step, for subscribed, promoted and recovered
         views alike: the plan (compiling it auto-creates the join
-        indexes), the index entry and the zone, at window start
-        ``since``. No result is built: the router retains it."""
+        indexes), the index entry, the family membership and the zone,
+        at window start ``since``. No result is built: the router
+        retains it."""
         self.plans.get(sql_key, query)
         scopes = {
             ref.alias: self.db.table(ref.table).schema for ref in query.relations
         }
         self.index.add(sql_key, query, scopes)
-        view = self._views[sql_key] = _View(sql_key, query, since)
+        view = self._views[sql_key] = SharedView(query, sql_key, self.plans, since)
+        join_family(self._families, view, scopes)
         self.zones.register(sql_key, view.tables, since)
 
     def _unsubscribe(self, sql_key: str) -> None:
-        if self._views.pop(sql_key, None) is None:
+        """Drop a view with its index entry, plan, family membership
+        (the last member takes the shape's plan) and zone."""
+        view = self._views.pop(sql_key, None)
+        if view is None:
             raise RegistrationError(
                 f"shard {self.shard_id} holds no {sql_key!r}"
             )
         self.index.remove(sql_key)
+        self.plans.invalidate(sql_key)
+        leave_family(self._families, view, self._views)
         self.zones.remove(sql_key)
         if self.db.wal is not None:
             self.db.wal.log_event(
@@ -407,28 +409,17 @@ class ClusterShard:
         gather entries ``(sql_key, delta, now)`` of the non-empty ones.
 
         One predicate-index pass per (footprint, window) decides which
-        views see relevant entries; an unrouted view advances without
-        evaluating anything (the Section 5.2 relevance theorem makes its
-        delta provably empty), a routed one runs DRA from the sides the
-        index selected."""
+        views see relevant entries; :meth:`SharedView.evaluate` skips an
+        unrouted view (the Section 5.2 relevance theorem makes its delta
+        provably empty), runs a routed family's window once for all its
+        members, and any other routed or quarantined view on its own."""
         now = self.db.now()
         cache = DeltaBatchCache(self.db, self.metrics)
         entries = []
-        for view in self._views.values():
-            key = view.sql_key
-            deltas, routed = cache.routed(self.index, view.tables, view.since, now)
-            if key in routed:
-                delta = dra_execute(
-                    view.query,
-                    self.db,
-                    deltas=deltas,
-                    ts=now,
-                    metrics=self.metrics,
-                    prepared=self.plans.get(key, view.query),
-                    seeds=routed[key],
-                ).delta
-                if not delta.is_empty():
-                    entries.append((key, delta, now))
+        for key, view in self._views.items():
+            delta = view.evaluate(cache, self.index, view.since, now, self.metrics)
+            if delta is not None and not delta.is_empty():
+                entries.append((key, delta, now))
             view.since = now
             self.zones.advance(key, now)
         return entries
@@ -509,6 +500,13 @@ class ClusterShard:
         law(
             len(self.index) == len(views) and all(k in self.index for k in views),
             "index keys != view keys",
+        )
+        check_families(self._families, views, set(views), self.db)
+        live = views.keys() | {shape for shape, __ in self._families}
+        law(
+            all(key in self.plans for key in views)
+            and sum(key in self.plans for key in live) == len(self.plans),
+            "plans != the live sql_keys and family shapes",
         )
         since = {key: view.since for key, view in views.items()}
         zones = self.zones.boundaries()

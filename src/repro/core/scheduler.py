@@ -377,7 +377,8 @@ class SharedView:
         nothing; None when nothing was evaluated (an empty :meth:`read`).
         The window ``last`` names is not evaluated again; one evaluated
         beside a view already at ``now`` becomes ``last``. A window GC
-        has retired is re-evaluated completely and diffed with ``held``.
+        has retired is re-evaluated completely and diffed with ``held``;
+        with nothing held it raises the log's ``ValueError``.
 
         A routed window in which only the table of the family's
         parameter alias changed is the family's, when the family has
@@ -388,6 +389,11 @@ class SharedView:
         try:
             deltas, seeds = self.read(window, index, since, now)
         except ValueError:
+            # Nothing held to diff with (a shard store's view). A
+            # store's zones keep every open window's entries, so GC
+            # never retires one there and this is unreachable.
+            if held is None:
+                raise
             return diff(held, window.db.query(self.query, metrics), now)
         if not deltas:
             return None

@@ -6,12 +6,16 @@ evaluation never produced — the router's merged result holds it. The
 first test is that case: a row inserted with a commit stamp below a
 view's window start, then deleted inside a later window."""
 
+import random
+
 import pytest
 
 from repro import Database
-from repro.cluster import ClusterShard, TableDecl
+from repro.cluster import ClusterRouter, ClusterShard, LocalBackend, TableDecl
 from repro.delta.differential import DeltaEntry, DeltaRelation
+from repro.delta.propagate import evaluate_as_of
 from repro.errors import RegistrationError
+from repro.metrics import Metrics
 from repro.net.messages import ScatterMessage, ShardHeartbeatMessage
 from repro.storage.wal import KIND_SUB_REGISTER, scan_wal, shard_wal_path
 
@@ -215,3 +219,259 @@ class TestInvariants:
         store.db.table("stocks").log.mark_pruned(9)
         with pytest.raises(AssertionError, match="pruned-through 9"):
             store.check_invariants()
+
+
+def insert_stocks(seq, ts, prices):
+    """A frame inserting ``sid -> price`` rows, the sid as the tid."""
+    rows = [
+        DeltaEntry(sid, None, (sid, f"S{sid}", price), ts)
+        for sid, price in prices.items()
+    ]
+    return scatter(seq, ts, deltas={"stocks": delta(STOCKS, *rows)})
+
+
+def reprice(ts, *changes):
+    """The ``stocks`` slice moving each ``(sid, old, new)`` price."""
+    return delta(
+        STOCKS,
+        *(
+            DeltaEntry(sid, (sid, f"S{sid}", old), (sid, f"S{sid}", new), ts)
+            for sid, old, new in changes
+        ),
+    )
+
+
+def executions(store, frame):
+    before = store.metrics.snapshot()
+    reply = store.handle(frame)
+    return store.metrics.diff(before).get(Metrics.EXECUTIONS, 0), reply
+
+
+def assert_gathered(store, reply, since):
+    """Each view's gathered delta (empty without an entry) takes Q's
+    result at its window start ``since[key]`` to Q's result now."""
+    got = {key: part for key, part, __ in reply.entries}
+    assert got.keys() <= since.keys()
+    for key, view in store._views.items():
+        start = evaluate_as_of(view.query, store.db, since[key])
+        part = got.get(key)
+        now = start if part is None else part.apply_to(start)
+        assert now == store.db.query(view.query), key
+
+
+#: Four literals of one shape over stocks, and a view of another shape.
+FAMILY = [
+    "SELECT sid, price FROM stocks WHERE sid = 1",
+    "SELECT sid, price FROM stocks WHERE sid = 2",
+    "SELECT sid, price FROM stocks WHERE price >= 100 AND price < 110",
+    "SELECT sid, price FROM stocks WHERE price > 150 OR sid = 3",
+]
+ASIDE = "SELECT name FROM stocks WHERE sid = 9"
+SHAPE = "SELECT sid, price FROM stocks"
+PRICES = {sid: 100.0 + 5 * sid for sid in range(10)}
+
+
+def family_store(root, texts):
+    store = make_store(root)
+    store.handle(insert_stocks(1, 2, PRICES))
+    store.handle(scatter(2, 3, subscribe=texts))
+    return store
+
+
+class TestFamilies:
+    """A routed window of a family is one execution per store, split
+    into each member's gather entry (``core/scheduler.py`` ``Family``)."""
+
+    def test_a_routed_family_runs_one_execution_per_window(self, tmp_path):
+        store = family_store(tmp_path, FAMILY + [ASIDE])
+        assert len(store._families) == 2
+        changes = reprice(4, (1, 105.0, 185.0), (2, 110.0, 104.0))
+        count, reply = executions(store, scatter(3, 4, deltas={"stocks": changes}))
+        assert count == 1
+        assert {key for key, __, __ in reply.entries} == set(FAMILY)
+        assert_gathered(store, reply, dict.fromkeys(store._views, 3))
+
+    def test_a_member_moved_across_gets_a_delete_and_the_other_an_insert(
+        self, tmp_path
+    ):
+        """The projection drops ``price``: the old side routes to one
+        member, the new side to another, and both project ``(sid,)``."""
+        cheap = "SELECT sid FROM stocks WHERE price >= 100 AND price < 110"
+        dear = "SELECT sid FROM stocks WHERE price > 150"
+        store = family_store(tmp_path, [cheap, dear])
+        changes = reprice(4, (1, 105.0, 160.0))
+        count, reply = executions(store, scatter(3, 4, deltas={"stocks": changes}))
+        assert count == 1
+        assert entries(reply) == [
+            (cheap, [(1, (1,), None, 4)], 4),
+            (dear, [(1, None, (1,), 4)], 4),
+        ]
+
+    def test_a_family_of_one_runs_its_own_execution(self, tmp_path):
+        lone = "SELECT price FROM stocks WHERE sid = 2"
+        store = family_store(tmp_path, [FAMILY[0], lone])
+        assert all(len(f.members) == 1 for f in store._families.values())
+        changes = reprice(4, (1, 105.0, 106.0), (2, 110.0, 111.0))
+        count, reply = executions(store, scatter(3, 4, deltas={"stocks": changes}))
+        assert count == 2 and len(reply.entries) == 2
+
+    def test_a_quarantined_member_runs_its_own_execution(self, tmp_path):
+        store = family_store(tmp_path, FAMILY + [ASIDE])
+        store.index._quarantine(FAMILY[0], keep_table="")
+        changes = reprice(4, (1, 105.0, 106.0), (2, 110.0, 111.0))
+        # FAMILY[1] and FAMILY[2] share one; FAMILY[0] reads unrouted.
+        count, reply = executions(store, scatter(3, 4, deltas={"stocks": changes}))
+        assert count == 2
+        assert {key for key, __, __ in reply.entries} == set(FAMILY[:3])
+        assert_gathered(store, reply, dict.fromkeys(store._views, 3))
+
+    def test_a_window_touching_another_table_runs_one_execution_per_key(
+        self, tmp_path
+    ):
+        texts = [
+            "SELECT s.name, p.shares FROM stocks AS s, positions AS p "
+            f"WHERE s.sid = p.sid AND s.price = {price}"
+            for price in (105.0, 110.0, 115.0)
+        ]
+        store = family_store(tmp_path, texts)
+        (family,) = store._families.values()
+        assert family.key[1] == "s" and len(family.members) == 3
+        held = delta(
+            POSITIONS,
+            *(DeltaEntry(pid, None, (pid, "c", pid, 10), 4) for pid in (1, 2, 3)),
+        )
+        count, reply = executions(store, scatter(3, 4, deltas={"positions": held}))
+        assert count == 3 and len(reply.entries) == 3
+        # positions has no local predicate: its sides route to every member.
+        changes = reprice(5, (1, 105.0, 110.0))
+        moved = delta(POSITIONS, DeltaEntry(3, (3, "c", 3, 10), (3, "c", 3, 20), 5))
+        since = dict.fromkeys(store._views, 4)
+        frame = scatter(4, 5, deltas={"stocks": changes, "positions": moved})
+        count, reply = executions(store, frame)
+        assert count == 3
+        assert_gathered(store, reply, since)
+        changes = reprice(6, (1, 110.0, 115.0))
+        count, reply = executions(store, scatter(5, 6, deltas={"stocks": changes}))
+        assert count == 1
+        assert_gathered(store, reply, dict.fromkeys(store._views, 5))
+
+
+class TestPlans:
+    def test_the_last_member_takes_the_family_and_its_plan(self, tmp_path):
+        store = family_store(tmp_path, FAMILY + [ASIDE])
+        store.handle(scatter(3, 4, deltas={"stocks": reprice(4, (1, 105.0, 106.0))}))
+        assert SHAPE in store.plans
+        store.handle(scatter(4, 5, unsubscribe=FAMILY))
+        assert list(store._families) == [("SELECT name FROM stocks", "stocks")]
+        assert SHAPE not in store.plans
+        assert len(store.plans) == 1
+
+    def test_unsubscribed_texts_leave_no_plan_on_any_store(self):
+        """Subscribing and unsubscribing 50 distinct texts through a
+        router leaves every store with no view and no plan."""
+        router = ClusterRouter(shards=2, seed=3, backend=LocalBackend())
+        router.declare_table("stocks", STOCKS.schema)
+        router.start()
+        with router.db.begin() as txn:
+            for sid, price in PRICES.items():
+                txn.insert_into(router.db.table("stocks"), (sid, f"S{sid}", price))
+        texts = [f"SELECT sid, name FROM stocks WHERE price > {i}" for i in range(50)]
+        for i, sql in enumerate(texts):
+            router.subscribe("c", f"q{i}", sql)
+        router.refresh()
+        for i in range(len(texts)):
+            router.unsubscribe("c", f"q{i}")
+        router.refresh()
+        stores = stores_of(router)
+        try:
+            assert [len(store._views) for store in stores] == [0] * len(stores)
+            assert [len(store.plans) for store in stores] == [0] * len(stores)
+        finally:
+            router.close()
+
+
+def rows(relation):
+    return sorted(row.values for row in relation)
+
+
+def stores_of(router):
+    return [
+        store
+        for host in router.backend.shards.values()
+        for store in host.stores.values()
+    ]
+
+
+class TestQuarantine:
+    def test_a_quarantined_view_is_evaluated_unrouted(self):
+        """A stale-signature entry matches nothing in a store's index,
+        so routing cannot vouch for the view: a touched frame evaluates
+        it unrouted (the server's ``test_a_quarantined_group_is_
+        evaluated_unrouted``, at the store)."""
+        sql = "SELECT sid, name FROM stocks WHERE price > 50"
+        router = ClusterRouter(shards=2, seed=3, backend=LocalBackend())
+        router.declare_table("stocks", STOCKS.schema)
+        router.start()
+        db = router.db
+        with db.begin() as txn:
+            for sid in range(29):
+                txn.insert_into(db.table("stocks"), (sid, f"S{sid}", 60.0 + sid))
+        try:
+            router.subscribe("c", "watch", sql)
+            router.refresh()
+            for store in stores_of(router):
+                store.index._quarantine(sql, keep_table="")
+            with db.begin() as txn:
+                txn.insert_into(db.table("stocks"), (99, "HI", 900.0))
+            router.refresh()
+            assert len(db.query(sql)) == 30
+            assert rows(router.result("c", "watch")) == rows(db.query(sql))
+        finally:
+            router.close()
+
+
+@pytest.mark.parametrize("replicas", [0, 1])
+def test_routed_families_serve_every_member(replicas):
+    """Two in-process shards: every member of two families and a join
+    equals ``db.query`` after every refresh."""
+    router = ClusterRouter(
+        shards=2, seed=5, replicas=replicas, backend=LocalBackend()
+    )
+    router.declare_table("stocks", STOCKS.schema)
+    router.declare_table("positions", POSITIONS.schema, partition_key="client")
+    router.start()
+    db = router.db
+    texts = [
+        f"SELECT name, price FROM stocks WHERE price > {100 + 4 * i}"
+        for i in range(8)
+    ]
+    texts += [
+        f"SELECT pid, shares FROM positions WHERE shares < {10 * i}"
+        for i in range(6)
+    ]
+    texts.append(HOLDINGS)
+    rng = random.Random(replicas)
+    with db.begin() as txn:
+        for sid in range(12):
+            txn.insert_into(db.table("stocks"), (sid, f"S{sid}", 100.0 + 3 * sid))
+        for pid in range(20):
+            txn.insert_into(
+                db.table("positions"), (pid, f"c{pid % 5}", pid % 12, 5 * pid)
+            )
+    try:
+        for i, sql in enumerate(texts):
+            router.subscribe(f"c{i % 3}", f"q{i}", sql)
+        for __ in range(12):
+            with db.begin() as txn:
+                for name, make in (
+                    ("stocks", lambda v: (v[0], v[1], float(rng.randrange(95, 140)))),
+                    ("positions", lambda v: (v[0], v[1], v[2], rng.randrange(100))),
+                ):
+                    table = db.table(name)
+                    for row in rng.sample(list(table.current), 3):
+                        txn.modify_in(table, row.tid, make(row.values))
+            router.refresh()
+            for i, sql in enumerate(texts):
+                assert rows(router.result(f"c{i % 3}", f"q{i}")) == rows(db.query(sql))
+    finally:
+        router.close()

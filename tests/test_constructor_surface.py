@@ -14,7 +14,7 @@ is a ``TypeError`` too.
 one CQ, one ``sql_key``, one placement group, one host, one store or
 one subscription lives on that record (``ContinualQuery``,
 ``SharedView``, ``_SqlGroup``, ``_Group``, ``_Host``, ``_Store``,
-``Subscription``, a store's ``_View``),
+``Subscription``),
 so a new instance attribute — the next parallel registry — is a
 deliberate edit here too.
 """
@@ -207,6 +207,8 @@ STATE = {
         # records: views by sql_key; replies by seq (retry dedup)
         "_views",
         "_reply_cache",
+        # views by shape (one execution per routed window)
+        "_families",
     },
 }
 
