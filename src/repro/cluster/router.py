@@ -871,7 +871,14 @@ class ClusterRouter:
             window = deltas_since(
                 [self.db.table(name) for name in self._all_tables()], horizon
             )
-            routed = self.index.match_batch(window) if window else set()
+            # A key the index quarantined (matching may quarantine one)
+            # matches nothing, so routing cannot vouch for it: it counts
+            # as routed, and its stores evaluate it unrouted.
+            routed = (
+                self.index.match_batch(window).keys() | self.index.stale()
+                if window
+                else set()
+            )
             cached = windows[horizon] = (window, routed)
         window, routed = cached
         self._seq += 1

@@ -36,6 +36,7 @@ import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.errors import CodecError, NetworkError
+from repro.jsonenc import compact_json
 from repro.relational.relation import Relation, Tid, Values
 from repro.relational.schema import Schema
 from repro.relational.types import AttributeType
@@ -70,10 +71,6 @@ from repro.net.messages import (
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
-
-#: ``json.dumps(obj, separators=(",", ":"))`` without building a new
-#: encoder per call: the same bytes, for frames and row digests alike.
-compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 # -- schema / relation / delta payloads ---------------------------------------

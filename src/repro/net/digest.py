@@ -37,14 +37,19 @@ from repro.net.codec import compact_json
 from repro.relational.relation import Relation, Tid
 
 
+_blake2b = hashlib.blake2b
+_from_bytes = int.from_bytes
+
+
 def row_digest(tid: Tid, values) -> int:
     # Tids are ints or nested tuples (join provenance); JSON writes a
     # tuple as the array a list would be, so wire-decoded and local
-    # rows hash alike.
-    payload = compact_json((tid, values)).encode("utf-8")
-    return int.from_bytes(
-        hashlib.blake2b(payload, digest_size=8).digest(), "big"
-    )
+    # rows hash alike. Every holder hashes every row it folds, so this
+    # is the per-row floor of a digest: one call into the prebuilt C
+    # JSON encoder (``repro.jsonenc``, the same bytes ``json.dumps``
+    # writes, so digests never move), one BLAKE2b.
+    payload = compact_json((tid, values)).encode()
+    return _from_bytes(_blake2b(payload, digest_size=8).digest(), "big")
 
 
 def relation_digest(relation: Relation) -> str:

@@ -16,6 +16,7 @@ import zlib
 from typing import Any, Dict
 
 from repro.errors import CheckpointError, StorageError
+from repro.jsonenc import compact_json
 from repro.relational.schema import Schema
 from repro.relational.types import AttributeType
 from repro.storage.database import Database
@@ -37,13 +38,12 @@ def write_checkpoint(path: str, payload: Dict[str, Any]) -> None:
     so a crash mid-write leaves the previous checkpoint intact — there
     is never a moment where ``path`` holds a partial file.
     """
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    header = json.dumps(
+    body = compact_json(payload).encode("utf-8")
+    header = compact_json(
         {
             "repro_checkpoint": CHECKPOINT_FORMAT,
             "crc32": zlib.crc32(body) & 0xFFFFFFFF,
-        },
-        separators=(",", ":"),
+        }
     ).encode("utf-8")
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as handle:

@@ -42,6 +42,7 @@ import zlib
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import WALError
+from repro.jsonenc import compact_json
 from repro.metrics import Metrics
 from repro.storage.update_log import UpdateKind, UpdateRecord
 
@@ -199,7 +200,7 @@ class WriteAheadLog:
         """Journal one entry (a JSON-compatible dict with a ``k`` kind)."""
         if self.closed:
             raise WALError(f"WAL {self.path!r} is closed")
-        payload = json.dumps(entry, separators=(",", ":")).encode("utf-8")
+        payload = compact_json(entry).encode("utf-8")
         crc = zlib.crc32(payload) & 0xFFFFFFFF
         self._handle.write(_HEADER.pack(len(payload), crc) + payload)
         self.appends += 1

@@ -403,12 +403,12 @@ def stores_of(router):
 
 
 class TestQuarantine:
-    def test_a_quarantined_view_is_evaluated_unrouted(self):
-        """A stale-signature entry matches nothing in a store's index,
-        so routing cannot vouch for the view: a touched frame evaluates
-        it unrouted (the server's ``test_a_quarantined_group_is_
-        evaluated_unrouted``, at the store)."""
-        sql = "SELECT sid, name FROM stocks WHERE price > 50"
+    SQL = "SELECT sid, name FROM stocks WHERE price > 50"
+
+    def check_after(self, quarantine):
+        """29 matching rows, a refresh, ``quarantine(router)``, one more
+        matching row: the next refresh must still reach ``db.query``'s
+        30 rows."""
         router = ClusterRouter(shards=2, seed=3, backend=LocalBackend())
         router.declare_table("stocks", STOCKS.schema)
         router.start()
@@ -417,17 +417,37 @@ class TestQuarantine:
             for sid in range(29):
                 txn.insert_into(db.table("stocks"), (sid, f"S{sid}", 60.0 + sid))
         try:
-            router.subscribe("c", "watch", sql)
+            router.subscribe("c", "watch", self.SQL)
             router.refresh()
-            for store in stores_of(router):
-                store.index._quarantine(sql, keep_table="")
+            quarantine(router)
             with db.begin() as txn:
                 txn.insert_into(db.table("stocks"), (99, "HI", 900.0))
             router.refresh()
-            assert len(db.query(sql)) == 30
-            assert rows(router.result("c", "watch")) == rows(db.query(sql))
+            assert len(db.query(self.SQL)) == 30
+            assert rows(router.result("c", "watch")) == rows(db.query(self.SQL))
         finally:
             router.close()
+
+    def test_a_quarantined_view_is_evaluated_unrouted(self):
+        """A stale-signature entry matches nothing in a store's index,
+        so routing cannot vouch for the view: a touched frame evaluates
+        it unrouted (the server's ``test_a_quarantined_group_is_
+        evaluated_unrouted``, at the store)."""
+
+        def quarantine(router):
+            for store in stores_of(router):
+                store.index._quarantine(self.SQL, keep_table="")
+
+        self.check_after(quarantine)
+
+    def test_a_router_quarantined_key_is_scattered(self):
+        """The router's own index vouches for nothing on a quarantined
+        key either: its tables still ship to the owner groups, whose
+        stores evaluate it (left out of the plan, it missed the new
+        row: 29 rows against 30)."""
+        self.check_after(
+            lambda router: router.index._quarantine(self.SQL, keep_table="")
+        )
 
 
 @pytest.mark.parametrize("replicas", [0, 1])

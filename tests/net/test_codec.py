@@ -5,9 +5,18 @@ loss — including relations with nested (join-provenance) tids and
 deltas mixing inserts, deletes, and modifies.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import CodecError, NetworkError
+from repro.jsonenc import compact_json
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.types import AttributeType
@@ -302,6 +311,87 @@ class TestPinnedOutput:
             b'{"cq":"a","ts":8,"dg":"2:00000000000000ab","more":["b","c"],'
             b'"t":"delta",' + self.ENTRIES
         )
+
+
+SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e20, 5e-324]
+SPECIAL_TEXT = ['\u00e9"q', "\x00\x1f\n\t\\/", "\u2028\ud800", "\U0001f600"]
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.text(),
+    st.sampled_from(SPECIAL_TEXT),
+)
+#: Tids as the program holds them: ints, and tuples of tids.
+tids = st.recursive(
+    st.integers(), lambda inner: st.tuples(inner, inner), max_leaves=6
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+UNSERIALISABLE = [object(), {1, 2}, b"raw", 1j]
+
+
+def dumps(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+class TestCompactJson:
+    """``compact_json`` is one encoder built once; its bytes must stay
+    ``json.dumps``'s, on every value and on both of its branches."""
+
+    @given(values)
+    def test_writes_what_json_dumps_writes(self, value):
+        assert compact_json(value) == dumps(value)
+
+    @given(tids, st.lists(scalars, max_size=5).map(tuple))
+    def test_a_row_writes_what_json_dumps_writes(self, tid, row):
+        assert compact_json((tid, row)) == dumps((tid, row))
+
+    @given(values, st.sampled_from(UNSERIALISABLE))
+    def test_an_unserialisable_value_raises_type_error(self, value, bad):
+        payload = [value, {"k": bad}]
+        with pytest.raises(TypeError):
+            dumps(payload)
+        for __ in range(2):  # the encoder keeps no state from a failed call
+            with pytest.raises(TypeError):
+                compact_json(payload)
+        assert compact_json(value) == dumps(value)
+
+    def test_the_pure_python_fallback_writes_the_pinned_bytes(self):
+        """In a process that cannot import ``_json`` (the branch CPython
+        builds never take) ``TestPinnedOutput`` still passes."""
+        script = (
+            "import sys\n"
+            "sys.modules['_json'] = None\n"
+            "import json.encoder, pytest, repro.jsonenc\n"
+            "assert json.encoder.c_make_encoder is None\n"
+            "assert not hasattr(repro.jsonenc, '_encode')\n"
+            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1]]))\n"
+        )
+        root = pathlib.Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, f"{__file__}::TestPinnedOutput"],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
 
 
 class TestSchemaMemo:
