@@ -213,12 +213,55 @@ def real_smoke(rows=2_000, rounds=5, updates_per_round=20, durability=None):
 # -- durability overhead smoke (CI) --------------------------------------------
 
 
-#: What journaling one committed record cost at PR 21 (the parent of
-#: the write-path PR) under batch fsync, in microseconds: the median of
-#: ten runs of this smoke there, which spanned 1.33-3.77. The gate
-#: allows WAL_MARGIN times the median (1.26x the worst of the ten).
-WAL_US_PER_RECORD = 3.16
-WAL_MARGIN = 1.5
+#: What journaling one committed record costs under batch fsync, in
+#: microseconds: ``journal_us_per_record``'s reading on a shared 2-core
+#: Linux box, the median of eight runs, which spanned 3.33-4.49 (-13 %
+#: to +17 %). The gate allows WAL_MARGIN times it: above that spread,
+#: and below a journal made twice as dear (each append and barrier
+#: spinning as long again), which read 5.92-6.85 (1.55-1.79x).
+WAL_US_PER_RECORD = 3.83
+WAL_MARGIN = 1.35
+
+
+def journal_us_per_record(
+    rows=2_000, rounds=100, updates_per_round=40, policy="batch",
+    passes=5, repeats=21,
+):
+    """What ``WriteAheadLog`` costs per journaled record, timed on the
+    journal alone: the smoke loop's commits (same seed, same ticks) are
+    captured once from an un-journaled database, then written
+    ``passes`` times over through ``log_commit`` and ``commit_barrier``
+    — each append's encode, checksum and write, and the policy's
+    flushes and fsyncs. The median of ``repeats`` such timings, divided
+    by the records written: the fsyncs are most of the spread, and a
+    best-of would read the timing that happened to sync least."""
+    import os
+    import statistics
+    import tempfile
+    import time
+
+    from repro.storage.wal import WriteAheadLog
+
+    db = Database()
+    market = StockMarket(db, seed=29)
+    market.populate(rows)
+    commits = []
+    for __ in range(rounds):
+        before = db.now()
+        market.tick(updates_per_round, p_insert=0.1, p_delete=0.1)
+        commits.append(market.stocks.log.since(before))
+    timings = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for repeat in range(repeats):
+            wal = WriteAheadLog(os.path.join(tmp, f"{repeat}.wal"), fsync=policy)
+            start = time.perf_counter()
+            for __ in range(passes):
+                for commit in commits:
+                    wal.log_commit("stocks", commit)
+                    wal.commit_barrier()
+            timings.append(time.perf_counter() - start)
+            wal.close()
+    return statistics.median(timings) / (passes * sum(map(len, commits))) * 1e6
 
 
 def durability_smoke(
@@ -232,14 +275,14 @@ def durability_smoke(
 ):
     """Measure what the WAL costs per journaled record.
 
-    Runs the same update+refresh loop with and without a write-ahead
-    log (``fsync=policy``), alternating, best-of-``repeats`` each, and
-    asserts ``(wal_s - plain_s) / journaled records`` stays within
-    ``budget_us`` — the journal's own cost, which a faster commit or
-    refresh path does not move. (The ratio to the plain loop,
-    ``overhead_pct``, is still printed; it is not gated, because every
-    PR that speeds the un-journaled loop up makes it worse.) The
-    measurements land in ``out_path`` (BENCH_e2 notes).
+    Gates :func:`journal_us_per_record` — the journal's own cost, which
+    a faster commit or refresh path does not move — against
+    ``budget_us``. The same update+refresh loop also runs with and
+    without a write-ahead log (``fsync=policy``), alternating,
+    best-of-``repeats`` each: the journaled service must still converge,
+    and the ratio of the two, ``overhead_pct``, is printed but not
+    gated, because every PR that speeds the un-journaled loop up makes
+    it worse. The measurements land in ``out_path`` (BENCH_e2 notes).
     """
     import asyncio
     import json
@@ -285,9 +328,8 @@ def durability_smoke(
             )
 
     (plain_s, records), (wal_s, __) = min(plain), min(journaled)
-    assert plain_s >= 0.05, f"plain loop too short to time: {plain_s:.4f}s"
     overhead_pct = (wal_s - plain_s) / plain_s * 100.0
-    wal_us = (wal_s - plain_s) / records * 1e6
+    wal_us = journal_us_per_record(rows, rounds, updates_per_round, policy)
     record = {
         "benchmark": "e2_durability_smoke",
         "rows": rows,
@@ -310,8 +352,7 @@ def durability_smoke(
     )
     assert wal_us < budget_us, (
         f"WAL ({policy}) costs {wal_us:.2f} us per journaled record, over the "
-        f"{budget_us:.2f} us budget ({wal_s:.3f}s vs {plain_s:.3f}s for "
-        f"{records} records)"
+        f"{budget_us:.2f} us budget"
     )
     return record
 

@@ -1,7 +1,7 @@
 """The one way a frame leaves the router: dispatch, gather, retry.
 
-Every request the router makes — a refresh cycle's scatters, heartbeats
-and lockstep replica slices, and every control request (subscribe,
+Every request the router makes — a refresh cycle's frames, its
+lockstep replica slices included, and every control request (subscribe,
 promote, rebuild, rejoin, re-slice, drain) — is submitted to a
 :class:`CycleEngine` and driven to a reply or to an exhausted host by
 :meth:`CycleEngine.run`. Frames to one host stay FIFO with at most one

@@ -28,24 +28,33 @@ here first) and drives N shard hosts through refresh cycles:
   (:class:`~repro.cluster.health.HealthMonitor`). A host that exhausts
   its retries is taken out of service mid-cycle.
 
+* **Frames.** A store gets three frame types, one job each. The
+  refresh frame (:class:`~repro.net.messages.ScatterMessage`, built
+  by :meth:`ClusterRouter._plan` only) moves every window of the store
+  and its reply is merged; the install frame
+  (:class:`~repro.net.messages.ShardSyncMessage`) seeds, replays,
+  promotes and rejoins, and moves no window it does not install; the
+  drain frame detaches a store. So a store's window moves only where
+  its delta is merged.
+
 * **Failover.** When a primary goes down, the router promotes a
-  replica *in the same refresh cycle*: a
-  :class:`~repro.net.messages.ShardPromoteMessage` registers the
-  group's CQs locally over the replica's (hot, lockstep) tables at the
-  group's last-served timestamp, so the very next scatter window
-  yields the failed cycle's delta bit-identically — no baseline
-  transfer, no ``ClusterError``, no missed notification. Lost replica
-  capacity is restored in the background by the next refresh cycles
-  (``cluster_rereplications``), after which the dead host's pinned
-  zone is auto-released instead of holding the logs forever.
+  replica *in the same refresh cycle*: an install frame installs the
+  group's views over the replica's (hot, lockstep) tables once its
+  clock is at the group's last-served timestamp, so the very next
+  scatter window yields the failed cycle's delta bit-identically — no
+  baseline transfer, no ``ClusterError``, no missed notification. Lost
+  replica capacity is restored in the background by the next refresh
+  cycles (``cluster_rereplications``), after which the dead host's
+  pinned zone is auto-released instead of holding the logs forever.
 
 * **Relevance scatter.** Each cycle consolidates the per-store missed
   window once and runs it through a router-side
   :class:`~repro.dra.predindex.PredicateIndex` holding every registered
-  footprint. Stores none of whose CQ footprints the batch touches get a
-  heartbeat instead of data (the Section 5.2 relevance theorem makes
-  skipping sound); new subscriptions are seeded with a baseline sync,
-  so earlier skipped windows never leave a gap.
+  footprint. Stores none of whose CQ footprints the batch touches get an
+  empty refresh frame instead of data (the Section 5.2 relevance
+  theorem makes skipping sound); new subscriptions are seeded with a
+  baseline in an install frame, so earlier skipped windows never leave
+  a gap.
 
 * **Gather + merge.** Partial result deltas come back per ``sql_key``
   from each group's primary; the router merges the tid-disjoint slices
@@ -96,8 +105,7 @@ from repro.net.messages import (
     Message,
     ScatterMessage,
     ShardDrainMessage,
-    ShardHeartbeatMessage,
-    ShardPromoteMessage,
+    ShardSyncMessage,
 )
 
 #: ``(cq_name, delta, ts)`` notification callback.
@@ -453,8 +461,10 @@ class ClusterRouter:
         subscribe: Sequence[str] = (),
         unsubscribe: Sequence[str] = (),
     ) -> Optional[GatherReplyMessage]:
-        """Bring one store in line outside the refresh plan — the only
-        scatter built outside :meth:`_plan`.
+        """Bring one store in line outside the refresh plan with one
+        install frame (:class:`ShardSyncMessage`), which moves no window
+        of the store's: only :meth:`_plan`'s refresh frames do, and
+        their replies are the ones merged.
 
         ``baselines`` names tables to (re-)seed with the group's slice
         of the authoritative state; ``replay`` is a horizon whose missed
@@ -490,7 +500,7 @@ class ClusterRouter:
         self._seq += 1
         reply = self._request(
             host,
-            ScatterMessage(
+            ShardSyncMessage(
                 host,
                 self._seq,
                 now,
@@ -852,10 +862,10 @@ class ClusterRouter:
         collect: bool,
         windows: Dict[Timestamp, Tuple[Dict, Set[str]]],
         frames: Dict[Tuple[int, Timestamp], Dict[str, DeltaRelation]],
-    ) -> Message:
-        """The store's frame for this cycle: a scatter when the missed
-        window touches any of its group's footprints, a heartbeat
-        otherwise.
+    ) -> ScatterMessage:
+        """The store's refresh frame for this cycle: it carries the
+        missed window's slices when the window touches any of its
+        group's footprints, and nothing otherwise.
 
         ``windows`` memoizes (window, routed-keys) by horizon for the
         cycle: in steady state every store shares one horizon, so the
@@ -882,6 +892,7 @@ class ClusterRouter:
             cached = windows[horizon] = (window, routed)
         window, routed = cached
         self._seq += 1
+        deltas: Dict[str, DeltaRelation] = {}
         if window:
             deltas = frames.get((group, horizon))
             if deltas is None:
@@ -893,19 +904,11 @@ class ClusterRouter:
                 deltas = frames[(group, horizon)] = self._slice(
                     window, group, self._group_tables(local)
                 )
-            if deltas:
-                self.metrics.count(Metrics.SCATTERS)
-                return ScatterMessage(
-                    host,
-                    self._seq,
-                    now,
-                    deltas=deltas,
-                    collect=collect,
-                    group=group,
-                )
-            self.metrics.count(Metrics.SCATTER_SKIPPED)
-        return ShardHeartbeatMessage(
-            host, self._seq, now, collect, group=group
+            self.metrics.count(
+                Metrics.SCATTERS if deltas else Metrics.SCATTER_SKIPPED
+            )
+        return ScatterMessage(
+            host, self._seq, now, deltas=deltas, collect=collect, group=group
         )
 
     def _absorb(
@@ -1084,14 +1087,17 @@ class ClusterRouter:
 
     def _promote(self, group: int) -> None:
         """Zero-downtime failover: the group's first surviving replica
-        becomes primary by registering the group's CQs locally over its
-        lockstep tables at the last-served timestamp — the very next
+        becomes primary through an install frame carrying the group's
+        views and the last-served timestamp. The replica advances its
+        clock to that timestamp and installs the views over its
+        lockstep tables as of its clock then — the served timestamp
+        when the replica has applied nothing past it, so the very next
         scatter window reproduces the failed primary's delta
-        bit-identically, with no baseline transfer. The promote reply
-        carries the store's pre-registration horizon; a mismatch with
-        the served timestamp means the replica's lockstep had diverged
-        from what members saw, and the affected keys are queued for an
-        exact reconcile instead of trusting the window.
+        bit-identically, with no baseline transfer. The reply carries
+        the store's clock before the frame; a mismatch with the served
+        timestamp means the views start elsewhere than the members'
+        results end, and the affected keys are queued for an exact
+        reconcile instead of trusting the window.
 
         The promote frame is submitted at the *front* of the target's
         queue: if the new primary's lockstep scatter of this cycle has
@@ -1108,19 +1114,19 @@ class ClusterRouter:
         self._seq += 1
         self._engine.submit(
             target,
-            ShardPromoteMessage(
+            ShardSyncMessage(
                 target,
-                group,
                 self._seq,
                 served,
                 subscribe=self._specs(self._owned_keys(group)),
+                group=group,
             ),
             kind=PROMOTE,
             front=True,
         )
 
     def _finish_promote(
-        self, message: ShardPromoteMessage, reply: GatherReplyMessage
+        self, message: ShardSyncMessage, reply: GatherReplyMessage
     ) -> None:
         self.metrics.count(Metrics.FAILOVERS)
         store = self._hosts[message.shard_id].stores[message.group]
@@ -1320,13 +1326,13 @@ class ClusterRouter:
         """The pre-replication recovery path, per group: replay the
         missed window differentially while the router logs still cover
         the store's horizon, or re-seed baselines after GC pruned past
-        it; re-register anything the journal lost, drop anything the
-        cluster retired; then snap member results to the authoritative
-        database (journal recovery rebases subscriptions on their
-        registration-era state, so recovered delta old sides can be
-        arbitrarily stale — one exact re-evaluation per key at a rare
-        recovery buys bit-identical convergence)."""
-        held = set(info.get("subs", ()))
+        it; re-install every owned view as of ``now`` (drop what the
+        journal held, install what the group owns); then snap member
+        results to the authoritative database at ``now`` too — where
+        the store's windows start (journal recovery rebases views on
+        their registration-era state, so one exact re-evaluation per key
+        at a rare recovery buys bit-identical convergence)."""
+        held = sorted(info.get("subs", ()))
         owned = self._owned_keys(group)
         missing = [key for key in owned if key not in held]
         reply = self._sync_store(
@@ -1335,8 +1341,8 @@ class ClusterRouter:
             now,
             baselines=self._group_tables(missing if intact else owned),
             replay=info.get("horizon", 0) if intact else None,
-            subscribe=missing,
-            unsubscribe=sorted(held.difference(owned)),
+            subscribe=owned,
+            unsubscribe=held,
         )
         if reply is None:
             return

@@ -8,14 +8,21 @@ keeps none. It holds its slice of the tables, whose *only* writer is
 the router, plus a plan cache, a predicate index, active delta zones
 and one resultless :class:`~repro.core.scheduler.SharedView` per
 ``sql_key`` placed on it — the query and the start of its open window —
-entered into its shape's :class:`~repro.core.scheduler.Family`. Each
-:class:`~repro.net.messages.ScatterMessage` carries one refresh cycle's
-relevant delta slices; the store folds them into its tables
-(journaling WAL-first, exactly like a local commit), evaluates every
-routed view over ``(since, now]`` (a family's window once for all its
-members), moves every window to ``now`` and returns the non-empty
-result deltas in a :class:`~repro.net.messages.GatherReplyMessage` for
-the router's cross-shard merge.
+entered into its shape's :class:`~repro.core.scheduler.Family`.
+
+A store handles two frame types, one job each. A
+:class:`~repro.net.messages.ScatterMessage` is one refresh cycle's
+frame: it carries the cycle's relevant delta slices, which the store
+folds into its tables (journaling WAL-first, exactly like a local
+commit); then it evaluates every routed view over ``(since, now]`` (a
+family's window once for all its members), moves every window to
+``now`` and returns the non-empty result deltas in a
+:class:`~repro.net.messages.GatherReplyMessage` for the router's
+cross-shard merge. A :class:`~repro.net.messages.ShardSyncMessage`
+installs what it carries — replayed deltas, baselines, views — and
+moves no window: a window moves only where its delta is merged (paper
+§5.4's active delta zones read the other way), so a view the frame
+does not install keeps its window start for the next refresh frame.
 
 Delta application is an *upsert*: a modify of an unknown tid becomes an
 insert, a delete of an unknown tid is a no-op, an insert of a known tid
@@ -68,14 +75,13 @@ from repro.net.messages import (
     Message,
     ScatterMessage,
     ShardDrainMessage,
-    ShardHeartbeatMessage,
     ShardHelloMessage,
-    ShardPromoteMessage,
+    ShardSyncMessage,
 )
 from repro.net.server import Protocol
 
-#: txn_id stamped on records a shard applied from a scatter (as -1 marks
-#: single-op convenience transactions).
+#: txn_id stamped on records a shard applied from a router frame (as -1
+#: marks single-op convenience transactions).
 SCATTER_TXN = -2
 
 #: The client id a store's journaled view events carry.
@@ -257,10 +263,8 @@ class ClusterShard:
             return self._reply_cache[seq]
         if isinstance(message, ScatterMessage):
             reply = self._handle_scatter(message)
-        elif isinstance(message, ShardHeartbeatMessage):
-            reply = self._handle_heartbeat(message)
-        elif isinstance(message, ShardPromoteMessage):
-            reply = self._handle_promote(message)
+        elif isinstance(message, ShardSyncMessage):
+            reply = self._handle_sync(message)
         else:
             raise NetworkError(
                 f"shard {self.shard_id} cannot handle "
@@ -272,42 +276,13 @@ class ClusterShard:
                 self._reply_cache.popitem(last=False)
         return reply
 
-    def _handle_promote(
-        self, message: ShardPromoteMessage
-    ) -> GatherReplyMessage:
-        """Become the group primary: install the owned ``sql_key`` views
-        over the tables this store already holds (kept in lockstep by
-        every cycle's scattered slices).
-
-        ``message.ts`` is the group's last *served* timestamp: views
-        installed there make the next scatter's window ``(ts, now]``
-        produce the failed primary's delta bit-identically. The reply's
-        ``horizon`` reports the store's caught-up-through timestamp
-        *before* any clock advance, so the router can detect a lagging
-        replica and fall back to an exact reconcile.
-        """
-        horizon = self.db.now()
+    def _handle_scatter(self, message: ScatterMessage) -> GatherReplyMessage:
+        """A refresh frame: fold in the slices, move every window to
+        ``ts``, reply the non-empty deltas."""
         self.db.clock.advance_to(message.ts)
-        for spec in message.subscribe:
-            if spec["cq"] not in self._views:
-                self._subscribe(spec)
-        return GatherReplyMessage(
-            self.shard_id,
-            message.seq,
-            message.ts,
-            horizon,
-            counters=self.metrics.snapshot(),
-        )
-
-    def _handle_heartbeat(self, message: ShardHeartbeatMessage) -> GatherReplyMessage:
-        """An empty-scatter cycle: advance every window, reply nothing.
-
-        With no new log entries the predicate index routes no view, so
-        each window (and its GC zone) moves to ``ts`` without a single
-        term evaluation.
-        """
-        self.db.clock.advance_to(message.ts)
-        self._refresh()
+        for table_name in sorted(message.deltas):
+            self._upsert_slice(table_name, message.deltas[table_name])
+        entries = self._refresh()
         if message.collect:
             # ``include_unwatched`` keeps replica stores prunable: they
             # carry no views, so without it their logs would grow
@@ -315,37 +290,41 @@ class ClusterShard:
             # ever feeds local windows, never recovery (that replays
             # from the router's logs).
             self.zones.collect(include_unwatched=True)
-        return self._reply(message.seq, message.ts, [])
+        return self._reply(message.seq, message.ts, self.db.now(), entries)
 
-    def _handle_scatter(self, message: ScatterMessage) -> GatherReplyMessage:
+    def _handle_sync(self, message: ShardSyncMessage) -> GatherReplyMessage:
+        """An install frame: drop, replay, converge and install as of
+        the store's clock once advanced to ``ts``; no other window moves
+        and nothing is evaluated.
+
+        Deltas go before baselines: delta entries carry their original
+        commit timestamps (≤ ts), baseline records are stamped at the
+        log tail, so applying in this order keeps each log monotone. The
+        reply's ``horizon`` is the store's clock before the frame."""
+        horizon = self.db.now()
         self.db.clock.advance_to(message.ts)
         for sql_key in message.unsubscribe:
             self._unsubscribe(sql_key)
-        # Deltas before baselines: delta entries carry their original
-        # commit timestamps (≤ ts), baseline records are stamped at the
-        # log tail — applying in this order keeps each log monotone.
         for table_name in sorted(message.deltas):
             self._upsert_slice(table_name, message.deltas[table_name])
         for table_name in sorted(message.baselines):
             self._apply_baseline(table_name, message.baselines[table_name])
         for spec in message.subscribe:
             self._subscribe(spec)
-        entries = self._refresh()
-        if message.collect:
-            self.zones.collect(include_unwatched=True)
-        return self._reply(message.seq, message.ts, entries)
+        return self._reply(message.seq, message.ts, horizon, [])
 
     def _reply(
         self,
         seq: int,
         ts: int,
+        horizon: Timestamp,
         entries: List[Tuple[str, DeltaRelation, int]],
     ) -> GatherReplyMessage:
         return GatherReplyMessage(
             self.shard_id,
             seq,
             ts,
-            self.db.now(),
+            horizon,
             entries=entries,
             counters=self.metrics.snapshot(),
         )
@@ -405,8 +384,10 @@ class ClusterShard:
             )
 
     def _refresh(self) -> List[Tuple[str, DeltaRelation, Timestamp]]:
-        """Move every view's window to now, in registration order; the
-        gather entries ``(sql_key, delta, now)`` of the non-empty ones.
+        """Move every view's window to now, in registration order,
+        recording each move in ``view.last`` (without the delta: the
+        router retains the result); the gather entries ``(sql_key,
+        delta, now)`` of the non-empty ones.
 
         One predicate-index pass per (footprint, window) decides which
         views see relevant entries; :meth:`SharedView.evaluate` skips an
@@ -420,7 +401,7 @@ class ClusterShard:
             delta = view.evaluate(cache, self.index, view.since, now, self.metrics)
             if delta is not None and not delta.is_empty():
                 entries.append((key, delta, now))
-            view.since = now
+            view.last, view.since = (view.since, now, None), now
             self.zones.advance(key, now)
         return entries
 
@@ -508,6 +489,23 @@ class ClusterShard:
             and sum(key in self.plans for key in live) == len(self.plans),
             "plans != the live sql_keys and family shapes",
         )
+        # The window law: a refresh frame moves every view to its ts
+        # (``last`` records the move), an install frame builds a view
+        # at its ts and moves no other. So each view starts at the later
+        # of the last refresh and its install: the views a refresh moved
+        # share its ts, and a view installed since starts no earlier.
+        moved = [view.last[1] for view in views.values() if view.last is not None]
+        refreshed = max(moved, default=None)
+        for key, view in views.items():
+            if view.last is not None:  # moved by a refresh: the last one
+                holds = view.since == view.last[1] == refreshed
+            else:  # installed since the last refresh
+                holds = refreshed is None or view.since >= refreshed
+            law(
+                holds,
+                f"{key!r}: window starts at {view.since}, not at the later "
+                f"of the last refresh ({refreshed}) and its install",
+            )
         since = {key: view.since for key, view in views.items()}
         zones = self.zones.boundaries()
         law(zones == since, f"zones {zones} != window starts {since}")
@@ -543,8 +541,8 @@ class ShardHost:
 
     Replica stores hold tables only — every cycle's scattered slices
     are applied WAL-first exactly as on the primary, but no
-    views are installed until a
-    :class:`~repro.net.messages.ShardPromoteMessage` arrives. That
+    views are installed until the promoting
+    :class:`~repro.net.messages.ShardSyncMessage` arrives. That
     keeps steady-state replica cost at delta application (no term
     evaluation) and keeps the store's update logs fully prunable, while
     promotion needs no data movement: the slice is already hot.

@@ -58,9 +58,8 @@ from repro.net.messages import (
     GatherReplyMessage,
     ScatterMessage,
     ShardDrainMessage,
-    ShardHeartbeatMessage,
     ShardHelloMessage,
-    ShardPromoteMessage,
+    ShardSyncMessage,
     StatsMessage,
     StatsReplyMessage,
 )
@@ -175,6 +174,15 @@ def _delta_from_json(data: Dict[str, Any]) -> DeltaRelation:
     )
 
 
+
+def _deltas_to_json(deltas: Dict[str, DeltaRelation]) -> Dict[str, Any]:
+    """A store frame's per-table delta slices."""
+    return {name: _delta_to_json(delta) for name, delta in sorted(deltas.items())}
+
+
+def _deltas_from_json(data: Dict[str, Any]) -> Dict[str, DeltaRelation]:
+    return {name: _delta_from_json(delta) for name, delta in data.items()}
+
 # -- per-message payloads -----------------------------------------------------
 
 _TO_JSON: Dict[Type[Message], Tuple[str, Callable[[Message], Dict[str, Any]]]] = {
@@ -250,16 +258,7 @@ _TO_JSON: Dict[Type[Message], Tuple[str, Callable[[Message], Dict[str, Any]]]] =
             "shard": m.shard_id,
             "seq": m.seq,
             "ts": m.ts,
-            "deltas": {
-                name: _delta_to_json(delta)
-                for name, delta in sorted(m.deltas.items())
-            },
-            "baselines": {
-                name: _relation_to_json(rel)
-                for name, rel in sorted(m.baselines.items())
-            },
-            "sub": m.subscribe,
-            "unsub": m.unsubscribe,
+            "deltas": _deltas_to_json(m.deltas),
             "collect": m.collect,
             "group": m.group,
         },
@@ -278,24 +277,20 @@ _TO_JSON: Dict[Type[Message], Tuple[str, Callable[[Message], Dict[str, Any]]]] =
             "counters": m.counters,
         },
     ),
-    ShardHeartbeatMessage: (
-        "shard_heartbeat",
+    ShardSyncMessage: (
+        "shard_sync",
         lambda m: {
             "shard": m.shard_id,
             "seq": m.seq,
             "ts": m.ts,
-            "collect": m.collect,
-            "group": m.group,
-        },
-    ),
-    ShardPromoteMessage: (
-        "shard_promote",
-        lambda m: {
-            "shard": m.shard_id,
-            "group": m.group,
-            "seq": m.seq,
-            "ts": m.ts,
+            "deltas": _deltas_to_json(m.deltas),
+            "baselines": {
+                name: _relation_to_json(rel)
+                for name, rel in sorted(m.baselines.items())
+            },
             "sub": m.subscribe,
+            "unsub": m.unsubscribe,
+            "group": m.group,
         },
     ),
     ShardDrainMessage: (
@@ -339,16 +334,7 @@ _FROM_JSON: Dict[str, Callable[[Dict[str, Any]], Message]] = {
         d["shard"],
         d["seq"],
         d["ts"],
-        deltas={
-            name: _delta_from_json(delta)
-            for name, delta in d["deltas"].items()
-        },
-        baselines={
-            name: _relation_from_json(rel)
-            for name, rel in d["baselines"].items()
-        },
-        subscribe=d["sub"],
-        unsubscribe=d["unsub"],
+        deltas=_deltas_from_json(d["deltas"]),
         collect=d["collect"],
         group=d["group"],
     ),
@@ -363,11 +349,18 @@ _FROM_JSON: Dict[str, Callable[[Dict[str, Any]], Message]] = {
         ],
         counters=d["counters"],
     ),
-    "shard_heartbeat": lambda d: ShardHeartbeatMessage(
-        d["shard"], d["seq"], d["ts"], d["collect"], group=d["group"]
-    ),
-    "shard_promote": lambda d: ShardPromoteMessage(
-        d["shard"], d["group"], d["seq"], d["ts"], subscribe=d["sub"]
+    "shard_sync": lambda d: ShardSyncMessage(
+        d["shard"],
+        d["seq"],
+        d["ts"],
+        deltas=_deltas_from_json(d["deltas"]),
+        baselines={
+            name: _relation_from_json(rel)
+            for name, rel in d["baselines"].items()
+        },
+        subscribe=d["sub"],
+        unsubscribe=d["unsub"],
+        group=d["group"],
     ),
     "shard_drain": lambda d: ShardDrainMessage(
         d["shard"], d["seq"], d["ts"], group=d["group"]

@@ -346,16 +346,17 @@ class ShardHelloMessage(Message):
 
 
 class ScatterMessage(Message):
-    """Router -> shard: one refresh cycle's relevant work.
+    """Router -> store: one refresh cycle's frame, the only frame that
+    moves a store's windows.
 
     ``deltas`` carries the consolidated per-table delta slices the
-    shard must fold in (replicated tables get the whole window,
-    partitioned tables only the shard's slice); ``baselines`` carries
-    complete table states for (re-)seeding — the replay fallback and
-    the index-handoff path. ``subscribe``/``unsubscribe`` piggyback
-    registration control so a shard host needs exactly one inbound
-    data-plane message type. ``collect`` asks the shard to run its own
-    zone-bounded garbage collection after refreshing.
+    store folds in (replicated tables get the whole window, partitioned
+    tables only the group's slice); it is empty when no batch touched
+    the group's footprints (the Section 5.2 relevance theorem makes
+    every window's delta provably empty then). The store then moves
+    every view's window to ``ts`` and replies the non-empty result
+    deltas. ``collect`` asks it to run its own zone-bounded garbage
+    collection afterwards.
 
     ``group`` addresses the placement-group store the frame is for: a
     host carries its own group's store plus replica stores of other
@@ -367,9 +368,6 @@ class ScatterMessage(Message):
         seq: int,
         ts: Timestamp,
         deltas: Optional[Dict[str, DeltaRelation]] = None,
-        baselines: Optional[Dict[str, Relation]] = None,
-        subscribe: Optional[List[Dict[str, str]]] = None,
-        unsubscribe: Optional[List[str]] = None,
         collect: bool = False,
         *,
         group: int,
@@ -378,17 +376,13 @@ class ScatterMessage(Message):
         self.seq = seq
         self.ts = ts
         self.deltas = dict(deltas or {})
-        self.baselines = dict(baselines or {})
-        self.subscribe = list(subscribe or [])
-        self.unsubscribe = list(unsubscribe or [])
         self.collect = collect
         self.group = group
 
     def __repr__(self) -> str:
         return (
             f"ScatterMessage(shard={self.shard_id}, seq={self.seq}, "
-            f"ts={self.ts}, deltas={sorted(self.deltas)}, "
-            f"baselines={sorted(self.baselines)})"
+            f"ts={self.ts}, deltas={sorted(self.deltas)})"
         )
 
 
@@ -424,69 +418,48 @@ class GatherReplyMessage(Message):
         )
 
 
-class ShardHeartbeatMessage(Message):
-    """Router -> shard: an empty-scatter cycle.
+class ShardSyncMessage(Message):
+    """Router -> store: bring one store in line outside the refresh
+    plan; it installs what it carries and moves no window.
 
-    No batch was relevant to this shard's footprints, so there is
-    nothing to evaluate — but the shard still advances its clock to
-    ``ts``, moves every group's refresh window forward (the Section 5.2
-    relevance theorem makes their deltas provably empty), and with
-    ``collect`` prunes its update logs — GC zones advance cluster-wide
-    without a single term evaluation."""
+    ``unsubscribe`` drops ``sql_key`` views; ``deltas`` replays a
+    missed window (entries keep their commit stamps) and ``baselines``
+    converges tables onto the group's slice of the authoritative state;
+    ``subscribe`` installs views. The store advances its clock to
+    ``ts`` first, so a view it installs starts at the later of ``ts``
+    and the store's clock. A view it does not install keeps its window
+    start: that window's delta is owed to the router's merge, which
+    only a refresh frame feeds. Promotion is this frame with
+    ``subscribe`` only and the group's last served timestamp as ``ts``;
+    the reply's ``horizon`` is the store's clock *before* the frame."""
 
     def __init__(
         self,
         shard_id: int,
         seq: int,
         ts: Timestamp,
-        collect: bool = False,
+        deltas: Optional[Dict[str, DeltaRelation]] = None,
+        baselines: Optional[Dict[str, Relation]] = None,
+        subscribe: Optional[List[Dict[str, str]]] = None,
+        unsubscribe: Optional[List[str]] = None,
         *,
         group: int,
     ):
         self.shard_id = shard_id
         self.seq = seq
         self.ts = ts
-        self.collect = collect
-        self.group = group
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardHeartbeatMessage(shard={self.shard_id}, seq={self.seq}, "
-            f"ts={self.ts})"
-        )
-
-
-class ShardPromoteMessage(Message):
-    """Router -> shard: promote one replica store to group primary.
-
-    ``ts`` is the group's *last served* timestamp — the horizon through
-    which the failed primary's gathers were merged. The store registers
-    each ``subscribe`` spec locally over its (hot, lockstep) tables at
-    that timestamp, so the registration-era state matches the router's
-    retained results exactly and the very next scatter's window
-    ``(ts, now]`` yields the failed cycle's delta bit-identically. No
-    baseline transfer, no downtime: promotion is a local evaluation
-    over state the replica already holds."""
-
-    def __init__(
-        self,
-        shard_id: int,
-        group: int,
-        seq: int,
-        ts: Timestamp,
-        subscribe: Optional[List[Dict[str, str]]] = None,
-    ):
-        self.shard_id = shard_id
-        self.group = group
-        self.seq = seq
-        self.ts = ts
+        self.deltas = dict(deltas or {})
+        self.baselines = dict(baselines or {})
         self.subscribe = list(subscribe or [])
+        self.unsubscribe = list(unsubscribe or [])
+        self.group = group
 
     def __repr__(self) -> str:
         return (
-            f"ShardPromoteMessage(shard={self.shard_id}, "
-            f"group={self.group}, seq={self.seq}, ts={self.ts}, "
-            f"{len(self.subscribe)} subs)"
+            f"ShardSyncMessage(shard={self.shard_id}, group={self.group}, "
+            f"seq={self.seq}, ts={self.ts}, deltas={sorted(self.deltas)}, "
+            f"baselines={sorted(self.baselines)}, "
+            f"{len(self.subscribe)} subs, {len(self.unsubscribe)} unsubs)"
         )
 
 

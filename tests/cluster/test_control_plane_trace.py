@@ -74,25 +74,27 @@ WEIGHTS = {
 }
 
 #: ``(replicas, seed)`` runs where a member's result differs from
-#: ``db.query`` at a refresh that left no group lost (ROADMAP item 2).
-#: Replicas 1, seed 0 is the shortest: a subscription seeds a group
-#: whose store holds another ``sql_key`` with commits pending, and the
-#: seeding sync's reply — that key's delta — is never merged. Eight
-#: more runs diverged while stores kept a result copy of their own: a
-#: delta deleting a row that copy never held failed the host.
-DIVERGENT = frozenset(
-    [(0, seed) for seed in (3, 7, 9, 20)]
-    + [
-        (1, seed)
-        for seed in (0, 12, 14, 15, 16, 17, 18, 19, 21, 22, 23, 24, 28)
-        + (32, 36, 37)
-    ]
-    + [
-        (2, seed)
-        for seed in (5, 7, 10, 20, 22, 23, 24, 25, 28, 31, 32, 33, 34)
-        + (37, 38)
-    ]
-)
+#: ``db.query`` at a refresh that left no group lost (ROADMAP item 2),
+#: with the first step that shows it:
+#:
+#: * (0, 7) step 4: subscribe q2, subscribe q0, commit, commit, refresh;
+#:   q2 keeps a deleted ``positions`` row.
+#: * (1, 32) step 34: ... commit, subscribe q3, unsubscribe q3,
+#:   subscribe q3, commit, refresh; q3 keeps a deleted ``stocks`` row.
+#: * (1, 37) step 31: ... subscribe q0, subscribe q2, commit, commit,
+#:   recover_shard, refresh; q0 and q1 keep a deleted ``stocks`` row.
+#: * (2, 34) step 8: commit x4, subscribe q3, kill_shard, commit, commit,
+#:   refresh; q3 keeps a deleted ``stocks`` row.
+#: * (2, 38) step 4: commit, subscribe q1 twice, commit, refresh; q1
+#:   keeps a deleted ``positions`` row.
+#:
+#: All five are one defect. A row is inserted after a store's horizon
+#: (its last refresh), a subscription's baseline then seeds the row into
+#: the store, and the row is deleted before the store's next refresh.
+#: That refresh's window runs from the horizon, where the insert and
+#: the delete consolidate into nothing, so the store never deletes the
+#: row and no view of it delivers the delete.
+DIVERGENT = frozenset([(0, 7), (1, 32), (1, 37), (2, 34), (2, 38)])
 
 
 def make_router(replicas, seed, wal_root):

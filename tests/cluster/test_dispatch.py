@@ -20,7 +20,7 @@ import pytest
 from repro.cluster.dispatch import CycleEngine
 from repro.errors import ClusterError
 from repro.metrics import Metrics
-from repro.net.messages import ShardHeartbeatMessage
+from repro.net.messages import ScatterMessage
 
 
 class _StubHealth:
@@ -123,7 +123,7 @@ class _TornTwiceBackend:
 def _run_engine(backend, **router_kwargs):
     router = _StubRouter(backend, **router_kwargs)
     engine = CycleEngine(router, max_wait=0.01)
-    request = engine.submit(0, ShardHeartbeatMessage(0, 7, 1, group=0))
+    request = engine.submit(0, ScatterMessage(0, 7, 1, group=0))
     engine.run()
     return router, request
 

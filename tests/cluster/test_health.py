@@ -10,7 +10,7 @@ from repro.cluster.health import (
     HealthMonitor,
 )
 from repro.errors import ClusterError, ShardTimeout
-from repro.net.messages import ScatterMessage, ShardHeartbeatMessage
+from repro.net.messages import ScatterMessage, ShardSyncMessage
 
 
 class TestHealthMonitor:
@@ -74,7 +74,7 @@ class TestFaultInjector:
     def test_hang_raises_shard_timeout_then_expires(self):
         injector = FaultInjector()
         injector.hang(1, times=2)
-        message = ShardHeartbeatMessage(1, 1, 1, group=1)
+        message = ScatterMessage(1, 1, 1, group=1)
         with pytest.raises(ShardTimeout):
             injector(1, message, "send")
         with pytest.raises(ShardTimeout):
@@ -86,12 +86,12 @@ class TestFaultInjector:
         injector = FaultInjector()
         injector.crash(0, times=1)
         with pytest.raises(ClusterError):
-            injector(0, ShardHeartbeatMessage(0, 1, 1, group=0), "send")
+            injector(0, ScatterMessage(0, 1, 1, group=0), "send")
 
     def test_faults_are_scoped_to_host_and_phase(self):
         injector = FaultInjector()
         injector.hang(1, phase="reply", times=1)
-        message = ShardHeartbeatMessage(1, 1, 1, group=1)
+        message = ScatterMessage(1, 1, 1, group=1)
         injector(0, message, "reply")  # other host: untouched
         injector(1, message, "send")  # other phase: untouched
         with pytest.raises(ShardTimeout):
@@ -102,7 +102,7 @@ class TestFaultInjector:
         injector.hang(
             2, times=5, match=lambda m: isinstance(m, ScatterMessage)
         )
-        injector(2, ShardHeartbeatMessage(2, 1, 1, group=2), "send")  # no match
+        injector(2, ShardSyncMessage(2, 1, 1, group=2), "send")  # no match
         with pytest.raises(ShardTimeout):
             injector(2, ScatterMessage(2, 2, 2, group=2), "send")
         assert len(injector.fired) == 1

@@ -1,7 +1,7 @@
 """Wire-codec round trips for the cluster protocol messages.
 
-Scatter and gather frames carry the heaviest payloads in the protocol
-(per-table delta slices, baseline relations, subscription specs), so
+Refresh, install and gather frames carry the heaviest payloads in the
+protocol (per-table delta slices, baseline relations, view specs), so
 every field must survive encode/decode bit-exactly — the process
 backend ships every cycle through this codec.
 """
@@ -14,8 +14,8 @@ from repro.net.codec import decode_payload, encode_payload
 from repro.net.messages import (
     GatherReplyMessage,
     ScatterMessage,
-    ShardHeartbeatMessage,
     ShardHelloMessage,
+    ShardSyncMessage,
 )
 
 SCHEMA = Schema.of(
@@ -38,6 +38,14 @@ def sample_delta():
             DeltaEntry(5, (5, "CCC", 30.0), (5, "CCC", 33.0), 5),
         ],
     )
+
+
+def assert_sample_delta(delta):
+    assert sorted(e.tid for e in delta) == [1, 2, 5]
+    by_tid = {e.tid: e for e in delta}
+    assert by_tid[1].new == (1, "AAA", 10.0) and by_tid[1].old is None
+    assert by_tid[2].old == (2, "BBB", 20.0) and by_tid[2].new is None
+    assert by_tid[5].ts == 5
 
 
 def sample_relation():
@@ -74,37 +82,20 @@ class TestShardHello:
 class TestScatter:
     def test_full_round_trip(self):
         msg = ScatterMessage(
-            1,
-            9,
-            42,
-            deltas={"stocks": sample_delta()},
-            baselines={"positions": sample_relation()},
-            subscribe=[{"cq": "k1", "sql": "SELECT sid FROM stocks"}],
-            unsubscribe=["k0"],
-            collect=True,
-            group=1,
+            1, 9, 42, deltas={"stocks": sample_delta()}, collect=True, group=1
         )
         out = roundtrip(msg)
         assert isinstance(out, ScatterMessage)
         assert out.shard_id == 1 and out.seq == 9 and out.ts == 42
         assert out.collect is True and out.group == 1
-        assert out.subscribe == [{"cq": "k1", "sql": "SELECT sid FROM stocks"}]
-        assert out.unsubscribe == ["k0"]
-        delta = out.deltas["stocks"]
-        assert sorted(e.tid for e in delta) == [1, 2, 5]
-        by_tid = {e.tid: e for e in delta}
-        assert by_tid[1].new == (1, "AAA", 10.0) and by_tid[1].old is None
-        assert by_tid[2].old == (2, "BBB", 20.0) and by_tid[2].new is None
-        assert by_tid[5].ts == 5
-        baseline = out.baselines["positions"]
-        assert baseline.get((2, (3, 4))) == (9, "JOIN", 0.5)
-        assert len(baseline) == 2
+        assert_sample_delta(out.deltas["stocks"])
 
     def test_minimal_scatter(self):
-        out = roundtrip(ScatterMessage(0, 1, 2, group=0))
-        assert out.deltas == {} and out.baselines == {}
-        assert out.subscribe == [] and out.unsubscribe == []
-        assert out.collect is False
+        """The refresh frame of a cycle that routed nothing here."""
+        out = roundtrip(ScatterMessage(4, 11, 99, collect=True, group=4))
+        assert isinstance(out, ScatterMessage)
+        assert out.shard_id == 4 and out.seq == 11 and out.group == 4
+        assert out.ts == 99 and out.collect is True and out.deltas == {}
 
 
 class TestGatherReply:
@@ -131,11 +122,31 @@ class TestGatherReply:
         assert out.entries == [] and out.counters == {}
 
 
-class TestShardHeartbeat:
+class TestShardSync:
     def test_round_trip(self):
-        out = roundtrip(
-            ShardHeartbeatMessage(4, 11, 99, collect=True, group=4)
+        msg = ShardSyncMessage(
+            1,
+            9,
+            42,
+            deltas={"stocks": sample_delta()},
+            baselines={"positions": sample_relation()},
+            subscribe=[{"cq": "k1", "sql": "SELECT sid FROM stocks"}],
+            unsubscribe=["k0"],
+            group=1,
         )
-        assert isinstance(out, ShardHeartbeatMessage)
-        assert out.shard_id == 4 and out.seq == 11
-        assert out.ts == 99 and out.collect is True
+        out = roundtrip(msg)
+        assert isinstance(out, ShardSyncMessage)
+        assert out.shard_id == 1 and out.seq == 9 and out.ts == 42
+        assert out.group == 1
+        assert out.subscribe == [{"cq": "k1", "sql": "SELECT sid FROM stocks"}]
+        assert out.unsubscribe == ["k0"]
+        assert_sample_delta(out.deltas["stocks"])
+        baseline = out.baselines["positions"]
+        assert baseline.get((2, (3, 4))) == (9, "JOIN", 0.5)
+        assert len(baseline) == 2
+
+    def test_a_promotion_carries_views_only(self):
+        spec = {"cq": "k1", "sql": "SELECT sid FROM stocks"}
+        out = roundtrip(ShardSyncMessage(2, 6, 14, subscribe=[spec], group=0))
+        assert out.subscribe == [spec] and out.group == 0
+        assert out.deltas == {} and out.baselines == {} and out.unsubscribe == []

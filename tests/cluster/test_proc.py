@@ -16,7 +16,7 @@ from repro.cluster import ClusterRouter, ProcessBackend, TableDecl, proc
 from repro.cluster.dispatch import CycleEngine
 from repro.errors import ClusterError
 from repro.metrics import Metrics
-from repro.net.messages import ShardHeartbeatMessage
+from repro.net.messages import ScatterMessage
 from tests.cluster.test_dispatch import _StubRouter
 
 SQL = "SELECT name, price FROM stocks WHERE price > 102"
@@ -74,7 +74,7 @@ def test_wedged_worker_times_out_and_retry_stays_exactly_once(tmp_path):
     engine = CycleEngine(router)
 
     def request(seq):
-        frame = engine.submit(0, ShardHeartbeatMessage(0, seq, seq, group=0))
+        frame = engine.submit(0, ScatterMessage(0, seq, seq, group=0))
         engine.run()
         return frame.reply
 
@@ -105,7 +105,7 @@ def test_wedged_worker_times_out_and_retry_stays_exactly_once(tmp_path):
         # A frame without an integer seq can never be paired with its
         # reply (``None == None`` would match any stale seqless frame),
         # so the engine refuses to queue it at all.
-        seqless = ShardHeartbeatMessage(0, 4, 4, group=0)
+        seqless = ScatterMessage(0, 4, 4, group=0)
         seqless.seq = None
         with pytest.raises(ClusterError, match="integer seq"):
             engine.submit(0, seqless)
@@ -216,11 +216,11 @@ def test_spawn_returns_before_the_hello_and_the_first_post_waits_for_it():
         backend.spawn(0, _decls())
         backend.spawn(1, _decls())
         assert backend._booting == {0, 1}
-        # Far below an interpreter's boot, far above a heartbeat.
+        # Far below an interpreter's boot, far above an empty frame.
         router = _StubRouter(backend, retries=0, timeout=0.2)
         engine = CycleEngine(router)
         frames = [
-            engine.submit(h, ShardHeartbeatMessage(h, 1, 1, group=h))
+            engine.submit(h, ScatterMessage(h, 1, 1, group=h))
             for h in (0, 1)
         ]
         engine.run()
@@ -240,7 +240,7 @@ def test_a_worker_that_fails_to_boot_is_a_cluster_error(tmp_path):
     backend = ProcessBackend(wal_root=str(tmp_path))
     backend.spawn(3, bad)
     with pytest.raises(ClusterError, match="shard 3 died before its hello"):
-        backend.post(3, ShardHeartbeatMessage(3, 1, 1, group=3))
+        backend.post(3, ScatterMessage(3, 1, 1, group=3))
     assert backend.alive() == [] and not backend.host_alive(3)
     with pytest.raises(ClusterError, match="shard 3 died before its hello"):
         backend.recover(3, bad)
@@ -256,7 +256,7 @@ def test_the_wait_for_a_hello_is_bounded(monkeypatch):
     backend.spawn(0, _decls())
     worker = backend._procs[0]
     with pytest.raises(ClusterError, match="shard 0 sent no hello within"):
-        backend.post(0, ShardHeartbeatMessage(0, 1, 1, group=0))
+        backend.post(0, ScatterMessage(0, 1, 1, group=0))
     assert backend.alive() == [] and not worker.is_alive()
 
 

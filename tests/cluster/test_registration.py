@@ -7,6 +7,10 @@ since. A ring change (``add_shard``/``remove_shard``) voids every
 stamp, and a store placed anew (re-replicated, rebuilt, rejoined) is a
 new record without any. The seeding frames themselves still go out,
 empty or not. A ``fault_hook`` that never faults spies on them.
+
+A seeding frame is an install frame: it moves no window but the new
+view's, so a commit still pending for another view when a subscription
+seeds its store is delivered by the next refresh.
 """
 
 from collections import Counter
@@ -14,7 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.cluster import ClusterRouter, LocalBackend
-from repro.net.messages import ScatterMessage
+from repro.net.messages import ShardSyncMessage
 
 TABLE = "positions"
 
@@ -24,13 +28,13 @@ def _sql(k):
 
 
 class Spy:
-    """Records every scatter frame as it reaches a store."""
+    """Records every install frame as it reaches a store."""
 
     def __init__(self):
         self.frames = []  # (host, group, {table: rows shipped})
 
     def __call__(self, shard_id, message, phase):
-        if phase == "send" and isinstance(message, ScatterMessage):
+        if phase == "send" and isinstance(message, ShardSyncMessage):
             shipped = {t: len(rel) for t, rel in message.baselines.items()}
             self.frames.append((shard_id, message.group, shipped))
 
@@ -119,10 +123,9 @@ def test_an_unchanged_table_is_shipped_to_each_store_once(tmp_path, replicas):
     for (host, group), (rows,) in shipped.items():
         assert rows == slice_rows(router, group)
     # Every seeding frame still went out, baseline or none: one per
-    # store per subscription, plus the first refresh's scatter of the
-    # initial rows (the later refreshes found nothing and heartbeat).
+    # store per subscription.
     seeding = Counter((host, group) for host, group, _ in spy.frames)
-    assert seeding == {store: len(keys) + 1 for store in placed}
+    assert seeding == {store: len(keys) for store in placed}
     router.close()
 
 
@@ -134,11 +137,7 @@ def test_a_commit_between_subscriptions_ships_the_table_again(
     router = make_router(tmp_path, replicas, spy)
     router.subscribe("c", "q0", _sql(0))
     refresh_and_check(router, [0])
-    # Each commit is refreshed before the next subscription: a seeding
-    # frame that meets a pending window advances the other keys' windows
-    # without merging them (ROADMAP item 2), which this test is not about.
-    commit(router)
-    refresh_and_check(router, [0])
+    commit(router)  # q0's window is pending across the subscription
     router.subscribe("c", "q1", _sql(1))
     refresh_and_check(router, [0, 1])
     assert all(len(r) == 2 for r in spy.baselines().values())
@@ -218,4 +217,22 @@ def test_a_re_replicated_store_gets_a_full_baseline(tmp_path):
     assert set(shipped) == added  # new records, no stamps yet
     for (host, group), rows in shipped.items():
         assert rows == [slice_rows(router, group)]
+    router.close()
+
+
+@pytest.mark.parametrize("replicas", [0, 1, 2])
+def test_a_seeding_frame_leaves_a_pending_window_to_the_refresh(
+    tmp_path, replicas
+):
+    """A subscription seeds the store of another key whose commit is
+    still pending; that key's delta must still reach the merge. (The
+    seeding frame used to refresh every window on the store and drop
+    the replies' deltas.)"""
+    router = make_router(tmp_path, replicas, Spy())
+    router.subscribe("c", "q0", _sql(0))
+    router.refresh()
+    commit(router)
+    router.subscribe("c", "q1", _sql(1))
+    for _ in range(3):
+        refresh_and_check(router, [0, 1])
     router.close()

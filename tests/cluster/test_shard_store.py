@@ -16,7 +16,8 @@ from repro.delta.differential import DeltaEntry, DeltaRelation
 from repro.delta.propagate import evaluate_as_of
 from repro.errors import RegistrationError
 from repro.metrics import Metrics
-from repro.net.messages import ScatterMessage, ShardHeartbeatMessage
+from repro.relational.relation import Relation
+from repro.net.messages import ScatterMessage, ShardSyncMessage
 from repro.storage.wal import KIND_SUB_REGISTER, scan_wal, shard_wal_path
 
 STOCKS = TableDecl("stocks", [("sid", int), ("name", str), ("price", float)])
@@ -48,12 +49,19 @@ def delta(decl, *entries):
     return DeltaRelation(decl.schema, entries)
 
 
-def scatter(seq, ts, deltas=None, subscribe=(), unsubscribe=()):
-    return ScatterMessage(
+def scatter(seq, ts, deltas=None):
+    """A refresh frame."""
+    return ScatterMessage(0, seq, ts, deltas=deltas, group=0)
+
+
+def sync(seq, ts, deltas=None, baselines=None, subscribe=(), unsubscribe=()):
+    """An install frame."""
+    return ShardSyncMessage(
         0,
         seq,
         ts,
         deltas=deltas,
+        baselines=baselines,
         subscribe=[spec(sql) for sql in subscribe],
         unsubscribe=list(unsubscribe),
         group=0,
@@ -75,7 +83,7 @@ class TestRowsTheStoreNeverProduced:
     def test_delete_of_a_row_inserted_below_the_window_start(self, tmp_path):
         store = make_store(tmp_path)
         row = (7, "S7", 120.0)
-        assert entries(store.handle(scatter(1, 5, subscribe=[EXPENSIVE]))) == []
+        assert entries(store.handle(sync(1, 5, subscribe=[EXPENSIVE]))) == []
         # Stamped 3, below the window start 5: outside (5, 10].
         inserted = delta(STOCKS, DeltaEntry(7, None, row, 3))
         reply = store.handle(scatter(2, 10, deltas={"stocks": inserted}))
@@ -89,7 +97,7 @@ class TestRowsTheStoreNeverProduced:
 class TestRegistration:
     def test_a_view_is_journaled_and_builds_no_result(self, tmp_path):
         store = make_store(tmp_path)
-        reply = store.handle(scatter(1, 5, subscribe=[EXPENSIVE]))
+        reply = store.handle(sync(1, 5, subscribe=[EXPENSIVE]))
         assert reply.entries == [] and windows(store) == {EXPENSIVE: 5}
         # No initial evaluation: nothing was scanned.
         assert reply.counters.get("rows_scanned", 0) == 0
@@ -111,20 +119,47 @@ class TestRegistration:
 
     def test_duplicate_subscribe_and_unknown_unsubscribe_raise(self, tmp_path):
         store = make_store(tmp_path)
-        store.handle(scatter(1, 5, subscribe=[EXPENSIVE]))
+        store.handle(sync(1, 5, subscribe=[EXPENSIVE]))
         with pytest.raises(RegistrationError):
-            store.handle(scatter(2, 6, subscribe=[EXPENSIVE]))
+            store.handle(sync(2, 6, subscribe=[EXPENSIVE]))
         with pytest.raises(RegistrationError):
-            store.handle(scatter(3, 7, unsubscribe=[HOLDINGS]))
+            store.handle(sync(3, 7, unsubscribe=[HOLDINGS]))
 
-    def test_every_frame_advances_every_window(self, tmp_path):
+    def test_only_a_refresh_frame_moves_a_window(self, tmp_path):
         store = make_store(tmp_path)
-        store.handle(scatter(1, 5, subscribe=[EXPENSIVE, HOLDINGS]))
-        store.handle(ShardHeartbeatMessage(0, 2, 9, group=0))
+        store.handle(sync(1, 5, subscribe=[EXPENSIVE, HOLDINGS]))
+        store.handle(scatter(2, 9))
         assert windows(store) == {EXPENSIVE: 9, HOLDINGS: 9}
-        store.handle(scatter(3, 12, unsubscribe=[EXPENSIVE]))
-        assert windows(store) == {HOLDINGS: 12}
-        assert store.zones.boundaries() == {HOLDINGS: 12}
+        store.handle(sync(3, 12, unsubscribe=[EXPENSIVE]))
+        assert windows(store) == {HOLDINGS: 9}
+        assert store.zones.boundaries() == {HOLDINGS: 9}
+        store.handle(scatter(4, 14))
+        assert windows(store) == {HOLDINGS: 14}
+
+    def test_an_install_frame_leaves_every_other_window_where_it_was(
+        self, tmp_path
+    ):
+        """What an install frame replays or converges is delivered by
+        the next refresh frame, to the views it did not install."""
+        store = make_store(tmp_path)
+        store.handle(insert_stocks(1, 2, PRICES))
+        store.handle(sync(2, 3, subscribe=[EXPENSIVE]))
+        store.handle(scatter(3, 5))
+        replay = reprice(6, (1, 105.0, 150.0))
+        held = Relation(POSITIONS.schema)
+        held.add(1, (1, "c1", 1, 40))
+        frame = sync(
+            4,
+            8,
+            deltas={"stocks": replay},
+            baselines={"positions": held},
+            subscribe=[HOLDINGS],
+        )
+        assert store.handle(frame).entries == []
+        assert windows(store) == {EXPENSIVE: 5, HOLDINGS: 8}
+        reply = store.handle(scatter(5, 9))
+        assert entries(reply) == [(EXPENSIVE, [(1, (1, 105.0), (1, 150.0), 9)], 9)]
+        assert windows(store) == {EXPENSIVE: 9, HOLDINGS: 9}
 
 
 class TestRecovery:
@@ -151,7 +186,7 @@ class TestRecovery:
                 ),
             },
         ),
-        scatter(2, 6, subscribe=[EXPENSIVE, HOLDINGS]),
+        sync(2, 6, subscribe=[EXPENSIVE, HOLDINGS]),
     ]
     NEXT = scatter(
         3,
@@ -192,8 +227,8 @@ class TestRecovery:
         store = make_store(tmp_path)
         for frame in self.FRAMES:
             store.handle(frame)
-        store.handle(scatter(3, 8, subscribe=[], unsubscribe=[HOLDINGS]))
-        assert windows(store) == {EXPENSIVE: 8}
+        store.handle(sync(3, 8, unsubscribe=[HOLDINGS]))
+        assert windows(store) == {EXPENSIVE: 6}
         recovered = ClusterShard.recover(0, DECLS, journal(tmp_path))
         assert windows(recovered) == {EXPENSIVE: 6}
         recovered.close()
@@ -202,20 +237,28 @@ class TestRecovery:
 class TestInvariants:
     def test_each_law_catches_its_break(self, tmp_path):
         store = make_store(tmp_path)
-        store.handle(scatter(1, 5, subscribe=[EXPENSIVE]))
+        store.handle(sync(1, 5, subscribe=[EXPENSIVE]))
         store.check_invariants()
         store.index.remove(EXPENSIVE)
         with pytest.raises(AssertionError, match="index keys"):
             store.check_invariants()
 
         store = make_store(tmp_path / "zones")
-        store.handle(scatter(1, 5, subscribe=[EXPENSIVE]))
+        store.handle(sync(1, 5, subscribe=[EXPENSIVE]))
         store.zones.advance(EXPENSIVE, 7)
         with pytest.raises(AssertionError, match="zones"):
             store.check_invariants()
 
+        store = make_store(tmp_path / "window")
+        store.handle(sync(1, 5, subscribe=[EXPENSIVE]))
+        store.handle(scatter(2, 6))
+        store._views[EXPENSIVE].since = 7
+        store.zones.advance(EXPENSIVE, 7)
+        with pytest.raises(AssertionError, match="last refresh"):
+            store.check_invariants()
+
         store = make_store(tmp_path / "pruned")
-        store.handle(scatter(1, 5, subscribe=[EXPENSIVE]))
+        store.handle(sync(1, 5, subscribe=[EXPENSIVE]))
         store.db.table("stocks").log.mark_pruned(9)
         with pytest.raises(AssertionError, match="pruned-through 9"):
             store.check_invariants()
@@ -274,7 +317,7 @@ PRICES = {sid: 100.0 + 5 * sid for sid in range(10)}
 def family_store(root, texts):
     store = make_store(root)
     store.handle(insert_stocks(1, 2, PRICES))
-    store.handle(scatter(2, 3, subscribe=texts))
+    store.handle(sync(2, 3, subscribe=texts))
     return store
 
 
@@ -361,7 +404,7 @@ class TestPlans:
         store = family_store(tmp_path, FAMILY + [ASIDE])
         store.handle(scatter(3, 4, deltas={"stocks": reprice(4, (1, 105.0, 106.0))}))
         assert SHAPE in store.plans
-        store.handle(scatter(4, 5, unsubscribe=FAMILY))
+        store.handle(sync(4, 5, unsubscribe=FAMILY))
         assert list(store._families) == [("SELECT name FROM stocks", "stocks")]
         assert SHAPE not in store.plans
         assert len(store.plans) == 1

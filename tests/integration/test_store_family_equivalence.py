@@ -8,13 +8,15 @@ each ``sql_key``'s gather entry. The router retains the results; the
 store only ships deltas.
 
 These schedules reuse ``make_family_schedule``'s texts and commits and
-drive one :class:`~repro.cluster.ClusterShard` with scatter frames: the
-commits arrive as per-table delta slices (one window may hold several
-transactions, some writing two tables at once), and views subscribe
-and unsubscribe mid-stream. After every frame, each view's gathered
+drive one :class:`~repro.cluster.ClusterShard` with its two frame
+types: the commits arrive as per-table delta slices (one window may
+hold several transactions, some writing two tables at once), in the
+install frames that subscribe and unsubscribe views mid-stream as well
+as in refresh frames. An install frame must leave every other view's
+window where it was. After every refresh frame, each view's gathered
 delta — empty for a view with no entry — must take
 ``evaluate_as_of(q, store.db, since)`` at its window start to
-``store.db.query(q)``, and the store's laws must hold.
+``store.db.query(q)``; the store's laws must hold after every frame.
 """
 
 import random
@@ -23,7 +25,7 @@ from repro import Database
 from repro.cluster import ClusterShard, TableDecl
 from repro.delta.capture import delta_since
 from repro.delta.propagate import evaluate_as_of
-from repro.net.messages import ScatterMessage
+from repro.net.messages import ScatterMessage, ShardSyncMessage
 from repro.relational import AttributeType
 from repro.relational.sql import parse_query
 from tests.integration.test_family_equivalence import (  # noqa: F401 (fixture)
@@ -56,8 +58,9 @@ class StoreRun:
         self.holders = {}
 
     def frame(self, rng, subscribe=(), unsubscribe=()):
-        """Ship every commit since the last frame as delta slices plus
-        the view changes, then check the gather reply."""
+        """Ship every commit since the last frame as delta slices: with
+        the view changes in an install frame, which must move no other
+        window, else in a refresh frame, whose gather reply is checked."""
         db, store = self.db, self.store
         now = db.now()
         deltas = {}
@@ -66,11 +69,30 @@ class StoreRun:
             if not part.is_empty():
                 deltas[name] = part
         self.sent, self.seq = now, self.seq + 1
+        if subscribe or unsubscribe:
+            since = {key: view.since for key, view in store._views.items()}
+            reply = store.handle(
+                ShardSyncMessage(
+                    0,
+                    self.seq,
+                    now,
+                    deltas=deltas,
+                    subscribe=[{"cq": key, "sql": key} for key in subscribe],
+                    unsubscribe=list(unsubscribe),
+                    group=0,
+                )
+            )
+            store.check_invariants()
+            assert reply.entries == []
+            for name in self.tables:
+                assert store.db.table(name).current == db.table(name).current
+            for key, view in store._views.items():
+                assert view.since == since.get(key, now), key
+            return
         # Q at each window start, read before the frame's GC moves past it.
         start = {
             key: evaluate_as_of(view.query, store.db, view.since)
             for key, view in store._views.items()
-            if key not in unsubscribe
         }
         reply = store.handle(
             ScatterMessage(
@@ -78,8 +100,6 @@ class StoreRun:
                 self.seq,
                 now,
                 deltas=deltas,
-                subscribe=[{"cq": key, "sql": key} for key in subscribe],
-                unsubscribe=list(unsubscribe),
                 collect=rng.random() < self.collect_odds,
                 group=0,
             )
@@ -93,9 +113,6 @@ class StoreRun:
         for name in self.tables:
             assert store.db.table(name).current == db.table(name).current
         for key, view in store._views.items():
-            if key not in start:
-                assert key not in gathered
-                continue
             part = gathered.get(key)
             got = start[key] if part is None else part.apply_to(start[key])
             assert got == store.db.query(view.query), f"{key!r} up to {now}"

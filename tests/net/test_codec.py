@@ -46,9 +46,8 @@ from repro.net.messages import (
     ResyncMessage,
     ScatterMessage,
     ShardDrainMessage,
-    ShardHeartbeatMessage,
     ShardHelloMessage,
-    ShardPromoteMessage,
+    ShardSyncMessage,
     StatsMessage,
     StatsReplyMessage,
 )
@@ -128,24 +127,21 @@ EVERY_MESSAGE = [
         2, 9, groups={2: {"horizon": 9, "subs": ["SELECT ..."]}}
     ),
     ScatterMessage(
-        1,
-        4,
-        12,
-        deltas={"stocks": sample_delta()},
-        baselines={"stocks": sample_relation()},
-        subscribe=[{"cq": "k", "sql": "SELECT name FROM stocks"}],
-        unsubscribe=["old-key"],
-        collect=True,
-        group=2,
+        1, 4, 12, deltas={"stocks": sample_delta()}, collect=True, group=2
     ),
     GatherReplyMessage(
         1, 4, 12, 11, entries=[("k", sample_delta(), 12)],
         counters={"executions": 3},
     ),
-    ShardHeartbeatMessage(0, 5, 13, collect=True, group=1),
-    ShardPromoteMessage(
-        2, 0, 6, 14,
+    ShardSyncMessage(
+        2,
+        6,
+        14,
+        deltas={"stocks": sample_delta()},
+        baselines={"stocks": sample_relation()},
         subscribe=[{"cq": "k", "sql": "SELECT name FROM stocks"}],
+        unsubscribe=["old-key"],
+        group=0,
     ),
     ShardDrainMessage(2, 7, 15, group=0),
 ]
@@ -159,6 +155,12 @@ class TestRoundTrip:
         decoded = roundtrip(message)
         assert type(decoded) is type(message)
         assert fields(decoded) == fields(message)
+
+    def test_an_empty_scatter_round_trips(self):
+        """A cycle that routed nothing to a store sends it a refresh
+        frame without slices."""
+        message = ScatterMessage(0, 5, 13, collect=True, group=1)
+        assert fields(roundtrip(message)) == fields(message)
 
     def test_every_message_type_is_covered(self):
         from repro.net.codec import _FROM_JSON, _TO_JSON
