@@ -184,14 +184,15 @@ class _Group:
     """One placement group: ``hosts`` is its placement, primary first,
     in-service hosts only — the group is *lost* exactly when it is
     empty; ``served`` the last timestamp merged from its primary (the
-    promotion registration point; None until one is); ``queued`` that
-    it waits for background repair."""
+    promotion registration point; 0 until one is, so a promotion before
+    the first merge reconciles unless the replica has seen nothing);
+    ``queued`` that it waits for background repair."""
 
     __slots__ = ("hosts", "served", "queued")
 
     def __init__(self) -> None:
         self.hosts: List[int] = []
-        self.served: Optional[Timestamp] = None
+        self.served: Timestamp = 0
         self.queued = False
 
 
@@ -479,6 +480,13 @@ class ClusterRouter:
         change voids every stamp, and a store placed anew is a new
         record without any. The frame goes out even when it is left
         empty, so ``seq`` and every counter move as if it were full.
+
+        Baselines take their tables on a placed store to ``now``, past
+        its horizon (its last refresh), from which ``_plan`` reads the
+        next window: there a row inserted before the baseline and
+        deleted after it would net out of the window and stay on the
+        store. So such a frame also replays the group's other tables
+        from the horizon, and the horizon moves to ``now``.
         """
         store = self._hosts[host].stores.get(group)
         version = self.ring.version
@@ -487,11 +495,18 @@ class ClusterRouter:
             for name in baselines
             if store is None or not self._holds(store, name, version)
         ]
+        if baselines and store is not None:
+            replay = store.horizon
         deltas: Dict[str, DeltaRelation] = {}
         if replay is not None:
-            # Read only the tables sliced: the caller checked *their*
-            # logs reach back to ``replay``, nobody else's.
-            tables = self._group_tables(self._owned_keys(group))
+            # Read only the tables sliced: their logs reach back to
+            # ``replay`` (a rejoin's caller checked; a placed store's
+            # horizon is pinned by its host's zone), nobody else's.
+            tables = [
+                name
+                for name in self._group_tables(self._owned_keys(group))
+                if name not in baselines
+            ]
             deltas = self._slice(
                 deltas_since([self.db.table(name) for name in tables], replay),
                 group,
@@ -516,6 +531,8 @@ class ClusterRouter:
         if reply is not None and store is not None:
             for name in baselines:
                 store.baselines[name] = (now, version)
+            if baselines:
+                store.horizon = now
         return reply
 
     def _holds(self, store: _Store, table: str, version: int) -> bool:
@@ -927,7 +944,7 @@ class ClusterRouter:
         if pending is None:
             return
         placed = self._groups[group]
-        placed.served = max(placed.served or 0, reply.ts)
+        placed.served = max(placed.served, reply.ts)
         for sql_key, delta, ts in reply.entries:
             if sql_key not in self._sql_groups:
                 continue  # raced an unsubscribe
@@ -1108,16 +1125,13 @@ class ClusterRouter:
         :meth:`remove_shard`) runs the engine afterwards."""
         placed = self._groups[group]
         target = placed.hosts[0]
-        served = placed.served
-        if served is None:
-            served = self._hosts[target].stores[group].horizon
         self._seq += 1
         self._engine.submit(
             target,
             ShardSyncMessage(
                 target,
                 self._seq,
-                served,
+                placed.served,
                 subscribe=self._specs(self._owned_keys(group)),
                 group=group,
             ),

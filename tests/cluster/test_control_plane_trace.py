@@ -17,10 +17,10 @@ every refresh that leaves no group lost, whether each member's
 router's internals that moves one frame ``seq``, count, placement
 decision or pin fails here, naming the run and the first step it moved.
 
-``DIVERGENT`` names the runs in which some member differs from
-``db.query`` at such a fully served refresh. They are open router
-defects (ROADMAP item 2), asserted as they stand: fixing one, or
-adding one, is a deliberate edit of that set.
+No member may differ from ``db.query`` at such a fully served refresh,
+in any run: the §4.2 equivalence holds through failover, recovery and
+resizes (``test_registration.py`` holds the reproducers of the runs
+that broke it).
 
 The data file is written only on request, when observable behaviour is
 meant to change::
@@ -72,30 +72,6 @@ WEIGHTS = {
     "remove_shard": 1,
     "collect_garbage": 1,
 }
-
-#: ``(replicas, seed)`` runs where a member's result differs from
-#: ``db.query`` at a refresh that left no group lost (ROADMAP item 2),
-#: with the first step that shows it:
-#:
-#: * (0, 7) step 4: subscribe q2, subscribe q0, commit, commit, refresh;
-#:   q2 keeps a deleted ``positions`` row.
-#: * (1, 32) step 34: ... commit, subscribe q3, unsubscribe q3,
-#:   subscribe q3, commit, refresh; q3 keeps a deleted ``stocks`` row.
-#: * (1, 37) step 31: ... subscribe q0, subscribe q2, commit, commit,
-#:   recover_shard, refresh; q0 and q1 keep a deleted ``stocks`` row.
-#: * (2, 34) step 8: commit x4, subscribe q3, kill_shard, commit, commit,
-#:   refresh; q3 keeps a deleted ``stocks`` row.
-#: * (2, 38) step 4: commit, subscribe q1 twice, commit, refresh; q1
-#:   keeps a deleted ``positions`` row.
-#:
-#: All five are one defect. A row is inserted after a store's horizon
-#: (its last refresh), a subscription's baseline then seeds the row into
-#: the store, and the row is deleted before the store's next refresh.
-#: That refresh's window runs from the horizon, where the insert and
-#: the delete consolidate into nothing, so the store never deletes the
-#: row and no view of it delivers the delete.
-DIVERGENT = frozenset([(0, 7), (1, 32), (1, 37), (2, 34), (2, 38)])
-
 
 def make_router(replicas, seed, wal_root):
     router = ClusterRouter(
@@ -291,7 +267,7 @@ def test_control_plane_trace_matches_golden(replicas, tmp_path):
                 f"({got.split()[0]}) differs: expected {want!r}, got {got!r}"
             )
         assert len(trace) == len(expected)
-    assert diverged == {key for key in DIVERGENT if key[0] == replicas}
+    assert diverged == set()
 
 
 def write():
@@ -308,7 +284,7 @@ def write():
     ]
     DATA.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {DATA.name}: {len(traces)} runs")
-    print(f"DIVERGENT = {sorted(diverged)}")
+    print(f"diverged (must be none): {sorted(diverged)}")
 
 
 if __name__ == "__main__":

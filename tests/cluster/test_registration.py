@@ -236,3 +236,37 @@ def test_a_seeding_frame_leaves_a_pending_window_to_the_refresh(
     for _ in range(3):
         refresh_and_check(router, [0, 1])
     router.close()
+
+
+@pytest.mark.parametrize("replicas", [0, 1, 2])
+def test_a_row_a_baseline_seeded_and_a_commit_deleted_leaves_the_store(
+    tmp_path, replicas
+):
+    """The rows inserted since a store's last refresh reach it in a
+    subscription's baseline; one deleted before the next refresh must
+    leave the store too, although the refresh's window, read from the
+    store's last refresh, nets its insert and delete out."""
+    router = make_router(tmp_path, replicas, Spy())
+    router.subscribe("c", "q0", _sql(0))
+    db = router.db
+    row = max(db.table(TABLE).current, key=lambda row: row.values[-1])
+    with db.begin() as txn:
+        txn.delete_from(db.table(TABLE), row.tid)
+    refresh_and_check(router, [0])
+    router.close()
+
+
+def test_a_replica_promoted_before_its_group_served_a_refresh_reconciles(
+    tmp_path,
+):
+    """No refresh of the group has been merged yet, so its members'
+    results start at their subscriptions, wherever the replica's
+    horizon stands (the second subscription's baselines moved it to
+    now): the promotion reconciles them instead of trusting it."""
+    router = make_router(tmp_path, 1, Spy())
+    router.subscribe("c", "q0", _sql(0))
+    commit(router)
+    router.subscribe("c", "q1", _sql(1))
+    router.kill_shard(router.stats()["placement"][0][0])
+    refresh_and_check(router, [0, 1])
+    router.close()
