@@ -174,14 +174,16 @@ def _delta_from_json(data: Dict[str, Any]) -> DeltaRelation:
     )
 
 
-
 def _deltas_to_json(deltas: Dict[str, DeltaRelation]) -> Dict[str, Any]:
     """A store frame's per-table delta slices."""
-    return {name: _delta_to_json(delta) for name, delta in sorted(deltas.items())}
+    return {
+        name: _delta_to_json(delta) for name, delta in sorted(deltas.items())
+    }
 
 
 def _deltas_from_json(data: Dict[str, Any]) -> Dict[str, DeltaRelation]:
     return {name: _delta_from_json(delta) for name, delta in data.items()}
+
 
 # -- per-message payloads -----------------------------------------------------
 
