@@ -33,9 +33,9 @@ path fell at every shard count (48 695 → 24 180, 28 404 → 17 784,
 the parallel part gets cheaper is Amdahl's law, not a regression, so it
 is reported and no longer gated. Since an interval stab inspects only
 the entries it returns (one bisect into precomputed covers), router and
-shards alike have shed their candidate walks: the paths read 5 876 /
-4 137 / 3 028 (recorded), and ``shard_work_max`` scales 3.33x (3.69x
-before; the gate stays at 3.0x).
+shards alike have shed their candidate walks (5 876 / 4 137 / 3 028,
+3.33x); the paths now read 4 424 / 3 203 / 2 506 (recorded), and
+``shard_work_max`` scales 3.74x (the gate stays at 3.0x).
 
 Run ``python benchmarks/bench_e16_cluster.py --smoke`` for the CI
 self-check: sweeps 1/2/4 shards with a fixed seed, verifies every
@@ -67,14 +67,14 @@ WORK_COUNTERS = (
 )
 
 
-#: The modelled critical path once interval stabs inspected only what
-#: they return, by subscriber count (``measure``'s other defaults; the
-#: pytest's sizes for 600), then by shards. The counters repeat exactly
-#: under any ``PYTHONHASHSEED``, and replication does not move them. A
-#: change may lower a path, never raise it.
+#: The modelled critical path as measured, by subscriber count
+#: (``measure``'s other defaults; the pytest's sizes for 600), then by
+#: shards. The counters repeat exactly under any ``PYTHONHASHSEED``, and
+#: replication does not move them. A change may lower a path, never
+#: raise it; one that lowers it re-records it here.
 RECORDED_CRITICAL_PATH = {
-    10_000: {1: 5_876, 2: 4_137, 4: 3_028},
-    600: {1: 1_409, 2: 1_036, 4: 769},
+    10_000: {1: 4_424, 2: 3_203, 4: 2_506},
+    600: {1: 1_088, 2: 812, 4: 631},
 }
 
 

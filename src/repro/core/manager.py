@@ -87,11 +87,10 @@ from repro.core.triggers import (
 
 NotifyCallback = Callable[[Notification], None]
 
-# A lazy member's CQStats row per turn, on top of what its evaluation
-# charged: receiving an earlier turn's delta (no engine counter, no
-# latency), or the refresh that evaluated it.
-_RECEIVED = {Metrics.CQ_REFRESHES: 1, Metrics.SHARED_GROUP_HITS: 1}
-_EVALUATED = {Metrics.CQ_REFRESHES: 1}
+# Read on every turn: an Enum member read through its class pays a
+# metaclass lookup.
+_ACTIVE, _REFRESH = CQStatus.ACTIVE, NotificationKind.REFRESH
+_DIFFERENTIAL = DeliveryMode.DIFFERENTIAL
 
 
 class EvaluationStrategy(enum.Enum):
@@ -142,8 +141,9 @@ class CQManager:
         self.slow_refresh_us = slow_refresh_us
         self.slow_refreshes: Deque[Dict[str, object]] = deque(maxlen=256)
         # Installed per refresh by _charged(): a scoped TeeMetrics that
-        # also charges self.metrics; _refresh_metrics() routes the
-        # engines' charges through it for per-CQ attribution.
+        # also charges self.metrics. The engines charge it while it is
+        # set (`self._scoped_metrics or self.metrics`: a Metrics is
+        # always truthy), for per-CQ attribution.
         self._scoped_metrics: Optional[Metrics] = None
         #: Per-CQ retained notification history length (0 = none).
         self.history_limit = history_limit
@@ -569,48 +569,57 @@ class CQManager:
         "system-defined default interval, say every day at midnight").
         Returns all notifications produced since the previous drain.
 
-        One window for the whole poll: sweep every cohort, refresh what
-        is due — the CQs a sweep routes or cannot prove unobservable —
-        in registration order, a lazy member by *receiving* its view's
-        evaluation, anyone else by a full visit; then move the sweeps
-        and, under ``auto_gc``, collect behind them. What the receiving
-        turns owe the shared bag is charged once, when they are done.
+        One window for the whole poll: sweep every cohort, give what is
+        due — the CQs a sweep routes or cannot prove unobservable — its
+        turn in registration order, a lazy member :meth:`_receive`,
+        anyone else a full visit; then move the sweeps and, under
+        ``auto_gc``, collect behind them. What the lazy turns owe the
+        shared bag and their ``stats`` rows is charged once, after them.
         """
         if advance_to is not None:
             self.db.clock.advance_to(advance_to)
         now = self.db.now()
         span = self.tracer.span("scheduler.poll", now=now, registered=len(self._cqs))
-        refreshed = received = 0
+        turns: Tuple[List, List] = ([], [])  # lazy members: evaluated, received
         with span, self._open_window():
             cohorts = list(self._cohorts.values())
             # Swept unrouted, a lazy member finding nothing may be one that
             # routing leaves out: then its footprint's next sweep routes.
             quiet = {cohort.tables: False for cohort in cohorts if not cohort.routing}
-            runnable = [cq for cohort in cohorts for cq in self._due(cohort)]
+            runnable, visits = [], set()  # (visits: the always-visit members)
+            for cohort in cohorts:
+                always, late = self._due(cohort)
+                visits.update(always)
+                runnable += (*always, *late)
             runnable.sort(key=attrgetter("order"))
             span.set(runnable=len(runnable))
+            receive = self._receive
             try:
                 for cq in runnable:
-                    if cq.status is not CQStatus.ACTIVE:
-                        continue  # (an earlier visit's callback deregistered it)
-                    cohort = self._cohorts[cq.table_names]
-                    lazy, executions = cq.name in cohort.lazy, cq.executions
+                    if cq.status is not _ACTIVE:
+                        continue  # (an earlier turn's callback deregistered it)
+                    lazy, executions = cq not in visits, cq.executions
                     if not lazy or cq.is_aggregate:
                         # (an aggregate folds and diffs its own state)
                         self._charged(cq, self._maybe_execute)
                     else:
-                        took = self._receive(cq)
+                        took = receive(cq)
                         if took is not None:
-                            refreshed += 1
-                            received += took
-                    if lazy and cq.executions == executions:
+                            turns[took].append(cq)
+                    if quiet and lazy and cq.executions == executions:
                         if cq.table_names in quiet:
                             quiet[cq.table_names] = True
             finally:
-                if refreshed and self.metrics is not None:
-                    self.metrics.count(Metrics.CQ_REFRESHES, refreshed)
-                    if received:
-                        self.metrics.count(Metrics.SHARED_GROUP_HITS, received)
+                # A lazy turn's charge beside its evaluation's own: a refresh,
+                # and a shared-group hit if it received (in its stats row if
+                # no later callback deregistered it).
+                for took, cqs in enumerate(turns):
+                    each = {Metrics.SHARED_GROUP_HITS: 1} if took else {}
+                    if cqs and self.metrics is not None:
+                        for name in (Metrics.CQ_REFRESHES, *each):
+                            self.metrics.count(name, len(cqs))
+                    names = [cq.name for cq in cqs if cq.status is _ACTIVE]
+                    self.stats.record_each(names, {Metrics.CQ_REFRESHES: 1, **each})
             for cohort in cohorts:
                 cohort.swept = now
                 self.zones.try_advance(cohort.tables, now)
@@ -642,76 +651,74 @@ class CQManager:
         finally:
             self._window = outer
 
-    def _due(self, cohort: Cohort) -> List[ContinualQuery]:
-        """The members of ``cohort`` this poll must visit."""
-        due = [
+    def _due(self, cohort: Cohort) -> Tuple[List[ContinualQuery], Iterable]:
+        """The members of ``cohort`` this poll must visit: the
+        always-visit ones, and the lazy ones its sweep selects."""
+        always = [
             cq
             for cq in cohort.always.values()
             if not is_skip_safe(cq)
             or self._touched(cohort.tables, cq.last_execution_ts)
         ]
-        swept, index, now = cohort.swept, self.index, self.db.now()
-        if cohort.lazy and self._touched(cohort.tables, swept):
+        lazy, swept, late = cohort.lazy, cohort.swept, {}
+        if lazy and self._touched(cohort.tables, swept):
             if not cohort.routing:
-                cohort.late = dict(cohort.lazy)
+                cohort.late = dict(lazy)
             else:
-                window = self._window
-                routed = window.routed(index, cohort.tables, swept, now)[1]
+                window, now = self._window, self.db.now()
+                routed = window.routed(self.index, cohort.tables, swept, now)[1]
                 hit = 0
                 for key in routed.keys() | window.stale:
-                    for name, cq in self._views[key].members.items():
-                        if name in cohort.lazy:
-                            cohort.late[name] = cq
-                            hit += 1
+                    members = self._views[key].members
+                    if not members.keys() <= lazy.keys():  # (always-visit ones)
+                        members = {n: cq for n, cq in members.items() if n in lazy}
+                    cohort.late.update(members)
+                    hit += len(members)
                 # Routing pays only while it leaves someone out.
-                cohort.routing = hit < len(cohort.lazy)
-            for cq in cohort.late.values():
+                cohort.routing = hit < len(lazy)
+            late = cohort.late
+            for cq in late.values():
                 # Every poll that skipped it proved its window irrelevant
                 # (Section 5.2): its window starts where the sweep does.
                 if cq.last_execution_ts < swept:
                     cq.last_execution_ts = swept
                     cq.applied_ts = max(cq.applied_ts, swept)
-            due.extend(cohort.late.values())
-        if not due and self.metrics is not None:
+        if not always and not late and self.metrics is not None:
             self.metrics.count(Metrics.GROUPS_SKIPPED)
-        return due
+        return always, late.values()
 
     def _receive(self, cq: ContinualQuery) -> Optional[bool]:
-        """A lazy member's turn: take its view's delta over its window
-        — evaluated here, charged to this member, unless an earlier
-        turn left it (a late joiner's window is its own; a callback's
-        commit moves ``now`` for everyone after it) — alias the view's
-        result, move the window, be notified. Against a full visit
-        nothing observable is skipped: the stop is ``Never``, there is
-        no zone of its own to advance, and ``OnEveryChange`` fires iff
-        the window is touched and ignores ``notify_fired``.
+        """A lazy member's turn: take its view's delta over its window,
+        alias the view's result, move the window, be notified. Against a
+        full visit nothing observable is skipped: the stop is ``Never``,
+        there is no zone of its own to advance, and ``OnEveryChange``
+        fires iff the window is touched and ignores ``notify_fired``.
 
-        Taking an earlier turn's delta is a few stores: no call but the
-        notification the member is owed. Returns None when nothing was
-        received (a late member whose own window is quiet), else whether
-        the delta was taken rather than evaluated; :meth:`poll` charges
-        the shared bag from that, once."""
-        now, since = self.db.now(), cq.last_execution_ts
+        When the view's ``last`` is the member's window as of now, an
+        earlier turn evaluated it, and this turn is only what the member
+        owns: stamps, alias, notification. Otherwise (the view's first
+        due member, a late joiner, anyone after a callback's commit) it
+        evaluates its window here, charged to it. Returns None when
+        nothing was received (a late member's own window is quiet), else
+        whether the delta was taken rather than evaluated."""
         view = self._views[cq.sql_key]
-        last = view.last
-        took = (
+        last, now, since = view.last, self.db.clock.now(), cq.last_execution_ts
+        if (
             last is not None
             and last[1] == now
             and last[0] == since
             and last[2] is not None
-        )
-        if took:  # (an evaluated window was a touched one)
-            delta = last[2]
+        ):  # (an evaluated window was a touched one)
+            delta, took = last[2], True
             if cq.keep_result:
                 cq.previous_result = view.result
         elif self._touched(cq.table_names, since):
-            delta = self._charged(cq, self._execute_dra)
+            delta, took = self._charged(cq, self._execute_dra), False
         else:
             if cq.keep_result and view.since == now and view.result is not None:
                 cq.previous_result = view.result
             return None
         cq.last_execution_ts = now
-        self.stats.record(cq.name, _RECEIVED if took else _EVALUATED)
         if not delta.is_empty():
             cq.executions += 1
             cq.last_result_ts = now
@@ -724,9 +731,8 @@ class CQManager:
         earlier visit's callback may have moved past the poll's start),
         in a ``cq.refresh`` span, with one latency sample, its counter
         charges scoped per CQ (the tee still charges the shared bag)."""
-        now, tracer = self.db.now(), self.tracer
-        scoped = TeeMetrics(self.metrics)
-        self._scoped_metrics = scoped
+        now, tracer, metrics = self.db.now(), self.tracer, self.metrics
+        scoped = self._scoped_metrics = TeeMetrics(metrics)
         start = time.perf_counter()
         span = (
             tracer.span("cq.refresh", cq=cq.name, tables=",".join(cq.table_names))
@@ -739,16 +745,12 @@ class CQManager:
             finally:
                 self._scoped_metrics = None
                 latency_us = (time.perf_counter() - start) * 1e6
-                counters = {
-                    name: value
-                    for name, value in scoped.snapshot().items()
-                    if value
-                }
+                counters = scoped.charged()
                 self.stats.record(cq.name, counters, latency_us)
-                if tracer.enabled:
+                if span is not NULL_SPAN:
                     span.set(latency_us=round(latency_us, 3), **counters)
-                if self.metrics is not None:
-                    self.metrics.observe(Metrics.REFRESH_LATENCY_US, latency_us)
+                if metrics is not None:
+                    metrics.observe(Metrics.REFRESH_LATENCY_US, latency_us)
                 self._note_slow_refresh(cq.name, latency_us, counters)
 
     def drain(self) -> List[Notification]:
@@ -785,13 +787,6 @@ class CQManager:
         return list(cq.history or ()) if cq is not None else []
 
     # -- execution ----------------------------------------------------------------
-
-    def _refresh_metrics(self) -> Optional[Metrics]:
-        """The metrics bag engines charge during a refresh: the scoped
-        per-CQ tee when :meth:`_charged` installed one, otherwise the
-        shared bag."""
-        scoped = self._scoped_metrics
-        return scoped if scoped is not None else self.metrics
 
     def _note_slow_refresh(
         self, cq_name: str, latency_us: float, counters: Dict[str, int]
@@ -912,7 +907,7 @@ class CQManager:
             cq.aggregate_state.update(
                 deltas,
                 now,
-                self._refresh_metrics(),
+                self._scoped_metrics or self.metrics,
                 prepared=self._prepared_for(cq),
             )
         elif deltas:
@@ -921,7 +916,7 @@ class CQManager:
                 self.db,
                 deltas=deltas,
                 ts=now,
-                metrics=self._refresh_metrics(),
+                metrics=self._scoped_metrics or self.metrics,
                 prepared=self._prepared_for(cq),
                 tracer=self.tracer,
                 seeds=seeds,
@@ -952,7 +947,7 @@ class CQManager:
         cq.trigger.notify_fired(ctx)
         if self.auto_gc:
             self.zones.collect()
-        metrics = self._refresh_metrics()
+        metrics = self._scoped_metrics or self.metrics
         if metrics:
             metrics.count(Metrics.CQ_REFRESHES)
         if delta.is_empty():
@@ -975,7 +970,7 @@ class CQManager:
         result: replaced, never mutated."""
         view, since = self._views[cq.sql_key], cq.last_execution_ts
         held = cq.previous_result
-        index, metrics = self._route_index(cq), self._refresh_metrics()
+        index, metrics = self._route_index(cq), self._scoped_metrics or self.metrics
         window, tracer = self._window, self.tracer
         if view.result is not None and since == view.since:
             delta = view.advance(window, index, now, metrics, tracer)
@@ -1023,7 +1018,7 @@ class CQManager:
         return delta
 
     def _execute_reevaluate(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
-        new_result = self.db.query(cq.query, self._refresh_metrics())
+        new_result = self.db.query(cq.query, self._scoped_metrics or self.metrics)
         delta = diff(cq.previous_result, new_result, now)
         cq.previous_result = new_result
         return delta
@@ -1031,24 +1026,16 @@ class CQManager:
     def _notification(
         self, cq: ContinualQuery, delta: DeltaRelation, now: Timestamp
     ) -> Notification:
-        kwargs = {}
-        if cq.mode is DeliveryMode.DIFFERENTIAL:
-            kwargs["delta"] = delta
-        elif cq.mode is DeliveryMode.INSERTIONS_ONLY:
-            kwargs["result"] = delta.insertions()
-        elif cq.mode is DeliveryMode.DELETIONS_ONLY:
-            kwargs["result"] = delta.deletions()
+        mode = cq.mode
+        if mode is _DIFFERENTIAL:
+            result = None
+        elif mode is DeliveryMode.INSERTIONS_ONLY:
+            result, delta = delta.insertions(), None
+        elif mode is DeliveryMode.DELETIONS_ONLY:
+            result, delta = delta.deletions(), None
         else:  # COMPLETE
-            kwargs["delta"] = delta
-            kwargs["result"] = cq.previous_result.copy()
-        return Notification(
-            cq.name,
-            NotificationKind.REFRESH,
-            seq=cq.executions,
-            ts=now,
-            mode=cq.mode,
-            **kwargs,
-        )
+            result = cq.previous_result.copy()
+        return Notification(cq.name, _REFRESH, cq.executions, now, mode, delta, result)
 
     def _finalize(self, cq: ContinualQuery, now: Timestamp) -> None:
         if cq.status is CQStatus.STOPPED:

@@ -27,9 +27,11 @@ CQ. These are the records ``CQManager.poll()`` shares work through:
   local predicate share one execution per routed window on their
   shape's plan, demultiplexed into each view's own delta.
 
-Runnable CQs refresh one after another in registration order, so the
-notification sequence is the paper's: sharing only removes provably
-redundant work, and adds counters and a refresh-latency histogram.
+Runnable CQs take their turns one after another in registration
+order, so the notification sequence is the paper's: a routed view
+advances once, in its first due member's turn, and a later member
+standing at that window only receives the delta. Sharing only removes
+provably redundant work, and adds counters and a latency histogram.
 """
 
 from __future__ import annotations

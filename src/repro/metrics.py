@@ -20,6 +20,7 @@ scheduler records per-CQ refresh latency there.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -47,13 +48,12 @@ class Histogram:
             raise ValueError(f"histogram samples must be >= 0, got {value}")
         self.count += 1
         self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        exp = 0
-        bound = 1.0
-        while value > bound:
-            exp += 1
-            bound *= 2.0
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        # The least e with value <= 2**e: ceil(value) - 1 < 2**e.
+        exp = (math.ceil(value) - 1).bit_length() if value > 1.0 else 0
         self._buckets[exp] = self._buckets.get(exp, 0) + 1
 
     @property

@@ -11,7 +11,7 @@ name. The shared totals stay exact; the per-CQ table is pure addition.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.metrics import Histogram, Metrics
 
@@ -32,7 +32,10 @@ class TeeMetrics(Metrics):
         self.parent = parent
 
     def count(self, name: str, amount: int = 1) -> None:
-        super().count(name, amount)
+        # A scope is charged from the one thread running its refresh:
+        # only the shared parent needs its lock.
+        counters = self._counters
+        counters[name] = counters.get(name, 0) + amount
         if self.parent is not None:
             self.parent.count(name, amount)
 
@@ -40,6 +43,10 @@ class TeeMetrics(Metrics):
         super().observe(name, value)
         if self.parent is not None:
             self.parent.observe(name, value)
+
+    def charged(self) -> Dict[str, int]:
+        """The non-zero counters this scope was charged."""
+        return {name: value for name, value in self._counters.items() if value}
 
 
 class CQStats:
@@ -73,25 +80,29 @@ class CQStats:
                     hist = self._latency[key] = Histogram()
                 hist.observe(latency_us)
 
+    def record_each(self, keys: Iterable[str], counters: Dict[str, int]) -> None:
+        """Add ``counters`` to every key, under one lock: what a poll's
+        lazy turns of one kind were each charged."""
+        items = [(name, value) for name, value in counters.items() if value]
+        with self._lock:
+            table = self._counters
+            for key in keys:
+                mine = table.get(key)
+                if mine is None:
+                    mine = table[key] = {}
+                for name, value in items:
+                    mine[name] = mine.get(name, 0) + value
+
     def record_split(
         self, keys: Sequence[str], name: str, total: int, each: Dict[str, int]
     ) -> None:
         """Charge ``total`` of counter ``name`` split over ``keys`` —
         evenly, the first ``total % len(keys)`` one more, so the shares
         sum to ``total`` — and ``each`` to every key: one frame's bytes
-        over the CQs it addresses, under one lock."""
+        over the CQs it addresses."""
         share, extra = divmod(total, len(keys))
-        with self._lock:
-            counters = self._counters
-            for i, key in enumerate(keys):
-                mine = counters.get(key)
-                if mine is None:
-                    mine = counters[key] = {}
-                amount = share + (i < extra)
-                if amount:
-                    mine[name] = mine.get(name, 0) + amount
-                for other, value in each.items():
-                    mine[other] = mine.get(other, 0) + value
+        self.record_each(keys[:extra], {name: share + 1, **each})
+        self.record_each(keys[extra:], {name: share, **each})
 
     def forget(self, key: str) -> None:
         """Drop a key's counters and histogram (its CQ was deregistered)."""

@@ -114,6 +114,25 @@ class TestHistogramPercentileEdges:
         assert h.percentile(50) == 4  # bucket e=2 covers (2, 4]
         assert h.percentile(100) == 8
 
+    def test_bucket_edges_follow_the_doubling_rule(self):
+        # Bucket e counts 2**(e-1) < value <= 2**e (bucket 0: <= 1),
+        # on both sides of every edge, fractions and large values too.
+        def bucket(value):
+            exp, bound = 0, 1.0
+            while value > bound:
+                exp, bound = exp + 1, bound * 2.0
+            return exp
+
+        samples = [0, 0.5, 1, 1.000001, 1.5, 2, 2.000001, 3, 4, 4.5, 1023.9]
+        samples += [1024, 1024.000001, 2**40, 2**40 + 0.5, 2**53, 2.0**60 + 1]
+        h = Histogram()
+        for v in samples:
+            h.observe(v)
+        expected = {}
+        for v in samples:
+            expected[bucket(v)] = expected.get(bucket(v), 0) + 1
+        assert h.buckets() == sorted(expected.items())
+
     def test_percentile_bounds_hold_for_mixed_samples(self):
         h = Histogram()
         samples = [3, 3, 3, 3, 3, 3, 3, 3, 3, 100]

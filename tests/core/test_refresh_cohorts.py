@@ -429,6 +429,69 @@ class TestMembersReceive:
         assert members[2].previous_result is members[0].previous_result
         assert members[1].previous_result is members[3].previous_result is None
 
+    def test_members_of_two_views_interleave_in_registration_order(
+        self, db, stocks
+    ):
+        """Two views of one family whose members interleave — A1, B1,
+        A2, B2, ``manager_churn``'s shape: each view is evaluated in its
+        first member's turn and received by the other, and the turns
+        run in registration order, not grouped by view. A commit made
+        from B1's callback moves ``now`` for the turns after it: A2 and
+        B2 evaluate their own windows, and every member is notified of
+        that commit exactly once."""
+        mgr = make_manager(db)
+        pricier = "SELECT sid, name, price FROM stocks WHERE price > 130"
+        texts = {"A": WATCH, "B": pricier}
+        seen, order, arm = {}, [], []
+
+        def on_notify(note):
+            if note.kind is not NotificationKind.REFRESH:
+                return
+            order.append(note.cq_name)
+            seen[note.cq_name] += [e.new[0] for e in note.delta if e.new]
+            if note.cq_name == "B1" and arm:
+                stocks.insert((arm.pop(), "CB", 800))
+
+        names = ["A1", "B1", "A2", "B2"]
+        for name in names:
+            seen[name] = []
+            mgr.register_sql(name, texts[name[0]], on_notify=on_notify)
+        # Routed past, so the cohort keeps routing: a family window.
+        mgr.register_sql("bystander", CHEAP)
+        families = {mgr._views[sql].family for sql in texts.values()}
+        assert len(families) == 1 and None not in families
+        mgr.drain()
+        stocks.insert((600, "HI", 900))
+        before = mgr.metrics.snapshot()
+        assert [n.cq_name for n in mgr.poll()] == names == order
+        assert mgr.metrics.diff(before)[Metrics.EXECUTIONS] == 1
+        received = {"cq_refreshes": 1, "shared_group_hits": 1}
+        for name in names:
+            row = mgr.stats.counters(name)
+            evaluated = name.endswith("1")
+            assert (row == received) is not evaluated, (name, row)
+            assert row["cq_refreshes"] == 1
+            assert mgr.stats.latency(name).count == evaluated
+
+        del order[:]
+        arm.append(700)  # B1's callback commits once, in the next poll
+        stocks.insert((601, "HI", 901))
+        assert [n.cq_name for n in mgr.poll()] == names == order
+        assert {name: seen[name] for name in names} == {
+            "A1": [600, 601],
+            "B1": [600, 601],
+            "A2": [600, 601, 700],  # after B1's turn: the commit is in
+            "B2": [600, 601, 700],  # their windows
+        }
+        # A2 and B2 stood at the views' window start, but now had moved.
+        assert [mgr.stats.latency(name).count for name in names] == [2, 2, 1, 1]
+        del order[:]
+        assert [n.cq_name for n in mgr.poll()] == ["A1", "B1"] == order
+        assert seen["A1"] == seen["B1"] == [600, 601, 700]
+        assert mgr.poll() == []
+        for name in names:
+            assert mgr.get(name).previous_result == db.query(texts[name[0]])
+
 
 class TestRoutingSelection:
     """A cohort routes only while routing leaves someone out: a routed
