@@ -91,6 +91,7 @@ from repro.storage.timestamps import Timestamp
 from repro.core.gc import ActiveDeltaZones
 from repro.delta.capture import deltas_since
 from repro.delta.diff import diff
+from repro.delta.propagate import evaluate_as_of
 from repro.delta.differential import DeltaEntry, DeltaRelation
 from repro.dra.algorithm import dra_initial
 from repro.dra.predindex import PredicateIndex
@@ -1624,6 +1625,18 @@ class ClusterRouter:
         broken = [message for holds, message in laws if not holds]
         if broken:
             raise AssertionError("; ".join(broken))
+        # The result law: a key every owner group serves holds Q(state
+        # at last_ts), while the logs reach back there.
+        for sql_key, shared in self._sql_groups.items():
+            if any(self._is_lost(group) for group in shared.owners):
+                continue
+            tables = [self.db.table(t) for t in shared.query.table_names]
+            if all(t.log.pruned_through <= shared.last_ts for t in tables):
+                held = evaluate_as_of(shared.query, self.db, shared.last_ts)
+                if shared.result != held:
+                    raise AssertionError(
+                        f"{sql_key!r}: result is not Q(state at last_ts)"
+                    )
 
     def result(self, client_id: str, cq_name: str) -> Relation:
         """The retained (merged) result of one subscription."""

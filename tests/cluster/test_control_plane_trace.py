@@ -7,7 +7,8 @@ for ``replicas`` 0, 1 and 2 × ``SEEDS`` seeds × ``STEPS`` steps. The
 driver uses the public API only: which hosts are alive or dead, and
 which groups are lost, it reads from ``stats()``.
 
-After every step it digests what the router exposes: the operation and
+After every step it checks ``router.check_invariants()`` (the
+record laws and the result law) and digests what the router exposes: the operation and
 its arguments, the operation's return value (``refresh()``'s count, the
 ``.pinned`` report of a ``collect_garbage()``, ...), ``stats()`` without
 the per-host ``counters`` and ``horizon``, and ``describe()``; and at
@@ -227,6 +228,7 @@ def run(replicas, seed, wal_root):
         for _ in range(STEPS):
             op, args = choose(rng, router, router.stats())
             out = apply(router, rng, op, args)
+            router.check_invariants()
             stats = observed(router)
             record = {
                 "op": op,
