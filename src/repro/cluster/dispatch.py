@@ -58,8 +58,8 @@ Bookkeeping rules the router relies on:
   submitted at the *front* of the target host's queue, so a promote
   precedes the new primary's scatter whenever that frame has not been
   dispatched yet (the bit-identical failover path). If the lockstep
-  frame already ran, the promote's horizon mismatch queues the exact
-  reconcile.
+  frame already ran, the views start past the served timestamp, and
+  the router re-installs their keys at the end of the cycle.
 """
 
 from __future__ import annotations

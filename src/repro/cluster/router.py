@@ -12,7 +12,7 @@ here first) and drives N shard hosts through refresh cycles:
   *partition-parallel* on every group, each evaluating over its slice
   (fragment-and-replicate: such a CQ may touch at most one partitioned
   table, so its partial result deltas are tid-disjoint across groups
-  and merge by concatenation).
+  and add).
 
 * **Replication.** With ``replicas > 0`` every group is placed on a
   primary host plus replicas on *distinct* hosts (ring-successor
@@ -57,11 +57,19 @@ here first) and drives N shard hosts through refresh cycles:
   a gap.
 
 * **Gather + merge.** Partial result deltas come back per ``sql_key``
-  from each group's primary; the router merges the tid-disjoint slices
-  (a cross-slice row move arrives as delete-on-one-group +
-  insert-on-another and is recombined into a modify), re-runs residual
-  confirmation on the merged Z-set delta, applies it to the retained
-  result, and notifies subscribers.
+  from each group's primary, each with its window ``(since, ts)``. The
+  router holds one :class:`~repro.core.scheduler.SharedView` per key
+  and merges each window exactly once: the parts are tid-disjoint
+  slices of one Z-set delta, so they add (a cross-slice row move is the
+  old owner's delete plus the new owner's insert, one modify), and the
+  sum moves the view through its one step. A window that is not the
+  view's, or a tid in two parts that is not a move, is a protocol
+  violation and raises. A key is served whole or not at all: while one
+  of its owner groups is lost its view does not move, and every
+  catch-up (a rejoined or rebuilt primary, a promotion that installed
+  the key elsewhere than its view's ``since``, a re-home of a view
+  that is behind) re-installs the key at one timestamp on every owner
+  primary and at the router, notifying members one diff.
 
 * **Recovery and resize.** Each store journals scattered state
   WAL-first. :meth:`recover_shard` is a *rejoin*: groups nobody else
@@ -82,16 +90,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import ClusterError, RegistrationError
 from repro.metrics import Metrics
 from repro.relational.algebra import SPJQuery
-from repro.relational.expressions import ColumnRef, Literal
-from repro.relational.predicates import _COMPARE_OPS, _SWAPPED, Comparison
 from repro.relational.relation import Relation
 from repro.relational.sql import parse_query
 from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
 from repro.core.gc import ActiveDeltaZones
+from repro.core.scheduler import SharedView
 from repro.delta.capture import deltas_since
 from repro.delta.diff import diff
-from repro.delta.propagate import evaluate_as_of
 from repro.delta.differential import DeltaEntry, DeltaRelation
 from repro.dra.algorithm import dra_initial
 from repro.dra.predindex import PredicateIndex
@@ -112,10 +118,9 @@ from repro.net.messages import (
 #: ``(cq_name, delta, ts)`` notification callback.
 DeltaCallback = Callable[[str, DeltaRelation, Timestamp], None]
 
-
-#: One residual conjunct over the output schema:
-#: ``(output position, op, constant)``.
-Residual = Tuple[int, Callable, object]
+#: A cycle's gathered parts: per ``sql_key``, ``(delta, since, ts)``
+#: from each owner group's primary.
+Parts = Dict[str, List[Tuple[DeltaRelation, Timestamp, Timestamp]]]
 
 
 #: Gather-reply counters that proxy a store's refresh cost (the same
@@ -124,46 +129,6 @@ Residual = Tuple[int, Callable, object]
 _WORK_COUNTERS = (
     "terms_evaluated", "rows_scanned", "delta_rows_read", "predindex_probes"
 )
-
-
-class _SqlGroup:
-    """Everything the router holds for one ``sql_key``: the query, the
-    placement groups evaluating it, its members — ``(client, cq)`` to
-    notification callback — and the one retained (merged) result.
-    ``result`` is only ever *replaced*, never mutated, so every member
-    aliases it; :meth:`ClusterRouter.result` hands out copies.
-    ``reconcile`` asks for a snap to the authoritative result after
-    the next refresh's merge (promotion-lag and rebuild healing).
-    """
-
-    __slots__ = (
-        "sql_key",
-        "query",
-        "owners",
-        "parallel",
-        "residuals",
-        "members",
-        "result",
-        "last_ts",
-        "reconcile",
-    )
-
-    def __init__(
-        self,
-        sql_key: str,
-        query: SPJQuery,
-        parallel: bool,
-        residuals: Tuple[Residual, ...],
-    ):
-        self.sql_key = sql_key
-        self.query = query
-        self.owners: Set[int] = set()  # see ClusterRouter._rehome
-        self.parallel = parallel  # partition-parallel: runs on every group
-        self.residuals = residuals
-        self.members: Dict[Tuple[str, str], Optional[DeltaCallback]] = {}
-        self.result: Optional[Relation] = None  # set once seeded
-        self.last_ts: Timestamp = 0
-        self.reconcile = False
 
 
 class _Store:
@@ -186,7 +151,7 @@ class _Group:
     in-service hosts only — the group is *lost* exactly when it is
     empty; ``served`` the last timestamp merged from its primary (the
     promotion registration point; 0 until one is, so a promotion before
-    the first merge reconciles unless the replica has seen nothing);
+    the first merge catches its keys up unless their views start at 0);
     ``queued`` that it waits for background repair."""
 
     __slots__ = ("hosts", "served", "queued")
@@ -302,10 +267,18 @@ class ClusterRouter:
         self._decls: Dict[str, TableDecl] = {}
         self._started = False
         self._seq = 0
-        #: One record per subscribed ``sql_key``, and per subscription
-        #: the record it is a member of (of that one only).
-        self._sql_groups: Dict[str, _SqlGroup] = {}
-        self._subs: Dict[Tuple[str, str], _SqlGroup] = {}
+        #: One view per subscribed ``sql_key`` (its ``members`` map
+        #: ``(client, cq)`` to the notification callback; ``result`` is
+        #: only ever replaced, so every member aliases it and
+        #: :meth:`result` hands out copies), the placement groups
+        #: evaluating it (see ``_rehome``), and per subscription the
+        #: view it is a member of.
+        self._views: Dict[str, SharedView] = {}
+        self._owners: Dict[str, Set[int]] = {}
+        self._subs: Dict[Tuple[str, str], SharedView] = {}
+        #: Keys a promotion installed elsewhere than their view's
+        #: ``since``: they do not move until caught up (``_catch_up``).
+        self._behind: Set[str] = set()
         #: One record per placement group and one per host, keyed by
         #: ring node (a host's own group has its id); ``_place`` and
         #: ``_unplace`` are the only code that adds or drops a store.
@@ -385,15 +358,27 @@ class ClusterRouter:
     def _owned_keys(self, group: int) -> List[str]:
         return sorted(
             sql_key
-            for sql_key, shared in self._sql_groups.items()
-            if group in shared.owners
+            for sql_key, owners in self._owners.items()
+            if group in owners
         )
 
     def _group_tables(self, sql_keys: Sequence[str]) -> List[str]:
         needed: Set[str] = set()
         for sql_key in sql_keys:
-            needed.update(self._sql_groups[sql_key].query.table_names)
+            needed.update(self._views[sql_key].query.table_names)
         return sorted(needed)
+
+    def _partitioned(self, query: SPJQuery) -> List[str]:
+        """The partitioned tables ``query`` reads: a query reading one
+        runs partition-parallel, on every group."""
+        return sorted(
+            name
+            for name in set(query.table_names)
+            if self._decls[name].partition_key is not None
+        )
+
+    def _lost_owner(self, sql_key: str) -> bool:
+        return any(self._is_lost(group) for group in self._owners[sql_key])
 
     # -- placement ----------------------------------------------------------
 
@@ -547,12 +532,11 @@ class ClusterRouter:
             and self.db.table(table).log.newest_ts <= stamp[0]
         )
 
-    def _specs(self, sql_keys: Sequence[str]) -> List[Dict[str, str]]:
-        """The wire form of shard-side registrations."""
-        return [
-            {"cq": key, "sql": self._sql_groups[key].query.to_sql()}
-            for key in sql_keys
-        ]
+    @staticmethod
+    def _specs(sql_keys: Sequence[str]) -> List[Dict[str, str]]:
+        """The wire form of shard-side registrations (a ``sql_key`` is
+        its query's canonical SQL)."""
+        return [{"cq": key, "sql": key} for key in sql_keys]
 
     def _slice(
         self, window: Dict[str, DeltaRelation], group: int, tables
@@ -627,11 +611,7 @@ class ClusterRouter:
         for name in set(query.table_names):
             if name not in self._decls:
                 raise ClusterError(f"table {name!r} was never declared")
-        partitioned = sorted(
-            name
-            for name in set(query.table_names)
-            if self._decls[name].partition_key is not None
-        )
+        partitioned = self._partitioned(query)
         if len(partitioned) > 1:
             raise RegistrationError(
                 "a cluster CQ may touch at most one partitioned table "
@@ -639,46 +619,49 @@ class ClusterRouter:
                 "partial results to be tid-disjoint"
             )
         sql_key = query.to_sql()
-        shared = self._sql_groups.get(sql_key)
-        if shared is None:
+        view = self._views.get(sql_key)
+        if view is None:
             scopes = {
                 ref.alias: self.db.table(ref.table).schema
                 for ref in query.relations
             }
             self.index.add(sql_key, query, scopes)
-            shared = self._sql_groups[sql_key] = _SqlGroup(
-                sql_key,
-                query,
-                bool(partitioned),
-                self._compile_residuals(query),
-            )
-            self._rehome(sql_key, self.db.now())
             # E_0 on the kernels, as every tier installs: one DRA term
-            # seeded by a whole relation (``db.query`` is the oracle).
-            shared.result = dra_initial(query, self.db, metrics=self.metrics)
-            shared.last_ts = self.db.now()
-        # Joining an existing group shares its retained result instead
+            # seeded by a whole relation. The view exists before its
+            # seeding frames go out, so a promotion they cause sees it.
+            now = self.db.now()
+            initial = dra_initial(query, self.db, metrics=self.metrics)
+            view = self._views[sql_key] = SharedView(
+                query, sql_key, None, now, initial
+            )
+            self._owners[sql_key] = set()
+            self._rehome(sql_key, now)
+        # Joining an existing view shares its retained result instead
         # of re-evaluating — subscriber count stays out of registration
-        # cost, mirroring shard-side shared groups.
-        shared.members[key] = on_delta
-        self._subs[key] = shared
-        return shared.result.copy()
+        # cost, mirroring shard-side shared views.
+        view.members[key] = on_delta
+        self._subs[key] = view
+        return view.result.copy()
 
     def unsubscribe(self, client_id: str, cq_name: str) -> None:
         """Drop a subscription; the last member of a ``sql_key`` also
         retires the footprint and the shard-side registrations."""
-        shared = self._subs.pop((client_id, cq_name), None)
-        if shared is None:
+        view = self._subs.pop((client_id, cq_name), None)
+        if view is None:
             raise RegistrationError(
                 f"no subscription {cq_name!r} for client {client_id!r}"
             )
-        del shared.members[(client_id, cq_name)]
-        if shared.members:
+        del view.members[(client_id, cq_name)]
+        if view.members:
             return
-        for group in sorted(shared.owners):
-            self._unseed_group(group, shared.sql_key, self.db.now())
-        self.index.remove(shared.sql_key)
-        del self._sql_groups[shared.sql_key]
+        sql_key = view.sql_key
+        # Owners go first: a promotion the unseeding causes must not
+        # install the key on the new primary.
+        for group in sorted(self._owners.pop(sql_key)):
+            self._unseed_group(group, sql_key, self.db.now())
+        self.index.remove(sql_key)
+        del self._views[sql_key]
+        self._behind.discard(sql_key)
 
     def _rehome(
         self, sql_key: str, now: Timestamp, dissolved: Optional[int] = None
@@ -687,19 +670,25 @@ class ClusterRouter:
         the current ring — every group for a partition-parallel query,
         the group the key hashes to otherwise — unseeding the groups it
         leaves (but ``dissolved``, whose stores are drained instead)
-        and seeding the ones it joins. A new record owns nothing yet,
-        so this is also its first seeding."""
-        shared = self._sql_groups[sql_key]
-        before = shared.owners
-        shared.owners = (
+        and seeding the ones it joins. A new view owns nothing yet, so
+        this is also its first seeding. A joined group starts the key
+        at ``now``: when the view is behind that, the key is caught
+        up."""
+        before = self._owners.get(sql_key)
+        if before is None:
+            return  # a catch-up's callback retired the key
+        owners = self._owners[sql_key] = (
             set(self.ring.nodes())
-            if shared.parallel
+            if self._partitioned(self._views[sql_key].query)
             else {self.ring.lookup(sql_key)}
         )
-        for group in sorted(before - shared.owners - {dissolved}):
+        for group in sorted(before - owners - {dissolved}):
             self._unseed_group(group, sql_key, now)
-        for group in sorted(shared.owners - before):
+        joined = sorted(owners - before)
+        for group in joined:
             self._seed_group(group, sql_key, now)
+        if joined and self._views[sql_key].since != now:
+            self._catch_up(now, [sql_key])
 
     def _seed_group(self, group: int, sql_key: str, now: Timestamp) -> None:
         """Install one ``sql_key`` on every live store of ``group``:
@@ -711,7 +700,7 @@ class ClusterRouter:
         out — every later commit would void the stamp, so what the
         store holds is what a fresh baseline would carry, and the gaps
         of earlier relevance-skipped scatters are still closed."""
-        tables = sorted(set(self._sql_groups[sql_key].query.table_names))
+        tables = sorted(set(self._views[sql_key].query.table_names))
         for index, host in enumerate(list(self._groups[group].hosts)):
             self._sync_store(
                 host,
@@ -740,76 +729,6 @@ class ClusterRouter:
         for row in current:
             if partition.accepts(row.values):
                 out.add(row.tid, row.values)
-        return out
-
-    # -- residual confirmation ---------------------------------------------
-
-    def _compile_residuals(self, query: SPJQuery) -> Tuple[Residual, ...]:
-        """The predicate conjuncts re-checkable on gathered entries.
-
-        A conjunct survives compilation when it is a column-vs-literal
-        comparison whose column is visible in the output schema (the
-        projection keeps it, or the query is single-relation SELECT *).
-        Everything else — join conditions, dropped columns — was
-        already enforced shard-side and cannot be re-checked here.
-        """
-        positions: Dict[Tuple[Optional[str], str], int] = {}
-        if query.projection is not None:
-            for i, col in enumerate(query.projection):
-                positions[(col.ref.qualifier, col.ref.name)] = i
-                if col.ref.qualifier is not None:
-                    positions.setdefault((None, col.ref.name), i)
-        elif query.is_single_relation():
-            ref = query.relations[0]
-            schema = self.db.table(ref.table).schema
-            for i, attribute in enumerate(schema):
-                positions[(ref.alias, attribute.name)] = i
-                positions[(None, attribute.name)] = i
-        else:
-            return ()
-        out: List[Residual] = []
-        for conj in query.predicate.conjuncts():
-            if not isinstance(conj, Comparison):
-                continue
-            left, right = conj.left, conj.right
-            if isinstance(left, ColumnRef) and isinstance(right, Literal):
-                ref, const, op = left, right.value, _COMPARE_OPS[conj.op]
-            elif isinstance(left, Literal) and isinstance(right, ColumnRef):
-                ref, const = right, left.value
-                op = _COMPARE_OPS[_SWAPPED[conj.op]]
-            else:
-                continue
-            if const is None:
-                continue
-            position = positions.get((ref.qualifier, ref.name))
-            if position is None:
-                continue
-            out.append((position, op, const))
-        return tuple(out)
-
-    def _confirm(
-        self, shared: _SqlGroup, entries: List[DeltaEntry]
-    ) -> List[DeltaEntry]:
-        """Residual confirmation on a merged Z-set delta: a new side
-        failing any re-checkable conjunct is dropped (the entry decays
-        to its delete half, or vanishes), counted per occurrence."""
-        residuals = shared.residuals
-        if not residuals:
-            return entries
-        out: List[DeltaEntry] = []
-        for entry in entries:
-            new = entry.new
-            if new is not None:
-                ok = all(
-                    new[position] is not None and op(new[position], const)
-                    for position, op, const in residuals
-                )
-                if not ok:
-                    self.metrics.count(Metrics.RESIDUAL_DROPS)
-                    if entry.old is None:
-                        continue
-                    entry = DeltaEntry(entry.tid, entry.old, None, entry.ts)
-            out.append(entry)
         return out
 
     # -- refresh ------------------------------------------------------------
@@ -852,22 +771,23 @@ class ClusterRouter:
         # already ran) is skipped: ``_on_host_down`` unplaced its
         # stores, and a reply that arrived before the verdict must not
         # resurrect them.
-        pending: Dict[str, Tuple[List[DeltaRelation], Timestamp]] = {}
+        pending: Parts = {}
         for host, group, request in planned:
-            if request.reply is None or self._hosts[host].dead:
+            reply = request.reply
+            if reply is None or self._hosts[host].dead:
                 continue
-            feeds = pending if self._groups[group].hosts[0] == host else None
-            self._absorb(host, group, request.reply, feeds)
-        notified = self._merge_and_notify(pending)
+            store = self._hosts[host].stores[group]
+            store.counters, store.horizon = dict(reply.counters), reply.ts
+            self._advance_zone(host)
+            placed = self._groups[group]
+            if placed.hosts[0] == host:  # a primary's entries feed the merge
+                placed.served = max(placed.served, reply.ts)
+                for sql_key, delta, since, ts in reply.entries:
+                    pending.setdefault(sql_key, []).append((delta, since, ts))
+        notified = self._merge_and_notify(pending, now)
         self._drain_rereplication(now)
-        keys = [
-            sql_key
-            for sql_key, shared in sorted(self._sql_groups.items())
-            if shared.reconcile
-        ]
-        for sql_key in keys:
-            self._sql_groups[sql_key].reconcile = False
-        self._reconcile(keys, now)
+        if self._behind:
+            self._catch_up(now, self._behind)
         if self.auto_gc:
             self.collect_garbage()
         return notified
@@ -915,9 +835,7 @@ class ClusterRouter:
             deltas = frames.get((group, horizon))
             if deltas is None:
                 local = {
-                    sql_key
-                    for sql_key in routed
-                    if group in self._sql_groups[sql_key].owners
+                    sql_key for sql_key in routed if group in self._owners[sql_key]
                 }
                 deltas = frames[(group, horizon)] = self._slice(
                     window, group, self._group_tables(local)
@@ -929,142 +847,133 @@ class ClusterRouter:
             host, self._seq, now, deltas=deltas, collect=collect, group=group
         )
 
-    def _absorb(
-        self,
-        host: int,
-        group: int,
-        reply: GatherReplyMessage,
-        pending: Optional[Dict[str, Tuple[List[DeltaRelation], Timestamp]]],
-    ) -> None:
-        """Record one store's reply; only the group primary's entries
-        (``pending`` not None) feed the merge."""
-        store = self._hosts[host].stores[group]
-        store.counters = dict(reply.counters)
-        store.horizon = reply.ts
-        self._advance_zone(host)
-        if pending is None:
-            return
-        placed = self._groups[group]
-        placed.served = max(placed.served, reply.ts)
-        for sql_key, delta, ts in reply.entries:
-            if sql_key not in self._sql_groups:
-                continue  # raced an unsubscribe
-            parts, seen = pending.get(sql_key, ([], 0))
-            parts.append(delta)
-            pending[sql_key] = (parts, max(seen, ts))
-
-    def _merge_and_notify(
-        self, pending: Dict[str, Tuple[List[DeltaRelation], Timestamp]]
-    ) -> int:
-        """Per gathered ``sql_key``: merge the primaries' partial
-        deltas, apply the merged delta to the one retained result, and
-        notify the members."""
+    def _merge_and_notify(self, pending: Parts, now: Timestamp) -> int:
+        """Move every served view — no owner group lost, not behind —
+        to ``now`` by the sum of its owner primaries' partial deltas,
+        and notify its members. Each owner store of a served key moved
+        its window from the view's ``since`` to ``now`` this cycle, so
+        a part over any other window is a protocol violation; the parts
+        of a key that is not served are left unread."""
+        lost = {group for group, placed in self._groups.items() if not placed.hosts}
         notified = 0
-        for sql_key, (parts, ts) in sorted(pending.items()):
-            shared = self._sql_groups.get(sql_key)
-            if shared is None:
-                continue  # its last member left from an earlier callback
-            merged = self._merge(shared, parts)
-            if merged is not None:
-                notified += self._advance(
-                    shared, self._apply(merged, shared.result), merged, ts
-                )
+        for sql_key, view in sorted(self._views.items()):
+            # A callback may have retired the key, or retired and
+            # re-subscribed it as a new view, since the cycle began.
+            if (
+                self._views.get(sql_key) is not view
+                or sql_key in self._behind
+                or not lost.isdisjoint(self._owners[sql_key])
+            ):
+                continue
+            parts = pending.get(sql_key, ())
+            for __, since, ts in parts:
+                if (since, ts) != (view.since, now):
+                    raise ClusterError(
+                        f"{sql_key!r}: a part over ({since}, {ts}] is not "
+                        f"the view's window ({view.since}, {now}]"
+                    )
+            delta = self._merge([part for part, __, __ in parts])
+            notified += self._advance(view, delta, now)
         return notified
 
     @staticmethod
     def _advance(
-        shared: _SqlGroup,
-        result: Relation,
-        delta: DeltaRelation,
-        ts: Timestamp,
+        view: SharedView, delta: Optional[DeltaRelation], now: Timestamp
     ) -> int:
-        """Replace ``shared``'s retained result — once, for every
-        member — and notify the members ``delta``. A callback may
-        subscribe or unsubscribe: a joiner already aliases the new
-        result and is not notified, a leaver is skipped."""
-        shared.result = result
-        shared.last_ts = ts
+        """Move ``view`` to ``now`` by ``delta`` through its one step —
+        replacing its result once, for every member — and notify the
+        members a non-empty ``delta``. A callback may subscribe or
+        unsubscribe: a joiner already aliases the new result and is not
+        notified, a leaver is skipped."""
+        view.step(delta, view.since, now, view.result)
+        if delta is None or delta.is_empty():
+            return 0
         notified = 0
-        for key in list(shared.members):
-            if key in shared.members:
-                on_delta = shared.members[key]
+        members = view.members
+        for key in list(members):
+            if key in members:
+                on_delta = members[key]
                 if on_delta is not None:
-                    on_delta(key[1], delta, ts)
+                    on_delta(key[1], delta, now)
                 notified += 1
         return notified
 
-    def _merge(
-        self, shared: _SqlGroup, parts: List[DeltaRelation]
-    ) -> Optional[DeltaRelation]:
-        """Concatenate tid-disjoint partial deltas into one Z-set delta.
+    def _merge(self, parts: List[DeltaRelation]) -> Optional[DeltaRelation]:
+        """The Z-set sum of one key's partial deltas.
 
-        The only legitimate tid collision is a cross-slice row move (a
-        partition-key update): the old owner contributes the delete
-        half, the new owner the insert half — recombined into a modify
-        and counted as a merge conflict.
+        The parts are tid-disjoint slices, so a tid in two of them can
+        only be a cross-slice row move (a partition-key update): the
+        old owner's delete plus the new owner's insert, which sum to one
+        modify (counted as a merge conflict) or, with equal sides, to
+        nothing. Any other collision is a protocol violation.
         """
+        if not parts:
+            return None
         self.metrics.count(Metrics.CLUSTER_MERGES)
         if len(parts) == 1:
-            entries = list(parts[0])
-            schema = parts[0].schema
-        else:
-            schema = parts[0].schema
-            by_tid: Dict[object, DeltaEntry] = {}
-            for part in parts:
-                for entry in part:
-                    existing = by_tid.get(entry.tid)
-                    if existing is None:
-                        by_tid[entry.tid] = entry
-                        continue
-                    self.metrics.count(Metrics.MERGE_CONFLICTS)
-                    combined = self._combine(existing, entry)
-                    if combined is None:
-                        del by_tid[entry.tid]
-                    else:
-                        by_tid[entry.tid] = combined
-            entries = list(by_tid.values())
-        entries = self._confirm(shared, entries)
-        if not entries:
-            return None
-        return DeltaRelation(schema, entries)
+            return parts[0]
+        merged: Dict[object, DeltaEntry] = {}
+        moves = 0
+        for part in parts:
+            for entry in part:
+                other = merged.get(entry.tid)
+                if other is None:
+                    merged[entry.tid] = entry
+                    continue
+                gone, came = (other, entry) if other.new is None else (entry, other)
+                if gone.new is not None or came.old is not None:
+                    raise ClusterError(
+                        f"tid {entry.tid!r} is in two slices and is not a "
+                        f"cross-slice move: {other!r}, {entry!r}"
+                    )
+                moves += 1
+                merged[entry.tid] = DeltaEntry(
+                    entry.tid, gone.old, came.new, max(gone.ts, came.ts)
+                )
+        entries = merged.values()
+        if moves:
+            self.metrics.count(Metrics.MERGE_CONFLICTS, moves)
+            entries = [e for e in entries if e.old != e.new]
+        return DeltaRelation(parts[0].schema, entries)
 
-    @staticmethod
-    def _combine(a: DeltaEntry, b: DeltaEntry) -> Optional[DeltaEntry]:
-        ts = max(a.ts, b.ts)
-        if a.new is None and b.old is None:
-            old, new = a.old, b.new
-        elif b.new is None and a.old is None:
-            old, new = b.old, a.new
-        else:
-            # Not a clean move; keep the later sighting whole.
-            later = a if a.ts >= b.ts else b
-            old, new = later.old, later.new
-        if old == new:
-            return None
-        return DeltaEntry(a.tid, old, new, ts)
-
-    @staticmethod
-    def _apply(delta: DeltaRelation, result: Relation) -> Relation:
-        """``delta.apply_to`` tolerant of recovery-replay skew.
-
-        A recovered shard's catch-up entries interleave with partial
-        merges the alive shards already delivered, so two delete shapes
-        need care: a re-delivered delete (row already gone — a no-op)
-        and a *stale* delete, the old-owner half of a cross-slice row
-        move whose new-owner insert landed cycles ago. The old side
-        identifies what a delete removes; when it no longer matches the
-        retained value, a later entry superseded it and the delete is
-        dropped. Inserts and modifies carry the current value outright,
-        so applying them late is always safe.
-        """
-        out = result.copy()
-        for entry in delta:
-            if entry.new is None:
-                if out.get_or_none(entry.tid) == entry.old:
-                    out.discard(entry.tid)
-            else:
-                out.add(entry.tid, entry.new)
-        return out
+    def _catch_up(
+        self,
+        now: Timestamp,
+        sql_keys=(),
+        installed: Optional[Dict[int, Optional[int]]] = None,
+    ) -> None:
+        """Re-install ``sql_keys`` and the keys of the groups
+        ``installed`` names, each with the primary that just installed
+        them at ``now``, as of ``now``: on every owner primary, one
+        install frame each, and at the router, whose members are
+        notified the one diff. A key with a lost owner group waits for
+        the group's return, its view unmoved; one whose owner changed
+        primary meanwhile stays behind, for the next refresh."""
+        done = dict(installed or {})
+        keys = sorted(
+            key
+            for key in set(sql_keys).union(*map(self._owned_keys, done))
+            if key in self._views and not self._lost_owner(key)
+        )
+        for group in sorted(set().union(*(self._owners[key] for key in keys))):
+            hosts = self._groups[group].hosts
+            if hosts and done.get(group) != hosts[0]:
+                owned = [key for key in keys if group in self._owners[key]]
+                reply = self._sync_store(
+                    hosts[0], group, now, subscribe=owned, unsubscribe=owned
+                )
+                done[group] = hosts[0] if reply is not None else None
+        for view in [self._views[key] for key in keys]:
+            key = view.sql_key
+            if self._views.get(key) is not view:
+                continue  # a callback retired the key
+            owners = self._owners[key]
+            if any(self._groups[g].hosts[:1] != [done.get(g)] for g in owners):
+                self._behind.add(key)
+                continue
+            self._behind.discard(key)
+            fresh = dra_initial(view.query, self.db, now, metrics=self.metrics)
+            self._advance(view, diff(view.result, fresh, ts=now), now)
 
     # -- failure handling ---------------------------------------------------
 
@@ -1112,16 +1021,15 @@ class ClusterRouter:
         when the replica has applied nothing past it, so the very next
         scatter window reproduces the failed primary's delta
         bit-identically, with no baseline transfer. The reply carries
-        the store's clock before the frame; a mismatch with the served
-        timestamp means the views start elsewhere than the members'
-        results end, and the affected keys are queued for an exact
-        reconcile instead of trusting the window.
+        the store's clock before the frame, so the router knows where
+        the views start: a key whose view does not start there is left
+        behind, to be caught up instead of trusting the window.
 
         The promote frame is submitted at the *front* of the target's
         queue: if the new primary's lockstep scatter of this cycle has
         not been dispatched yet, the promote still precedes it (the
-        bit-identical ordering); if the scatter already ran, the
-        promote's horizon mismatch queues the reconcile. Whoever took
+        bit-identical ordering); if it already ran, the views start
+        past the served timestamp and are caught up. Whoever took
         the host down outside an engine run (:meth:`kill_shard`,
         :meth:`remove_shard`) runs the engine afterwards."""
         placed = self._groups[group]
@@ -1146,27 +1054,33 @@ class ClusterRouter:
         self.metrics.count(Metrics.FAILOVERS)
         store = self._hosts[message.shard_id].stores[message.group]
         store.counters = dict(reply.counters)
-        if reply.horizon != message.ts:
-            for spec in message.subscribe:
-                shared = self._sql_groups.get(spec["cq"])
-                if shared is not None:  # not raced by an unsubscribe
-                    shared.reconcile = True
+        installed = max(reply.horizon, message.ts)
+        for spec in message.subscribe:
+            view = self._views.get(spec["cq"])
+            if view is not None and view.since != installed:
+                self._behind.add(view.sql_key)
 
     def _drain_rereplication(self, now: Timestamp) -> None:
         """Background capacity repair, one batch per refresh cycle:
         rebuild lost groups from the authoritative database, then top
         replica counts back up; release dead hosts' pinned zones once
         every group they carried is healthy again. A group queued while
-        the batch runs waits for the next one."""
+        the batch runs waits for the next one. The keys of the rebuilt
+        groups are caught up once the batch is done."""
         queue = [(g, p) for g, p in sorted(self._groups.items()) if p.queued]
         for _group, placed in queue:
             placed.queued = False
+        rebuilt: Dict[int, Optional[int]] = {}
         for group, placed in queue:
-            if not placed.hosts and not self._rebuild_group(group, now):
-                placed.queued = True
-                continue
+            if not placed.hosts:
+                if not self._rebuild_group(group, now):
+                    placed.queued = True
+                    continue
+                rebuilt[group] = placed.hosts[0]
             self._top_up(group, now)
             self._maybe_release(group)
+        if rebuilt:
+            self._catch_up(now, installed=rebuilt)
 
     def _repair_all(self, now: Timestamp) -> None:
         """Queue every group for repair and drain once: what a host
@@ -1178,27 +1092,25 @@ class ClusterRouter:
 
     def _rebuild_group(self, group: int, now: Timestamp) -> bool:
         """Re-create a lost group's primary from the authoritative
-        database on a surviving host; members are healed by an exact
-        reconcile after this cycle's merge."""
+        database on a surviving host."""
         candidates = self._replica_targets(group, 1)
-        if not candidates:
-            return False
-        host = candidates[0]
+        tables = self._group_tables(self._owned_keys(group))
+        if candidates and self._restore(candidates[0], group, now, baselines=tables):
+            self.metrics.count(Metrics.REREPLICATIONS)
+            return True
+        return False
+
+    def _restore(self, host: int, group: int, now: Timestamp, **sync) -> bool:
+        """Make ``host`` the primary of lost ``group`` with one install
+        frame bringing its tables to ``now`` (``sync``) and installing
+        every key the group owns as of ``now``; whether it confirmed.
+        A rejoin and a rebuild both end here, and catch the keys up."""
         owned = self._owned_keys(group)
-        reply = self._sync_store(
-            host,
-            group,
-            now,
-            baselines=self._group_tables(owned),
-            subscribe=owned,
-        )
+        reply = self._sync_store(host, group, now, subscribe=owned, **sync)
         if reply is None:
             return False
-        self.metrics.count(Metrics.REREPLICATIONS)
         self._adopt(host, group, reply)
         self._groups[group].served = reply.ts
-        for sql_key in owned:
-            self._sql_groups[sql_key].reconcile = True
         return True
 
     def _strength(self) -> int:
@@ -1284,7 +1196,7 @@ class ClusterRouter:
 
         Per journaled store: a group nobody else serves comes back
         *primary* (the pre-replication recovery path — replay or
-        re-seed, then an exact per-key reconcile of member results); a
+        re-seed, then its keys are caught up); a
         group that failed over while the host was down comes back as a
         catch-up *replica* (stale registrations dropped — the promoted
         primary keeps serving, no downtime); a group that was dissolved
@@ -1312,14 +1224,18 @@ class ClusterRouter:
             intact = True
             self.metrics.count(Metrics.SHARD_REPLAYS)
         self.zones.register(self._zone(shard_id), self._all_tables(), now)
+        rejoined: Dict[int, Optional[int]] = {}
         for group, info in sorted(hello.groups.items()):
             placed = self._groups.get(group)
             if self._is_lost(group):
-                self._rejoin_primary(shard_id, group, info, now, intact)
+                if self._rejoin_primary(shard_id, group, info, now, intact):
+                    rejoined[group] = shard_id
             elif placed is not None and len(placed.hosts) < 1 + self.replicas:
                 self._rejoin_replica(shard_id, group, info, now)
             else:
                 self._drain_store(shard_id, group, now)
+        if rejoined:
+            self._catch_up(now, installed=rejoined)
         self._advance_zone(shard_id)
         self._repair_all(now)
         if not record.stores:
@@ -1337,33 +1253,23 @@ class ClusterRouter:
         info: Dict,
         now: Timestamp,
         intact: bool,
-    ) -> None:
+    ) -> bool:
         """The pre-replication recovery path, per group: replay the
         missed window differentially while the router logs still cover
         the store's horizon, or re-seed baselines after GC pruned past
-        it; re-install every owned view as of ``now`` (drop what the
-        journal held, install what the group owns); then snap member
-        results to the authoritative database at ``now`` too — where
-        the store's windows start (journal recovery rebases views on
-        their registration-era state, so one exact re-evaluation per key
-        at a rare recovery buys bit-identical convergence)."""
+        it; drop what the journal held and re-install every owned view
+        as of ``now``."""
         held = sorted(info.get("subs", ()))
         owned = self._owned_keys(group)
         missing = [key for key in owned if key not in held]
-        reply = self._sync_store(
+        return self._restore(
             host,
             group,
             now,
             baselines=self._group_tables(missing if intact else owned),
             replay=info.get("horizon", 0) if intact else None,
-            subscribe=owned,
             unsubscribe=held,
         )
-        if reply is None:
-            return
-        self._adopt(host, group, reply)
-        self._groups[group].served = reply.ts
-        self._reconcile(owned, now)
 
     def _rejoin_replica(
         self, host: int, group: int, info: Dict, now: Timestamp
@@ -1422,7 +1328,7 @@ class ClusterRouter:
         now = self.db.now()
         self._reslice(now, skip=new_id)
         # Index handoff + new-group registrations.
-        for sql_key in sorted(self._sql_groups):
+        for sql_key in sorted(self._views):
             self._rehome(sql_key, now)
         # The new group gets its replicas, and — one more host in
         # service may have raised _strength() — so do the groups a
@@ -1497,7 +1403,7 @@ class ClusterRouter:
         replica_hosts = [h for h in self._groups[own].hosts if h != shard_id]
         self.ring.remove_node(shard_id)
         self._reslice(now, skip=own)
-        for sql_key in sorted(self._sql_groups):
+        for sql_key in sorted(self._views):
             self._rehome(sql_key, now, dissolved=own)
         for host in replica_hosts:
             if not self._hosts[host].dead:
@@ -1512,18 +1418,6 @@ class ClusterRouter:
         for other in self._hosts.values():
             other.pinned.discard(own)
         self._drain_rereplication(now)
-
-    def _reconcile(self, sql_keys: Sequence[str], now: Timestamp) -> None:
-        """Snap members of ``sql_keys`` to the authoritative result,
-        notifying the exact catch-up delta each member missed."""
-        for sql_key in sql_keys:
-            shared = self._sql_groups.get(sql_key)
-            if shared is None:
-                continue
-            oracle = self.db.query(shared.query, self.metrics)
-            catch_up = diff(shared.result, oracle, ts=now)
-            if not catch_up.is_empty():
-                self._advance(shared, oracle, catch_up, now)
 
     # -- maintenance --------------------------------------------------------
 
@@ -1572,12 +1466,9 @@ class ClusterRouter:
             for group in record.stores
         }
         dead = {host for host, record in self._hosts.items() if record.dead}
-        members = sum(len(s.members) for s in self._sql_groups.values())
-        memberless = sorted(
-            key
-            for key, shared in self._sql_groups.items()
-            if not shared.members
-        )
+        views = self._views
+        members = sum(len(view.members) for view in views.values())
+        memberless = sorted(key for key, view in views.items() if not view.members)
         strength = self._strength()
         weak = sorted(
             group
@@ -1608,13 +1499,16 @@ class ClusterRouter:
             (
                 members == len(self._subs)
                 and all(
-                    key in shared.members
-                    and self._sql_groups.get(shared.sql_key) is shared
-                    for key, shared in self._subs.items()
+                    key in view.members and views.get(view.sql_key) is view
+                    for key, view in self._subs.items()
                 ),
-                "subscriptions and group member lists disagree",
+                "subscriptions and view member lists disagree",
             ),
             (not memberless, f"memberless sql_keys {memberless}"),
+            (
+                self._owners.keys() == views.keys() >= self._behind,
+                "owners, views and keys behind disagree",
+            ),
             (not weak, f"groups {weak} under strength and not queued"),
             (
                 carrying <= zoned <= carrying | pinned,
@@ -1625,18 +1519,11 @@ class ClusterRouter:
         broken = [message for holds, message in laws if not holds]
         if broken:
             raise AssertionError("; ".join(broken))
-        # The result law: a key every owner group serves holds Q(state
-        # at last_ts), while the logs reach back there.
-        for sql_key, shared in self._sql_groups.items():
-            if any(self._is_lost(group) for group in shared.owners):
-                continue
-            tables = [self.db.table(t) for t in shared.query.table_names]
-            if all(t.log.pruned_through <= shared.last_ts for t in tables):
-                held = evaluate_as_of(shared.query, self.db, shared.last_ts)
-                if shared.result != held:
-                    raise AssertionError(
-                        f"{sql_key!r}: result is not Q(state at last_ts)"
-                    )
+        # The result law, as at every tier: a key no lost group owns
+        # holds Q(state at since).
+        for sql_key, view in views.items():
+            if not self._lost_owner(sql_key):
+                view.check(self.db)
 
     def result(self, client_id: str, cq_name: str) -> Relation:
         """The retained (merged) result of one subscription."""
@@ -1680,7 +1567,7 @@ class ClusterRouter:
             "now": self.db.now(),
             "seq": self._seq,
             "subscriptions": len(self._subs),
-            "sql_keys": len(self._sql_groups),
+            "sql_keys": len(self._views),
             "replicas": self.replicas,
             "router": self.metrics.snapshot(),
             "shards": shards,
@@ -1732,16 +1619,16 @@ class ClusterRouter:
 
     def describe(self) -> List[Dict[str, object]]:
         out = []
-        for (client_id, cq_name), shared in sorted(self._subs.items()):
+        for (client_id, cq_name), view in sorted(self._subs.items()):
             out.append(
                 {
                     "client": client_id,
                     "cq": cq_name,
-                    "sql_key": shared.sql_key,
-                    "shards": sorted(shared.owners),
-                    "parallel": shared.parallel,
-                    "last_ts": shared.last_ts,
-                    "result_rows": len(shared.result),
+                    "sql_key": view.sql_key,
+                    "shards": sorted(self._owners[view.sql_key]),
+                    "parallel": bool(self._partitioned(view.query)),
+                    "last_ts": view.since,
+                    "result_rows": len(view.result),
                 }
             )
         return out

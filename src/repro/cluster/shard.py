@@ -16,8 +16,8 @@ frame: it carries the cycle's relevant delta slices, which the store
 folds into its tables (journaling WAL-first, exactly like a local
 commit); then it evaluates every routed view over ``(since, now]`` (a
 family's window once for all its members), moves every window to
-``now`` and returns the non-empty result deltas in a
-:class:`~repro.net.messages.GatherReplyMessage` for the router's
+``now`` and returns the non-empty result deltas, each with its window,
+in a :class:`~repro.net.messages.GatherReplyMessage` for the router's
 cross-shard merge. A :class:`~repro.net.messages.ShardSyncMessage`
 installs what it carries — replayed deltas, baselines, views — and
 moves no window: a window moves only where its delta is merged (paper
@@ -318,7 +318,7 @@ class ClusterShard:
         seq: int,
         ts: int,
         horizon: Timestamp,
-        entries: List[Tuple[str, DeltaRelation, int]],
+        entries: List[Tuple[str, DeltaRelation, Timestamp, Timestamp]],
     ) -> GatherReplyMessage:
         return GatherReplyMessage(
             self.shard_id,
@@ -383,11 +383,12 @@ class ClusterShard:
                 KIND_SUB_DEREGISTER, client=ROUTER_CLIENT, cq=sql_key
             )
 
-    def _refresh(self) -> List[Tuple[str, DeltaRelation, Timestamp]]:
+    def _refresh(self) -> List[Tuple[str, DeltaRelation, Timestamp, Timestamp]]:
         """Move every view's window to now, in registration order,
         recording each move in ``view.last`` (without the delta: the
         router retains the result); the gather entries ``(sql_key,
-        delta, now)`` of the non-empty ones.
+        delta, since, now)`` of the non-empty ones, each with the window
+        it covers.
 
         One predicate-index pass per (footprint, window) decides which
         views see relevant entries; :meth:`SharedView.evaluate` skips an
@@ -400,7 +401,7 @@ class ClusterShard:
         for key, view in self._views.items():
             delta = view.evaluate(cache, self.index, view.since, now, self.metrics)
             if delta is not None and not delta.is_empty():
-                entries.append((key, delta, now))
+                entries.append((key, delta, view.since, now))
             view.last, view.since = (view.since, now, None), now
             self.zones.advance(key, now)
         return entries

@@ -22,7 +22,8 @@ CQ. These are the records ``CQManager.poll()`` shares work through:
   armed during an unrouted window would otherwise fire a poll late;
 * :class:`SharedView` — the members of one SQL text share one plan,
   one index entry, one evaluation per window and one retained result;
-  the manager and the server both refresh through it;
+  the manager and the server both refresh through it, and the cluster
+  router merges into it;
 * :class:`Family` — SPJ views whose texts differ only in one alias's
   local predicate share one execution per routed window on their
   shape's plan, demultiplexed into each view's own delta.
@@ -265,7 +266,10 @@ class Cohort:
 class SharedView:
     """One ``sql_key``'s retained copy where refresh runs (Section 3.3),
     held as DBSP holds a view: one state each window's delta advances.
-    The manager and the server both refresh through it.
+    The manager and the server both refresh through it; the cluster
+    router holds one per key too, moved by the sum of its shard stores'
+    deltas (a router view has no ``plans``: it never evaluates), and a
+    shard store holds resultless ones.
 
     ``result`` is Q(state at ``since``), replaced, never mutated, so
     holders alias it; ``digest`` describes it where the tier ships
@@ -275,7 +279,7 @@ class SharedView:
     delta reader to take it (else, or when nothing was evaluated, None:
     a retained delta nobody asks for costs memory locality). A view
     holding a result is built by :meth:`at` and moves only through
-    :meth:`advance`; one built plainly holds none until a member's copy
+    :meth:`step`; one built plainly holds none until a member's copy
     advances it (its members so far — aggregates, baselines — evaluate
     on their own).
 
@@ -284,10 +288,11 @@ class SharedView:
     shares with another member is evaluated once for them all.
 
     Membership is the tier's: ``members`` (the manager's CQs by name,
-    the server's subscriptions by ``(client_id, cq_name)``), ``readers``
-    (the manager's delta readers: the index entry lives while there is
-    one), ``buckets`` (the server's members per client) and ``cost``
-    (what the server's evaluations charged, for its ``describe``).
+    the server's subscriptions and the router's notification callbacks
+    by ``(client_id, cq_name)``), ``readers`` (the manager's delta
+    readers: the index entry lives while there is one), ``buckets``
+    (the server's members per client) and ``cost`` (what the server's
+    evaluations charged, for its ``describe``).
     """
 
     __slots__ = (
@@ -450,15 +455,29 @@ class SharedView:
         since: Optional[Timestamp] = None,
         held: Optional[Relation] = None,
     ) -> Optional[DeltaRelation]:
-        """Move the view to ``now`` once :meth:`evaluate` succeeded:
-        replace ``result`` (folding ``digest`` through
-        :func:`apply_delta`), record ``last``, set ``since``; returns the
-        delta. The window starts at the view's ``since``, or at a
-        manager member's ``since`` whose copy ``held`` the view then
-        moves from."""
+        """Move the view to ``now`` once :meth:`evaluate` succeeded,
+        through :meth:`step`; returns the delta. The window starts at
+        the view's ``since``, or at a manager member's ``since`` whose
+        copy ``held`` the view then moves from."""
         if since is None:
             since, held = self.since, self.result
         delta = self.evaluate(window, index, since, now, metrics, tracer, held)
+        self.step(delta, since, now, held)
+        return delta
+
+    def step(
+        self,
+        delta: Optional[DeltaRelation],
+        since: Timestamp,
+        now: Timestamp,
+        held: Optional[Relation],
+    ) -> None:
+        """The one move of a view: ``held``, the result as of ``since``,
+        with ``delta`` applied (folding ``digest`` through
+        :func:`apply_delta`) becomes ``result``; ``last`` records the
+        window and ``since`` becomes ``now``. :meth:`advance` ends with
+        it, and so does the cluster router's merge of the deltas its
+        shard stores evaluated."""
         if delta is not None and not delta.is_empty():
             if self.digest is None:
                 held = delta.apply_to(held)
@@ -466,7 +485,6 @@ class SharedView:
                 held, self.digest = apply_delta(delta, held, self.digest)
         kept = delta if self.readers > 1 else None
         self.result, self.last, self.since = held, (since, now, kept), now
-        return delta
 
     def check(self, db: Database) -> None:
         """Raise ``AssertionError`` unless ``result`` is Q(state at

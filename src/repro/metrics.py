@@ -173,14 +173,14 @@ class Metrics:
     AUDIT_DIVERGENCES = "audit_divergences"
     CODEC_ERRORS = "codec_errors"
     # Sharded cluster layer (repro.cluster): scatter cycles sent vs
-    # skipped by router-side relevance, cross-shard merges and the
-    # conflicts/residual drops they resolved, and shard recovery via
+    # skipped by router-side relevance, cross-shard merges, the
+    # cross-slice row moves they summed into one modify each (a merge
+    # conflict is such a move and nothing else), and shard recovery via
     # delta replay vs baseline fallback.
     SCATTERS = "cluster_scatters"
     SCATTER_SKIPPED = "cluster_scatter_skipped"
     CLUSTER_MERGES = "cluster_merges"
     MERGE_CONFLICTS = "cluster_merge_conflicts"
-    RESIDUAL_DROPS = "cluster_residual_drops"
     SHARD_REPLAYS = "cluster_shard_replays"
     SHARD_FALLBACKS = "cluster_shard_fallbacks"
     # Cluster fault tolerance: hosts suspected by the health state

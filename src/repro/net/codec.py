@@ -273,8 +273,8 @@ _TO_JSON: Dict[Type[Message], Tuple[str, Callable[[Message], Dict[str, Any]]]] =
             "ts": m.ts,
             "horizon": m.horizon,
             "entries": [
-                [sql_key, _delta_to_json(delta), ts]
-                for sql_key, delta, ts in m.entries
+                [sql_key, _delta_to_json(delta), since, ts]
+                for sql_key, delta, since, ts in m.entries
             ],
             "counters": m.counters,
         },
@@ -346,8 +346,8 @@ _FROM_JSON: Dict[str, Callable[[Dict[str, Any]], Message]] = {
         d["ts"],
         d["horizon"],
         entries=[
-            (sql_key, _delta_from_json(delta), ts)
-            for sql_key, delta, ts in d["entries"]
+            (sql_key, _delta_from_json(delta), since, ts)
+            for sql_key, delta, since, ts in d["entries"]
         ],
         counters=d["counters"],
     ),

@@ -389,9 +389,10 @@ class ScatterMessage(Message):
 class GatherReplyMessage(Message):
     """Shard -> router: the partial result deltas of one cycle.
 
-    ``entries`` is ``[(sql_key, delta, ts), ...]`` — each affected
-    shard-side group's result delta, to be merged (and residual-
-    confirmed) at the router before member notification. ``counters``
+    ``entries`` is ``[(sql_key, delta, since, ts), ...]`` — each
+    affected shard-side view's result delta over its window
+    ``(since, ts]``, which the router merges only into a view at
+    ``since``, before member notification. ``counters``
     snapshots the shard's metrics bag for cluster-wide stats
     aggregation."""
 

@@ -218,9 +218,6 @@ class SPJQuery:
     def alias_for_table(self, table: str) -> List[str]:
         return [r.alias for r in self.relations if r.table == table]
 
-    def is_single_relation(self) -> bool:
-        return len(self.relations) == 1
-
     def to_sql(self) -> str:
         if self.projection is None:
             cols = "*"

@@ -7,21 +7,26 @@ for ``replicas`` 0, 1 and 2 × ``SEEDS`` seeds × ``STEPS`` steps. The
 driver uses the public API only: which hosts are alive or dead, and
 which groups are lost, it reads from ``stats()``.
 
-After every step it checks ``router.check_invariants()`` (the
-record laws and the result law) and digests what the router exposes: the operation and
-its arguments, the operation's return value (``refresh()``'s count, the
-``.pinned`` report of a ``collect_garbage()``, ...), ``stats()`` without
-the per-host ``counters`` and ``horizon``, and ``describe()``; and at
-every refresh that leaves no group lost, whether each member's
-``result()`` equals ``db.query``. The digests must equal
-``data/control_plane_trace.json`` step for step, so a change to the
-router's internals that moves one frame ``seq``, count, placement
-decision or pin fails here, naming the run and the first step it moved.
+After every step it checks ``router.check_invariants()`` (the record
+laws and the result law) and digests what the router exposes: the
+operation and its arguments, the operation's return value
+(``refresh()``'s count, the ``.pinned`` report of a
+``collect_garbage()``, ...), ``stats()`` without the per-host
+``counters`` and ``horizon``, and ``describe()``; and at every refresh
+that leaves no group lost, whether each member's ``result()`` equals
+``db.query``. The digests must equal ``data/control_plane_trace.json``
+step for step, so a change to the router's internals that moves one
+frame ``seq``, count, placement decision or pin fails here, naming the
+run and the first step it moved.
 
-No member may differ from ``db.query`` at such a fully served refresh,
-in any run: the §4.2 equivalence holds through failover, recovery and
-resizes (``test_registration.py`` holds the reproducers of the runs
-that broke it).
+Each member also keeps its own copy: the result it subscribed with,
+with every delta it is notified applied. Every notified old side must
+match that copy, and at every fully served refresh the copy must equal
+``db.query`` as ``result()`` must: what a member receives is checked,
+not only what the router retains. No run may break either in any way:
+the §4.2 equivalence holds through failover, recovery and resizes
+(``test_registration.py`` and ``test_shared_result.py`` hold the
+reproducers of the runs that broke it).
 
 The data file is written only on request, when observable behaviour is
 meant to change::
@@ -183,13 +188,44 @@ def choose(rng, router, stats):
     return op, []
 
 
-def apply(router, rng, op, args):
+class Copies:
+    """Each member's own copy of its result: what ``subscribe`` returned,
+    with every delta it is notified applied. ``mismatched`` turns true
+    when a notified entry's old side is not what the copy holds for its
+    tid (None: the copy holds no such row)."""
+
+    def __init__(self):
+        self.held = {}
+        self.mismatched = False
+
+    def subscribe(self, router, client, cq):
+        def on_delta(cq_name, delta, ts):
+            held = self.held[(client, cq_name)]
+            for entry in delta:
+                if held.get_or_none(entry.tid) != entry.old:
+                    self.mismatched = True
+                if entry.new is None:
+                    held.discard(entry.tid)
+                else:
+                    held.add(entry.tid, entry.new)
+
+        initial = router.subscribe(client, cq, QUERIES[cq], on_delta)
+        self.held[(client, cq)] = initial.copy()
+        return initial
+
+    def unsubscribe(self, router, client, cq):
+        router.unsubscribe(client, cq)
+        del self.held[(client, cq)]
+
+
+def apply(router, copies, rng, op, args):
     """Run one operation; its JSON-able outcome."""
     if op == "commit":
         return commit(router, rng)
     if op == "subscribe":
-        client, cq = args
-        return rows(router.subscribe(client, cq, QUERIES[cq]))
+        return rows(copies.subscribe(router, *args))
+    if op == "unsubscribe":
+        return copies.unsubscribe(router, *args)
     if op == "collect_garbage":
         report = router.collect_garbage()
         return [dict(report), report.pinned]
@@ -214,6 +250,14 @@ def served(router):
     return out
 
 
+def copies_agree(router, copies):
+    """Whether every member's own copy equals ``db.query``."""
+    return all(
+        rows(held) == rows(router.db.query(QUERIES[cq]))
+        for (_client, cq), held in copies.held.items()
+    )
+
+
 def digest(record) -> str:
     text = json.dumps(record, sort_keys=True, default=repr)
     return hashlib.sha256(text.encode()).hexdigest()[:10]
@@ -223,11 +267,12 @@ def run(replicas, seed, wal_root):
     """One generated sequence: ``(["<op> <digest>", ...], diverged)``."""
     rng = random.Random(1000 * replicas + seed)
     router = make_router(replicas, seed, wal_root)
+    copies = Copies()
     trace, diverged = [], False
     try:
         for _ in range(STEPS):
             op, args = choose(rng, router, router.stats())
-            out = apply(router, rng, op, args)
+            out = apply(router, copies, rng, op, args)
             router.check_invariants()
             stats = observed(router)
             record = {
@@ -240,10 +285,11 @@ def run(replicas, seed, wal_root):
             if op == "refresh" and not stats["lost"]:
                 record["served"] = served(router)
                 diverged |= not all(ok for _c, _q, ok in record["served"])
+                diverged |= not copies_agree(router, copies)
             trace.append(f"{op} {digest(record)}")
     finally:
         router.close()
-    return trace, diverged
+    return trace, diverged or copies.mismatched
 
 
 def run_all(replicas, root):

@@ -105,7 +105,7 @@ class TestGatherReply:
             9,
             42,
             41,
-            entries=[("sql-key", sample_delta(), 40)],
+            entries=[("sql-key", sample_delta(), 39, 40)],
             counters={"refreshes": 7, "terms_evaluated": 3},
         )
         out = roundtrip(msg)
@@ -113,8 +113,8 @@ class TestGatherReply:
         assert out.shard_id == 3 and out.seq == 9
         assert out.ts == 42 and out.horizon == 41
         assert out.counters == {"refreshes": 7, "terms_evaluated": 3}
-        [(key, delta, ts)] = out.entries
-        assert key == "sql-key" and ts == 40
+        [(key, delta, since, ts)] = out.entries
+        assert key == "sql-key" and (since, ts) == (39, 40)
         assert sorted(e.tid for e in delta) == [1, 2, 5]
 
     def test_empty_reply(self):

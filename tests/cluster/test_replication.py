@@ -126,9 +126,7 @@ class TestPlacement:
                 assert store.sql_keys() == []
             # The primary serves every key the group owns.
             owned = [
-                key
-                for key, shared in router._sql_groups.items()
-                if group in shared.owners
+                key for key, owners in router._owners.items() if group in owners
             ]
             assert sorted(primary_subs) == sorted(owned)
 

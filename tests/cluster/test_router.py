@@ -272,14 +272,12 @@ class TestEdgeCases:
             assert_converged(router, "c", cq, sql)
         assert_converged(router, "c", "join", JOIN_SQL)
 
-    def test_residual_confirmation_is_exercised(self):
-        """The gather merge re-checks output-visible literal conjuncts;
-        on tid-disjoint partials this never drops a correct entry."""
+    def test_a_filtered_join_converges_through_the_merge(self):
+        """The join's price conjunct is enforced where the slices are
+        evaluated; the router only sums the tid-disjoint partials, and
+        the sum is the join's delta."""
         router = make_cluster()
         router.subscribe("c", "big", JOIN_SQL)
-        assert next(
-            iter(router._sql_groups.values())
-        ).residuals, "the join's price conjunct should compile to a residual"
         tick_stock(router, 7, 200.0)
         tick_stock(router, 11, 90.0)
         router.refresh()

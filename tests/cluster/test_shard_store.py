@@ -70,8 +70,8 @@ def sync(seq, ts, deltas=None, baselines=None, subscribe=(), unsubscribe=()):
 
 def entries(reply):
     return [
-        (key, sorted((e.tid, e.old, e.new, e.ts) for e in part), ts)
-        for key, part, ts in reply.entries
+        (key, sorted((e.tid, e.old, e.new, e.ts) for e in part), (since, ts))
+        for key, part, since, ts in reply.entries
     ]
 
 
@@ -90,7 +90,9 @@ class TestRowsTheStoreNeverProduced:
         assert entries(reply) == []
         deleted = delta(STOCKS, DeltaEntry(7, row, None, 15))
         reply = store.handle(scatter(3, 15, deltas={"stocks": deleted}))
-        assert entries(reply) == [(EXPENSIVE, [(7, (7, 120.0), None, 15)], 15)]
+        assert entries(reply) == [
+            (EXPENSIVE, [(7, (7, 120.0), None, 15)], (10, 15))
+        ]
         store.check_invariants()
 
 
@@ -158,7 +160,9 @@ class TestRegistration:
         assert store.handle(frame).entries == []
         assert windows(store) == {EXPENSIVE: 5, HOLDINGS: 8}
         reply = store.handle(scatter(5, 9))
-        assert entries(reply) == [(EXPENSIVE, [(1, (1, 105.0), (1, 150.0), 9)], 9)]
+        assert entries(reply) == [
+            (EXPENSIVE, [(1, (1, 105.0), (1, 150.0), 9)], (5, 9))
+        ]
         assert windows(store) == {EXPENSIVE: 9, HOLDINGS: 9}
 
 
@@ -291,9 +295,11 @@ def executions(store, frame):
 
 
 def assert_gathered(store, reply, since):
-    """Each view's gathered delta (empty without an entry) takes Q's
-    result at its window start ``since[key]`` to Q's result now."""
-    got = {key: part for key, part, __ in reply.entries}
+    """Each view's gathered delta (empty without an entry) covers its
+    window from ``since[key]`` and takes Q's result there to Q's result
+    now."""
+    got = {key: part for key, part, __, __ in reply.entries}
+    assert all(start == since[key] for key, __, start, __ in reply.entries)
     assert got.keys() <= since.keys()
     for key, view in store._views.items():
         start = evaluate_as_of(view.query, store.db, since[key])
@@ -331,7 +337,7 @@ class TestFamilies:
         changes = reprice(4, (1, 105.0, 185.0), (2, 110.0, 104.0))
         count, reply = executions(store, scatter(3, 4, deltas={"stocks": changes}))
         assert count == 1
-        assert {key for key, __, __ in reply.entries} == set(FAMILY)
+        assert {key for key, __, __, __ in reply.entries} == set(FAMILY)
         assert_gathered(store, reply, dict.fromkeys(store._views, 3))
 
     def test_a_member_moved_across_gets_a_delete_and_the_other_an_insert(
@@ -346,8 +352,8 @@ class TestFamilies:
         count, reply = executions(store, scatter(3, 4, deltas={"stocks": changes}))
         assert count == 1
         assert entries(reply) == [
-            (cheap, [(1, (1,), None, 4)], 4),
-            (dear, [(1, None, (1,), 4)], 4),
+            (cheap, [(1, (1,), None, 4)], (3, 4)),
+            (dear, [(1, None, (1,), 4)], (3, 4)),
         ]
 
     def test_a_family_of_one_runs_its_own_execution(self, tmp_path):
@@ -365,7 +371,7 @@ class TestFamilies:
         # FAMILY[1] and FAMILY[2] share one; FAMILY[0] reads unrouted.
         count, reply = executions(store, scatter(3, 4, deltas={"stocks": changes}))
         assert count == 2
-        assert {key for key, __, __ in reply.entries} == set(FAMILY[:3])
+        assert {key for key, __, __, __ in reply.entries} == set(FAMILY[:3])
         assert_gathered(store, reply, dict.fromkeys(store._views, 3))
 
     def test_a_window_touching_another_table_runs_one_execution_per_key(

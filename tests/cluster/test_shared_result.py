@@ -1,7 +1,7 @@
 """One retained result per ``sql_key`` at the router.
 
 Every member of a ``sql_key`` aliases one relation that a merge or a
-reconcile *replaces* and nothing ever mutates; ``result()`` and
+catch-up *replaces* and nothing ever mutates; ``result()`` and
 ``subscribe()`` hand out copies. These tests walk many members of one
 key through the whole lifecycle and check they can never be told apart
 — and that a member joining or leaving from inside ``on_delta``, while
@@ -9,6 +9,7 @@ the merge is notifying, is safe.
 """
 
 from repro.cluster import ClusterRouter, LocalBackend
+from tests.cluster.test_control_plane_trace import make_router
 
 SQL = "SELECT name, price FROM stocks WHERE price > 103"
 OTHER = "SELECT name, price FROM stocks WHERE price > 108"
@@ -75,7 +76,7 @@ def test_members_of_one_key_share_one_result_through_the_lifecycle(tmp_path):
     assert_members_agree(router, members)
 
     # Lose the primary serving the key, commit while it is down,
-    # recover: failover, rejoin and any reconcile keep one result.
+    # recover: failover, rejoin and any catch-up keep one result.
     [home] = router.describe()[0]["shards"]
     router.kill_shard(router.stats()["placement"][home][0])
     tick(router, 3, 170.0)
@@ -104,10 +105,10 @@ def test_members_of_one_key_share_one_result_through_the_lifecycle(tmp_path):
     assert streams["late"] == streams["c1"][-1:]
 
 
-def test_unreplicated_recovery_reconciles_the_one_result(tmp_path):
-    """replicas=0: the key's group is lost with its host and comes back
-    through ``_reconcile`` — one diff against the oracle, one
-    replacement, every member notified the same catch-up."""
+def test_unreplicated_recovery_reinstalls_the_one_result(tmp_path):
+    """replicas=0: the key's group is lost with its host, and its
+    return re-installs the key — on the store and at the router, one
+    diff, one replacement, every member notified the same catch-up."""
     router = make_cluster(tmp_path, replicas=0)
     seen = {"a": [], "b": []}
     for client in seen:
@@ -191,3 +192,40 @@ def test_subscribing_and_unsubscribing_from_inside_on_delta(tmp_path):
     tick(router, 3, 170.0)
     router.refresh()
     assert router.result("first", "other") == router.db.query(OTHER)
+
+
+def test_a_member_copy_survives_a_move_across_a_lost_group(tmp_path):
+    """replicas=0: a row moves from a slice whose group is lost to one
+    that is served, and the lost group comes back. The member that
+    applies what it is notified must end where ``result()`` does: the
+    rejoined group re-installs the key, so its old owner's delete of
+    the moved row is not delivered on top of the insert the catch-up
+    already notified."""
+    sql = "SELECT pid, client, shares FROM positions WHERE shares > 50"
+    router = make_router(0, 0, tmp_path)
+    try:
+        copy = {}
+
+        def on_delta(cq, delta, ts):
+            for entry in delta:
+                assert copy.get(entry.tid) == entry.old, entry
+                if entry.new is None:
+                    del copy[entry.tid]
+                else:
+                    copy[entry.tid] = entry.new
+
+        initial = router.subscribe("a", "moves", sql, on_delta)
+        copy.update((row.tid, row.values) for row in initial)
+        router.refresh()
+        router.kill_shard(0)
+        positions = router.db.table("positions")
+        assert positions.current.get(9)[1] == "c3"
+        with router.db.begin() as txn:
+            txn.modify_in(positions, 9, (8, "c0", 0, 500))
+        router.recover_shard(0)
+        router.refresh()
+        oracle = router.db.query(sql)
+        assert router.result("a", "moves") == oracle
+        assert copy == {row.tid: row.values for row in oracle}
+    finally:
+        router.close()

@@ -94,6 +94,7 @@ class StoreRun:
             key: evaluate_as_of(view.query, store.db, view.since)
             for key, view in store._views.items()
         }
+        windows = {key: view.since for key, view in store._views.items()}
         reply = store.handle(
             ScatterMessage(
                 0,
@@ -106,8 +107,8 @@ class StoreRun:
         )
         store.check_invariants()
         gathered = {}
-        for key, part, ts in reply.entries:
-            assert key not in gathered and ts == now
+        for key, part, since, ts in reply.entries:
+            assert key not in gathered and (since, ts) == (windows[key], now)
             gathered[key] = part
         assert gathered.keys() <= start.keys()
         for name in self.tables:

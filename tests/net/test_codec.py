@@ -130,7 +130,7 @@ EVERY_MESSAGE = [
         1, 4, 12, deltas={"stocks": sample_delta()}, collect=True, group=2
     ),
     GatherReplyMessage(
-        1, 4, 12, 11, entries=[("k", sample_delta(), 12)],
+        1, 4, 12, 11, entries=[("k", sample_delta(), 11, 12)],
         counters={"executions": 3},
     ),
     ShardSyncMessage(

@@ -13,8 +13,9 @@ is a ``TypeError`` too.
 ``ClusterRouter``, ``CQServer`` and ``ClusterShard`` hold: state about
 one CQ, one ``sql_key``, one placement group, one host, one store or
 one subscription lives on that record (``ContinualQuery``,
-``SharedView``, ``_SqlGroup``, ``_Group``, ``_Host``, ``_Store``,
-``Subscription``),
+``SharedView``, ``_Group``, ``_Host``, ``_Store``, ``Subscription``;
+the router's view of a ``sql_key`` is a ``SharedView`` too, with its
+owner groups and whether it is behind kept beside it),
 so a new instance attribute — the next parallel registry — is a
 deliberate edit here too.
 """
@@ -162,9 +163,12 @@ STATE = {
         "_decls",
         "_started",
         "_seq",
-        # records: per sql_key, per subscription, per placement group,
+        # records: per sql_key (its view, its owner groups, the keys a
+        # promotion left behind), per subscription, per placement group,
         # per host (its stores by group)
-        "_sql_groups",
+        "_views",
+        "_owners",
+        "_behind",
         "_subs",
         "_groups",
         "_hosts",
