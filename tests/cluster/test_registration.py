@@ -256,13 +256,13 @@ def test_a_row_a_baseline_seeded_and_a_commit_deleted_leaves_the_store(
     router.close()
 
 
-def test_a_replica_promoted_before_its_group_served_a_refresh_reinstalls(
+def test_a_replica_promoted_before_its_group_served_a_refresh_reconciles(
     tmp_path,
 ):
     """No refresh of the group has been merged yet, so its views start
     at their subscriptions, wherever the replica's horizon stands (the
     second subscription's baselines moved it to now): the promotion
-    re-installs the keys instead of trusting it."""
+    reconciles them by re-installing the keys instead of trusting it."""
     router = make_router(tmp_path, 1, Spy())
     router.subscribe("c", "q0", _sql(0))
     commit(router)
