@@ -65,10 +65,12 @@ here first) and drives N shard hosts through refresh cycles:
   sum moves the view through its one step. A window that is not the
   view's, or a tid in two parts that is not a move, is a protocol
   violation and raises. A key is served whole or not at all: while one
-  of its owner groups is lost its view does not move, and every
-  catch-up (a rejoined or rebuilt primary, a promotion that installed
-  the key elsewhere than its view's ``since``, a re-home of a view
-  that is behind) re-installs the key at one timestamp on every owner
+  of its owner groups is lost its view does not move. A rejoined or
+  rebuilt primary, a promotion that installed the key elsewhere than
+  its view's ``since`` and a re-home of a view that is behind all
+  leave the key behind until the end of the next refresh, where every
+  owner store's tables have just reached one timestamp; there one
+  catch-up re-installs the key at that timestamp on every owner
   primary and at the router, notifying members one diff.
 
 * **Recovery and resize.** Each store journals scattered state
@@ -276,8 +278,10 @@ class ClusterRouter:
         self._views: Dict[str, SharedView] = {}
         self._owners: Dict[str, Set[int]] = {}
         self._subs: Dict[Tuple[str, str], SharedView] = {}
-        #: Keys a promotion installed elsewhere than their view's
-        #: ``since``: they do not move until caught up (``_catch_up``).
+        #: Keys some owner store installed elsewhere than their view's
+        #: ``since`` (a promotion, a rejoined or rebuilt primary, a
+        #: re-home): they do not move until the end of a refresh
+        #: catches them up (``_catch_up``).
         self._behind: Set[str] = set()
         #: One record per placement group and one per host, keyed by
         #: ring node (a host's own group has its id); ``_place`` and
@@ -672,11 +676,9 @@ class ClusterRouter:
         leaves (but ``dissolved``, whose stores are drained instead)
         and seeding the ones it joins. A new view owns nothing yet, so
         this is also its first seeding. A joined group starts the key
-        at ``now``: when the view is behind that, the key is caught
-        up."""
-        before = self._owners.get(sql_key)
-        if before is None:
-            return  # a catch-up's callback retired the key
+        at ``now``: when the view is behind that, the key is left
+        behind, to be caught up at the end of the next refresh."""
+        before = self._owners[sql_key]
         owners = self._owners[sql_key] = (
             set(self.ring.nodes())
             if self._partitioned(self._views[sql_key].query)
@@ -688,7 +690,7 @@ class ClusterRouter:
         for group in joined:
             self._seed_group(group, sql_key, now)
         if joined and self._views[sql_key].since != now:
-            self._catch_up(now, [sql_key])
+            self._behind.add(sql_key)
 
     def _seed_group(self, group: int, sql_key: str, now: Timestamp) -> None:
         """Install one ``sql_key`` on every live store of ``group``:
@@ -787,7 +789,7 @@ class ClusterRouter:
         notified = self._merge_and_notify(pending, now)
         self._drain_rereplication(now)
         if self._behind:
-            self._catch_up(now, self._behind)
+            self._catch_up(now)
         if self.auto_gc:
             self.collect_garbage()
         return notified
@@ -936,28 +938,23 @@ class ClusterRouter:
             entries = [e for e in entries if e.old != e.new]
         return DeltaRelation(parts[0].schema, entries)
 
-    def _catch_up(
-        self,
-        now: Timestamp,
-        sql_keys=(),
-        installed: Optional[Dict[int, Optional[int]]] = None,
-    ) -> None:
-        """Re-install ``sql_keys`` and the keys of the groups
-        ``installed`` names, each with the primary that just installed
-        them at ``now``, as of ``now``: on every owner primary, one
-        install frame each, and at the router, whose members are
-        notified the one diff. A key with a lost owner group waits for
-        the group's return, its view unmoved; one whose owner changed
-        primary meanwhile stays behind, for the next refresh."""
-        done = dict(installed or {})
+    def _catch_up(self, now: Timestamp) -> None:
+        """Re-install the keys behind as of ``now``, at the end of a
+        refresh, where every placed store's tables have just reached
+        ``now``: on every owner primary, one install frame each, and at
+        the router, whose members are notified the one diff. A key with
+        a lost owner group waits for the group's return, its view
+        unmoved; one whose owner changed primary meanwhile stays
+        behind, for the next refresh."""
         keys = sorted(
             key
-            for key in set(sql_keys).union(*map(self._owned_keys, done))
+            for key in self._behind
             if key in self._views and not self._lost_owner(key)
         )
+        done: Dict[int, Optional[int]] = {}
         for group in sorted(set().union(*(self._owners[key] for key in keys))):
             hosts = self._groups[group].hosts
-            if hosts and done.get(group) != hosts[0]:
+            if hosts:
                 owned = [key for key in keys if group in self._owners[key]]
                 reply = self._sync_store(
                     hosts[0], group, now, subscribe=owned, unsubscribe=owned
@@ -969,7 +966,6 @@ class ClusterRouter:
                 continue  # a callback retired the key
             owners = self._owners[key]
             if any(self._groups[g].hosts[:1] != [done.get(g)] for g in owners):
-                self._behind.add(key)
                 continue
             self._behind.discard(key)
             fresh = dra_initial(view.query, self.db, now, metrics=self.metrics)
@@ -1065,22 +1061,16 @@ class ClusterRouter:
         rebuild lost groups from the authoritative database, then top
         replica counts back up; release dead hosts' pinned zones once
         every group they carried is healthy again. A group queued while
-        the batch runs waits for the next one. The keys of the rebuilt
-        groups are caught up once the batch is done."""
+        the batch runs waits for the next one."""
         queue = [(g, p) for g, p in sorted(self._groups.items()) if p.queued]
         for _group, placed in queue:
             placed.queued = False
-        rebuilt: Dict[int, Optional[int]] = {}
         for group, placed in queue:
-            if not placed.hosts:
-                if not self._rebuild_group(group, now):
-                    placed.queued = True
-                    continue
-                rebuilt[group] = placed.hosts[0]
+            if not placed.hosts and not self._rebuild_group(group, now):
+                placed.queued = True
+                continue
             self._top_up(group, now)
             self._maybe_release(group)
-        if rebuilt:
-            self._catch_up(now, installed=rebuilt)
 
     def _repair_all(self, now: Timestamp) -> None:
         """Queue every group for repair and drain once: what a host
@@ -1104,13 +1094,16 @@ class ClusterRouter:
         """Make ``host`` the primary of lost ``group`` with one install
         frame bringing its tables to ``now`` (``sync``) and installing
         every key the group owns as of ``now``; whether it confirmed.
-        A rejoin and a rebuild both end here, and catch the keys up."""
+        A rejoin and a rebuild both end here. The other owners' tables
+        may still be at their last refresh, so the keys are left behind
+        for the end of the next one, where every owner is at one ts."""
         owned = self._owned_keys(group)
         reply = self._sync_store(host, group, now, subscribe=owned, **sync)
         if reply is None:
             return False
         self._adopt(host, group, reply)
         self._groups[group].served = reply.ts
+        self._behind.update(owned)
         return True
 
     def _strength(self) -> int:
@@ -1196,7 +1189,8 @@ class ClusterRouter:
 
         Per journaled store: a group nobody else serves comes back
         *primary* (the pre-replication recovery path — replay or
-        re-seed, then its keys are caught up); a
+        re-seed; its keys are caught up, and their members notified, at
+        the end of the next refresh); a
         group that failed over while the host was down comes back as a
         catch-up *replica* (stale registrations dropped — the promoted
         primary keeps serving, no downtime); a group that was dissolved
@@ -1224,18 +1218,14 @@ class ClusterRouter:
             intact = True
             self.metrics.count(Metrics.SHARD_REPLAYS)
         self.zones.register(self._zone(shard_id), self._all_tables(), now)
-        rejoined: Dict[int, Optional[int]] = {}
         for group, info in sorted(hello.groups.items()):
             placed = self._groups.get(group)
             if self._is_lost(group):
-                if self._rejoin_primary(shard_id, group, info, now, intact):
-                    rejoined[group] = shard_id
+                self._rejoin_primary(shard_id, group, info, now, intact)
             elif placed is not None and len(placed.hosts) < 1 + self.replicas:
                 self._rejoin_replica(shard_id, group, info, now)
             else:
                 self._drain_store(shard_id, group, now)
-        if rejoined:
-            self._catch_up(now, installed=rejoined)
         self._advance_zone(shard_id)
         self._repair_all(now)
         if not record.stores:
@@ -1253,7 +1243,7 @@ class ClusterRouter:
         info: Dict,
         now: Timestamp,
         intact: bool,
-    ) -> bool:
+    ) -> None:
         """The pre-replication recovery path, per group: replay the
         missed window differentially while the router logs still cover
         the store's horizon, or re-seed baselines after GC pruned past
@@ -1262,7 +1252,7 @@ class ClusterRouter:
         held = sorted(info.get("subs", ()))
         owned = self._owned_keys(group)
         missing = [key for key in owned if key not in held]
-        return self._restore(
+        self._restore(
             host,
             group,
             now,

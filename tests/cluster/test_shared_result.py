@@ -229,3 +229,61 @@ def test_a_member_copy_survives_a_move_across_a_lost_group(tmp_path):
         assert copy == {row.tid: row.values for row in oracle}
     finally:
         router.close()
+
+
+def test_a_rejoin_catch_up_starts_every_owner_at_one_ts(tmp_path):
+    """replicas=0, a partition-parallel key: rows of a slice that stays
+    served change while group 0 is lost and again after it rejoins.
+    The catch-up must not start the served owners' views at the rejoin
+    while their tables are still at their last refresh, or the next
+    window would carry the earlier change too: a delete of a row the
+    view never held (the row leaves the result), or a modify whose two
+    ends both fail the predicate (it entered the result meanwhile)."""
+    sql = "SELECT pid, client, shares FROM positions WHERE shares > 50"
+    router = make_router(0, 0, tmp_path)
+    try:
+        copy = {}
+
+        def on_delta(cq, delta, ts):
+            for entry in delta:
+                assert copy.get(entry.tid) == entry.old, entry
+                if entry.new is None:
+                    del copy[entry.tid]
+                else:
+                    copy[entry.tid] = entry.new
+
+        initial = router.subscribe("a", "parallel", sql, on_delta)
+        copy.update((row.tid, row.values) for row in initial)
+        router.refresh()
+        positions = router.db.table("positions")
+        served = [
+            row
+            for row in positions.current
+            if router.ring.lookup(f"positions:{row.values[1]}") != 0
+        ]
+        leaving = next(row for row in served if row.values[3] > 50)
+        entering = next(row for row in served if row.values[3] <= 50)
+
+        def set_shares(row, shares):
+            pid, client, sid, _ = row.values
+            with router.db.begin() as txn:
+                txn.modify_in(positions, row.tid, (pid, client, sid, shares))
+
+        router.kill_shard(0)
+        set_shares(leaving, 10)
+        set_shares(entering, 500)
+        router.recover_shard(0)
+        set_shares(leaving, 5)
+        set_shares(entering, 20)
+        router.refresh()
+        router.check_invariants()
+        oracle = router.db.query(sql)
+        assert router.result("a", "parallel") == oracle
+        assert copy == {row.tid: row.values for row in oracle}
+        set_shares(leaving, 70)
+        router.refresh()
+        oracle = router.db.query(sql)
+        assert router.result("a", "parallel") == oracle
+        assert copy == {row.tid: row.values for row in oracle}
+    finally:
+        router.close()
