@@ -373,31 +373,34 @@ class CQManager:
         from their own applied-through stamp: they keep their own zone.
         """
         name, tables, key = cq.name, cq.table_names, cq.sql_key
+        view = self._views.get(key)
         result = None
         if status is CQStatus.ACTIVE:
-            if cq.is_aggregate:
-                cq.aggregate_state = DifferentialAggregate(cq.query, self.db)
-            # Compile once, up front: derives the predicate plan, local
-            # and residual predicates, and the projection, and
-            # auto-creates any missing single-column join indexes — so
-            # even E_0 below runs on the kernels, against the indexes
-            # the differential refreshes will probe.
-            prepared = self._prepared_for(cq)
             now = cq.applied_ts = self.db.now()
             # A quiet window: Q(state at ts) is Q(state now).
             quiet = ts == now or not self._touched(tables, ts)
-            current = None
+            # Q(state now), where this needs it: held already, or E_0.
+            wanted = quiet or retained is not None or cq.engine is Engine.EAGER
+            current = prepared = None
+            if wanted and not cq.is_aggregate:
+                current = self._current(view)
+            # Joining a view that holds Q(state now) is a membership: its
+            # first member prepared the plan, which every use revalidates.
+            if not quiet or current is None or current is not view.result:
+                if cq.is_aggregate:
+                    cq.aggregate_state = DifferentialAggregate(cq.query, self.db)
+                # Compile once, up front: derives the predicate plan,
+                # local and residual predicates, and the projection, and
+                # auto-creates any missing single-column join indexes —
+                # so even E_0 below runs on the kernels, against the
+                # indexes the differential refreshes will probe.
+                prepared = self._prepared_for(cq)
             if cq.is_aggregate:
                 current = cq.aggregate_state.initialize(self.metrics, prepared)
                 for spec in _drift_specs(cq.trigger):
                     spec.note_current(_headline_value(current))
-            elif quiet or retained is not None or cq.engine is Engine.EAGER:
-                donor = self._donor(key)
-                current = (
-                    donor.previous_result.copy()
-                    if donor is not None
-                    else self._initial(cq, now, prepared)
-                )
+            elif wanted and current is None:
+                current = self._initial(cq, now, prepared)
             if retained is not None:
                 result = Relation.from_pairs(current.schema, retained)
             elif quiet:
@@ -421,7 +424,7 @@ class CQManager:
         self._cqs[name] = cq
         if status is not CQStatus.ACTIVE:
             return None
-        view = self._views.get(key)
+        view = self._views.get(key)  # (_initial may have replaced it)
         if view is None:  # (no E_0 yet: its first members evaluate alone)
             view = self._views[key] = SharedView(cq.spj_core, key, self.plans, ts)
         view.members[name] = cq
@@ -461,13 +464,6 @@ class CQManager:
             elif self._touched(tables, cohort.swept):
                 cohort.late[name] = cq
             cohort.lazy[name] = cq
-            if (
-                cq.keep_result
-                and not cq.is_aggregate
-                and view.last is not None
-                and view.since == ts
-            ):
-                cq.previous_result = view.result  # (advanced to ts: share it)
         else:
             cohort.always[name] = cq
             self.zones.register(name, tables, ts)
@@ -520,18 +516,21 @@ class CQManager:
             return max(cq.last_execution_ts, cohort.swept)
         return cq.last_execution_ts
 
-    def _donor(self, sql_key: str) -> Optional[ContinualQuery]:
-        """A live CQ with this SQL text whose retained result is still
-        current (no commit to the footprint after its effective window
-        start): registering the same text again copies that result
-        instead of re-running E_0 — both are Q(state at now)."""
-        view = self._views.get(sql_key)
-        for member in view.members.values() if view is not None else ():
-            if (
-                member.previous_result is not None
-                and not self._touched(member.table_names, self._since(member))
+    def _current(self, view: Optional[SharedView]) -> Optional[Relation]:
+        """Q(state now) if the view or a live member holds it — no
+        commit to the footprint after the view's ``since``, or after the
+        member's effective window start —, else None: registering the
+        text again aliases it (retained results are replaced, never
+        mutated) instead of re-running E_0."""
+        if view is None:
+            return None
+        if view.result is not None and not self._touched(view.tables, view.since):
+            return view.result
+        for member in view.members.values():
+            if member.previous_result is not None and not self._touched(
+                member.table_names, self._since(member)
             ):
-                return member
+                return member.previous_result
         return None
 
     # -- update observation ------------------------------------------------------
@@ -573,8 +572,13 @@ class CQManager:
         due — the CQs a sweep routes or cannot prove unobservable — its
         turn in registration order, a lazy member :meth:`_receive`,
         anyone else a full visit; then move the sweeps and, under
-        ``auto_gc``, collect behind them. What the lazy turns owe the
-        shared bag and their ``stats`` rows is charged once, after them.
+        ``auto_gc``, collect behind them. A turn that executes a family's
+        routed window moves every routed view of that family standing at
+        the window's start in the same pass, so the later members of
+        those views only receive. A lazy member's ``stats`` row reads
+        evaluated — a latency sample, its scoped counters — only for a
+        turn that evaluated; what the received turns owe the shared bag
+        and their rows is charged once, after the turns.
         """
         if advance_to is not None:
             self.db.clock.advance_to(advance_to)
@@ -695,12 +699,14 @@ class CQManager:
         fires iff the window is touched and ignores ``notify_fired``.
 
         When the view's ``last`` is the member's window as of now, an
-        earlier turn evaluated it, and this turn is only what the member
-        owns: stamps, alias, notification. Otherwise (the view's first
-        due member, a late joiner, anyone after a callback's commit) it
-        evaluates its window here, charged to it. Returns None when
-        nothing was received (a late member's own window is quiet), else
-        whether the delta was taken rather than evaluated."""
+        earlier turn evaluated it or stepped the view in its family's
+        pass, and this turn is only what the member owns: stamps, alias,
+        notification. Otherwise (the first due member of a window, a
+        view the family pass may not step, a late joiner, anyone after a
+        callback's commit) it evaluates its window here, charged to it
+        (:meth:`_charged`). Returns None when nothing was received (a
+        late member's own window is quiet), else whether the delta was
+        taken rather than evaluated."""
         view = self._views[cq.sql_key]
         last, now, since = view.last, self.db.clock.now(), cq.last_execution_ts
         if (
@@ -730,7 +736,10 @@ class CQManager:
         the time its window really ends (the log's tail, which an
         earlier visit's callback may have moved past the poll's start),
         in a ``cq.refresh`` span, with one latency sample, its counter
-        charges scoped per CQ (the tee still charges the shared bag)."""
+        charges scoped per CQ (the tee still charges the shared bag).
+        Every full visit runs through here, and a lazy member's turn
+        only when it evaluates: a turn that receives pays no scope, and
+        :meth:`poll` charges the received turns once, after them."""
         now, tracer, metrics = self.db.now(), self.tracer, self.metrics
         scoped = self._scoped_metrics = TeeMetrics(metrics)
         start = time.perf_counter()
@@ -967,7 +976,12 @@ class CQManager:
         hands a window it last advanced over its delta instead of
         evaluating again: CQs with one SQL text and one window hold
         content-identical results. Keepers then alias the view's one
-        result: replaced, never mutated."""
+        result: replaced, never mutated.
+
+        When the window was its family's, the same pass moves every
+        other routed view of the family that :meth:`_stands` at the
+        window's start (:meth:`Family.step`): their members' turns then
+        only receive."""
         view, since = self._views[cq.sql_key], cq.last_execution_ts
         held = cq.previous_result
         index, metrics = self._route_index(cq), self._scoped_metrics or self.metrics
@@ -982,6 +996,14 @@ class CQManager:
             if delta is not None and last is not None and delta is last[2]:
                 if self.metrics is not None:
                     self.metrics.count(Metrics.SHARED_GROUP_HITS)
+        family, shares = view.family, None
+        if family is not None and index is not None:  # (a routed read's)
+            shares = window.evaluated(family, since, now)
+        if shares is not None:
+            cohort = self._cohorts[cq.table_names]
+            family.step(
+                shares, since, now, lambda other: self._stands(other, since, cohort)
+            )
         if cq.keep_result:
             if view.since == now and view.result is not None:
                 cq.previous_result = view.result
@@ -992,6 +1014,30 @@ class CQManager:
             # result cannot have changed, so no engine ran.
             return DeltaRelation(self._prepared_for(cq).out_schema)
         return delta
+
+    def _stands(self, view: SharedView, since: Timestamp, cohort: Cohort) -> bool:
+        """Whether a family pass may step ``view`` from ``since``: it has
+        a lazy member to take the step (always-visit members evaluate in
+        their own turns), and its result is Q(state at ``since``) — it
+        stands there, or it lags behind and a lazy member holding its
+        result rides the cohort's sweep to ``since``, so the routed
+        sweeps that skipped that member proved ``(view.since, since]``
+        irrelevant to the view (Section 5.2). :meth:`check_invariants`
+        holds what this admits at the sweep to Q(state there)."""
+        result, at = view.result, view.since
+        if result is None or at > since:
+            return False
+        lazy, swept = cohort.lazy, cohort.swept
+        for name, cq in view.members.items():
+            if name in lazy and (
+                at == since
+                or (
+                    cq.previous_result is result
+                    and max(cq.last_execution_ts, swept) == since
+                )
+            ):
+                return True
+        return False
 
     def _route_index(self, cq: ContinualQuery) -> Optional[PredicateIndex]:
         """The index a read of ``cq``'s window routes through: None
@@ -1161,6 +1207,23 @@ class CQManager:
                 f"{key}: readers or the index entry != its {readers} delta readers",
             )
             view.check(self.db)
+            # What a family pass may step from the sweep is Q(state there).
+            cohort = cohorts[members[0].table_names]
+            swept = cohort.swept
+            if (
+                view.since < swept
+                and self._stands(view, swept, cohort)
+                and all(
+                    self.db.table(t).log.pruned_through <= swept
+                    for t in view.tables
+                )
+            ):
+                if (key, swept) not in as_of:
+                    as_of[key, swept] = evaluate_as_of(view.query, self.db, swept)
+                law(
+                    view.result == as_of[key, swept],
+                    f"{key}: steppable from the sweep, but not Q(state at {swept})",
+                )
             if view.last is None:
                 continue
             law(
@@ -1170,7 +1233,6 @@ class CQManager:
             # One retained object: the lazy keepers standing where the
             # view stands all hold it — or none does: an always-visit
             # member's evaluation, nothing pending for them.
-            cohort = cohorts[members[0].table_names]
             holding = {
                 cq.previous_result is view.result
                 for cq in reading

@@ -29,16 +29,19 @@ CQ. These are the records ``CQManager.poll()`` shares work through:
   shape's plan, demultiplexed into each view's own delta.
 
 Runnable CQs take their turns one after another in registration
-order, so the notification sequence is the paper's: a routed view
-advances once, in its first due member's turn, and a later member
-standing at that window only receives the delta. Sharing only removes
-provably redundant work, and adds counters and a latency histogram.
+order, so the notification sequence is the paper's. A family's routed
+window is executed once, in its first due member's turn, and that pass
+advances every routed view of the family standing at the window's
+start (:meth:`Family.step`); a later member standing at that window,
+of any of those views, only receives its view's delta. Sharing only
+removes provably redundant work, and adds counters and a latency
+histogram.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.metrics import Metrics
 from repro.obs.trace import NULL_SPAN, Tracer
@@ -197,6 +200,13 @@ class DeltaBatchCache:
             self._families[key] = out
         return out
 
+    def evaluated(
+        self, family: "Family", since: Timestamp, now: Timestamp
+    ) -> Optional[Dict[str, DeltaRelation]]:
+        """What :meth:`family` holds for ``(since, now]``: None when the
+        family has not evaluated that window."""
+        return self._families.get((family.key, since, now))
+
     def __repr__(self) -> str:
         return (
             f"DeltaBatchCache({len(self._batches)} batches, "
@@ -275,9 +285,10 @@ class SharedView:
     holders alias it; ``digest`` describes it where the tier ships
     digests (the server), else None. ``last`` is the last evaluation to
     ``since``, ``(from, since, delta)``; a window that is its ``from``
-    takes the delta, which is kept only while the manager has a second
-    delta reader to take it (else, or when nothing was evaluated, None:
-    a retained delta nobody asks for costs memory locality). A view
+    takes the delta, which is kept while the manager has a second delta
+    reader to take it or a family pass moved the view for its members
+    (:meth:`Family.step`; else, or when nothing was evaluated, None: a
+    retained delta nobody asks for costs memory locality). A view
     holding a result is built by :meth:`at` and moves only through
     :meth:`step`; one built plainly holds none until a member's copy
     advances it (its members so far — aggregates, baselines — evaluate
@@ -633,6 +644,26 @@ class Family:
             if span is not NULL_SPAN:
                 span.set(seed_rows=len(tids), outputs=len(result.weights))
         return shares
+
+    def step(
+        self,
+        shares: Mapping[str, DeltaRelation],
+        since: Timestamp,
+        now: Timestamp,
+        stands: Callable[[SharedView], bool],
+    ) -> None:
+        """Move every member view the window ``(since, now]`` routed and
+        that ``stands`` at ``since`` to ``now`` in one pass, each by its
+        share of the window's one :meth:`evaluate`, through
+        :meth:`SharedView.step` from its own result. Each keeps its
+        delta in ``last`` for its members to take, however many read it.
+        A view already at ``now`` is not moved again."""
+        members = self.members
+        for key, delta in shares.items():
+            view = members.get(key)
+            if view is not None and view.since != now and stands(view):
+                view.step(delta, since, now, view.result)
+                view.last = (since, now, delta)
 
 
 def join_family(

@@ -251,7 +251,7 @@ class AggregateQuery:
     columns, which is what evaluation runs.
     """
 
-    __slots__ = ("core", "aggregates", "group_by", "having")
+    __slots__ = ("core", "aggregates", "group_by", "having", "_sql")
 
     def __init__(
         self,
@@ -268,8 +268,13 @@ class AggregateQuery:
         #: Optional predicate over the *output* schema (group columns
         #: and aggregate aliases), e.g. HAVING total > 100.
         self.having = having
+        self._sql: Optional[str] = None
 
     def to_sql(self) -> str:
+        """The canonical text, rendered on the first call (as
+        :meth:`SPJQuery.to_sql`)."""
+        if self._sql is not None:
+            return self._sql
         cols = [ref.to_sql() for ref in self.group_by]
         for spec in self.aggregates:
             arg = "*" if spec.ref is None else spec.ref.to_sql()
@@ -281,6 +286,7 @@ class AggregateQuery:
             out += f" GROUP BY {', '.join(r.to_sql() for r in self.group_by)}"
         if self.having is not None:
             out += f" HAVING {self.having.to_sql()}"
+        self._sql = out
         return out
 
     def __repr__(self) -> str:

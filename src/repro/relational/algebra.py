@@ -189,7 +189,7 @@ class SPJQuery:
     * ``projection`` — output columns, or None for SELECT *.
     """
 
-    __slots__ = ("relations", "predicate", "projection")
+    __slots__ = ("relations", "predicate", "projection", "_sql")
 
     def __init__(
         self,
@@ -206,6 +206,7 @@ class SPJQuery:
         self.relations = relations
         self.predicate = predicate
         self.projection = tuple(projection) if projection is not None else None
+        self._sql: Optional[str] = None
 
     @property
     def aliases(self) -> Tuple[str, ...]:
@@ -219,6 +220,11 @@ class SPJQuery:
         return [r.alias for r in self.relations if r.table == table]
 
     def to_sql(self) -> str:
+        """The canonical text, rendered on the first call: a query is
+        never mutated, and :func:`~repro.relational.sql.parse_query`
+        hands one object per text to every registration."""
+        if self._sql is not None:
+            return self._sql
         if self.projection is None:
             cols = "*"
         else:
@@ -235,6 +241,7 @@ class SPJQuery:
         sql = f"SELECT {cols} FROM {tables}"
         if not isinstance(self.predicate, TruePredicate):
             sql += f" WHERE {self.predicate.to_sql()}"
+        self._sql = sql
         return sql
 
     def __repr__(self) -> str:

@@ -7,9 +7,10 @@ individual rules: a poll visits routed and always-visit members only, an
 unvisited member's window rides its cohort's sweep under GC, a late
 joiner is visited whatever the sweep routes, a stateful data trigger is
 never skipped on a touched footprint, quarantined CQs are always
-visited, a registration copies a current result instead of running
+visited, a registration aliases a current result instead of running
 E_0, and a routed group is evaluated once, in its first due member's
-turn, and every lazy member *receives* that evaluation.
+turn, whose family pass moves every routed view standing at the
+window's start, and every other lazy member *receives* that evaluation.
 """
 
 import gc
@@ -468,7 +469,7 @@ class TestMembersReceive:
         received = {"cq_refreshes": 1, "shared_group_hits": 1}
         for name in names:
             row = mgr.stats.counters(name)
-            evaluated = name.endswith("1")
+            evaluated = name == "A1"  # (B1 receives: A1's pass stepped B)
             assert (row == received) is not evaluated, (name, row)
             assert row["cq_refreshes"] == 1
             assert mgr.stats.latency(name).count == evaluated
@@ -484,13 +485,165 @@ class TestMembersReceive:
             "B2": [600, 601, 700],  # their windows
         }
         # A2 and B2 stood at the views' window start, but now had moved.
-        assert [mgr.stats.latency(name).count for name in names] == [2, 2, 1, 1]
+        assert [mgr.stats.latency(name).count for name in names] == [2, 0, 1, 1]
         del order[:]
         assert [n.cq_name for n in mgr.poll()] == ["A1", "B1"] == order
         assert seen["A1"] == seen["B1"] == [600, 601, 700]
         assert mgr.poll() == []
         for name in names:
             assert mgr.get(name).previous_result == db.query(texts[name[0]])
+
+
+class TestFamilyPass:
+    """A family's one execution for a routed window ``(s, now]`` steps,
+    in the same pass, every routed view of the family that stands at
+    ``s`` — where it stands there, or lags behind with a lazy member
+    holding its result that the sweeps skipped — so the members of
+    those views only receive. A view with only always-visit members, a
+    view ahead of ``s`` (a late joiner's) and a member whose ``now`` a
+    callback's commit moved evaluate in their own turns."""
+
+    TEXTS = {
+        "A": WATCH,  # price > 120
+        "B": "SELECT sid, name, price FROM stocks WHERE price > 300",
+        "C": "SELECT sid, name, price FROM stocks WHERE price > 100",
+        "D": "SELECT sid, name, price FROM stocks WHERE price > 250",
+    }
+
+    def settle(self, mgr, db, names):
+        """The laws hold, and every member of ``names`` with nothing
+        pending holds Q(state now)."""
+        mgr.check_invariants()
+        pending = {r["name"] for r in mgr.describe() if r["pending_updates"]}
+        for name in set(names) - pending:
+            cq = mgr.get(name)
+            assert cq.previous_result == db.query(self.TEXTS[name[0]]), name
+
+    def test_one_execution_steps_a_current_and_a_lagging_view(self, db, stocks):
+        """A current view (A), a lagging routed one (B, one reader) and
+        a view whose only member is always-visit (C): one execution,
+        one evaluating lazy turn, and every member notified once, in
+        registration order. B moved in A1's pass (B1, its one reader,
+        receives); C did not (C1 evaluates in its own turn)."""
+        mgr = make_manager(db)
+        texts = self.TEXTS
+        order, seen = [], {}
+
+        def on_notify(note):
+            if note.kind is NotificationKind.REFRESH:
+                order.append(note.cq_name)
+                if note.cq_name == "B1":  # (after A1's turn, before C1's)
+                    seen.update(
+                        (name, mgr._views[texts[name]].since) for name in "ABC"
+                    )
+
+        for name in ("A1", "B1", "C1", "A2"):
+            stop = AfterExecutions(100) if name == "C1" else None
+            mgr.register_sql(name, texts[name[0]], stop=stop, on_notify=on_notify)
+        mgr.register_sql("bystander", CHEAP)  # (routed past: routing stays on)
+        names = ["A1", "B1", "C1", "A2"]
+        cohort = mgr._cohorts[("stocks",)]
+        assert set(cohort.always) == {"C1"}
+        assert len({mgr._views[texts[v]].family for v in "ABC"} - {None}) == 1
+        mgr.drain()
+
+        stocks.insert((700, "MID", 200))  # A and C, not B: B lags behind
+        assert [n.cq_name for n in mgr.poll()] == ["A1", "C1", "A2"] == order
+        self.settle(mgr, db, names)
+        swept = cohort.swept
+        views = {v: mgr._views[texts[v]] for v in "ABC"}
+        assert views["A"].since == views["C"].since == swept > views["B"].since
+        assert mgr.get("B1").previous_result is views["B"].result
+
+        del order[:]
+        stocks.insert((701, "HI", 900))  # every view's window
+        before = mgr.metrics.snapshot()
+        latency = {name: mgr.stats.latency(name).count for name in names}
+        notes = mgr.poll()
+        assert [n.cq_name for n in notes] == names == order
+        assert all([e.new[0] for e in n.delta] == [701] for n in notes)
+        spent = mgr.metrics.diff(before)
+        assert spent[Metrics.EXECUTIONS] == 1
+        assert spent[Metrics.CQ_REFRESHES] == 4
+        assert spent[Metrics.SHARED_GROUP_HITS] == 2  # B1 and A2 received
+        stepped = {n: mgr.stats.latency(n).count - latency[n] for n in names}
+        assert stepped == {"A1": 1, "B1": 0, "C1": 1, "A2": 0}
+        received = {"cq_refreshes": 1, "shared_group_hits": 1}
+        assert mgr.stats.counters("B1") == received
+        # When B1 was notified, A1's pass had moved A and B, not C.
+        now = db.now()
+        assert seen == {"A": now, "B": now, "C": swept}
+        assert views["B"].last == (swept, now, notes[1].delta)
+        self.settle(mgr, db, names)
+        assert mgr.poll() == []
+
+    def test_a_callback_commit_and_a_late_joiner_evaluate_alone(
+        self, db, stocks, stocks_tids
+    ):
+        """A1's pass steps B, and B1 (its one reader) receives. Then A1's
+        callback commits: B1 and A2 stand where they did, but ``now`` has
+        moved, so each evaluates its own window, and nobody steps A
+        (ahead of B1's window start) again. A late joiner's view (D,
+        built after a commit the cohort had not swept) is ahead of the
+        sweep: the first pass leaves it alone and D1 evaluates alone."""
+        mgr = make_manager(db)
+        texts = self.TEXTS
+        seen, arm = {}, []
+
+        def on_notify(note):
+            if note.kind is not NotificationKind.REFRESH:
+                return
+            seen.setdefault(note.cq_name, []).append(entries(note.delta))
+            if note.cq_name == "A1" and arm:
+                stocks.insert((arm.pop(), "CB", 800))
+
+        names = ["A1", "B1", "A2"]
+        for name in names:
+            mgr.register_sql(name, texts[name[0]], on_notify=on_notify)
+        mgr.register_sql("bystander", CHEAP)
+        mgr.drain()
+
+        def poll(expected, executions):
+            before = mgr.metrics.snapshot()
+            latency = {n: mgr.stats.latency(n).count for n in mgr._cqs}
+            assert [n.cq_name for n in mgr.poll()] == expected
+            assert mgr.metrics.diff(before)[Metrics.EXECUTIONS] == executions
+            self.settle(mgr, db, [n for n in mgr._cqs if n != "bystander"])
+            return [n for n in mgr._cqs if mgr.stats.latency(n).count > latency[n]]
+
+        tid = stocks.insert((600, "HI", 900))
+        assert poll(names, 1) == ["A1"]  # B1 and A2 received A1's pass
+        received = {"cq_refreshes": 1, "shared_group_hits": 1}
+        assert mgr.stats.counters("B1") == received
+
+        # A delete in the window: stepping a view from anywhere but its
+        # own window start would delete the row from it twice.
+        arm.append(700)
+        stocks.delete(tid)
+        assert poll(names, 2) == names  # (s, now] for A1; (s, now'] after
+        pending = {r["name"]: r["pending_updates"] for r in mgr.describe()}
+        assert [pending[n] for n in names] == [True, False, False]  # (A1's)
+        assert [len(seen[n][-1]) for n in names] == [1, 2, 2]
+        assert poll(["A1"], 1) == ["A1"]  # the callback's commit, once
+        for name in names:
+            inserted = [e[2][0] for delta in seen[name] for e in delta if e[2]]
+            assert inserted == [600, 700], name
+
+        # A late joiner, registered after a commit the sweep has not seen.
+        stocks.delete(stocks_tids[100000])  # DEC@156: in A and C
+        stocks.modify(stocks_tids[92394], updates={"price": 400})  # QLI into B, D
+        mgr.register_sql("D1", texts["D"], on_notify=on_notify)
+        assert mgr.get("D1").previous_result == db.query(texts["D"])
+        mgr.drain()
+        qli = stocks_tids[92394]
+        stocks.modify(qli, updates={"price": 90})  # out of A and D
+        new = stocks.insert((800, "NEW", 950))  # into every view
+        assert poll(["A1", "B1", "A2", "D1"], 2) == ["A1", "D1"]
+        assert seen["D1"] == [
+            [(qli, (92394, "QLI", 400), None), (new, None, (800, "NEW", 950))]
+        ]
+        assert mgr.stats.counters("B1")["shared_group_hits"] == 2
+        assert mgr.poll() == []
 
 
 class TestRoutingSelection:
@@ -815,8 +968,9 @@ class TestCommitsMadeDuringAPoll:
 
 class TestRegistrationByCopy:
     def test_copy_when_current_else_initial_execution(self, db, stocks):
-        """(ii) A same-text registration copies a live member's result
-        while it is current, and runs E_0 once a commit is pending."""
+        """(ii) A same-text registration aliases the view's result while
+        it is current (results are replaced, never mutated), and runs
+        E_0 once a commit is pending."""
         mgr = make_manager(db)
         donor = mgr.register_sql("donor", WATCH)
         scanned = mgr.metrics[Metrics.ROWS_SCANNED]
@@ -834,10 +988,53 @@ class TestRegistrationByCopy:
             assert note.result == cq.previous_result
             assert note.result is not cq.previous_result
             assert note.result is not donor.previous_result
-            assert cq.previous_result is not donor.previous_result
+        assert copied.previous_result is donor.previous_result
+        assert evaluated.previous_result is not donor.previous_result
         mgr.poll()
         for name in ("donor", "copied", "evaluated"):
             assert mgr.get(name).previous_result == db.query(WATCH)
+
+    def test_a_joiner_aliases_a_current_view_and_gets_q_now_behind_one(
+        self, db, stocks
+    ):
+        """Joining a live view is a membership: while the view's result
+        is Q(state now) — it stands at now, or lags only behind commits
+        routed away from it, held by a member the sweep carried past
+        them — the joiner aliases it: no plan lookup, no E_0, no copy,
+        and the text's key rendered once. A joiner of a view behind a
+        pending commit still starts from Q(state now)."""
+        mgr = make_manager(db)
+        first = mgr.register_sql("w0", WATCH)
+        mgr.register_sql("bystander", CHEAP)  # (keeps the cohort routing)
+        view = mgr._views[first.sql_key]
+        spent = mgr.metrics.snapshot()
+        joined = mgr.register_sql("w1", WATCH)
+        assert joined.sql_key is first.sql_key
+        assert joined.previous_result is view.result is first.previous_result
+        spent = mgr.metrics.diff(spent)
+        for name in (
+            Metrics.PLAN_CACHE_HITS,
+            Metrics.PLANS_PREPARED,
+            Metrics.ROWS_SCANNED,
+        ):
+            assert spent.get(name, 0) == 0, name
+        mgr.drain()
+        stocks.insert((700, "LOW", 10))  # routed to CHEAP only
+        assert [n.cq_name for n in mgr.poll()] == ["bystander"]
+        assert view.since < db.now()
+        lagging = mgr.register_sql("w2", WATCH)
+        assert lagging.previous_result is view.result
+        mgr.check_invariants()
+        mgr.drain()
+        stocks.insert((701, "HI", 900))  # pending for every WATCH member
+        behind = mgr.register_sql("w3", WATCH)
+        assert behind.previous_result == db.query(WATCH) != view.result
+        mgr.check_invariants()
+        mgr.drain()
+        assert [n.cq_name for n in mgr.poll()] == ["w0", "w1", "w2"]
+        for name in ("w0", "w1", "w2", "w3"):
+            assert mgr.get(name).previous_result == db.query(WATCH), name
+        mgr.check_invariants()
 
     def test_baseline_member_shares_the_result_but_not_the_routing(
         self, db, stocks
@@ -849,7 +1046,7 @@ class TestRegistrationByCopy:
         mgr.register_sql("base", WATCH, engine=Engine.REEVALUATE)
         assert len(mgr.index) == 0
         scanned = mgr.metrics[Metrics.ROWS_SCANNED]
-        mgr.register_sql("watch", WATCH)  # copied from the baseline
+        mgr.register_sql("watch", WATCH)  # aliases the baseline's result
         assert mgr.metrics[Metrics.ROWS_SCANNED] == scanned
         assert mgr.metrics[Metrics.SHARED_GROUPS] == 1
         assert len(mgr.index) == 1
