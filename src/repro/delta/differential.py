@@ -88,6 +88,17 @@ class DeltaEntry:
         )
 
 
+class _Nothing:
+    """A tid's net effect so far in :meth:`DeltaRelation.from_records`
+    when it is none: the tuple stands as it did (``old`` == ``new``)."""
+
+    __slots__ = ("old", "new")
+
+    def __init__(self, old: Optional[Values], new: Optional[Values]):
+        self.old = old
+        self.new = new
+
+
 class DeltaRelation:
     """A consolidated set of net changes to one relation."""
 
@@ -130,47 +141,50 @@ class DeltaRelation:
         original value) produces no entry, as the paper's "net effect"
         semantics require.
         """
-        first_old: Dict[Tid, Optional[Values]] = {}
-        last_new: Dict[Tid, Optional[Values]] = {}
-        last_ts: Dict[Tid, Timestamp] = {}
-
+        # The net entries, built during the fold in first-sighting
+        # order. A tid whose history nets out so far holds a _Nothing
+        # (its state, for the chain checks) until a later record or the
+        # final sweep.
+        net: Dict[Tid, DeltaEntry] = {}
+        get = net.get
+        nothing = 0
+        INSERT = UpdateKind.INSERT
         for record in records:
             tid = record.tid
-            if tid not in first_old:
+            entry = get(tid)
+            if entry is None:
                 # First sighting: the old side of this record is the
                 # tuple's state at the start of the window.
-                first_old[tid] = record.old
-                current: Optional[Values] = record.old
+                first = current = record.old
             else:
-                current = last_new[tid]
+                first = entry.old
+                current = entry.new
             # Chain consistency checks.
-            if record.kind is UpdateKind.INSERT:
+            if record.kind is INSERT:
                 if current is not None:
                     raise DeltaConsolidationError(
                         f"insert of live tid {tid} at ts={record.ts}"
                     )
+            elif current is None:
+                raise DeltaConsolidationError(
+                    f"{record.kind.value} of dead tid {tid} at ts={record.ts}"
+                )
+            elif entry is not None and record.old != current:
+                raise DeltaConsolidationError(
+                    f"old value mismatch for tid {tid} at ts={record.ts}: "
+                    f"log says {record.old}, chain says {current}"
+                )
+            new = record.new
+            if new == first:
+                # Born and died inside the window, or modified back to
+                # the original value.
+                net[tid] = _Nothing(first, new)
+                nothing += 1
             else:
-                if current is None:
-                    raise DeltaConsolidationError(
-                        f"{record.kind.value} of dead tid {tid} at ts={record.ts}"
-                    )
-                if record.old != current:
-                    raise DeltaConsolidationError(
-                        f"old value mismatch for tid {tid} at ts={record.ts}: "
-                        f"log says {record.old}, chain says {current}"
-                    )
-            last_new[tid] = record.new
-            last_ts[tid] = record.ts
-
-        entries = []
-        for tid, old in first_old.items():
-            new = last_new[tid]
-            if old is None and new is None:
-                continue  # born and died inside the window
-            if old is not None and new is not None and old == new:
-                continue  # modified back to the original value
-            entries.append(DeltaEntry(tid, old, new, last_ts[tid]))
-        return cls(schema, entries)
+                net[tid] = DeltaEntry(tid, first, new, record.ts)
+        if nothing:
+            net = {t: e for t, e in net.items() if e.__class__ is DeltaEntry}
+        return cls.from_consolidated(schema, net)
 
     @classmethod
     def empty(cls, schema: Schema) -> "DeltaRelation":

@@ -115,9 +115,9 @@ class OldStateIndex:
     def fast_maps(self):
         """``(buckets.get, rows.get)`` bound methods when the delta is
         empty — old-state probes then reduce to current-state bucket
-        reads — else ``None``. Batch callers use these to fuse bucket
-        iteration, value fetch, and local-predicate filtering into one
-        comprehension with no per-row Python calls."""
+        reads — else ``None``. Batch callers fetch every key's bucket
+        with one ``map`` and, when each holds one tid, its row with
+        another (:meth:`repro.dra.operands.BaseOperand.probe_batch`)."""
         if self.delta.is_empty():
             return self.index.buckets_map().get, self.view.current.rows_map().get
         return None
@@ -128,46 +128,32 @@ class OldStateIndex:
         metrics: Optional[Metrics] = None,
     ) -> Dict[Tuple[Any, ...], List[Tuple[Tid, Values]]]:
         """Batched :meth:`lookup`: ``{key: matches}`` for every key in
-        ``keys`` with at least one old-state match.
-
-        One pass with everything bound locally — and, when the delta is
-        empty (the common case: this operand did not change), the
-        per-tid delta fixups drop out entirely and each bucket resolves
-        with a single comprehension over the current rows.
+        ``keys`` with at least one old-state match, in one pass with
+        everything bound locally (an unchanged operand reads
+        :meth:`fast_maps` instead).
         """
         buckets = self.index.buckets_map()
         rows_get = self.view.current.rows_map().get
+        touched = self.delta.__contains__
+        old_buckets = self._old_buckets
         out: Dict[Tuple[Any, ...], List[Tuple[Tid, Values]]] = {}
         probes = 0
-        if self.delta.is_empty():
-            for key in keys:
-                probes += 1
-                bucket = buckets.get(key)
-                if bucket:
-                    out[key] = [
-                        (tid, v)
-                        for tid in bucket
-                        if (v := rows_get(tid)) is not None
-                    ]
-        else:
-            touched = self.delta.__contains__
-            old_buckets = self._old_buckets
-            for key in keys:
-                probes += 1
-                matched: List[Tuple[Tid, Values]] = []
-                bucket = buckets.get(key)
-                if bucket:
-                    matched = [
-                        (tid, v)
-                        for tid in bucket
-                        if not touched(tid)
-                        and (v := rows_get(tid)) is not None
-                    ]
-                extra = old_buckets.get(key)
-                if extra:
-                    matched.extend(extra)
-                if matched:
-                    out[key] = matched
+        for key in keys:
+            probes += 1
+            matched: List[Tuple[Tid, Values]] = []
+            bucket = buckets.get(key)
+            if bucket:
+                matched = [
+                    (tid, v)
+                    for tid in bucket
+                    if not touched(tid)
+                    and (v := rows_get(tid)) is not None
+                ]
+            extra = old_buckets.get(key)
+            if extra:
+                matched.extend(extra)
+            if matched:
+                out[key] = matched
         if metrics and probes:
             metrics.count(Metrics.INDEX_PROBES, probes)
         return out

@@ -23,13 +23,14 @@ prepared CQ) executes a flat list of kernel calls:
   else falls back to the row-compiled predicate over zipped slot
   columns. A stage that keeps everything returns the batch unchanged;
 * **attach** — hash-join probe, one probe per *distinct* non-NULL key
-  of the batch. Where a base operand answers every key with at most
-  one row (a foreign key into a primary key), rows pick their
-  match by ``map(found.get, keys)`` and the rows without one drop out
-  by ``compress``, all at C level. Otherwise the batch is grouped by
-  key and output columns are built by index-gather: one ``gather``
-  list of source row indexes drives ``[col[i] for i in gather]`` per
-  existing column, and the attached slot's columns are appended fresh;
+  of the batch. Where a base operand answers every key with one row
+  (a foreign key into a primary key; an unchanged operand builds that
+  answer at C level), rows pick their match by ``map(found.get,
+  keys)`` and the rows without one drop out by ``compress``. Otherwise
+  the batch is grouped by key and output columns are built by
+  index-gather: one ``gather`` list of source row indexes drives
+  ``[col[i] for i in gather]`` per existing column, and the attached
+  slot's columns are appended fresh;
 * **accumulate** — fused projection + signed sum straight into the
   execution-wide weights dict: projection columns are gathered by
   ``(slot, position)`` and zipped into output tuples, composite result
@@ -431,7 +432,6 @@ def _fuse_step_residual(step, plan):
 
 _TID = operator.itemgetter(0)
 _VALUES = operator.itemgetter(1)
-_FIRST = operator.itemgetter(0)
 
 
 def _attach_by_map(batch, keys, found, pair) -> ColumnBatch:
@@ -543,10 +543,11 @@ def _make_attach_base(step, pair=None) -> Kernel:
     output columns.
 
     One probe per distinct non-NULL key of the whole batch, answered in
-    the operand's old state. When every key that has a match has
-    exactly one — a join from a foreign key to a primary key — the
-    attach works per row (:func:`_attach_by_map`); otherwise per key
-    group (:func:`_attach_by_group`).
+    the operand's old state. When the operand answers every key with
+    one row — a join from a foreign key into an unchanged primary key
+    (:meth:`repro.dra.operands.BaseOperand.probe_batch`) — the attach
+    works per row (:func:`_attach_by_map`); otherwise per key group
+    (:func:`_attach_by_group`).
     """
     alias = step.alias
     positions = step.key_positions
@@ -562,13 +563,12 @@ def _make_attach_base(step, pair=None) -> Kernel:
             distinct.discard((None,))
         else:
             distinct = [k for k in distinct if None not in k]
-        matches_for = base_operands[alias].probe_batch(positions, distinct)
-        if not matches_for:
+        answer, unique = base_operands[alias].probe_batch(positions, distinct)
+        if not answer:
             return _extend(batch, [], [], [], [])
-        if len(matches_for) == sum(map(len, matches_for.values())):
-            found = dict(zip(matches_for, map(_FIRST, matches_for.values())))
-            return _attach_by_map(batch, keys, found, pair)
-        return _attach_by_group(batch, keys, matches_for, pair)
+        if unique:
+            return _attach_by_map(batch, keys, answer, pair)
+        return _attach_by_group(batch, keys, answer, pair)
 
     return kernel
 

@@ -44,6 +44,8 @@ OldColumn = List[Optional[Values]]
 # a compiled predicate closure once per row.
 FilterSpec = Tuple[Tuple[int, object, object], ...]
 
+_FIRST = operator.itemgetter(0)
+
 
 def _spec_filter(rows, spec: FilterSpec):
     """Filter ``(tid, values)`` pairs by a comparison spec, inline.
@@ -343,76 +345,86 @@ class BaseOperand:
             return list(matches)
         return [(tid, values) for tid, values in matches if self.local_predicate(values)]
 
-    def probe_batch(
-        self, positions: Tuple[int, ...], keys
-    ) -> Dict[Tuple, List[Tuple[Tid, Values]]]:
-        """Batched :meth:`probe`: ``{key: matches}`` for the (distinct)
-        ``keys`` with at least one locally-passing old-state match.
+    def probe_batch(self, positions: Tuple[int, ...], keys) -> Tuple[Dict, bool]:
+        """Batched :meth:`probe` of the (distinct) ``keys``: ``(answer,
+        unique)``, the answer holding only keys with a locally-passing
+        old-state match.
 
-        The columnar attach kernels probe once per distinct join key of
-        the whole batch; matches here come grouped so fan-out rows are
-        replicated by C-level list extension, never re-probed.
+        ``unique`` True: ``{key: (tid, values)}``, every key matching one
+        row (a foreign key into a primary key). Otherwise ``{key:
+        [(tid, values), ...]}`` grouped, so the attach kernels replicate
+        fan-out rows by C-level list extension, never re-probing. An
+        unchanged indexed operand whose buckets each hold one tid
+        answers in one C-level pass (:meth:`_unique`); any other answer
+        is built grouped and reads unique when each key kept one match.
         """
         source = self._probe_source(positions)
-        local = self.local_predicate
-        spec = self.filter_spec
-        if isinstance(source, dict):
-            get = source.get
-            if local is None:
-                return {k: m for k in keys if (m := get(k))}
-            if spec is not None:
-                return {
-                    k: fm
-                    for k in keys
-                    if (m := get(k)) and (fm := _spec_filter(m, spec))
-                }
-            return {
-                k: fm
-                for k in keys
-                if (m := get(k))
-                and (fm := [(t, v) for t, v in m if local(v)])
+        maps = None if isinstance(source, dict) else source.fast_maps()
+        if maps is not None:
+            # Unchanged operand: its index answers in the old state.
+            # Every key's bucket is fetched once, at C level.
+            buckets_get, rows_get = maps
+            keys = list(keys)
+            found = list(map(buckets_get, keys))
+            if self.metrics and keys:
+                self.metrics.count(Metrics.INDEX_PROBES, len(keys))
+            if None in found:
+                hit = list(map(operator.truth, found))
+                keys = list(itertools.compress(keys, hit))
+                found = list(itertools.compress(found, hit))
+            unique = self._unique(keys, found, rows_get)
+            if unique is not None:
+                return unique, True
+            matched = {
+                k: m
+                for k, b in zip(keys, found)
+                if (m := [(t, v) for t in b if (v := rows_get(t)) is not None])
             }
-        if local is None:
-            return source.lookup_batch(keys, self.metrics)
-        if spec is not None and len(spec) == 1:
-            # The hot case — single-comparison local predicate over an
-            # indexed, unchanged operand: fuse bucket iteration, value
-            # fetch, and predicate into one comprehension per key, with
-            # zero per-row Python calls (bucket/row gets are C-level).
-            maps = source.fast_maps()
-            if maps is not None:
-                buckets_get, rows_get = maps
-                ((p, op, c),) = spec
-                out: Dict[Tuple, List[Tuple[Tid, Values]]] = {}
-                probes = 0
-                for k in keys:
-                    probes += 1
-                    b = buckets_get(k)
-                    if b and (
-                        m := [
-                            (t, v)
-                            for t in b
-                            if (v := rows_get(t)) is not None
-                            and (x := v[p]) is not None
-                            and op(x, c)
-                        ]
-                    ):
-                        out[k] = m
-                if self.metrics and probes:
-                    self.metrics.count(Metrics.INDEX_PROBES, probes)
-                return out
-        matched = source.lookup_batch(keys, self.metrics)
-        if spec is not None:
-            return {
+        elif isinstance(source, dict):
+            get = source.get
+            matched = {k: m for k in keys if (m := get(k))}
+        else:
+            matched = source.lookup_batch(keys, self.metrics)
+        local = self.local_predicate
+        if local is not None:
+            spec = self.filter_spec
+            matched = {
                 k: fm
                 for k, m in matched.items()
-                if (fm := _spec_filter(m, spec))
+                if (
+                    fm := _spec_filter(m, spec)
+                    if spec is not None
+                    else [(t, v) for t, v in m if local(v)]
+                )
             }
-        return {
-            k: fm
-            for k, m in matched.items()
-            if (fm := [(t, v) for t, v in m if local(v)])
-        }
+        if len(matched) == sum(map(len, matched.values())):
+            return dict(zip(matched, map(_FIRST, matched.values()))), True
+        return matched, False
+
+    def _unique(self, keys, buckets, rows_get) -> Optional[Dict]:
+        """``{key: (tid, values)}`` built with no per-row Python call,
+        when each of the (non-empty) ``buckets`` holds one tid and the
+        local predicate is absent or one comparison over a column with
+        no NULL; else None."""
+        spec = self.filter_spec
+        if sum(map(len, buckets)) != len(buckets) or (
+            self.local_predicate is not None and (spec is None or len(spec) != 1)
+        ):
+            return None
+        tids = list(map(next, map(iter, buckets)))
+        vals = list(map(rows_get, tids))
+        if None in vals:
+            return None
+        if self.local_predicate is not None:
+            ((p, op, c),) = spec
+            column = list(map(operator.itemgetter(p), vals))
+            if None in column:
+                return None
+            keep = list(map(op, column, itertools.repeat(c)))
+            keys = itertools.compress(keys, keep)
+            tids = itertools.compress(tids, keep)
+            vals = itertools.compress(vals, keep)
+        return dict(zip(keys, zip(tids, vals)))
 
     def _probe_source(self, positions: Tuple[int, ...]):
         """An index-like object answering lookups on ``positions``.

@@ -290,6 +290,115 @@ class TestOneRowAttach:
                 assert news == [(2, 1, 6), (2, 1, 7)]
 
 
+# -- key-unique probes: the probed operand answers in one C-level pass --------
+
+#: ``s.a`` is a primary key; no filter, one comparison (either side of
+#: the literal), and two comparisons (the grouped answer's filter).
+KEY_QUERIES = [
+    "SELECT r.b, s.c FROM r, s WHERE r.a = s.a",
+    "SELECT r.b, s.c FROM r, s WHERE r.a = s.a AND s.c < {t}",
+    "SELECT r.a, s.c FROM r, s WHERE r.a = s.a AND {t} <= s.c",
+    "SELECT r.b, s.c FROM r, s WHERE r.a = s.a AND s.c >= {t} AND s.c < 4",
+]
+ONE_COMPARISON = 3  # KEY_QUERIES[:3] filter s by at most one comparison
+
+
+class UniqueProbeSpy:
+    """Records, per probe of ``s`` while unchanged and indexed, whether
+    the one-pass unique answer was built (True) or the grouped one
+    (False)."""
+
+    def __init__(self):
+        from repro.dra.operands import BaseOperand
+
+        self.cls = BaseOperand
+        self.original = BaseOperand._unique
+        self.built = []
+
+    def __enter__(self):
+        def spy(operand, *args, _original=self.original):
+            answer = _original(operand, *args)
+            if operand.alias == "s":
+                self.built.append(answer is not None)
+            return answer
+
+        self.cls._unique = spy
+        return self
+
+    def __exit__(self, *exc):
+        self.cls._unique = self.original
+
+
+class TestUniqueProbe:
+    """A primary-key-shaped base operand against the row evaluator, the
+    filter column and the probing keys both holding NULLs."""
+
+    @given(
+        r_rows=st.lists(st.tuples(FOREIGN, VALUE), max_size=8),
+        s_rows=keyed_rows(),
+        r_ops=update_ops(),
+        which=st.integers(0, len(KEY_QUERIES) - 1),
+        t=SMALL,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unchanged_key_operand(self, r_rows, s_rows, r_ops, which, t):
+        db, r, s = build_db(r_rows, s_rows)
+        query = parse_query(KEY_QUERIES[which].format(t=t))
+        since = db.now()
+        apply_ops(db, r, r_ops)
+        with UniqueProbeSpy() as spy, MapPathSpy() as path:
+            assert_columnar_matches_row(db, [r, s], query, since)
+        assert set(path.answers) <= {"map"}
+        if which < ONE_COMPARISON and None not in (c for __, c in s_rows):
+            assert all(spy.built)
+        if which >= ONE_COMPARISON:
+            assert not any(spy.built)
+
+    @given(
+        r_rows=st.lists(st.tuples(FOREIGN, VALUE), max_size=8),
+        s_rows=keyed_rows().filter(bool),
+        r_ops=update_ops(),
+        doubled=st.integers(0, 4),
+        c=VALUE,
+        which=st.integers(0, len(KEY_QUERIES) - 1),
+        t=SMALL,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_key_holds_two_rows(self, r_rows, s_rows, r_ops, doubled, c, which, t):
+        """A second row under one key before the window: a probe that
+        reads that key's bucket (two tids) must answer grouped."""
+        db, r, s = build_db(r_rows, s_rows)
+        query = parse_query(KEY_QUERIES[which].format(t=t))
+        s.insert((s_rows[doubled % len(s_rows)][0], c))
+        since = db.now()
+        apply_ops(db, r, r_ops)
+        assert_columnar_matches_row(db, [r, s], query, since)
+
+    @given(
+        r_rows=st.lists(st.tuples(FOREIGN, VALUE), max_size=8),
+        s_rows=keyed_rows(),
+        r_ops=update_ops(),
+        s_ops=update_ops(max_ops=4),
+        which=st.integers(0, len(KEY_QUERIES) - 1),
+        t=SMALL,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_key_operand_changes_in_the_window(
+        self, r_rows, s_rows, r_ops, s_ops, which, t
+    ):
+        """``s`` changes too: its probes answer through the delta
+        overlay, never the one-pass path."""
+        db, r, s = build_db(r_rows, s_rows)
+        query = parse_query(KEY_QUERIES[which].format(t=t))
+        since = db.now()
+        apply_ops(db, r, r_ops)
+        apply_ops(db, s, s_ops)
+        with UniqueProbeSpy() as spy:
+            assert_columnar_matches_row(db, [r, s], query, since)
+        if s.name in deltas_since([s], since):
+            assert not any(spy.built)
+
+
 class TestDirectedEdgeCases:
     def test_empty_delta_short_circuits(self):
         """No changes → skipped execution, zero kernel calls."""

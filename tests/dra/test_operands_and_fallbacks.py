@@ -8,6 +8,8 @@ from repro.relational import AttributeType, parse_query
 from repro.delta.capture import deltas_since
 from repro.delta.propagate import propagate
 from repro.dra.algorithm import dra_execute
+from repro.dra.operands import BaseOperand
+from repro.dra.prepared import prepare_cq
 
 
 def build(with_indexes):
@@ -123,3 +125,113 @@ class TestCompositeJoinKeys:
         expected = propagate(q, db.relation, deltas, ts=9)
         assert result.delta == expected
         assert len(result.delta) > 0
+
+
+class TestKeyUniqueProbe:
+    """Which answer :meth:`BaseOperand.probe_batch` gives: the one-pass
+    unique answer (``_unique`` built it), or the grouped answer — which
+    is still read as unique when every key kept one match. Every case
+    counts one index probe per key, its misses included."""
+
+    KEYS = [(1,), (2,), (3,), (9,)]
+
+    def probe(self, sql, rows, indexed=True, change=None):
+        db = Database()
+        s = db.create_table(
+            "s",
+            [("k", AttributeType.INT), ("w", AttributeType.INT)],
+            indexes=[("k",)] if indexed else (),
+        )
+        tids = s.insert_many(rows)
+        since = db.now()
+        if change is not None:
+            change(s, tids)
+        prepared = prepare_cq(parse_query(sql), db)
+        metrics = Metrics()
+        operand = BaseOperand(
+            "s",
+            s,
+            deltas_since([s], since).get("s"),
+            prepared.compiled_local["s"],
+            metrics,
+            filter_spec=prepared.local_specs.get("s"),
+        )
+        built = []
+        original = BaseOperand._unique
+
+        def spy(*args):
+            answer = original(*args)
+            built.append(answer is not None)
+            return answer
+
+        BaseOperand._unique = spy
+        try:
+            answer, unique = operand.probe_batch((0,), list(self.KEYS))
+        finally:
+            BaseOperand._unique = original
+        assert metrics[Metrics.INDEX_PROBES] == (len(self.KEYS) if indexed else 0)
+        return answer, unique, built
+
+    def values(self, answer, unique):
+        if unique:
+            return {k: v for k, (__, v) in answer.items()}
+        return {k: [v for __, v in m] for k, m in answer.items()}
+
+    def test_primary_key_answers_in_one_pass(self):
+        answer, unique, built = self.probe(
+            "SELECT w FROM s", [(1, 10), (2, None), (3, 30)]
+        )
+        assert (unique, built) == (True, [True])
+        assert self.values(answer, unique) == {
+            (1,): (1, 10), (2,): (2, None), (3,): (3, 30)
+        }
+
+    def test_one_comparison_filters_in_the_same_pass(self):
+        answer, unique, built = self.probe(
+            "SELECT w FROM s WHERE w > 15", [(1, 10), (2, 20), (3, 30)]
+        )
+        assert (unique, built) == (True, [True])
+        assert self.values(answer, unique) == {(2,): (2, 20), (3,): (3, 30)}
+
+    def test_null_in_the_filter_column_groups(self):
+        answer, unique, built = self.probe(
+            "SELECT w FROM s WHERE w > 15", [(1, 10), (2, None), (3, 30)]
+        )
+        assert built == [False]
+        assert unique  # one match a key, once NULL dropped out
+        assert self.values(answer, unique) == {(3,): (3, 30)}
+
+    def test_longer_filter_groups(self):
+        answer, unique, built = self.probe(
+            "SELECT w FROM s WHERE w > 15 AND w < 35",
+            [(1, 10), (2, 20), (3, 30)],
+        )
+        assert built == [False]
+        assert unique
+        assert self.values(answer, unique) == {(2,): (2, 20), (3,): (3, 30)}
+
+    def test_two_rows_under_a_key_group(self):
+        answer, unique, built = self.probe(
+            "SELECT w FROM s WHERE w > 15",
+            [(1, 10), (2, 20), (2, 25), (3, 30)],
+        )
+        assert (unique, built) == (False, [False])
+        assert sorted(self.values(answer, unique)[(2,)]) == [(2, 20), (2, 25)]
+        assert self.values(answer, unique)[(3,)] == [(3, 30)]
+
+    def test_changed_operand_answers_through_its_delta(self):
+        def change(s, tids):
+            s.modify(tids[0], (1, 11))
+
+        answer, unique, built = self.probe(
+            "SELECT w FROM s", [(1, 10), (3, 30)], change=change
+        )
+        assert (unique, built) == (True, [])
+        assert self.values(answer, unique) == {(1,): (1, 10), (3,): (3, 30)}
+
+    def test_scanned_operand_groups_then_reads_unique(self):
+        answer, unique, built = self.probe(
+            "SELECT w FROM s", [(1, 10), (3, 30)], indexed=False
+        )
+        assert (unique, built) == (True, [])
+        assert self.values(answer, unique) == {(1,): (1, 10), (3,): (3, 30)}
