@@ -78,7 +78,9 @@ here first) and drives N shard hosts through refresh cycles:
   serves come back primary (delta replay while the logs still cover
   the horizon, baseline fallback after), groups that failed over in
   the meantime come back as catch-up replicas (demoted, stale
-  registrations dropped). :meth:`add_shard` grows the fleet;
+  registrations dropped); either way the partitioned tables are
+  re-seeded, since the ring may have moved while the host was down.
+  :meth:`add_shard` grows the fleet;
   :meth:`remove_shard` is its planned inverse — drain, hand off,
   stop — with a leading refresh so the handoff is gapless.
 
@@ -334,9 +336,7 @@ class ClusterRouter:
         self.ring.add_node(shard_id, weight=weight)
         self._groups[shard_id] = _Group()
         self._hosts[shard_id] = _Host()
-        now = self.db.now()
-        self.zones.register(self._zone(shard_id), self._all_tables(), now)
-        self._place(shard_id, shard_id, now)
+        self._place(shard_id, shard_id, self.db.now())
 
     @staticmethod
     def _zone(shard_id: int) -> str:
@@ -391,11 +391,26 @@ class ClusterRouter:
         applied through ``ts``."""
         self._groups[group].hosts.append(host)
         store = self._hosts[host].stores[group] = _Store(ts)
+        self._rezone(host, ts)
         return store
 
     def _unplace(self, group: int, host: int) -> None:
         self._groups[group].hosts.remove(host)
         del self._hosts[host].stores[group]
+        self._rezone(host, self.db.now())
+
+    def _rezone(self, host: int, ts: Timestamp) -> None:
+        """The one zone rule: a live host holds a GC zone exactly while
+        it carries a store (registered at ``ts`` when it gains its
+        first); a dead host's zone is its pin on the router logs, left
+        to :meth:`_maybe_release`."""
+        record, zone = self._hosts[host], self._zone(host)
+        if record.dead:
+            return
+        if not record.stores:
+            self.zones.remove(zone)
+        elif self.zones.boundary(zone) is None:
+            self.zones.register(zone, self._all_tables(), ts)
 
     def _replica_targets(
         self, group: int, k: int, exclude: Optional[Set[int]] = None
@@ -560,12 +575,8 @@ class ClusterRouter:
 
     def _adopt(self, host: int, group: int, reply: GatherReplyMessage) -> None:
         """A store that just confirmed a sync joins ``group``'s
-        placement and its host's GC zone — (re-)pinning the router logs
-        for a host whose zone was released (a rejoined or freshly
-        re-targeted replica host gaining its first store)."""
+        placement, and so its host's GC zone."""
         self._place(group, host, reply.ts).counters = dict(reply.counters)
-        if self.zones.boundary(self._zone(host)) is None:
-            self.zones.register(self._zone(host), self._all_tables(), reply.ts)
         self._advance_zone(host)
 
     def _record_failure(self, host: int) -> None:
@@ -1217,7 +1228,7 @@ class ClusterRouter:
             # this is a planned catch-up, not a recovery.
             intact = True
             self.metrics.count(Metrics.SHARD_REPLAYS)
-        self.zones.register(self._zone(shard_id), self._all_tables(), now)
+        self._rezone(shard_id, now)  # no store yet: its pin goes
         for group, info in sorted(hello.groups.items()):
             placed = self._groups.get(group)
             if self._is_lost(group):
@@ -1228,12 +1239,6 @@ class ClusterRouter:
                 self._drain_store(shard_id, group, now)
         self._advance_zone(shard_id)
         self._repair_all(now)
-        if not record.stores:
-            # Every store the journal held was drained (its groups are
-            # served at full strength elsewhere): the host idles as
-            # spare capacity, and an idle host must not pin the logs —
-            # its zone would never advance again.
-            self.zones.remove(self._zone(shard_id))
         return intact
 
     def _rejoin_primary(
@@ -1248,15 +1253,17 @@ class ClusterRouter:
         missed window differentially while the router logs still cover
         the store's horizon, or re-seed baselines after GC pruned past
         it; drop what the journal held and re-install every owned view
-        as of ``now``."""
+        as of ``now``. Partitioned tables are re-seeded either way
+        (:meth:`_sliced`)."""
         held = sorted(info.get("subs", ()))
         owned = self._owned_keys(group)
         missing = [key for key in owned if key not in held]
+        tables = self._group_tables(missing if intact else owned)
         self._restore(
             host,
             group,
             now,
-            baselines=self._group_tables(missing if intact else owned),
+            baselines=sorted({*tables, *self._sliced(owned)}),
             replay=info.get("horizon", 0) if intact else None,
             unsubscribe=held,
         )
@@ -1268,9 +1275,11 @@ class ClusterRouter:
         the group failed over while this host was down, so the promoted
         primary keeps serving — the rejoiner drops its stale
         registrations (its results were served-past by the failover)
-        and just re-enters the lockstep."""
+        and just re-enters the lockstep, its partitioned tables
+        re-seeded (:meth:`_sliced`)."""
         horizon = info.get("horizon", 0)
-        tables = self._group_tables(self._owned_keys(group))
+        owned = self._owned_keys(group)
+        tables = self._group_tables(owned)
         intact = all(
             self.db.table(name).log.pruned_through <= horizon
             for name in tables
@@ -1279,7 +1288,7 @@ class ClusterRouter:
             host,
             group,
             now,
-            baselines=() if intact else tables,
+            baselines=self._sliced(owned) if intact else tables,
             replay=horizon if intact else None,
             unsubscribe=sorted(info.get("subs", ())),
         )
@@ -1327,12 +1336,25 @@ class ClusterRouter:
         self._repair_all(now)
         return new_id
 
+    def _sliced(self, sql_keys: Sequence[str]) -> List[str]:
+        """The partitioned tables ``sql_keys`` read: what a journaled
+        store re-seeds when it rejoins. The ring may have changed while
+        its host was down, and a lost group's stores are not there to
+        re-slice (:meth:`_reslice`): a replay onto the journal's slice
+        would keep rows that moved away and miss rows that moved in."""
+        return [
+            name
+            for name in self._group_tables(sql_keys)
+            if self._decls[name].partition_key is not None
+        ]
+
     def _reslice(self, now: Timestamp, skip: int) -> None:
         """The ring changed: every store outside group ``skip`` (the
         one joining or dissolving) converges onto its new slice of each
         partitioned table — rows whose owner moved are deleted from the
         old group and inserted on the new one by each store's local
-        baseline diff."""
+        baseline diff. A lost group has no store to re-slice; it
+        converges when it rejoins (:meth:`_sliced`)."""
         partitioned = sorted(
             name
             for name, decl in self._decls.items()
@@ -1400,10 +1422,9 @@ class ClusterRouter:
                 self._drain_store(host, own, now)
         self.backend.stop(shard_id)
         # 3) Forget the host and its group.
-        for host in self._groups.pop(own).hosts:
-            del self._hosts[host].stores[own]
-        del self._hosts[shard_id]
-        self.zones.remove(self._zone(shard_id))
+        for host in list(self._groups[own].hosts):
+            self._unplace(own, host)
+        del self._groups[own], self._hosts[shard_id]
         self.health.forget(shard_id)
         for other in self._hosts.values():
             other.pinned.discard(own)

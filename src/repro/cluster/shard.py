@@ -157,13 +157,18 @@ class TableDecl:
         return f"TableDecl({self.name!r}{part})"
 
 
+#: Bound once: ``_record`` runs per scattered row, and a member read off
+#: the Enum class goes through its metaclass each time.
+_INSERT, _DELETE, _MODIFY = UpdateKind.INSERT, UpdateKind.DELETE, UpdateKind.MODIFY
+
+
 def _record(tid, old, new, ts: Timestamp) -> UpdateRecord:
     """A scatter-applied change; a None side makes it an insert or a
     delete."""
     if old is None:
-        kind = UpdateKind.INSERT
+        kind = _INSERT
     else:
-        kind = UpdateKind.DELETE if new is None else UpdateKind.MODIFY
+        kind = _DELETE if new is None else _MODIFY
     return UpdateRecord(kind, tid, old, new, ts, SCATTER_TXN)
 
 

@@ -276,6 +276,29 @@ class TestPinnedZones:
         router.refresh()
         assert_converged(router)
 
+    def test_a_host_left_without_a_store_holds_no_zone(self, tmp_path):
+        """A rejoin drains host 2 idle; ``add_shard`` gives it a replica
+        of group 3, and ``remove_shard(3)`` dissolves that group. Host 2
+        is live and carries nothing again, so it must hold no zone: a
+        zone nothing advances would pin the router logs for good."""
+        router = make_cluster(
+            shards=3, replicas=1, seed=0, wal_root=str(tmp_path)
+        )
+        router.kill_shard(2)
+        router.refresh()
+        router.recover_shard(2)
+        assert router.add_shard() == 3
+        assert 3 in router._hosts[2].stores
+        router.remove_shard(3)
+        assert not router._hosts[2].stores
+        assert router.zones.boundary("shard:2") is None
+        for price in range(50):
+            tick_stock(router, 3, 100.0 + price)
+            router.refresh()
+            assert router.collect_garbage().pinned == {}
+        assert len(router.db.table("stocks").log) <= 1
+        assert_converged(router)
+
     def test_gc_report_is_still_a_pruned_dict(self):
         router = make_cluster(shards=3, replicas=1)
         tick_stock(router, 3, 200.0)

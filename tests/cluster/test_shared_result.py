@@ -287,3 +287,79 @@ def test_a_rejoin_catch_up_starts_every_owner_at_one_ts(tmp_path):
         assert copy == {row.tid: row.values for row in oracle}
     finally:
         router.close()
+
+
+def rejoin_after_ring_change(tmp_path, change, partition_key, seed):
+    """replicas=0, ``t(k, v)`` partitioned on ``partition_key``: group 0
+    is lost while the ring changes, rejoins, and then every row is
+    modified (moving each to another slice when the key is ``v``).
+    Returns what a member applying its deltas was notified that does not
+    fit its own copy, and whether that copy ends at ``db.query``."""
+    sql = "SELECT k, v FROM t WHERE v >= 0"
+    router = ClusterRouter(
+        shards=3,
+        seed=seed,
+        backend=LocalBackend(wal_root=str(tmp_path)),
+        backoff_base=0.0,
+    )
+    router.declare_table("t", [("k", int), ("v", int)], partition_key=partition_key)
+    router.start()
+    table = router.db.table("t")
+    with router.db.begin() as txn:
+        for i in range(40):
+            txn.insert_into(table, (i, i))
+    copy, misfits = {}, []
+
+    def on_delta(cq, delta, ts):
+        for entry in delta:
+            if copy.get(entry.tid) != entry.old:
+                misfits.append(entry)
+            if entry.new is None:
+                copy.pop(entry.tid, None)
+            else:
+                copy[entry.tid] = entry.new
+
+    try:
+        initial = router.subscribe("a", "all", sql, on_delta)
+        copy.update((row.tid, row.values) for row in initial)
+        router.refresh()
+        router.kill_shard(0)
+        change(router)
+        router.refresh()
+        router.recover_shard(0)
+        router.refresh()
+        with router.db.begin() as txn:
+            for row in list(table.current):
+                k, v = row.values
+                txn.modify_in(table, row.tid, (k, (v * 7 + 13) % 40))
+        router.refresh()
+        oracle = {row.tid: row.values for row in router.db.query(sql)}
+        return misfits, copy == oracle
+    finally:
+        router.close()
+
+
+def test_a_group_lost_across_a_remove_rejoins_onto_its_new_slice(tmp_path):
+    """Group 2 dissolves while group 0 is lost: rows of its slice move
+    to group 0, whose journal never held them. The rejoin must re-seed
+    the partitioned table, or a later modify of such a row reaches the
+    member as an insert of a row it already holds."""
+    for seed in (0, 1):
+        remove = lambda router: router.remove_shard(2)  # noqa: E731
+        misfits, converged = rejoin_after_ring_change(
+            tmp_path / str(seed), remove, "k", seed
+        )
+        assert misfits == [] and converged, seed
+
+
+def test_a_group_lost_across_an_add_rejoins_onto_its_new_slice(tmp_path):
+    """A shard joins while group 0 is lost, taking rows of group 0's
+    slice. Replayed onto its journal's slice, the rejoined store would
+    keep them: a modify moving such a row would then come from two
+    groups as a modify and a delete, which the merge rejects."""
+    for seed in (0, 1):
+        add = lambda router: router.add_shard()  # noqa: E731
+        misfits, converged = rejoin_after_ring_change(
+            tmp_path / str(seed), add, "v", seed
+        )
+        assert misfits == [] and converged, seed
