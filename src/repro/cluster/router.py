@@ -169,16 +169,18 @@ class _Group:
 class _Host:
     """One ring node: the stores it carries by group, whether it is out
     of service, and — once dead — ``pinned``, the groups it carried
-    whose failover or repair has not completed. A dead host's GC zone
-    is its pin on the router logs; it is released when ``pinned``
+    whose failover or repair has not completed, and ``ring``, the ring
+    version its journaled stores were sliced under. A dead host's GC
+    zone is its pin on the router logs; it is released when ``pinned``
     empties."""
 
-    __slots__ = ("stores", "dead", "pinned")
+    __slots__ = ("stores", "dead", "pinned", "ring")
 
     def __init__(self) -> None:
         self.stores: Dict[int, _Store] = {}
         self.dead = False
         self.pinned: Set[int] = set()
+        self.ring: Optional[int] = None
 
     @property
     def cost(self) -> float:
@@ -894,10 +896,10 @@ class ClusterRouter:
         view: SharedView, delta: Optional[DeltaRelation], now: Timestamp
     ) -> int:
         """Move ``view`` to ``now`` by ``delta`` through its one step —
-        replacing its result once, for every member — and notify the
-        members a non-empty ``delta``. A callback may subscribe or
-        unsubscribe: a joiner already aliases the new result and is not
-        notified, a leaver is skipped."""
+        its result moved in place once, for every member — and notify
+        the members a non-empty ``delta``. A callback may subscribe or
+        unsubscribe: a joiner was handed a copy of the moved result and
+        is not notified, a leaver is skipped."""
         view.step(delta, view.since, now, view.result)
         if delta is None or delta.is_empty():
             return 0
@@ -997,6 +999,7 @@ class ClusterRouter:
         if record.dead:
             return
         record.dead = True
+        record.ring = self.ring.version
         self.health.mark_dead(host)
         # Unplacing drops the dead host's store records with it: they
         # are meaningless now (rejoin reads the journal's own account,
@@ -1253,8 +1256,8 @@ class ClusterRouter:
         missed window differentially while the router logs still cover
         the store's horizon, or re-seed baselines after GC pruned past
         it; drop what the journal held and re-install every owned view
-        as of ``now``. Partitioned tables are re-seeded either way
-        (:meth:`_sliced`)."""
+        as of ``now``. Partitioned tables are re-seeded if the ring
+        changed while the host was down (:meth:`_sliced`)."""
         held = sorted(info.get("subs", ()))
         owned = self._owned_keys(group)
         missing = [key for key in owned if key not in held]
@@ -1263,7 +1266,7 @@ class ClusterRouter:
             host,
             group,
             now,
-            baselines=sorted({*tables, *self._sliced(owned)}),
+            baselines=sorted({*tables, *self._sliced(owned, host)}),
             replay=info.get("horizon", 0) if intact else None,
             unsubscribe=held,
         )
@@ -1276,7 +1279,7 @@ class ClusterRouter:
         primary keeps serving — the rejoiner drops its stale
         registrations (its results were served-past by the failover)
         and just re-enters the lockstep, its partitioned tables
-        re-seeded (:meth:`_sliced`)."""
+        re-seeded if the ring changed meanwhile (:meth:`_sliced`)."""
         horizon = info.get("horizon", 0)
         owned = self._owned_keys(group)
         tables = self._group_tables(owned)
@@ -1288,7 +1291,7 @@ class ClusterRouter:
             host,
             group,
             now,
-            baselines=self._sliced(owned) if intact else tables,
+            baselines=self._sliced(owned, host) if intact else tables,
             replay=horizon if intact else None,
             unsubscribe=sorted(info.get("subs", ())),
         )
@@ -1336,12 +1339,15 @@ class ClusterRouter:
         self._repair_all(now)
         return new_id
 
-    def _sliced(self, sql_keys: Sequence[str]) -> List[str]:
-        """The partitioned tables ``sql_keys`` read: what a journaled
-        store re-seeds when it rejoins. The ring may have changed while
-        its host was down, and a lost group's stores are not there to
-        re-slice (:meth:`_reslice`): a replay onto the journal's slice
-        would keep rows that moved away and miss rows that moved in."""
+    def _sliced(self, sql_keys: Sequence[str], host: int) -> List[str]:
+        """The partitioned tables ``sql_keys`` read, if the ring changed
+        while ``host`` was down: what its journaled store re-seeds when
+        it rejoins. A lost group's stores are not there to re-slice
+        (:meth:`_reslice`): a replay onto the journal's slice would keep
+        rows that moved away and miss rows that moved in. On the ring
+        it was cut under, the journal's slice takes the replay."""
+        if self._hosts[host].ring == self.ring.version:
+            return []
         return [
             name
             for name in self._group_tables(sql_keys)

@@ -113,10 +113,13 @@ class ContinualQuery:
         self.order = 0  # registration sequence: refresh order within a poll
         self.last_execution_ts: Timestamp = 0
         self.executions = 0
-        self.previous_result: Optional[Relation] = None
+        #: The retained result, Q(state at the window start): perhaps
+        #: its view's, which moves in place (user code reads
+        #: :attr:`previous_result`).
+        self.held: Optional[Relation] = None
         self.aggregate_state = None  # DifferentialAggregate for agg CQs
         #: EAGER engine only: the result maintained on every commit
-        #: (previous_result stays pinned at the last *notification*).
+        #: (``held`` stays at the last *notification*).
         self.maintained_result: Optional[Relation] = None
         #: Through when commits are folded in ahead of the next
         #: execution: an aggregate's state, an EAGER maintained result.
@@ -127,6 +130,22 @@ class ContinualQuery:
         #: The result sequence Q(S_1)..Q(S_n), bounded by the manager's
         #: ``history_limit`` (None: not retained).
         self.history: Optional[Deque] = None
+
+    @property
+    def previous_result(self) -> Optional[Relation]:
+        """The retained result, handed out: later refreshes do not
+        change it (the next step copies it instead of moving it). Read
+        from a callback in mid-poll, a member whose turn has not come
+        yet may already show its view's result moved by that turn's
+        window."""
+        held = self.held
+        if held is not None:
+            held.handed_out = True
+        return held
+
+    @previous_result.setter
+    def previous_result(self, result: Optional[Relation]) -> None:
+        self.held = result
 
     @cached_property
     def sql_key(self) -> str:

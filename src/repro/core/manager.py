@@ -412,7 +412,12 @@ class CQManager:
                     current.copy() if result is current else current
                 )
             keep = cq.keep_result or cq.is_aggregate
-            cq.previous_result = result if keep else None
+            # (only a rider at its window holds the view's result)
+            view = self._views.get(key)  # (_initial may have replaced it)
+            if keep and view is not None and result is view.result:
+                if not (_rides(cq) and ts >= view.since):
+                    result = result.copy()
+            cq.held = result if keep else None
         cq.status = status
         cq.executions = executions
         cq.last_execution_ts = ts
@@ -424,7 +429,7 @@ class CQManager:
         self._cqs[name] = cq
         if status is not CQStatus.ACTIVE:
             return None
-        view = self._views.get(key)  # (_initial may have replaced it)
+        view = self._views.get(key)
         if view is None:  # (no E_0 yet: its first members evaluate alone)
             view = self._views[key] = SharedView(cq.spj_core, key, self.plans, ts)
         view.members[name] = cq
@@ -520,17 +525,18 @@ class CQManager:
         """Q(state now) if the view or a live member holds it — no
         commit to the footprint after the view's ``since``, or after the
         member's effective window start —, else None: registering the
-        text again aliases it (retained results are replaced, never
-        mutated) instead of re-running E_0."""
+        text again joins it instead of re-running E_0 (a joiner that
+        does not ride the view copies the view's result, :func:`_rides`;
+        a member's own copy never moves, so anyone may alias it)."""
         if view is None:
             return None
         if view.result is not None and not self._touched(view.tables, view.since):
             return view.result
         for member in view.members.values():
-            if member.previous_result is not None and not self._touched(
+            if member.held is not None and not self._touched(
                 member.table_names, self._since(member)
             ):
-                return member.previous_result
+                return member.held
         return None
 
     # -- update observation ------------------------------------------------------
@@ -646,12 +652,17 @@ class CQManager:
     def _open_window(self) -> Iterator[None]:
         """One :class:`DeltaBatchCache` for all that is read inside the
         block; inside an open one (a callback's commit, observed) the
-        enclosing window serves: its keys carry ``now``."""
+        enclosing window serves: its keys carry ``now``. A block that
+        raises may leave riders behind their views' steps (:meth:`_part`)."""
         outer = self._window
         if outer is None:
             self._window = DeltaBatchCache(self.db, self.metrics, self.tracer)
         try:
             yield
+        except BaseException:
+            for view in list(self._views.values()):
+                self._part(view, behind=True)
+            raise
         finally:
             self._window = outer
 
@@ -717,12 +728,12 @@ class CQManager:
         ):  # (an evaluated window was a touched one)
             delta, took = last[2], True
             if cq.keep_result:
-                cq.previous_result = view.result
+                cq.held = view.result
         elif self._touched(cq.table_names, since):
             delta, took = self._charged(cq, self._execute_dra), False
         else:
             if cq.keep_result and view.since == now and view.result is not None:
-                cq.previous_result = view.result
+                cq.held = view.result
             return None
         cq.last_execution_ts = now
         if not delta.is_empty():
@@ -881,6 +892,7 @@ class CQManager:
         view = SharedView.at(cq.query, key, self.plans, prepared, ts, self.metrics)
         old = self._views.get(key)
         if old is not None:
+            self._part(old, behind=True)
             view.members, view.readers = old.members, old.readers
             view.family = old.family
             if view.family is not None:
@@ -975,20 +987,42 @@ class CQManager:
         member evaluates its window without moving the view, which
         hands a window it last advanced over its delta instead of
         evaluating again: CQs with one SQL text and one window hold
-        content-identical results. Keepers then alias the view's one
-        result: replaced, never mutated.
+        content-identical results. A rider (:func:`_rides`) then holds
+        the view's one result, which moves in place; anyone else keeps a
+        copy. A rider the view's last step left behind (a callback's
+        commit came first) evaluates its own window, and the view moves
+        on by that delta with the step undone, composed.
 
         When the window was its family's, the same pass moves every
         other routed view of the family that :meth:`_stands` at the
         window's start (:meth:`Family.step`): their members' turns then
         only receive."""
         view, since = self._views[cq.sql_key], cq.last_execution_ts
-        held = cq.previous_result
+        held, result = cq.held, view.result
         index, metrics = self._route_index(cq), self._scoped_metrics or self.metrics
         window, tracer = self._window, self.tracer
-        if view.result is not None and since == view.since:
+        if result is not None and since == view.since:
             delta = view.advance(window, index, now, metrics, tracer)
+        elif (
+            held is result
+            and result is not None
+            and since < view.since
+            and view.since != now
+        ):
+            delta = view.evaluate(window, index, since, now, metrics, tracer)
+            taken = view.last and view.last[2]
+            moved = delta
+            if taken is not None and not taken.is_empty():
+                moved = taken.reversed()
+                if delta is not None:
+                    moved = moved.compose(delta)
+            if moved is not None and not moved.is_empty():
+                self._part(view, behind=False)
+            view.step(moved, view.since, now, result)
+            view.last = (since, now, delta)
         elif held is not None and view.since != now:
+            if held is not result:
+                self._part(view, behind=True)  # (it takes over a copy of held)
             delta = view.advance(window, index, now, metrics, tracer, since, held)
         else:
             last = view.last
@@ -1004,16 +1038,37 @@ class CQManager:
             family.step(
                 shares, since, now, lambda other: self._stands(other, since, cohort)
             )
-        if cq.keep_result:
-            if view.since == now and view.result is not None:
-                cq.previous_result = view.result
+        if cq.keep_result and view.since == now and view.result is not None:
+            if _rides(cq):
+                cq.held = view.result
             elif delta is not None and not delta.is_empty():
-                cq.previous_result = delta.apply_to(held)
+                cq.held = view.result.copy()
         if delta is None:
             # Nothing committed, or nothing the index routes here: the
             # result cannot have changed, so no engine ran.
             return DeltaRelation(self._prepared_for(cq).out_schema)
         return delta
+
+    def _part(self, view: SharedView, behind: bool) -> None:
+        """Before the view drops its result (it takes over a member's
+        copy, a new E_0 replaces it), moves it on again in one pass, or
+        a pass raises: the members holding it keep their result as of
+        where they stand, one copy shared — the riders its last step
+        left ``behind`` (their turns not taken) with that step undone,
+        else those that took it, as it is."""
+        result, last = view.result, view.last
+        if result is None or last is None:
+            return
+        holders = [
+            cq
+            for cq in view.members.values()
+            if cq.held is result and (self._since(cq) < view.since) is behind
+        ]
+        if holders:
+            taken = last[2] if behind else None
+            copy = taken.unapply_from(result) if taken else result.copy()
+            for cq in holders:
+                cq.held = copy
 
     def _stands(self, view: SharedView, since: Timestamp, cohort: Cohort) -> bool:
         """Whether a family pass may step ``view`` from ``since``: it has
@@ -1032,7 +1087,7 @@ class CQManager:
             if name in lazy and (
                 at == since
                 or (
-                    cq.previous_result is result
+                    cq.held is result
                     and max(cq.last_execution_ts, swept) == since
                 )
             ):
@@ -1051,22 +1106,22 @@ class CQManager:
     def _execute_aggregate(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
         self._fold(cq, now)
         current = cq.aggregate_state.current()
-        delta = diff(cq.previous_result, current, now)
-        cq.previous_result = current
+        delta = diff(cq.held, current, now)
+        cq.held = current
         for spec in _drift_specs(cq.trigger):
             spec.reset()
         return delta
 
     def _execute_eager(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
         self._fold(cq, now)
-        delta = diff(cq.previous_result, cq.maintained_result, now)
-        cq.previous_result = cq.maintained_result.copy()
+        delta = diff(cq.held, cq.maintained_result, now)
+        cq.held = cq.maintained_result.copy()
         return delta
 
     def _execute_reevaluate(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
         new_result = self.db.query(cq.query, self._scoped_metrics or self.metrics)
-        delta = diff(cq.previous_result, new_result, now)
-        cq.previous_result = new_result
+        delta = diff(cq.held, new_result, now)
+        cq.held = new_result
         return delta
 
     def _notification(
@@ -1080,7 +1135,7 @@ class CQManager:
         elif mode is DeliveryMode.DELETIONS_ONLY:
             result, delta = delta.deletions(), None
         else:  # COMPLETE
-            result = cq.previous_result.copy()
+            result = cq.held.copy()
         return Notification(cq.name, _REFRESH, cq.executions, now, mode, delta, result)
 
     def _finalize(self, cq: ContinualQuery, now: Timestamp) -> None:
@@ -1188,15 +1243,24 @@ class CQManager:
                 f"{name}: zone at {at}, ahead of the window from {limit}",
             )
             if (
-                cq.previous_result is not None
+                cq.held is not None
                 and not cq.is_aggregate
                 and all(self.db.table(t).log.pruned_through <= since for t in tables)
             ):
                 if (key, since) not in as_of:  # one evaluation per window
                     as_of[key, since] = evaluate_as_of(cq.query, self.db, since)
                 law(
-                    cq.previous_result == as_of[key, since],
+                    cq.held == as_of[key, since],
                     f"{name}: retained result is not Q(state at {since})",
+                )
+            # No holder sees a result change under it: only a rider holds
+            # the view's result, at its window (or ahead of a lagging
+            # view, or behind one whose last step changed nothing).
+            if cq.held is not None and cq.held is view.result:
+                moved = view.last is not None and view.last[2]
+                law(
+                    _rides(cq) and (since >= view.since or not moved),
+                    f"{name}: holds its view's result, but not at its window",
                 )
         for key, view in views.items():
             members = list(view.members.values())
@@ -1234,7 +1298,7 @@ class CQManager:
             # view stands all hold it — or none does: an always-visit
             # member's evaluation, nothing pending for them.
             holding = {
-                cq.previous_result is view.result
+                cq.held is view.result
                 for cq in reading
                 if cq.name in cohort.lazy.keys() - cohort.late.keys()
                 and cq.keep_result
@@ -1298,8 +1362,8 @@ class CQManager:
                     "results": cq.executions,
                     "last_ts": since,
                     "result_rows": (
-                        len(cq.previous_result)
-                        if cq.previous_result is not None
+                        len(cq.held)
+                        if cq.held is not None
                         else None
                     ),
                     "pending_updates": pending,
@@ -1366,6 +1430,18 @@ class CQManager:
             f"CQManager({len(self._cqs)} CQs, strategy={self.strategy.value}, "
             f"pending={len(self._outbox)})"
         )
+
+
+def _rides(cq: ContinualQuery) -> bool:
+    """Whether ``cq`` takes every step of its view in the pass that
+    makes it (a DRA SPJ member, trigger exactly ``OnEveryChange``, stop
+    ``Never``), so may hold the view's result, which moves in place."""
+    return (
+        cq.engine is Engine.DRA
+        and not cq.is_aggregate
+        and type(cq.trigger) is OnEveryChange
+        and type(cq.stop) is Never
+    )
 
 
 def _drift_specs(trigger: Trigger) -> Iterator[ResultDriftEpsilon]:

@@ -218,7 +218,7 @@ def manager_to_dict(manager: CQManager) -> Dict[str, Any]:
             for name in cq.table_names
         ):
             entry["retained"] = [
-                [row.tid, list(row.values)] for row in cq.previous_result
+                [row.tid, list(row.values)] for row in cq.held
             ]
         cqs.append(entry)
         last_result_ts[cq.name] = cq.last_result_ts

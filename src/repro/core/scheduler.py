@@ -281,9 +281,12 @@ class SharedView:
     deltas (a router view has no ``plans``: it never evaluates), and a
     shard store holds resultless ones.
 
-    ``result`` is Q(state at ``since``), replaced, never mutated, so
-    holders alias it; ``digest`` describes it where the tier ships
-    digests (the server), else None. ``last`` is the last evaluation to
+    ``result`` is Q(state at ``since``): one integral per view, moved
+    in place by :meth:`step`. Holders at its window read it (a manager
+    member riding the view's steps, a server DRA_DELTA member), a
+    holder the view leaves behind owns a copy, and what a tier hands
+    out is a copy. ``digest`` describes it where the tier ships digests
+    (the server), else None. ``last`` is the last evaluation to
     ``since``, ``(from, since, delta)``; a window that is its ``from``
     takes the delta, which is kept while the manager has a second delta
     reader to take it or a family pass moved the view for its members
@@ -488,12 +491,19 @@ class SharedView:
         :func:`apply_delta`) becomes ``result``; ``last`` records the
         window and ``since`` becomes ``now``. :meth:`advance` ends with
         it, and so does the cluster router's merge of the deltas its
-        shard stores evaluated."""
-        if delta is not None and not delta.is_empty():
+        shard stores evaluated.
+
+        The view's own result moves in place, at O(|delta|); a member's
+        copy the view takes over, or a result handed out that the delta
+        changes, is copied first. An apply that raises moves nothing."""
+        changed = delta is not None and not delta.is_empty()
+        if held is not self.result or (changed and held.handed_out):
+            held = held.copy()
+        if changed:
             if self.digest is None:
-                held = delta.apply_to(held)
+                delta.apply_in_place(held)
             else:
-                held, self.digest = apply_delta(delta, held, self.digest)
+                self.digest = apply_delta(delta, held, self.digest)
         kept = delta if self.readers > 1 else None
         self.result, self.last, self.since = held, (since, now, kept), now
 

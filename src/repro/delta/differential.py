@@ -271,24 +271,37 @@ class DeltaRelation:
     # -- applying -------------------------------------------------------------
 
     def apply_to(self, relation: Relation) -> Relation:
-        """The new state: (relation − deletions) ∪ insertions."""
+        """The new state: (relation − deletions) ∪ insertions, as a
+        new relation; ``relation`` is left as it was."""
         out = relation.copy()
-        for entry in self:
-            if entry.new is None:
-                out.remove(entry.tid)
-            else:
-                out.add(entry.tid, entry.new)
+        self.apply_in_place(out)
         return out
 
-    def unapply_from(self, relation: Relation) -> Relation:
-        """Reconstruct the old state from the new one."""
-        out = relation.copy()
-        for entry in self:
-            if entry.old is None:
-                out.remove(entry.tid)
+    def apply_in_place(self, relation: Relation) -> None:
+        """Move ``relation`` itself to the new state, at O(|delta|).
+        Every row is validated as :meth:`Relation.add` does, and the
+        first entry that cannot apply (a delete of a tid not held: a
+        ``KeyError``; a row the schema rejects) raises before anything
+        is written."""
+        rows = relation.rows_map()
+        validate = relation.schema.validate_row
+        puts: Dict[Tid, Values] = {}
+        gone: List[Tid] = []
+        for entry in self._entries.values():
+            tid, new = entry.tid, entry.new
+            if new is not None:
+                puts[tid] = validate(new)
+            elif tid in rows:
+                gone.append(tid)
             else:
-                out.add(entry.tid, entry.old)
-        return out
+                raise KeyError(tid)
+        for tid in gone:
+            del rows[tid]
+        rows.update(puts)
+
+    def unapply_from(self, relation: Relation) -> Relation:
+        """Reconstruct the old state from the new one, as a new relation."""
+        return self.reversed().apply_to(relation)
 
     def reversed(self) -> "DeltaRelation":
         """The inverse delta (swap old and new sides)."""

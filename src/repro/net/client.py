@@ -132,7 +132,9 @@ class ResultCache:
                 digest = relation_digest(held)
             if digest not in after:
                 try:
-                    after[digest] = apply_delta(message.delta, held, digest)
+                    # (a copy: the CQs of one view share the cached one)
+                    moved = held.copy()
+                    after[digest] = moved, apply_delta(message.delta, moved, digest)
                 except (KeyError, ReproError):
                     after[digest] = (None, None)
             outcomes.append((cq_name, *after[digest]))

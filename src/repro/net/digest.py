@@ -10,7 +10,7 @@ homomorphism over the result's rows, so — like any linear operator
 **The invariant.** Every holder of a result — the server's shared
 groups and subscriptions, the client caches — keeps a *running* digest
 beside its copy and advances both through :func:`apply_delta`, which
-applies and folds in one pass: it folds out the row *as actually held*
+moves the copy in place and folds: it folds out the row *as actually held*
 at each touched tid (not the delta's ``old`` side, which only says what
 the sender believed was there) and folds in the row as stored. So
 ``running == relation_digest(held copy)`` holds exactly after every
@@ -30,7 +30,6 @@ see: a copy changed *between* applies by anything but
 from __future__ import annotations
 
 import hashlib
-from typing import Tuple
 
 from repro.delta.differential import DeltaRelation
 from repro.net.codec import compact_json
@@ -62,30 +61,28 @@ def relation_digest(relation: Relation) -> str:
     return f"{count}:{acc:016x}"
 
 
-def apply_delta(
-    delta: DeltaRelation, held: Relation, digest: str
-) -> Tuple[Relation, str]:
-    """``delta.apply_to(held)`` and that result's digest, in one pass.
+def apply_delta(delta: DeltaRelation, held: Relation, digest: str) -> str:
+    """Move ``held`` in place by ``delta`` and return its new digest:
+    O(|delta|), not O(|held|).
 
     ``digest`` must be ``relation_digest(held)``; the returned digest is
-    then ``relation_digest`` of the returned relation, whatever the
-    delta's ``old`` sides claim. Like ``apply_to`` this copies ``held``
-    and raises ``KeyError`` on a delete of a tid it does not hold.
+    then ``relation_digest`` of ``held`` as moved, whatever the delta's
+    ``old`` sides claim. The move is :meth:`DeltaRelation.
+    apply_in_place`: it validates every row, and raises ``KeyError`` on
+    a delete of a tid ``held`` lacks before anything is written. A
+    holder whose copy others alias hands in a copy of its own.
     """
     count, _, acc = digest.partition(":")
     count, acc = int(count), int(acc, 16)
-    out = held.copy()
-    rows = out.rows_map()
-    for entry in delta:
+    rows = held.rows_map()
+    before = [rows.get(entry.tid) for entry in delta]
+    delta.apply_in_place(held)
+    for entry, old in zip(delta, before):
         tid = entry.tid
-        before = rows.get(tid)
-        if before is not None:
-            acc ^= row_digest(tid, before)
+        if old is not None:
+            acc ^= row_digest(tid, old)
             count -= 1
-        if entry.new is None:
-            out.remove(tid)
-        else:
-            out.add(tid, entry.new)
+        if entry.new is not None:
             acc ^= row_digest(tid, rows[tid])
             count += 1
-    return out, f"{count}:{acc:016x}"
+    return f"{count}:{acc:016x}"

@@ -453,7 +453,10 @@ class CQServer:
         self._deliver(
             client_id,
             InitialResultMessage(
-                message.cq_name, subscription.previous_result, now, subscription.digest
+                message.cq_name,
+                subscription.previous_result.copy(),  # (retained copies move)
+                now,
+                subscription.digest,
             ),
         )
         return subscription
@@ -654,7 +657,7 @@ class CQServer:
         on — their zones hold the replay window for reconnect. Returns
         the lazy members announced; frames count when :meth:`_flush`
         sends them."""
-        before = view.result, view.digest
+        digest = view.digest
         try:
             delta = view.advance(cache, self.index, now, bag, self.tracer)
         except Exception:
@@ -674,10 +677,13 @@ class CQServer:
                     client_id, (s for s in bucket.values() if s is not skip)
                 )
             return 0
+        moved = view.result
         view.result, view.digest = self._audited(
             view.query, view.result, view.digest
         )
-        announced, body = 0, None
+        # The view moved its result in place: a lazy member it leaves
+        # behind gets the result as of the window's start, rebuilt once.
+        announced, body, before = 0, None, None
         for client_id, bucket in buckets:
             attached = client_id in self._clients
             members = []
@@ -685,6 +691,8 @@ class CQServer:
                 if s is skip:
                     continue
                 if s.protocol is Protocol.DRA_LAZY:
+                    if before is None and s.pending_delta is None:
+                        before = delta.unapply_from(moved), digest
                     announced += self._announce_lazy(s, delta, now, before)
                     continue
                 s.changed_ts = now
@@ -775,7 +783,7 @@ class CQServer:
         if delta is None:
             message = FullResultMessage(
                 subscription.cq_name,
-                subscription.previous_result,
+                subscription.previous_result.copy(),  # (retained copies move)
                 ts,
                 subscription.digest,
             )
@@ -790,13 +798,13 @@ class CQServer:
         subscription: Subscription,
         delta,
         now: Timestamp,
-        before: Tuple[Relation, str],
+        before: Optional[Tuple[Relation, str]],
     ) -> bool:
         """DRA_LAZY delivery: compose ``delta`` onto what the client
         has not fetched yet (repeated changes to one tuple net out) and
         announce the accumulation's size; the content ships on fetch.
-        ``before`` is the view's result and digest ``delta`` moved it
-        from: the copy a member with nothing pending keeps from now on.
+        ``before`` is the view's result and digest as ``delta`` found
+        them: the copy a member with nothing pending keeps from now on.
         A detached client's accumulation grows unannounced."""
         pending = subscription.pending_delta
         if pending is None:
@@ -955,7 +963,7 @@ class CQServer:
                 self._note_refresh(subscription.client_id, (subscription,))
                 return False
             held = subscription.previous_result
-            subscription.retain(*apply_delta(delta, held, subscription.digest), now)
+            subscription.retain(held, apply_delta(delta, held, subscription.digest), now)
             return self._ship(subscription, delta, now)
 
         # REEVAL_FULL ships unconditionally: without a retained diff

@@ -52,11 +52,14 @@ class Relation:
     machinery in :mod:`repro.dra` is tested against.
     """
 
-    __slots__ = ("schema", "_rows")
+    __slots__ = ("schema", "_rows", "handed_out")
 
     def __init__(self, schema: Schema, rows: Iterable[Row] = ()):
         self.schema = schema
         self._rows: Dict[Tid, Values] = {}
+        #: Held by code outside the tier: a view's step copies it
+        #: instead of moving it in place.
+        self.handed_out = False
         for row in rows:
             self.add(row.tid, row.values)
 

@@ -270,3 +270,31 @@ def test_a_replica_promoted_before_its_group_served_a_refresh_reconciles(
     router.kill_shard(router.stats()["placement"][0][0])
     refresh_and_check(router, [0, 1])
     router.close()
+
+
+@pytest.mark.parametrize("replicas", [0, 1])
+def test_a_rejoin_with_no_ring_change_replays_and_ships_no_baseline(
+    tmp_path, replicas
+):
+    """A host down while the ring stands still comes back on its
+    journal's slices: its missed window is replayed, and no baseline of
+    the partitioned table is shipped to anyone. (With a replica its
+    groups were re-replicated meanwhile, and its stores are drained.)"""
+    spy = Spy()
+    router = make_router(tmp_path, replicas, spy)
+    keys = [0, 1]
+    for k in keys:
+        router.subscribe("c", f"q{k}", _sql(k))
+    refresh_and_check(router, keys)
+    router.kill_shard(1)
+    commit(router)  # missed by the dead host's stores
+    refresh_and_check(router, keys) if replicas else router.refresh()
+    spy.clear()
+    assert router.recover_shard(1) is True
+    refresh_and_check(router, keys)
+    assert spy.baselines() == {}
+    if not replicas:  # (its lost group rejoined, primary, on a replay)
+        assert any(host == 1 for host, __, __ in spy.frames)
+    commit(router)
+    refresh_and_check(router, keys)
+    router.close()

@@ -168,3 +168,59 @@ class TestSharedWindows:
         assert a.previous_result is not shared
         assert a.previous_result == db.query(WATCH_SQL)
         assert shared == frozen
+
+    def test_the_view_result_moves_in_place_until_it_is_handed_out(
+        self, db, stocks
+    ):
+        """A refresh moves the view's one relation where it stands
+        (O(|delta|)) while nobody outside the manager holds it; reading
+        ``previous_result`` hands it out, and the next step that changes
+        it moves a copy instead."""
+        mgr = make_manager(db)
+        a = mgr.register_sql("a", WATCH_SQL)
+        mgr.register_sql("b", WATCH_SQL)
+        view = mgr._views[a.sql_key]
+        held = view.result
+        for price in (900, 901):
+            insert(db, "stocks", (price, "HI", price))
+            mgr.poll(advance_to=db.now() + 1)
+            assert view.result is held is a.held
+        snapshot = a.previous_result  # handed out
+        frozen = snapshot.copy()
+        insert(db, "stocks", (902, "HI", 902))
+        mgr.poll(advance_to=db.now() + 1)
+        assert view.result is not snapshot and snapshot == frozen
+        assert view.result == db.query(WATCH_SQL)
+
+    def test_a_poll_that_raises_leaves_no_member_behind_a_moved_result(
+        self, db, stocks
+    ):
+        """A callback raises after the first member's turn moved the
+        view's result: the members whose turns never came keep the
+        result as of their window, and the next poll notifies them the
+        whole of it."""
+        mgr = make_manager(db)
+        seen = {}
+
+        def boom(note):
+            seen.setdefault(note.cq_name, []).append(note)
+            if note.cq_name == "a" and len(seen["a"]) == 2:
+                raise RuntimeError("callback bug")
+
+        for name in ("a", "b", "c"):
+            mgr.register_sql(name, WATCH_SQL, on_notify=boom)
+        before = db.query(WATCH_SQL)
+        insert(db, "stocks", (50, "HI", 900))
+        with pytest.raises(RuntimeError):
+            mgr.poll(advance_to=db.now() + 1)
+        mgr.check_invariants()
+        for name in ("b", "c"):
+            assert mgr.get(name).previous_result == before
+        mgr.drain()
+        insert(db, "stocks", (51, "HI", 901))
+        notes = mgr.poll(advance_to=db.now() + 1)
+        rows = {n.cq_name: {e.new[0] for e in n.delta} for n in notes}
+        assert [n.cq_name for n in notes] == ["a", "b", "c"]
+        assert rows == {"a": {51}, "b": {50, 51}, "c": {50, 51}}
+        for name in ("a", "b", "c"):
+            assert mgr.get(name).previous_result == db.query(WATCH_SQL)
