@@ -458,10 +458,8 @@ class CQManager:
         if not cohort.lazy:
             cohort.swept = ts  # only lazy members read it
         if (
-            cq.engine is Engine.DRA
+            _rides(cq)
             and self.strategy is EvaluationStrategy.PERIODIC
-            and type(cq.trigger) is OnEveryChange
-            and type(cq.stop) is Never
             and ts >= cohort.swept
         ):
             if not cohort.lazy:
@@ -487,6 +485,13 @@ class CQManager:
         last of a footprint the cohort and its tables' observers."""
         name, tables, key = cq.name, cq.table_names, cq.sql_key
         view = self._views[key]
+        if cq.held is view.result is not None and len(view.members) > 1:
+            # It leaves with its result as of its window, which later
+            # steps of the view must not move: a copy of its own.
+            if cq.last_execution_ts < view.since:
+                self._part(view)  # (if it is behind the view's last step)
+            if cq.held is view.result:
+                cq.held = cq.held.copy()
         del view.members[name]
         if not view.members:
             del self._views[key]
@@ -661,7 +666,7 @@ class CQManager:
             yield
         except BaseException:
             for view in list(self._views.values()):
-                self._part(view, behind=True)
+                self._part(view)
             raise
         finally:
             self._window = outer
@@ -892,7 +897,7 @@ class CQManager:
         view = SharedView.at(cq.query, key, self.plans, prepared, ts, self.metrics)
         old = self._views.get(key)
         if old is not None:
-            self._part(old, behind=True)
+            self._part(old)
             view.members, view.readers = old.members, old.readers
             view.family = old.family
             if view.family is not None:
@@ -990,8 +995,7 @@ class CQManager:
         content-identical results. A rider (:func:`_rides`) then holds
         the view's one result, which moves in place; anyone else keeps a
         copy. A rider the view's last step left behind (a callback's
-        commit came first) evaluates its own window, and the view moves
-        on by that delta with the step undone, composed.
+        commit came first) is parted from it first (:meth:`_part`).
 
         When the window was its family's, the same pass moves every
         other routed view of the family that :meth:`_stands` at the
@@ -1003,27 +1007,9 @@ class CQManager:
         window, tracer = self._window, self.tracer
         if result is not None and since == view.since:
             delta = view.advance(window, index, now, metrics, tracer)
-        elif (
-            held is result
-            and result is not None
-            and since < view.since
-            and view.since != now
-        ):
-            delta = view.evaluate(window, index, since, now, metrics, tracer)
-            taken = view.last and view.last[2]
-            moved = delta
-            if taken is not None and not taken.is_empty():
-                moved = taken.reversed()
-                if delta is not None:
-                    moved = moved.compose(delta)
-            if moved is not None and not moved.is_empty():
-                self._part(view, behind=False)
-            view.step(moved, view.since, now, result)
-            view.last = (since, now, delta)
         elif held is not None and view.since != now:
-            if held is not result:
-                self._part(view, behind=True)  # (it takes over a copy of held)
-            delta = view.advance(window, index, now, metrics, tracer, since, held)
+            self._part(view)  # (a rider left behind, ``cq`` too, owns a copy)
+            delta = view.advance(window, index, now, metrics, tracer, since, cq.held)
         else:
             last = view.last
             delta = view.evaluate(window, index, since, now, metrics, tracer, held)
@@ -1049,23 +1035,22 @@ class CQManager:
             return DeltaRelation(self._prepared_for(cq).out_schema)
         return delta
 
-    def _part(self, view: SharedView, behind: bool) -> None:
-        """Before the view drops its result (it takes over a member's
-        copy, a new E_0 replaces it), moves it on again in one pass, or
-        a pass raises: the members holding it keep their result as of
-        where they stand, one copy shared — the riders its last step
-        left ``behind`` (their turns not taken) with that step undone,
-        else those that took it, as it is."""
+    def _part(self, view: SharedView) -> None:
+        """Before the view moves on from a member's window or copy, a
+        new E_0 replaces its result, a member leaves, or a pass raises:
+        the riders its last step left behind (their turns not taken)
+        keep their result as of where they stand — that step undone,
+        one copy shared."""
         result, last = view.result, view.last
         if result is None or last is None:
             return
         holders = [
             cq
             for cq in view.members.values()
-            if cq.held is result and (self._since(cq) < view.since) is behind
+            if cq.held is result and self._since(cq) < view.since
         ]
         if holders:
-            taken = last[2] if behind else None
+            taken = last[2]
             copy = taken.unapply_from(result) if taken else result.copy()
             for cq in holders:
                 cq.held = copy
@@ -1434,11 +1419,11 @@ class CQManager:
 
 def _rides(cq: ContinualQuery) -> bool:
     """Whether ``cq`` takes every step of its view in the pass that
-    makes it (a DRA SPJ member, trigger exactly ``OnEveryChange``, stop
-    ``Never``), so may hold the view's result, which moves in place."""
+    makes it (DRA, trigger exactly ``OnEveryChange``, stop ``Never``),
+    so may hold the view's result, which moves in place (an aggregate
+    holds its own state's); under PERIODIC it is a lazy member."""
     return (
         cq.engine is Engine.DRA
-        and not cq.is_aggregate
         and type(cq.trigger) is OnEveryChange
         and type(cq.stop) is Never
     )

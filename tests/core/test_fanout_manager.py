@@ -224,3 +224,56 @@ class TestSharedWindows:
         assert rows == {"a": {51}, "b": {50, 51}, "c": {50, 51}}
         for name in ("a", "b", "c"):
             assert mgr.get(name).previous_result == db.query(WATCH_SQL)
+
+    def test_a_handed_out_result_then_a_raise_leaves_no_member_behind(
+        self, db, stocks
+    ):
+        """The first member's callback reads ``previous_result`` (a
+        hand-out) and commits, so the next member catches up past a
+        moved, handed-out result; a later callback raises before the
+        last member's turn, which keeps the result as of its window."""
+        mgr = make_manager(db)
+        seen = {}
+
+        def callback(note):
+            seen.setdefault(note.cq_name, []).append(note)
+            if len(seen[note.cq_name]) != 2:
+                return
+            if note.cq_name == "a":
+                assert mgr.get("a").previous_result is not None  # handed out
+                insert(db, "stocks", (60, "HI", 960))
+            elif note.cq_name == "b":
+                raise RuntimeError("callback bug")
+
+        for name in ("a", "b", "c"):
+            mgr.register_sql(name, WATCH_SQL, on_notify=callback)
+        before = db.query(WATCH_SQL)
+        insert(db, "stocks", (50, "HI", 900))
+        with pytest.raises(RuntimeError):
+            mgr.poll(advance_to=db.now() + 1)
+        mgr.check_invariants()
+        assert mgr.get("c").previous_result == before
+        mgr.drain()
+        notes = mgr.poll(advance_to=db.now() + 1)
+        rows = {n.cq_name: {e.new[0] for e in n.delta} for n in notes}
+        assert rows == {"a": {60}, "c": {50, 60}}
+        mgr.check_invariants()
+        for name in ("a", "b", "c"):
+            assert mgr.get(name).previous_result == db.query(WATCH_SQL)
+
+    def test_a_deregistered_member_keeps_its_last_result(self, db, stocks):
+        """A member that leaves a view others still ride keeps the
+        result of its last refresh: later steps of the view do not move
+        it, whether or not ``previous_result`` was read before."""
+        mgr = make_manager(db)
+        a = mgr.register_sql("a", WATCH_SQL)
+        mgr.register_sql("b", WATCH_SQL)
+        insert(db, "stocks", (50, "HI", 900))
+        mgr.poll(advance_to=db.now() + 1)
+        frozen = db.query(WATCH_SQL)
+        mgr.deregister("a")
+        insert(db, "stocks", (51, "HI", 901))
+        mgr.poll(advance_to=db.now() + 1)
+        mgr.check_invariants()
+        assert a.previous_result == frozen
+        assert mgr.get("b").previous_result == db.query(WATCH_SQL)
