@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import time
+import weakref
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from operator import attrgetter
@@ -487,11 +488,14 @@ class CQManager:
         view = self._views[key]
         if cq.held is view.result is not None and len(view.members) > 1:
             # It leaves with its result as of its window, which later
-            # steps of the view must not move: a copy of its own.
+            # steps of the view must not move while it lives.
             if cq.last_execution_ts < view.since:
                 self._part(view)  # (if it is behind the view's last step)
-            if cq.held is view.result:
-                cq.held = cq.held.copy()
+            held = cq.held
+            if held is view.result:
+                out = held.handed_out
+                lent = out and (out is True or out() is not None)
+                held.handed_out = True if lent else weakref.ref(cq)
         del view.members[name]
         if not view.members:
             del self._views[key]

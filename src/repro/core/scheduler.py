@@ -495,9 +495,12 @@ class SharedView:
 
         The view's own result moves in place, at O(|delta|); a member's
         copy the view takes over, or a result handed out that the delta
-        changes, is copied first. An apply that raises moves nothing."""
+        changes (to code outside the tier, or to a member that left the
+        view and still lives), is copied first. An apply that raises
+        moves nothing."""
         changed = delta is not None and not delta.is_empty()
-        if held is not self.result or (changed and held.handed_out):
+        out = changed and held.handed_out
+        if held is not self.result or (out and (out is True or out() is not None)):
             held = held.copy()
         if changed:
             if self.digest is None:

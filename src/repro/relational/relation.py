@@ -57,8 +57,9 @@ class Relation:
     def __init__(self, schema: Schema, rows: Iterable[Row] = ()):
         self.schema = schema
         self._rows: Dict[Tid, Values] = {}
-        #: Held by code outside the tier: a view's step copies it
-        #: instead of moving it in place.
+        #: Held by code outside the tier (True), or by a member that
+        #: left its view (a weak reference to it): while so held, a
+        #: view's step copies it instead of moving it in place.
         self.handed_out = False
         for row in rows:
             self.add(row.tid, row.values)

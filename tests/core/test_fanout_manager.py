@@ -264,10 +264,14 @@ class TestSharedWindows:
     def test_a_deregistered_member_keeps_its_last_result(self, db, stocks):
         """A member that leaves a view others still ride keeps the
         result of its last refresh: later steps of the view do not move
-        it, whether or not ``previous_result`` was read before."""
+        it, whether or not ``previous_result`` was read before. One
+        that nothing references any more holds nothing: the view moves
+        its result in place again."""
         mgr = make_manager(db)
         a = mgr.register_sql("a", WATCH_SQL)
         mgr.register_sql("b", WATCH_SQL)
+        mgr.register_sql("c", WATCH_SQL)
+        view = mgr._views[a.sql_key]
         insert(db, "stocks", (50, "HI", 900))
         mgr.poll(advance_to=db.now() + 1)
         frozen = db.query(WATCH_SQL)
@@ -276,4 +280,10 @@ class TestSharedWindows:
         mgr.poll(advance_to=db.now() + 1)
         mgr.check_invariants()
         assert a.previous_result == frozen
-        assert mgr.get("b").previous_result == db.query(WATCH_SQL)
+        assert view.result == db.query(WATCH_SQL)
+        mgr.deregister("c")
+        held = view.result
+        insert(db, "stocks", (52, "HI", 902))
+        mgr.poll(advance_to=db.now() + 1)
+        assert view.result is held
+        assert held == db.query(WATCH_SQL)
