@@ -14,16 +14,25 @@ the whole result: there the law is one result copy per delivered
 notification and nothing else that grows with the result.
 """
 
+import cProfile
+import pstats
 import tempfile
 import tracemalloc
 
 from repro import Database
-from repro.cluster import ClusterRouter, LocalBackend
+from repro.cluster import ClusterRouter, ClusterShard, LocalBackend, TableDecl
+from repro.core.scheduler import SharedView
 from repro.core import CQManager, DeliveryMode, EvaluationStrategy
 from repro.core.results import NotificationKind
+from repro.delta.differential import DeltaEntry, DeltaRelation
 from repro.metrics import Metrics
 from repro.net import CQServer, Protocol, SimulatedNetwork
-from repro.net.messages import DeltaMessage, RegisterMessage
+from repro.net.messages import (
+    DeltaMessage,
+    RegisterMessage,
+    ScatterMessage,
+    ShardSyncMessage,
+)
 from repro.relational import AttributeType
 
 SMALL, LARGE = 1_000, 100_000
@@ -156,3 +165,122 @@ def test_a_router_refresh_costs_the_delta():
     the router merges the stores' parts into its view's result."""
     small, large = router(SMALL), router(LARGE)
     assert large <= 2 * small + SLACK, (small, large)
+
+
+# -- a refresh costs the routed views, not the registered ones ----------------
+#
+# The Section 5.2 relevance test proves an unrouted view's delta empty,
+# so nothing needs to run for it: after a one-row commit, a view's
+# window is read, evaluated and stepped only when routing selects it
+# (or cannot vouch for it), and the refresh makes as many Python calls
+# (``cProfile`` ncalls, builtins off) beside 1 000 quiet views as beside
+# 10. A quiet view is moved by assignment.
+
+FEW, MANY = 10, 1_000
+#: The one view a commit of ``(tid, (tid, 0))`` routes to.
+ROUTED = "SELECT k, v FROM t WHERE v = 0"
+
+
+def quiet(n):
+    """Views of the routed one's family that no commit here routes."""
+    return [f"SELECT k, v FROM t WHERE v = {1_000 + i}" for i in range(n)]
+
+
+def counted_calls(refresh):
+    profile = cProfile.Profile(builtins=False)
+    profile.enable()
+    try:
+        refresh()
+    finally:
+        profile.disable()
+    return pstats.Stats(profile).total_calls
+
+
+def spied_keys(monkeypatch, refresh):
+    """The ``sql_key`` of every view ``SharedView.read``, ``evaluate``
+    or ``step`` ran for during ``refresh()``."""
+    keys = set()
+    for name in ("read", "evaluate", "step"):
+        inner = getattr(SharedView, name)
+
+        def spy(view, *args, __inner=inner, **kwargs):
+            keys.add(view.sql_key)
+            return __inner(view, *args, **kwargs)
+
+        monkeypatch.setattr(SharedView, name, spy)
+    try:
+        refresh()
+    finally:
+        monkeypatch.undo()
+    return keys
+
+
+class Socket(Recorder):
+    """A session endpoint: its zones move on the client's acks."""
+
+    defer_zone_advance = True
+
+
+def sweep_server(n, monkeypatch):
+    db = Database()
+    table = db.create_table("t", [("k", AttributeType.INT), ("v", AttributeType.INT)])
+    srv = CQServer(db, SimulatedNetwork())
+    client = Socket("s")
+    srv.attach(client)
+    for i, sql in enumerate([ROUTED, *quiet(n)]):
+        srv.handle_register("s", RegisterMessage(f"q{i}", sql, Protocol.DRA_DELTA.value))
+    table.insert((1, 0))
+    srv.refresh_all()  # warm
+    table.insert((2, 0))
+    calls = counted_calls(srv.refresh_all)
+    table.insert((3, 0))
+    keys = spied_keys(monkeypatch, srv.refresh_all)
+    assert isinstance(client.frames[-1], DeltaMessage)
+    assert list(client.frames[-1].cq_names) == ["q0"]
+    assert {view.since for view in srv._views.values()} == {db.now()}
+    assert {s.last_ts for s in srv.subscriptions()} == {db.now()}
+    srv.check_invariants()
+    return calls, keys
+
+
+def test_a_server_refresh_costs_the_routed_views(monkeypatch):
+    """A socket session's members, one routed view beside quiet ones."""
+    few, keys = sweep_server(FEW, monkeypatch)
+    many, keys_many = sweep_server(MANY, monkeypatch)
+    assert keys == keys_many == {ROUTED}
+    assert few == many, (few, many)
+
+
+def sweep_store(n, monkeypatch):
+    store = ClusterShard(0, [TableDecl("t", [("k", int), ("v", int)])])
+    views = [ROUTED, *quiet(n)]
+    store.handle(
+        ShardSyncMessage(
+            0, 1, 1, subscribe=[{"cq": sql, "sql": sql} for sql in views], group=0
+        )
+    )
+    schema = store.db.table("t").schema
+
+    def scatter(seq):
+        row = DeltaEntry(seq, None, (seq, 0), seq)
+        return ScatterMessage(0, seq, seq, {"t": DeltaRelation(schema, [row])}, group=0)
+
+    store.handle(scatter(2))  # warm
+    calls = counted_calls(lambda: store.handle(scatter(3)))
+    replies = []
+    keys = spied_keys(monkeypatch, lambda: replies.append(store.handle(scatter(4))))
+    (reply,) = replies
+    assert [(key, since, ts) for key, __, since, ts in reply.entries] == [
+        (ROUTED, 3, 4)
+    ]
+    assert {view.since for view in store._views.values()} == {4}
+    store.check_invariants()
+    return calls, keys
+
+
+def test_a_store_refresh_costs_the_routed_views(monkeypatch):
+    """One ``ClusterShard``: its refresh frame."""
+    few, keys = sweep_store(FEW, monkeypatch)
+    many, keys_many = sweep_store(MANY, monkeypatch)
+    assert keys == keys_many == {ROUTED}
+    assert few == many, (few, many)
