@@ -69,6 +69,7 @@ from repro.core.scheduler import (
     check_families,
     join_family,
     leave_family,
+    sweep,
 )
 from repro.net.messages import (
     GatherReplyMessage,
@@ -389,26 +390,24 @@ class ClusterShard:
             )
 
     def _refresh(self) -> List[Tuple[str, DeltaRelation, Timestamp, Timestamp]]:
-        """Move every view's window to now, in registration order,
-        recording each move in ``view.last`` (without the delta: the
-        router retains the result); the gather entries ``(sql_key,
-        delta, since, now)`` of the non-empty ones, each with the window
-        it covers.
-
-        One predicate-index pass per (footprint, window) decides which
-        views see relevant entries; :meth:`SharedView.evaluate` skips an
-        unrouted view (the Section 5.2 relevance theorem makes its delta
-        provably empty), runs a routed family's window once for all its
-        members, and any other routed or quarantined view on its own."""
+        """Move every view's window to now, in registration order, in
+        one :func:`~repro.core.scheduler.sweep` (``view.last`` records
+        each move, without the delta: the router retains the result),
+        and every zone with it; the gather entries ``(sql_key, delta,
+        since, now)`` of the non-empty deltas, each with the window it
+        covers. The sweep evaluates only the views the predicate index
+        routes entries to (or quarantined), a routed family's window
+        once for all its members."""
         now = self.db.now()
-        cache = DeltaBatchCache(self.db, self.metrics)
-        entries = []
-        for key, view in self._views.items():
-            delta = view.evaluate(cache, self.index, view.since, now, self.metrics)
-            if delta is not None and not delta.is_empty():
-                entries.append((key, delta, view.since, now))
-            view.last, view.since = (view.since, now, None), now
-            self.zones.advance(key, now)
+        window = DeltaBatchCache(self.db, self.metrics)
+        entries = [
+            (view.sql_key, delta, since, now)
+            for view, since, delta in sweep(
+                self._views.values(), window, self.index, now, self.metrics
+            )
+            if delta is not None and not delta.is_empty()
+        ]
+        self.zones.advance_all(now)
         return entries
 
     # -- state application --------------------------------------------------

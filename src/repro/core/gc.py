@@ -36,6 +36,14 @@ class ActiveDeltaZones:
         tables, old_ts = self._zones[cq_name]
         self._zones[cq_name] = (tables, max(old_ts, ts))
 
+    def advance_all(self, ts: Timestamp) -> None:
+        """Every zone's boundary moves forward to ``ts``: all its CQs
+        executed there (a shard store's refresh frame)."""
+        zones = self._zones
+        for name, (tables, old_ts) in zones.items():
+            if old_ts < ts:
+                zones[name] = (tables, ts)
+
     def try_advance(self, cq_name: str, ts: Timestamp) -> bool:
         """Advance if the zone exists; False when it does not.
 

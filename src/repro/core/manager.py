@@ -690,9 +690,8 @@ class CQManager:
                 cohort.late = dict(lazy)
             else:
                 window, now = self._window, self.db.now()
-                routed = window.routed(self.index, cohort.tables, swept, now)[1]
                 hit = 0
-                for key in routed.keys() | window.stale:
+                for key in window.due(self.index, cohort.tables, swept, now):
                     members = self._views[key].members
                     if not members.keys() <= lazy.keys():  # (always-visit ones)
                         members = {n: cq for n, cq in members.items() if n in lazy}

@@ -41,7 +41,18 @@ histogram.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.metrics import Metrics
 from repro.obs.trace import NULL_SPAN, Tracer
@@ -112,6 +123,8 @@ class DeltaBatchCache:
         #: The keys the index had quarantined when it routed this
         #: window: routing cannot vouch for them, so they read unrouted.
         self.stale: Set[str] = set()
+        # Windows a sweep routed that no read has taken yet.
+        self._unread: Set[Tuple[Tuple[str, ...], Timestamp, Timestamp]] = set()
         self.hits = 0
         self.misses = 0
 
@@ -161,23 +174,48 @@ class DeltaBatchCache:
         table_names: Tuple[str, ...],
         since: Timestamp,
         now: Timestamp,
+        read: bool = True,
     ) -> Tuple[Dict[str, DeltaRelation], Routed]:
         """The window's :meth:`deltas` (a counted read) and the
         subscriptions ``index`` routes them to, each with the entry
         sides its aliases select: one pass however many readers ask,
         and a repeat read is one lookup returning the same pair, charged
-        one reuse per table as a batch-by-batch read would be."""
+        one reuse per table as a batch-by-batch read would be.
+
+        ``read=False`` routes for a :func:`sweep`, which reads for no
+        view: it charges nothing a first read would not, and the next
+        read of the window is its first."""
         key = (table_names, since, now)
         pair = self._routes.get(key)
         if pair is None:
             deltas = self.deltas(table_names, since, now)
             pair = self._routes[key] = (deltas, index.match_batch(deltas))
             self.stale = index.stale()
-        else:
+            if not read:
+                self._unread.add(key)
+        elif key in self._unread:
+            if read:
+                self._unread.discard(key)
+        elif read:
             self.hits += len(table_names)
             if self.metrics:
                 self.metrics.count(Metrics.DELTA_BATCHES_REUSED, len(table_names))
         return pair
+
+    def due(
+        self,
+        index: PredicateIndex,
+        table_names: Tuple[str, ...],
+        since: Timestamp,
+        now: Timestamp,
+        read: bool = True,
+    ) -> Set[str]:
+        """The keys a sweep of the window must evaluate, routed through
+        :meth:`routed`: those ``index`` routes entries to, and those it
+        had quarantined (routing cannot vouch for them). The one
+        selection rule of the manager's cohorts and of :func:`sweep`."""
+        routed = self.routed(index, table_names, since, now, read)[1]
+        return routed.keys() | self.stale
 
     def family(
         self,
@@ -522,6 +560,75 @@ class SharedView:
                 raise AssertionError(f"{key!r}: result is not Q(state at since)")
         if self.digest not in (None, relation_digest(result)):
             raise AssertionError(f"{key!r}: digest does not describe the result")
+
+
+def sweep(
+    views: Iterable[SharedView],
+    window: DeltaBatchCache,
+    index: PredicateIndex,
+    now: Timestamp,
+    metrics: Metrics,
+    tracer: Optional[Tracer] = None,
+) -> Iterator[Tuple[SharedView, Timestamp, Optional[DeltaRelation]]]:
+    """Move ``views`` to ``now`` in their order: the refresh of the
+    server and of a shard store, which deliver what it yields (the
+    manager's lazy members take turns instead).
+
+    Each footprint's window ``(since, now]`` is routed once
+    (:meth:`DeltaBatchCache.due`). A view it does not select is moved by
+    assignment alone: the Section 5.2 relevance theorem makes its delta
+    provably empty, so nothing is read, evaluated or stepped for it. A
+    selected view is evaluated through :meth:`SharedView.evaluate` (a
+    routed family's window once for all its members), what that charged
+    is folded once into ``metrics`` and the view's ``cost``, a view
+    holding a result is stepped by the delta, and ``(view, since,
+    delta)`` is yielded (delta None: nothing was evaluated). A window GC
+    has retired cannot be routed: each of its views evaluates on its
+    own. An evaluation that raises leaves its view, and those after it,
+    where they stand.
+
+    ``delta_batches_reused`` reads as if each view had read its window:
+    a quiet view is charged the read it skips (a window no evaluated
+    view read was first read by one of its quiet views)."""
+    selected: Dict[Tuple[Tuple[str, ...], Timestamp], Optional[Set[str]]] = {}
+    unread: Dict[Tuple[Tuple[str, ...], Timestamp], int] = {}
+    bag = Metrics()
+    skipped = 0
+    try:
+        for view in views:
+            tables, since = view.tables, view.since
+            key = (tables, since)
+            if key not in selected:
+                try:
+                    selected[key] = window.due(index, tables, since, now, False)
+                    unread[key] = len(tables)
+                except ValueError:
+                    selected[key] = None
+            due = selected[key]
+            if due is not None and view.sql_key not in due:
+                skipped += len(tables)
+                view.last, view.since = (since, now, None), now
+                continue
+            unread.pop(key, None)
+            result = view.result
+            try:
+                delta = view.evaluate(window, index, since, now, bag, tracer, result)
+            finally:
+                if len(bag):
+                    metrics.merge(bag)
+                    cost = view.cost
+                    for name, value in bag.snapshot().items():
+                        cost[name] = cost.get(name, 0) + value
+                    bag.reset()
+            if result is None:
+                view.last, view.since = (since, now, None), now
+            else:
+                view.step(delta, since, now, result)
+            yield view, since, delta
+    finally:
+        skipped -= sum(unread.values())
+        if skipped and window.metrics:
+            window.metrics.count(Metrics.DELTA_BATCHES_REUSED, skipped)
 
 
 @functools.lru_cache(maxsize=PARSE_MEMO_SIZE)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     NetworkError,
@@ -37,6 +37,7 @@ from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
 from repro.delta.capture import deltas_since
 from repro.delta.diff import diff
+from repro.delta.differential import DeltaRelation
 from repro.delta.propagate import evaluate_as_of
 from repro.dra.algorithm import dra_execute
 from repro.dra.predindex import PredicateIndex
@@ -49,6 +50,7 @@ from repro.core.scheduler import (
     check_families,
     join_family,
     leave_family,
+    sweep,
 )
 from repro.net.codec import encode_delta_body
 from repro.net.digest import apply_delta, relation_digest
@@ -595,22 +597,11 @@ class CQServer:
         subscriptions a frame reached (a shared frame counts each CQ it
         addresses).
 
-        One predicate-index pass per (footprint, window) decides which
-        ``sql_key`` views see relevant entries this cycle. Their parts
-        are gathered per client and each client is sent one frame once
-        the views are done — also when one of them raised, so no
-        window moves without its delta shipped. Everyone in no view —
-        the REEVAL baselines — refreshes alone."""
-        now = self.db.now()
-        cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
-        bag = Metrics()
-        outbox: Outbox = {}
-        sent = 0
-        try:
-            for view in list(self._views.values()):
-                sent += self._refresh_view(view, cache, bag, now, outbox)
-        finally:
-            sent += self._flush(outbox)
+        The views move in one :meth:`_sweep`, which evaluates only the
+        ``sql_key`` views the predicate index routes this cycle's
+        entries to. Everyone in no view — the REEVAL baselines —
+        refreshes alone."""
+        sent = self._sweep(list(self._views.values()), self.db.now())
         for subscription in list(self._solo.values()):
             sent += self._refresh_scoped(subscription)
         return sent
@@ -624,67 +615,71 @@ class CQServer:
         """Move one view's window outside a cycle — for a join that
         finds it open, or around a replay — and ship what it moved at
         once."""
+        self._sweep((view,), now, skip)
+
+    def _sweep(
+        self,
+        views: Sequence[SharedView],
+        now: Timestamp,
+        skip: Optional[Subscription] = None,
+    ) -> int:
+        """Move ``views`` to ``now`` through one
+        :func:`~repro.core.scheduler.sweep` and deliver what it moved:
+        each evaluated view's parts are gathered per client, and each
+        client is sent one frame once the sweep is done — also when a
+        view raised, so no window moves without its delta shipped. The
+        views it left unchanged cost in-process clients a zone advance
+        per member (:meth:`_note_quiet`). ``skip`` is a replay's member
+        (:meth:`replay` aligns it and ships its own window). Returns the
+        subscriptions reached."""
+        window = DeltaBatchCache(self.db, self.metrics, self.tracer)
         outbox: Outbox = {}
+        moved = set()
+        sent = 0
         try:
-            cache = DeltaBatchCache(self.db, self.metrics, self.tracer)
-            self._refresh_view(view, cache, Metrics(), now, outbox, skip)
+            for view, __, delta in sweep(
+                views, window, self.index, now, self.metrics, self.tracer
+            ):
+                sent += self._refresh_view(view, delta, now, outbox, skip)
+                if delta is not None and not delta.is_empty():
+                    moved.add(view)
         finally:
-            self._flush(outbox)
+            sent += self._flush(outbox)
+        self._note_quiet(views, moved, skip)
+        return sent
 
     def _refresh_view(
         self,
         view: SharedView,
-        cache: DeltaBatchCache,
-        bag: Metrics,
+        delta: Optional[DeltaRelation],
         now: Timestamp,
         outbox: Outbox,
         skip: Optional[Subscription] = None,
     ) -> int:
-        """Advance one view to ``now`` and every member's window with
-        it (a member's is read off the view's): each cycle, before a
-        join that finds it open, and around a replay (whose member is
-        ``skip``: :meth:`replay` aligns it and ships its own window).
-
-        An unrouted view advances without evaluating anything (the
-        Section 5.2 relevance theorem makes its result delta provably
-        empty) and visits only the buckets of in-process clients, whose
-        zones advance per member. A routed one evaluates once — charged
-        through ``bag`` to the shared metrics and the view's ``cost``,
-        not to any member — and adds one part to ``outbox`` per
+        """Deliver the delta the sweep moved one evaluated view by (None:
+        its read was empty). Its evaluation was charged to the view's
+        ``cost``, not to any member; every other member sharing it is a
+        shared-group hit. A changed view adds one part to ``outbox`` per
         attached client: the delta, addressed to the client's DRA_DELTA
         members, whose copies read the view's. Lazy members are
         announced one by one. Detached members are skipped, not raised
         on — their zones hold the replay window for reconnect. Returns
         the lazy members announced; frames count when :meth:`_flush`
         sends them."""
-        digest = view.digest
-        try:
-            delta = view.advance(cache, self.index, now, bag, self.tracer)
-        except Exception:
-            self._charge(view, bag)
-            raise
-        if delta is not None:
-            # One record per routed cycle however many members share it
-            # (a TeeMetrics would charge both bags on every count).
-            self._charge(view, bag)
-            hits = len(view.members) - (skip is not None) - 1
-            if hits > 0:
-                self.metrics.count(Metrics.SHARED_GROUP_HITS, hits)
-        buckets = view.buckets.items()
-        if delta is None or delta.is_empty():
-            for client_id, bucket in buckets:
-                self._note_refresh(
-                    client_id, (s for s in bucket.values() if s is not skip)
-                )
+        if delta is None:
             return 0
-        moved = view.result
-        view.result, view.digest = self._audited(
-            view.query, view.result, view.digest
-        )
+        # One record per evaluated view however many members share it.
+        hits = len(view.members) - (skip is not None) - 1
+        if hits > 0:
+            self.metrics.count(Metrics.SHARED_GROUP_HITS, hits)
+        if delta.is_empty():
+            return 0
+        moved, digest = view.result, view.digest
+        view.result, view.digest = self._audited(view.query, moved, digest)
         # The view moved its result in place: a lazy member it leaves
         # behind gets the result as of the window's start, rebuilt once.
         announced, body, before = 0, None, None
-        for client_id, bucket in buckets:
+        for client_id, bucket in view.buckets.items():
             attached = client_id in self._clients
             members = []
             for s in bucket.values():
@@ -692,7 +687,8 @@ class CQServer:
                     continue
                 if s.protocol is Protocol.DRA_LAZY:
                     if before is None and s.pending_delta is None:
-                        before = delta.unapply_from(moved), digest
+                        held = moved.copy()
+                        before = held, apply_delta(delta.reversed(), held, digest)
                     announced += self._announce_lazy(s, delta, now, before)
                     continue
                 s.changed_ts = now
@@ -708,14 +704,32 @@ class CQServer:
                 outbox.setdefault(client_id, []).append((members, part))
         return announced
 
-    def _charge(self, view: SharedView, bag: Metrics) -> None:
-        """Fold what one view's evaluation charged to ``bag`` into the
-        shared metrics and the view's ``cost``, and empty the bag."""
-        self.metrics.merge(bag)
-        cost = view.cost
-        for name, value in bag.snapshot().items():
-            cost[name] = cost.get(name, 0) + value
-        bag.reset()
+    def _note_quiet(
+        self,
+        views: Iterable[SharedView],
+        moved: Set[SharedView],
+        skip: Optional[Subscription] = None,
+    ) -> None:
+        """Advance the zones of in-process clients' members of the views
+        a sweep did not change (:meth:`_note_refresh`). A socket
+        session's zones move on its acks and a detached client's hold
+        its replay window: neither has its members visited."""
+        local = [
+            client_id
+            for client_id, client in self._clients.items()
+            if not getattr(client, "defer_zone_advance", False)
+        ]
+        if not local:
+            return
+        for view in views:
+            if view in moved:
+                continue
+            for client_id in local:
+                bucket = view.buckets.get(client_id)
+                if bucket:
+                    self._note_refresh(
+                        client_id, (s for s in bucket.values() if s is not skip)
+                    )
 
     def _flush(self, outbox: Outbox) -> int:
         """Send every client its frame of one refresh step; returns the
