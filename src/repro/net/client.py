@@ -64,10 +64,11 @@ class ResultCache:
     group that this client holds. Those whose copies had the same
     running digest before the frame apply its delta once and share the
     resulting relation, as the server's members share their group's
-    result. A cached relation is therefore replaced on every change and
-    never mutated in place; callers must not mutate one either. A
-    :class:`DeltaBatchMessage` is taken part by part, each part as if
-    it had arrived alone."""
+    result. The delta moves that relation in place, at O(|delta|),
+    unless a CQ the frame does not address also holds it, or
+    :meth:`result` handed it out: then a copy moves. Callers must not
+    mutate a cached relation. A :class:`DeltaBatchMessage` is taken
+    part by part, each part as if it had arrived alone."""
 
     def __init__(self) -> None:
         self._results: Dict[str, Relation] = {}
@@ -76,6 +77,9 @@ class ResultCache:
         # for a resume) is a different object and digests itself in
         # full on its first delta.
         self._digests: Dict[str, Tuple[Relation, str]] = {}
+        # CQ name -> the CQs of the frame that last stored its relation:
+        # the only ones that can hold that very object.
+        self._sharers: Dict[str, Sequence[str]] = {}
         #: Deltas this cache could not apply: no cached result for the
         #: CQ (a normal race after a client restart), or a delete of a
         #: row it does not hold (frames were lost).
@@ -93,9 +97,11 @@ class ResultCache:
         discarded: the caller asks for a resync of each of those."""
         if isinstance(message, DeltaMessage):
             outcomes = self._apply(message)
+            names = message.cq_names
         else:
             result = message.result.copy()
             outcomes = [(message.cq_name, result, relation_digest(result))]
+            names = (message.cq_name,)
         applied: List[str] = []
         failed: List[str] = []
         for cq_name, result, digest in outcomes:
@@ -105,9 +111,11 @@ class ResultCache:
                 self.digest_mismatches += 1
                 self._results.pop(cq_name, None)
                 self._digests.pop(cq_name, None)
+                self._sharers.pop(cq_name, None)
             else:
                 self._results[cq_name] = result
                 self._digests[cq_name] = (result, digest)
+                self._sharers[cq_name] = names
                 applied.append(cq_name)
                 continue
             failed.append(cq_name)
@@ -118,11 +126,15 @@ class ResultCache:
     ) -> List[Tuple[str, Optional[Relation], Optional[str]]]:
         """``(cq, result, digest)`` after the frame for each addressed
         CQ, ``result`` None where the delta cannot apply (no cached
-        copy, or a delete of a row it does not hold). The delta is
-        applied once per distinct pre-frame digest."""
+        copy, or a delete of a row it does not hold): then nothing
+        moved. The delta is applied once per distinct pre-frame digest,
+        to the cached relation itself when only addressed CQs hold it
+        (:meth:`_owns`), else to a copy; a relation put into the cache
+        by other means, or handed out, is always copied."""
+        names = message.cq_names
         after: Dict[str, Tuple[Optional[Relation], Optional[str]]] = {}
         outcomes = []
-        for cq_name in message.cq_names:
+        for cq_name in names:
             held = self._results.get(cq_name)
             if held is None:
                 outcomes.append((cq_name, None, None))
@@ -131,14 +143,33 @@ class ResultCache:
             if described is not held:
                 digest = relation_digest(held)
             if digest not in after:
+                if (
+                    described is not held
+                    or held.handed_out
+                    or not self._owns(cq_name, held, names)
+                ):
+                    held = held.copy()
                 try:
-                    # (a copy: the CQs of one view share the cached one)
-                    moved = held.copy()
-                    after[digest] = moved, apply_delta(message.delta, moved, digest)
+                    after[digest] = held, apply_delta(message.delta, held, digest)
                 except (KeyError, ReproError):
                     after[digest] = (None, None)
             outcomes.append((cq_name, *after[digest]))
         return outcomes
+
+    def _owns(self, cq_name: str, held: Relation, names: Sequence[str]) -> bool:
+        """Whether only CQs of ``names`` hold ``held``, ``cq_name``'s
+        relation: each other CQ of the frame that stored it has since
+        taken another."""
+        others = set(self._sharers.get(cq_name, ())).difference(names)
+        return not others or all(self._results.get(n) is not held for n in others)
+
+    def _hand_out(self, cq_name: str) -> Relation:
+        """The cached result of ``cq_name``, marked handed out: the
+        next delta moves a copy of it (a ``KeyError`` when none is
+        cached)."""
+        result = self._results[cq_name]
+        result.handed_out = True
+        return result
 
 
 class CQClient(ResultCache):
@@ -227,9 +258,10 @@ class CQClient(ResultCache):
 
     def result(self, cq_name: str) -> Relation:
         """The cached result; it may be shared with other CQs of the
-        same group and must not be mutated (copy it to edit)."""
+        same group and must not be mutated (copy it to edit). Later
+        deltas do not change it."""
         try:
-            return self._results[cq_name]
+            return self._hand_out(cq_name)
         except KeyError:
             raise NetworkError(
                 f"client {self.name!r} has no result for {cq_name!r}"
@@ -382,7 +414,7 @@ class CQSession(ResultCache):
         self._registered[cq_name] = (sql, protocol.value)
         await self._send(RegisterMessage(cq_name, sql, protocol.value))
         await self._wait_for(lambda: cq_name in self._results, timeout)
-        return self._results[cq_name]
+        return self._hand_out(cq_name)
 
     async def fetch(self, cq_name: str) -> None:
         """Request the pending lazy delta for one CQ."""
@@ -407,9 +439,10 @@ class CQSession(ResultCache):
 
     def result(self, cq_name: str) -> Relation:
         """The cached result; it may be shared with other CQs of the
-        same group and must not be mutated (copy it to edit)."""
+        same group and must not be mutated (copy it to edit). Later
+        deltas do not change it."""
         try:
-            return self._results[cq_name]
+            return self._hand_out(cq_name)
         except KeyError:
             raise NetworkError(
                 f"session {self.client_id!r} has no result for {cq_name!r}"
