@@ -536,7 +536,8 @@ class CQManager:
         member's effective window start —, else None: registering the
         text again joins it instead of re-running E_0 (a joiner that
         does not ride the view copies the view's result, :func:`_rides`;
-        a member's own copy never moves, so anyone may alias it)."""
+        a member's own copy moves only while no other member holds it,
+        so anyone may alias it)."""
         if view is None:
             return None
         if view.result is not None and not self._touched(view.tables, view.since):
@@ -997,8 +998,12 @@ class CQManager:
         evaluating again: CQs with one SQL text and one window hold
         content-identical results. A rider (:func:`_rides`) then holds
         the view's one result, which moves in place; anyone else keeps a
-        copy. A rider the view's last step left behind (a callback's
-        commit came first) is parted from it first (:meth:`_part`).
+        copy of its own, which the delta moves in place too while no
+        other member holds it and it was not handed out (else it copies
+        the view's result): one result copy per changing execution at
+        most, the view's taking over a copy it moves from. A rider the
+        view's last step left behind (a callback's commit came first) is
+        parted from it first (:meth:`_part`).
 
         When the window was its family's, the same pass moves every
         other routed view of the family that :meth:`_stands` at the
@@ -1031,7 +1036,19 @@ class CQManager:
             if _rides(cq):
                 cq.held = view.result
             elif delta is not None and not delta.is_empty():
-                cq.held = view.result.copy()
+                held = cq.held
+                if (
+                    held is None
+                    or held.handed_out
+                    or any(
+                        held is m.held or held is m.maintained_result
+                        for m in view.members.values()
+                        if m is not cq
+                    )
+                ):
+                    cq.held = view.result.copy()
+                else:  # (its own copy, at ``since``: nobody else sees it move)
+                    delta.apply_in_place(held)
         if delta is None:
             # Nothing committed, or nothing the index routes here: the
             # result cannot have changed, so no engine ran.

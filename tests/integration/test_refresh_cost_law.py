@@ -24,9 +24,11 @@ from repro.cluster import ClusterRouter, ClusterShard, LocalBackend, TableDecl
 from repro.core.scheduler import SharedView
 from repro.core import CQManager, DeliveryMode, EvaluationStrategy
 from repro.core.results import NotificationKind
+from repro.core.triggers import Every
 from repro.delta.differential import DeltaEntry, DeltaRelation
 from repro.metrics import Metrics
 from repro.net import CQServer, Protocol, SimulatedNetwork
+from repro.net.client import CQClient
 from repro.net.messages import (
     DeltaMessage,
     RegisterMessage,
@@ -96,6 +98,42 @@ def test_a_complete_manager_refresh_costs_one_copy_per_notification():
     assert large <= 2 * copy + 2 * small + SLACK, (small, large, copy)
 
 
+def lagging_member(rows):
+    """An ``Every(4)`` member registered before an ``OnEveryChange``
+    rider of the same text, one modified row per poll: ``[(peak bytes
+    of a poll, whether the member fired in it)]`` and the result."""
+    db = Database()
+    table = db.create_table(
+        "t", [("k", AttributeType.INT), ("v", AttributeType.INT)], indexes=[("k",)]
+    )
+    fill(table, rows)
+    mgr = CQManager(db, strategy=EvaluationStrategy.PERIODIC, metrics=Metrics())
+    mgr.register_sql("every", SQL, trigger=Every(4), keep_result=True)
+    mgr.register_sql("rider", SQL, keep_result=True)
+    mgr.drain()
+    polls = []
+    for i in range(12):
+        table.modify(1, (0, 500 + i))
+        spent, notes = peak_bytes(mgr.poll)
+        polls.append((spent, "every" in {n.cq_name for n in notes}))
+    mgr.check_invariants()
+    assert mgr.get("every").held == mgr.get("rider").held == db.query(SQL)
+    return polls, mgr.get("rider").held
+
+
+def test_a_member_catching_up_pays_one_copy_per_changing_execution():
+    """The member's turn comes first, behind its view, which the rider
+    moves each poll: the view takes over a copy of the member's result
+    to move it, and the member moves its own by the same delta."""
+    polls, result = lagging_member(LARGE)
+    copy, __ = peak_bytes(result.copy)
+    fired = [spent for spent, took in polls[2:] if took]
+    quiet = [spent for spent, took in polls[2:] if not took]
+    assert len(fired) >= 2 and quiet, polls
+    assert max(quiet) <= SLACK, quiet
+    assert max(fired) <= copy + SLACK, (fired, copy)
+
+
 class Recorder:
     """A client endpoint that keeps the frames it is sent and applies
     none of them (the client cache's own copy is not the server's)."""
@@ -133,6 +171,31 @@ def test_a_server_refresh_costs_the_delta():
     """DRA_DELTA members of one view, its running digest folded over
     the moved result."""
     small, large = server(SMALL), server(LARGE)
+    assert large <= 2 * small + SLACK, (small, large)
+
+
+def client_cache(rows):
+    db = Database()
+    table = db.create_table(
+        "t", [("k", AttributeType.INT), ("v", AttributeType.INT)], indexes=[("k",)]
+    )
+    fill(table, rows)
+    srv = CQServer(db, SimulatedNetwork())
+    client = CQClient("c")
+    srv.attach(client)
+    for name in ("a", "b"):
+        client.register(name, SQL)
+    spent, reached = one_row_refreshes(table, srv.refresh_all)
+    assert reached == 2 and client.stale_deltas == client.digest_mismatches == 0
+    assert client.result("a") is client.result("b")
+    assert client.result("a") == db.query(SQL)
+    return spent
+
+
+def test_a_client_cache_applies_the_delta():
+    """An in-process ``CQClient`` holding two members of one view: the
+    frame's part addresses both, and their one cached relation moves."""
+    small, large = client_cache(SMALL), client_cache(LARGE)
     assert large <= 2 * small + SLACK, (small, large)
 
 
