@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     NetworkError,
@@ -521,7 +521,7 @@ class CQServer:
                 # way every cycle does: the members there get that
                 # delta now.
                 if view.since < last_ts:
-                    self._catch_up(view, self.db.now())
+                    self._sweep((view,), self.db.now())
                 self.metrics.count(Metrics.SHARED_GROUP_HITS)
             window = view.since
         else:
@@ -595,27 +595,12 @@ class CQServer:
     def refresh_all(self) -> int:
         """Recompute and ship every subscription; returns the number of
         subscriptions a frame reached (a shared frame counts each CQ it
-        addresses).
-
-        The views move in one :meth:`_sweep`, which evaluates only the
-        ``sql_key`` views the predicate index routes this cycle's
-        entries to. Everyone in no view — the REEVAL baselines —
-        refreshes alone."""
+        addresses). The views move in one :meth:`_sweep`; everyone in
+        no view — the REEVAL baselines — refreshes alone."""
         sent = self._sweep(list(self._views.values()), self.db.now())
         for subscription in list(self._solo.values()):
             sent += self._refresh_scoped(subscription)
         return sent
-
-    def _catch_up(
-        self,
-        view: SharedView,
-        now: Timestamp,
-        skip: Optional[Subscription] = None,
-    ) -> None:
-        """Move one view's window outside a cycle — for a join that
-        finds it open, or around a replay — and ship what it moved at
-        once."""
-        self._sweep((view,), now, skip)
 
     def _sweep(
         self,
@@ -623,19 +608,20 @@ class CQServer:
         now: Timestamp,
         skip: Optional[Subscription] = None,
     ) -> int:
-        """Move ``views`` to ``now`` through one
-        :func:`~repro.core.scheduler.sweep` and deliver what it moved:
-        each evaluated view's parts are gathered per client, and each
-        client is sent one frame once the sweep is done — also when a
-        view raised, so no window moves without its delta shipped. The
-        views it left unchanged cost in-process clients a zone advance
-        per member (:meth:`_note_quiet`). ``skip`` is a replay's member
-        (:meth:`replay` aligns it and ships its own window). Returns the
-        subscriptions reached."""
+        """Move ``views`` to ``now`` — each cycle, for a join that finds
+        its view's window open, and around a replay (whose member is
+        ``skip``: :meth:`replay` aligns it and ships its own window) —
+        in one :func:`~repro.core.scheduler.sweep`, which evaluates only
+        the views the predicate index routes entries to, and deliver:
+        every evaluated view's parts are gathered per client, and each
+        client is sent one frame after the sweep — also when a view
+        raised, so no window moves without its delta shipped. The views
+        left unchanged visit only in-process clients, whose members'
+        zones advance (:meth:`_note_refresh`). Returns the subscriptions
+        reached."""
         window = DeltaBatchCache(self.db, self.metrics, self.tracer)
         outbox: Outbox = {}
-        moved = set()
-        sent = 0
+        moved, sent = set(), 0
         try:
             for view, __, delta in sweep(
                 views, window, self.index, now, self.metrics, self.tracer
@@ -644,8 +630,17 @@ class CQServer:
                 if delta is not None and not delta.is_empty():
                     moved.add(view)
         finally:
-            sent += self._flush(outbox)
-        self._note_quiet(views, moved, skip)
+            for client_id, parts in outbox.items():
+                sent += self._send(client_id, parts)
+        local = [
+            client_id
+            for client_id, client in self._clients.items()
+            if not getattr(client, "defer_zone_advance", False)
+        ]
+        for view in views if local else ():
+            for client_id in () if view in moved else local:
+                bucket = view.buckets.get(client_id, {}).values()
+                self._note_refresh(client_id, (s for s in bucket if s is not skip))
         return sent
 
     def _refresh_view(
@@ -664,8 +659,7 @@ class CQServer:
         members, whose copies read the view's. Lazy members are
         announced one by one. Detached members are skipped, not raised
         on — their zones hold the replay window for reconnect. Returns
-        the lazy members announced; frames count when :meth:`_flush`
-        sends them."""
+        the lazy members announced; frames count when they are sent."""
         if delta is None:
             return 0
         # One record per evaluated view however many members share it.
@@ -703,40 +697,6 @@ class CQServer:
                 )
                 outbox.setdefault(client_id, []).append((members, part))
         return announced
-
-    def _note_quiet(
-        self,
-        views: Iterable[SharedView],
-        moved: Set[SharedView],
-        skip: Optional[Subscription] = None,
-    ) -> None:
-        """Advance the zones of in-process clients' members of the views
-        a sweep did not change (:meth:`_note_refresh`). A socket
-        session's zones move on its acks and a detached client's hold
-        its replay window: neither has its members visited."""
-        local = [
-            client_id
-            for client_id, client in self._clients.items()
-            if not getattr(client, "defer_zone_advance", False)
-        ]
-        if not local:
-            return
-        for view in views:
-            if view in moved:
-                continue
-            for client_id in local:
-                bucket = view.buckets.get(client_id)
-                if bucket:
-                    self._note_refresh(
-                        client_id, (s for s in bucket.values() if s is not skip)
-                    )
-
-    def _flush(self, outbox: Outbox) -> int:
-        """Send every client its frame of one refresh step; returns the
-        subscriptions reached."""
-        return sum(
-            self._send(client_id, parts) for client_id, parts in outbox.items()
-        )
 
     def _refresh_scoped(self, subscription: Subscription) -> bool:
         """Refresh one subscription on its own, inside a ``sub.refresh``
@@ -932,7 +892,7 @@ class CQServer:
         # baseline by re-evaluating, as its every refresh does.
         view = subscription.view
         if view is not None:
-            self._catch_up(view, now, skip=subscription)
+            self._sweep((view,), now, subscription)
             subscription.fold()
         else:
             result = self.db.query(query, self.metrics)
