@@ -26,16 +26,24 @@ CQ. These are the records ``CQManager.poll()`` shares work through:
   router merges into it;
 * :class:`Family` — SPJ views whose texts differ only in one alias's
   local predicate share one execution per routed window on their
-  shape's plan, demultiplexed into each view's own delta.
+  shape's plan, demultiplexed into each view's own delta;
+* :func:`sweep` — the server's and the shard store's refresh: one
+  routing pass per footprint window, a view it does not select moved
+  to ``now`` by assignment alone, only the routed and quarantined
+  views evaluated, and each of those handed to the tier for delivery.
 
-Runnable CQs take their turns one after another in registration
-order, so the notification sequence is the paper's. A family's routed
-window is executed once, in its first due member's turn, and that pass
-advances every routed view of the family standing at the window's
-start (:meth:`Family.step`); a later member standing at that window,
-of any of those views, only receives its view's delta. Sharing only
-removes provably redundant work, and adds counters and a latency
-histogram.
+At the manager, runnable CQs take their turns one after another in
+registration order, so the notification sequence is the paper's. A
+family's routed window is executed once, in its first due member's
+turn, and that pass advances every routed view of the family standing
+at the window's start (:meth:`Family.step`); a later member standing
+at that window, of any of those views, only receives its view's delta.
+A sweep evaluates a family's routed window once too, in its first
+routed member's evaluation, and each other routed member takes its
+share through its own :meth:`SharedView.evaluate`. The manager's
+cohorts and a sweep select the views to evaluate by one rule,
+:meth:`DeltaBatchCache.due`. Sharing only removes provably redundant
+work, and adds counters and a latency histogram.
 """
 
 from __future__ import annotations
@@ -528,8 +536,9 @@ class SharedView:
         with ``delta`` applied (folding ``digest`` through
         :func:`apply_delta`) becomes ``result``; ``last`` records the
         window and ``since`` becomes ``now``. :meth:`advance` ends with
-        it, and so does the cluster router's merge of the deltas its
-        shard stores evaluated.
+        it, and so do :func:`sweep` for a view it evaluated and the
+        cluster router's merge of the deltas its shard stores
+        evaluated.
 
         The view's own result moves in place, at O(|delta|); a member's
         copy the view takes over, or a result handed out that the delta

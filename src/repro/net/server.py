@@ -206,26 +206,25 @@ Outbox = Dict[str, List[Tuple[List[Subscription], Message]]]
 class CQServer:
     """Hosts the database and serves continual-query subscriptions.
 
-    A refresh cycle has one shape whatever the protocol mix: every
-    view's window is consolidated through one per-cycle
+    A refresh cycle has one shape whatever the protocol mix: the views
+    move in one :func:`~repro.core.scheduler.sweep` over one per-cycle
     :class:`~repro.core.scheduler.DeltaBatchCache` (views of
     *different* queries still share one update-log pass per (table,
-    window) — observable as ``delta_batches_reused``), every view
-    advances through :meth:`SharedView.advance
-    <repro.core.scheduler.SharedView.advance>` — the manager's refresh
-    step — and every result frame leaves through :meth:`_send`.
+    window) — observable as ``delta_batches_reused``), which routes
+    each footprint's window once, moves a view routing does not select
+    by assignment and evaluates only the others, each through the
+    manager's step; every result frame leaves through :meth:`_send`.
 
     Every DRA subscription is a member of the
     :class:`~repro.core.scheduler.SharedView` of its query text (the
     Section 5.2 "extracting common subexpressions" refinement applied
-    at subscription granularity): a view is routed by the predicate
-    index and evaluated once per cycle, and its delta crosses each
-    connection holding members once — server compute per cycle is
-    independent of the subscriber count (experiment E3b). A cycle
+    at subscription granularity): a routed view is evaluated once per
+    cycle, and its delta crosses each connection holding members once
+    — server compute per cycle follows the routed views, not the
+    subscribers or the registered views (experiment E3b). A cycle
     gathers every routed view's part for a client and sends the client
-    one frame. A view's window moves in :meth:`_refresh_view` only; a
-    member never has its own. Only the REEVAL_* baselines refresh
-    alone.
+    one frame. A view's window moves in :meth:`_sweep` only; a member
+    never has its own. Only the REEVAL_* baselines refresh alone.
     """
 
     def __init__(
