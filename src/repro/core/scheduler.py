@@ -27,10 +27,10 @@ CQ. These are the records ``CQManager.poll()`` shares work through:
 * :class:`Family` — SPJ views whose texts differ only in one alias's
   local predicate share one execution per routed window on their
   shape's plan, demultiplexed into each view's own delta;
-* :func:`sweep` — the server's and the shard store's refresh: one
-  routing pass per footprint window, a view it does not select moved
-  to ``now`` by assignment alone, only the routed and quarantined
-  views evaluated, and each of those handed to the tier for delivery.
+* :func:`sweep` — the server's and the shard store's refresh: only
+  the views routing selects (:meth:`DeltaBatchCache.due`, the
+  manager's cohorts' rule too) are evaluated; the others move to
+  ``now`` by assignment.
 
 At the manager, runnable CQs take their turns one after another in
 registration order, so the notification sequence is the paper's. A
@@ -38,29 +38,15 @@ family's routed window is executed once, in its first due member's
 turn, and that pass advances every routed view of the family standing
 at the window's start (:meth:`Family.step`); a later member standing
 at that window, of any of those views, only receives its view's delta.
-A sweep evaluates a family's routed window once too, in its first
-routed member's evaluation, and each other routed member takes its
-share through its own :meth:`SharedView.evaluate`. The manager's
-cohorts and a sweep select the views to evaluate by one rule,
-:meth:`DeltaBatchCache.due`. Sharing only removes provably redundant
-work, and adds counters and a latency histogram.
+Sharing only removes provably redundant work, and adds counters and a
+latency histogram.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Sequence, Set, Tuple
 
 from repro.metrics import Metrics
 from repro.obs.trace import NULL_SPAN, Tracer
@@ -351,8 +337,9 @@ class SharedView:
     the server's subscriptions and the router's notification callbacks
     by ``(client_id, cq_name)``), ``readers`` (the manager's delta
     readers: the index entry lives while there is one), ``buckets``
-    (the server's members per client) and ``cost`` (what the server's
-    evaluations charged, for its ``describe``).
+    (the server's members per client) and ``cost`` (what a
+    :func:`sweep`'s evaluations of the view charged: the server's
+    ``describe`` reads it).
     """
 
     __slots__ = (
@@ -544,8 +531,9 @@ class SharedView:
         copy the view takes over, or a result handed out that the delta
         changes (to code outside the tier, or to a member that left the
         view and still lives), is copied first. An apply that raises
-        moves nothing."""
-        changed = delta is not None and not delta.is_empty()
+        moves nothing. A view holding no result (a shard store's) moves
+        its window alone."""
+        changed = held is not None and delta is not None and not delta.is_empty()
         out = changed and held.handed_out
         if held is not self.result or (out and (out is True or out() is not None)):
             held = held.copy()
@@ -579,26 +567,20 @@ def sweep(
     metrics: Metrics,
     tracer: Optional[Tracer] = None,
 ) -> Iterator[Tuple[SharedView, Timestamp, Optional[DeltaRelation]]]:
-    """Move ``views`` to ``now`` in their order: the refresh of the
-    server and of a shard store, which deliver what it yields (the
-    manager's lazy members take turns instead).
+    """Move ``views`` to ``now`` in their order, yielding ``(view, since,
+    delta)`` for each evaluated one for the tier to deliver: the refresh
+    of the server and of a shard store.
 
     Each footprint's window ``(since, now]`` is routed once
-    (:meth:`DeltaBatchCache.due`). A view it does not select is moved by
+    (:meth:`DeltaBatchCache.due`). A view it does not select moves by
     assignment alone: the Section 5.2 relevance theorem makes its delta
-    provably empty, so nothing is read, evaluated or stepped for it. A
-    selected view is evaluated through :meth:`SharedView.evaluate` (a
-    routed family's window once for all its members), what that charged
-    is folded once into ``metrics`` and the view's ``cost``, a view
-    holding a result is stepped by the delta, and ``(view, since,
-    delta)`` is yielded (delta None: nothing was evaluated). A window GC
-    has retired cannot be routed: each of its views evaluates on its
+    empty. A selected one moves through :meth:`SharedView.advance` (a
+    routed family's window evaluated once for all its members), what it
+    charged folded once into ``metrics`` and the view's ``cost``. A
+    window GC retired cannot be routed: its views evaluate on their
     own. An evaluation that raises leaves its view, and those after it,
-    where they stand.
-
-    ``delta_batches_reused`` reads as if each view had read its window:
-    a quiet view is charged the read it skips (a window no evaluated
-    view read was first read by one of its quiet views)."""
+    where they stand. ``delta_batches_reused`` reads as if each view
+    had read its window: a quiet view is charged the read it skips."""
     selected: Dict[Tuple[Tuple[str, ...], Timestamp], Optional[Set[str]]] = {}
     unread: Dict[Tuple[Tuple[str, ...], Timestamp], int] = {}
     bag = Metrics()
@@ -619,9 +601,8 @@ def sweep(
                 view.last, view.since = (since, now, None), now
                 continue
             unread.pop(key, None)
-            result = view.result
             try:
-                delta = view.evaluate(window, index, since, now, bag, tracer, result)
+                delta = view.advance(window, index, now, bag, tracer)
             finally:
                 if len(bag):
                     metrics.merge(bag)
@@ -629,12 +610,9 @@ def sweep(
                     for name, value in bag.snapshot().items():
                         cost[name] = cost.get(name, 0) + value
                     bag.reset()
-            if result is None:
-                view.last, view.since = (since, now, None), now
-            else:
-                view.step(delta, since, now, result)
             yield view, since, delta
     finally:
+        # (a window no evaluated view read was first read by a quiet one)
         skipped -= sum(unread.values())
         if skipped and window.metrics:
             window.metrics.count(Metrics.DELTA_BATCHES_REUSED, skipped)

@@ -111,7 +111,6 @@ class ResultCache:
                 self.digest_mismatches += 1
                 self._results.pop(cq_name, None)
                 self._digests.pop(cq_name, None)
-                self._sharers.pop(cq_name, None)
             else:
                 self._results[cq_name] = result
                 self._digests[cq_name] = (result, digest)
@@ -128,9 +127,9 @@ class ResultCache:
         CQ, ``result`` None where the delta cannot apply (no cached
         copy, or a delete of a row it does not hold): then nothing
         moved. The delta is applied once per distinct pre-frame digest,
-        to the cached relation itself when only addressed CQs hold it
-        (:meth:`_owns`), else to a copy; a relation put into the cache
-        by other means, or handed out, is always copied."""
+        to the cached relation itself when only addressed CQs hold it,
+        else to a copy; a relation put into the cache by other means,
+        or handed out, is always copied."""
         names = message.cq_names
         after: Dict[str, Tuple[Optional[Relation], Optional[str]]] = {}
         outcomes = []
@@ -143,10 +142,12 @@ class ResultCache:
             if described is not held:
                 digest = relation_digest(held)
             if digest not in after:
+                # Who else may hold it: the CQs of the frame that stored it.
+                others = set(self._sharers.get(cq_name, ())).difference(names)
                 if (
                     described is not held
                     or held.handed_out
-                    or not self._owns(cq_name, held, names)
+                    or any(self._results.get(n) is held for n in others)
                 ):
                     held = held.copy()
                 try:
@@ -155,13 +156,6 @@ class ResultCache:
                     after[digest] = (None, None)
             outcomes.append((cq_name, *after[digest]))
         return outcomes
-
-    def _owns(self, cq_name: str, held: Relation, names: Sequence[str]) -> bool:
-        """Whether only CQs of ``names`` hold ``held``, ``cq_name``'s
-        relation: each other CQ of the frame that stored it has since
-        taken another."""
-        others = set(self._sharers.get(cq_name, ())).difference(names)
-        return not others or all(self._results.get(n) is not held for n in others)
 
     def _hand_out(self, cq_name: str) -> Relation:
         """The cached result of ``cq_name``, marked handed out: the
