@@ -637,7 +637,9 @@ class CQServer:
             if not getattr(client, "defer_zone_advance", False)
         ]
         for view in views if local else ():
-            for client_id in () if view in moved else local:
+            if view in moved:
+                continue
+            for client_id in local:
                 bucket = view.buckets.get(client_id, {}).values()
                 self._note_refresh(client_id, (s for s in bucket if s is not skip))
         return sent
