@@ -71,7 +71,9 @@ here first) and drives N shard hosts through refresh cycles:
   leave the key behind until the end of the next refresh, where every
   owner store's tables have just reached one timestamp; there one
   catch-up re-installs the key at that timestamp on every owner
-  primary and at the router, notifying members one diff.
+  primary and moves the router's view over its window of the router's
+  own logs, in the sweep every other tier refreshes by. Members are
+  notified only once every view of the cycle has moved.
 
 * **Recovery and resize.** Each store journals scattered state
   WAL-first. :meth:`recover_shard` is a *rejoin*: groups nobody else
@@ -99,12 +101,11 @@ from repro.relational.sql import parse_query
 from repro.storage.database import Database
 from repro.storage.timestamps import Timestamp
 from repro.core.gc import ActiveDeltaZones
-from repro.core.scheduler import SharedView
+from repro.core.scheduler import DeltaBatchCache, SharedView, sweep
 from repro.delta.capture import deltas_since
-from repro.delta.diff import diff
 from repro.delta.differential import DeltaEntry, DeltaRelation
-from repro.dra.algorithm import dra_initial
 from repro.dra.predindex import PredicateIndex
+from repro.dra.prepared import PlanCache
 from repro.obs.export import prometheus_text
 from repro.cluster.dispatch import DRAIN, PROMOTE, REQUEST, CycleEngine
 from repro.cluster.health import ALIVE, HealthMonitor
@@ -250,6 +251,7 @@ class ClusterRouter:
         self.db = Database()
         self.seed = seed
         self.ring = HashRing(seed=seed, vnodes=vnodes)
+        self.plans = PlanCache(self.db, self.metrics)
         self.index = PredicateIndex(self.metrics)
         self.zones = ActiveDeltaZones(self.db)
         self.auto_gc = auto_gc
@@ -274,8 +276,8 @@ class ClusterRouter:
         self._started = False
         self._seq = 0
         #: One view per subscribed ``sql_key`` (its ``members`` map
-        #: ``(client, cq)`` to the notification callback; ``result`` is
-        #: only ever replaced, so every member aliases it and
+        #: ``(client, cq)`` to the notification callback; its step
+        #: moves ``result`` in place, every member aliases it and
         #: :meth:`result` hands out copies), the placement groups
         #: evaluating it (see ``_rehome``), and per subscription the
         #: view it is a member of.
@@ -643,13 +645,13 @@ class ClusterRouter:
                 for ref in query.relations
             }
             self.index.add(sql_key, query, scopes)
-            # E_0 on the kernels, as every tier installs: one DRA term
-            # seeded by a whole relation. The view exists before its
-            # seeding frames go out, so a promotion they cause sees it.
+            # E_0 on the kernels, as every tier installs. The view
+            # exists before its seeding frames go out, so a promotion
+            # they cause sees it.
             now = self.db.now()
-            initial = dra_initial(query, self.db, metrics=self.metrics)
-            view = self._views[sql_key] = SharedView(
-                query, sql_key, None, now, initial
+            plan = self.plans.get(sql_key, query)
+            view = self._views[sql_key] = SharedView.at(
+                query, sql_key, self.plans, plan, now, self.metrics
             )
             self._owners[sql_key] = set()
             self._rehome(sql_key, now)
@@ -677,6 +679,7 @@ class ClusterRouter:
         for group in sorted(self._owners.pop(sql_key)):
             self._unseed_group(group, sql_key, self.db.now())
         self.index.remove(sql_key)
+        self.plans.invalidate(sql_key)
         del self._views[sql_key]
         self._behind.discard(sql_key)
 
@@ -751,18 +754,19 @@ class ClusterRouter:
     def refresh(self, collect: bool = True) -> int:
         """One cluster refresh cycle: scatter, gather, merge, notify.
 
-        Returns the number of subscriptions that received a delta.
-        ``collect`` asks each store to run its own garbage collection
-        after refreshing (router-side collection is separate; see
-        :meth:`collect_garbage`). A host that misses its deadlines
-        mid-cycle is failed over *within* the cycle — its group's
-        promoted replica serves the same window, so subscribers never
-        see a gap or an error.
+        Returns the number of members notified, caught-up keys'
+        included. ``collect`` asks each store to run its own garbage
+        collection after refreshing (router-side collection is
+        separate; see :meth:`collect_garbage`). A host that misses its
+        deadlines mid-cycle is failed over *within* the cycle — its
+        group's promoted replica serves the same window, so subscribers
+        never see a gap or an error. One window of the router's logs,
+        charging no counters, serves the frames and the catch-up.
         """
         if not self._started:
             raise ClusterError("start() the cluster before refreshing")
         now = self.db.now()
-        windows: Dict[Timestamp, Tuple[Dict, Set[str]]] = {}
+        window = DeltaBatchCache(self.db)
         frames: Dict[Tuple[int, Timestamp], Dict[str, DeltaRelation]] = {}
         # Planning order (sorted groups, placement order within a
         # group) fixes the per-host FIFO queues, so a group's primary
@@ -772,8 +776,7 @@ class ClusterRouter:
                 host,
                 group,
                 self._engine.submit(
-                    host,
-                    self._plan(host, group, now, collect, windows, frames),
+                    host, self._plan(host, group, now, collect, window, frames)
                 ),
             )
             for group, placed in sorted(self._groups.items())
@@ -799,10 +802,7 @@ class ClusterRouter:
                 placed.served = max(placed.served, reply.ts)
                 for sql_key, delta, since, ts in reply.entries:
                     pending.setdefault(sql_key, []).append((delta, since, ts))
-        notified = self._merge_and_notify(pending, now)
-        self._drain_rereplication(now)
-        if self._behind:
-            self._catch_up(now)
+        notified = self._merge_and_notify(pending, now, window)
         if self.auto_gc:
             self.collect_garbage()
         return notified
@@ -813,48 +813,36 @@ class ClusterRouter:
         group: int,
         now: Timestamp,
         collect: bool,
-        windows: Dict[Timestamp, Tuple[Dict, Set[str]]],
+        window: DeltaBatchCache,
         frames: Dict[Tuple[int, Timestamp], Dict[str, DeltaRelation]],
     ) -> ScatterMessage:
         """The store's refresh frame for this cycle: it carries the
         missed window's slices when the window touches any of its
         group's footprints, and nothing otherwise.
 
-        ``windows`` memoizes (window, routed-keys) by horizon for the
-        cycle: in steady state every store shares one horizon, so the
-        consolidated window is captured and footprint-matched once per
-        cycle, not once per store. ``frames`` memoizes the sliced
+        ``window`` consolidates and routes each horizon's window once
+        per cycle (:meth:`DeltaBatchCache.due`): in steady state every
+        store shares one horizon. ``frames`` memoizes the sliced
         per-table deltas by (group, horizon): a group's primary and
         replicas receive identical slices — that is what keeps replicas
         in lockstep — so the slicing work is done once per group.
         """
         horizon = self._hosts[host].stores[group].horizon
-        cached = windows.get(horizon)
-        if cached is None:
-            window = deltas_since(
-                [self.db.table(name) for name in self._all_tables()], horizon
-            )
-            # A key the index quarantined (matching may quarantine one)
-            # matches nothing, so routing cannot vouch for it: it counts
-            # as routed, and its stores evaluate it unrouted.
-            routed = (
-                self.index.match_batch(window).keys() | self.index.stale()
-                if window
-                else set()
-            )
-            cached = windows[horizon] = (window, routed)
-        window, routed = cached
+        tables = self._all_tables()
+        deltas = window.deltas(tables, horizon, now)
         self._seq += 1
-        deltas: Dict[str, DeltaRelation] = {}
-        if window:
-            deltas = frames.get((group, horizon))
-            if deltas is None:
-                local = {
-                    sql_key for sql_key in routed if group in self._owners[sql_key]
-                }
-                deltas = frames[(group, horizon)] = self._slice(
-                    window, group, self._group_tables(local)
+        if deltas:
+            sliced = frames.get((group, horizon))
+            if sliced is None:
+                local = [
+                    sql_key
+                    for sql_key in window.due(self.index, tables, horizon, now)
+                    if group in self._owners[sql_key]
+                ]
+                sliced = frames[(group, horizon)] = self._slice(
+                    deltas, group, self._group_tables(local)
                 )
+            deltas = sliced
             self.metrics.count(
                 Metrics.SCATTERS if deltas else Metrics.SCATTER_SKIPPED
             )
@@ -862,55 +850,52 @@ class ClusterRouter:
             host, self._seq, now, deltas=deltas, collect=collect, group=group
         )
 
-    def _merge_and_notify(self, pending: Parts, now: Timestamp) -> int:
-        """Move every served view — no owner group lost, not behind —
-        to ``now`` by the sum of its owner primaries' partial deltas,
-        and notify its members. Each owner store of a served key moved
-        its window from the view's ``since`` to ``now`` this cycle, so
-        a part over any other window is a protocol violation; the parts
-        of a key that is not served are left unread."""
-        lost = {group for group, placed in self._groups.items() if not placed.hosts}
-        notified = 0
-        for sql_key, view in sorted(self._views.items()):
-            # A callback may have retired the key, or retired and
-            # re-subscribed it as a new view, since the cycle began.
-            if (
-                self._views.get(sql_key) is not view
-                or sql_key in self._behind
-                or not lost.isdisjoint(self._owners[sql_key])
-            ):
-                continue
-            parts = pending.get(sql_key, ())
-            for __, since, ts in parts:
-                if (since, ts) != (view.since, now):
-                    raise ClusterError(
-                        f"{sql_key!r}: a part over ({since}, {ts}] is not "
-                        f"the view's window ({view.since}, {now}]"
-                    )
-            delta = self._merge([part for part, __, __ in parts])
-            notified += self._advance(view, delta, now)
-        return notified
-
-    @staticmethod
-    def _advance(
-        view: SharedView, delta: Optional[DeltaRelation], now: Timestamp
+    def _merge_and_notify(
+        self, pending: Parts, now: Timestamp, window: DeltaBatchCache
     ) -> int:
-        """Move ``view`` to ``now`` by ``delta`` through its one step —
-        its result moved in place once, for every member — and notify
-        the members a non-empty ``delta``. A callback may subscribe or
-        unsubscribe: a joiner was handed a copy of the moved result and
-        is not notified, a leaver is skipped."""
-        view.step(delta, view.since, now, view.result)
-        if delta is None or delta.is_empty():
-            return 0
-        notified = 0
-        members = view.members
-        for key in list(members):
-            if key in members:
-                on_delta = members[key]
-                if on_delta is not None:
-                    on_delta(key[1], delta, now)
-                notified += 1
+        """Move every view, then notify; returns the members notified.
+        Every served view — no owner group lost, not behind — moves to
+        ``now`` by the sum of its owner primaries' partial deltas, the
+        capacity repair runs, the keys behind are caught up; then the
+        members each move found are notified, merged keys first, then
+        caught-up keys, each in key order, also when a later move
+        raised. No callback
+        runs while a window is still to be read, and a member joining
+        meanwhile holds the moved result, so it is not notified.
+
+        Each owner store of a served key moved its window from the
+        view's ``since`` to ``now`` this cycle, so a part over any other
+        window is a protocol violation; the parts of a key that is not
+        served are left unread."""
+        lost = {group for group, placed in self._groups.items() if not placed.hosts}
+        moved: List[Tuple[SharedView, DeltaRelation, list]] = []
+        try:
+            for sql_key, view in sorted(self._views.items()):
+                if sql_key in self._behind or lost & self._owners[sql_key]:
+                    continue
+                parts = pending.get(sql_key, ())
+                for __, since, ts in parts:
+                    if (since, ts) != (view.since, now):
+                        raise ClusterError(
+                            f"{sql_key!r}: a part over ({since}, {ts}] is not "
+                            f"the view's window ({view.since}, {now}]"
+                        )
+                delta = self._merge([part for part, __, __ in parts])
+                view.step(delta, view.since, now, view.result)
+                if delta is not None and not delta.is_empty():
+                    moved.append((view, delta, list(view.members.items())))
+            self._drain_rereplication(now)
+            if self._behind:
+                self._catch_up(now, window, moved)
+        finally:
+            notified = 0
+            for view, delta, members in moved:
+                live = view.members
+                for key, on_delta in members:
+                    if key in live:  # a callback may have unsubscribed it
+                        if on_delta is not None:
+                            on_delta(key[1], delta, now)
+                        notified += 1
         return notified
 
     def _merge(self, parts: List[DeltaRelation]) -> Optional[DeltaRelation]:
@@ -951,19 +936,22 @@ class ClusterRouter:
             entries = [e for e in entries if e.old != e.new]
         return DeltaRelation(parts[0].schema, entries)
 
-    def _catch_up(self, now: Timestamp) -> None:
-        """Re-install the keys behind as of ``now``, at the end of a
-        refresh, where every placed store's tables have just reached
-        ``now``: on every owner primary, one install frame each, and at
-        the router, whose members are notified the one diff. A key with
-        a lost owner group waits for the group's return, its view
-        unmoved; one whose owner changed primary meanwhile stays
-        behind, for the next refresh."""
-        keys = sorted(
-            key
-            for key in self._behind
-            if key in self._views and not self._lost_owner(key)
-        )
+    def _catch_up(
+        self,
+        now: Timestamp,
+        window: DeltaBatchCache,
+        moved: List[Tuple[SharedView, DeltaRelation, list]],
+    ) -> None:
+        """Move the keys behind to ``now``, at the end of a refresh,
+        where every placed store's tables have just reached ``now``:
+        re-install each on every owner primary as of ``now``, one
+        install frame per group, and move its view over ``(since, now]``
+        of the router's logs in one :func:`~repro.core.scheduler.sweep`
+        (a window GC retired is evaluated whole and diffed), appending
+        each changed one to ``moved``. A key with a lost owner group
+        waits for the group's return, its view unmoved; one whose owner
+        changed primary meanwhile stays behind, for the next refresh."""
+        keys = sorted(key for key in self._behind if not self._lost_owner(key))
         done: Dict[int, Optional[int]] = {}
         for group in sorted(set().union(*(self._owners[key] for key in keys))):
             hosts = self._groups[group].hosts
@@ -973,16 +961,19 @@ class ClusterRouter:
                     hosts[0], group, now, subscribe=owned, unsubscribe=owned
                 )
                 done[group] = hosts[0] if reply is not None else None
-        for view in [self._views[key] for key in keys]:
-            key = view.sql_key
-            if self._views.get(key) is not view:
-                continue  # a callback retired the key
-            owners = self._owners[key]
-            if any(self._groups[g].hosts[:1] != [done.get(g)] for g in owners):
-                continue
-            self._behind.discard(key)
-            fresh = dra_initial(view.query, self.db, now, metrics=self.metrics)
-            self._advance(view, diff(view.result, fresh, ts=now), now)
+        ready = [
+            self._views[key]
+            for key in keys
+            if all(self._groups[g].hosts[:1] == [done.get(g)] for g in self._owners[key])
+        ]
+        try:
+            for view, __, delta in sweep(ready, window, self.index, now, self.metrics):
+                if delta is not None and not delta.is_empty():
+                    moved.append((view, delta, list(view.members.items())))
+        finally:
+            self._behind.difference_update(
+                view.sql_key for view in ready if view.since == now
+            )
 
     # -- failure handling ---------------------------------------------------
 
@@ -1522,6 +1513,10 @@ class ClusterRouter:
                 "subscriptions and view member lists disagree",
             ),
             (not memberless, f"memberless sql_keys {memberless}"),
+            (
+                len(self.plans) == len(views) and all(k in self.plans for k in views),
+                "cached plans and views disagree",
+            ),
             (
                 self._owners.keys() == views.keys() >= self._behind,
                 "owners, views and keys behind disagree",

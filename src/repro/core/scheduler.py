@@ -23,14 +23,15 @@ CQ. These are the records ``CQManager.poll()`` shares work through:
 * :class:`SharedView` — the members of one SQL text share one plan,
   one index entry, one evaluation per window and one retained result;
   the manager and the server both refresh through it, and the cluster
-  router merges into it;
+  router merges into it and catches it up through it;
 * :class:`Family` — SPJ views whose texts differ only in one alias's
   local predicate share one execution per routed window on their
   shape's plan, demultiplexed into each view's own delta;
-* :func:`sweep` — the server's and the shard store's refresh: only
-  the views routing selects (:meth:`DeltaBatchCache.due`, the
-  manager's cohorts' rule too) are evaluated; the others move to
-  ``now`` by assignment.
+* :func:`sweep` — the refresh of the server and of the shard store,
+  and the cluster router's catch-up of keys left behind: only the
+  views routing selects (:meth:`DeltaBatchCache.due`, the manager's
+  cohorts' rule too) are evaluated; the others move to ``now`` by
+  assignment.
 
 At the manager, runnable CQs take their turns one after another in
 registration order, so the notification sequence is the paper's. A
@@ -310,8 +311,8 @@ class SharedView:
     held as DBSP holds a view: one state each window's delta advances.
     The manager and the server both refresh through it; the cluster
     router holds one per key too, moved by the sum of its shard stores'
-    deltas (a router view has no ``plans``: it never evaluates), and a
-    shard store holds resultless ones.
+    deltas and, when it was left behind, by a :func:`sweep` over its
+    own window; a shard store holds resultless ones.
 
     ``result`` is Q(state at ``since``): one integral per view, moved
     in place by :meth:`step`. Holders at its window read it (a manager
@@ -523,9 +524,9 @@ class SharedView:
         with ``delta`` applied (folding ``digest`` through
         :func:`apply_delta`) becomes ``result``; ``last`` records the
         window and ``since`` becomes ``now``. :meth:`advance` ends with
-        it, and so do :func:`sweep` for a view it evaluated and the
-        cluster router's merge of the deltas its shard stores
-        evaluated.
+        it, and so do :func:`sweep` for a view it evaluated (the
+        cluster router's catch-up included) and the router's merge of
+        the deltas its shard stores evaluated.
 
         The view's own result moves in place, at O(|delta|); a member's
         copy the view takes over, or a result handed out that the delta
@@ -569,7 +570,8 @@ def sweep(
 ) -> Iterator[Tuple[SharedView, Timestamp, Optional[DeltaRelation]]]:
     """Move ``views`` to ``now`` in their order, yielding ``(view, since,
     delta)`` for each evaluated one for the tier to deliver: the refresh
-    of the server and of a shard store.
+    of the server and of a shard store, and the cluster router's
+    catch-up.
 
     Each footprint's window ``(since, now]`` is routed once
     (:meth:`DeltaBatchCache.due`). A view it does not select moves by

@@ -529,22 +529,18 @@ def prepare_cq(
 class PlanCache:
     """A keyed cache of prepared plans with staleness validation.
 
-    The manager and the server key entries by query SQL, so identical
-    CQs or subscriptions share one plan (dropped with the last of
-    them). Every lookup revalidates against the live catalog —
+    Every tier (manager, server, shard store, router) keys entries by
+    query SQL, so identical CQs or subscriptions share one plan
+    (dropped with the last of them). A plan is compiled as registration
+    compiles one, creating the join indexes it probes (``prepare_cq``'s
+    ``auto_index``). Every lookup revalidates against the live catalog —
     schema identity and index-set versions — and silently re-prepares
     on staleness, charging ``plan_cache_invalidations``.
     """
 
-    def __init__(
-        self,
-        db: Database,
-        metrics: Optional[Metrics] = None,
-        auto_index: bool = True,
-    ):
+    def __init__(self, db: Database, metrics: Optional[Metrics] = None):
         self.db = db
         self.metrics = metrics
-        self.auto_index = auto_index
         self._lock = Lock()
         self._plans: Dict[str, PreparedCQ] = {}
 
@@ -560,9 +556,7 @@ class PlanCache:
                 del self._plans[key]
                 if self.metrics:
                     self.metrics.count(Metrics.PLAN_CACHE_INVALIDATIONS)
-            prepared = prepare_cq(
-                query, self.db, metrics=self.metrics, auto_index=self.auto_index
-            )
+            prepared = prepare_cq(query, self.db, metrics=self.metrics)
             self._plans[key] = prepared
             return prepared
 

@@ -8,6 +8,8 @@ key through the whole lifecycle and check they can never be told apart
 the merge is notifying, is safe.
 """
 
+import pytest
+
 from repro.cluster import ClusterRouter, LocalBackend
 from tests.cluster.test_control_plane_trace import make_router
 
@@ -363,3 +365,92 @@ def test_a_group_lost_across_an_add_rejoins_onto_its_new_slice(tmp_path):
             tmp_path / str(seed), add, "v", seed
         )
         assert misfits == [] and converged, seed
+
+
+def test_a_catch_up_counts_the_members_it_notifies(tmp_path):
+    """replicas=0: a key's group is lost, a commit changes its result,
+    and the group comes back. The refresh that catches the key up
+    notifies both members and says so."""
+    router = make_cluster(tmp_path, replicas=0)
+    seen = []
+    for client in ("a", "b"):
+        router.subscribe(client, "watch", SQL, lambda *note: seen.append(note))
+    router.refresh()
+    [home] = router.describe()[0]["shards"]
+    router.kill_shard(home)
+    tick(router, 1, 150.0)
+    assert router.refresh() == 0  # nobody serves the key
+    router.recover_shard(home)
+    assert router.refresh() == 2 == len(seen)
+    assert_members_agree(router, ["a", "b"])
+
+
+@pytest.mark.parametrize("release_zone", (False, True))
+def test_a_callback_commits_during_a_catch_up(tmp_path, release_zone):
+    """replicas=0, two keys over ``stocks`` homed on different groups.
+    The served key's member commits to ``stocks`` from its ``on_delta``
+    while the other key's group is lost and in the refresh that catches
+    that key up. Every member applies what it is notified to a copy of
+    its own. With ``release_zone`` the router's logs are collected past
+    the behind key's window while its group is lost: the catch-up
+    evaluates the query whole and diffs it with the view's result."""
+    router = make_cluster(tmp_path, replicas=0)
+    texts = [f"SELECT name, price FROM stocks WHERE price > {n}" for n in range(100, 112)]
+    homes = {}
+    for i, sql in enumerate(texts):
+        router.subscribe("probe", f"q{i}", sql)
+    for row in router.describe():
+        homes.setdefault(row["shards"][0], texts[int(row["cq"][1:])])
+    for i in range(len(texts)):
+        router.unsubscribe("probe", f"q{i}")
+    (__, served), (behind_home, behind) = sorted(homes.items())[:2]
+    copies, budget = {}, [0]
+
+    def member(client, cq, commit=False):
+        def on_delta(cq_name, delta, ts):
+            copy = copies[(client, cq)]
+            for entry in delta:
+                assert copy.get(entry.tid) == entry.old, entry
+                if entry.new is None:
+                    del copy[entry.tid]
+                else:
+                    copy[entry.tid] = entry.new
+            if commit and budget[0]:
+                budget[0] -= 1
+                tick(router, 11, 200.0 + budget[0])  # in both results
+
+        return on_delta
+
+    members = [("w", "served", served, True), ("r1", "behind", behind, False)]
+    members.append(("r2", "behind", behind, False))
+    for client, cq, sql, commit in members:
+        initial = router.subscribe(client, cq, sql, member(client, cq, commit))
+        copies[(client, cq)] = {row.tid: row.values for row in initial}
+
+    def refresh():
+        router.refresh()
+        router.check_invariants()
+        for client, cq, __, __ in members:
+            assert copies[(client, cq)] == {
+                row.tid: row.values for row in router.result(client, cq)
+            }, (client, cq)
+
+    refresh()
+    router.kill_shard(behind_home, release_zone=release_zone)
+    budget[0] = 4
+    for price in (150.0, 60.0):
+        tick(router, 3, price)
+        refresh()
+    since = router._subs[("r1", "behind")].since
+    if release_zone:
+        router.collect_garbage()
+        assert router.db.table("stocks").log.pruned_through > since
+    router.recover_shard(behind_home)
+    tick(router, 5, 170.0)
+    refresh()  # the catch-up; the served key's member commits in it
+    assert router._subs[("r1", "behind")].since > since
+    budget[0] = 0
+    refresh()
+    for client, cq, sql, __ in members:
+        oracle = {row.tid: row.values for row in router.db.query(sql)}
+        assert copies[(client, cq)] == oracle, (client, cq)

@@ -150,6 +150,7 @@ STATE = {
         "db",
         "seed",
         "ring",
+        "plans",
         "index",
         "zones",
         "auto_gc",
