@@ -234,7 +234,8 @@ class ClusterShard:
         the recovered logs still cover that window, and as of recovery
         time otherwise (``recover_server``'s rule, with nothing to
         evaluate); the host's hello then reports the applied horizon so
-        the router can choose delta replay or baseline fallback.
+        the router can choose delta replay or baseline fallback. The
+        logs, re-logged whole from the journal, are pruned to the zones.
         """
         from repro.core.persistence import _replay_wal
 
@@ -252,6 +253,7 @@ class ClusterShard:
             if any(table.log.pruned_through > ts for table in tables):
                 ts = now
             store._install(sql_key, query, ts)
+        store.zones.collect()
         return store
 
     # -- protocol ----------------------------------------------------------

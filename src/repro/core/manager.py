@@ -53,7 +53,7 @@ from repro.delta.differential import DeltaRelation
 from repro.delta.diff import diff
 from repro.delta.propagate import evaluate_as_of
 from repro.dra.aggregates import DifferentialAggregate
-from repro.dra.algorithm import dra_execute
+from repro.dra.algorithm import dra_execute, dra_initial
 from repro.dra.predindex import PredicateIndex
 from repro.dra.prepared import PlanCache, PreparedCQ
 from repro.core.continual_query import (
@@ -75,6 +75,7 @@ from repro.core.scheduler import (
     is_skip_safe,
     join_family,
     leave_family,
+    sweep,
 )
 from repro.core.termination import Never, StopCondition
 from repro.core.triggers import (
@@ -370,11 +371,17 @@ class CQManager:
         A member is *lazy* — visited only when routed, see
         :class:`~repro.core.scheduler.Cohort` — when this is a PERIODIC
         manager, the engine DRA, the trigger exactly ``OnEveryChange``
-        and the stop ``Never``. EAGER CQs read the log on every commit,
-        from their own applied-through stamp: they keep their own zone.
+        and the stop ``Never``; its view joins the cohort's ``views``.
+        EAGER CQs read the log on every commit, from their own
+        applied-through stamp: they keep their own zone.
         """
         name, tables, key = cq.name, cq.table_names, cq.sql_key
-        view = self._views.get(key)
+        view, cohort = self._views.get(key), self._cohorts.get(tables)
+        lazy = (
+            _rides(cq)
+            and self.strategy is EvaluationStrategy.PERIODIC
+            and (cohort is None or not cohort.lazy or ts >= cohort.swept)
+        )
         result = None
         if status is CQStatus.ACTIVE:
             now = cq.applied_ts = self.db.now()
@@ -446,7 +453,6 @@ class CQManager:
                 self.index.add(key, cq.spj_core, scopes)
                 if not cq.is_aggregate:  # (an aggregate folds its own reads)
                     join_family(self._families, view, scopes)
-        cohort = self._cohorts.get(tables)
         if cohort is None:
             cohort = self._cohorts[tables] = Cohort(tables, ts)
             for table in tables:
@@ -458,16 +464,19 @@ class CQManager:
         cohort.routing = True  # a new membership: observe routing afresh
         if not cohort.lazy:
             cohort.swept = ts  # only lazy members read it
-        if (
-            _rides(cq)
-            and self.strategy is EvaluationStrategy.PERIODIC
-            and ts >= cohort.swept
-        ):
+        if lazy:
             if not cohort.lazy:
                 self.zones.register(tables, tables, ts)
             elif self._touched(tables, cohort.swept):
                 cohort.late[name] = cq
             cohort.lazy[name] = cq
+            if not cq.is_aggregate and key not in cohort.views:
+                # (it joins the sweep holding Q(state now), at swept or ahead)
+                if current is not None and (
+                    current is not view.result or view.since < cohort.swept
+                ):
+                    view.step(None, view.since, now, current)
+                cohort.views[key] = view
         else:
             cohort.always[name] = cq
             self.zones.register(name, tables, ts)
@@ -489,7 +498,7 @@ class CQManager:
         if cq.held is view.result is not None and len(view.members) > 1:
             # It leaves with its result as of its window, which later
             # steps of the view must not move while it lives.
-            if cq.last_execution_ts < view.since:
+            if self._since(cq) < view.since:
                 self._part(view)  # (if it is behind the view's last step)
             held = cq.held
             if held is view.result:
@@ -510,6 +519,12 @@ class CQManager:
         cohort.routing = True  # a new membership: observe routing afresh
         for members in (cohort.lazy, cohort.always, cohort.late):
             members.pop(name, None)
+        if key in cohort.views:
+            for other in view.members:
+                if other in cohort.lazy:
+                    break
+            else:
+                del cohort.views[key]
         self.zones.remove(name)
         if not cohort.lazy:
             self.zones.remove(tables)
@@ -584,17 +599,14 @@ class CQManager:
         "system-defined default interval, say every day at midnight").
         Returns all notifications produced since the previous drain.
 
-        One window for the whole poll: sweep every cohort, give what is
-        due — the CQs a sweep routes or cannot prove unobservable — its
-        turn in registration order, a lazy member :meth:`_receive`,
-        anyone else a full visit; then move the sweeps and, under
-        ``auto_gc``, collect behind them. A turn that executes a family's
-        routed window moves every routed view of that family standing at
-        the window's start in the same pass, so the later members of
-        those views only receive. A lazy member's ``stats`` row reads
-        evaluated — a latency sample, its scoped counters — only for a
-        turn that evaluated; what the received turns owe the shared bag
-        and their rows is charged once, after the turns.
+        One window for the whole poll: each cohort's lazy views move to
+        ``now`` first (:meth:`_due`), then what is due — the CQs a sweep
+        routes or cannot prove unobservable — takes its turn in
+        registration order, a lazy member :meth:`_receive`, anyone else
+        a full visit; then the cohorts' ``swept`` moves and, under
+        ``auto_gc``, the poll collects behind it. What the received
+        turns owe the shared bag and their ``stats`` rows is charged
+        once, after the turns.
         """
         if advance_to is not None:
             self.db.clock.advance_to(advance_to)
@@ -606,11 +618,12 @@ class CQManager:
             # Swept unrouted, a lazy member finding nothing may be one that
             # routing leaves out: then its footprint's next sweep routes.
             quiet = {cohort.tables: False for cohort in cohorts if not cohort.routing}
-            runnable, visits = [], set()  # (visits: the always-visit members)
+            runnable, visits, payers = [], set(), set()  # (visits: always-visit)
             for cohort in cohorts:
-                always, late = self._due(cohort)
+                always, late, payer = self._due(cohort)
                 visits.update(always)
                 runnable += (*always, *late)
+                payers.add(payer)
             runnable.sort(key=attrgetter("order"))
             span.set(runnable=len(runnable))
             receive = self._receive
@@ -625,7 +638,7 @@ class CQManager:
                     else:
                         took = receive(cq)
                         if took is not None:
-                            turns[took].append(cq)
+                            turns[took and cq not in payers].append(cq)
                     if quiet and lazy and cq.executions == executions:
                         if cq.table_names in quiet:
                             quiet[cq.table_names] = True
@@ -676,21 +689,25 @@ class CQManager:
         finally:
             self._window = outer
 
-    def _due(self, cohort: Cohort) -> Tuple[List[ContinualQuery], Iterable]:
-        """The members of ``cohort`` this poll must visit: the
-        always-visit ones, and the lazy ones its sweep selects."""
+    def _due(self, cohort: Cohort) -> Tuple[List, Iterable, Optional[ContinualQuery]]:
+        """The members of ``cohort`` this poll must visit — the
+        always-visit ones, and the lazy ones its routing selects — once
+        its lazy views moved to ``now`` (a touched window's in one
+        :func:`~repro.core.scheduler.sweep`, quiet ones by assignment),
+        and the first due lazy member, whose :meth:`_charged` scope the
+        sweep ran in (None: nobody's)."""
         always = [
             cq
             for cq in cohort.always.values()
             if not is_skip_safe(cq)
             or self._touched(cohort.tables, cq.last_execution_ts)
         ]
-        lazy, swept, late = cohort.lazy, cohort.swept, {}
+        lazy, swept, late, payer = cohort.lazy, cohort.swept, {}, None
+        window, now = self._window, self.db.now()
         if lazy and self._touched(cohort.tables, swept):
             if not cohort.routing:
                 cohort.late = dict(lazy)
             else:
-                window, now = self._window, self.db.now()
                 hit = 0
                 for key in window.due(self.index, cohort.tables, swept, now):
                     members = self._views[key].members
@@ -707,9 +724,25 @@ class CQManager:
                 if cq.last_execution_ts < swept:
                     cq.last_execution_ts = swept
                     cq.applied_ts = max(cq.applied_ts, swept)
+        views, tables = [], cohort.tables  # (with nobody due, none is selected)
+        for view in cohort.views.values():
+            if late and (view.since == swept or self._touched(tables, view.since)):
+                views.append(view)
+            else:  # (quiet, or routed past: its delta is empty, Section 5.2)
+                view.last, view.since = (view.since, now, None), now
+        if views:
+            index = self.index if cohort.routing else None
+
+            def move(payer: ContinualQuery, now: Timestamp) -> None:
+                metrics = self._scoped_metrics
+                for __ in sweep(views, window, index, now, metrics, self.tracer):
+                    pass
+
+            payer = min(late.values(), key=attrgetter("order"))
+            self._charged(payer, move)
         if not always and not late and self.metrics is not None:
             self.metrics.count(Metrics.GROUPS_SKIPPED)
-        return always, late.values()
+        return always, late.values(), payer
 
     def _receive(self, cq: ContinualQuery) -> Optional[bool]:
         """A lazy member's turn: take its view's delta over its window,
@@ -718,24 +751,24 @@ class CQManager:
         there is no zone of its own to advance, and ``OnEveryChange``
         fires iff the window is touched and ignores ``notify_fired``.
 
-        When the view's ``last`` is the member's window as of now, an
-        earlier turn evaluated it or stepped the view in its family's
-        pass, and this turn is only what the member owns: stamps, alias,
-        notification. Otherwise (the first due member of a window, a
-        view the family pass may not step, a late joiner, anyone after a
-        callback's commit) it evaluates its window here, charged to it
-        (:meth:`_charged`). Returns None when nothing was received (a
-        late member's own window is quiet), else whether the delta was
-        taken rather than evaluated."""
+        When the poll's sweep moved the view over the member's window
+        as of now (``window.moved``), this turn is only what the member
+        owns: stamps, alias, notification. Otherwise (a late member, a
+        member behind its view, anyone after a callback's commit) it
+        evaluates its window here, charged to it (:meth:`_charged`).
+        Returns None when nothing was received (a late member's own
+        window is quiet), else whether the delta was taken rather than
+        evaluated."""
         view = self._views[cq.sql_key]
-        last, now, since = view.last, self.db.clock.now(), cq.last_execution_ts
+        now, since = self.db.clock.now(), cq.last_execution_ts
+        moved = self._window.moved.get(view)
         if (
-            last is not None
-            and last[1] == now
-            and last[0] == since
-            and last[2] is not None
+            moved is not None
+            and moved[1] == now
+            and moved[0] == since
+            and moved[2] is not None
         ):  # (an evaluated window was a touched one)
-            delta, took = last[2], True
+            delta, took = moved[2], True
             if cq.keep_result:
                 cq.held = view.result
         elif self._touched(cq.table_names, since):
@@ -889,15 +922,18 @@ class CQManager:
         """Q(state at ``ts``) for :meth:`_install`, on ``prepared``, the
         plan it compiled: the key's view built afresh at ``ts``
         (:meth:`SharedView.at`, E_0 as one kernel term; its members
-        carried over), an aggregate folding its narrowed core's rows
-        into a state of its own. A REEVALUATE CQ keeps the row
-        evaluator here, as at every refresh."""
+        carried over) unless its cohort sweeps it (then the member's
+        own), an aggregate folding its narrowed core's rows into a
+        state of its own. A REEVALUATE CQ keeps the row evaluator here,
+        as at every refresh."""
         if cq.engine is Engine.REEVALUATE:
             return evaluate_as_of(cq.query, self.db, ts, self.metrics)
         if cq.is_aggregate:
             state = DifferentialAggregate(cq.query, self.db)
             return state.initialize(self.metrics, prepared, ts)
-        key = cq.sql_key
+        key, cohort = cq.sql_key, self._cohorts.get(cq.table_names)
+        if cohort is not None and key in cohort.views:  # (its riders stay)
+            return dra_initial(cq.query, self.db, ts, prepared, self.metrics)
         view = SharedView.at(cq.query, key, self.plans, prepared, ts, self.metrics)
         old = self._views.get(key)
         if old is not None:
@@ -990,48 +1026,40 @@ class CQManager:
 
     def _execute_dra(self, cq: ContinualQuery, now: Timestamp) -> DeltaRelation:
         """The view step for one member: the result delta over its
-        window. The first member to ask advances the view — from its
-        own ``since``, or from the member's window and copy —; once the
-        view stands at ``now`` (or for a member keeping no copy) a
-        member evaluates its window without moving the view, which
-        hands a window it last advanced over its delta instead of
+        window. A member standing where the view stands moves it; one
+        behind the view's ``now`` moves it from the member's window and
+        copy; otherwise — the view is at ``now``, or the member keeps no
+        copy — it evaluates its window without moving the view, which
+        hands a window the view last advanced over its delta instead of
         evaluating again: CQs with one SQL text and one window hold
-        content-identical results. A rider (:func:`_rides`) then holds
-        the view's one result, which moves in place; anyone else keeps a
-        copy of its own, which the delta moves in place too while no
-        other member holds it and it was not handed out (else it copies
-        the view's result): one result copy per changing execution at
-        most, the view's taking over a copy it moves from. A rider the
-        view's last step left behind (a callback's commit came first) is
-        parted from it first (:meth:`_part`).
-
-        When the window was its family's, the same pass moves every
-        other routed view of the family that :meth:`_stands` at the
-        window's start (:meth:`Family.step`): their members' turns then
-        only receive."""
-        view, since = self._views[cq.sql_key], cq.last_execution_ts
-        held, result = cq.held, view.result
+        content-identical results.
+        A rider (:func:`_rides`) then holds the view's one result, which
+        moves in place; anyone else keeps a copy of its own, which the
+        delta moves in place too while no other member holds it and it
+        was not handed out (else it copies the view's result): one
+        result copy per changing execution at most, the view's taking
+        over a copy it moves from. A rider the view's last step left
+        behind (a callback's commit came first) is parted from it first
+        (:meth:`_part`). A poll's sweep moved every lazy view already."""
+        view, since, held = self._views[cq.sql_key], cq.last_execution_ts, cq.held
         index, metrics = self._route_index(cq), self._scoped_metrics or self.metrics
-        window, tracer = self._window, self.tracer
-        if result is not None and since == view.since:
-            delta = view.advance(window, index, now, metrics, tracer)
+        window, last = self._window, view.last
+        moves = view.result is not None and since == view.since
+        if moves:
+            held = view.result
         elif held is not None and view.since != now:
             self._part(view)  # (a rider left behind, ``cq`` too, owns a copy)
-            delta = view.advance(window, index, now, metrics, tracer, since, cq.held)
-        else:
-            last = view.last
-            delta = view.evaluate(window, index, since, now, metrics, tracer, held)
-            if delta is not None and last is not None and delta is last[2]:
-                if self.metrics is not None:
-                    self.metrics.count(Metrics.SHARED_GROUP_HITS)
-        family, shares = view.family, None
-        if family is not None and index is not None:  # (a routed read's)
-            shares = window.evaluated(family, since, now)
-        if shares is not None:
-            cohort = self._cohorts[cq.table_names]
-            family.step(
-                shares, since, now, lambda other: self._stands(other, since, cohort)
-            )
+            held, moves = cq.held, True
+        try:
+            read = view.read(window, index, since, now)
+        except ValueError:  # (a window GC retired: Q whole, diffed)
+            read = None
+        delta = view.evaluate(window, read, since, now, metrics, self.tracer, held)
+        if moves:
+            view.step(delta, since, now, held)
+        elif delta is not None and last is not None and delta is last[2]:
+            if self.metrics is not None:
+                self.metrics.count(Metrics.SHARED_GROUP_HITS)
         if cq.keep_result and view.since == now and view.result is not None:
             if _rides(cq):
                 cq.held = view.result
@@ -1059,9 +1087,12 @@ class CQManager:
         """Before the view moves on from a member's window or copy, a
         new E_0 replaces its result, a member leaves, or a pass raises:
         the riders its last step left behind (their turns not taken)
-        keep their result as of where they stand — that step undone,
-        one copy shared."""
-        result, last = view.result, view.last
+        keep their result as of where they stand — that step undone
+        (the open window's sweep's, if it moved the view), one copy
+        shared."""
+        result, last, window = view.result, view.last, self._window
+        if window is not None:
+            last = window.moved.get(view, last)
         if result is None or last is None:
             return
         holders = [
@@ -1074,30 +1105,6 @@ class CQManager:
             copy = taken.unapply_from(result) if taken else result.copy()
             for cq in holders:
                 cq.held = copy
-
-    def _stands(self, view: SharedView, since: Timestamp, cohort: Cohort) -> bool:
-        """Whether a family pass may step ``view`` from ``since``: it has
-        a lazy member to take the step (always-visit members evaluate in
-        their own turns), and its result is Q(state at ``since``) — it
-        stands there, or it lags behind and a lazy member holding its
-        result rides the cohort's sweep to ``since``, so the routed
-        sweeps that skipped that member proved ``(view.since, since]``
-        irrelevant to the view (Section 5.2). :meth:`check_invariants`
-        holds what this admits at the sweep to Q(state there)."""
-        result, at = view.result, view.since
-        if result is None or at > since:
-            return False
-        lazy, swept = cohort.lazy, cohort.swept
-        for name, cq in view.members.items():
-            if name in lazy and (
-                at == since
-                or (
-                    cq.held is result
-                    and max(cq.last_execution_ts, swept) == since
-                )
-            ):
-                return True
-        return False
 
     def _route_index(self, cq: ContinualQuery) -> Optional[PredicateIndex]:
         """The index a read of ``cq``'s window routes through: None
@@ -1213,6 +1220,16 @@ class CQManager:
             ),
             "a late member that is not lazy, or a memberless cohort",
         )
+        for tables, c in cohorts.items():  # (one sweep moves them all)
+            lazy = {cq.sql_key for cq in c.lazy.values() if not cq.is_aggregate}
+            law(
+                c.views.keys() == lazy
+                and all(
+                    views.get(k) is v and v.result is not None and v.since >= c.swept
+                    for k, v in c.views.items()
+                ),
+                f"{tables}: views != the lazy members', or one behind the sweep",
+            )
         planned, watching, zones, as_of = set(), set(), set(), {}
         for name, cq in active.items():
             tables, key, since = cq.table_names, cq.sql_key, self._since(cq)
@@ -1259,8 +1276,9 @@ class CQManager:
                     f"{name}: retained result is not Q(state at {since})",
                 )
             # No holder sees a result change under it: only a rider holds
-            # the view's result, at its window (or ahead of a lagging
-            # view, or behind one whose last step changed nothing).
+            # the view's result, at its window (or ahead of the view's
+            # since, a joiner's, or behind one whose last step changed
+            # nothing).
             if cq.held is not None and cq.held is view.result:
                 moved = view.last is not None and view.last[2]
                 law(
@@ -1276,23 +1294,7 @@ class CQManager:
                 f"{key}: readers or the index entry != its {readers} delta readers",
             )
             view.check(self.db)
-            # What a family pass may step from the sweep is Q(state there).
             cohort = cohorts[members[0].table_names]
-            swept = cohort.swept
-            if (
-                view.since < swept
-                and self._stands(view, swept, cohort)
-                and all(
-                    self.db.table(t).log.pruned_through <= swept
-                    for t in view.tables
-                )
-            ):
-                if (key, swept) not in as_of:
-                    as_of[key, swept] = evaluate_as_of(view.query, self.db, swept)
-                law(
-                    view.result == as_of[key, swept],
-                    f"{key}: steppable from the sweep, but not Q(state at {swept})",
-                )
             if view.last is None:
                 continue
             law(

@@ -27,18 +27,19 @@ CQ. These are the records ``CQManager.poll()`` shares work through:
 * :class:`Family` — SPJ views whose texts differ only in one alias's
   local predicate share one execution per routed window on their
   shape's plan, demultiplexed into each view's own delta;
-* :func:`sweep` — the refresh of the server and of the shard store,
-  and the cluster router's catch-up of keys left behind: only the
-  views routing selects (:meth:`DeltaBatchCache.due`, the manager's
-  cohorts' rule too) are evaluated; the others move to ``now`` by
-  assignment.
+* :func:`sweep` — one circuit, a sink per tier: the refresh of the
+  server and of the shard store, the cluster router's catch-up of keys
+  left behind, and the start of a manager's poll, which moves each
+  touched cohort's lazy views: only the views routing selects
+  (:meth:`DeltaBatchCache.due`'s rule, the manager's cohorts' too) are
+  evaluated; the others move to ``now`` by assignment.
 
-At the manager, runnable CQs take their turns one after another in
-registration order, so the notification sequence is the paper's. A
-family's routed window is executed once, in its first due member's
-turn, and that pass advances every routed view of the family standing
-at the window's start (:meth:`Family.step`); a later member standing
-at that window, of any of those views, only receives its view's delta.
+At the manager, the sweep runs first, charged to each cohort's first
+due lazy member; then runnable CQs take their turns one after another
+in registration order, so the notification sequence is the paper's. A
+lazy member standing at the window the sweep moved its view over only
+receives its view's delta (``DeltaBatchCache.moved``); a family's
+routed window was executed once, for every routed view of the family.
 Sharing only removes provably redundant work, and adds counters and a
 latency histogram.
 """
@@ -46,7 +47,7 @@ latency histogram.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 from typing import Sequence, Set, Tuple
 
 from repro.metrics import Metrics
@@ -90,7 +91,9 @@ class DeltaBatchCache:
     batch that is missing it.
 
     A family's evaluation of a routed window (:meth:`family`) is kept
-    under ``(shape, since_ts, now_ts)``, so it too dies with the window.
+    under ``(shape, since_ts, now_ts)``, and each view a :func:`sweep`
+    moved by an evaluation under ``moved`` (``(since, now, delta)``: what
+    the manager's turns deliver), so they too die with the window.
 
     One poll, one commit observed by an IMMEDIATE manager or one server
     refresh cycle builds one window, reads it from one thread and drops
@@ -120,6 +123,9 @@ class DeltaBatchCache:
         self.stale: Set[str] = set()
         # Windows a sweep routed that no read has taken yet.
         self._unread: Set[Tuple[Tuple[str, ...], Timestamp, Timestamp]] = set()
+        self.moved: Dict[
+            "SharedView", Tuple[Timestamp, Timestamp, Optional[DeltaRelation]]
+        ] = {}
         self.hits = 0
         self.misses = 0
 
@@ -207,8 +213,9 @@ class DeltaBatchCache:
     ) -> Set[str]:
         """The keys a sweep of the window must evaluate, routed through
         :meth:`routed`: those ``index`` routes entries to, and those it
-        had quarantined (routing cannot vouch for them). The one
-        selection rule of the manager's cohorts and of :func:`sweep`."""
+        had quarantined (routing cannot vouch for them) — the rule
+        :func:`sweep` selects its views by, and the manager's cohorts
+        their due members."""
         routed = self.routed(index, table_names, since, now, read)[1]
         return routed.keys() | self.stale
 
@@ -232,13 +239,6 @@ class DeltaBatchCache:
             out = family.evaluate(self.db, deltas, routed, now, metrics, tracer)
             self._families[key] = out
         return out
-
-    def evaluated(
-        self, family: "Family", since: Timestamp, now: Timestamp
-    ) -> Optional[Dict[str, DeltaRelation]]:
-        """What :meth:`family` holds for ``(since, now]``: None when the
-        family has not evaluated that window."""
-        return self._families.get((family.key, since, now))
 
     def __repr__(self) -> str:
         return (
@@ -282,11 +282,13 @@ class Cohort:
     ``lazy`` members (classified by :meth:`CQManager._install`) are
     visited only when routed: an unvisited one's window start is
     ``max(cq.last_execution_ts, swept)``, and the cohort's one GC zone
-    at ``swept`` protects it. ``always`` members keep their own window
-    and zone. ``late`` holds lazy members whose window does not start
-    at ``swept`` — registered after a commit the cohort has not swept,
-    or visited by a poll that did not finish — so the next poll visits
-    them whatever it routes.
+    at ``swept`` protects it; a poll's :func:`sweep` moves the ``views``
+    of its lazy SPJ members to ``now``, so each stands at ``swept`` or
+    ahead of it (a late joiner's). ``always`` members keep their own
+    window and zone. ``late`` holds lazy members whose window does not
+    start at ``swept`` — registered after a commit the cohort has not
+    swept, or visited by a poll that did not finish — so the next poll
+    visits them whatever it routes.
 
     ``routing``: whether the reads of a footprint with lazy members go
     through the index. A routed sweep selecting every lazy member turns
@@ -295,12 +297,13 @@ class Cohort:
     uninstall turns it back on.
     """
 
-    __slots__ = ("tables", "swept", "lazy", "always", "late", "routing")
+    __slots__ = ("tables", "swept", "lazy", "views", "always", "late", "routing")
 
     def __init__(self, tables: Tuple[str, ...], swept: Timestamp):
         self.tables = tables
         self.swept = swept
         self.lazy: Dict[str, ContinualQuery] = {}
+        self.views: Dict[str, SharedView] = {}
         self.always: Dict[str, ContinualQuery] = {}
         self.late: Dict[str, ContinualQuery] = {}
         self.routing = True
@@ -321,14 +324,13 @@ class SharedView:
     out is a copy. ``digest`` describes it where the tier ships digests
     (the server), else None. ``last`` is the last evaluation to
     ``since``, ``(from, since, delta)``; a window that is its ``from``
-    takes the delta, which is kept while the manager has a second delta
-    reader to take it or a family pass moved the view for its members
-    (:meth:`Family.step`; else, or when nothing was evaluated, None: a
-    retained delta nobody asks for costs memory locality). A view
-    holding a result is built by :meth:`at` and moves only through
-    :meth:`step`; one built plainly holds none until a member's copy
-    advances it (its members so far — aggregates, baselines — evaluate
-    on their own).
+    takes the delta, which a manager's view keeps (its members take it,
+    and a rider a step leaves behind is parted by it; elsewhere, or
+    when nothing was evaluated, None: a retained delta nobody asks for
+    costs memory locality). A view holding a result is built by
+    :meth:`at` and moves only through :meth:`step`; one built plainly
+    holds none until a member's copy moves it (its members so far —
+    aggregates, baselines — evaluate on their own).
 
     ``family`` is the :class:`Family` of the view's shape while the
     view is indexed and has a shape (else None): a routed window it
@@ -421,7 +423,7 @@ class SharedView:
     def evaluate(
         self,
         window: DeltaBatchCache,
-        index: Optional[PredicateIndex],
+        read: Optional[Tuple[Dict[str, DeltaRelation], Optional[Routed]]],
         since: Timestamp,
         now: Timestamp,
         metrics: Optional[Metrics] = None,
@@ -429,11 +431,12 @@ class SharedView:
         held: Optional[Relation] = None,
     ) -> Optional[DeltaRelation]:
         """The result delta over ``(since, now]`` on the kernels, moving
-        nothing; None when nothing was evaluated (an empty :meth:`read`).
-        The window ``last`` names is not evaluated again; one evaluated
-        beside a view already at ``now`` becomes ``last``. A window GC
-        has retired is re-evaluated completely and diffed with ``held``;
-        with nothing held it raises the log's ``ValueError``.
+        nothing, from ``read`` (the window's :meth:`read`); None when it
+        is empty. ``read`` None is a window GC retired: Q evaluated
+        whole, diffed with ``held`` (a shard store holds nothing, but its
+        zones keep every open window). The window ``last`` names is not
+        evaluated again; one evaluated beside a view already at ``now``
+        becomes ``last`` while a second reader may ask for it.
 
         A routed window in which only the table of the family's
         parameter alias changed is the family's, when the family has
@@ -441,15 +444,11 @@ class SharedView:
         one :meth:`Family.evaluate`. Anything else — a family of one, an
         unrouted or quarantined read, another table touched — runs this
         view's own execution."""
-        try:
-            deltas, seeds = self.read(window, index, since, now)
-        except ValueError:
-            # Nothing held to diff with (a shard store's view). A
-            # store's zones keep every open window's entries, so GC
-            # never retires one there and this is unreachable.
+        if read is None:
             if held is None:
-                raise
+                raise ValueError(f"{self.sql_key!r}: ({since}, {now}] was retired")
             return diff(held, window.db.query(self.query, metrics), now)
+        deltas, seeds = read
         if not deltas:
             return None
         last = self.last
@@ -463,7 +462,10 @@ class SharedView:
             and len(deltas) == 1
             and family.table in deltas
         ):
-            shares = window.family(family, self.tables, since, now, metrics, tracer)
+            # (the window's one evaluation, read without a call per member)
+            shares = window._families.get((family.key, since, now))
+            if shares is None:
+                shares = window.family(family, self.tables, since, now, metrics, tracer)
             delta = shares[key]
         else:
             span = (
@@ -493,26 +495,6 @@ class SharedView:
             self.last = (since, now, delta)
         return delta
 
-    def advance(
-        self,
-        window: DeltaBatchCache,
-        index: Optional[PredicateIndex],
-        now: Timestamp,
-        metrics: Optional[Metrics] = None,
-        tracer: Optional[Tracer] = None,
-        since: Optional[Timestamp] = None,
-        held: Optional[Relation] = None,
-    ) -> Optional[DeltaRelation]:
-        """Move the view to ``now`` once :meth:`evaluate` succeeded,
-        through :meth:`step`; returns the delta. The window starts at
-        the view's ``since``, or at a manager member's ``since`` whose
-        copy ``held`` the view then moves from."""
-        if since is None:
-            since, held = self.since, self.result
-        delta = self.evaluate(window, index, since, now, metrics, tracer, held)
-        self.step(delta, since, now, held)
-        return delta
-
     def step(
         self,
         delta: Optional[DeltaRelation],
@@ -523,10 +505,12 @@ class SharedView:
         """The one move of a view: ``held``, the result as of ``since``,
         with ``delta`` applied (folding ``digest`` through
         :func:`apply_delta`) becomes ``result``; ``last`` records the
-        window and ``since`` becomes ``now``. :meth:`advance` ends with
-        it, and so do :func:`sweep` for a view it evaluated (the
-        cluster router's catch-up included) and the router's merge of
-        the deltas its shard stores evaluated.
+        window, with the delta at the manager (its members take it, and
+        a rider the step left behind is parted by it), and ``since``
+        becomes ``now``. :func:`sweep` ends a view's evaluation with it
+        at every tier, the manager's member that moves a view from its
+        own window or copy does, and so does the cluster router's merge
+        of the deltas its shard stores evaluated.
 
         The view's own result moves in place, at O(|delta|); a member's
         copy the view takes over, or a result handed out that the delta
@@ -543,7 +527,7 @@ class SharedView:
                 delta.apply_in_place(held)
             else:
                 self.digest = apply_delta(delta, held, self.digest)
-        kept = delta if self.readers > 1 else None
+        kept = delta if self.readers else None
         self.result, self.last, self.since = held, (since, now, kept), now
 
     def check(self, db: Database) -> None:
@@ -563,60 +547,84 @@ class SharedView:
 def sweep(
     views: Iterable[SharedView],
     window: DeltaBatchCache,
-    index: PredicateIndex,
+    index: Optional[PredicateIndex],
     now: Timestamp,
-    metrics: Metrics,
+    metrics: Optional[Metrics],
     tracer: Optional[Tracer] = None,
 ) -> Iterator[Tuple[SharedView, Timestamp, Optional[DeltaRelation]]]:
     """Move ``views`` to ``now`` in their order, yielding ``(view, since,
-    delta)`` for each evaluated one for the tier to deliver: the refresh
-    of the server and of a shard store, and the cluster router's
-    catch-up.
+    delta)`` for each evaluated one for the tier to deliver (and
+    recording it in ``window.moved``): the refresh of the server and of
+    a shard store, the cluster router's catch-up, and the start of a
+    manager's poll.
 
-    Each footprint's window ``(since, now]`` is routed once
-    (:meth:`DeltaBatchCache.due`). A view it does not select moves by
-    assignment alone: the Section 5.2 relevance theorem makes its delta
-    empty. A selected one moves through :meth:`SharedView.advance` (a
-    routed family's window evaluated once for all its members), what it
-    charged folded once into ``metrics`` and the view's ``cost``. A
-    window GC retired cannot be routed: its views evaluate on their
-    own. An evaluation that raises leaves its view, and those after it,
-    where they stand. ``delta_batches_reused`` reads as if each view
-    had read its window: a quiet view is charged the read it skips."""
-    selected: Dict[Tuple[Tuple[str, ...], Timestamp], Optional[Set[str]]] = {}
+    Each footprint's window ``(since, now]`` is routed once, and every
+    view of it reads that routing. A view it does not select
+    (:meth:`DeltaBatchCache.due`'s rule) moves by assignment alone: the
+    Section 5.2 relevance theorem makes its delta empty. A selected one
+    is evaluated through :meth:`SharedView.evaluate` (a routed family's
+    window once for all its members) and stepped, what it charged
+    folded once into ``metrics`` and the view's ``cost``. With no
+    ``index`` every view is evaluated unrouted, and a window GC retired
+    whole. An evaluation that raises leaves its view, and those after
+    it, where they stand. ``delta_batches_reused`` reads as if each
+    view had read its window, charged at the end."""
+    routes: Dict[Tuple[Tuple[str, ...], Timestamp], Optional[Tuple]] = {}
     unread: Dict[Tuple[Tuple[str, ...], Timestamp], int] = {}
-    bag = Metrics()
-    skipped = 0
+    moved, bag = window.moved, Metrics()
+    charged = bag._counters  # (a share of a family's evaluation charges nothing)
+    reads = skipped = 0
     try:
         for view in views:
-            tables, since = view.tables, view.since
-            key = (tables, since)
-            if key not in selected:
+            tables, since, key = view.tables, view.since, view.sql_key
+            at = (tables, since)
+            if at not in routes:
+                routes[at] = None
                 try:
-                    selected[key] = window.due(index, tables, since, now, False)
-                    unread[key] = len(tables)
+                    if index is None:
+                        routes[at] = window.deltas(tables, since, now), None
+                        reads -= len(tables)  # (the first view's read)
+                    else:
+                        routes[at] = window.routed(index, tables, since, now, False)
+                        unread[at] = len(tables)
                 except ValueError:
-                    selected[key] = None
-            due = selected[key]
-            if due is not None and view.sql_key not in due:
-                skipped += len(tables)
-                view.last, view.since = (since, now, None), now
-                continue
-            unread.pop(key, None)
+                    pass
+            pair = routes[at]
+            read = None
+            if pair is not None:
+                deltas, routed = pair
+                seeds = None
+                if routed is not None:
+                    seeds = routed.get(key)
+                    if seeds is None and key not in window.stale:
+                        skipped += len(tables)
+                        view.last, view.since = (since, now, None), now
+                        continue
+                    unread.pop(at, None)
+                    if (tables, since, now) in window._unread:  # (its first read)
+                        window._unread.discard((tables, since, now))
+                        reads -= len(tables)
+                reads += len(tables)
+                read = deltas, seeds
             try:
-                delta = view.advance(window, index, now, bag, tracer)
+                held = view.result
+                delta = view.evaluate(window, read, since, now, bag, tracer, held)
+                view.step(delta, since, now, held)
             finally:
-                if len(bag):
-                    metrics.merge(bag)
+                if charged:
+                    if metrics is not None:
+                        metrics.merge(bag)
                     cost = view.cost
                     for name, value in bag.snapshot().items():
                         cost[name] = cost.get(name, 0) + value
                     bag.reset()
+            moved[view] = (since, now, delta)
             yield view, since, delta
     finally:
         # (a window no evaluated view read was first read by a quiet one)
-        skipped -= sum(unread.values())
-        if skipped and window.metrics:
+        skipped += reads - sum(unread.values())
+        window.hits += reads
+        if skipped and window.metrics is not None:
             window.metrics.count(Metrics.DELTA_BATCHES_REUSED, skipped)
 
 
@@ -666,6 +674,8 @@ class Family:
     where the two projected rows are equal, which a signed sum over the
     union would cancel. Routing already applied each member's whole
     local conjunction on P (Section 5.2), so nobody tests it again.
+    Each member's view takes its share in its own
+    :meth:`SharedView.evaluate`, in the :func:`sweep` that moves it.
 
     ``members`` maps each member's ``sql_key`` to its view.
     """
@@ -753,26 +763,6 @@ class Family:
             if span is not NULL_SPAN:
                 span.set(seed_rows=len(tids), outputs=len(result.weights))
         return shares
-
-    def step(
-        self,
-        shares: Mapping[str, DeltaRelation],
-        since: Timestamp,
-        now: Timestamp,
-        stands: Callable[[SharedView], bool],
-    ) -> None:
-        """Move every member view the window ``(since, now]`` routed and
-        that ``stands`` at ``since`` to ``now`` in one pass, each by its
-        share of the window's one :meth:`evaluate`, through
-        :meth:`SharedView.step` from its own result. Each keeps its
-        delta in ``last`` for its members to take, however many read it.
-        A view already at ``now`` is not moved again."""
-        members = self.members
-        for key, delta in shares.items():
-            view = members.get(key)
-            if view is not None and view.since != now and stands(view):
-                view.step(delta, since, now, view.result)
-                view.last = (since, now, delta)
 
 
 def join_family(

@@ -44,6 +44,11 @@ class TeeMetrics(Metrics):
         if self.parent is not None:
             self.parent.observe(name, value)
 
+    def merge(self, other: Metrics) -> None:
+        super().merge(other)
+        if self.parent is not None:
+            self.parent.merge(other)
+
     def charged(self) -> Dict[str, int]:
         """The non-zero counters this scope was charged."""
         return {name: value for name, value in self._counters.items() if value}

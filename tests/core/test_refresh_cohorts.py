@@ -8,9 +8,10 @@ unvisited member's window rides its cohort's sweep under GC, a late
 joiner is visited whatever the sweep routes, a stateful data trigger is
 never skipped on a touched footprint, quarantined CQs are always
 visited, a registration aliases a current result instead of running
-E_0, and a routed group is evaluated once, in its first due member's
-turn, whose family pass moves every routed view standing at the
-window's start, and every other lazy member *receives* that evaluation.
+E_0, and every lazy view of a touched cohort moves in one sweep at the
+start of the poll, charged to its first due member — a routed family's
+window evaluated once, a view routing does not select moved by
+assignment — and every other lazy member *receives* that evaluation.
 """
 
 import gc
@@ -155,11 +156,11 @@ class TestUnroutedWindows:
 
 
 class TestMembersReceive:
-    """A routed group is evaluated once, in the turn of its first due
-    member in registration order and charged to it; every lazy member
-    whose window is that one — the first included — receives the delta
-    and the group's one result in constant time
-    (``CQManager._receive``)."""
+    """A routed group is evaluated once, in its cohort's sweep at the
+    start of the poll, charged to the cohort's first due member in
+    registration order; every lazy member whose window is that one —
+    the first included — receives the delta and the group's one result
+    in constant time (``CQManager._receive``)."""
 
     def test_one_group_fifty_members_one_evaluation(self, db, stocks):
         """(i)"""
@@ -371,11 +372,12 @@ class TestMembersReceive:
 
     @pytest.mark.bulk
     def test_a_poll_never_evicts_a_pair_before_its_members_turn(self, db):
-        """A group's evaluation lives on the group's record, so it is
-        there when the last member's registration-order turn comes
-        however many groups the poll routes — behind a bounded memo,
-        300 two-member groups used to run 600 executions and share
-        nothing."""
+        """A group's evaluation lives in the poll's record of its sweep
+        (``window.moved``), so it is there when the last member's
+        registration-order turn comes however many groups the poll
+        routes — behind a bounded memo, 300 two-member groups used to
+        run 600 executions and share nothing. The first member paid for
+        the cohort's sweep; the other 599 receive."""
         table = db.create_table(
             "t", [("k", AttributeType.INT), ("v", AttributeType.INT)]
         )
@@ -393,7 +395,7 @@ class TestMembersReceive:
         notes = mgr.poll()
         spent = mgr.metrics.diff(before)
         assert spent[Metrics.EXECUTIONS] == 300
-        assert spent[Metrics.SHARED_GROUP_HITS] == 300
+        assert spent[Metrics.SHARED_GROUP_HITS] == 599
         assert [n.cq_name for n in notes] == [
             f"r{round_}g{g}" for round_ in range(2) for g in range(300)
         ]
@@ -434,9 +436,9 @@ class TestMembersReceive:
         self, db, stocks
     ):
         """Two views of one family whose members interleave — A1, B1,
-        A2, B2, ``manager_churn``'s shape: each view is evaluated in its
-        first member's turn and received by the other, and the turns
-        run in registration order, not grouped by view. A commit made
+        A2, B2, ``manager_churn``'s shape: both views move in the
+        cohort's sweep, charged to A1, and every other member receives;
+        the turns run in registration order, not grouped by view. A commit made
         from B1's callback moves ``now`` for the turns after it: A2 and
         B2 evaluate their own windows, and every member is notified of
         that commit exactly once."""
@@ -469,7 +471,7 @@ class TestMembersReceive:
         received = {"cq_refreshes": 1, "shared_group_hits": 1}
         for name in names:
             row = mgr.stats.counters(name)
-            evaluated = name == "A1"  # (B1 receives: A1's pass stepped B)
+            evaluated = name == "A1"  # (B1 receives: the sweep moved B)
             assert (row == received) is not evaluated, (name, row)
             assert row["cq_refreshes"] == 1
             assert mgr.stats.latency(name).count == evaluated
@@ -495,13 +497,14 @@ class TestMembersReceive:
 
 
 class TestFamilyPass:
-    """A family's one execution for a routed window ``(s, now]`` steps,
-    in the same pass, every routed view of the family that stands at
-    ``s`` — where it stands there, or lags behind with a lazy member
-    holding its result that the sweeps skipped — so the members of
-    those views only receive. A view with only always-visit members, a
-    view ahead of ``s`` (a late joiner's) and a member whose ``now`` a
-    callback's commit moved evaluate in their own turns."""
+    """A family's one execution for a routed window ``(s, now]`` moves,
+    in the cohort's sweep, every routed view of the family with a lazy
+    member — each stands at ``s``, the sweeps routing skipped it having
+    moved it by assignment — so the members of those views only
+    receive. A late joiner's view, ahead of ``s``, moves in the same
+    sweep over its own window, which its member receives. A view with
+    only always-visit members, and a member whose ``now`` a callback's
+    commit moved, evaluate in their own turns."""
 
     TEXTS = {
         "A": WATCH,  # price > 120
@@ -519,11 +522,11 @@ class TestFamilyPass:
             cq = mgr.get(name)
             assert cq.previous_result == db.query(self.TEXTS[name[0]]), name
 
-    def test_one_execution_steps_a_current_and_a_lagging_view(self, db, stocks):
-        """A current view (A), a lagging routed one (B, one reader) and
-        a view whose only member is always-visit (C): one execution,
-        one evaluating lazy turn, and every member notified once, in
-        registration order. B moved in A1's pass (B1, its one reader,
+    def test_one_execution_steps_a_routed_and_a_quiet_view(self, db, stocks):
+        """A routed view (A), one the first poll moved by assignment (B,
+        one reader) and a view whose only member is always-visit (C):
+        one execution, charged to A1, and every member notified once, in
+        registration order. B moved in the sweep (B1, its one reader,
         receives); C did not (C1 evaluates in its own turn)."""
         mgr = make_manager(db)
         texts = self.TEXTS
@@ -547,12 +550,14 @@ class TestFamilyPass:
         assert len({mgr._views[texts[v]].family for v in "ABC"} - {None}) == 1
         mgr.drain()
 
-        stocks.insert((700, "MID", 200))  # A and C, not B: B lags behind
+        since = mgr._views[texts["B"]].since
+        stocks.insert((700, "MID", 200))  # A and C, not B: B moves by assignment
         assert [n.cq_name for n in mgr.poll()] == ["A1", "C1", "A2"] == order
         self.settle(mgr, db, names)
         swept = cohort.swept
         views = {v: mgr._views[texts[v]] for v in "ABC"}
-        assert views["A"].since == views["C"].since == swept > views["B"].since
+        assert {views[v].since for v in "ABC"} == {swept}
+        assert views["B"].last == (since, swept, None)
         assert mgr.get("B1").previous_result is views["B"].result
 
         del order[:]
@@ -570,7 +575,7 @@ class TestFamilyPass:
         assert stepped == {"A1": 1, "B1": 0, "C1": 1, "A2": 0}
         received = {"cq_refreshes": 1, "shared_group_hits": 1}
         assert mgr.stats.counters("B1") == received
-        # When B1 was notified, A1's pass had moved A and B, not C.
+        # When B1 was notified, the sweep had moved A and B, not C.
         now = db.now()
         assert seen == {"A": now, "B": now, "C": swept}
         assert views["B"].last == (swept, now, notes[1].delta)
@@ -580,12 +585,13 @@ class TestFamilyPass:
     def test_a_callback_commit_and_a_late_joiner_evaluate_alone(
         self, db, stocks, stocks_tids
     ):
-        """A1's pass steps B, and B1 (its one reader) receives. Then A1's
+        """The sweep steps B, and B1 (its one reader) receives. Then A1's
         callback commits: B1 and A2 stand where they did, but ``now`` has
         moved, so each evaluates its own window, and nobody steps A
         (ahead of B1's window start) again. A late joiner's view (D,
         built after a commit the cohort had not swept) is ahead of the
-        sweep: the first pass leaves it alone and D1 evaluates alone."""
+        cohort's window: the sweep moves it over its own window, a
+        second routing and execution, which D1 receives."""
         mgr = make_manager(db)
         texts = self.TEXTS
         seen, arm = {}, []
@@ -612,7 +618,7 @@ class TestFamilyPass:
             return [n for n in mgr._cqs if mgr.stats.latency(n).count > latency[n]]
 
         tid = stocks.insert((600, "HI", 900))
-        assert poll(names, 1) == ["A1"]  # B1 and A2 received A1's pass
+        assert poll(names, 1) == ["A1"]  # B1 and A2 received the sweep
         received = {"cq_refreshes": 1, "shared_group_hits": 1}
         assert mgr.stats.counters("B1") == received
 
@@ -638,7 +644,7 @@ class TestFamilyPass:
         qli = stocks_tids[92394]
         stocks.modify(qli, updates={"price": 90})  # out of A and D
         new = stocks.insert((800, "NEW", 950))  # into every view
-        assert poll(["A1", "B1", "A2", "D1"], 2) == ["A1", "D1"]
+        assert poll(["A1", "B1", "A2", "D1"], 2) == ["A1"]  # (D1 receives)
         assert seen["D1"] == [
             [(qli, (92394, "QLI", 400), None), (new, None, (800, "NEW", 950))]
         ]
@@ -998,11 +1004,11 @@ class TestRegistrationByCopy:
         self, db, stocks
     ):
         """Joining a live view is a membership: while the view's result
-        is Q(state now) — it stands at now, or lags only behind commits
-        routed away from it, held by a member the sweep carried past
-        them — the joiner aliases it: no plan lookup, no E_0, no copy,
-        and the text's key rendered once. A joiner of a view behind a
-        pending commit still starts from Q(state now)."""
+        is Q(state now) — it stands at now, the sweep having moved it
+        past commits routed away from it by assignment — the joiner
+        aliases it: no plan lookup, no E_0, no copy, and the text's key
+        rendered once. A joiner of a view behind a pending commit still
+        starts from Q(state now)."""
         mgr = make_manager(db)
         first = mgr.register_sql("w0", WATCH)
         mgr.register_sql("bystander", CHEAP)  # (keeps the cohort routing)
@@ -1021,9 +1027,9 @@ class TestRegistrationByCopy:
         mgr.drain()
         stocks.insert((700, "LOW", 10))  # routed to CHEAP only
         assert [n.cq_name for n in mgr.poll()] == ["bystander"]
-        assert view.since < db.now()
-        lagging = mgr.register_sql("w2", WATCH)
-        assert lagging.previous_result is view.result
+        assert view.since == db.now()
+        routed_past = mgr.register_sql("w2", WATCH)
+        assert routed_past.previous_result is view.result
         mgr.check_invariants()
         mgr.drain()
         stocks.insert((701, "HI", 900))  # pending for every WATCH member

@@ -14,7 +14,13 @@ import pytest
 from repro.core import CQManager, Engine, EvaluationStrategy
 from repro.metrics import Metrics
 from tests.core.conftest import MUTATORS
-from tests.integration.test_schedules import Manager, check, make_schedule, replay
+from tests.integration.test_schedules import (
+    Manager,
+    check,
+    make_family_schedule,
+    make_schedule,
+    replay,
+)
 from tests.invariants import check_after_every_call
 
 #: The oracle every other configuration is compared against.
@@ -134,10 +140,12 @@ def test_all_four_configs_share_one_known_answer():
 
 def test_fanout_columnar_exercises_receives_and_seeds(monkeypatch):
     """The randomized runs above are only a safety net for what they
-    reach: the first chunk's schedules must take the constant-time
-    receive, run seeded executions (multi-alias ones included), meet
-    late joiners, refuse a receive because the window differed, and
-    sweep touched cohorts both routed and unrouted."""
+    reach: the first chunk's schedules and the first family schedules
+    must take the constant-time receive, run seeded executions
+    (multi-alias ones included), meet late joiners, refuse a receive
+    because the window differed (a late joiner's own, beside the view
+    its cohort's sweep moved), and sweep touched cohorts both routed and
+    unrouted."""
     import repro.core.scheduler as scheduler_module
 
     seen = dict(receives=0, refused=0, seeded=0, multi_alias=0, late=0)
@@ -153,20 +161,16 @@ def test_fanout_columnar_exercises_receives_and_seeds(monkeypatch):
     def counted_receive(self, cq):
         cohort = self._cohorts[cq.table_names]
         group = self._views[cq.sql_key]
-        before, now = group.last, self.db.now()
+        swept, now = self._window.moved.get(group), self.db.now()
         # A lazy member whose window starts after its cohort's sweep.
         seen["late"] += cq.last_execution_ts > cohort.swept
-        receive(self, cq)
-        moved = cq.last_execution_ts == now
-        # Took the evaluation an earlier member's turn left ...
-        seen["receives"] += moved and group.last is before
-        # ... or found one as of now, over another window, and evaluated.
-        seen["refused"] += (
-            moved
-            and group.last is not before
-            and before is not None
-            and before[1] == now
-        )
+        took = receive(self, cq)
+        # Took the evaluation the poll's sweep left ...
+        seen["receives"] += took is True
+        # ... or found the view swept as of now, over another window,
+        # and evaluated its own.
+        seen["refused"] += took is False and swept is not None and swept[1] == now
+        return took
 
     def counted_execute(*args, seeds=None, **kwargs):
         seen["seeded"] += seeds is not None
@@ -178,4 +182,6 @@ def test_fanout_columnar_exercises_receives_and_seeds(monkeypatch):
     monkeypatch.setattr(scheduler_module, "dra_execute", counted_execute)
     for i in range(N_SCHEDULES // CHUNKS):
         replay(make_schedule(7_000 + i), Manager(Engine.DRA))
+    for i in range(8):
+        replay(make_family_schedule(23_000 + i), Manager(Engine.DRA))
     assert all(seen.values()), seen
